@@ -365,14 +365,13 @@ func BenchmarkSequentialProcessDocument(b *testing.B) {
 }
 
 // BenchmarkViewCacheAblation quantifies the Section-5 cache: steady-state
-// document cost with an unbounded cache, a tight cache, and none.
+// document cost with the view cache and without it.
 func BenchmarkViewCacheAblation(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"unbounded", core.Config{ViewMaterialization: true}},
-		{"capacity64", core.Config{ViewMaterialization: true, ViewCacheCapacity: 64}},
+		{"cache", core.Config{ViewMaterialization: true}},
 		{"nocache", core.Config{}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -5,7 +5,7 @@
 //
 //	docscheck README.md TUNING.md DESIGN.md
 //
-// Three checks run over every file given:
+// Four checks run over every file given:
 //
 //   - Every fenced ```go block must be a complete, compilable Go file. Each
 //     block is extracted into a throwaway package directory inside the
@@ -19,9 +19,17 @@
 //     parse under the grammar in internal/lint (known name, argument arity),
 //     so the documented examples can never drift from what mmqjplint
 //     actually accepts.
+//   - Every -flag attached to mmqjp-server must be defined by a flag.*("name",
+//     ...) call in cmd/mmqjp-server/main.go, so a guide cannot keep
+//     advertising a flag the server no longer has. A flag is attached to the
+//     server when it follows the word mmqjp-server on a command line of a
+//     fenced ```sh block or inside an inline code span, or when it opens an
+//     inline code span in a paragraph that mentions the server (other tools'
+//     flags live in paragraphs about those tools). ROADMAP.md is exempt: it
+//     proposes flags that do not exist yet.
 //
-// Exit status is 1 if any block fails to build or any link is broken, with
-// one diagnostic line per failure.
+// Run it from the repository root. Exit status is 1 on any failure, with one
+// diagnostic line each.
 package main
 
 import (
@@ -41,6 +49,12 @@ func main() {
 		os.Exit(2)
 	}
 	failures := 0
+	serverSrc, err := os.ReadFile(serverMain)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	defined := definedFlags(string(serverSrc))
 	for _, path := range os.Args[1:] {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -61,12 +75,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, msg)
 			failures++
 		}
+		// The roadmap proposes flags that do not exist yet.
+		if filepath.Base(path) != "ROADMAP.md" {
+			for _, msg := range checkServerFlags(path, text, defined) {
+				fmt.Fprintln(os.Stderr, msg)
+				failures++
+			}
+		}
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", failures)
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all go blocks compile, all intra-repo links resolve, all //mmqjp: examples parse")
+	fmt.Println("docscheck: all go blocks compile, all intra-repo links resolve, all //mmqjp: examples parse, all mmqjp-server flags exist")
 }
 
 // goBlock is one fenced ```go block with the line it starts on.
@@ -182,6 +203,104 @@ func checkDirectives(path, text string) (msgs []string) {
 		directive := strings.TrimRight(line[idx:], " \t")
 		if _, _, err := lint.ParseDirectiveText(directive); err != nil {
 			msgs = append(msgs, fmt.Sprintf("%s:%d: bad //mmqjp: directive example: %v", path, i+1, err))
+		}
+	}
+	return msgs
+}
+
+// serverMain is where mmqjp-server defines its flags.
+const serverMain = "cmd/mmqjp-server/main.go"
+
+var (
+	flagDefRe  = regexp.MustCompile(`flag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
+	flagUseRe  = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	codeSpanRe = regexp.MustCompile("`([^`]+)`")
+	serverRe   = regexp.MustCompile(`(?i)\bserver`)
+)
+
+// definedFlags returns the flag names a Go source file registers with the
+// flag package.
+func definedFlags(src string) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range flagDefRe.FindAllStringSubmatch(src, -1) {
+		out[m[1]] = true
+	}
+	return out
+}
+
+// serverCommandFlags returns the flags following the word mmqjp-server in
+// one command line, up to the next shell separator or comment.
+func serverCommandFlags(cmd string) []string {
+	i := strings.Index(cmd, "mmqjp-server")
+	if i < 0 {
+		return nil
+	}
+	rest := cmd[i+len("mmqjp-server"):]
+	if j := strings.IndexAny(rest, "|&;#"); j >= 0 {
+		rest = rest[:j]
+	}
+	return flagNames(rest)
+}
+
+// flagNames returns the names of the -flag tokens in s.
+func flagNames(s string) (names []string) {
+	for _, m := range flagUseRe.FindAllStringSubmatch(s, -1) {
+		names = append(names, m[1])
+	}
+	return names
+}
+
+// checkServerFlags reports every flag attached to mmqjp-server (see the
+// package comment for the rule) that is not in defined.
+func checkServerFlags(path, text string, defined map[string]bool) (msgs []string) {
+	report := func(line int, flags []string) {
+		for _, name := range flags {
+			if !defined[name] {
+				msgs = append(msgs, fmt.Sprintf("%s:%d: mmqjp-server has no flag -%s (%s)", path, line, name, serverMain))
+			}
+		}
+	}
+	lines := strings.Split(text, "\n")
+	inBlock, isSh := false, false
+	for i := 0; i < len(lines); i++ {
+		trimmed := strings.TrimSpace(lines[i])
+		if strings.HasPrefix(trimmed, "```") {
+			isSh = !inBlock && strings.TrimPrefix(trimmed, "```") == "sh"
+			inBlock = !inBlock
+			continue
+		}
+		if inBlock {
+			if !isSh {
+				continue
+			}
+			// One command, with its backslash continuations.
+			start, cmd := i, trimmed
+			for strings.HasSuffix(cmd, "\\") && i+1 < len(lines) {
+				i++
+				cmd = strings.TrimSuffix(cmd, "\\") + " " + strings.TrimSpace(lines[i])
+			}
+			report(start+1, serverCommandFlags(cmd))
+			continue
+		}
+		if trimmed == "" {
+			continue
+		}
+		// One paragraph: consecutive non-blank lines outside fences.
+		start := i
+		for i+1 < len(lines) && strings.TrimSpace(lines[i+1]) != "" && !strings.HasPrefix(strings.TrimSpace(lines[i+1]), "```") {
+			i++
+		}
+		aboutServer := serverRe.MatchString(strings.Join(lines[start:i+1], "\n"))
+		for j := start; j <= i; j++ {
+			for _, m := range codeSpanRe.FindAllStringSubmatch(lines[j], -1) {
+				span := m[1]
+				switch {
+				case strings.Contains(span, "mmqjp-server"):
+					report(j+1, serverCommandFlags(span))
+				case aboutServer && strings.HasPrefix(span, "-"):
+					report(j+1, flagNames(span))
+				}
+			}
 		}
 	}
 	return msgs

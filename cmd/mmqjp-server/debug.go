@@ -33,8 +33,6 @@ import (
 //	                                      full queue
 //	plan_witness_total, plan_rt_total,    adaptive-planner choice counters
 //	plan_explorations_total
-//	splits_total, split_chunks_total,     intra-template split/steal
-//	steals_total                          activity (core split.go)
 //	stream_publish_total{stream},         per-stream publish and match
 //	stream_matches_total{stream}          counters (server-side)
 //	snapshots_total, snapshot_errors_total, durable-mode snapshot activity
@@ -96,12 +94,6 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().Stats().RTPlans) })
 	r.CounterFunc("mmqjp_plan_explorations_total", "Calibration runs of the non-chosen Stage-2 plan.",
 		func() float64 { return float64(eng().Stats().Explorations) })
-	r.CounterFunc("mmqjp_splits_total", "Template evaluations partitioned into stealable chunks.",
-		func() float64 { return float64(eng().Stats().Splits) })
-	r.CounterFunc("mmqjp_split_chunks_total", "Chunks produced by split template evaluations.",
-		func() float64 { return float64(eng().Stats().SplitChunks) })
-	r.CounterFunc("mmqjp_steals_total", "Split chunks executed by a worker other than the owning shard.",
-		func() float64 { return float64(eng().Stats().Steals) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.snapshots = r.Counter("mmqjp_snapshots_total", "Snapshots saved to the durable store.")

@@ -235,7 +235,6 @@ func main() {
 	async := flag.Bool("async", false, "route PUB through the continuous async ingest pipeline")
 	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto (adaptive), witness, or rt (forced ablations)")
 	explore := flag.Int("explore", 64, "with -plan auto, run the non-chosen plan on ~1/N of plan decisions to calibrate the cost model (0 disables)")
-	splitThr := flag.Float64("split-threshold", 0, "cost-unit threshold above which a hot template's Stage-2 evaluation is split across workers (0 = built-in default, negative disables; see TUNING.md)")
 	partitions := flag.Int("partitions", 0, "engine-of-engines: partition subscriptions across this many independent engines behind the deterministic router (0 or 1 = a single engine; output is identical either way)")
 	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables")
 	snapPath := flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables")
@@ -261,8 +260,7 @@ func main() {
 	}
 	opts := mmqjp.Options{
 		Processor: kind, Parallelism: *workers, PipelineDepth: *pipeline,
-		Plan: plan, PlanExploreEvery: *explore, SplitThreshold: *splitThr,
-		Partitions: *partitions,
+		Plan: plan, PlanExploreEvery: *explore, Partitions: *partitions,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument

@@ -27,13 +27,9 @@
 // parallelized across query templates when Options.Parallelism is set:
 // templates are sharded over a bounded worker pool with per-shard state
 // ownership, and matches are merged deterministically, so output is
-// identical for every worker count (see DESIGN.md). When the workload is
-// skewed onto a few hot templates, Options.SplitThreshold additionally
-// splits a hot template's evaluation into chunks that idle workers steal
-// (intra-template parallelism), again without changing any output byte —
-// TUNING.md maps workload shapes onto these knobs. Batch publishes
-// (PublishBatch, PublishXMLBatch) further pipeline ingestion when
-// Options.PipelineDepth is set: Stage 1 of up to PipelineDepth upcoming
+// identical for every worker count (see DESIGN.md; TUNING.md maps workload
+// shapes onto the knobs). Batch publishes (PublishBatch, PublishXMLBatch)
+// further pipeline ingestion when Options.PipelineDepth is set: Stage 1 of up to PipelineDepth upcoming
 // documents runs ahead in workers while Stage 2, the state merge, and
 // window GC are applied strictly in arrival order, so batch output is
 // identical to per-document Publish for every depth. PublishAsync extends
@@ -76,7 +72,10 @@
 //
 // # Quick start
 //
-//	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+//	eng := mmqjp.New(mmqjp.Options{
+//	    Processor:        mmqjp.ProcessorViewMat, // zero value: ProcessorMMQJP (no view materialization)
+//	    PlanExploreEvery: 64,                     // zero value: PlanAuto never calibrates
+//	})
 //	qid, err := eng.Subscribe(
 //	    "S//book->b[.//author->a] FOLLOWED BY{a=a2, 100} S//blog->g[.//author->a2]")
 //	...

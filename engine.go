@@ -18,11 +18,13 @@ type ProcessorKind int
 
 const (
 	// ProcessorMMQJP is template-based multi-query join processing
-	// (Algorithm 1 of the paper).
+	// (Algorithm 1 of the paper). It is the zero value, so an Options
+	// literal that does not set Processor runs this evaluator.
 	ProcessorMMQJP ProcessorKind = iota
 	// ProcessorViewMat is MMQJP with the Section-5 view materialization
-	// and per-string view cache (Algorithm 4). This is the recommended
-	// production mode.
+	// and per-string view cache (Algorithm 4). It is what mmqjp-server
+	// runs by default (-viewmat=true). Neither evaluator wins everywhere;
+	// TUNING.md has the measured comparison.
 	ProcessorViewMat
 	// ProcessorSequential is the one-query-at-a-time baseline; it exists
 	// for benchmarking and differential testing.
@@ -65,7 +67,10 @@ func ParsePlan(s string) (Plan, error) {
 
 // Options configures an Engine.
 type Options struct {
-	// Processor selects the join strategy (default ProcessorViewMat).
+	// Processor selects the join strategy. The zero value is
+	// ProcessorMMQJP (no view materialization); mmqjp-server defaults to
+	// ProcessorViewMat, so set this field explicitly to get the same
+	// evaluator from the library.
 	Processor ProcessorKind
 	// Plan forces the per-template physical plan (default PlanAuto, the
 	// adaptive chooser). Match output is byte-identical for every
@@ -74,15 +79,15 @@ type Options struct {
 	// PlanExploreEvery enables PlanAuto's exploration policy: roughly one
 	// in this many per-template plan decisions additionally runs the
 	// non-chosen plan, timed for cost-model calibration only (its matches
-	// are discarded, so match output is unchanged). 0 disables
-	// exploration. Ignored for forced plans.
+	// are discarded, so match output is unchanged). The zero value
+	// disables exploration, and without it PlanAuto never observes the
+	// plan it did not choose, never calibrates, and in practice runs the
+	// witness plan like a forced PlanWitness; mmqjp-server defaults to 64
+	// (-explore). Ignored for forced plans.
 	PlanExploreEvery int
 	// PlanExploreSeed seeds the deterministic per-template exploration
 	// sampler (0 selects 1).
 	PlanExploreSeed int64
-	// ViewCacheCapacity bounds the number of cached view slices
-	// (0 = unbounded); only meaningful for ProcessorViewMat.
-	ViewCacheCapacity int
 	// RetainDocuments keeps processed documents in memory so that match
 	// outputs can be rendered as XML with Engine.OutputXML. Defaults to
 	// false: high-volume deployments usually only need match metadata.
@@ -110,13 +115,6 @@ type Options struct {
 	// ProcessorSequential. Snapshots record the partition count and must
 	// be reopened with the same value (see OpenEngine).
 	Partitions int
-	// SplitThreshold sets the cost-unit EWMA above which a hot template's
-	// Stage-2 evaluation is split into chunks stealable by idle workers,
-	// so one mega-template cannot serialize a Publish on a single worker
-	// (see TUNING.md). 0 selects the built-in default, negative disables
-	// splitting. Only meaningful with Parallelism > 1; match output is
-	// identical for every setting.
-	SplitThreshold float64
 	// PipelineDepth bounds how many upcoming documents of a PublishBatch
 	// call may have Stage 1 (XML parse, shared-NFA match, witness
 	// construction) running ahead of the in-order Stage-2 consumption
@@ -233,13 +231,11 @@ func New(opts Options) *Engine {
 	default:
 		cc := core.Config{
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
-			ViewCacheCapacity:   opts.ViewCacheCapacity,
 			RetainDocuments:     opts.RetainDocuments,
 			Plan:                core.PlanKind(opts.Plan),
 			PlanExploreEvery:    opts.PlanExploreEvery,
 			PlanExploreSeed:     opts.PlanExploreSeed,
 			Workers:             opts.Parallelism,
-			SplitThreshold:      opts.SplitThreshold,
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
 		}

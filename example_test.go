@@ -18,7 +18,7 @@ func itemDoc(id int64, price string) *mmqjp.Document {
 // pipeline: PublishAsync returns immediately with a channel that delivers
 // the document's matches once Stage 2 reaches it, in admission order.
 func ExampleEngine_PublishAsync() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64, PipelineDepth: 2})
 	defer eng.Close()
 
 	eng.MustSubscribe("S//item->v0[./price->v1] FOLLOWED BY{v1=w1, 100} S//item->w0[./price->w1]")
@@ -41,7 +41,7 @@ func ExampleEngine_PublishAsync() {
 // produces exactly the matches the original would have on the stream
 // suffix.
 func ExampleEngine_Snapshot() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64})
 	eng.MustSubscribe("S//item->v0[./price->v1] FOLLOWED BY{v1=w1, 100} S//item->w0[./price->w1]")
 	eng.Publish("S", itemDoc(1, "9.99"))
 
@@ -52,7 +52,7 @@ func ExampleEngine_Snapshot() {
 	}
 	eng.Close()
 
-	restored, err := mmqjp.OpenEngine(&snap, mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	restored, err := mmqjp.OpenEngine(&snap, mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64})
 	if err != nil {
 		fmt.Println("open:", err)
 		return
@@ -70,7 +70,7 @@ func ExampleEngine_Snapshot() {
 // a wiring shape collapse onto one canonical template, and the snapshot
 // reports its live statistics.
 func ExampleEngine_PlanStats() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64})
 	defer eng.Close()
 
 	// Same structural shape twice (leaf names never enter template

@@ -18,6 +18,7 @@ import (
 func main() {
 	eng := mmqjp.New(mmqjp.Options{
 		Processor:         mmqjp.ProcessorViewMat,
+		PlanExploreEvery:  64,
 		EnableComposition: true,
 	})
 

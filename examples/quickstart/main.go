@@ -15,8 +15,9 @@ import (
 
 func main() {
 	eng := mmqjp.New(mmqjp.Options{
-		Processor:       mmqjp.ProcessorViewMat,
-		RetainDocuments: true, // keep documents so matches can be rendered as XML
+		Processor:        mmqjp.ProcessorViewMat,
+		PlanExploreEvery: 64,
+		RetainDocuments:  true, // keep documents so matches can be rendered as XML
 	})
 
 	// Q1: a book announcement, followed by a blog article from one of its

@@ -451,9 +451,6 @@ func engineStats(p *core.Processor) *mmqjp.EngineStats {
 		WitnessPlans: s.WitnessPlans,
 		RTPlans:      s.RTPlans,
 		Explorations: s.Explorations,
-		Splits:       s.Splits,
-		SplitChunks:  s.SplitChunks,
-		Steals:       s.Steals,
 	}
 }
 

@@ -11,42 +11,17 @@ import (
 	"repro/internal/xscl"
 )
 
-// The "scale" experiment: the paper-scale workers sweep on the PaperScale
+// The "scale" experiment: the measured workers sweep on the PaperScale
 // workload (internal/workload/paperscale.go — 50+ live canonical templates,
-// nominally 100k query instances), with intra-template splitting enabled at
-// the default threshold.
-//
-// Two throughput series are reported per worker count:
-//
-//   - measured (docs/s): end-to-end wall clock of processing the stream on
-//     this host. On a machine with fewer cores than workers the extra
-//     workers cannot run simultaneously, so this series flattens at the
-//     core count — it is the honest number, not the scaling claim.
-//   - projected (docs/s): the critical-path model documented in DESIGN.md
-//     ("Intra-template parallelism & the scaling model"), computed from the
-//     serial run's per-template plan wall times (TemplatePlanStats.PlanWall)
-//     and split states. Stage-2 work at W workers is bounded below by
-//     max(total/W, largest indivisible piece); a split-active template's
-//     largest piece is its wall time over its chunk count, an unsplit
-//     template is one piece. Everything outside the per-template plan runs
-//     (Stage 1, witness construction, merge) is carried over serially.
-//     projected(1) equals measured(1) by construction, anchoring the model.
-//
-// The projected series is what the 1→8 workers scaling acceptance gate
-// reads; the measured series keeps the model honest on hosts that do have
-// the cores.
+// nominally 100k query instances). Throughput is the end-to-end wall clock
+// of processing the stream on this host, per template-shard worker count.
+// With more workers than cores the extra workers cannot run simultaneously,
+// so the multi-worker rows are scheduler noise on a small gate host and are
+// reported "(info)"; the serial run is the one benchdiff gates.
 
-// scaleChunksPerWorker mirrors core's splitChunksPerShard: a split-active
-// template's evaluation is cut into min(2·workers, units) chunks.
-const scaleChunksPerWorker = 2
-
-// scaleRun is one timed pass of the paper-scale stream.
-type scaleRun struct {
-	proc    *core.Processor
-	elapsed time.Duration
-}
-
-func runScale(qs []*xscl.Query, stream []*xmldoc.Document, workers int) scaleRun {
+// scaleThroughput returns end-to-end documents/second of processing the
+// stream at the given worker count, plus the finished processor.
+func scaleThroughput(qs []*xscl.Query, stream []*xmldoc.Document, workers int) (float64, *core.Processor) {
 	p := core.NewProcessor(core.Config{ViewMaterialization: true, Workers: workers})
 	for _, q := range qs {
 		p.MustRegister(q)
@@ -55,74 +30,11 @@ func runScale(qs []*xscl.Query, stream []*xmldoc.Document, workers int) scaleRun
 	for _, d := range stream {
 		p.Process("S", d)
 	}
-	return scaleRun{proc: p, elapsed: time.Since(start)}
+	return perSecond(len(stream), time.Since(start)), p
 }
 
-// scaleModel is the critical-path projection built from the serial run.
-type scaleModel struct {
-	items int
-	// other is the serial wall time outside the per-template plan runs.
-	other time.Duration
-	// total is the summed per-template plan wall; walls are the pieces.
-	total time.Duration
-	walls []scaleWall
-}
-
-type scaleWall struct {
-	wall     time.Duration
-	split    bool
-	groups   int // RT vector groups: the chunk-count bound of an RT-driven split
-	rtDriven bool
-}
-
-func newScaleModel(serial scaleRun, items int) *scaleModel {
-	m := &scaleModel{items: items}
-	for _, ts := range serial.proc.PlanStats() {
-		m.walls = append(m.walls, scaleWall{
-			wall:     ts.PlanWall,
-			split:    ts.SplitActive,
-			groups:   ts.VecGroups,
-			rtDriven: ts.LastRTDriven,
-		})
-		m.total += ts.PlanWall
-	}
-	m.other = serial.elapsed - m.total
-	if m.other < 0 {
-		m.other = 0
-	}
-	return m
-}
-
-// throughput projects docs/s at w workers: serial non-plan time plus the
-// Stage-2 makespan lower bound max(total/w, largest indivisible piece).
-func (m *scaleModel) throughput(w int) float64 {
-	if w < 1 {
-		w = 1
-	}
-	var grain time.Duration
-	for _, t := range m.walls {
-		piece := t.wall
-		if t.split && w > 1 {
-			chunks := scaleChunksPerWorker * w
-			if t.rtDriven && t.groups > 0 && t.groups < chunks {
-				chunks = t.groups
-			}
-			piece = t.wall / time.Duration(chunks)
-		}
-		if piece > grain {
-			grain = piece
-		}
-	}
-	makespan := m.total / time.Duration(w)
-	if grain > makespan {
-		makespan = grain
-	}
-	return perSecond(m.items, m.other+makespan)
-}
-
-// ScaleSweep — the paper-scale workers sweep with intra-template splitting:
-// measured end-to-end throughput plus the projected critical-path series,
-// with split/steal counters from the live runs.
+// ScaleSweep — the paper-scale workers sweep: measured end-to-end
+// throughput per worker count.
 func ScaleSweep(o Options) Result {
 	o = o.Defaults()
 	c := workload.DefaultPaperScale()
@@ -131,33 +43,20 @@ func ScaleSweep(o Options) Result {
 	srng := rand.New(rand.NewSource(o.Seed + 7))
 	stream := c.Stream(srng, o.ScaleItems)
 
-	serial := runScale(qs, stream, 1)
-	model := newScaleModel(serial, len(stream))
-
 	res := Result{ID: "scale",
-		Title: fmt.Sprintf("paper-scale workers sweep (%d of %d queries, %d of %d items; measured = this host's cores, projected = critical-path model)",
+		Title: fmt.Sprintf("paper-scale workers sweep (%d of %d queries, %d of %d items; measured on this host's cores)",
 			o.ScaleQueries, c.Instances, len(stream), c.Items),
-		// The measured multi-worker series is "(info)": on a gate host
-		// with fewer cores than workers it is scheduler noise, so
-		// benchdiff exempts it. The projected series is the gated one —
-		// at workers=1 it equals the measured serial run exactly, so the
-		// serial measurement is still under the gate through it.
-		Columns: []string{"workers", "measured (docs/s) (info)", "projected (docs/s)", "splits", "steals", "templates"}}
+		// benchdiff gates per column: the serial column carries only the
+		// workers=1 measurement ("-" elsewhere, which benchdiff skips).
+		Columns: []string{"workers", "measured (docs/s) (info)", "serial (docs/s)", "templates"}}
 	for _, nw := range o.WorkerCounts {
-		r := serial
-		if nw != 1 {
-			r = runScale(qs, stream, nw)
+		docsPerS, p := scaleThroughput(qs, stream, nw)
+		measured, serial := f(docsPerS), "-"
+		if nw == 1 {
+			serial = measured
 		}
-		s := r.proc.Stats()
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(nw),
-			f(perSecond(len(stream), r.elapsed)),
-			f(model.throughput(nw)),
-			fmt.Sprint(s.Splits),
-			fmt.Sprint(s.Steals),
-			fmt.Sprint(r.proc.NumTemplates()),
-		})
-		res.Stats = engineStats(r.proc)
+		res.Rows = append(res.Rows, []string{fmt.Sprint(nw), measured, serial, fmt.Sprint(p.NumTemplates())})
+		res.Stats = engineStats(p)
 	}
 	return res
 }

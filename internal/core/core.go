@@ -15,9 +15,6 @@ type Config struct {
 	// ViewMaterialization enables the Section-5 optimization: shared
 	// Rvj/RL/RR views and the per-string view cache (Algorithms 4 and 5).
 	ViewMaterialization bool
-	// ViewCacheCapacity bounds the number of cached RL slices
-	// (0 = unbounded). Ignored unless ViewMaterialization is set.
-	ViewCacheCapacity int
 	// RetainDocuments keeps full documents in the join state so that
 	// query outputs can be constructed as XML; benchmarks disable it.
 	RetainDocuments bool
@@ -43,14 +40,6 @@ type Config struct {
 	// share no mutable state. 0 or 1 selects sequential evaluation;
 	// match output is identical for every worker count.
 	Workers int
-	// SplitThreshold sets the cost-unit EWMA above which a hot template's
-	// Stage-2 evaluation is split into chunks stealable by idle shards
-	// (split.go). The units are the ones choosePlan compares: the witness
-	// fan-out estimate or the RT vector-group cost of the chosen plan.
-	// 0 selects the built-in default, negative disables splitting; the
-	// exit threshold is half the entry threshold (hysteresis). Splitting
-	// only engages with Workers > 1 and never changes match output.
-	SplitThreshold float64
 	// PipelineDepth bounds how many upcoming documents of a ProcessBatch
 	// call may have Stage 1 (parse-independent NFA match and witness
 	// construction) running or completed ahead of the coordinator's
@@ -129,14 +118,6 @@ type Stats struct {
 	// report only the plan that produced the output.
 	Explorations int64
 	ExploreWall  time.Duration
-	// Splits counts split template evaluations (one per template per
-	// document whose evaluation was partitioned into stealable chunks),
-	// SplitChunks the chunks they were divided into, and Steals the chunks
-	// executed by a shard other than the owning one (counted by the
-	// stealing shard). See split.go.
-	Splits      int64
-	SplitChunks int64
-	Steals      int64
 }
 
 // Add accumulates o into s: per-shard stats into a processor total, or
@@ -157,7 +138,4 @@ func (s *Stats) Add(o Stats) {
 	s.RTPlans += o.RTPlans
 	s.Explorations += o.Explorations
 	s.ExploreWall += o.ExploreWall
-	s.Splits += o.Splits
-	s.SplitChunks += o.SplitChunks
-	s.Steals += o.Steals
 }

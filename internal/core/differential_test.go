@@ -151,7 +151,6 @@ func runDifferentialTrial(t *testing.T, rng *rand.Rand, deep bool, trial int) {
 	configs := []Config{
 		{},
 		{ViewMaterialization: true},
-		{ViewMaterialization: true, ViewCacheCapacity: 2},
 	}
 	var results []map[matchKey]bool
 	for _, cfg := range configs {
@@ -238,7 +237,7 @@ func TestDifferentialLongStreamWithGC(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		queries = append(queries, randomFlatQuery(rng, leafNames, 2, int64(5+rng.Intn(20)), "FOLLOWED BY"))
 	}
-	p := NewProcessor(Config{ViewMaterialization: true, ViewCacheCapacity: 4})
+	p := NewProcessor(Config{ViewMaterialization: true})
 	pb := NewProcessor(Config{})
 	sp := sequential.NewProcessor()
 	for _, q := range queries {

@@ -194,9 +194,10 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 }
 
 // TestViewCacheInvalidateDocs unit-tests the scoped invalidation: entries
-// referencing an expired doc are dropped and accounted, others survive.
+// referencing an expired doc are dropped and accounted, as are empty entries
+// (no expiry could ever reach them); entries referencing live docs survive.
 func TestViewCacheInvalidateDocs(t *testing.T) {
-	c := NewViewCache(0)
+	c := NewViewCache()
 	slice := func(docids ...int64) *relation.Relation {
 		r := relation.New("docid", "var1", "var2", "node1", "node2", "strVal")
 		for _, d := range docids {
@@ -215,21 +216,21 @@ func TestViewCacheInvalidateDocs(t *testing.T) {
 	if _, ok := c.Get(sym.Intern("live")); !ok {
 		t.Error("entry referencing only live docs dropped")
 	}
-	if _, ok := c.Get(sym.Intern("empty")); !ok {
-		t.Error("empty slice dropped")
+	if _, ok := c.Get(sym.Intern("empty")); ok {
+		t.Error("empty slice survived: nothing else would ever reclaim it")
 	}
-	if got := c.Invalidations(); got != 1 {
-		t.Errorf("Invalidations = %d, want 1", got)
+	if got := c.Invalidations(); got != 2 {
+		t.Errorf("Invalidations = %d, want 2", got)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 
 // TestViewCacheClearAccountsDrop checks Clear records the dropped entries in
 // the invalidation stats instead of silently zeroing the population.
 func TestViewCacheClearAccountsDrop(t *testing.T) {
-	c := NewViewCache(0)
+	c := NewViewCache()
 	for i := 0; i < 5; i++ {
 		c.Put(sym.Intern(fmt.Sprintf("s%d", i)), relation.New("docid"))
 	}

@@ -13,7 +13,7 @@ import (
 
 // The randomized differential harness: seeded random traces (queries,
 // document streams, subscription churn — internal/workload/random.go) are
-// replayed through every Plan × Workers × SplitThreshold × PipelineDepth ×
+// replayed through every Plan × Workers × PipelineDepth ×
 // ViewMaterialization combination of the core processor and through the
 // sequential oracle.
 //
@@ -137,37 +137,27 @@ func harnessKeySet(recs []harnessRec) map[matchKey]bool {
 	return out
 }
 
-// harnessCombos enumerates every Plan × Workers × SplitThreshold ×
-// PipelineDepth × ViewMaterialization combination under differential test.
+// harnessCombos enumerates every Plan × Workers × PipelineDepth ×
+// ViewMaterialization combination under differential test (24 in all).
 // PlanAuto runs with aggressive exploration so the calibration path is
 // exercised.
 func harnessCombos(seed int64) []Config {
 	var out []Config
 	for _, plan := range []PlanKind{PlanWitness, PlanRTDriven, PlanAuto} {
 		for _, workers := range []int{1, 4} {
-			// Multi-worker combinations run both split-disabled and
-			// split-forced (threshold 1), so intra-template chunking and
-			// stealing (split.go) must be byte-invisible too.
-			thresholds := []float64{-1}
-			if workers > 1 {
-				thresholds = []float64{-1, 1}
-			}
-			for _, thr := range thresholds {
-				for _, depth := range []int{0, 2} {
-					for _, vm := range []bool{false, true} {
-						cfg := Config{
-							Plan:                plan,
-							Workers:             workers,
-							SplitThreshold:      thr,
-							PipelineDepth:       depth,
-							ViewMaterialization: vm,
-						}
-						if plan == PlanAuto {
-							cfg.PlanExploreEvery = 2
-							cfg.PlanExploreSeed = seed
-						}
-						out = append(out, cfg)
+			for _, depth := range []int{0, 2} {
+				for _, vm := range []bool{false, true} {
+					cfg := Config{
+						Plan:                plan,
+						Workers:             workers,
+						PipelineDepth:       depth,
+						ViewMaterialization: vm,
 					}
+					if plan == PlanAuto {
+						cfg.PlanExploreEvery = 2
+						cfg.PlanExploreSeed = seed
+					}
+					out = append(out, cfg)
 				}
 			}
 		}
@@ -177,7 +167,7 @@ func harnessCombos(seed int64) []Config {
 
 func comboName(cfg Config) string {
 	plan := map[PlanKind]string{PlanWitness: "witness", PlanRTDriven: "rt", PlanAuto: "auto"}[cfg.Plan]
-	return fmt.Sprintf("plan=%s workers=%d split=%v depth=%d viewmat=%v", plan, cfg.Workers, cfg.SplitThreshold, cfg.PipelineDepth, cfg.ViewMaterialization)
+	return fmt.Sprintf("plan=%s workers=%d depth=%d viewmat=%v", plan, cfg.Workers, cfg.PipelineDepth, cfg.ViewMaterialization)
 }
 
 func runHarnessSeed(t *testing.T, seed int64, deep bool) {

@@ -99,7 +99,7 @@ func TestUnregisterAllRestoresFreshProcessor(t *testing.T) {
 
 	for _, cfg := range []Config{
 		{Workers: 1},
-		{ViewMaterialization: true, ViewCacheCapacity: 8, Workers: 3},
+		{ViewMaterialization: true, Workers: 3},
 	} {
 		p := NewProcessor(cfg)
 		var ids []QueryID
@@ -393,7 +393,7 @@ func TestChurnDeterminism(t *testing.T) {
 	for _, viewMat := range []bool{false, true} {
 		// Reference: a fresh sequential processor holding only the
 		// surviving queries, fed the whole stream.
-		fresh := NewProcessor(Config{ViewMaterialization: viewMat, ViewCacheCapacity: 4})
+		fresh := NewProcessor(Config{ViewMaterialization: viewMat})
 		for _, q := range surviving {
 			fresh.MustRegister(q)
 		}
@@ -404,8 +404,7 @@ func TestChurnDeterminism(t *testing.T) {
 
 		for _, workers := range []int{1, 4} {
 			for _, depth := range []int{0, 2} {
-				cfg := Config{ViewMaterialization: viewMat, ViewCacheCapacity: 4,
-					Workers: workers, PipelineDepth: depth}
+				cfg := Config{ViewMaterialization: viewMat, Workers: workers, PipelineDepth: depth}
 				p := NewProcessor(cfg)
 				var survIDs, churnIDs []QueryID
 				for _, q := range surviving {

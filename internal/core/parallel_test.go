@@ -107,7 +107,7 @@ func TestParallelDeterminismWithGCAndCache(t *testing.T) {
 	}
 	var ref []string
 	for _, workers := range []int{1, 4} {
-		p := NewProcessor(Config{ViewMaterialization: true, ViewCacheCapacity: 4, Workers: workers})
+		p := NewProcessor(Config{ViewMaterialization: true, Workers: workers})
 		for _, q := range queries {
 			p.MustRegister(q)
 		}

@@ -121,15 +121,6 @@ type planStats struct {
 	explorations int64
 	lastRTDriven bool
 
-	// splitUnits tracks the chosen plan's cost units per decision and
-	// drives the split-threshold hysteresis; splitActive is the current
-	// split regime (split.go). totalWall accumulates the chosen plan's
-	// wall time across documents — the per-template serial cost that the
-	// scale benchmark's projection model partitions (internal/bench).
-	splitUnits  ewma
-	splitActive bool
-	totalWall   time.Duration
-
 	// rng drives exploration sampling; created lazily on the first
 	// PlanAuto decision and advanced exactly once per decision.
 	rng *rand.Rand
@@ -292,7 +283,6 @@ func (p *Processor) runPlans(sh *shard, t *Template, d planDecision,
 		out, groups = rtDriven()
 		dt := time.Since(t0)
 		sh.stats.CQ += dt
-		ps.totalWall += dt
 		if auto {
 			ps.rtCost.observe(float64(dt), d.rtUnits)
 		}
@@ -303,7 +293,6 @@ func (p *Processor) runPlans(sh *shard, t *Template, d planDecision,
 		out = witness()
 		dt := time.Since(t0)
 		sh.stats.CQ += dt
-		ps.totalWall += dt
 		if auto {
 			ps.witnessCost.observe(float64(dt), d.witnessUnits)
 		}
@@ -348,15 +337,6 @@ type TemplatePlanStats struct {
 	Explorations     int64
 	// LastRTDriven reports the most recent decision.
 	LastRTDriven bool
-	// SplitActive reports whether the template is in the split regime
-	// (split.go); SplitUnitsEWMA is the cost-unit average the hysteresis
-	// compares against the threshold.
-	SplitActive    bool
-	SplitUnitsEWMA float64
-	// PlanWall is the accumulated wall time of the template's chosen-plan
-	// runs — its share of serial Stage-2 CPU, the input to the scale
-	// benchmark's projection model.
-	PlanWall time.Duration
 }
 
 // PlanStats returns a snapshot of the adaptive planner's per-template
@@ -378,9 +358,6 @@ func (p *Processor) PlanStats() []TemplatePlanStats {
 			RTRuns:           ps.rtRuns,
 			Explorations:     ps.explorations,
 			LastRTDriven:     ps.lastRTDriven,
-			SplitActive:      ps.splitActive,
-			SplitUnitsEWMA:   ps.splitUnits.value(),
-			PlanWall:         ps.totalWall,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Template < out[j].Template })

@@ -180,15 +180,6 @@ func NewProcessor(cfg Config) *Processor {
 	if workers < 1 {
 		workers = 1
 	}
-	// The configured cache capacity is split across shards: each gets
-	// ⌈capacity/workers⌉ entries, so the total can round up to
-	// capacity+workers-1, and skewed string ownership can thrash a hot
-	// shard while cold shards sit under capacity. Capacity only affects
-	// recomputation cost, never matches.
-	capPer := cfg.ViewCacheCapacity
-	if capPer > 0 {
-		capPer = (capPer + workers - 1) / workers
-	}
 	p := &Processor{
 		cfg:           cfg,
 		xp:            yfilter.NewEngine(),
@@ -202,7 +193,7 @@ func NewProcessor(cfg Config) *Processor {
 		state:         NewState(),
 	}
 	for i := 0; i < workers; i++ {
-		p.shards = append(p.shards, newShard(i, capPer))
+		p.shards = append(p.shards, newShard(i))
 	}
 	return p
 }

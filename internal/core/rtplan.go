@@ -176,44 +176,6 @@ func (s *docSubsets) rootWFor(v int64) *relation.Relation {
 	return r
 }
 
-// warm materializes every variable-pair subset any of t's vector groups can
-// touch. The subset maps memoize lazily and are shared across a shard's
-// templates, so before a template's groups are handed to stealing shards
-// (split.go) the owner pre-populates them: warm walks a superset of the
-// accesses appendVectorAnchors performs — no emptiness early-exits, no
-// emitted-edge breaks — after which concurrent chunk evaluation only reads
-// the memo maps.
-func (s *docSubsets) warm(t *Template) {
-	for _, vg := range t.vecList {
-		for _, e := range t.VJ {
-			s.warmSide(t, vg, e[0], Left)
-			s.warmSide(t, vg, e[1], Right)
-		}
-	}
-}
-
-func (s *docSubsets) warmSide(t *Template, vg *vecGroup, pos int, side Side) {
-	single := t.SingleLeft
-	if side == Right {
-		single = t.SingleRight
-	}
-	if single {
-		if side == Left {
-			s.rootFor(vg.vars[t.LeftRoot])
-		} else {
-			s.rootWFor(vg.vars[t.RightRoot])
-		}
-		return
-	}
-	for c := pos; t.Parent[c] >= 0; c = t.Parent[c] {
-		if side == Left {
-			s.binFor(vg.vars[t.Parent[c]], vg.vars[c])
-		} else {
-			s.binWFor(vg.vars[t.Parent[c]], vg.vars[c])
-		}
-	}
-}
-
 // evalTemplateRTDriven evaluates one template against the current document
 // by iterating its distinct variable vectors. rvj is the value-join pair
 // relation (docid, nodeL, nodeR, strVal) of the current document. groups
@@ -221,15 +183,6 @@ func (s *docSubsets) warmSide(t *Template, vg *vecGroup, pos int, side Side) {
 // subsets were all non-empty) — the index-probe volume statistic of the
 // adaptive planner.
 func (p *Processor) evalTemplateRTDriven(t *Template, w *CurrentWitness, rvj *relation.Relation, subs *docSubsets, d *xmldoc.Document) (out []Match, groups int) {
-	return p.evalVecGroups(t, w, rvj, subs, d, t.vecList)
-}
-
-// evalVecGroups evaluates a contiguous slice of a template's vector groups —
-// the full list for the serial RT-driven plan, one chunk of it when the
-// evaluation is split across shards (split.go). Given read-only inputs its
-// output depends only on vgs, so any partition of t.vecList concatenated in
-// list order reproduces the serial evaluation exactly.
-func (p *Processor) evalVecGroups(t *Template, w *CurrentWitness, rvj *relation.Relation, subs *docSubsets, d *xmldoc.Document, vgs []*vecGroup) (out []Match, groups int) {
 	head := make([]string, 0, t.N+1)
 	head = append(head, "docid")
 	for i := 0; i < t.N; i++ {
@@ -237,7 +190,7 @@ func (p *Processor) evalVecGroups(t *Template, w *CurrentWitness, rvj *relation.
 	}
 
 groups:
-	for _, vg := range vgs {
+	for _, vg := range t.vecList {
 		atoms := make([]relation.Atom, 0, 2*len(t.VJ)+t.N)
 		emitted := map[[2]int]bool{}
 		rootDone := map[Side]bool{}

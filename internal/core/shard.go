@@ -49,13 +49,13 @@ type shard struct {
 	stats Stats // Stage-2 phase timings and plan counts for this shard
 }
 
-func newShard(id, cacheCapacity int) *shard {
+func newShard(id int) *shard {
 	return &shard{
 		id:      id,
 		rt:      map[TemplateID]*relation.Relation{},
 		rtIndex: map[TemplateID]*relation.Index{},
 		rtDirty: map[TemplateID]bool{},
-		cache:   NewViewCache(cacheCapacity),
+		cache:   NewViewCache(),
 	}
 }
 
@@ -148,24 +148,12 @@ func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) []Match
 			return nil
 		}
 	}
-	// The intra-template splitter (split.go) only spins up its steal
-	// barrier on documents where some template is already split-active:
-	// cold documents keep the exact share-nothing shape above, and a
-	// template crossing the threshold starts splitting on the next
-	// document.
-	var run *splitRun
-	if len(p.shards) > 1 && p.splitThreshold() >= 0 && p.anySplitActive() {
-		run = newSplitRun(len(p.shards))
-	}
 	results := make([][]Match, len(p.shards))
 	p.runShards(func(sh *shard) {
 		if pre != nil {
-			results[sh.id] = p.evalShardViewMat(sh, w, d, pre, run)
+			results[sh.id] = p.evalShardViewMat(sh, w, d, pre)
 		} else {
-			results[sh.id] = p.evalShardBasic(sh, w, d, run)
-		}
-		if run != nil {
-			run.finish(sh)
+			results[sh.id] = p.evalShardBasic(sh, w, d)
 		}
 	})
 	var out []Match
@@ -311,7 +299,7 @@ func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShardBasic(sh *shard, w *CurrentWitness, d *xmldoc.Document, run *splitRun) []Match {
+func (p *Processor) evalShardBasic(sh *shard, w *CurrentWitness, d *xmldoc.Document) []Match {
 	var out []Match
 	var subs *docSubsets
 	var ar relation.Arena
@@ -334,23 +322,11 @@ func (p *Processor) evalShardBasic(sh *shard, w *CurrentWitness, d *xmldoc.Docum
 		if rvj.Len() == 0 {
 			continue
 		}
-		dec := p.choosePlan(t, perDoc)
-		p.splitDecision(t, dec)
-		split := run != nil && t.plan.splitActive
-		out = append(out, p.runPlans(sh, t, dec,
-			func() []Match {
-				atoms := p.witnessAtoms(sh, t, w, rvj)
-				if split {
-					return p.splitWitness(run, sh, t, atoms, d)
-				}
-				return p.emit(t, relation.EvalConjunctiveOrdered(atoms, t.headVars()), d)
-			},
+		out = append(out, p.runPlans(sh, t, p.choosePlan(t, perDoc),
+			func() []Match { return p.evalTemplateWitnessBasic(sh, t, w, rvj, d) },
 			func() ([]Match, int) {
 				if subs == nil {
 					subs = newDocSubsets(p.state, w)
-				}
-				if split {
-					return p.splitRTDriven(run, sh, t, w, rvj, subs, d)
 				}
 				return p.evalTemplateRTDriven(t, w, rvj, subs, d)
 			})...)
@@ -363,18 +339,9 @@ func (p *Processor) evalShardBasic(sh *shard, w *CurrentWitness, d *xmldoc.Docum
 // value-join pair relation, anchored structural edges and the indexed RT
 // atom. Each value join is immediately followed by the structural edges
 // anchoring its endpoints, walking up to the side roots, so every join is
-// selective.
+// selective. It (re)builds the RT index when dirty, so it must run on the
+// shard owning t.
 func (p *Processor) evalTemplateWitnessBasic(sh *shard, t *Template, w *CurrentWitness, rvj *relation.Relation, d *xmldoc.Document) []Match {
-	rout := relation.EvalConjunctiveOrdered(p.witnessAtoms(sh, t, w, rvj), t.headVars())
-	return p.emit(t, rout, d)
-}
-
-// witnessAtoms builds the witness-driven plan's atom list for one template:
-// the per-template value-join pair atoms interleaved with their anchoring
-// structural edges, the indexed RT atom last. It (re)builds the RT index
-// when dirty, so it must run on the shard owning t — split chunk executors
-// receive the finished list (split.go).
-func (p *Processor) witnessAtoms(sh *shard, t *Template, w *CurrentWitness, rvj *relation.Relation) []relation.Atom {
 	atoms := make([]relation.Atom, 0, 2*len(t.VJ)+t.N+2)
 	emitted := map[[2]int]bool{}
 	rootDone := map[Side]bool{}
@@ -386,20 +353,19 @@ func (p *Processor) witnessAtoms(sh *shard, t *Template, w *CurrentWitness, rvj 
 		atoms = p.appendAnchors(atoms, t, w, e[0], Left, emitted, rootDone)
 		atoms = p.appendAnchors(atoms, t, w, e[1], Right, emitted, rootDone)
 	}
-	return append(atoms, sh.rtAtom(t))
+	atoms = append(atoms, sh.rtAtom(t))
+	return p.emit(t, relation.EvalConjunctiveOrdered(atoms, t.headVars()), d)
 }
 
 // evalShardViewMat implements the per-template tail of Algorithm 4 over one
 // shard's templates, against the shared RL/RR views of pre.
 //
 //mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShardViewMat(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared, run *splitRun) []Match {
+func (p *Processor) evalShardViewMat(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) []Match {
 	var out []Match
 	var subs *docSubsets
 	for _, t := range sh.templates {
 		dec := p.choosePlan(t, pre.perDoc)
-		p.splitDecision(t, dec)
-		split := run != nil && t.plan.splitActive
 		var rvj *relation.Relation
 		if dec.rtDriven || dec.explore {
 			// The value-join pair relation is computed once per
@@ -418,18 +384,9 @@ func (p *Processor) evalShardViewMat(sh *shard, w *CurrentWitness, d *xmldoc.Doc
 		out = append(out, p.runPlans(sh, t, dec,
 			func() []Match {
 				atoms := p.viewMatAtoms(sh, t, w, pre.rl, pre.rr)
-				if split {
-					return p.splitWitness(run, sh, t, atoms, d)
-				}
-				rout := relation.EvalConjunctiveOrdered(atoms, t.headVars())
-				return p.emit(t, rout, d)
+				return p.emit(t, relation.EvalConjunctiveOrdered(atoms, t.headVars()), d)
 			},
-			func() ([]Match, int) {
-				if split {
-					return p.splitRTDriven(run, sh, t, w, rvj, subs, d)
-				}
-				return p.evalTemplateRTDriven(t, w, rvj, subs, d)
-			})...)
+			func() ([]Match, int) { return p.evalTemplateRTDriven(t, w, rvj, subs, d) })...)
 	}
 	return out
 }

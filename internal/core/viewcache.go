@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/list"
-
 	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -13,23 +11,19 @@ import (
 // the relation R_{L,s} — the part of the materialized left view whose
 // tuples carry string value s. Symbol keys hash in constant time; they are
 // process-scoped, which is fine because caches are never snapshotted. Entries are
-// maintained incrementally by Algorithm 5 and evicted with an LRU policy
-// when a capacity is configured ("Cached entries can be replaced by a cache
-// replacement policy appropriate for the workload, such as LRU").
+// maintained incrementally by Algorithm 5 and dropped when window GC expires
+// a document their slice references, so the cache is bounded by the window
+// like the join state it is a view of.
 type ViewCache struct {
-	capacity int // 0 = unbounded
-	entries  map[sym.ID]*list.Element
-	order    *list.List // front = most recently used
+	entries map[sym.ID]*cacheEntry
 
-	hits, misses, evictions int64
+	hits, misses int64
 	// invalidations counts entries dropped because their contents became
-	// stale (window GC expiring documents their slices reference) rather
-	// than evicted for capacity.
+	// stale (window GC expiring documents their slices reference).
 	invalidations int64
 }
 
 type cacheEntry struct {
-	key   sym.ID
 	slice *relation.Relation
 	// docs is the set of documents the slice references, so GC staleness
 	// checks are O(expired docs) instead of rescanning every slice row.
@@ -48,16 +42,12 @@ func sliceDocs(slice *relation.Relation) map[xmldoc.DocID]struct{} {
 	return docs
 }
 
-// NewViewCache returns a cache bounded to capacity entries (0 = unbounded).
-func NewViewCache(capacity int) *ViewCache {
-	return &ViewCache{
-		capacity: capacity,
-		entries:  map[sym.ID]*list.Element{},
-		order:    list.New(),
-	}
+// NewViewCache returns an empty cache.
+func NewViewCache() *ViewCache {
+	return &ViewCache{entries: map[sym.ID]*cacheEntry{}}
 }
 
-// Get returns the cached slice for s, marking it most recently used.
+// Get returns the cached slice for s.
 func (c *ViewCache) Get(s sym.ID) (*relation.Relation, bool) {
 	e, ok := c.entries[s]
 	if !ok {
@@ -65,28 +55,12 @@ func (c *ViewCache) Get(s sym.ID) (*relation.Relation, bool) {
 		return nil, false
 	}
 	c.hits++
-	c.order.MoveToFront(e)
-	return e.Value.(*cacheEntry).slice, true
+	return e.slice, true
 }
 
-// Put inserts (or replaces) the slice for s, evicting the least recently
-// used entry if the capacity is exceeded.
+// Put inserts (or replaces) the slice for s.
 func (c *ViewCache) Put(s sym.ID, slice *relation.Relation) {
-	if e, ok := c.entries[s]; ok {
-		ent := e.Value.(*cacheEntry)
-		ent.slice = slice
-		ent.docs = sliceDocs(slice)
-		c.order.MoveToFront(e)
-		return
-	}
-	e := c.order.PushFront(&cacheEntry{key: s, slice: slice, docs: sliceDocs(slice)})
-	c.entries[s] = e
-	if c.capacity > 0 && len(c.entries) > c.capacity {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	c.entries[s] = &cacheEntry{slice: slice, docs: sliceDocs(slice)}
 }
 
 // Clear drops all entries, accounting for them as invalidations. It is the
@@ -94,39 +68,41 @@ func (c *ViewCache) Put(s sym.ID, slice *relation.Relation) {
 // unregisters (processor.reclaimAll).
 func (c *ViewCache) Clear() {
 	c.invalidations += int64(len(c.entries))
-	c.entries = map[sym.ID]*list.Element{}
-	c.order.Init()
+	c.entries = map[sym.ID]*cacheEntry{}
 }
 
-// GetAndNote is Get for the Algorithm-5 maintenance path: the caller is
-// about to insert rows of document d into the returned slice, so the
-// entry's doc set is updated in the same lookup.
+// GetAndNote is the Algorithm-5 maintenance lookup: the caller is about to
+// insert rows of document d into the returned slice, so the entry's doc set
+// is updated in the same lookup. Maintenance is not a cache read, so it
+// leaves the hit/miss counters alone.
 func (c *ViewCache) GetAndNote(s sym.ID, d xmldoc.DocID) (*relation.Relation, bool) {
 	e, ok := c.entries[s]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
-	c.order.MoveToFront(e)
-	ent := e.Value.(*cacheEntry)
-	ent.docs[d] = struct{}{}
-	return ent.slice, true
+	e.docs[d] = struct{}{}
+	return e.slice, true
 }
 
-// InvalidateDocs drops exactly the entries whose slices reference an expired
-// document, leaving every other entry in place (incremental maintenance
-// keeps survivors exact). Used after window GC instead of a full Clear. The
-// check walks the per-entry doc sets, never the slice rows, so the cost is
-// O(entries × min(docs per entry, expired)).
+// InvalidateDocs drops the entries whose slices reference an expired
+// document, leaving every other non-empty entry in place (incremental
+// maintenance keeps survivors exact). Used after window GC instead of a full
+// Clear. The check walks the per-entry doc sets, never the slice rows, so the
+// cost is O(entries × min(docs per entry, expired)).
+//
+// Empty slices (strings bound only on single-node template sides, which have
+// no Rbin rows) reference no document, so no expiry would ever reach them;
+// they are dropped with every GC — recomputing one is a few index probes
+// that find no rows — which keeps the entry count bounded by the window for
+// them too.
 func (c *ViewCache) InvalidateDocs(expired map[xmldoc.DocID]bool) {
 	if len(expired) == 0 || len(c.entries) == 0 {
 		return
 	}
 	//mmqjp:unordered each entry is checked and dropped independently
 	for key, e := range c.entries {
-		docs := e.Value.(*cacheEntry).docs
-		stale := false
+		docs := e.docs
+		stale := len(docs) == 0
 		if len(docs) <= len(expired) {
 			//mmqjp:unordered existence probe; any hit gives the same verdict
 			for d := range docs {
@@ -145,7 +121,6 @@ func (c *ViewCache) InvalidateDocs(expired map[xmldoc.DocID]bool) {
 			}
 		}
 		if stale {
-			c.order.Remove(e)
 			delete(c.entries, key)
 			c.invalidations++
 		}
@@ -155,10 +130,8 @@ func (c *ViewCache) InvalidateDocs(expired map[xmldoc.DocID]bool) {
 // Len returns the number of cached slices.
 func (c *ViewCache) Len() int { return len(c.entries) }
 
-// HitRate returns hits, misses and evictions since creation.
-func (c *ViewCache) HitRate() (hits, misses, evictions int64) {
-	return c.hits, c.misses, c.evictions
-}
+// HitRate returns the Get hits and misses since creation.
+func (c *ViewCache) HitRate() (hits, misses int64) { return c.hits, c.misses }
 
 // Invalidations returns the number of entries dropped as stale (Clear and
 // InvalidateDocs) since creation.

@@ -4,9 +4,8 @@
 // shard touching its own state) or from a function annotated
 // `//mmqjp:shardaccess <reason>` — the allowlist for the protocols that may
 // legitimately cross the ownership line: quiesced registration on the
-// processor, the split/steal protocol in split.go, and stats collection at a
-// barrier. The reason argument is mandatory, so every crossing documents why
-// it is safe.
+// processor and stats collection at a barrier. The reason argument is
+// mandatory, so every crossing documents why it is safe.
 package shardowned
 
 import (

@@ -18,7 +18,7 @@ import (
 // Router at Partitions ∈ {1, 2, 4} and through a single core.Processor with
 // the identical per-partition configuration. The router's merged per-event
 // output must be byte-identical — order included — to the single engine's,
-// across plan / workers / split / pipeline-depth / view-materialization
+// across plan / workers / pipeline-depth / view-materialization
 // combinations. A second test snapshots the routed state mid-trace
 // (ExportStates at a churn boundary), rebuilds a fresh router, re-registers
 // the live queries in global-id order, restores, and requires the replayed
@@ -109,22 +109,22 @@ func replayTrace(b backend, tr workload.Trace, ids []core.QueryID) [][]rec {
 }
 
 // combos is the configuration grid the routed oracle runs under: a spread
-// of the core harness's Plan × Workers × SplitThreshold × PipelineDepth ×
+// of the core harness's Plan × Workers × PipelineDepth ×
 // ViewMaterialization axes.
 func combos(seed int64) []core.Config {
 	return []core.Config{
 		{Plan: core.PlanWitness},
-		{Plan: core.PlanWitness, Workers: 4, SplitThreshold: 1, PipelineDepth: 2, ViewMaterialization: true},
-		{Plan: core.PlanRTDriven, Workers: 4, SplitThreshold: 1, ViewMaterialization: true},
+		{Plan: core.PlanWitness, Workers: 4, PipelineDepth: 2, ViewMaterialization: true},
+		{Plan: core.PlanRTDriven, Workers: 4, ViewMaterialization: true},
 		{Plan: core.PlanAuto, PlanExploreEvery: 2, PlanExploreSeed: seed, PipelineDepth: 2, ViewMaterialization: true},
-		{Plan: core.PlanAuto, PlanExploreEvery: 2, PlanExploreSeed: seed, Workers: 4, SplitThreshold: -1},
+		{Plan: core.PlanAuto, PlanExploreEvery: 2, PlanExploreSeed: seed, Workers: 4},
 	}
 }
 
 func comboName(cfg core.Config) string {
 	plan := map[core.PlanKind]string{core.PlanWitness: "witness", core.PlanRTDriven: "rt", core.PlanAuto: "auto"}[cfg.Plan]
-	return fmt.Sprintf("plan=%s workers=%d split=%v depth=%d viewmat=%v",
-		plan, cfg.Workers, cfg.SplitThreshold, cfg.PipelineDepth, cfg.ViewMaterialization)
+	return fmt.Sprintf("plan=%s workers=%d depth=%d viewmat=%v",
+		plan, cfg.Workers, cfg.PipelineDepth, cfg.ViewMaterialization)
 }
 
 func traceForSeed(seed int64, deep bool) workload.Trace {

@@ -23,8 +23,7 @@ import (
 // redundant predicates. Distinct wiring shapes yield distinct canonical
 // templates — 50+ live templates at a few thousand queries — while the
 // random leaf assignment per label spreads the instances of each template
-// over many RT vector groups, which is what gives the RT-driven plan
-// interior parallelism (core split.go).
+// over many RT vector groups.
 //
 // Values are drawn from one global pool shared by every leaf, so joins
 // between different leaf names still collide and every template does real

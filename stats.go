@@ -48,14 +48,6 @@ type EngineStats struct {
 	RTPlans      int64 `json:"rt_plans"`
 	Explorations int64 `json:"explorations"`
 
-	// Intra-template split counters (core split.go): Splits is the number
-	// of template evaluations partitioned into stealable chunks,
-	// SplitChunks the chunks produced, Steals the chunks executed by a
-	// worker other than the template's owner.
-	Splits      int64 `json:"splits"`
-	SplitChunks int64 `json:"split_chunks"`
-	Steals      int64 `json:"steals"`
-
 	// DroppedCascades counts derived documents discarded at the
 	// composition depth limit (a symptom of a cyclic query network).
 	DroppedCascades int64 `json:"dropped_cascades,omitempty"`
@@ -71,11 +63,10 @@ func (s EngineStats) String() string {
 	if s.Partitions > 1 {
 		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
 	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, splits %d/%d chunks, steals %d",
+	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d",
 		parts, s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
-		s.WitnessPlans, s.RTPlans, s.Explorations,
-		s.Splits, s.SplitChunks, s.Steals)
+		s.WitnessPlans, s.RTPlans, s.Explorations)
 }
 
 // Stats returns a structured snapshot of processing cost so far. Use
@@ -113,9 +104,6 @@ func (e *Engine) Stats() EngineStats {
 		WitnessPlans: s.WitnessPlans,
 		RTPlans:      s.RTPlans,
 		Explorations: s.Explorations,
-		Splits:       s.Splits,
-		SplitChunks:  s.SplitChunks,
-		Steals:       s.Steals,
 
 		DroppedCascades: e.droppedCascades,
 	}
@@ -164,9 +152,6 @@ func (e *Engine) PartitionStats() []EngineStats {
 			WitnessPlans: s.WitnessPlans,
 			RTPlans:      s.RTPlans,
 			Explorations: s.Explorations,
-			Splits:       s.Splits,
-			SplitChunks:  s.SplitChunks,
-			Steals:       s.Steals,
 		}
 	}
 	return out

@@ -8,7 +8,7 @@ import (
 )
 
 // TestEngineStatsJSONRoundTrip pins the structured stats contract: every
-// counter — including the split/steal counters and the partition count —
+// counter — including the plan counters and the partition count —
 // must survive a marshal/unmarshal cycle unchanged, so JSON consumers
 // (cmd/mmqjp-bench -json, monitoring pipelines) see the same numbers the
 // in-process API reports.
@@ -32,10 +32,7 @@ func TestEngineStatsJSONRoundTrip(t *testing.T) {
 		WitnessPlans:    11,
 		RTPlans:         12,
 		Explorations:    13,
-		Splits:          14,
-		SplitChunks:     15,
-		Steals:          16,
-		DroppedCascades: 17,
+		DroppedCascades: 14,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -56,7 +53,7 @@ func TestEngineStatsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"partitions", "splits", "split_chunks", "steals", "stage1_wall_ns", "dropped_cascades"} {
+	for _, key := range []string{"partitions", "explorations", "stage1_wall_ns", "dropped_cascades"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("JSON rendering lacks %q: %s", key, b)
 		}
