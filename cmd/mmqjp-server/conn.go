@@ -1,0 +1,375 @@
+package main
+
+import (
+	"log"
+	"net"
+	"strconv"
+	"sync"
+	"time"
+
+	mmqjp "repro"
+)
+
+// The wire reply path: every byte the server sends leaves through one
+// outbound buffer per connection, append-encoded and written a reply group
+// at a time. DESIGN.md "The wire reply path" has the ownership and flush
+// rules; the constants below are the whole policy, and none is a flag.
+const (
+	// flushBytes is how much a connection queues for itself before it
+	// writes without waiting for the reply group to end (a PUBB batch can
+	// produce megabytes of MATCH lines; the handler then blocks on its own
+	// socket, which is the back-pressure its client asked for). Buffers
+	// that grew past twice this are released after the write.
+	flushBytes = 64 << 10
+	// maxOutboundBytes bounds what publishes on other connections may
+	// queue on a connection whose client is not reading: with more than
+	// this waiting and a socket still busy with a write it was handed
+	// slowReaderGrace ago, the connection is dropped like a disconnect. A
+	// publisher never waits on somebody else's socket.
+	maxOutboundBytes = 4 << 20
+	// slowReaderGrace is how long a socket may sit on one write, with more
+	// than maxOutboundBytes waiting behind it, before its client counts as
+	// not reading (a burst bigger than the bound, queued faster than any
+	// socket drains, is not a slow reader); and how long a dropped
+	// connection then gets to take that write and the final ERR ELIMIT line.
+	slowReaderGrace = time.Second
+)
+
+// reply is one non-MATCH reply line: OK <n>, OK <text> or ERR <code> <text>.
+type reply struct {
+	code string // ERR code; empty for OK
+	text string // ERR message, or the OK payload when set
+	n    int64  // the OK payload otherwise
+}
+
+func okReply(n int64) reply           { return reply{n: n} }
+func errReply(code, msg string) reply { return reply{code: code, text: msg} }
+
+func (r reply) appendTo(b []byte) []byte {
+	if r.code != "" {
+		b = append(b, "ERR "...)
+		b = append(b, r.code...)
+		b = append(b, ' ')
+		return appendLine(b, r.text)
+	}
+	b = append(b, "OK "...)
+	if r.text != "" {
+		return appendLine(b, r.text)
+	}
+	b = strconv.AppendInt(b, r.n, 10)
+	return append(b, '\n')
+}
+
+// appendLine appends text and the line terminator. Error messages quote
+// client input and parser output; a line break inside one would
+// desynchronise every client that reads replies by line.
+func appendLine(b []byte, text string) []byte {
+	for i := 0; i < len(text); i++ {
+		ch := text[i]
+		if ch == '\n' || ch == '\r' {
+			ch = ' '
+		}
+		b = append(b, ch)
+	}
+	return append(b, '\n')
+}
+
+// appendMatch appends `MATCH <qid> left=<doc>@<ts> right=<doc>@<ts>`.
+func appendMatch(b []byte, m *mmqjp.Match) []byte {
+	b = append(b, "MATCH "...)
+	b = strconv.AppendInt(b, int64(m.Query), 10)
+	b = append(b, " left="...)
+	b = strconv.AppendInt(b, m.LeftDoc, 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, m.LeftTS, 10)
+	b = append(b, " right="...)
+	b = strconv.AppendInt(b, m.RightDoc, 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, m.RightTS, 10)
+	return append(b, '\n')
+}
+
+// client is one connection. Its own replies are produced by exactly one
+// goroutine — the handler, or in -async mode the replier — which is also
+// the one that writes them; MATCH lines for its subscriptions are appended
+// by whichever connection published the matching document.
+type client struct {
+	s    *server
+	conn net.Conn
+
+	// mu guards the outbound queue. It is held to append or to swap the
+	// buffer out, never across a socket operation, so a publisher on
+	// another connection can always append.
+	mu sync.Mutex
+	//mmqjp:guardedby c.mu
+	out []byte // encoded replies not yet handed to the socket
+	//mmqjp:guardedby c.mu
+	dead bool // write failed or slow-reader drop: further replies are discarded
+	//mmqjp:guardedby c.mu
+	draining bool // a drain goroutine is writing bytes other connections queued
+	//mmqjp:guardedby c.mu
+	progress time.Time // when the socket last took on a write, or a publish found the queue empty
+
+	// wmu makes swap-and-write atomic, so bytes reach the socket in the
+	// order they were queued whichever goroutine writes them. Only this
+	// connection's own goroutines take it.
+	wmu   sync.Mutex
+	spare []byte // the previous write's buffer, swapped in by the next
+
+	// matchOwners is deliver's scratch, used by the goroutine that
+	// produces this connection's replies.
+	matchOwners []*client
+
+	// pending (-async mode only) carries this connection's replies to the
+	// replier goroutine in request order: each entry runs at its slot,
+	// appending a resolved reply or waiting for an admitted publish to be
+	// processed. Routing every reply through one queue keeps the
+	// per-connection reply order equal to the request order even though
+	// publishes complete asynchronously. replierDone closes once the
+	// replier has drained pending and written what it queued, so serve
+	// can close the connection after it.
+	pending     chan func()
+	replierDone chan struct{}
+}
+
+// newClient wraps an accepted connection; in async mode it also starts the
+// connection's replier goroutine, which exits when serve closes pending.
+func (s *server) newClient(conn net.Conn) *client {
+	c := &client{s: s, conn: conn}
+	if s.async {
+		// Up to 256 replies wait behind in-flight publishes before the
+		// handler stops reading requests: deep enough that a pipelining
+		// publisher keeps the ingest pipeline full, small enough that a
+		// client that never reads holds a bounded number of match slices.
+		c.pending = make(chan func(), 256)
+		c.replierDone = make(chan struct{})
+		go func() {
+			defer close(c.replierDone)
+			for {
+				f, ok := recv(c, c.pending)
+				if !ok {
+					c.flush()
+					return
+				}
+				f()
+			}
+		}()
+	}
+	return c
+}
+
+// recv is every wait of the replier — for its next entry, and for an
+// admitted publish to be processed: what is queued is written out before the
+// replier would block, the rule flushReader applies to the synchronous
+// handler's read.
+func recv[T any](c *client, ch <-chan T) (T, bool) {
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	default:
+	}
+	c.flush()
+	v, ok := <-ch
+	return v, ok
+}
+
+// atSlot runs f where c's next reply belongs: at once in synchronous mode,
+// behind the connection's in-flight publishes on the replier in async mode.
+func (c *client) atSlot(f func()) {
+	if c.pending != nil {
+		c.pending <- f
+		return
+	}
+	f()
+}
+
+// reply answers one request.
+func (s *server) reply(c *client, r reply) {
+	c.atSlot(func() { c.enqueue(r) })
+}
+
+// replyErr answers one request with a coded error.
+func (s *server) replyErr(c *client, code, msg string) {
+	s.reply(c, errReply(code, msg))
+}
+
+// enqueue appends one of c's own replies; only the goroutine that produces
+// them calls it.
+func (c *client) enqueue(r reply) {
+	c.mu.Lock()
+	full := false
+	if !c.dead {
+		n := len(c.out)
+		c.out = r.appendTo(c.out)
+		c.s.m.replyQueued(len(c.out) - n)
+		full = len(c.out) >= flushBytes
+	}
+	c.mu.Unlock()
+	if full {
+		c.flush()
+	}
+}
+
+// flush hands everything queued so far to the socket in one Write. It may
+// block for as long as the client does not read, so only c's own goroutines
+// call it. The bytes leave the queue gauge and enter the counters when they
+// are handed over, so a client that has read a reply finds it counted.
+func (c *client) flush() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	buf := c.out
+	if len(buf) == 0 {
+		c.mu.Unlock()
+		return
+	}
+	c.out = c.spare
+	c.progress = time.Now()
+	c.mu.Unlock()
+	c.s.m.replyQueued(-len(buf))
+	c.s.m.replyWritten(len(buf))
+	_, err := c.conn.Write(buf)
+	c.spare = nil
+	if cap(buf) <= 2*flushBytes {
+		c.spare = buf[:0]
+	}
+	if err != nil {
+		c.fail()
+	}
+}
+
+// fail marks the connection unusable after a write error and closes it,
+// which ends the handler's read.
+func (c *client) fail() {
+	c.mu.Lock()
+	c.dead = true
+	c.s.m.replyQueued(-len(c.out))
+	c.out = nil
+	c.mu.Unlock()
+	c.conn.Close()
+}
+
+func (c *client) isDead() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dead
+}
+
+// drain writes out what other connections queued on c. A publisher starts
+// it when none is running; it ends when the queue is empty, and closes a
+// dropped connection once the farewell line has gone out (or could not).
+func (c *client) drain() {
+	for {
+		c.flush()
+		c.mu.Lock()
+		if len(c.out) == 0 {
+			c.draining = false
+			dead := c.dead
+			c.mu.Unlock()
+			if dead {
+				c.conn.Close()
+			}
+			return
+		}
+		c.mu.Unlock()
+	}
+}
+
+// flushReader is the synchronous handler's view of its socket: whatever the
+// handler has queued is written before it waits for the next request, so it
+// never sits in a read while its client waits for a reply.
+type flushReader struct{ c *client }
+
+func (r flushReader) Read(p []byte) (int, error) {
+	r.c.flush()
+	return r.c.conn.Read(p)
+}
+
+// ackPublish completes a publish's reply group at c's reply slot: the MATCH
+// lines of every batch go to the connections that own the matched queries,
+// then c gets OK <total> and its group is written.
+func (s *server) ackPublish(c *client, stream string, docs int, batches ...[]mmqjp.Match) {
+	total := 0
+	for _, matches := range batches {
+		total += len(matches)
+		s.deliver(c, matches)
+	}
+	s.m.published(stream, docs, total)
+	c.enqueue(okReply(int64(total)))
+	c.flush()
+}
+
+// deliver appends one document's MATCH lines to the connections owning the
+// matched queries: owners are resolved under the read lock, then each
+// owner's lines are encoded into its buffer under one acquisition of its
+// lock. self is the publishing connection, whose own lines wait for its OK.
+func (s *server) deliver(self *client, matches []mmqjp.Match) {
+	if len(matches) == 0 {
+		return
+	}
+	owners := self.matchOwners[:0]
+	s.mu.RLock()
+	for i := range matches {
+		owners = append(owners, s.owners[matches[i].Query])
+	}
+	s.mu.RUnlock()
+	for i, to := range owners {
+		if to != nil {
+			s.deliverTo(self, to, matches[i:], owners[i:])
+		}
+	}
+	self.matchOwners = owners[:0]
+}
+
+// deliverTo appends the matches owned by to and clears their owners
+// entries, so deliver visits each owner once.
+func (s *server) deliverTo(self, to *client, matches []mmqjp.Match, owners []*client) {
+	to.mu.Lock()
+	n := len(to.out)
+	for i := range matches {
+		if owners[i] != to {
+			continue
+		}
+		owners[i] = nil
+		if !to.dead {
+			to.out = appendMatch(to.out, &matches[i])
+		}
+	}
+	s.m.replyQueued(len(to.out) - n)
+	if to == self {
+		full := len(to.out) >= flushBytes
+		to.mu.Unlock()
+		if full {
+			to.flush()
+		}
+		return
+	}
+	switch {
+	case n == 0:
+		to.progress = time.Now() // the backlog, if this becomes one, starts here
+	case !to.dead && len(to.out) > maxOutboundBytes && time.Since(to.progress) > slowReaderGrace:
+		s.dropSlowReader(to)
+	}
+	if len(to.out) > 0 && !to.draining {
+		to.draining = true
+		go to.drain()
+	}
+	to.mu.Unlock()
+}
+
+// dropSlowReader gives up on a connection with more than maxOutboundBytes
+// waiting and a socket that has not come back for it in slowReaderGrace: the backlog is discarded for a
+// farewell line, nothing more is queued, and the deadline unblocks whichever
+// of its goroutines sits in a write or a read, so serve returns and releases
+// its queries exactly as after a disconnect.
+//
+//mmqjp:guardedby c.mu
+func (s *server) dropSlowReader(c *client) {
+	log.Printf("mmqjp-server: dropping %s: %d bytes of matches behind and not reading", c.conn.RemoteAddr(), len(c.out))
+	s.m.slowReaderDropped()
+	c.dead = true
+	farewell := errReply(errLimit, "slow reader").appendTo(nil)
+	s.m.replyQueued(len(farewell) - len(c.out))
+	c.out = farewell
+	c.conn.SetDeadline(time.Now().Add(slowReaderGrace))
+}

@@ -35,6 +35,15 @@ import (
 //	plan_explorations_total
 //	stream_publish_total{stream},         per-stream publish and match
 //	stream_matches_total{stream}          counters (server-side)
+//	reply_bytes_total, reply_writes_total reply bytes handed to client sockets
+//	                                      and the writes that carried them;
+//	                                      bytes/writes is the coalescing factor
+//	outbound_queue_bytes                  reply bytes queued and not yet handed
+//	                                      to a socket write, summed over
+//	                                      connections
+//	slow_reader_drops_total               connections dropped for falling
+//	                                      maxOutboundBytes behind on matches
+//	                                      and not reading
 //	snapshots_total, snapshot_errors_total, durable-mode snapshot activity
 //	snapshot_seconds                      and duration histogram
 //	partition_documents_total{partition}, with -partitions N: per-partition
@@ -54,6 +63,9 @@ type serverMetrics struct {
 
 	stage1, stage2, merge, gc *obs.Histogram
 	streamPub, streamMatches  *obs.CounterVec
+
+	replyBytes, replyWrites, slowReaderDrops *obs.Counter
+	outboundQueue                            *obs.Gauge
 
 	snapshots, snapshotErrors *obs.Counter
 	snapshotSeconds           *obs.Histogram
@@ -96,6 +108,10 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().Stats().Explorations) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
+	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")
+	m.replyWrites = r.Counter("mmqjp_reply_writes_total", "Socket writes that carried reply bytes; bytes per write is the coalescing factor.")
+	m.outboundQueue = r.Gauge("mmqjp_outbound_queue_bytes", "Reply bytes queued for clients and not yet handed to a socket write, summed over connections.")
+	m.slowReaderDrops = r.Counter("mmqjp_slow_reader_drops_total", "Connections dropped for falling too far behind on matches other connections produced.")
 	m.snapshots = r.Counter("mmqjp_snapshots_total", "Snapshots saved to the durable store.")
 	m.snapshotErrors = r.Counter("mmqjp_snapshot_errors_total", "Snapshot saves that failed.")
 	m.snapshotSeconds = r.Histogram("mmqjp_snapshot_seconds", "Snapshot save duration.", obs.DurationBuckets)
@@ -143,6 +159,32 @@ func (m *serverMetrics) published(stream string, docs, matches int) {
 	}
 	m.streamPub.With(stream).Add(int64(docs))
 	m.streamMatches.With(stream).Add(int64(matches))
+}
+
+// replyQueued records reply bytes entering (or, negative, leaving) the
+// connections' outbound buffers.
+func (m *serverMetrics) replyQueued(delta int) {
+	if m == nil {
+		return
+	}
+	m.outboundQueue.Add(int64(delta))
+}
+
+// replyWritten records n reply bytes handed to a socket in one write.
+func (m *serverMetrics) replyWritten(n int) {
+	if m == nil {
+		return
+	}
+	m.replyBytes.Add(int64(n))
+	m.replyWrites.Inc()
+}
+
+// slowReaderDropped records one connection dropped by the slow-reader policy.
+func (m *serverMetrics) slowReaderDropped() {
+	if m == nil {
+		return
+	}
+	m.slowReaderDrops.Inc()
 }
 
 // snapshotSaved records one snapshot attempt.

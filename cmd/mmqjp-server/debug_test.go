@@ -288,3 +288,128 @@ func TestServerHealthzDebugEndpoints(t *testing.T) {
 		t.Errorf("/metrics -> %d (mmqjp_queries present: %v)", code, strings.Contains(body, "mmqjp_queries"))
 	}
 }
+
+// metricValue reads one unlabelled integer sample from a /metrics body.
+func metricValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			var v int64
+			if _, err := fmt.Sscanf(rest, "%d", &v); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return 0
+}
+
+// TestServerReplyPathMetrics checks the reply-path metric set: bytes and
+// writes count what the sockets were handed (their ratio is the coalescing
+// factor), the queue gauge is zero once everything is written, and a
+// subscriber that stops reading shows up in the queue gauge and then in the
+// drop counter.
+func TestServerReplyPathMetrics(t *testing.T) {
+	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, 0)
+	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+		t.Fatal(err)
+	}
+	brokerAddr := serveOn(t, s)
+	debugAddr, err := s.startDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() string {
+		code, body := httpGet(t, "http://"+debugAddr+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics status %d", code)
+		}
+		return body
+	}
+
+	// One connection, 100 subscriptions, one matching pair of documents:
+	// every reply byte the client receives is counted, in far fewer writes
+	// than lines.
+	a := dialTest(t, brokerAddr)
+	const subs = 100
+	subscribeN(t, a, subs, abJoin)
+	received := 0
+	for i := 0; i < subs; i++ {
+		received += len(fmt.Sprintf("OK %d\n", i))
+	}
+	a.sendLine(t, "PUB S 1 <a>k</a>")
+	a.sendLine(t, "PUB S 2 <b>k</b>")
+	for lines := 0; lines < subs+2; lines++ {
+		received += len(a.readLine(t)) + 1
+	}
+	body := scrape()
+	for _, want := range []string{
+		"# TYPE mmqjp_reply_bytes_total counter",
+		"# TYPE mmqjp_reply_writes_total counter",
+		"# TYPE mmqjp_outbound_queue_bytes gauge",
+		"# TYPE mmqjp_slow_reader_drops_total counter",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if got := metricValue(t, body, "mmqjp_reply_bytes_total"); got != int64(received) {
+		t.Errorf("mmqjp_reply_bytes_total = %d, the client received %d bytes", got, received)
+	}
+	if got := metricValue(t, body, "mmqjp_reply_writes_total"); got < 2 || got > subs/4 {
+		t.Errorf("mmqjp_reply_writes_total = %d for %d reply lines, want a few", got, 2*subs+2)
+	}
+	if got := metricValue(t, body, "mmqjp_outbound_queue_bytes"); got != 0 {
+		t.Errorf("mmqjp_outbound_queue_bytes = %d with every reply read", got)
+	}
+	if got := metricValue(t, body, "mmqjp_slow_reader_drops_total"); got != 0 {
+		t.Errorf("mmqjp_slow_reader_drops_total = %d before any drop", got)
+	}
+
+	// A subscriber on a synchronous pipe that stops reading: nothing the
+	// server queues for it leaves, so the gauge shows its backlog until the
+	// bound drops it.
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	go s.serve(s.newClient(srv))
+	b := &testConn{conn: cli, rd: bufio.NewReader(cli)}
+	go func() {
+		for i := 0; i < subs; i++ {
+			fmt.Fprintf(cli, "SUB %s\n", abJoin)
+		}
+	}()
+	for i := 0; i < subs; i++ {
+		if got := b.readLine(t); !strings.HasPrefix(got, "OK ") {
+			t.Fatalf("SUB on the pipe -> %q", got)
+		}
+	}
+	sawBacklog := false
+	for i := 0; i < 5000; i++ {
+		a.sendLine(t, fmt.Sprintf("PUB S %d <b>k</b>", 10+i))
+		for got := a.readLine(t); !strings.HasPrefix(got, "OK "); got = a.readLine(t) {
+			if !strings.HasPrefix(got, "MATCH ") {
+				t.Fatalf("PUB %d -> %q", i, got)
+			}
+		}
+		body = scrape()
+		sawBacklog = sawBacklog || metricValue(t, body, "mmqjp_outbound_queue_bytes") > 0
+		if metricValue(t, body, "mmqjp_slow_reader_drops_total") == 1 {
+			break
+		}
+	}
+	if !sawBacklog {
+		t.Error("mmqjp_outbound_queue_bytes never showed the stalled subscriber's backlog")
+	}
+	if got := metricValue(t, body, "mmqjp_slow_reader_drops_total"); got != 1 {
+		t.Fatalf("mmqjp_slow_reader_drops_total = %d after %d bytes queued on a stalled subscriber", got, maxOutboundBytes)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, scrape(), "mmqjp_outbound_queue_bytes") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("mmqjp_outbound_queue_bytes did not return to zero after the drop")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

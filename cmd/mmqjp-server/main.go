@@ -71,7 +71,8 @@
 // and consecutive PUBs on one connection — overlap their documents'
 // Stage-1 work instead of serializing whole publishes. Replies keep the
 // request order per connection (a dedicated replier goroutine acknowledges
-// each PUB with its match count once the document has been processed), and
+// each PUB with its match count once the document has been processed,
+// through the same outbound buffer and write rule as synchronous mode), and
 // match output is identical to synchronous mode for the same admission
 // order.
 //
@@ -80,9 +81,21 @@
 // -plan witness and -plan rt force one plan for ablation runs. Match output
 // is identical for every plan setting.
 //
-// Matches are delivered asynchronously as
+// Matches are pushed to the connection that owns the matched query as
 //
 //	MATCH <qid> left=<docid>@<ts> right=<docid>@<ts>
+//
+// Replies on a connection keep the order of its requests, and a publisher's
+// own MATCH lines come before the OK <n> that counts them, in the same
+// write: each connection has one outbound buffer, replies are appended to it
+// as text and it is written once per reply group (conn.go; DESIGN.md "The
+// wire reply path"). MATCH lines for another connection's queries are queued
+// on that connection and written by it, so a publish never waits on somebody
+// else's socket. A client that stops reading only holds up its own requests —
+// until more than 4 MB of matches produced by other connections wait for it
+// and its socket has taken nothing for a second: then it is dropped exactly
+// like a disconnect, with `ERR ELIMIT slow reader` as its last line if the
+// socket still takes one.
 //
 // Connections are served concurrently against one shared engine; document
 // ids are assigned by arrival order. Example session:
@@ -129,7 +142,9 @@ type server struct {
 	m       *serverMetrics // nil without -debug-addr: all methods no-op
 	nextDoc atomic.Int64
 
-	mu sync.Mutex
+	// mu guards owners: written by SUB/UNSUB/CLAIM and disconnects, read
+	// by every publish that has matches to route.
+	mu sync.RWMutex
 	// owners maps a query to the connection that subscribed (or claimed)
 	// it. In durable mode a nil owner marks an orphaned subscription —
 	// alive in the engine, matches undelivered until a CLAIM.
@@ -143,89 +158,6 @@ const (
 	errQuery = "EQUERY" // unknown id or ownership violation
 	errLimit = "ELIMIT" // size limit exceeded
 )
-
-// replyErr answers one request with a coded error.
-func (s *server) replyErr(c *client, code, msg string) {
-	s.reply(c, "ERR "+code+" "+msg)
-}
-
-type client struct {
-	conn net.Conn
-	mu   sync.Mutex // serializes writes
-
-	// pending (async mode only) carries this connection's replies to the
-	// replier goroutine in request order: resolved replies for
-	// non-publish requests, and the match channel of each admitted
-	// asynchronous publish, acknowledged when the document has been
-	// processed. Routing every reply through one queue keeps the
-	// per-connection reply order equal to the request order even though
-	// publishes complete asynchronously. replierDone closes once the
-	// replier has drained pending, so serve can flush queued replies
-	// before closing the connection.
-	pending     chan pendingReply
-	replierDone chan struct{}
-}
-
-type pendingReply struct {
-	matches <-chan []mmqjp.Match // nil for an immediate reply
-	stream  string               // with matches: the published stream, for metrics
-	line    string               // the reply when matches and eval are nil
-	eval    func() string        // computed at the reply's slot (STATS)
-}
-
-func (c *client) send(line string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fmt.Fprintln(c.conn, line)
-}
-
-// newClient wraps an accepted connection; in async mode it also starts the
-// connection's replier goroutine, which exits when serve closes pending.
-func (s *server) newClient(conn net.Conn) *client {
-	c := &client{conn: conn}
-	if s.async {
-		c.pending = make(chan pendingReply, 256)
-		c.replierDone = make(chan struct{})
-		go func() {
-			defer close(c.replierDone)
-			for p := range c.pending {
-				switch {
-				case p.matches != nil:
-					ms := <-p.matches
-					s.m.published(p.stream, 1, len(ms))
-					s.deliver(ms)
-					c.send(fmt.Sprintf("OK %d", len(ms)))
-				case p.eval != nil:
-					c.send(p.eval())
-				default:
-					c.send(p.line)
-				}
-			}
-		}()
-	}
-	return c
-}
-
-// reply answers one request. In async mode the reply is queued behind the
-// connection's in-flight publishes so replies stay in request order.
-func (s *server) reply(c *client, line string) {
-	if c.pending != nil {
-		c.pending <- pendingReply{line: line}
-		return
-	}
-	c.send(line)
-}
-
-// replyEval answers one request with a lazily computed line; in async mode
-// the computation runs at the reply's slot in the queue, after the
-// preceding publishes have been acknowledged.
-func (s *server) replyEval(c *client, eval func() string) {
-	if c.pending != nil {
-		c.pending <- pendingReply{eval: eval}
-		return
-	}
-	c.send(eval())
-}
 
 func main() {
 	addr := flag.String("addr", ":7878", "listen address")
@@ -394,7 +326,10 @@ func (s *server) serve(c *client) {
 	// connection cannot leak un-removable queries into the engine (UNSUB
 	// rejects every other connection by the ownership rule).
 	defer s.dropClient(c)
+	var in io.Reader = flushReader{c}
 	if c.pending != nil {
+		// The replier writes what it queues; the handler only reads.
+		in = c.conn
 		// Flush before disconnect: stop the replier and wait for it to
 		// drain the queued replies (the in-flight publishes' match
 		// channels resolve independently of this connection), so a QUIT
@@ -405,9 +340,12 @@ func (s *server) serve(c *client) {
 			close(c.pending)
 			<-c.replierDone
 		}()
+	} else {
+		// A QUIT may leave coalesced replies queued.
+		defer c.flush()
 	}
-	rd := bufio.NewReaderSize(c.conn, 64<<10)
-	for {
+	rd := bufio.NewReaderSize(in, 64<<10)
+	for !c.isDead() {
 		line, tooLong, err := readLine(rd, maxLineBytes)
 		if err != nil {
 			return
@@ -420,28 +358,49 @@ func (s *server) serve(c *client) {
 		if line == "" {
 			continue
 		}
-		verb, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(verb) {
-		case "SUB":
-			s.handleSub(c, rest)
-		case "UNSUB":
-			s.handleUnsub(c, rest)
-		case "CLAIM":
-			s.handleClaim(c, rest)
-		case "PUB":
+		verb, rest := line, ""
+		if i := strings.IndexByte(line, ' '); i >= 0 {
+			verb, rest = line[:i], line[i+1:]
+		}
+		switch {
+		case verbIs(verb, "PUB"):
 			s.handlePub(c, rest)
-		case "PUBB":
+		case verbIs(verb, "SUB"):
+			s.handleSub(c, rest)
+		case verbIs(verb, "UNSUB"):
+			s.handleUnsub(c, rest)
+		case verbIs(verb, "CLAIM"):
+			s.handleClaim(c, rest)
+		case verbIs(verb, "PUBB"):
 			s.handlePubBatch(c, rd, rest)
-		case "STATS":
+		case verbIs(verb, "STATS"):
 			// Evaluated at the reply's position in the queue, so an async
 			// STATS reflects the publishes acknowledged before it.
-			s.replyEval(c, func() string { return "OK " + s.eng.Stats().String() })
-		case "QUIT":
+			c.atSlot(func() { c.enqueue(reply{text: s.eng.Stats().String()}) })
+		case verbIs(verb, "QUIT"):
 			return
 		default:
 			s.replyErr(c, errProto, "unknown verb "+verb)
 		}
 	}
+}
+
+// verbIs reports whether verb spells name, which is upper case, in any
+// ASCII case.
+func verbIs(verb, name string) bool {
+	if len(verb) != len(name) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		ch := verb[i]
+		if 'a' <= ch && ch <= 'z' {
+			ch -= 'a' - 'A'
+		}
+		if ch != name[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *server) handleSub(c *client, src string) {
@@ -460,7 +419,7 @@ func (s *server) handleSub(c *client, src string) {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.reply(c, fmt.Sprintf("OK %d", id))
+	s.reply(c, okReply(int64(id)))
 }
 
 // handleClaim re-attaches the requesting connection to an orphaned durable
@@ -489,7 +448,7 @@ func (s *server) handleClaim(c *client, rest string) {
 		s.replyErr(c, errQuery, err.Error())
 		return
 	}
-	s.reply(c, fmt.Sprintf("OK %d", qid))
+	s.reply(c, okReply(int64(qid)))
 }
 
 // handleUnsub removes a subscription owned by the requesting connection.
@@ -522,7 +481,7 @@ func (s *server) handleUnsub(c *client, rest string) {
 		s.replyErr(c, errQuery, err.Error())
 		return
 	}
-	s.reply(c, fmt.Sprintf("OK %d", qid))
+	s.reply(c, okReply(int64(qid)))
 }
 
 // dropClient releases every query owned by a disconnecting client: in
@@ -578,7 +537,11 @@ func (s *server) handlePub(c *client, rest string) {
 			s.replyErr(c, errParse, err.Error())
 			return
 		}
-		c.pending <- pendingReply{matches: s.eng.PublishAsync(stream, d), stream: stream}
+		matches := s.eng.PublishAsync(stream, d)
+		c.pending <- func() {
+			ms, _ := recv(c, matches)
+			s.ackPublish(c, stream, 1, ms)
+		}
 		return
 	}
 	matches, err := s.eng.PublishXML(stream, xmlText, docID, ts)
@@ -586,9 +549,7 @@ func (s *server) handlePub(c *client, rest string) {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.m.published(stream, 1, len(matches))
-	s.deliver(matches)
-	s.reply(c, fmt.Sprintf("OK %d", len(matches)))
+	s.ackPublish(c, stream, 1, matches)
 }
 
 // maxBatchDocs bounds the document count a PUBB header may announce, so a
@@ -597,21 +558,29 @@ func (s *server) handlePub(c *client, rest string) {
 // resynchronize, exactly as after a malformed header).
 const maxBatchDocs = 65536
 
-// handlePubBatch reads the <n> document lines announced by a PUBB header
-// and publishes them through the engine's pipelined batch path.
-func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
+// batchHeader parses `<stream> <n>`, the rest of a PUBB header line. When ok
+// is false no document line is consumed and bad is the reply.
+func batchHeader(rest string) (stream string, n int, bad reply, ok bool) {
 	stream, nText, ok := cut(rest)
 	if !ok || nText == "" {
-		s.replyErr(c, errProto, "usage: PUBB <stream> <n>, then n lines of <ts> <xml>")
-		return
+		return "", 0, errReply(errProto, "usage: PUBB <stream> <n>, then n lines of <ts> <xml>"), false
 	}
 	n, err := strconv.Atoi(nText)
 	if err != nil || n < 0 {
-		s.replyErr(c, errProto, "bad batch count "+nText)
-		return
+		return "", 0, errReply(errProto, "bad batch count "+nText), false
 	}
 	if n > maxBatchDocs {
-		s.replyErr(c, errLimit, fmt.Sprintf("batch count %d exceeds %d", n, maxBatchDocs))
+		return "", 0, errReply(errLimit, fmt.Sprintf("batch count %d exceeds %d", n, maxBatchDocs)), false
+	}
+	return stream, n, reply{}, true
+}
+
+// handlePubBatch reads the <n> document lines announced by a PUBB header
+// and publishes them through the engine's pipelined batch path.
+func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
+	stream, n, bad, ok := batchHeader(rest)
+	if !ok {
+		s.reply(c, bad)
 		return
 	}
 	events := make([]mmqjp.XMLEvent, 0, n)
@@ -661,37 +630,7 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	total := 0
-	for _, matches := range batches {
-		total += len(matches)
-		s.deliver(matches)
-	}
-	s.m.published(stream, len(events), total)
-	s.reply(c, fmt.Sprintf("OK %d", total))
-}
-
-// deliver pushes MATCH lines to the connections owning the matched queries.
-func (s *server) deliver(matches []mmqjp.Match) {
-	s.mu.Lock()
-	deliveries := make([]struct {
-		to   *client
-		line string
-	}, 0, len(matches))
-	for _, m := range matches {
-		owner := s.owners[m.Query]
-		if owner == nil {
-			continue
-		}
-		deliveries = append(deliveries, struct {
-			to   *client
-			line string
-		}{owner, fmt.Sprintf("MATCH %d left=%d@%d right=%d@%d",
-			m.Query, m.LeftDoc, m.LeftTS, m.RightDoc, m.RightTS)})
-	}
-	s.mu.Unlock()
-	for _, d := range deliveries {
-		d.to.send(d.line)
-	}
+	c.atSlot(func() { s.ackPublish(c, stream, len(events), batches...) })
 }
 
 func cut(s string) (first, rest string, ok bool) {

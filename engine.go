@@ -447,7 +447,11 @@ func (e *Engine) publish(stream string, d *Document, depth int) []Match {
 	}
 	var out []Match
 	if e.seq != nil {
-		for _, m := range e.seq.Process(stream, d) {
+		sms := e.seq.Process(stream, d)
+		if len(sms) > 0 {
+			out = make([]Match, 0, len(sms))
+		}
+		for _, m := range sms {
 			out = append(out, Match{
 				Query:   QueryID(m.Query),
 				Publish: e.queries[m.Query].Publish,
@@ -467,7 +471,10 @@ func (e *Engine) publish(stream string, d *Document, depth int) []Match {
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) convertMatches(cms []core.Match) []Match {
-	var out []Match
+	if len(cms) == 0 {
+		return nil
+	}
+	out := make([]Match, 0, len(cms))
 	for _, m := range cms {
 		out = append(out, Match{
 			Query:   QueryID(m.Query),

@@ -23,7 +23,12 @@ SNAP="$WORK/engine.snap"
 SERVER_PID=""
 
 cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
+  if [ -n "$SERVER_PID" ]; then
+    kill "$SERVER_PID" 2>/dev/null || true
+    # SIGTERM makes the server write a last snapshot into $WORK; let it
+    # finish before the directory goes.
+    wait "$SERVER_PID" 2>/dev/null || true
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -72,6 +77,12 @@ grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_querie
 grep -q '^mmqjp_documents_total 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_documents_total 1"
 grep -q 'mmqjp_stage1_seconds_count 1' <<<"$METRICS" || fail "/metrics missing stage1 histogram observation"
 grep -q 'mmqjp_stream_publish_total{stream="S"} 1' <<<"$METRICS" || fail "/metrics missing per-stream publish counter"
+# The reply path: the session above was answered ("OK 0" twice, 10 bytes) in
+# at least one write, nothing is left queued and nobody was dropped.
+grep -q '^mmqjp_reply_bytes_total 10$' <<<"$METRICS" || fail "/metrics missing mmqjp_reply_bytes_total 10"
+grep -Eq '^mmqjp_reply_writes_total [12]$' <<<"$METRICS" || fail "/metrics missing mmqjp_reply_writes_total"
+grep -q '^mmqjp_outbound_queue_bytes 0$' <<<"$METRICS" || fail "/metrics missing mmqjp_outbound_queue_bytes 0"
+grep -q '^mmqjp_slow_reader_drops_total 0$' <<<"$METRICS" || fail "/metrics missing mmqjp_slow_reader_drops_total 0"
 
 echo "== SIGTERM: snapshot on shutdown =="
 kill -TERM "$SERVER_PID"
