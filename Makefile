@@ -93,9 +93,12 @@ lint: lint-invariants
 # iteration on output paths, //mmqjp:guardedby lock discipline,
 # //mmqjp:shardowned shard ownership, Stats wiring, and a ban on wall-clock
 # and unseeded randomness in internal/core. See DESIGN.md "Static
-# invariants" for the directive grammar.
+# invariants" for the directive grammar. The grep keeps the interpreted
+# evaluator what it is documented as, a test-only reference: Stage 2 runs
+# compiled programs (internal/core/cqplan.go).
 lint-invariants:
 	$(GO) run ./cmd/mmqjplint ./...
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'relation\.EvalConjunctive' . | grep -v '^\./internal/relation/' || { echo "relation.EvalConjunctive referenced outside tests (above): Stage 2 evaluates compiled programs only"; exit 1; }
 
 fmt:
 	gofmt -w .

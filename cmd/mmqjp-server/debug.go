@@ -33,6 +33,8 @@ import (
 //	                                      full queue
 //	plan_witness_total, plan_rt_total,    adaptive-planner choice counters
 //	plan_explorations_total
+//	cq_probes_total, cq_rows_total        counted Stage-2 work: index entries
+//	                                      visited, RoutT rows produced
 //	stream_publish_total{stream},         per-stream publish and match
 //	stream_matches_total{stream}          counters (server-side)
 //	reply_bytes_total, reply_writes_total reply bytes handed to client sockets
@@ -106,6 +108,10 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().Stats().RTPlans) })
 	r.CounterFunc("mmqjp_plan_explorations_total", "Calibration runs of the non-chosen Stage-2 plan.",
 		func() float64 { return float64(eng().Stats().Explorations) })
+	r.CounterFunc("mmqjp_cq_probes_total", "Index entries visited by the compiled Stage-2 steps of the chosen plans.",
+		func() float64 { return float64(eng().Stats().CQProbes) })
+	r.CounterFunc("mmqjp_cq_rows_total", "RoutT rows the chosen Stage-2 plans produced, before the window test.",
+		func() float64 { return float64(eng().Stats().CQRows) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")

@@ -19,7 +19,8 @@
 // compact binary witness relations. Stage 2 partitions queries into
 // equivalence classes by query template (the isomorphism class of the graph
 // minor of the query's join graph) and evaluates one relational conjunctive
-// query per template, answering every member query simultaneously. With
+// query per template — compiled once, when the template is created, into a
+// program of index probes — answering every member query simultaneously. With
 // hundreds of thousands of registered queries the system maintains a few
 // dozen templates, which is the source of its scalability.
 //

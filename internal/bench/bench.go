@@ -451,6 +451,8 @@ func engineStats(p *core.Processor) *mmqjp.EngineStats {
 		WitnessPlans: s.WitnessPlans,
 		RTPlans:      s.RTPlans,
 		Explorations: s.Explorations,
+		CQProbes:     s.CQProbes,
+		CQRows:       s.CQRows,
 	}
 }
 

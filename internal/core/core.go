@@ -35,7 +35,7 @@ type Config struct {
 	// independent of Workers, PipelineDepth and wall-clock timing.
 	PlanExploreSeed int64
 	// Workers sets the number of template shards evaluated concurrently
-	// in Stage 2 (shard.go). Each shard owns the query relations, view
+	// in Stage 2 (shard.go). Each shard owns the planner records, view
 	// cache entries and stats of the templates assigned to it, so workers
 	// share no mutable state. 0 or 1 selects sequential evaluation;
 	// match output is identical for every worker count.
@@ -77,10 +77,10 @@ const (
 	// estimate (planner.go).
 	PlanAuto PlanKind = iota
 	// PlanWitness always joins outward from the current document's
-	// value-join pairs (processor.go).
+	// value-join pairs (cqplan.go).
 	PlanWitness
-	// PlanRTDriven always iterates RT's distinct variable vectors
-	// (rtplan.go).
+	// PlanRTDriven always iterates RT's distinct variable vectors first
+	// (cqplan.go).
 	PlanRTDriven
 )
 
@@ -118,6 +118,13 @@ type Stats struct {
 	// report only the plan that produced the output.
 	Explorations int64
 	ExploreWall  time.Duration
+	// CQProbes counts the index entries the compiled Stage-2 steps visited
+	// (cqplan.go) and CQRows the RoutT rows they produced, before the
+	// window test — the chosen plan's runs only, like CQ. Both are pure
+	// functions of the input sequence and the plan sequence, so they repeat
+	// exactly under a forced plan.
+	CQProbes int64
+	CQRows   int64
 }
 
 // Add accumulates o into s: per-shard stats into a processor total, or
@@ -138,4 +145,6 @@ func (s *Stats) Add(o Stats) {
 	s.RTPlans += o.RTPlans
 	s.Explorations += o.Explorations
 	s.ExploreWall += o.ExploreWall
+	s.CQProbes += o.CQProbes
+	s.CQRows += o.CQRows
 }

@@ -1,0 +1,507 @@
+package core
+
+import (
+	"encoding/binary"
+
+	"repro/internal/relation"
+	"repro/internal/xmldoc"
+)
+
+// Compiled Stage-2 programs.
+//
+// A template's conjunctive query CQ_T is fixed by the template's structure,
+// so it is compiled once, when the template is created, into a cqProgram: an
+// ordered list of index-probe steps over a fixed integer binding frame
+//
+//	slot 0          docid   the previous document
+//	slots 1..N      n_p     node bound at template position p
+//	slots N+1..2N   v_p     interned canonical variable at position p
+//	slots 2N+1..    s_k     interned string value of value join k
+//
+// Every step names a source relation, the bound slot its probe key comes
+// from, the row columns it assigns to still-unbound slots and the columns it
+// only checks against bound ones. Column offsets are resolved at compile
+// time; evaluation (cqExec.step) is a depth-first index nested loop over the
+// frame that emits complete frames straight into []Match. No intermediate
+// relation is materialized, and no step scans join state: state relations
+// are reached only through the indexes State.Merge extends and State.GC
+// shrinks, per-document relations through the indexes built once per
+// document in stage2Shared.
+//
+// The two physical plans (planner.go) are the same machine in two step
+// orders. The witness-driven order starts from the document's value-join
+// pairs, assigns the v slots from the structural rows it walks, and ends by
+// probing the bound variable vector against the template's vector groups.
+// The RT-driven order starts by iterating the vector groups, so every v slot
+// is bound up front and each structural row is a check. In witness order an
+// assigned (v_parent, v_child) pair is tested against the pairs some live
+// vector group carries at that position (Template.live) as soon as it is
+// bound: a pair no subscription registered cannot survive the final vector
+// probe, so dropping it early changes no output row.
+
+// cqSource names the relation a step reads.
+type cqSource uint8
+
+const (
+	srcVectors     cqSource = iota // the template's live vector groups, one after another
+	srcVectorProbe                 // the vector group equal to the bound v slots
+	srcRvj                         // value-join pairs (docid, nodeL, nodeR, strVal): all, or by docid
+	srcRL                          // left view (docid, var1, var2, node1, node2, strVal): all, or by docid
+	srcRR                          // right view (var1, var2, node1, node2, strVal) by strVal
+	srcRbin                        // Rbin (docid, var1, var2, node1, node2) by (docid, node2)
+	srcRbinW                       // RbinW (var1, var2, node1, node2) by node2
+	srcRroot                       // Rroot (docid, var, node) by (docid, node)
+	srcRrootW                      // RrootW (var, node) by node
+)
+
+const slotDoc = 0
+
+// colSlot pairs a source-row column with a frame slot.
+type colSlot struct{ col, slot int }
+
+// cqStep is one step of a compiled program.
+type cqStep struct {
+	src cqSource
+	// key is the bound slot the probe key is read from (state relations
+	// add the docid slot); -1 reads every row of the source.
+	key    int
+	assign []colSlot
+	check  []colSlot
+	// live, when >= 0, is the template position whose live variable pairs
+	// (Template.live) the pair in slots liveA, liveB must belong to.
+	live         int
+	liveA, liveB int
+}
+
+// cqProgram is one step order of a template's compiled conjunctive query.
+// Programs are immutable after compilation and shared by every document.
+type cqProgram struct {
+	t     *Template
+	steps []cqStep
+	// rtDriven is the vector-groups-first order.
+	rtDriven bool
+}
+
+func (t *Template) nSlot(p int) int { return 1 + p }
+func (t *Template) vSlot(p int) int { return 1 + t.N + p }
+func (t *Template) sSlot(k int) int { return 1 + 2*t.N + k }
+func (t *Template) numSlots() int   { return 1 + 2*t.N + len(t.VJ) }
+
+// usesViews reports whether value join k is served by the Section-5 views
+// under view materialization: RL and RR fold the endpoint's edge to its
+// parent into the view, so both endpoints need one. A value join on a side
+// root falls back to the pair relation Rvj.
+func (t *Template) usesViews(k int) bool {
+	return t.Parent[t.VJ[k][0]] >= 0 && t.Parent[t.VJ[k][1]] >= 0
+}
+
+// compile builds the template's two programs (setting needRvj when a step
+// reads the pair relation). views selects the Section-5 rewriting (RL/RR
+// atoms) for the value joins that admit it.
+func (t *Template) compile(views bool) {
+	t.progs = [2]*cqProgram{compileCQ(t, views, false), compileCQ(t, views, true)}
+}
+
+// cqCompiler tracks which slots are bound and which structural atoms have
+// been emitted while the steps of one program are laid out.
+type cqCompiler struct {
+	t       *Template
+	prog    *cqProgram
+	bound   []bool
+	emitted []bool // per position: the atom binding it to its parent (or its root atom)
+}
+
+func compileCQ(t *Template, views, rtDriven bool) *cqProgram {
+	c := &cqCompiler{
+		t:       t,
+		prog:    &cqProgram{t: t, rtDriven: rtDriven},
+		bound:   make([]bool, t.numSlots()),
+		emitted: make([]bool, t.N),
+	}
+	if rtDriven {
+		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectors, key: -1, live: -1})
+		for p := 0; p < t.N; p++ {
+			c.bound[t.vSlot(p)] = true
+		}
+	}
+	// Each value join is followed at once by the structural atoms anchoring
+	// its endpoints up to the side roots, so every step after the first
+	// probes with a bound key.
+	for k, e := range t.VJ {
+		l, r := e[0], e[1]
+		// The first value join reads every pair (or left-view row); it
+		// binds the previous document, and the later ones probe by it.
+		docKey := slotDoc
+		if k == 0 {
+			docKey = -1
+		}
+		if views && t.usesViews(k) {
+			pl, pr := t.Parent[l], t.Parent[r]
+			c.atom(srcRL, docKey, l, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
+			c.emitted[l] = true
+			c.anchor(pl)
+			c.atom(srcRR, t.sSlot(k), r, t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
+			c.emitted[r] = true
+			c.anchor(pr)
+			continue
+		}
+		t.needRvj = true
+		c.atom(srcRvj, docKey, -1, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
+		c.anchor(l)
+		c.anchor(r)
+	}
+	if !rtDriven {
+		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectorProbe, key: -1, live: -1})
+	}
+	return c.prog
+}
+
+// anchor emits the structural atoms from position pos up to its side root
+// (stopping at the first already emitted), or the unary root atom of a
+// single-node side. n_pos is bound when anchor is called.
+func (c *cqCompiler) anchor(pos int) {
+	t := c.t
+	left := t.SideOf[pos] == Left
+	if (left && t.SingleLeft) || (!left && t.SingleRight) {
+		if c.emitted[pos] {
+			return
+		}
+		c.emitted[pos] = true
+		if left {
+			c.atom(srcRroot, t.nSlot(pos), pos, slotDoc, t.vSlot(pos), t.nSlot(pos))
+		} else {
+			c.atom(srcRrootW, t.nSlot(pos), pos, t.vSlot(pos), t.nSlot(pos))
+		}
+		return
+	}
+	for ch := pos; t.Parent[ch] >= 0 && !c.emitted[ch]; ch = t.Parent[ch] {
+		c.emitted[ch] = true
+		pa := t.Parent[ch]
+		if left {
+			c.atom(srcRbin, t.nSlot(ch), ch, slotDoc, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
+		} else {
+			c.atom(srcRbinW, t.nSlot(ch), ch, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
+		}
+	}
+}
+
+// atom appends the step reading src with probe key slot key; cols[i] is the
+// frame slot column i of the source row binds. Key columns equal the frame
+// by construction of the index; every other column is assigned when its
+// slot is still unbound and checked otherwise. livePos is the position whose
+// variable pair the row carries (-1 for none).
+func (c *cqCompiler) atom(src cqSource, key, livePos int, cols ...int) {
+	st := cqStep{src: src, key: key, live: -1}
+	assignsVar := false
+	for col, slot := range cols {
+		switch {
+		case slot == key, slot == slotDoc && (src == srcRbin || src == srcRroot):
+		case c.bound[slot]:
+			st.check = append(st.check, colSlot{col, slot})
+		default:
+			st.assign = append(st.assign, colSlot{col, slot})
+			c.bound[slot] = true
+			if slot >= c.t.vSlot(0) && slot < c.t.sSlot(0) {
+				assignsVar = true
+			}
+		}
+	}
+	if assignsVar && livePos >= 0 {
+		st.live = livePos
+		st.liveA, st.liveB = c.t.vSlot(c.t.liveParent(livePos)), c.t.vSlot(livePos)
+	}
+	c.prog.steps = append(c.prog.steps, st)
+}
+
+// liveParent is the position paired with p in Template.live: its parent, or
+// p itself for a side root (only the root of a single-node side is ever
+// looked up: a multi-node side's root has no structural atom of its own).
+func (t *Template) liveParent(p int) int {
+	if t.Parent[p] >= 0 {
+		return t.Parent[p]
+	}
+	return p
+}
+
+// vecGroup is one distinct variable vector of a template — the RT rows of
+// every instance registered with the same canonical variable at each
+// position collapse onto it — with the instances sharing it.
+type vecGroup struct {
+	key   string  // appendVecKey(vars), the group's key in Template.vectors
+	vars  []int64 // interned canonical variable per template position
+	insts []int64 // instance ids
+}
+
+// appendVecKey appends the group key of a variable vector: fixed-width, so
+// equal-length vectors have equal keys exactly when they are equal.
+func appendVecKey(b []byte, vars []int64) []byte {
+	for _, v := range vars {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// addVector records an instance's variable vector in its template and
+// returns the group key (kept by the instance for removeVector). A new group
+// adds its variable pairs to the live sets the witness-driven order prunes
+// with.
+func (t *Template) addVector(vars []int64, iid int64) string {
+	if t.vectors == nil {
+		t.vectors = map[string]*vecGroup{}
+		t.live = make([]map[[2]int64]int, t.N)
+	}
+	buf := appendVecKey(make([]byte, 0, 8*len(vars)), vars)
+	g, ok := t.vectors[string(buf)]
+	if !ok {
+		g = &vecGroup{key: string(buf), vars: append([]int64(nil), vars...)}
+		t.vectors[g.key] = g
+		t.vecList = append(t.vecList, g)
+		t.noteLive(g, 1)
+	}
+	g.insts = append(g.insts, iid)
+	return g.key
+}
+
+// removeVector removes an unregistered instance from its vector group; a
+// group whose last instance leaves is dropped entirely, so no plan visits a
+// vector no live query shares.
+func (t *Template) removeVector(key string, iid int64) {
+	g, ok := t.vectors[key]
+	if !ok {
+		return
+	}
+	if g.insts = removeFirst(g.insts, iid); len(g.insts) > 0 {
+		return
+	}
+	delete(t.vectors, key)
+	t.vecList = removeFirst(t.vecList, g)
+	t.noteLive(g, -1)
+}
+
+// noteLive adds (delta = 1) or retires (delta = -1) a vector group's
+// variable pairs in the per-position live sets.
+func (t *Template) noteLive(g *vecGroup, delta int) {
+	for p := 0; p < t.N; p++ {
+		k := [2]int64{g.vars[t.liveParent(p)], g.vars[p]}
+		if t.live[p] == nil {
+			t.live[p] = map[[2]int64]int{}
+		}
+		if t.live[p][k] += delta; t.live[p][k] == 0 {
+			delete(t.live[p], k)
+		}
+	}
+}
+
+// rowIndex groups the rows of a per-document relation by the value of one
+// integer column. Groups are numbered in first-seen order, so everything
+// derived from the index is deterministic.
+type rowIndex struct {
+	group map[int64]int32
+	off   []int32 // group g is rows[off[g]:off[g+1]]
+	rows  []int
+}
+
+// indexRows builds the index of rows on column col: one map operation per
+// row, five allocations whatever the row count.
+func indexRows(rows []relation.Tuple, col int) *rowIndex {
+	x := &rowIndex{group: make(map[int64]int32), rows: make([]int, len(rows))}
+	of := make([]int32, len(rows))
+	var sizes []int32
+	for i, row := range rows {
+		g, ok := x.group[row[col].I]
+		if !ok {
+			g = int32(len(sizes))
+			x.group[row[col].I] = g
+			sizes = append(sizes, 0)
+		}
+		sizes[g]++
+		of[i] = g
+	}
+	x.off = make([]int32, len(sizes)+1)
+	for g, n := range sizes {
+		x.off[g+1] = x.off[g] + n
+	}
+	next := sizes
+	copy(next, x.off)
+	for i, g := range of {
+		x.rows[next[g]] = i
+		next[g]++
+	}
+	return x
+}
+
+// get returns the row numbers whose indexed column equals k.
+func (x *rowIndex) get(k int64) []int {
+	g, ok := x.group[k]
+	if !ok {
+		return nil
+	}
+	return x.rows[x.off[g]:x.off[g+1]]
+}
+
+// cqExec evaluates compiled programs against one document on one shard. It
+// reads the processor's registration-time structures, the join state and
+// the per-document inputs, all read-only during Process; everything it
+// writes (frame, output, counters) is its own.
+type cqExec struct {
+	p   *Processor
+	w   *CurrentWitness
+	d   *xmldoc.Document
+	pre *stage2Shared
+
+	prog  *cqProgram
+	frame []int64
+	group *vecGroup
+	out   []Match
+
+	// slab is carved into the Bindings of the emitted matches.
+	slab   []xmldoc.NodeID
+	keyBuf []byte
+
+	// probes counts index entries visited, rows RoutT rows produced.
+	probes, rows int64
+}
+
+// run evaluates prog against the document, appending the matches that pass
+// their instance's window to ex.out.
+func (ex *cqExec) run(prog *cqProgram) {
+	ex.prog = prog
+	if n := prog.t.numSlots(); cap(ex.frame) < n {
+		ex.frame = make([]int64, n)
+	} else {
+		ex.frame = ex.frame[:n]
+	}
+	ex.step(0)
+}
+
+// step runs step i for the current frame and recurses into step i+1 for
+// every source row that passes the step's checks.
+func (ex *cqExec) step(i int) {
+	if i == len(ex.prog.steps) {
+		ex.emit()
+		return
+	}
+	st := &ex.prog.steps[i]
+	t, f, s, pre := ex.prog.t, ex.frame, ex.p.state, ex.pre
+	var rows []relation.Tuple
+	var idx []int
+	switch st.src {
+	case srcVectors:
+		for _, g := range t.vecList {
+			ex.probes++
+			copy(f[t.vSlot(0):], g.vars)
+			ex.group = g
+			ex.step(i + 1)
+		}
+		return
+	case srcVectorProbe:
+		ex.probes++
+		ex.keyBuf = appendVecKey(ex.keyBuf[:0], f[t.vSlot(0):t.sSlot(0)])
+		if g := t.vectors[string(ex.keyBuf)]; g != nil {
+			ex.group = g
+			ex.step(i + 1)
+		}
+		return
+	case srcRvj:
+		rows = pre.rvj
+		if st.key >= 0 {
+			idx = pre.rvjByDoc.get(f[st.key])
+		}
+	case srcRL:
+		rows = pre.rl
+		if st.key >= 0 {
+			idx = pre.rlByDoc.get(f[st.key])
+		}
+	case srcRR:
+		rows, idx = pre.rr, pre.rrBySym.get(f[st.key])
+	case srcRbin:
+		rows, idx = s.Rbin.Rows, s.rbinByNode2[binKey{xmldoc.DocID(f[slotDoc]), xmldoc.NodeID(f[st.key])}]
+	case srcRbinW:
+		rows, idx = ex.w.RbinW.Rows, pre.binWByNode2.get(f[st.key])
+	case srcRroot:
+		rows, idx = s.Rroot.Rows, s.rrootByNode[binKey{xmldoc.DocID(f[slotDoc]), xmldoc.NodeID(f[st.key])}]
+	case srcRrootW:
+		rows, idx = ex.w.RrootW.Rows, pre.rootWByNode.get(f[st.key])
+	}
+	if st.key < 0 {
+		for _, row := range rows {
+			ex.try(st, row, i)
+		}
+		return
+	}
+	for _, ri := range idx {
+		ex.try(st, rows[ri], i)
+	}
+}
+
+// try binds one source row into the frame and continues with the next step
+// unless a check or the live-pair test rejects it. Columns are typed
+// consistently per relation, so comparing the integer payload is value
+// equality.
+func (ex *cqExec) try(st *cqStep, row relation.Tuple, i int) {
+	ex.probes++
+	f := ex.frame
+	for _, c := range st.check {
+		if row[c.col].I != f[c.slot] {
+			return
+		}
+	}
+	for _, a := range st.assign {
+		f[a.slot] = row[a.col].I
+	}
+	if st.live >= 0 {
+		if _, ok := ex.prog.t.live[st.live][[2]int64{f[st.liveA], f[st.liveB]}]; !ok {
+			return
+		}
+	}
+	ex.step(i + 1)
+}
+
+// emit turns the complete frame into the RoutT rows of the current vector
+// group — one per instance sharing it — and appends those that pass the
+// instance's window (Algorithm 3) as matches. The rows of one frame share
+// one Bindings slice, carved from the slab.
+func (ex *cqExec) emit() {
+	p, t, f := ex.p, ex.prog.t, ex.frame
+	prevDoc := xmldoc.DocID(f[slotDoc])
+	prevTS, ok := p.state.RdocTS[prevDoc]
+	if !ok {
+		return
+	}
+	var bindings []xmldoc.NodeID
+	for _, iid := range ex.group.insts {
+		ex.rows++
+		inst := p.instances[iid]
+		if !p.windowOK(inst, prevDoc, prevTS, ex.d) {
+			continue
+		}
+		if bindings == nil {
+			if len(ex.slab) < t.N {
+				ex.slab = make([]xmldoc.NodeID, max(256, t.N))
+			}
+			bindings, ex.slab = ex.slab[:t.N:t.N], ex.slab[t.N:]
+			for i := range bindings {
+				bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
+			}
+		}
+		ex.out = append(ex.out, p.orientMatch(t, inst, prevDoc, prevTS, bindings, ex.d))
+	}
+}
+
+// orientMatch builds a Match from an RoutT row, applying the instance's
+// block orientation.
+func (p *Processor) orientMatch(t *Template, inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, bindings []xmldoc.NodeID, d *xmldoc.Document) Match {
+	m := Match{Query: inst.qid, Template: t, Bindings: bindings}
+	prevRoot := bindings[t.LeftRoot]
+	curRoot := bindings[t.RightRoot]
+	if inst.swapped {
+		m.LeftDoc, m.RightDoc = d.ID, prevDoc
+		m.LeftTS, m.RightTS = d.Timestamp, prevTS
+		m.LeftRoot, m.RightRoot = curRoot, prevRoot
+	} else {
+		m.LeftDoc, m.RightDoc = prevDoc, d.ID
+		m.LeftTS, m.RightTS = prevTS, d.Timestamp
+		m.LeftRoot, m.RightRoot = prevRoot, curRoot
+	}
+	return m
+}

@@ -91,8 +91,8 @@ func TestVectorGroupChurn(t *testing.T) {
 	if shared == nil {
 		t.Fatal("no vector group holds both l1 instances")
 	}
-	if !reflect.DeepEqual(shared.wls, []int64{10, 20}) {
-		t.Fatalf("shared group windows = %v, want [10 20]", shared.wls)
+	if w0, w1 := p.instances[shared.insts[0]].window, p.instances[shared.insts[1]].window; w0 != 10 || w1 != 20 {
+		t.Fatalf("shared group windows = %d, %d, want 10, 20", w0, w1)
 	}
 
 	// Removing one of two sharers shrinks the group but keeps it.
@@ -189,7 +189,7 @@ func TestCalibrationConvergence(t *testing.T) {
 	p := NewProcessor(Config{})
 	p.MustRegister(twoLeafQuery("l1", 10))
 	tmpl := p.templateList[0]
-	perDoc := map[xmldoc.DocID]int{1: 2} // tiny fan-out: prior says witness
+	perDoc := func(int) float64 { return 2 } // tiny fan-out: prior says witness
 
 	if d := p.choosePlan(tmpl, perDoc); d.rtDriven {
 		t.Fatal("uncalibrated chooser overrode the witness-leaning prior")
@@ -239,7 +239,7 @@ func TestExplorationSamplingDeterminism(t *testing.T) {
 		p := NewProcessor(Config{PlanExploreEvery: 2, PlanExploreSeed: seed})
 		p.MustRegister(twoLeafQuery("l1", 10))
 		tmpl := p.templateList[0]
-		perDoc := map[xmldoc.DocID]int{1: 1}
+		perDoc := func(int) float64 { return 1 }
 		out := make([]bool, 256)
 		for i := range out {
 			out[i] = p.choosePlan(tmpl, perDoc).explore
@@ -267,7 +267,7 @@ func TestExplorationSamplingDeterminism(t *testing.T) {
 	p := NewProcessor(Config{Plan: PlanWitness, PlanExploreEvery: 2, PlanExploreSeed: 7})
 	p.MustRegister(twoLeafQuery("l1", 10))
 	for i := 0; i < 64; i++ {
-		if p.choosePlan(p.templateList[0], map[xmldoc.DocID]int{1: 1}).explore {
+		if p.choosePlan(p.templateList[0], func(int) float64 { return 1 }).explore {
 			t.Fatal("forced plan requested exploration")
 		}
 	}

@@ -42,9 +42,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 		}
 	}
 	for _, sh := range p.shards {
-		if len(sh.templates) != 0 || len(sh.rt) != 0 || len(sh.rtIndex) != 0 || len(sh.rtDirty) != 0 {
-			t.Errorf("shard %d still owns template state: %d templates, %d RT, %d idx, %d dirty",
-				sh.id, len(sh.templates), len(sh.rt), len(sh.rtIndex), len(sh.rtDirty))
+		if len(sh.templates) != 0 {
+			t.Errorf("shard %d still owns %d templates", sh.id, len(sh.templates))
 		}
 		if n := sh.cache.Len(); n != 0 {
 			t.Errorf("shard %d view cache has %d entries, want 0", sh.id, n)
@@ -59,7 +58,7 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			st.NumDocs(), st.Rbin.Len(), st.Rdoc.Len(), st.Rroot.Len())
 	}
 	if len(st.RdocTS) != 0 || len(st.seq) != 0 || len(st.docs) != 0 ||
-		len(st.rdocBySym) != 0 || len(st.rbinByNode2) != 0 || len(st.rbinByVars) != 0 {
+		len(st.rdocBySym) != 0 || len(st.rbinByNode2) != 0 || len(st.rrootByNode) != 0 {
 		t.Errorf("join-state indexes not reclaimed")
 	}
 	if p.stats != (Stats{}) {
@@ -156,6 +155,15 @@ func TestUnregisterAllRestoresFreshProcessor(t *testing.T) {
 // survivor's RT row, and the survivor's matches must equal a fresh
 // processor's.
 func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
+	// rtRows counts the template's RT rows: one per instance, across its
+	// vector groups.
+	rtRows := func(tmpl *Template) int {
+		n := 0
+		for _, g := range tmpl.vecList {
+			n += len(g.insts)
+		}
+		return n
+	}
 	q1 := xscl.MustParse("S//book->x[.//author->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//author->b]")
 	q2 := xscl.MustParse("S//book->x[.//title->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//title->b]")
 
@@ -166,7 +174,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 		t.Fatalf("queries do not share a template: %d", p.NumTemplates())
 	}
 	tmpl := p.templateList[0]
-	if got := p.shardOf(tmpl).rt[tmpl.ID].Len(); got != 2 {
+	if got := rtRows(tmpl); got != 2 {
 		t.Fatalf("RT rows = %d, want 2", got)
 	}
 
@@ -174,7 +182,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 	if p.NumTemplates() != 1 {
 		t.Fatalf("shared template reclaimed while a member query survives")
 	}
-	if got := p.shardOf(tmpl).rt[tmpl.ID].Len(); got != 1 {
+	if got := rtRows(tmpl); got != 1 {
 		t.Errorf("RT rows after unregister = %d, want 1", got)
 	}
 	if p.NumQueries() != 1 {
@@ -198,7 +206,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 }
 
 // TestUnregisterReclaimsTemplateAndPatterns removes the only query of a
-// template: template, shard slot, RT relation/index and pattern demands must
+// template: template, shard slot, vector groups and pattern demands must
 // all be reclaimed while unrelated queries are untouched.
 func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
 	p := NewProcessor(Config{Workers: 2})
@@ -220,9 +228,6 @@ func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
 	total := 0
 	for _, sh := range p.shards {
 		total += len(sh.templates)
-		if len(sh.rt) != len(sh.templates) {
-			t.Errorf("shard %d: %d RT relations for %d templates", sh.id, len(sh.rt), len(sh.templates))
-		}
 	}
 	if total != 1 {
 		t.Errorf("shards own %d templates, want 1", total)
@@ -243,9 +248,9 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 	}
 	snap := func() snapshot {
 		rt0 := 0
-		for _, sh := range p.shards {
-			for _, rel := range sh.rt {
-				rt0 += rel.Len()
+		for _, tmpl := range p.templateList {
+			for _, g := range tmpl.vecList {
+				rt0 += len(g.insts)
 			}
 		}
 		return snapshot{

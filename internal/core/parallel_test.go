@@ -123,8 +123,8 @@ func TestParallelDeterminismWithGCAndCache(t *testing.T) {
 }
 
 // TestShardOwnership checks the structural invariants of template sharding:
-// every template is owned by exactly one shard, and the shard holds its RT
-// relation.
+// every template is owned by exactly one shard, and carries its compiled
+// programs.
 func TestShardOwnership(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	p := NewProcessor(Config{Workers: 4})
@@ -139,8 +139,8 @@ func TestShardOwnership(t *testing.T) {
 	for _, sh := range p.shards {
 		for _, tmpl := range sh.templates {
 			owned[tmpl.ID]++
-			if sh.rt[tmpl.ID] == nil {
-				t.Errorf("shard %d owns template %d but has no RT relation", sh.id, tmpl.ID)
+			if tmpl.progs[0] == nil || tmpl.progs[1] == nil {
+				t.Errorf("shard %d owns template %d but it has no compiled programs", sh.id, tmpl.ID)
 			}
 			if p.shardOf(tmpl) != sh {
 				t.Errorf("template %d listed in shard %d but shardOf says %d", tmpl.ID, sh.id, p.shardOf(tmpl).id)

@@ -1,27 +1,39 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
-
-	"repro/internal/xmldoc"
 )
 
 // Adaptive statistics-driven plan selection.
 //
 // The Join Processor evaluates each template's conjunctive query with one of
-// two physical plans (rtplan.go): witness-driven (join outward from the
-// current document's value-join pairs) or RT-driven (iterate RT's distinct
-// variable vectors with index probes). The paper's claim is that a
-// cost-based choice between the two is what keeps massively multi-query
-// join processing fast as workloads shift; the chooser here makes that
-// choice adaptive instead of frozen:
+// two physical plans, the two step orders of the template's compiled program
+// (cqplan.go):
+//
+//   - The witness-driven order joins outward from the value-join pairs of
+//     the current document, leaving the query relation RT — the template's
+//     vector groups — for a final probe. It is ideal on streams, where an
+//     incoming document's string values match few stored values.
+//
+//   - The RT-driven order iterates the *distinct variable vectors* of RT
+//     (queries sharing blocks and wiring collapse onto one vector) and, for
+//     each vector, runs the now fully-selective body. It corresponds to the
+//     plan a cost-based SQL optimizer picks for the paper's CQ when the
+//     witness side fans out: RT as the outer side with index nested loops.
+//
+// The two orders produce identical RoutT rows, and the differential tests
+// force and compare both. The paper's claim is that a cost-based choice
+// between the two is what keeps massively multi-query join processing fast
+// as workloads shift; the chooser here makes that choice adaptive instead of
+// frozen:
 //
 //   - Per-template runtime statistics are collected during Stage 2: the
 //     observed witness fan-out estimate, the distinct-vector-group
-//     cardinality and index-probe volume of the RT-driven plan, and a
-//     wall-time EWMA per plan, normalized by each plan's cost units.
+//     cardinality of the RT-driven plan, and a wall-time EWMA per plan,
+//     normalized by each plan's cost units.
 //   - The cost model is calibrated online: once both plans have been
 //     observed on a template, the decision compares
 //     witnessNs/unit × fan-out  vs  rtNs/unit × vector-group cost —
@@ -106,9 +118,8 @@ type planStats struct {
 	// fanout is the observed witness fan-out estimate per decision, the
 	// size driver of the witness-driven plan.
 	fanout ewma
-	// probes is the observed number of vector-group index-probe
-	// evaluations per RT-driven run (groups whose required subsets were
-	// all non-empty — the work the RT-driven plan actually did).
+	// probes is the observed number of vector groups an RT-driven run
+	// evaluated.
 	probes ewma
 	// witnessCost and rtCost are the calibrated cost models of each plan:
 	// witness units are the fan-out estimate, RT units the vector-group
@@ -173,13 +184,34 @@ type planDecision struct {
 	rtUnits      float64
 }
 
+// witnessFanout estimates the intermediate-result size of the witness-driven
+// plan: value-join groups multiply per previous document, so the estimate is
+// Σ_d (pairs_d)^k over the per-document row counts of the value-join pair
+// relation (basic path) or of the shared left view RL (view-materialization
+// path).
+func witnessFanout(byDoc *rowIndex, k int) float64 {
+	est := 0.0
+	for g := 1; g < len(byDoc.off); g++ {
+		est += math.Pow(float64(byDoc.off[g]-byDoc.off[g-1]), float64(k))
+		if est > 1e15 {
+			return est
+		}
+	}
+	return est
+}
+
+// rtDrivenCost estimates the RT-driven plan: one selective evaluation per
+// distinct variable vector.
+func (t *Template) rtDrivenCost() float64 {
+	return float64(len(t.vecList)) * float64(len(t.VJ)+t.N+1)
+}
+
 // choosePlan decides the physical plan for one template against the current
-// document and records the decision-time statistics. perDoc is the
-// per-previous-document fan-out of the value-join pair relation (basic
-// path) or of the shared left view RL (view-materialization path).
+// document and records the decision-time statistics. fanout(k) is the
+// document's witnessFanout for a template with k value joins.
 //
 //mmqjp:nondet exploration draws come from the seeded template PRNG (sampler)
-func (p *Processor) choosePlan(t *Template, perDoc map[xmldoc.DocID]int) planDecision {
+func (p *Processor) choosePlan(t *Template, fanout func(k int) float64) planDecision {
 	ps := t.plan
 	// Forced plans return before any estimation: the fan-out estimate is
 	// an O(|perDoc|) pow loop per template per document, pure waste for a
@@ -195,7 +227,7 @@ func (p *Processor) choosePlan(t *Template, perDoc map[xmldoc.DocID]int) planDec
 		return planDecision{rtDriven: true, witnessUnits: 1, rtUnits: 1}
 	}
 	d := planDecision{
-		witnessUnits: witnessFanout(perDoc, len(t.VJ)) + 1,
+		witnessUnits: fanout(len(t.VJ)) + 1,
 		rtUnits:      t.rtDrivenCost() + 1,
 	}
 	ps.fanout.observe(d.witnessUnits - 1)
@@ -255,63 +287,66 @@ const (
 	uncalibratedExploreCutoff = 1024.0
 )
 
-// runPlans executes the decided plan and returns its matches, feeding the
-// observed wall time back into the template's calibrated cost model. When
-// the decision requests exploration, the non-chosen plan runs afterwards
-// for calibration only: its matches are discarded (both plans emit
-// byte-identical streams, so nothing is lost) and its cost lands in
-// ExploreWall, not CQ. witness and rtDriven are closures over the shard's
-// evaluation context; rtDriven additionally reports how many vector groups
-// it probed.
+// runPlans runs the decided step order of t's compiled program on ex, which
+// appends the matches to ex.out, and feeds the observed wall time back into
+// the template's calibrated cost model. When the decision requests
+// exploration, the other order runs afterwards for calibration only: its
+// matches are dropped again (both orders emit the same rows, so nothing is
+// lost), its cost lands in ExploreWall, not CQ, and its probes and rows are
+// not counted.
 //
 //mmqjp:nondet wall-clock cost calibration; plan choice is output-invisible
 //mmqjp:shardaccess called from the owning shard's evaluation; timings land on that shard
-func (p *Processor) runPlans(sh *shard, t *Template, d planDecision,
-	witness func() []Match, rtDriven func() ([]Match, int)) []Match {
+func (p *Processor) runPlans(sh *shard, t *Template, d planDecision, ex *cqExec) {
 	ps := t.plan
 	// Calibration is a PlanAuto concept: forced plans skip the unit
 	// estimation in choosePlan, so feeding their wall times into the cost
 	// models would record nanoseconds-per-run under fields documented as
 	// per-unit costs. Forced runs still tick the run counters.
 	auto := p.cfg.Plan == PlanAuto
-	var out []Match
-	t0 := time.Now()
+	chosen, other := t.progs[0], t.progs[1]
+	if d.rtDriven {
+		chosen, other = other, chosen
+	}
+	ex.probes, ex.rows = 0, 0
+	dt := ps.timedRun(ex, chosen, d, auto)
+	sh.stats.CQ += dt
+	sh.stats.CQProbes += ex.probes
+	sh.stats.CQRows += ex.rows
 	if d.rtDriven {
 		sh.stats.RTPlans++
 		ps.rtRuns++
-		var groups int
-		out, groups = rtDriven()
-		dt := time.Since(t0)
-		sh.stats.CQ += dt
-		if auto {
-			ps.rtCost.observe(float64(dt), d.rtUnits)
-		}
-		ps.probes.observe(float64(groups))
 	} else {
 		sh.stats.WitnessPlans++
 		ps.witnessRuns++
-		out = witness()
-		dt := time.Since(t0)
-		sh.stats.CQ += dt
-		if auto {
-			ps.witnessCost.observe(float64(dt), d.witnessUnits)
-		}
 	}
 	if d.explore {
 		sh.stats.Explorations++
 		ps.explorations++
-		t1 := time.Now()
-		if d.rtDriven {
-			witness()
-			ps.witnessCost.observe(float64(time.Since(t1)), d.witnessUnits)
-		} else {
-			_, groups := rtDriven()
-			ps.rtCost.observe(float64(time.Since(t1)), d.rtUnits)
-			ps.probes.observe(float64(groups))
-		}
-		sh.stats.ExploreWall += time.Since(t1)
+		kept := len(ex.out)
+		sh.stats.ExploreWall += ps.timedRun(ex, other, d, true)
+		ex.out = ex.out[:kept]
 	}
-	return out
+}
+
+// timedRun runs prog on ex and records the run: the vector groups an
+// RT-driven run evaluated, and — when calibrate is set — its wall time
+// against the cost units the decision estimated.
+//
+//mmqjp:nondet wall-clock cost calibration; plan choice is output-invisible
+func (ps *planStats) timedRun(ex *cqExec, prog *cqProgram, d planDecision, calibrate bool) time.Duration {
+	t0 := time.Now()
+	ex.run(prog)
+	dt := time.Since(t0)
+	cost, units := &ps.witnessCost, d.witnessUnits
+	if prog.rtDriven {
+		cost, units = &ps.rtCost, d.rtUnits
+		ps.probes.observe(float64(len(prog.t.vecList)))
+	}
+	if calibrate {
+		cost.observe(float64(dt), units)
+	}
+	return dt
 }
 
 // TemplatePlanStats is one live template's adaptive-planner snapshot, as
@@ -324,8 +359,8 @@ type TemplatePlanStats struct {
 	VecGroups int
 	// FanoutEWMA is the observed witness fan-out estimate.
 	FanoutEWMA float64
-	// ProbeEWMA is the observed vector-group probe count per RT-driven
-	// run.
+	// ProbeEWMA is the observed number of vector groups evaluated per
+	// RT-driven run.
 	ProbeEWMA float64
 	// WitnessNsPerUnit and RTNsPerUnit are the calibrated per-unit costs
 	// (0 until the plan has been observed on this template; forced plans

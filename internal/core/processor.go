@@ -52,8 +52,8 @@ type Processor struct {
 	queries    []*queryRec
 	numQueries int
 	// instances is indexed by instance id (the RT qid column); slots of
-	// unregistered instances are nil — their RT rows are gone, so dead
-	// ids are never looked up during evaluation.
+	// unregistered instances are nil — they left their vector groups, so
+	// dead ids are never looked up during evaluation.
 	instances []*instance
 
 	templates    map[string]*Template
@@ -62,9 +62,9 @@ type Processor struct {
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
 	// shards partition the templates for Stage-2 evaluation; each shard
-	// owns its templates' RT relations, RT indexes, view cache entries
-	// and phase stats (shard.go). tmplShard records each live template's
-	// home shard (assigned least-loaded-first, see assignShard).
+	// owns its templates' planner records, view cache entries and phase
+	// stats (shard.go). tmplShard records each live template's home shard
+	// (assigned least-loaded-first, see assignShard).
 	shards    []*shard
 	tmplShard map[TemplateID]int
 
@@ -133,7 +133,7 @@ type instance struct {
 	windowKind xscl.WindowKind
 
 	// vecKey identifies the instance's variable-vector group in its
-	// template (rtplan.go), so Unregister can remove it.
+	// template (cqplan.go), so Unregister can remove it.
 	vecKey string
 	// left and right are the witness-extraction demands this instance
 	// placed on its block patterns, released on Unregister.
@@ -334,10 +334,10 @@ func (p *Processor) releaseWindow(q *xscl.Query) bool {
 	return false
 }
 
-// Unregister removes a registered query: the query's RT rows and vector
-// groups are dropped, its templates' refcounts are decremented, and a
-// template whose last member query leaves is reclaimed — its per-shard RT
-// relation, RT index and shard slot are released. Pattern extraction demands
+// Unregister removes a registered query: its instances leave their vector
+// groups, its templates' refcounts are decremented, and a template whose
+// last member query leaves is reclaimed with its compiled programs and its
+// shard slot. Pattern extraction demands
 // are refcounted the same way, so Stage 1 stops extracting witness tuples no
 // surviving query needs. When the last query leaves, the processor reclaims
 // everything — join state, view caches and stats — and is observationally
@@ -387,20 +387,13 @@ func (p *Processor) MustUnregister(qid QueryID) {
 	}
 }
 
-// unregisterInstance reclaims one query instance: its RT row, its vector
-// group entry, its pattern contributions, and — when it was the template's
+// unregisterInstance reclaims one query instance: its vector group entry
+// (its RT row), its pattern contributions, and — when it was the template's
 // last instance — the template itself. It is both the Unregister work-horse
 // and the rollback path of a partially failed Register.
-//
-//mmqjp:shardaccess registration-quiesced; Unregister never runs concurrently with Process
 func (p *Processor) unregisterInstance(iid int64) {
 	inst := p.instances[iid]
 	t := inst.tmpl
-	sh := p.shardOf(t)
-	sh.rt[t.ID] = sh.rt[t.ID].Select(func(row relation.Tuple) bool {
-		return row[0].I != iid
-	})
-	sh.rtDirty[t.ID] = true
 	t.removeVector(inst.vecKey, iid)
 
 	inst.left.pi.release(inst.left)
@@ -419,10 +412,9 @@ func (p *Processor) unregisterInstance(iid int64) {
 	p.instances[iid] = nil
 }
 
-// removeTemplate reclaims a template whose last instance left: its shard
-// slot, RT relation and RT index are dropped, freeing the slot for future
-// templates (assignShard fills the least-loaded shard first, so churn
-// compacts instead of skewing).
+// removeTemplate reclaims a template whose last instance left, freeing its
+// shard slot for future templates (assignShard fills the least-loaded shard
+// first, so churn compacts instead of skewing).
 //
 //mmqjp:shardaccess registration-quiesced; Unregister never runs concurrently with Process
 func (p *Processor) removeTemplate(t *Template) {
@@ -430,9 +422,6 @@ func (p *Processor) removeTemplate(t *Template) {
 	p.templateList = removeFirst(p.templateList, t)
 	sh := p.shardOf(t)
 	sh.templates = removeFirst(sh.templates, t)
-	delete(sh.rt, t.ID)
-	delete(sh.rtIndex, t.ID)
-	delete(sh.rtDirty, t.ID)
 	delete(p.tmplShard, t.ID)
 }
 
@@ -512,17 +501,12 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 		tmpl = NewTemplateFromCanonical(sig, red, order)
 		tmpl.ID = p.nextTemplateID
 		tmpl.plan = p.planStatsFor(sig)
+		tmpl.compile(p.cfg.ViewMaterialization)
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
 		p.templateList = append(p.templateList, tmpl)
-		cols := []string{"qid"}
-		for i := 0; i < tmpl.N; i++ {
-			cols = append(cols, fmt.Sprintf("v%d", i))
-		}
-		cols = append(cols, "wl")
 		sh := p.assignShard(tmpl)
 		sh.templates = append(sh.templates, tmpl)
-		sh.rt[tmpl.ID] = relation.New(cols...)
 	}
 	tmpl.refs++
 
@@ -563,12 +547,11 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 	lpi.acquire(lc)
 	rpi.acquire(rc)
 
-	// Insert the query's RT tuple: its canonical variable at each
-	// template position, and its window length.
+	// Record the query's RT tuple — its canonical variable at each
+	// template position — in its vector group; the window length stays
+	// on the instance.
 	nl := len(red.LeftSide.Nodes)
 	iid := int64(len(p.instances))
-	row := make([]relation.Value, 0, tmpl.N+2)
-	row = append(row, relation.Int(iid))
 	varIDs := make([]int64, tmpl.N)
 	for pos := 0; pos < tmpl.N; pos++ {
 		flat := order[pos]
@@ -579,13 +562,8 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 			canon = red.RightSide.Nodes[flat-nl].Canonical
 		}
 		varIDs[pos] = p.syms.intern(canon)
-		row = append(row, relation.Int(varIDs[pos]))
 	}
-	row = append(row, relation.Int(q.Window))
-	sh := p.shardOf(tmpl)
-	sh.rt[tmpl.ID].Insert(row...)
-	sh.rtDirty[tmpl.ID] = true
-	vecKey := tmpl.addVector(varIDs, iid, q.Window)
+	vecKey := tmpl.addVector(varIDs, iid)
 
 	p.instances = append(p.instances, &instance{
 		qid: qid, op: q.Op, swapped: swapped, tmpl: tmpl,
@@ -801,8 +779,9 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	// leaves under the canonical total order, so output depends only on the
 	// registered query set, never on pattern registration order. That
 	// N-invariance is what lets a partition router re-sort the concatenation
-	// of N engines' streams into the single-engine byte order.
-	sortMatches(out)
+	// of N engines' streams into the single-engine byte order. This is the
+	// only sort on the path: the shards' results arrive unordered.
+	SortMatches(out)
 
 	t2 := time.Now()
 	p.state.Merge(w, p.cfg.RetainDocuments)
@@ -867,64 +846,6 @@ func (p *Processor) ConsumeStage1(r Stage1Result) []Match {
 	return p.consumeStage1(r.(*stage1Result))
 }
 
-func (t *Template) headVars() []string {
-	head := []string{"qid", "docid"}
-	for i := 0; i < t.N; i++ {
-		head = append(head, fmt.Sprintf("n%d", i))
-	}
-	head = append(head, "wl")
-	return head
-}
-
-// appendAnchors emits the structural-edge atoms from template position pos
-// up to its side root (skipping edges already emitted), or the unary root
-// atom for single-node sides.
-func (p *Processor) appendAnchors(atoms []relation.Atom, t *Template, w *CurrentWitness, pos int, side Side, emitted map[[2]int]bool, rootDone map[Side]bool) []relation.Atom {
-	single := t.SingleLeft
-	if side == Right {
-		single = t.SingleRight
-	}
-	if single {
-		if rootDone[side] {
-			return atoms
-		}
-		rootDone[side] = true
-		if side == Left {
-			return append(atoms, relation.Atom{
-				Name: "Rroot", Rel: p.state.Rroot,
-				Vars: []string{"docid", vvar(t.LeftRoot), nvar(t.LeftRoot)},
-			})
-		}
-		return append(atoms, relation.Atom{
-			Name: "RrootW", Rel: w.RrootW,
-			Vars: []string{vvar(t.RightRoot), nvar(t.RightRoot)},
-		})
-	}
-	for c := pos; t.Parent[c] >= 0; c = t.Parent[c] {
-		edge := [2]int{t.Parent[c], c}
-		if emitted[edge] {
-			break
-		}
-		emitted[edge] = true
-		if side == Left {
-			atoms = append(atoms, relation.Atom{
-				Name: "Rbin", Rel: p.state.Rbin,
-				Vars: []string{"docid", vvar(edge[0]), vvar(edge[1]), nvar(edge[0]), nvar(edge[1])},
-			})
-		} else {
-			atoms = append(atoms, relation.Atom{
-				Name: "RbinW", Rel: w.RbinW,
-				Vars: []string{vvar(edge[0]), vvar(edge[1]), nvar(edge[0]), nvar(edge[1])},
-			})
-		}
-	}
-	return atoms
-}
-
-func vvar(p int) string { return fmt.Sprintf("v%d", p) }
-func nvar(p int) string { return fmt.Sprintf("n%d", p) }
-func svar(k int) string { return fmt.Sprintf("s%d", k) }
-
 // windowOK applies the Algorithm-3 window constraint for one instance:
 // 0 < Δ ≤ wl for FOLLOWED BY, 0 ≤ Δ ≤ wl for JOIN, where Δ is the timestamp
 // difference for time windows or the arrival-index difference for tuple
@@ -942,70 +863,6 @@ func (p *Processor) windowOK(inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc
 		return 0 <= delta && delta <= inst.window
 	}
 	return 0 < delta && delta <= inst.window
-}
-
-// emit converts RoutT rows into matches, applying the temporal constraint of
-// Algorithm 3 per instance.
-func (p *Processor) emit(t *Template, rout *relation.Relation, d *xmldoc.Document) []Match {
-	var out []Match
-	for _, row := range rout.Rows {
-		inst := p.instances[row[0].I]
-		prevDoc := xmldoc.DocID(row[1].I)
-		prevTS, ok := p.state.RdocTS[prevDoc]
-		if !ok {
-			continue
-		}
-		if !p.windowOK(inst, prevDoc, prevTS, d) {
-			continue
-		}
-		bindings := make([]xmldoc.NodeID, t.N)
-		for i := 0; i < t.N; i++ {
-			bindings[i] = xmldoc.NodeID(row[2+i].I)
-		}
-		out = append(out, p.orientMatch(t, inst, prevDoc, prevTS, bindings, d))
-	}
-	return out
-}
-
-// viewMatAtoms builds the Section-5 rewritten conjunctive query: the leaf
-// structural edges are folded into RL/RR; remaining structural edges and
-// single-node sides fall back to the witness relations.
-func (p *Processor) viewMatAtoms(sh *shard, t *Template, w *CurrentWitness, rl, rr *relation.Relation) []relation.Atom {
-	var atoms []relation.Atom
-	emitted := map[[2]int]bool{}
-	rootDone := map[Side]bool{}
-	for k, e := range t.VJ {
-		l, r := e[0], e[1]
-		if t.SingleLeft {
-			// Value join on the left root: Rdoc provides the
-			// string, Rroot the variable identity.
-			atoms = append(atoms, relation.Atom{Name: "Rdoc", Rel: p.state.Rdoc,
-				Vars: []string{"docid", nvar(l), svar(k)}})
-			atoms = p.appendAnchors(atoms, t, w, l, Left, emitted, rootDone)
-		} else {
-			pa := t.Parent[l]
-			edge := [2]int{pa, l}
-			atoms = append(atoms, relation.Atom{Name: "RL", Rel: rl,
-				Vars: []string{"docid", vvar(pa), vvar(l), nvar(pa), nvar(l), svar(k)}})
-			emitted[edge] = true
-			// Anchor the leaf's parent up to the root.
-			atoms = p.appendAnchors(atoms, t, w, pa, Left, emitted, rootDone)
-		}
-		if t.SingleRight {
-			atoms = append(atoms, relation.Atom{Name: "RdocW", Rel: w.RdocW,
-				Vars: []string{nvar(r), svar(k)}})
-			atoms = p.appendAnchors(atoms, t, w, r, Right, emitted, rootDone)
-		} else {
-			pa := t.Parent[r]
-			edge := [2]int{pa, r}
-			atoms = append(atoms, relation.Atom{Name: "RR", Rel: rr,
-				Vars: []string{vvar(pa), vvar(r), nvar(pa), nvar(r), svar(k)}})
-			emitted[edge] = true
-			atoms = p.appendAnchors(atoms, t, w, pa, Right, emitted, rootDone)
-		}
-	}
-	atoms = append(atoms, sh.rtAtom(t))
-	return atoms
 }
 
 // maintainCache implements Algorithm 5: fold the current document's RR

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,29 +15,23 @@ import (
 // Stage-2 evaluation is template-sharded: each new template is assigned to
 // the currently least-loaded shard (lowest shard id on ties — round-robin
 // while no template has ever been reclaimed), and each shard owns every
-// piece of mutable per-template state — the query relations RT, their hash
-// indexes, the view cache entries of the strings it owns, and the phase
-// stats. Unregistering a template frees its shard slot, and because
+// piece of state a Process call mutates per template — the planner records
+// of its templates, the view cache entries of the strings it owns, and the
+// phase stats. Unregistering a template frees its shard slot, and because
 // assignment always fills the emptiest shard first, subscription churn
 // compacts the assignment instead of skewing it. Workers therefore share no
-// mutable data during a Process call: the join state and the current witness
-// are read-only inputs, and each worker evaluates only its own shard's
-// templates. Matches from all shards are merged under a total order
-// (sortMatches), so the output is identical for every worker count,
-// including Workers = 1.
+// mutable data during a Process call: the join state, the current witness,
+// the per-document indexes (stage2Shared) and the templates' compiled
+// programs and vector groups are read-only inputs, and each worker evaluates
+// only its own shard's templates. Matches from all shards are merged under a
+// total order (SortMatches), so the output is identical for every worker
+// count, including Workers = 1.
 
 // shard is one unit of Stage-2 parallelism.
 type shard struct {
 	id int
 	//mmqjp:shardowned
 	templates []*Template // owned templates, in registration order
-
-	//mmqjp:shardowned
-	rt map[TemplateID]*relation.Relation // RT per owned template
-	//mmqjp:shardowned
-	rtIndex map[TemplateID]*relation.Index // index on RT var columns
-	//mmqjp:shardowned
-	rtDirty map[TemplateID]bool
 
 	// cache holds the Section-5 RL slices of the strings this shard owns
 	// (shardOfSym); ownership is stable, so Algorithm-5 maintenance
@@ -50,13 +45,7 @@ type shard struct {
 }
 
 func newShard(id int) *shard {
-	return &shard{
-		id:      id,
-		rt:      map[TemplateID]*relation.Relation{},
-		rtIndex: map[TemplateID]*relation.Index{},
-		rtDirty: map[TemplateID]bool{},
-		cache:   NewViewCache(),
-	}
+	return &shard{id: id, cache: NewViewCache()}
 }
 
 // assignShard picks the home shard of a newly created template — the shard
@@ -116,109 +105,118 @@ func (p *Processor) runShards(f func(*shard)) {
 	wg.Wait()
 }
 
-// rtAtom returns the RT atom of an owned template, (re)building its index
-// when the relation changed since the last document.
-func (sh *shard) rtAtom(t *Template) relation.Atom {
-	rt := sh.rt[t.ID]
-	vcols := make([]string, t.N)
-	vars := make([]string, 0, t.N+2)
-	vars = append(vars, "qid")
-	for i := 0; i < t.N; i++ {
-		vcols[i] = fmt.Sprintf("v%d", i)
-		vars = append(vars, vcols[i])
-	}
-	vars = append(vars, "wl")
-	if sh.rtDirty[t.ID] || sh.rtIndex[t.ID] == nil {
-		sh.rtIndex[t.ID] = rt.BuildIndex(vcols...)
-		sh.rtDirty[t.ID] = false
-	}
-	return relation.Atom{Name: "RT", Rel: rt, Vars: vars, Idx: sh.rtIndex[t.ID], IdxVars: vcols}
-}
-
 // evalTemplates fans Stage-2 template evaluation out over the shards and
-// merges the matches deterministically.
+// concatenates their matches; the caller sorts them.
 func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) []Match {
 	if len(p.templateList) == 0 {
 		return nil
 	}
-	var pre *stage2Shared
-	if p.cfg.ViewMaterialization {
-		pre = p.prepareViewMat(w)
-		if pre == nil {
-			return nil
-		}
+	pre := p.prepareStage2(w)
+	if pre == nil {
+		return nil
 	}
 	results := make([][]Match, len(p.shards))
 	p.runShards(func(sh *shard) {
-		if pre != nil {
-			results[sh.id] = p.evalShardViewMat(sh, w, d, pre)
-		} else {
-			results[sh.id] = p.evalShardBasic(sh, w, d)
-		}
+		results[sh.id] = p.evalShard(sh, w, d, pre)
 	})
-	var out []Match
-	for _, r := range results {
+	out := results[0]
+	for _, r := range results[1:] {
 		out = append(out, r...)
 	}
-	sortMatches(out)
 	return out
 }
 
-// stage2Shared carries the cross-shard inputs of the Section-5 path,
-// computed once per document and read-only during shard evaluation: the
-// common string set STR, the shared left/right views RL and RR, and the
-// per-document fan-out of RL used for plan choice.
+// stage2Shared carries the per-document inputs of the compiled programs,
+// computed once per document and read-only during shard evaluation, so every
+// template probes the same indexes instead of re-hashing the document's
+// relations: the current witness by node, the value-join pair relation by
+// previous document and, under view materialization, the shared views RL (by
+// previous document) and RR (by string).
 type stage2Shared struct {
-	syms   []sym.ID
-	seen   map[sym.ID]bool
-	rl     *relation.Relation
-	rr     *relation.Relation
-	perDoc map[xmldoc.DocID]int
+	// RbinW by node2 and RrootW by node.
+	binWByNode2 *rowIndex
+	rootWByNode *rowIndex
 
-	// rvj is the value-join pair relation (docid, nodeL, nodeR, strVal)
-	// of the current document, needed only by RT-driven templates. It is
-	// built on first use and shared across shards — the computation is
-	// identical for every shard, so duplicating it per worker would burn
-	// the parallel speedup.
-	rvjOnce sync.Once
-	rvj     *relation.Relation
+	// rvj is the value-join pair relation (docid, nodeL, nodeR, strVal) of
+	// the current document — Rdoc ⋈ RdocW on the string value, read off
+	// the incremental string index — with its rows grouped by docid. The
+	// basic path builds it up front. Under view materialization only
+	// templates with a value join on a side root read it, so it is built
+	// on first use, once across all shards (the computation is identical
+	// for every shard).
+	rvjOnce  sync.Once
+	rvj      []relation.Tuple
+	rvjByDoc *rowIndex
+	arena    relation.Arena
+
+	rl      []relation.Tuple // (docid, var1, var2, node1, node2, strVal)
+	rlByDoc *rowIndex
+	rr      []relation.Tuple // (var1, var2, node1, node2, strVal)
+	rrBySym *rowIndex
+
+	// byDoc is the per-previous-document grouping plan choice reads its
+	// fan-out from: rvjByDoc on the basic path, rlByDoc under view
+	// materialization.
+	byDoc *rowIndex
 }
 
-// sharedRvj returns the document's value-join pair relation, computing it
-// exactly once across all shards. The build cost is attributed to the
-// shard that happened to get there first.
+// sharedRvj builds the document's value-join pair relation on first call,
+// charging the build to stats.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-//mmqjp:shardaccess called by the evaluating worker with its own shard (cost attribution)
-func (pre *stage2Shared) sharedRvj(p *Processor, w *CurrentWitness, sh *shard) *relation.Relation {
+func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 	pre.rvjOnce.Do(func() {
 		t0 := time.Now()
-		var ar relation.Arena
-		rvj := relation.New("docid", "nodeL", "nodeR", "strVal")
 		for _, row := range w.RdocW.Rows {
-			for _, ri := range p.state.rdocBySym[row[1].SymID()] {
-				dt := p.state.Rdoc.Rows[ri]
-				ar.Insert(rvj, dt[0], dt[1], row[0], dt[2])
+			for _, ri := range s.rdocBySym[row[1].SymID()] {
+				dt := s.Rdoc.Rows[ri]
+				t := pre.arena.Tuple(4)
+				t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
+				pre.rvj = append(pre.rvj, t)
 			}
 		}
-		pre.rvj = rvj
-		sh.stats.Rvj += time.Since(t0)
+		pre.rvjByDoc = indexRows(pre.rvj, 0)
+		stats.Rvj += time.Since(t0)
 	})
-	return pre.rvj
 }
 
-// prepareViewMat computes the shared prefix of Algorithm 4. The per-string
-// RL slices are computed by the shard owning each string (hitting that
-// shard's cache), in parallel; the union is concatenated in sorted-symbol
-// order, so its row order is independent of the worker count (symbol ids
-// are process-global, so the order is also identical for every engine
-// configuration within a process — only intermediate row order depends on
-// it, the output leaves through sortMatches regardless). Returns nil when
-// no string is shared with the join state (no template can match).
+// prepareStage2 computes the per-document inputs on the coordinator. It
+// returns nil when the document shares no string value with the join state,
+// so no template can match.
+//
+//mmqjp:nondet wall-clock stats timing (output-invisible)
+func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
+	pre := &stage2Shared{}
+	if p.cfg.ViewMaterialization {
+		if !p.prepareViewMat(w, pre) {
+			return nil
+		}
+	} else {
+		pre.sharedRvj(p.state, w, &p.stats)
+		if len(pre.rvj) == 0 {
+			return nil
+		}
+		pre.byDoc = pre.rvjByDoc
+	}
+	t0 := time.Now()
+	pre.binWByNode2 = indexRows(w.RbinW.Rows, 3)
+	pre.rootWByNode = indexRows(w.RrootW.Rows, 1)
+	p.stats.CQ += time.Since(t0)
+	return pre
+}
+
+// prepareViewMat computes the shared prefix of Algorithm 4 into pre. The
+// per-string RL slices are computed by the shard owning each string (hitting
+// that shard's cache), in parallel; the union is concatenated in
+// sorted-symbol order, so its row order is independent of the worker count
+// (symbol ids are process-global, so the order is also identical for every
+// engine configuration within a process — only enumeration order depends on
+// it, the output leaves through SortMatches regardless). It reports false
+// when no string is shared with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess per-shard closures run on the owning shard's worker
-func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
+func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
 	var syms []sym.ID
@@ -230,10 +228,10 @@ func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
 			syms = append(syms, id)
 		}
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	slices.Sort(syms)
 	p.stats.Rvj += time.Since(t0)
 	if len(syms) == 0 {
-		return nil
+		return false
 	}
 
 	// RL slices (lines 3-7), sharded by string ownership. Ownership is
@@ -244,7 +242,7 @@ func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
 		sh := p.shardOfSym(id)
 		ownedIdx[sh.id] = append(ownedIdx[sh.id], i)
 	}
-	slices := make([]*relation.Relation, len(syms))
+	parts := make([]*relation.Relation, len(syms))
 	p.runShards(func(sh *shard) {
 		t := time.Now()
 		for _, i := range ownedIdx[sh.id] {
@@ -254,15 +252,16 @@ func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
 				slice = p.state.SliceEL(id)
 				sh.cache.Put(id, slice)
 			}
-			slices[i] = slice
+			parts[i] = slice
 		}
 		sh.stats.RL += time.Since(t)
 	})
 	t1 := time.Now()
-	rl := relation.New("docid", "var1", "var2", "node1", "node2", "strVal")
-	for _, slice := range slices {
-		rl.UnionInPlace(slice)
+	for _, slice := range parts {
+		pre.rl = append(pre.rl, slice.Rows...)
 	}
+	pre.rlByDoc = indexRows(pre.rl, 0)
+	pre.byDoc = pre.rlByDoc
 	p.stats.RL += time.Since(t1)
 
 	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8).
@@ -280,160 +279,75 @@ func (p *Processor) prepareViewMat(w *CurrentWitness) *stage2Shared {
 		w.arena.Insert(rr, row[0], row[1], row[2], row[3], relation.Sym(id))
 	}
 	w.rrSlices = rr
+	pre.rr, pre.rrBySym = rr.Rows, indexRows(rr.Rows, 4)
 	p.stats.RR += time.Since(t2)
 
-	// Per-document fan-out of the shared left view, for plan choice.
-	perDoc := map[xmldoc.DocID]int{}
-	docidCol := rl.Schema.Col("docid")
-	for _, row := range rl.Rows {
-		perDoc[xmldoc.DocID(row[docidCol].I)]++
-	}
-	return &stage2Shared{syms: syms, seen: seen, rl: rl, rr: rr, perDoc: perDoc}
+	return true
 }
 
-// evalShardBasic implements Algorithm 1 over one shard's templates: per
-// template, evaluate the conjunctive query CQ_T over the witness relations.
-// The value-join pairs (the Rdoc ⋈ RdocW core) are recomputed per template
-// from the incremental string index — no sharing across templates, which is
-// precisely what the Section-5 optimization adds.
-//
-//mmqjp:nondet wall-clock stats timing (output-invisible)
-//mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShardBasic(sh *shard, w *CurrentWitness, d *xmldoc.Document) []Match {
-	var out []Match
-	var subs *docSubsets
-	var ar relation.Arena
-	for _, t := range sh.templates {
-		tcq := time.Now()
-		// Fresh per-template value-join pair relation
-		// Rvj(docid, nodeL, nodeR, strVal). Recomputing it per template
-		// is exactly the redundancy Section 5 removes. The rows are
-		// arena-carved: they live only for this document's evaluation.
-		rvj := relation.New("docid", "nodeL", "nodeR", "strVal")
-		perDoc := map[xmldoc.DocID]int{}
-		for _, row := range w.RdocW.Rows {
-			for _, ri := range p.state.rdocBySym[row[1].SymID()] {
-				dt := p.state.Rdoc.Rows[ri]
-				ar.Insert(rvj, dt[0], dt[1], row[0], dt[2])
-				perDoc[xmldoc.DocID(dt[0].I)]++
-			}
-		}
-		sh.stats.CQ += time.Since(tcq)
-		if rvj.Len() == 0 {
-			continue
-		}
-		out = append(out, p.runPlans(sh, t, p.choosePlan(t, perDoc),
-			func() []Match { return p.evalTemplateWitnessBasic(sh, t, w, rvj, d) },
-			func() ([]Match, int) {
-				if subs == nil {
-					subs = newDocSubsets(p.state, w)
-				}
-				return p.evalTemplateRTDriven(t, w, rvj, subs, d)
-			})...)
-	}
-	return out
-}
-
-// evalTemplateWitnessBasic is the witness-driven plan of Algorithm 1 for one
-// template: the interleaved conjunctive query over the per-template
-// value-join pair relation, anchored structural edges and the indexed RT
-// atom. Each value join is immediately followed by the structural edges
-// anchoring its endpoints, walking up to the side roots, so every join is
-// selective. It (re)builds the RT index when dirty, so it must run on the
-// shard owning t.
-func (p *Processor) evalTemplateWitnessBasic(sh *shard, t *Template, w *CurrentWitness, rvj *relation.Relation, d *xmldoc.Document) []Match {
-	atoms := make([]relation.Atom, 0, 2*len(t.VJ)+t.N+2)
-	emitted := map[[2]int]bool{}
-	rootDone := map[Side]bool{}
-	for k, e := range t.VJ {
-		atoms = append(atoms, relation.Atom{
-			Name: "Rvj", Rel: rvj,
-			Vars: []string{"docid", nvar(e[0]), nvar(e[1]), svar(k)},
-		})
-		atoms = p.appendAnchors(atoms, t, w, e[0], Left, emitted, rootDone)
-		atoms = p.appendAnchors(atoms, t, w, e[1], Right, emitted, rootDone)
-	}
-	atoms = append(atoms, sh.rtAtom(t))
-	return p.emit(t, relation.EvalConjunctiveOrdered(atoms, t.headVars()), d)
-}
-
-// evalShardViewMat implements the per-template tail of Algorithm 4 over one
-// shard's templates, against the shared RL/RR views of pre.
+// evalShard evaluates one shard's templates against the document: per
+// template, the planner picks a step order and the compiled program runs
+// (Algorithm 1; under view materialization the programs read the shared
+// views, which is the per-template tail of Algorithm 4).
 //
 //mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShardViewMat(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) []Match {
-	var out []Match
-	var subs *docSubsets
+func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) []Match {
+	ex := &cqExec{p: p, w: w, d: d, pre: pre}
+	// The witness fan-out depends on the template only through its
+	// value-join count.
+	fanouts := map[int]float64{}
+	fanout := func(k int) float64 {
+		f, ok := fanouts[k]
+		if !ok {
+			f = witnessFanout(pre.byDoc, k)
+			fanouts[k] = f
+		}
+		return f
+	}
 	for _, t := range sh.templates {
-		dec := p.choosePlan(t, pre.perDoc)
-		var rvj *relation.Relation
-		if dec.rtDriven || dec.explore {
-			// The value-join pair relation is computed once per
-			// document across all shards (sharedRvj) — the Section-5
-			// sharing applies to this plan too. It is resolved before
-			// the timed plan run so its one-time build cost lands in
-			// Stats.Rvj, not in CQ or the RT plan's calibration. The
-			// variable-pair subsets stay per shard: they memoize
-			// lazily, so each shard materializes only the pairs its
-			// own templates probe.
-			rvj = pre.sharedRvj(p, w, sh)
-			if subs == nil {
-				subs = newDocSubsets(p.state, w)
-			}
+		dec := p.choosePlan(t, fanout)
+		if t.needRvj {
+			// Resolved before the timed plan run so the one-time build
+			// lands in Stats.Rvj, not in CQ or a plan's calibration.
+			pre.sharedRvj(p.state, w, &sh.stats)
 		}
-		out = append(out, p.runPlans(sh, t, dec,
-			func() []Match {
-				atoms := p.viewMatAtoms(sh, t, w, pre.rl, pre.rr)
-				return p.emit(t, relation.EvalConjunctiveOrdered(atoms, t.headVars()), d)
-			},
-			func() ([]Match, int) { return p.evalTemplateRTDriven(t, w, rvj, subs, d) })...)
+		p.runPlans(sh, t, dec, ex)
 	}
-	return out
+	return ex.out
 }
 
-// sortMatches orders matches under a total order so the merged output is
-// identical regardless of how templates are sharded across workers — or how
-// queries are partitioned across routed engines. Ties are broken down to the
-// binding vector; fully equal matches are interchangeable.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return matchLess(&ms[i], &ms[j]) })
+// SortMatches applies the canonical total order to ms in place, so the
+// merged output is identical regardless of how templates are sharded across
+// workers — or how queries are partitioned across routed engines. Ties are
+// broken down to the binding vector; fully equal matches are
+// interchangeable. It is the order every per-document match set leaves
+// ConsumeStage1 in, exported so a partition router can merge N engines'
+// relabeled streams by concatenating and re-sorting — landing on the exact
+// single-engine byte order.
+func SortMatches(ms []Match) {
+	slices.SortFunc(ms, matchCmp)
 }
 
-// SortMatches applies the canonical total order to ms in place. It is the
-// order every per-document match set leaves ConsumeStage1 in, exported so a
-// partition router can merge N engines' relabeled streams by concatenating
-// and re-sorting — landing on the exact single-engine byte order.
-func SortMatches(ms []Match) { sortMatches(ms) }
-
-func matchLess(a, b *Match) bool {
-	if a.Query != b.Query {
-		return a.Query < b.Query
+func matchCmp(a, b Match) int {
+	if c := cmp.Compare(a.Query, b.Query); c != 0 {
+		return c
 	}
-	if a.LeftDoc != b.LeftDoc {
-		return a.LeftDoc < b.LeftDoc
+	if c := cmp.Compare(a.LeftDoc, b.LeftDoc); c != 0 {
+		return c
 	}
-	if a.RightDoc != b.RightDoc {
-		return a.RightDoc < b.RightDoc
+	if c := cmp.Compare(a.RightDoc, b.RightDoc); c != 0 {
+		return c
 	}
-	if a.LeftRoot != b.LeftRoot {
-		return a.LeftRoot < b.LeftRoot
+	if c := cmp.Compare(a.LeftRoot, b.LeftRoot); c != 0 {
+		return c
 	}
-	if a.RightRoot != b.RightRoot {
-		return a.RightRoot < b.RightRoot
+	if c := cmp.Compare(a.RightRoot, b.RightRoot); c != 0 {
+		return c
 	}
-	at, bt := templateSig(a.Template), templateSig(b.Template)
-	if at != bt {
-		return at < bt
+	if c := strings.Compare(templateSig(a.Template), templateSig(b.Template)); c != 0 {
+		return c
 	}
-	if len(a.Bindings) != len(b.Bindings) {
-		return len(a.Bindings) < len(b.Bindings)
-	}
-	for i := range a.Bindings {
-		if a.Bindings[i] != b.Bindings[i] {
-			return a.Bindings[i] < b.Bindings[i]
-		}
-	}
-	return false
+	return slices.Compare(a.Bindings, b.Bindings)
 }
 
 // templateSig is the template tie-break key. The canonical signature — not

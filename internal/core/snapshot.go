@@ -25,8 +25,8 @@ import (
 // touched the state.
 //
 // Registrations are NOT part of StateSnapshot: queries are re-registered
-// from source text by the caller before RestoreState, which rebuilds RT
-// relations, templates, patterns and the shared NFA exactly as original
+// from source text by the caller before RestoreState, which rebuilds vector
+// groups, templates, patterns and the shared NFA exactly as original
 // registration did. RestoreState then re-interns the witness rows, so the
 // restored processor is internally consistent even though its symbol ids
 // differ from the snapshotting process's.
@@ -125,9 +125,9 @@ func (p *Processor) ExportState() StateSnapshot {
 // hold the restored subscription set (queries re-registered from source) and
 // must not have processed any document yet; variable names are re-interned
 // under this processor's symbol table, so the restored state joins against
-// the re-registered RT relations exactly as the original state did. The
-// incremental indexes are rebuilt in row order — the same order GC's rebuild
-// uses — so subsequent match output is deterministic.
+// the re-registered vector groups exactly as the original state did. The
+// indexes are rebuilt in row order (State.reindex), the order Merge extended
+// them in, so a restored state is indistinguishable from the original.
 func (p *Processor) RestoreState(snap StateSnapshot) error {
 	s := p.state
 	if s.nextSeq != 0 || len(s.docIDs) != 0 {
@@ -150,15 +150,7 @@ func (p *Processor) RestoreState(snap StateSnapshot) error {
 	for _, r := range snap.Rroot {
 		s.Rroot.Insert(relation.Int(r.Doc), relation.Int(p.syms.intern(r.Var)), relation.Int(r.Node))
 	}
-	for i, t := range s.Rdoc.Rows {
-		s.rdocBySym[t[2].SymID()] = append(s.rdocBySym[t[2].SymID()], i)
-	}
-	for i, t := range s.Rbin.Rows {
-		k := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[4].I)}
-		s.rbinByNode2[k] = append(s.rbinByNode2[k], i)
-		vk := [2]int64{t[1].I, t[2].I}
-		s.rbinByVars[vk] = append(s.rbinByVars[vk], i)
-	}
+	s.reindex()
 	for _, r := range snap.Retained {
 		d, err := xmldoc.ParseString(r.XML, xmldoc.DocID(r.ID), xmldoc.Timestamp(r.TS))
 		if err != nil {

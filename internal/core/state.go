@@ -53,14 +53,15 @@ type State struct {
 	seq     map[xmldoc.DocID]int64
 	nextSeq int64
 
-	// rdocBySym indexes Rdoc rows by interned string value; rbinByNode2
-	// indexes Rbin rows by (docid, node2); rbinByVars indexes Rbin rows by
-	// their variable pair. All are maintained incrementally: the first two
-	// serve the view-materialization plan (EL,s), the third the RT-driven
-	// plan.
+	// The indexes the compiled Stage-2 steps (cqplan.go) and the view
+	// slices (SliceEL) reach the relations through, as row numbers. Merge
+	// extends them row by row; GC and RestoreState rebuild them in row
+	// order (reindex), which yields the same lists. rdocBySym: Rdoc by
+	// string value. rbinByNode2: Rbin by (docid, node2), the walk from a
+	// bound node up to its parent. rrootByNode: Rroot by (docid, node).
 	rdocBySym   map[sym.ID][]int
 	rbinByNode2 map[binKey][]int
-	rbinByVars  map[[2]int64][]int
+	rrootByNode map[binKey][]int
 
 	// docs retains full documents for output construction when enabled.
 	docs map[xmldoc.DocID]*xmldoc.Document
@@ -82,17 +83,49 @@ type binKey struct {
 
 // NewState returns empty join state.
 func NewState() *State {
-	return &State{
-		Rbin:        relation.New("docid", "var1", "var2", "node1", "node2"),
-		Rdoc:        relation.New("docid", "node", "strVal"),
-		Rroot:       relation.New("docid", "var", "node"),
-		RdocTS:      map[xmldoc.DocID]xmldoc.Timestamp{},
-		seq:         map[xmldoc.DocID]int64{},
-		rdocBySym:   map[sym.ID][]int{},
-		rbinByNode2: map[binKey][]int{},
-		rbinByVars:  map[[2]int64][]int{},
-		docs:        map[xmldoc.DocID]*xmldoc.Document{},
+	s := &State{
+		Rbin:   relation.New("docid", "var1", "var2", "node1", "node2"),
+		Rdoc:   relation.New("docid", "node", "strVal"),
+		Rroot:  relation.New("docid", "var", "node"),
+		RdocTS: map[xmldoc.DocID]xmldoc.Timestamp{},
+		seq:    map[xmldoc.DocID]int64{},
+		docs:   map[xmldoc.DocID]*xmldoc.Document{},
 	}
+	s.reindex()
+	return s
+}
+
+// reindex rebuilds every index from the relations, in row order.
+func (s *State) reindex() {
+	s.rdocBySym = map[sym.ID][]int{}
+	s.rbinByNode2 = map[binKey][]int{}
+	s.rrootByNode = map[binKey][]int{}
+	for i := range s.Rbin.Rows {
+		s.indexBin(i)
+	}
+	for i := range s.Rdoc.Rows {
+		s.indexDoc(i)
+	}
+	for i := range s.Rroot.Rows {
+		s.indexRoot(i)
+	}
+}
+
+func (s *State) indexBin(i int) {
+	t := s.Rbin.Rows[i]
+	nk := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[4].I)}
+	s.rbinByNode2[nk] = append(s.rbinByNode2[nk], i)
+}
+
+func (s *State) indexDoc(i int) {
+	id := s.Rdoc.Rows[i][2].SymID()
+	s.rdocBySym[id] = append(s.rdocBySym[id], i)
+}
+
+func (s *State) indexRoot(i int) {
+	t := s.Rroot.Rows[i]
+	nk := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[2].I)}
+	s.rrootByNode[nk] = append(s.rrootByNode[nk], i)
 }
 
 // CurrentWitness holds the Stage-1 output for the document currently being
@@ -175,19 +208,15 @@ func (s *State) Merge(w *CurrentWitness, retainDoc bool) {
 	did := relation.Int(int64(w.DocID))
 	for _, t := range w.RbinW.Rows {
 		s.Rbin.Insert(did, t[0], t[1], t[2], t[3])
-		row := s.Rbin.Len() - 1
-		nk := binKey{w.DocID, xmldoc.NodeID(t[3].I)}
-		s.rbinByNode2[nk] = append(s.rbinByNode2[nk], row)
-		vk := [2]int64{t[0].I, t[1].I}
-		s.rbinByVars[vk] = append(s.rbinByVars[vk], row)
+		s.indexBin(s.Rbin.Len() - 1)
 	}
 	for _, t := range w.RdocW.Rows {
 		s.Rdoc.Insert(did, t[0], t[1])
-		id := t[1].SymID()
-		s.rdocBySym[id] = append(s.rdocBySym[id], s.Rdoc.Len()-1)
+		s.indexDoc(s.Rdoc.Len() - 1)
 	}
 	for _, t := range w.RrootW.Rows {
 		s.Rroot.Insert(did, t[0], t[1])
+		s.indexRoot(s.Rroot.Len() - 1)
 	}
 	s.RdocTS[w.DocID] = w.TS
 	s.seq[w.DocID] = s.nextSeq
@@ -228,10 +257,10 @@ func (s *State) SliceEL(id sym.ID) *relation.Relation {
 
 // GC removes all state belonging to documents expired in both window
 // dimensions (timestamp < cutoffTS and arrival index < cutoffSeq).
-// Relations are rebuilt (they are append-only row stores); the incremental
-// indexes are rebuilt alongside. The expired document set is returned so
-// callers can scope downstream invalidation (view-cache entries) to exactly
-// the documents that left.
+// Relations are rebuilt (they are append-only row stores) and the indexes
+// with them, so every index shrinks to the surviving rows. The expired
+// document set is returned so callers can scope downstream invalidation
+// (view-cache entries) to exactly the documents that left.
 func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.DocID]bool {
 	expired := map[xmldoc.DocID]bool{}
 	keptIDs := s.docIDs[:0]
@@ -258,18 +287,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.DocID]
 	s.Rbin = filter(s.Rbin)
 	s.Rdoc = filter(s.Rdoc)
 	s.Rroot = filter(s.Rroot)
-	s.rdocBySym = map[sym.ID][]int{}
-	for i, t := range s.Rdoc.Rows {
-		s.rdocBySym[t[2].SymID()] = append(s.rdocBySym[t[2].SymID()], i)
-	}
-	s.rbinByNode2 = map[binKey][]int{}
-	s.rbinByVars = map[[2]int64][]int{}
-	for i, t := range s.Rbin.Rows {
-		k := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[4].I)}
-		s.rbinByNode2[k] = append(s.rbinByNode2[k], i)
-		vk := [2]int64{t[1].I, t[2].I}
-		s.rbinByVars[vk] = append(s.rbinByVars[vk], i)
-	}
+	s.reindex()
 	return expired
 }
 

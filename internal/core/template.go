@@ -29,10 +29,20 @@ type Template struct {
 	// unary root-binding relation instead of a structural edge.
 	SingleLeft, SingleRight bool
 
-	// vectors groups the template's RT rows by distinct variable vector,
-	// the unit of work of the RT-driven plan (rtplan.go).
+	// vectors groups the template's RT rows — one per registered instance
+	// — by distinct variable vector (cqplan.go); the groups are the query
+	// relation RT both plans read. vecList holds them in creation order.
 	vectors map[string]*vecGroup
 	vecList []*vecGroup
+	// live[p] counts, per (v_parent, v_p) variable pair, the vector groups
+	// carrying it at position p (a side root pairs with itself).
+	live []map[[2]int64]int
+
+	// progs are the compiled conjunctive query in its two step orders,
+	// witness-driven and RT-driven (cqplan.go); needRvj reports that some
+	// step reads the value-join pair relation.
+	progs   [2]*cqProgram
+	needRvj bool
 
 	// plan is the template's adaptive-planner record (planner.go). It is
 	// owned by the processor's planMemo keyed by Sig and therefore

@@ -8,6 +8,16 @@ import (
 	"repro/internal/xscl"
 )
 
+// indexEntries counts the row numbers a state index lists (it has at most as
+// many keys).
+func indexEntries[K comparable](m map[K][]int) int {
+	n := 0
+	for _, rows := range m {
+		n += len(rows)
+	}
+	return n
+}
+
 // TestStateBoundedByWindow streams many windows' worth of documents whose
 // join values each recur in the next document only — every string enters STR
 // once, gets a view-cache entry, and is never looked up again — and requires
@@ -69,6 +79,9 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"Rdoc rows", s.Rdoc.Len(), maxDocs * rowsPerDoc},
 						{"Rbin rows", s.Rbin.Len(), maxDocs * rowsPerDoc},
 						{"Rroot rows", s.Rroot.Len(), maxDocs * rowsPerDoc},
+						{"rdocBySym entries", indexEntries(s.rdocBySym), maxDocs * rowsPerDoc},
+						{"rbinByNode2 entries", indexEntries(s.rbinByNode2), maxDocs * rowsPerDoc},
+						{"rrootByNode entries", indexEntries(s.rrootByNode), maxDocs * rowsPerDoc},
 					} {
 						if c.n > c.bound {
 							t.Fatalf("after %d documents (window %d): %d %s, want <= %d", i, window, c.n, c.what, c.bound)

@@ -17,10 +17,8 @@ type Atom struct {
 	// Idx optionally carries a prebuilt hash index on Rel. When the join
 	// order reaches this atom and all IdxVars are already bound by the
 	// intermediate result, the evaluator probes the index per row instead
-	// of scanning Rel — essential for the per-template query relations
-	// RT, which hold one row per registered query and must not be
-	// re-hashed for every document. IdxVars names the CQ variables bound
-	// to the indexed columns, in index column order.
+	// of scanning Rel. IdxVars names the CQ variables bound to the indexed
+	// columns, in index column order.
 	Idx     *Index
 	IdxVars []string
 }
@@ -31,9 +29,12 @@ type Atom struct {
 // smallest relation (cross products are taken only when no connected atom
 // remains, which well-formed MMQJP template queries never require).
 //
-// This evaluator plays the role the SQL engine plays in the paper: each
-// query template's conjunctive query CQ_T (Section 4.4) is handed to it once
-// per document.
+// This evaluator plays the role the SQL engine plays in the paper, and it is
+// a test-only reference: the Join Processor evaluates each template's
+// conjunctive query CQ_T (Section 4.4) with a program compiled once per
+// template (internal/core/cqplan.go), and its tests hold those programs to
+// what this interpreter computes from the same relations. `make lint` fails
+// if a non-test file outside this package calls it.
 func EvalConjunctive(atoms []Atom, head []string) *Relation {
 	if len(atoms) == 0 {
 		return New(head...)
@@ -134,62 +135,6 @@ func EvalConjunctive(atoms []Atom, head []string) *Relation {
 			// Short-circuit: the remaining joins cannot add rows,
 			// but the head schema must still be correct.
 			break
-		}
-	}
-	return projectHead(cur, head)
-}
-
-// EvalConjunctiveOrdered evaluates the conjunctive query joining the scan
-// atoms strictly in the order given (the caller is the query planner).
-// Indexed atoms are probed as soon as their key variables are bound, as in
-// EvalConjunctive. The MMQJP processor uses this entry point with the
-// interleaved order value-join → left structural edge → right structural
-// edge per template edge, which keeps intermediate results filtered.
-func EvalConjunctiveOrdered(atoms []Atom, head []string) *Relation {
-	if len(atoms) == 0 {
-		return New(head...)
-	}
-	var scans, indexed []int
-	for i, a := range atoms {
-		if len(a.Vars) != len(a.Rel.Schema) {
-			panic(fmt.Sprintf("relation: atom %s has %d vars for %d columns", a.Name, len(a.Vars), len(a.Rel.Schema)))
-		}
-		if a.Idx != nil {
-			indexed = append(indexed, i)
-		} else {
-			scans = append(scans, i)
-		}
-	}
-	if len(scans) == 0 {
-		panic("relation: conjunctive query with only indexed atoms")
-	}
-	// As in EvalConjunctive, intermediates are arena-backed: projectHead
-	// copies the result rows, so nothing carved here escapes the call.
-	var ar Arena
-	cur := atomRelation(atoms[scans[0]], &ar)
-	scans = scans[1:]
-	for (len(scans) > 0 || len(indexed) > 0) && cur.Len() > 0 {
-		probed := false
-		for k, idx := range indexed {
-			if varsBound(cur.Schema, atoms[idx].IdxVars) {
-				cur = probeJoin(cur, atoms[idx], &ar)
-				indexed = append(indexed[:k], indexed[k+1:]...)
-				probed = true
-				break
-			}
-		}
-		if probed {
-			continue
-		}
-		var idx int
-		if len(scans) > 0 {
-			idx = scans[0]
-			scans = scans[1:]
-			cur = naturalJoin(cur, atomRelation(atoms[idx], &ar), &ar)
-		} else {
-			idx = indexed[0]
-			indexed = indexed[1:]
-			cur = naturalJoin(cur, atomRelation(atoms[idx], &ar), &ar)
 		}
 	}
 	return projectHead(cur, head)

@@ -280,65 +280,3 @@ func TestEvalConjunctiveIndexedFallbackToScan(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
-
-func TestEvalConjunctiveOrderedMatchesGreedy(t *testing.T) {
-	// The ordered evaluator must produce the same result set as the
-	// greedy one on random conjunctive queries.
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 80; trial++ {
-		varNames := []string{"x", "y", "z", "w"}
-		nAtoms := 2 + rng.Intn(3)
-		atoms := make([]Atom, nAtoms)
-		for i := range atoms {
-			cols := 1 + rng.Intn(3)
-			rel := New(colNames(cols)...)
-			for r := 0; r < rng.Intn(7); r++ {
-				row := make(Tuple, cols)
-				for c := range row {
-					row[c] = Int(int64(rng.Intn(3)))
-				}
-				rel.InsertTuple(row)
-			}
-			vars := make([]string, cols)
-			for c := range vars {
-				vars[c] = varNames[rng.Intn(len(varNames))]
-			}
-			atoms[i] = Atom{Name: "A", Rel: rel, Vars: vars}
-		}
-		head := usedVars(atoms)
-		a := EvalConjunctive(atoms, head).Distinct()
-		b := EvalConjunctiveOrdered(atoms, head).Distinct()
-		if !reflect.DeepEqual(canonRows(a.Rows), canonRows(b.Rows)) {
-			t.Fatalf("trial %d: ordered and greedy evaluation diverge", trial)
-		}
-	}
-}
-
-func TestEvalConjunctiveOrderedIndexedAtom(t *testing.T) {
-	rt := New("qid", "v0")
-	rt.Insert(Int(1), Int(10))
-	rt.Insert(Int(2), Int(11))
-	idx := rt.BuildIndex("v0")
-	w := New("a")
-	w.Insert(Int(10))
-	got := EvalConjunctiveOrdered([]Atom{
-		{Name: "W", Rel: w, Vars: []string{"x"}},
-		{Name: "RT", Rel: rt, Vars: []string{"q", "x"}, Idx: idx, IdxVars: []string{"x"}},
-	}, []string{"q"})
-	if got.Len() != 1 || got.Rows[0][0].I != 1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestEvalConjunctiveOrderedEmptyShortCircuit(t *testing.T) {
-	full := New("a")
-	full.Insert(Int(1))
-	empty := New("a")
-	got := EvalConjunctiveOrdered([]Atom{
-		{Name: "E", Rel: empty, Vars: []string{"x"}},
-		{Name: "F", Rel: full, Vars: []string{"x"}},
-	}, []string{"x"})
-	if got.Len() != 0 {
-		t.Fatalf("got %v", got)
-	}
-}

@@ -1,8 +1,11 @@
 // Package relation is the in-memory relational substrate of the MMQJP Join
-// Processor. The paper evaluates its per-template conjunctive queries on a
-// commercial SQL engine; this package plays that role here: typed tuples,
-// named schemas, hash joins, semi-joins, selections, projections, unions and
-// hash indexes — everything the Stage-2 plans of Sections 4 and 5 need.
+// Processor: typed tuples, named schemas and append-only row stores hold the
+// witness relations and the join state, and the compiled Stage-2 programs
+// (internal/core/cqplan.go) read their rows directly. The paper evaluates
+// its per-template conjunctive queries on a commercial SQL engine; the
+// relational operators here — hash joins, semi-joins, projections, hash
+// indexes and the interpreted evaluator EvalConjunctive built on them — play
+// that role as the reference the compiled programs are tested against.
 //
 // Values are int64s (document ids, node ids, window lengths, interned
 // variable names), strings (node string values), or interned symbols

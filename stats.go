@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/router"
 )
 
@@ -48,6 +49,11 @@ type EngineStats struct {
 	RTPlans      int64 `json:"rt_plans"`
 	Explorations int64 `json:"explorations"`
 
+	// Counted Stage-2 work of the chosen plans: index entries the compiled
+	// steps visited and RoutT rows they produced (core.Stats).
+	CQProbes int64 `json:"cq_probes"`
+	CQRows   int64 `json:"cq_rows"`
+
 	// DroppedCascades counts derived documents discarded at the
 	// composition depth limit (a symptom of a cyclic query network).
 	DroppedCascades int64 `json:"dropped_cascades,omitempty"`
@@ -84,11 +90,17 @@ func (e *Engine) Stats() EngineStats {
 			CQ:         e.seq.JoinTime(),
 		}
 	}
-	s := e.proc.Stats()
+	out := fromCore(e.proc.Stats())
+	out.Partitions = partitionsOf(e.proc)
+	out.Queries, out.Templates = e.proc.NumQueries(), e.proc.NumTemplates()
+	out.DroppedCascades = e.droppedCascades
+	return out
+}
+
+// fromCore lifts one processor's (or one partition's) counters into the
+// engine-level type.
+func fromCore(s core.Stats) EngineStats {
 	return EngineStats{
-		Partitions:   partitionsOf(e.proc),
-		Queries:      e.proc.NumQueries(),
-		Templates:    e.proc.NumTemplates(),
 		Documents:    s.Documents,
 		Matches:      s.Matches,
 		XPath:        s.XPath,
@@ -104,8 +116,8 @@ func (e *Engine) Stats() EngineStats {
 		WitnessPlans: s.WitnessPlans,
 		RTPlans:      s.RTPlans,
 		Explorations: s.Explorations,
-
-		DroppedCascades: e.droppedCascades,
+		CQProbes:     s.CQProbes,
+		CQRows:       s.CQRows,
 	}
 }
 
@@ -134,25 +146,8 @@ func (e *Engine) PartitionStats() []EngineStats {
 	stats := r.PartitionStats()
 	out := make([]EngineStats, len(stats))
 	for i, s := range stats {
-		out[i] = EngineStats{
-			Queries:      queries[i],
-			Templates:    templates[i],
-			Documents:    s.Documents,
-			Matches:      s.Matches,
-			XPath:        s.XPath,
-			Witness:      s.Witness,
-			Rvj:          s.Rvj,
-			RL:           s.RL,
-			RR:           s.RR,
-			CQ:           s.CQ,
-			Maintain:     s.Maintain,
-			Stage1Wall:   s.Stage1Wall,
-			Stage2Wall:   s.Stage2Wall,
-			ExploreWall:  s.ExploreWall,
-			WitnessPlans: s.WitnessPlans,
-			RTPlans:      s.RTPlans,
-			Explorations: s.Explorations,
-		}
+		out[i] = fromCore(s)
+		out[i].Queries, out[i].Templates = queries[i], templates[i]
 	}
 	return out
 }
