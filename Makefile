@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test benchmark-module race bench bench-smoke bench-pr bench-baseline bench-regression coverage lint lint-invariants fmt fuzz-smoke fuzz server-smoke docs-check ci
+.PHONY: all build test benchmark-module race bench coverage lint lint-invariants fmt fuzz-smoke fuzz server-smoke docs-check ci
 
 all: build
 
@@ -22,10 +22,6 @@ benchmark-module:
 race:
 	$(GO) test -race ./...
 
-# Tiny-scale run of every paper experiment (the CI bench-smoke job).
-bench-smoke:
-	$(GO) test -run=Smoke -v ./internal/bench
-
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers and the server's wire sessions (the CI fuzz-smoke job).
 FUZZTIME ?= 10s
@@ -43,30 +39,11 @@ fuzz:
 server-smoke:
 	./scripts/server_smoke.sh
 
-# Full benchmark suite (figures + microbenchmarks + workers/pipeline sweeps).
+# The paper's Table 3 and Figures 8-16 at reduced scale plus the subsystem
+# micro-benchmarks, one iteration each. Not a CI job and not a gate: a
+# performance statement is made with `bash benchmark/run.sh` (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Scale of the CI bench-regression gate. BENCH_baseline.json is generated by
-# `make bench-baseline` with exactly these flags; regenerate it (on the
-# machine class the gate runs on) whenever an intentional perf change moves
-# the numbers.
-BENCH_GATE_FLAGS = -experiment workers,pipeline,churn,publishers,planning,partitions,scale,allocs -queries 300 -rss-items 400 -scale-queries 800 -scale-items 150 -partitions-sweep 1,2,4
-
-bench-pr:
-	$(GO) run ./cmd/mmqjp-bench $(BENCH_GATE_FLAGS) -json BENCH_pr.json
-
-bench-baseline:
-	$(GO) run ./cmd/mmqjp-bench $(BENCH_GATE_FLAGS) -json BENCH_baseline.json
-
-# Fails when any throughput series of the gate experiments regressed >20%
-# against the committed baseline, or any allocs/op series (the allocs
-# experiment; lower is better, compared raw) grew >20% (the CI
-# bench-regression job). Not part of `make ci`: single runs at a 20%
-# threshold fail on random series with identical code on a noisy host
-# (ROADMAP item 5a retires it in favour of benchmark/).
-bench-regression: bench-pr
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_pr.json -threshold 20
 
 # Per-package coverage (the CI coverage job uploads coverage.out).
 coverage:
@@ -74,8 +51,9 @@ coverage:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Documentation gate (the CI docs job): vet, every ```go block in the
-# markdown guides compiles, no intra-repo markdown link is broken, and every
-# mmqjp-server flag a guide mentions is defined by the server.
+# markdown guides compiles, no intra-repo markdown link is broken, every
+# mmqjp-server flag a guide mentions is defined by the server, and every make
+# target, ./cmd directory and mmqjp-bench experiment a guide quotes exists.
 docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md TUNING.md DESIGN.md ROADMAP.md
@@ -103,4 +81,4 @@ lint-invariants:
 fmt:
 	gofmt -w .
 
-ci: build lint test benchmark-module race bench-smoke fuzz-smoke server-smoke coverage docs-check
+ci: build lint test benchmark-module race fuzz-smoke server-smoke coverage docs-check

@@ -5,7 +5,7 @@
 //
 //	docscheck README.md TUNING.md DESIGN.md
 //
-// Four checks run over every file given:
+// Five checks run over every file given:
 //
 //   - Every fenced ```go block must be a complete, compilable Go file. Each
 //     block is extracted into a throwaway package directory inside the
@@ -27,6 +27,12 @@
 //     inline code span in a paragraph that mentions the server (other tools'
 //     flags live in paragraphs about those tools). ROADMAP.md is exempt: it
 //     proposes flags that do not exist yet.
+//   - Every command quoted in an inline code span or a fenced block other
+//     than ```go must exist: `make <target>` names a target of the Makefile,
+//     `go run ./cmd/<dir>` (after `-C <module>`, that module's) names an
+//     existing directory, and every id of an `-experiment <ids>` list is one
+//     mmqjp-bench runs. ROADMAP.md is exempt: it records commands that have
+//     since been retired.
 //
 // Run it from the repository root. Exit status is 1 on any failure, with one
 // diagnostic line each.
@@ -38,8 +44,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/lint"
 )
 
@@ -48,46 +56,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: docscheck <markdown-file>...")
 		os.Exit(2)
 	}
-	failures := 0
-	serverSrc, err := os.ReadFile(serverMain)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-		os.Exit(2)
-	}
-	defined := definedFlags(string(serverSrc))
-	for _, path := range os.Args[1:] {
+	readFile := func(path string) string {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-			failures++
-			continue
+			os.Exit(2)
 		}
-		text := string(data)
-		for _, msg := range checkGoBlocks(path, text) {
-			fmt.Fprintln(os.Stderr, msg)
-			failures++
-		}
-		for _, msg := range checkLinks(path, text) {
-			fmt.Fprintln(os.Stderr, msg)
-			failures++
-		}
-		for _, msg := range checkDirectives(path, text) {
-			fmt.Fprintln(os.Stderr, msg)
-			failures++
-		}
-		// The roadmap proposes flags that do not exist yet.
+		return string(data)
+	}
+	defined := definedNames(flagDefRe, readFile(serverMain))
+	targets := definedNames(makeTargetRe, readFile("Makefile"))
+	var msgs []string
+	for _, path := range os.Args[1:] {
+		text := readFile(path)
+		msgs = append(msgs, checkGoBlocks(path, text)...)
+		msgs = append(msgs, checkLinks(path, text)...)
+		msgs = append(msgs, checkDirectives(path, text)...)
+		// The roadmap proposes flags that do not exist yet and records
+		// commands that no longer do.
 		if filepath.Base(path) != "ROADMAP.md" {
-			for _, msg := range checkServerFlags(path, text, defined) {
-				fmt.Fprintln(os.Stderr, msg)
-				failures++
-			}
+			msgs = append(msgs, checkServerFlags(path, text, defined)...)
+			msgs = append(msgs, checkCommands(path, text, ".", targets)...)
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", failures)
+	for _, msg := range msgs {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	if len(msgs) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(msgs))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all go blocks compile, all intra-repo links resolve, all //mmqjp: examples parse, all mmqjp-server flags exist")
+	fmt.Println("docscheck: all go blocks compile, all intra-repo links resolve, all //mmqjp: examples parse, all mmqjp-server flags and quoted commands exist")
 }
 
 // goBlock is one fenced ```go block with the line it starts on.
@@ -218,11 +217,12 @@ var (
 	serverRe   = regexp.MustCompile(`(?i)\bserver`)
 )
 
-// definedFlags returns the flag names a Go source file registers with the
-// flag package.
-func definedFlags(src string) map[string]bool {
+// definedNames returns the names src defines, as def's first group matches
+// them: flagDefRe for the flags a Go source file registers with the flag
+// package, makeTargetRe for the targets of a Makefile.
+func definedNames(def *regexp.Regexp, src string) map[string]bool {
 	out := map[string]bool{}
-	for _, m := range flagDefRe.FindAllStringSubmatch(src, -1) {
+	for _, m := range def.FindAllStringSubmatch(src, -1) {
 		out[m[1]] = true
 	}
 	return out
@@ -300,6 +300,57 @@ func checkServerFlags(path, text string, defined map[string]bool) (msgs []string
 				case aboutServer && strings.HasPrefix(span, "-"):
 					report(j+1, flagNames(span))
 				}
+			}
+		}
+	}
+	return msgs
+}
+
+var (
+	makeTargetRe = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	makeUseRe    = regexp.MustCompile(`\bmake((?:[ \t]+[a-z][a-z0-9-]*)+)`)
+	goRunRe      = regexp.MustCompile(`\bgo run(?:\s+-C\s+(\S+))?\s+\./cmd/([A-Za-z0-9_-]+)`)
+	experimentRe = regexp.MustCompile(`(?:^|\s)-experiment[ =]([^\s]+)`)
+)
+
+// checkCommands reports every quoted command of one markdown file that no
+// longer exists (see the package comment for the three forms). root is the
+// repository root; targets are the Makefile's.
+func checkCommands(path, text, root string, targets map[string]bool) (msgs []string) {
+	check := func(line int, code string) {
+		for _, m := range makeUseRe.FindAllStringSubmatch(code, -1) {
+			for _, target := range strings.Fields(m[1]) {
+				if !targets[target] {
+					msgs = append(msgs, fmt.Sprintf("%s:%d: the Makefile has no target %q", path, line, target))
+				}
+			}
+		}
+		for _, m := range goRunRe.FindAllStringSubmatch(code, -1) {
+			dir := filepath.Join(m[1], "cmd", m[2])
+			if info, err := os.Stat(filepath.Join(root, dir)); err != nil || !info.IsDir() {
+				msgs = append(msgs, fmt.Sprintf("%s:%d: go run: no directory %s", path, line, dir))
+			}
+		}
+		for _, m := range experimentRe.FindAllStringSubmatch(code, -1) {
+			for _, id := range strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == '|' }) {
+				if id != "all" && !slices.Contains(bench.All(), id) {
+					msgs = append(msgs, fmt.Sprintf("%s:%d: mmqjp-bench has no experiment %q", path, line, id))
+				}
+			}
+		}
+	}
+	inBlock, isGo := false, false
+	for i, line := range strings.Split(text, "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			isGo = !inBlock && strings.TrimPrefix(trimmed, "```") == "go"
+			inBlock = !inBlock
+		case inBlock && !isGo:
+			check(i+1, line)
+		case !inBlock:
+			for _, m := range codeSpanRe.FindAllStringSubmatch(line, -1) {
+				check(i+1, m[1])
 			}
 		}
 	}

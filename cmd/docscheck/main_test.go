@@ -16,10 +16,10 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defined := definedFlags(string(src))
+	defined := definedNames(flagDefRe, string(src))
 	for _, name := range []string{"addr", "workers", "viewmat", "snapshot-path"} {
 		if !defined[name] {
-			t.Fatalf("definedFlags missed -%s: %v", name, defined)
+			t.Fatalf("flagDefRe missed -%s: %v", name, defined)
 		}
 	}
 
@@ -29,12 +29,12 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 		"",
 		"Run `cmd/mmqjp-server -async -split-threshold=1` for the ablation.",
 		"",
-		"`benchdiff` takes `-normalize=false`; `go test` takes `-race`.",
+		"`mmqjp-bench` takes `-seq-rss-items 100`; `go test` takes `-race`.",
 		"",
 		"```sh",
 		"$ mmqjp-server -addr :7878 -workers 8 \\",
 		"    -split-threshold 256 | tee -a log",
-		"$ go run ./cmd/mmqjp-bench -experiment scale",
+		"$ go run ./cmd/mmqjp-bench -experiment fig16",
 		"```",
 		"",
 		"```text",
@@ -50,5 +50,53 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 		if !strings.HasPrefix(msgs[i], want) || !strings.Contains(msgs[i], "-split-threshold") {
 			t.Errorf("diagnostic %d = %q, want %s ... -split-threshold", i, msgs[i], want)
 		}
+	}
+}
+
+// TestCommandsRetiredCommandReported feeds checkCommands a guide that still
+// quotes a make target, a ./cmd directory and an mmqjp-bench experiment that
+// do not exist, inline and in a fenced block, against the real Makefile and
+// tree: each dead command is reported, live commands, prose and ```go blocks
+// are not.
+func TestCommandsRetiredCommandReported(t *testing.T) {
+	src, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := definedNames(makeTargetRe, string(src))
+	for _, name := range []string{"build", "bench", "docs-check", "ci"} {
+		if !targets[name] {
+			t.Fatalf("makeTargetRe missed %s: %v", name, targets)
+		}
+	}
+
+	guide := strings.Join([]string{
+		"Run `make ci`, then `make bench-gate`; make sure both pass.",
+		"",
+		"```sh",
+		"make build bench-json   # writes a result file",
+		"go run ./cmd/benchcompare -threshold 20",
+		"go run ./cmd/mmqjp-bench -experiment table3,scale,fig16",
+		"go run -C benchmark ./cmd/bench -trace 0",
+		"go run -C benchmark ./cmd/mmqjp-bench",
+		"```",
+		"",
+		"`mmqjp-bench -experiment all|workers` and `go run ./cmd/docscheck README.md`.",
+		"",
+		"```go",
+		"// make believe: go run ./cmd/nothing -experiment nothing",
+		"```",
+	}, "\n")
+	msgs := checkCommands("GUIDE.md", guide, "../..", targets)
+	want := []string{
+		`GUIDE.md:1: the Makefile has no target "bench-gate"`,
+		`GUIDE.md:4: the Makefile has no target "bench-json"`,
+		`GUIDE.md:5: go run: no directory cmd/benchcompare`,
+		`GUIDE.md:6: mmqjp-bench has no experiment "scale"`,
+		`GUIDE.md:8: go run: no directory benchmark/cmd/mmqjp-bench`,
+		`GUIDE.md:11: mmqjp-bench has no experiment "workers"`,
+	}
+	if strings.Join(msgs, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got:\n%s\nwant:\n%s", strings.Join(msgs, "\n"), strings.Join(want, "\n"))
 	}
 }

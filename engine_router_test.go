@@ -29,7 +29,7 @@ func routedChurnSequence(t *testing.T, eng *Engine, queries []string, stream []*
 	third, twoThirds := len(stream)/3, 2*len(stream)/3
 	if batch {
 		// Batch the churn-free spans, churning at the span boundaries —
-		// the same shape the bench and server batch paths produce.
+		// the same shape the server's batch path produces.
 		spans := [][2]int{{0, third}, {third, twoThirds}, {twoThirds, len(stream)}}
 		for si, sp := range spans {
 			if si == 1 {

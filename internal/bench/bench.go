@@ -1,9 +1,11 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (Section 6). Each runner reproduces one experiment's workload
-// and parameter sweep and reports the same series the paper plots; absolute
-// numbers differ from the paper's 2007 SQL-Server testbed, but the shapes —
-// who wins, by what order of magnitude, where curves flatten — are the
-// reproduction targets (see EXPERIMENTS.md).
+// evaluation (Section 6) and nothing else. Each runner reproduces one
+// experiment's workload and parameter sweep and reports the same series the
+// paper plots; absolute numbers differ from the paper's 2007 SQL-Server
+// testbed, but the shapes — who wins, by what order of magnitude, where
+// curves flatten — are the reproduction targets (see the README's
+// "Benchmarks" section). Performance statements about this implementation
+// are made with the repository benchmark (benchmark/), not here.
 package bench
 
 import (
@@ -11,10 +13,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	mmqjp "repro"
 	"repro/internal/core"
 	"repro/internal/sequential"
 	"repro/internal/workload"
@@ -34,30 +34,12 @@ const (
 	ModeSequential
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeMMQJP:
-		return "MMQJP"
-	case ModeViewMat:
-		return "MMQJP+ViewMat"
-	default:
-		return "Sequential"
-	}
-}
-
-// Result is one experiment's output table. The JSON form is what
-// cmd/mmqjp-bench -json writes and cmd/benchdiff compares (benchdiff reads
-// only Columns/Rows; Stats rides along for monitoring pipelines).
+// Result is one experiment's output table.
 type Result struct {
-	ID      string     `json:"id"` // "fig8", "table3", ...
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	// Stats is the structured engine-stats snapshot of the experiment's
-	// final (largest) engine run, in the same mmqjp.EngineStats schema the
-	// server's STATS reply and /metrics endpoint report — one schema for
-	// every stats consumer. Nil for experiments with no full engine pass.
-	Stats *mmqjp.EngineStats `json:"stats,omitempty"`
+	ID      string // "fig8", "table3", ...
+	Title   string
+	Columns []string
+	Rows    [][]string
 }
 
 // String renders the result as an aligned text table.
@@ -101,37 +83,6 @@ type Options struct {
 	RSSItems    int   // stream length for fig16 (paper: 225000)
 	SeqRSSItems int   // stream length cap for the sequential runs of fig16
 	Repeats     int   // measurement repetitions for the two-document experiments (reported value is the mean)
-	// WorkerCounts is the Stage-2 worker sweep of the "workers"
-	// experiment (not a paper figure: it measures the parallel
-	// template-sharded engine, default 1,2,4,8).
-	WorkerCounts []int
-	// PipelineDepths is the ingest-pipeline depth sweep of the "pipeline"
-	// experiment (not a paper figure: it measures the batched
-	// Stage-1/Stage-2 overlap, default 1,2,4,8; 1 = sequential baseline).
-	PipelineDepths []int
-	// ChurnCounts is the subscription-churn sweep of the "churn"
-	// experiment: between stream chunks, this many of the oldest queries
-	// are unsubscribed and as many fresh ones subscribed (default
-	// 0,8,64; 0 = the churn-free baseline).
-	ChurnCounts []int
-	// PublisherCounts is the concurrent-publisher sweep of the
-	// "publishers" experiment (not a paper figure: it measures the
-	// continuous async ingest pipeline under concurrent admission,
-	// default 1,2,4,8).
-	PublisherCounts []int
-	// PartitionCounts is the router-partition sweep of the "partitions"
-	// experiment (not a paper figure: it measures the engine-of-engines
-	// router behind the public facade, default 1,2,4; 1 = the single
-	// unpartitioned engine).
-	PartitionCounts []int
-	// ScaleQueries and ScaleItems size the "scale" experiment's
-	// paper-scale workload (scale.go). The nominal paper-scale regime is
-	// workload.DefaultPaperScale() — 100k instances over 2000 items; the
-	// defaults here (1500 queries, 250 items) are a time-budget slice of
-	// it that still clears 50 live templates, and the CI gate runs an even
-	// smaller one (see the Makefile).
-	ScaleQueries int
-	ScaleItems   int
 }
 
 // Defaults fills zero fields.
@@ -156,27 +107,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.Repeats == 0 {
 		o.Repeats = 3
-	}
-	if len(o.WorkerCounts) == 0 {
-		o.WorkerCounts = []int{1, 2, 4, 8}
-	}
-	if len(o.PipelineDepths) == 0 {
-		o.PipelineDepths = []int{1, 2, 4, 8}
-	}
-	if len(o.ChurnCounts) == 0 {
-		o.ChurnCounts = []int{0, 8, 64}
-	}
-	if len(o.PublisherCounts) == 0 {
-		o.PublisherCounts = []int{1, 2, 4, 8}
-	}
-	if len(o.PartitionCounts) == 0 {
-		o.PartitionCounts = []int{1, 2, 4}
-	}
-	if o.ScaleQueries == 0 {
-		o.ScaleQueries = 1500
-	}
-	if o.ScaleItems == 0 {
-		o.ScaleItems = 250
 	}
 	return o
 }
@@ -391,23 +321,22 @@ func Fig16(o Options) Result {
 		srng := rand.New(rand.NewSource(o.Seed + 7))
 		stream := c.Stream(srng, o.RSSItems)
 
-		vm, vmStats := rssThroughput(qs, stream, ModeViewMat)
-		basic, _ := rssThroughput(qs, stream, ModeMMQJP)
+		vm := rssThroughput(qs, stream, ModeViewMat)
+		basic := rssThroughput(qs, stream, ModeMMQJP)
 		seqStream := stream
 		if len(seqStream) > o.SeqRSSItems {
 			seqStream = seqStream[:o.SeqRSSItems]
 		}
-		seq, _ := rssThroughput(qs, seqStream, ModeSequential)
+		seq := rssThroughput(qs, seqStream, ModeSequential)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(nq), f(vm), f(basic), f(seq), fmt.Sprint(len(seqStream))})
-		res.Stats = vmStats
 	}
 	return res
 }
 
 // rssThroughput returns events/second of Stage-2 join processing over the
-// stream, plus the run's structured stats (nil for sequential).
-func rssThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode) (float64, *mmqjp.EngineStats) {
+// stream.
+func rssThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode) float64 {
 	if mode == ModeSequential {
 		p := sequential.NewProcessor()
 		for _, q := range qs {
@@ -416,7 +345,7 @@ func rssThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode) (floa
 		for _, d := range stream {
 			p.Process("S", d)
 		}
-		return perSecond(len(stream), p.JoinTime()), nil
+		return perSecond(len(stream), p.JoinTime())
 	}
 	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat})
 	for _, q := range qs {
@@ -426,34 +355,7 @@ func rssThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode) (floa
 		p.Process("S", d)
 	}
 	s := p.Stats()
-	return perSecond(len(stream), s.Rvj+s.RL+s.RR+s.CQ), engineStats(p)
-}
-
-// engineStats converts a processor's accumulated core.Stats into the public
-// structured form that Result.Stats carries.
-func engineStats(p *core.Processor) *mmqjp.EngineStats {
-	s := p.Stats()
-	return &mmqjp.EngineStats{
-		Queries:      p.NumQueries(),
-		Templates:    p.NumTemplates(),
-		Documents:    s.Documents,
-		Matches:      s.Matches,
-		XPath:        s.XPath,
-		Witness:      s.Witness,
-		Rvj:          s.Rvj,
-		RL:           s.RL,
-		RR:           s.RR,
-		CQ:           s.CQ,
-		Maintain:     s.Maintain,
-		Stage1Wall:   s.Stage1Wall,
-		Stage2Wall:   s.Stage2Wall,
-		ExploreWall:  s.ExploreWall,
-		WitnessPlans: s.WitnessPlans,
-		RTPlans:      s.RTPlans,
-		Explorations: s.Explorations,
-		CQProbes:     s.CQProbes,
-		CQRows:       s.CQRows,
-	}
+	return perSecond(len(stream), s.Rvj+s.RL+s.RR+s.CQ)
 }
 
 func perSecond(n int, d time.Duration) float64 {
@@ -461,330 +363,6 @@ func perSecond(n int, d time.Duration) float64 {
 		return 0
 	}
 	return float64(n) / d.Seconds()
-}
-
-// WorkersSweep — not a paper figure: Stage-2 wall-clock throughput vs the
-// number of template-shard workers on the RSS multi-template workload, the
-// scaling measurement of the parallel engine. Stage2Wall is the
-// coordinator-side wall time of template evaluation, the quantity that
-// shrinks as workers are added (the per-phase stats sum CPU time across
-// workers and do not).
-func WorkersSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := c.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "workers",
-		Title:   fmt.Sprintf("Stage-2 throughput vs workers (%d queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"workers", "MMQJP (ev/s)", "MMQJP+ViewMat (ev/s)", "templates"}}
-	for _, nw := range o.WorkerCounts {
-		basic, bp := stage2Throughput(qs, stream, ModeMMQJP, nw)
-		vm, vp := stage2Throughput(qs, stream, ModeViewMat, nw)
-		res.Rows = append(res.Rows, []string{fmt.Sprint(nw), f(basic), f(vm), fmt.Sprint(bp.NumTemplates())})
-		res.Stats = engineStats(vp)
-	}
-	return res
-}
-
-// stage2Throughput returns events/second of Stage-2 wall-clock time over
-// the stream with the given worker count, plus the finished processor.
-func stage2Throughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode, workers int) (float64, *core.Processor) {
-	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat, Workers: workers})
-	for _, q := range qs {
-		p.MustRegister(q)
-	}
-	for _, d := range stream {
-		p.Process("S", d)
-	}
-	return perSecond(len(stream), p.Stats().Stage2Wall), p
-}
-
-// PipelineSweep — not a paper figure: end-to-end ingest throughput
-// (documents/second of the full two-stage pipeline, wall clock of one
-// ProcessBatch over the whole stream) versus the batch-ingestion pipeline
-// depth on the multi-template RSS workload. Depth 1 is the sequential
-// per-document baseline; deeper pipelines overlap Stage 1 of upcoming
-// documents with the in-order Stage-2 consumption.
-func PipelineSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := c.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "pipeline",
-		Title:   fmt.Sprintf("end-to-end ingest throughput vs pipeline depth (%d queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"depth", "MMQJP (docs/s)", "MMQJP+ViewMat (docs/s)", "templates"}}
-	for _, depth := range o.PipelineDepths {
-		basic, bp := ingestThroughput(qs, stream, ModeMMQJP, depth)
-		vm, vp := ingestThroughput(qs, stream, ModeViewMat, depth)
-		res.Rows = append(res.Rows, []string{fmt.Sprint(depth), f(basic), f(vm), fmt.Sprint(bp.NumTemplates())})
-		res.Stats = engineStats(vp)
-	}
-	return res
-}
-
-// ingestThroughput returns end-to-end documents/second of one ProcessBatch
-// over the stream at the given pipeline depth, plus the finished processor.
-func ingestThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode, depth int) (float64, *core.Processor) {
-	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat, PipelineDepth: depth})
-	for _, q := range qs {
-		p.MustRegister(q)
-	}
-	start := time.Now()
-	p.ProcessBatch("S", stream)
-	return perSecond(len(stream), time.Since(start)), p
-}
-
-// ChurnSweep — not a paper figure: end-to-end ingest throughput on the RSS
-// workload under subscription churn, the lifecycle measurement of the
-// refcounted template machinery. The stream is processed in 8 chunks;
-// between chunks the k oldest subscriptions are unsubscribed and k fresh
-// ones subscribed (k = the sweep parameter, 0 = churn-free baseline), so
-// canonical templates are continuously reclaimed and re-registered while
-// documents flow. Reported docs/s include the churn work itself.
-func ChurnSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "churn",
-		Title:   fmt.Sprintf("ingest throughput under subscription churn (%d standing queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"churn/chunk", "MMQJP (docs/s)", "MMQJP+ViewMat (docs/s)", "churn ops/s", "templates"}}
-	for _, k := range o.ChurnCounts {
-		basic, _, _ := churnRun(c, stream, o, ModeMMQJP, k)
-		vm, churnRate, vp := churnRun(c, stream, o, ModeViewMat, k)
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(k), f(basic), f(vm), f(churnRate), fmt.Sprint(vp.NumTemplates())})
-		res.Stats = engineStats(vp)
-	}
-	return res
-}
-
-// churnRun ingests the stream in chunks, unsubscribing the k oldest and
-// subscribing k fresh queries between chunks, and returns whole-run
-// documents/second, churn operations/second, and the final processor
-// (for template counts and structured stats).
-func churnRun(c workload.RSS, stream []*xmldoc.Document, o Options, mode Mode, k int) (docsPerSec, churnPerSec float64, proc *core.Processor) {
-	qrng := rand.New(rand.NewSource(o.Seed))
-	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat})
-	var live []core.QueryID
-	for _, q := range c.Queries(qrng, o.Queries) {
-		live = append(live, p.MustRegister(q))
-	}
-	const chunks = 8
-	chunk := (len(stream) + chunks - 1) / chunks
-	churnOps := 0
-	start := time.Now()
-	for i := 0; i < len(stream); i += chunk {
-		end := i + chunk
-		if end > len(stream) {
-			end = len(stream)
-		}
-		p.ProcessBatch("S", stream[i:end])
-		if k > 0 {
-			for _, q := range c.Queries(qrng, k) {
-				live = append(live, p.MustRegister(q))
-			}
-			for _, id := range live[:k] {
-				p.MustUnregister(id)
-			}
-			live = live[k:]
-			churnOps += 2 * k
-		}
-	}
-	elapsed := time.Since(start)
-	return perSecond(len(stream), elapsed), perSecond(churnOps, elapsed), p
-}
-
-// PublishersSweep — not a paper figure: sustained end-to-end ingest
-// throughput versus the number of concurrent publisher goroutines feeding
-// the continuous async ingest pipeline (core.Ingest) on the multi-template
-// RSS workload. One publisher is the serial-admission baseline; more
-// publishers contend on admission while the pipeline overlaps their
-// documents' Stage-1 work ahead of the in-order Stage-2 consumption.
-func PublishersSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := c.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "publishers",
-		Title:   fmt.Sprintf("continuous ingest throughput vs concurrent publishers (%d queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"publishers", "MMQJP (docs/s)", "MMQJP+ViewMat (docs/s)", "templates"}}
-	for _, np := range o.PublisherCounts {
-		basic, bp := publisherThroughput(qs, stream, ModeMMQJP, np)
-		vm, vp := publisherThroughput(qs, stream, ModeViewMat, np)
-		res.Rows = append(res.Rows, []string{fmt.Sprint(np), f(basic), f(vm), fmt.Sprint(bp.NumTemplates())})
-		res.Stats = engineStats(vp)
-	}
-	return res
-}
-
-// publisherThroughput returns end-to-end documents/second of the stream
-// pushed through a continuous ingest pipeline by the given number of
-// concurrent publisher goroutines (round-robin split), plus the finished
-// processor. The clock stops after Close, which drains the pipeline.
-func publisherThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode, publishers int) (float64, *core.Processor) {
-	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat})
-	for _, q := range qs {
-		p.MustRegister(q)
-	}
-	ing := core.NewIngest(p, core.IngestConfig{Depth: 4, Workers: 4})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(stream); i += publishers {
-				_ = ing.Submit("S", stream[i], nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	ing.Close()
-	return perSecond(len(stream), time.Since(start)), p
-}
-
-// PartitionsSweep — not a paper figure: end-to-end ingest throughput of the
-// engine-of-engines router (Options.Partitions) versus partition count on
-// the multi-template RSS workload, measured through the public facade (New
-// + PublishBatch) so the router's fan-out, merge, and global-id relabeling
-// are all on the clock. Partitions = 1 is the single unpartitioned engine.
-//
-// The throughput series is "(info)": on a gate host every partition runs
-// the same full document stream, so wall-clock scaling is scheduler noise
-// there and carries no regression signal. The matches column IS the gate's
-// invariant — routed output is byte-identical to the single engine for
-// every N, so the count must not vary down the rows (the run fails fast if
-// it does, rather than publishing a wrong table).
-func PartitionsSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := c.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "partitions",
-		Title:   fmt.Sprintf("routed ingest throughput vs partition count (%d queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"partitions", "MMQJP+ViewMat (docs/s) (info)", "matches", "templates"}}
-	baselineMatches := int64(-1)
-	for _, n := range o.PartitionCounts {
-		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Partitions: n, PipelineDepth: 2})
-		for _, q := range qs {
-			eng.MustSubscribe(q.Source)
-		}
-		start := time.Now()
-		eng.PublishBatch("S", stream)
-		docsPerSec := perSecond(len(stream), time.Since(start))
-		stats := eng.Stats()
-		if baselineMatches < 0 {
-			baselineMatches = stats.Matches
-		} else if stats.Matches != baselineMatches {
-			panic(fmt.Sprintf("bench: partitions=%d produced %d matches, partitions=%d produced %d — the router broke N-invariance",
-				n, stats.Matches, o.PartitionCounts[0], baselineMatches))
-		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(n), f(docsPerSec), fmt.Sprint(stats.Matches), fmt.Sprint(stats.Templates)})
-		res.Stats = &stats
-	}
-	return res
-}
-
-// PlanningSweep — not a paper figure: the adaptive-planner ablation. It
-// measures end-to-end throughput (wall clock of per-document Process over
-// the stream) of forced PlanWitness, forced PlanRTDriven, and adaptive
-// PlanAuto (exploration on) on two opposed workloads:
-//
-//   - "rss-stream" favors the witness-driven plan: an incoming feed item's
-//     string values collide with few stored values, so joining outward from
-//     the current document is cheap.
-//   - "colliding-twolevel" favors the RT-driven plan: every document
-//     carries the same leaf values (the paper's technical benchmark,
-//     streamed with a finite window), so the witness-side fan-out explodes
-//     and iterating RT's distinct variable vectors wins.
-//
-// The reproduction target is that PlanAuto tracks the better forced plan on
-// both workloads (within noise) — the paper's cost-based-choice claim, now
-// driven by runtime statistics instead of frozen constants. The last
-// column reports PlanAuto's chosen-plan and exploration counts.
-func PlanningSweep(o Options) Result {
-	o = o.Defaults()
-	res := Result{ID: "planning",
-		Title: fmt.Sprintf("adaptive planner vs forced plans (%d queries)", o.Queries),
-		Columns: []string{"workload", "PlanWitness (docs/s)", "PlanRTDriven (docs/s)",
-			"PlanAuto (docs/s)", "auto witness/rt/explore"}}
-
-	rssc := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := rssc.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := rssc.Stream(srng, o.RSSItems)
-	row, _ := planningRow("rss-stream", qs, stream, o)
-	res.Rows = append(res.Rows, row)
-
-	tl := workload.TwoLevel{N: 4, Theta: 0.8, Window: 12}
-	qrng := rand.New(rand.NewSource(o.Seed))
-	tqs := tl.Queries(qrng, o.Queries)
-	nDocs := o.RSSItems / 4
-	if nDocs > 100 {
-		nDocs = 100
-	}
-	if nDocs < 10 {
-		nDocs = 10
-	}
-	row, stats := planningRow("colliding-twolevel", tqs, CollidingStream(tl.N, nDocs), o)
-	res.Rows = append(res.Rows, row)
-	res.Stats = stats
-	return res
-}
-
-// CollidingStream builds the RT-favoring document stream of the "planning"
-// experiment: n-leaf two-level documents all carrying identical values,
-// timestamps advancing one unit per document. Exported so the root
-// BenchmarkPlanningSweep measures exactly the gate experiment's workload
-// shape.
-func CollidingStream(n, count int) []*xmldoc.Document {
-	out := make([]*xmldoc.Document, count)
-	for i := range out {
-		b := xmldoc.NewBuilder(xmldoc.DocID(i+1), xmldoc.Timestamp(i+1), "r")
-		for l := 1; l <= n; l++ {
-			b.Element(0, fmt.Sprintf("l%d", l), fmt.Sprintf("value-%d", l))
-		}
-		out[i] = b.Build()
-	}
-	return out
-}
-
-func planningRow(name string, qs []*xscl.Query, stream []*xmldoc.Document, o Options) ([]string, *mmqjp.EngineStats) {
-	w, _ := planThroughput(qs, stream, core.PlanWitness, 0, o.Seed)
-	r, _ := planThroughput(qs, stream, core.PlanRTDriven, 0, o.Seed)
-	a, auto := planThroughput(qs, stream, core.PlanAuto, 64, o.Seed)
-	s := engineStats(auto)
-	return []string{name, f(w), f(r), f(a),
-		fmt.Sprintf("%d/%d/%d", s.WitnessPlans, s.RTPlans, s.Explorations)}, s
-}
-
-// planThroughput returns end-to-end documents/second of per-document
-// processing under the given plan (view materialization on, the production
-// mode), plus the processor for the chosen-plan counters.
-func planThroughput(qs []*xscl.Query, stream []*xmldoc.Document, plan core.PlanKind, explore int, seed int64) (float64, *core.Processor) {
-	p := core.NewProcessor(core.Config{
-		ViewMaterialization: true, Plan: plan,
-		PlanExploreEvery: explore, PlanExploreSeed: seed,
-	})
-	for _, q := range qs {
-		p.MustRegister(q)
-	}
-	start := time.Now()
-	for _, d := range stream {
-		p.Process("S", d)
-	}
-	return perSecond(len(stream), time.Since(start)), p
 }
 
 // Table3 — number of query templates vs number of value joins, for the flat
@@ -964,9 +542,9 @@ func sideComplex(part []int, pfx string) string {
 }
 
 // All returns every experiment id: the paper's tables and figures in paper
-// order, then the repo's own scaling experiments.
+// order.
 func All() []string {
-	return []string{"table3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "workers", "pipeline", "churn", "publishers", "planning", "partitions", "scale", "allocs"}
+	return []string{"table3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
 }
 
 // Run executes one experiment by id.
@@ -992,22 +570,6 @@ func Run(id string, o Options) (Result, error) {
 		return Fig15(o), nil
 	case "fig16":
 		return Fig16(o), nil
-	case "workers":
-		return WorkersSweep(o), nil
-	case "pipeline":
-		return PipelineSweep(o), nil
-	case "churn":
-		return ChurnSweep(o), nil
-	case "publishers":
-		return PublishersSweep(o), nil
-	case "planning":
-		return PlanningSweep(o), nil
-	case "partitions":
-		return PartitionsSweep(o), nil
-	case "scale":
-		return ScaleSweep(o), nil
-	case "allocs":
-		return AllocsSweep(o), nil
 	default:
 		return Result{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, All())
 	}

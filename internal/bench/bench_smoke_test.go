@@ -9,14 +9,12 @@ import (
 // declared columns, and obey basic sanity properties.
 func smokeOptions() Options {
 	return Options{
-		Seed:         1,
-		QueryCounts:  []int{10, 100},
-		Queries:      100,
-		BigQueries:   2000,
-		RSSItems:     300,
-		SeqRSSItems:  300,
-		ScaleQueries: 120,
-		ScaleItems:   40,
+		Seed:        1,
+		QueryCounts: []int{10, 100},
+		Queries:     100,
+		BigQueries:  2000,
+		RSSItems:    300,
+		SeqRSSItems: 300,
 	}
 }
 

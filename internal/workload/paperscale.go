@@ -43,16 +43,11 @@ type PaperScale struct {
 	// ValuePool is the number of distinct string values shared by all
 	// leaves of all documents.
 	ValuePool int
-	// Instances and Items are the workload's nominal paper-scale size:
-	// the query count and stream length a full run uses (benchmarks may
-	// scale them down; see DefaultPaperScale).
-	Instances int
-	Items     int
 }
 
-// DefaultPaperScale is the paper-scale default: 100k query instances over a
-// stream of 2000 documents, with enough wiring diversity for well over 50
-// live canonical templates (the workload tests assert the floor).
+// DefaultPaperScale is the paper-scale default, with enough wiring diversity
+// for well over 50 live canonical templates (the workload tests assert the
+// floor).
 func DefaultPaperScale() PaperScale {
 	return PaperScale{
 		Leaves:    8,
@@ -60,8 +55,6 @@ func DefaultPaperScale() PaperScale {
 		Theta:     0.2,
 		Window:    500,
 		ValuePool: 24,
-		Instances: 100000,
-		Items:     2000,
 	}
 }
 

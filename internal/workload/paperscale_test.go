@@ -7,9 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// TestPaperScaleTemplateFloor pins the workload property the scale bench
-// depends on: the paper-scale generator's wiring sampling produces 50+ live
-// canonical templates (the earlier identity-wiring generators collapse to
+// TestPaperScaleTemplateFloor pins the workload property its users
+// (internal/core's paper-scale allocation ceiling) depend on: the
+// generator's wiring sampling produces 50+ live canonical templates (the
+// earlier identity-wiring generators collapse to
 // ~one template per join count), and instances spread over multiple RT
 // vector groups per template.
 func TestPaperScaleTemplateFloor(t *testing.T) {
@@ -30,8 +31,5 @@ func TestPaperScaleTemplateFloor(t *testing.T) {
 	}
 	if multi < 10 {
 		t.Fatalf("only %d templates have more than one vector group", multi)
-	}
-	if gen.Instances < 100000 {
-		t.Fatalf("default paper-scale instance count %d below the paper's regime", gen.Instances)
 	}
 }

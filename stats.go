@@ -11,8 +11,9 @@ import (
 // EngineStats is a structured snapshot of the engine's accumulated
 // processing cost — one coherent type backing every stats consumer: the
 // String rendering (the wire server's STATS reply and the examples), JSON
-// (cmd/mmqjp-bench -json and monitoring pipelines; durations marshal as
-// nanoseconds), and the Prometheus /metrics endpoint of cmd/mmqjp-server.
+// (benchmark/cmd/layers reads the counters by their tags, as a monitoring
+// pipeline would; durations marshal as nanoseconds), and the Prometheus
+// /metrics endpoint of cmd/mmqjp-server.
 //
 // Phase durations follow the paper's Figure-14/15 breakdown and accumulate
 // CPU time across Stage-2 workers; Stage1Wall/Stage2Wall are the wall-clock

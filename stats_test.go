@@ -10,7 +10,7 @@ import (
 // TestEngineStatsJSONRoundTrip pins the structured stats contract: every
 // counter — including the plan counters and the partition count —
 // must survive a marshal/unmarshal cycle unchanged, so JSON consumers
-// (cmd/mmqjp-bench -json, monitoring pipelines) see the same numbers the
+// (benchmark/cmd/layers, monitoring pipelines) see the same numbers the
 // in-process API reports.
 func TestEngineStatsJSONRoundTrip(t *testing.T) {
 	in := EngineStats{
