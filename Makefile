@@ -23,11 +23,13 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
-# two input parsers and the server's wire sessions (the CI fuzz-smoke job).
+# two input parsers and the server's wire sessions, plus Stage-1 witness
+# assembly against its naive oracle (the CI fuzz-smoke job).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xpath
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xmldoc
+	$(GO) test -run=^$$ -fuzz=FuzzWitnessesMatchNaive -fuzztime=$(FUZZTIME) ./internal/yfilter
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 
 # Longer local fuzzing session (override FUZZTIME as needed).

@@ -112,6 +112,10 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().Stats().CQProbes) })
 	r.CounterFunc("mmqjp_cq_rows_total", "RoutT rows the chosen Stage-2 plans produced, before the window test.",
 		func() float64 { return float64(eng().Stats().CQRows) })
+	r.CounterFunc("mmqjp_patterns_triggered_total", "Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document).",
+		func() float64 { return float64(eng().Stats().PatternsTriggered) })
+	r.CounterFunc("mmqjp_witness_probes_total", "Candidates examined by the witness assembly of triggered patterns.",
+		func() float64 { return float64(eng().Stats().WitnessProbes) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")

@@ -125,6 +125,14 @@ type Stats struct {
 	// exactly under a forced plan.
 	CQProbes int64
 	CQRows   int64
+	// PatternsTriggered counts the registered patterns that reached witness
+	// assembly (every path prefix of the pattern had a candidate in the
+	// document) and WitnessProbes the candidates their assembly examined
+	// (yfilter.MatchResult.Work) — Stage 1's counted work, a pure function
+	// of the documents and the registered patterns. A pattern that is not
+	// triggered costs neither a probe nor an allocation.
+	PatternsTriggered int64
+	WitnessProbes     int64
 }
 
 // Add accumulates o into s: per-shard stats into a processor total, or
@@ -147,4 +155,6 @@ func (s *Stats) Add(o Stats) {
 	s.ExploreWall += o.ExploreWall
 	s.CQProbes += o.CQProbes
 	s.CQRows += o.CQRows
+	s.PatternsTriggered += o.PatternsTriggered
+	s.WitnessProbes += o.WitnessProbes
 }

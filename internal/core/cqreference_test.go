@@ -273,9 +273,15 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // not in a timing comparison. Each case replays its stream (generator seeds
 // 1 and 8) through a one-worker ViewMat processor that has processed it once
 // already, so templates, join state, view cache and pools are warm; stage1
-// measures RunStage1 alone, the others the full Process. A ceiling is at
-// most 1.25 times what its case logs.
+// measures RunStage1 alone, the others the full Process. The deep case is the
+// benchmark's deep_filter shape — 546 single-block filters and 54 joins over
+// 265-node feeds, of which a document triggers a few percent — so a Stage 1
+// whose cost follows the registered count fails here. A ceiling is at most
+// 1.25 times what its case logs.
 func TestPublishAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector (race_test.go)")
+	}
 	type generator interface {
 		Queries(*rand.Rand, int) []*xscl.Query
 		Stream(*rand.Rand, int) []*xmldoc.Document
@@ -287,9 +293,10 @@ func TestPublishAllocCeiling(t *testing.T) {
 		stage1         bool
 		ceiling        float64
 	}{
-		{"rss stage1", workload.DefaultRSS(), 300, 400, true, 330},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, false, 510},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, false, 1820},
+		{"rss stage1", workload.DefaultRSS(), 300, 400, true, 110},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, false, 295},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, false, 660},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, true, 114},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{ViewMaterialization: true})
@@ -317,5 +324,51 @@ func TestPublishAllocCeiling(t *testing.T) {
 				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestStage1WorkFollowsTriggeredPatterns pins what Stage 1 pays for: on the
+// deep_filter shape, registering ten times more filters whose topic never
+// occurs in a document moves neither the counted assembly work
+// (Stats.PatternsTriggered, Stats.WitnessProbes) nor the allocations of
+// RunStage1. Counts, so no clock; the allocation comparison allows 5% for a
+// pooled match result lost to a collection during one of the two passes.
+// (internal/yfilter's TestAssemblyWorkBound bounds the probes themselves by
+// the triggered patterns' candidates and witnesses.)
+func TestStage1WorkFollowsTriggeredPatterns(t *testing.T) {
+	c := workload.DefaultDeepFeed()
+	stream := c.Stream(rand.New(rand.NewSource(8)), 40)
+	measure := func(never int) (triggered, probes int64, allocs float64) {
+		p := NewProcessor(Config{ViewMaterialization: true})
+		rng := rand.New(rand.NewSource(1))
+		for _, q := range c.Queries(rng, 600) {
+			p.MustRegister(q)
+		}
+		for i := 0; i < never; i++ {
+			p.MustRegister(c.Filter(rng, c.Topics+i))
+		}
+		for _, d := range stream {
+			p.Process("S", d)
+		}
+		st := p.Stats()
+		allocs = testing.AllocsPerRun(1, func() {
+			for _, d := range stream {
+				p.RunStage1("S", d)
+			}
+		}) / float64(len(stream))
+		return st.PatternsTriggered, st.WitnessProbes, allocs
+	}
+	tr1, pr1, al1 := measure(0)
+	tr10, pr10, al10 := measure(6000)
+	t.Logf("600 subscriptions: %d triggered, %d probes, %.1f allocations per document; with 6 000 never-matching filters more: %d, %d, %.1f",
+		tr1, pr1, al1, tr10, pr10, al10)
+	if tr1 == 0 || pr1 == 0 {
+		t.Fatal("test premise: some pattern is triggered")
+	}
+	if tr10 != tr1 || pr10 != pr1 {
+		t.Errorf("counted Stage-1 work moved with the registered set: %d/%d triggered, %d/%d probes", tr1, tr10, pr1, pr10)
+	}
+	if al10 > 1.05*al1 && !raceEnabled {
+		t.Errorf("%.1f allocations per document with 6 600 patterns against %.1f with 600", al10, al1)
 	}
 }

@@ -691,6 +691,9 @@ type stage1Result struct {
 	singles []Match
 
 	xpath, witness, wall time.Duration
+	// triggered and probes are the document's counted assembly work
+	// (Stats.PatternsTriggered, Stats.WitnessProbes).
+	triggered, probes int64
 }
 
 // runStage1 performs Stage 1 for one document: shared-NFA matching, witness
@@ -707,6 +710,10 @@ func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
 	r.xpath = time.Since(t0)
 
 	t1 := time.Now()
+	// Every live pattern is asked, in registration order (which fixes the
+	// relations' row order); one the document did not trigger is answered
+	// by a few loads inside Witnesses, so the loop's cost follows the
+	// triggered patterns' candidates and witnesses.
 	for _, pi := range p.patternList {
 		ws := res.Witnesses(pi.yid)
 		if len(ws) == 0 {
@@ -744,6 +751,7 @@ func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
 	}
 	r.witness = time.Since(t1)
 	r.wall = time.Since(t0)
+	r.triggered, r.probes = res.Work()
 	// The witnesses are fully copied into the current-witness relations and
 	// single-block matches above, so the match result's scratch (candidate
 	// lists, NFA state sets) can go back to the engine's pool here — still
@@ -766,6 +774,8 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	p.stats.XPath += r.xpath
 	p.stats.Witness += r.witness
 	p.stats.Stage1Wall += r.wall
+	p.stats.PatternsTriggered += r.triggered
+	p.stats.WitnessProbes += r.probes
 	out := r.singles
 
 	var stage2 time.Duration

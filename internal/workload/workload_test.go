@@ -216,3 +216,49 @@ func TestRSSTemplatesBounded(t *testing.T) {
 		t.Errorf("templates = %d, want 5", got)
 	}
 }
+
+// TestDeepFeedShape checks the properties the Stage-1 cost tests rely on:
+// documents of about 265 nodes in pre-order ids, filters that fire on a few
+// percent of the documents, and a topic outside the pool that never occurs.
+func TestDeepFeedShape(t *testing.T) {
+	c := DefaultDeepFeed()
+	p := core.NewProcessor(core.Config{})
+	rng := rand.New(rand.NewSource(3))
+	queries := c.Queries(rng, 220)
+	for _, q := range queries {
+		p.MustRegister(q)
+	}
+	never := p.MustRegister(c.Filter(rng, c.Topics))
+	stream := c.Stream(rand.New(rand.NewSource(4)), 50)
+	fired := map[core.QueryID]int{}
+	for _, d := range stream {
+		if d.Len() < 240 || d.Len() > 290 {
+			t.Fatalf("document of %d nodes, want about 265", d.Len())
+		}
+		reparsed, err := xmldoc.ParseString(d.XMLText(), d.ID, d.Timestamp)
+		if err != nil || reparsed.Len() != d.Len() {
+			t.Fatalf("document does not survive a text round trip: %v", err)
+		}
+		seen := map[core.QueryID]bool{}
+		for _, m := range p.Process("S", d) {
+			if !seen[m.Query] {
+				seen[m.Query] = true
+				fired[m.Query]++
+			}
+		}
+	}
+	if fired[never] != 0 {
+		t.Errorf("a filter on topic %d fired %d times", c.Topics, fired[never])
+	}
+	filters, hits := 0, 0
+	for i, q := range queries {
+		if q.Op == xscl.OpNone {
+			filters++
+			hits += fired[core.QueryID(i)]
+		}
+	}
+	rate := float64(hits) / float64(filters*len(stream))
+	if rate < 0.01 || rate > 0.10 {
+		t.Errorf("filters fire on %.1f%% of documents, want a few percent", 100*rate)
+	}
+}

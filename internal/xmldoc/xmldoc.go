@@ -102,16 +102,6 @@ func (d *Document) IsLeaf(id NodeID) bool {
 	return true
 }
 
-// IsAncestor reports whether a is a proper ancestor of b within d.
-func (d *Document) IsAncestor(a, b NodeID) bool {
-	for p := d.Nodes[b].Parent; p >= 0; p = d.Nodes[p].Parent {
-		if p == a {
-			return true
-		}
-	}
-	return false
-}
-
 // finalize computes memoized string values. It must be called once after all
 // nodes are in place.
 func (d *Document) finalize() {

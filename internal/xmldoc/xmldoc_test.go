@@ -131,26 +131,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestIsAncestor(t *testing.T) {
-	b := NewBuilder(1, 0, "r")
-	a := b.Element(0, "a", "")
-	bb := b.Element(a, "b", "")
-	c := b.Element(0, "c", "")
-	d := b.Build()
-	cases := []struct {
-		a, b NodeID
-		want bool
-	}{
-		{0, a, true}, {0, bb, true}, {a, bb, true},
-		{bb, a, false}, {a, c, false}, {a, a, false},
-	}
-	for _, tc := range cases {
-		if got := d.IsAncestor(tc.a, tc.b); got != tc.want {
-			t.Errorf("IsAncestor(%d,%d) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestIsLeaf(t *testing.T) {
 	b := NewBuilder(1, 0, "r")
 	a := b.Element(0, "a", "")

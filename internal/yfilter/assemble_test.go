@@ -1,0 +1,304 @@
+package yfilter
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/workload"
+	"repro/internal/xmldoc"
+	"repro/internal/xpath"
+)
+
+// randomTreeDoc builds an n-node document over the given tag names whose
+// depth performs a random walk (so same-name elements nest and a sibling run
+// is interrupted by deeper nodes of the same name), one node in eight an
+// attribute. With levelOrder the Builder is fed breadth-first, so node ids
+// are not pre-order: document order is then the child order alone.
+func randomTreeDoc(rng *rand.Rand, n int, names []string, levelOrder bool) *xmldoc.Document {
+	type node struct {
+		name   string
+		attr   bool
+		parent int
+		kids   []int
+	}
+	nodes := []node{{name: names[rng.Intn(len(names))], parent: -1}}
+	open := []int{0}
+	for i := 1; i < n; i++ {
+		for len(open) > 1 && rng.Intn(2) == 0 {
+			open = open[:len(open)-1]
+		}
+		p := open[len(open)-1]
+		nodes = append(nodes, node{name: names[rng.Intn(len(names))], attr: rng.Intn(8) == 0, parent: p})
+		nodes[p].kids = append(nodes[p].kids, i)
+		if !nodes[i].attr {
+			open = append(open, i)
+		}
+	}
+	b := xmldoc.NewBuilder(1, 0, nodes[0].name)
+	ids := make([]xmldoc.NodeID, n)
+	add := func(i int) {
+		if nodes[i].attr {
+			ids[i] = b.Attribute(ids[nodes[i].parent], nodes[i].name, fmt.Sprint(i%3))
+		} else {
+			ids[i] = b.Element(ids[nodes[i].parent], nodes[i].name, strings.Repeat("x", i%2))
+		}
+	}
+	if levelOrder {
+		for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+			for _, k := range nodes[queue[0]].kids {
+				add(k)
+				queue = append(queue, k)
+			}
+		}
+	} else {
+		for i := 1; i < n; i++ {
+			add(i) // creation order is pre-order
+		}
+	}
+	return b.Build()
+}
+
+// smallPattern draws random patterns until one has at most maxNodes nodes, so
+// the exponential MatchNaive stays affordable on a document of hundreds of
+// nodes.
+func smallPattern(rng *rand.Rand, maxNodes int) *xpath.Pattern {
+	for {
+		if p := randomPattern(rng); len(p.Nodes) <= maxNodes {
+			return p
+		}
+	}
+}
+
+func checkAgainstNaive(t *testing.T, label string, r *MatchResult, id PatternID, p *xpath.Pattern, doc *xmldoc.Document) {
+	t.Helper()
+	got := sortedWitnesses(r.Witnesses(id))
+	want := sortedWitnesses(p.MatchNaive(doc))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: pattern %q doc %s:\nengine %v\nnaive  %v", label, p.String(), doc.XMLText(), got, want)
+	}
+}
+
+// TestPropertyLargeDocuments checks assembly against the naive matcher where
+// the interval join can go wrong: documents of 200-400 nodes over five names
+// (same-name elements nested under //, sibling runs interleaved with deeper
+// candidates of the same prefix, attributes, *), in pre-order and in
+// level-order ids, against raw patterns (unbound interior nodes above bound
+// ones: the deduplicating path) and their fully bound forms (the path
+// internal/core uses), several patterns sharing one engine.
+func TestPropertyLargeDocuments(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names := []string{"a", "b", "c", "d", "e"}
+	dedup := 0
+	for trial := 0; trial < 40; trial++ {
+		doc := randomTreeDoc(rng, 200+rng.Intn(201), names, trial%2 == 1)
+		e := NewEngine()
+		var ids []PatternID
+		for i := 0; i < 4; i++ {
+			raw := smallPattern(rng, 4)
+			bound, _ := raw.NormalizedFullyBound()
+			ids = append(ids, e.Register(raw), e.Register(bound))
+		}
+		r := e.MatchDocument("S", doc)
+		for _, id := range ids {
+			if e.asm[id].dedup {
+				dedup++
+			}
+			checkAgainstNaive(t, fmt.Sprintf("trial %d", trial), r, id, e.Pattern(id), doc)
+		}
+		r.Release()
+	}
+	if dedup == 0 {
+		t.Error("test premise: no pattern took the deduplicating path")
+	}
+}
+
+// TestScratchReuseAcrossDocumentSizes matches a large document, a small one
+// and the large one again through one engine, releasing in between, so the
+// second and third runs reuse numbering, reduced lists and slab sized and
+// filled by another document.
+func TestScratchReuseAcrossDocumentSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"a", "b", "c"}
+	e := NewEngine()
+	var ids []PatternID
+	for i := 0; i < 12; i++ {
+		ids = append(ids, e.Register(smallPattern(rng, 4)))
+	}
+	large := randomTreeDoc(rng, 300, names, false)
+	small := randomTreeDoc(rng, 9, names, true)
+	for round, doc := range []*xmldoc.Document{large, small, large, small} {
+		r := e.MatchDocument("S", doc)
+		for _, id := range ids {
+			checkAgainstNaive(t, fmt.Sprintf("round %d", round), r, id, e.Pattern(id), doc)
+		}
+		r.Release()
+	}
+}
+
+// TestWitnessOrderIsEnumerationOrder pins the order Witnesses returns
+// (pattern nodes in pre-order, candidates in document order, a repeated
+// binding kept at its first occurrence): internal/core's relation row order
+// depends on it.
+func TestWitnessOrderIsEnumerationOrder(t *testing.T) {
+	doc, err := xmldoc.ParseString("<r><a><a><b/><b/></a><b/></a><a><b/></a></r>", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ pattern, want string }{
+		{"S//a->x[.//b->y]", "[[1 3] [1 4] [1 5] [2 3] [2 4] [6 7]]"},
+		{"S//a->x[./b->y]", "[[1 5] [2 3] [2 4] [6 7]]"},
+		{"S//a[.//b->y]", "[[3] [4] [5] [7]]"},
+		{"S//a[./a]//b->y", "[[3] [4] [5]]"},
+	} {
+		e := NewEngine()
+		id := e.Register(xpath.MustParseBlock(tc.pattern))
+		var got [][]xmldoc.NodeID
+		for _, w := range e.MatchDocument("S", doc).Witnesses(id) {
+			got = append(got, w.Bindings)
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("%s: witnesses %v, want %s", tc.pattern, got, tc.want)
+		}
+	}
+}
+
+// TestUntriggeredPatternCostsNothing checks the trigger: a pattern with a
+// prefix the document has no candidate for is answered without assembly,
+// probes or allocation, however many such patterns are registered.
+func TestUntriggeredPatternCostsNothing(t *testing.T) {
+	e := NewEngine()
+	hit := e.Register(xpath.MustParseBlock("S//book->x1[.//author->x2]"))
+	var misses []PatternID
+	for i := 0; i < 500; i++ {
+		misses = append(misses, e.Register(xpath.MustParseBlock(fmt.Sprintf("S//book->x1[.//author->x2][./t%d]", i))))
+	}
+	d := xmldoc.PaperD1(1, 100)
+	r := e.MatchDocument("S", d)
+	if len(r.Witnesses(hit)) == 0 {
+		t.Fatal("test premise: the book/author pattern matches d1")
+	}
+	triggered, probes := r.Work()
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, id := range misses {
+			if r.Witnesses(id) != nil {
+				t.Fatal("untriggered pattern produced witnesses")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations drawing 500 untriggered patterns, want 0", allocs)
+	}
+	if tr, pr := r.Work(); tr != triggered || pr != probes || triggered != 1 {
+		t.Errorf("work moved from %d/%d to %d/%d (want 1 triggered, unchanged)", triggered, probes, tr, pr)
+	}
+}
+
+// TestAssemblyWorkBound bounds the counted assembly work on the deep_filter
+// shape (workload.DeepFeed: 1 000 subscriptions, 265-node feeds): the
+// candidates reduction and enumeration examine stay within c = 2 times the
+// candidates of the triggered patterns plus the witnesses emitted (1.3 as
+// measured), and only a few percent of the registered patterns are triggered.
+// The constant is for patterns of this size (at most 7 nodes, fan-out 3) on
+// documents where no prefix nests inside itself: reduction looks at a
+// candidate once per pattern child, enumeration at one candidate per witness
+// and pattern node.
+func TestAssemblyWorkBound(t *testing.T) {
+	c := workload.DefaultDeepFeed()
+	e := NewEngine()
+	var ids []PatternID
+	for _, q := range c.Queries(rand.New(rand.NewSource(1)), 1000) {
+		for _, block := range []*xpath.Pattern{q.Left, q.Right} {
+			if block == nil {
+				continue
+			}
+			bound, _ := block.NormalizedFullyBound()
+			if id := e.Register(bound); int(id) == len(ids) {
+				ids = append(ids, id)
+			}
+		}
+	}
+	var triggered, probes, candidates, witnesses int64
+	docs := c.Stream(rand.New(rand.NewSource(2)), 20)
+	for _, d := range docs {
+		r := e.MatchDocument("S", d)
+		for _, id := range ids {
+			before, _ := r.Work()
+			witnesses += int64(len(r.Witnesses(id)))
+			if after, _ := r.Work(); after > before {
+				for _, pid := range e.asm[id].prefix {
+					candidates += int64(len(r.candList[pid]))
+				}
+			}
+		}
+		tr, pr := r.Work()
+		triggered, probes = triggered+tr, probes+pr
+		r.Release()
+	}
+	n := int64(len(docs))
+	t.Logf("%d patterns; per document %d triggered, %d probes, %d candidates of triggered patterns, %d witnesses",
+		len(ids), triggered/n, probes/n, candidates/n, witnesses/n)
+	if probes > 2*(candidates+witnesses) {
+		t.Errorf("%d probes for %d candidates and %d witnesses: over 2x", probes, candidates, witnesses)
+	}
+	if 10*triggered > int64(len(ids))*n {
+		t.Errorf("%d of %d pattern-document pairs triggered: the shape should trigger a few percent", triggered, int64(len(ids))*n)
+	}
+}
+
+// TestAttributeWildcard pins the @* step, which the NFA used to compile into
+// a transition on a literal "@*" symbol no attribute carries.
+func TestAttributeWildcard(t *testing.T) {
+	doc, err := xmldoc.ParseString(`<r i="1"><s i="2" j="3"><t/></s></r>`, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	p := xpath.MustParseBlock("S//*->w[./@*->v]")
+	id := e.Register(p)
+	checkAgainstNaive(t, "@*", e.MatchDocument("S", doc), id, p, doc)
+	if got := len(e.MatchDocument("S", doc).Witnesses(id)); got != 3 {
+		t.Errorf("%d witnesses, want 3", got)
+	}
+}
+
+// FuzzWitnessesMatchNaive lets the fuzzer supply a block pattern and an XML
+// document: the engine's witnesses must equal MatchNaive's as sets, for the
+// pattern as written (possibly deduplicating) and for its fully bound form,
+// on a fresh result and again on the recycled one, without panicking. Sizes
+// are capped because MatchNaive is exponential in the pattern.
+func FuzzWitnessesMatchNaive(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"S//book->x1[.//author->x2][.//title->x3]", "<lib><book><author>a</author><title>t</title><author>b</author></book></lib>"},
+		{"S//entry->e[./topics/t17]", "<feed><entry><topics><t17/></topics><entry><topics><t3/></topics></entry></entry></feed>"},
+		{"S//a[.//a->x]//b->y", "<a><a><b/><a><b/></a></a><b/></a>"},
+		{"S//a->x[./b->y]", "<r><a><c><a><b/></a></c><b/><b/></a></r>"},
+		{"S//*->w[./@*->v]", `<r i="1"><s i="2" j="3"><t/></s></r>`},
+		{"S/r/a[./b]//c->z", "<r><a><b/><d><c/><c/></d></a><a><c/></a></r>"},
+		{"S//a[.//b][.//c]", "<a><b/><a><c/></a></a>"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, block, doc string) {
+		raw, err := xpath.ParseBlock(block)
+		if err != nil || len(raw.Nodes) > 5 {
+			return
+		}
+		d, err := xmldoc.ParseString(doc, 1, 0)
+		if err != nil || d.Len() > 48 {
+			return
+		}
+		bound, _ := raw.NormalizedFullyBound()
+		e := NewEngine()
+		ids := []PatternID{e.Register(raw), e.Register(bound)}
+		for round := 0; round < 2; round++ {
+			r := e.MatchDocument(raw.Stream, d)
+			for _, id := range ids {
+				checkAgainstNaive(t, fmt.Sprintf("round %d", round), r, id, e.Pattern(id), d)
+			}
+			r.Release()
+		}
+	})
+}

@@ -6,16 +6,19 @@
 // paths; the distinct paths of all patterns are compiled into a single
 // shared NFA whose states are shared across common path prefixes. One pass
 // of the NFA over a document's SAX-style event stream computes, for every
-// distinct path prefix, the set of matching document nodes. Tree-pattern
-// witnesses (complete bound-variable assignments) are then assembled per
-// distinct pattern by a post-processing join of the candidate sets along the
-// pattern's branch structure, mirroring YFilter's shared-path + nested-path
-// post-processing design.
+// distinct path prefix, the set of matching document nodes, and numbers the
+// nodes it visits in document order. Tree-pattern witnesses (complete
+// bound-variable assignments) are then assembled by a post-processing join of
+// the candidate sets along the pattern's branch structure, mirroring
+// YFilter's shared-path + nested-path post-processing design (assemble.go) —
+// but only for the patterns the document triggered: a pattern with a prefix
+// no node matched is answered by a few loads and no allocation, so the
+// per-document cost of assembly follows the document's candidates and its
+// witnesses, not the registered set.
 //
-// Patterns are deduplicated on registration (by canonical key), so the cost
-// of both NFA execution and witness assembly is paid once per distinct
-// pattern per document, independent of how many queries reference the
-// pattern.
+// Patterns are deduplicated on registration (by canonical key), so NFA
+// execution and witness assembly are shared by every query that references
+// the pattern.
 //
 // # Memory layout
 //
@@ -27,9 +30,9 @@
 // The table is rebuilt lazily after Register; rebuilds are serialized and
 // published with an atomic flag so concurrent MatchDocument calls are safe.
 // Per-document evaluation state (active-state sets per depth, the
-// generation-stamped visited array, candidate lists) lives in a pooled
-// MatchResult that callers return with Release when they are done with the
-// witnesses.
+// generation-stamped visited array, candidate lists, the visit numbering and
+// the assembly scratch) lives in a pooled MatchResult that callers return
+// with Release when they have drawn the witnesses they need.
 package yfilter
 
 import (
@@ -55,6 +58,7 @@ const noState stateID = -1
 type nfaState struct {
 	trans   map[sym.ID]stateID // construction form of the exact-symbol transitions
 	star    stateID            // transition on any element symbol (noState if absent)
+	attr    stateID            // transition on any attribute symbol, the @* test (noState if absent)
 	eps     stateID            // ε-transition to the //-self-loop state (noState if absent)
 	self    bool               // state has a self-loop on any symbol (the // state)
 	accepts []int              // prefix ids accepted when this state is reached
@@ -88,7 +92,7 @@ type streamNFA struct {
 
 func (sn *streamNFA) newState() stateID {
 	id := stateID(len(sn.states))
-	sn.states = append(sn.states, nfaState{star: noState, eps: noState})
+	sn.states = append(sn.states, nfaState{star: noState, attr: noState, eps: noState})
 	return id
 }
 
@@ -146,19 +150,16 @@ type Engine struct {
 	byKey    map[string]PatternID
 	streams  map[string]*streamNFA
 
-	// nodePrefix[pid][i] is the prefix id of pattern pid's node i.
-	nodePrefix [][]int
-	// hasBound[pid][i] reports whether the subtree of pattern pid rooted
-	// at node i contains a bound variable (used to cut enumeration of
-	// purely existential subtrees).
-	hasBound [][]bool
+	// asm[pid] is what assembly needs to know about pattern pid, derived
+	// once at Register (assemble.go).
+	asm []assembly
 	// dead[pid] marks a pattern no caller references any more (SetLive);
 	// its NFA states stay (they are prefix-shared), but candidate
 	// collection for its exclusive prefixes stops. Register revives a
 	// canonically-equal pattern.
 	dead []bool
 
-	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch; witnesses handed to callers own their Bindings arrays
+	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists, numbering, reduced lists, the enumeration slab); a pattern's witnesses are copied out of the slab into arrays of their own before Witnesses returns
 	pool sync.Pool
 }
 
@@ -224,35 +225,12 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 		}
 	}
 	sn.tableClean.Store(false)
-	e.nodePrefix = append(e.nodePrefix, np)
-
-	hb := make([]bool, len(p.Nodes))
-	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		n := p.Nodes[i]
-		hb[i] = n.Var != ""
-		for _, c := range n.Children {
-			hb[i] = hb[i] || hb[c.Index]
-		}
-	}
-	e.hasBound = append(e.hasBound, hb)
+	e.asm = append(e.asm, newAssembly(p, sn, np))
 	e.dead = append(e.dead, false)
-	for _, pid := range e.distinctPrefixes(id) {
+	for _, pid := range e.asm[id].distinct {
 		sn.prefixLive[pid]++
 	}
 	return id
-}
-
-// distinctPrefixes returns the deduplicated prefix ids of a pattern's nodes.
-func (e *Engine) distinctPrefixes(id PatternID) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, pid := range e.nodePrefix[id] {
-		if !seen[pid] {
-			seen[pid] = true
-			out = append(out, pid)
-		}
-	}
-	return out
 }
 
 // SetLive marks a pattern live or dead. A dead pattern keeps its shared NFA
@@ -266,13 +244,13 @@ func (e *Engine) SetLive(id PatternID, live bool) {
 		return
 	}
 	e.dead[id] = !live
-	sn := e.streams[e.patterns[id].Stream]
+	a := &e.asm[id]
 	delta := 1
 	if !live {
 		delta = -1
 	}
-	for _, pid := range e.distinctPrefixes(id) {
-		sn.prefixLive[pid] += delta
+	for _, pid := range a.distinct {
+		a.sn.prefixLive[pid] += delta
 	}
 }
 
@@ -291,7 +269,14 @@ func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {
 	if st.IsAttr {
 		name = "@" + name
 	}
-	if name == "*" && !st.IsAttr {
+	if st.Name == "*" {
+		if st.IsAttr {
+			if sn.states[cur].attr == noState {
+				sl := sn.newState()
+				sn.states[cur].attr = sl
+			}
+			return sn.states[cur].attr
+		}
 		if sn.states[cur].star == noState {
 			sl := sn.newState()
 			sn.states[cur].star = sl
@@ -311,21 +296,28 @@ func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {
 }
 
 // MatchResult holds the outcome of evaluating one document against all
-// patterns of one stream, plus the reusable per-document scratch of the NFA
-// run. Results come from a per-engine pool; callers that are done with the
-// witnesses should call Release to recycle the candidate lists and scratch
-// (witness Bindings arrays are freshly allocated and survive Release).
+// patterns of one stream: the NFA run's candidate lists and visit numbering,
+// from which Witnesses assembles one pattern at a time. Results come from a
+// per-engine pool and everything in them is scratch that Release recycles;
+// the witnesses a call to Witnesses returns live in arrays of their own and
+// survive Release.
 type MatchResult struct {
-	eng    *Engine
-	stream string
-	sn     *streamNFA
-	doc    *xmldoc.Document
+	eng *Engine
+	sn  *streamNFA
+	doc *xmldoc.Document
 
 	// candList[prefixID] lists the document nodes matching the prefix, in
 	// document order. Backing arrays are retained across Release/reuse.
 	candList [][]xmldoc.NodeID
 
-	witnesses map[PatternID][]xpath.Witness
+	// span[n] numbers the nodes the walk descended into: pre is n's visit
+	// number, end the last visit number handed out inside n's subtree, so m
+	// is a proper descendant of n exactly when pre(n) < pre(m) <= end(n).
+	// Every candidate is numbered, and candidate lists ascend in pre.
+	// Entries of nodes this document's walk never reached are stale (the
+	// array is sized to the largest document seen) and never read.
+	span  []interval
+	clock int32
 
 	// levels[d] is the active state set at document depth d; each depth
 	// owns its slice, so sibling subtrees can never alias each other's
@@ -334,7 +326,12 @@ type MatchResult struct {
 	levels  [][]stateID
 	visited []uint64
 	gen     uint64
+
+	asmScratch
 }
+
+// interval is one node's entry in MatchResult.span.
+type interval struct{ pre, end int32 }
 
 // MatchDocument runs the stream's shared NFA over the document and returns a
 // result from which per-pattern witnesses can be drawn. A nil result is
@@ -347,9 +344,13 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 	sn.ensureTable()
 	r, _ := e.pool.Get().(*MatchResult)
 	if r == nil {
-		r = &MatchResult{witnesses: map[PatternID][]xpath.Witness{}}
+		r = &MatchResult{}
 	}
-	r.eng, r.stream, r.sn, r.doc = e, stream, sn, d
+	r.eng, r.sn, r.doc = e, sn, d
+	r.clock, r.triggered, r.probes = 0, 0, 0
+	if len(r.span) < d.Len() {
+		r.span = make([]interval, d.Len())
+	}
 	if cap(r.candList) >= sn.numPrefix {
 		r.candList = r.candList[:sn.numPrefix]
 	} else {
@@ -377,8 +378,8 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 
 // Release returns the result's scratch to the engine's pool. The result
 // must not be used afterwards; witnesses already handed out stay valid
-// (their Bindings arrays are never pooled). Release on nil or an already
-// released result is a no-op.
+// (Witnesses copies them out of the pooled slab). Release on nil or an
+// already released result is a no-op.
 func (r *MatchResult) Release() {
 	if r == nil || r.eng == nil {
 		return
@@ -387,8 +388,7 @@ func (r *MatchResult) Release() {
 	for i := range r.candList {
 		r.candList[i] = r.candList[i][:0]
 	}
-	clear(r.witnesses)
-	r.eng, r.sn, r.doc = nil, nil, nil
+	r.eng, r.sn, r.doc, r.pat, r.asm = nil, nil, nil, nil, nil
 	eng.pool.Put(r)
 }
 
@@ -397,7 +397,9 @@ func (r *MatchResult) Release() {
 // end-element corresponds to the implicit stack pop on return). The next
 // set is deduplicated with the generation-stamped visited array, and
 // ε-successors are folded in as each state is added, so closure costs O(1)
-// per discovered state instead of a rescan of the set.
+// per discovered state instead of a rescan of the set. A node the walk
+// descends into gets its entry in span; a node it prunes can be no
+// candidate and needs none.
 func (r *MatchResult) visit(n xmldoc.NodeID, depth int) {
 	dn := r.doc.Node(n)
 	isElem := dn.Kind == xmldoc.ElementNode
@@ -424,8 +426,12 @@ func (r *MatchResult) visit(n xmldoc.NodeID, depth int) {
 				}
 			}
 		}
-		if isElem && st.star != noState {
-			for u := st.star; u != noState && visited[u] != gen; u = sn.states[u].eps {
+		wild := st.star
+		if !isElem {
+			wild = st.attr
+		}
+		if wild != noState {
+			for u := wild; u != noState && visited[u] != gen; u = sn.states[u].eps {
 				visited[u] = gen
 				next = append(next, u)
 			}
@@ -450,150 +456,10 @@ func (r *MatchResult) visit(n xmldoc.NodeID, depth int) {
 	if len(next) == 0 {
 		return // no active state can ever fire below this node
 	}
+	pre := r.clock
+	r.clock++
 	for _, c := range dn.Children {
 		r.visit(c, depth+1)
 	}
-}
-
-// Witnesses assembles (memoized) the complete witnesses of the given pattern
-// against the matched document. Patterns registered on a different stream
-// than the one the result was computed for have no witnesses.
-func (r *MatchResult) Witnesses(id PatternID) []xpath.Witness {
-	if r == nil {
-		return nil
-	}
-	if r.eng.patterns[id].Stream != r.stream {
-		return nil
-	}
-	if ws, ok := r.witnesses[id]; ok {
-		return ws
-	}
-	ws := r.assemble(id)
-	r.witnesses[id] = ws
-	return ws
-}
-
-// assemble joins per-prefix candidate sets along the pattern structure,
-// producing each distinct bound-variable assignment once.
-func (r *MatchResult) assemble(id PatternID) []xpath.Witness {
-	p := r.eng.patterns[id]
-	np := r.eng.nodePrefix[id]
-	hb := r.eng.hasBound[id]
-
-	rootCands := r.candList[np[0]]
-	if len(rootCands) == 0 {
-		return nil
-	}
-
-	assignment := make([]xmldoc.NodeID, len(p.Nodes))
-	var out []xpath.Witness
-	seen := map[string]bool{}
-
-	// satisfiable reports whether the subtree rooted at pattern node pn
-	// can be embedded under document node dn (no enumeration).
-	var satisfiable func(pn *xpath.PatternNode, dn xmldoc.NodeID) bool
-	satisfiable = func(pn *xpath.PatternNode, dn xmldoc.NodeID) bool {
-		for _, c := range pn.Children {
-			ok := false
-			for _, cand := range r.candList[np[c.Index]] {
-				if !r.related(c, dn, cand) {
-					continue
-				}
-				if satisfiable(c, cand) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-
-	// enumerate walks the pattern nodes in pre-order, assigning document
-	// nodes; existential (unbound, var-free) subtrees are only checked
-	// for satisfiability, not enumerated.
-	var enumerate func(order []int, k int)
-	emit := func() {
-		w := xpath.Witness{Bindings: make([]xmldoc.NodeID, len(p.VarNodes))}
-		keyBuf := make([]byte, 0, 4*len(p.VarNodes))
-		for i, idx := range p.VarNodes {
-			w.Bindings[i] = assignment[idx]
-			v := assignment[idx]
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		k := string(keyBuf)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, w)
-		}
-	}
-	// order lists the pattern node indexes that must be enumerated
-	// (subtrees containing bound variables), in pre-order.
-	var order []int
-	for i := range p.Nodes {
-		if hb[i] {
-			order = append(order, i)
-		}
-	}
-	enumerate = func(order []int, k int) {
-		if k == len(order) {
-			emit()
-			return
-		}
-		idx := order[k]
-		pn := p.Nodes[idx]
-		for _, cand := range r.candList[np[idx]] {
-			if pn.ParentIndex >= 0 {
-				if !r.related(pn, assignment[pn.ParentIndex], cand) {
-					continue
-				}
-			}
-			// Existential children must be satisfiable under this
-			// choice.
-			ok := true
-			for _, c := range pn.Children {
-				if !hb[c.Index] {
-					sat := false
-					for _, cc := range r.candList[np[c.Index]] {
-						if r.related(c, cand, cc) && satisfiable(c, cc) {
-							sat = true
-							break
-						}
-					}
-					if !sat {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			assignment[idx] = cand
-			enumerate(order, k+1)
-		}
-	}
-	if len(order) == 0 {
-		// Pure existential pattern: a single empty witness when the
-		// pattern matches at all.
-		for _, rc := range rootCands {
-			if satisfiable(p.Root, rc) {
-				return []xpath.Witness{{}}
-			}
-		}
-		return nil
-	}
-	enumerate(order, 0)
-	return out
-}
-
-// related reports whether doc node child can play pattern node pn given its
-// pattern parent is bound to doc node parent.
-func (r *MatchResult) related(pn *xpath.PatternNode, parent, child xmldoc.NodeID) bool {
-	if pn.Axis == xpath.Child {
-		return r.doc.Node(child).Parent == parent
-	}
-	return r.doc.IsAncestor(parent, child)
+	r.span[n] = interval{pre, r.clock - 1}
 }

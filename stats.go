@@ -55,6 +55,11 @@ type EngineStats struct {
 	CQProbes int64 `json:"cq_probes"`
 	CQRows   int64 `json:"cq_rows"`
 
+	// Counted Stage-1 work: registered patterns that reached witness
+	// assembly and the candidates their assembly examined (core.Stats).
+	PatternsTriggered int64 `json:"patterns_triggered"`
+	WitnessProbes     int64 `json:"witness_probes"`
+
 	// DroppedCascades counts derived documents discarded at the
 	// composition depth limit (a symptom of a cyclic query network).
 	DroppedCascades int64 `json:"dropped_cascades,omitempty"`
@@ -70,10 +75,10 @@ func (s EngineStats) String() string {
 	if s.Partitions > 1 {
 		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
 	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d",
+	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d",
 		parts, s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
-		s.WitnessPlans, s.RTPlans, s.Explorations)
+		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes)
 }
 
 // Stats returns a structured snapshot of processing cost so far. Use
@@ -119,6 +124,9 @@ func fromCore(s core.Stats) EngineStats {
 		Explorations: s.Explorations,
 		CQProbes:     s.CQProbes,
 		CQRows:       s.CQRows,
+
+		PatternsTriggered: s.PatternsTriggered,
+		WitnessProbes:     s.WitnessProbes,
 	}
 }
 
