@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test benchmark-module race bench coverage lint lint-invariants fmt fuzz-smoke fuzz server-smoke docs-check ci
+.PHONY: all build test alloc-ceilings benchmark-module race bench coverage lint lint-invariants fmt fuzz-smoke fuzz server-smoke docs-check ci
 
 all: build
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The allocation ceilings (count and bytes per document, fixed numbers) ten
+# times over, so one that only passes once in a while — a pooled object lost
+# to a collection, a map that grew — fails here and not at the benchmark gate
+# (the CI alloc-ceilings job).
+alloc-ceilings:
+	$(GO) test -run 'AllocCeiling|BytesCeiling' -count=10 ./internal/core ./internal/xmldoc
 
 # benchmark/ is a nested module the root ./... patterns never reach (the CI
 # benchmark-module job): keep it compiling and its tests green against the
@@ -83,4 +90,4 @@ lint-invariants:
 fmt:
 	gofmt -w .
 
-ci: build lint test benchmark-module race fuzz-smoke server-smoke coverage docs-check
+ci: build lint test alloc-ceilings benchmark-module race fuzz-smoke server-smoke coverage docs-check

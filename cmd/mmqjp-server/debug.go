@@ -116,6 +116,18 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().Stats().PatternsTriggered) })
 	r.CounterFunc("mmqjp_witness_probes_total", "Candidates examined by the witness assembly of triggered patterns.",
 		func() float64 { return float64(eng().Stats().WitnessProbes) })
+	r.CounterFunc("mmqjp_window_gc_total", "Window collections that expired at least one document.",
+		func() float64 { return float64(eng().Stats().WindowGCs) })
+	r.CounterFunc("mmqjp_window_gc_rows_dropped_total", "Join-state rows removed by window collections.",
+		func() float64 { return float64(eng().Stats().GCRowsDropped) })
+	r.CounterFunc("mmqjp_window_gc_rows_moved_total", "Surviving join-state rows window collections shifted to a lower row number.",
+		func() float64 { return float64(eng().Stats().GCRowsMoved) })
+	r.GaugeFunc("mmqjp_state_docs", "Documents in the join state (inside the widest window).",
+		func() float64 { return float64(eng().Stats().StateDocs) })
+	stateRows := r.GaugeFuncVec("mmqjp_state_rows", "Live join-state rows, by witness relation.", "relation")
+	stateRows.With("rbin", func() float64 { return float64(eng().Stats().StateRbinRows) })
+	stateRows.With("rdoc", func() float64 { return float64(eng().Stats().StateRdocRows) })
+	stateRows.With("rroot", func() float64 { return float64(eng().Stats().StateRrootRows) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")

@@ -413,3 +413,65 @@ func TestServerReplyPathMetrics(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestServerWindowStateMetrics checks the join-state metric set end to end: a
+// windowed subscription fed ten windows' worth of documents shows its window
+// collections and their dropped rows as counters, the live state as gauges
+// that stay near the window instead of following the stream, and the same
+// numbers in the STATS line.
+func TestServerWindowStateMetrics(t *testing.T) {
+	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, 0)
+	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+		t.Fatal(err)
+	}
+	brokerAddr := serveOn(t, s)
+	debugAddr, err := s.startDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, docs = 20, 200
+	c := dialTest(t, brokerAddr)
+	c.sendLine(t, fmt.Sprintf("SUB S//a->x FOLLOWED BY{x=y, %d} S//a->y", window))
+	c.readLine(t)
+	for i := 1; i <= docs; i++ {
+		c.sendLine(t, fmt.Sprintf("PUB S %d <a>k%d</a>", i, i))
+		c.readLine(t)
+	}
+	code, body := httpGet(t, "http://"+debugAddr+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	for _, want := range []string{
+		"# TYPE mmqjp_window_gc_total counter",
+		"# TYPE mmqjp_window_gc_rows_dropped_total counter",
+		"# TYPE mmqjp_window_gc_rows_moved_total counter",
+		"# TYPE mmqjp_state_docs gauge",
+		"# TYPE mmqjp_state_rows gauge",
+		`mmqjp_state_rows{relation="rbin"}`,
+		`mmqjp_state_rows{relation="rroot"}`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	gcs := metricValue(t, body, "mmqjp_window_gc_total")
+	dropped := metricValue(t, body, "mmqjp_window_gc_rows_dropped_total")
+	stateDocs := metricValue(t, body, "mmqjp_state_docs")
+	rdoc := metricValue(t, body, `mmqjp_state_rows{relation="rdoc"}`)
+	if gcs < 3 || gcs > docs {
+		t.Errorf("mmqjp_window_gc_total = %d over %d documents with window %d", gcs, docs, window)
+	}
+	// One Rdoc row per document: what was merged is live or was dropped.
+	if stateDocs < window || stateDocs > 4*window || rdoc != stateDocs {
+		t.Errorf("mmqjp_state_docs = %d, rdoc rows = %d, want equal and near the window %d", stateDocs, rdoc, window)
+	}
+	if rroot := metricValue(t, body, `mmqjp_state_rows{relation="rroot"}`); dropped != 2*(docs-stateDocs) || rroot != stateDocs {
+		t.Errorf("rows dropped = %d, rroot rows = %d with %d of %d documents live", dropped, rroot, stateDocs, docs)
+	}
+	c.sendLine(t, "STATS")
+	stats := c.readLine(t)
+	if want := fmt.Sprintf("state docs=%d rbin=0 rdoc=%d rroot=%d, gc runs=%d dropped=%d", stateDocs, rdoc, stateDocs, gcs, dropped); !strings.Contains(stats, want) {
+		t.Errorf("STATS = %q, want it to contain %q", stats, want)
+	}
+}

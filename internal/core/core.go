@@ -60,7 +60,8 @@ type Config struct {
 // the number of matches the document triggered. Stage1 is the document-local
 // NFA match + witness construction (possibly measured on a pipeline worker),
 // Stage2 the template evaluation, Merge the Algorithm-2 state merge plus
-// view-cache maintenance, and GC the window garbage-collection check/rebuild.
+// view-cache maintenance, and GC the window-expiry check and, when it fires,
+// the in-place collection (State.GC).
 type DocTimings struct {
 	Stage1  time.Duration
 	Stage2  time.Duration
@@ -133,6 +134,22 @@ type Stats struct {
 	// triggered costs neither a probe nor an allocation.
 	PatternsTriggered int64
 	WitnessProbes     int64
+	// WindowGCs counts the window collections that expired at least one
+	// document (State.GC), GCRowsDropped the Rbin/Rdoc/Rroot rows they
+	// removed and GCRowsMoved the surviving rows they shifted to a lower
+	// row number — expiry's counted work. A collection moves each live row
+	// at most once, and rows dropped is rows merged minus rows live.
+	WindowGCs     int64
+	GCRowsDropped int64
+	GCRowsMoved   int64
+	// Gauges, read off the join state when the stats are taken (they
+	// survive ResetStats): the documents inside the widest window and their
+	// rows per witness relation. Add sums them, which over partitions is
+	// the routed engine's total.
+	StateDocs      int64
+	StateRbinRows  int64
+	StateRdocRows  int64
+	StateRrootRows int64
 }
 
 // Add accumulates o into s: per-shard stats into a processor total, or
@@ -157,4 +174,11 @@ func (s *Stats) Add(o Stats) {
 	s.CQRows += o.CQRows
 	s.PatternsTriggered += o.PatternsTriggered
 	s.WitnessProbes += o.WitnessProbes
+	s.WindowGCs += o.WindowGCs
+	s.GCRowsDropped += o.GCRowsDropped
+	s.GCRowsMoved += o.GCRowsMoved
+	s.StateDocs += o.StateDocs
+	s.StateRbinRows += o.StateRbinRows
+	s.StateRdocRows += o.StateRdocRows
+	s.StateRrootRows += o.StateRrootRows
 }

@@ -22,11 +22,11 @@ import (
 // from, the row columns it assigns to still-unbound slots and the columns it
 // only checks against bound ones. Column offsets are resolved at compile
 // time; evaluation (cqExec.step) is a depth-first index nested loop over the
-// frame that emits complete frames straight into []Match. No intermediate
-// relation is materialized, and no step scans join state: state relations
-// are reached only through the indexes State.Merge extends and State.GC
-// shrinks, per-document relations through the indexes built once per
-// document in stage2Shared.
+// frame that emits complete frames straight into the shard's emit buffer. No
+// intermediate relation is materialized, and no step scans join state: state
+// relations are reached only through the indexes State.Merge extends and
+// State.GC shrinks, per-document relations through the indexes built once
+// per document in stage2Shared.
 //
 // The two physical plans (planner.go) are the same machine in two step
 // orders. The witness-driven order starts from the document's value-join
@@ -339,10 +339,10 @@ func (x *rowIndex) get(k int64) []int {
 	return x.rows[x.off[g]:x.off[g+1]]
 }
 
-// cqExec evaluates compiled programs against one document on one shard. It
-// reads the processor's registration-time structures, the join state and
-// the per-document inputs, all read-only during Process; everything it
-// writes (frame, output, counters) is its own.
+// cqExec evaluates compiled programs on one shard (shard.ex), one document at
+// a time. It reads the processor's registration-time structures, the join
+// state and the per-document inputs, all read-only during Process; everything
+// it writes (frame, output, counters) is its own.
 type cqExec struct {
 	p   *Processor
 	w   *CurrentWitness
@@ -354,7 +354,9 @@ type cqExec struct {
 	group *vecGroup
 	out   []Match
 
-	// slab is carved into the Bindings of the emitted matches.
+	// slab is carved into the Bindings of the emitted matches: every
+	// carving is handed out once, so Bindings never alias each other or a
+	// later document's.
 	slab   []xmldoc.NodeID
 	keyBuf []byte
 

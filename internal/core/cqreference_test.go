@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -269,15 +270,23 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 }
 
 // TestPublishAllocCeiling bounds the allocations per document of the publish
-// path. A count is the same on every machine, so a regression fails here and
-// not in a timing comparison. Each case replays its stream (generator seeds
-// 1 and 8) through a one-worker ViewMat processor that has processed it once
+// path, as a count and — on the cases that measure the full Process — as
+// bytes. Both are the same on every machine, so a regression fails here and
+// not in a timing comparison. Each case runs its stream (generator seeds 1
+// and 8) through a one-worker ViewMat processor that has processed a pass
 // already, so templates, join state, view cache and pools are warm; stage1
 // measures RunStage1 alone, the others the full Process. The deep case is the
 // benchmark's deep_filter shape — 546 single-block filters and 54 joins over
 // 265-node feeds, of which a document triggers a few percent — so a Stage 1
-// whose cost follows the registered count fails here. A ceiling is at most
-// 1.25 times what its case logs.
+// whose cost follows the registered count fails here. The cases with the
+// generators' own windows replay one stream and expire nothing in the
+// measured pass (the RSS queries use INF, the paper-scale window outlasts its
+// 150 items); "rss window" is the plateau regime of the benchmark's
+// rss_window — every query's window cut to 100, the warm pass and the
+// measured pass consecutive 400-item segments of one stream — so the state
+// merge and window expiry (State.GC, at least three collections in the pass)
+// are inside the ceiling. A ceiling is at most 1.25 times what its case
+// logs.
 func TestPublishAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under the race detector (race_test.go)")
@@ -290,24 +299,38 @@ func TestPublishAllocCeiling(t *testing.T) {
 		name           string
 		gen            generator
 		queries, items int
+		window         int64 // 0: as generated
 		stage1         bool
 		ceiling        float64
+		bytesCeiling   float64 // 0: count only
 	}{
-		{"rss stage1", workload.DefaultRSS(), 300, 400, true, 110},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, false, 295},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, false, 660},
-		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, true, 114},
+		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 110, 0},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 265, 32000},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 150, 16500},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 615, 1040000},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 114, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{ViewMaterialization: true})
 			for _, q := range tc.gen.Queries(rand.New(rand.NewSource(1)), tc.queries) {
+				if tc.window > 0 {
+					q.Window = tc.window
+				}
 				p.MustRegister(q)
 			}
-			stream := tc.gen.Stream(rand.New(rand.NewSource(8)), tc.items)
+			// A windowed case's passes are consecutive segments of the
+			// stream (timestamps keep rising); the others replay one.
+			segments := 1
+			if tc.window > 0 {
+				segments = 2
+			}
+			stream := tc.gen.Stream(rand.New(rand.NewSource(8)), segments*tc.items)
+			next := 0
 			pass := func() {
-				for _, d := range stream {
+				for _, d := range stream[next : next+tc.items] {
 					p.Process("S", d)
 				}
+				next = (next + tc.items) % len(stream)
 			}
 			if tc.stage1 {
 				pass()
@@ -317,11 +340,26 @@ func TestPublishAllocCeiling(t *testing.T) {
 					}
 				}
 			}
-			// AllocsPerRun's own warm-up call is the warm pass.
-			allocs := testing.AllocsPerRun(1, pass) / float64(len(stream))
-			t.Logf("%.1f allocations per document", allocs)
+			pass() // warm
+			gcsBefore := p.Stats().WindowGCs
+			// As testing.AllocsPerRun measures, with the bytes beside the
+			// count.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass()
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(tc.items)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.items)
+			t.Logf("%.1f allocations, %.0f bytes per document", allocs, bytes)
 			if allocs > tc.ceiling {
 				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, tc.ceiling)
+			}
+			if tc.bytesCeiling > 0 && bytes > tc.bytesCeiling {
+				t.Errorf("%.0f bytes allocated per document, want <= %.0f", bytes, tc.bytesCeiling)
+			}
+			if gcs := p.Stats().WindowGCs - gcsBefore; tc.window > 0 && gcs < 3 {
+				t.Errorf("%d window collections in the measured pass, want >= 3", gcs)
 			}
 		})
 	}

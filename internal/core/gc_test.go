@@ -80,8 +80,8 @@ func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
 		t.Fatalf("shouldGC never fired within %d calls with %d non-prefix expired documents",
 			gcFullScanEvery+1, 79)
 	}
-	if got := len(s.GC(100, noSeq)); got != 79 {
-		t.Errorf("GC reclaimed %d documents, want 79", got)
+	if got, _, _ := s.GC(100, noSeq); len(got) != 79 {
+		t.Errorf("GC reclaimed %d documents, want 79", len(got))
 	}
 	if s.NumDocs() != 1 {
 		t.Errorf("NumDocs = %d after GC, want 1 (the skewed head)", s.NumDocs())
@@ -120,10 +120,10 @@ func TestGCReturnsExpiredSet(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		mergeDoc(s, i, i, fmt.Sprintf("s%d", i))
 	}
-	if got := s.GC(1, noSeq); len(got) != 0 {
+	if got, _, _ := s.GC(1, noSeq); len(got) != 0 {
 		t.Errorf("GC expired %v with cutoff below all docs", got)
 	}
-	got := s.GC(4, noSeq)
+	got, _, _ := s.GC(4, noSeq)
 	want := map[xmldoc.DocID]bool{1: true, 2: true, 3: true}
 	if len(got) != len(want) {
 		t.Fatalf("GC expired %v, want %v", got, want)
@@ -240,5 +240,54 @@ func TestViewCacheClearAccountsDrop(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len after Clear = %d", c.Len())
+	}
+}
+
+// TestWindowGCStats checks expiry's counted work as Stats reports it: on a
+// windowed stream every collection moves each live row at most once (there is
+// no second pass over the state), the rows dropped are exactly the rows
+// merged minus the rows live, and the state gauges are the state's sizes —
+// also after ResetStats, which zeroes the counters only.
+func TestWindowGCStats(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := NewProcessor(Config{ViewMaterialization: true, Workers: workers})
+		p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 25} S//item->y[.//a->w][.//b->z]"))
+		p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, ROWS 10} S//b->w"))
+		live := func(s Stats) int64 { return s.StateRbinRows + s.StateRdocRows + s.StateRrootRows }
+		var merged int64
+		prev := p.Stats()
+		for i := 1; i <= 400; i++ {
+			b := xmldoc.NewBuilder(xmldoc.DocID(i), xmldoc.Timestamp(i), "item")
+			b.Element(0, "a", fmt.Sprintf("k%d", i%7))
+			b.Element(0, "b", fmt.Sprintf("k%d", i%5))
+			r := p.runStage1("S", b.Build())
+			merged += int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
+			p.consumeStage1(r)
+			st := p.Stats()
+			if gcs := st.WindowGCs - prev.WindowGCs; gcs > 1 {
+				t.Fatalf("document %d: %d collections", i, gcs)
+			}
+			if moved := st.GCRowsMoved - prev.GCRowsMoved; moved > live(st) {
+				t.Fatalf("document %d: a collection moved %d rows with %d live", i, moved, live(st))
+			}
+			if st.GCRowsDropped != merged-live(st) {
+				t.Fatalf("document %d: %d rows dropped, want %d merged - %d live", i, st.GCRowsDropped, merged, live(st))
+			}
+			prev = st
+		}
+		s := p.state
+		if prev.WindowGCs < 5 || prev.GCRowsMoved == 0 {
+			t.Errorf("workers=%d: %d collections moved %d rows: the stream did not exercise expiry", workers, prev.WindowGCs, prev.GCRowsMoved)
+		}
+		if prev.StateDocs != int64(s.NumDocs()) || prev.StateRbinRows != int64(s.Rbin.Len()) ||
+			prev.StateRdocRows != int64(s.Rdoc.Len()) || prev.StateRrootRows != int64(s.Rroot.Len()) ||
+			s.Rbin.Len() == 0 || s.Rroot.Len() == 0 {
+			t.Errorf("workers=%d: gauges %+v do not describe the state (%d docs, %d/%d/%d rows)",
+				workers, prev, s.NumDocs(), s.Rbin.Len(), s.Rdoc.Len(), s.Rroot.Len())
+		}
+		p.ResetStats()
+		if st := p.Stats(); st.WindowGCs != 0 || st.GCRowsDropped != 0 || st.StateDocs != prev.StateDocs || live(st) != live(prev) {
+			t.Errorf("workers=%d: after ResetStats: %+v", workers, st)
+		}
 	}
 }

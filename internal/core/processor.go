@@ -219,6 +219,10 @@ func (p *Processor) Stats() Stats {
 	for _, sh := range p.shards {
 		s.Add(sh.stats)
 	}
+	s.StateDocs = int64(p.state.NumDocs())
+	s.StateRbinRows = int64(p.state.Rbin.Len())
+	s.StateRdocRows = int64(p.state.Rdoc.Len())
+	s.StateRrootRows = int64(p.state.Rroot.Len())
 	return s
 }
 
@@ -464,6 +468,7 @@ func (p *Processor) reclaimAll() {
 	for _, sh := range p.shards {
 		sh.cache.Clear()
 		sh.stats = Stats{}
+		sh.ex = cqExec{}
 	}
 }
 
@@ -776,15 +781,15 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	p.stats.Stage1Wall += r.wall
 	p.stats.PatternsTriggered += r.triggered
 	p.stats.WitnessProbes += r.probes
-	out := r.singles
 
 	var stage2 time.Duration
 	if p.state.NumDocs() > 0 && w.RdocW.Len() > 0 {
 		t := time.Now()
-		out = append(out, p.evalTemplates(w, d)...)
+		p.evalTemplates(w, d)
 		stage2 = time.Since(t)
 		p.stats.Stage2Wall += stage2
 	}
+	out := p.collectMatches(r.singles)
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
 	// registered query set, never on pattern registration order. That
@@ -813,7 +818,11 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 			// reference an expired document are dropped; surviving
 			// entries stay exact, since Algorithm-5 maintenance keeps
 			// them in sync with every merge.
-			if expired := p.state.GC(cutoffTS, cutoffSeq); len(expired) > 0 {
+			expired, dropped, moved := p.state.GC(cutoffTS, cutoffSeq)
+			if len(expired) > 0 {
+				p.stats.WindowGCs++
+				p.stats.GCRowsDropped += int64(dropped)
+				p.stats.GCRowsMoved += int64(moved)
 				for _, sh := range p.shards {
 					sh.cache.InvalidateDocs(expired)
 				}

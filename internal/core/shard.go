@@ -23,9 +23,10 @@ import (
 // mutable data during a Process call: the join state, the current witness,
 // the per-document indexes (stage2Shared) and the templates' compiled
 // programs and vector groups are read-only inputs, and each worker evaluates
-// only its own shard's templates. Matches from all shards are merged under a
-// total order (SortMatches), so the output is identical for every worker
-// count, including Workers = 1.
+// only its own shard's templates, emitting into its own shard's buffer. The
+// coordinator copies the buffers into the document's result and sorts it
+// under a total order (SortMatches), so the output is identical for every
+// worker count, including Workers = 1.
 
 // shard is one unit of Stage-2 parallelism.
 type shard struct {
@@ -42,7 +43,21 @@ type shard struct {
 
 	//mmqjp:shardowned
 	stats Stats // Stage-2 phase timings and plan counts for this shard
+
+	// ex evaluates this shard's templates and keeps its scratch — the
+	// binding frame, the key buffer and the emit buffer ex.out — across
+	// documents. ex.out holds the current document's matches between
+	// evalShard and collectMatches, which copies them out and resets it:
+	// nothing handed to a caller ever aliases it.
+	//
+	//mmqjp:shardowned
+	ex cqExec
 }
+
+// shardEmitKeep is the emit-buffer capacity, in matches, a shard keeps across
+// documents (≈ 350 KB); a document that grew the buffer beyond it takes the
+// buffer with it, so one burst does not stay resident per shard.
+const shardEmitKeep = 4096
 
 func newShard(id int) *shard {
 	return &shard{id: id, cache: NewViewCache()}
@@ -105,23 +120,42 @@ func (p *Processor) runShards(f func(*shard)) {
 	wg.Wait()
 }
 
-// evalTemplates fans Stage-2 template evaluation out over the shards and
-// concatenates their matches; the caller sorts them.
-func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) []Match {
+// evalTemplates fans Stage-2 template evaluation out over the shards; each
+// leaves its matches in its emit buffer for collectMatches.
+func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 	if len(p.templateList) == 0 {
-		return nil
+		return
 	}
 	pre := p.prepareStage2(w)
 	if pre == nil {
-		return nil
+		return
 	}
-	results := make([][]Match, len(p.shards))
 	p.runShards(func(sh *shard) {
-		results[sh.id] = p.evalShard(sh, w, d, pre)
+		p.evalShard(sh, w, d, pre)
 	})
-	out := results[0]
-	for _, r := range results[1:] {
-		out = append(out, r...)
+}
+
+// collectMatches builds the document's result: the single-block matches and
+// every shard's emit buffer in one exactly sized slice the caller owns,
+// unsorted. The emit buffers are reset for the next document.
+//
+//mmqjp:shardaccess coordinator section after Stage-2 workers drain
+func (p *Processor) collectMatches(singles []Match) []Match {
+	n := 0
+	for _, sh := range p.shards {
+		n += len(sh.ex.out)
+	}
+	if n == 0 {
+		return singles
+	}
+	out := make([]Match, 0, len(singles)+n)
+	out = append(out, singles...)
+	for _, sh := range p.shards {
+		out = append(out, sh.ex.out...)
+		if cap(sh.ex.out) > shardEmitKeep {
+			sh.ex.out = nil
+		}
+		sh.ex.out = sh.ex.out[:0]
 	}
 	return out
 }
@@ -291,8 +325,9 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 // views, which is the per-template tail of Algorithm 4).
 //
 //mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) []Match {
-	ex := &cqExec{p: p, w: w, d: d, pre: pre}
+func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) {
+	ex := &sh.ex
+	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
 	// The witness fan-out depends on the template only through its
 	// value-join count.
 	fanouts := map[int]float64{}
@@ -313,7 +348,8 @@ func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, 
 		}
 		p.runPlans(sh, t, dec, ex)
 	}
-	return ex.out
+	// The executor outlives the document; its inputs must not.
+	ex.w, ex.d, ex.pre, ex.group = nil, nil, nil, nil
 }
 
 // SortMatches applies the canonical total order to ms in place, so the

@@ -54,14 +54,19 @@ type State struct {
 	nextSeq int64
 
 	// The indexes the compiled Stage-2 steps (cqplan.go) and the view
-	// slices (SliceEL) reach the relations through, as row numbers. Merge
-	// extends them row by row; GC and RestoreState rebuild them in row
-	// order (reindex), which yields the same lists. rdocBySym: Rdoc by
-	// string value. rbinByNode2: Rbin by (docid, node2), the walk from a
-	// bound node up to its parent. rrootByNode: Rroot by (docid, node).
+	// slices (SliceEL) reach the relations through, as row numbers, each
+	// list ascending. Merge extends them row by row, GC renumbers them in
+	// place, and NewState and RestoreState build them in row order
+	// (reindex); all three yield the same lists. rdocBySym: Rdoc by string
+	// value. rbinByNode2: Rbin by (docid, node2), the walk from a bound
+	// node up to its parent. rrootByNode: Rroot by (docid, node).
 	rdocBySym   map[sym.ID][]int
 	rbinByNode2 map[binKey][]int
 	rrootByNode map[binKey][]int
+
+	// remap is GC's old row number → new row number scratch (-1 for a
+	// dropped row), reused across collections and relations.
+	remap []int32
 
 	// docs retains full documents for output construction when enabled.
 	docs map[xmldoc.DocID]*xmldoc.Document
@@ -95,7 +100,9 @@ func NewState() *State {
 	return s
 }
 
-// reindex rebuilds every index from the relations, in row order.
+// reindex builds every index from the relations, in row order: the starting
+// point of an empty or restored state. Window expiry maintains the indexes
+// in place (GC) and never comes through here.
 func (s *State) reindex() {
 	s.rdocBySym = map[sym.ID][]int{}
 	s.rbinByNode2 = map[binKey][]int{}
@@ -143,8 +150,8 @@ type CurrentWitness struct {
 
 	// arena slab-allocates the witness rows: the relations above are
 	// per-document and dropped together, so their tuples share chunks
-	// instead of costing one allocation each. Merge copies surviving rows
-	// into fresh long-lived tuples, so nothing arena-backed outlives the
+	// instead of costing one allocation each. Merge copies the rows into
+	// the join state's own storage, so nothing arena-backed outlives the
 	// document.
 	arena relation.Arena
 
@@ -206,17 +213,14 @@ func (w *CurrentWitness) AddRoot(v int64, n xmldoc.NodeID) {
 // id→timestamp pair in RdocTS).
 func (s *State) Merge(w *CurrentWitness, retainDoc bool) {
 	did := relation.Int(int64(w.DocID))
-	for _, t := range w.RbinW.Rows {
-		s.Rbin.Insert(did, t[0], t[1], t[2], t[3])
-		s.indexBin(s.Rbin.Len() - 1)
+	for i := stampRows(s.Rbin, did, w.RbinW.Rows); i < s.Rbin.Len(); i++ {
+		s.indexBin(i)
 	}
-	for _, t := range w.RdocW.Rows {
-		s.Rdoc.Insert(did, t[0], t[1])
-		s.indexDoc(s.Rdoc.Len() - 1)
+	for i := stampRows(s.Rdoc, did, w.RdocW.Rows); i < s.Rdoc.Len(); i++ {
+		s.indexDoc(i)
 	}
-	for _, t := range w.RrootW.Rows {
-		s.Rroot.Insert(did, t[0], t[1])
-		s.indexRoot(s.Rroot.Len() - 1)
+	for i := stampRows(s.Rroot, did, w.RrootW.Rows); i < s.Rroot.Len(); i++ {
+		s.indexRoot(i)
 	}
 	s.RdocTS[w.DocID] = w.TS
 	s.seq[w.DocID] = s.nextSeq
@@ -228,6 +232,25 @@ func (s *State) Merge(w *CurrentWitness, retainDoc bool) {
 	if retainDoc {
 		s.docs[w.DocID] = w.Doc
 	}
+}
+
+// stampRows appends the rows of one witness relation to the state relation
+// r, each prefixed with the document id, and returns the number of the first
+// row added. A document's rows of one relation share one backing array — they
+// are merged together and expire together — so a merge allocates per
+// relation, not per row.
+func stampRows(r *relation.Relation, did relation.Value, rows []relation.Tuple) int {
+	first := r.Len()
+	n := len(r.Schema)
+	backing := make([]relation.Value, n*len(rows))
+	for _, t := range rows {
+		row := relation.Tuple(backing[:n:n])
+		backing = backing[n:]
+		row[0] = did
+		copy(row[1:], t)
+		r.InsertTuple(row)
+	}
+	return first
 }
 
 // HasSym reports whether any previous document produced a value-join node
@@ -256,13 +279,17 @@ func (s *State) SliceEL(id sym.ID) *relation.Relation {
 }
 
 // GC removes all state belonging to documents expired in both window
-// dimensions (timestamp < cutoffTS and arrival index < cutoffSeq).
-// Relations are rebuilt (they are append-only row stores) and the indexes
-// with them, so every index shrinks to the surviving rows. The expired
-// document set is returned so callers can scope downstream invalidation
-// (view-cache entries) to exactly the documents that left.
-func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.DocID]bool {
-	expired := map[xmldoc.DocID]bool{}
+// dimensions (timestamp < cutoffTS and arrival index < cutoffSeq), whether
+// they form a prefix of the arrival order or not. The relations are compacted
+// in place — surviving rows keep their order and shift down over the expired
+// ones — and the indexes are renumbered in place, so a collection allocates
+// nothing per surviving row and every relation and index shrinks to the live
+// documents. The expired document set is returned so callers can scope
+// downstream invalidation (view-cache entries) to exactly the documents that
+// left, with the counted work: rows dropped, and surviving rows that moved to
+// a lower row number.
+func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired map[xmldoc.DocID]bool, dropped, moved int) {
+	expired = map[xmldoc.DocID]bool{}
 	keptIDs := s.docIDs[:0]
 	for _, id := range s.docIDs {
 		if s.RdocTS[id] < cutoffTS && s.seq[id] < cutoffSeq {
@@ -276,23 +303,75 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.DocID]
 	}
 	s.docIDs = keptIDs
 	if len(expired) == 0 {
-		return expired
+		return expired, 0, 0
 	}
-	filter := func(r *relation.Relation) *relation.Relation {
-		c := r.Schema.Col("docid")
-		return r.Select(func(t relation.Tuple) bool {
-			return !expired[xmldoc.DocID(t[c].I)]
-		})
+	d1, m1 := expireRows(s, s.Rbin, s.rbinByNode2, expired)
+	d2, m2 := expireRows(s, s.Rdoc, s.rdocBySym, expired)
+	d3, m3 := expireRows(s, s.Rroot, s.rrootByNode, expired)
+	return expired, d1 + d2 + d3, m1 + m2 + m3
+}
+
+// expireRows removes the expired documents' rows from one state relation and
+// its index.
+func expireRows[K comparable](s *State, r *relation.Relation, idx map[K][]int, expired map[xmldoc.DocID]bool) (dropped, moved int) {
+	dropped, moved = s.compact(r, expired)
+	if dropped > 0 {
+		renumber(idx, s.remap)
 	}
-	s.Rbin = filter(s.Rbin)
-	s.Rdoc = filter(s.Rdoc)
-	s.Rroot = filter(s.Rroot)
-	s.reindex()
-	return expired
+	return dropped, moved
+}
+
+// compact drops the rows of expired documents from r (column 0 is the
+// docid in every state relation), shifting the survivors down in order, and
+// leaves the old → new row numbers in s.remap. The vacated tail is cleared,
+// so the row store does not pin the expired documents' tuples.
+func (s *State) compact(r *relation.Relation, expired map[xmldoc.DocID]bool) (dropped, moved int) {
+	if cap(s.remap) < len(r.Rows) {
+		s.remap = make([]int32, len(r.Rows))
+	}
+	s.remap = s.remap[:len(r.Rows)]
+	n := 0
+	for i, t := range r.Rows {
+		if expired[xmldoc.DocID(t[0].I)] {
+			s.remap[i] = -1
+			continue
+		}
+		if n != i {
+			r.Rows[n] = t
+			moved++
+		}
+		s.remap[i] = int32(n)
+		n++
+	}
+	dropped = len(r.Rows) - n
+	clear(r.Rows[n:])
+	r.Rows = r.Rows[:n]
+	return dropped, moved
+}
+
+// renumber rewrites every row list of idx through remap, in place: dropped
+// rows leave their list, a list left empty leaves the index. remap is
+// monotone over the surviving rows, so the lists stay ascending.
+func renumber[K comparable](idx map[K][]int, remap []int32) {
+	//mmqjp:unordered each key's list is rewritten on its own; nothing is read across keys
+	for k, rows := range idx {
+		kept := rows[:0]
+		for _, row := range rows {
+			if n := remap[row]; n >= 0 {
+				kept = append(kept, int(n))
+			}
+		}
+		switch {
+		case len(kept) == 0:
+			delete(idx, k)
+		case len(kept) < len(rows):
+			idx[k] = kept
+		}
+	}
 }
 
 // gcBatchMin is the expired-prefix length beyond which a GC pays for the
-// state rebuild regardless of the live fraction.
+// pass over the live state regardless of the live fraction.
 const gcBatchMin = 32
 
 // gcFullScanEvery bounds trigger starvation under out-of-order timestamps:
@@ -305,14 +384,14 @@ const gcBatchMin = 32
 // expired document, prefix or not).
 const gcFullScanEvery = 64
 
-// shouldGC reports whether enough documents have expired to make rebuilding
-// the join state worthwhile. A document is expired when its timestamp is
-// below cutoffTS AND its arrival index is below cutoffSeq (pass the maximum
-// value for a dimension with no active windows). Documents normally arrive
-// in timestamp order, so expired documents form a prefix of docIDs: the
-// scan stops at the first live document (and at gcBatchMin, when the
-// verdict is already decided), so this per-publish check is
-// O(min(expired, gcBatchMin)) — except for the periodic full scan that
+// shouldGC reports whether enough documents have expired to make a
+// collection's pass over the join state worthwhile. A document is expired
+// when its timestamp is below cutoffTS AND its arrival index is below
+// cutoffSeq (pass the maximum value for a dimension with no active windows).
+// Documents normally arrive in timestamp order, so expired documents form a
+// prefix of docIDs: the scan stops at the first live document (and at
+// gcBatchMin, when the verdict is already decided), so this per-publish check
+// is O(min(expired, gcBatchMin)) — except for the periodic full scan that
 // guards against out-of-order arrivals (gcFullScanEvery).
 func (s *State) shouldGC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) bool {
 	expired := 0

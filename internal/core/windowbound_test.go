@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -82,9 +83,28 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"rdocBySym entries", indexEntries(s.rdocBySym), maxDocs * rowsPerDoc},
 						{"rbinByNode2 entries", indexEntries(s.rbinByNode2), maxDocs * rowsPerDoc},
 						{"rrootByNode entries", indexEntries(s.rrootByNode), maxDocs * rowsPerDoc},
+						// Expiry works in place: the row stores keep
+						// their capacity (append at most doubles it past
+						// the peak) and an emptied list leaves its index.
+						{"Rdoc capacity", cap(s.Rdoc.Rows), 2 * maxDocs * rowsPerDoc},
+						{"Rbin capacity", cap(s.Rbin.Rows), 2 * maxDocs * rowsPerDoc},
+						{"Rroot capacity", cap(s.Rroot.Rows), 2 * maxDocs * rowsPerDoc},
+						{"rdocBySym keys", len(s.rdocBySym), maxDocs * rowsPerDoc},
+						{"rbinByNode2 keys", len(s.rbinByNode2), maxDocs * rowsPerDoc},
+						{"rrootByNode keys", len(s.rrootByNode), maxDocs * rowsPerDoc},
 					} {
 						if c.n > c.bound {
 							t.Fatalf("after %d documents (window %d): %d %s, want <= %d", i, window, c.n, c.what, c.bound)
+						}
+					}
+					// The tail a collection vacated must not keep the expired
+					// documents' tuples reachable.
+					for _, r := range []*relation.Relation{s.Rbin, s.Rdoc, s.Rroot} {
+						for j, row := range r.Rows[len(r.Rows):cap(r.Rows)] {
+							if row != nil {
+								t.Fatalf("after %d documents: %v row store still holds %v at %d past its %d live rows",
+									i, r.Schema, row, len(r.Rows)+j, len(r.Rows))
+							}
 						}
 					}
 				}

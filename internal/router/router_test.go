@@ -294,3 +294,112 @@ func TestRouterStatsAggregation(t *testing.T) {
 		t.Fatalf("partition queries sum to %d, NumQueries says %d", total, r.NumQueries())
 	}
 }
+
+// TestMatchesOwnedByCaller pins who owns a publish's result: the []Match a
+// document returns, and the Bindings inside it, are the caller's for good.
+// Stage 2 emits into buffers the shards keep and reuse across documents
+// (core's shard.ex), so every entry point keeps each document's slice
+// untouched until the stream ends — through documents with more, fewer and no
+// matches, window collections included — and only then fingerprints it,
+// against a second backend of the same configuration whose output was
+// fingerprinted document by document. A result aliasing a reused buffer would
+// have been overwritten by then.
+func TestMatchesOwnedByCaller(t *testing.T) {
+	gen := workload.DefaultRSS()
+	queries := gen.Queries(rand.New(rand.NewSource(3)), 60)
+	for _, q := range queries {
+		q.Window = 40
+	}
+	// A single-block match travels the same result slice; every third
+	// document has one.
+	queries = append(queries, xscl.MustParse("S//item->x[./flag->f]"))
+	rng := rand.New(rand.NewSource(4))
+	docs := make([]*xmldoc.Document, 300)
+	for i := range docs {
+		b := xmldoc.NewBuilder(xmldoc.DocID(i+1), xmldoc.Timestamp(i+1), "item")
+		for _, leaf := range gen.LeafNames() {
+			b.Element(0, leaf, fmt.Sprintf("%s-%d", leaf, rng.Intn(12)))
+		}
+		if i%3 == 0 {
+			b.Element(0, "flag", "set")
+		}
+		docs[i] = b.Build()
+	}
+
+	type backend interface {
+		core.Backend
+		Register(*xscl.Query) (core.QueryID, error)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := core.Config{ViewMaterialization: true, Workers: workers, PipelineDepth: 2}
+		newBackend := func(routed bool) backend {
+			var b backend = core.NewProcessor(cfg)
+			if routed {
+				b = router.New(router.Config{Partitions: 2, Core: cfg})
+			}
+			for _, q := range queries {
+				if _, err := b.Register(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
+		}
+		for _, mode := range []struct {
+			name   string
+			routed bool
+			// run publishes docs on b and returns every document's
+			// result as the entry point handed it out.
+			run func(b backend) [][]core.Match
+		}{
+			{"Process", false, func(b backend) [][]core.Match {
+				out := make([][]core.Match, len(docs))
+				for i, d := range docs {
+					out[i] = b.(*core.Processor).Process("S", d)
+				}
+				return out
+			}},
+			{"ProcessBatch", false, func(b backend) [][]core.Match {
+				return b.(*core.Processor).ProcessBatch("S", docs)
+			}},
+			{"Ingest", false, func(b backend) [][]core.Match {
+				out := make([][]core.Match, len(docs))
+				in := core.NewIngest(b, core.IngestConfig{Depth: 2})
+				for i, d := range docs {
+					i := i
+					if err := in.Submit("S", d, func(ms []core.Match) { out[i] = ms }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in.Close()
+				return out
+			}},
+			{"Router", true, func(b backend) [][]core.Match {
+				out := make([][]core.Match, len(docs))
+				for i, d := range docs {
+					out[i] = b.(*router.Router).Process("S", d)
+				}
+				return out
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
+				kept := mode.run(newBackend(mode.routed))
+
+				ref := newBackend(mode.routed)
+				total, none := 0, 0
+				for i, d := range docs {
+					want := recs(ref.ConsumeStage1(ref.RunStage1("S", d)))
+					if got := recs(kept[i]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("document %d: the result kept since its publish differs from a fresh engine's\nkept:  %v\nfresh: %v", i, got, want)
+					}
+					total += len(want)
+					if len(want) == 0 {
+						none++
+					}
+				}
+				if total < 10*len(docs) || none == 0 {
+					t.Fatalf("%d matches over %d documents, %d without any: the stream does not vary the buffers' fill", total, len(docs), none)
+				}
+			})
+		}
+	}
+}

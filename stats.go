@@ -60,6 +60,20 @@ type EngineStats struct {
 	PatternsTriggered int64 `json:"patterns_triggered"`
 	WitnessProbes     int64 `json:"witness_probes"`
 
+	// Counted window-expiry work: collections that expired a document, the
+	// state rows they removed and the surviving rows they moved
+	// (core.Stats).
+	WindowGCs     int64 `json:"window_gcs"`
+	GCRowsDropped int64 `json:"gc_rows_dropped"`
+	GCRowsMoved   int64 `json:"gc_rows_moved"`
+
+	// Gauges of the join state as of this snapshot: documents inside the
+	// widest window and their rows per witness relation.
+	StateDocs      int64 `json:"state_docs"`
+	StateRbinRows  int64 `json:"state_rbin_rows"`
+	StateRdocRows  int64 `json:"state_rdoc_rows"`
+	StateRrootRows int64 `json:"state_rroot_rows"`
+
 	// DroppedCascades counts derived documents discarded at the
 	// composition depth limit (a symptom of a cyclic query network).
 	DroppedCascades int64 `json:"dropped_cascades,omitempty"`
@@ -75,10 +89,12 @@ func (s EngineStats) String() string {
 	if s.Partitions > 1 {
 		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
 	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d",
+	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d",
 		parts, s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
-		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes)
+		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes,
+		s.StateDocs, s.StateRbinRows, s.StateRdocRows, s.StateRrootRows,
+		s.WindowGCs, s.GCRowsDropped, s.GCRowsMoved)
 }
 
 // Stats returns a structured snapshot of processing cost so far. Use
@@ -127,6 +143,15 @@ func fromCore(s core.Stats) EngineStats {
 
 		PatternsTriggered: s.PatternsTriggered,
 		WitnessProbes:     s.WitnessProbes,
+
+		WindowGCs:     s.WindowGCs,
+		GCRowsDropped: s.GCRowsDropped,
+		GCRowsMoved:   s.GCRowsMoved,
+
+		StateDocs:      s.StateDocs,
+		StateRbinRows:  s.StateRbinRows,
+		StateRdocRows:  s.StateRdocRows,
+		StateRrootRows: s.StateRrootRows,
 	}
 }
 
