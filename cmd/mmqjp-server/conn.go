@@ -33,6 +33,9 @@ const (
 	// socket drains, is not a slow reader); and how long a dropped
 	// connection then gets to take that write and the final ERR ELIMIT line.
 	slowReaderGrace = time.Second
+	// maxKeptMatches is how large a result buffer a connection keeps
+	// between PUBs (client.matches).
+	maxKeptMatches = 4096
 )
 
 // reply is one non-MATCH reply line: OK <n>, OK <text> or ERR <code> <text>.
@@ -119,6 +122,12 @@ type client struct {
 	// matchOwners is deliver's scratch, used by the goroutine that
 	// produces this connection's replies.
 	matchOwners []*client
+	// matches is the synchronous handler's result buffer: a PUB's matches
+	// are written into it (Engine.AppendPublishXML) and encoded into the
+	// owners' outbound buffers before the handler reads its next request,
+	// so every PUB of the connection uses the same one. One that a burst
+	// grew past maxKeptMatches is released after its reply.
+	matches []mmqjp.Match
 
 	// pending (-async mode only) carries this connection's replies to the
 	// replier goroutine in request order: each entry runs at its slot,

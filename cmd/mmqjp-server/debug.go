@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"time"
 
 	mmqjp "repro"
@@ -26,6 +27,13 @@ import (
 //
 //	documents_total, matches_total        engine cumulative counters
 //	queries, templates                    live-set gauges
+//	subscription_bytes                    source text and registration records
+//	                                      the live subscriptions retain
+//	heap_live_bytes, gc_cpu_fraction      the Go collector's view, read from
+//	                                      runtime/metrics on scrape: heap
+//	                                      marked live by the last cycle, and
+//	                                      the share of the process's CPU time
+//	                                      the collector has taken
 //	stage1_seconds, stage2_seconds,       per-document hot-path wall-time
 //	merge_seconds, gc_seconds             histograms (Options.OnDocument)
 //	ingest_queue_depth                    admitted-but-unconsumed gauge
@@ -90,6 +98,12 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		func() float64 { return float64(eng().NumQueries()) })
 	r.GaugeFunc("mmqjp_templates", "Live canonical query templates.",
 		func() float64 { return float64(eng().NumTemplates()) })
+	r.GaugeFunc("mmqjp_subscription_bytes", "Source text and registration records retained by the live subscriptions.",
+		func() float64 { return float64(eng().Stats().SubscriptionBytes) })
+	r.GaugeFunc("mmqjp_heap_live_bytes", "Heap memory occupied by objects the last collection marked live.",
+		func() float64 { live, _ := collectorGauges(); return live })
+	r.GaugeFunc("mmqjp_gc_cpu_fraction", "Share of the process's CPU time spent in the garbage collector since start.",
+		func() float64 { _, frac := collectorGauges(); return frac })
 	m.stage1 = r.Histogram("mmqjp_stage1_seconds",
 		"Per-document Stage-1 wall time (shared-NFA match, witness construction).", obs.DurationBuckets)
 	m.stage2 = r.Histogram("mmqjp_stage2_seconds",
@@ -160,6 +174,33 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 		}
 	}
 	return m
+}
+
+// collectorGauges reads the Go collector's two gauges from runtime/metrics:
+// the bytes the last cycle marked live, and collector CPU seconds over the
+// process's total. A metric this toolchain does not have reads as 0.
+func collectorGauges() (heapLive, gcCPUFraction float64) {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+	}
+	metrics.Read(samples)
+	if samples[0].Value.Kind() == metrics.KindUint64 {
+		heapLive = float64(samples[0].Value.Uint64())
+	}
+	if gc, total := samples[1].Value, samples[2].Value; gc.Kind() == metrics.KindFloat64 &&
+		total.Kind() == metrics.KindFloat64 && total.Float64() > 0 {
+		gcCPUFraction = gc.Float64() / total.Float64()
+	}
+	return heapLive, gcCPUFraction
+}
+
+// statsLine is the STATS reply: the engine's line followed by the collector
+// gauges, which belong to the process.
+func statsLine(s mmqjp.EngineStats) string {
+	live, frac := collectorGauges()
+	return fmt.Sprintf("%s, heap live=%.0f gc cpu=%.4f", s, live, frac)
 }
 
 // onDocument is the Options.OnDocument hook: one histogram observation per

@@ -475,3 +475,55 @@ func TestServerWindowStateMetrics(t *testing.T) {
 		t.Errorf("STATS = %q, want it to contain %q", stats, want)
 	}
 }
+
+// TestServerMemoryGauges checks the memory gauges end to end: the collector's
+// live heap and CPU share appear on /metrics and in the STATS line, the
+// subscription gauge counts at least the text of the live subscriptions, and
+// it returns to zero when the last subscription has left.
+func TestServerMemoryGauges(t *testing.T) {
+	brokerAddr, debugAddr := startDebugTestServer(t, 0)
+	c := dialTest(t, brokerAddr)
+	subs := []string{
+		"S//a->x FOLLOWED BY{x=y, 20} S//a->y",
+		"S//a->x[./b->u] JOIN{u=v, ROWS 5} S//c->y[./d->v] PUBLISH out",
+		"S//a->x",
+	}
+	text := 0
+	var ids []string
+	for _, q := range subs {
+		c.sendLine(t, "SUB "+q)
+		ids = append(ids, strings.TrimPrefix(c.readLine(t), "OK "))
+		text += len(q)
+	}
+	_, body := httpGet(t, "http://"+debugAddr+"/metrics")
+	for _, want := range []string{
+		"# TYPE mmqjp_heap_live_bytes gauge",
+		"# TYPE mmqjp_gc_cpu_fraction gauge",
+		"# TYPE mmqjp_subscription_bytes gauge",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	retained := metricValue(t, body, "mmqjp_subscription_bytes")
+	if retained <= int64(text) || retained > int64(text)+1024 {
+		t.Errorf("mmqjp_subscription_bytes = %d for %d bytes of query text in %d subscriptions", retained, text, len(subs))
+	}
+	c.sendLine(t, "STATS")
+	stats := c.readLine(t)
+	for _, want := range []string{fmt.Sprintf("subscription bytes=%d", retained), "heap live=", "gc cpu="} {
+		if !strings.Contains(stats, want) {
+			t.Errorf("STATS = %q, want it to contain %q", stats, want)
+		}
+	}
+	for _, id := range ids {
+		c.sendLine(t, "UNSUB "+id)
+		if got := c.readLine(t); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("UNSUB %s -> %q", id, got)
+		}
+	}
+	_, body = httpGet(t, "http://"+debugAddr+"/metrics")
+	if left := metricValue(t, body, "mmqjp_subscription_bytes"); left != 0 {
+		t.Errorf("mmqjp_subscription_bytes = %d after every subscription left, want 0", left)
+	}
+}

@@ -376,7 +376,7 @@ func (s *server) serve(c *client) {
 		case verbIs(verb, "STATS"):
 			// Evaluated at the reply's position in the queue, so an async
 			// STATS reflects the publishes acknowledged before it.
-			c.atSlot(func() { c.enqueue(reply{text: s.eng.Stats().String()}) })
+			c.atSlot(func() { c.enqueue(reply{text: statsLine(s.eng.Stats())}) })
 		case verbIs(verb, "QUIT"):
 			return
 		default:
@@ -544,12 +544,15 @@ func (s *server) handlePub(c *client, rest string) {
 		}
 		return
 	}
-	matches, err := s.eng.PublishXML(stream, xmlText, docID, ts)
+	matches, err := s.eng.AppendPublishXML(c.matches[:0], stream, xmlText, docID, ts)
 	if err != nil {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
 	s.ackPublish(c, stream, 1, matches)
+	if c.matches = matches; cap(matches) > maxKeptMatches {
+		c.matches = nil
+	}
 }
 
 // maxBatchDocs bounds the document count a PUBB header may announce, so a

@@ -59,7 +59,8 @@
 // PublishDoc is the general ingestion entrypoint, covering every
 // combination of input form and delivery through options (WithDocs,
 // WithXML, WithXMLEvents, WithAsync); the named Publish variants are thin
-// wrappers over it. Engine.Stats returns a structured EngineStats snapshot
+// wrappers over it, and AppendPublishXML is PublishXML appending to a buffer
+// the caller reuses from one document to the next. Engine.Stats returns a structured EngineStats snapshot
 // (JSON-marshalable; String renders the traditional one-line form), and
 // Options.OnDocument delivers per-document stage timings for external
 // metrics.

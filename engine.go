@@ -3,8 +3,10 @@ package mmqjp
 import (
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/router"
@@ -174,8 +176,7 @@ type joinBackend interface {
 	Register(q *xscl.Query) (core.QueryID, error)
 	Unregister(id core.QueryID) error
 	SkipQueryID()
-	Process(stream string, d *xmldoc.Document) []core.Match
-	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []core.Match))
+	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *core.Matches))
 	NumQueries() int
 	NumTemplates() int
 	Stats() core.Stats
@@ -198,12 +199,15 @@ type Engine struct {
 	ing *core.Ingest
 
 	// queries is indexed by QueryID; Unsubscribe leaves a nil slot so ids
-	// stay stable across churn. numQueries counts live subscriptions.
+	// stay stable across churn. numQueries counts live subscriptions and
+	// subBytes what their records and text occupy here.
 	//
 	//mmqjp:guardedby e.mu
-	queries []*xscl.Query
+	queries []*subscription
 	//mmqjp:guardedby e.mu
 	numQueries int
+	//mmqjp:guardedby e.mu
+	subBytes int64
 	//mmqjp:guardedby e.mu
 	docs map[xmldoc.DocID]*xmldoc.Document
 
@@ -217,6 +221,18 @@ type Engine struct {
 	//
 	//mmqjp:guardedby e.mu
 	droppedCascades int64
+}
+
+// subscription is what the facade keeps of a live subscription once it is
+// registered: the query's text (Query, Snapshot) and its PUBLISH stream (a
+// substring of the text), not the parsed query — the join processor keeps its
+// own row, and the parse tree is garbage after Subscribe returns.
+type subscription struct {
+	source, publish string
+}
+
+func (s *subscription) bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + int64(len(s.source))
 }
 
 // New creates an engine.
@@ -315,8 +331,10 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 		}
 		id = QueryID(cid)
 	}
-	e.queries = append(e.queries, q)
+	sub := &subscription{source: q.Source, publish: q.Publish}
+	e.queries = append(e.queries, sub)
 	e.numQueries++
+	e.subBytes += sub.bytes()
 	return id, nil
 }
 
@@ -365,6 +383,7 @@ func (e *Engine) unsubscribe(id QueryID) error {
 			return err
 		}
 	}
+	e.subBytes -= e.queries[id].bytes()
 	e.queries[id] = nil
 	e.numQueries--
 	if e.numQueries == 0 {
@@ -384,7 +403,7 @@ func (e *Engine) Query(id QueryID) string {
 	if id < 0 || int(id) >= len(e.queries) || e.queries[id] == nil {
 		return ""
 	}
-	return e.queries[id].Source
+	return e.queries[id].source
 }
 
 // NumQueries returns the number of live subscriptions.
@@ -435,68 +454,91 @@ func (e *Engine) Publish(stream string, d *Document) []Match {
 func (e *Engine) publishOne(stream string, d *Document) []Match {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.publish(stream, d, 0)
+	return e.publish(nil, stream, d, 0)
 }
 
-// publish processes one document and runs the composition cascade.
+// publish processes one document, runs the composition cascade and appends
+// the matches to dst.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) publish(stream string, d *Document, depth int) []Match {
+func (e *Engine) publish(dst []Match, stream string, d *Document, depth int) []Match {
 	if e.opts.RetainDocuments {
 		e.docs[d.ID] = d
 	}
-	var out []Match
 	if e.seq != nil {
-		sms := e.seq.Process(stream, d)
-		if len(sms) > 0 {
-			out = make([]Match, 0, len(sms))
-		}
-		for _, m := range sms {
-			out = append(out, Match{
-				Query:   QueryID(m.Query),
-				Publish: e.queries[m.Query].Publish,
-				LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
-				LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
-				leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
-			})
-		}
-	} else {
-		out = e.convertMatches(e.proc.Process(stream, d))
+		return e.cascade(e.deliver(dst, &sequentialMatches{ms: e.seq.Process(stream, d)}), len(dst), depth)
 	}
-	return e.cascade(out, depth)
+	return e.cascade(e.deliver(dst, e.proc.Consume(e.proc.RunStage1(stream, d))), len(dst), depth)
 }
 
-// convertMatches lifts core matches into the public Match type, resolving
-// each query's PUBLISH stream (it reads e.queries).
+// orderedMatches is a document's result as a backend hands it over: in
+// canonical order and not yet written out (core.Matches; the sequential
+// baseline's slice).
+type orderedMatches interface {
+	Len() int
+	At(i int) *core.Match
+}
+
+// sequentialMatches presents the baseline processor's result, which carries
+// the same fields under its own types, as orderedMatches; At converts into
+// cur, so reading costs the baseline no allocation.
+type sequentialMatches struct {
+	ms  []sequential.Match
+	cur core.Match
+}
+
+func (s *sequentialMatches) Len() int { return len(s.ms) }
+
+func (s *sequentialMatches) At(i int) *core.Match {
+	m := &s.ms[i]
+	s.cur = core.Match{
+		Query:   core.QueryID(m.Query),
+		LeftDoc: m.LeftDoc, RightDoc: m.RightDoc,
+		LeftTS: m.LeftTS, RightTS: m.RightTS,
+		LeftRoot: m.LeftRoot, RightRoot: m.RightRoot,
+	}
+	return &s.cur
+}
+
+// deliver writes a document's result out as public matches appended to dst —
+// a slice the caller owns: nil everywhere but under AppendPublishXML —
+// resolving each query's PUBLISH stream from its subscription record. This is
+// the one place the result is materialised, whatever the ingest shape: the
+// backend's view is only valid until it consumes its next document, so every
+// consume point calls deliver before anything else — the cascade included.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) convertMatches(cms []core.Match) []Match {
-	if len(cms) == 0 {
-		return nil
+func (e *Engine) deliver(dst []Match, ms orderedMatches) []Match {
+	n := ms.Len()
+	if n == 0 {
+		return dst
 	}
-	out := make([]Match, 0, len(cms))
-	for _, m := range cms {
-		out = append(out, Match{
+	at := len(dst)
+	out := slices.Grow(dst, n)[:at+n]
+	for i := 0; i < n; i++ {
+		m := ms.At(i)
+		out[at+i] = Match{
 			Query:   QueryID(m.Query),
-			Publish: e.queries[m.Query].Publish,
+			Publish: e.queries[m.Query].publish,
 			LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
 			LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
 			leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
-		})
+		}
 	}
 	return out
 }
 
-// cascade republishes each PUBLISH match of out as a derived document and
-// appends the resulting matches. Derived matches cascade recursively inside
-// their own publish call, so only the original slice is scanned here.
+// cascade republishes each PUBLISH match of out[from:] — one document's own
+// matches — as a derived document and appends the resulting matches. Derived
+// matches cascade recursively inside their own publish call, so only that
+// part of the slice is scanned here.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) cascade(out []Match, depth int) []Match {
+func (e *Engine) cascade(out []Match, from, depth int) []Match {
 	if !e.opts.EnableComposition {
 		return out
 	}
-	for _, m := range out {
+	for _, m := range out[from:] {
 		if m.Publish == "" {
 			continue
 		}
@@ -508,7 +550,7 @@ func (e *Engine) cascade(out []Match, depth int) []Match {
 		if !ok {
 			continue
 		}
-		out = append(out, e.publish(m.Publish, derived, depth+1)...)
+		out = e.publish(out, m.Publish, derived, depth+1)
 	}
 	return out
 }
@@ -533,7 +575,7 @@ func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
 	out := make([][]Match, len(docs))
 	if e.seq != nil {
 		for i, d := range docs {
-			out[i] = e.publish(stream, d, 0)
+			out[i] = e.publish(nil, stream, d, 0)
 		}
 		return out
 	}
@@ -542,12 +584,12 @@ func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
 			e.docs[d.ID] = d
 		}
 	}
-	e.proc.ProcessBatchFunc(stream, docs, func(i int, cms []core.Match) {
+	e.proc.ProcessBatchFunc(stream, docs, func(i int, cms *core.Matches) {
 		// Composition cascades run here, between batch documents, at the
 		// same point the per-document Publish path would run them; the
-		// derived documents' Process calls are safe alongside the
-		// pipeline's Stage-1 workers, which never touch the join state.
-		out[i] = e.cascade(e.convertMatches(cms), 0)
+		// derived documents' processing is safe alongside the pipeline's
+		// Stage-1 workers, which never touch the join state.
+		out[i] = e.cascade(e.deliver(nil, cms), 0, 0)
 	})
 	return out
 }
@@ -585,7 +627,7 @@ func (e *Engine) publishAsync(stream string, d *Document) <-chan []Match {
 		close(out)
 		return out
 	}
-	err := e.ingestPipeline().Submit(stream, d, func(cms []core.Match) {
+	err := e.ingestPipeline().Submit(stream, d, func(cms *core.Matches) {
 		// Runs on the pipeline coordinator under e.mu (write), in
 		// admission order — the same critical section a serial Publish
 		// holds for this document.
@@ -593,7 +635,7 @@ func (e *Engine) publishAsync(stream string, d *Document) <-chan []Match {
 		if e.opts.RetainDocuments {
 			e.docs[d.ID] = d
 		}
-		out <- e.cascade(e.convertMatches(cms), 0)
+		out <- e.cascade(e.deliver(nil, cms), 0, 0)
 		close(out)
 	})
 	if err != nil {
@@ -759,6 +801,22 @@ func (e *Engine) PublishXML(stream, xmlText string, docID, timestamp int64) ([]M
 		return nil, err
 	}
 	return res.Matches(), nil
+}
+
+// AppendPublishXML is PublishXML with the result buffer brought by the
+// caller: the document's matches — cascaded ones included — are appended to
+// dst and the extended slice is returned, so a caller that is done with one
+// document's matches before it publishes the next (the server encodes them
+// into its reply) passes the same buffer every time and a publish allocates
+// nothing for its result. On a parse failure dst is returned as it came.
+func (e *Engine) AppendPublishXML(dst []Match, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
+	d, err := ParseDocument(xmlText, docID, timestamp)
+	if err != nil {
+		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.publish(dst, stream, d, 0), nil
 }
 
 // OutputXML renders the default SELECT * output document of a match: a new

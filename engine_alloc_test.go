@@ -1,0 +1,158 @@
+package mmqjp
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// TestEnginePublishAllocCeiling bounds what a publish allocates at the facade,
+// where a document's result is written out: 10 000 windowed feed subscriptions
+// (the benchmark's rss_window shape, ≈ 170 matches per document), the window
+// full and collections running. The "owned result" case is one PublishDoc per
+// parsed document: the result is materialised once, as the public matches — 64
+// bytes each — so the bytes ceiling sits below what a second, intermediate
+// copy of the result (88 bytes per match more, as the facade made before it
+// read the processor's ordered view) would cost. The "caller's buffer" case is
+// what the server does, AppendPublishXML into one buffer: parsing included, it
+// must stay below the owned case less the result itself, so the result cannot
+// come back as an allocation there. Counts and bytes are the same on every
+// machine; a ceiling is at most 1.25 times what the test logs.
+func TestEnginePublishAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	const subs, items = 10000, 600
+	stream := workload.DefaultRSS().Stream(rand.New(rand.NewSource(8)), 2*items)
+	for _, tc := range []struct {
+		name                       string
+		appendXML                  bool
+		allocCeiling, bytesCeiling float64
+	}{
+		{"owned result", false, 160, 22000},
+		{"caller's buffer", true, 230, 11700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(Options{Processor: ProcessorViewMat})
+			subscribeAll(t, eng, windowedRSSSources(1, subs))
+			var texts []string
+			if tc.appendXML {
+				for _, d := range stream {
+					texts = append(texts, d.XMLText())
+				}
+			}
+			matches := 0
+			var buf []Match
+			pass := func(from, to int) {
+				for i := from; i < to; i++ {
+					if tc.appendXML {
+						var err error
+						if buf, err = eng.AppendPublishXML(buf[:0], "S", texts[i], int64(stream[i].ID), int64(stream[i].Timestamp)); err != nil {
+							t.Fatal(err)
+						}
+						matches += len(buf)
+						continue
+					}
+					res, err := eng.PublishDoc("S", stream[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					matches += len(res.Batches[0])
+				}
+			}
+			pass(0, items)
+			matches = 0
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass(items, 2*items)
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / items
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / items
+			perDoc := float64(matches) / items
+			t.Logf("%.1f allocations, %.0f bytes per document (%.1f matches)", allocs, bytes, perDoc)
+			if allocs > tc.allocCeiling {
+				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, tc.allocCeiling)
+			}
+			if bytes > tc.bytesCeiling {
+				t.Errorf("%.0f bytes allocated per document, want <= %.0f", bytes, tc.bytesCeiling)
+			}
+			// What one more copy of the result would cost: the intermediate
+			// ordered slice for the owned result, the result itself for the
+			// caller's buffer.
+			copyBytes := 88 * perDoc
+			if tc.appendXML {
+				copyBytes = 64 * perDoc
+			}
+			if tc.bytesCeiling > bytes+copyBytes {
+				t.Errorf("the ceiling leaves room for another copy of the result (%.0f bytes per document)", copyBytes)
+			}
+		})
+	}
+}
+
+// TestAppendPublishXMLEqualsPublishXML holds the caller's-buffer publish to
+// the owned one: two engines with the same subscriptions — every processor
+// kind, routed and not; a cascading chain, a self-feeding loop cut at the
+// depth limit, windowed feed queries — take the same documents, one through
+// PublishXML, the other through AppendPublishXML into one buffer behind a
+// sentinel match. Every document's matches must be equal, the sentinel must
+// stay, and a document that does not parse must leave the buffer as it came
+// and report the same DocumentError.
+func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
+	srcs := append([]string{
+		"S//alert->a[./host->h][./sev->s] FOLLOWED BY{h=h2 AND s=s2, 100} S//confirm->c[./host->h2][./sev->s2] PUBLISH incidents",
+		"incidents//alert->a[./host->h] JOIN{h=h2, 1000} P//page->p[./host->h2]",
+		"loop//x->a PUBLISH loop",
+	}, windowedRSSSources(3, 400)...)
+	type doc struct {
+		stream, xml string
+	}
+	docs := []doc{
+		{"P", "<page><host>web1</host></page>"},
+		{"S", "<alert><host>web1</host><sev>hi</sev></alert>"},
+		{"S", "<confirm><host>web1</host><sev>hi</sev></confirm>"},
+		{"loop", "<r><x>v</x></r>"},
+		{"S", "<unclosed>"},
+		{"S", "<nothing/>"},
+	}
+	for _, d := range workload.DefaultRSS().Stream(rand.New(rand.NewSource(5)), 300) {
+		docs = append(docs, doc{"S", d.XMLText()})
+	}
+	for _, kind := range allKinds() {
+		for _, partitions := range []int{0, 2} {
+			if partitions > 0 && kind == ProcessorSequential {
+				continue
+			}
+			opts := Options{Processor: kind, EnableComposition: true, Partitions: partitions}
+			owned, appended := New(opts), New(opts)
+			subscribeAll(t, owned, srcs)
+			subscribeAll(t, appended, srcs)
+			sentinel := Match{Query: -1, Publish: "sentinel"}
+			buf := []Match{sentinel}
+			total := 0
+			for i, d := range docs {
+				want, wantErr := owned.PublishXML(d.stream, d.xml, int64(i+1), int64(10*i))
+				var err error
+				buf, err = appended.AppendPublishXML(buf[:1], d.stream, d.xml, int64(i+1), int64(10*i))
+				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("%v partitions=%d document %d: error %v, want %v", kind, partitions, i, err, wantErr)
+				}
+				if buf[0] != sentinel {
+					t.Fatalf("%v partitions=%d document %d: the buffer's own element was overwritten: %+v", kind, partitions, i, buf[0])
+				}
+				if got := buf[1:]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v partitions=%d document %d: appended %d matches %+v, want %d %+v", kind, partitions, i, len(got), got, len(want), want)
+				}
+				total += len(want)
+			}
+			if total < 100 || owned.DroppedCascades() == 0 || owned.DroppedCascades() != appended.DroppedCascades() {
+				t.Errorf("%v partitions=%d: %d matches, %d and %d dropped cascades: the stream exercises too little", kind, partitions,
+					total, owned.DroppedCascades(), appended.DroppedCascades())
+			}
+		}
+	}
+}

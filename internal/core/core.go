@@ -150,6 +150,10 @@ type Stats struct {
 	StateRbinRows  int64
 	StateRdocRows  int64
 	StateRrootRows int64
+	// SubscriptionBytes is a gauge too: what the live queries' registration
+	// records (one per query, one per join instance) occupy. It is constant
+	// per registered query, whatever the query's text looked like.
+	SubscriptionBytes int64
 }
 
 // Add accumulates o into s: per-shard stats into a processor total, or
@@ -181,4 +185,5 @@ func (s *Stats) Add(o Stats) {
 	s.StateRbinRows += o.StateRbinRows
 	s.StateRdocRows += o.StateRdocRows
 	s.StateRrootRows += o.StateRrootRows
+	s.SubscriptionBytes += o.SubscriptionBytes
 }

@@ -242,10 +242,10 @@ func appendVecKey(b []byte, vars []int64) []byte {
 }
 
 // addVector records an instance's variable vector in its template and
-// returns the group key (kept by the instance for removeVector). A new group
+// returns its group (kept by the instance for removeVector). A new group
 // adds its variable pairs to the live sets the witness-driven order prunes
 // with.
-func (t *Template) addVector(vars []int64, iid int64) string {
+func (t *Template) addVector(vars []int64, iid int64) *vecGroup {
 	if t.vectors == nil {
 		t.vectors = map[string]*vecGroup{}
 		t.live = make([]map[[2]int64]int, t.N)
@@ -259,21 +259,17 @@ func (t *Template) addVector(vars []int64, iid int64) string {
 		t.noteLive(g, 1)
 	}
 	g.insts = append(g.insts, iid)
-	return g.key
+	return g
 }
 
 // removeVector removes an unregistered instance from its vector group; a
 // group whose last instance leaves is dropped entirely, so no plan visits a
 // vector no live query shares.
-func (t *Template) removeVector(key string, iid int64) {
-	g, ok := t.vectors[key]
-	if !ok {
-		return
-	}
+func (t *Template) removeVector(g *vecGroup, iid int64) {
 	if g.insts = removeFirst(g.insts, iid); len(g.insts) > 0 {
 		return
 	}
-	delete(t.vectors, key)
+	delete(t.vectors, g.key)
 	t.vecList = removeFirst(t.vecList, g)
 	t.noteLive(g, -1)
 }

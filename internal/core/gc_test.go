@@ -291,3 +291,49 @@ func TestWindowGCStats(t *testing.T) {
 		}
 	}
 }
+
+// TestCurrentWitnessReuse pins the witness pool's contract from both sides: a
+// released witness comes back empty — relations, dedup sets, document — and
+// what Merge took from the document before it is the state's own, untouched
+// while the next document's rows overwrite the slab they were carved from.
+func TestCurrentWitnessReuse(t *testing.T) {
+	s := NewState()
+	build := func(id int64, str string, v int64) *CurrentWitness {
+		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "item")
+		b.Element(0, "a", str)
+		w := NewCurrentWitness(b.Build())
+		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + len(w.binSeen) + len(w.docSeen) + len(w.rtSeen); n != 0 || w.rrSlices != nil {
+			t.Fatalf("document %d: a new witness holds %d rows and set entries", id, n)
+		}
+		for i := 0; i < 2; i++ { // the second round is deduplicated
+			w.AddBin(v, v+1, 0, 1)
+			w.AddDoc(1, str)
+			w.AddRoot(v, 0)
+		}
+		if w.RbinW.Len() != 1 || w.RdocW.Len() != 1 || w.RrootW.Len() != 1 {
+			t.Fatalf("document %d: witness rows %d/%d/%d, want 1/1/1", id, w.RbinW.Len(), w.RdocW.Len(), w.RrootW.Len())
+		}
+		return w
+	}
+	for id := int64(1); id <= 3; id++ {
+		w := build(id, fmt.Sprintf("value-%d", id), 10*id)
+		s.Merge(w, false)
+		w.Release()
+		if w.Doc != nil {
+			t.Errorf("document %d: a released witness still holds its document", id)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		id, v := int64(i+1), int64(10*(i+1))
+		bin, doc, root := s.Rbin.Rows[i], s.Rdoc.Rows[i], s.Rroot.Rows[i]
+		if bin[0].I != id || bin[1].I != v || bin[2].I != v+1 || bin[4].I != 1 {
+			t.Errorf("Rbin row %d = %v after later documents reused the slab", i, bin)
+		}
+		if doc[0].I != id || doc[2].SymID() != sym.Intern(fmt.Sprintf("value-%d", id)) {
+			t.Errorf("Rdoc row %d = %v after later documents reused the slab", i, doc)
+		}
+		if root[0].I != id || root[1].I != v {
+			t.Errorf("Rroot row %d = %v after later documents reused the slab", i, root)
+		}
+	}
+}

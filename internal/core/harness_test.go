@@ -98,8 +98,8 @@ func replayTrace(cfg Config, tr workload.Trace) [][]harnessRec {
 			docs = append(docs, tr.Events[k].Doc)
 		}
 		base := i
-		p.ProcessBatchFunc("S", docs, func(k int, ms []Match) {
-			out[base+k] = harnessRecs(ms)
+		p.ProcessBatchFunc("S", docs, func(k int, ms *Matches) {
+			out[base+k] = harnessRecs(ms.Slice())
 		})
 		i = j
 	}

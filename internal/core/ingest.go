@@ -43,7 +43,7 @@ type Stage1Result any
 // concurrently in workers, and an order-sensitive consume step applied on
 // the coordinator strictly in admission order. *Processor implements it
 // directly; internal/router's Router implements it by fanning Stage 1
-// across all partitions and merging the consumed match streams — which is
+// across all partitions and merging the consumed match runs — which is
 // how the PR 4 admission/barrier machinery below becomes cross-partition
 // sequencing without modification.
 type Backend interface {
@@ -51,10 +51,13 @@ type Backend interface {
 	// processing. Implementations must allow concurrent calls for
 	// different documents (absent concurrent registration).
 	RunStage1(stream string, d *xmldoc.Document) Stage1Result
-	// ConsumeStage1 applies the order-sensitive tail — Stage-2 evaluation,
-	// state merge, window GC — to a result of this backend's RunStage1.
-	// Calls must be made in admission order, never concurrently.
-	ConsumeStage1(r Stage1Result) []Match
+	// Consume applies the order-sensitive tail — Stage-2 evaluation, state
+	// merge, window GC — to a result of this backend's RunStage1 and
+	// returns the document's matches in canonical order, still in the
+	// backend's buffers: the view is valid until the next Consume, and
+	// whoever wants the matches writes them out before that. Calls must be
+	// made in admission order, never concurrently.
+	Consume(r Stage1Result) *Matches
 }
 
 // IngestConfig sizes an Ingest.
@@ -101,7 +104,7 @@ type ingestJob struct {
 	stream  string
 	doc     *xmldoc.Document
 	res     chan Stage1Result
-	deliver func(matches []Match)
+	deliver func(matches *Matches)
 
 	// ctl marks a barrier job: run on the coordinator after every prior
 	// job's consumption, with admission held closed by the submitter.
@@ -161,7 +164,7 @@ func (i *Ingest) coordinate() {
 		if i.lock != nil {
 			i.lock.Lock()
 		}
-		ms := i.b.ConsumeStage1(r)
+		ms := i.b.Consume(r)
 		if j.deliver != nil {
 			j.deliver(ms)
 		}
@@ -176,10 +179,12 @@ func (i *Ingest) coordinate() {
 // Stage 1 runs in the worker pool and deliver — which may be nil — is
 // called on the coordinator goroutine, in admission order, after the
 // document's Stage 2, state merge, and GC have completed (under
-// IngestConfig.Lock when configured). deliver may call Process on the same
-// processor (composition cascades do) but must not Submit, Register,
-// Unregister, or take the configured Lock itself.
-func (i *Ingest) Submit(stream string, d *xmldoc.Document, deliver func(matches []Match)) error {
+// IngestConfig.Lock when configured). The matches it receives are the
+// backend's view of the document's result (Matches): deliver writes out what
+// it keeps before it returns or processes anything else. Having done that it
+// may call Process on the same processor (composition cascades do), but it
+// must not Submit, Register, Unregister, or take the configured Lock itself.
+func (i *Ingest) Submit(stream string, d *xmldoc.Document, deliver func(matches *Matches)) error {
 	j := &ingestJob{stream: stream, doc: d, res: make(chan Stage1Result, 1), deliver: deliver}
 	i.admit.Lock()
 	defer i.admit.Unlock()

@@ -59,7 +59,7 @@ func TestIngestMatchesProcess(t *testing.T) {
 			got := make([]string, len(docs))
 			for i, d := range docs {
 				i := i
-				if err := ing.Submit("S", d, func(ms []Match) { got[i] = renderMatches(ms) }); err != nil {
+				if err := ing.Submit("S", d, func(ms *Matches) { got[i] = renderMatches(ms.Slice()) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -100,7 +100,7 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 				for i := g; i < len(docs); i += publishers {
 					d := docs[i]
 					mu.Lock()
-					err := ing.Submit("S", d, func(ms []Match) { got[d.ID] = renderMatches(ms) })
+					err := ing.Submit("S", d, func(ms *Matches) { got[d.ID] = renderMatches(ms.Slice()) })
 					order = append(order, d)
 					mu.Unlock()
 					if err != nil {
@@ -167,7 +167,7 @@ func TestIngestBarrier(t *testing.T) {
 			}
 		}
 		i := i
-		if err := ing.Submit("S", d, func(ms []Match) { got[i] = renderMatches(ms) }); err != nil {
+		if err := ing.Submit("S", d, func(ms *Matches) { got[i] = renderMatches(ms.Slice()) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,9 +191,9 @@ func TestIngestCloseSemantics(t *testing.T) {
 	var delivered atomic.Int64
 	var lastLen atomic.Int64
 	for _, d := range []*xmldoc.Document{d1, d2} {
-		if err := ing.Submit("S", d, func(ms []Match) {
+		if err := ing.Submit("S", d, func(ms *Matches) {
 			delivered.Add(1)
-			lastLen.Store(int64(len(ms)))
+			lastLen.Store(int64(ms.Len()))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestIngestBackpressure(t *testing.T) {
 		for i := 0; i < depth+5; i++ {
 			b := xmldoc.NewBuilder(xmldoc.DocID(i+1), xmldoc.Timestamp(i+1), "a")
 			b.Element(0, "x", "k")
-			if err := ing.Submit("S", b.Build(), func([]Match) { <-release }); err != nil {
+			if err := ing.Submit("S", b.Build(), func(*Matches) { <-release }); err != nil {
 				t.Error(err)
 				return
 			}

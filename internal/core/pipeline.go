@@ -23,7 +23,7 @@ import (
 // documents overlaps the coordinator's ordered Stage-2 consumption.
 func (p *Processor) ProcessBatch(stream string, docs []*xmldoc.Document) [][]Match {
 	out := make([][]Match, len(docs))
-	p.ProcessBatchFunc(stream, docs, func(i int, ms []Match) { out[i] = ms })
+	p.ProcessBatchFunc(stream, docs, func(i int, ms *Matches) { out[i] = ms.Slice() })
 	return out
 }
 
@@ -32,9 +32,11 @@ func (p *Processor) ProcessBatch(stream string, docs []*xmldoc.Document) [][]Mat
 // Stage 2, state merge, and GC have completed — the call returns only once
 // every document has been delivered. The engine facade uses the callback to
 // cascade composition publishes between batch documents at the same point
-// the sequential path would. deliver may itself call Process (for derived
-// documents) but must not call Register, Unregister or ProcessBatch.
-func (p *Processor) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []Match)) {
+// the sequential path would. deliver receives the backend's view of the
+// document's result (Matches) and writes out what it keeps; after that it may
+// itself call Process (for derived documents), but it must not call Register,
+// Unregister or ProcessBatch.
+func (p *Processor) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *Matches)) {
 	RunBatch(p, p.cfg.PipelineDepth, stream, docs, deliver)
 }
 
@@ -43,10 +45,10 @@ func (p *Processor) ProcessBatchFunc(stream string, docs []*xmldoc.Document, del
 // generalized over Backend, so the partition router's batch path reuses the
 // same machinery. depth <= 1 (or a single document) selects the sequential
 // per-document path; output is identical for every depth.
-func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deliver func(i int, matches []Match)) {
+func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deliver func(i int, matches *Matches)) {
 	if depth <= 1 || len(docs) <= 1 {
 		for i, d := range docs {
-			deliver(i, b.ConsumeStage1(b.RunStage1(stream, d)))
+			deliver(i, b.Consume(b.RunStage1(stream, d)))
 		}
 		return
 	}
@@ -60,7 +62,7 @@ func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deli
 		// Submit blocks at the admission bound, so the batch never runs
 		// more than depth+1 documents ahead of the order-sensitive tail;
 		// it cannot fail on a pipeline private to this call.
-		_ = ing.Submit(stream, d, func(ms []Match) { deliver(i, ms) })
+		_ = ing.Submit(stream, d, func(ms *Matches) { deliver(i, ms) })
 	}
 	ing.Close()
 }

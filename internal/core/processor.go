@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/relation"
 	"repro/internal/xmldoc"
@@ -46,15 +48,20 @@ type Processor struct {
 
 	// queries is indexed by QueryID; an Unregistered query leaves a nil
 	// slot so ids stay stable across churn. numQueries counts live slots.
-	// Tombstones cost one pointer per lifetime registration (here and in
-	// instances); bounding memory to the live set instead would put an id
-	// map on the per-match emit path.
+	// Tombstones cost one pointer per lifetime registration; bounding
+	// memory to the live set instead would put an id map on the per-match
+	// emit path. What a live query keeps is its queryRec and instances —
+	// a row, never the parsed query (recBytes sums them).
 	queries    []*queryRec
 	numQueries int
+	recBytes   int64
 	// instances is indexed by instance id (the RT qid column); slots of
 	// unregistered instances are nil — they left their vector groups, so
-	// dead ids are never looked up during evaluation.
+	// dead ids are never looked up during evaluation — and are handed out
+	// again (freeInsts), so the table follows the peak live set, not the
+	// lifetime registrations.
 	instances []*instance
+	freeInsts []int64
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
@@ -75,6 +82,22 @@ type Processor struct {
 	singleQueries map[yfilter.PatternID][]QueryID
 
 	state *State
+
+	// result is the current document's matches between consumeStage1 and
+	// the next one (Matches): its keys and buffer list are reused across
+	// documents.
+	result Matches
+
+	// rvjArena holds the current document's value-join pair rows
+	// (stage2Shared.rvj), which nothing reads once the document is
+	// evaluated: prepareStage2 resets it and carves the next document's.
+	rvjArena relation.Arena
+
+	// contribKey and contribScratch are registerInstance's scratch: the two
+	// sides' contributions are assembled here and copied only when a
+	// pattern has not seen their like (patternInfo.contribs).
+	contribKey     []byte
+	contribScratch [2]patternContrib
 
 	// canonMemo caches canonicalization results by the raw encoding of
 	// the reduced join graph; generated workloads repeat a handful of
@@ -106,16 +129,21 @@ type Processor struct {
 	stats Stats
 }
 
-// queryRec is the per-query registration record: everything Unregister needs
-// to undo a Register.
+// queryRec is the per-query registration record: everything Unregister and
+// the window bookkeeping need to undo a Register — the query's row, not its
+// parse tree, which is garbage once Register returns.
 type queryRec struct {
-	q *xscl.Query
-	// insts lists the query's instance ids (one for FOLLOWED BY, two for
-	// JOIN); empty for single-block queries.
-	insts []int64
+	op         xscl.OpKind
+	windowKind xscl.WindowKind
+	window     int64
+	// insts holds the query's instance ids: one for FOLLOWED BY, two for
+	// JOIN, none for a single-block query (noInstance fills the rest).
+	insts [2]int64
 	// single is the pattern of a single-block query (nil otherwise).
 	single *patternInfo
 }
+
+const noInstance = -1
 
 type canonResult struct {
 	sig   string
@@ -132,23 +160,28 @@ type instance struct {
 	window     int64
 	windowKind xscl.WindowKind
 
-	// vecKey identifies the instance's variable-vector group in its
-	// template (cqplan.go), so Unregister can remove it.
-	vecKey string
+	// group is the instance's variable-vector group in its template
+	// (cqplan.go), so Unregister can leave it.
+	group *vecGroup
 	// left and right are the witness-extraction demands this instance
-	// placed on its block patterns, released on Unregister.
-	left, right patternContrib
+	// placed on its block patterns, released on Unregister. They are the
+	// patterns' shared records (patternInfo.contribs), not copies.
+	left, right *patternContrib
 }
 
-// patternContrib is one instance's (or single query's) demand on a block
-// pattern: the structural edges, string-value nodes and root nodes the
-// pattern must extract from each witness on its behalf. Contributions are
-// deduplicated per instance, so acquire/release pair exactly.
+// patternContrib is one demand on a block pattern: the structural edges,
+// string-value nodes and root nodes the pattern must extract from each
+// witness. Instances of one template over one pattern demand the same thing,
+// so a pattern keeps one record per distinct demand (patternInfo.contribs)
+// and refs counts the instance sides sharing it.
 type patternContrib struct {
 	pi       *patternInfo
 	edges    [][2]int32
 	strNodes []int32
 	roots    []int32
+
+	key  string // in pi.contribs
+	refs int
 }
 
 // patternInfo records what the Join Processor extracts from the witnesses of
@@ -162,9 +195,14 @@ type patternInfo struct {
 	// canonIDs[i] is the interned canonical variable of pattern node i.
 	canonIDs []int64
 
-	// refs counts live contributions (instance sides and single queries);
-	// at zero the pattern is dropped from the Stage-1 extraction loop.
+	// refs counts live instance sides and single queries; at zero the
+	// pattern is dropped from the Stage-1 extraction loop.
 	refs int
+
+	// contribs holds the distinct live demands, by their encoding
+	// (appendContribKey); the emission sets below count them, not the
+	// instance sides sharing them.
+	contribs map[string]*patternContrib
 
 	edgeCount map[[2]int32]int
 	edges     [][2]int32 // structural edges to emit, as node index pairs
@@ -223,6 +261,7 @@ func (p *Processor) Stats() Stats {
 	s.StateRbinRows = int64(p.state.Rbin.Len())
 	s.StateRdocRows = int64(p.state.Rdoc.Len())
 	s.StateRrootRows = int64(p.state.Rroot.Len())
+	s.SubscriptionBytes = p.recBytes
 	return s
 }
 
@@ -249,21 +288,24 @@ func (p *Processor) State() *State { return p.state }
 func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 	qid := QueryID(len(p.queries))
 
+	rec := &queryRec{
+		op: q.Op, windowKind: q.WindowKind, window: q.Window,
+		insts: [2]int64{noInstance, noInstance},
+	}
 	if q.Op == xscl.OpNone {
 		pi := p.registerPattern(q.Left)
 		pi.refs++
 		p.singleQueries[pi.yid] = append(p.singleQueries[pi.yid], qid)
-		p.queries = append(p.queries, &queryRec{q: q, single: pi})
-		p.numQueries++
+		rec.single = pi
+		p.addQuery(rec)
 		return qid, nil
 	}
 
-	rec := &queryRec{q: q}
 	iid, err := p.registerInstance(q, qid, false)
 	if err != nil {
 		return 0, err
 	}
-	rec.insts = append(rec.insts, iid)
+	rec.insts[0] = iid
 	if q.Op == xscl.OpJoin {
 		swapped := &xscl.Query{
 			Left: q.Right, Right: q.Left, Op: q.Op,
@@ -283,34 +325,52 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 			p.unregisterInstance(iid)
 			return 0, err
 		}
-		rec.insts = append(rec.insts, iid2)
+		rec.insts[1] = iid2
 	}
 
-	p.noteWindow(q)
+	p.noteWindow(rec)
+	p.addQuery(rec)
+	return qid, nil
+}
+
+// addQuery records a registered query under the next id.
+func (p *Processor) addQuery(rec *queryRec) {
 	p.queries = append(p.queries, rec)
 	p.numQueries++
-	return qid, nil
+	p.recBytes += rec.bytes()
+}
+
+// bytes is what the record and its instances occupy: the per-subscription
+// part of the processor's memory (Stats.SubscriptionBytes).
+func (rec *queryRec) bytes() int64 {
+	n := int64(unsafe.Sizeof(*rec))
+	for _, iid := range rec.insts {
+		if iid != noInstance {
+			n += int64(unsafe.Sizeof(instance{}))
+		}
+	}
+	return n
 }
 
 // noteWindow folds one join query's window into the GC maxima and holder
 // counts.
-func (p *Processor) noteWindow(q *xscl.Query) {
+func (p *Processor) noteWindow(rec *queryRec) {
 	switch {
-	case q.Window == xscl.WindowInf:
+	case rec.window == xscl.WindowInf:
 		p.infWindows++
 		p.anyInfWindow = true
-	case q.WindowKind == xscl.WindowCount:
+	case rec.windowKind == xscl.WindowCount:
 		switch {
-		case q.Window > p.maxCountWindow:
-			p.maxCountWindow, p.maxCountHolders = q.Window, 1
-		case q.Window == p.maxCountWindow:
+		case rec.window > p.maxCountWindow:
+			p.maxCountWindow, p.maxCountHolders = rec.window, 1
+		case rec.window == p.maxCountWindow:
 			p.maxCountHolders++
 		}
 	default:
 		switch {
-		case q.Window > p.maxFiniteWindow:
-			p.maxFiniteWindow, p.maxFiniteHolders = q.Window, 1
-		case q.Window == p.maxFiniteWindow:
+		case rec.window > p.maxFiniteWindow:
+			p.maxFiniteWindow, p.maxFiniteHolders = rec.window, 1
+		case rec.window == p.maxFiniteWindow:
 			p.maxFiniteHolders++
 		}
 	}
@@ -319,18 +379,18 @@ func (p *Processor) noteWindow(q *xscl.Query) {
 // releaseWindow undoes noteWindow for a removed query and reports whether a
 // maximum lost its last holder, requiring a full recompute. Unbounded
 // windows are counted exactly, so they never force a rescan.
-func (p *Processor) releaseWindow(q *xscl.Query) bool {
+func (p *Processor) releaseWindow(rec *queryRec) bool {
 	switch {
-	case q.Window == xscl.WindowInf:
+	case rec.window == xscl.WindowInf:
 		p.infWindows--
 		p.anyInfWindow = p.infWindows > 0
-	case q.WindowKind == xscl.WindowCount:
-		if q.Window == p.maxCountWindow {
+	case rec.windowKind == xscl.WindowCount:
+		if rec.window == p.maxCountWindow {
 			p.maxCountHolders--
 			return p.maxCountHolders == 0
 		}
 	default:
-		if q.Window == p.maxFiniteWindow {
+		if rec.window == p.maxFiniteWindow {
 			p.maxFiniteHolders--
 			return p.maxFiniteHolders == 0
 		}
@@ -368,14 +428,17 @@ func (p *Processor) Unregister(qid QueryID) error {
 		}
 	}
 	for _, iid := range rec.insts {
-		p.unregisterInstance(iid)
+		if iid != noInstance {
+			p.unregisterInstance(iid)
+		}
 	}
 	p.queries[qid] = nil
 	p.numQueries--
+	p.recBytes -= rec.bytes()
 	// Re-derive the GC window maxima only when a maximum lost its last
 	// holder — a full scan per removal would make bulk drains quadratic
 	// in lifetime registrations.
-	if rec.q.Op != xscl.OpNone && p.releaseWindow(rec.q) {
+	if rec.op != xscl.OpNone && p.releaseWindow(rec) {
 		p.recomputeWindows()
 	}
 	if p.numQueries == 0 {
@@ -398,15 +461,16 @@ func (p *Processor) MustUnregister(qid QueryID) {
 func (p *Processor) unregisterInstance(iid int64) {
 	inst := p.instances[iid]
 	t := inst.tmpl
-	t.removeVector(inst.vecKey, iid)
+	t.removeVector(inst.group, iid)
 
-	inst.left.pi.release(inst.left)
-	inst.right.pi.release(inst.right)
-	if inst.left.pi.refs == 0 {
-		p.removePattern(inst.left.pi)
+	lpi, rpi := inst.left.pi, inst.right.pi
+	lpi.release(inst.left)
+	rpi.release(inst.right)
+	if lpi.refs == 0 {
+		p.removePattern(lpi)
 	}
-	if inst.right.pi != inst.left.pi && inst.right.pi.refs == 0 {
-		p.removePattern(inst.right.pi)
+	if rpi != lpi && rpi.refs == 0 {
+		p.removePattern(rpi)
 	}
 
 	t.refs--
@@ -414,6 +478,7 @@ func (p *Processor) unregisterInstance(iid int64) {
 		p.removeTemplate(t)
 	}
 	p.instances[iid] = nil
+	p.freeInsts = append(p.freeInsts, iid)
 }
 
 // removeTemplate reclaims a template whose last instance left, freeing its
@@ -449,8 +514,8 @@ func (p *Processor) recomputeWindows() {
 	p.maxCountWindow, p.maxCountHolders = 0, 0
 	p.infWindows, p.anyInfWindow = 0, false
 	for _, rec := range p.queries {
-		if rec != nil && rec.q.Op != xscl.OpNone {
-			p.noteWindow(rec.q)
+		if rec != nil && rec.op != xscl.OpNone {
+			p.noteWindow(rec)
 		}
 	}
 }
@@ -465,6 +530,8 @@ func (p *Processor) recomputeWindows() {
 func (p *Processor) reclaimAll() {
 	p.state = NewState()
 	p.stats = Stats{}
+	p.result = Matches{}
+	p.rvjArena = relation.Arena{}
 	for _, sh := range p.shards {
 		sh.cache.Clear()
 		sh.stats = Stats{}
@@ -523,13 +590,14 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 	_, lmap := q.Left.NormalizedFullyBound()
 	_, rmap := q.Right.NormalizedFullyBound()
 
-	lc := patternContrib{pi: lpi}
-	rc := patternContrib{pi: rpi}
+	lc, rc := &p.contribScratch[0], &p.contribScratch[1]
+	lc.reset(lpi)
+	rc.reset(rpi)
 	contribOf := func(side Side) (*patternContrib, []int, []JGNode) {
 		if side == Left {
-			return &lc, lmap, red.LeftSide.Nodes
+			return lc, lmap, red.LeftSide.Nodes
 		}
-		return &rc, rmap, red.RightSide.Nodes
+		return rc, rmap, red.RightSide.Nodes
 	}
 	for _, side := range []Side{Left, Right} {
 		c, imap, nodes := contribOf(side)
@@ -549,14 +617,18 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 		lc.addStrNode(int32(lmap[red.LeftSide.Nodes[e.L].PatternNode.Index]))
 		rc.addStrNode(int32(rmap[red.RightSide.Nodes[e.R].PatternNode.Index]))
 	}
-	lpi.acquire(lc)
-	rpi.acquire(rc)
+	left, right := p.acquire(lc), p.acquire(rc)
 
 	// Record the query's RT tuple — its canonical variable at each
 	// template position — in its vector group; the window length stays
 	// on the instance.
 	nl := len(red.LeftSide.Nodes)
 	iid := int64(len(p.instances))
+	if n := len(p.freeInsts); n > 0 {
+		iid, p.freeInsts = p.freeInsts[n-1], p.freeInsts[:n-1]
+	} else {
+		p.instances = append(p.instances, nil)
+	}
 	varIDs := make([]int64, tmpl.N)
 	for pos := 0; pos < tmpl.N; pos++ {
 		flat := order[pos]
@@ -568,14 +640,17 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 		}
 		varIDs[pos] = p.syms.intern(canon)
 	}
-	vecKey := tmpl.addVector(varIDs, iid)
-
-	p.instances = append(p.instances, &instance{
+	p.instances[iid] = &instance{
 		qid: qid, op: q.Op, swapped: swapped, tmpl: tmpl,
 		window: q.Window, windowKind: q.WindowKind,
-		vecKey: vecKey, left: lc, right: rc,
-	})
+		group: tmpl.addVector(varIDs, iid), left: left, right: right,
+	}
 	return iid, nil
+}
+
+// reset empties the scratch contribution for a new instance side.
+func (c *patternContrib) reset(pi *patternInfo) {
+	c.pi, c.edges, c.strNodes, c.roots = pi, c.edges[:0], c.strNodes[:0], c.roots[:0]
 }
 
 // addEdge records a structural edge in the contribution, deduplicated
@@ -608,10 +683,41 @@ func (c *patternContrib) addRoot(n int32) {
 	c.roots = append(c.roots, n)
 }
 
-// acquire folds a contribution into the pattern's refcounted emission sets;
-// an item appearing for the first time joins the emission lists.
-func (pi *patternInfo) acquire(c patternContrib) {
+// appendContribKey appends the encoding a pattern files a demand under: the
+// three lists in order, each behind its length.
+func appendContribKey(b []byte, c *patternContrib) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.edges)))
+	for _, e := range c.edges {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e[0]))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e[1]))
+	}
+	for _, list := range [][]int32{c.strNodes, c.roots} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(list)))
+		for _, n := range list {
+			b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		}
+	}
+	return b
+}
+
+// acquire takes one reference on the scratch demand's record in its pattern,
+// creating the record — and folding it into the pattern's refcounted emission
+// sets, where an item appearing for the first time joins the emission lists —
+// when no live instance side demands the same.
+func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
+	pi := scratch.pi
 	pi.refs++
+	p.contribKey = appendContribKey(p.contribKey[:0], scratch)
+	c := pi.contribs[string(p.contribKey)]
+	if c != nil {
+		c.refs++
+		return c
+	}
+	c = &patternContrib{
+		pi: pi, key: string(p.contribKey), refs: 1,
+		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes), roots: slices.Clone(scratch.roots),
+	}
+	pi.contribs[c.key] = c
 	for _, k := range c.edges {
 		if pi.edgeCount[k]++; pi.edgeCount[k] == 1 {
 			pi.edges = append(pi.edges, k)
@@ -627,12 +733,18 @@ func (pi *patternInfo) acquire(c patternContrib) {
 			pi.roots = append(pi.roots, n)
 		}
 	}
+	return c
 }
 
-// release undoes acquire; an item whose count reaches zero leaves the
-// emission lists (order of the survivors is preserved).
-func (pi *patternInfo) release(c patternContrib) {
+// release undoes acquire; when the record's last reference goes, an item
+// whose count reaches zero leaves the emission lists (order of the survivors
+// is preserved).
+func (pi *patternInfo) release(c *patternContrib) {
 	pi.refs--
+	if c.refs--; c.refs > 0 {
+		return
+	}
+	delete(pi.contribs, c.key)
 	for _, k := range c.edges {
 		if pi.edgeCount[k]--; pi.edgeCount[k] == 0 {
 			delete(pi.edgeCount, k)
@@ -673,6 +785,7 @@ func (p *Processor) registerPattern(block *xpath.Pattern) *patternInfo {
 	pi := &patternInfo{
 		yid: yid, pat: rep,
 		canonIDs:  make([]int64, len(rep.Nodes)),
+		contribs:  map[string]*patternContrib{},
 		edgeCount: map[[2]int32]int{},
 		strCount:  map[int32]int{},
 		rootCount: map[int32]int{},
@@ -769,11 +882,12 @@ func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
 // consumeStage1 runs the order-sensitive tail of document processing on the
 // coordinator: Stage-2 template evaluation against the join state, the
 // Algorithm-2 state merge, view-cache maintenance, and window GC. Results
-// must be consumed in arrival order.
+// must be consumed in arrival order. The returned matches are the processor's
+// own view (Matches), valid until the next call.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess coordinator section after Stage-2 workers drain; GC invalidates every shard's cache
-func (p *Processor) consumeStage1(r *stage1Result) []Match {
+func (p *Processor) consumeStage1(r *stage1Result) *Matches {
 	d, w := r.doc, r.w
 	p.stats.Documents++
 	p.stats.XPath += r.xpath
@@ -782,6 +896,7 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	p.stats.PatternsTriggered += r.triggered
 	p.stats.WitnessProbes += r.probes
 
+	p.resetEmit()
 	var stage2 time.Duration
 	if p.state.NumDocs() > 0 && w.RdocW.Len() > 0 {
 		t := time.Now()
@@ -789,14 +904,13 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 		stage2 = time.Since(t)
 		p.stats.Stage2Wall += stage2
 	}
-	out := p.collectMatches(r.singles)
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
 	// registered query set, never on pattern registration order. That
-	// N-invariance is what lets a partition router re-sort the concatenation
-	// of N engines' streams into the single-engine byte order. This is the
-	// only sort on the path: the shards' results arrive unordered.
-	SortMatches(out)
+	// N-invariance is what lets a partition router merge N engines' runs
+	// into the single-engine byte order. This is the only sort on the path:
+	// the shards' results arrive unordered.
+	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
 	p.state.Merge(w, p.cfg.RetainDocuments)
@@ -831,24 +945,28 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	}
 	t4 := time.Now()
 	p.stats.Maintain += t4.Sub(t2)
-	p.stats.Matches += int64(len(out))
+	p.stats.Matches += int64(out.Len())
 	if p.cfg.OnDocument != nil {
 		p.cfg.OnDocument(DocTimings{
 			Stage1:  r.wall,
 			Stage2:  stage2,
 			Merge:   t3.Sub(t2),
 			GC:      t4.Sub(t3),
-			Matches: len(out),
+			Matches: out.Len(),
 		})
 	}
+	// The document is merged and its matches hold no witness row: the
+	// witness relations' storage serves a later document.
+	r.w = nil
+	w.Release()
 	return out
 }
 
 // Process runs the full per-document pipeline (Algorithm 1, or Algorithm 4
 // when view materialization is enabled) and returns the matches the
-// document triggered.
+// document triggered, in a slice the caller owns.
 func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
-	return p.consumeStage1(p.runStage1(stream, d))
+	return p.consumeStage1(p.runStage1(stream, d)).Slice()
 }
 
 // RunStage1 implements Backend: the document-local, state-free half of
@@ -858,11 +976,17 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) Stage1Result {
 	return p.runStage1(stream, d)
 }
 
-// ConsumeStage1 implements Backend: the order-sensitive tail for a result of
-// this processor's RunStage1. Calls must be made in admission order, never
+// Consume implements Backend: the order-sensitive tail for a result of this
+// processor's RunStage1. Calls must be made in admission order, never
 // concurrently.
-func (p *Processor) ConsumeStage1(r Stage1Result) []Match {
+func (p *Processor) Consume(r Stage1Result) *Matches {
 	return p.consumeStage1(r.(*stage1Result))
+}
+
+// ConsumeStage1 is Consume with the matches copied into a slice the caller
+// owns.
+func (p *Processor) ConsumeStage1(r Stage1Result) []Match {
+	return p.Consume(r).Slice()
 }
 
 // windowOK applies the Algorithm-3 window constraint for one instance:

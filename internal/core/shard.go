@@ -24,9 +24,9 @@ import (
 // the per-document indexes (stage2Shared) and the templates' compiled
 // programs and vector groups are read-only inputs, and each worker evaluates
 // only its own shard's templates, emitting into its own shard's buffer. The
-// coordinator copies the buffers into the document's result and sorts it
-// under a total order (SortMatches), so the output is identical for every
-// worker count, including Workers = 1.
+// coordinator orders the buffers' matches under a total order by sorting keys
+// that point into them (Matches), so the output is identical for every worker
+// count, including Workers = 1, and is written once, by whoever reads it.
 
 // shard is one unit of Stage-2 parallelism.
 type shard struct {
@@ -46,9 +46,10 @@ type shard struct {
 
 	// ex evaluates this shard's templates and keeps its scratch — the
 	// binding frame, the key buffer and the emit buffer ex.out — across
-	// documents. ex.out holds the current document's matches between
-	// evalShard and collectMatches, which copies them out and resets it:
-	// nothing handed to a caller ever aliases it.
+	// documents. ex.out holds the current document's matches from evalShard
+	// until the next document's resetEmit; the processor's Matches view
+	// points into it meanwhile, and whoever reads the view copies out of
+	// it: no slice handed to a caller ever aliases it.
 	//
 	//mmqjp:shardowned
 	ex cqExec
@@ -58,6 +59,10 @@ type shard struct {
 // documents (≈ 350 KB); a document that grew the buffer beyond it takes the
 // buffer with it, so one burst does not stay resident per shard.
 const shardEmitKeep = 4096
+
+// keysKeep is the same bound for a result's sort keys, which are a quarter of
+// a match's size and counted over all shards.
+const keysKeep = 4 * shardEmitKeep
 
 func newShard(id int) *shard {
 	return &shard{id: id, cache: NewViewCache()}
@@ -135,29 +140,162 @@ func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 	})
 }
 
-// collectMatches builds the document's result: the single-block matches and
-// every shard's emit buffer in one exactly sized slice the caller owns,
-// unsorted. The emit buffers are reset for the next document.
+// resetEmit empties the emit buffers and the result view for the next
+// document.
 //
-//mmqjp:shardaccess coordinator section after Stage-2 workers drain
-func (p *Processor) collectMatches(singles []Match) []Match {
-	n := 0
+//mmqjp:shardaccess coordinator section before Stage-2 workers start
+func (p *Processor) resetEmit() {
+	p.result.reset()
 	for _, sh := range p.shards {
-		n += len(sh.ex.out)
-	}
-	if n == 0 {
-		return singles
-	}
-	out := make([]Match, 0, len(singles)+n)
-	out = append(out, singles...)
-	for _, sh := range p.shards {
-		out = append(out, sh.ex.out...)
 		if cap(sh.ex.out) > shardEmitKeep {
 			sh.ex.out = nil
 		}
 		sh.ex.out = sh.ex.out[:0]
 	}
+}
+
+// collectMatches builds the document's result: the single-block matches and
+// every shard's emit buffer, ordered where they lie.
+//
+//mmqjp:shardaccess coordinator section after Stage-2 workers drain
+func (p *Processor) collectMatches(singles []Match) *Matches {
+	ms := &p.result
+	n := len(singles)
+	for _, sh := range p.shards {
+		n += len(sh.ex.out)
+	}
+	ms.keys = slices.Grow(ms.keys, n)
+	ms.add(singles)
+	for _, sh := range p.shards {
+		ms.add(sh.ex.out)
+	}
+	ms.sort()
+	return ms
+}
+
+// Matches is one document's result in the canonical total order, before
+// anyone has written it out: sorted keys over the buffers the matches were
+// emitted into. It belongs to the backend that returned it and is valid until
+// that backend consumes its next document; a reader walks it once — At(0) to
+// At(Len()-1) — into the representation it needs (the engine facade its
+// public matches, Slice a []Match), which is the only time the result is
+// materialised.
+//
+// The order is total down to the binding vector (matchCmp), so it is a pure
+// function of match content: the same for every worker count, and merging
+// the runs of N partitions (Merge) lands on the single-engine byte order.
+type Matches struct {
+	keys []orderKey
+	bufs [][]Match
+	// cursors is Merge's scratch, one per run.
+	cursors []mergeCursor
+}
+
+// mergeCursor is Merge's position in one run: the next key, and where the
+// run's buffers start in the merged buffer list.
+type mergeCursor struct {
+	head int
+	base int32
+}
+
+// orderKey is the pointer-free sort key of one match: the two leading fields
+// of the canonical order and where the match lies. Most comparisons end on
+// them; only a tie reads the matches themselves.
+type orderKey struct {
+	query    QueryID
+	leftDoc  xmldoc.DocID
+	buf, idx int32
+}
+
+// Len returns the number of matches.
+func (ms *Matches) Len() int { return len(ms.keys) }
+
+// At returns the i-th match in canonical order. The pointer is into the
+// backend's buffers: read it, do not keep it.
+func (ms *Matches) At(i int) *Match {
+	k := ms.keys[i]
+	return &ms.bufs[k.buf][k.idx]
+}
+
+// Slice copies the matches, in order, into a new slice the caller owns (nil
+// when there are none).
+func (ms *Matches) Slice() []Match {
+	if len(ms.keys) == 0 {
+		return nil
+	}
+	out := make([]Match, len(ms.keys))
+	for i := range out {
+		out[i] = *ms.At(i)
+	}
 	return out
+}
+
+func (ms *Matches) reset() {
+	if cap(ms.keys) > keysKeep {
+		ms.keys = nil
+	}
+	ms.keys = ms.keys[:0]
+	clear(ms.bufs)
+	ms.bufs = ms.bufs[:0]
+}
+
+// add appends buf's matches, unordered.
+func (ms *Matches) add(buf []Match) {
+	b := int32(len(ms.bufs))
+	ms.bufs = append(ms.bufs, buf)
+	for i := range buf {
+		ms.keys = append(ms.keys, orderKey{buf[i].Query, buf[i].LeftDoc, b, int32(i)})
+	}
+}
+
+// sort applies the canonical total order to the keys.
+func (ms *Matches) sort() {
+	slices.SortFunc(ms.keys, func(a, b orderKey) int {
+		if c := cmp.Compare(a.query, b.query); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.leftDoc, b.leftDoc); c != 0 {
+			return c
+		}
+		return matchCmp(&ms.bufs[a.buf][a.idx], &ms.bufs[b.buf][b.idx])
+	})
+}
+
+// Merge makes ms the ordered merge of runs, with run i's query ids replaced
+// by global[i][id] — in the keys and in the matches themselves, which are the
+// runs' scratch. Each run must be ordered, global[i] increasing over the ids
+// run i carries, and no global id shared between runs (a partition router's
+// local-to-global tables: every query lives on one partition, and local ids
+// are handed out in global order); the merge then only ever compares the
+// runs' head query ids. ms takes over the runs' buffers until its own next
+// Merge.
+func (ms *Matches) Merge(runs []*Matches, global [][]QueryID) {
+	ms.reset()
+	ms.cursors = ms.cursors[:0]
+	for _, r := range runs {
+		ms.cursors = append(ms.cursors, mergeCursor{base: int32(len(ms.bufs))})
+		ms.bufs = append(ms.bufs, r.bufs...)
+	}
+	for {
+		best, bestQ := -1, QueryID(0)
+		for i, r := range runs {
+			if h := ms.cursors[i].head; h < len(r.keys) {
+				if q := global[i][r.keys[h].query]; best < 0 || q < bestQ {
+					best, bestQ = i, q
+				}
+			}
+		}
+		if best < 0 {
+			return
+		}
+		r, c := runs[best], &ms.cursors[best]
+		for local := r.keys[c.head].query; c.head < len(r.keys) && r.keys[c.head].query == local; c.head++ {
+			k := r.keys[c.head]
+			r.bufs[k.buf][k.idx].Query = bestQ
+			k.query, k.buf = bestQ, k.buf+c.base
+			ms.keys = append(ms.keys, k)
+		}
+	}
 }
 
 // stage2Shared carries the per-document inputs of the compiled programs,
@@ -181,7 +319,7 @@ type stage2Shared struct {
 	rvjOnce  sync.Once
 	rvj      []relation.Tuple
 	rvjByDoc *rowIndex
-	arena    relation.Arena
+	arena    *relation.Arena // the processor's rvjArena: this document's rvj rows
 
 	rl      []relation.Tuple // (docid, var1, var2, node1, node2, strVal)
 	rlByDoc *rowIndex
@@ -220,7 +358,8 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
-	pre := &stage2Shared{}
+	p.rvjArena.Reset()
+	pre := &stage2Shared{arena: &p.rvjArena}
 	if p.cfg.ViewMaterialization {
 		if !p.prepareViewMat(w, pre) {
 			return nil
@@ -352,19 +491,11 @@ func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, 
 	ex.w, ex.d, ex.pre, ex.group = nil, nil, nil, nil
 }
 
-// SortMatches applies the canonical total order to ms in place, so the
-// merged output is identical regardless of how templates are sharded across
-// workers — or how queries are partitioned across routed engines. Ties are
-// broken down to the binding vector; fully equal matches are
-// interchangeable. It is the order every per-document match set leaves
-// ConsumeStage1 in, exported so a partition router can merge N engines'
-// relabeled streams by concatenating and re-sorting — landing on the exact
-// single-engine byte order.
-func SortMatches(ms []Match) {
-	slices.SortFunc(ms, matchCmp)
-}
-
-func matchCmp(a, b Match) int {
+// matchCmp is the canonical total order: the merged output is identical
+// regardless of how templates are sharded across workers — or how queries are
+// partitioned across routed engines. Ties are broken down to the binding
+// vector; fully equal matches are interchangeable.
+func matchCmp(a, b *Match) int {
 	if c := cmp.Compare(a.Query, b.Query); c != 0 {
 		return c
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -152,7 +154,7 @@ type CurrentWitness struct {
 	// per-document and dropped together, so their tuples share chunks
 	// instead of costing one allocation each. Merge copies the rows into
 	// the join state's own storage, so nothing arena-backed outlives the
-	// document.
+	// document — which is what lets Release hand the slab to the next one.
 	arena relation.Arena
 
 	// rrSlices holds the current document's RR rows (var1, var2, node1,
@@ -161,19 +163,52 @@ type CurrentWitness struct {
 	rrSlices *relation.Relation
 }
 
-// NewCurrentWitness returns empty current-document witness relations.
-func NewCurrentWitness(d *xmldoc.Document) *CurrentWitness {
+// witnessPool holds the witness relations of consumed documents (Release):
+// row slices, dedup sets and the arena's slab serve the next document, so a
+// document's Stage-1 output costs no allocation once they have grown to its
+// size. Stage-1 workers of concurrently admitted documents each take their
+// own.
+//
+//mmqjp:pooled witnesses are emptied by Release, after consumeStage1 has merged the document; the join state (stampRows) and the view caches (Insert) keep copies of the rows, never the arena's tuples
+var witnessPool = sync.Pool{New: func() any {
 	return &CurrentWitness{
 		RbinW:   relation.New("var1", "var2", "node1", "node2"),
 		RdocW:   relation.New("node", "strVal"),
 		RrootW:  relation.New("var", "node"),
-		DocID:   d.ID,
-		TS:      d.Timestamp,
-		Doc:     d,
 		binSeen: map[[4]int64]bool{},
 		docSeen: map[xmldoc.NodeID]bool{},
 		rtSeen:  map[[2]int64]bool{},
 	}
+}}
+
+// witnessKeep bounds what Release keeps, in rows: a burst document's slab and
+// sets go with it instead of being cleared for every document after it.
+const witnessKeep = 4096
+
+// NewCurrentWitness returns empty current-document witness relations.
+func NewCurrentWitness(d *xmldoc.Document) *CurrentWitness {
+	w := witnessPool.Get().(*CurrentWitness)
+	w.DocID, w.TS, w.Doc = d.ID, d.Timestamp, d
+	return w
+}
+
+// Release gives the witness's storage to a later document. The caller is
+// done with the document: every row has been copied where it is kept (Merge,
+// the view caches' Insert), and nothing reads w or a tuple of it afterwards.
+func (w *CurrentWitness) Release() {
+	if w.RbinW.Len()+w.RdocW.Len()+w.RrootW.Len() > witnessKeep {
+		return
+	}
+	for _, r := range [...]*relation.Relation{w.RbinW, w.RdocW, w.RrootW} {
+		clear(r.Rows)
+		r.Rows = r.Rows[:0]
+	}
+	clear(w.binSeen)
+	clear(w.docSeen)
+	clear(w.rtSeen)
+	w.arena.Reset()
+	w.Doc, w.rrSlices = nil, nil
+	witnessPool.Put(w)
 }
 
 // AddBin inserts a deduplicated structural-edge binding tuple.

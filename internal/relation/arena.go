@@ -3,12 +3,14 @@ package relation
 // Arena slab-allocates tuples: many small rows are sliced out of large
 // shared chunks, so building a witness relation costs one allocation per
 // few thousand values instead of one per row. Tuples remain immutable after
-// insertion by the package convention, and an arena is never reset or
-// reused — dropping the arena and every relation built from it is how the
-// memory is reclaimed (per-document use in internal/core). Arenas are not
-// safe for concurrent use.
+// insertion by the package convention. Dropping the arena and every relation
+// built from it reclaims the memory; an owner that knows no tuple is in use
+// any more (internal/core, once a document is consumed) calls Reset instead
+// and builds the next document's rows in the same slab. Arenas are not safe
+// for concurrent use.
 type Arena struct {
-	chunk []Value
+	chunk []Value // the unused rest of slab
+	slab  []Value // the latest chunk in full, which Reset hands out again
 	// next is the size of the next chunk. Chunks grow geometrically from
 	// arenaChunkStart to arenaChunkMax: a document with a handful of
 	// witness rows pays for a small slab, a heavy one still amortizes to
@@ -36,11 +38,21 @@ func (a *Arena) Tuple(n int) Tuple {
 		if n > size {
 			size = n
 		}
-		a.chunk = make([]Value, size)
+		a.slab = make([]Value, size)
+		a.chunk = a.slab
 	}
 	t := Tuple(a.chunk[:n:n])
 	a.chunk = a.chunk[n:]
 	return t
+}
+
+// Reset empties the arena for reuse: every tuple carved from it so far is
+// invalid from here on, and the latest chunk — the largest, so an arena that
+// serves similar documents settles on one that holds a whole document — is
+// zeroed where it was used and carved again.
+func (a *Arena) Reset() {
+	clear(a.slab[:len(a.slab)-len(a.chunk)])
+	a.chunk = a.slab
 }
 
 // Insert appends a row built from vals to r, with the tuple's storage

@@ -47,6 +47,48 @@ func TestArenaInsert(t *testing.T) {
 	}
 }
 
+// TestArenaReset pins what reuse relies on: after Reset the arena hands out
+// the same storage again, zeroed, without allocating; an arena that had to
+// grow keeps its largest chunk, so the next user of the same size does not
+// grow again; and resetting an arena nobody used is harmless.
+func TestArenaReset(t *testing.T) {
+	var a Arena
+	a.Reset()
+	fill := func(rows int) []Tuple {
+		var out []Tuple
+		for i := 0; i < rows; i++ {
+			tu := a.Tuple(4)
+			for k := range tu {
+				if tu[k] != (Value{}) {
+					t.Fatalf("row %d: tuple not zeroed: %v", i, tu)
+				}
+				tu[k] = Str("x")
+			}
+			out = append(out, tu)
+		}
+		return out
+	}
+	first := fill(10)
+	a.Reset()
+	second := fill(10)
+	if &first[0][0] != &second[0][0] || &first[9][3] != &second[9][3] {
+		t.Error("Reset did not hand the same storage out again")
+	}
+	// Grow past the first chunk, reset, and refill to the same size: the
+	// second fill must fit the chunk the first one ended on.
+	a.Reset()
+	fill(arenaChunkStart) // 4 * arenaChunkStart values: two more chunks
+	a.Reset()
+	if allocs := testing.AllocsPerRun(1, func() {
+		a.Reset()
+		for i := 0; i < arenaChunkStart/2; i++ {
+			a.Tuple(4)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset arena allocated %.0f times, want 0", allocs)
+	}
+}
+
 func TestSymValueKind(t *testing.T) {
 	id := sym.Intern("arena-test-val")
 	v := Sym(id)

@@ -1,13 +1,13 @@
 // Package router is the in-process engine-of-engines tier: a Router owns N
 // independent core.Processors (partitions), assigns each subscription to one
 // partition by hash of its canonical template signature (core.PartitionKey),
-// fans every published document to all partitions, and merges the partition
-// match streams under the canonical total order — so routed output is
+// fans every published document to all partitions, and merges the partitions'
+// ordered match runs under the canonical total order — so routed output is
 // byte-identical to a single engine holding the same subscriptions.
 //
 // The Router implements core.Backend: RunStage1 fans the document-local work
-// across partitions in parallel, ConsumeStage1 consumes every partition and
-// re-sorts the relabeled concatenation. Because it is a Backend, the PR 4
+// across partitions in parallel, Consume consumes every partition and merges
+// the relabeled runs. Because it is a Backend, the PR 4
 // continuous-ingest machinery (core.Ingest) drives it unchanged, and an
 // Ingest.Barrier over a routed backend is automatically a router-wide
 // barrier: admission is closed, every partition has consumed every admitted
@@ -19,10 +19,12 @@
 // multiset in its partition equals its multiset in a single engine holding
 // all queries — witness relations are deduplicated sets keyed by canonical
 // variables, and signature-hash placement co-locates the queries that share
-// them. Each per-document output leaves ConsumeStage1 in the canonical total
-// order (core.SortMatches), which is a pure function of match content, so
-// sorting the union of the partitions' outputs reproduces the single
-// engine's byte order.
+// them. Each partition's per-document output leaves Consume in the canonical
+// total order (core.Matches), which is a pure function of match content and
+// starts with the query id; a query's matches all come from one partition,
+// and a partition's local ids rise with the global ids they stand for, so
+// merging the runs by global query id (core.Matches.Merge) reproduces the
+// single engine's byte order.
 //
 // Registration is not safe concurrently with in-flight document processing,
 // exactly as for a single Processor: callers funnel Register/Unregister
@@ -62,8 +64,14 @@ type Router struct {
 	routes []*route
 	// l2g maps each partition's local QueryID space back to global ids
 	// for relabeling merged output. Registering queries in global-id
-	// order keeps every partition's local order monotone in global order.
+	// order keeps every partition's local order monotone in global order,
+	// which is what lets Consume merge the partitions' runs.
 	l2g [][]core.QueryID
+
+	// runs and merged are Consume's scratch: the partitions' results of the
+	// current document and their merge, the view Consume returns.
+	runs   []*core.Matches
+	merged core.Matches
 
 	// onDoc is the caller's per-document hook; slots collects the
 	// partitions' individual timings for one document before summing.
@@ -85,6 +93,7 @@ func New(cfg Config) *Router {
 	r := &Router{
 		depth: cfg.Core.PipelineDepth,
 		l2g:   make([][]core.QueryID, n),
+		runs:  make([]*core.Matches, n),
 		onDoc: cfg.Core.OnDocument,
 		slots: make([]core.DocTimings, n),
 	}
@@ -92,8 +101,8 @@ func New(cfg Config) *Router {
 		cc := cfg.Core
 		cc.OnDocument = nil
 		if r.onDoc != nil {
-			// Each partition reports into its own slot; ConsumeStage1 is
-			// never concurrent with itself, so the slots are reused safely.
+			// Each partition reports into its own slot; Consume is never
+			// concurrent with itself, so the slots are reused safely.
 			slot := &r.slots[i]
 			cc.OnDocument = func(t core.DocTimings) { *slot = t }
 		}
@@ -185,34 +194,24 @@ func (r *Router) RunStage1(stream string, d *xmldoc.Document) core.Stage1Result 
 	return rs
 }
 
-// ConsumeStage1 implements core.Backend: every partition consumes its half
-// of the document in parallel (partitions share no mutable state), then the
-// outputs are relabeled to global query ids, concatenated, and re-sorted
-// under the canonical total order — the single-engine byte order.
-func (r *Router) ConsumeStage1(sr core.Stage1Result) []core.Match {
+// Consume implements core.Backend: every partition consumes its half of the
+// document in parallel (partitions share no mutable state), then the
+// partitions' ordered runs are relabeled to global query ids and merged where
+// they lie — the single-engine byte order, and no match is copied until the
+// caller writes the result out.
+func (r *Router) Consume(sr core.Stage1Result) *core.Matches {
 	rs := sr.(*routedStage1)
-	outs := make([][]core.Match, len(r.parts))
 	var wg sync.WaitGroup
 	for i, p := range r.parts {
 		wg.Add(1)
 		go func(i int, p *core.Processor) {
 			defer wg.Done()
-			outs[i] = p.ConsumeStage1(rs.parts[i])
+			r.runs[i] = p.Consume(rs.parts[i])
 		}(i, p)
 	}
 	wg.Wait()
-	n := 0
-	for _, ms := range outs {
-		n += len(ms)
-	}
-	out := make([]core.Match, 0, n)
-	for part, ms := range outs {
-		for _, m := range ms {
-			m.Query = r.l2g[part][m.Query]
-			out = append(out, m)
-		}
-	}
-	core.SortMatches(out)
+	out := &r.merged
+	out.Merge(r.runs, r.l2g)
 	if r.onDoc != nil {
 		var sum core.DocTimings
 		for i := range r.slots {
@@ -223,29 +222,30 @@ func (r *Router) ConsumeStage1(sr core.Stage1Result) []core.Match {
 			sum.GC += t.GC
 			r.slots[i] = core.DocTimings{}
 		}
-		sum.Matches = len(out)
+		sum.Matches = out.Len()
 		r.onDoc(sum)
 	}
 	return out
 }
 
-// Process runs the full routed per-document pipeline.
+// Process runs the full routed per-document pipeline and returns the matches
+// in a slice the caller owns.
 func (r *Router) Process(stream string, d *xmldoc.Document) []core.Match {
-	return r.ConsumeStage1(r.RunStage1(stream, d))
+	return r.Consume(r.RunStage1(stream, d)).Slice()
 }
 
 // ProcessBatch processes docs in arrival order and returns each document's
 // merged matches, exactly as len(docs) consecutive Process calls would.
 func (r *Router) ProcessBatch(stream string, docs []*xmldoc.Document) [][]core.Match {
 	out := make([][]core.Match, len(docs))
-	r.ProcessBatchFunc(stream, docs, func(i int, ms []core.Match) { out[i] = ms })
+	r.ProcessBatchFunc(stream, docs, func(i int, ms *core.Matches) { out[i] = ms.Slice() })
 	return out
 }
 
 // ProcessBatchFunc is the routed ProcessBatch with per-document delivery,
 // pipelined over the configured Core.PipelineDepth via the shared batch
 // runner.
-func (r *Router) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []core.Match)) {
+func (r *Router) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *core.Matches)) {
 	core.RunBatch(r, r.depth, stream, docs, deliver)
 }
 

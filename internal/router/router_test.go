@@ -59,7 +59,7 @@ func recs(ms []core.Match) []rec {
 type backend interface {
 	Register(q *xscl.Query) (core.QueryID, error)
 	Unregister(id core.QueryID) error
-	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []core.Match))
+	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *core.Matches))
 }
 
 // replayTrace drives a trace through b exactly as the core harness does:
@@ -100,8 +100,8 @@ func replayTrace(b backend, tr workload.Trace, ids []core.QueryID) [][]rec {
 			docs = append(docs, tr.Events[k].Doc)
 		}
 		base := i
-		b.ProcessBatchFunc("S", docs, func(k int, ms []core.Match) {
-			out[base+k] = recs(ms)
+		b.ProcessBatchFunc("S", docs, func(k int, ms *core.Matches) {
+			out[base+k] = recs(ms.Slice())
 		})
 		i = j
 	}
@@ -366,7 +366,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 				in := core.NewIngest(b, core.IngestConfig{Depth: 2})
 				for i, d := range docs {
 					i := i
-					if err := in.Submit("S", d, func(ms []core.Match) { out[i] = ms }); err != nil {
+					if err := in.Submit("S", d, func(ms *core.Matches) { out[i] = ms.Slice() }); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -387,7 +387,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 				ref := newBackend(mode.routed)
 				total, none := 0, 0
 				for i, d := range docs {
-					want := recs(ref.ConsumeStage1(ref.RunStage1("S", d)))
+					want := recs(ref.Consume(ref.RunStage1("S", d)).Slice())
 					if got := recs(kept[i]); !reflect.DeepEqual(got, want) {
 						t.Fatalf("document %d: the result kept since its publish differs from a fresh engine's\nkept:  %v\nfresh: %v", i, got, want)
 					}

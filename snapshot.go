@@ -121,7 +121,7 @@ func (e *Engine) snapshot(w io.Writer) error {
 		if q == nil {
 			continue
 		}
-		snap.Queries = append(snap.Queries, snapQuery{ID: int64(id), Source: q.Source})
+		snap.Queries = append(snap.Queries, snapQuery{ID: int64(id), Source: q.source})
 	}
 	if len(e.docs) > 0 {
 		ids := make([]int64, 0, len(e.docs))

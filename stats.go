@@ -74,6 +74,12 @@ type EngineStats struct {
 	StateRdocRows  int64 `json:"state_rdoc_rows"`
 	StateRrootRows int64 `json:"state_rroot_rows"`
 
+	// SubscriptionBytes is what the live subscriptions retain: their source
+	// text and the registration records of the facade and the join
+	// processor — maintained on Subscribe and Unsubscribe, 0 once the last
+	// subscription has left.
+	SubscriptionBytes int64 `json:"subscription_bytes"`
+
 	// DroppedCascades counts derived documents discarded at the
 	// composition depth limit (a symptom of a cyclic query network).
 	DroppedCascades int64 `json:"dropped_cascades,omitempty"`
@@ -89,12 +95,12 @@ func (s EngineStats) String() string {
 	if s.Partitions > 1 {
 		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
 	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d",
+	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d, subscription bytes=%d",
 		parts, s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
 		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes,
 		s.StateDocs, s.StateRbinRows, s.StateRdocRows, s.StateRrootRows,
-		s.WindowGCs, s.GCRowsDropped, s.GCRowsMoved)
+		s.WindowGCs, s.GCRowsDropped, s.GCRowsMoved, s.SubscriptionBytes)
 }
 
 // Stats returns a structured snapshot of processing cost so far. Use
@@ -110,11 +116,14 @@ func (e *Engine) Stats() EngineStats {
 			Documents:  e.seq.NumDocs(),
 			Matches:    e.seq.NumMatches(),
 			CQ:         e.seq.JoinTime(),
+
+			SubscriptionBytes: e.subBytes,
 		}
 	}
 	out := fromCore(e.proc.Stats())
 	out.Partitions = partitionsOf(e.proc)
 	out.Queries, out.Templates = e.proc.NumQueries(), e.proc.NumTemplates()
+	out.SubscriptionBytes += e.subBytes
 	out.DroppedCascades = e.droppedCascades
 	return out
 }
@@ -152,6 +161,8 @@ func fromCore(s core.Stats) EngineStats {
 		StateRbinRows:  s.StateRbinRows,
 		StateRdocRows:  s.StateRdocRows,
 		StateRrootRows: s.StateRrootRows,
+
+		SubscriptionBytes: s.SubscriptionBytes,
 	}
 }
 
