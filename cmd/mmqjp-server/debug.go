@@ -56,10 +56,6 @@ import (
 //	                                      and not reading
 //	snapshots_total, snapshot_errors_total, durable-mode snapshot activity
 //	snapshot_seconds                      and duration histogram
-//	partition_documents_total{partition}, with -partitions N: per-partition
-//	partition_matches_total{partition},   engine counters and live-set
-//	partition_queries{partition},         gauges (aggregate metrics above
-//	partition_templates{partition}        keep their unpartitioned names)
 
 // healthzTimeout bounds the /healthz barrier round-trip. A healthy pipeline
 // answers in microseconds; the deadline only has to be comfortably above a
@@ -83,11 +79,8 @@ type serverMetrics struct {
 
 // newServerMetrics builds the registry for eng. Engine-cumulative values
 // are read at scrape time; per-document histograms are fed by the
-// Options.OnDocument hook (see onDocument). With partitions > 1 the
-// per-partition families below break the aggregates down by router
-// partition; the aggregate metric names stay unchanged either way, so
-// dashboards keep working when -partitions is toggled.
-func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
+// Options.OnDocument hook (see onDocument).
+func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{reg: r}
 	r.CounterFunc("mmqjp_documents_total", "Documents admitted into the join state.",
@@ -151,28 +144,6 @@ func newServerMetrics(eng func() *mmqjp.Engine, partitions int) *serverMetrics {
 	m.snapshots = r.Counter("mmqjp_snapshots_total", "Snapshots saved to the durable store.")
 	m.snapshotErrors = r.Counter("mmqjp_snapshot_errors_total", "Snapshot saves that failed.")
 	m.snapshotSeconds = r.Histogram("mmqjp_snapshot_seconds", "Snapshot save duration.", obs.DurationBuckets)
-	if partitions > 1 {
-		partDocs := r.CounterFuncVec("mmqjp_partition_documents_total", "Documents consumed, by router partition.", "partition")
-		partMatches := r.CounterFuncVec("mmqjp_partition_matches_total", "Matches produced, by router partition.", "partition")
-		partQueries := r.GaugeFuncVec("mmqjp_partition_queries", "Live subscriptions, by router partition.", "partition")
-		partTemplates := r.GaugeFuncVec("mmqjp_partition_templates", "Live canonical templates, by router partition.", "partition")
-		partStat := func(i int, get func(mmqjp.EngineStats) float64) func() float64 {
-			return func() float64 {
-				ps := eng().PartitionStats()
-				if i >= len(ps) {
-					return 0
-				}
-				return get(ps[i])
-			}
-		}
-		for i := 0; i < partitions; i++ {
-			lv := fmt.Sprintf("%d", i)
-			partDocs.With(lv, partStat(i, func(s mmqjp.EngineStats) float64 { return float64(s.Documents) }))
-			partMatches.With(lv, partStat(i, func(s mmqjp.EngineStats) float64 { return float64(s.Matches) }))
-			partQueries.With(lv, partStat(i, func(s mmqjp.EngineStats) float64 { return float64(s.Queries) }))
-			partTemplates.With(lv, partStat(i, func(s mmqjp.EngineStats) float64 { return float64(s.Templates) }))
-		}
-	}
 	return m
 }
 

@@ -15,18 +15,17 @@ import (
 )
 
 // startDebugTestServer runs an -async broker with the observability sidecar
-// attached (routed across partitions engines when partitions > 1) and
-// returns both addresses.
-func startDebugTestServer(t *testing.T, partitions int) (brokerAddr, debugAddr string) {
+// attached and returns both addresses.
+func startDebugTestServer(t *testing.T) (brokerAddr, debugAddr string) {
 	t.Helper()
 	s := &server{
 		async:  true,
 		owners: map[mmqjp.QueryID]*client{},
 	}
-	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, partitions)
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	opts := mmqjp.Options{
 		Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 4,
-		OnDocument: s.m.onDocument, Partitions: partitions,
+		OnDocument: s.m.onDocument,
 	}
 	if _, err := s.initEngine(opts); err != nil {
 		t.Fatal(err)
@@ -67,7 +66,7 @@ func lineRead(conn net.Conn, rd *bufio.Reader) (string, error) {
 // between the hot path, the scrape-time stat readers and the churn surfaces
 // here.
 func TestServerMetricsHealthzUnderLoad(t *testing.T) {
-	brokerAddr, debugAddr := startDebugTestServer(t, 0)
+	brokerAddr, debugAddr := startDebugTestServer(t)
 
 	const publishers = 3
 	const pubs = 30
@@ -199,85 +198,10 @@ func TestServerMetricsHealthzUnderLoad(t *testing.T) {
 	}
 }
 
-// TestServerPartitionMetrics runs the broker routed across 4 partitions and
-// checks the per-partition metric families: every partition label is
-// exposed, the per-partition documents equal the publish count (each
-// partition consumes every document), and the partition query gauges sum to
-// the live subscription count. Aggregate metric names must be unchanged.
-func TestServerPartitionMetrics(t *testing.T) {
-	const partitions = 4
-	brokerAddr, debugAddr := startDebugTestServer(t, partitions)
-
-	conn, err := net.DialTimeout("tcp", brokerAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	subs := []string{
-		"S//a->x JOIN{x=y, 1000000} S//b->y",
-		"S//c->x JOIN{x=y, 1000000} S//d->y",
-		"S//e->x JOIN{x=y, 1000000} S//f->y",
-	}
-	for _, q := range subs {
-		fmt.Fprintf(conn, "SUB %s\n", q)
-		if resp, err := lineRead(conn, rd); err != nil || !strings.HasPrefix(resp, "OK ") {
-			t.Fatalf("SUB -> %q, %v", resp, err)
-		}
-	}
-	const pubs = 10
-	for p := 0; p < pubs; p++ {
-		fmt.Fprintf(conn, "PUB S %d <a>k</a>\n", p+1)
-	}
-	for acks := 0; acks < pubs; {
-		resp, err := lineRead(conn, rd)
-		if err != nil {
-			t.Fatalf("after %d acks: %v", acks, err)
-		}
-		if strings.HasPrefix(resp, "OK ") {
-			acks++
-		}
-	}
-
-	code, body := httpGet(t, "http://"+debugAddr+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status %d", code)
-	}
-	queries := 0
-	for i := 0; i < partitions; i++ {
-		docsLine := fmt.Sprintf("mmqjp_partition_documents_total{partition=\"%d\"} %d", i, pubs)
-		if !strings.Contains(body, docsLine+"\n") {
-			t.Errorf("/metrics missing %q", docsLine)
-		}
-		var q int
-		if _, err := fmt.Sscanf(partitionMetric(body, "mmqjp_partition_queries", i), "%d", &q); err != nil {
-			t.Errorf("partition %d queries gauge unreadable: %v", i, err)
-		}
-		queries += q
-	}
-	if queries != len(subs) {
-		t.Errorf("partition query gauges sum to %d, want %d", queries, len(subs))
-	}
-	if !strings.Contains(body, "\nmmqjp_documents_total "+fmt.Sprint(pubs)+"\n") {
-		t.Errorf("aggregate mmqjp_documents_total missing or wrong:\n%s", body)
-	}
-}
-
-// partitionMetric extracts the value text of one labeled partition sample.
-func partitionMetric(body, name string, part int) string {
-	prefix := fmt.Sprintf("%s{partition=\"%d\"} ", name, part)
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			return strings.TrimPrefix(line, prefix)
-		}
-	}
-	return ""
-}
-
 // TestServerHealthzDebugEndpoints checks the sidecar's other routes: a pprof
 // index renders, and /healthz answers fast on an idle engine.
 func TestServerHealthzDebugEndpoints(t *testing.T) {
-	_, debugAddr := startDebugTestServer(t, 0)
+	_, debugAddr := startDebugTestServer(t)
 	if code, body := httpGet(t, "http://"+debugAddr+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz -> %d %q", code, body)
 	}
@@ -312,7 +236,7 @@ func metricValue(t *testing.T, body, name string) int64 {
 // drop counter.
 func TestServerReplyPathMetrics(t *testing.T) {
 	s := &server{owners: map[mmqjp.QueryID]*client{}}
-	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, 0)
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +345,7 @@ func TestServerReplyPathMetrics(t *testing.T) {
 // numbers in the STATS line.
 func TestServerWindowStateMetrics(t *testing.T) {
 	s := &server{owners: map[mmqjp.QueryID]*client{}}
-	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, 0)
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +405,7 @@ func TestServerWindowStateMetrics(t *testing.T) {
 // subscription gauge counts at least the text of the live subscriptions, and
 // it returns to zero when the last subscription has left.
 func TestServerMemoryGauges(t *testing.T) {
-	brokerAddr, debugAddr := startDebugTestServer(t, 0)
+	brokerAddr, debugAddr := startDebugTestServer(t)
 	c := dialTest(t, brokerAddr)
 	subs := []string{
 		"S//a->x FOLLOWED BY{x=y, 20} S//a->y",

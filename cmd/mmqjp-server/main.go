@@ -54,13 +54,6 @@
 // format, so the flag can be added (or dropped) across restarts without
 // losing the existing snapshot.
 //
-// -partitions N (N > 1) runs the engine-of-engines router: subscriptions
-// are partitioned by canonical template signature across N independent
-// engines, every published document fans out to all of them, and the
-// merged match stream is byte-identical to a single engine's — the flag
-// changes scheduling, never output. Snapshots record the partition count
-// and must be restored with the same -partitions value.
-//
 // -debug-addr starts an HTTP observability sidecar with /metrics
 // (Prometheus text), /healthz (ingest-pipeline liveness under a deadline)
 // and /debug/pprof; see debug.go for the metric set.
@@ -167,7 +160,6 @@ func main() {
 	async := flag.Bool("async", false, "route PUB through the continuous async ingest pipeline")
 	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto (adaptive), witness, or rt (forced ablations)")
 	explore := flag.Int("explore", 64, "with -plan auto, run the non-chosen plan on ~1/N of plan decisions to calibrate the cost model (0 disables)")
-	partitions := flag.Int("partitions", 0, "engine-of-engines: partition subscriptions across this many independent engines behind the deterministic router (0 or 1 = a single engine; output is identical either way)")
 	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables")
 	snapPath := flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables")
 	snapEvery := flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)")
@@ -188,11 +180,11 @@ func main() {
 		owners:  map[mmqjp.QueryID]*client{},
 	}
 	if *debugAddr != "" {
-		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, *partitions)
+		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	}
 	opts := mmqjp.Options{
 		Processor: kind, Parallelism: *workers, PipelineDepth: *pipeline,
-		Plan: plan, PlanExploreEvery: *explore, Partitions: *partitions,
+		Plan: plan, PlanExploreEvery: *explore,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument

@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/sequential"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
@@ -106,17 +105,6 @@ type Options struct {
 	// Match output is identical for every setting. Ignored by
 	// ProcessorSequential, which exists for benchmarking only.
 	Parallelism int
-	// Partitions selects the engine-of-engines router tier: with N > 1 the
-	// engine owns N independent join processors, assigns each subscription
-	// to one by hash of its canonical template signature, fans every
-	// published document to all of them, and merges the match streams
-	// under the canonical total order — match output is byte-identical to
-	// an unpartitioned engine for every N. Each partition gets the full
-	// per-partition configuration (Parallelism workers, plan choice, view
-	// cache...). 0 or 1 selects the single-processor engine. Ignored by
-	// ProcessorSequential. Snapshots record the partition count and must
-	// be reopened with the same value (see OpenEngine).
-	Partitions int
 	// PipelineDepth bounds how many upcoming documents of a PublishBatch
 	// call may have Stage 1 (XML parse, shared-NFA match, witness
 	// construction) running ahead of the in-order Stage-2 consumption
@@ -164,30 +152,10 @@ type Match struct {
 // read-only accessors only exclude writers. PublishAsync additionally
 // overlaps the document-local Stage-1 work of concurrently admitted
 // documents through a persistent ingest pipeline (see PublishAsync).
-// joinBackend is the join-processing surface the facade drives: a single
-// *core.Processor, or an *internal/router.Router when Options.Partitions
-// selects the engine-of-engines tier. Both speak core.QueryID (the router's
-// ids are global and dense in registration order, exactly like a
-// processor's), and both implement core.Backend — so the continuous ingest
-// pipeline and its barriers drive either one unchanged, which makes an
-// Ingest.Barrier over a routed backend a router-wide barrier for free.
-type joinBackend interface {
-	core.Backend
-	Register(q *xscl.Query) (core.QueryID, error)
-	Unregister(id core.QueryID) error
-	SkipQueryID()
-	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *core.Matches))
-	NumQueries() int
-	NumTemplates() int
-	Stats() core.Stats
-	PlanStats() []core.TemplatePlanStats
-	MaxDocID() int64
-}
-
 type Engine struct {
 	mu   sync.RWMutex
 	opts Options
-	proc joinBackend           // nil when Sequential
+	proc *core.Processor       // nil when Sequential
 	seq  *sequential.Processor // nil otherwise
 
 	// ingestMu guards the lazily started continuous ingest pipeline. It is
@@ -245,7 +213,7 @@ func New(opts Options) *Engine {
 	case ProcessorSequential:
 		e.seq = sequential.NewProcessor()
 	default:
-		cc := core.Config{
+		e.proc = core.NewProcessor(core.Config{
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			RetainDocuments:     opts.RetainDocuments,
 			Plan:                core.PlanKind(opts.Plan),
@@ -254,12 +222,7 @@ func New(opts Options) *Engine {
 			Workers:             opts.Parallelism,
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
-		}
-		if opts.Partitions > 1 {
-			e.proc = router.New(router.Config{Partitions: opts.Partitions, Core: cc})
-		} else {
-			e.proc = core.NewProcessor(cc)
-		}
+		})
 	}
 	return e
 }
@@ -275,33 +238,38 @@ func (e *Engine) Subscribe(src string) (QueryID, error) {
 	if err != nil {
 		return 0, err
 	}
+	var id QueryID
+	e.atBarrier(func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		id, err = e.subscribe(q)
+	})
+	return id, err
+}
+
+// atBarrier runs fn — a registration or a snapshot, which takes e.mu itself —
+// at a point where no Stage-1 work is in flight: at a barrier of the
+// continuous ingest pipeline while it is live (every document admitted
+// before is fully processed, none admitted after has started), directly
+// otherwise.
+func (e *Engine) atBarrier(fn func()) {
 	e.ingestMu.Lock()
 	ing := e.ing
 	if ing == nil {
-		// No pipeline: register directly. ingestMu is held across the
-		// registration so a concurrent first PublishAsync cannot start
-		// Stage-1 workers mid-registration.
+		// No pipeline: run directly. ingestMu is held across fn so a
+		// concurrent first PublishAsync cannot start Stage-1 workers
+		// mid-registration.
 		defer e.ingestMu.Unlock()
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.subscribe(q)
+		fn()
+		return
 	}
 	e.ingestMu.Unlock()
-	var id QueryID
-	var serr error
-	if berr := ing.Barrier(func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		id, serr = e.subscribe(q)
-	}); berr != nil {
+	if err := ing.Barrier(fn); err != nil {
 		// The pipeline was closed concurrently; wait for its drain so no
-		// Stage-1 work is in flight, then register directly.
+		// Stage-1 work is in flight, then run directly.
 		ing.Wait()
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.subscribe(q)
+		fn()
 	}
-	return id, serr
 }
 
 // MustSubscribe is Subscribe, panicking on error (examples, tests).
@@ -353,18 +321,8 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 // before it keep their matches, documents admitted after it see the query
 // gone.
 func (e *Engine) Unsubscribe(id QueryID) error {
-	e.ingestMu.Lock()
-	ing := e.ing
-	if ing == nil {
-		defer e.ingestMu.Unlock()
-		return e.unsubscribe(id)
-	}
-	e.ingestMu.Unlock()
 	var err error
-	if berr := ing.Barrier(func() { err = e.unsubscribe(id) }); berr != nil {
-		ing.Wait()
-		return e.unsubscribe(id)
-	}
+	e.atBarrier(func() { err = e.unsubscribe(id) })
 	return err
 }
 
@@ -471,7 +429,7 @@ func (e *Engine) publish(dst []Match, stream string, d *Document, depth int) []M
 	return e.cascade(e.deliver(dst, e.proc.Consume(e.proc.RunStage1(stream, d))), len(dst), depth)
 }
 
-// orderedMatches is a document's result as a backend hands it over: in
+// orderedMatches is a document's result as a processor hands it over: in
 // canonical order and not yet written out (core.Matches; the sequential
 // baseline's slice).
 type orderedMatches interface {
@@ -504,7 +462,7 @@ func (s *sequentialMatches) At(i int) *core.Match {
 // a slice the caller owns: nil everywhere but under AppendPublishXML —
 // resolving each query's PUBLISH stream from its subscription record. This is
 // the one place the result is materialised, whatever the ingest shape: the
-// backend's view is only valid until it consumes its next document, so every
+// processor's view is only valid until it consumes its next document, so every
 // consume point calls deliver before anything else — the cascade included.
 //
 //mmqjp:guardedby e.mu

@@ -96,8 +96,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 
 // TestAppendPublishXMLEqualsPublishXML holds the caller's-buffer publish to
 // the owned one: two engines with the same subscriptions — every processor
-// kind, routed and not; a cascading chain, a self-feeding loop cut at the
-// depth limit, windowed feed queries — take the same documents, one through
+// kind; a cascading chain, a self-feeding loop cut at the depth limit,
+// windowed feed queries — take the same documents, one through
 // PublishXML, the other through AppendPublishXML into one buffer behind a
 // sentinel match. Every document's matches must be equal, the sentinel must
 // stay, and a document that does not parse must leave the buffer as it came
@@ -123,36 +123,31 @@ func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 		docs = append(docs, doc{"S", d.XMLText()})
 	}
 	for _, kind := range allKinds() {
-		for _, partitions := range []int{0, 2} {
-			if partitions > 0 && kind == ProcessorSequential {
-				continue
+		opts := Options{Processor: kind, EnableComposition: true}
+		owned, appended := New(opts), New(opts)
+		subscribeAll(t, owned, srcs)
+		subscribeAll(t, appended, srcs)
+		sentinel := Match{Query: -1, Publish: "sentinel"}
+		buf := []Match{sentinel}
+		total := 0
+		for i, d := range docs {
+			want, wantErr := owned.PublishXML(d.stream, d.xml, int64(i+1), int64(10*i))
+			var err error
+			buf, err = appended.AppendPublishXML(buf[:1], d.stream, d.xml, int64(i+1), int64(10*i))
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%v document %d: error %v, want %v", kind, i, err, wantErr)
 			}
-			opts := Options{Processor: kind, EnableComposition: true, Partitions: partitions}
-			owned, appended := New(opts), New(opts)
-			subscribeAll(t, owned, srcs)
-			subscribeAll(t, appended, srcs)
-			sentinel := Match{Query: -1, Publish: "sentinel"}
-			buf := []Match{sentinel}
-			total := 0
-			for i, d := range docs {
-				want, wantErr := owned.PublishXML(d.stream, d.xml, int64(i+1), int64(10*i))
-				var err error
-				buf, err = appended.AppendPublishXML(buf[:1], d.stream, d.xml, int64(i+1), int64(10*i))
-				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-					t.Fatalf("%v partitions=%d document %d: error %v, want %v", kind, partitions, i, err, wantErr)
-				}
-				if buf[0] != sentinel {
-					t.Fatalf("%v partitions=%d document %d: the buffer's own element was overwritten: %+v", kind, partitions, i, buf[0])
-				}
-				if got := buf[1:]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v partitions=%d document %d: appended %d matches %+v, want %d %+v", kind, partitions, i, len(got), got, len(want), want)
-				}
-				total += len(want)
+			if buf[0] != sentinel {
+				t.Fatalf("%v document %d: the buffer's own element was overwritten: %+v", kind, i, buf[0])
 			}
-			if total < 100 || owned.DroppedCascades() == 0 || owned.DroppedCascades() != appended.DroppedCascades() {
-				t.Errorf("%v partitions=%d: %d matches, %d and %d dropped cascades: the stream exercises too little", kind, partitions,
-					total, owned.DroppedCascades(), appended.DroppedCascades())
+			if got := buf[1:]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v document %d: appended %d matches %+v, want %d %+v", kind, i, len(got), got, len(want), want)
 			}
+			total += len(want)
+		}
+		if total < 100 || owned.DroppedCascades() == 0 || owned.DroppedCascades() != appended.DroppedCascades() {
+			t.Errorf("%v: %d matches, %d and %d dropped cascades: the stream exercises too little", kind,
+				total, owned.DroppedCascades(), appended.DroppedCascades())
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sym"
 )
 
@@ -20,7 +19,7 @@ import (
 // partition decision, or a snapshot would show up here as divergence.
 
 // TestInterningDifferential runs the RSS workload through every shared-join
-// plan × worker count × partition count and requires per-document output
+// plan × worker count and requires per-document output
 // byte-identical to the sequential (string-keyed) oracle.
 func TestInterningDifferential(t *testing.T) {
 	sources, stream := snapshotWorkload(40, 120)
@@ -42,17 +41,15 @@ func TestInterningDifferential(t *testing.T) {
 
 	for _, plan := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
 		for _, workers := range []int{0, 4} {
-			for _, parts := range []int{1, 3} {
-				label := fmt.Sprintf("plan=%v workers=%d partitions=%d", plan, workers, parts)
-				eng := New(Options{Processor: plan, Parallelism: workers, Partitions: parts})
-				for _, src := range sources {
-					eng.MustSubscribe(src)
-				}
-				for di, d := range stream {
-					if got := renderEngineMatches(eng.Publish("S", d)); got != want[di] {
-						t.Fatalf("%s: doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
-							label, di+1, got, want[di])
-					}
+			label := fmt.Sprintf("plan=%v workers=%d", plan, workers)
+			eng := New(Options{Processor: plan, Parallelism: workers})
+			for _, src := range sources {
+				eng.MustSubscribe(src)
+			}
+			for di, d := range stream {
+				if got := renderEngineMatches(eng.Publish("S", d)); got != want[di] {
+					t.Fatalf("%s: doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
+						label, di+1, got, want[di])
 				}
 			}
 		}
@@ -141,7 +138,7 @@ func readStore(t *testing.T, s *MemStore) []byte {
 }
 
 // rdocValues decodes the snapshot blob and collects the distinct join-value
-// strings its Rdoc rows carry (across the single-state and routed layouts).
+// strings its Rdoc rows carry.
 func rdocValues(t *testing.T, blob []byte) map[string]bool {
 	t.Helper()
 	var snap engineSnapshot
@@ -149,11 +146,8 @@ func rdocValues(t *testing.T, blob []byte) map[string]bool {
 		t.Fatalf("decode snapshot: %v", err)
 	}
 	vals := map[string]bool{}
-	states := append([]core.StateSnapshot{snap.State}, snap.PartStates...)
-	for _, st := range states {
-		for _, r := range st.Rdoc {
-			vals[r.Str] = true
-		}
+	for _, r := range snap.State.Rdoc {
+		vals[r.Str] = true
 	}
 	return vals
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,6 +197,91 @@ func TestEngineSnapshotErrors(t *testing.T) {
 	}
 	if _, err := OpenEngine(strings.NewReader(`not json`), Options{}); err == nil {
 		t.Error("garbage snapshot accepted")
+	}
+}
+
+// Two snapshots written by the release before the in-process router was
+// removed, same subscriptions (id 2 unsubscribed) and the same three
+// documents: routedSnapshot with Options{Partitions: 2}, whose join state
+// lies in part_states and whose state is empty; plainSnapshot without.
+const (
+	snapshotQueries = `"queries":[{"id":0,"source":"S//a-\u003ex JOIN{x=y, 100} S//b-\u003ey"},{"id":1,"source":"S//item-\u003ei[./title-\u003et] FOLLOWED BY{t=u, 50} S//item-\u003ej[./title-\u003eu]"},{"id":3,"source":"S//c-\u003ez"}],"next_derived":1099511627776`
+	snapshotState   = `{"next_seq":3,"max_doc":3,"docs":[{"id":1,"ts":1,"seq":0},{"id":2,"ts":2,"seq":1},{"id":3,"ts":3,"seq":2}],"rdoc":[{"doc":1,"node":1,"s":"v"},{"doc":2,"node":1,"s":"v"},{"doc":3,"node":1,"s":"k"}],"rroot":[{"doc":1,"v":"S//a","node":1},{"doc":2,"v":"S//b","node":1},{"doc":3,"v":"S//item/title","node":1}]}`
+
+	plainSnapshot  = `{"format":"mmqjp-snapshot","version":1,` + snapshotQueries + `,"state":` + snapshotState + `}` + "\n"
+	routedSnapshot = `{"format":"mmqjp-snapshot","version":1,` + snapshotQueries + `,"state":{"next_seq":0,"max_doc":0},"partitions":2,"part_states":[` +
+		snapshotState + `,{"next_seq":3,"max_doc":3,"docs":[{"id":1,"ts":1,"seq":0},{"id":2,"ts":2,"seq":1},{"id":3,"ts":3,"seq":2}]}]}` + "\n"
+)
+
+// TestRoutedSnapshotRefused: a snapshot a routed engine wrote is refused with
+// an error that says why — through a plain and a gzipped store, and when only
+// one of the two routed fields marks it — instead of opening with the empty
+// join state its "state" field holds. The unpartitioned snapshot of the same
+// engine opens, and replaying the stream's suffix on it gives what an engine
+// that never restarted gives.
+func TestRoutedSnapshotRefused(t *testing.T) {
+	opts := Options{Processor: ProcessorViewMat}
+	for _, gz := range []bool{false, true} {
+		var storeOpts []StoreOption
+		if gz {
+			storeOpts = append(storeOpts, WithGzip())
+		}
+		store := NewFileStore(filepath.Join(t.TempDir(), "engine.snap"), storeOpts...)
+		if err := store.Save(func(w io.Writer) error {
+			_, err := io.WriteString(w, routedSnapshot)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenEngineFrom(store, opts)
+		if err == nil || !strings.Contains(err.Error(), "2 partitions") || !strings.Contains(err.Error(), "routed snapshots are no longer supported") {
+			t.Errorf("gzip=%v: routed snapshot: error %v, want one naming the 2 partitions and saying routed snapshots are no longer supported", gz, err)
+		}
+	}
+	for _, snap := range []string{
+		`{"format":"mmqjp-snapshot","version":1,"state":{"next_seq":0,"max_doc":0},"partitions":4}`,
+		`{"format":"mmqjp-snapshot","version":1,"state":{"next_seq":0,"max_doc":0},"part_states":[{"next_seq":1,"max_doc":1}]}`,
+	} {
+		if _, err := OpenEngine(strings.NewReader(snap), opts); err == nil || !strings.Contains(err.Error(), "routed") {
+			t.Errorf("%s: error %v, want the routed-snapshot refusal", snap, err)
+		}
+	}
+
+	docs := []string{
+		"<r><a>v</a></r>", "<r><b>v</b></r>", "<item><title>k</title></item>",
+		"<item><title>k</title></item>", "<r><a>v</a><c>1</c></r>", "<r><b>v</b></r>",
+	}
+	live := New(opts)
+	live.MustSubscribe("S//a->x JOIN{x=y, 100} S//b->y")
+	live.MustSubscribe("S//item->i[./title->t] FOLLOWED BY{t=u, 50} S//item->j[./title->u]")
+	if err := live.Unsubscribe(live.MustSubscribe("S//c->z")); err != nil {
+		t.Fatal(err)
+	}
+	live.MustSubscribe("S//c->z")
+	restored, err := OpenEngine(strings.NewReader(plainSnapshot), opts)
+	if err != nil {
+		t.Fatalf("unpartitioned snapshot: %v", err)
+	}
+	total := 0
+	for i, xml := range docs {
+		want, err := live.PublishXML("S", xml, int64(i+1), int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			continue
+		}
+		got, err := restored.PublishXML("S", xml, int64(i+1), int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("document %d: restored engine %+v, live engine %+v", i+1, got, want)
+		}
+		total += len(want)
+	}
+	if total != 5 {
+		t.Errorf("the suffix produced %d matches, want 5: the replay does not reach the restored state", total)
 	}
 }
 

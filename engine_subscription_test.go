@@ -142,9 +142,9 @@ func TestSubscriptionHeapCeiling(t *testing.T) {
 // TestQueryTextSurvivesRegister pins what the facade's subscription record
 // answers once the parsed query is gone: Query returns the source verbatim
 // (odd spacing and all) for live ids and "" after Unsubscribe, a snapshot
-// restores the same ids with the same text under every backend, and a PUBLISH
-// query still resolves its stream — on its matches and in the cascade — from
-// the record, before and after a restore.
+// restores the same ids with the same text, and a PUBLISH query still
+// resolves its stream — on its matches and in the cascade — from the record,
+// before and after a restore.
 func TestQueryTextSurvivesRegister(t *testing.T) {
 	srcs := []string{
 		"S//alert->a[./host->h][./sev->s]   FOLLOWED BY{h=h2 AND s=s2, 1000}  S//confirm->c[./host->h2][./sev->s2] PUBLISH incidents",
@@ -152,52 +152,50 @@ func TestQueryTextSurvivesRegister(t *testing.T) {
 		"SELECT * FROM S//alert->a[./sev->s]",
 		paperQ1,
 	}
-	for _, partitions := range []int{0, 2} {
-		opts := Options{Processor: ProcessorViewMat, EnableComposition: true, Partitions: partitions}
-		eng := New(opts)
-		ids := subscribeAll(t, eng, srcs)
-		if err := eng.Unsubscribe(ids[3]); err != nil {
-			t.Fatal(err)
+	opts := Options{Processor: ProcessorViewMat, EnableComposition: true}
+	eng := New(opts)
+	ids := subscribeAll(t, eng, srcs)
+	if err := eng.Unsubscribe(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, e *Engine) {
+		t.Helper()
+		if got := e.Subscriptions(); !reflect.DeepEqual(got, ids[:3]) {
+			t.Errorf("%s: Subscriptions = %v, want %v", label, got, ids[:3])
 		}
-		check := func(label string, e *Engine) {
-			t.Helper()
-			if got := e.Subscriptions(); !reflect.DeepEqual(got, ids[:3]) {
-				t.Errorf("partitions=%d %s: Subscriptions = %v, want %v", partitions, label, got, ids[:3])
+		for i, id := range ids {
+			want := srcs[i]
+			if i == 3 {
+				want = ""
 			}
-			for i, id := range ids {
-				want := srcs[i]
-				if i == 3 {
-					want = ""
-				}
-				if got := e.Query(id); got != want {
-					t.Errorf("partitions=%d %s: Query(%d) = %q, want %q", partitions, label, id, got, want)
-				}
-			}
-			e.PublishXML("P", "<page><host>web1</host></page>", 1, 10)
-			e.PublishXML("S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
-			ms, err := e.PublishXML("S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The upstream match carries its stream and its derived document
-			// reaches the downstream JOIN.
-			var streams []string
-			for _, m := range ms {
-				streams = append(streams, fmt.Sprintf("%d:%s", m.Query, m.Publish))
-			}
-			if want := []string{"0:incidents", "1:"}; !reflect.DeepEqual(streams, want) {
-				t.Errorf("partitions=%d %s: matches (query:stream) = %v, want %v", partitions, label, streams, want)
+			if got := e.Query(id); got != want {
+				t.Errorf("%s: Query(%d) = %q, want %q", label, id, got, want)
 			}
 		}
-		var snap bytes.Buffer
-		if err := eng.Snapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		check("live", eng)
-		restored, err := OpenEngine(&snap, opts)
+		e.PublishXML("P", "<page><host>web1</host></page>", 1, 10)
+		e.PublishXML("S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
+		ms, err := e.PublishXML("S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("restored", restored)
+		// The upstream match carries its stream and its derived document
+		// reaches the downstream JOIN.
+		var streams []string
+		for _, m := range ms {
+			streams = append(streams, fmt.Sprintf("%d:%s", m.Query, m.Publish))
+		}
+		if want := []string{"0:incidents", "1:"}; !reflect.DeepEqual(streams, want) {
+			t.Errorf("%s: matches (query:stream) = %v, want %v", label, streams, want)
+		}
 	}
+	var snap bytes.Buffer
+	if err := eng.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	check("live", eng)
+	restored, err := OpenEngine(&snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
 }

@@ -144,8 +144,8 @@ type Stats struct {
 	GCRowsMoved   int64
 	// Gauges, read off the join state when the stats are taken (they
 	// survive ResetStats): the documents inside the widest window and their
-	// rows per witness relation. Add sums them, which over partitions is
-	// the routed engine's total.
+	// rows per witness relation (zero in a shard's stats, so Add leaves
+	// the processor's reading alone).
 	StateDocs      int64
 	StateRbinRows  int64
 	StateRdocRows  int64
@@ -156,8 +156,7 @@ type Stats struct {
 	SubscriptionBytes int64
 }
 
-// Add accumulates o into s: per-shard stats into a processor total, or
-// per-partition stats into a routed engine's aggregate.
+// Add accumulates o into s: per-shard stats into the processor's total.
 func (s *Stats) Add(o Stats) {
 	s.XPath += o.XPath
 	s.Witness += o.Witness

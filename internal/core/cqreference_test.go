@@ -179,9 +179,9 @@ func replayAgainstReference(t *testing.T, cfg Config, tr workload.Trace) int {
 		for _, q := range ev.Subscribe {
 			ids = append(ids, p.MustRegister(q))
 		}
-		r := p.runStage1("S", ev.Doc)
+		r := p.RunStage1("S", ev.Doc)
 		want := harnessRecs(referenceMatches(p, r.w, ev.Doc))
-		got := harnessRecs(p.consumeStage1(r).Slice())
+		got := harnessRecs(p.Consume(r).Slice())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("event %d (doc %d): compiled program diverges from the reference\ngot:  %v\nwant: %v",
 				i, ev.Doc.ID, got, want)

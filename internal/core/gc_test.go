@@ -260,9 +260,9 @@ func TestWindowGCStats(t *testing.T) {
 			b := xmldoc.NewBuilder(xmldoc.DocID(i), xmldoc.Timestamp(i), "item")
 			b.Element(0, "a", fmt.Sprintf("k%d", i%7))
 			b.Element(0, "b", fmt.Sprintf("k%d", i%5))
-			r := p.runStage1("S", b.Build())
+			r := p.RunStage1("S", b.Build())
 			merged += int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
-			p.consumeStage1(r)
+			p.Consume(r)
 			st := p.Stats()
 			if gcs := st.WindowGCs - prev.WindowGCs; gcs > 1 {
 				t.Fatalf("document %d: %d collections", i, gcs)

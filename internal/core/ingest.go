@@ -33,33 +33,6 @@ import (
 // ErrIngestClosed is returned by Submit, Barrier and Flush after Close.
 var ErrIngestClosed = errors.New("core: ingest pipeline closed")
 
-// Stage1Result is an opaque in-flight document: the value a Backend's
-// RunStage1 hands to its ConsumeStage1. Each implementation defines its own
-// concrete type; results never cross backends.
-type Stage1Result any
-
-// Backend is the two-phase processing surface the ingest pipeline (and the
-// batch runner, RunBatch) drives: an order-insensitive Stage 1 that may run
-// concurrently in workers, and an order-sensitive consume step applied on
-// the coordinator strictly in admission order. *Processor implements it
-// directly; internal/router's Router implements it by fanning Stage 1
-// across all partitions and merging the consumed match runs — which is
-// how the PR 4 admission/barrier machinery below becomes cross-partition
-// sequencing without modification.
-type Backend interface {
-	// RunStage1 performs the document-local, state-free half of document
-	// processing. Implementations must allow concurrent calls for
-	// different documents (absent concurrent registration).
-	RunStage1(stream string, d *xmldoc.Document) Stage1Result
-	// Consume applies the order-sensitive tail — Stage-2 evaluation, state
-	// merge, window GC — to a result of this backend's RunStage1 and
-	// returns the document's matches in canonical order, still in the
-	// backend's buffers: the view is valid until the next Consume, and
-	// whoever wants the matches writes them out before that. Calls must be
-	// made in admission order, never concurrently.
-	Consume(r Stage1Result) *Matches
-}
-
 // IngestConfig sizes an Ingest.
 type IngestConfig struct {
 	// Depth bounds admission: at most Depth+1 documents may be admitted
@@ -76,10 +49,10 @@ type IngestConfig struct {
 	Lock sync.Locker
 }
 
-// Ingest is a continuous asynchronous ingest pipeline over one Backend.
+// Ingest is a continuous asynchronous ingest pipeline over one Processor.
 // All methods are safe for concurrent use.
 type Ingest struct {
-	b    Backend
+	p    *Processor
 	lock sync.Locker
 
 	// admit serializes admission (and Close): the order goroutines win it
@@ -103,7 +76,7 @@ type Ingest struct {
 type ingestJob struct {
 	stream  string
 	doc     *xmldoc.Document
-	res     chan Stage1Result
+	res     chan *Stage1Result
 	deliver func(matches *Matches)
 
 	// ctl marks a barrier job: run on the coordinator after every prior
@@ -112,15 +85,15 @@ type ingestJob struct {
 	ctlDone chan struct{}
 }
 
-// NewIngest starts the worker pool and coordinator for b. The caller owns
+// NewIngest starts the worker pool and coordinator for p. The caller owns
 // the pipeline and must Close it to stop the goroutines. Direct Process or
-// ProcessBatch calls on b are only safe while the pipeline is live if they
+// ProcessBatch calls on p are only safe while the pipeline is live if they
 // are mutually excluded with the coordinator's consumption — by sharing
 // IngestConfig.Lock, as the engine facade does with its writer lock —
 // since both sides mutate the join state; the in-flight Stage-1 work
 // itself never touches it and needs no exclusion. Without a shared lock,
 // quiesce with Flush first.
-func NewIngest(b Backend, cfg IngestConfig) *Ingest {
+func NewIngest(p *Processor, cfg IngestConfig) *Ingest {
 	depth := cfg.Depth
 	if depth < 1 {
 		depth = 1
@@ -130,7 +103,7 @@ func NewIngest(b Backend, cfg IngestConfig) *Ingest {
 		workers = depth
 	}
 	i := &Ingest{
-		b:      b,
+		p:      p,
 		lock:   cfg.Lock,
 		coordQ: make(chan *ingestJob, depth),
 		workQ:  make(chan *ingestJob, depth+1),
@@ -145,7 +118,7 @@ func NewIngest(b Backend, cfg IngestConfig) *Ingest {
 
 func (i *Ingest) worker() {
 	for j := range i.workQ {
-		j.res <- i.b.RunStage1(j.stream, j.doc)
+		j.res <- i.p.RunStage1(j.stream, j.doc)
 	}
 }
 
@@ -164,7 +137,7 @@ func (i *Ingest) coordinate() {
 		if i.lock != nil {
 			i.lock.Lock()
 		}
-		ms := i.b.Consume(r)
+		ms := i.p.Consume(r)
 		if j.deliver != nil {
 			j.deliver(ms)
 		}
@@ -180,12 +153,12 @@ func (i *Ingest) coordinate() {
 // called on the coordinator goroutine, in admission order, after the
 // document's Stage 2, state merge, and GC have completed (under
 // IngestConfig.Lock when configured). The matches it receives are the
-// backend's view of the document's result (Matches): deliver writes out what
+// processor's view of the document's result (Matches): deliver writes out what
 // it keeps before it returns or processes anything else. Having done that it
 // may call Process on the same processor (composition cascades do), but it
 // must not Submit, Register, Unregister, or take the configured Lock itself.
 func (i *Ingest) Submit(stream string, d *xmldoc.Document, deliver func(matches *Matches)) error {
-	j := &ingestJob{stream: stream, doc: d, res: make(chan Stage1Result, 1), deliver: deliver}
+	j := &ingestJob{stream: stream, doc: d, res: make(chan *Stage1Result, 1), deliver: deliver}
 	i.admit.Lock()
 	defer i.admit.Unlock()
 	if i.closed {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/workload"
 	"repro/internal/xmldoc"
+	"repro/internal/xscl"
 )
 
 // TestKeyedOrderEqualsSortMatches holds the collector's order — keys of
@@ -17,8 +20,7 @@ import (
 // roots or in the binding vector, one query reached through two templates,
 // single-block matches (no template) mixed with Stage-2 ones, exact
 // duplicates — spread at random over a singles buffer and one to four shard
-// buffers. The same matches, dealt to two or three partitions by query under
-// local ids, must merge (Matches.Merge) to the same sequence.
+// buffers.
 func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 	tmpls := []*Template{nil, {Sig: "A", N: 3}, {Sig: "B", N: 3}}
 	rng := rand.New(rand.NewSource(22))
@@ -74,39 +76,108 @@ func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 		if got := ms.Slice(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: keyed order differs from the sorted matches\ngot:  %v\nwant: %v", round, got, want)
 		}
-
-		// Deal the queries to partitions: global id g lives on partition
-		// g mod parts under the local id its rank there gives it.
-		parts := 2 + rng.Intn(2)
-		runs := make([]*Matches, parts)
-		global := make([][]QueryID, parts)
-		local := map[QueryID]QueryID{}
-		for g := QueryID(0); g < 4; g++ {
-			p := int(g) % parts
-			local[g] = QueryID(len(global[p]))
-			global[p] = append(global[p], g)
-		}
-		for p := range runs {
-			runs[p] = &Matches{}
-			for _, b := range bufs {
-				var mine []Match
-				for _, m := range b {
-					if int(m.Query)%parts == p {
-						m.Query = local[m.Query]
-						mine = append(mine, m)
-					}
-				}
-				runs[p].add(mine)
-			}
-			runs[p].sort()
-		}
-		var merged Matches
-		merged.Merge(runs, global)
-		if got := merged.Slice(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: merge of %d partition runs differs from the sorted matches\ngot:  %v\nwant: %v", round, parts, got, want)
-		}
 	}
 	if ties < 1000 {
 		t.Errorf("only %d adjacent matches tied on (query, left document): the multisets do not exercise the tie-break", ties)
+	}
+}
+
+// TestMatchesOwnedByCaller pins who owns a publish's result: the []Match a
+// document returns, and the Bindings inside it, are the caller's for good.
+// Stage 2 emits into buffers the shards keep and reuse across documents
+// (shard.ex), so every entry point keeps each document's slice untouched
+// until the stream ends — through documents with more, fewer and no matches,
+// window collections included — and only then fingerprints it, against a
+// second processor of the same configuration whose output was fingerprinted
+// document by document. A result aliasing a reused buffer would have been
+// overwritten by then.
+func TestMatchesOwnedByCaller(t *testing.T) {
+	gen := workload.DefaultRSS()
+	queries := gen.Queries(rand.New(rand.NewSource(3)), 60)
+	for _, q := range queries {
+		q.Window = 40
+	}
+	// A single-block match travels the same result slice; every third
+	// document has one.
+	queries = append(queries, xscl.MustParse("S//item->x[./flag->f]"))
+	rng := rand.New(rand.NewSource(4))
+	docs := make([]*xmldoc.Document, 300)
+	for i := range docs {
+		b := xmldoc.NewBuilder(xmldoc.DocID(i+1), xmldoc.Timestamp(i+1), "item")
+		for _, leaf := range gen.LeafNames() {
+			b.Element(0, leaf, fmt.Sprintf("%s-%d", leaf, rng.Intn(12)))
+		}
+		if i%3 == 0 {
+			b.Element(0, "flag", "set")
+		}
+		docs[i] = b.Build()
+	}
+
+	for _, workers := range []int{1, 4} {
+		newProcessor := func() *Processor {
+			p := NewProcessor(Config{ViewMaterialization: true, Workers: workers, PipelineDepth: 2})
+			for _, q := range queries {
+				if _, err := p.Register(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return p
+		}
+		for _, mode := range []struct {
+			name string
+			// run publishes docs on p and returns every document's
+			// result as the entry point handed it out.
+			run func(p *Processor) [][]Match
+		}{
+			{"Process", func(p *Processor) [][]Match {
+				out := make([][]Match, len(docs))
+				for i, d := range docs {
+					out[i] = p.Process("S", d)
+				}
+				return out
+			}},
+			{"ConsumeStage1", func(p *Processor) [][]Match {
+				out := make([][]Match, len(docs))
+				for i, d := range docs {
+					out[i] = p.ConsumeStage1(p.RunStage1("S", d))
+				}
+				return out
+			}},
+			{"ProcessBatch", func(p *Processor) [][]Match {
+				return p.ProcessBatch("S", docs)
+			}},
+			{"Ingest", func(p *Processor) [][]Match {
+				out := make([][]Match, len(docs))
+				in := NewIngest(p, IngestConfig{Depth: 2})
+				for i, d := range docs {
+					i := i
+					if err := in.Submit("S", d, func(ms *Matches) { out[i] = ms.Slice() }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in.Close()
+				return out
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
+				kept := mode.run(newProcessor())
+
+				ref := newProcessor()
+				total, none := 0, 0
+				for i, d := range docs {
+					want := harnessRecs(ref.Consume(ref.RunStage1("S", d)).Slice())
+					if got := harnessRecs(kept[i]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("document %d: the result kept since its publish differs from a fresh processor's\nkept:  %v\nfresh: %v", i, got, want)
+					}
+					total += len(want)
+					if len(want) == 0 {
+						none++
+					}
+				}
+				if total < 10*len(docs) || none == 0 {
+					t.Fatalf("%d matches over %d documents, %d without any: the stream does not vary the buffers' fill", total, len(docs), none)
+				}
+			})
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Batch ingestion pipeline: Stage 1 of a document (shared-NFA match plus
-// CurrentWitness construction, runStage1) depends only on the document and
+// CurrentWitness construction, RunStage1) depends only on the document and
 // the registration-time pattern structures — only the Algorithm-2 state
 // merge, Stage-2 evaluation against the join state, and window GC are
 // order-sensitive. ProcessBatch exploits this by running Stage 1 for up to
@@ -32,23 +32,17 @@ func (p *Processor) ProcessBatch(stream string, docs []*xmldoc.Document) [][]Mat
 // Stage 2, state merge, and GC have completed — the call returns only once
 // every document has been delivered. The engine facade uses the callback to
 // cascade composition publishes between batch documents at the same point
-// the sequential path would. deliver receives the backend's view of the
+// the sequential path would. deliver receives the processor's view of the
 // document's result (Matches) and writes out what it keeps; after that it may
 // itself call Process (for derived documents), but it must not call Register,
-// Unregister or ProcessBatch.
+// Unregister or ProcessBatch. Config.PipelineDepth <= 1 (or a single
+// document) selects the sequential per-document path; output is identical
+// for every depth.
 func (p *Processor) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches *Matches)) {
-	RunBatch(p, p.cfg.PipelineDepth, stream, docs, deliver)
-}
-
-// RunBatch drives docs through any Backend with up to depth documents'
-// Stage 1 in flight ahead of the in-order consume — ProcessBatchFunc
-// generalized over Backend, so the partition router's batch path reuses the
-// same machinery. depth <= 1 (or a single document) selects the sequential
-// per-document path; output is identical for every depth.
-func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deliver func(i int, matches *Matches)) {
+	depth := p.cfg.PipelineDepth
 	if depth <= 1 || len(docs) <= 1 {
 		for i, d := range docs {
-			deliver(i, b.Consume(b.RunStage1(stream, d)))
+			deliver(i, p.Consume(p.RunStage1(stream, d)))
 		}
 		return
 	}
@@ -56,7 +50,7 @@ func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deli
 	if workers > len(docs) {
 		workers = len(docs)
 	}
-	ing := NewIngest(b, IngestConfig{Depth: depth, Workers: workers})
+	ing := NewIngest(p, IngestConfig{Depth: depth, Workers: workers})
 	for i, d := range docs {
 		i := i
 		// Submit blocks at the admission bound, so the batch never runs

@@ -83,7 +83,7 @@ type Processor struct {
 
 	state *State
 
-	// result is the current document's matches between consumeStage1 and
+	// result is the current document's matches between one Consume and
 	// the next one (Matches): its keys and buffer list are reused across
 	// documents.
 	result Matches
@@ -798,12 +798,13 @@ func (p *Processor) registerPattern(block *xpath.Pattern) *patternInfo {
 	return pi
 }
 
-// stage1Result carries the order-insensitive per-document work of Stage 1:
-// the current-witness relations, the single-block matches, and the phase
-// timings to be accumulated by the coordinator. It depends only on the
-// document and the registered patterns, never on the join state, which is
-// what makes Stage 1 safe to run ahead of order in pipeline workers.
-type stage1Result struct {
+// Stage1Result is an in-flight document, opaque outside the package: what
+// RunStage1 hands to Consume. It carries the order-insensitive per-document
+// work of Stage 1 — the current-witness relations, the single-block matches,
+// and the phase timings to be accumulated by the coordinator — and depends
+// only on the document and the registered patterns, never on the join state,
+// which is what makes Stage 1 safe to run ahead of order in pipeline workers.
+type Stage1Result struct {
 	doc     *xmldoc.Document
 	w       *CurrentWitness
 	singles []Match
@@ -814,15 +815,15 @@ type stage1Result struct {
 	triggered, probes int64
 }
 
-// runStage1 performs Stage 1 for one document: shared-NFA matching, witness
+// RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
 // relation construction, and single-block match emission. It only reads
 // registration-time structures (the shared NFA, pattern infos, query lists),
 // so concurrent calls for different documents are safe as long as no
 // Register or Unregister runs concurrently.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
-	r := &stage1Result{doc: d, w: NewCurrentWitness(d)}
+func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
+	r := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
 	t0 := time.Now()
 	res := p.xp.MatchDocument(stream, d)
 	r.xpath = time.Since(t0)
@@ -879,15 +880,16 @@ func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
 	return r
 }
 
-// consumeStage1 runs the order-sensitive tail of document processing on the
+// Consume runs the order-sensitive tail of document processing on the
 // coordinator: Stage-2 template evaluation against the join state, the
 // Algorithm-2 state merge, view-cache maintenance, and window GC. Results
-// must be consumed in arrival order. The returned matches are the processor's
-// own view (Matches), valid until the next call.
+// must be consumed in arrival order, never concurrently. The returned matches
+// are the processor's own view (Matches), valid until the next call: whoever
+// wants them writes them out before that.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess coordinator section after Stage-2 workers drain; GC invalidates every shard's cache
-func (p *Processor) consumeStage1(r *stage1Result) *Matches {
+func (p *Processor) Consume(r *Stage1Result) *Matches {
 	d, w := r.doc, r.w
 	p.stats.Documents++
 	p.stats.XPath += r.xpath
@@ -906,10 +908,8 @@ func (p *Processor) consumeStage1(r *stage1Result) *Matches {
 	}
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
-	// registered query set, never on pattern registration order. That
-	// N-invariance is what lets a partition router merge N engines' runs
-	// into the single-engine byte order. This is the only sort on the path:
-	// the shards' results arrive unordered.
+	// registered query set, never on pattern registration order. This is
+	// the only sort on the path: the shards' results arrive unordered.
 	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
@@ -966,26 +966,12 @@ func (p *Processor) consumeStage1(r *stage1Result) *Matches {
 // when view materialization is enabled) and returns the matches the
 // document triggered, in a slice the caller owns.
 func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
-	return p.consumeStage1(p.runStage1(stream, d)).Slice()
-}
-
-// RunStage1 implements Backend: the document-local, state-free half of
-// processing, safe to run concurrently for different documents as long as no
-// Register/Unregister runs alongside.
-func (p *Processor) RunStage1(stream string, d *xmldoc.Document) Stage1Result {
-	return p.runStage1(stream, d)
-}
-
-// Consume implements Backend: the order-sensitive tail for a result of this
-// processor's RunStage1. Calls must be made in admission order, never
-// concurrently.
-func (p *Processor) Consume(r Stage1Result) *Matches {
-	return p.consumeStage1(r.(*stage1Result))
+	return p.Consume(p.RunStage1(stream, d)).Slice()
 }
 
 // ConsumeStage1 is Consume with the matches copied into a slice the caller
 // owns.
-func (p *Processor) ConsumeStage1(r Stage1Result) []Match {
+func (p *Processor) ConsumeStage1(r *Stage1Result) []Match {
 	return p.Consume(r).Slice()
 }
 

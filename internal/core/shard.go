@@ -175,27 +175,17 @@ func (p *Processor) collectMatches(singles []Match) *Matches {
 
 // Matches is one document's result in the canonical total order, before
 // anyone has written it out: sorted keys over the buffers the matches were
-// emitted into. It belongs to the backend that returned it and is valid until
-// that backend consumes its next document; a reader walks it once — At(0) to
-// At(Len()-1) — into the representation it needs (the engine facade its
-// public matches, Slice a []Match), which is the only time the result is
+// emitted into. It belongs to the processor that returned it and is valid
+// until that processor consumes its next document; a reader walks it once —
+// At(0) to At(Len()-1) — into the representation it needs (the engine facade
+// its public matches, Slice a []Match), which is the only time the result is
 // materialised.
 //
 // The order is total down to the binding vector (matchCmp), so it is a pure
-// function of match content: the same for every worker count, and merging
-// the runs of N partitions (Merge) lands on the single-engine byte order.
+// function of match content: the same for every worker count.
 type Matches struct {
 	keys []orderKey
 	bufs [][]Match
-	// cursors is Merge's scratch, one per run.
-	cursors []mergeCursor
-}
-
-// mergeCursor is Merge's position in one run: the next key, and where the
-// run's buffers start in the merged buffer list.
-type mergeCursor struct {
-	head int
-	base int32
 }
 
 // orderKey is the pointer-free sort key of one match: the two leading fields
@@ -211,7 +201,7 @@ type orderKey struct {
 func (ms *Matches) Len() int { return len(ms.keys) }
 
 // At returns the i-th match in canonical order. The pointer is into the
-// backend's buffers: read it, do not keep it.
+// processor's buffers: read it, do not keep it.
 func (ms *Matches) At(i int) *Match {
 	k := ms.keys[i]
 	return &ms.bufs[k.buf][k.idx]
@@ -259,43 +249,6 @@ func (ms *Matches) sort() {
 		}
 		return matchCmp(&ms.bufs[a.buf][a.idx], &ms.bufs[b.buf][b.idx])
 	})
-}
-
-// Merge makes ms the ordered merge of runs, with run i's query ids replaced
-// by global[i][id] — in the keys and in the matches themselves, which are the
-// runs' scratch. Each run must be ordered, global[i] increasing over the ids
-// run i carries, and no global id shared between runs (a partition router's
-// local-to-global tables: every query lives on one partition, and local ids
-// are handed out in global order); the merge then only ever compares the
-// runs' head query ids. ms takes over the runs' buffers until its own next
-// Merge.
-func (ms *Matches) Merge(runs []*Matches, global [][]QueryID) {
-	ms.reset()
-	ms.cursors = ms.cursors[:0]
-	for _, r := range runs {
-		ms.cursors = append(ms.cursors, mergeCursor{base: int32(len(ms.bufs))})
-		ms.bufs = append(ms.bufs, r.bufs...)
-	}
-	for {
-		best, bestQ := -1, QueryID(0)
-		for i, r := range runs {
-			if h := ms.cursors[i].head; h < len(r.keys) {
-				if q := global[i][r.keys[h].query]; best < 0 || q < bestQ {
-					best, bestQ = i, q
-				}
-			}
-		}
-		if best < 0 {
-			return
-		}
-		r, c := runs[best], &ms.cursors[best]
-		for local := r.keys[c.head].query; c.head < len(r.keys) && r.keys[c.head].query == local; c.head++ {
-			k := r.keys[c.head]
-			r.bufs[k.buf][k.idx].Query = bestQ
-			k.query, k.buf = bestQ, k.buf+c.base
-			ms.keys = append(ms.keys, k)
-		}
-	}
 }
 
 // stage2Shared carries the per-document inputs of the compiled programs,
@@ -491,10 +444,9 @@ func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, 
 	ex.w, ex.d, ex.pre, ex.group = nil, nil, nil, nil
 }
 
-// matchCmp is the canonical total order: the merged output is identical
-// regardless of how templates are sharded across workers — or how queries are
-// partitioned across routed engines. Ties are broken down to the binding
-// vector; fully equal matches are interchangeable.
+// matchCmp is the canonical total order: the output is identical regardless
+// of how templates are sharded across workers. Ties are broken down to the
+// binding vector; fully equal matches are interchangeable.
 func matchCmp(a, b *Match) int {
 	if c := cmp.Compare(a.Query, b.Query); c != 0 {
 		return c
@@ -518,11 +470,12 @@ func matchCmp(a, b *Match) int {
 }
 
 // templateSig is the template tie-break key. The canonical signature — not
-// Template.ID — because ids are allocation-ordered per processor: a template
-// created earlier by an unrelated query on one engine can invert the
-// relative id order another engine assigns, so ids cannot order matches
-// consistently across partitions. Signatures are global. nil (a single-block
-// match) sorts first, as the old -1 id sentinel did.
+// Template.ID — because ids follow allocation order: a template created
+// earlier by an unrelated, since unsubscribed query shifts every later id,
+// so ids would make the order depend on registration history (and a restored
+// snapshot re-registers in a different history than the engine it resumes).
+// Signatures are a function of the query alone. nil (a single-block match)
+// sorts first.
 func templateSig(t *Template) string {
 	if t == nil {
 		return ""

@@ -169,7 +169,7 @@ type CurrentWitness struct {
 // size. Stage-1 workers of concurrently admitted documents each take their
 // own.
 //
-//mmqjp:pooled witnesses are emptied by Release, after consumeStage1 has merged the document; the join state (stampRows) and the view caches (Insert) keep copies of the rows, never the arena's tuples
+//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (stampRows) and the view caches (Insert) keep copies of the rows, never the arena's tuples
 var witnessPool = sync.Pool{New: func() any {
 	return &CurrentWitness{
 		RbinW:   relation.New("var1", "var2", "node1", "node2"),

@@ -38,12 +38,12 @@ func Default() []lint.Analyzer {
 }
 
 // onOutputPath scopes mapiter to the packages whose iteration order can reach
-// match output or serialized state: the shared-join core, the partition
-// router, and the whole engine facade package (engine.go, publish.go,
-// snapshot.go, stats.go, store.go).
+// match output or serialized state: the shared-join core and the whole
+// engine facade package (engine.go, publish.go, snapshot.go, stats.go,
+// store.go).
 func onOutputPath(pkgPath, file string) bool {
 	switch pkgPath {
-	case module, module + "/internal/core", module + "/internal/router":
+	case module, module + "/internal/core":
 		return true
 	}
 	return false

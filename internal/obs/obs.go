@@ -204,21 +204,12 @@ func (v *CounterVec) With(value string) *Counter {
 
 // FuncVec is a family of scrape-time-computed metrics distinguished by one
 // label — for labeled breakdowns of values something else already tracks
-// (per-partition engine stats). Children are added at wiring time with
-// With; every scrape calls each child's fn.
+// (the join state's rows per relation). Children are added at wiring time
+// with With; every scrape calls each child's fn.
 type FuncVec struct {
 	label    string
 	mu       sync.RWMutex
 	children map[string]func() float64
-}
-
-// CounterFuncVec registers and returns a labeled family of scrape-time
-// counters. Each child fn must be monotonically non-decreasing and safe to
-// call concurrently.
-func (r *Registry) CounterFuncVec(name, help, label string) *FuncVec {
-	v := &FuncVec{label: label, children: map[string]func() float64{}}
-	r.register(&metric{name: name, help: help, kind: kindCounter, fvec: v})
-	return v
 }
 
 // GaugeFuncVec registers and returns a labeled family of scrape-time

@@ -130,21 +130,16 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 
 func TestFuncVec(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterFuncVec("part_docs_total", "Docs per partition.", "partition")
-	gv := r.GaugeFuncVec("part_queries", "Queries per partition.", "partition")
-	cv.With("1", func() float64 { return 20 })
-	cv.With("0", func() float64 { return 10 })
-	gv.With("0", func() float64 { return 3 })
+	gv := r.GaugeFuncVec("state_rows", "Rows per relation.", "relation")
+	gv.With("rdoc", func() float64 { return 20 })
+	gv.With("rbin", func() float64 { return 10 })
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	out := sb.String()
-	want := "# HELP part_docs_total Docs per partition.\n" +
-		"# TYPE part_docs_total counter\n" +
-		"part_docs_total{partition=\"0\"} 10\n" +
-		"part_docs_total{partition=\"1\"} 20\n" +
-		"# HELP part_queries Queries per partition.\n" +
-		"# TYPE part_queries gauge\n" +
-		"part_queries{partition=\"0\"} 3\n"
+	want := "# HELP state_rows Rows per relation.\n" +
+		"# TYPE state_rows gauge\n" +
+		"state_rows{relation=\"rbin\"} 10\n" +
+		"state_rows{relation=\"rdoc\"} 20\n"
 	if out != want {
 		t.Fatalf("func vec rendering:\ngot:\n%s\nwant:\n%s", out, want)
 	}

@@ -5,10 +5,10 @@
 // 4-byte ids instead of re-hashing string bytes on every document.
 //
 // The table is process-global and append-only. Global scope is what makes
-// ids safe to use everywhere at once: every engine configuration, every
-// router partition and the sequential oracle of one process agree on the
-// id of a given string, so id-keyed structures behave identically across
-// configurations — which the differential harness checks. Ids are NOT
+// ids safe to use everywhere at once: every engine configuration and the
+// sequential oracle of one process agree on the id of a given string, so
+// id-keyed structures behave identically across configurations — which the
+// differential harness checks. Ids are NOT
 // stable across processes (they depend on interning order), so nothing
 // durable may contain one: snapshot encoding maps ids back to strings
 // (internal/core/snapshot.go) and the snapshot byte-compare tests pin that.

@@ -6,10 +6,10 @@
 # the snapshot, and assert the subscription survived the restart — a CLAIM
 # re-attaches it and pre-restart join state still matches.
 #
-# A second phase reruns the lifecycle routed: -partitions 4 -snapshot-gzip,
-# SUB/PUB/UNSUB over the wire, per-partition /metrics families, SIGTERM into
-# a gzipped routed snapshot, restart with the same -partitions, CLAIM, and a
-# cross-restart match.
+# A second phase reruns the lifecycle with -snapshot-gzip: SUB/PUB/UNSUB over
+# the wire, SIGTERM into a gzipped snapshot (magic bytes checked), restart
+# without the flag (restores sniff the format), CLAIM, and a cross-restart
+# match.
 #
 # Uses only bash (/dev/tcp for the line protocol) and curl.
 set -euo pipefail
@@ -38,7 +38,7 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 go build -o "$WORK/mmqjp-server" ./cmd/mmqjp-server
 
 # start_server [EXTRA_FLAGS...] — flags after the fixed set (e.g.
-# -partitions 4, or an alternate -snapshot-path) pass through to the server.
+# -snapshot-gzip) pass through to the server.
 start_server() {
   "$WORK/mmqjp-server" -addr "$ADDR" -debug-addr "$DEBUG" -snapshot-path "$SNAP" "$@" &
   SERVER_PID=$!
@@ -111,9 +111,9 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
-echo "== routed server: -partitions 4 -snapshot-gzip, churn over the wire =="
-SNAP="$WORK/engine-routed.snap"
-start_server -partitions 4 -snapshot-gzip
+echo "== -snapshot-gzip server: churn over the wire =="
+SNAP="$WORK/engine-gzip.snap"
+start_server -snapshot-gzip
 
 OUT=$(send_lines \
   "SUB S//a->x FOLLOWED BY{x=y, 1000} S//b->y" \
@@ -121,39 +121,33 @@ OUT=$(send_lines \
   "PUB S 1 <a>k</a>" \
   "UNSUB 1")
 echo "$OUT"
-grep -q '^OK 0$' <<<"$OUT" || fail "routed SUB/PUB did not succeed: $OUT"
-grep -q '^OK 1$' <<<"$OUT" || fail "routed second SUB / UNSUB did not succeed: $OUT"
+grep -q '^OK 0$' <<<"$OUT" || fail "SUB/PUB did not succeed: $OUT"
+grep -q '^OK 1$' <<<"$OUT" || fail "second SUB / UNSUB did not succeed: $OUT"
 
 METRICS=$(curl -fsS "http://$DEBUG/metrics")
-# Aggregate metric names are unchanged by routing: one live query after the
-# UNSUB, and the published document counted once despite 4 partitions.
-grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "routed /metrics missing mmqjp_queries 1"
-grep -q '^mmqjp_documents_total 1$' <<<"$METRICS" || fail "routed /metrics missing mmqjp_documents_total 1"
-# Per-partition families: every partition consumed the document.
-for p in 0 1 2 3; do
-  grep -q "^mmqjp_partition_documents_total{partition=\"$p\"} 1$" <<<"$METRICS" \
-    || fail "routed /metrics missing partition $p document counter"
-done
+# One live query after the UNSUB, one document published.
+grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_queries 1 after UNSUB"
+grep -q '^mmqjp_documents_total 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_documents_total 1"
 
-echo "== SIGTERM: gzipped routed snapshot on shutdown =="
+echo "== SIGTERM: gzipped snapshot on shutdown =="
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-[ -s "$SNAP" ] || fail "no routed snapshot written to $SNAP"
+[ -s "$SNAP" ] || fail "no gzipped snapshot written to $SNAP"
 MAGIC=$(head -c 2 "$SNAP" | od -An -tx1 | tr -d ' \n')
 [ "$MAGIC" = "1f8b" ] || fail "-snapshot-gzip snapshot lacks the gzip magic (got $MAGIC)"
 
-echo "== routed restart: restore at the same partition count =="
-start_server -partitions 4
+echo "== restart from the gzipped snapshot =="
+start_server
 
 METRICS=$(curl -fsS "http://$DEBUG/metrics")
-grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "routed subscription did not survive the restart"
+grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "subscription did not survive the gzipped-snapshot restart"
 
 OUT=$(send_lines \
   "CLAIM 0" \
   "PUB S 2 <b>k</b>")
 echo "$OUT"
-grep -q '^OK 0$' <<<"$OUT" || fail "routed CLAIM failed after restart: $OUT"
-grep -q '^MATCH 0 left=1@1 right=2@2$' <<<"$OUT" || fail "routed pre-restart join state lost: $OUT"
+grep -q '^OK 0$' <<<"$OUT" || fail "CLAIM failed after the gzipped-snapshot restart: $OUT"
+grep -q '^MATCH 0 left=1@1 right=2@2$' <<<"$OUT" || fail "pre-restart join state lost across the gzipped snapshot: $OUT"
 
-echo "PASS: routed subscriptions and join state survived the gzipped-snapshot restart"
+echo "PASS: subscriptions and join state survived the gzipped-snapshot restart"

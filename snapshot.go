@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -54,11 +53,11 @@ type engineSnapshot struct {
 	Docs            []core.SnapRetained `json:"docs,omitempty"`
 	State           core.StateSnapshot  `json:"state"`
 
-	// Routed engines (Options.Partitions > 1) record the partition count
-	// and one join state per partition instead of State; pre-partitioning
-	// snapshots simply lack both fields and restore as before.
-	Partitions int                  `json:"partitions,omitempty"`
-	PartStates []core.StateSnapshot `json:"part_states,omitempty"`
+	// Partitions and PartStates are read, never written: a snapshot taken
+	// by a release that had the in-process router holds its join state in
+	// them, not in State, and OpenEngine refuses it.
+	Partitions int               `json:"partitions,omitempty"`
+	PartStates []json.RawMessage `json:"part_states,omitempty"`
 }
 
 // Snapshot writes a consistent snapshot of the engine — subscriptions, join
@@ -71,29 +70,13 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	if e.seq != nil {
 		return ErrSequentialSnapshot
 	}
-	e.ingestMu.Lock()
-	ing := e.ing
-	if ing == nil {
-		defer e.ingestMu.Unlock()
+	var err error
+	e.atBarrier(func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return e.snapshot(w)
-	}
-	e.ingestMu.Unlock()
-	var serr error
-	if berr := ing.Barrier(func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		serr = e.snapshot(w)
-	}); berr != nil {
-		// The pipeline was closed concurrently; wait for its drain, then
-		// snapshot directly — the drain consumed every admitted document.
-		ing.Wait()
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.snapshot(w)
-	}
-	return serr
+		err = e.snapshot(w)
+	})
+	return err
 }
 
 // snapshot builds and encodes the snapshot. Callers guarantee no pipeline
@@ -106,16 +89,7 @@ func (e *Engine) snapshot(w io.Writer) error {
 		Version:         snapshotVersion,
 		NextDerived:     e.nextDerived,
 		DroppedCascades: e.droppedCascades,
-	}
-	// The barrier the caller holds quiesced every partition at the same
-	// admission prefix, so a routed export is one consistent cut across all
-	// of them.
-	switch p := e.proc.(type) {
-	case *router.Router:
-		snap.Partitions = p.Partitions()
-		snap.PartStates = p.ExportStates()
-	case *core.Processor:
-		snap.State = p.ExportState()
+		State:           e.proc.ExportState(),
 	}
 	for id, q := range e.queries {
 		if q == nil {
@@ -145,13 +119,12 @@ func (e *Engine) snapshot(w io.Writer) error {
 // role as in New and need not match the snapshotting engine's options —
 // processor kind (among the shared-join kinds), parallelism, pipeline depth
 // and plan strategy are all output-invisible — except that
-// ProcessorSequential cannot host a snapshot, and Options.Partitions must
-// match the snapshot's partition count: each partition's join state is
-// restored verbatim, and re-sharding a routed state (or splitting an
-// unpartitioned one) would require re-deriving which partition owns which
-// window tuple — rejected rather than guessed. Every subscription resumes
+// ProcessorSequential cannot host a snapshot. Every subscription resumes
 // under its original QueryID, and publishing the stream suffix produces
-// exactly the matches the original engine would have produced.
+// exactly the matches the original engine would have produced. A snapshot
+// written by a routed engine (Options.Partitions > 1 in releases that had
+// the in-process router) is refused: its join state is split over the
+// partitions, and merging those states back is not supported.
 //
 //mmqjp:nolock the engine is under construction and not yet shared
 func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
@@ -169,12 +142,9 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("mmqjp: unsupported snapshot version %d", snap.Version)
 	}
-	switch {
-	case snap.Partitions > 1 && opts.Partitions != snap.Partitions:
-		return nil, fmt.Errorf("mmqjp: snapshot was taken with %d partitions; open it with Options.Partitions = %d (got %d)",
-			snap.Partitions, snap.Partitions, opts.Partitions)
-	case snap.Partitions <= 1 && opts.Partitions > 1:
-		return nil, fmt.Errorf("mmqjp: snapshot is unpartitioned; open it with Options.Partitions <= 1 (got %d)", opts.Partitions)
+	if snap.Partitions > 1 || len(snap.PartStates) > 0 {
+		return nil, fmt.Errorf("mmqjp: snapshot was taken by a routed engine (%d partitions, %d partition states); routed snapshots are no longer supported",
+			snap.Partitions, len(snap.PartStates))
 	}
 	e := New(opts)
 	sort.Slice(snap.Queries, func(i, j int) bool { return snap.Queries[i].ID < snap.Queries[j].ID })
@@ -200,15 +170,8 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("mmqjp: restore query %d landed on id %d", sq.ID, id)
 		}
 	}
-	switch p := e.proc.(type) {
-	case *router.Router:
-		if err := p.RestoreStates(snap.PartStates); err != nil {
-			return nil, err
-		}
-	case *core.Processor:
-		if err := p.RestoreState(snap.State); err != nil {
-			return nil, err
-		}
+	if err := e.proc.RestoreState(snap.State); err != nil {
+		return nil, err
 	}
 	for _, rd := range snap.Docs {
 		d, err := ParseDocument(rd.XML, rd.ID, rd.TS)

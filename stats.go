@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/router"
 )
 
 // EngineStats is a structured snapshot of the engine's accumulated
@@ -23,11 +22,6 @@ type EngineStats struct {
 	// Sequential is true for ProcessorSequential engines, whose cost is
 	// reported as a single join time (in CQ).
 	Sequential bool `json:"sequential,omitempty"`
-
-	// Partitions is the engine-of-engines partition count (0 for an
-	// unpartitioned engine). Partitioned engines report aggregate counters
-	// here; Engine.PartitionStats breaks them down per partition.
-	Partitions int `json:"partitions,omitempty"`
 
 	Queries   int   `json:"queries"`
 	Templates int   `json:"templates"`
@@ -91,12 +85,8 @@ func (s EngineStats) String() string {
 	if s.Sequential {
 		return fmt.Sprintf("sequential: %d queries, join time %v", s.Queries, s.CQ)
 	}
-	parts := ""
-	if s.Partitions > 1 {
-		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
-	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d, subscription bytes=%d",
-		parts, s.Queries, s.Templates, s.Documents, s.Matches,
+	return fmt.Sprintf("mmqjp: %d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d, subscription bytes=%d",
+		s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
 		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes,
 		s.StateDocs, s.StateRbinRows, s.StateRdocRows, s.StateRrootRows,
@@ -121,15 +111,13 @@ func (e *Engine) Stats() EngineStats {
 		}
 	}
 	out := fromCore(e.proc.Stats())
-	out.Partitions = partitionsOf(e.proc)
 	out.Queries, out.Templates = e.proc.NumQueries(), e.proc.NumTemplates()
 	out.SubscriptionBytes += e.subBytes
 	out.DroppedCascades = e.droppedCascades
 	return out
 }
 
-// fromCore lifts one processor's (or one partition's) counters into the
-// engine-level type.
+// fromCore lifts the processor's counters into the engine-level type.
 func fromCore(s core.Stats) EngineStats {
 	return EngineStats{
 		Documents:    s.Documents,
@@ -164,35 +152,4 @@ func fromCore(s core.Stats) EngineStats {
 
 		SubscriptionBytes: s.SubscriptionBytes,
 	}
-}
-
-// partitionsOf reports the router partition count behind a backend (0 for a
-// plain processor).
-func partitionsOf(b joinBackend) int {
-	if r, ok := b.(*router.Router); ok {
-		return r.Partitions()
-	}
-	return 0
-}
-
-// PartitionStats breaks the engine's accumulated cost down per partition:
-// element i is partition i's own live query/template counts and phase
-// counters (engine-level fields — Sequential, Partitions, DroppedCascades —
-// are left zero). It returns nil unless the engine was built with
-// Options.Partitions > 1; the /metrics endpoint labels these by partition.
-func (e *Engine) PartitionStats() []EngineStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.proc.(*router.Router)
-	if !ok {
-		return nil
-	}
-	queries, templates := r.PartitionCounts()
-	stats := r.PartitionStats()
-	out := make([]EngineStats, len(stats))
-	for i, s := range stats {
-		out[i] = fromCore(s)
-		out[i].Queries, out[i].Templates = queries[i], templates[i]
-	}
-	return out
 }
