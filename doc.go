@@ -76,7 +76,7 @@
 //
 //	eng := mmqjp.New(mmqjp.Options{
 //	    Processor:        mmqjp.ProcessorViewMat, // zero value: ProcessorMMQJP (no view materialization)
-//	    PlanExploreEvery: 64,                     // zero value: PlanAuto never calibrates
+//	    PlanExploreEvery: 64,                     // zero value: no exploration runs (TUNING.md "Plan")
 //	})
 //	qid, err := eng.Subscribe(
 //	    "S//book->b[.//author->a] FOLLOWED BY{a=a2, 100} S//blog->g[.//author->a2]")

@@ -81,10 +81,12 @@ type Options struct {
 	// in this many per-template plan decisions additionally runs the
 	// non-chosen plan, timed for cost-model calibration only (its matches
 	// are discarded, so match output is unchanged). The zero value
-	// disables exploration, and without it PlanAuto never observes the
-	// plan it did not choose, never calibrates, and in practice runs the
-	// witness plan like a forced PlanWitness; mmqjp-server defaults to 64
-	// (-explore). Ignored for forced plans.
+	// disables exploration; PlanAuto still calibrates both plans then,
+	// from the runs it chooses — its counted prior moves a template to
+	// the RT-driven plan when the witness fan-out grows, which samples
+	// that plan's cost — and measured no slower than with exploration
+	// (TUNING.md "Plan"). mmqjp-server defaults to 64 (-explore).
+	// Ignored for forced plans.
 	PlanExploreEvery int
 	// PlanExploreSeed seeds the deterministic per-template exploration
 	// sampler (0 selects 1).

@@ -32,8 +32,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		appendXML                  bool
 		allocCeiling, bytesCeiling float64
 	}{
-		{"owned result", false, 160, 22000},
-		{"caller's buffer", true, 230, 11700},
+		{"owned result", false, 160, 19100},
+		{"caller's buffer", true, 230, 9400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(Options{Processor: ProcessorViewMat})

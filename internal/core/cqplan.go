@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/relation"
 	"repro/internal/xmldoc"
@@ -21,12 +22,13 @@ import (
 // Every step names a source relation, the bound slot its probe key comes
 // from, the row columns it assigns to still-unbound slots and the columns it
 // only checks against bound ones. Column offsets are resolved at compile
-// time; evaluation (cqExec.step) is a depth-first index nested loop over the
-// frame that emits complete frames straight into the shard's emit buffer. No
-// intermediate relation is materialized, and no step scans join state: state
-// relations are reached only through the indexes State.Merge extends and
-// State.GC shrinks, per-document relations through the indexes built once
-// per document in stage2Shared.
+// time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
+// a depth-first index nested loop over the frame that emits complete frames
+// straight into the shard's emit buffer. No intermediate relation is
+// materialized, and no step scans join state: state relations are reached
+// only through the indexes State.Merge extends and State.GC shrinks,
+// per-document relations through the indexes built once per document in
+// stage2Shared.
 //
 // The two physical plans (planner.go) are the same machine in two step
 // orders. The witness-driven order starts from the document's value-join
@@ -45,14 +47,37 @@ type cqSource uint8
 const (
 	srcVectors     cqSource = iota // the template's live vector groups, one after another
 	srcVectorProbe                 // the vector group equal to the bound v slots
-	srcRvj                         // value-join pairs (docid, nodeL, nodeR, strVal): all, or by docid
-	srcRL                          // left view (docid, var1, var2, node1, node2, strVal): all, or by docid
-	srcRR                          // right view (var1, var2, node1, node2, strVal) by strVal
-	srcRbin                        // Rbin (docid, var1, var2, node1, node2) by (docid, node2)
-	srcRbinW                       // RbinW (var1, var2, node1, node2) by node2
-	srcRroot                       // Rroot (docid, var, node) by (docid, node)
-	srcRrootW                      // RrootW (var, node) by node
+	srcRvj                         // value-join pairs: all, or by docid
+	srcRL                          // left view: all, or by docid
+	srcRR                          // right view by strVal
+	srcRbin                        // Rbin by (docid, node2)
+	srcRbinW                       // RbinW by node2
+	srcRroot                       // Rroot by (docid, node)
+	srcRrootW                      // RrootW by node
 )
+
+// The per-document relations' schemas: the value-join pairs and the Section-5
+// left view; the right view RR is RL without the docid.
+var (
+	rvjSchema = relation.Schema{relation.Int("docid"), relation.Int("nodeL"), relation.Int("nodeR"), relation.Sym("strVal")}
+	rlSchema  = relation.Schema{relation.Int("docid"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2"), relation.Sym("strVal")}
+
+	rrStrVal = rlSchema[1:].SymCol("strVal")
+)
+
+// cqSchemas is the schema of the rows each source yields. cqCompiler.atom
+// holds every step to it — a symbol column binds an s slot and nothing else
+// does — so evaluation compares and copies bare int64s without asking what
+// they are.
+var cqSchemas = [...]relation.Schema{
+	srcRvj:    rvjSchema,
+	srcRL:     rlSchema,
+	srcRR:     rlSchema[1:],
+	srcRbin:   rbinSchema,
+	srcRbinW:  rbinSchema[1:],
+	srcRroot:  rrootSchema,
+	srcRrootW: rrootSchema[1:],
+}
 
 const slotDoc = 0
 
@@ -192,8 +217,15 @@ func (c *cqCompiler) anchor(pos int) {
 // variable pair the row carries (-1 for none).
 func (c *cqCompiler) atom(src cqSource, key, livePos int, cols ...int) {
 	st := cqStep{src: src, key: key, live: -1}
+	schema := cqSchemas[src]
 	assignsVar := false
 	for col, slot := range cols {
+		// Reading a symbol into a node or variable slot, or the reverse, is
+		// a bug in compileCQ: which column meets which kind of slot is
+		// written there, and no subscription's text can change it.
+		if schema[col].Sym != (slot >= c.t.sSlot(0)) {
+			panic(fmt.Sprintf("core: column %q of %v bound to slot %d", schema[col].Name, schema, slot))
+		}
 		switch {
 		case slot == key, slot == slotDoc && (src == srcRbin || src == srcRroot):
 		case c.bound[slot]:
@@ -299,15 +331,15 @@ type rowIndex struct {
 
 // indexRows builds the index of rows on column col: one map operation per
 // row, five allocations whatever the row count.
-func indexRows(rows []relation.Tuple, col int) *rowIndex {
+func indexRows(rows [][]int64, col int) *rowIndex {
 	x := &rowIndex{group: make(map[int64]int32), rows: make([]int, len(rows))}
 	of := make([]int32, len(rows))
 	var sizes []int32
 	for i, row := range rows {
-		g, ok := x.group[row[col].I]
+		g, ok := x.group[row[col]]
 		if !ok {
 			g = int32(len(sizes))
-			x.group[row[col].I] = g
+			x.group[row[col]] = g
 			sizes = append(sizes, 0)
 		}
 		sizes[g]++
@@ -381,7 +413,7 @@ func (ex *cqExec) step(i int) {
 	}
 	st := &ex.prog.steps[i]
 	t, f, s, pre := ex.prog.t, ex.frame, ex.p.state, ex.pre
-	var rows []relation.Tuple
+	var rows [][]int64
 	var idx []int
 	switch st.src {
 	case srcVectors:
@@ -433,19 +465,18 @@ func (ex *cqExec) step(i int) {
 }
 
 // try binds one source row into the frame and continues with the next step
-// unless a check or the live-pair test rejects it. Columns are typed
-// consistently per relation, so comparing the integer payload is value
-// equality.
-func (ex *cqExec) try(st *cqStep, row relation.Tuple, i int) {
+// unless a check or the live-pair test rejects it. The compiler paired every
+// column with a slot of its kind, so comparing the integers is value equality.
+func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 	ex.probes++
 	f := ex.frame
 	for _, c := range st.check {
-		if row[c.col].I != f[c.slot] {
+		if row[c.col] != f[c.slot] {
 			return
 		}
 	}
 	for _, a := range st.assign {
-		f[a.slot] = row[a.col].I
+		f[a.slot] = row[a.col]
 	}
 	if st.live >= 0 {
 		if _, ok := ex.prog.t.live[st.live][[2]int64{f[st.liveA], f[st.liveB]}]; !ok {

@@ -18,63 +18,59 @@ import (
 // for the current witness the way the paper states it (Section 4.4,
 // Template.Datalog) — one atom per value join side, structural edge, root
 // binding and the query relation RT, handed to the interpreted evaluator
-// relation.EvalConjunctive, which picks its own join order — and applies the
-// Algorithm-3 window test to the RoutT rows. It shares nothing with the
-// compiled programs but the relations themselves.
+// EvalConjunctive (evalconjunctive_test.go), which picks its own join order —
+// and applies the Algorithm-3 window test to the RoutT rows. It shares nothing
+// with the compiled programs but the relations themselves.
 func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Match {
 	v := func(i int) string { return fmt.Sprintf("v%d", i) }
 	n := func(i int) string { return fmt.Sprintf("n%d", i) }
 	var out []Match
 	for _, t := range p.templateList {
-		var atoms []relation.Atom
+		var atoms []Atom
 		for k, e := range t.VJ {
 			s := fmt.Sprintf("s%d", k)
 			atoms = append(atoms,
-				relation.Atom{Name: "Rdoc", Rel: p.state.Rdoc, Vars: []string{"docid", n(e[0]), s}},
-				relation.Atom{Name: "RdocW", Rel: w.RdocW, Vars: []string{n(e[1]), s}})
+				Atom{Name: "Rdoc", Rel: p.state.Rdoc, Vars: []string{"docid", n(e[0]), s}},
+				Atom{Name: "RdocW", Rel: w.RdocW, Vars: []string{n(e[1]), s}})
 		}
 		for _, e := range t.StructEdges(Left) {
-			atoms = append(atoms, relation.Atom{Name: "Rbin", Rel: p.state.Rbin,
+			atoms = append(atoms, Atom{Name: "Rbin", Rel: p.state.Rbin,
 				Vars: []string{"docid", v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		for _, e := range t.StructEdges(Right) {
-			atoms = append(atoms, relation.Atom{Name: "RbinW", Rel: w.RbinW,
+			atoms = append(atoms, Atom{Name: "RbinW", Rel: w.RbinW,
 				Vars: []string{v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		if t.SingleLeft {
-			atoms = append(atoms, relation.Atom{Name: "Rroot", Rel: p.state.Rroot,
+			atoms = append(atoms, Atom{Name: "Rroot", Rel: p.state.Rroot,
 				Vars: []string{"docid", v(t.LeftRoot), n(t.LeftRoot)}})
 		}
 		if t.SingleRight {
-			atoms = append(atoms, relation.Atom{Name: "RrootW", Rel: w.RrootW,
+			atoms = append(atoms, Atom{Name: "RrootW", Rel: w.RrootW,
 				Vars: []string{v(t.RightRoot), n(t.RightRoot)}})
 		}
 		rtCols, head := []string{"qid"}, []string{"qid", "docid"}
 		for i := 0; i < t.N; i++ {
 			rtCols, head = append(rtCols, v(i)), append(head, n(i))
 		}
-		rt := relation.New(rtCols...)
+		rt := relation.New(intCols(rtCols...)...)
 		for _, g := range t.vecList {
 			for _, iid := range g.insts {
-				row := []relation.Value{relation.Int(iid)}
-				for _, x := range g.vars {
-					row = append(row, relation.Int(x))
-				}
-				rt.Insert(row...)
+				rt.Insert(append([]int64{iid}, g.vars...)...)
 			}
 		}
-		atoms = append(atoms, relation.Atom{Name: "RT", Rel: rt, Vars: rtCols})
+		atoms = append(atoms, Atom{Name: "RT", Rel: rt, Vars: rtCols})
 
-		for _, row := range relation.EvalConjunctive(atoms, head).Rows {
-			inst := p.instances[row[0].I]
-			prevDoc := xmldoc.DocID(row[1].I)
+		for _, row := range EvalConjunctive(atoms, head).Rows {
+			inst := p.instances[row[0]]
+			prevDoc := xmldoc.DocID(row[1])
 			prevTS := p.state.RdocTS[prevDoc]
 			if !p.windowOK(inst, prevDoc, prevTS, d) {
 				continue
 			}
 			bindings := make([]xmldoc.NodeID, t.N)
 			for i := range bindings {
-				bindings[i] = xmldoc.NodeID(row[2+i].I)
+				bindings[i] = xmldoc.NodeID(row[2+i])
 			}
 			out = append(out, p.orientMatch(t, inst, prevDoc, prevTS, bindings, d))
 		}
@@ -318,9 +314,9 @@ func TestPublishAllocCeiling(t *testing.T) {
 		bytesCeiling   float64 // 0: count only
 	}{
 		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 110, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 235, 16000},
-		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 120, 6600},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 577, 623000},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 235, 11900},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 120, 4200},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 577, 617000},
 		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 114, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -199,10 +199,9 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 func TestViewCacheInvalidateDocs(t *testing.T) {
 	c := NewViewCache()
 	slice := func(docids ...int64) *relation.Relation {
-		r := relation.New("docid", "var1", "var2", "node1", "node2", "strVal")
+		r := relation.New(rlSchema...)
 		for _, d := range docids {
-			r.Insert(relation.Int(d), relation.Int(1), relation.Int(2),
-				relation.Int(0), relation.Int(1), relation.Sym(sym.Intern("s")))
+			r.Insert(d, 1, 2, 0, 1, int64(sym.Intern("s")))
 		}
 		return r
 	}
@@ -232,7 +231,7 @@ func TestViewCacheInvalidateDocs(t *testing.T) {
 func TestViewCacheClearAccountsDrop(t *testing.T) {
 	c := NewViewCache()
 	for i := 0; i < 5; i++ {
-		c.Put(sym.Intern(fmt.Sprintf("s%d", i)), relation.New("docid"))
+		c.Put(sym.Intern(fmt.Sprintf("s%d", i)), relation.New(relation.Int("docid")))
 	}
 	c.Clear()
 	if got := c.Invalidations(); got != 5 {
@@ -326,13 +325,13 @@ func TestCurrentWitnessReuse(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id, v := int64(i+1), int64(10*(i+1))
 		bin, doc, root := s.Rbin.Rows[i], s.Rdoc.Rows[i], s.Rroot.Rows[i]
-		if bin[0].I != id || bin[1].I != v || bin[2].I != v+1 || bin[4].I != 1 {
+		if bin[0] != id || bin[1] != v || bin[2] != v+1 || bin[4] != 1 {
 			t.Errorf("Rbin row %d = %v after later documents reused the slab", i, bin)
 		}
-		if doc[0].I != id || doc[2].SymID() != sym.Intern(fmt.Sprintf("value-%d", id)) {
+		if doc[0] != id || sym.ID(doc[2]) != sym.Intern(fmt.Sprintf("value-%d", id)) {
 			t.Errorf("Rdoc row %d = %v after later documents reused the slab", i, doc)
 		}
-		if root[0].I != id || root[1].I != v {
+		if root[0] != id || root[1] != v {
 			t.Errorf("Rroot row %d = %v after later documents reused the slab", i, root)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/relation"
+	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/xscl"
@@ -1003,9 +1004,9 @@ func (p *Processor) maintainCache(w *CurrentWitness) {
 	if w.rrSlices == nil {
 		return
 	}
-	did := relation.Int(int64(w.DocID))
+	did := int64(w.DocID)
 	for _, row := range w.rrSlices.Rows {
-		id := row[4].SymID()
+		id := sym.ID(row[rrStrVal])
 		slice, ok := p.shardOfSym(id).cache.GetAndNote(id, w.DocID)
 		if !ok {
 			continue

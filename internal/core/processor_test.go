@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -110,7 +111,7 @@ func TestPaperStateRelations(t *testing.T) {
 	st := p.State()
 	gotNodes := map[int64]string{}
 	for _, row := range st.Rdoc.Rows {
-		gotNodes[row[1].I] = row[2].String()
+		gotNodes[row[1]] = sym.Name(sym.ID(row[2]))
 	}
 	want := map[int64]string{
 		2: "Andrew Watt",
@@ -128,7 +129,7 @@ func TestPaperStateRelations(t *testing.T) {
 	// for categories — exactly Table 4(c).
 	pairs := map[[2]int64]bool{}
 	for _, row := range st.Rbin.Rows {
-		pairs[[2]int64{row[3].I, row[4].I}] = true
+		pairs[[2]int64{row[3], row[4]}] = true
 	}
 	for _, p2 := range [][2]int64{{0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}} {
 		if !pairs[p2] {

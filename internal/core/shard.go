@@ -262,21 +262,21 @@ type stage2Shared struct {
 	binWByNode2 *rowIndex
 	rootWByNode *rowIndex
 
-	// rvj is the value-join pair relation (docid, nodeL, nodeR, strVal) of
-	// the current document — Rdoc ⋈ RdocW on the string value, read off
+	// rvj is the value-join pair relation (rvjSchema) of the current
+	// document — Rdoc ⋈ RdocW on the string value, read off
 	// the incremental string index — with its rows grouped by docid. The
 	// basic path builds it up front. Under view materialization only
 	// templates with a value join on a side root read it, so it is built
 	// on first use, once across all shards (the computation is identical
 	// for every shard).
 	rvjOnce  sync.Once
-	rvj      []relation.Tuple
+	rvj      [][]int64
 	rvjByDoc *rowIndex
 	arena    *relation.Arena // the processor's rvjArena: this document's rvj rows
 
-	rl      []relation.Tuple // (docid, var1, var2, node1, node2, strVal)
+	rl      [][]int64 // rlSchema
 	rlByDoc *rowIndex
-	rr      []relation.Tuple // (var1, var2, node1, node2, strVal)
+	rr      [][]int64 // rlSchema without the docid
 	rrBySym *rowIndex
 
 	// byDoc is the per-previous-document grouping plan choice reads its
@@ -293,9 +293,9 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 	pre.rvjOnce.Do(func() {
 		t0 := time.Now()
 		for _, row := range w.RdocW.Rows {
-			for _, ri := range s.rdocBySym[row[1].SymID()] {
+			for _, ri := range s.rdocBySym[sym.ID(row[rdocWStrVal])] {
 				dt := s.Rdoc.Rows[ri]
-				t := pre.arena.Tuple(4)
+				t := pre.arena.Row(len(rvjSchema))
 				t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
 				pre.rvj = append(pre.rvj, t)
 			}
@@ -348,7 +348,7 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	var syms []sym.ID
 	seen := map[sym.ID]bool{}
 	for _, row := range w.RdocW.Rows {
-		id := row[1].SymID()
+		id := sym.ID(row[rdocWStrVal])
 		if !seen[id] && p.state.HasSym(id) {
 			seen[id] = true
 			syms = append(syms, id)
@@ -394,18 +394,18 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	t2 := time.Now()
 	symOf := make(map[int64]sym.ID, w.RdocW.Len())
 	for _, row := range w.RdocW.Rows {
-		symOf[row[0].I] = row[1].SymID()
+		symOf[row[0]] = sym.ID(row[rdocWStrVal])
 	}
-	rr := relation.New("var1", "var2", "node1", "node2", "strVal")
+	rr := relation.New(rlSchema[1:]...)
 	for _, row := range w.RbinW.Rows {
-		id, ok := symOf[row[3].I]
+		id, ok := symOf[row[3]]
 		if !ok || !seen[id] {
 			continue
 		}
-		w.arena.Insert(rr, row[0], row[1], row[2], row[3], relation.Sym(id))
+		w.arena.Insert(rr, row[0], row[1], row[2], row[3], int64(id))
 	}
 	w.rrSlices = rr
-	pre.rr, pre.rrBySym = rr.Rows, indexRows(rr.Rows, 4)
+	pre.rr, pre.rrBySym = rr.Rows, indexRows(rr.Rows, rrStrVal)
 	p.stats.RR += time.Since(t2)
 
 	return true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
@@ -91,18 +90,18 @@ func (p *Processor) ExportState() StateSnapshot {
 	}
 	for _, t := range s.Rbin.Rows {
 		out.Rbin = append(out.Rbin, SnapBin{
-			Doc: t[0].I, Var1: p.syms.name(t[1].I), Var2: p.syms.name(t[2].I),
-			Node1: t[3].I, Node2: t[4].I,
+			Doc: t[0], Var1: p.syms.name(t[1]), Var2: p.syms.name(t[2]),
+			Node1: t[3], Node2: t[4],
 		})
 	}
 	for _, t := range s.Rdoc.Rows {
 		// Interned symbols are process-scoped, so the snapshot carries the
 		// original string: snapshot bytes are identical to what a
 		// string-keyed engine would write, and ids never escape to disk.
-		out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: t[0].I, Node: t[1].I, Str: sym.Name(t[2].SymID())})
+		out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: t[0], Node: t[1], Str: sym.Name(sym.ID(t[rdocStrVal]))})
 	}
 	for _, t := range s.Rroot.Rows {
-		out.Rroot = append(out.Rroot, SnapRoot{Doc: t[0].I, Var: p.syms.name(t[1].I), Node: t[2].I})
+		out.Rroot = append(out.Rroot, SnapRoot{Doc: t[0], Var: p.syms.name(t[1]), Node: t[2]})
 	}
 	if len(s.docs) > 0 {
 		ids := make([]int64, 0, len(s.docs))
@@ -140,15 +139,13 @@ func (p *Processor) RestoreState(snap StateSnapshot) error {
 		s.seq[id] = d.Seq
 	}
 	for _, r := range snap.Rbin {
-		s.Rbin.Insert(relation.Int(r.Doc),
-			relation.Int(p.syms.intern(r.Var1)), relation.Int(p.syms.intern(r.Var2)),
-			relation.Int(r.Node1), relation.Int(r.Node2))
+		s.Rbin.Insert(r.Doc, p.syms.intern(r.Var1), p.syms.intern(r.Var2), r.Node1, r.Node2)
 	}
 	for _, r := range snap.Rdoc {
-		s.Rdoc.Insert(relation.Int(r.Doc), relation.Int(r.Node), relation.Sym(sym.Intern(r.Str)))
+		s.Rdoc.Insert(r.Doc, r.Node, int64(sym.Intern(r.Str)))
 	}
 	for _, r := range snap.Rroot {
-		s.Rroot.Insert(relation.Int(r.Doc), relation.Int(p.syms.intern(r.Var)), relation.Int(r.Node))
+		s.Rroot.Insert(r.Doc, p.syms.intern(r.Var), r.Node)
 	}
 	s.reindex()
 	for _, r := range snap.Retained {

@@ -36,9 +36,9 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 //	Rbin   (docid, var1, var2, node1, node2) — bindings of template
 //	        structural edges from previous documents
 //	Rdoc   (docid, node, strVal)             — string values of value-join
-//	        nodes from previous documents; strVal is stored as an interned
-//	        symbol (relation.Sym), so value-join equality is a 4-byte
-//	        compare and never rehashes string bytes
+//	        nodes from previous documents; strVal is a symbol column
+//	        (relation.Sym: interned ids), so value-join equality is an
+//	        integer compare and never rehashes string bytes
 //	Rroot  (docid, var, node)                — root bindings for templates
 //	        whose side is a single node (see DESIGN.md)
 //	RdocTS (docid, timestamp)
@@ -88,12 +88,26 @@ type binKey struct {
 	node xmldoc.NodeID
 }
 
+// The schemas of the witness relations. A current-document relation is its
+// state relation without the docid (stampRows relies on it). strVal is the
+// only symbol column; the code that reads symbols out of it by position
+// (indexDoc, sharedRvj, prepareViewMat) resolves the position through
+// Schema.SymCol, once.
+var (
+	rbinSchema  = relation.Schema{relation.Int("docid"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2")}
+	rdocSchema  = relation.Schema{relation.Int("docid"), relation.Int("node"), relation.Sym("strVal")}
+	rrootSchema = relation.Schema{relation.Int("docid"), relation.Int("var"), relation.Int("node")}
+
+	rdocStrVal  = rdocSchema.SymCol("strVal")
+	rdocWStrVal = rdocSchema[1:].SymCol("strVal")
+)
+
 // NewState returns empty join state.
 func NewState() *State {
 	s := &State{
-		Rbin:   relation.New("docid", "var1", "var2", "node1", "node2"),
-		Rdoc:   relation.New("docid", "node", "strVal"),
-		Rroot:  relation.New("docid", "var", "node"),
+		Rbin:   relation.New(rbinSchema...),
+		Rdoc:   relation.New(rdocSchema...),
+		Rroot:  relation.New(rrootSchema...),
 		RdocTS: map[xmldoc.DocID]xmldoc.Timestamp{},
 		seq:    map[xmldoc.DocID]int64{},
 		docs:   map[xmldoc.DocID]*xmldoc.Document{},
@@ -122,18 +136,18 @@ func (s *State) reindex() {
 
 func (s *State) indexBin(i int) {
 	t := s.Rbin.Rows[i]
-	nk := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[4].I)}
+	nk := binKey{xmldoc.DocID(t[0]), xmldoc.NodeID(t[4])}
 	s.rbinByNode2[nk] = append(s.rbinByNode2[nk], i)
 }
 
 func (s *State) indexDoc(i int) {
-	id := s.Rdoc.Rows[i][2].SymID()
+	id := sym.ID(s.Rdoc.Rows[i][rdocStrVal])
 	s.rdocBySym[id] = append(s.rdocBySym[id], i)
 }
 
 func (s *State) indexRoot(i int) {
 	t := s.Rroot.Rows[i]
-	nk := binKey{xmldoc.DocID(t[0].I), xmldoc.NodeID(t[2].I)}
+	nk := binKey{xmldoc.DocID(t[0]), xmldoc.NodeID(t[2])}
 	s.rrootByNode[nk] = append(s.rrootByNode[nk], i)
 }
 
@@ -169,12 +183,12 @@ type CurrentWitness struct {
 // size. Stage-1 workers of concurrently admitted documents each take their
 // own.
 //
-//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (stampRows) and the view caches (Insert) keep copies of the rows, never the arena's tuples
+//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (stampRows) and the view caches (Insert) keep copies of the rows, never the arena's
 var witnessPool = sync.Pool{New: func() any {
 	return &CurrentWitness{
-		RbinW:   relation.New("var1", "var2", "node1", "node2"),
-		RdocW:   relation.New("node", "strVal"),
-		RrootW:  relation.New("var", "node"),
+		RbinW:   relation.New(rbinSchema[1:]...),
+		RdocW:   relation.New(rdocSchema[1:]...),
+		RrootW:  relation.New(rrootSchema[1:]...),
 		binSeen: map[[4]int64]bool{},
 		docSeen: map[xmldoc.NodeID]bool{},
 		rtSeen:  map[[2]int64]bool{},
@@ -194,7 +208,7 @@ func NewCurrentWitness(d *xmldoc.Document) *CurrentWitness {
 
 // Release gives the witness's storage to a later document. The caller is
 // done with the document: every row has been copied where it is kept (Merge,
-// the view caches' Insert), and nothing reads w or a tuple of it afterwards.
+// the view caches' Insert), and nothing reads w or a row of it afterwards.
 func (w *CurrentWitness) Release() {
 	if w.RbinW.Len()+w.RdocW.Len()+w.RrootW.Len() > witnessKeep {
 		return
@@ -218,7 +232,7 @@ func (w *CurrentWitness) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
 		return
 	}
 	w.binSeen[k] = true
-	w.arena.Insert(w.RbinW, relation.Int(var1), relation.Int(var2), relation.Int(int64(n1)), relation.Int(int64(n2)))
+	w.arena.Insert(w.RbinW, var1, var2, int64(n1), int64(n2))
 }
 
 // AddDoc inserts a deduplicated node string value tuple. The string value is
@@ -229,7 +243,7 @@ func (w *CurrentWitness) AddDoc(n xmldoc.NodeID, strVal string) {
 		return
 	}
 	w.docSeen[n] = true
-	w.arena.Insert(w.RdocW, relation.Int(int64(n)), relation.Sym(sym.Intern(strVal)))
+	w.arena.Insert(w.RdocW, int64(n), int64(sym.Intern(strVal)))
 }
 
 // AddRoot inserts a deduplicated root binding tuple.
@@ -239,7 +253,7 @@ func (w *CurrentWitness) AddRoot(v int64, n xmldoc.NodeID) {
 		return
 	}
 	w.rtSeen[k] = true
-	w.arena.Insert(w.RrootW, relation.Int(v), relation.Int(int64(n)))
+	w.arena.Insert(w.RrootW, v, int64(n))
 }
 
 // Merge folds the current document's witness relations into the join state,
@@ -247,7 +261,7 @@ func (w *CurrentWitness) AddRoot(v int64, n xmldoc.NodeID) {
 // realized by stamping each tuple with the document id and recording the
 // id→timestamp pair in RdocTS).
 func (s *State) Merge(w *CurrentWitness, retainDoc bool) {
-	did := relation.Int(int64(w.DocID))
+	did := int64(w.DocID)
 	for i := stampRows(s.Rbin, did, w.RbinW.Rows); i < s.Rbin.Len(); i++ {
 		s.indexBin(i)
 	}
@@ -273,17 +287,18 @@ func (s *State) Merge(w *CurrentWitness, retainDoc bool) {
 // r, each prefixed with the document id, and returns the number of the first
 // row added. A document's rows of one relation share one backing array — they
 // are merged together and expire together — so a merge allocates per
-// relation, not per row.
-func stampRows(r *relation.Relation, did relation.Value, rows []relation.Tuple) int {
+// relation, not per row, and a state row of n columns is 8·n bytes the
+// collector never looks into.
+func stampRows(r *relation.Relation, did int64, rows [][]int64) int {
 	first := r.Len()
 	n := len(r.Schema)
-	backing := make([]relation.Value, n*len(rows))
+	backing := make([]int64, n*len(rows))
 	for _, t := range rows {
-		row := relation.Tuple(backing[:n:n])
+		row := backing[:n:n]
 		backing = backing[n:]
 		row[0] = did
 		copy(row[1:], t)
-		r.InsertTuple(row)
+		r.Insert(row...)
 	}
 	return first
 }
@@ -296,15 +311,15 @@ func (s *State) HasSym(id sym.ID) bool { return len(s.rdocBySym[id]) > 0 }
 // SliceEL computes E_{L,s} = σ_{strVal=s}(Rdoc) ⋈_{node=node2} Rbin — the
 // per-string slice of the left view RL (Section 5) — using the incremental
 // indexes. The result schema is (docid, var1, var2, node1, node2, strVal).
-// Slices are cached across documents (ViewCache), so their tuples are heap
+// Slices are cached across documents (ViewCache), so their rows are heap
 // allocated, never arena carved.
 func (s *State) SliceEL(id sym.ID) *relation.Relation {
-	out := relation.New("docid", "var1", "var2", "node1", "node2", "strVal")
-	sv := relation.Sym(id)
+	out := relation.New(rlSchema...)
+	sv := int64(id)
 	for _, ri := range s.rdocBySym[id] {
 		dt := s.Rdoc.Rows[ri]
-		doc := xmldoc.DocID(dt[0].I)
-		node := xmldoc.NodeID(dt[1].I)
+		doc := xmldoc.DocID(dt[0])
+		node := xmldoc.NodeID(dt[1])
 		for _, bi := range s.rbinByNode2[binKey{doc, node}] {
 			bt := s.Rbin.Rows[bi]
 			out.Insert(bt[0], bt[1], bt[2], bt[3], bt[4], sv)
@@ -359,7 +374,7 @@ func expireRows[K comparable](s *State, r *relation.Relation, idx map[K][]int, e
 // compact drops the rows of expired documents from r (column 0 is the
 // docid in every state relation), shifting the survivors down in order, and
 // leaves the old → new row numbers in s.remap. The vacated tail is cleared,
-// so the row store does not pin the expired documents' tuples.
+// so the row store does not pin the expired documents' rows.
 func (s *State) compact(r *relation.Relation, expired map[xmldoc.DocID]bool) (dropped, moved int) {
 	if cap(s.remap) < len(r.Rows) {
 		s.remap = make([]int32, len(r.Rows))
@@ -367,7 +382,7 @@ func (s *State) compact(r *relation.Relation, expired map[xmldoc.DocID]bool) (dr
 	s.remap = s.remap[:len(r.Rows)]
 	n := 0
 	for i, t := range r.Rows {
-		if expired[xmldoc.DocID(t[0].I)] {
+		if expired[xmldoc.DocID(t[0])] {
 			s.remap[i] = -1
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -104,10 +105,9 @@ func rebuildGC(s *State, cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.
 		}
 	}
 	s.docIDs = kept
-	live := func(t relation.Tuple) bool { return !expired[xmldoc.DocID(t[0].I)] }
-	s.Rbin = s.Rbin.Select(live)
-	s.Rdoc = s.Rdoc.Select(live)
-	s.Rroot = s.Rroot.Select(live)
+	for _, r := range []*relation.Relation{s.Rbin, s.Rdoc, s.Rroot} {
+		r.Rows = slices.DeleteFunc(slices.Clone(r.Rows), func(t []int64) bool { return expired[xmldoc.DocID(t[0])] })
+	}
 	s.reindex()
 	return expired
 }

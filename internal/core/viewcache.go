@@ -37,7 +37,7 @@ func sliceDocs(slice *relation.Relation) map[xmldoc.DocID]struct{} {
 	docs := map[xmldoc.DocID]struct{}{}
 	col := slice.Schema.Col("docid")
 	for _, row := range slice.Rows {
-		docs[xmldoc.DocID(row[col].I)] = struct{}{}
+		docs[xmldoc.DocID(row[col])] = struct{}{}
 	}
 	return docs
 }

@@ -9,9 +9,9 @@ import (
 )
 
 func sliceOf(vals ...int64) *relation.Relation {
-	r := relation.New("docid", "var1", "var2", "node1", "node2", "strVal")
+	r := relation.New(rlSchema...)
 	for _, v := range vals {
-		r.Insert(relation.Int(v), relation.Int(0), relation.Int(0), relation.Int(0), relation.Int(0), relation.Sym(sym.Intern("s")))
+		r.Insert(v, 0, 0, 0, 0, int64(sym.Intern("s")))
 	}
 	return r
 }

@@ -8,41 +8,41 @@ import (
 
 func TestArenaTupleIsolation(t *testing.T) {
 	var a Arena
-	t1 := a.Tuple(3)
-	t2 := a.Tuple(2)
-	t1[0], t1[1], t1[2] = Int(1), Int(2), Int(3)
-	t2[0], t2[1] = Int(9), Int(8)
-	if t1[0].I != 1 || t1[2].I != 3 || t2[0].I != 9 {
-		t.Fatalf("arena tuples overlap: %v %v", t1, t2)
+	t1 := a.Row(3)
+	t2 := a.Row(2)
+	t1[0], t1[1], t1[2] = 1, 2, 3
+	t2[0], t2[1] = 9, 8
+	if t1[0] != 1 || t1[2] != 3 || t2[0] != 9 {
+		t.Fatalf("arena rows overlap: %v %v", t1, t2)
 	}
 	// Capacity is clamped: appending to t1 must not clobber t2.
-	t3 := append(t1, Int(7))
-	if t2[0].I != 9 {
-		t.Fatalf("append to arena tuple bled into neighbour: %v", t2)
+	t3 := append(t1, 7)
+	if t2[0] != 9 {
+		t.Fatalf("append to arena row bled into neighbour: %v", t2)
 	}
 	_ = t3
 }
 
 func TestArenaLargeTupleAndChunkRollover(t *testing.T) {
 	var a Arena
-	big := a.Tuple(arenaChunkMax + 5)
+	big := a.Row(arenaChunkMax + 5)
 	if len(big) != arenaChunkMax+5 {
-		t.Fatalf("large tuple len = %d", len(big))
+		t.Fatalf("large row len = %d", len(big))
 	}
 	for i := 0; i < 3*arenaChunkMax; i++ {
-		tu := a.Tuple(3)
-		if len(tu) != 3 {
-			t.Fatalf("tuple len = %d", len(tu))
+		row := a.Row(3)
+		if len(row) != 3 {
+			t.Fatalf("row len = %d", len(row))
 		}
 	}
 }
 
 func TestArenaInsert(t *testing.T) {
 	var a Arena
-	r := New("doc", "node", "val")
-	a.Insert(r, Int(1), Int(2), Str("x"))
-	a.Insert(r, Int(3), Int(4), Str("y"))
-	if r.Len() != 2 || r.Rows[1][2].S != "y" {
+	r := New(Int("doc"), Int("node"), Sym("val"))
+	a.Insert(r, 1, 2, int64(sym.Intern("x")))
+	a.Insert(r, 3, 4, int64(sym.Intern("y")))
+	if r.Len() != 2 || sym.Name(sym.ID(r.Rows[1][2])) != "y" {
 		t.Fatalf("arena insert rows = %v", r.Rows)
 	}
 }
@@ -54,17 +54,17 @@ func TestArenaInsert(t *testing.T) {
 func TestArenaReset(t *testing.T) {
 	var a Arena
 	a.Reset()
-	fill := func(rows int) []Tuple {
-		var out []Tuple
+	fill := func(rows int) [][]int64 {
+		var out [][]int64
 		for i := 0; i < rows; i++ {
-			tu := a.Tuple(4)
-			for k := range tu {
-				if tu[k] != (Value{}) {
-					t.Fatalf("row %d: tuple not zeroed: %v", i, tu)
+			row := a.Row(4)
+			for k := range row {
+				if row[k] != 0 {
+					t.Fatalf("row %d: not zeroed: %v", i, row)
 				}
-				tu[k] = Str("x")
+				row[k] = 7
 			}
-			out = append(out, tu)
+			out = append(out, row)
 		}
 		return out
 	}
@@ -82,36 +82,9 @@ func TestArenaReset(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, func() {
 		a.Reset()
 		for i := 0; i < arenaChunkStart/2; i++ {
-			a.Tuple(4)
+			a.Row(4)
 		}
 	}); allocs != 0 {
 		t.Errorf("refilling a reset arena allocated %.0f times, want 0", allocs)
-	}
-}
-
-func TestSymValueKind(t *testing.T) {
-	id := sym.Intern("arena-test-val")
-	v := Sym(id)
-	if !v.Equal(Sym(id)) {
-		t.Fatal("equal symbols compare unequal")
-	}
-	if v.Equal(Int(int64(id))) {
-		t.Fatal("symbol compares equal to int of same id")
-	}
-	if v.Equal(Str("arena-test-val")) {
-		t.Fatal("symbol compares equal to string of same text")
-	}
-	if v.String() != "arena-test-val" {
-		t.Fatalf("Sym String = %q", v.String())
-	}
-	if v.SymID() != id {
-		t.Fatalf("SymID = %d, want %d", v.SymID(), id)
-	}
-	// Key encoding is distinct per kind.
-	ks := Tuple{Sym(id)}.Key([]int{0})
-	ki := Tuple{Int(int64(id))}.Key([]int{0})
-	kt := Tuple{Str("arena-test-val")}.Key([]int{0})
-	if ks == ki || ks == kt {
-		t.Fatalf("symbol key collides with other kinds: %q %q %q", ks, ki, kt)
 	}
 }

@@ -1,43 +1,15 @@
 package relation
 
 import (
-	"math/rand"
-	"reflect"
-	"sort"
+	"fmt"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/sym"
 )
 
-func TestValueEqual(t *testing.T) {
-	if !Int(3).Equal(Int(3)) || Int(3).Equal(Int(4)) {
-		t.Error("int equality broken")
-	}
-	if !Str("a").Equal(Str("a")) || Str("a").Equal(Str("b")) {
-		t.Error("string equality broken")
-	}
-	if Int(0).Equal(Str("")) {
-		t.Error("int and string must not compare equal")
-	}
-}
-
-func TestKeyIsSelfDelimiting(t *testing.T) {
-	// ("ab", "c") and ("a", "bc") must produce distinct keys.
-	a := Tuple{Str("ab"), Str("c")}
-	b := Tuple{Str("a"), Str("bc")}
-	if a.Key([]int{0, 1}) == b.Key([]int{0, 1}) {
-		t.Error("composite keys collide")
-	}
-	// (1, 23) vs (12, 3)
-	c := Tuple{Int(1), Int(23)}
-	d := Tuple{Int(12), Int(3)}
-	if c.Key([]int{0, 1}) == d.Key([]int{0, 1}) {
-		t.Error("int keys collide")
-	}
-}
-
 func TestInsertAndSchema(t *testing.T) {
-	r := New("docid", "node", "strVal")
-	r.Insert(Int(1), Int(2), Str("Danny Ayers"))
+	r := New(Int("docid"), Int("node"), Sym("strVal"))
+	r.Insert(1, 2, int64(sym.Intern("Danny Ayers")))
 	if r.Len() != 1 {
 		t.Fatalf("len = %d", r.Len())
 	}
@@ -49,271 +21,31 @@ func TestInsertAndSchema(t *testing.T) {
 			t.Error("arity mismatch did not panic")
 		}
 	}()
-	r.Insert(Int(1))
+	r.Insert(1)
 }
 
-func TestSelectProjectDistinct(t *testing.T) {
-	r := New("a", "b")
-	r.Insert(Int(1), Str("x"))
-	r.Insert(Int(1), Str("y"))
-	r.Insert(Int(2), Str("x"))
-
-	if got := r.SelectEq("a", Int(1)).Len(); got != 2 {
-		t.Errorf("select = %d rows", got)
+// TestSymValueKind: whether a value is a symbol is its column's to say. String
+// renders a symbol column as the interned text and an integer column as the
+// number, even where the two hold the same int64; SymCol gives the position of
+// a symbol column and refuses an integer one (and, like Col, an unknown name).
+func TestSymValueKind(t *testing.T) {
+	id := sym.Intern("relation-test-val")
+	r := New(Int("n"), Sym("s"))
+	r.Insert(int64(id), int64(id))
+	if want := fmt.Sprintf("n | s\n%d | relation-test-val", id); r.String() != want {
+		t.Errorf("String = %q, want %q", r.String(), want)
 	}
-	p := r.Project("b")
-	if p.Len() != 3 || len(p.Schema) != 1 {
-		t.Errorf("project = %v", p)
+	if c := r.Schema.SymCol("s"); c != 1 {
+		t.Errorf("SymCol(s) = %d, want 1", c)
 	}
-	if got := p.Distinct().Len(); got != 2 {
-		t.Errorf("distinct = %d", got)
-	}
-}
-
-func TestHashJoinBasic(t *testing.T) {
-	l := New("id", "name")
-	l.Insert(Int(1), Str("a"))
-	l.Insert(Int(2), Str("b"))
-	r := New("id", "val")
-	r.Insert(Int(1), Str("v1"))
-	r.Insert(Int(1), Str("v2"))
-	r.Insert(Int(3), Str("v3"))
-
-	j := HashJoin(l, r, []string{"id"}, []string{"id"})
-	if !reflect.DeepEqual([]string(j.Schema), []string{"id", "name", "val"}) {
-		t.Fatalf("schema = %v", j.Schema)
-	}
-	if j.Len() != 2 {
-		t.Fatalf("rows = %d", j.Len())
-	}
-	for _, row := range j.Rows {
-		if row[0].I != 1 || row[1].S != "a" {
-			t.Errorf("row = %v", row)
-		}
-	}
-}
-
-func TestHashJoinNameCollision(t *testing.T) {
-	l := New("k", "x")
-	l.Insert(Int(1), Int(10))
-	r := New("k", "x")
-	r.Insert(Int(1), Int(20))
-	j := HashJoin(l, r, []string{"k"}, []string{"k"})
-	if !reflect.DeepEqual([]string(j.Schema), []string{"k", "x", "x_r"}) {
-		t.Fatalf("schema = %v", j.Schema)
-	}
-	if j.Rows[0][2].I != 20 {
-		t.Errorf("row = %v", j.Rows[0])
-	}
-}
-
-func TestHashJoinMultiColumn(t *testing.T) {
-	l := New("a", "b", "p")
-	l.Insert(Int(1), Str("x"), Int(100))
-	l.Insert(Int(1), Str("y"), Int(200))
-	r := New("c", "d", "q")
-	r.Insert(Int(1), Str("x"), Int(300))
-	j := HashJoin(l, r, []string{"a", "b"}, []string{"c", "d"})
-	if j.Len() != 1 || j.Rows[0][2].I != 100 || j.Rows[0][3].I != 300 {
-		t.Errorf("join = %v", j)
-	}
-	if !reflect.DeepEqual([]string(j.Schema), []string{"a", "b", "p", "q"}) {
-		t.Errorf("schema = %v", j.Schema)
-	}
-}
-
-func TestSemiJoin(t *testing.T) {
-	l := New("s")
-	l.Insert(Str("a"))
-	l.Insert(Str("b"))
-	l.Insert(Str("a"))
-	r := New("t")
-	r.Insert(Str("a"))
-	r.Insert(Str("c"))
-	sj := SemiJoin(l, r, []string{"s"}, []string{"t"})
-	if sj.Len() != 2 {
-		t.Errorf("semijoin = %v", sj)
-	}
-}
-
-func TestCrossProduct(t *testing.T) {
-	l := New("a")
-	l.Insert(Int(1))
-	l.Insert(Int(2))
-	r := New("ts")
-	r.Insert(Int(9))
-	cp := CrossProduct(l, r)
-	if cp.Len() != 2 || cp.Rows[0][1].I != 9 {
-		t.Errorf("cross = %v", cp)
-	}
-	if !reflect.DeepEqual([]string(cp.Schema), []string{"a", "ts"}) {
-		t.Errorf("schema = %v", cp.Schema)
-	}
-}
-
-func TestUnionInPlace(t *testing.T) {
-	a := New("x")
-	a.Insert(Int(1))
-	b := New("x")
-	b.Insert(Int(2))
-	a.UnionInPlace(b)
-	if a.Len() != 2 {
-		t.Errorf("union = %v", a)
-	}
-}
-
-func TestIndexProbe(t *testing.T) {
-	r := New("k", "v")
-	r.Insert(Str("a"), Int(1))
-	r.Insert(Str("a"), Int(2))
-	r.Insert(Str("b"), Int(3))
-	ix := r.BuildIndex("k")
-	if got := len(ix.Probe(Str("a"))); got != 2 {
-		t.Errorf("probe a = %d", got)
-	}
-	if got := len(ix.Probe(Str("zzz"))); got != 0 {
-		t.Errorf("probe zzz = %d", got)
-	}
-}
-
-func TestRename(t *testing.T) {
-	r := New("a", "b")
-	r.Insert(Int(1), Int(2))
-	rn := r.Rename("x", "y")
-	if rn.Schema.Col("y") != 1 || rn.Rows[0][1].I != 2 {
-		t.Errorf("rename = %v", rn)
-	}
-}
-
-// --- Property tests against a nested-loop oracle ---
-
-func randomRelation(rng *rand.Rand, cols []string, n, domain int) *Relation {
-	r := New(cols...)
-	for i := 0; i < n; i++ {
-		row := make(Tuple, len(cols))
-		for j := range row {
-			if rng.Intn(2) == 0 {
-				row[j] = Int(int64(rng.Intn(domain)))
-			} else {
-				row[j] = Str(string(rune('a' + rng.Intn(domain))))
-			}
-		}
-		r.InsertTuple(row)
-	}
-	return r
-}
-
-func nestedLoopJoin(l, r *Relation, lc, rc []string) [][]Value {
-	li := l.Schema.Cols(lc...)
-	ri := r.Schema.Cols(rc...)
-	var out [][]Value
-	for _, lt := range l.Rows {
-		for _, rt := range r.Rows {
-			match := true
-			for k := range li {
-				if !lt[li[k]].Equal(rt[ri[k]]) {
-					match = false
-					break
+	for _, name := range []string{"n", "absent"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SymCol(%q) did not panic", name)
 				}
-			}
-			if !match {
-				continue
-			}
-			row := append(append([]Value{}, lt...), rt...)
-			// Drop r's join columns to mirror HashJoin's schema.
-			var kept []Value
-			for i, v := range row {
-				if i >= len(lt) {
-					skip := false
-					for _, rci := range ri {
-						if i-len(lt) == rci {
-							skip = true
-						}
-					}
-					if skip {
-						continue
-					}
-				}
-				kept = append(kept, v)
-			}
-			out = append(out, kept)
-		}
-	}
-	return out
-}
-
-func canonRows(rows []Tuple) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = Tuple(r).Key(identity(len(r)))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := randomRelation(rng, []string{"a", "b"}, rng.Intn(20), 3)
-		r := randomRelation(rng, []string{"c", "d"}, rng.Intn(20), 3)
-		got := HashJoin(l, r, []string{"a"}, []string{"c"})
-		oracle := nestedLoopJoin(l, r, []string{"a"}, []string{"c"})
-		oracleTuples := make([]Tuple, len(oracle))
-		for i, o := range oracle {
-			oracleTuples[i] = Tuple(o)
-		}
-		return reflect.DeepEqual(canonRows(got.Rows), canonRows(oracleTuples))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertySemiJoinSubset(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := randomRelation(rng, []string{"a", "b"}, rng.Intn(20), 3)
-		r := randomRelation(rng, []string{"c"}, rng.Intn(20), 3)
-		sj := SemiJoin(l, r, []string{"a"}, []string{"c"})
-		// Every output row appears in l and has a partner in r.
-		for _, t := range sj.Rows {
-			found := false
-			for _, rt := range r.Rows {
-				if t[0].Equal(rt[0]) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		// Every l row with a partner is kept (multiset semantics).
-		want := 0
-		for _, lt := range l.Rows {
-			for _, rt := range r.Rows {
-				if lt[0].Equal(rt[0]) {
-					want++
-					break
-				}
-			}
-		}
-		return sj.Len() == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyDistinctIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, []string{"a", "b"}, rng.Intn(30), 2)
-		d1 := r.Distinct()
-		d2 := d1.Distinct()
-		return reflect.DeepEqual(canonRows(d1.Rows), canonRows(d2.Rows)) && d1.Len() <= r.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+			}()
+			r.Schema.SymCol(name)
+		}()
 	}
 }
