@@ -428,7 +428,7 @@ func (s *server) handleClaim(c *client, rest string) {
 	s.mu.Lock()
 	owner, ok := s.owners[qid]
 	switch {
-	case !ok:
+	case !ok || s.eng.Query(qid) == "": // the latter: unsubscribed, its entry not yet at its slot
 		err = fmt.Errorf("unknown query %d", qid)
 	case owner != nil && owner != c:
 		err = fmt.Errorf("query %d belongs to another connection", qid)
@@ -446,7 +446,10 @@ func (s *server) handleClaim(c *client, rest string) {
 // handleUnsub removes a subscription owned by the requesting connection.
 // s.mu is held across the ownership check and the engine call, mirroring
 // handleSub: a concurrent PUB either publishes before the query is removed
-// (and may deliver its final matches) or after (and cannot).
+// (and may deliver its final matches) or after (and cannot). The owners
+// entry goes at the reply's slot, so in -async mode the publishes this
+// connection sent before the UNSUB — whose matches the replier routes later
+// — still find the query's owner.
 func (s *server) handleUnsub(c *client, rest string) {
 	id, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
 	if err != nil {
@@ -464,16 +467,19 @@ func (s *server) handleUnsub(c *client, rest string) {
 	case owner != c:
 		err = fmt.Errorf("query %d belongs to another connection", qid)
 	default:
-		if err = s.eng.Unsubscribe(qid); err == nil {
-			delete(s.owners, qid)
-		}
+		err = s.eng.Unsubscribe(qid)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		s.replyErr(c, errQuery, err.Error())
 		return
 	}
-	s.reply(c, okReply(int64(qid)))
+	c.atSlot(func() {
+		s.mu.Lock()
+		delete(s.owners, qid)
+		s.mu.Unlock()
+		c.enqueue(okReply(int64(qid)))
+	})
 }
 
 // dropClient releases every query owned by a disconnecting client: in

@@ -336,6 +336,55 @@ func TestServerAsyncPub(t *testing.T) {
 	}
 }
 
+// TestServerUnsubAfterPubKeepsItsMatches is the regression test for an
+// -async UNSUB overtaking an earlier PUB: a PUB and the UNSUB of a query that
+// PUB matches, sent in one write. The query is still subscribed when the
+// document is processed, so its MATCH line must come before the PUB's OK 1,
+// in both modes. Under -async the UNSUB used to release the query's owner
+// before the replier routed the PUB's matches, which were then counted but
+// never sent. Each round subscribes afresh on a stream of its own.
+func TestServerUnsubAfterPubKeepsItsMatches(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		c := dialTest(t, startTestServerMode(t, async))
+		for round := 0; round < 20; round++ {
+			c.sendLine(t, fmt.Sprintf("SUB R%d//a->x JOIN{x=y, 100} R%[1]d//b->y", round))
+			qid := strings.TrimPrefix(c.readLine(t), "OK ")
+			c.sendLine(t, fmt.Sprintf("PUB R%d 1 <a>v</a>", round))
+			if got := c.readLine(t); got != "OK 0" {
+				t.Fatalf("async=%v: first PUB -> %q", async, got)
+			}
+			if _, err := fmt.Fprintf(c.conn, "PUB R%d 2 <b>v</b>\nUNSUB %s\n", round, qid); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"MATCH " + qid + " ", "OK 1", "OK " + qid} {
+				if got := c.readLine(t); !strings.HasPrefix(got, want) {
+					t.Fatalf("async=%v, round %d: got %q, want %q...", async, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestServerRejectedPubKeepsConnection sends documents the XML scanner
+// rejects — malformed, and well-formed but outside its subset — in both
+// modes: each is answered ERR EPARSE with the parser's message, and the
+// connection answers the next request.
+func TestServerRejectedPubKeepsConnection(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		c := dialTest(t, startTestServerMode(t, async))
+		for _, doc := range []string{"<a><b></a>", "<a>&nbsp;</a>", "<a>\xff</a>", "<!DOCTYPE a><a/>", "<a>&#xD800;</a>"} {
+			c.sendLine(t, "PUB S 1 "+doc)
+			if got := c.readLine(t); !strings.HasPrefix(got, "ERR EPARSE ") || !strings.Contains(got, "xmldoc: ") {
+				t.Errorf("async=%v: PUB %q -> %q, want ERR EPARSE ... xmldoc: ...", async, doc, got)
+			}
+		}
+		c.sendLine(t, "PUB S 2 <a>v</a>")
+		if got := c.readLine(t); got != "OK 0" {
+			t.Errorf("async=%v: PUB after the rejected ones -> %q", async, got)
+		}
+	}
+}
+
 // TestServerAsyncPubThenBatch checks per-connection document order across
 // the two ingest paths in async mode: a PUBB must not enter the join state
 // ahead of the connection's earlier async PUB (the server drains the

@@ -33,7 +33,7 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		allocCeiling, bytesCeiling float64
 	}{
 		{"owned result", false, 160, 19100},
-		{"caller's buffer", true, 230, 9400},
+		{"caller's buffer", true, 160, 6900},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(Options{Processor: ProcessorViewMat})

@@ -18,9 +18,17 @@
 // adversarial value streams grows the table without bound — the documented
 // tradeoff for an allocation-free equality/hash path. See DESIGN.md
 // "Memory & interning".
+//
+// The table owns its strings: a novel string is copied on insert, so a
+// value sliced out of a document or a wire line never keeps that whole
+// buffer alive for the life of the process. A repeat lookup allocates
+// nothing, whatever buffer its argument points into.
 package sym
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // ID is a dense interned-symbol identifier. The zero id is the empty
 // string, so zero-valued ids never alias a real symbol by accident.
@@ -45,7 +53,15 @@ type table struct {
 }
 
 // Intern returns the id of s, interning it on first sight.
-func Intern(s string) ID { return global.intern(s) }
+func Intern(s string) ID {
+	id, _ := global.intern(s)
+	return id
+}
+
+// InternName is Intern that also returns the table's own copy of s, which a
+// caller keeps in place of s so as not to retain the buffer s points into
+// (the XML scanner's element names).
+func InternName(s string) (ID, string) { return global.intern(s) }
 
 // AttrIntern returns the id of "@"+name without allocating the
 // concatenation when the attribute has been seen before. Attribute symbols
@@ -59,9 +75,9 @@ func AttrIntern(name string) ID {
 	if ok {
 		return id
 	}
-	id = t.intern("@" + name)
+	id, at := t.intern("@" + name)
 	t.mu.Lock()
-	t.attrs[name] = id
+	t.attrs[at[1:]] = id
 	t.mu.Unlock()
 	return id
 }
@@ -97,20 +113,26 @@ func Count() int {
 	return n
 }
 
-func (t *table) intern(s string) ID {
+// intern returns the id of s and the table's copy of it, inserting a copy
+// on first sight.
+func (t *table) intern(s string) (ID, string) {
 	t.mu.RLock()
 	id, ok := t.ids[s]
+	if ok {
+		s = t.names[id]
+	}
 	t.mu.RUnlock()
 	if ok {
-		return id
+		return id, s
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, ok := t.ids[s]; ok {
-		return id
+		return id, t.names[id]
 	}
+	s = strings.Clone(s)
 	id = ID(len(t.names))
 	t.ids[s] = id
 	t.names = append(t.names, s)
-	return id
+	return id, s
 }

@@ -6,15 +6,40 @@
 // node receives an id defined by pre-order traversal of the XML tree, and
 // the string value of a node is the XPath string value, i.e. the
 // concatenation of all descendant text in document order.
+//
+// ParseString is a scanner written for the XML the wire carries (scan.go).
+// It accepts what encoding/xml's strict decoder accepts, with the same
+// node table, within this subset: UTF-8 input; one root element; elements
+// and attributes, whose names are ASCII XML names, reduced to the local part
+// after a namespace prefix; namespace declarations (xmlns and xmlns:p
+// attributes), which are dropped; character data and CDATA sections, both
+// text of the enclosing element, with CR LF and lone CR read as LF; the five
+// predefined entities and decimal or hexadecimal character references;
+// comments, processing instructions, an XML declaration naming version 1.0
+// and UTF-8 (or neither), and character data outside the root element, all
+// skipped. Malformed input is rejected with an "xmldoc:" error at the byte
+// offset where the scan stopped. So are these well-formed constructs, which
+// encoding/xml accepts and the scanner does not:
+//
+//   - a document type declaration or any other "<!" markup declaration
+//     besides comments and CDATA;
+//   - a non-ASCII character in an element, attribute or processing-
+//     instruction name;
+//   - a character reference to a surrogate, U+D800 to U+DFFF (encoding/xml
+//     reads it as U+FFFD);
+//   - a namespace declaration binding a prefix to the name "xmlns"
+//     (encoding/xml drops the attributes in that namespace);
+//   - elements nested more than 10 000 deep.
+//
+// The test files hold encoding/xml's tree builder, which ParseString
+// replaced, as the reference the differential tests and the fuzz target
+// FuzzParseMatchesStdlib hold it to.
 package xmldoc
 
 import (
 	"encoding/xml"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/sym"
 )
@@ -189,91 +214,6 @@ func (b *Builder) Build() *Document {
 	d := &b.doc
 	d.finalize()
 	return d
-}
-
-// parseScratch is the pooled per-parse working set: the open-element stack.
-// The document's node and value arrays escape into the returned Document
-// and are never pooled; the scratch must not.
-type parseScratch struct {
-	stack []NodeID
-}
-
-//mmqjp:pooled parse scratch is reset on Get and nothing it references escapes into the Document
-var parsePool = sync.Pool{New: func() any { return &parseScratch{} }}
-
-// Parse reads a single XML document from r and assigns the given stream
-// metadata. Attributes become AttributeNode children preceding element
-// children, and character data is attached to the innermost open element.
-func Parse(r io.Reader, id DocID, ts Timestamp) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	var b *Builder
-	scratch := parsePool.Get().(*parseScratch)
-	stack := scratch.stack[:0]
-	defer func() {
-		scratch.stack = stack[:0]
-		parsePool.Put(scratch)
-	}()
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldoc: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			var nid NodeID
-			if b == nil {
-				b = NewBuilder(id, ts, t.Name.Local)
-				nid = 0
-			} else {
-				if len(stack) == 0 {
-					return nil, fmt.Errorf("xmldoc: multiple root elements")
-				}
-				nid = b.Element(stack[len(stack)-1], t.Name.Local, "")
-			}
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				b.Attribute(nid, a.Name.Local, a.Value)
-			}
-			stack = append(stack, nid)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmldoc: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				cur := stack[len(stack)-1]
-				b.doc.Nodes[cur].text += string(t)
-			}
-		}
-	}
-	if b == nil {
-		return nil, fmt.Errorf("xmldoc: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmldoc: unclosed elements")
-	}
-	d := &b.doc
-	// Trim pure-whitespace text that came from document indentation.
-	for i := range d.Nodes {
-		if d.Nodes[i].Kind == ElementNode && strings.TrimSpace(d.Nodes[i].text) == "" {
-			d.Nodes[i].text = ""
-		} else if d.Nodes[i].Kind == ElementNode {
-			d.Nodes[i].text = strings.TrimSpace(d.Nodes[i].text)
-		}
-	}
-	d.finalize()
-	return d, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
-	return Parse(strings.NewReader(s), id, ts)
 }
 
 // MarshalXML serializes the document back to XML text (elements, attributes
