@@ -33,14 +33,16 @@ race:
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against
 # encoding/xml) and the server's wire sessions, plus Stage-1 witness
-# assembly against its naive oracle (the CI fuzz-smoke job). -fuzz takes one
-# target per run, so a package with two names each with an anchored pattern.
+# assembly against its naive oracle and window expiry of the join state
+# against a rebuild (the CI fuzz-smoke job). -fuzz takes one target per run,
+# so a package with two names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xpath
 	$(GO) test -run=^$$ -fuzz='^FuzzParseDocument$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
 	$(GO) test -run=^$$ -fuzz='^FuzzParseMatchesStdlib$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
 	$(GO) test -run=^$$ -fuzz=FuzzWitnessesMatchNaive -fuzztime=$(FUZZTIME) ./internal/yfilter
+	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 
 # Longer local fuzzing session (override FUZZTIME as needed).

@@ -127,8 +127,6 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 		func() float64 { return float64(eng().Stats().WindowGCs) })
 	r.CounterFunc("mmqjp_window_gc_rows_dropped_total", "Join-state rows removed by window collections.",
 		func() float64 { return float64(eng().Stats().GCRowsDropped) })
-	r.CounterFunc("mmqjp_window_gc_rows_moved_total", "Surviving join-state rows window collections shifted to a lower row number.",
-		func() float64 { return float64(eng().Stats().GCRowsMoved) })
 	r.GaugeFunc("mmqjp_state_docs", "Documents in the join state (inside the widest window).",
 		func() float64 { return float64(eng().Stats().StateDocs) })
 	stateRows := r.GaugeFuncVec("mmqjp_state_rows", "Live join-state rows, by witness relation.", "relation")

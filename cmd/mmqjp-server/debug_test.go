@@ -369,7 +369,6 @@ func TestServerWindowStateMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mmqjp_window_gc_total counter",
 		"# TYPE mmqjp_window_gc_rows_dropped_total counter",
-		"# TYPE mmqjp_window_gc_rows_moved_total counter",
 		"# TYPE mmqjp_state_docs gauge",
 		"# TYPE mmqjp_state_rows gauge",
 		`mmqjp_state_rows{relation="rbin"}`,

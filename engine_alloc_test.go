@@ -32,8 +32,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		appendXML                  bool
 		allocCeiling, bytesCeiling float64
 	}{
-		{"owned result", false, 160, 19100},
-		{"caller's buffer", true, 160, 6900},
+		{"owned result", false, 97, 17300},
+		{"caller's buffer", true, 93, 4200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(Options{Processor: ProcessorViewMat})

@@ -61,7 +61,7 @@ type Config struct {
 // NFA match + witness construction (possibly measured on a pipeline worker),
 // Stage2 the template evaluation, Merge the Algorithm-2 state merge plus
 // view-cache maintenance, and GC the window-expiry check and, when it fires,
-// the in-place collection (State.GC).
+// the collection (State.GC).
 type DocTimings struct {
 	Stage1  time.Duration
 	Stage2  time.Duration
@@ -135,13 +135,11 @@ type Stats struct {
 	PatternsTriggered int64
 	WitnessProbes     int64
 	// WindowGCs counts the window collections that expired at least one
-	// document (State.GC), GCRowsDropped the Rbin/Rdoc/Rroot rows they
-	// removed and GCRowsMoved the surviving rows they shifted to a lower
-	// row number — expiry's counted work. A collection moves each live row
-	// at most once, and rows dropped is rows merged minus rows live.
+	// document (State.GC) and GCRowsDropped the Rbin/Rdoc/Rroot rows they
+	// removed — expiry's counted work, which is exactly the expired
+	// documents' rows: rows dropped is rows merged minus rows live.
 	WindowGCs     int64
 	GCRowsDropped int64
-	GCRowsMoved   int64
 	// Gauges, read off the join state when the stats are taken (they
 	// survive ResetStats): the documents inside the widest window and their
 	// rows per witness relation (zero in a shard's stats, so Add leaves
@@ -179,7 +177,6 @@ func (s *Stats) Add(o Stats) {
 	s.WitnessProbes += o.WitnessProbes
 	s.WindowGCs += o.WindowGCs
 	s.GCRowsDropped += o.GCRowsDropped
-	s.GCRowsMoved += o.GCRowsMoved
 	s.StateDocs += o.StateDocs
 	s.StateRbinRows += o.StateRbinRows
 	s.StateRdocRows += o.StateRdocRows

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/relation"
@@ -14,7 +13,7 @@ import (
 // so it is compiled once, when the template is created, into a cqProgram: an
 // ordered list of index-probe steps over a fixed integer binding frame
 //
-//	slot 0          docid   the previous document
+//	slot 0          slot    the previous document's state slot
 //	slots 1..N      n_p     node bound at template position p
 //	slots N+1..2N   v_p     interned canonical variable at position p
 //	slots 2N+1..    s_k     interned string value of value join k
@@ -25,10 +24,11 @@ import (
 // time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
 // a depth-first index nested loop over the frame that emits complete frames
 // straight into the shard's emit buffer. No intermediate relation is
-// materialized, and no step scans join state: state relations are reached
-// only through the indexes State.Merge extends and State.GC shrinks,
+// materialized, and no step scans join state: a previous document's rows are
+// reached through its record's node indexes (State.add builds them), the
 // per-document relations through the indexes built once per document in
-// stage2Shared.
+// stage2Shared. No step hashes: every index is an offset array or a flat
+// table over integer keys (flat.go).
 //
 // The two physical plans (planner.go) are the same machine in two step
 // orders. The witness-driven order starts from the document's value-join
@@ -47,20 +47,20 @@ type cqSource uint8
 const (
 	srcVectors     cqSource = iota // the template's live vector groups, one after another
 	srcVectorProbe                 // the vector group equal to the bound v slots
-	srcRvj                         // value-join pairs: all, or by docid
-	srcRL                          // left view: all, or by docid
+	srcRvj                         // value-join pairs: all, or by slot
+	srcRL                          // left view: all, or by slot
 	srcRR                          // right view by strVal
-	srcRbin                        // Rbin by (docid, node2)
+	srcRbin                        // Rbin by (slot, node2)
 	srcRbinW                       // RbinW by node2
-	srcRroot                       // Rroot by (docid, node)
+	srcRroot                       // Rroot by (slot, node)
 	srcRrootW                      // RrootW by node
 )
 
 // The per-document relations' schemas: the value-join pairs and the Section-5
-// left view; the right view RR is RL without the docid.
+// left view; the right view RR is RL without the slot.
 var (
-	rvjSchema = relation.Schema{relation.Int("docid"), relation.Int("nodeL"), relation.Int("nodeR"), relation.Sym("strVal")}
-	rlSchema  = relation.Schema{relation.Int("docid"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2"), relation.Sym("strVal")}
+	rvjSchema = relation.Schema{relation.Int("slot"), relation.Int("nodeL"), relation.Int("nodeR"), relation.Sym("strVal")}
+	rlSchema  = relation.Schema{relation.Int("slot"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2"), relation.Sym("strVal")}
 
 	rrStrVal = rlSchema[1:].SymCol("strVal")
 )
@@ -88,7 +88,8 @@ type colSlot struct{ col, slot int }
 type cqStep struct {
 	src cqSource
 	// key is the bound slot the probe key is read from (state relations
-	// add the docid slot); -1 reads every row of the source.
+	// read the record of the slotDoc slot); -1 reads every row of the
+	// source.
 	key    int
 	assign []colSlot
 	check  []colSlot
@@ -155,7 +156,8 @@ func compileCQ(t *Template, views, rtDriven bool) *cqProgram {
 	for k, e := range t.VJ {
 		l, r := e[0], e[1]
 		// The first value join reads every pair (or left-view row); it
-		// binds the previous document, and the later ones probe by it.
+		// binds the previous document's slot, and the later ones probe by
+		// it.
 		docKey := slotDoc
 		if k == 0 {
 			docKey = -1
@@ -259,18 +261,9 @@ func (t *Template) liveParent(p int) int {
 // every instance registered with the same canonical variable at each
 // position collapse onto it — with the instances sharing it.
 type vecGroup struct {
-	key   string  // appendVecKey(vars), the group's key in Template.vectors
 	vars  []int64 // interned canonical variable per template position
+	hash  uint64  // hashVec(vars), the group's hash in Template.vectors
 	insts []int64 // instance ids
-}
-
-// appendVecKey appends the group key of a variable vector: fixed-width, so
-// equal-length vectors have equal keys exactly when they are equal.
-func appendVecKey(b []byte, vars []int64) []byte {
-	for _, v := range vars {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	return b
 }
 
 // addVector records an instance's variable vector in its template and
@@ -278,15 +271,13 @@ func appendVecKey(b []byte, vars []int64) []byte {
 // adds its variable pairs to the live sets the witness-driven order prunes
 // with.
 func (t *Template) addVector(vars []int64, iid int64) *vecGroup {
-	if t.vectors == nil {
-		t.vectors = map[string]*vecGroup{}
-		t.live = make([]map[[2]int64]int, t.N)
+	if t.live == nil {
+		t.live = make([]pairSet, t.N)
 	}
-	buf := appendVecKey(make([]byte, 0, 8*len(vars)), vars)
-	g, ok := t.vectors[string(buf)]
-	if !ok {
-		g = &vecGroup{key: string(buf), vars: append([]int64(nil), vars...)}
-		t.vectors[g.key] = g
+	g := t.vectors.get(vars)
+	if g == nil {
+		g = &vecGroup{vars: append([]int64(nil), vars...), hash: hashVec(vars)}
+		t.vectors.insert(g)
 		t.vecList = append(t.vecList, g)
 		t.noteLive(g, 1)
 	}
@@ -301,70 +292,17 @@ func (t *Template) removeVector(g *vecGroup, iid int64) {
 	if g.insts = removeFirst(g.insts, iid); len(g.insts) > 0 {
 		return
 	}
-	delete(t.vectors, g.key)
+	t.vectors.remove(g)
 	t.vecList = removeFirst(t.vecList, g)
 	t.noteLive(g, -1)
 }
 
 // noteLive adds (delta = 1) or retires (delta = -1) a vector group's
 // variable pairs in the per-position live sets.
-func (t *Template) noteLive(g *vecGroup, delta int) {
+func (t *Template) noteLive(g *vecGroup, delta int32) {
 	for p := 0; p < t.N; p++ {
-		k := [2]int64{g.vars[t.liveParent(p)], g.vars[p]}
-		if t.live[p] == nil {
-			t.live[p] = map[[2]int64]int{}
-		}
-		if t.live[p][k] += delta; t.live[p][k] == 0 {
-			delete(t.live[p], k)
-		}
+		t.live[p].add(packPair(g.vars[t.liveParent(p)], g.vars[p]), delta)
 	}
-}
-
-// rowIndex groups the rows of a per-document relation by the value of one
-// integer column. Groups are numbered in first-seen order, so everything
-// derived from the index is deterministic.
-type rowIndex struct {
-	group map[int64]int32
-	off   []int32 // group g is rows[off[g]:off[g+1]]
-	rows  []int
-}
-
-// indexRows builds the index of rows on column col: one map operation per
-// row, five allocations whatever the row count.
-func indexRows(rows [][]int64, col int) *rowIndex {
-	x := &rowIndex{group: make(map[int64]int32), rows: make([]int, len(rows))}
-	of := make([]int32, len(rows))
-	var sizes []int32
-	for i, row := range rows {
-		g, ok := x.group[row[col]]
-		if !ok {
-			g = int32(len(sizes))
-			x.group[row[col]] = g
-			sizes = append(sizes, 0)
-		}
-		sizes[g]++
-		of[i] = g
-	}
-	x.off = make([]int32, len(sizes)+1)
-	for g, n := range sizes {
-		x.off[g+1] = x.off[g] + n
-	}
-	next := sizes
-	copy(next, x.off)
-	for i, g := range of {
-		x.rows[next[g]] = i
-		next[g]++
-	}
-	return x
-}
-
-// get returns the row numbers whose indexed column equals k.
-func (x *rowIndex) get(k int64) []int {
-	g, ok := x.group[k]
-	if !ok {
-		return nil
-	}
-	return x.rows[x.off[g]:x.off[g+1]]
 }
 
 // cqExec evaluates compiled programs on one shard (shard.ex), one document at
@@ -385,8 +323,11 @@ type cqExec struct {
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
 	// later document's.
-	slab   []xmldoc.NodeID
-	keyBuf []byte
+	slab []xmldoc.NodeID
+
+	// fanouts memoizes the document's witness fan-out per value-join count
+	// for the planner (evalShard); -1 is not yet computed.
+	fanouts []float64
 
 	// probes counts index entries visited, rows RoutT rows produced.
 	probes, rows int64
@@ -414,7 +355,7 @@ func (ex *cqExec) step(i int) {
 	st := &ex.prog.steps[i]
 	t, f, s, pre := ex.prog.t, ex.frame, ex.p.state, ex.pre
 	var rows [][]int64
-	var idx []int
+	var idx []int32
 	switch st.src {
 	case srcVectors:
 		for _, g := range t.vecList {
@@ -426,8 +367,7 @@ func (ex *cqExec) step(i int) {
 		return
 	case srcVectorProbe:
 		ex.probes++
-		ex.keyBuf = appendVecKey(ex.keyBuf[:0], f[t.vSlot(0):t.sSlot(0)])
-		if g := t.vectors[string(ex.keyBuf)]; g != nil {
+		if g := t.vectors.get(f[t.vSlot(0):t.sSlot(0)]); g != nil {
 			ex.group = g
 			ex.step(i + 1)
 		}
@@ -445,11 +385,13 @@ func (ex *cqExec) step(i int) {
 	case srcRR:
 		rows, idx = pre.rr, pre.rrBySym.get(f[st.key])
 	case srcRbin:
-		rows, idx = s.Rbin.Rows, s.rbinByNode2[binKey{xmldoc.DocID(f[slotDoc]), xmldoc.NodeID(f[st.key])}]
+		r := &s.recs[f[slotDoc]]
+		rows, idx = r.bin, r.binByNode2.get(f[st.key])
 	case srcRbinW:
 		rows, idx = ex.w.RbinW.Rows, pre.binWByNode2.get(f[st.key])
 	case srcRroot:
-		rows, idx = s.Rroot.Rows, s.rrootByNode[binKey{xmldoc.DocID(f[slotDoc]), xmldoc.NodeID(f[st.key])}]
+		r := &s.recs[f[slotDoc]]
+		rows, idx = r.root, r.rootByNode.get(f[st.key])
 	case srcRrootW:
 		rows, idx = ex.w.RrootW.Rows, pre.rootWByNode.get(f[st.key])
 	}
@@ -478,10 +420,8 @@ func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 	for _, a := range st.assign {
 		f[a.slot] = row[a.col]
 	}
-	if st.live >= 0 {
-		if _, ok := ex.prog.t.live[st.live][[2]int64{f[st.liveA], f[st.liveB]}]; !ok {
-			return
-		}
+	if st.live >= 0 && !ex.prog.t.live[st.live].has(packPair(f[st.liveA], f[st.liveB])) {
+		return
 	}
 	ex.step(i + 1)
 }
@@ -492,16 +432,12 @@ func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 // one Bindings slice, carved from the slab.
 func (ex *cqExec) emit() {
 	p, t, f := ex.p, ex.prog.t, ex.frame
-	prevDoc := xmldoc.DocID(f[slotDoc])
-	prevTS, ok := p.state.RdocTS[prevDoc]
-	if !ok {
-		return
-	}
+	prev := &p.state.recs[f[slotDoc]]
 	var bindings []xmldoc.NodeID
 	for _, iid := range ex.group.insts {
 		ex.rows++
 		inst := p.instances[iid]
-		if !p.windowOK(inst, prevDoc, prevTS, ex.d) {
+		if !p.windowOK(inst, prev, ex.d) {
 			continue
 		}
 		if bindings == nil {
@@ -513,7 +449,7 @@ func (ex *cqExec) emit() {
 				bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
 			}
 		}
-		ex.out = append(ex.out, p.orientMatch(t, inst, prevDoc, prevTS, bindings, ex.d))
+		ex.out = append(ex.out, p.orientMatch(t, inst, prev.id, prev.ts, bindings, ex.d))
 	}
 }
 

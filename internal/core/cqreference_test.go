@@ -25,31 +25,32 @@ func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Mat
 	v := func(i int) string { return fmt.Sprintf("v%d", i) }
 	n := func(i int) string { return fmt.Sprintf("n%d", i) }
 	var out []Match
+	rbin, rdoc, rroot := stateRelations(p.state)
 	for _, t := range p.templateList {
 		var atoms []Atom
 		for k, e := range t.VJ {
 			s := fmt.Sprintf("s%d", k)
 			atoms = append(atoms,
-				Atom{Name: "Rdoc", Rel: p.state.Rdoc, Vars: []string{"docid", n(e[0]), s}},
+				Atom{Name: "Rdoc", Rel: rdoc, Vars: []string{"slot", n(e[0]), s}},
 				Atom{Name: "RdocW", Rel: w.RdocW, Vars: []string{n(e[1]), s}})
 		}
 		for _, e := range t.StructEdges(Left) {
-			atoms = append(atoms, Atom{Name: "Rbin", Rel: p.state.Rbin,
-				Vars: []string{"docid", v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
+			atoms = append(atoms, Atom{Name: "Rbin", Rel: rbin,
+				Vars: []string{"slot", v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		for _, e := range t.StructEdges(Right) {
 			atoms = append(atoms, Atom{Name: "RbinW", Rel: w.RbinW,
 				Vars: []string{v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		if t.SingleLeft {
-			atoms = append(atoms, Atom{Name: "Rroot", Rel: p.state.Rroot,
-				Vars: []string{"docid", v(t.LeftRoot), n(t.LeftRoot)}})
+			atoms = append(atoms, Atom{Name: "Rroot", Rel: rroot,
+				Vars: []string{"slot", v(t.LeftRoot), n(t.LeftRoot)}})
 		}
 		if t.SingleRight {
 			atoms = append(atoms, Atom{Name: "RrootW", Rel: w.RrootW,
 				Vars: []string{v(t.RightRoot), n(t.RightRoot)}})
 		}
-		rtCols, head := []string{"qid"}, []string{"qid", "docid"}
+		rtCols, head := []string{"qid"}, []string{"qid", "slot"}
 		for i := 0; i < t.N; i++ {
 			rtCols, head = append(rtCols, v(i)), append(head, n(i))
 		}
@@ -63,16 +64,15 @@ func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Mat
 
 		for _, row := range EvalConjunctive(atoms, head).Rows {
 			inst := p.instances[row[0]]
-			prevDoc := xmldoc.DocID(row[1])
-			prevTS := p.state.RdocTS[prevDoc]
-			if !p.windowOK(inst, prevDoc, prevTS, d) {
+			prev := &p.state.recs[row[1]]
+			if !p.windowOK(inst, prev, d) {
 				continue
 			}
 			bindings := make([]xmldoc.NodeID, t.N)
 			for i := range bindings {
 				bindings[i] = xmldoc.NodeID(row[2+i])
 			}
-			out = append(out, p.orientMatch(t, inst, prevDoc, prevTS, bindings, d))
+			out = append(out, p.orientMatch(t, inst, prev.id, prev.ts, bindings, d))
 		}
 	}
 	sortMatches(out)
@@ -288,7 +288,8 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // whose cost follows the registered count fails here. The cases with the
 // generators' own windows replay one stream and expire nothing in the
 // measured pass (the RSS queries use INF, the paper-scale window outlasts its
-// 150 items); "rss window" is the plateau regime of the benchmark's
+// 150 items); a replayed document keeps its id and timestamp and is merged as
+// a document of its own; "rss window" is the plateau regime of the benchmark's
 // rss_window — every query's window cut to 100, the warm pass and the
 // measured pass consecutive 400-item segments of one stream — so the state
 // merge and window expiry (State.GC, at least three collections in the pass)
@@ -314,9 +315,9 @@ func TestPublishAllocCeiling(t *testing.T) {
 		bytesCeiling   float64 // 0: count only
 	}{
 		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 110, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 235, 11900},
-		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 120, 4200},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 577, 617000},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 138, 6300},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 86, 2500},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 421, 27000},
 		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 114, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

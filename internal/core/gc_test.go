@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -80,7 +81,7 @@ func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
 		t.Fatalf("shouldGC never fired within %d calls with %d non-prefix expired documents",
 			gcFullScanEvery+1, 79)
 	}
-	if got, _, _ := s.GC(100, noSeq); len(got) != 79 {
+	if got, _ := s.GC(100, noSeq); len(got) != 79 {
 		t.Errorf("GC reclaimed %d documents, want 79", len(got))
 	}
 	if s.NumDocs() != 1 {
@@ -90,7 +91,8 @@ func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
 
 // TestGCOutOfOrderProcessor drives the starvation scenario end-to-end: a
 // skewed first document followed by a long normally-timestamped stream must
-// not pin the whole stream in the join state.
+// not pin the whole stream in the join state — neither its documents nor the
+// slots, row storage and posting lists behind them.
 func TestGCOutOfOrderProcessor(t *testing.T) {
 	p := NewProcessor(Config{ViewMaterialization: true})
 	p.MustRegister(xscl.MustParse(
@@ -107,9 +109,34 @@ func TestGCOutOfOrderProcessor(t *testing.T) {
 	}
 	// Window 10: all but the head and the last ~10 documents are expired.
 	// Without the periodic full scan the state would hold all n documents.
-	if got := p.State().NumDocs(); got > 1+10+gcFullScanEvery+gcBatchMin {
+	const maxDocs = 1 + 10 + gcFullScanEvery + gcBatchMin
+	s := p.State()
+	if got := s.NumDocs(); got > maxDocs {
 		t.Errorf("join state holds %d documents after %d publishes (window 10): GC starved", got, n)
 	}
+	// A document holds one Rbin and one Rdoc row: 8 values.
+	storage, postings := 0, 0
+	for i := range s.recs {
+		storage += cap(s.recs[i].vals)
+	}
+	for i := range s.lists {
+		postings += cap(s.lists[i].refs)
+	}
+	for _, c := range []struct {
+		what     string
+		n, bound int
+	}{
+		{"slots", len(s.recs), maxDocs},
+		{"row storage values", storage, 8 * maxDocs},
+		{"posting lists", len(s.lists), 7},
+		{"posting capacity", postings, 2 * maxDocs},
+		{"arrival order capacity", cap(s.order), 2 * maxDocs},
+	} {
+		if c.n > c.bound {
+			t.Errorf("%d %s behind the clock-skewed head, want <= %d", c.n, c.what, c.bound)
+		}
+	}
+	checkState(t, s)
 }
 
 // TestGCReturnsExpiredSet checks GC's return value: exactly the reclaimed
@@ -120,18 +147,23 @@ func TestGCReturnsExpiredSet(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		mergeDoc(s, i, i, fmt.Sprintf("s%d", i))
 	}
-	if got, _, _ := s.GC(1, noSeq); len(got) != 0 {
+	if got, _ := s.GC(1, noSeq); len(got) != 0 {
 		t.Errorf("GC expired %v with cutoff below all docs", got)
 	}
-	got, _, _ := s.GC(4, noSeq)
-	want := map[xmldoc.DocID]bool{1: true, 2: true, 3: true}
-	if len(got) != len(want) {
-		t.Fatalf("GC expired %v, want %v", got, want)
+	idOf := map[int32]xmldoc.DocID{}
+	for _, slot := range s.order {
+		idOf[slot] = s.recs[slot].id
 	}
-	for id := range want {
-		if !got[id] {
-			t.Errorf("GC missing expired doc %d", id)
-		}
+	got, dropped := s.GC(4, noSeq)
+	var ids []xmldoc.DocID
+	for _, slot := range got {
+		ids = append(ids, idOf[slot])
+	}
+	if want := []xmldoc.DocID{1, 2, 3}; !slices.Equal(ids, want) {
+		t.Fatalf("GC expired documents %v, want %v", ids, want)
+	}
+	if dropped != 6 {
+		t.Errorf("GC dropped %d rows, want 6 (one Rbin and one Rdoc row per document)", dropped)
 	}
 	if s.NumDocs() != 3 {
 		t.Errorf("NumDocs = %d, want 3", s.NumDocs())
@@ -208,7 +240,7 @@ func TestViewCacheInvalidateDocs(t *testing.T) {
 	c.Put(sym.Intern("stale"), slice(1, 2))
 	c.Put(sym.Intern("live"), slice(3))
 	c.Put(sym.Intern("empty"), slice())
-	c.InvalidateDocs(map[xmldoc.DocID]bool{2: true})
+	c.InvalidateDocs([]int32{2})
 	if _, ok := c.Get(sym.Intern("stale")); ok {
 		t.Error("entry referencing expired doc 2 survived")
 	}
@@ -243,9 +275,9 @@ func TestViewCacheClearAccountsDrop(t *testing.T) {
 }
 
 // TestWindowGCStats checks expiry's counted work as Stats reports it: on a
-// windowed stream every collection moves each live row at most once (there is
-// no second pass over the state), the rows dropped are exactly the rows
-// merged minus the rows live, and the state gauges are the state's sizes —
+// windowed stream in timestamp order every collection drops exactly the rows
+// of the documents that left the state — so the rows dropped are the rows
+// merged minus the rows live — and the state gauges are the state's sizes,
 // also after ResetStats, which zeroes the counters only.
 func TestWindowGCStats(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -253,36 +285,56 @@ func TestWindowGCStats(t *testing.T) {
 		p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 25} S//item->y[.//a->w][.//b->z]"))
 		p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, ROWS 10} S//b->w"))
 		live := func(s Stats) int64 { return s.StateRbinRows + s.StateRdocRows + s.StateRrootRows }
+		liveDocs := func() map[xmldoc.DocID]bool {
+			ids := map[xmldoc.DocID]bool{}
+			for _, slot := range p.state.order {
+				ids[p.state.recs[slot].id] = true
+			}
+			return ids
+		}
 		var merged int64
+		rowsOf := map[xmldoc.DocID]int64{}
 		prev := p.Stats()
 		for i := 1; i <= 400; i++ {
 			b := xmldoc.NewBuilder(xmldoc.DocID(i), xmldoc.Timestamp(i), "item")
 			b.Element(0, "a", fmt.Sprintf("k%d", i%7))
 			b.Element(0, "b", fmt.Sprintf("k%d", i%5))
 			r := p.RunStage1("S", b.Build())
-			merged += int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
+			rowsOf[r.doc.ID] = int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
+			merged += rowsOf[r.doc.ID]
+			before := liveDocs()
 			p.Consume(r)
 			st := p.Stats()
 			if gcs := st.WindowGCs - prev.WindowGCs; gcs > 1 {
 				t.Fatalf("document %d: %d collections", i, gcs)
 			}
-			if moved := st.GCRowsMoved - prev.GCRowsMoved; moved > live(st) {
-				t.Fatalf("document %d: a collection moved %d rows with %d live", i, moved, live(st))
+			after, left := liveDocs(), int64(0)
+			for id := range before {
+				if !after[id] {
+					left += rowsOf[id]
+				}
+			}
+			if dropped := st.GCRowsDropped - prev.GCRowsDropped; dropped != left {
+				t.Fatalf("document %d: a collection dropped %d rows, the documents that left held %d", i, dropped, left)
 			}
 			if st.GCRowsDropped != merged-live(st) {
 				t.Fatalf("document %d: %d rows dropped, want %d merged - %d live", i, st.GCRowsDropped, merged, live(st))
 			}
+			if p.state.late != 0 {
+				t.Fatalf("document %d: %d late documents in a stream in timestamp order", i, p.state.late)
+			}
 			prev = st
 		}
 		s := p.state
-		if prev.WindowGCs < 5 || prev.GCRowsMoved == 0 {
-			t.Errorf("workers=%d: %d collections moved %d rows: the stream did not exercise expiry", workers, prev.WindowGCs, prev.GCRowsMoved)
+		if prev.WindowGCs < 5 {
+			t.Errorf("workers=%d: %d collections: the stream did not exercise expiry", workers, prev.WindowGCs)
 		}
-		if prev.StateDocs != int64(s.NumDocs()) || prev.StateRbinRows != int64(s.Rbin.Len()) ||
-			prev.StateRdocRows != int64(s.Rdoc.Len()) || prev.StateRrootRows != int64(s.Rroot.Len()) ||
-			s.Rbin.Len() == 0 || s.Rroot.Len() == 0 {
+		bin, doc, root := s.Rows()
+		if prev.StateDocs != int64(s.NumDocs()) || prev.StateRbinRows != int64(bin) ||
+			prev.StateRdocRows != int64(doc) || prev.StateRrootRows != int64(root) ||
+			bin == 0 || root == 0 {
 			t.Errorf("workers=%d: gauges %+v do not describe the state (%d docs, %d/%d/%d rows)",
-				workers, prev, s.NumDocs(), s.Rbin.Len(), s.Rdoc.Len(), s.Rroot.Len())
+				workers, prev, s.NumDocs(), bin, doc, root)
 		}
 		p.ResetStats()
 		if st := p.Stats(); st.WindowGCs != 0 || st.GCRowsDropped != 0 || st.StateDocs != prev.StateDocs || live(st) != live(prev) {
@@ -301,8 +353,14 @@ func TestCurrentWitnessReuse(t *testing.T) {
 		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "item")
 		b.Element(0, "a", str)
 		w := NewCurrentWitness(b.Build())
-		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + len(w.binSeen) + len(w.docSeen) + len(w.rtSeen); n != 0 || w.rrSlices != nil {
-			t.Fatalf("document %d: a new witness holds %d rows and set entries", id, n)
+		stamped := 0
+		for _, e := range w.nodes {
+			if e.gen == w.gen {
+				stamped++
+			}
+		}
+		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + stamped + len(w.binNext) + len(w.rootNext); n != 0 || w.rrSlices != nil {
+			t.Fatalf("document %d: a new witness holds %d rows and node entries", id, n)
 		}
 		for i := 0; i < 2; i++ { // the second round is deduplicated
 			w.AddBin(v, v+1, 0, 1)
@@ -322,16 +380,17 @@ func TestCurrentWitnessReuse(t *testing.T) {
 			t.Errorf("document %d: a released witness still holds its document", id)
 		}
 	}
+	rbin, rdoc, rroot := stateRelations(s)
 	for i := 0; i < 3; i++ {
 		id, v := int64(i+1), int64(10*(i+1))
-		bin, doc, root := s.Rbin.Rows[i], s.Rdoc.Rows[i], s.Rroot.Rows[i]
-		if bin[0] != id || bin[1] != v || bin[2] != v+1 || bin[4] != 1 {
+		bin, doc, root := rbin.Rows[i], rdoc.Rows[i], rroot.Rows[i]
+		if s.recs[bin[0]].id != xmldoc.DocID(id) || bin[1] != v || bin[2] != v+1 || bin[4] != 1 {
 			t.Errorf("Rbin row %d = %v after later documents reused the slab", i, bin)
 		}
-		if doc[0] != id || sym.ID(doc[2]) != sym.Intern(fmt.Sprintf("value-%d", id)) {
+		if s.recs[doc[0]].id != xmldoc.DocID(id) || sym.ID(doc[2]) != sym.Intern(fmt.Sprintf("value-%d", id)) {
 			t.Errorf("Rdoc row %d = %v after later documents reused the slab", i, doc)
 		}
-		if root[0] != id || root[1] != v {
+		if s.recs[root[0]].id != xmldoc.DocID(id) || root[1] != v {
 			t.Errorf("Rroot row %d = %v after later documents reused the slab", i, root)
 		}
 	}

@@ -53,13 +53,11 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 		}
 	}
 	st := p.state
-	if st.NumDocs() != 0 || st.Rbin.Len() != 0 || st.Rdoc.Len() != 0 || st.Rroot.Len() != 0 {
-		t.Errorf("join state not reclaimed: %d docs, Rbin %d, Rdoc %d, Rroot %d",
-			st.NumDocs(), st.Rbin.Len(), st.Rdoc.Len(), st.Rroot.Len())
+	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {
+		t.Errorf("join state not reclaimed: %d docs, Rbin %d, Rdoc %d, Rroot %d", st.NumDocs(), bin, doc, root)
 	}
-	if len(st.RdocTS) != 0 || len(st.seq) != 0 || len(st.docs) != 0 ||
-		len(st.rdocBySym) != 0 || len(st.rbinByNode2) != 0 || len(st.rrootByNode) != 0 {
-		t.Errorf("join-state indexes not reclaimed")
+	if len(st.recs) != 0 || len(st.lists) != 0 || len(st.rdocBySym) != 0 || st.nextSeq != 0 {
+		t.Errorf("join-state records and posting lists not reclaimed")
 	}
 	if p.stats != (Stats{}) {
 		t.Errorf("coordinator stats not reclaimed: %+v", p.stats)

@@ -192,7 +192,11 @@ type planDecision struct {
 func witnessFanout(byDoc *rowIndex, k int) float64 {
 	est := 0.0
 	for g := 1; g < len(byDoc.off); g++ {
-		est += math.Pow(float64(byDoc.off[g]-byDoc.off[g-1]), float64(k))
+		n := byDoc.off[g] - byDoc.off[g-1]
+		if n == 0 {
+			continue // a slot of the index's span with no row
+		}
+		est += math.Pow(float64(n), float64(k))
 		if est > 1e15 {
 			return est
 		}

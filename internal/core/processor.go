@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -89,10 +88,10 @@ type Processor struct {
 	// documents.
 	result Matches
 
-	// rvjArena holds the current document's value-join pair rows
-	// (stage2Shared.rvj), which nothing reads once the document is
-	// evaluated: prepareStage2 resets it and carves the next document's.
-	rvjArena relation.Arena
+	// pre is the current document's Stage-2 inputs (prepareStage2), which
+	// nothing reads once the document is evaluated: the next document's
+	// are built in its storage.
+	pre stage2Shared
 
 	// contribKey and contribScratch are registerInstance's scratch: the two
 	// sides' contributions are assembled here and copied only when a
@@ -259,9 +258,8 @@ func (p *Processor) Stats() Stats {
 		s.Add(sh.stats)
 	}
 	s.StateDocs = int64(p.state.NumDocs())
-	s.StateRbinRows = int64(p.state.Rbin.Len())
-	s.StateRdocRows = int64(p.state.Rdoc.Len())
-	s.StateRrootRows = int64(p.state.Rroot.Len())
+	bin, doc, root := p.state.Rows()
+	s.StateRbinRows, s.StateRdocRows, s.StateRrootRows = int64(bin), int64(doc), int64(root)
 	s.SubscriptionBytes = p.recBytes
 	return s
 }
@@ -532,7 +530,7 @@ func (p *Processor) reclaimAll() {
 	p.state = NewState()
 	p.stats = Stats{}
 	p.result = Matches{}
-	p.rvjArena = relation.Arena{}
+	p.pre = stage2Shared{}
 	for _, sh := range p.shards {
 		sh.cache.Clear()
 		sh.stats = Stats{}
@@ -914,9 +912,9 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
-	p.state.Merge(w, p.cfg.RetainDocuments)
+	slot := p.state.Merge(w, p.cfg.RetainDocuments)
 	if p.cfg.ViewMaterialization {
-		p.maintainCache(w)
+		p.maintainCache(w, slot)
 	}
 	t3 := time.Now()
 	if !p.anyInfWindow && (p.maxFiniteWindow > 0 || p.maxCountWindow > 0) {
@@ -930,14 +928,13 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 		}
 		if p.state.shouldGC(cutoffTS, cutoffSeq) {
 			// Invalidation is scoped: only cache entries whose slices
-			// reference an expired document are dropped; surviving
-			// entries stay exact, since Algorithm-5 maintenance keeps
-			// them in sync with every merge.
-			expired, dropped, moved := p.state.GC(cutoffTS, cutoffSeq)
+			// reference an expired slot are dropped, before the next
+			// Merge reuses the slot; surviving entries stay exact, since
+			// Algorithm-5 maintenance keeps them in sync with every merge.
+			expired, dropped := p.state.GC(cutoffTS, cutoffSeq)
 			if len(expired) > 0 {
 				p.stats.WindowGCs++
 				p.stats.GCRowsDropped += int64(dropped)
-				p.stats.GCRowsMoved += int64(moved)
 				for _, sh := range p.shards {
 					sh.cache.InvalidateDocs(expired)
 				}
@@ -976,18 +973,18 @@ func (p *Processor) ConsumeStage1(r *Stage1Result) []Match {
 	return p.Consume(r).Slice()
 }
 
-// windowOK applies the Algorithm-3 window constraint for one instance:
-// 0 < Δ ≤ wl for FOLLOWED BY, 0 ≤ Δ ≤ wl for JOIN, where Δ is the timestamp
-// difference for time windows or the arrival-index difference for tuple
-// (ROWS) windows.
-func (p *Processor) windowOK(inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, d *xmldoc.Document) bool {
+// windowOK applies the Algorithm-3 window constraint for one instance and
+// the previous document's record: 0 < Δ ≤ wl for FOLLOWED BY, 0 ≤ Δ ≤ wl for
+// JOIN, where Δ is the timestamp difference for time windows or the
+// arrival-index difference for tuple (ROWS) windows.
+func (p *Processor) windowOK(inst *instance, prev *docRec, d *xmldoc.Document) bool {
 	var delta int64
 	if inst.windowKind == xscl.WindowCount {
 		// The current document has not been merged yet; its arrival
 		// index will be nextSeq.
-		delta = p.state.nextSeq - p.state.seq[prevDoc]
+		delta = p.state.nextSeq - prev.seq
 	} else {
-		delta = int64(d.Timestamp - prevTS)
+		delta = int64(d.Timestamp - prev.ts)
 	}
 	if inst.op == xscl.OpJoin {
 		return 0 <= delta && delta <= inst.window
@@ -996,24 +993,24 @@ func (p *Processor) windowOK(inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc
 }
 
 // maintainCache implements Algorithm 5: fold the current document's RR
-// bindings into the cached RL slices so future documents find them. Each
-// string's slice lives in the cache of the shard that owns the string.
+// bindings, stamped with the slot it was merged on, into the cached RL slices
+// so future documents find them. Each string's slice lives in the cache of
+// the shard that owns the string.
 //
 //mmqjp:shardaccess coordinator maintenance after Stage-2 workers drain
-func (p *Processor) maintainCache(w *CurrentWitness) {
+func (p *Processor) maintainCache(w *CurrentWitness, slot int32) {
 	if w.rrSlices == nil {
 		return
 	}
-	did := int64(w.DocID)
 	for _, row := range w.rrSlices.Rows {
 		id := sym.ID(row[rrStrVal])
-		slice, ok := p.shardOfSym(id).cache.GetAndNote(id, w.DocID)
+		slice, ok := p.shardOfSym(id).cache.GetAndNote(id, slot)
 		if !ok {
 			continue
 		}
 		// Cached slices outlive the document, so this row is heap
 		// allocated by Insert, never carved from the witness arena.
-		slice.Insert(did, row[0], row[1], row[2], row[3], row[4])
+		slice.Insert(int64(slot), row[0], row[1], row[2], row[3], row[4])
 	}
 	w.rrSlices = nil
 }

@@ -108,9 +108,9 @@ func TestPaperStateRelations(t *testing.T) {
 	p.MustRegister(xscl.PaperQ3(1000))
 	p.Process("S", xmldoc.PaperD1(1, 100))
 
-	st := p.State()
+	rbin, rdoc, _ := stateRelations(p.State())
 	gotNodes := map[int64]string{}
-	for _, row := range st.Rdoc.Rows {
+	for _, row := range rdoc.Rows {
 		gotNodes[row[1]] = sym.Name(sym.ID(row[2]))
 	}
 	want := map[int64]string{
@@ -128,7 +128,7 @@ func TestPaperStateRelations(t *testing.T) {
 	// Rbin: pairs (0,2), (0,3) for authors, (0,4) for title, (0,5), (0,6)
 	// for categories — exactly Table 4(c).
 	pairs := map[[2]int64]bool{}
-	for _, row := range st.Rbin.Rows {
+	for _, row := range rbin.Rows {
 		pairs[[2]int64{row[3], row[4]}] = true
 	}
 	for _, p2 := range [][2]int64{{0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}} {

@@ -253,36 +253,59 @@ func (ms *Matches) sort() {
 
 // stage2Shared carries the per-document inputs of the compiled programs,
 // computed once per document and read-only during shard evaluation, so every
-// template probes the same indexes instead of re-hashing the document's
+// template probes the same indexes instead of re-indexing the document's
 // relations: the current witness by node, the value-join pair relation by
-// previous document and, under view materialization, the shared views RL (by
-// previous document) and RR (by string).
+// previous document's slot and, under view materialization, the shared views
+// RL (by slot) and RR (by string). The processor keeps one (Processor.pre)
+// and resets it for each document, so its slices and indexes are reused.
 type stage2Shared struct {
 	// RbinW by node2 and RrootW by node.
-	binWByNode2 *rowIndex
-	rootWByNode *rowIndex
+	binWByNode2 rowIndex
+	rootWByNode rowIndex
 
 	// rvj is the value-join pair relation (rvjSchema) of the current
-	// document — Rdoc ⋈ RdocW on the string value, read off
-	// the incremental string index — with its rows grouped by docid. The
+	// document — Rdoc ⋈ RdocW on the string value, read off the state's
+	// posting lists — with its rows grouped by slot. The
 	// basic path builds it up front. Under view materialization only
 	// templates with a value join on a side root read it, so it is built
 	// on first use, once across all shards (the computation is identical
 	// for every shard).
 	rvjOnce  sync.Once
 	rvj      [][]int64
-	rvjByDoc *rowIndex
-	arena    *relation.Arena // the processor's rvjArena: this document's rvj rows
+	rvjByDoc rowIndex
+	arena    relation.Arena // this document's rvj rows
 
 	rl      [][]int64 // rlSchema
-	rlByDoc *rowIndex
-	rr      [][]int64 // rlSchema without the docid
-	rrBySym *rowIndex
+	rlByDoc rowIndex
+	rr      [][]int64 // rlSchema without the slot
+	rrBySym rowIndex
 
 	// byDoc is the per-previous-document grouping plan choice reads its
 	// fan-out from: rvjByDoc on the basic path, rlByDoc under view
 	// materialization.
 	byDoc *rowIndex
+
+	// syms, parts and owned are prepareViewMat's scratch: the common
+	// strings, their RL slices, and each shard's share of them.
+	syms  []sym.ID
+	parts []*relation.Relation
+	owned [][]int
+}
+
+// reset empties pre for the next document. Its row lists drop what they
+// pointed at (the previous document's arena rows, the cached slices' rows);
+// one that a burst document grew past witnessKeep goes.
+func (pre *stage2Shared) reset() {
+	pre.rvjOnce = sync.Once{}
+	pre.arena.Reset()
+	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl} {
+		if clear(*rows); cap(*rows) > witnessKeep {
+			*rows = nil
+		}
+		*rows = (*rows)[:0]
+	}
+	clear(pre.parts)
+	pre.rr, pre.byDoc = nil, nil
 }
 
 // sharedRvj builds the document's value-join pair relation on first call,
@@ -293,14 +316,14 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 	pre.rvjOnce.Do(func() {
 		t0 := time.Now()
 		for _, row := range w.RdocW.Rows {
-			for _, ri := range s.rdocBySym[sym.ID(row[rdocWStrVal])] {
-				dt := s.Rdoc.Rows[ri]
+			for _, ref := range s.postings(sym.ID(row[rdocWStrVal])) {
+				dt := s.recs[ref.slot].rdoc[ref.row]
 				t := pre.arena.Row(len(rvjSchema))
 				t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
 				pre.rvj = append(pre.rvj, t)
 			}
 		}
-		pre.rvjByDoc = indexRows(pre.rvj, 0)
+		pre.rvjByDoc.build(pre.rvj, 0)
 		stats.Rvj += time.Since(t0)
 	})
 }
@@ -311,8 +334,8 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
-	p.rvjArena.Reset()
-	pre := &stage2Shared{arena: &p.rvjArena}
+	pre := &p.pre
+	pre.reset()
 	if p.cfg.ViewMaterialization {
 		if !p.prepareViewMat(w, pre) {
 			return nil
@@ -322,11 +345,11 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 		if len(pre.rvj) == 0 {
 			return nil
 		}
-		pre.byDoc = pre.rvjByDoc
+		pre.byDoc = &pre.rvjByDoc
 	}
 	t0 := time.Now()
-	pre.binWByNode2 = indexRows(w.RbinW.Rows, 3)
-	pre.rootWByNode = indexRows(w.RrootW.Rows, 1)
+	pre.binWByNode2.build(w.RbinW.Rows, 3)
+	pre.rootWByNode.build(w.RrootW.Rows, 1)
 	p.stats.CQ += time.Since(t0)
 	return pre
 }
@@ -345,16 +368,15 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
-	var syms []sym.ID
-	seen := map[sym.ID]bool{}
+	syms := pre.syms[:0]
 	for _, row := range w.RdocW.Rows {
-		id := sym.ID(row[rdocWStrVal])
-		if !seen[id] && p.state.HasSym(id) {
-			seen[id] = true
+		if id := sym.ID(row[rdocWStrVal]); p.state.HasSym(id) {
 			syms = append(syms, id)
 		}
 	}
 	slices.Sort(syms)
+	syms = slices.Compact(syms)
+	pre.syms = syms
 	p.stats.Rvj += time.Since(t0)
 	if len(syms) == 0 {
 		return false
@@ -363,15 +385,19 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	// RL slices (lines 3-7), sharded by string ownership. Ownership is
 	// resolved once on the coordinator so workers neither rescan nor
 	// rehash the full symbol list.
-	ownedIdx := make([][]int, len(p.shards))
+	owned := resize(pre.owned, len(p.shards))
+	for i := range owned {
+		owned[i] = owned[i][:0]
+	}
 	for i, id := range syms {
 		sh := p.shardOfSym(id)
-		ownedIdx[sh.id] = append(ownedIdx[sh.id], i)
+		owned[sh.id] = append(owned[sh.id], i)
 	}
-	parts := make([]*relation.Relation, len(syms))
+	parts := resize(pre.parts, len(syms))
+	pre.owned, pre.parts = owned, parts
 	p.runShards(func(sh *shard) {
 		t := time.Now()
-		for _, i := range ownedIdx[sh.id] {
+		for _, i := range owned[sh.id] {
 			id := syms[i]
 			slice, ok := sh.cache.Get(id)
 			if !ok {
@@ -386,26 +412,24 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	for _, slice := range parts {
 		pre.rl = append(pre.rl, slice.Rows...)
 	}
-	pre.rlByDoc = indexRows(pre.rl, 0)
-	pre.byDoc = pre.rlByDoc
+	pre.rlByDoc.build(pre.rl, 0)
+	pre.byDoc = &pre.rlByDoc
 	p.stats.RL += time.Since(t1)
 
-	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8).
+	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8). A node's string
+	// value is in STR when the state holds it.
 	t2 := time.Now()
-	symOf := make(map[int64]sym.ID, w.RdocW.Len())
-	for _, row := range w.RdocW.Rows {
-		symOf[row[0]] = sym.ID(row[rdocWStrVal])
-	}
-	rr := relation.New(rlSchema[1:]...)
+	rr := w.rr
 	for _, row := range w.RbinW.Rows {
-		id, ok := symOf[row[3]]
-		if !ok || !seen[id] {
+		id, ok := w.docSym(row[3])
+		if !ok || !p.state.HasSym(id) {
 			continue
 		}
 		w.arena.Insert(rr, row[0], row[1], row[2], row[3], int64(id))
 	}
 	w.rrSlices = rr
-	pre.rr, pre.rrBySym = rr.Rows, indexRows(rr.Rows, rrStrVal)
+	pre.rr = rr.Rows
+	pre.rrBySym.build(rr.Rows, rrStrVal)
 	p.stats.RR += time.Since(t2)
 
 	return true
@@ -422,14 +446,17 @@ func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, 
 	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
 	// The witness fan-out depends on the template only through its
 	// value-join count.
-	fanouts := map[int]float64{}
+	for i := range ex.fanouts {
+		ex.fanouts[i] = -1
+	}
 	fanout := func(k int) float64 {
-		f, ok := fanouts[k]
-		if !ok {
-			f = witnessFanout(pre.byDoc, k)
-			fanouts[k] = f
+		for len(ex.fanouts) <= k {
+			ex.fanouts = append(ex.fanouts, -1)
 		}
-		return f
+		if ex.fanouts[k] < 0 {
+			ex.fanouts[k] = witnessFanout(pre.byDoc, k)
+		}
+		return ex.fanouts[k]
 	}
 	for _, t := range sh.templates {
 		dec := p.choosePlan(t, fanout)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -13,9 +14,10 @@ import (
 // in-window document. StateSnapshot is its portable form: the witness
 // relations with canonical-variable columns resolved to their names (interned
 // symbol ids are an in-process artifact; a restored processor re-interns
-// under its own symbol table), the document timestamp/arrival-order maps that
-// drive window semantics, and (when document retention is on) the retained
-// documents as XML text.
+// under its own symbol table) and the slot column to document ids (slots are
+// where a state happens to keep its records), each document's timestamp and
+// arrival index that drive window semantics, and (when document retention is
+// on) the retained documents as XML text.
 //
 // A snapshot is consistent only when taken at a quiescent point — no Process
 // in flight, no pipeline Stage-1 work running. The engine facade takes it at
@@ -82,40 +84,48 @@ type StateSnapshot struct {
 // ExportState captures the join state. Like Stats, it must not run
 // concurrently with Process/ProcessBatch (the engine facade serializes it
 // behind an ingest barrier).
-func (p *Processor) ExportState() StateSnapshot {
-	s := p.state
+func (p *Processor) ExportState() StateSnapshot { return p.state.export(p.syms.name) }
+
+// export writes the records out in arrival order — relation by relation, each
+// document's rows in the order they were merged — with the slots resolved to
+// document ids and the variables to their names.
+func (s *State) export(varName func(int64) string) StateSnapshot {
 	out := StateSnapshot{NextSeq: s.nextSeq, MaxDoc: int64(s.maxDoc)}
-	for _, id := range s.docIDs {
-		out.Docs = append(out.Docs, SnapDoc{ID: int64(id), TS: int64(s.RdocTS[id]), Seq: s.seq[id]})
-	}
-	for _, t := range s.Rbin.Rows {
-		out.Rbin = append(out.Rbin, SnapBin{
-			Doc: t[0], Var1: p.syms.name(t[1]), Var2: p.syms.name(t[2]),
-			Node1: t[3], Node2: t[4],
-		})
-	}
-	for _, t := range s.Rdoc.Rows {
-		// Interned symbols are process-scoped, so the snapshot carries the
-		// original string: snapshot bytes are identical to what a
-		// string-keyed engine would write, and ids never escape to disk.
-		out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: t[0], Node: t[1], Str: sym.Name(sym.ID(t[rdocStrVal]))})
-	}
-	for _, t := range s.Rroot.Rows {
-		out.Rroot = append(out.Rroot, SnapRoot{Doc: t[0], Var: p.syms.name(t[1]), Node: t[2]})
-	}
-	if len(s.docs) > 0 {
-		ids := make([]int64, 0, len(s.docs))
-		//mmqjp:unordered ids are sorted before the snapshot is emitted
-		for id := range s.docs {
-			ids = append(ids, int64(id))
+	var retained []*xmldoc.Document
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		out.Docs = append(out.Docs, SnapDoc{ID: int64(r.id), TS: int64(r.ts), Seq: r.seq})
+		if r.doc != nil {
+			retained = append(retained, r.doc)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			d := s.docs[xmldoc.DocID(id)]
-			out.Retained = append(out.Retained, SnapRetained{
-				ID: id, TS: int64(d.Timestamp), XML: d.XMLText(),
+	}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		for _, t := range r.bin {
+			out.Rbin = append(out.Rbin, SnapBin{
+				Doc: int64(r.id), Var1: varName(t[1]), Var2: varName(t[2]),
+				Node1: t[3], Node2: t[4],
 			})
 		}
+	}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		for _, t := range r.rdoc {
+			// Interned symbols are process-scoped, so the snapshot carries
+			// the original string: snapshot bytes are identical to what a
+			// string-keyed engine would write, and ids never escape to disk.
+			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[1], Str: sym.Name(sym.ID(t[rdocStrVal]))})
+		}
+	}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		for _, t := range r.root {
+			out.Rroot = append(out.Rroot, SnapRoot{Doc: int64(r.id), Var: varName(t[1]), Node: t[2]})
+		}
+	}
+	slices.SortFunc(retained, func(a, b *xmldoc.Document) int { return cmp.Compare(a.ID, b.ID) })
+	for _, d := range retained {
+		out.Retained = append(out.Retained, SnapRetained{ID: int64(d.ID), TS: int64(d.Timestamp), XML: d.XMLText()})
 	}
 	return out
 }
@@ -125,35 +135,71 @@ func (p *Processor) ExportState() StateSnapshot {
 // must not have processed any document yet; variable names are re-interned
 // under this processor's symbol table, so the restored state joins against
 // the re-registered vector groups exactly as the original state did. The
-// indexes are rebuilt in row order (State.reindex), the order Merge extended
-// them in, so a restored state is indistinguishable from the original.
+// documents are placed in arrival order, each with its rows in snapshot
+// order — what Merge did for them — so a restored state is indistinguishable
+// from the original. A row or retained document of a document the snapshot
+// does not list is refused: no engine writes one.
 func (p *Processor) RestoreState(snap StateSnapshot) error {
-	s := p.state
-	if s.nextSeq != 0 || len(s.docIDs) != 0 {
-		return fmt.Errorf("core: RestoreState on a processor that has already processed %d documents", len(s.docIDs))
+	return p.state.restore(snap, p.syms.intern)
+}
+
+func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
+	if s.nextSeq != 0 || len(s.order) != 0 {
+		return fmt.Errorf("core: RestoreState on a processor that has already processed %d documents", len(s.order))
 	}
-	for _, d := range snap.Docs {
-		id := xmldoc.DocID(d.ID)
-		s.docIDs = append(s.docIDs, id)
-		s.RdocTS[id] = xmldoc.Timestamp(d.TS)
-		s.seq[id] = d.Seq
+	// Restore is not on the per-document path: a map from document id to
+	// its position in snap.Docs is fine here.
+	type docRows struct{ bin, rdoc, root [][]int64 }
+	at := make(map[int64]int, len(snap.Docs))
+	rows := make([]docRows, len(snap.Docs))
+	for i, d := range snap.Docs {
+		if _, dup := at[d.ID]; dup {
+			return fmt.Errorf("core: snapshot lists document %d twice", d.ID)
+		}
+		at[d.ID] = i
+	}
+	find := func(what string, id int64) (*docRows, error) {
+		i, ok := at[id]
+		if !ok {
+			return nil, fmt.Errorf("core: snapshot %s row of document %d, which it does not list", what, id)
+		}
+		return &rows[i], nil
 	}
 	for _, r := range snap.Rbin {
-		s.Rbin.Insert(r.Doc, p.syms.intern(r.Var1), p.syms.intern(r.Var2), r.Node1, r.Node2)
+		d, err := find("rbin", r.Doc)
+		if err != nil {
+			return err
+		}
+		d.bin = append(d.bin, []int64{varID(r.Var1), varID(r.Var2), r.Node1, r.Node2})
 	}
 	for _, r := range snap.Rdoc {
-		s.Rdoc.Insert(r.Doc, r.Node, int64(sym.Intern(r.Str)))
+		d, err := find("rdoc", r.Doc)
+		if err != nil {
+			return err
+		}
+		d.rdoc = append(d.rdoc, []int64{r.Node, int64(sym.Intern(r.Str))})
 	}
 	for _, r := range snap.Rroot {
-		s.Rroot.Insert(r.Doc, p.syms.intern(r.Var), r.Node)
+		d, err := find("rroot", r.Doc)
+		if err != nil {
+			return err
+		}
+		d.root = append(d.root, []int64{varID(r.Var), r.Node})
 	}
-	s.reindex()
+	docs := make([]*xmldoc.Document, len(snap.Docs))
 	for _, r := range snap.Retained {
+		i, ok := at[r.ID]
+		if !ok {
+			return fmt.Errorf("core: snapshot retains document %d, which it does not list", r.ID)
+		}
 		d, err := xmldoc.ParseString(r.XML, xmldoc.DocID(r.ID), xmldoc.Timestamp(r.TS))
 		if err != nil {
 			return fmt.Errorf("core: restore retained document %d: %w", r.ID, err)
 		}
-		s.docs[d.ID] = d
+		docs[i] = d
+	}
+	for i, d := range snap.Docs {
+		s.add(xmldoc.DocID(d.ID), xmldoc.Timestamp(d.TS), d.Seq, docs[i], rows[i].bin, rows[i].rdoc, rows[i].root)
 	}
 	s.nextSeq = snap.NextSeq
 	s.maxDoc = xmldoc.DocID(snap.MaxDoc)

@@ -1,36 +1,161 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/sym"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
 
-// stateIndexes copies the state's indexes into one comparable value.
-func stateIndexes(s *State) map[string]any {
-	return map[string]any{
-		"rdocBySym":   s.rdocBySym,
-		"rbinByNode2": s.rbinByNode2,
-		"rrootByNode": s.rrootByNode,
+// stateRelations materializes the join state as the three relations it
+// stands for, documents in arrival order and each document's rows in merge
+// order; column 0 is the slot, as in the state's own rows.
+func stateRelations(s *State) (rbin, rdoc, rroot *relation.Relation) {
+	rbin, rdoc, rroot = relation.New(rbinSchema...), relation.New(rdocSchema...), relation.New(rrootSchema...)
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		rbin.Rows = append(rbin.Rows, r.bin...)
+		rdoc.Rows = append(rdoc.Rows, r.rdoc...)
+		rroot.Rows = append(rroot.Rows, r.root...)
+	}
+	return rbin, rdoc, rroot
+}
+
+// stateDump describes everything the state keeps per document — window
+// bookkeeping, rows, the record's indexes — and every posting list, with
+// slots replaced by document ids, so two states holding the same documents
+// on different slots compare equal. Whether a document is late is left out:
+// it depends on documents that already left (see State.maxTS) and only picks
+// how GC finds the expired ones.
+func stateDump(s *State) map[string]any {
+	id := func(slot int64) int64 { return int64(s.recs[slot].id) }
+	type docDump struct {
+		ID, TS, Seq     int64
+		Retained        bool
+		Bin, Rdoc, Root [][]int64
+		// ByNode2 and ByNode list, per row, the rows the record's index
+		// returns for the row's key.
+		ByNode2, ByNode [][]int32
+	}
+	rows := func(rows [][]int64) [][]int64 {
+		out := [][]int64{}
+		for _, row := range rows {
+			out = append(out, append([]int64{id(row[0])}, row[1:]...))
+		}
+		return out
+	}
+	index := func(x *rowIndex, rows [][]int64, col int) [][]int32 {
+		out := [][]int32{}
+		for _, row := range rows {
+			out = append(out, x.get(row[col]))
+		}
+		return out
+	}
+	docs := []docDump{}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		docs = append(docs, docDump{
+			ID: int64(r.id), TS: int64(r.ts), Seq: r.seq, Retained: r.doc != nil,
+			Bin: rows(r.bin), Rdoc: rows(r.rdoc), Root: rows(r.root),
+			ByNode2: index(&r.binByNode2, r.bin, rbinNode2), ByNode: index(&r.rootByNode, r.root, rrootNode),
+		})
+	}
+	postings := map[sym.ID][][2]int64{}
+	for v, li := range s.rdocBySym {
+		if li == 0 {
+			continue
+		}
+		for _, ref := range s.lists[li-1].live() {
+			postings[sym.ID(v)] = append(postings[sym.ID(v)], [2]int64{id(int64(ref.slot)), int64(ref.row)})
+		}
+	}
+	return map[string]any{"docs": docs, "postings": postings, "nextSeq": s.nextSeq, "maxDoc": s.maxDoc}
+}
+
+// checkState asserts the invariants tying the state's parts together: the
+// slots are live or free, the posting lists hold exactly the live Rdoc rows
+// in arrival order, the row and late counters count what they say, and with
+// no late document the live ones are in timestamp order.
+func checkState(t testing.TB, s *State) {
+	t.Helper()
+	if len(s.order)+len(s.free) != len(s.recs) {
+		t.Fatalf("%d live and %d free slots in a table of %d", len(s.order), len(s.free), len(s.recs))
+	}
+	for _, slot := range s.free {
+		if r := &s.recs[slot]; r.live || r.doc != nil || r.bin != nil || r.rdoc != nil || r.root != nil {
+			t.Fatalf("free slot %d still holds a document", slot)
+		}
+	}
+	var rows [3]int
+	late := 0
+	want := map[sym.ID][]rowRef{}
+	prev := (*docRec)(nil)
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		if !r.live {
+			t.Fatalf("slot %d of the arrival order is not live", slot)
+		}
+		if prev != nil && r.seq <= prev.seq {
+			t.Fatalf("arrival order: seq %d after %d", r.seq, prev.seq)
+		}
+		if r.late {
+			late++
+		}
+		rows[0], rows[1], rows[2] = rows[0]+len(r.bin), rows[1]+len(r.rdoc), rows[2]+len(r.root)
+		for i, row := range r.rdoc {
+			id := sym.ID(row[rdocStrVal])
+			want[id] = append(want[id], rowRef{slot, int32(i)})
+		}
+		prev = r
+	}
+	if late != s.late || rows != s.rows {
+		t.Fatalf("counters: late %d rows %v, the records hold %d and %v", s.late, s.rows, late, rows)
+	}
+	if late == 0 {
+		for i := 1; i < len(s.order); i++ {
+			if a, b := s.recs[s.order[i-1]].ts, s.recs[s.order[i]].ts; b < a {
+				t.Fatalf("no document is late, but timestamp %d arrived after %d", b, a)
+			}
+		}
+	}
+	lists := 0
+	for v, li := range s.rdocBySym {
+		if li == 0 {
+			continue
+		}
+		lists++
+		l := &s.lists[li-1]
+		if got := l.live(); len(got) == 0 || l.dirty || !slices.Equal(got, want[sym.ID(v)]) {
+			t.Fatalf("posting list of %q = %v (dirty %v), want %v", sym.Name(sym.ID(v)), got, l.dirty, want[sym.ID(v)])
+		}
+	}
+	if lists != len(want) || lists+len(s.freeLists) != len(s.lists) {
+		t.Fatalf("%d posting lists for %d values, %d free of %d", lists, len(want), len(s.freeLists), len(s.lists))
 	}
 }
 
+// snapVar and snapVarID name the bare variable ids the tests' witnesses use.
+func snapVar(v int64) string      { return strconv.FormatInt(v, 10) }
+func snapVarID(name string) int64 { v, _ := strconv.ParseInt(name, 10, 64); return v }
+
 // TestStateIndexesEqualRebuilt streams a windowed workload with single-node
 // and multi-node sides (so Rbin, Rdoc and Rroot all fill, and window GC runs
-// repeatedly) and requires, after every document, that the indexes Merge
-// extended incrementally and GC shrank are exactly what a rebuild from the
-// relations yields; then that a processor restored from the snapshot — after
-// its JSON round trip, the unchanged snapshot format — holds the same
-// relations and the same indexes as the one that never stopped.
+// repeatedly) and requires, after every document, that the records, their
+// indexes and the posting lists Merge extended and GC shrank are exactly
+// what a state rebuilt from the surviving documents holds; then that a
+// processor restored from the snapshot — after its JSON round trip, the
+// unchanged snapshot format — holds the same as the one that never stopped.
 func TestStateIndexesEqualRebuilt(t *testing.T) {
 	gen := workload.DefaultRandomFlat()
 	gen.MaxWindow = 12
@@ -54,16 +179,17 @@ func TestStateIndexesEqualRebuilt(t *testing.T) {
 		if live.state.NumDocs() <= before {
 			gcs++
 		}
-		got := stateIndexes(live.state)
-		fresh := *live.state
-		fresh.reindex()
-		if want := stateIndexes(&fresh); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after document %d: maintained indexes differ from a rebuild\ngot:  %v\nwant: %v", i, got, want)
+		checkState(t, live.state)
+		fresh := NewState()
+		if err := fresh.restore(live.state.export(live.syms.name), live.syms.intern); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stateDump(live.state), stateDump(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after document %d: maintained state differs from a rebuild\ngot:  %v\nwant: %v", i, got, want)
 		}
 	}
-	if gcs == 0 || live.state.Rroot.Len() == 0 || live.state.Rbin.Len() == 0 {
-		t.Fatalf("stream did not exercise the state: %d GCs, %d Rroot rows, %d Rbin rows",
-			gcs, live.state.Rroot.Len(), live.state.Rbin.Len())
+	if bin, _, root := live.state.Rows(); gcs == 0 || root == 0 || bin == 0 {
+		t.Fatalf("stream did not exercise the state: %d GCs, %d Rroot rows, %d Rbin rows", gcs, root, bin)
 	}
 
 	raw, err := json.Marshal(live.ExportState())
@@ -78,38 +204,155 @@ func TestStateIndexesEqualRebuilt(t *testing.T) {
 	if err := restored.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.state.Rbin.Rows, live.state.Rbin.Rows) ||
-		!reflect.DeepEqual(restored.state.Rdoc.Rows, live.state.Rdoc.Rows) ||
-		!reflect.DeepEqual(restored.state.Rroot.Rows, live.state.Rroot.Rows) {
-		t.Fatal("restored relations differ from the live ones")
-	}
-	if got, want := stateIndexes(restored.state), stateIndexes(live.state); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored indexes differ from the live ones\ngot:  %v\nwant: %v", got, want)
+	checkState(t, restored.state)
+	if got, want := stateDump(restored.state), stateDump(live.state); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state differs from the live one\ngot:  %v\nwant: %v", got, want)
 	}
 }
 
-// rebuildGC is window expiry as State.GC did it before it worked in place —
-// filter every relation into a fresh one, rebuild every index from scratch —
-// kept as the reference the in-place path is checked against.
-func rebuildGC(s *State, cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.DocID]bool {
-	expired := map[xmldoc.DocID]bool{}
-	var kept []xmldoc.DocID
-	for _, id := range s.docIDs {
-		if s.RdocTS[id] < cutoffTS && s.seq[id] < cutoffSeq {
-			expired[id] = true
-			delete(s.RdocTS, id)
-			delete(s.seq, id)
-			delete(s.docs, id)
+// rebuildGC is window expiry by rebuilding: export the state, keep the
+// documents that stay and their rows, and restore that into a fresh state —
+// the reference State.GC is checked against. It returns the fresh state and
+// the expired documents' ids.
+func rebuildGC(t testing.TB, s *State, cutoffTS xmldoc.Timestamp, cutoffSeq int64) (*State, []xmldoc.DocID) {
+	snap := s.export(snapVar)
+	var expired []xmldoc.DocID
+	gone := map[int64]bool{}
+	kept := snap
+	kept.Docs, kept.Rbin, kept.Rdoc, kept.Rroot, kept.Retained = nil, nil, nil, nil, nil
+	for _, d := range snap.Docs {
+		if xmldoc.Timestamp(d.TS) < cutoffTS && d.Seq < cutoffSeq {
+			gone[d.ID] = true
+			expired = append(expired, xmldoc.DocID(d.ID))
 		} else {
-			kept = append(kept, id)
+			kept.Docs = append(kept.Docs, d)
 		}
 	}
-	s.docIDs = kept
-	for _, r := range []*relation.Relation{s.Rbin, s.Rdoc, s.Rroot} {
-		r.Rows = slices.DeleteFunc(slices.Clone(r.Rows), func(t []int64) bool { return expired[xmldoc.DocID(t[0])] })
+	for _, r := range snap.Rbin {
+		if !gone[r.Doc] {
+			kept.Rbin = append(kept.Rbin, r)
+		}
 	}
-	s.reindex()
-	return expired
+	for _, r := range snap.Rdoc {
+		if !gone[r.Doc] {
+			kept.Rdoc = append(kept.Rdoc, r)
+		}
+	}
+	for _, r := range snap.Rroot {
+		if !gone[r.Doc] {
+			kept.Rroot = append(kept.Rroot, r)
+		}
+	}
+	fresh := NewState()
+	if err := fresh.restore(kept, snapVarID); err != nil {
+		t.Fatal(err)
+	}
+	return fresh, expired
+}
+
+// expiryPair drives two states through the same merges and expiries: got
+// expires in place (State.GC), want by rebuildGC.
+type expiryPair struct {
+	t         testing.TB
+	got, want *State
+	nextID    int64
+	merged    int // rows merged into got
+	dropped   int // rows got's collections dropped
+	// rowsOf holds each merged document's row count.
+	rowsOf map[xmldoc.DocID]int
+	// gcs counts the collections that expired something, nonPrefix those
+	// whose expired documents were not a prefix of the arrival order.
+	gcs, nonPrefix int
+}
+
+func newExpiryPair(t testing.TB) *expiryPair {
+	return &expiryPair{t: t, got: NewState(), want: NewState(), nextID: 1, rowsOf: map[xmldoc.DocID]int{}}
+}
+
+// merge adds one document with timestamp ts to both states; fill adds its
+// witness rows.
+func (h *expiryPair) merge(ts int64, fill func(w *CurrentWitness)) {
+	d := xmldoc.NewBuilder(xmldoc.DocID(h.nextID), xmldoc.Timestamp(ts), "item").Build()
+	h.nextID++
+	w := NewCurrentWitness(d)
+	fill(w)
+	n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len()
+	h.merged += n
+	h.rowsOf[d.ID] = n
+	h.got.Merge(w, false)
+	h.want.Merge(w, false)
+	w.Release()
+}
+
+// gc expires both states at the cutoffs and checks what the collection did:
+// it expired the documents the rebuild drops, dropped exactly their rows and
+// moved no surviving row.
+func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
+	t, s := h.t, h.got
+	t.Helper()
+	arrival := []xmldoc.DocID{}
+	idOf := map[int32]xmldoc.DocID{}
+	storage := map[xmldoc.DocID]*int64{}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		arrival = append(arrival, r.id)
+		idOf[slot] = r.id
+		if len(r.vals) > 0 {
+			storage[r.id] = &r.vals[0]
+		}
+	}
+	expired, dropped := s.GC(cutoffTS, cutoffSeq)
+	h.dropped += dropped
+	var gotIDs []xmldoc.DocID
+	wantRows := 0
+	for _, slot := range expired {
+		gotIDs = append(gotIDs, idOf[slot])
+		wantRows += h.rowsOf[idOf[slot]]
+	}
+	var wantIDs []xmldoc.DocID
+	h.want, wantIDs = rebuildGC(t, h.want, cutoffTS, cutoffSeq)
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatalf("expired %v, want %v", gotIDs, wantIDs)
+	}
+	if dropped != wantRows {
+		t.Fatalf("%d rows dropped, the expired documents held %d", dropped, wantRows)
+	}
+	for _, slot := range s.order {
+		if r := &s.recs[slot]; len(r.vals) > 0 && storage[r.id] != &r.vals[0] {
+			t.Fatalf("document %d's rows moved in a collection", r.id)
+		}
+	}
+	if len(expired) > 0 {
+		h.gcs++
+		if !slices.Equal(arrival[:len(gotIDs)], gotIDs) {
+			h.nonPrefix++
+		}
+	}
+}
+
+// check requires the two states to be equal: export bytes, records, indexes
+// and posting lists; and the in-place one to be consistent.
+func (h *expiryPair) check() {
+	t := h.t
+	t.Helper()
+	checkState(t, h.got)
+	got, err := json.Marshal(h.got.export(snapVar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(h.want.export(snapVar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ExportState differs from the rebuild's\ngot:  %s\nwant: %s", got, want)
+	}
+	if g, w := stateDump(h.got), stateDump(h.want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("state differs from the rebuild\ngot:  %v\nwant: %v", g, w)
+	}
+	if bin, doc, root := h.got.Rows(); h.dropped != h.merged-bin-doc-root {
+		t.Fatalf("%d rows dropped, want %d merged - %d live", h.dropped, h.merged, bin+doc+root)
+	}
 }
 
 // TestInPlaceExpiryEqualsRebuild drives two states through the same random
@@ -118,19 +361,18 @@ func rebuildGC(s *State, cutoffTS xmldoc.Timestamp, cutoffSeq int64) map[xmldoc.
 // order; time, ROWS and two-dimensional cutoffs; documents that leave a
 // relation empty; strings shared across documents — one expiring in place
 // (State.GC), the other through rebuildGC, and requires after every step
-// that relations, indexes and window bookkeeping are equal, and that GC's
-// counted work adds up.
+// that the two export the same bytes and hold the same records, indexes and
+// posting lists, and that every collection dropped exactly the expired
+// documents' rows and moved no other. A second phase streams in timestamp
+// order, where every collection pops a prefix.
 func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 	noTS, noSeq := xmldoc.Timestamp(math.MaxInt64), int64(math.MaxInt64)
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want := NewState(), NewState()
-		merged, droppedSum, gcs, nonPrefix := 0, 0, 0, 0
-		merge := func(id int, ts int64) {
-			d := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(ts), "item").Build()
-			for _, s := range []*State{got, want} {
-				w := NewCurrentWitness(d)
-				r := rand.New(rand.NewSource(seed<<20 | int64(id)))
+		h := newExpiryPair(t)
+		merge := func(ts int64) {
+			h.merge(ts, func(w *CurrentWitness) {
+				r := rand.New(rand.NewSource(seed<<20 | h.nextID))
 				for n := r.Intn(5); n > 0; n-- {
 					w.AddBin(int64(r.Intn(3)), int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)), xmldoc.NodeID(r.Intn(4)))
 				}
@@ -140,89 +382,113 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 				for n := r.Intn(3); n > 0; n-- {
 					w.AddRoot(int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)))
 				}
-				if s == got {
-					merged += w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len()
-				}
-				s.Merge(w, false)
-			}
+			})
 		}
-		liveRows := func() int { return got.Rbin.Len() + got.Rdoc.Len() + got.Rroot.Len() }
-		merge(1, 1_000_000) // clock-skewed head: expires by ROWS only
+		cutoffs := func(now int64) (xmldoc.Timestamp, int64) {
+			cutoffTS, cutoffSeq := noTS, noSeq
+			switch rng.Intn(3) {
+			case 0:
+				cutoffTS = xmldoc.Timestamp(now - int64(rng.Intn(60)))
+			case 1:
+				cutoffSeq = h.got.nextSeq - int64(rng.Intn(30))
+			default:
+				cutoffTS = xmldoc.Timestamp(now - int64(rng.Intn(60)))
+				cutoffSeq = h.got.nextSeq - int64(rng.Intn(30))
+			}
+			return cutoffTS, cutoffSeq
+		}
+		merge(1_000_000) // clock-skewed head: expires by ROWS only
 		now := int64(100)
-		for step, id := 0, 2; step < 400; step++ {
+		for step := 0; step < 400; step++ {
 			if rng.Intn(3) > 0 {
 				now += int64(rng.Intn(3))
-				merge(id, now-int64(rng.Intn(40)))
-				id++
+				merge(now - int64(rng.Intn(40)))
 			} else {
-				cutoffTS, cutoffSeq := noTS, noSeq
-				switch rng.Intn(3) {
-				case 0:
-					cutoffTS = xmldoc.Timestamp(now - int64(rng.Intn(60)))
-				case 1:
-					cutoffSeq = got.nextSeq - int64(rng.Intn(30))
-				default:
-					cutoffTS = xmldoc.Timestamp(now - int64(rng.Intn(60)))
-					cutoffSeq = got.nextSeq - int64(rng.Intn(30))
-				}
-				before := liveRows()
-				arrival := append([]xmldoc.DocID(nil), got.docIDs...)
-				expired, dropped, moved := got.GC(cutoffTS, cutoffSeq)
-				wantExpired := rebuildGC(want, cutoffTS, cutoffSeq)
-				if !reflect.DeepEqual(expired, wantExpired) {
-					t.Fatalf("seed %d step %d: expired %v, want %v", seed, step, expired, wantExpired)
-				}
-				if dropped != before-liveRows() {
-					t.Fatalf("seed %d step %d: %d rows dropped, relations shrank by %d", seed, step, dropped, before-liveRows())
-				}
-				if moved > liveRows() {
-					t.Fatalf("seed %d step %d: %d rows moved with %d live: a row moved twice", seed, step, moved, liveRows())
-				}
-				droppedSum += dropped
-				if len(expired) > 0 {
-					gcs++
-					// Non-prefix: some expired document arrived after one
-					// that stays.
-					for i, id := range arrival {
-						if !expired[id] {
-							for _, later := range arrival[i:] {
-								if expired[later] {
-									nonPrefix++
-									break
-								}
-							}
-							break
-						}
-					}
-				}
+				h.gc(cutoffs(now))
 			}
-			for _, c := range []struct {
-				what      string
-				got, want any
-			}{
-				{"Rbin", got.Rbin.Rows, want.Rbin.Rows},
-				{"Rdoc", got.Rdoc.Rows, want.Rdoc.Rows},
-				{"Rroot", got.Rroot.Rows, want.Rroot.Rows},
-				{"indexes", stateIndexes(got), stateIndexes(want)},
-				{"docIDs", got.docIDs, want.docIDs},
-				{"RdocTS", got.RdocTS, want.RdocTS},
-				{"seq", got.seq, want.seq},
-			} {
-				// A relation emptied in place is an empty slice, a rebuilt
-				// one a nil slice: compare lengths first.
-				if reflect.ValueOf(c.got).Len() == 0 && reflect.ValueOf(c.want).Len() == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(c.got, c.want) {
-					t.Fatalf("seed %d step %d: %s differs from the rebuild\ngot:  %v\nwant: %v", seed, step, c.what, c.got, c.want)
-				}
+			h.check()
+		}
+		if h.gcs < 20 || h.nonPrefix < 10 {
+			t.Errorf("seed %d: %d expiries, %d of them non-prefix: the interleaving did not exercise GC", seed, h.gcs, h.nonPrefix)
+		}
+		// In order: the skewed head leaves, and no document is late once
+		// the late ones have too.
+		h.gc(noTS, h.got.nextSeq)
+		h.check()
+		inOrder := h.gcs
+		for step := 0; step < 200; step++ {
+			if rng.Intn(3) > 0 {
+				now += int64(1 + rng.Intn(3))
+				merge(now)
+			} else {
+				h.gc(cutoffs(now))
+			}
+			h.check()
+			if h.got.late != 0 {
+				t.Fatalf("seed %d: %d late documents in a stream in timestamp order", seed, h.got.late)
 			}
 		}
-		if droppedSum != merged-liveRows() {
-			t.Errorf("seed %d: %d rows dropped, want %d merged - %d live", seed, droppedSum, merged, liveRows())
-		}
-		if gcs < 20 || nonPrefix < 10 {
-			t.Errorf("seed %d: %d expiries, %d of them non-prefix: the interleaving did not exercise GC", seed, gcs, nonPrefix)
+		if h.gcs-inOrder < 10 {
+			t.Errorf("seed %d: %d in-order expiries", seed, h.gcs-inOrder)
 		}
 	}
+}
+
+// FuzzStateExpiry is TestInPlaceExpiryEqualsRebuild with the fuzzer choosing
+// the documents and cutoffs: each byte of the input starts a merge (its rows
+// and its timestamp's lag behind the clock drawn from the bytes that follow)
+// or an expiry by time, by ROWS or by both. After every step the state must
+// equal the one rebuilt from the surviving documents, export bytes included.
+func FuzzStateExpiry(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 7, 3, 9, 9, 1, 2, 5, 3, 3, 4})
+	f.Add([]byte{0, 0xff, 0, 1, 0, 2, 0, 3, 3, 2, 1, 0, 3, 1, 2})
+	f.Add(bytes.Repeat([]byte{0, 17, 42, 200, 3, 1}, 20))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512] // every step compares whole states
+		}
+		h := newExpiryPair(t)
+		next := func() int64 {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return int64(b)
+		}
+		now := int64(1000)
+		for len(prog) > 0 {
+			switch op := next(); op % 4 {
+			case 0, 1, 2:
+				now += op % 3
+				lag := next()
+				if lag > 250 {
+					lag = 1_000_000 - now // far future: clock skew
+				}
+				shape := next()
+				h.merge(now-lag, func(w *CurrentWitness) {
+					for i := int64(0); i < shape%5; i++ {
+						w.AddBin(i%3, (i+shape)%3, xmldoc.NodeID(shape%4), xmldoc.NodeID((shape+i)%5))
+					}
+					for i := int64(0); i < shape%4; i++ {
+						w.AddDoc(xmldoc.NodeID((shape+i)%6), fmt.Sprintf("fuzz-%d", (shape+i)%7))
+					}
+					for i := int64(0); i < (shape/5)%3; i++ {
+						w.AddRoot(i, xmldoc.NodeID(shape%4))
+					}
+				})
+			default:
+				cutoffTS, cutoffSeq := xmldoc.Timestamp(math.MaxInt64), int64(math.MaxInt64)
+				by, back := next(), next()
+				if by%3 != 1 {
+					cutoffTS = xmldoc.Timestamp(now - back)
+				}
+				if by%3 != 0 {
+					cutoffSeq = h.got.nextSeq - back%40
+				}
+				h.gc(cutoffTS, cutoffSeq)
+			}
+			h.check()
+		}
+	})
 }

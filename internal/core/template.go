@@ -32,11 +32,11 @@ type Template struct {
 	// vectors groups the template's RT rows — one per registered instance
 	// — by distinct variable vector (cqplan.go); the groups are the query
 	// relation RT both plans read. vecList holds them in creation order.
-	vectors map[string]*vecGroup
+	vectors vecTable
 	vecList []*vecGroup
-	// live[p] counts, per (v_parent, v_p) variable pair, the vector groups
-	// carrying it at position p (a side root pairs with itself).
-	live []map[[2]int64]int
+	// live[p] counts, per packed (v_parent, v_p) variable pair, the vector
+	// groups carrying it at position p (a side root pairs with itself).
+	live []pairSet
 
 	// progs are the compiled conjunctive query in its two step orders,
 	// witness-driven and RT-driven (cqplan.go); needRvj reports that some

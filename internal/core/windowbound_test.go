@@ -4,20 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/relation"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
-
-// indexEntries counts the row numbers a state index lists (it has at most as
-// many keys).
-func indexEntries[K comparable](m map[K][]int) int {
-	n := 0
-	for _, rows := range m {
-		n += len(rows)
-	}
-	return n
-}
 
 // TestStateBoundedByWindow streams many windows' worth of documents whose
 // join values each recur in the next document only — every string enters STR
@@ -69,41 +58,58 @@ func TestStateBoundedByWindow(t *testing.T) {
 						entries += sh.cache.Len()
 					}
 					s := p.state
+					bin, doc, root := s.Rows()
+					retained, storage, postings, postingCap, slotRefs := 0, 0, 0, 0, 0
+					for j := range s.recs {
+						if s.recs[j].doc != nil {
+							retained++
+						}
+						storage += cap(s.recs[j].vals)
+					}
+					for j := range s.lists {
+						postings += len(s.lists[j].live())
+						postingCap += cap(s.lists[j].refs)
+					}
+					for _, sh := range p.shards {
+						for _, refs := range sh.cache.bySlot {
+							slotRefs += len(refs)
+						}
+					}
 					for _, c := range []struct {
 						what     string
 						n, bound int
 					}{
 						{"view-cache entries", entries, maxDocs * stringsPerDoc},
+						// An entry is listed under each slot its rows
+						// carry: the document that produced the value and
+						// the one that joined it.
+						{"view-cache slot references", slotRefs, 2 * maxDocs * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
-						{"retained documents", len(s.docs), maxDocs},
-						{"RdocTS entries", len(s.RdocTS), maxDocs},
-						{"Rdoc rows", s.Rdoc.Len(), maxDocs * rowsPerDoc},
-						{"Rbin rows", s.Rbin.Len(), maxDocs * rowsPerDoc},
-						{"Rroot rows", s.Rroot.Len(), maxDocs * rowsPerDoc},
-						{"rdocBySym entries", indexEntries(s.rdocBySym), maxDocs * rowsPerDoc},
-						{"rbinByNode2 entries", indexEntries(s.rbinByNode2), maxDocs * rowsPerDoc},
-						{"rrootByNode entries", indexEntries(s.rrootByNode), maxDocs * rowsPerDoc},
-						// Expiry works in place: the row stores keep
-						// their capacity (append at most doubles it past
-						// the peak) and an emptied list leaves its index.
-						{"Rdoc capacity", cap(s.Rdoc.Rows), 2 * maxDocs * rowsPerDoc},
-						{"Rbin capacity", cap(s.Rbin.Rows), 2 * maxDocs * rowsPerDoc},
-						{"Rroot capacity", cap(s.Rroot.Rows), 2 * maxDocs * rowsPerDoc},
-						{"rdocBySym keys", len(s.rdocBySym), maxDocs * rowsPerDoc},
-						{"rbinByNode2 keys", len(s.rbinByNode2), maxDocs * rowsPerDoc},
-						{"rrootByNode keys", len(s.rrootByNode), maxDocs * rowsPerDoc},
+						{"slots", len(s.recs), maxDocs},
+						{"retained documents", retained, maxDocs},
+						{"Rdoc rows", doc, maxDocs * rowsPerDoc},
+						{"Rbin rows", bin, maxDocs * rowsPerDoc},
+						{"Rroot rows", root, maxDocs * rowsPerDoc},
+						{"posting entries", postings, maxDocs * rowsPerDoc},
+						{"posting lists", len(s.lists), maxDocs * rowsPerDoc},
+						// Freed slots keep their storage for the next
+						// document (a row is at most 5 values), and a
+						// posting list at most doubles past its peak.
+						{"row storage values", storage, 5 * 3 * maxDocs * rowsPerDoc},
+						{"posting capacity", postingCap, 2 * maxDocs * rowsPerDoc},
+						{"arrival order capacity", cap(s.order), 2 * maxDocs},
 					} {
 						if c.n > c.bound {
 							t.Fatalf("after %d documents (window %d): %d %s, want <= %d", i, window, c.n, c.what, c.bound)
 						}
 					}
-					// The tail a collection vacated must not keep the expired
-					// documents' tuples reachable.
-					for _, r := range []*relation.Relation{s.Rbin, s.Rdoc, s.Rroot} {
-						for j, row := range r.Rows[len(r.Rows):cap(r.Rows)] {
-							if row != nil {
-								t.Fatalf("after %d documents: %v row store still holds %v at %d past its %d live rows",
-									i, r.Schema, row, len(r.Rows)+j, len(r.Rows))
+					// A freed slot keeps no expired document or row
+					// reachable, and no cache entry stays listed under it.
+					checkState(t, s)
+					for _, slot := range s.free {
+						for _, sh := range p.shards {
+							if int(slot) < len(sh.cache.bySlot) && len(sh.cache.bySlot[slot]) > 0 {
+								t.Fatalf("after %d documents: free slot %d still lists %d cache entries", i, slot, len(sh.cache.bySlot[slot]))
 							}
 						}
 					}

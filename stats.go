@@ -54,12 +54,10 @@ type EngineStats struct {
 	PatternsTriggered int64 `json:"patterns_triggered"`
 	WitnessProbes     int64 `json:"witness_probes"`
 
-	// Counted window-expiry work: collections that expired a document, the
-	// state rows they removed and the surviving rows they moved
-	// (core.Stats).
+	// Counted window-expiry work: collections that expired a document and
+	// the state rows they removed (core.Stats).
 	WindowGCs     int64 `json:"window_gcs"`
 	GCRowsDropped int64 `json:"gc_rows_dropped"`
-	GCRowsMoved   int64 `json:"gc_rows_moved"`
 
 	// Gauges of the join state as of this snapshot: documents inside the
 	// widest window and their rows per witness relation.
@@ -85,12 +83,12 @@ func (s EngineStats) String() string {
 	if s.Sequential {
 		return fmt.Sprintf("sequential: %d queries, join time %v", s.Queries, s.CQ)
 	}
-	return fmt.Sprintf("mmqjp: %d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d moved=%d, subscription bytes=%d",
+	return fmt.Sprintf("mmqjp: %d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, stage1 triggered=%d probes=%d, state docs=%d rbin=%d rdoc=%d rroot=%d, gc runs=%d dropped=%d, subscription bytes=%d",
 		s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
 		s.WitnessPlans, s.RTPlans, s.Explorations, s.PatternsTriggered, s.WitnessProbes,
 		s.StateDocs, s.StateRbinRows, s.StateRdocRows, s.StateRrootRows,
-		s.WindowGCs, s.GCRowsDropped, s.GCRowsMoved, s.SubscriptionBytes)
+		s.WindowGCs, s.GCRowsDropped, s.SubscriptionBytes)
 }
 
 // Stats returns a structured snapshot of processing cost so far. Use
@@ -143,7 +141,6 @@ func fromCore(s core.Stats) EngineStats {
 
 		WindowGCs:     s.WindowGCs,
 		GCRowsDropped: s.GCRowsDropped,
-		GCRowsMoved:   s.GCRowsMoved,
 
 		StateDocs:      s.StateDocs,
 		StateRbinRows:  s.StateRbinRows,
