@@ -84,9 +84,9 @@ lint: lint-invariants
 
 # Repo-invariant static analysis (cmd/mmqjplint): deterministic map
 # iteration on output paths, //mmqjp:guardedby lock discipline,
-# //mmqjp:shardowned shard ownership, Stats wiring, and a ban on wall-clock
-# and unseeded randomness in internal/core. See DESIGN.md "Static
-# invariants" for the directive grammar.
+# //mmqjp:shardowned shard ownership, a ban on wall-clock and unseeded
+# randomness in internal/core, and //mmqjp:pooled sync.Pool arguments. See
+# DESIGN.md "Static invariants" for the directive grammar.
 lint-invariants:
 	$(GO) run ./cmd/mmqjplint ./...
 

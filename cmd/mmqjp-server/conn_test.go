@@ -491,7 +491,7 @@ func TestOwnBacklogIsBackPressure(t *testing.T) {
 				t.Fatalf("batch acknowledgement = %q", got)
 			}
 			send("STATS\nQUIT\n")
-			if got := c.readLine(t); !strings.HasPrefix(got, "OK mmqjp: ") {
+			if got := c.readLine(t); !strings.HasPrefix(got, "OK sequential=false queries=") {
 				t.Fatalf("STATS after the batch -> %q", got)
 			}
 			<-served

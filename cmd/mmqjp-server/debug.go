@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"runtime/metrics"
+	"sync"
 	"time"
 
 	mmqjp "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -23,12 +28,11 @@ import (
 //	               the pipeline consumes, 503 once it is stuck
 //	/debug/pprof/  the standard Go profiling endpoints
 //
-// Metric set (all prefixed mmqjp_):
+// Metric set (all prefixed mmqjp_): one family per field of
+// mmqjp.EngineStats, named from its json name — <name>_total for a counter,
+// <name>_seconds_total for a duration, <name> for a gauge — and read from
+// one Engine.Stats snapshot per scrape; then the server's own:
 //
-//	documents_total, matches_total        engine cumulative counters
-//	queries, templates                    live-set gauges
-//	subscription_bytes                    source text and registration records
-//	                                      the live subscriptions retain
 //	heap_live_bytes, gc_cpu_fraction      the Go collector's view, read from
 //	                                      runtime/metrics on scrape: heap
 //	                                      marked live by the last cycle, and
@@ -39,10 +43,6 @@ import (
 //	ingest_queue_depth                    admitted-but-unconsumed gauge
 //	ingest_backpressure_stalls_total      admissions that blocked on a
 //	                                      full queue
-//	plan_witness_total, plan_rt_total,    adaptive-planner choice counters
-//	plan_explorations_total
-//	cq_probes_total, cq_rows_total        counted Stage-2 work: index entries
-//	                                      visited, RoutT rows produced
 //	stream_publish_total{stream},         per-stream publish and match
 //	stream_matches_total{stream}          counters (server-side)
 //	reply_bytes_total, reply_writes_total reply bytes handed to client sockets
@@ -67,6 +67,12 @@ const healthzTimeout = 5 * time.Second
 type serverMetrics struct {
 	reg *obs.Registry
 
+	// stats is the engine snapshot source; a scrape calls it once and every
+	// engine-statistics family reads the result, snap, under mu.
+	stats func() mmqjp.EngineStats
+	mu    sync.Mutex
+	snap  reflect.Value
+
 	stage1, stage2, merge, gc *obs.Histogram
 	streamPub, streamMatches  *obs.CounterVec
 
@@ -77,22 +83,23 @@ type serverMetrics struct {
 	snapshotSeconds           *obs.Histogram
 }
 
-// newServerMetrics builds the registry for eng. Engine-cumulative values
-// are read at scrape time; per-document histograms are fed by the
+// newServerMetrics builds the registry for eng. Engine statistics are read
+// at scrape time; per-document histograms are fed by the
 // Options.OnDocument hook (see onDocument).
 func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 	r := obs.NewRegistry()
-	m := &serverMetrics{reg: r}
-	r.CounterFunc("mmqjp_documents_total", "Documents admitted into the join state.",
-		func() float64 { return float64(eng().Stats().Documents) })
-	r.CounterFunc("mmqjp_matches_total", "Matches produced across all queries.",
-		func() float64 { return float64(eng().Stats().Matches) })
-	r.GaugeFunc("mmqjp_queries", "Live subscriptions.",
-		func() float64 { return float64(eng().NumQueries()) })
-	r.GaugeFunc("mmqjp_templates", "Live canonical query templates.",
-		func() float64 { return float64(eng().NumTemplates()) })
-	r.GaugeFunc("mmqjp_subscription_bytes", "Source text and registration records retained by the live subscriptions.",
-		func() float64 { return float64(eng().Stats().SubscriptionBytes) })
+	m := &serverMetrics{reg: r, stats: func() mmqjp.EngineStats { return eng().Stats() }}
+	for _, f := range core.StatFields(reflect.TypeOf(mmqjp.EngineStats{})) {
+		read := func() float64 { return f.Float(m.snap) }
+		switch f.Kind {
+		case core.StatCounter:
+			r.CounterFunc("mmqjp_"+f.Name+"_total", f.Help, read)
+		case core.StatDuration:
+			r.CounterFunc("mmqjp_"+f.Name+"_seconds_total", f.Help, read)
+		default:
+			r.GaugeFunc("mmqjp_"+f.Name, f.Help, read)
+		}
+	}
 	r.GaugeFunc("mmqjp_heap_live_bytes", "Heap memory occupied by objects the last collection marked live.",
 		func() float64 { live, _ := collectorGauges(); return live })
 	r.GaugeFunc("mmqjp_gc_cpu_fraction", "Share of the process's CPU time spent in the garbage collector since start.",
@@ -109,30 +116,6 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 		func() float64 { return float64(eng().IngestQueueDepth()) })
 	r.CounterFunc("mmqjp_ingest_backpressure_stalls_total", "Pipeline admissions that blocked on a full admission queue.",
 		func() float64 { return float64(eng().IngestStalls()) })
-	r.CounterFunc("mmqjp_plan_witness_total", "Stage-2 plan decisions that chose the witness-driven plan.",
-		func() float64 { return float64(eng().Stats().WitnessPlans) })
-	r.CounterFunc("mmqjp_plan_rt_total", "Stage-2 plan decisions that chose the RT-driven plan.",
-		func() float64 { return float64(eng().Stats().RTPlans) })
-	r.CounterFunc("mmqjp_plan_explorations_total", "Calibration runs of the non-chosen Stage-2 plan.",
-		func() float64 { return float64(eng().Stats().Explorations) })
-	r.CounterFunc("mmqjp_cq_probes_total", "Index entries visited by the compiled Stage-2 steps of the chosen plans.",
-		func() float64 { return float64(eng().Stats().CQProbes) })
-	r.CounterFunc("mmqjp_cq_rows_total", "RoutT rows the chosen Stage-2 plans produced, before the window test.",
-		func() float64 { return float64(eng().Stats().CQRows) })
-	r.CounterFunc("mmqjp_patterns_triggered_total", "Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document).",
-		func() float64 { return float64(eng().Stats().PatternsTriggered) })
-	r.CounterFunc("mmqjp_witness_probes_total", "Candidates examined by the witness assembly of triggered patterns.",
-		func() float64 { return float64(eng().Stats().WitnessProbes) })
-	r.CounterFunc("mmqjp_window_gc_total", "Window collections that expired at least one document.",
-		func() float64 { return float64(eng().Stats().WindowGCs) })
-	r.CounterFunc("mmqjp_window_gc_rows_dropped_total", "Join-state rows removed by window collections.",
-		func() float64 { return float64(eng().Stats().GCRowsDropped) })
-	r.GaugeFunc("mmqjp_state_docs", "Documents in the join state (inside the widest window).",
-		func() float64 { return float64(eng().Stats().StateDocs) })
-	stateRows := r.GaugeFuncVec("mmqjp_state_rows", "Live join-state rows, by witness relation.", "relation")
-	stateRows.With("rbin", func() float64 { return float64(eng().Stats().StateRbinRows) })
-	stateRows.With("rdoc", func() float64 { return float64(eng().Stats().StateRdocRows) })
-	stateRows.With("rroot", func() float64 { return float64(eng().Stats().StateRrootRows) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")
@@ -143,6 +126,19 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 	m.snapshotErrors = r.Counter("mmqjp_snapshot_errors_total", "Snapshot saves that failed.")
 	m.snapshotSeconds = r.Histogram("mmqjp_snapshot_seconds", "Snapshot save duration.", obs.DurationBuckets)
 	return m
+}
+
+// writeMetrics renders one scrape. It takes one engine snapshot, so every
+// engine-statistics family reports the same instant and the scrape takes
+// the engine's lock once; scrapes are serialized, and the exposition is
+// written to w only after the lock is released.
+func (m *serverMetrics) writeMetrics(w io.Writer) {
+	var buf bytes.Buffer
+	m.mu.Lock()
+	m.snap = reflect.ValueOf(m.stats())
+	m.reg.WritePrometheus(&buf)
+	m.mu.Unlock()
+	w.Write(buf.Bytes())
 }
 
 // collectorGauges reads the Go collector's two gauges from runtime/metrics:
@@ -165,11 +161,12 @@ func collectorGauges() (heapLive, gcCPUFraction float64) {
 	return heapLive, gcCPUFraction
 }
 
-// statsLine is the STATS reply: the engine's line followed by the collector
-// gauges, which belong to the process.
+// statsLine is the STATS reply: every engine statistic as name=value, then
+// the collector gauges, which belong to the process, under their metric
+// names.
 func statsLine(s mmqjp.EngineStats) string {
 	live, frac := collectorGauges()
-	return fmt.Sprintf("%s, heap live=%.0f gc cpu=%.4f", s, live, frac)
+	return fmt.Sprintf("%s heap_live_bytes=%.0f gc_cpu_fraction=%.4f", s, live, frac)
 }
 
 // onDocument is the Options.OnDocument hook: one histogram observation per
@@ -238,7 +235,7 @@ func (s *server) startDebugServer(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.m.reg.WritePrometheus(w)
+		s.m.writeMetrics(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if err := s.eng.Ping(healthzTimeout); err != nil {

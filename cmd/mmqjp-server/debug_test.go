@@ -2,16 +2,22 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	mmqjp "repro"
+	"repro/internal/core"
 )
 
 // startDebugTestServer runs an -async broker with the observability sidecar
@@ -178,7 +184,7 @@ func TestServerMetricsHealthzUnderLoad(t *testing.T) {
 		"# TYPE mmqjp_stage1_seconds histogram",
 		"mmqjp_stage1_seconds_bucket{le=\"+Inf\"}",
 		"mmqjp_ingest_queue_depth",
-		"mmqjp_plan_witness_total",
+		"mmqjp_witness_plans_total",
 		"mmqjp_stream_publish_total{stream=\"S0\"} " + fmt.Sprint(pubs),
 		"mmqjp_stream_matches_total{stream=\"S0\"}",
 	} {
@@ -367,34 +373,33 @@ func TestServerWindowStateMetrics(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"# TYPE mmqjp_window_gc_total counter",
-		"# TYPE mmqjp_window_gc_rows_dropped_total counter",
+		"# TYPE mmqjp_window_gcs_total counter",
+		"# TYPE mmqjp_gc_rows_dropped_total counter",
 		"# TYPE mmqjp_state_docs gauge",
-		"# TYPE mmqjp_state_rows gauge",
-		`mmqjp_state_rows{relation="rbin"}`,
-		`mmqjp_state_rows{relation="rroot"}`,
+		"# TYPE mmqjp_state_rbin_rows gauge",
+		"# TYPE mmqjp_state_rroot_rows gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	gcs := metricValue(t, body, "mmqjp_window_gc_total")
-	dropped := metricValue(t, body, "mmqjp_window_gc_rows_dropped_total")
+	gcs := metricValue(t, body, "mmqjp_window_gcs_total")
+	dropped := metricValue(t, body, "mmqjp_gc_rows_dropped_total")
 	stateDocs := metricValue(t, body, "mmqjp_state_docs")
-	rdoc := metricValue(t, body, `mmqjp_state_rows{relation="rdoc"}`)
+	rdoc := metricValue(t, body, "mmqjp_state_rdoc_rows")
 	if gcs < 3 || gcs > docs {
-		t.Errorf("mmqjp_window_gc_total = %d over %d documents with window %d", gcs, docs, window)
+		t.Errorf("mmqjp_window_gcs_total = %d over %d documents with window %d", gcs, docs, window)
 	}
 	// One Rdoc row per document: what was merged is live or was dropped.
 	if stateDocs < window || stateDocs > 4*window || rdoc != stateDocs {
 		t.Errorf("mmqjp_state_docs = %d, rdoc rows = %d, want equal and near the window %d", stateDocs, rdoc, window)
 	}
-	if rroot := metricValue(t, body, `mmqjp_state_rows{relation="rroot"}`); dropped != 2*(docs-stateDocs) || rroot != stateDocs {
+	if rroot := metricValue(t, body, "mmqjp_state_rroot_rows"); dropped != 2*(docs-stateDocs) || rroot != stateDocs {
 		t.Errorf("rows dropped = %d, rroot rows = %d with %d of %d documents live", dropped, rroot, stateDocs, docs)
 	}
 	c.sendLine(t, "STATS")
 	stats := c.readLine(t)
-	if want := fmt.Sprintf("state docs=%d rbin=0 rdoc=%d rroot=%d, gc runs=%d dropped=%d", stateDocs, rdoc, stateDocs, gcs, dropped); !strings.Contains(stats, want) {
+	if want := fmt.Sprintf("window_gcs=%d gc_rows_dropped=%d state_docs=%d state_rbin_rows=0 state_rdoc_rows=%d state_rroot_rows=%d", gcs, dropped, stateDocs, rdoc, stateDocs); !strings.Contains(stats, want) {
 		t.Errorf("STATS = %q, want it to contain %q", stats, want)
 	}
 }
@@ -434,7 +439,7 @@ func TestServerMemoryGauges(t *testing.T) {
 	}
 	c.sendLine(t, "STATS")
 	stats := c.readLine(t)
-	for _, want := range []string{fmt.Sprintf("subscription bytes=%d", retained), "heap live=", "gc cpu="} {
+	for _, want := range []string{fmt.Sprintf("subscription_bytes=%d", retained), "heap_live_bytes=", "gc_cpu_fraction="} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS = %q, want it to contain %q", stats, want)
 		}
@@ -448,5 +453,94 @@ func TestServerMemoryGauges(t *testing.T) {
 	_, body = httpGet(t, "http://"+debugAddr+"/metrics")
 	if left := metricValue(t, body, "mmqjp_subscription_bytes"); left != 0 {
 		t.Errorf("mmqjp_subscription_bytes = %d after every subscription left, want 0", left)
+	}
+}
+
+// TestServerMetricsOneSnapshotPerScrape checks that a scrape takes one
+// engine snapshot, whatever the number of engine-statistics families: one
+// instant per scrape, and one pass through the engine's lock.
+func TestServerMetricsOneSnapshotPerScrape(t *testing.T) {
+	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
+	var calls atomic.Int64
+	source := s.m.stats
+	s.m.stats = func() mmqjp.EngineStats { calls.Add(1); return source() }
+	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+		t.Fatal(err)
+	}
+	debugAddr, err := s.startDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for scrape := int64(1); scrape <= 3; scrape++ {
+		if code, _ := httpGet(t, "http://"+debugAddr+"/metrics"); code != http.StatusOK {
+			t.Fatalf("/metrics status %d", code)
+		}
+		if got := calls.Load(); got != scrape {
+			t.Fatalf("%d scrapes called the stats source %d times", scrape, got)
+		}
+	}
+}
+
+// TestServerStatsCoverEveryStatistic walks the declared statistics and finds
+// each in the STATS reply as name=value and on /metrics as a family named by
+// its kind.
+func TestServerStatsCoverEveryStatistic(t *testing.T) {
+	brokerAddr, debugAddr := startDebugTestServer(t)
+	c := dialTest(t, brokerAddr)
+	c.sendLine(t, "STATS")
+	stats := " " + strings.TrimPrefix(c.readLine(t), "OK ")
+	_, body := httpGet(t, "http://"+debugAddr+"/metrics")
+	suffix := map[core.StatKind]string{core.StatCounter: "_total", core.StatDuration: "_seconds_total", core.StatGauge: ""}
+	for _, f := range core.StatFields(reflect.TypeOf(mmqjp.EngineStats{})) {
+		if !strings.Contains(stats, " "+f.Name+"=") {
+			t.Errorf("STATS lacks %s=: %q", f.Name, stats)
+		}
+		if family := "mmqjp_" + f.Name + suffix[f.Kind]; !strings.Contains(body, "\n"+family+" ") {
+			t.Errorf("/metrics has no sample of %s", family)
+		}
+	}
+}
+
+// TestMetricsTableMatchesDesign holds DESIGN.md's metric table to the
+// registered set: every family the server registers is in the table, and
+// the table names none the server does not register.
+func TestMetricsTableMatchesDesign(t *testing.T) {
+	eng := mmqjp.New(mmqjp.Options{})
+	defer eng.Close()
+	var buf bytes.Buffer
+	newServerMetrics(func() *mmqjp.Engine { return eng }).writeMetrics(&buf)
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE mmqjp_(\S+) `).FindAllStringSubmatch(buf.String(), -1) {
+		registered[m[1]] = true
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## Observability & durability\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	name := regexp.MustCompile("`([a-z0-9_]+)(?:\\{[a-z]+\\})?`")
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "| `") {
+			for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	if len(registered) == 0 || len(documented) == 0 {
+		t.Fatalf("found %d registered and %d documented families", len(registered), len(documented))
+	}
+	for f := range registered {
+		if !documented[f] {
+			t.Errorf("mmqjp_%s is registered but missing from DESIGN.md's metric table", f)
+		}
+	}
+	for f := range documented {
+		if !registered[f] {
+			t.Errorf("DESIGN.md's metric table names mmqjp_%s, which the server does not register", f)
+		}
 	}
 }

@@ -138,7 +138,7 @@ func FuzzWireSession(f *testing.F) {
 			switch {
 			case errLineRe.MatchString(line):
 			case req.stats:
-				if !strings.HasPrefix(line, "OK mmqjp: ") {
+				if !strings.HasPrefix(line, "OK sequential=false queries=") {
 					t.Fatalf("%q answered %q", req.line, line)
 				}
 			case !okCountRe.MatchString(line):

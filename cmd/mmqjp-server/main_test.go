@@ -695,7 +695,7 @@ func TestServerDisconnectUnsubscribes(t *testing.T) {
 	for {
 		b.sendLine(t, "STATS")
 		resp := b.readLine(t)
-		if strings.Contains(resp, " 0 queries") {
+		if strings.Contains(resp, " queries=0 ") {
 			break
 		}
 		if time.Now().After(deadline) {

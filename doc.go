@@ -61,7 +61,7 @@
 // WithXML, WithXMLEvents, WithAsync); the named Publish variants are thin
 // wrappers over it, and AppendPublishXML is PublishXML appending to a buffer
 // the caller reuses from one document to the next. Engine.Stats returns a structured EngineStats snapshot
-// (JSON-marshalable; String renders the traditional one-line form), and
+// (JSON-marshalable; String renders every statistic as name=value), and
 // Options.OnDocument delivers per-document stage timings for external
 // metrics.
 //

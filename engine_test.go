@@ -2,6 +2,7 @@ package mmqjp
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,8 +104,16 @@ func TestEngineStatsString(t *testing.T) {
 		eng.PublishXML("S", paperD1, 1, 100)
 		eng.PublishXML("S", paperD2, 2, 200)
 		s := eng.Stats()
-		if s.String() == "" {
-			t.Errorf("kind=%d: empty stats", kind)
+		// The STATS rendering: every statistic as name=value, durations as
+		// Go durations under their name without _ns.
+		line := s.String()
+		for _, want := range []string{"queries=1 ", "documents=2 ", fmt.Sprintf(" cq=%v ", s.CQ)} {
+			if !strings.Contains(line, want) {
+				t.Errorf("kind=%d: String() = %q, want it to contain %q", kind, line, want)
+			}
+		}
+		if n := strings.Count(line, "="); n != len(engineStatsKeys) {
+			t.Errorf("kind=%d: String() has %d name=value pairs, want %d", kind, n, len(engineStatsKeys))
 		}
 		if s.Queries != 1 {
 			t.Errorf("kind=%d: queries = %d, want 1", kind, s.Queries)

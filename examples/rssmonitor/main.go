@@ -99,6 +99,7 @@ func main() {
 	fmt.Printf("%-14s %8.0f events/s  (%d matches, templates %d -> %d after churn, wall %v)\n",
 		"churned", float64(len(stream))/elapsed.Seconds(), matches, before, eng.NumTemplates(),
 		elapsed.Round(time.Millisecond))
+	fmt.Println(eng.Stats())
 
 	// Drain everything: the lifecycle invariant says the engine is now
 	// observationally identical to a fresh one.

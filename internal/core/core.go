@@ -8,7 +8,11 @@
 // statistics; the Processor itself lives in processor.go.
 package core
 
-import "time"
+import (
+	"reflect"
+	"strings"
+	"time"
+)
 
 // Config selects processor behaviour.
 type Config struct {
@@ -85,101 +89,164 @@ const (
 	PlanRTDriven
 )
 
-// Stats accumulates wall-clock cost of the processing phases, matching the
-// breakdown of Figures 14 and 15.
+// Stats accumulates the cost of the processing phases, matching the
+// breakdown of Figures 14 and 15, and the counted work behind them. Each
+// statistic is declared once, here, and everything else is derived from the
+// declaration (StatFields): its json tag names it (a duration's ends in _ns),
+// its help tag describes it, and its kind is a time.Duration's type or the
+// stat tag — "counter" for a cumulative count, "gauge" for a value read off
+// the state when the stats are taken. Add, the facade's EngineStats (JSON and
+// the STATS line) and the server's /metrics families all walk these fields.
 type Stats struct {
-	XPath    time.Duration // Stage 1: shared tree-pattern matching
-	Witness  time.Duration // building RbinW/RdocW/RrootW from witnesses
-	Rvj      time.Duration // common-string discovery (semi-join, Alg. 4 l.2)
-	RL       time.Duration // computing/looking up RL slices
-	RR       time.Duration // computing RR slices
-	CQ       time.Duration // per-template conjunctive query evaluation
-	Maintain time.Duration // Algorithm 2 + view cache maintenance + GC
+	Documents int64 `json:"documents" stat:"counter" help:"Documents admitted into the join state."`
+	Matches   int64 `json:"matches" stat:"counter" help:"Matches produced across all queries."`
+
+	// Phase times; with Workers > 1 the Stage-2 phases (Rvj, RL, RR, CQ)
+	// accumulate CPU time across workers.
+	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
+	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW."`
+	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
+	RL       time.Duration `json:"rl_ns" help:"Time computing or looking up RL slices."`
+	RR       time.Duration `json:"rr_ns" help:"Time computing RR slices."`
+	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time of the chosen plans."`
+	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2), view-cache maintenance and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
 	// plus witness construction), accumulated across documents and batch
 	// publishes. In a pipelined batch (Config.PipelineDepth > 1) Stage 1
 	// runs concurrently in workers, so Stage1Wall sums per-document time
 	// across workers and may exceed the batch's elapsed wall time.
-	Stage1Wall time.Duration
+	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time, summed over documents."`
 	// Stage2Wall is the coordinator's wall-clock time of Stage-2 template
 	// evaluation. With Workers > 1 the per-phase timings above accumulate
 	// CPU time across workers and may exceed it; Stage2Wall is what
 	// shrinks as workers are added. Both wall counters accumulate across
 	// Process and ProcessBatch calls.
-	Stage2Wall time.Duration
-	Matches    int64
-	Documents  int64
+	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Coordinator wall time of Stage-2 template evaluation."`
+
 	// WitnessPlans and RTPlans count per-template plan choices (see
 	// planner.go); the ablation tests assert the chooser adapts.
-	WitnessPlans int64
-	RTPlans      int64
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Stage-2 plan decisions that chose the witness-driven plan."`
+	RTPlans      int64 `json:"rt_plans" stat:"counter" help:"Stage-2 plan decisions that chose the RT-driven plan."`
 	// Explorations counts PlanAuto exploration runs of the non-chosen
 	// plan (calibration only, matches discarded); ExploreWall is their
 	// wall-clock cost, kept out of CQ so the Figure-14/15 breakdowns
 	// report only the plan that produced the output.
-	Explorations int64
-	ExploreWall  time.Duration
+	Explorations int64         `json:"explorations" stat:"counter" help:"Calibration runs of the non-chosen Stage-2 plan."`
+	ExploreWall  time.Duration `json:"explore_wall_ns" help:"Wall time of the calibration runs."`
 	// CQProbes counts the index entries the compiled Stage-2 steps visited
 	// (cqplan.go) and CQRows the RoutT rows they produced, before the
 	// window test — the chosen plan's runs only, like CQ. Both are pure
 	// functions of the input sequence and the plan sequence, so they repeat
 	// exactly under a forced plan.
-	CQProbes int64
-	CQRows   int64
+	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps of the chosen plans."`
+	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the chosen Stage-2 plans produced, before the window test."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
 	// document) and WitnessProbes the candidates their assembly examined
 	// (yfilter.MatchResult.Work) — Stage 1's counted work, a pure function
 	// of the documents and the registered patterns. A pattern that is not
 	// triggered costs neither a probe nor an allocation.
-	PatternsTriggered int64
-	WitnessProbes     int64
+	PatternsTriggered int64 `json:"patterns_triggered" stat:"counter" help:"Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document)."`
+	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Candidates examined by the witness assembly of triggered patterns."`
 	// WindowGCs counts the window collections that expired at least one
 	// document (State.GC) and GCRowsDropped the Rbin/Rdoc/Rroot rows they
 	// removed — expiry's counted work, which is exactly the expired
 	// documents' rows: rows dropped is rows merged minus rows live.
-	WindowGCs     int64
-	GCRowsDropped int64
+	WindowGCs     int64 `json:"window_gcs" stat:"counter" help:"Window collections that expired at least one document."`
+	GCRowsDropped int64 `json:"gc_rows_dropped" stat:"counter" help:"Join-state rows removed by window collections."`
+
 	// Gauges, read off the join state when the stats are taken (they
-	// survive ResetStats): the documents inside the widest window and their
-	// rows per witness relation (zero in a shard's stats, so Add leaves
-	// the processor's reading alone).
-	StateDocs      int64
-	StateRbinRows  int64
-	StateRdocRows  int64
-	StateRrootRows int64
+	// survive ResetStats, and Add leaves them alone): the documents inside
+	// the widest window and their rows per witness relation.
+	StateDocs      int64 `json:"state_docs" stat:"gauge" help:"Documents in the join state (inside the widest window)."`
+	StateRbinRows  int64 `json:"state_rbin_rows" stat:"gauge" help:"Live join-state Rbin rows."`
+	StateRdocRows  int64 `json:"state_rdoc_rows" stat:"gauge" help:"Live join-state Rdoc rows."`
+	StateRrootRows int64 `json:"state_rroot_rows" stat:"gauge" help:"Live join-state Rroot rows."`
 	// SubscriptionBytes is a gauge too: what the live queries' registration
 	// records (one per query, one per join instance) occupy. It is constant
-	// per registered query, whatever the query's text looked like.
-	SubscriptionBytes int64
+	// per registered query, whatever the query's text looked like. The
+	// facade adds the subscriptions' source text and its own records.
+	SubscriptionBytes int64 `json:"subscription_bytes" stat:"gauge" help:"Source text and registration records retained by the live subscriptions."`
 }
 
-// Add accumulates o into s: per-shard stats into the processor's total.
+// StatKind is how a statistic accumulates.
+type StatKind uint8
+
+const (
+	// StatCounter is a cumulative count (stat:"counter").
+	StatCounter StatKind = iota
+	// StatDuration is cumulative time: every time.Duration field.
+	StatDuration
+	// StatGauge is a value read off the state when the stats are taken
+	// (stat:"gauge").
+	StatGauge
+)
+
+// StatField is one declared statistic of Stats or of a struct embedding it.
+type StatField struct {
+	Name  string // the json name, without a duration's _ns
+	Kind  StatKind
+	Help  string
+	Index []int // for reflect.Value.FieldByIndex
+}
+
+// StatFields lists the statistics struct type t declares, in declaration
+// order, descending into embedded structs. A field that declares no kind is
+// a bug in the declaration and panics.
+func StatFields(t reflect.Type) []StatField {
+	var out []StatField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			for _, sf := range StatFields(f.Type) {
+				sf.Index = append([]int{i}, sf.Index...)
+				out = append(out, sf)
+			}
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		sf := StatField{Name: name, Help: f.Tag.Get("help"), Index: []int{i}}
+		switch kind := f.Tag.Get("stat"); {
+		case f.Type == reflect.TypeOf(time.Duration(0)):
+			sf.Kind, sf.Name = StatDuration, strings.TrimSuffix(name, "_ns")
+		case kind == "counter":
+			sf.Kind = StatCounter
+		case kind == "gauge":
+			sf.Kind = StatGauge
+		default:
+			panic("core: statistic " + t.Name() + "." + f.Name + " declares no stat kind")
+		}
+		out = append(out, sf)
+	}
+	return out
+}
+
+// Float reads the statistic from v, a value of the struct it was listed
+// from: durations in seconds, a flag as 0 or 1.
+func (f StatField) Float(v reflect.Value) float64 {
+	x := v.FieldByIndex(f.Index)
+	switch {
+	case f.Kind == StatDuration:
+		return time.Duration(x.Int()).Seconds()
+	case x.Kind() == reflect.Bool:
+		if x.Bool() {
+			return 1
+		}
+		return 0
+	}
+	return float64(x.Int())
+}
+
+var statsFields = StatFields(reflect.TypeOf(Stats{}))
+
+// Add accumulates o's counters and durations into s: per-shard stats into
+// the processor's total. The gauges are the processor's own reading.
 func (s *Stats) Add(o Stats) {
-	s.XPath += o.XPath
-	s.Witness += o.Witness
-	s.Rvj += o.Rvj
-	s.RL += o.RL
-	s.RR += o.RR
-	s.CQ += o.CQ
-	s.Maintain += o.Maintain
-	s.Stage1Wall += o.Stage1Wall
-	s.Stage2Wall += o.Stage2Wall
-	s.Matches += o.Matches
-	s.Documents += o.Documents
-	s.WitnessPlans += o.WitnessPlans
-	s.RTPlans += o.RTPlans
-	s.Explorations += o.Explorations
-	s.ExploreWall += o.ExploreWall
-	s.CQProbes += o.CQProbes
-	s.CQRows += o.CQRows
-	s.PatternsTriggered += o.PatternsTriggered
-	s.WitnessProbes += o.WitnessProbes
-	s.WindowGCs += o.WindowGCs
-	s.GCRowsDropped += o.GCRowsDropped
-	s.StateDocs += o.StateDocs
-	s.StateRbinRows += o.StateRbinRows
-	s.StateRdocRows += o.StateRdocRows
-	s.StateRrootRows += o.StateRrootRows
-	s.SubscriptionBytes += o.SubscriptionBytes
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for _, f := range statsFields {
+		if f.Kind != StatGauge {
+			d := dst.FieldByIndex(f.Index)
+			d.SetInt(d.Int() + src.FieldByIndex(f.Index).Int())
+		}
+	}
 }

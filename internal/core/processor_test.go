@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -354,6 +356,37 @@ func TestStatsAccumulate(t *testing.T) {
 	p.ResetStats()
 	if p.Stats().Documents != 0 {
 		t.Errorf("reset failed")
+	}
+}
+
+// TestStatsAddFieldwise checks the derived merge against its definition: Add
+// of two random Stats sums every counter and duration field by field and
+// keeps the receiver's gauges.
+func TestStatsAddFieldwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func() Stats {
+		var s Stats
+		v := reflect.ValueOf(&s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetInt(rng.Int63n(1 << 40))
+		}
+		return s
+	}
+	for trial := 0; trial < 100; trial++ {
+		a, b := random(), random()
+		sum := a
+		sum.Add(b)
+		av, bv, sv := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(sum)
+		for i := 0; i < sv.NumField(); i++ {
+			name := sv.Type().Field(i).Name
+			want := av.Field(i).Int() + bv.Field(i).Int()
+			if sv.Type().Field(i).Tag.Get("stat") == "gauge" {
+				want = av.Field(i).Int()
+			}
+			if got := sv.Field(i).Int(); got != want {
+				t.Fatalf("trial %d: Add gave %s = %d, want %d", trial, name, got, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package rules binds the analyzers to this repository: which packages are
-// on the output path for mapiter, where nondeterminism is forbidden, and
-// which types the stats wiring connects. cmd/mmqjplint and the clean-tree
+// on the output path for mapiter, and where nondeterminism is forbidden.
+// cmd/mmqjplint and the clean-tree
 // test share this configuration so "the linter" means the same thing in CI,
 // locally and in the tests.
 package rules
@@ -12,7 +12,6 @@ import (
 	"repro/internal/lint/nodeterm"
 	"repro/internal/lint/pooled"
 	"repro/internal/lint/shardowned"
-	"repro/internal/lint/statswired"
 )
 
 const module = "repro"
@@ -23,13 +22,6 @@ func Default() []lint.Analyzer {
 		mapiter.New(mapiter.Config{Enforce: onOutputPath}),
 		guarded.New(),
 		shardowned.New(),
-		statswired.New(statswired.Config{
-			StatsPkg:    module + "/internal/core",
-			StatsType:   "Stats",
-			MergeMethod: "Add",
-			SurfacePkg:  module,
-			SurfaceType: "EngineStats",
-		}),
 		nodeterm.New(nodeterm.Config{Enforce: func(pkgPath string) bool {
 			return pkgPath == module+"/internal/core"
 		}}),

@@ -112,7 +112,6 @@ type metric struct {
 	h      *Histogram
 	vec    *CounterVec
 	gvec   *GaugeVec
-	fvec   *FuncVec
 	hidden bool // children of a vec render through the vec
 }
 
@@ -202,32 +201,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// FuncVec is a family of scrape-time-computed metrics distinguished by one
-// label — for labeled breakdowns of values something else already tracks
-// (the join state's rows per relation). Children are added at wiring time
-// with With; every scrape calls each child's fn.
-type FuncVec struct {
-	label    string
-	mu       sync.RWMutex
-	children map[string]func() float64
-}
-
-// GaugeFuncVec registers and returns a labeled family of scrape-time
-// gauges. Each child fn must be safe to call concurrently.
-func (r *Registry) GaugeFuncVec(name, help, label string) *FuncVec {
-	v := &FuncVec{label: label, children: map[string]func() float64{}}
-	r.register(&metric{name: name, help: help, kind: kindGauge, fvec: v})
-	return v
-}
-
-// With sets the function behind one label value (replacing any previous
-// one).
-func (v *FuncVec) With(value string, fn func() float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.children[value] = fn
-}
-
 // GaugeVec is a family of gauges distinguished by one label.
 type GaugeVec struct {
 	label    string
@@ -293,12 +266,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s{%s=%q} %d\n", m.name, m.gvec.label, lv, m.gvec.children[lv].Value())
 			}
 			m.gvec.mu.RUnlock()
-		case m.fvec != nil:
-			m.fvec.mu.RLock()
-			for _, lv := range sortedKeysF(m.fvec.children) {
-				fmt.Fprintf(w, "%s{%s=%q} %s\n", m.name, m.fvec.label, lv, formatFloat(m.fvec.children[lv]()))
-			}
-			m.fvec.mu.RUnlock()
 		}
 	}
 }
@@ -343,15 +310,6 @@ func sortedKeysC(m map[string]*Counter) []string {
 }
 
 func sortedKeysG(m map[string]*Gauge) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysF(m map[string]func() float64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

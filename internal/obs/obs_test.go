@@ -127,20 +127,3 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		t.Fatalf("vec lost updates: %d + %d", v.With("a").Value(), v.With("b").Value())
 	}
 }
-
-func TestFuncVec(t *testing.T) {
-	r := NewRegistry()
-	gv := r.GaugeFuncVec("state_rows", "Rows per relation.", "relation")
-	gv.With("rdoc", func() float64 { return 20 })
-	gv.With("rbin", func() float64 { return 10 })
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	out := sb.String()
-	want := "# HELP state_rows Rows per relation.\n" +
-		"# TYPE state_rows gauge\n" +
-		"state_rows{relation=\"rbin\"} 10\n" +
-		"state_rows{relation=\"rdoc\"} 20\n"
-	if out != want {
-		t.Fatalf("func vec rendering:\ngot:\n%s\nwant:\n%s", out, want)
-	}
-}

@@ -83,6 +83,13 @@ grep -q '^mmqjp_reply_bytes_total 10$' <<<"$METRICS" || fail "/metrics missing m
 grep -Eq '^mmqjp_reply_writes_total [12]$' <<<"$METRICS" || fail "/metrics missing mmqjp_reply_writes_total"
 grep -q '^mmqjp_outbound_queue_bytes 0$' <<<"$METRICS" || fail "/metrics missing mmqjp_outbound_queue_bytes 0"
 grep -q '^mmqjp_slow_reader_drops_total 0$' <<<"$METRICS" || fail "/metrics missing mmqjp_slow_reader_drops_total 0"
+# Engine statistics, one family per EngineStats field: the document sits in
+# the join state with one Rdoc row (its join value), and the plan counters
+# and phase times are exported.
+grep -q '^mmqjp_state_docs 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_state_docs 1"
+grep -q '^mmqjp_state_rdoc_rows 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_state_rdoc_rows 1"
+grep -q '^mmqjp_witness_plans_total ' <<<"$METRICS" || fail "/metrics missing mmqjp_witness_plans_total"
+grep -q '^mmqjp_xpath_seconds_total ' <<<"$METRICS" || fail "/metrics missing mmqjp_xpath_seconds_total"
 
 echo "== SIGTERM: snapshot on shutdown =="
 kill -TERM "$SERVER_PID"
@@ -145,9 +152,12 @@ grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "subscription did not survive 
 
 OUT=$(send_lines \
   "CLAIM 0" \
-  "PUB S 2 <b>k</b>")
+  "PUB S 2 <b>k</b>" \
+  "STATS")
 echo "$OUT"
 grep -q '^OK 0$' <<<"$OUT" || fail "CLAIM failed after the gzipped-snapshot restart: $OUT"
 grep -q '^MATCH 0 left=1@1 right=2@2$' <<<"$OUT" || fail "pre-restart join state lost across the gzipped snapshot: $OUT"
+# STATS is every statistic as name=value; counters restart with the process.
+grep -q '^OK sequential=false queries=1 templates=1 documents=1 matches=1 ' <<<"$OUT" || fail "STATS line: $OUT"
 
 echo "PASS: subscriptions and join state survived the gzipped-snapshot restart"

@@ -3,34 +3,39 @@ package mmqjp
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
-	"time"
 )
 
+// engineStatsKeys is the JSON contract of Engine.Stats: consumers
+// (benchmark/cmd/layers, monitoring pipelines) read these keys, so adding,
+// renaming or losing one is a decision, not a side effect of a field edit.
+var engineStatsKeys = []string{
+	"sequential", "queries", "templates", "documents", "matches",
+	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
+	"stage1_wall_ns", "stage2_wall_ns", "explore_wall_ns",
+	"witness_plans", "rt_plans", "explorations", "cq_probes", "cq_rows",
+	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
+	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
+	"subscription_bytes", "dropped_cascades",
+}
+
 // TestEngineStatsJSONRoundTrip pins the structured stats contract: every
-// counter — including the plan counters — must survive a marshal/unmarshal
-// cycle unchanged, so JSON consumers (benchmark/cmd/layers, monitoring
-// pipelines) see the same numbers the in-process API reports.
+// statistic survives a marshal/unmarshal cycle unchanged under exactly the
+// keys in engineStatsKeys, so JSON consumers see the same numbers the
+// in-process API reports.
 func TestEngineStatsJSONRoundTrip(t *testing.T) {
-	in := EngineStats{
-		Queries:         7,
-		Templates:       9,
-		Documents:       123,
-		Matches:         456,
-		XPath:           1 * time.Millisecond,
-		Witness:         2 * time.Millisecond,
-		Rvj:             3 * time.Millisecond,
-		RL:              4 * time.Millisecond,
-		RR:              5 * time.Millisecond,
-		CQ:              6 * time.Millisecond,
-		Maintain:        7 * time.Millisecond,
-		Stage1Wall:      8 * time.Millisecond,
-		Stage2Wall:      9 * time.Millisecond,
-		ExploreWall:     10 * time.Millisecond,
-		WitnessPlans:    11,
-		RTPlans:         12,
-		Explorations:    13,
-		DroppedCascades: 14,
+	// Every statistic set, each to a different value: a field that
+	// marshals under another key, or two that share one, shows up below.
+	var in EngineStats
+	v := reflect.ValueOf(&in).Elem()
+	for i, f := range engineStatFields {
+		x := v.FieldByIndex(f.Index)
+		if x.Kind() == reflect.Bool {
+			x.SetBool(true)
+		} else {
+			x.SetInt(int64(i + 1))
+		}
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -44,29 +49,22 @@ func TestEngineStatsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the stats:\nin:  %+v\nout: %+v", in, out)
 	}
 
-	// Guard against two silent regressions: a field added without a JSON tag
-	// (would marshal under its Go name) and duplicated tags (last writer
-	// wins, dropping a counter).
 	var m map[string]any
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"explorations", "stage1_wall_ns", "dropped_cascades"} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("JSON rendering lacks %q: %s", key, b)
-		}
+	var got []string
+	for k := range m {
+		got = append(got, k)
 	}
-	rt := reflect.TypeOf(in)
-	seen := map[string]bool{}
-	for i := 0; i < rt.NumField(); i++ {
-		tag := rt.Field(i).Tag.Get("json")
-		if tag == "" {
-			t.Fatalf("EngineStats.%s has no json tag", rt.Field(i).Name)
-		}
-		if seen[tag] {
-			t.Fatalf("duplicate json tag %q", tag)
-		}
-		seen[tag] = true
+	want := append([]string(nil), engineStatsKeys...)
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON keys:\n got %v\nwant %v", got, want)
+	}
+	if len(engineStatFields) != len(engineStatsKeys) {
+		t.Fatalf("%d declared statistics for %d JSON keys", len(engineStatFields), len(engineStatsKeys))
 	}
 
 	// And a live engine's stats must round-trip identically too.
