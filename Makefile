@@ -13,11 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The allocation ceilings (count and bytes per document, fixed numbers) and the
-# retained-heap ceiling of standing subscriptions ten times over, so one that
-# only passes once in a while — a pooled object lost to a collection, a map
-# that grew — fails here and not at the benchmark gate (the CI alloc-ceilings
-# job).
+# The allocation ceilings (count and bytes per document and per Subscribe,
+# fixed numbers) and the retained-heap ceiling of standing subscriptions ten
+# times over, so one that only passes once in a while — a pooled object lost
+# to a collection, a map that grew — fails here and not at the benchmark gate
+# (the CI alloc-ceilings job).
 alloc-ceilings:
 	$(GO) test -run 'AllocCeiling|BytesCeiling|HeapCeiling' -count=10 . ./internal/core ./internal/xmldoc
 
@@ -33,9 +33,10 @@ race:
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against
 # encoding/xml) and the server's wire sessions, plus Stage-1 witness
-# assembly against its naive oracle and window expiry of the join state
-# against a rebuild (the CI fuzz-smoke job). -fuzz takes one target per run,
-# so a package with two names each with an anchored pattern.
+# assembly against its naive oracle, window expiry of the join state
+# against a rebuild, and template canonicalization against its string-
+# signature reference (the CI fuzz-smoke job). -fuzz takes one target per
+# run, so a package with two names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xpath
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseMatchesStdlib$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
 	$(GO) test -run=^$$ -fuzz=FuzzWitnessesMatchNaive -fuzztime=$(FUZZTIME) ./internal/yfilter
 	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 
 # Longer local fuzzing session (override FUZZTIME as needed).

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,55 +23,57 @@ import (
 )
 
 func main() {
-	paper := flag.Bool("paper", false, "inspect the paper's example queries Q1-Q3 (Table 2)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "xsclc:", err)
+		os.Exit(2)
+	}
+}
 
-	var sources []string
+// run inspects the queries the arguments name — the paper's examples, a
+// ;-separated list on stdin, or the arguments themselves — and writes the
+// report to out.
+func run(args []string, stdin io.Reader, out io.Writer) error {
+	flags := flag.NewFlagSet("xsclc", flag.ContinueOnError)
+	paper := flags.Bool("paper", false, "inspect the paper's example queries Q1-Q3 (Table 2)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	var queries []*xscl.Query
+	var err error
 	switch {
 	case *paper:
-		sources = []string{
-			xscl.PaperQ1(100).Source,
-			xscl.PaperQ2(200).Source,
-			xscl.PaperQ3(300).Source,
+		queries = []*xscl.Query{xscl.PaperQ1(100), xscl.PaperQ2(200), xscl.PaperQ3(300)}
+	case flags.NArg() == 1 && flags.Arg(0) == "-":
+		var data []byte
+		if data, err = io.ReadAll(stdin); err == nil {
+			queries, err = xscl.ParseProgram(string(data))
 		}
-	case flag.NArg() == 1 && flag.Arg(0) == "-":
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		for _, stmt := range strings.Split(string(data), ";") {
-			if strings.TrimSpace(stmt) != "" {
-				sources = append(sources, stmt)
-			}
-		}
-	case flag.NArg() >= 1:
-		sources = flag.Args()
+	case flags.NArg() >= 1:
+		queries, err = xscl.ParseProgram(strings.Join(flags.Args(), ";"))
 	default:
-		fmt.Fprintln(os.Stderr, "usage: xsclc [-paper] <query> ... | xsclc -")
-		os.Exit(2)
+		err = errors.New("usage: xsclc [-paper] <query> ... | xsclc -")
+	}
+	if err != nil {
+		return err
 	}
 
 	templates := map[string]core.TemplateID{}
 	var nextID core.TemplateID
-	for i, src := range sources {
-		q, err := xscl.Parse(src)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("-- query %d --\n%s\n\n", i+1, q)
+	for i, q := range queries {
+		fmt.Fprintf(out, "-- query %d --\n%s\n\n", i+1, q)
 		if q.Op == xscl.OpNone {
-			fmt.Printf("single-block query (no join graph)\n\n")
+			fmt.Fprintf(out, "single-block query (no join graph)\n\n")
 			continue
 		}
 		g, err := core.BuildJoinGraph(q)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("join graph:")
-		fmt.Println(indent(g.String()))
+		fmt.Fprintln(out, "join graph:")
+		fmt.Fprintln(out, indent(g.String()))
 		red, sig, order := core.ExtractTemplate(g)
-		fmt.Println("graph minor:")
-		fmt.Println(indent(red.String()))
+		fmt.Fprintln(out, "graph minor:")
+		fmt.Fprintln(out, indent(red.String()))
 		id, ok := templates[sig]
 		if !ok {
 			id = nextID
@@ -79,10 +82,11 @@ func main() {
 		}
 		tmpl := core.NewTemplateFromCanonical(sig, red, order)
 		tmpl.ID = id
-		fmt.Printf("template: T%d (%d nodes, %d value joins%s)\n", id, tmpl.N, len(tmpl.VJ), sharedNote(ok))
-		fmt.Printf("conjunctive query:\n  %s\n\n", tmpl.Datalog())
+		fmt.Fprintf(out, "template: T%d (%d nodes, %d value joins%s)\n", id, tmpl.N, len(tmpl.VJ), sharedNote(ok))
+		fmt.Fprintf(out, "conjunctive query:\n  %s\n\n", tmpl.Datalog())
 	}
-	fmt.Printf("%d queries, %d distinct templates\n", len(sources), len(templates))
+	fmt.Fprintf(out, "%d queries, %d distinct templates\n", len(queries), len(templates))
+	return nil
 }
 
 func sharedNote(shared bool) string {
@@ -94,9 +98,4 @@ func sharedNote(shared bool) string {
 
 func indent(s string) string {
 	return "  " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n  ")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xsclc:", err)
-	os.Exit(1)
 }

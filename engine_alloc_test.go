@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -89,6 +90,58 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 			}
 			if tc.bytesCeiling > bytes+copyBytes {
 				t.Errorf("the ceiling leaves room for another copy of the result (%.0f bytes per document)", copyBytes)
+			}
+		})
+	}
+}
+
+// TestSubscribeAllocCeiling bounds what one Subscribe allocates, parse
+// included, on an engine configured like mmqjp-server: 2 000 windowed feed
+// subscriptions (the rss_window shape, five templates) and 2 000 paper-scale
+// subscriptions (58 templates, most reduced graphs not seen before). A query
+// of a known template costs its parse, its records and one RT row: each block
+// is normalized once without building a pattern when an equal one is
+// registered, and the join graph, its minor and the memo key are built in
+// reused storage. The readings are 30.0 allocations / 1 789 bytes (rss) and
+// 52.9 / 3 185 (paper scale); deriving everything afresh per query, as
+// registration did before, took 253.5 / 9 311 and 379.4 / 11 923. Counts and
+// bytes are the same on every machine; a ceiling is at most 1.25 times what
+// the test logs.
+func TestSubscribeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	const n = 2000
+	var paper []string
+	for _, q := range workload.DefaultPaperScale().Queries(rand.New(rand.NewSource(3)), n) {
+		paper = append(paper, q.Source)
+	}
+	for _, tc := range []struct {
+		name                       string
+		srcs                       []string
+		allocCeiling, bytesCeiling float64
+	}{
+		{"rss", windowedRSSSources(1, n), 37, 2230},
+		{"paper scale", paper, 66, 3980},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: 2, PlanExploreEvery: 64})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			subscribeAll(t, eng, tc.srcs)
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / n
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+			t.Logf("%.1f allocations, %.0f bytes, %.1f µs per Subscribe (%d templates)",
+				allocs, bytes, float64(elapsed.Microseconds())/n, eng.NumTemplates())
+			if allocs > tc.allocCeiling {
+				t.Errorf("%.1f allocations per Subscribe, want <= %.0f", allocs, tc.allocCeiling)
+			}
+			if bytes > tc.bytesCeiling {
+				t.Errorf("%.0f bytes allocated per Subscribe, want <= %.0f", bytes, tc.bytesCeiling)
 			}
 		})
 	}

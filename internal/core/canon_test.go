@@ -2,26 +2,29 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/xpath"
 )
 
-// randomReduced builds a random reduced-join-graph shape directly: two trees
-// of depth ≤ 3 whose leaves are joined by random cross edges.
-func randomReduced(rng *rand.Rand) *JoinGraph {
+// randomReduced builds a random reduced-join-graph shape directly: two random
+// trees of at most maxSide nodes whose leaves are joined by random cross
+// edges.
+func randomReduced(rng *rand.Rand, maxSide int) *JoinGraph {
 	g := &JoinGraph{}
 	buildSideTree := func(s *SideGraph) []int {
-		n := 1 + rng.Intn(5)
+		n := 1 + rng.Intn(maxSide)
 		var leaves []int
+		hasChild := make([]bool, n)
 		s.Nodes = append(s.Nodes, JGNode{Parent: -1, PatternNode: &xpath.PatternNode{}})
 		for i := 1; i < n; i++ {
 			parent := rng.Intn(len(s.Nodes))
 			s.Nodes = append(s.Nodes, JGNode{Parent: parent, PatternNode: &xpath.PatternNode{}})
-			s.Nodes[parent].Children = append(s.Nodes[parent].Children, i)
+			hasChild[parent] = true
 		}
 		for i := range s.Nodes {
-			if len(s.Nodes[i].Children) == 0 {
+			if !hasChild[i] {
 				leaves = append(leaves, i)
 			}
 		}
@@ -29,12 +32,10 @@ func randomReduced(rng *rand.Rand) *JoinGraph {
 	}
 	ll := buildSideTree(&g.LeftSide)
 	rl := buildSideTree(&g.RightSide)
-	ne := 1 + rng.Intn(4)
-	seen := map[[2]int]bool{}
+	ne := 1 + rng.Intn(maxSide-1)
 	for i := 0; i < ne; i++ {
 		e := VJEdge{L: ll[rng.Intn(len(ll))], R: rl[rng.Intn(len(rl))]}
-		if !seen[[2]int{e.L, e.R}] {
-			seen[[2]int{e.L, e.R}] = true
+		if !slices.Contains(g.VJ, e) {
 			g.VJ = append(g.VJ, e)
 		}
 	}
@@ -48,10 +49,8 @@ func permuteGraph(rng *rand.Rand, g *JoinGraph) *JoinGraph {
 	out := &JoinGraph{}
 	permSide := func(in *SideGraph, os *SideGraph) []int {
 		n := len(in.Nodes)
-		// A valid relabeling must keep parents before children is NOT
-		// required by our representation (Parent is an index), but
-		// JGNode.Children must be consistent. Build an arbitrary
-		// permutation fixing nothing.
+		// Canonicalize does not need parents before children (Parent is
+		// an index): build an arbitrary permutation fixing nothing.
 		perm := rng.Perm(n)
 		os.Nodes = make([]JGNode, n)
 		for old, nw := range perm {
@@ -61,11 +60,6 @@ func permuteGraph(rng *rand.Rand, g *JoinGraph) *JoinGraph {
 				np = perm[p]
 			}
 			os.Nodes[nw] = JGNode{Parent: np, PatternNode: in.Nodes[old].PatternNode}
-		}
-		for i := range os.Nodes {
-			if p := os.Nodes[i].Parent; p >= 0 {
-				os.Nodes[p].Children = append(os.Nodes[p].Children, i)
-			}
 		}
 		return perm
 	}
@@ -82,7 +76,7 @@ func permuteGraph(rng *rand.Rand, g *JoinGraph) *JoinGraph {
 func TestPropertyCanonicalInvariantUnderRelabeling(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 400; trial++ {
-		g := randomReduced(rng)
+		g := randomReduced(rng, 5)
 		sig1, _ := Canonicalize(g)
 		for i := 0; i < 3; i++ {
 			h := permuteGraph(rng, g)
@@ -98,7 +92,7 @@ func TestCanonicalDistinguishesSides(t *testing.T) {
 	// A 2-left/1-right graph vs its mirror must differ.
 	g := &JoinGraph{}
 	g.LeftSide.Nodes = []JGNode{
-		{Parent: -1, Children: []int{1, 2}, PatternNode: &xpath.PatternNode{}},
+		{Parent: -1, PatternNode: &xpath.PatternNode{}},
 		{Parent: 0, PatternNode: &xpath.PatternNode{}},
 		{Parent: 0, PatternNode: &xpath.PatternNode{}},
 	}
@@ -118,7 +112,7 @@ func TestCanonicalDistinguishesSides(t *testing.T) {
 func TestCanonicalOrderIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 100; trial++ {
-		g := randomReduced(rng)
+		g := randomReduced(rng, 5)
 		_, order := Canonicalize(g)
 		n := len(g.LeftSide.Nodes) + len(g.RightSide.Nodes)
 		if len(order) != n {
@@ -143,9 +137,7 @@ func TestCanonicalSymmetricGraphStable(t *testing.T) {
 		g.RightSide.Nodes = append(g.RightSide.Nodes, JGNode{Parent: -1, PatternNode: &xpath.PatternNode{}})
 		for i := 1; i <= k; i++ {
 			g.LeftSide.Nodes = append(g.LeftSide.Nodes, JGNode{Parent: 0, PatternNode: &xpath.PatternNode{}})
-			g.LeftSide.Nodes[0].Children = append(g.LeftSide.Nodes[0].Children, i)
 			g.RightSide.Nodes = append(g.RightSide.Nodes, JGNode{Parent: 0, PatternNode: &xpath.PatternNode{}})
-			g.RightSide.Nodes[0].Children = append(g.RightSide.Nodes[0].Children, i)
 			g.VJ = append(g.VJ, VJEdge{L: i, R: i})
 		}
 		sig1, _ := Canonicalize(g)
@@ -155,4 +147,32 @@ func TestCanonicalSymmetricGraphStable(t *testing.T) {
 			t.Errorf("k=%d: symmetric graph signature unstable", k)
 		}
 	}
+}
+
+// FuzzCanonicalize holds the integer canonicalizer to the reference, which
+// ranks refinement signatures as fmt-built strings (referenceCanonicalize):
+// on a random reduced graph of up to 2×15 nodes — enough for colours of two
+// digits, where decimal-string order and integer order part — and on a
+// relabeling of it, Canonicalize must return the reference's signature and
+// node order byte for byte, and the two signatures must be equal.
+func FuzzCanonicalize(f *testing.F) {
+	for i := 0; i < 40; i++ {
+		f.Add(int64(i), int64(7*i+1), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed, perm int64, size uint8) {
+		g := randomReduced(rand.New(rand.NewSource(seed)), 2+int(size%14))
+		h := permuteGraph(rand.New(rand.NewSource(perm)), g)
+		var sigs [2]string
+		for i, x := range []*JoinGraph{g, h} {
+			sig, order := Canonicalize(x)
+			wantSig, wantOrder := referenceCanonicalize(x)
+			if sig != wantSig || !slices.Equal(order, wantOrder) {
+				t.Fatalf("graph %d: %q %v, reference %q %v", i, sig, order, wantSig, wantOrder)
+			}
+			sigs[i] = sig
+		}
+		if sigs[0] != sigs[1] {
+			t.Fatalf("relabeling changed the signature:\n%s\n%s", sigs[0], sigs[1])
+		}
+	})
 }

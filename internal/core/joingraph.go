@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/xpath"
@@ -32,14 +33,15 @@ const (
 // back to Stage-1 bindings.
 type JGNode struct {
 	PatternNode *xpath.PatternNode
-	Canonical   string // canonical variable definition of the node
-	Parent      int    // index within the side, -1 for the root
-	Children    []int
+	Parent      int // index within the side, -1 for the root
 }
 
 // SideGraph is the tree of one side of a join graph.
 type SideGraph struct {
-	Nodes []JGNode // Nodes[0] is the root
+	// Pattern is the query block the side was derived from; its canonical
+	// variable names label the nodes (String).
+	Pattern *xpath.Pattern
+	Nodes   []JGNode // Nodes[0] is the root
 }
 
 // VJEdge is a value-join edge between a left node and a right node
@@ -59,53 +61,45 @@ type JoinGraph struct {
 // tree mirrors the block's full tree pattern, and each equality predicate
 // contributes one value-join edge. Duplicate predicates are dropped.
 func BuildJoinGraph(q *xscl.Query) (*JoinGraph, error) {
-	if q.Op == xscl.OpNone {
-		return nil, fmt.Errorf("core: single-block query has no join graph")
-	}
 	g := &JoinGraph{}
-	lIndex := buildSide(&g.LeftSide, q.Left)
-	rIndex := buildSide(&g.RightSide, q.Right)
-
-	seen := map[[2]int]bool{}
-	for _, p := range q.Preds {
-		ln := q.Left.VarNode(p.LeftVar)
-		rn := q.Right.VarNode(p.RightVar)
-		if ln == nil || rn == nil {
-			return nil, fmt.Errorf("core: predicate %s=%s references unbound variable", p.LeftVar, p.RightVar)
-		}
-		e := VJEdge{L: lIndex[ln.Index], R: rIndex[rn.Index]}
-		if seen[[2]int{e.L, e.R}] {
-			continue
-		}
-		seen[[2]int{e.L, e.R}] = true
-		g.VJ = append(g.VJ, e)
-	}
-	if len(g.VJ) == 0 {
-		return nil, fmt.Errorf("core: join query has no value joins")
+	if err := g.build(q); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
-// buildSide copies the pattern tree into the side graph and returns the map
-// from pattern node index to side node index.
-func buildSide(s *SideGraph, p *xpath.Pattern) []int {
-	idx := make([]int, len(p.Nodes))
-	for i, pn := range p.Nodes {
-		parent := -1
-		if pn.ParentIndex >= 0 {
-			parent = idx[pn.ParentIndex]
+// build is BuildJoinGraph into g's storage. A side's node i is its block's
+// pattern node i: both are in pre-order.
+func (g *JoinGraph) build(q *xscl.Query) error {
+	if q.Op == xscl.OpNone {
+		return fmt.Errorf("core: single-block query has no join graph")
+	}
+	g.LeftSide.mirror(q.Left)
+	g.RightSide.mirror(q.Right)
+	g.VJ = g.VJ[:0]
+	for _, p := range q.Preds {
+		ln := q.Left.VarNode(p.LeftVar)
+		rn := q.Right.VarNode(p.RightVar)
+		if ln == nil || rn == nil {
+			return fmt.Errorf("core: predicate %s=%s references unbound variable", p.LeftVar, p.RightVar)
 		}
-		idx[i] = len(s.Nodes)
-		s.Nodes = append(s.Nodes, JGNode{
-			PatternNode: pn,
-			Canonical:   p.CanonicalVar(pn),
-			Parent:      parent,
-		})
-		if parent >= 0 {
-			s.Nodes[parent].Children = append(s.Nodes[parent].Children, idx[i])
+		if e := (VJEdge{L: ln.Index, R: rn.Index}); !slices.Contains(g.VJ, e) {
+			g.VJ = append(g.VJ, e)
 		}
 	}
-	return idx
+	if len(g.VJ) == 0 {
+		return fmt.Errorf("core: join query has no value joins")
+	}
+	return nil
+}
+
+// mirror copies the pattern tree into the side graph.
+func (s *SideGraph) mirror(p *xpath.Pattern) {
+	s.Pattern = p
+	s.Nodes = s.Nodes[:0]
+	for _, pn := range p.Nodes {
+		s.Nodes = append(s.Nodes, JGNode{PatternNode: pn, Parent: pn.ParentIndex})
+	}
 }
 
 // Minor applies the reduction rules of Section 4.2 to produce the join
@@ -121,114 +115,96 @@ func buildSide(s *SideGraph, p *xpath.Pattern) []int {
 // which the Join Processor could recover the leaf's variable identity; such
 // sides are served by the unary root-binding relations Rroot/RrootW instead
 // (see state.go and DESIGN.md).
+//
+// Each side's parents must precede their children, as BuildJoinGraph and
+// Minor lay them out.
 func (g *JoinGraph) Minor() *JoinGraph {
 	out := &JoinGraph{}
-	lmap := reduceSide(&g.LeftSide, vjNodes(g.VJ, Left), &out.LeftSide)
-	rmap := reduceSide(&g.RightSide, vjNodes(g.VJ, Right), &out.RightSide)
-	for _, e := range g.VJ {
-		out.VJ = append(out.VJ, VJEdge{L: lmap[e.L], R: rmap[e.R]})
-	}
+	g.minorInto(out, &minorScratch{})
 	return out
 }
 
-func vjNodes(vj []VJEdge, side Side) map[int]bool {
-	out := map[int]bool{}
-	for _, e := range vj {
+// minorScratch is Minor's working storage, indexed by node of the side being
+// reduced; reused across registrations, a minor allocates nothing.
+type minorScratch struct {
+	vj   []bool   // the node has a value join
+	keep []bool   // the node's subtree has a value join
+	kept []int    // the node's children whose subtree has a value join
+	m    [2][]int // per side: old node index -> reduced index, -1 if removed
+}
+
+// minorInto is Minor into out's storage.
+func (g *JoinGraph) minorInto(out *JoinGraph, sc *minorScratch) {
+	sc.reduceSide(&g.LeftSide, g.VJ, Left, &out.LeftSide)
+	sc.reduceSide(&g.RightSide, g.VJ, Right, &out.RightSide)
+	out.VJ = out.VJ[:0]
+	for _, e := range g.VJ {
+		out.VJ = append(out.VJ, VJEdge{L: sc.m[Left][e.L], R: sc.m[Right][e.R]})
+	}
+}
+
+// reduceSide computes the reduced tree of one side into out and fills
+// sc.m[side], the map from old node index to new node index.
+func (sc *minorScratch) reduceSide(s *SideGraph, edges []VJEdge, side Side, out *SideGraph) {
+	n := len(s.Nodes)
+	sc.vj, sc.keep, sc.kept = resize(sc.vj, n), resize(sc.keep, n), resize(sc.kept, n)
+	clear(sc.vj)
+	clear(sc.kept)
+	for _, e := range edges {
 		if side == Left {
-			out[e.L] = true
+			sc.vj[e.L] = true
 		} else {
-			out[e.R] = true
+			sc.vj[e.R] = true
 		}
 	}
-	return out
-}
-
-// reduceSide computes the reduced side tree and returns the map from old
-// node index to new node index (only for retained nodes).
-func reduceSide(s *SideGraph, vj map[int]bool, out *SideGraph) map[int]int {
-	n := len(s.Nodes)
-	// keep[i]: node i's subtree contains a value-join node.
-	keep := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		keep[i] = vj[i]
-		for _, c := range s.Nodes[i].Children {
-			keep[i] = keep[i] || keep[c]
+	copy(sc.keep, sc.vj)
+	for i := n - 1; i > 0; i-- {
+		if sc.keep[i] {
+			p := s.Nodes[i].Parent
+			sc.keep[p] = true
+			sc.kept[p]++
 		}
 	}
 	// Rule 2: the new root is the LCA of all vj nodes: walk down from the
 	// old root while exactly one child subtree contains vj nodes and the
 	// current node is not itself a vj node.
 	root := 0
-	for !vj[root] {
-		next := -1
-		cnt := 0
-		for _, c := range s.Nodes[root].Children {
-			if keep[c] {
-				next = c
-				cnt++
-			}
-		}
-		if cnt != 1 {
-			break
-		}
-		root = next
+	for !sc.vj[root] && sc.kept[root] == 1 {
+		root = sc.nextKept(s, root, root)
 	}
-
-	// Build the reduced tree from root downward: children are the nearest
-	// retained descendants. A node is retained if it is a vj node, or it
-	// has ≥2 children subtrees containing vj nodes (it is an LCA), or it
-	// is the root.
-	retained := func(i int) bool {
-		if i == root || vj[i] {
-			return true
-		}
-		cnt := 0
-		for _, c := range s.Nodes[i].Children {
-			if keep[c] {
-				cnt++
-			}
-		}
-		return cnt >= 2
+	sc.m[side] = resize(sc.m[side], n)
+	for i := range sc.m[side] {
+		sc.m[side][i] = -1
 	}
-
-	m := map[int]int{}
-	var build func(old, newParent int)
-	build = func(old, newParent int) {
-		var self int
-		if retained(old) {
-			self = len(out.Nodes)
-			m[old] = self
-			out.Nodes = append(out.Nodes, JGNode{
-				PatternNode: s.Nodes[old].PatternNode,
-				Canonical:   s.Nodes[old].Canonical,
-				Parent:      newParent,
-			})
-			if newParent >= 0 {
-				out.Nodes[newParent].Children = append(out.Nodes[newParent].Children, self)
-			}
-		} else {
-			self = newParent // splice: children attach to the nearest retained ancestor
-		}
-		for _, c := range s.Nodes[old].Children {
-			if keep[c] {
-				build(c, self)
-			}
-		}
-	}
-	build(root, -1)
-	return m
+	out.Pattern = s.Pattern
+	out.Nodes = out.Nodes[:0]
+	sc.build(s, side, out, root, root, -1)
 }
 
-// StructEdges returns the parent-child pairs of the side tree, as pairs of
-// node indexes.
-func (s *SideGraph) StructEdges() [][2]int {
-	var out [][2]int
-	for i := range s.Nodes {
-		if p := s.Nodes[i].Parent; p >= 0 {
-			out = append(out, [2]int{p, i})
+// nextKept returns the first child of i after node from whose subtree has a
+// value join, or -1.
+func (sc *minorScratch) nextKept(s *SideGraph, i, from int) int {
+	for c := from + 1; c < len(s.Nodes); c++ {
+		if s.Nodes[c].Parent == i && sc.keep[c] {
+			return c
 		}
 	}
-	return out
+	return -1
+}
+
+// build builds the reduced tree from old downward: children are the nearest
+// retained descendants. A node is retained if it is the root, a vj node, or
+// has ≥2 children subtrees containing vj nodes (it is an LCA).
+func (sc *minorScratch) build(s *SideGraph, side Side, out *SideGraph, root, old, newParent int) {
+	self := newParent // splice: children attach to the nearest retained ancestor
+	if old == root || sc.vj[old] || sc.kept[old] >= 2 {
+		self = len(out.Nodes)
+		sc.m[side][old] = self
+		out.Nodes = append(out.Nodes, JGNode{PatternNode: s.Nodes[old].PatternNode, Parent: newParent})
+	}
+	for c := sc.nextKept(s, old, old); c >= 0; c = sc.nextKept(s, old, c) {
+		sc.build(s, side, out, root, c, self)
+	}
 }
 
 // String renders the join graph for debugging and the xsclc inspector.
@@ -242,7 +218,7 @@ func (g *JoinGraph) String() string {
 			if v == "" {
 				v = "(unbound)"
 			}
-			fmt.Fprintf(&sb, "  %s[%d] %s  canon=%s\n", indent, i, v, n.Canonical)
+			fmt.Fprintf(&sb, "  %s[%d] %s  canon=%s\n", indent, i, v, s.Pattern.CanonicalVar(n.PatternNode))
 		}
 	}
 	writeSide("LHS", &g.LeftSide)

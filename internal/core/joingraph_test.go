@@ -21,8 +21,16 @@ func TestBuildJoinGraphQ1(t *testing.T) {
 		t.Errorf("vj = %d", len(g.VJ))
 	}
 	// The roots have two children each.
-	if len(g.LeftSide.Nodes[0].Children) != 2 {
-		t.Errorf("left root children = %d", len(g.LeftSide.Nodes[0].Children))
+	for _, s := range []SideGraph{g.LeftSide, g.RightSide} {
+		kids := 0
+		for _, n := range s.Nodes {
+			if n.Parent == 0 {
+				kids++
+			}
+		}
+		if kids != 2 {
+			t.Errorf("root children = %d", kids)
+		}
 	}
 }
 
@@ -113,8 +121,8 @@ func TestMinorUnboundLCARetained(t *testing.T) {
 	if len(red.LeftSide.Nodes) != 3 {
 		t.Fatalf("left reduced = %d nodes, want 3", len(red.LeftSide.Nodes))
 	}
-	if red.LeftSide.Nodes[0].Canonical == "" {
-		t.Errorf("unbound LCA has no canonical name")
+	if lca := red.LeftSide.Nodes[0].PatternNode; lca.Name != "m" || red.LeftSide.Pattern.CanonicalVar(lca) != "S//r//m" {
+		t.Errorf("reduced root is %q, canonical name %q", lca.Name, red.LeftSide.Pattern.CanonicalVar(lca))
 	}
 }
 

@@ -7,8 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 	"repro/internal/xscl"
 )
+
+// MustUnregister is Unregister, panicking on error.
+func (p *Processor) MustUnregister(qid QueryID) {
+	if err := p.Unregister(qid); err != nil {
+		panic(err)
+	}
+}
 
 // assertFreshProcessor checks the lifecycle invariant: a processor whose
 // queries have all been unregistered is observationally identical to a fresh
@@ -27,9 +35,6 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	}
 	if len(p.patterns) != 0 || len(p.patternList) != 0 {
 		t.Errorf("pattern registry not empty: %d/%d", len(p.patterns), len(p.patternList))
-	}
-	if len(p.singleQueries) != 0 {
-		t.Errorf("singleQueries not empty: %v", p.singleQueries)
 	}
 	for qid, rec := range p.queries {
 		if rec != nil {
@@ -273,7 +278,10 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 	// does, then tear it down, and require the exact pre-registration
 	// shape back (this is what a second-orientation failure triggers).
 	good := xscl.MustParse("S//item->x[.//a->v] FOLLOWED BY{v=w, 10} S//item->y[.//a->w]")
-	iid, err := p.registerInstance(good, QueryID(999), false)
+	var lf, rf xpath.NormalForm
+	lf.Compute(good.Left)
+	rf.Compute(good.Right)
+	iid, err := p.registerInstance(good, QueryID(999), &lf, &rf, false)
 	if err != nil {
 		t.Fatal(err)
 	}

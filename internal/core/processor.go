@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -75,11 +77,10 @@ type Processor struct {
 	shards    []*shard
 	tmplShard map[TemplateID]int
 
-	patterns    map[yfilter.PatternID]*patternInfo
+	// patterns holds the live patterns by canonical key (the normalized
+	// block's xpath.NormalForm.Key).
+	patterns    map[string]*patternInfo
 	patternList []*patternInfo // live patterns, in registration order
-
-	// singleQueries lists single-block (OpNone) queries per pattern.
-	singleQueries map[yfilter.PatternID][]QueryID
 
 	state *State
 
@@ -93,15 +94,11 @@ type Processor struct {
 	// are built in its storage.
 	pre stage2Shared
 
-	// contribKey and contribScratch are registerInstance's scratch: the two
-	// sides' contributions are assembled here and copied only when a
-	// pattern has not seen their like (patternInfo.contribs).
-	contribKey     []byte
-	contribScratch [2]patternContrib
+	reg regScratch
 
 	// canonMemo caches canonicalization results by the raw encoding of
-	// the reduced join graph; generated workloads repeat a handful of
-	// raw shapes across hundreds of thousands of queries. Like the
+	// the reduced join graph (rawKey); generated workloads repeat a handful
+	// of raw shapes across hundreds of thousands of queries. Like the
 	// symtab's interned variables, it is a pure memo retained across
 	// Unregister: memory tracks lifetime-distinct query shapes (small by
 	// the template-sharing premise), not the live query count.
@@ -191,9 +188,13 @@ type patternContrib struct {
 // surviving queries need.
 type patternInfo struct {
 	yid yfilter.PatternID
-	pat *xpath.Pattern // normalized, fully bound representative
-	// canonIDs[i] is the interned canonical variable of pattern node i.
+	key string // in Processor.patterns
+	// canonIDs[i] is the interned canonical variable of node i of the
+	// normalized, fully bound pattern.
 	canonIDs []int64
+	// singles lists the single-block (OpNone) queries on the pattern, which
+	// fire once per witness.
+	singles []QueryID
 
 	// refs counts live instance sides and single queries; at zero the
 	// pattern is dropped from the Stage-1 extraction loop.
@@ -219,16 +220,15 @@ func NewProcessor(cfg Config) *Processor {
 		workers = 1
 	}
 	p := &Processor{
-		cfg:           cfg,
-		xp:            yfilter.NewEngine(),
-		syms:          newSymtab(),
-		templates:     map[string]*Template{},
-		tmplShard:     map[TemplateID]int{},
-		patterns:      map[yfilter.PatternID]*patternInfo{},
-		singleQueries: map[yfilter.PatternID][]QueryID{},
-		canonMemo:     map[string]canonResult{},
-		planMemo:      map[string]*planStats{},
-		state:         NewState(),
+		cfg:       cfg,
+		xp:        yfilter.NewEngine(),
+		syms:      newSymtab(),
+		templates: map[string]*Template{},
+		tmplShard: map[TemplateID]int{},
+		patterns:  map[string]*patternInfo{},
+		canonMemo: map[string]canonResult{},
+		planMemo:  map[string]*planStats{},
+		state:     NewState(),
 	}
 	for i := 0; i < workers; i++ {
 		p.shards = append(p.shards, newShard(i))
@@ -291,16 +291,19 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		op: q.Op, windowKind: q.WindowKind, window: q.Window,
 		insts: [2]int64{noInstance, noInstance},
 	}
+	lf, rf := &p.reg.norm[0], &p.reg.norm[1]
+	lf.Compute(q.Left)
 	if q.Op == xscl.OpNone {
-		pi := p.registerPattern(q.Left)
+		pi := p.patternFor(q.Left, lf)
 		pi.refs++
-		p.singleQueries[pi.yid] = append(p.singleQueries[pi.yid], qid)
+		pi.singles = append(pi.singles, qid)
 		rec.single = pi
 		p.addQuery(rec)
 		return qid, nil
 	}
 
-	iid, err := p.registerInstance(q, qid, false)
+	rf.Compute(q.Right)
+	iid, err := p.registerInstance(q, qid, lf, rf, false)
 	if err != nil {
 		return 0, err
 	}
@@ -309,15 +312,11 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		swapped := &xscl.Query{
 			Left: q.Right, Right: q.Left, Op: q.Op,
 			Window: q.Window, WindowKind: q.WindowKind,
-			Publish: q.Publish, Source: q.Source,
 		}
 		for _, pr := range q.Preds {
-			swapped.Preds = append(swapped.Preds, xscl.ValueJoin{
-				LeftVar: pr.RightVar, RightVar: pr.LeftVar,
-				LeftCanonical: pr.RightCanonical, RightCanonical: pr.LeftCanonical,
-			})
+			swapped.Preds = append(swapped.Preds, xscl.ValueJoin{LeftVar: pr.RightVar, RightVar: pr.LeftVar})
 		}
-		iid2, err := p.registerInstance(swapped, qid, true)
+		iid2, err := p.registerInstance(swapped, qid, rf, lf, true)
 		if err != nil {
 			// Roll the first orientation back so the failed Register
 			// has no effect.
@@ -415,12 +414,7 @@ func (p *Processor) Unregister(qid QueryID) error {
 	rec := p.queries[qid]
 	if rec.single != nil {
 		pi := rec.single
-		list := removeFirst(p.singleQueries[pi.yid], qid)
-		if len(list) == 0 {
-			delete(p.singleQueries, pi.yid)
-		} else {
-			p.singleQueries[pi.yid] = list
-		}
+		pi.singles = removeFirst(pi.singles, qid)
 		pi.refs--
 		if pi.refs == 0 {
 			p.removePattern(pi)
@@ -444,13 +438,6 @@ func (p *Processor) Unregister(qid QueryID) error {
 		p.reclaimAll()
 	}
 	return nil
-}
-
-// MustUnregister is Unregister, panicking on error (tests, examples).
-func (p *Processor) MustUnregister(qid QueryID) {
-	if err := p.Unregister(qid); err != nil {
-		panic(err)
-	}
 }
 
 // unregisterInstance reclaims one query instance: its vector group entry
@@ -500,7 +487,7 @@ func (p *Processor) removeTemplate(t *Template) {
 // — per-document Stage-1 cost tracks the live pattern set. A later Register
 // of an equal pattern revives it.
 func (p *Processor) removePattern(pi *patternInfo) {
-	delete(p.patterns, pi.yid)
+	delete(p.patterns, pi.key)
 	p.patternList = removeFirst(p.patternList, pi)
 	p.xp.SetLive(pi.yid, false)
 }
@@ -547,23 +534,62 @@ func (p *Processor) MustRegister(q *xscl.Query) QueryID {
 	return id
 }
 
-// registerInstance registers one orientation of a join query and returns its
-// instance id. All mutations happen after the fallible analysis steps, so a
-// returned error implies no processor state changed.
+// regScratch is Register's working storage, reused so that a query of a known
+// template allocates little beyond its own records: the blocks' normal forms,
+// the join graph, its minor and memo key, the RT tuple and pattern demands.
+type regScratch struct {
+	norm       [2]xpath.NormalForm
+	full, red  JoinGraph
+	minor      minorScratch
+	raw        []byte
+	edges      []VJEdge
+	varIDs     []int64
+	contribs   [2]patternContrib
+	contribKey []byte // a demand's encoding (appendContribKey)
+}
+
+// rawKey writes the raw encoding of a reduced join graph, exactly as laid
+// out (no canonicalization): side sizes, parent vectors and the value-join
+// edges in sorted order, "L2:-1,0,R1:-1,VJ:1-0,". Raw-equal graphs are
+// trivially isomorphic with the identity mapping, so canonicalization
+// results are memoized on this key (Processor.canonMemo).
+func (s *regScratch) rawKey(g *JoinGraph) []byte {
+	b := s.raw[:0]
+	for i, side := range [2][]JGNode{g.LeftSide.Nodes, g.RightSide.Nodes} {
+		b = append(strconv.AppendInt(append(b, "LR"[i]), int64(len(side)), 10), ':')
+		for _, n := range side {
+			b = append(strconv.AppendInt(b, int64(n.Parent), 10), ',')
+		}
+	}
+	b = append(b, "VJ:"...)
+	s.edges = append(s.edges[:0], g.VJ...)
+	slices.SortFunc(s.edges, func(x, y VJEdge) int { return cmp.Or(cmp.Compare(x.L, y.L), cmp.Compare(x.R, y.R)) })
+	for _, e := range s.edges {
+		b = append(strconv.AppendInt(b, int64(e.L), 10), '-')
+		b = append(strconv.AppendInt(b, int64(e.R), 10), ',')
+	}
+	s.raw = b
+	return b
+}
+
+// registerInstance registers one orientation of a join query, whose blocks'
+// normal forms are lf and rf, and returns its instance id. All mutations
+// happen after the fallible analysis steps, so a returned error implies no
+// processor state changed.
 //
 //mmqjp:shardaccess registration-quiesced; Register never runs concurrently with Process
-func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (int64, error) {
-	jg, err := BuildJoinGraph(q)
-	if err != nil {
+func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.NormalForm, swapped bool) (int64, error) {
+	red := &p.reg.red
+	if err := p.reg.full.build(q); err != nil {
 		return 0, err
 	}
-	red := jg.Minor()
-	raw := RawEncode(red)
-	cr, ok := p.canonMemo[raw]
+	p.reg.full.minorInto(red, &p.reg.minor)
+	raw := p.reg.rawKey(red)
+	cr, ok := p.canonMemo[string(raw)]
 	if !ok {
 		sig, order := Canonicalize(red)
 		cr = canonResult{sig: sig, order: order}
-		p.canonMemo[raw] = cr
+		p.canonMemo[string(raw)] = cr
 	}
 	sig, order := cr.sig, cr.order
 
@@ -583,44 +609,38 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 
 	// Register the two block patterns and record, per pattern, the
 	// structural edges, string-value nodes and root nodes this instance
-	// needs (acquired refcounted, released on Unregister).
-	lpi := p.registerPattern(q.Left)
-	rpi := p.registerPattern(q.Right)
-	_, lmap := q.Left.NormalizedFullyBound()
-	_, rmap := q.Right.NormalizedFullyBound()
-
-	lc, rc := &p.contribScratch[0], &p.contribScratch[1]
+	// needs (acquired refcounted, released on Unregister). A reduced node
+	// is traced to its normalized pattern node through the block's index
+	// map.
+	lpi := p.patternFor(q.Left, lf)
+	rpi := p.patternFor(q.Right, rf)
+	lc, rc := &p.reg.contribs[0], &p.reg.contribs[1]
 	lc.reset(lpi)
 	rc.reset(rpi)
-	contribOf := func(side Side) (*patternContrib, []int, []JGNode) {
-		if side == Left {
-			return lc, lmap, red.LeftSide.Nodes
-		}
-		return rc, rmap, red.RightSide.Nodes
-	}
-	for _, side := range []Side{Left, Right} {
-		c, imap, nodes := contribOf(side)
-		for _, nd := range nodes {
-			norm := int32(imap[nd.PatternNode.Index])
+	for _, side := range [2]struct {
+		c *patternContrib
+		f *xpath.NormalForm
+		s *SideGraph
+	}{{lc, lf, &red.LeftSide}, {rc, rf, &red.RightSide}} {
+		for i, nd := range side.s.Nodes {
 			if nd.Parent >= 0 {
-				parent := int32(imap[nodes[nd.Parent].PatternNode.Index])
-				c.addEdge(parent, norm)
+				side.c.edges = appendNew(side.c.edges, [2]int32{normIndex(side.f, side.s, nd.Parent), normIndex(side.f, side.s, i)})
 			}
 		}
-		if len(nodes) == 1 {
-			c.addRoot(int32(imap[nodes[0].PatternNode.Index]))
+		if len(side.s.Nodes) == 1 {
+			side.c.roots = appendNew(side.c.roots, normIndex(side.f, side.s, 0))
 		}
 	}
 	// Value-join endpoints need string values.
 	for _, e := range red.VJ {
-		lc.addStrNode(int32(lmap[red.LeftSide.Nodes[e.L].PatternNode.Index]))
-		rc.addStrNode(int32(rmap[red.RightSide.Nodes[e.R].PatternNode.Index]))
+		lc.strNodes = appendNew(lc.strNodes, normIndex(lf, &red.LeftSide, e.L))
+		rc.strNodes = appendNew(rc.strNodes, normIndex(rf, &red.RightSide, e.R))
 	}
 	left, right := p.acquire(lc), p.acquire(rc)
 
 	// Record the query's RT tuple — its canonical variable at each
-	// template position — in its vector group; the window length stays
-	// on the instance.
+	// template position, the pattern's interned name of the node — in its
+	// vector group; the window length stays on the instance.
 	nl := len(red.LeftSide.Nodes)
 	iid := int64(len(p.instances))
 	if n := len(p.freeInsts); n > 0 {
@@ -628,17 +648,15 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 	} else {
 		p.instances = append(p.instances, nil)
 	}
-	varIDs := make([]int64, tmpl.N)
-	for pos := 0; pos < tmpl.N; pos++ {
-		flat := order[pos]
-		var canon string
+	varIDs := resize(p.reg.varIDs, tmpl.N)
+	for pos, flat := range order {
 		if flat < nl {
-			canon = red.LeftSide.Nodes[flat].Canonical
+			varIDs[pos] = lpi.canonIDs[normIndex(lf, &red.LeftSide, flat)]
 		} else {
-			canon = red.RightSide.Nodes[flat-nl].Canonical
+			varIDs[pos] = rpi.canonIDs[normIndex(rf, &red.RightSide, flat-nl)]
 		}
-		varIDs[pos] = p.syms.intern(canon)
 	}
+	p.reg.varIDs = varIDs
 	p.instances[iid] = &instance{
 		qid: qid, op: q.Op, swapped: swapped, tmpl: tmpl,
 		window: q.Window, windowKind: q.WindowKind,
@@ -647,39 +665,24 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, swapped bool) (
 	return iid, nil
 }
 
+// normIndex is the index, in its block's normalized pattern, of node i of a
+// join-graph side derived from the block whose normal form is f.
+func normIndex(f *xpath.NormalForm, s *SideGraph, i int) int32 {
+	return int32(f.Map[s.Nodes[i].PatternNode.Index])
+}
+
 // reset empties the scratch contribution for a new instance side.
 func (c *patternContrib) reset(pi *patternInfo) {
 	c.pi, c.edges, c.strNodes, c.roots = pi, c.edges[:0], c.strNodes[:0], c.roots[:0]
 }
 
-// addEdge records a structural edge in the contribution, deduplicated
-// within the instance.
-func (c *patternContrib) addEdge(a, b int32) {
-	k := [2]int32{a, b}
-	for _, e := range c.edges {
-		if e == k {
-			return
-		}
+// appendNew appends v to s unless s holds it already: an instance side's
+// demand lists are deduplicated as they are assembled.
+func appendNew[T comparable](s []T, v T) []T {
+	if slices.Contains(s, v) {
+		return s
 	}
-	c.edges = append(c.edges, k)
-}
-
-func (c *patternContrib) addStrNode(n int32) {
-	for _, s := range c.strNodes {
-		if s == n {
-			return
-		}
-	}
-	c.strNodes = append(c.strNodes, n)
-}
-
-func (c *patternContrib) addRoot(n int32) {
-	for _, r := range c.roots {
-		if r == n {
-			return
-		}
-	}
-	c.roots = append(c.roots, n)
+	return append(s, v)
 }
 
 // appendContribKey appends the encoding a pattern files a demand under: the
@@ -706,33 +709,43 @@ func appendContribKey(b []byte, c *patternContrib) []byte {
 func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 	pi := scratch.pi
 	pi.refs++
-	p.contribKey = appendContribKey(p.contribKey[:0], scratch)
-	c := pi.contribs[string(p.contribKey)]
+	p.reg.contribKey = appendContribKey(p.reg.contribKey[:0], scratch)
+	c := pi.contribs[string(p.reg.contribKey)]
 	if c != nil {
 		c.refs++
 		return c
 	}
 	c = &patternContrib{
-		pi: pi, key: string(p.contribKey), refs: 1,
+		pi: pi, key: string(p.reg.contribKey), refs: 1,
 		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes), roots: slices.Clone(scratch.roots),
 	}
 	pi.contribs[c.key] = c
-	for _, k := range c.edges {
-		if pi.edgeCount[k]++; pi.edgeCount[k] == 1 {
-			pi.edges = append(pi.edges, k)
-		}
-	}
-	for _, n := range c.strNodes {
-		if pi.strCount[n]++; pi.strCount[n] == 1 {
-			pi.strNodes = append(pi.strNodes, n)
-		}
-	}
-	for _, n := range c.roots {
-		if pi.rootCount[n]++; pi.rootCount[n] == 1 {
-			pi.roots = append(pi.roots, n)
-		}
-	}
+	pi.edges = countIn(pi.edgeCount, pi.edges, c.edges)
+	pi.strNodes = countIn(pi.strCount, pi.strNodes, c.strNodes)
+	pi.roots = countIn(pi.rootCount, pi.roots, c.roots)
 	return c
+}
+
+// countIn counts items into count and appends those counted for the first
+// time to list; countOut undoes it, removing from list (order preserved)
+// those whose count reaches zero.
+func countIn[K comparable](count map[K]int, list, items []K) []K {
+	for _, k := range items {
+		if count[k]++; count[k] == 1 {
+			list = append(list, k)
+		}
+	}
+	return list
+}
+
+func countOut[K comparable](count map[K]int, list, items []K) []K {
+	for _, k := range items {
+		if count[k]--; count[k] == 0 {
+			delete(count, k)
+			list = removeFirst(list, k)
+		}
+	}
+	return list
 }
 
 // release undoes acquire; when the record's last reference goes, an item
@@ -744,24 +757,9 @@ func (pi *patternInfo) release(c *patternContrib) {
 		return
 	}
 	delete(pi.contribs, c.key)
-	for _, k := range c.edges {
-		if pi.edgeCount[k]--; pi.edgeCount[k] == 0 {
-			delete(pi.edgeCount, k)
-			pi.edges = removeFirst(pi.edges, k)
-		}
-	}
-	for _, n := range c.strNodes {
-		if pi.strCount[n]--; pi.strCount[n] == 0 {
-			delete(pi.strCount, n)
-			pi.strNodes = removeFirst(pi.strNodes, n)
-		}
-	}
-	for _, n := range c.roots {
-		if pi.rootCount[n]--; pi.rootCount[n] == 0 {
-			delete(pi.rootCount, n)
-			pi.roots = removeFirst(pi.roots, n)
-		}
-	}
+	pi.edges = countOut(pi.edgeCount, pi.edges, c.edges)
+	pi.strNodes = countOut(pi.strCount, pi.strNodes, c.strNodes)
+	pi.roots = countOut(pi.rootCount, pi.roots, c.roots)
 }
 
 // removeFirst removes the first occurrence of v from s, preserving order.
@@ -772,27 +770,31 @@ func removeFirst[T comparable](s []T, v T) []T {
 	return s
 }
 
-// registerPattern registers the normalized, fully-bound form of the block
-// with the shared XPath engine and returns its pattern info.
-func (p *Processor) registerPattern(block *xpath.Pattern) *patternInfo {
-	norm, _ := block.NormalizedFullyBound()
-	yid := p.xp.Register(norm)
-	if pi, ok := p.patterns[yid]; ok {
+// patternFor returns the live pattern of a block whose normal form is f,
+// registering the normalized, fully bound block with the shared XPath engine
+// when no live pattern has its key. Only then is the normalized pattern built
+// and its canonical variables interned, in the pattern's pre-order.
+func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patternInfo {
+	if pi := p.patterns[string(f.Key)]; pi != nil {
 		return pi
 	}
+	key := string(f.Key)
+	yid := p.xp.Register(f.Pattern(block)) // its CanonicalKey is key
+	// A revived pattern keeps the representative it was first registered
+	// with: the same tree, so the same names node for node.
 	rep := p.xp.Pattern(yid)
 	pi := &patternInfo{
-		yid: yid, pat: rep,
+		yid: yid, key: key,
 		canonIDs:  make([]int64, len(rep.Nodes)),
 		contribs:  map[string]*patternContrib{},
 		edgeCount: map[[2]int32]int{},
 		strCount:  map[int32]int{},
 		rootCount: map[int32]int{},
 	}
-	for i, n := range rep.Nodes {
-		pi.canonIDs[i] = p.syms.intern(rep.CanonicalVar(n))
+	for i, name := range rep.CanonicalVars() {
+		pi.canonIDs[i] = p.syms.intern(name)
 	}
-	p.patterns[yid] = pi
+	p.patterns[key] = pi
 	p.patternList = append(p.patternList, pi)
 	return pi
 }
@@ -852,7 +854,7 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 			}
 		}
 		// Single-block queries fire once per witness.
-		for _, qid := range p.singleQueries[pi.yid] {
+		for _, qid := range pi.singles {
 			for _, witness := range ws {
 				root := xmldoc.NodeID(0)
 				if len(witness.Bindings) > 0 {

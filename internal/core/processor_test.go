@@ -424,7 +424,8 @@ func TestRawEncodeDistinguishesShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RawEncode(g.Minor())
+		var reg regScratch
+		return string(reg.rawKey(g.Minor()))
 	}
 	a := mk("S//r->x[.//a->a1][.//b->b1] FOLLOWED BY{a1=c1 AND b1=d1, 10} S//s->y[.//c->c1][.//d->d1]")
 	fan := mk("S//r->x[.//a->a1][.//b->b1] FOLLOWED BY{a1=c1 AND a1=d1, 10} S//s->y[.//c->c1][.//d->d1]")

@@ -152,33 +152,3 @@ func ExtractTemplate(g *JoinGraph) (red *JoinGraph, sig string, order []int) {
 	sig, order = Canonicalize(red)
 	return red, sig, order
 }
-
-// RawEncode serializes a reduced join graph exactly as laid out (no
-// canonicalization): side sizes, parent vectors and value-join edges.
-// Raw-equal graphs are trivially isomorphic with the identity mapping, so
-// canonicalization results can be memoized on this key — essential when
-// registering hundreds of thousands of generated queries, most of which
-// repeat a small number of raw shapes.
-func RawEncode(g *JoinGraph) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "L%d:", len(g.LeftSide.Nodes))
-	for _, n := range g.LeftSide.Nodes {
-		fmt.Fprintf(&sb, "%d,", n.Parent)
-	}
-	fmt.Fprintf(&sb, "R%d:", len(g.RightSide.Nodes))
-	for _, n := range g.RightSide.Nodes {
-		fmt.Fprintf(&sb, "%d,", n.Parent)
-	}
-	sb.WriteString("VJ:")
-	edges := append([]VJEdge(nil), g.VJ...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].L != edges[j].L {
-			return edges[i].L < edges[j].L
-		}
-		return edges[i].R < edges[j].R
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&sb, "%d-%d,", e.L, e.R)
-	}
-	return sb.String()
-}

@@ -99,11 +99,6 @@ func (c TwoLevel) Queries(rng *rand.Rand, n int) []*xscl.Query {
 	return out
 }
 
-// ExactQuery generates one query with exactly k value joins.
-func (c TwoLevel) ExactQuery(rng *rand.Rand, k int) *xscl.Query {
-	return c.query(rng, k)
-}
-
 func (c TwoLevel) query(rng *rand.Rand, k int) *xscl.Query {
 	lsel := rng.Perm(c.N)[:k]
 	rsel := rng.Perm(c.N)[:k]
@@ -168,12 +163,6 @@ func (c ThreeLevel) Queries(rng *rand.Rand, n int) []*xscl.Query {
 		out[i] = c.query(rng, k)
 	}
 	return out
-}
-
-// ExactQuery generates one query with exactly k value joins (used by the
-// Table-3 template-count experiment).
-func (c ThreeLevel) ExactQuery(rng *rand.Rand, k int) *xscl.Query {
-	return c.query(rng, k)
 }
 
 func (c ThreeLevel) query(rng *rand.Rand, k int) *xscl.Query {

@@ -8,7 +8,9 @@ import "testing"
 //   - parse → print → parse stability: a successfully parsed block
 //     renders (Pattern.String) to a form that reparses to the same
 //     rendering and the same canonical key, i.e. printing is a fixpoint
-//     after one normalization.
+//     after one normalization;
+//   - NormalForm and NormalizedFullyBound equal the reference derivation
+//     (referenceNormalizedFullyBound): pattern, index map and key.
 //
 // The corpus seeds the grammar's features: axes, attributes, wildcards,
 // nested predicates, bindings with primes, and hyphenated names.
@@ -53,6 +55,11 @@ func FuzzParseQuery(f *testing.F) {
 			if cv1[i] != cv2[i] {
 				t.Fatalf("canonical var %d changed: %q vs %q (input %q)", i, cv1[i], cv2[i], src)
 			}
+		}
+		// Normalization — the pattern, the index map and the key — equals
+		// the reference derivation's.
+		if msg := normalFormMismatch(pat); msg != "" {
+			t.Fatalf("normal form of %q: %s", src, msg)
 		}
 	})
 }

@@ -1,13 +1,145 @@
 package xpath
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/xmldoc"
 )
+
+// referenceNormalizedFullyBound is the direct derivation NormalForm must
+// agree with: clone the tree binding every unbound node, then sort every
+// node's children by their structural encoding, rebuilt from the subtree's
+// strings inside each comparison.
+func referenceNormalizedFullyBound(p *Pattern) (*Pattern, []int) {
+	type cloned struct {
+		node *PatternNode
+		old  int
+	}
+	var synth int
+	var clone func(n *PatternNode) *cloned
+	clonedByOld := make(map[int]*cloned, len(p.Nodes))
+	clone = func(n *PatternNode) *cloned {
+		c := &cloned{node: &PatternNode{
+			Axis:   n.Axis,
+			Name:   n.Name,
+			IsAttr: n.IsAttr,
+			Var:    n.Var,
+		}, old: n.Index}
+		if c.node.Var == "" {
+			c.node.Var = fmt.Sprintf("$%d", synth)
+			synth++
+		}
+		for _, ch := range n.Children {
+			cc := clone(ch)
+			c.node.Children = append(c.node.Children, cc.node)
+		}
+		clonedByOld[n.Index] = c
+		return c
+	}
+	root := clone(p.Root)
+
+	// Sort children canonically by their structural encoding (names,
+	// axes, attribute flags — not variable names, which are synthetic).
+	var enc func(n *PatternNode) string
+	enc = func(n *PatternNode) string {
+		name := n.Name
+		if n.IsAttr {
+			name = "@" + name
+		}
+		self := n.Axis.String() + name
+		if len(n.Children) == 0 {
+			return self
+		}
+		kids := make([]string, len(n.Children))
+		for i, c := range n.Children {
+			kids[i] = enc(c)
+		}
+		sort.Strings(kids)
+		return self + "[" + strings.Join(kids, ",") + "]"
+	}
+	var sortKids func(n *PatternNode)
+	sortKids = func(n *PatternNode) {
+		sort.SliceStable(n.Children, func(i, j int) bool {
+			return enc(n.Children[i]) < enc(n.Children[j])
+		})
+		for _, c := range n.Children {
+			sortKids(c)
+		}
+	}
+	sortKids(root.node)
+
+	np := &Pattern{Stream: p.Stream, Root: root.node}
+	np.finalize()
+
+	indexMap := make([]int, len(p.Nodes))
+	for old, c := range clonedByOld {
+		indexMap[old] = c.node.Index
+	}
+	return np, indexMap
+}
+
+// normalFormMismatch compares NormalForm and NormalizedFullyBound against
+// the reference derivation: the normalized pattern node by node, the index
+// map, and the key against the reference pattern's CanonicalKey. It returns
+// "" when they agree.
+func normalFormMismatch(p *Pattern) string {
+	want, wantMap := referenceNormalizedFullyBound(p)
+	var f NormalForm
+	f.Compute(p)
+	if !reflect.DeepEqual(f.Map, wantMap) {
+		return fmt.Sprintf("index map %v, want %v", f.Map, wantMap)
+	}
+	if key := want.CanonicalKey(); string(f.Key) != key {
+		return fmt.Sprintf("key %q, want %q", f.Key, key)
+	}
+	got, gotMap := p.NormalizedFullyBound()
+	if !reflect.DeepEqual(gotMap, wantMap) {
+		return fmt.Sprintf("NormalizedFullyBound index map %v, want %v", gotMap, wantMap)
+	}
+	if got.Stream != want.Stream || got.Root != got.Nodes[0] || len(got.Nodes) != len(want.Nodes) ||
+		!reflect.DeepEqual(got.VarNodes, want.VarNodes) {
+		return fmt.Sprintf("normalized pattern %q (%d nodes), want %q (%d nodes)", got, len(got.Nodes), want, len(want.Nodes))
+	}
+	for i, g := range got.Nodes {
+		w := want.Nodes[i]
+		if g.Axis != w.Axis || g.Name != w.Name || g.IsAttr != w.IsAttr || g.Var != w.Var ||
+			g.Index != w.Index || g.ParentIndex != w.ParentIndex || len(g.Children) != len(w.Children) {
+			return fmt.Sprintf("normalized node %d = %+v, want %+v", i, *g, *w)
+		}
+		for j, c := range g.Children {
+			if c.Index != w.Children[j].Index {
+				return fmt.Sprintf("normalized node %d child %d is node %d, want %d", i, j, c.Index, w.Children[j].Index)
+			}
+		}
+	}
+	return ""
+}
+
+func TestNormalFormMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 2000; trial++ {
+		p := randomPattern(rng)
+		if msg := normalFormMismatch(p); msg != "" {
+			t.Fatalf("trial %d, %q: %s", trial, p, msg)
+		}
+	}
+	// Sibling names one of which extends the other, around every character
+	// the encoding puts after a name: the order must not move.
+	for _, src := range []string{
+		"S//r[./a[./b]][./aZ][./a_][./a-b][./a][.//a][./@a][./*]",
+		"S//r[./a-][./a[./x]][./a0][.//a[./y->v]][./a->w]",
+	} {
+		p := MustParseBlock(src)
+		if msg := normalFormMismatch(p); msg != "" {
+			t.Fatalf("%q: %s", src, msg)
+		}
+	}
+}
 
 func TestNormalizedFullyBoundBindsEverything(t *testing.T) {
 	p := MustParseBlock("S//a[./b][.//c->x]")

@@ -51,7 +51,7 @@ func ParseBlockPrefix(src string) (*Pattern, string, error) {
 	if err != nil {
 		return nil, src, fmt.Errorf("xpath: parsing block prefix of %q: %w", src, err)
 	}
-	pat := &Pattern{Stream: stream, Root: root}
+	pat := &Pattern{Stream: stream, Root: root, Nodes: make([]*PatternNode, 0, p.nodes), VarNodes: make([]int, 0, p.bound)}
 	pat.finalize()
 	return pat, src[p.pos:], nil
 }
@@ -69,6 +69,9 @@ func MustParseBlock(src string) *Pattern {
 type blockParser struct {
 	src string
 	pos int
+	// nodes and bound count the steps parsed and bound, to size the
+	// pattern's Nodes and VarNodes.
+	nodes, bound int
 }
 
 func (p *blockParser) parse() (*Pattern, error) {
@@ -84,7 +87,7 @@ func (p *blockParser) parse() (*Pattern, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("trailing input at offset %d: %q", p.pos, p.src[p.pos:])
 	}
-	pat := &Pattern{Stream: stream, Root: root}
+	pat := &Pattern{Stream: stream, Root: root, Nodes: make([]*PatternNode, 0, p.nodes), VarNodes: make([]int, 0, p.bound)}
 	pat.finalize()
 	return pat, nil
 }
@@ -138,6 +141,7 @@ func (p *blockParser) step() (*PatternNode, error) {
 		}
 	}
 	n := &PatternNode{Axis: axis, Name: name, IsAttr: isAttr}
+	p.nodes++
 	p.ws()
 	if strings.HasPrefix(p.src[p.pos:], "->") {
 		p.pos += 2
@@ -146,6 +150,7 @@ func (p *blockParser) step() (*PatternNode, error) {
 			return nil, fmt.Errorf("expected variable name after -> at offset %d", p.pos)
 		}
 		n.Var = v
+		p.bound++
 	}
 	for {
 		p.ws()

@@ -66,31 +66,20 @@ type Pattern struct {
 
 // finalize populates Nodes, VarNodes, Index and ParentIndex.
 func (p *Pattern) finalize() {
-	p.Nodes = p.Nodes[:0]
-	p.VarNodes = p.VarNodes[:0]
-	var walk func(n *PatternNode, parent int)
-	walk = func(n *PatternNode, parent int) {
-		n.Index = len(p.Nodes)
-		n.ParentIndex = parent
-		p.Nodes = append(p.Nodes, n)
-		if n.Var != "" {
-			p.VarNodes = append(p.VarNodes, n.Index)
-		}
-		for _, c := range n.Children {
-			walk(c, n.Index)
-		}
-	}
-	walk(p.Root, -1)
+	p.Nodes, p.VarNodes = p.Nodes[:0], p.VarNodes[:0]
+	p.walk(p.Root, -1)
 }
 
-// Vars returns the original variable names bound in the pattern, in
-// pre-order.
-func (p *Pattern) Vars() []string {
-	out := make([]string, len(p.VarNodes))
-	for i, idx := range p.VarNodes {
-		out[i] = p.Nodes[idx].Var
+func (p *Pattern) walk(n *PatternNode, parent int) {
+	n.Index = len(p.Nodes)
+	n.ParentIndex = parent
+	p.Nodes = append(p.Nodes, n)
+	if n.Var != "" {
+		p.VarNodes = append(p.VarNodes, n.Index)
 	}
-	return out
+	for _, c := range n.Children {
+		p.walk(c, n.Index)
+	}
 }
 
 // VarNode returns the pattern node bound to the given original variable
@@ -110,35 +99,31 @@ func (p *Pattern) VarNode(name string) *PatternNode {
 // variables in any two queries receive equal canonical names exactly when
 // their definitions are identical, implementing the paper's assumption that
 // identically-defined variables share a name.
-func (p *Pattern) CanonicalVar(n *PatternNode) string {
-	var steps []string
-	for cur := n; cur != nil; {
-		name := cur.Name
-		if cur.IsAttr {
-			name = "@" + name
-		}
-		steps = append(steps, cur.Axis.String()+name)
-		if cur.ParentIndex < 0 {
-			cur = nil
-		} else {
-			cur = p.Nodes[cur.ParentIndex]
-		}
-	}
-	// steps were collected leaf-to-root; reverse.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
-	}
-	return p.Stream + strings.Join(steps, "")
-}
+func (p *Pattern) CanonicalVar(n *PatternNode) string { return p.canonicalNames()[n.Index] }
 
 // CanonicalVars returns canonical names for all bound variables, parallel to
-// Vars().
+// VarNodes.
 func (p *Pattern) CanonicalVars() []string {
+	names := p.canonicalNames()
 	out := make([]string, len(p.VarNodes))
 	for i, idx := range p.VarNodes {
-		out[i] = p.CanonicalVar(p.Nodes[idx])
+		out[i] = names[idx]
 	}
 	return out
+}
+
+// canonicalNames returns every node's canonical name, built in one pre-order
+// pass: a node's name is its parent's followed by its own step.
+func (p *Pattern) canonicalNames() []string {
+	names := make([]string, len(p.Nodes))
+	for i, n := range p.Nodes {
+		prefix := p.Stream
+		if n.ParentIndex >= 0 {
+			prefix = names[n.ParentIndex]
+		}
+		names[i] = string(appendStep([]byte(prefix), n, false))
+	}
+	return names
 }
 
 // String renders the pattern in XSCL block syntax. Children beyond the first
@@ -172,17 +157,14 @@ func writePatternNode(sb *strings.Builder, n *PatternNode) {
 // invariant under predicate (sibling) reordering and variable renaming
 // (variables are replaced by their canonical definitions, which are
 // position-derived). Patterns with equal keys match identical witnesses.
+//
+// A bound node's step starts with the marker "!", ahead of its axis, so fully
+// bound encodings sort as they would unmarked: the key of a normalized
+// pattern is the encoding NormalForm sorted its children on.
 func (p *Pattern) CanonicalKey() string {
 	var enc func(n *PatternNode) string
 	enc = func(n *PatternNode) string {
-		name := n.Name
-		if n.IsAttr {
-			name = "@" + name
-		}
-		self := n.Axis.String() + name
-		if n.Var != "" {
-			self += "!" // bound marker; canonical name is positional
-		}
+		self := string(appendStep(nil, n, n.Var != ""))
 		if len(n.Children) == 0 {
 			return self
 		}

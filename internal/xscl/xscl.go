@@ -74,13 +74,12 @@ func (o OpKind) String() string {
 }
 
 // ValueJoin is one equality predicate in value-join normal form: LeftVar is
-// bound in the left block, RightVar in the right block. Canonical names are
-// the system-wide structural definitions used for sharing (Section 3).
+// bound in the left block, RightVar in the right block. The variables'
+// system-wide names, used for sharing (Section 3), are their blocks'
+// canonical definitions (xpath.Pattern.CanonicalVar).
 type ValueJoin struct {
-	LeftVar        string
-	RightVar       string
-	LeftCanonical  string
-	RightCanonical string
+	LeftVar  string
+	RightVar string
 }
 
 // Query is a parsed, validated XSCL query.
@@ -166,7 +165,11 @@ type parser struct {
 }
 
 func (p *parser) ws() {
-	p.rest = strings.TrimLeft(p.rest, " \t\r\n")
+	i := 0
+	for i < len(p.rest) && (p.rest[i] == ' ' || p.rest[i] == '\t' || p.rest[i] == '\r' || p.rest[i] == '\n') {
+		i++
+	}
+	p.rest = p.rest[i:]
 }
 
 // keyword consumes kw (case sensitive, word-delimited) if present.
@@ -337,9 +340,8 @@ func (p *parser) joinSuffix(q *Query) error {
 	return nil
 }
 
-// validate checks value-join normal form and resolves canonical variable
-// names. Predicates written right=left are swapped so that LeftVar is always
-// bound in the left block.
+// validate checks value-join normal form. Predicates written right=left are
+// swapped so that LeftVar is always bound in the left block.
 func (q *Query) validate() error {
 	if q.Op == OpNone {
 		if len(q.Preds) != 0 || q.Right != nil {
@@ -352,18 +354,12 @@ func (q *Query) validate() error {
 	}
 	for i := range q.Preds {
 		pr := &q.Preds[i]
-		ln, rn := q.Left.VarNode(pr.LeftVar), q.Right.VarNode(pr.RightVar)
-		if ln != nil && rn != nil {
-			pr.LeftCanonical = q.Left.CanonicalVar(ln)
-			pr.RightCanonical = q.Right.CanonicalVar(rn)
+		if q.Left.VarNode(pr.LeftVar) != nil && q.Right.VarNode(pr.RightVar) != nil {
 			continue
 		}
 		// Try the swapped orientation.
-		ln2, rn2 := q.Left.VarNode(pr.RightVar), q.Right.VarNode(pr.LeftVar)
-		if ln2 != nil && rn2 != nil {
+		if q.Left.VarNode(pr.RightVar) != nil && q.Right.VarNode(pr.LeftVar) != nil {
 			pr.LeftVar, pr.RightVar = pr.RightVar, pr.LeftVar
-			pr.LeftCanonical = q.Left.CanonicalVar(ln2)
-			pr.RightCanonical = q.Right.CanonicalVar(rn2)
 			continue
 		}
 		return fmt.Errorf("predicate %s=%s is not in value-join normal form: each equality must relate a left-block variable to a right-block variable", pr.LeftVar, pr.RightVar)

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// leftCanonical and rightCanonical are the canonical names of predicate i's
+// variables, "" for a variable its block does not bind.
+func leftCanonical(q *Query, i int) string {
+	if n := q.Left.VarNode(q.Preds[i].LeftVar); n != nil {
+		return q.Left.CanonicalVar(n)
+	}
+	return ""
+}
+
+func rightCanonical(q *Query, i int) string {
+	if n := q.Right.VarNode(q.Preds[i].RightVar); n != nil {
+		return q.Right.CanonicalVar(n)
+	}
+	return ""
+}
+
 func TestParseQ1(t *testing.T) {
 	q, err := Parse("S//book->x1[.//author->x2][.//title->x3] FOLLOWED BY{x2=x5 AND x3=x6, 100} S//blog->x4[.//author->x5][.//title->x6]")
 	if err != nil {
@@ -22,8 +38,8 @@ func TestParseQ1(t *testing.T) {
 	if q.Preds[0].LeftVar != "x2" || q.Preds[0].RightVar != "x5" {
 		t.Errorf("pred 0 = %+v", q.Preds[0])
 	}
-	if q.Preds[0].LeftCanonical == "" || q.Preds[0].RightCanonical == "" {
-		t.Errorf("canonical names not resolved: %+v", q.Preds[0])
+	if l, r := leftCanonical(q, 0), rightCanonical(q, 0); l != "S//book//author" || r != "S//blog//author" {
+		t.Errorf("canonical names %q, %q for %+v", l, r, q.Preds[0])
 	}
 	if q.Left.Root.Name != "book" || q.Right.Root.Name != "blog" {
 		t.Errorf("blocks = %q, %q", q.Left.Root.Name, q.Right.Root.Name)
@@ -137,17 +153,17 @@ func TestPaperQueries(t *testing.T) {
 		t.Fatalf("pred counts: %d %d %d", len(q1.Preds), len(q2.Preds), len(q3.Preds))
 	}
 	// Q1 and Q3 share the blog author definition on the RHS.
-	if q1.Preds[0].RightCanonical != q3.Preds[0].RightCanonical {
+	if rightCanonical(q1, 0) != rightCanonical(q3, 0) {
 		t.Errorf("blog author canonical names differ: %q vs %q",
-			q1.Preds[0].RightCanonical, q3.Preds[0].RightCanonical)
+			rightCanonical(q1, 0), rightCanonical(q3, 0))
 	}
 	// Q3 is a self-join: its LHS author and RHS author share the
 	// canonical definition too.
-	if q3.Preds[0].LeftCanonical != q3.Preds[0].RightCanonical {
+	if leftCanonical(q3, 0) != rightCanonical(q3, 0) {
 		t.Errorf("Q3 self-join canonical names differ")
 	}
 	// Q1 joins book author to blog author: different canonical names.
-	if q1.Preds[0].LeftCanonical == q1.Preds[0].RightCanonical {
+	if leftCanonical(q1, 0) == rightCanonical(q1, 0) {
 		t.Errorf("book and blog author share a canonical name")
 	}
 	if !strings.Contains(q3.Source, "FOLLOWED BY") {
