@@ -34,9 +34,10 @@ race:
 # two input parsers (the XML scanner twice: round trip, and against
 # encoding/xml) and the server's wire sessions, plus Stage-1 witness
 # assembly against its naive oracle, window expiry of the join state
-# against a rebuild, and template canonicalization against its string-
-# signature reference (the CI fuzz-smoke job). -fuzz takes one target per
-# run, so a package with two names each with an anchored pattern.
+# against a rebuild, template canonicalization against its string-
+# signature reference, and the radix result order against the comparison
+# sort (the CI fuzz-smoke job). -fuzz takes one target per run, so a package
+# with several names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xpath
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzWitnessesMatchNaive -fuzztime=$(FUZZTIME) ./internal/yfilter
 	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzMatchOrder$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 
 # Longer local fuzzing session (override FUZZTIME as needed).

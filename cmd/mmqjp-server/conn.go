@@ -36,6 +36,13 @@ const (
 	// maxKeptMatches is how large a result buffer a connection keeps
 	// between PUBs (client.matches).
 	maxKeptMatches = 4096
+	// docCacheSize is how many documents' rendered `<doc>@<ts>` a
+	// publishing connection keeps (docCache), direct-mapped by id. A
+	// document's matches pair it with documents of its join window, and ids
+	// are issued consecutively, so with a window of up to this many
+	// documents each is rendered once while it is in the window. 1 024
+	// slots are 72 KB per connection that has published.
+	docCacheSize = 1024
 )
 
 // reply is one non-MATCH reply line: OK <n>, OK <text> or ERR <code> <text>.
@@ -77,19 +84,48 @@ func appendLine(b []byte, text string) []byte {
 	return append(b, '\n')
 }
 
-// appendMatch appends `MATCH <qid> left=<doc>@<ts> right=<doc>@<ts>`.
-func appendMatch(b []byte, m *mmqjp.Match) []byte {
-	b = append(b, "MATCH "...)
-	b = strconv.AppendInt(b, int64(m.Query), 10)
-	b = append(b, " left="...)
-	b = strconv.AppendInt(b, m.LeftDoc, 10)
-	b = append(b, '@')
-	b = strconv.AppendInt(b, m.LeftTS, 10)
-	b = append(b, " right="...)
-	b = strconv.AppendInt(b, m.RightDoc, 10)
-	b = append(b, '@')
-	b = strconv.AppendInt(b, m.RightTS, 10)
-	return append(b, '\n')
+// docCache holds rendered document references, the pieces MATCH lines are
+// copied from: a line is its query's prefix (ownerTable), the left
+// document's piece and the right document's, with no number formatted on a
+// hit. A slot is keyed by document id and verified by id and timestamp; a
+// miss renders the slot in place, so any pattern of misses — two documents
+// of one line on one slot included — encodes the same bytes, and nothing is
+// ever evicted. Only the goroutine that produces its connection's replies
+// touches it.
+type docCache [docCacheSize]docPiece
+
+// docPiece is one slot: ` right=<doc>@<ts>\n`, the tail of a line whose
+// right document is doc; the middle of it, `<doc>@<ts>`, is the left piece.
+type docPiece struct {
+	doc, ts int64
+	n       uint8
+	text    [len(rightTag) + 2*20 + len("@\n")]byte
+}
+
+const rightTag = " right="
+
+// piece returns the slot of doc, rendering it unless it holds doc already.
+func (c *docCache) piece(doc, ts int64) []byte {
+	p := &c[uint64(doc)%docCacheSize]
+	if p.n == 0 || p.doc != doc || p.ts != ts {
+		b := append(p.text[:0], rightTag...)
+		b = strconv.AppendInt(b, doc, 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, ts, 10)
+		b = append(b, '\n')
+		p.doc, p.ts, p.n = doc, ts, uint8(len(b))
+	}
+	return p.text[:p.n]
+}
+
+// appendMatch appends `MATCH <qid> left=<doc>@<ts> right=<doc>@<ts>`, prefix
+// being the query's `MATCH <qid> left=`. The left piece is copied out before
+// the right one is looked up, which may re-render the same slot.
+func (c *docCache) appendMatch(b, prefix []byte, m *mmqjp.Match) []byte {
+	b = append(b, prefix...)
+	left := c.piece(m.LeftDoc, m.LeftTS)
+	b = append(b, left[len(rightTag):len(left)-1]...)
+	return append(b, c.piece(m.RightDoc, m.RightTS)...)
 }
 
 // client is one connection. Its own replies are produced by exactly one
@@ -119,9 +155,11 @@ type client struct {
 	wmu   sync.Mutex
 	spare []byte // the previous write's buffer, swapped in by the next
 
-	// matchOwners is deliver's scratch, used by the goroutine that
-	// produces this connection's replies.
-	matchOwners []*client
+	// matchOwners and docs are deliver's scratch and piece cache, used by
+	// the goroutine that produces this connection's replies; docs is
+	// allocated by the connection's first publish that has matches.
+	matchOwners []owner
+	docs        *docCache
 	// matches is the synchronous handler's result buffer: a PUB's matches
 	// are written into it (Engine.AppendPublishXML) and encoded into the
 	// owners' outbound buffers before the handler reads its next request,
@@ -309,22 +347,28 @@ func (s *server) ackPublish(c *client, stream string, docs int, batches ...[]mmq
 }
 
 // deliver appends one document's MATCH lines to the connections owning the
-// matched queries: owners are resolved under the read lock, then each
-// owner's lines are encoded into its buffer under one acquisition of its
-// lock. self is the publishing connection, whose own lines wait for its OK.
+// matched queries: owners and prefixes are resolved under the read lock,
+// then each owner's lines are encoded into its buffer, from self's piece
+// cache, under one acquisition of its lock. self is the publishing
+// connection, whose own lines wait for its OK.
 func (s *server) deliver(self *client, matches []mmqjp.Match) {
 	if len(matches) == 0 {
 		return
 	}
+	if self.docs == nil {
+		self.docs = new(docCache)
+	}
 	owners := self.matchOwners[:0]
 	s.mu.RLock()
+	prefixes := s.owners.prefixes
 	for i := range matches {
-		owners = append(owners, s.owners[matches[i].Query])
+		o, _ := s.owners.get(matches[i].Query)
+		owners = append(owners, o)
 	}
 	s.mu.RUnlock()
-	for i, to := range owners {
-		if to != nil {
-			s.deliverTo(self, to, matches[i:], owners[i:])
+	for i := range owners {
+		if to := owners[i].c; to != nil {
+			s.deliverTo(self, to, matches[i:], owners[i:], prefixes)
 		}
 	}
 	self.matchOwners = owners[:0]
@@ -332,16 +376,17 @@ func (s *server) deliver(self *client, matches []mmqjp.Match) {
 
 // deliverTo appends the matches owned by to and clears their owners
 // entries, so deliver visits each owner once.
-func (s *server) deliverTo(self, to *client, matches []mmqjp.Match, owners []*client) {
+func (s *server) deliverTo(self, to *client, matches []mmqjp.Match, owners []owner, prefixes []byte) {
 	to.mu.Lock()
 	n := len(to.out)
 	for i := range matches {
-		if owners[i] != to {
+		o := &owners[i]
+		if o.c != to {
 			continue
 		}
-		owners[i] = nil
+		o.c = nil
 		if !to.dead {
-			to.out = appendMatch(to.out, &matches[i])
+			to.out = self.docs.appendMatch(to.out, o.prefix(prefixes), &matches[i])
 		}
 	}
 	s.m.replyQueued(len(to.out) - n)

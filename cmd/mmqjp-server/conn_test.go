@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
@@ -49,7 +50,7 @@ func startCountingServer(t *testing.T, async bool) *countingServer {
 	t.Helper()
 	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
 	cs := &countingServer{
-		s:     &server{eng: eng, async: async, owners: map[mmqjp.QueryID]*client{}},
+		s:     &server{eng: eng, async: async},
 		conns: make(chan *countingConn, 1), // handed to dial, one connection at a time
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -221,22 +222,30 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestMatchEncodingDoesNotAllocate is the allocation ceiling of the reply
 // path: routing and encoding a 200-match reply group into a warmed
-// connection buffer, and writing it, allocates nothing. AllocsPerRun counts
-// the whole process's mallocs, and earlier tests' servers and engines may
-// still be winding down; they can only add, so the path is clean if any one
+// connection buffer from a warm piece cache (every document already
+// rendered), and writing it, allocates nothing. AllocsPerRun counts the
+// whole process's mallocs, and earlier tests' servers and engines may still
+// be winding down; they can only add, so the path is clean if any one
 // measurement reads zero.
 func TestMatchEncodingDoesNotAllocate(t *testing.T) {
-	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s := &server{}
 	c := s.newClient(discardConn{})
 	matches := make([]mmqjp.Match, 200)
 	for i := range matches {
 		q := mmqjp.QueryID(i % 50)
-		s.owners[q] = c
+		s.owners.set(q, c)
 		matches[i] = mmqjp.Match{Query: q, LeftDoc: int64(1000 + i), LeftTS: 1700000000, RightDoc: 123456, RightTS: 1700000999}
 	}
 	group := func() { s.ackPublish(c, "S", 1, matches) }
-	group() // size the two buffers and the owners scratch
+	group() // size the two buffers, the owners scratch and the piece cache
 	group()
+	for i := range matches {
+		for _, d := range [][2]int64{{matches[i].LeftDoc, matches[i].LeftTS}, {matches[i].RightDoc, matches[i].RightTS}} {
+			if p := &c.docs[uint64(d[0])%docCacheSize]; p.doc != d[0] || p.ts != d[1] || p.n == 0 {
+				t.Fatalf("document %d is not in the warm cache", d[0])
+			}
+		}
+	}
 	got := testing.AllocsPerRun(100, group)
 	for try := 0; got != 0 && try < 20; try++ {
 		time.Sleep(50 * time.Millisecond)
@@ -245,6 +254,72 @@ func TestMatchEncodingDoesNotAllocate(t *testing.T) {
 	if got != 0 {
 		t.Errorf("a 200-match reply group allocates %v times, want 0", got)
 	}
+}
+
+// appendMatch is the reference MATCH line encoder, five integers formatted
+// with strconv: the server's piece encoder (docCache.appendMatch) must
+// produce the same bytes.
+func appendMatch(b []byte, m *mmqjp.Match) []byte {
+	b = append(b, "MATCH "...)
+	b = strconv.AppendInt(b, int64(m.Query), 10)
+	b = append(b, " left="...)
+	b = strconv.AppendInt(b, m.LeftDoc, 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, m.LeftTS, 10)
+	b = append(b, " right="...)
+	b = strconv.AppendInt(b, m.RightDoc, 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, m.RightTS, 10)
+	return append(b, '\n')
+}
+
+// BenchmarkMatchLines encodes one document's MATCH lines, reported per line:
+// 200 matches of queries among 10 000, their left documents from a window of
+// 500 and the document itself on the right, a new document id every
+// iteration (the shape of rss_window). "strconv" is the reference encoder;
+// "pieces" is the server's, prefixes from the ownership table and documents
+// from the publisher's cache, which renders each new document once.
+func BenchmarkMatchLines(b *testing.B) {
+	const lines, window = 200, 500
+	rng := rand.New(rand.NewSource(1))
+	s := &server{}
+	c := s.newClient(nil)
+	matches := make([]mmqjp.Match, lines)
+	for i := range matches {
+		q := mmqjp.QueryID(rng.Intn(10000))
+		s.owners.set(q, c)
+		left := 100000 + rng.Int63n(window)
+		matches[i] = mmqjp.Match{Query: q, LeftDoc: left, LeftTS: 1700000000 + left}
+	}
+	next := func(i int) {
+		doc := 100000 + window + int64(i)
+		for j := range matches {
+			matches[j].RightDoc, matches[j].RightTS = doc, 1700000000+doc
+		}
+	}
+	var out []byte
+	b.Run("strconv", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			next(i)
+			out = out[:0]
+			for j := range matches {
+				out = appendMatch(out, &matches[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+	})
+	b.Run("pieces", func(b *testing.B) {
+		c.docs = new(docCache)
+		for i := 0; i < b.N; i++ {
+			next(i)
+			out = out[:0]
+			for j := range matches {
+				o, _ := s.owners.get(matches[j].Query)
+				out = c.docs.appendMatch(out, o.prefix(s.owners.prefixes), &matches[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+	})
 }
 
 // TestReplyEncoding pins the reply text byte for byte against the fmt
@@ -437,7 +512,7 @@ func TestOwnBacklogIsBackPressure(t *testing.T) {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
 			defer eng.Close()
-			s := &server{eng: eng, async: async, owners: map[mmqjp.QueryID]*client{}}
+			s := &server{eng: eng, async: async}
 			cli, srv := net.Pipe()
 			defer cli.Close()
 			served := make(chan struct{})

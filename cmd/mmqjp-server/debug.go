@@ -16,6 +16,7 @@ import (
 	mmqjp "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sym"
 )
 
 // Observability sidecar: -debug-addr starts a second, HTTP listener — kept
@@ -38,6 +39,8 @@ import (
 //	                                      marked live by the last cycle, and
 //	                                      the share of the process's CPU time
 //	                                      the collector has taken
+//	interned_symbols                      strings in the process-global
+//	                                      symbol interner (sym.Count)
 //	stage1_seconds, stage2_seconds,       per-document hot-path wall-time
 //	merge_seconds, gc_seconds             histograms (Options.OnDocument)
 //	ingest_queue_depth                    admitted-but-unconsumed gauge
@@ -104,6 +107,8 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 		func() float64 { live, _ := collectorGauges(); return live })
 	r.GaugeFunc("mmqjp_gc_cpu_fraction", "Share of the process's CPU time spent in the garbage collector since start.",
 		func() float64 { _, frac := collectorGauges(); return frac })
+	r.GaugeFunc("mmqjp_interned_symbols", "Strings in the process-global symbol interner: element and attribute names and join values, never released.",
+		func() float64 { return float64(sym.Count()) })
 	m.stage1 = r.Histogram("mmqjp_stage1_seconds",
 		"Per-document Stage-1 wall time (shared-NFA match, witness construction).", obs.DurationBuckets)
 	m.stage2 = r.Histogram("mmqjp_stage2_seconds",
@@ -162,11 +167,11 @@ func collectorGauges() (heapLive, gcCPUFraction float64) {
 }
 
 // statsLine is the STATS reply: every engine statistic as name=value, then
-// the collector gauges, which belong to the process, under their metric
-// names.
+// the process gauges — the collector's and the interner's — under their
+// metric names.
 func statsLine(s mmqjp.EngineStats) string {
 	live, frac := collectorGauges()
-	return fmt.Sprintf("%s heap_live_bytes=%.0f gc_cpu_fraction=%.4f", s, live, frac)
+	return fmt.Sprintf("%s heap_live_bytes=%.0f gc_cpu_fraction=%.4f interned_symbols=%d", s, live, frac, sym.Count())
 }
 
 // onDocument is the Options.OnDocument hook: one histogram observation per

@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,10 +25,7 @@ import (
 // attached and returns both addresses.
 func startDebugTestServer(t *testing.T) (brokerAddr, debugAddr string) {
 	t.Helper()
-	s := &server{
-		async:  true,
-		owners: map[mmqjp.QueryID]*client{},
-	}
+	s := &server{async: true}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	opts := mmqjp.Options{
 		Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 4,
@@ -241,7 +239,7 @@ func metricValue(t *testing.T, body, name string) int64 {
 // subscriber that stops reading shows up in the queue gauge and then in the
 // drop counter.
 func TestServerReplyPathMetrics(t *testing.T) {
-	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
 		t.Fatal(err)
@@ -350,7 +348,7 @@ func TestServerReplyPathMetrics(t *testing.T) {
 // that stay near the window instead of following the stream, and the same
 // numbers in the STATS line.
 func TestServerWindowStateMetrics(t *testing.T) {
-	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
 		t.Fatal(err)
@@ -405,9 +403,9 @@ func TestServerWindowStateMetrics(t *testing.T) {
 }
 
 // TestServerMemoryGauges checks the memory gauges end to end: the collector's
-// live heap and CPU share appear on /metrics and in the STATS line, the
-// subscription gauge counts at least the text of the live subscriptions, and
-// it returns to zero when the last subscription has left.
+// live heap and CPU share and the interner's size appear on /metrics and in
+// the STATS line, the subscription gauge counts at least the text of the live
+// subscriptions, and it returns to zero when the last subscription has left.
 func TestServerMemoryGauges(t *testing.T) {
 	brokerAddr, debugAddr := startDebugTestServer(t)
 	c := dialTest(t, brokerAddr)
@@ -428,6 +426,7 @@ func TestServerMemoryGauges(t *testing.T) {
 		"# TYPE mmqjp_heap_live_bytes gauge",
 		"# TYPE mmqjp_gc_cpu_fraction gauge",
 		"# TYPE mmqjp_subscription_bytes gauge",
+		"# TYPE mmqjp_interned_symbols gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -437,12 +436,22 @@ func TestServerMemoryGauges(t *testing.T) {
 	if retained <= int64(text) || retained > int64(text)+1024 {
 		t.Errorf("mmqjp_subscription_bytes = %d for %d bytes of query text in %d subscriptions", retained, text, len(subs))
 	}
+	// The interner holds at least the names the subscriptions used.
+	interned := metricValue(t, body, "mmqjp_interned_symbols")
+	if interned < 4 {
+		t.Errorf("mmqjp_interned_symbols = %d after subscribing on elements a, b, c and d", interned)
+	}
 	c.sendLine(t, "STATS")
 	stats := c.readLine(t)
 	for _, want := range []string{fmt.Sprintf("subscription_bytes=%d", retained), "heap_live_bytes=", "gc_cpu_fraction="} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS = %q, want it to contain %q", stats, want)
 		}
+	}
+	// The interner's gauge ends the line; it only grows.
+	_, last, _ := strings.Cut(stats, " interned_symbols=")
+	if n, err := strconv.ParseInt(last, 10, 64); err != nil || n < interned {
+		t.Errorf("STATS ends with interned_symbols=%q, want a number >= %d", last, interned)
 	}
 	for _, id := range ids {
 		c.sendLine(t, "UNSUB "+id)
@@ -460,7 +469,7 @@ func TestServerMemoryGauges(t *testing.T) {
 // engine snapshot, whatever the number of engine-statistics families: one
 // instant per scrape, and one pass through the engine's lock.
 func TestServerMetricsOneSnapshotPerScrape(t *testing.T) {
-	s := &server{owners: map[mmqjp.QueryID]*client{}}
+	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	var calls atomic.Int64
 	source := s.m.stats

@@ -14,11 +14,7 @@ import (
 // server (for saveSnapshot and engine shutdown).
 func startDurableServer(t *testing.T, store mmqjp.Store) (string, *server) {
 	t.Helper()
-	s := &server{
-		durable: true,
-		store:   store,
-		owners:  map[mmqjp.QueryID]*client{},
-	}
+	s := &server{durable: true, store: store}
 	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat}); err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func FuzzWireSession(f *testing.F) {
 		}
 		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 1, PipelineDepth: 2})
 		defer eng.Close()
-		s := &server{eng: eng, async: async, owners: map[mmqjp.QueryID]*client{}}
+		s := &server{eng: eng, async: async}
 		cli, srv := net.Pipe()
 		defer cli.Close()
 		served := make(chan struct{})

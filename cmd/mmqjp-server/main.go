@@ -136,13 +136,68 @@ type server struct {
 	nextDoc atomic.Int64
 
 	// mu guards owners: written by SUB/UNSUB/CLAIM and disconnects, read
-	// by every publish that has matches to route.
-	mu sync.RWMutex
-	// owners maps a query to the connection that subscribed (or claimed)
-	// it. In durable mode a nil owner marks an orphaned subscription —
-	// alive in the engine, matches undelivered until a CLAIM.
-	owners map[mmqjp.QueryID]*client
+	// once per document by every publish that has matches to route.
+	mu     sync.RWMutex
+	owners ownerTable
 }
+
+// ownerTable maps a query to the connection that subscribed (or claimed) it,
+// beside the query's rendered `MATCH <qid> left=`, the first piece of each of
+// its MATCH lines. It is indexed by QueryID, as the engine's own tables are:
+// ids are issued densely and in order and never reused, and an id the table
+// does not know — a restored engine's gap, a removed subscription — is a zero
+// row. In durable mode a known row with a nil owner marks an orphaned
+// subscription: alive in the engine, matches undelivered until a CLAIM.
+type ownerTable struct {
+	rows []owner
+	// prefixes holds every row's prefix, appended when the table first
+	// learns the query and never rewritten, so bytes read through a copy of
+	// the slice taken under the read lock stay valid after its release.
+	// About 20 bytes per lifetime subscription, as the engine's id tables
+	// keep a word per lifetime subscription; the rows' uint32 offsets
+	// address 4 GiB, some 200 million lifetime subscriptions.
+	prefixes []byte
+}
+
+// owner is one row of ownerTable: the owning connection and where the
+// query's prefix lies in ownerTable.prefixes (n = 0: unknown query).
+type owner struct {
+	c   *client
+	off uint32
+	n   uint8
+}
+
+func (o *owner) prefix(prefixes []byte) []byte { return prefixes[o.off : o.off+uint32(o.n)] }
+
+// get returns qid's row and whether the table knows qid.
+func (t *ownerTable) get(qid mmqjp.QueryID) (owner, bool) {
+	if uint64(qid) >= uint64(len(t.rows)) {
+		return owner{}, false
+	}
+	o := t.rows[qid]
+	return o, o.n > 0
+}
+
+// set makes c the owner of qid (nil: orphaned), rendering qid's prefix when
+// the table first learns it: at SUB, or at restore for a query a CLAIM will
+// adopt.
+func (t *ownerTable) set(qid mmqjp.QueryID, c *client) {
+	if n := int(qid) + 1; n > len(t.rows) {
+		t.rows = append(t.rows, make([]owner, n-len(t.rows))...)
+	}
+	o := &t.rows[qid]
+	if o.n == 0 {
+		off := len(t.prefixes)
+		t.prefixes = append(t.prefixes, "MATCH "...)
+		t.prefixes = strconv.AppendInt(t.prefixes, int64(qid), 10)
+		t.prefixes = append(t.prefixes, " left="...)
+		o.off, o.n = uint32(off), uint8(len(t.prefixes)-off)
+	}
+	o.c = c
+}
+
+// remove forgets qid.
+func (t *ownerTable) remove(qid mmqjp.QueryID) { t.rows[qid] = owner{} }
 
 // Stable error codes, the first token of every ERR reply.
 const (
@@ -177,7 +232,6 @@ func main() {
 	s := &server{
 		async:   *async,
 		durable: *snapPath != "",
-		owners:  map[mmqjp.QueryID]*client{},
 	}
 	if *debugAddr != "" {
 		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
@@ -256,7 +310,7 @@ func (s *server) initEngine(opts mmqjp.Options) (restored int, err error) {
 		case err == nil:
 			s.eng = eng
 			for _, qid := range eng.Subscriptions() {
-				s.owners[qid] = nil
+				s.owners.set(qid, nil)
 			}
 			s.nextDoc.Store(eng.MaxDocID())
 			return eng.NumQueries(), nil
@@ -404,7 +458,7 @@ func (s *server) handleSub(c *client, src string) {
 	s.mu.Lock()
 	id, err := s.eng.Subscribe(src)
 	if err == nil {
-		s.owners[id] = c
+		s.owners.set(id, c)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -426,14 +480,14 @@ func (s *server) handleClaim(c *client, rest string) {
 	}
 	qid := mmqjp.QueryID(id)
 	s.mu.Lock()
-	owner, ok := s.owners[qid]
+	o, ok := s.owners.get(qid)
 	switch {
 	case !ok || s.eng.Query(qid) == "": // the latter: unsubscribed, its entry not yet at its slot
 		err = fmt.Errorf("unknown query %d", qid)
-	case owner != nil && owner != c:
+	case o.c != nil && o.c != c:
 		err = fmt.Errorf("query %d belongs to another connection", qid)
 	default:
-		s.owners[qid] = c
+		s.owners.set(qid, c)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -458,13 +512,13 @@ func (s *server) handleUnsub(c *client, rest string) {
 	}
 	qid := mmqjp.QueryID(id)
 	s.mu.Lock()
-	owner, ok := s.owners[qid]
+	o, ok := s.owners.get(qid)
 	switch {
 	case !ok:
 		err = fmt.Errorf("unknown query %d", qid)
-	case owner == nil:
+	case o.c == nil:
 		err = fmt.Errorf("query %d is unclaimed; CLAIM it first", qid)
-	case owner != c:
+	case o.c != c:
 		err = fmt.Errorf("query %d belongs to another connection", qid)
 	default:
 		err = s.eng.Unsubscribe(qid)
@@ -476,7 +530,7 @@ func (s *server) handleUnsub(c *client, rest string) {
 	}
 	c.atSlot(func() {
 		s.mu.Lock()
-		delete(s.owners, qid)
+		s.owners.remove(qid)
 		s.mu.Unlock()
 		c.enqueue(okReply(int64(qid)))
 	})
@@ -490,18 +544,19 @@ func (s *server) handleUnsub(c *client, rest string) {
 func (s *server) dropClient(c *client) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for qid, owner := range s.owners {
-		if owner != c {
+	for i := range s.owners.rows {
+		if s.owners.rows[i].c != c {
 			continue
 		}
+		qid := mmqjp.QueryID(i)
 		if s.durable {
-			s.owners[qid] = nil
+			s.owners.set(qid, nil)
 			continue
 		}
 		if err := s.eng.Unsubscribe(qid); err != nil {
 			log.Printf("drop client: unsubscribe %d: %v", qid, err)
 		}
-		delete(s.owners, qid)
+		s.owners.remove(qid)
 	}
 }
 

@@ -23,11 +23,7 @@ func startTestServer(t *testing.T) string {
 func startTestServerMode(t *testing.T, async bool) string {
 	t.Helper()
 	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 4, PipelineDepth: 4})
-	s := &server{
-		eng:    eng,
-		async:  async,
-		owners: map[mmqjp.QueryID]*client{},
-	}
+	s := &server{eng: eng, async: async}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

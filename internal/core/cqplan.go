@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/xmldoc"
@@ -449,14 +450,16 @@ func (ex *cqExec) emit() {
 				bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
 			}
 		}
-		ex.out = append(ex.out, p.orientMatch(t, inst, prev.id, prev.ts, bindings, ex.d))
+		ex.out = slices.Grow(ex.out, 1)[:len(ex.out)+1]
+		orientMatch(&ex.out[len(ex.out)-1], t, inst, prev.id, prev.ts, bindings, ex.d)
 	}
 }
 
-// orientMatch builds a Match from an RoutT row, applying the instance's
-// block orientation.
-func (p *Processor) orientMatch(t *Template, inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, bindings []xmldoc.NodeID, d *xmldoc.Document) Match {
-	m := Match{Query: inst.qid, Template: t, Bindings: bindings}
+// orientMatch writes the Match of an RoutT row into m, every field, applying
+// the instance's block orientation. Writing in place spares the emit buffer
+// a copy of every match; m may hold a previous document's match.
+func orientMatch(m *Match, t *Template, inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, bindings []xmldoc.NodeID, d *xmldoc.Document) {
+	m.Query, m.Template, m.Bindings = inst.qid, t, bindings
 	prevRoot := bindings[t.LeftRoot]
 	curRoot := bindings[t.RightRoot]
 	if inst.swapped {
@@ -468,5 +471,4 @@ func (p *Processor) orientMatch(t *Template, inst *instance, prevDoc xmldoc.DocI
 		m.LeftTS, m.RightTS = prevTS, d.Timestamp
 		m.LeftRoot, m.RightRoot = prevRoot, curRoot
 	}
-	return m
 }

@@ -283,11 +283,10 @@ func (x *rowIndex) get(k int64) []int32 {
 	return x.rows[x.off[g]:x.off[g+1]]
 }
 
-// resize returns s with length n, reusing its array when it is large enough.
-// The contents are not cleared.
+// resize returns s with length n, reusing its array when it is large enough
+// and otherwise growing it as append does, so a buffer that follows a slowly
+// rising size is reallocated a logarithmic number of times. The contents are
+// not cleared.
 func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	return slices.Grow(s[:0], n)[:n]
 }

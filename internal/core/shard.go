@@ -24,9 +24,10 @@ import (
 // the per-document indexes (stage2Shared) and the templates' compiled
 // programs and vector groups are read-only inputs, and each worker evaluates
 // only its own shard's templates, emitting into its own shard's buffer. The
-// coordinator orders the buffers' matches under a total order by sorting keys
-// that point into them (Matches), so the output is identical for every worker
-// count, including Workers = 1, and is written once, by whoever reads it.
+// coordinator orders the buffers' matches under a total order — a radix sort
+// of keys that point into them, ties finished by matchCmp (Matches) — so the
+// output is identical for every worker count, including Workers = 1, and is
+// written once, by whoever reads it.
 
 // shard is one unit of Stage-2 parallelism.
 type shard struct {
@@ -60,8 +61,9 @@ type shard struct {
 // buffer with it, so one burst does not stay resident per shard.
 const shardEmitKeep = 4096
 
-// keysKeep is the same bound for a result's sort keys, which are a quarter of
-// a match's size and counted over all shards.
+// keysKeep is the same bound for a result's sort keys and the radix sort's
+// second buffer, each key a quarter of a match's size and counted over all
+// shards.
 const keysKeep = 4 * shardEmitKeep
 
 func newShard(id int) *shard {
@@ -174,7 +176,7 @@ func (p *Processor) collectMatches(singles []Match) *Matches {
 }
 
 // Matches is one document's result in the canonical total order, before
-// anyone has written it out: sorted keys over the buffers the matches were
+// anyone has written it out: ordered keys over the buffers the matches were
 // emitted into. It belongs to the processor that returned it and is valid
 // until that processor consumes its next document; a reader walks it once —
 // At(0) to At(Len()-1) — into the representation it needs (the engine facade
@@ -185,16 +187,31 @@ func (p *Processor) collectMatches(singles []Match) *Matches {
 // function of match content: the same for every worker count.
 type Matches struct {
 	keys []orderKey
+	tmp  []orderKey // the radix sort's second buffer
 	bufs [][]Match
+	// vary has a bit set wherever some key's leftDoc (vary[0]) or query
+	// (vary[1]) differs from the first key's: the bytes the radix sort
+	// passes over. add accumulates it, so finding them costs no pass.
+	vary [2]uint64
 }
 
 // orderKey is the pointer-free sort key of one match: the two leading fields
-// of the canonical order and where the match lies. Most comparisons end on
-// them; only a tie reads the matches themselves.
+// of the canonical order and where the match lies. The radix sort reads only
+// the first two; only keys that tie on both read the matches themselves.
 type orderKey struct {
 	query    QueryID
 	leftDoc  xmldoc.DocID
 	buf, idx int32
+}
+
+// digit is byte shift/8 of the key's leftDoc (field 0) or query (field 1),
+// sign bit flipped so that unsigned byte order is the signed order.
+func (k *orderKey) digit(field int, shift uint) byte {
+	v := uint64(k.leftDoc)
+	if field == 1 {
+		v = uint64(k.query)
+	}
+	return byte((v ^ 1<<63) >> shift)
 }
 
 // Len returns the number of matches.
@@ -224,9 +241,13 @@ func (ms *Matches) reset() {
 	if cap(ms.keys) > keysKeep {
 		ms.keys = nil
 	}
+	if cap(ms.tmp) > keysKeep {
+		ms.tmp = nil
+	}
 	ms.keys = ms.keys[:0]
 	clear(ms.bufs)
 	ms.bufs = ms.bufs[:0]
+	ms.vary = [2]uint64{}
 }
 
 // add appends buf's matches, unordered.
@@ -234,21 +255,69 @@ func (ms *Matches) add(buf []Match) {
 	b := int32(len(ms.bufs))
 	ms.bufs = append(ms.bufs, buf)
 	for i := range buf {
-		ms.keys = append(ms.keys, orderKey{buf[i].Query, buf[i].LeftDoc, b, int32(i)})
+		m := &buf[i]
+		ms.keys = append(ms.keys, orderKey{m.Query, m.LeftDoc, b, int32(i)})
+		first := &ms.keys[0]
+		ms.vary[0] |= uint64(m.LeftDoc ^ first.leftDoc)
+		ms.vary[1] |= uint64(m.Query ^ first.query)
 	}
 }
 
-// sort applies the canonical total order to the keys.
+// sort applies the canonical total order to the keys: a least-significant-
+// digit radix sort on the bytes of (query, leftDoc), leftDoc's low byte
+// first, skipping every byte on which all keys agree, then matchCmp on each
+// run of keys that tie on both fields. Each pass is stable, so the passes
+// compose into the order on the pair. A document whose matches span a few
+// hundred queries and documents takes four counting passes. A byte's digits
+// differ from the first key's only in the byte's varying bits, so they lie
+// in [lo, lo|vary], and only those counters are cleared and summed.
 func (ms *Matches) sort() {
-	slices.SortFunc(ms.keys, func(a, b orderKey) int {
-		if c := cmp.Compare(a.query, b.query); c != 0 {
-			return c
+	n := len(ms.keys)
+	if n < 2 {
+		return
+	}
+	src, dst := ms.keys, slices.Grow(ms.tmp[:0], n)[:n]
+	var count [256]uint32
+	for d := uint(0); d < 16; d++ {
+		field, shift := int(d/8), 8*(d%8)
+		vary := byte(ms.vary[field] >> shift)
+		if vary == 0 {
+			continue
 		}
-		if c := cmp.Compare(a.leftDoc, b.leftDoc); c != 0 {
-			return c
+		lo := int(src[0].digit(field, shift) &^ vary)
+		used := count[lo : lo+int(vary)+1]
+		clear(used)
+		for i := range src {
+			count[src[i].digit(field, shift)]++
 		}
+		at := uint32(0)
+		for b, c := range used {
+			used[b] = at
+			at += c
+		}
+		for i := range src {
+			c := &count[src[i].digit(field, shift)]
+			dst[*c] = src[i]
+			*c++
+		}
+		src, dst = dst, src
+	}
+	ms.keys, ms.tmp = src, dst
+
+	tie := func(a, b orderKey) int {
 		return matchCmp(&ms.bufs[a.buf][a.idx], &ms.bufs[b.buf][b.idx])
-	})
+	}
+	keys := ms.keys
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j].query == keys[i].query && keys[j].leftDoc == keys[i].leftDoc {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], tie)
+		}
+		i = j
+	}
 }
 
 // stage2Shared carries the per-document inputs of the compiled programs,
@@ -360,7 +429,7 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 // sorted-symbol order, so its row order is independent of the worker count
 // (symbol ids are process-global, so the order is also identical for every
 // engine configuration within a process — only enumeration order depends on
-// it, the output leaves through SortMatches regardless). It reports false
+// it, the output leaves through Matches.sort regardless). It reports false
 // when no string is shared with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)

@@ -90,6 +90,9 @@ grep -q '^mmqjp_state_docs 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_sta
 grep -q '^mmqjp_state_rdoc_rows 1$' <<<"$METRICS" || fail "/metrics missing mmqjp_state_rdoc_rows 1"
 grep -q '^mmqjp_witness_plans_total ' <<<"$METRICS" || fail "/metrics missing mmqjp_witness_plans_total"
 grep -q '^mmqjp_xpath_seconds_total ' <<<"$METRICS" || fail "/metrics missing mmqjp_xpath_seconds_total"
+# The process gauges: the interner holds at least the names and the join
+# value of the session above.
+grep -Eq '^mmqjp_interned_symbols [1-9][0-9]*$' <<<"$METRICS" || fail "/metrics missing a positive mmqjp_interned_symbols"
 
 echo "== SIGTERM: snapshot on shutdown =="
 kill -TERM "$SERVER_PID"
