@@ -43,7 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/xpath
 	$(GO) test -run=^$$ -fuzz='^FuzzParseDocument$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
 	$(GO) test -run=^$$ -fuzz='^FuzzParseMatchesStdlib$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
-	$(GO) test -run=^$$ -fuzz=FuzzWitnessesMatchNaive -fuzztime=$(FUZZTIME) ./internal/yfilter
+	$(GO) test -run=^$$ -fuzz='^FuzzWitnessesMatchNaive$$' -fuzztime=$(FUZZTIME) ./internal/yfilter
 	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzMatchOrder$$' -fuzztime=$(FUZZTIME) ./internal/core

@@ -33,8 +33,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		appendXML                  bool
 		allocCeiling, bytesCeiling float64
 	}{
-		{"owned result", false, 97, 17300},
-		{"caller's buffer", true, 93, 4200},
+		{"owned result", false, 19, 15600},
+		{"caller's buffer", true, 16, 2680},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(Options{Processor: ProcessorViewMat})

@@ -142,12 +142,14 @@ type Stats struct {
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the chosen Stage-2 plans produced, before the window test."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
-	// document) and WitnessProbes the candidates their assembly examined
-	// (yfilter.MatchResult.Work) — Stage 1's counted work, a pure function
-	// of the documents and the registered patterns. A pattern that is not
-	// triggered costs neither a probe nor an allocation.
+	// document) and WitnessProbes what their assembly examined
+	// (yfilter.MatchResult.Work): in the semi-join reduction, each reduced
+	// child binding, each ancestor it stamped and each parent candidate
+	// tested against the stamps, then each candidate enumeration tried —
+	// Stage 1's counted work, a pure function of the documents and the
+	// registered patterns. A pattern that is not triggered is not visited.
 	PatternsTriggered int64 `json:"patterns_triggered" stat:"counter" help:"Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document)."`
-	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Candidates examined by the witness assembly of triggered patterns."`
+	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Steps of the witness assembly of triggered patterns: reduced child bindings, ancestors they stamped and parent candidates tested in the semi-join reduction, and candidates tried by the enumeration."`
 	// WindowGCs counts the window collections that expired at least one
 	// document (State.GC) and GCRowsDropped the Rbin/Rdoc/Rroot rows they
 	// removed — expiry's counted work, which is exactly the expired

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -316,11 +317,11 @@ func TestPublishAllocCeiling(t *testing.T) {
 		ceiling        float64
 		bytesCeiling   float64 // 0: count only
 	}{
-		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 110, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 138, 6200},
-		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 86, 2500},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 419, 25200},
-		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 114, 0},
+		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 35, 0},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 60, 4750},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 9, 1130},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 31, 16900},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 64, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{ViewMaterialization: true})
@@ -420,5 +421,55 @@ func TestStage1WorkFollowsTriggeredPatterns(t *testing.T) {
 	}
 	if al10 > 1.05*al1 && !raceEnabled {
 		t.Errorf("%.1f allocations per document with 6 600 patterns against %.1f with 600", al10, al1)
+	}
+}
+
+// TestStage1RowsInRegistrationOrder holds RunStage1, which visits only the
+// triggered patterns, to a scan of every live pattern in registration order
+// (the order the witness relations' rows and the single-block matches come
+// in), on the deep_filter shape after churn has revived patterns under their
+// old Stage-1 ids.
+func TestStage1RowsInRegistrationOrder(t *testing.T) {
+	c := workload.DefaultDeepFeed()
+	p := NewProcessor(Config{ViewMaterialization: true})
+	queries := c.Queries(rand.New(rand.NewSource(1)), 600)
+	var qids []QueryID
+	for _, q := range queries {
+		qids = append(qids, p.MustRegister(q))
+	}
+	for i := 0; i < len(queries); i += 3 {
+		p.MustUnregister(qids[i])
+	}
+	for i := 0; i < len(queries); i += 6 {
+		p.MustRegister(queries[i])
+	}
+	var live []*patternInfo
+	for _, pi := range p.byYID {
+		if pi != nil {
+			live = append(live, pi)
+		}
+	}
+	slices.SortFunc(live, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
+	rows := 0
+	for _, d := range c.Stream(rand.New(rand.NewSource(8)), 40) {
+		got := p.RunStage1("S", d)
+		want := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
+		res := p.xp.MatchDocument("S", d)
+		for _, pi := range live {
+			want.addWitnesses(pi, res)
+		}
+		res.Release()
+		for i, rel := range [][2]*relation.Relation{{got.w.RbinW, want.w.RbinW}, {got.w.RdocW, want.w.RdocW}, {got.w.RrootW, want.w.RrootW}} {
+			if !slices.EqualFunc(rel[0].Rows, rel[1].Rows, slices.Equal) {
+				t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0].Rows, rel[1].Rows)
+			}
+			rows += rel[0].Len()
+		}
+		if !reflect.DeepEqual(got.singles, want.singles) {
+			t.Fatalf("document %d: single-block matches %v, full scan %v", d.ID, got.singles, want.singles)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("test premise: the documents produce witness rows")
 	}
 }

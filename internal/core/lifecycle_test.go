@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,8 +34,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if len(p.templates) != 0 || len(p.tmplShard) != 0 {
 		t.Errorf("template maps not empty: %d sigs, %d shard assignments", len(p.templates), len(p.tmplShard))
 	}
-	if len(p.patterns) != 0 || len(p.patternList) != 0 {
-		t.Errorf("pattern registry not empty: %d/%d", len(p.patterns), len(p.patternList))
+	if len(p.patterns) != 0 || slices.ContainsFunc(p.byYID, func(pi *patternInfo) bool { return pi != nil }) {
+		t.Errorf("pattern registry not empty: %d by key, %v by Stage-1 id", len(p.patterns), p.byYID)
 	}
 	for qid, rec := range p.queries {
 		if rec != nil {
@@ -220,13 +221,13 @@ func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
 	if p.NumTemplates() != 2 {
 		t.Fatalf("templates = %d, want 2", p.NumTemplates())
 	}
-	patternsBefore := len(p.patternList)
+	patternsBefore := len(p.patterns)
 	p.MustUnregister(drop)
 	if p.NumTemplates() != 1 {
 		t.Errorf("templates after unregister = %d, want 1", p.NumTemplates())
 	}
-	if len(p.patternList) >= patternsBefore {
-		t.Errorf("pattern demands not narrowed: %d -> %d", patternsBefore, len(p.patternList))
+	if len(p.patterns) >= patternsBefore {
+		t.Errorf("pattern demands not narrowed: %d -> %d", patternsBefore, len(p.patterns))
 	}
 	total := 0
 	for _, sh := range p.shards {
@@ -258,7 +259,7 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 		}
 		return snapshot{
 			queries: p.NumQueries(), templates: p.NumTemplates(),
-			patterns: len(p.patternList),
+			patterns: len(p.patterns),
 			shard0:   len(p.shards[0].templates), shard1: len(p.shards[1].templates),
 			rt0: rt0,
 		}

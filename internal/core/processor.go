@@ -78,9 +78,13 @@ type Processor struct {
 	tmplShard map[TemplateID]int
 
 	// patterns holds the live patterns by canonical key (the normalized
-	// block's xpath.NormalForm.Key).
-	patterns    map[string]*patternInfo
-	patternList []*patternInfo // live patterns, in registration order
+	// block's xpath.NormalForm.Key); byYID is the same set by Stage-1
+	// pattern id (nil for an id no live pattern holds), which is how
+	// RunStage1 reaches the patterns a document triggered. patternSeq
+	// numbers the patterns in registration order (patternInfo.seq).
+	patterns   map[string]*patternInfo
+	byYID      []*patternInfo
+	patternSeq int64
 
 	state *State
 
@@ -189,6 +193,10 @@ type patternContrib struct {
 type patternInfo struct {
 	yid yfilter.PatternID
 	key string // in Processor.patterns
+	// seq is the pattern's registration number: Stage 1 writes the
+	// triggered patterns' rows in seq order, which fixes the witness
+	// relations' row order.
+	seq int64
 	// canonIDs[i] is the interned canonical variable of node i of the
 	// normalized, fully bound pattern.
 	canonIDs []int64
@@ -197,7 +205,7 @@ type patternInfo struct {
 	singles []QueryID
 
 	// refs counts live instance sides and single queries; at zero the
-	// pattern is dropped from the Stage-1 extraction loop.
+	// pattern is dropped from Stage-1 extraction.
 	refs int
 
 	// contribs holds the distinct live demands, by their encoding
@@ -480,15 +488,15 @@ func (p *Processor) removeTemplate(t *Template) {
 	delete(p.tmplShard, t.ID)
 }
 
-// removePattern drops a pattern no live query references from the Stage-1
-// extraction loop. The shared NFA keeps its states (they are shared across
+// removePattern drops a pattern no live query references from Stage-1
+// extraction. The shared NFA keeps its states (they are shared across
 // patterns and rebuilding it would stall ingestion), but the pattern is
-// marked dead so candidate collection for its exclusive path prefixes stops
-// — per-document Stage-1 cost tracks the live pattern set. A later Register
-// of an equal pattern revives it.
+// marked dead, so no document triggers it and candidate collection for its
+// exclusive path prefixes stops. A later Register of an equal pattern
+// revives it, as a new patternInfo with the next seq.
 func (p *Processor) removePattern(pi *patternInfo) {
 	delete(p.patterns, pi.key)
-	p.patternList = removeFirst(p.patternList, pi)
+	p.byYID[pi.yid] = nil
 	p.xp.SetLive(pi.yid, false)
 }
 
@@ -784,7 +792,7 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 	// with: the same tree, so the same names node for node.
 	rep := p.xp.Pattern(yid)
 	pi := &patternInfo{
-		yid: yid, key: key,
+		yid: yid, key: key, seq: p.patternSeq,
 		canonIDs:  make([]int64, len(rep.Nodes)),
 		contribs:  map[string]*patternContrib{},
 		edgeCount: map[[2]int32]int{},
@@ -794,8 +802,12 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 	for i, name := range rep.CanonicalVars() {
 		pi.canonIDs[i] = p.syms.intern(name)
 	}
+	p.patternSeq++
 	p.patterns[key] = pi
-	p.patternList = append(p.patternList, pi)
+	for int(yid) >= len(p.byYID) {
+		p.byYID = append(p.byYID, nil)
+	}
+	p.byYID[yid] = pi
 	return pi
 }
 
@@ -830,55 +842,59 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	r.xpath = time.Since(t0)
 
 	t1 := time.Now()
-	// Every live pattern is asked, in registration order (which fixes the
-	// relations' row order); one the document did not trigger is answered
-	// by a few loads inside Witnesses, so the loop's cost follows the
-	// triggered patterns' candidates and witnesses.
-	for _, pi := range p.patternList {
-		ws := res.Witnesses(pi.yid)
-		if len(ws) == 0 {
-			continue
-		}
-		for _, witness := range ws {
-			// The pattern is fully bound: Bindings[i] is the
-			// binding of pattern node i.
-			b := witness.Bindings
-			for _, e := range pi.edges {
-				r.w.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
-			}
-			for _, n := range pi.strNodes {
-				r.w.AddDoc(b[n], d.StringValue(b[n]))
-			}
-			for _, n := range pi.roots {
-				r.w.AddRoot(pi.canonIDs[n], b[n])
-			}
-		}
-		// Single-block queries fire once per witness.
-		for _, qid := range pi.singles {
-			for _, witness := range ws {
-				root := xmldoc.NodeID(0)
-				if len(witness.Bindings) > 0 {
-					root = witness.Bindings[0]
-				}
-				r.singles = append(r.singles, Match{
-					Query:   qid,
-					LeftDoc: d.ID, RightDoc: d.ID,
-					LeftTS: d.Timestamp, RightTS: d.Timestamp,
-					LeftRoot: root, RightRoot: root,
-				})
-			}
-		}
+	// Only the patterns the document triggered are visited, in registration
+	// order (which fixes the relations' row order); Triggered hands back
+	// the result's own list, sorted here in place.
+	trig := res.Triggered()
+	slices.SortFunc(trig, func(a, b yfilter.PatternID) int { return cmp.Compare(p.byYID[a].seq, p.byYID[b].seq) })
+	for _, yid := range trig {
+		r.addWitnesses(p.byYID[yid], res)
 	}
 	r.witness = time.Since(t1)
 	r.wall = time.Since(t0)
 	r.triggered, r.probes = res.Work()
-	// The witnesses are fully copied into the current-witness relations and
-	// single-block matches above, so the match result's scratch (candidate
-	// lists, NFA state sets) can go back to the engine's pool here — still
+	// Every row is in the current-witness relations and the single-block
+	// matches above, so the match result's scratch (candidate lists, NFA
+	// state sets, the slab) can go back to the engine's pool here — still
 	// inside the order-insensitive stage, so pipelined Stage-1 workers
 	// recycle scratch without waiting on the coordinator.
 	res.Release()
 	return r
+}
+
+// addWitnesses writes one pattern's witnesses in the document into the
+// current-witness relations and its single-block queries' matches.
+func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
+	d := r.doc
+	// The pattern is fully bound: witness k binds pattern node i to
+	// slab[k*nv+i]. The slab is the match result's scratch, so the rows are
+	// written from it before the next pattern is assembled.
+	slab, nw := res.Bindings(pi.yid)
+	nv := len(pi.canonIDs)
+	for k := 0; k < nw; k++ {
+		b := slab[k*nv : (k+1)*nv]
+		for _, e := range pi.edges {
+			r.w.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
+		}
+		for _, n := range pi.strNodes {
+			r.w.AddDoc(b[n], d.StringValue(b[n]))
+		}
+		for _, n := range pi.roots {
+			r.w.AddRoot(pi.canonIDs[n], b[n])
+		}
+	}
+	// Single-block queries fire once per witness.
+	for _, qid := range pi.singles {
+		for k := 0; k < nw; k++ {
+			root := slab[k*nv]
+			r.singles = append(r.singles, Match{
+				Query:   qid,
+				LeftDoc: d.ID, RightDoc: d.ID,
+				LeftTS: d.Timestamp, RightTS: d.Timestamp,
+				LeftRoot: root, RightRoot: root,
+			})
+		}
+	}
 }
 
 // Consume runs the order-sensitive tail of document processing on the

@@ -605,10 +605,17 @@ func TestRegistrationMatchesReference(t *testing.T) {
 			if !slices.Equal(p.syms.names, ref.syms.names) {
 				t.Fatalf("symbol table\n%q\nreference\n%q", p.syms.names, ref.syms.names)
 			}
-			if len(p.patternList) != len(ref.patterns) {
-				t.Fatalf("%d patterns, reference %d", len(p.patternList), len(ref.patterns))
+			var live []*patternInfo
+			for _, pi := range p.byYID {
+				if pi != nil {
+					live = append(live, pi)
+				}
 			}
-			for i, pi := range p.patternList {
+			slices.SortFunc(live, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
+			if len(live) != len(ref.patterns) || len(p.patterns) != len(live) {
+				t.Fatalf("%d patterns (%d by key), reference %d", len(live), len(p.patterns), len(ref.patterns))
+			}
+			for i, pi := range live {
 				rp := ref.patterns[i]
 				if int(pi.yid) != rp.patternYFID || pi.key != rp.key || p.xp.Pattern(pi.yid).CanonicalKey() != rp.key ||
 					!slices.Equal(pi.canonIDs, rp.canonIDs) || !slices.Equal(pi.edges, rp.edges) ||

@@ -14,6 +14,7 @@ package sequential
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/xmldoc"
@@ -213,7 +214,16 @@ func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 		if ws, ok := cur[id]; ok {
 			return ws
 		}
-		ws := res.Witnesses(id)
+		// The slab is the match result's scratch: keep a copy.
+		slab, n := res.Bindings(id)
+		ws := make([]xpath.Witness, n)
+		if n > 0 {
+			nv := len(slab) / n
+			bindings := slices.Clone(slab)
+			for i := range ws {
+				ws[i].Bindings = bindings[i*nv : (i+1)*nv : (i+1)*nv]
+			}
+		}
 		cur[id] = ws
 		return ws
 	}

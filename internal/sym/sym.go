@@ -23,9 +23,15 @@
 // value sliced out of a document or a wire line never keeps that whole
 // buffer alive for the life of the process. A repeat lookup allocates
 // nothing, whatever buffer its argument points into.
+//
+// The index is open addressing over a pointer-free slot array: a string is
+// hashed once (hash/maphash, seeded per process), a hit is that hash and one
+// probe sequence under the read lock, and a miss probes again from the same
+// hash under the write lock and files the copy in the free slot it ends on.
 package sym
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 )
@@ -34,51 +40,51 @@ import (
 // string, so zero-valued ids never alias a real symbol by accident.
 type ID int32
 
-var global = func() *table {
-	t := &table{ids: map[string]ID{}, attrs: map[string]ID{}}
-	t.intern("") // pin ID 0 = ""
-	return t
-}()
+var global = newTable()
 
 // table is the interner. Reads (the hot path: a hit on an already-interned
 // symbol) take the read lock only; the write lock is taken once per novel
 // string for the lifetime of the process.
 type table struct {
-	mu    sync.RWMutex
-	ids   map[string]ID
-	names []string
-	// attrs maps a bare attribute name to the id of "@"+name, so the
-	// hot path interns attribute symbols without concatenating.
-	attrs map[string]ID
+	seed maphash.Seed
+
+	mu sync.RWMutex
+	// slots indexes the ids by hash: 0 is a free slot, any other value is
+	// 1 + the id filed there, at or after (linear probing) the slot its
+	// hash picks. The length is a power of two at least twice the number
+	// of ids, so a probe sequence ends at a free slot soon.
+	slots []int32
+	// names[id] is the string id was interned from and hashes[id] its
+	// hash: a probe compares strings only when the hashes agree, and a
+	// doubling refiles every id without hashing a string again.
+	names  []string
+	hashes []uint64
+}
+
+// newTable returns a table holding only "" (id 0).
+func newTable() *table {
+	t := &table{seed: maphash.MakeSeed(), slots: make([]int32, 64)}
+	t.intern(false, "")
+	return t
 }
 
 // Intern returns the id of s, interning it on first sight.
 func Intern(s string) ID {
-	id, _ := global.intern(s)
+	id, _ := global.intern(false, s)
 	return id
 }
 
 // InternName is Intern that also returns the table's own copy of s, which a
 // caller keeps in place of s so as not to retain the buffer s points into
 // (the XML scanner's element names).
-func InternName(s string) (ID, string) { return global.intern(s) }
+func InternName(s string) (ID, string) { return global.intern(false, s) }
 
 // AttrIntern returns the id of "@"+name without allocating the
 // concatenation when the attribute has been seen before. Attribute symbols
 // share the element namespace under the "@" prefix, exactly like the NFA's
 // transition alphabet.
 func AttrIntern(name string) ID {
-	t := global
-	t.mu.RLock()
-	id, ok := t.attrs[name]
-	t.mu.RUnlock()
-	if ok {
-		return id
-	}
-	id, at := t.intern("@" + name)
-	t.mu.Lock()
-	t.attrs[at[1:]] = id
-	t.mu.Unlock()
+	id, _ := global.intern(true, name)
 	return id
 }
 
@@ -86,10 +92,11 @@ func AttrIntern(name string) ID {
 // never been interned.
 func Lookup(s string) (ID, bool) {
 	t := global
+	h := t.hash(false, s)
 	t.mu.RLock()
-	id, ok := t.ids[s]
+	_, id := t.find(h, false, s)
 	t.mu.RUnlock()
-	return id, ok
+	return id, id >= 0
 }
 
 // Name returns the string a live id was interned from. It panics on an id
@@ -113,26 +120,83 @@ func Count() int {
 	return n
 }
 
-// intern returns the id of s and the table's copy of it, inserting a copy
-// on first sight.
-func (t *table) intern(s string) (ID, string) {
+// hash is the hash of s, or of "@"+s when at is set.
+func (t *table) hash(at bool, s string) uint64 {
+	if !at {
+		return maphash.String(t.seed, s)
+	}
+	var h maphash.Hash
+	h.SetSeed(t.seed)
+	h.WriteByte('@')
+	h.WriteString(s)
+	return h.Sum64()
+}
+
+// find returns the slot of the symbol s (or "@"+s when at is set), whose hash
+// is h, and its id; for a symbol not in the table, the free slot its probe
+// sequence ended on and -1. The caller holds either lock.
+func (t *table) find(h uint64, at bool, s string) (int, ID) {
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return int(i), -1
+		}
+		id := ID(e - 1)
+		if t.hashes[id] != h {
+			continue
+		}
+		if n := t.names[id]; at && len(n) == len(s)+1 && n[0] == '@' && n[1:] == s || !at && n == s {
+			return int(i), id
+		}
+	}
+}
+
+// intern returns the id of s (or "@"+s when at is set) and the table's copy
+// of that string, inserting a copy on first sight.
+func (t *table) intern(at bool, s string) (ID, string) {
+	h := t.hash(at, s)
 	t.mu.RLock()
-	id, ok := t.ids[s]
-	if ok {
-		s = t.names[id]
+	_, id := t.find(h, at, s)
+	var name string
+	if id >= 0 {
+		name = t.names[id]
 	}
 	t.mu.RUnlock()
-	if ok {
-		return id, s
+	if id >= 0 {
+		return id, name
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.ids[s]; ok {
+	slot, id := t.find(h, at, s)
+	if id >= 0 {
 		return id, t.names[id]
 	}
-	s = strings.Clone(s)
+	if at {
+		name = "@" + s
+	} else {
+		name = strings.Clone(s)
+	}
 	id = ID(len(t.names))
-	t.ids[s] = id
-	t.names = append(t.names, s)
-	return id, s
+	t.names = append(t.names, name)
+	t.hashes = append(t.hashes, h)
+	t.slots[slot] = int32(id) + 1
+	if 2*len(t.names) > len(t.slots) {
+		t.grow()
+	}
+	return id, name
+}
+
+// grow doubles the slot array and refiles every id from its kept hash. The
+// caller holds the write lock.
+func (t *table) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for id, h := range t.hashes {
+		i := h & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id) + 1
+	}
 }

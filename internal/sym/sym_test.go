@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -137,5 +138,98 @@ func TestConcurrentInternIsConsistent(t *testing.T) {
 		if Name(ids[0][i]) != fmt.Sprintf("concurrent-%d", i) {
 			t.Fatalf("Name(%d) = %q", ids[0][i], Name(ids[0][i]))
 		}
+	}
+}
+
+// TestInternMatchesMapReference holds a fresh table to a map[string]ID that
+// numbers strings in first-seen order: random, repeated, empty and long
+// strings and attribute forms, interned across several doublings of the slot
+// array, get the reference's ids, and the table's names and lookups agree
+// with it afterwards.
+func TestInternMatchesMapReference(t *testing.T) {
+	tb := newTable()
+	slots := len(tb.slots)
+	ref := map[string]ID{"": 0}
+	names := []string{""}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6000; i++ {
+		at, s := false, ""
+		switch rng.Intn(6) {
+		case 0:
+			s = names[rng.Intn(len(names))]
+		case 1:
+		case 2:
+			s = strings.Repeat(string(rune('a'+rng.Intn(26))), 100+rng.Intn(900))
+		case 3:
+			at, s = true, fmt.Sprint("k", rng.Intn(300))
+		default:
+			s = fmt.Sprint(rng.Intn(5000))
+		}
+		text := s
+		if at {
+			text = "@" + s
+		}
+		want, ok := ref[text]
+		if !ok {
+			want = ID(len(names))
+			ref[text] = want
+			names = append(names, text)
+		}
+		if got, name := tb.intern(at, s); got != want || name != text {
+			t.Fatalf("intern(%v, %.20q) = %d %.20q, reference %d", at, s, got, name, want)
+		}
+	}
+	if len(tb.slots) < 16*slots {
+		t.Fatalf("test premise: the slot array grew from %d to only %d", slots, len(tb.slots))
+	}
+	if len(tb.names) != len(names) {
+		t.Fatalf("%d symbols, reference %d", len(tb.names), len(names))
+	}
+	for id, name := range names {
+		if tb.names[id] != name {
+			t.Fatalf("name of %d = %.20q, reference %.20q", id, tb.names[id], name)
+		}
+		if _, got := tb.find(tb.hash(false, name), false, name); got != ID(id) {
+			t.Fatalf("lookup(%.20q) = %d, reference %d", name, got, id)
+		}
+	}
+	for _, s := range []string{"never", "@never", strings.Repeat("z", 2000)} {
+		if _, got := tb.find(tb.hash(false, s), false, s); got >= 0 {
+			t.Fatalf("lookup(%.20q) found id %d", s, got)
+		}
+	}
+}
+
+// BenchmarkInternHit is the per-document cost of a name or join value
+// already in the table.
+func BenchmarkInternHit(b *testing.B) {
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sym-bench-hit-%d", i)
+		Intern(keys[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Intern(keys[i&(len(keys)-1)])
+	}
+}
+
+// BenchmarkInternMiss is the cost of a novel join value: both probes, the
+// copy and the insert, doublings included, into a table that starts afresh
+// every 65 536 symbols so the benchmark does not grow the process's own.
+func BenchmarkInternMiss(b *testing.B) {
+	keys := make([]string, 1<<16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sym-bench-miss-%d", i)
+	}
+	var tb *table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(len(keys)-1) == 0 {
+			tb = newTable()
+		}
+		tb.intern(false, keys[i&(len(keys)-1)])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,10 +139,10 @@ func TestScratchReuseAcrossDocumentSizes(t *testing.T) {
 	}
 }
 
-// TestWitnessOrderIsEnumerationOrder pins the order Witnesses returns
-// (pattern nodes in pre-order, candidates in document order, a repeated
-// binding kept at its first occurrence): internal/core's relation row order
-// depends on it.
+// TestWitnessOrderIsEnumerationOrder pins the order Bindings returns the
+// witnesses in (pattern nodes in pre-order, candidates in document order, a
+// repeated binding kept at its first occurrence): internal/core's relation
+// row order depends on it.
 func TestWitnessOrderIsEnumerationOrder(t *testing.T) {
 	doc, err := xmldoc.ParseString("<r><a><a><b/><b/></a><b/></a><a><b/></a></r>", 1, 0)
 	if err != nil {
@@ -166,24 +167,30 @@ func TestWitnessOrderIsEnumerationOrder(t *testing.T) {
 }
 
 // TestUntriggeredPatternCostsNothing checks the trigger: a pattern with a
-// prefix the document has no candidate for is answered without assembly,
-// probes or allocation, however many such patterns are registered.
+// prefix the document has no candidate for is not among Triggered and is
+// answered by Bindings without assembly, probes or allocation, however many
+// such patterns are registered; and once a result's scratch has grown to the
+// document, Bindings of a triggered pattern allocates nothing either.
 func TestUntriggeredPatternCostsNothing(t *testing.T) {
 	e := NewEngine()
 	hit := e.Register(xpath.MustParseBlock("S//book->x1[.//author->x2]"))
+	also := e.Register(xpath.MustParseBlock("S//book->x1[.//title->x2][.//author->x3]"))
 	var misses []PatternID
 	for i := 0; i < 500; i++ {
 		misses = append(misses, e.Register(xpath.MustParseBlock(fmt.Sprintf("S//book->x1[.//author->x2][./t%d]", i))))
 	}
 	d := xmldoc.PaperD1(1, 100)
 	r := e.MatchDocument("S", d)
-	if len(r.Witnesses(hit)) == 0 {
+	if got := r.Triggered(); len(got) != 2 || !slices.Contains(got, hit) || !slices.Contains(got, also) {
+		t.Fatalf("Triggered = %v, want %d and %d", got, hit, also)
+	}
+	if _, n := r.Bindings(hit); n == 0 {
 		t.Fatal("test premise: the book/author pattern matches d1")
 	}
 	triggered, probes := r.Work()
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, id := range misses {
-			if r.Witnesses(id) != nil {
+			if _, n := r.Bindings(id); n != 0 {
 				t.Fatal("untriggered pattern produced witnesses")
 			}
 		}
@@ -194,6 +201,17 @@ func TestUntriggeredPatternCostsNothing(t *testing.T) {
 	if tr, pr := r.Work(); tr != triggered || pr != probes || triggered != 1 {
 		t.Errorf("work moved from %d/%d to %d/%d (want 1 triggered, unchanged)", triggered, probes, tr, pr)
 	}
+	allocs = testing.AllocsPerRun(10, func() {
+		for _, id := range r.Triggered() {
+			if _, n := r.Bindings(id); n == 0 {
+				t.Fatal("triggered pattern lost its witnesses")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations drawing the triggered patterns on a warm result, want 0", allocs)
+	}
+	r.Release()
 }
 
 // TestAssemblyWorkBound bounds the counted assembly work on the deep_filter
@@ -264,11 +282,30 @@ func TestAttributeWildcard(t *testing.T) {
 	}
 }
 
+// pathPattern is the linear pattern of one root-to-leaf path, its last step
+// bound.
+func pathPattern(stream string, steps []xpath.PathStep) *xpath.Pattern {
+	var sb strings.Builder
+	sb.WriteString(stream)
+	for _, st := range steps {
+		sb.WriteString(st.Axis.String())
+		if st.IsAttr {
+			sb.WriteByte('@')
+		}
+		sb.WriteString(st.Name)
+	}
+	sb.WriteString("->v")
+	return xpath.MustParseBlock(sb.String())
+}
+
 // FuzzWitnessesMatchNaive lets the fuzzer supply a block pattern and an XML
-// document: the engine's witnesses must equal MatchNaive's as sets, for the
-// pattern as written (possibly deduplicating) and for its fully bound form,
-// on a fresh result and again on the recycled one, without panicking. Sizes
-// are capped because MatchNaive is exponential in the pattern.
+// document. The pattern as written (possibly deduplicating), its fully bound
+// form and the linear path to each of its leaves share prefixes in one
+// engine; for each, on a fresh result and again on the recycled one, the
+// witnesses Bindings assembles must equal MatchNaive's as sets, and the
+// pattern must be among Triggered exactly when every one of its root-to-leaf
+// paths has a match — all without panicking. Sizes are capped because
+// MatchNaive is exponential in the pattern.
 func FuzzWitnessesMatchNaive(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"S//book->x1[.//author->x2][.//title->x3]", "<lib><book><author>a</author><title>t</title><author>b</author></book></lib>"},
@@ -293,10 +330,22 @@ func FuzzWitnessesMatchNaive(f *testing.F) {
 		bound, _ := raw.NormalizedFullyBound()
 		e := NewEngine()
 		ids := []PatternID{e.Register(raw), e.Register(bound)}
+		for _, path := range raw.Decompose() {
+			ids = append(ids, e.Register(pathPattern(raw.Stream, path.Steps)))
+		}
 		for round := 0; round < 2; round++ {
 			r := e.MatchDocument(raw.Stream, d)
+			triggered := r.Triggered()
 			for _, id := range ids {
-				checkAgainstNaive(t, fmt.Sprintf("round %d", round), r, id, e.Pattern(id), d)
+				p := e.Pattern(id)
+				checkAgainstNaive(t, fmt.Sprintf("round %d", round), r, id, p, d)
+				want := true
+				for _, path := range p.Decompose() {
+					want = want && len(pathPattern(p.Stream, path.Steps).MatchNaive(d)) > 0
+				}
+				if got := slices.Contains(triggered, id); got != want {
+					t.Fatalf("round %d: pattern %q doc %s: triggered %v, want %v", round, p.String(), d.XMLText(), got, want)
+				}
 			}
 			r.Release()
 		}

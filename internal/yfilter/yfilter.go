@@ -11,10 +11,13 @@
 // bound-variable assignments) are then assembled by a post-processing join of
 // the candidate sets along the pattern's branch structure, mirroring
 // YFilter's shared-path + nested-path post-processing design (assemble.go) —
-// but only for the patterns the document triggered: a pattern with a prefix
-// no node matched is answered by a few loads and no allocation, so the
-// per-document cost of assembly follows the document's candidates and its
-// witnesses, not the registered set.
+// but only for the patterns the document triggered. Each live pattern
+// watches one of its prefixes, and the walk records the prefixes it hit (the
+// ones whose candidate list it made non-empty), so finding the triggered
+// patterns (MatchResult.Triggered) visits the watchers of those prefixes and
+// no other pattern: the per-document cost of Stage 1 follows the prefixes
+// the document hit, the patterns it triggered and the witnesses they emit,
+// not the registered set.
 //
 // Patterns are deduplicated on registration (by canonical key), so NFA
 // execution and witness assembly are shared by every query that references
@@ -32,10 +35,11 @@
 // Per-document evaluation state (active-state sets per depth, the
 // generation-stamped visited array, candidate lists, the visit numbering and
 // the assembly scratch) lives in a pooled MatchResult that callers return
-// with Release when they have drawn the witnesses they need.
+// with Release when they have copied out the bindings they need.
 package yfilter
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,12 +73,18 @@ type streamNFA struct {
 	states    []nfaState // states[0] is the start state
 	prefixIDs map[string]int
 	numPrefix int
-	patterns  []PatternID // patterns registered on this stream
 	// prefixLive[p] counts the live patterns referencing prefix p;
 	// candidate collection is skipped for prefixes only dead patterns
 	// need, so per-document cost tracks the live set, not every pattern
 	// ever registered.
 	prefixLive []int
+	// prefixDepth[p] is the number of location steps of prefix p.
+	prefixDepth []int
+	// watchers[p] lists the live patterns watching prefix p: every live
+	// pattern sits on the list of one of its prefixes (assembly.watch), so
+	// the patterns a document can have triggered are the watchers of the
+	// prefixes it hit.
+	watchers [][]PatternID
 
 	// Dense transition table, rebuilt lazily after Register. slot maps a
 	// global interned symbol id to 1+its NFA-local column (0 = the symbol
@@ -159,7 +169,7 @@ type Engine struct {
 	// canonically-equal pattern.
 	dead []bool
 
-	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists, numbering, reduced lists, the enumeration slab); a pattern's witnesses are copied out of the slab into arrays of their own before Witnesses returns
+	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists and the prefixes hit, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab); the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core copies each pattern's rows into its witness arena before asking for the next pattern and before it releases the result
 	pool sync.Pool
 }
 
@@ -198,7 +208,6 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 		sn.newState()
 		e.streams[p.Stream] = sn
 	}
-	sn.patterns = append(sn.patterns, id)
 
 	// Insert every root-to-node prefix of the pattern into the NFA and
 	// record the prefix id for each pattern node.
@@ -219,38 +228,62 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 				sn.numPrefix++
 				sn.prefixIDs[key] = pid
 				sn.prefixLive = append(sn.prefixLive, 0)
+				sn.prefixDepth = append(sn.prefixDepth, si+1)
+				sn.watchers = append(sn.watchers, nil)
 				sn.states[cur].accepts = append(sn.states[cur].accepts, pid)
 			}
 			np[path.NodeIndexes[si]] = pid
 		}
 	}
 	sn.tableClean.Store(false)
-	e.asm = append(e.asm, newAssembly(p, sn, np))
-	e.dead = append(e.dead, false)
-	for _, pid := range e.asm[id].distinct {
-		sn.prefixLive[pid]++
-	}
+	a := newAssembly(p, sn, np)
+	a.watch = sn.leastWatched(a.distinct)
+	e.asm = append(e.asm, a)
+	e.dead = append(e.dead, true)
+	e.SetLive(id, true)
 	return id
 }
 
+// leastWatched picks the prefix a new pattern watches: the one with the
+// fewest watchers so far, ties going to the deeper step (and then to the
+// later prefix), which is the more selective one. Spreading the watchers is
+// what keeps a hit prefix's list short when many patterns share a prefix.
+func (sn *streamNFA) leastWatched(prefixes []int) int {
+	best := prefixes[0]
+	for _, p := range prefixes[1:] {
+		n, m := len(sn.watchers[p]), len(sn.watchers[best])
+		if n < m || n == m && sn.prefixDepth[p] >= sn.prefixDepth[best] {
+			best = p
+		}
+	}
+	return best
+}
+
 // SetLive marks a pattern live or dead. A dead pattern keeps its shared NFA
-// states (rebuilding the automaton would stall ingestion) but stops paying
-// per-document candidate collection for prefixes no live pattern shares;
-// Register revives a canonically-equal pattern. Callers with refcounted
-// pattern registries (internal/core) call SetLive(id, false) when the last
-// reference goes away.
+// states (rebuilding the automaton would stall ingestion) but leaves its
+// watch list, so no document visits it, and stops paying per-document
+// candidate collection for prefixes no live pattern shares; Register revives
+// a canonically-equal pattern, back on the list it watched. Callers with
+// refcounted pattern registries (internal/core) call SetLive(id, false) when
+// the last reference goes away.
 func (e *Engine) SetLive(id PatternID, live bool) {
 	if e.dead[id] == !live {
 		return
 	}
 	e.dead[id] = !live
 	a := &e.asm[id]
+	sn := a.sn
 	delta := 1
-	if !live {
+	if live {
+		sn.watchers[a.watch] = append(sn.watchers[a.watch], id)
+	} else {
 		delta = -1
+		w := sn.watchers[a.watch]
+		i := slices.Index(w, id)
+		sn.watchers[a.watch] = slices.Delete(w, i, i+1)
 	}
 	for _, pid := range a.distinct {
-		a.sn.prefixLive[pid] += delta
+		sn.prefixLive[pid] += delta
 	}
 }
 
@@ -297,10 +330,10 @@ func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {
 
 // MatchResult holds the outcome of evaluating one document against all
 // patterns of one stream: the NFA run's candidate lists and visit numbering,
-// from which Witnesses assembles one pattern at a time. Results come from a
-// per-engine pool and everything in them is scratch that Release recycles;
-// the witnesses a call to Witnesses returns live in arrays of their own and
-// survive Release.
+// from which Triggered finds the patterns that can have witnesses and
+// Bindings assembles them one pattern at a time. Results come from a
+// per-engine pool and everything in them is scratch that Release recycles,
+// the slices Triggered and Bindings return included.
 type MatchResult struct {
 	eng *Engine
 	sn  *streamNFA
@@ -308,7 +341,11 @@ type MatchResult struct {
 
 	// candList[prefixID] lists the document nodes matching the prefix, in
 	// document order. Backing arrays are retained across Release/reuse.
+	// hit lists the prefixes whose list the walk made non-empty, in the
+	// order it did: the lists Release empties and the prefixes whose
+	// watchers Triggered visits.
 	candList [][]xmldoc.NodeID
+	hit      []int
 
 	// span[n] numbers the nodes the walk descended into: pre is n's visit
 	// number, end the last visit number handed out inside n's subtree, so m
@@ -347,9 +384,10 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 		r = &MatchResult{}
 	}
 	r.eng, r.sn, r.doc = e, sn, d
-	r.clock, r.triggered, r.probes = 0, 0, 0
+	r.clock, r.triggered, r.probes, r.triggerWork = 0, 0, 0, 0
 	if len(r.span) < d.Len() {
 		r.span = make([]interval, d.Len())
+		r.stamps = make([]uint32, d.Len())
 	}
 	if cap(r.candList) >= sn.numPrefix {
 		r.candList = r.candList[:sn.numPrefix]
@@ -377,17 +415,19 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 }
 
 // Release returns the result's scratch to the engine's pool. The result
-// must not be used afterwards; witnesses already handed out stay valid
-// (Witnesses copies them out of the pooled slab). Release on nil or an
-// already released result is a no-op.
+// must not be used afterwards, nor any slice Triggered or Bindings returned
+// from it. Only the candidate lists the document filled are emptied, so the
+// cost follows the prefixes it hit. Release on nil or an already released
+// result is a no-op.
 func (r *MatchResult) Release() {
 	if r == nil || r.eng == nil {
 		return
 	}
 	eng := r.eng
-	for i := range r.candList {
-		r.candList[i] = r.candList[i][:0]
+	for _, pid := range r.hit {
+		r.candList[pid] = r.candList[pid][:0]
 	}
+	r.hit, r.trig = r.hit[:0], r.trig[:0]
 	r.eng, r.sn, r.doc, r.pat, r.asm = nil, nil, nil, nil, nil
 	eng.pool.Put(r)
 }
@@ -450,7 +490,11 @@ func (r *MatchResult) visit(n xmldoc.NodeID, depth int) {
 			if sn.prefixLive[pid] == 0 {
 				continue // only unregistered patterns need this prefix
 			}
-			r.candList[pid] = append(r.candList[pid], n)
+			list := r.candList[pid]
+			if len(list) == 0 {
+				r.hit = append(r.hit, pid)
+			}
+			r.candList[pid] = append(list, n)
 		}
 	}
 	if len(next) == 0 {

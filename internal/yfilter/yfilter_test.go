@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +12,25 @@ import (
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
+
+// Witnesses is Bindings copied out into one witness per assignment, which
+// the tests compare with MatchNaive: what it returns survives the next call
+// and Release.
+func (r *MatchResult) Witnesses(id PatternID) []xpath.Witness {
+	slab, n := r.Bindings(id)
+	if n == 0 {
+		return nil
+	}
+	nv := len(slab) / n
+	bindings := slices.Clone(slab)
+	ws := make([]xpath.Witness, n)
+	for i := range ws {
+		if nv > 0 {
+			ws[i].Bindings = bindings[i*nv : (i+1)*nv : (i+1)*nv]
+		}
+	}
+	return ws
+}
 
 func sortedWitnesses(ws []xpath.Witness) []string {
 	out := make([]string, len(ws))
