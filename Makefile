@@ -35,8 +35,8 @@ race:
 # encoding/xml) and the server's wire sessions, plus Stage-1 witness
 # assembly against its naive oracle, window expiry of the join state
 # against a rebuild, template canonicalization against its string-
-# signature reference, and the radix result order against the comparison
-# sort (the CI fuzz-smoke job). -fuzz takes one target per run, so a package
+# signature reference, the radix result order against the comparison sort,
+# and the Stage-2 vector-group trie against a map (the CI fuzz-smoke job). -fuzz takes one target per run, so a package
 # with several names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzMatchOrder$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzTrieChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 
 # Longer local fuzzing session (override FUZZTIME as needed).

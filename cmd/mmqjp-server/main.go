@@ -69,10 +69,9 @@
 // match output is identical to synchronous mode for the same admission
 // order.
 //
-// The Stage-2 physical plan is chosen adaptively per template by default
-// (-plan auto, with -explore N controlling the calibration sampling);
-// -plan witness and -plan rt force one plan for ablation runs. Match output
-// is identical for every plan setting.
+// Stage 2 runs the witness-driven plan by default (-plan auto, the same as
+// -plan witness); -plan rt forces the RT-driven plan for ablation runs.
+// Match output is identical for every plan setting.
 //
 // Matches are pushed to the connection that owns the matched query as
 //
@@ -213,8 +212,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "Stage-2 worker goroutines per publish (1 = sequential)")
 	pipeline := flag.Int("pipeline", runtime.NumCPU(), "ingest pipeline depth for PUBB batches and -async publishes (1 = sequential)")
 	async := flag.Bool("async", false, "route PUB through the continuous async ingest pipeline")
-	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto (adaptive), witness, or rt (forced ablations)")
-	explore := flag.Int("explore", 64, "with -plan auto, run the non-chosen plan on ~1/N of plan decisions to calibrate the cost model (0 disables)")
+	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto or witness (the witness-driven plan), or rt (the RT-driven plan, an ablation)")
 	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables")
 	snapPath := flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables")
 	snapEvery := flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)")
@@ -238,7 +236,7 @@ func main() {
 	}
 	opts := mmqjp.Options{
 		Processor: kind, Parallelism: *workers, PipelineDepth: *pipeline,
-		Plan: plan, PlanExploreEvery: *explore,
+		Plan: plan,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument

@@ -39,14 +39,13 @@
 // channel in admission order, byte-identical to serial Publish of that
 // order, and Flush/Close drain the pipeline.
 //
-// The Stage-2 physical plan is chosen adaptively per query template
-// (Options.Plan, default PlanAuto): runtime statistics — observed witness
-// fan-out, vector-group cardinality and probe volume, and per-plan
-// wall-time EWMAs — calibrate a cost model online that replaces the static
-// heuristic, and Options.PlanExploreEvery enables occasional exploration
-// runs of the non-chosen plan to keep both estimates honest. Plan choice
-// never changes output: forced PlanWitness, forced PlanRTDriven and
-// adaptive PlanAuto produce byte-identical match streams.
+// Stage 2 evaluates each query template's conjunctive query in
+// witness-driven order (Options.Plan, default PlanAuto): it joins outward
+// from the current document's value-join pairs and extends a trie of the
+// template's registered variable vectors with every variable it binds, so it
+// probes only what some subscription registered. PlanRTDriven, which
+// iterates the registered vectors first, stays as an ablation. The plan
+// never changes output: every setting produces byte-identical match streams.
 // Engine.PlanStats exposes the per-template statistics.
 //
 // Subscriptions have a full lifecycle: Unsubscribe removes a query and
@@ -75,8 +74,7 @@
 // # Quick start
 //
 //	eng := mmqjp.New(mmqjp.Options{
-//	    Processor:        mmqjp.ProcessorViewMat, // zero value: ProcessorMMQJP (no view materialization)
-//	    PlanExploreEvery: 64,                     // zero value: no exploration runs (TUNING.md "Plan")
+//	    Processor: mmqjp.ProcessorViewMat, // zero value: ProcessorMMQJP (no view materialization)
 //	})
 //	qid, err := eng.Subscribe(
 //	    "S//book->b[.//author->a] FOLLOWED BY{a=a2, 100} S//blog->g[.//author->a2]")

@@ -36,15 +36,12 @@ const (
 type Plan int
 
 const (
-	// PlanAuto chooses per template per document with the adaptive
-	// statistics-driven planner: per-template cost statistics collected
-	// during evaluation calibrate the cost model online, and (with
-	// PlanExploreEvery > 0) occasional exploration keeps both plans'
-	// estimates honest. This is the default and the recommended
-	// production mode.
+	// PlanAuto is the default: the witness-driven plan, whose walk extends
+	// a trie of the registered variable vectors with every variable it
+	// binds, so it probes only what some subscription registered.
 	PlanAuto Plan = iota
-	// PlanWitness forces the witness-driven plan (join outward from the
-	// current document's value-join pairs) — ablations and tests.
+	// PlanWitness names the witness-driven plan (join outward from the
+	// current document's value-join pairs) explicitly; it runs as PlanAuto.
 	PlanWitness
 	// PlanRTDriven forces the RT-driven plan (iterate the query
 	// relation's distinct variable vectors with index probes) —
@@ -73,24 +70,15 @@ type Options struct {
 	// ProcessorViewMat, so set this field explicitly to get the same
 	// evaluator from the library.
 	Processor ProcessorKind
-	// Plan forces the per-template physical plan (default PlanAuto, the
-	// adaptive chooser). Match output is byte-identical for every
-	// setting; only cost differs. Ignored by ProcessorSequential.
+	// Plan selects the Stage-2 physical plan (default PlanAuto, the
+	// witness-driven plan; PlanRTDriven is an ablation). Match output is
+	// byte-identical for every setting; only cost differs. Ignored by
+	// ProcessorSequential.
 	Plan Plan
-	// PlanExploreEvery enables PlanAuto's exploration policy: roughly one
-	// in this many per-template plan decisions additionally runs the
-	// non-chosen plan, timed for cost-model calibration only (its matches
-	// are discarded, so match output is unchanged). The zero value
-	// disables exploration; PlanAuto still calibrates both plans then,
-	// from the runs it chooses — its counted prior moves a template to
-	// the RT-driven plan when the witness fan-out grows, which samples
-	// that plan's cost — and measured no slower than with exploration
-	// (TUNING.md "Plan"). mmqjp-server defaults to 64 (-explore).
-	// Ignored for forced plans.
+	// PlanExploreEvery is ignored: the plan chooser whose calibration runs
+	// it sampled is gone. The field stays only until the benchmark, which
+	// names it, is re-fitted.
 	PlanExploreEvery int
-	// PlanExploreSeed seeds the deterministic per-template exploration
-	// sampler (0 selects 1).
-	PlanExploreSeed int64
 	// RetainDocuments keeps processed documents in memory so that match
 	// outputs can be rendered as XML with Engine.OutputXML. Defaults to
 	// false: high-volume deployments usually only need match metadata.
@@ -219,8 +207,6 @@ func New(opts Options) *Engine {
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			RetainDocuments:     opts.RetainDocuments,
 			Plan:                core.PlanKind(opts.Plan),
-			PlanExploreEvery:    opts.PlanExploreEvery,
-			PlanExploreSeed:     opts.PlanExploreSeed,
 			Workers:             opts.Parallelism,
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
@@ -800,17 +786,14 @@ func (e *Engine) OutputXML(m Match) (xml string, ok bool) {
 	return sb.String(), true
 }
 
-// TemplatePlanStats is one query template's adaptive-planner snapshot: the
-// collected runtime statistics (witness fan-out, vector-group cardinality
-// and probe volume, calibrated per-unit plan costs) and run counters. See
+// TemplatePlanStats is one query template's Stage-2 snapshot: its signature,
+// its live vector groups and how often each step order ran. See
 // Engine.PlanStats.
 type TemplatePlanStats = core.TemplatePlanStats
 
-// PlanStats returns the adaptive planner's per-template statistics for the
-// live query templates, in template order: the observed witness fan-out and
-// index-probe EWMAs, the calibrated per-unit cost of each physical plan,
-// and how often each plan ran (including exploration runs). It returns nil
-// in sequential mode, where there are no templates.
+// PlanStats returns the per-template Stage-2 statistics of the live query
+// templates, in template order. It returns nil in sequential mode, where
+// there are no templates.
 func (e *Engine) PlanStats() []TemplatePlanStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

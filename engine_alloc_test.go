@@ -102,8 +102,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 // of a known template costs its parse, its records and one RT row: each block
 // is normalized once without building a pattern when an equal one is
 // registered, and the join graph, its minor and the memo key are built in
-// reused storage. The readings are 30.0 allocations / 1 789 bytes (rss) and
-// 52.9 / 3 185 (paper scale); deriving everything afresh per query, as
+// reused storage. The readings are 30.0 allocations / 1 839 bytes (rss) and
+// 52.8 / 3 192 (paper scale); deriving everything afresh per query, as
 // registration did before, took 253.5 / 9 311 and 379.4 / 11 923. Counts and
 // bytes are the same on every machine; a ceiling is at most 1.25 times what
 // the test logs.
@@ -125,7 +125,7 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 		{"paper scale", paper, 66, 3980},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: 2, PlanExploreEvery: 64})
+			eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -28,15 +28,15 @@ func TestParsePlan(t *testing.T) {
 }
 
 // TestPlanInvisibilityUnderAsyncChurn is the engine-level plan-invisibility
-// guarantee: forced PlanWitness, forced PlanRTDriven and adaptive PlanAuto
-// (exploration on) must produce byte-identical per-document match streams
+// guarantee: PlanWitness, forced PlanRTDriven and the default PlanAuto must
+// produce byte-identical per-document match streams
 // while documents flow through the continuous async ingest pipeline and
 // subscriptions churn between publishes. Each engine replays the identical
 // admission schedule — PublishAsync admissions from one goroutine with
 // Unsubscribe/Subscribe churn at fixed positions (routed through the
 // pipeline barrier) — so any cross-engine difference is the plan's doing.
-// The CI race job runs this under -race, which also exercises the
-// exploration path (the extra plan run) inside the shard workers.
+// The CI race job runs this under -race, with the shard workers reading the
+// templates' tries concurrently.
 func TestPlanInvisibilityUnderAsyncChurn(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 120)
 	// Deterministic replacement queries for the churn-in half of each
@@ -85,8 +85,6 @@ func TestPlanInvisibilityUnderAsyncChurn(t *testing.T) {
 	witness.Plan = PlanWitness
 	rt.Plan = PlanRTDriven
 	auto.Plan = PlanAuto
-	auto.PlanExploreEvery = 2
-	auto.PlanExploreSeed = 7
 
 	want := run(witness)
 	for _, tc := range []struct {
@@ -109,16 +107,11 @@ func TestPlanInvisibilityUnderAsyncChurn(t *testing.T) {
 	}
 }
 
-// TestPlanStatsAccessor checks the adaptive planner's statistics surface:
-// after a workload where the two plans are genuinely comparable (colliding
-// two-level documents, so exploration's cost cutoff does not suppress
-// either direction) the snapshot reports live templates with run counters,
-// and exploration calibrates both plans.
+// TestPlanStatsAccessor checks the per-template Stage-2 statistics surface:
+// after a multi-template workload the snapshot reports the live templates in
+// template order, with their signatures, vector groups and run counters.
 func TestPlanStatsAccessor(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, PlanExploreEvery: 2, PlanExploreSeed: 3})
-	// Two-join queries: both sides keep their root in the template minor,
-	// so the witness fan-out estimate is live and the exploration cutoff
-	// sees two genuinely comparable plans.
+	eng := New(Options{Processor: ProcessorViewMat})
 	for i := 1; i <= 4; i++ {
 		for j := 1; j <= 4; j++ {
 			if i == j {
@@ -139,7 +132,7 @@ func TestPlanStatsAccessor(t *testing.T) {
 	if len(stats) == 0 {
 		t.Fatal("no per-template plan stats after a multi-template workload")
 	}
-	var runs, explorations int64
+	var runs int64
 	for i, ts := range stats {
 		if i > 0 && stats[i-1].Template >= ts.Template {
 			t.Errorf("plan stats not in template order: %d then %d", stats[i-1].Template, ts.Template)
@@ -151,23 +144,9 @@ func TestPlanStatsAccessor(t *testing.T) {
 			t.Errorf("template %d: no live vector groups", ts.Template)
 		}
 		runs += ts.WitnessRuns + ts.RTRuns
-		explorations += ts.Explorations
 	}
 	if runs == 0 {
 		t.Error("no plan runs recorded")
-	}
-	if explorations == 0 {
-		t.Error("exploration enabled but never sampled")
-	}
-	// Exploration calibrates both plans on at least one template.
-	calibrated := false
-	for _, ts := range stats {
-		if ts.WitnessNsPerUnit > 0 && ts.RTNsPerUnit > 0 {
-			calibrated = true
-		}
-	}
-	if !calibrated {
-		t.Error("no template has both plans calibrated despite exploration")
 	}
 
 	// Sequential mode has no templates and must report nil.

@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 	rng := rand.New(rand.NewSource(*seed))
 
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 
 	// A third of the subscriptions watch each correlation family; windows
 	// vary per subscriber.

@@ -18,7 +18,6 @@ import (
 func main() {
 	eng := mmqjp.New(mmqjp.Options{
 		Processor:         mmqjp.ProcessorViewMat,
-		PlanExploreEvery:  64,
 		EnableComposition: true,
 	})
 

@@ -42,7 +42,7 @@ func main() {
 	for _, kind := range []mmqjp.ProcessorKind{
 		mmqjp.ProcessorViewMat, mmqjp.ProcessorMMQJP, mmqjp.ProcessorSequential,
 	} {
-		eng := mmqjp.New(mmqjp.Options{Processor: kind, PlanExploreEvery: 64})
+		eng := mmqjp.New(mmqjp.Options{Processor: kind})
 		for _, q := range qs {
 			if _, err := eng.Subscribe(q.Source); err != nil {
 				panic(err)
@@ -71,7 +71,7 @@ func main() {
 	}
 	fmt.Printf("\nchurn phase (MMQJP+ViewMat): %d of %d subscriptions replaced mid-stream\n",
 		*churn, *queries)
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PlanExploreEvery: 64})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 	var ids []mmqjp.QueryID
 	for _, q := range qs {
 		ids = append(ids, eng.MustSubscribe(q.Source))

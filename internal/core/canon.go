@@ -22,7 +22,7 @@ import (
 // (colour, parent's colour, sorted children's and partners' colours), ranked
 // as its decimal rendering "c|pP|[k k]|[v v]" sorts as a string (cmpSig), so
 // signature and node order are frozen: templates are keyed by the signature
-// (Processor.templates, planMemo) and the order lays out every RT row.
+// (Processor.templates) and the order lays out every RT row.
 
 // canonGraph is the flattened reduced join graph handed to the canonicalizer.
 type canonGraph struct {

@@ -1,8 +1,8 @@
 // Package core implements the MMQJP Join Processor: Stage-1 shared
 // tree-pattern matching feeding Stage-2 template-sharded conjunctive-query
 // evaluation over the join state, with view materialization (Section 5),
-// pipelined and continuous ingestion, subscription lifecycle, and an
-// adaptive statistics-driven physical-plan chooser (planner.go).
+// pipelined and continuous ingestion, and subscription lifecycle. Stage 2
+// runs each template's compiled conjunctive query (cqplan.go).
 //
 // This file holds the processor-wide configuration and the accumulated
 // statistics; the Processor itself lives in processor.go.
@@ -22,24 +22,12 @@ type Config struct {
 	// RetainDocuments keeps full documents in the join state so that
 	// query outputs can be constructed as XML; benchmarks disable it.
 	RetainDocuments bool
-	// Plan overrides the per-template physical plan choice (tests and
-	// ablation benchmarks; PlanAuto picks adaptively — see planner.go).
+	// Plan selects the step order of the compiled Stage-2 programs
+	// (cqplan.go): PlanAuto and PlanWitness run the witness-driven order,
+	// PlanRTDriven the RT-driven one (tests and ablation benchmarks).
 	Plan PlanKind
-	// PlanExploreEvery enables the PlanAuto exploration policy: roughly
-	// one in PlanExploreEvery per-template plan decisions additionally
-	// runs the non-chosen plan, timed for cost-model calibration only
-	// (its matches are discarded, so match output is unchanged). This is
-	// what keeps both per-plan cost estimates honest when the chooser
-	// settles on one plan. 0 disables exploration. Ignored for forced
-	// plans.
-	PlanExploreEvery int
-	// PlanExploreSeed seeds the deterministic per-template exploration
-	// sampler (0 selects 1). Given a seed, each template's sequence of
-	// explore/skip decisions is a pure function of its decision count —
-	// independent of Workers, PipelineDepth and wall-clock timing.
-	PlanExploreSeed int64
 	// Workers sets the number of template shards evaluated concurrently
-	// in Stage 2 (shard.go). Each shard owns the planner records, view
+	// in Stage 2 (shard.go). Each shard owns the run counts, view
 	// cache entries and stats of the templates assigned to it, so workers
 	// share no mutable state. 0 or 1 selects sequential evaluation;
 	// match output is identical for every worker count.
@@ -78,8 +66,8 @@ type DocTimings struct {
 type PlanKind int
 
 const (
-	// PlanAuto chooses per template per document by calibrated cost
-	// estimate (planner.go).
+	// PlanAuto runs the witness-driven order, which probes only what some
+	// subscription registered (cqplan.go).
 	PlanAuto PlanKind = iota
 	// PlanWitness always joins outward from the current document's
 	// value-join pairs (cqplan.go).
@@ -108,7 +96,7 @@ type Stats struct {
 	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
 	RL       time.Duration `json:"rl_ns" help:"Time computing or looking up RL slices."`
 	RR       time.Duration `json:"rr_ns" help:"Time computing RR slices."`
-	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time of the chosen plans."`
+	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time."`
 	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2), view-cache maintenance and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
 	// plus witness construction), accumulated across documents and batch
@@ -123,23 +111,16 @@ type Stats struct {
 	// Process and ProcessBatch calls.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Coordinator wall time of Stage-2 template evaluation."`
 
-	// WitnessPlans and RTPlans count per-template plan choices (see
-	// planner.go); the ablation tests assert the chooser adapts.
-	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Stage-2 plan decisions that chose the witness-driven plan."`
-	RTPlans      int64 `json:"rt_plans" stat:"counter" help:"Stage-2 plan decisions that chose the RT-driven plan."`
-	// Explorations counts PlanAuto exploration runs of the non-chosen
-	// plan (calibration only, matches discarded); ExploreWall is their
-	// wall-clock cost, kept out of CQ so the Figure-14/15 breakdowns
-	// report only the plan that produced the output.
-	Explorations int64         `json:"explorations" stat:"counter" help:"Calibration runs of the non-chosen Stage-2 plan."`
-	ExploreWall  time.Duration `json:"explore_wall_ns" help:"Wall time of the calibration runs."`
+	// WitnessPlans and RTPlans count the per-template runs of each step
+	// order of the compiled programs (cqplan.go).
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Per-template Stage-2 runs in witness-driven order."`
+	RTPlans      int64 `json:"rt_plans" stat:"counter" help:"Per-template Stage-2 runs in RT-driven order."`
 	// CQProbes counts the index entries the compiled Stage-2 steps visited
 	// (cqplan.go) and CQRows the RoutT rows they produced, before the
-	// window test — the chosen plan's runs only, like CQ. Both are pure
-	// functions of the input sequence and the plan sequence, so they repeat
-	// exactly under a forced plan.
-	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps of the chosen plans."`
-	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the chosen Stage-2 plans produced, before the window test."`
+	// window test. Both are pure functions of the input sequence and the
+	// plan, so they repeat exactly.
+	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps."`
+	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
 	// document) and WitnessProbes what their assembly examined

@@ -31,30 +31,32 @@ import (
 // stage2Shared. No step hashes: every index is an offset array or a flat
 // table over integer keys (flat.go).
 //
-// The two physical plans (planner.go) are the same machine in two step
-// orders. The witness-driven order starts from the document's value-join
-// pairs, assigns the v slots from the structural rows it walks, and ends by
-// probing the bound variable vector against the template's vector groups.
-// The RT-driven order starts by iterating the vector groups, so every v slot
-// is bound up front and each structural row is a check. In witness order an
-// assigned (v_parent, v_child) pair is tested against the pairs some live
-// vector group carries at that position (Template.live) as soon as it is
-// bound: a pair no subscription registered cannot survive the final vector
-// probe, so dropping it early changes no output row.
+// The program runs in one of two step orders, the same machine either way.
+// The witness-driven order — what PlanAuto runs — starts from the document's
+// value-join pairs and assigns the v slots from the structural rows it walks.
+// The query relation RT is one more atom of that walk: the template's vector
+// groups form a trie (Template.trie) whose levels are the v slots in the
+// order this program assigns them, and every v slot a step assigns extends
+// the frame's trie node (cqExec.nodes) or ends the branch. A walk therefore
+// never completes a variable vector no subscription registered, and the edge
+// its last v slot takes names the vector group whose instances it emits. The
+// RT-driven order (PlanRTDriven, an ablation) starts by iterating the vector
+// groups, so every v slot is bound up front, each structural row is a check
+// and the trie is never read: forcing it checks the trie in every
+// differential.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
 
 const (
-	srcVectors     cqSource = iota // the template's live vector groups, one after another
-	srcVectorProbe                 // the vector group equal to the bound v slots
-	srcRvj                         // value-join pairs: all, or by slot
-	srcRL                          // left view: all, or by slot
-	srcRR                          // right view by strVal
-	srcRbin                        // Rbin by (slot, node2)
-	srcRbinW                       // RbinW by node2
-	srcRroot                       // Rroot by (slot, node)
-	srcRrootW                      // RrootW by node
+	srcVectors cqSource = iota // the template's live vector groups, one after another
+	srcRvj                     // value-join pairs: all, or by slot
+	srcRL                      // left view: all, or by slot
+	srcRR                      // right view by strVal
+	srcRbin                    // Rbin by (slot, node2)
+	srcRbinW                   // RbinW by node2
+	srcRroot                   // Rroot by (slot, node)
+	srcRrootW                  // RrootW by node
 )
 
 // The per-document relations' schemas: the value-join pairs and the Section-5
@@ -94,10 +96,9 @@ type cqStep struct {
 	key    int
 	assign []colSlot
 	check  []colSlot
-	// live, when >= 0, is the template position whose live variable pairs
-	// (Template.live) the pair in slots liveA, liveB must belong to.
-	live         int
-	liveA, liveB int
+	// vars are the v slots the step assigns, in assignment order: the
+	// levels of the template's trie this step descends.
+	vars []int
 }
 
 // cqProgram is one step order of a template's compiled conjunctive query.
@@ -105,8 +106,6 @@ type cqStep struct {
 type cqProgram struct {
 	t     *Template
 	steps []cqStep
-	// rtDriven is the vector-groups-first order.
-	rtDriven bool
 }
 
 func (t *Template) nSlot(p int) int { return 1 + p }
@@ -123,10 +122,21 @@ func (t *Template) usesViews(k int) bool {
 }
 
 // compile builds the template's two programs (setting needRvj when a step
-// reads the pair relation). views selects the Section-5 rewriting (RL/RR
-// atoms) for the value joins that admit it.
+// reads the pair relation) and lays out its trie's levels in the order the
+// witness-driven program assigns the v slots. views selects the Section-5
+// rewriting (RL/RR atoms) for the value joins that admit it.
 func (t *Template) compile(views bool) {
 	t.progs = [2]*cqProgram{compileCQ(t, views, false), compileCQ(t, views, true)}
+	for _, st := range t.progs[0].steps {
+		for _, slot := range st.vars {
+			t.levels = append(t.levels, slot-t.vSlot(0))
+		}
+	}
+	// Every position lies on the path from a value-join endpoint to its
+	// side root, so every v slot is assigned once.
+	if len(t.levels) != t.N {
+		panic(fmt.Sprintf("core: the witness-driven program of %s assigns %d of %d variables", t.Sig, len(t.levels), t.N))
+	}
 }
 
 // cqCompiler tracks which slots are bound and which structural atoms have
@@ -141,12 +151,12 @@ type cqCompiler struct {
 func compileCQ(t *Template, views, rtDriven bool) *cqProgram {
 	c := &cqCompiler{
 		t:       t,
-		prog:    &cqProgram{t: t, rtDriven: rtDriven},
+		prog:    &cqProgram{t: t},
 		bound:   make([]bool, t.numSlots()),
 		emitted: make([]bool, t.N),
 	}
 	if rtDriven {
-		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectors, key: -1, live: -1})
+		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectors, key: -1})
 		for p := 0; p < t.N; p++ {
 			c.bound[t.vSlot(p)] = true
 		}
@@ -165,21 +175,18 @@ func compileCQ(t *Template, views, rtDriven bool) *cqProgram {
 		}
 		if views && t.usesViews(k) {
 			pl, pr := t.Parent[l], t.Parent[r]
-			c.atom(srcRL, docKey, l, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
+			c.atom(srcRL, docKey, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
 			c.emitted[l] = true
 			c.anchor(pl)
-			c.atom(srcRR, t.sSlot(k), r, t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
+			c.atom(srcRR, t.sSlot(k), t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
 			c.emitted[r] = true
 			c.anchor(pr)
 			continue
 		}
 		t.needRvj = true
-		c.atom(srcRvj, docKey, -1, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
+		c.atom(srcRvj, docKey, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
 		c.anchor(l)
 		c.anchor(r)
-	}
-	if !rtDriven {
-		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectorProbe, key: -1, live: -1})
 	}
 	return c.prog
 }
@@ -196,9 +203,9 @@ func (c *cqCompiler) anchor(pos int) {
 		}
 		c.emitted[pos] = true
 		if left {
-			c.atom(srcRroot, t.nSlot(pos), pos, slotDoc, t.vSlot(pos), t.nSlot(pos))
+			c.atom(srcRroot, t.nSlot(pos), slotDoc, t.vSlot(pos), t.nSlot(pos))
 		} else {
-			c.atom(srcRrootW, t.nSlot(pos), pos, t.vSlot(pos), t.nSlot(pos))
+			c.atom(srcRrootW, t.nSlot(pos), t.vSlot(pos), t.nSlot(pos))
 		}
 		return
 	}
@@ -206,9 +213,9 @@ func (c *cqCompiler) anchor(pos int) {
 		c.emitted[ch] = true
 		pa := t.Parent[ch]
 		if left {
-			c.atom(srcRbin, t.nSlot(ch), ch, slotDoc, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
+			c.atom(srcRbin, t.nSlot(ch), slotDoc, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
 		} else {
-			c.atom(srcRbinW, t.nSlot(ch), ch, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
+			c.atom(srcRbinW, t.nSlot(ch), t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
 		}
 	}
 }
@@ -216,12 +223,10 @@ func (c *cqCompiler) anchor(pos int) {
 // atom appends the step reading src with probe key slot key; cols[i] is the
 // frame slot column i of the source row binds. Key columns equal the frame
 // by construction of the index; every other column is assigned when its
-// slot is still unbound and checked otherwise. livePos is the position whose
-// variable pair the row carries (-1 for none).
-func (c *cqCompiler) atom(src cqSource, key, livePos int, cols ...int) {
-	st := cqStep{src: src, key: key, live: -1}
+// slot is still unbound and checked otherwise.
+func (c *cqCompiler) atom(src cqSource, key int, cols ...int) {
+	st := cqStep{src: src, key: key}
 	schema := cqSchemas[src]
-	assignsVar := false
 	for col, slot := range cols {
 		// Reading a symbol into a node or variable slot, or the reverse, is
 		// a bug in compileCQ: which column meets which kind of slot is
@@ -237,73 +242,52 @@ func (c *cqCompiler) atom(src cqSource, key, livePos int, cols ...int) {
 			st.assign = append(st.assign, colSlot{col, slot})
 			c.bound[slot] = true
 			if slot >= c.t.vSlot(0) && slot < c.t.sSlot(0) {
-				assignsVar = true
+				st.vars = append(st.vars, slot)
 			}
 		}
 	}
-	if assignsVar && livePos >= 0 {
-		st.live = livePos
-		st.liveA, st.liveB = c.t.vSlot(c.t.liveParent(livePos)), c.t.vSlot(livePos)
-	}
 	c.prog.steps = append(c.prog.steps, st)
-}
-
-// liveParent is the position paired with p in Template.live: its parent, or
-// p itself for a side root (only the root of a single-node side is ever
-// looked up: a multi-node side's root has no structural atom of its own).
-func (t *Template) liveParent(p int) int {
-	if t.Parent[p] >= 0 {
-		return t.Parent[p]
-	}
-	return p
 }
 
 // vecGroup is one distinct variable vector of a template — the RT rows of
 // every instance registered with the same canonical variable at each
 // position collapse onto it — with the instances sharing it.
 type vecGroup struct {
-	vars  []int64 // interned canonical variable per template position
-	hash  uint64  // hashVec(vars), the group's hash in Template.vectors
+	vars  []int32 // interned canonical variable per template position
 	insts []int64 // instance ids
 }
 
 // addVector records an instance's variable vector in its template and
-// returns its group (kept by the instance for removeVector). A new group
-// adds its variable pairs to the live sets the witness-driven order prunes
-// with.
-func (t *Template) addVector(vars []int64, iid int64) *vecGroup {
-	if t.live == nil {
-		t.live = make([]pairSet, t.N)
+// returns its group (kept by the instance for removeVector). A new group's
+// path enters the trie.
+func (t *Template) addVector(vars []int32, iid int64) *vecGroup {
+	if gi := t.trie.walk(t.levels, vars); gi >= 0 {
+		g := t.vecList[gi]
+		g.insts = append(g.insts, iid)
+		return g
 	}
-	g := t.vectors.get(vars)
-	if g == nil {
-		g = &vecGroup{vars: append([]int64(nil), vars...), hash: hashVec(vars)}
-		t.vectors.insert(g)
-		t.vecList = append(t.vecList, g)
-		t.noteLive(g, 1)
-	}
-	g.insts = append(g.insts, iid)
+	g := &vecGroup{vars: slices.Clone(vars), insts: []int64{iid}}
+	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
+	t.vecList = append(t.vecList, g)
 	return g
 }
 
 // removeVector removes an unregistered instance from its vector group; a
-// group whose last instance leaves is dropped entirely, so no plan visits a
-// vector no live query shares.
+// group whose last instance leaves is dropped entirely — its path leaves the
+// trie and the last group takes its index — so no plan visits a vector no
+// live query shares.
 func (t *Template) removeVector(g *vecGroup, iid int64) {
 	if g.insts = removeFirst(g.insts, iid); len(g.insts) > 0 {
 		return
 	}
-	t.vectors.remove(g)
-	t.vecList = removeFirst(t.vecList, g)
-	t.noteLive(g, -1)
-}
-
-// noteLive adds (delta = 1) or retires (delta = -1) a vector group's
-// variable pairs in the per-position live sets.
-func (t *Template) noteLive(g *vecGroup, delta int32) {
-	for p := 0; p < t.N; p++ {
-		t.live[p].add(packPair(g.vars[t.liveParent(p)], g.vars[p]), delta)
+	gi := t.trie.remove(t.levels, g.vars)
+	last := len(t.vecList) - 1
+	if moved := t.vecList[last]; int(gi) != last {
+		t.vecList[gi] = moved
+		t.trie.relink(t.levels, moved.vars, gi)
 	}
+	t.vecList[last] = nil
+	t.vecList = t.vecList[:last]
 }
 
 // cqExec evaluates compiled programs on one shard (shard.ex), one document at
@@ -318,17 +302,15 @@ type cqExec struct {
 
 	prog  *cqProgram
 	frame []int64
-	group *vecGroup
+	// nodes[i] is the frame's trie node when step i starts: the root at
+	// step 0; once every v slot is bound, the vector group's index.
+	nodes []int32
 	out   []Match
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
 	// later document's.
 	slab []xmldoc.NodeID
-
-	// fanouts memoizes the document's witness fan-out per value-join count
-	// for the planner (evalShard); -1 is not yet computed.
-	fanouts []float64
 
 	// probes counts index entries visited, rows RoutT rows produced.
 	probes, rows int64
@@ -338,11 +320,9 @@ type cqExec struct {
 // their instance's window to ex.out.
 func (ex *cqExec) run(prog *cqProgram) {
 	ex.prog = prog
-	if n := prog.t.numSlots(); cap(ex.frame) < n {
-		ex.frame = make([]int64, n)
-	} else {
-		ex.frame = ex.frame[:n]
-	}
+	ex.frame = resize(ex.frame, prog.t.numSlots())
+	ex.nodes = resize(ex.nodes, len(prog.steps)+1)
+	ex.nodes[0] = 0
 	ex.step(0)
 }
 
@@ -350,7 +330,7 @@ func (ex *cqExec) run(prog *cqProgram) {
 // every source row that passes the step's checks.
 func (ex *cqExec) step(i int) {
 	if i == len(ex.prog.steps) {
-		ex.emit()
+		ex.emit(ex.prog.t.vecList[ex.nodes[i]])
 		return
 	}
 	st := &ex.prog.steps[i]
@@ -359,17 +339,12 @@ func (ex *cqExec) step(i int) {
 	var idx []int32
 	switch st.src {
 	case srcVectors:
-		for _, g := range t.vecList {
+		for gi, g := range t.vecList {
 			ex.probes++
-			copy(f[t.vSlot(0):], g.vars)
-			ex.group = g
-			ex.step(i + 1)
-		}
-		return
-	case srcVectorProbe:
-		ex.probes++
-		if g := t.vectors.get(f[t.vSlot(0):t.sSlot(0)]); g != nil {
-			ex.group = g
+			for p, v := range g.vars {
+				f[t.vSlot(p)] = int64(v)
+			}
+			ex.nodes[i+1] = int32(gi)
 			ex.step(i + 1)
 		}
 		return
@@ -408,8 +383,9 @@ func (ex *cqExec) step(i int) {
 }
 
 // try binds one source row into the frame and continues with the next step
-// unless a check or the live-pair test rejects it. The compiler paired every
-// column with a slot of its kind, so comparing the integers is value equality.
+// unless a check rejects it or a variable it binds leaves the trie. The
+// compiler paired every column with a slot of its kind, so comparing the
+// integers is value equality.
 func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 	ex.probes++
 	f := ex.frame
@@ -421,21 +397,25 @@ func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 	for _, a := range st.assign {
 		f[a.slot] = row[a.col]
 	}
-	if st.live >= 0 && !ex.prog.t.live[st.live].has(packPair(f[st.liveA], f[st.liveB])) {
-		return
+	node := ex.nodes[i]
+	for _, slot := range st.vars {
+		if node = ex.prog.t.trie.child(node, f[slot]); node < 0 {
+			return
+		}
 	}
+	ex.nodes[i+1] = node
 	ex.step(i + 1)
 }
 
-// emit turns the complete frame into the RoutT rows of the current vector
-// group — one per instance sharing it — and appends those that pass the
-// instance's window (Algorithm 3) as matches. The rows of one frame share
-// one Bindings slice, carved from the slab.
-func (ex *cqExec) emit() {
+// emit turns the complete frame into the RoutT rows of its vector group g —
+// one per instance sharing it — and appends those that pass the instance's
+// window (Algorithm 3) as matches. The rows of one frame share one Bindings
+// slice, carved from the slab.
+func (ex *cqExec) emit(g *vecGroup) {
 	p, t, f := ex.p, ex.prog.t, ex.frame
 	prev := &p.state.recs[f[slotDoc]]
 	var bindings []xmldoc.NodeID
-	for _, iid := range ex.group.insts {
+	for _, iid := range g.insts {
 		ex.rows++
 		inst := p.instances[iid]
 		if !p.windowOK(inst, prev, ex.d) {
@@ -471,4 +451,34 @@ func orientMatch(m *Match, t *Template, inst *instance, prevDoc xmldoc.DocID, pr
 		m.LeftTS, m.RightTS = prevTS, d.Timestamp
 		m.LeftRoot, m.RightRoot = prevRoot, curRoot
 	}
+}
+
+// TemplatePlanStats is one live template's Stage-2 snapshot, as returned by
+// Processor.PlanStats.
+type TemplatePlanStats struct {
+	Template TemplateID
+	Sig      string
+	// VecGroups is the live distinct-variable-vector count, the outer
+	// cardinality of the RT-driven order.
+	VecGroups int
+	// WitnessRuns and RTRuns count the template's runs in each step order.
+	WitnessRuns int64
+	RTRuns      int64
+}
+
+// PlanStats returns a snapshot of the live templates' Stage-2 statistics, in
+// template-id order (templateList's registration order). Like Stats, it must
+// not race a Process call (the engine facade serializes them).
+func (p *Processor) PlanStats() []TemplatePlanStats {
+	out := make([]TemplatePlanStats, 0, len(p.templateList))
+	for _, t := range p.templateList {
+		out = append(out, TemplatePlanStats{
+			Template:    t.ID,
+			Sig:         t.Sig,
+			VecGroups:   len(t.vecList),
+			WitnessRuns: t.runs[0],
+			RTRuns:      t.runs[1],
+		})
+	}
+	return out
 }

@@ -4,51 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
-
-// TestPlanChooserAdapts verifies the physical-plan cost model: the
-// two-fixed-document technical benchmark (every stored leaf matches, huge
-// witness fan-out) must run RT-driven, while a stream whose documents match
-// few stored values must run witness-driven.
-func TestPlanChooserAdapts(t *testing.T) {
-	// Technical benchmark: two-level workload, 2000 queries, d1 then d2.
-	c := workload.DefaultTwoLevel()
-	rng := rand.New(rand.NewSource(1))
-	p := NewProcessor(Config{})
-	for _, q := range c.Queries(rng, 2000) {
-		p.MustRegister(q)
-	}
-	d1, d2 := c.Documents()
-	p.Process("S", d1)
-	p.Process("S", d2)
-	s := p.Stats()
-	if s.RTPlans == 0 {
-		t.Errorf("technical benchmark never chose the RT-driven plan (witness=%d rt=%d)", s.WitnessPlans, s.RTPlans)
-	}
-
-	// Stream: RSS items with sparse value collisions.
-	rssc := workload.RSS{Channels: 400, Items: 200, TitlePool: 10000, DescPool: 10000, Theta: 0.8}
-	rng2 := rand.New(rand.NewSource(2))
-	ps := NewProcessor(Config{ViewMaterialization: true})
-	for _, q := range rssc.Queries(rng2, 2000) {
-		ps.MustRegister(q)
-	}
-	for _, d := range rssc.Stream(rng2, 200) {
-		ps.Process("S", d)
-	}
-	ss := ps.Stats()
-	if ss.WitnessPlans == 0 {
-		t.Errorf("stream workload never chose the witness-driven plan (witness=%d rt=%d)", ss.WitnessPlans, ss.RTPlans)
-	}
-	if ss.RTPlans > ss.WitnessPlans {
-		t.Errorf("stream workload mostly RT-driven: witness=%d rt=%d", ss.WitnessPlans, ss.RTPlans)
-	}
-}
 
 // twoLeafQuery builds a FOLLOWED BY query joining the given leaf on both
 // sides; all such queries share one template, and queries on different
@@ -61,10 +23,9 @@ func twoLeafQuery(leaf string, window int64) *xscl.Query {
 
 // TestVectorGroupChurn exercises vector-group add/remove under
 // subscription churn: instances sharing a variable vector collapse onto one
-// group, a group whose last instance leaves is dropped, the template itself
-// is reclaimed with its last query — and the adaptive planner's statistics
-// record survives the reclamation and is resumed by a re-registration of
-// the same template shape.
+// group, a group whose last instance leaves is dropped, and the template
+// itself is reclaimed with its last query; a re-registration of the same
+// shape starts a fresh template.
 func TestVectorGroupChurn(t *testing.T) {
 	p := NewProcessor(Config{})
 	qa1 := p.MustRegister(twoLeafQuery("l1", 10))
@@ -75,10 +36,6 @@ func TestVectorGroupChurn(t *testing.T) {
 		t.Fatalf("queries on one shape made %d templates", n)
 	}
 	tmpl := p.templateList[0]
-	ps := tmpl.plan
-	if ps == nil {
-		t.Fatal("template has no planner record")
-	}
 	if n := len(tmpl.vecList); n != 2 {
 		t.Fatalf("expected 2 vector groups (l1 shared, l2), got %d", n)
 	}
@@ -113,14 +70,13 @@ func TestVectorGroupChurn(t *testing.T) {
 	if n := len(p.templateList); n != 0 {
 		t.Fatalf("template not reclaimed: %d live", n)
 	}
-	// ...but the planner record survives: a re-registration of the same
-	// shape resumes the same statistics.
+	// ...and a re-registration of the same shape starts afresh.
 	p.MustRegister(twoLeafQuery("l3", 10))
 	if n := len(p.templateList); n != 1 {
 		t.Fatalf("re-registration made %d templates", n)
 	}
-	if p.templateList[0].plan != ps {
-		t.Error("re-registered template did not resume its planner record")
+	if p.templateList[0] == tmpl {
+		t.Error("re-registration revived the reclaimed template")
 	}
 	if n := len(p.templateList[0].vecList); n != 1 {
 		t.Fatalf("re-registered template has %d groups, want 1", n)
@@ -171,104 +127,256 @@ func TestVectorGroupChurnMatches(t *testing.T) {
 	}
 }
 
-// TestCalibrationConvergence drives the cost model directly: EWMAs converge
-// to a shifted per-unit cost, and once observations contradict the static
-// prior, the calibrated decision overrides it in both directions.
-func TestCalibrationConvergence(t *testing.T) {
-	var e ewma
-	for i := 0; i < 5; i++ {
-		e.observe(10)
+// trieMismatch checks a template's trie against its vector groups and
+// returns "" when they agree: the root-to-leaf paths are exactly the live
+// groups' vectors in binding order, each leaf names the group it spells,
+// every edge counts the groups below it, and the table holds no edge off
+// those paths.
+func trieMismatch(t *Template) string {
+	type edge struct{ v, child, count int32 }
+	out := map[int32][]edge{}
+	for _, e := range t.trie.slots {
+		if e.count != 0 {
+			node := int32(e.key >> 32)
+			out[node] = append(out[node], edge{int32(e.key), e.child, e.count})
+		}
 	}
-	for i := 0; i < 20; i++ {
-		e.observe(1)
+	seen := make([]bool, len(t.vecList))
+	path := make([]int32, t.N)
+	edges := 0
+	var visit func(node int32, level int) (int32, string)
+	visit = func(node int32, level int) (groups int32, msg string) {
+		for _, e := range out[node] {
+			edges++
+			path[t.levels[level]] = e.v
+			below := int32(1)
+			if level == len(t.levels)-1 {
+				if e.child < 0 || int(e.child) >= len(t.vecList) {
+					return 0, fmt.Sprintf("leaf %v names group %d of %d", path, e.child, len(t.vecList))
+				}
+				if g := t.vecList[e.child]; !slices.Equal(g.vars, path) {
+					return 0, fmt.Sprintf("leaf %v names group %d, whose vector is %v", path, e.child, g.vars)
+				}
+				if seen[e.child] {
+					return 0, fmt.Sprintf("group %d has two leaves", e.child)
+				}
+				seen[e.child] = true
+			} else if below, msg = visit(e.child, level+1); msg != "" {
+				return 0, msg
+			}
+			if e.count != below {
+				var prefix []int32
+				for _, p := range t.levels[:level+1] {
+					prefix = append(prefix, path[p])
+				}
+				return 0, fmt.Sprintf("edge %v counts %d groups, %d lie below", prefix, e.count, below)
+			}
+			groups += below
+		}
+		return groups, ""
 	}
-	if e.value() < 1 || e.value() > 1.5 {
-		t.Errorf("EWMA after shift = %v, want ≈1", e.value())
+	groups, msg := visit(0, 0)
+	switch {
+	case msg != "":
+		return msg
+	case int(groups) != len(t.vecList):
+		return fmt.Sprintf("%d paths for %d live groups", groups, len(t.vecList))
+	case edges != t.trie.n:
+		return fmt.Sprintf("%d edges reachable of %d in the table", edges, t.trie.n)
 	}
+	return ""
+}
 
-	p := NewProcessor(Config{})
-	p.MustRegister(twoLeafQuery("l1", 10))
-	tmpl := p.templateList[0]
-	perDoc := func(int) float64 { return 2 } // tiny fan-out: prior says witness
-
-	if d := p.choosePlan(tmpl, perDoc); d.rtDriven {
-		t.Fatal("uncalibrated chooser overrode the witness-leaning prior")
+// TestTrieEqualsVectorGroups holds every template's trie to its vector
+// groups (trieMismatch) through random Register and Unregister churn on the
+// RSS, paper-scale and random shapes, including revivals of unregistered
+// queries; a template reclaimed with its last query, and every template once
+// the last query is gone, must hold an empty trie.
+func TestTrieEqualsVectorGroups(t *testing.T) {
+	flat := workload.DefaultRandomFlat()
+	rng := rand.New(rand.NewSource(5))
+	var random []*xscl.Query
+	for i := 0; i < 300; i++ {
+		random = append(random, flat.Query(rng))
 	}
-	// Observed costs contradict the prior: witness wall time per unit is
-	// vastly larger than RT wall time per unit.
-	for i := 0; i < 8; i++ {
-		tmpl.plan.witnessCost.observe(1e6, 1)
-		tmpl.plan.rtCost.observe(1, 1)
-	}
-	if d := p.choosePlan(tmpl, perDoc); !d.rtDriven {
-		t.Fatal("calibrated chooser ignored observed witness cost")
-	}
-	// And back: the EWMAs track a drift in the other direction.
-	for i := 0; i < 40; i++ {
-		tmpl.plan.witnessCost.observe(1, 1)
-		tmpl.plan.rtCost.observe(1e6, 1)
-	}
-	if d := p.choosePlan(tmpl, perDoc); d.rtDriven {
-		t.Fatal("calibrated chooser did not converge back to the witness plan")
-	}
-	// The slope is a ratio of averages (regression through the origin):
-	// runs observed at large unit counts must not inflate the per-unit
-	// prediction the way averaging small-unit ratios would.
-	var c planCost
-	c.observe(1000, 10) // 100 ns/unit at the observed scale
-	c.observe(1200, 12)
-	if got := c.perUnit(); got < 95 || got > 105 {
-		t.Fatalf("perUnit = %v, want ≈100", got)
-	}
-	// Forced plans bypass calibration entirely.
-	p.cfg.Plan = PlanRTDriven
-	for i := 0; i < 8; i++ {
-		tmpl.plan.rtCost.observe(1e9, 1)
-	}
-	if d := p.choosePlan(tmpl, perDoc); !d.rtDriven {
-		t.Fatal("forced PlanRTDriven not honored")
+	for name, queries := range map[string][]*xscl.Query{
+		"rss":         workload.DefaultRSS().Queries(rand.New(rand.NewSource(1)), 400),
+		"paper scale": workload.DefaultPaperScale().Queries(rand.New(rand.NewSource(2)), 400),
+		"random":      random,
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := NewProcessor(Config{ViewMaterialization: true})
+			rng := rand.New(rand.NewSource(9))
+			seen := map[*Template]bool{}
+			check := func(step int) {
+				for _, tmpl := range p.templateList {
+					seen[tmpl] = true
+					if msg := trieMismatch(tmpl); msg != "" {
+						t.Fatalf("step %d, template %s: %s", step, tmpl.Sig, msg)
+					}
+				}
+				for tmpl := range seen {
+					if tmpl.refs == 0 && (tmpl.trie.n != 0 || len(tmpl.vecList) != 0) {
+						t.Fatalf("step %d: reclaimed template %s keeps %d edges and %d groups", step, tmpl.Sig, tmpl.trie.n, len(tmpl.vecList))
+					}
+				}
+			}
+			// Queries are drawn with replacement, so one registered again
+			// while live joins its own group, and one registered after it
+			// left revives its group, or its template.
+			var live []QueryID
+			for step := 0; step < 3*len(queries); step++ {
+				if len(live) > 0 && rng.Intn(5) < 2 {
+					k := rng.Intn(len(live))
+					p.MustUnregister(live[k])
+					live = slices.Delete(live, k, k+1)
+				} else {
+					live = append(live, p.MustRegister(queries[rng.Intn(len(queries))]))
+				}
+				check(step)
+			}
+			for _, id := range live {
+				p.MustUnregister(id)
+			}
+			check(-1)
+			if len(p.templateList) != 0 {
+				t.Fatalf("%d templates live after the last query left", len(p.templateList))
+			}
+		})
 	}
 }
 
-// TestExplorationSamplingDeterminism pins the exploration sampler: for a
-// fixed PlanExploreSeed the per-template explore/skip sequence is
-// reproducible across processor instances, and different seeds draw
-// different sequences.
-func TestExplorationSamplingDeterminism(t *testing.T) {
-	sequence := func(seed int64) []bool {
-		p := NewProcessor(Config{PlanExploreEvery: 2, PlanExploreSeed: seed})
-		p.MustRegister(twoLeafQuery("l1", 10))
-		tmpl := p.templateList[0]
-		perDoc := func(int) float64 { return 1 }
-		out := make([]bool, 256)
-		for i := range out {
-			out[i] = p.choosePlan(tmpl, perDoc).explore
+// FuzzTrieChurn applies a byte string as a sequence of vector-group
+// registrations and removals to a three-level template and compares the
+// trie with a map from vector to instances after every operation: each
+// vector of the small alphabet must walk to its group, with the group's
+// vector and instances, or nowhere.
+func FuzzTrieChurn(f *testing.F) {
+	f.Add([]byte{0, 2, 4, 1, 6, 3, 8, 1, 1})
+	f.Add([]byte("the trie keeps exactly the vectors registered"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		tmpl := &Template{N: 3, levels: []int{1, 2, 0}}
+		ref := map[[3]int32][]int64{}
+		var live []int64                // instance ids
+		groups := map[int64]*vecGroup{} // instance -> its group
+		next := int64(0)
+		for step, b := range ops {
+			if b&1 == 0 || len(live) == 0 {
+				v := [3]int32{int32(b>>1) % 4, int32(b>>3) % 4, int32(b>>5) % 3}
+				groups[next] = tmpl.addVector(v[:], next)
+				ref[v] = append(ref[v], next)
+				live = append(live, next)
+				next++
+			} else {
+				k := int(b>>1) % len(live)
+				iid := live[k]
+				live = slices.Delete(live, k, k+1)
+				g := groups[iid]
+				v := [3]int32(g.vars)
+				tmpl.removeVector(g, iid)
+				delete(groups, iid)
+				if ref[v] = removeFirst(ref[v], iid); len(ref[v]) == 0 {
+					delete(ref, v)
+				}
+			}
+			if msg := trieMismatch(tmpl); msg != "" {
+				t.Fatalf("op %d: %s", step, msg)
+			}
+			if len(tmpl.vecList) != len(ref) {
+				t.Fatalf("op %d: %d groups, want %d", step, len(tmpl.vecList), len(ref))
+			}
+			for a := int32(0); a < 4; a++ {
+				for b := int32(0); b < 4; b++ {
+					for c := int32(0); c < 3; c++ {
+						v := [3]int32{a, b, c}
+						gi := tmpl.trie.walk(tmpl.levels, v[:])
+						want, ok := ref[v]
+						switch {
+						case !ok && gi != -1:
+							t.Fatalf("op %d: %v walks to group %d, registered by no instance", step, v, gi)
+						case ok && gi < 0:
+							t.Fatalf("op %d: %v of instances %v leaves the trie", step, v, want)
+						case ok && !slices.Equal(tmpl.vecList[gi].insts, want):
+							t.Fatalf("op %d: %v walks to the group of %v, want %v", step, v, tmpl.vecList[gi].insts, want)
+						}
+					}
+				}
+			}
 		}
-		return out
-	}
-	a, b := sequence(7), sequence(7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different exploration sequences")
-	}
-	if reflect.DeepEqual(a, sequence(8)) {
-		t.Fatal("different seeds produced identical 256-draw exploration sequences")
-	}
-	explored := 0
-	for _, e := range a {
-		if e {
-			explored++
-		}
-	}
-	if explored == 0 || explored == len(a) {
-		t.Fatalf("exploration rate degenerate: %d/%d", explored, len(a))
-	}
+	})
+}
 
-	// Exploration is a PlanAuto policy: forced plans never sample.
-	p := NewProcessor(Config{Plan: PlanWitness, PlanExploreEvery: 2, PlanExploreSeed: 7})
-	p.MustRegister(twoLeafQuery("l1", 10))
-	for i := 0; i < 64; i++ {
-		if p.choosePlan(p.templateList[0], func(int) float64 { return 1 }).explore {
-			t.Fatal("forced plan requested exploration")
+// collidingStream is the stream the witness side fans out on: n-leaf
+// two-level documents that all carry the same values, one time unit apart,
+// so under a short window every stored document joins the current one on
+// every leaf.
+func collidingStream(n, count int) []*xmldoc.Document {
+	out := make([]*xmldoc.Document, count)
+	for i := range out {
+		b := xmldoc.NewBuilder(xmldoc.DocID(i+1), xmldoc.Timestamp(i+1), "r")
+		for l := 1; l <= n; l++ {
+			b.Element(0, fmt.Sprintf("l%d", l), fmt.Sprintf("value-%d", l))
 		}
+		out[i] = b.Build()
+	}
+	return out
+}
+
+// TestWitnessOrderCountedWork bounds the index entries Stage 2 visits per
+// match under PlanAuto, the witness-driven order walking the vector-group
+// trie, on three shapes: colliding two-level documents (the one shape where
+// the RT-driven order used to win), the paper-scale generator and the RSS
+// stream. PlanAuto and forced RT-driven run in lockstep and must agree on
+// every document's matches. The readings are 7.2, 38.3 and 0.83 probes per
+// match (before the trie the witness order read 51, 128 and 2.0, and an
+// adaptive chooser between the two orders 26, 138 and 2.0); each bound is
+// 1.25 times its reading, rounded, so a dead end the trie stopped cutting
+// fails here. PlanAuto must also visit at most a quarter of the RT-driven
+// order's entries on every shape: it reads 1/7.0, 1/7.9 and 1/64.
+func TestWitnessOrderCountedWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one worker, no second goroutine: the race detector has nothing to see here and takes ten times as long")
+	}
+	tl := workload.TwoLevel{N: 4, Theta: 0.8, Window: 12}
+	ps := workload.DefaultPaperScale()
+	rss := workload.DefaultRSS()
+	for _, tc := range []struct {
+		name     string
+		queries  []*xscl.Query
+		stream   []*xmldoc.Document
+		perMatch float64
+	}{
+		{"colliding two-level", tl.Queries(rand.New(rand.NewSource(1)), 300), collidingStream(tl.N, 100), 9},
+		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 800), ps.Stream(rand.New(rand.NewSource(8)), 300), 48},
+		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 1000), rss.Stream(rand.New(rand.NewSource(8)), 2000), 1.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			auto := NewProcessor(Config{ViewMaterialization: true, Plan: PlanAuto})
+			rt := NewProcessor(Config{ViewMaterialization: true, Plan: PlanRTDriven})
+			for _, q := range tc.queries {
+				auto.MustRegister(q)
+				rt.MustRegister(q)
+			}
+			matches := 0
+			for _, d := range tc.stream {
+				want := harnessRecs(rt.Process("S", d))
+				if got := harnessRecs(auto.Process("S", d)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("document %d: PlanAuto found %d matches, RT-driven %d", d.ID, len(got), len(want))
+				}
+				matches += len(want)
+			}
+			if matches == 0 {
+				t.Fatal("the replay produced no match: nothing was compared")
+			}
+			a, r := auto.Stats().CQProbes, rt.Stats().CQProbes
+			perMatch := float64(a) / float64(matches)
+			t.Logf("%d matches; probes: auto %d (%.2f per match), RT-driven %d (1/%.1f)", matches, a, perMatch, r, float64(r)/float64(a))
+			if perMatch > tc.perMatch {
+				t.Errorf("PlanAuto visited %.2f index entries per match, want <= %.2f", perMatch, tc.perMatch)
+			}
+			if 4*a > r {
+				t.Errorf("PlanAuto visited %d index entries, over a quarter of the RT-driven order's %d", a, r)
+			}
+		})
 	}
 }

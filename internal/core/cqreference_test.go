@@ -13,6 +13,7 @@ import (
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
+	"repro/internal/yfilter"
 )
 
 // referenceMatches evaluates every live template's conjunctive query CQ_T
@@ -58,7 +59,11 @@ func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Mat
 		rt := relation.New(intCols(rtCols...)...)
 		for _, g := range t.vecList {
 			for _, iid := range g.insts {
-				rt.Insert(append([]int64{iid}, g.vars...)...)
+				row := []int64{iid}
+				for _, v := range g.vars {
+					row = append(row, int64(v))
+				}
+				rt.Insert(row...)
 			}
 		}
 		atoms = append(atoms, Atom{Name: "RT", Rel: rt, Vars: rtCols})
@@ -233,22 +238,26 @@ func paperScaleSlice(cfg Config, measured int) (*Processor, []*xmldoc.Document) 
 
 // TestCompiledPlanCountedWorkCeiling bounds the compiled programs' counted
 // work on paperScaleSlice under each forced plan: index entries visited per
-// RoutT row produced must stay under a twentieth of the rows the interpreted
-// evaluator this replaced key-encoded into its hash joins per row on the same
-// slice (measured at its last commit by counting in hashJoinArena, probeJoin
-// and BuildIndex; on the benchmark's paper_scale at the server defaults the
-// same count was about 3 800 per row — 17.8 M rows for 4 646 RoutT rows over
-// 600 documents, with 1.74 M intermediate tuples on top). The counts repeat
+// RoutT row produced. The witness-driven order, which walks the vector-group
+// trie, reads 24.6 (basic) and 17.7 (view materialization) per row and must
+// stay within 1.25 times that: 31 and 22. The RT-driven order must stay
+// under a twentieth of the rows the interpreted evaluator the programs
+// replaced key-encoded into its hash joins per row on the same slice
+// (measured at its last commit by counting in hashJoinArena, probeJoin and
+// BuildIndex; on the benchmark's paper_scale at the server defaults the same
+// count was about 3 800 per row — 17.8 M rows for 4 646 RoutT rows over 600
+// documents, with 1.74 M intermediate tuples on top). The counts repeat
 // exactly for a fixed input and forced plan, so the test pins that too.
 func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 	for _, tc := range []struct {
-		cfg           Config
-		oldRowsPerRow int64
+		cfg Config
+		// ceiling is the bound on probes per row.
+		ceiling float64
 	}{
-		{Config{Plan: PlanWitness}, 9068},
-		{Config{Plan: PlanRTDriven}, 10478},
-		{Config{Plan: PlanWitness, ViewMaterialization: true}, 1057},
-		{Config{Plan: PlanRTDriven, ViewMaterialization: true}, 10478},
+		{Config{Plan: PlanWitness}, 31},
+		{Config{Plan: PlanRTDriven}, 10478.0 / 20},
+		{Config{Plan: PlanWitness, ViewMaterialization: true}, 22},
+		{Config{Plan: PlanRTDriven, ViewMaterialization: true}, 10478.0 / 20},
 	} {
 		t.Run(comboName(tc.cfg), func(t *testing.T) {
 			count := func() (probes, rows int64) {
@@ -264,10 +273,10 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 			if rows == 0 {
 				t.Fatal("no RoutT row produced")
 			}
-			t.Logf("%d probes for %d rows: %.1f per row", probes, rows, float64(probes)/float64(rows))
-			if 20*probes > tc.oldRowsPerRow*rows {
-				t.Errorf("%d probes for %d rows: over 1/20 of the interpreted evaluator's %d per row",
-					probes, rows, tc.oldRowsPerRow)
+			perRow := float64(probes) / float64(rows)
+			t.Logf("%d probes for %d rows: %.1f per row", probes, rows, perRow)
+			if perRow > tc.ceiling {
+				t.Errorf("%d probes for %d rows: %.1f per row, want <= %.1f", probes, rows, perRow, tc.ceiling)
 			}
 			if p2, r2 := count(); p2 != probes || r2 != rows {
 				t.Errorf("counts do not repeat: %d/%d then %d/%d", probes, rows, p2, r2)
@@ -472,4 +481,34 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("test premise: the documents produce witness rows")
 	}
+}
+
+// BenchmarkTriggeredOrder orders 185 triggered patterns — what a document of
+// the benchmark's paper_scale script triggers — by registration number:
+// packed integer keys (triggerOrder) against the comparator that looks both
+// patterns up per comparison.
+func BenchmarkTriggeredOrder(b *testing.B) {
+	const n = 185
+	rng := rand.New(rand.NewSource(1))
+	p := &Processor{byYID: make([]*patternInfo, 4*n)}
+	for i, seq := range rng.Perm(len(p.byYID)) {
+		p.byYID[i] = &patternInfo{seq: int64(seq)}
+	}
+	trig := make([]yfilter.PatternID, n)
+	for i, yid := range rng.Perm(len(p.byYID))[:n] {
+		trig[i] = yfilter.PatternID(yid)
+	}
+	work := make([]yfilter.PatternID, n)
+	b.Run("packed keys", func(b *testing.B) {
+		var keys []uint64
+		for i := 0; i < b.N; i++ {
+			keys = p.triggerOrder(keys, trig)
+		}
+	})
+	b.Run("comparator", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, trig)
+			slices.SortFunc(work, func(a, b yfilter.PatternID) int { return cmp.Compare(p.byYID[a].seq, p.byYID[b].seq) })
+		}
+	})
 }

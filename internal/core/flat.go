@@ -9,10 +9,9 @@ import (
 // Integer-keyed indexes of the per-document path. Every key Stage 2 probes
 // with is already an integer — a node id, a state slot, an interned symbol or
 // variable — so none of these tables hashes through a Go map: a row index is
-// an offset array (or a sorted key list), and the two sets registration
-// maintains for evaluation (Template.vectors and Template.live) are
-// open-addressing tables with linear probing over one flat slice, at most
-// half full.
+// an offset array (or a sorted key list), and the trie registration
+// maintains for evaluation (Template.trie) is an open-addressing table with
+// linear probing over one flat slice.
 
 // fib is 2^64 / φ: multiplying by it and keeping the high bits (Fibonacci
 // hashing) spreads consecutive integers over a power-of-two table.
@@ -43,150 +42,150 @@ func backshift[E any](slots []E, i int, home func(*E) (int, bool)) {
 	slots[i] = zero
 }
 
-// pairSet counts, per packed (v_parent, v_p) variable pair, the live vector
-// groups carrying it at one template position (Template.live).
-type pairSet struct {
-	slots []pairSlot // count 0 marks an empty slot
+// vecTrie holds a template's live vector groups as a trie over their
+// variables, one level per v slot in the order the witness-driven program
+// binds them (Template.levels), so a walk extends its prefix with each
+// variable it binds and stops at the first prefix no subscription
+// registered. Node 0 is the root; every edge is one slot of a flat table
+// keyed by packPair(node, variable), and the edges of the last level name
+// their group by its index in Template.vecList.
+type vecTrie struct {
+	slots []trieEdge // count 0 marks an empty slot
 	n     int
 	shift uint
+	// next is the next unused node id, free the ids of nodes whose last
+	// group left.
+	next int32
+	free []int32
 }
 
-type pairSlot struct {
-	key   int64
-	count int32
+type trieEdge struct {
+	key   int64 // packPair(parent node, variable)
+	child int32 // the child node, or at the last level the group's index
+	count int32 // live groups below the edge
 }
 
-// packPair packs two interned canonical variables (symtab ids, far below
-// 2^31) into one key.
+// packPair packs a node id or interned canonical variable (symtab ids, far
+// below 2^31) with a variable into one key.
 func packPair(a, b int64) int64 { return a<<32 | int64(uint32(b)) }
 
-func (s *pairSet) home(k int64) int { return int(uint64(k) * fib >> s.shift) }
+func (tr *vecTrie) home(k int64) int { return int(uint64(k) * fib >> tr.shift) }
 
-// has reports whether some live vector group carries pair k.
-func (s *pairSet) has(k int64) bool {
-	if s.n == 0 {
-		return false
+// find returns the slot of the edge keyed k, or -1.
+func (tr *vecTrie) find(k int64) int {
+	if tr.n == 0 {
+		return -1
 	}
-	mask := len(s.slots) - 1
-	for i := s.home(k); ; i = (i + 1) & mask {
-		switch sl := &s.slots[i]; {
-		case sl.count == 0:
-			return false
-		case sl.key == k:
-			return true
+	mask := len(tr.slots) - 1
+	for i := tr.home(k); ; i = (i + 1) & mask {
+		switch e := &tr.slots[i]; {
+		case e.count == 0:
+			return -1
+		case e.key == k:
+			return i
 		}
 	}
 }
 
-// add moves k's count by delta (±1): a pair enters at its first group and
-// leaves with its last.
-func (s *pairSet) add(k int64, delta int32) {
-	if 2*(s.n+1) > len(s.slots) {
-		s.grow()
+// child returns the node reached from node over variable v, or -1 when no
+// live group carries that prefix.
+func (tr *vecTrie) child(node int32, v int64) int32 {
+	if i := tr.find(packPair(int64(node), v)); i >= 0 {
+		return tr.slots[i].child
 	}
-	mask := len(s.slots) - 1
-	i := s.home(k)
-	for ; s.slots[i].count != 0; i = (i + 1) & mask {
-		if s.slots[i].key != k {
+	return -1
+}
+
+// walk returns the node vars spells along levels, or -1 where the trie
+// stops.
+func (tr *vecTrie) walk(levels []int, vars []int32) int32 {
+	node := int32(0)
+	for _, p := range levels {
+		if node = tr.child(node, int64(vars[p])); node < 0 {
+			break
+		}
+	}
+	return node
+}
+
+// insert adds the path vars spells along levels for a new group, whose
+// index the last edge records; the edges it shares with live groups count
+// one more group.
+func (tr *vecTrie) insert(levels []int, vars []int32, group int32) {
+	node := int32(0)
+	for l, p := range levels {
+		k := packPair(int64(node), int64(vars[p]))
+		if i := tr.find(k); i >= 0 {
+			tr.slots[i].count++
+			node = tr.slots[i].child
 			continue
 		}
-		if s.slots[i].count += delta; s.slots[i].count == 0 {
-			s.n--
-			backshift(s.slots, i, func(sl *pairSlot) (int, bool) { return s.home(sl.key), sl.count != 0 })
+		child := group
+		if l < len(levels)-1 {
+			child = tr.newNode()
 		}
-		return
-	}
-	s.slots[i] = pairSlot{k, delta}
-	s.n++
-}
-
-func (s *pairSet) grow() {
-	old := s.slots
-	s.slots = make([]pairSlot, max(8, 2*len(old)))
-	s.shift = tableShift(len(s.slots))
-	mask := len(s.slots) - 1
-	for _, sl := range old {
-		if sl.count == 0 {
-			continue
-		}
-		i := s.home(sl.key)
-		for s.slots[i].count != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = sl
+		tr.put(trieEdge{k, child, 1})
+		node = child
 	}
 }
 
-// vecTable finds a template's vector group by its variable vector
-// (Template.vectors).
-type vecTable struct {
-	slots []*vecGroup // nil marks an empty slot
-	n     int
-	shift uint
-}
-
-// hashVec hashes a variable vector; a group keeps its vector's hash.
-func hashVec(vars []int64) uint64 {
-	h := uint64(len(vars))
-	for _, v := range vars {
-		h = (h ^ uint64(v)) * fib
-	}
-	return h
-}
-
-func (t *vecTable) home(h uint64) int { return int(h >> t.shift) }
-
-// get returns the group whose vector equals vars, or nil.
-func (t *vecTable) get(vars []int64) *vecGroup {
-	if t.n == 0 {
-		return nil
-	}
-	h := hashVec(vars)
-	mask := len(t.slots) - 1
-	for i := t.home(h); t.slots[i] != nil; i = (i + 1) & mask {
-		if g := t.slots[i]; g.hash == h && slices.Equal(g.vars, vars) {
-			return g
-		}
-	}
-	return nil
-}
-
-// insert adds a group whose vector is not in the table.
-func (t *vecTable) insert(g *vecGroup) {
-	if 2*(t.n+1) > len(t.slots) {
-		old := t.slots
-		t.slots = make([]*vecGroup, max(8, 2*len(old)))
-		t.shift = tableShift(len(t.slots))
-		t.n = 0
-		for _, o := range old {
-			if o != nil {
-				t.insert(o)
+// remove takes a retired group's path out of the trie, dropping every edge
+// no other group shares, and returns the group's index.
+func (tr *vecTrie) remove(levels []int, vars []int32) int32 {
+	node := int32(0)
+	for l, p := range levels {
+		i := tr.find(packPair(int64(node), int64(vars[p])))
+		e := &tr.slots[i]
+		node = e.child
+		if e.count--; e.count == 0 {
+			tr.n--
+			backshift(tr.slots, i, func(e *trieEdge) (int, bool) { return tr.home(e.key), e.count != 0 })
+			if l < len(levels)-1 {
+				tr.free = append(tr.free, node)
 			}
 		}
 	}
-	mask := len(t.slots) - 1
-	i := t.home(g.hash)
-	for t.slots[i] != nil {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = g
-	t.n++
+	return node
 }
 
-// remove deletes a group that is in the table.
-func (t *vecTable) remove(g *vecGroup) {
-	mask := len(t.slots) - 1
-	i := t.home(g.hash)
-	for t.slots[i] != g {
+// relink points the last edge of a live group's path at its new index.
+func (tr *vecTrie) relink(levels []int, vars []int32, group int32) {
+	last := len(levels) - 1
+	node := tr.walk(levels[:last], vars)
+	tr.slots[tr.find(packPair(int64(node), int64(vars[levels[last]])))].child = group
+}
+
+func (tr *vecTrie) newNode() int32 {
+	if n := len(tr.free); n > 0 {
+		id := tr.free[n-1]
+		tr.free = tr.free[:n-1]
+		return id
+	}
+	tr.next++
+	return tr.next
+}
+
+// put stores an edge whose key is not in the table, growing the table to
+// keep it at most three-quarters full.
+func (tr *vecTrie) put(e trieEdge) {
+	if 4*(tr.n+1) > 3*len(tr.slots) {
+		old := tr.slots
+		tr.slots = make([]trieEdge, max(8, 2*len(old)))
+		tr.shift = tableShift(len(tr.slots))
+		tr.n = 0
+		for _, o := range old {
+			if o.count != 0 {
+				tr.put(o)
+			}
+		}
+	}
+	mask := len(tr.slots) - 1
+	i := tr.home(e.key)
+	for tr.slots[i].count != 0 {
 		i = (i + 1) & mask
 	}
-	t.n--
-	backshift(t.slots, i, func(o **vecGroup) (int, bool) {
-		if *o == nil {
-			return 0, false
-		}
-		return t.home((*o).hash), true
-	})
+	tr.slots[i] = e
+	tr.n++
 }
 
 // rowIndex groups the rows of a relation by the value of one integer column.

@@ -1,81 +1,86 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// TestFlatTablesEqualMaps drives the open-addressing tables through random
-// inserts and deletes over small key spaces — so probe runs collide, wrap
-// around the table's end and are cut by backward-shift deletion — and
-// requires after every step that each answers every key as a Go map does.
+// TestFlatTablesEqualMaps drives the trie's open-addressing table through
+// random inserts and deletes of three-level paths over small variable
+// ranges — so probe runs collide, wrap around the table's end and are cut by
+// backward-shift deletion — and requires after every step that every vector
+// walks to the index a Go map holds for it, and that the table holds exactly
+// one edge per distinct live prefix.
 func TestFlatTablesEqualMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var live pairSet
-	counts := map[int64]int32{}
-	var vectors vecTable
-	groups := map[string]*vecGroup{}
-	key := func(v []int64) string { return fmt.Sprint(v) }
+	levels := []int{2, 0, 1}
+	var tr vecTrie
+	index := map[[3]int32]int32{} // live vector -> its index
+	var live [][3]int32           // by index, as Template.vecList
 	for step := 0; step < 20000; step++ {
-		k := packPair(int64(rng.Intn(12)), int64(rng.Intn(12)))
-		if counts[k] > 0 && rng.Intn(2) == 0 {
-			live.add(k, -1)
-			if counts[k]--; counts[k] == 0 {
-				delete(counts, k)
+		v := [3]int32{int32(rng.Intn(6)), int32(rng.Intn(6)), int32(rng.Intn(3))}
+		if gi, ok := index[v]; ok {
+			if got := tr.remove(levels, v[:]); got != gi {
+				t.Fatalf("step %d: remove(%v) = %d, want %d", step, v, got, gi)
 			}
-		} else {
-			live.add(k, 1)
-			counts[k]++
-		}
-		v := []int64{int64(rng.Intn(6)), int64(rng.Intn(6)), int64(rng.Intn(3))}
-		if g := groups[key(v)]; g != nil {
-			vectors.remove(g)
-			delete(groups, key(v))
-		} else {
-			g := &vecGroup{vars: v, hash: hashVec(v)}
-			vectors.insert(g)
-			groups[key(v)] = g
-		}
-		if live.n != len(counts) || vectors.n != len(groups) {
-			t.Fatalf("step %d: %d pairs and %d vectors, want %d and %d", step, live.n, vectors.n, len(counts), len(groups))
-		}
-		for a := int64(0); a < 12; a++ {
-			for b := int64(0); b < 12; b++ {
-				if k := packPair(a, b); live.has(k) != (counts[k] > 0) {
-					t.Fatalf("step %d: has(%d, %d) = %v", step, a, b, live.has(k))
-				}
+			last := int32(len(live) - 1)
+			if gi != last {
+				live[gi] = live[last]
+				index[live[gi]] = gi
+				tr.relink(levels, live[gi][:], gi)
 			}
+			live = live[:last]
+			delete(index, v)
+		} else {
+			index[v] = int32(len(live))
+			tr.insert(levels, v[:], int32(len(live)))
+			live = append(live, v)
 		}
-		for a := int64(0); a < 6; a++ {
-			for b := int64(0); b < 6; b++ {
-				for c := int64(0); c < 3; c++ {
-					v := []int64{a, b, c}
-					if got := vectors.get(v); got != groups[key(v)] {
-						t.Fatalf("step %d: get(%v) = %v, want %v", step, v, got, groups[key(v)])
+		prefixes := map[[3]int32]bool{}
+		for _, v := range live {
+			prefixes[[3]int32{v[2], -1, -1}] = true
+			prefixes[[3]int32{v[2], v[0], -1}] = true
+			prefixes[v] = true
+		}
+		if tr.n != len(prefixes) {
+			t.Fatalf("step %d: %d edges, want %d", step, tr.n, len(prefixes))
+		}
+		for a := int32(0); a < 6; a++ {
+			for b := int32(0); b < 6; b++ {
+				for c := int32(0); c < 3; c++ {
+					v := [3]int32{a, b, c}
+					want, ok := index[v]
+					if !ok {
+						want = -1
+					}
+					if got := tr.walk(levels, v[:]); got != want {
+						t.Fatalf("step %d: walk(%v) = %d, want %d", step, v, got, want)
 					}
 				}
 			}
 		}
 	}
 
-	// Three keys whose home is the last slot run across the table's end;
+	// Three edges whose home is the last slot run across the table's end;
 	// deleting the first must pull the wrapped ones back.
-	var s pairSet
-	s.grow()
-	var wrap []int64
-	for k := int64(0); len(wrap) < 3; k++ {
-		if s.home(k) == len(s.slots)-1 {
+	var s vecTrie
+	s.slots = make([]trieEdge, 8)
+	s.shift = tableShift(len(s.slots))
+	var wrap []int32
+	for k := int32(0); len(wrap) < 3; k++ {
+		if s.home(packPair(0, int64(k))) == len(s.slots)-1 {
 			wrap = append(wrap, k)
 		}
 	}
-	for _, k := range wrap {
-		s.add(k, 1)
+	one := []int{0}
+	for i, k := range wrap {
+		s.insert(one, []int32{k}, int32(i))
 	}
-	s.add(wrap[0], -1)
-	if s.has(wrap[0]) || !s.has(wrap[1]) || !s.has(wrap[2]) {
-		t.Fatalf("after deleting %d of %v across the table's end: has = %v %v %v", wrap[0], wrap, s.has(wrap[0]), s.has(wrap[1]), s.has(wrap[2]))
+	s.remove(one, wrap[:1])
+	if s.walk(one, wrap[:1]) != -1 || s.walk(one, wrap[1:2]) != 1 || s.walk(one, wrap[2:]) != 2 {
+		t.Fatalf("after deleting %d of %v across the table's end: walk = %d %d %d", wrap[0], wrap,
+			s.walk(one, wrap[:1]), s.walk(one, wrap[1:2]), s.walk(one, wrap[2:]))
 	}
 }
 

@@ -71,7 +71,7 @@ type Processor struct {
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
 	// shards partition the templates for Stage-2 evaluation; each shard
-	// owns its templates' planner records, view cache entries and phase
+	// owns its templates' run counts, view cache entries and phase
 	// stats (shard.go). tmplShard records each live template's home shard
 	// (assigned least-loaded-first, see assignShard).
 	shards    []*shard
@@ -107,14 +107,6 @@ type Processor struct {
 	// Unregister: memory tracks lifetime-distinct query shapes (small by
 	// the template-sharing premise), not the live query count.
 	canonMemo map[string]canonResult
-
-	// planMemo holds the adaptive planner's per-template statistics,
-	// keyed by template signature (planner.go). Like canonMemo it is
-	// retained across Unregister: a template reclaimed by churn and
-	// re-registered later resumes with its calibrated cost model instead
-	// of re-learning from scratch, and memory tracks lifetime-distinct
-	// template shapes, not the live query count.
-	planMemo map[string]*planStats
 
 	// Window maxima drive GC cutoffs. The holder counts track how many
 	// live join queries sit exactly at each maximum, so Unregister only
@@ -235,7 +227,6 @@ func NewProcessor(cfg Config) *Processor {
 		tmplShard: map[TemplateID]int{},
 		patterns:  map[string]*patternInfo{},
 		canonMemo: map[string]canonResult{},
-		planMemo:  map[string]*planStats{},
 		state:     NewState(),
 	}
 	for i := 0; i < workers; i++ {
@@ -551,7 +542,7 @@ type regScratch struct {
 	minor      minorScratch
 	raw        []byte
 	edges      []VJEdge
-	varIDs     []int64
+	varIDs     []int32
 	contribs   [2]patternContrib
 	contribKey []byte // a demand's encoding (appendContribKey)
 }
@@ -605,7 +596,6 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	if tmpl == nil {
 		tmpl = NewTemplateFromCanonical(sig, red, order)
 		tmpl.ID = p.nextTemplateID
-		tmpl.plan = p.planStatsFor(sig)
 		tmpl.compile(p.cfg.ViewMaterialization)
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
@@ -659,9 +649,9 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	varIDs := resize(p.reg.varIDs, tmpl.N)
 	for pos, flat := range order {
 		if flat < nl {
-			varIDs[pos] = lpi.canonIDs[normIndex(lf, &red.LeftSide, flat)]
+			varIDs[pos] = int32(lpi.canonIDs[normIndex(lf, &red.LeftSide, flat)])
 		} else {
-			varIDs[pos] = rpi.canonIDs[normIndex(rf, &red.RightSide, flat-nl)]
+			varIDs[pos] = int32(rpi.canonIDs[normIndex(rf, &red.RightSide, flat-nl)])
 		}
 	}
 	p.reg.varIDs = varIDs
@@ -843,12 +833,10 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 
 	t1 := time.Now()
 	// Only the patterns the document triggered are visited, in registration
-	// order (which fixes the relations' row order); Triggered hands back
-	// the result's own list, sorted here in place.
-	trig := res.Triggered()
-	slices.SortFunc(trig, func(a, b yfilter.PatternID) int { return cmp.Compare(p.byYID[a].seq, p.byYID[b].seq) })
-	for _, yid := range trig {
-		r.addWitnesses(p.byYID[yid], res)
+	// order (which fixes the relations' row order).
+	r.w.order = p.triggerOrder(r.w.order, res.Triggered())
+	for _, k := range r.w.order {
+		r.addWitnesses(p.byYID[yfilter.PatternID(uint32(k))], res)
 	}
 	r.witness = time.Since(t1)
 	r.wall = time.Since(t0)
@@ -860,6 +848,18 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	// recycle scratch without waiting on the coordinator.
 	res.Release()
 	return r
+}
+
+// triggerOrder returns the triggered patterns in registration order, as keys
+// seq<<32 | id in keys' storage: sorting the packed keys compares integers,
+// where a comparator would look up two patterns per comparison.
+func (p *Processor) triggerOrder(keys []uint64, trig []yfilter.PatternID) []uint64 {
+	keys = slices.Grow(keys[:0], len(trig))
+	for _, yid := range trig {
+		keys = append(keys, uint64(p.byYID[yid].seq)<<32|uint64(uint32(yid)))
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // addWitnesses writes one pattern's witnesses in the document into the

@@ -401,7 +401,7 @@ type refPattern struct {
 
 type refTemplate struct {
 	sig    string
-	groups [][]int64 // distinct variable vectors, in creation order
+	groups [][]int32 // distinct variable vectors, in creation order
 	insts  [][]int64 // per group, its instance ids
 }
 
@@ -510,12 +510,12 @@ func (r *refRegistry) instance(q *xscl.Query) error {
 		}
 	}
 	nl := len(red.left)
-	vars := make([]int64, len(order))
+	vars := make([]int32, len(order))
 	for pos, flat := range order {
 		if flat < nl {
-			vars[pos] = r.syms.intern(red.left[flat].canonical)
+			vars[pos] = int32(r.syms.intern(red.left[flat].canonical))
 		} else {
-			vars[pos] = r.syms.intern(red.right[flat-nl].canonical)
+			vars[pos] = int32(r.syms.intern(red.right[flat-nl].canonical))
 		}
 	}
 	iid := int64(r.instances)

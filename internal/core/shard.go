@@ -15,8 +15,8 @@ import (
 // Stage-2 evaluation is template-sharded: each new template is assigned to
 // the currently least-loaded shard (lowest shard id on ties — round-robin
 // while no template has ever been reclaimed), and each shard owns every
-// piece of state a Process call mutates per template — the planner records
-// of its templates, the view cache entries of the strings it owns, and the
+// piece of state a Process call mutates per template — the run counts of
+// its templates, the view cache entries of the strings it owns, and the
 // phase stats. Unregistering a template frees its shard slot, and because
 // assignment always fills the emptiest shard first, subscription churn
 // compacts the assignment instead of skewing it. Workers therefore share no
@@ -349,11 +349,6 @@ type stage2Shared struct {
 	rr      [][]int64 // rlSchema without the slot
 	rrBySym rowIndex
 
-	// byDoc is the per-previous-document grouping plan choice reads its
-	// fan-out from: rvjByDoc on the basic path, rlByDoc under view
-	// materialization.
-	byDoc *rowIndex
-
 	// syms, parts and owned are prepareViewMat's scratch: the common
 	// strings, their RL slices, and each shard's share of them.
 	syms  []sym.ID
@@ -374,7 +369,7 @@ func (pre *stage2Shared) reset() {
 		*rows = (*rows)[:0]
 	}
 	clear(pre.parts)
-	pre.rr, pre.byDoc = nil, nil
+	pre.rr = nil
 }
 
 // sharedRvj builds the document's value-join pair relation on first call,
@@ -414,7 +409,6 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 		if len(pre.rvj) == 0 {
 			return nil
 		}
-		pre.byDoc = &pre.rvjByDoc
 	}
 	t0 := time.Now()
 	pre.binWByNode2.build(w.RbinW.Rows, 3)
@@ -482,7 +476,6 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 		pre.rl = append(pre.rl, slice.Rows...)
 	}
 	pre.rlByDoc.build(pre.rl, 0)
-	pre.byDoc = &pre.rlByDoc
 	p.stats.RL += time.Since(t1)
 
 	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8). A node's string
@@ -505,39 +498,44 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 }
 
 // evalShard evaluates one shard's templates against the document: per
-// template, the planner picks a step order and the compiled program runs
-// (Algorithm 1; under view materialization the programs read the shared
-// views, which is the per-template tail of Algorithm 4).
+// template, the compiled program runs in witness-driven order, or RT-driven
+// when that plan is forced (Algorithm 1; under view materialization the
+// programs read the shared views, which is the per-template tail of
+// Algorithm 4).
 //
+//mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
 func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) {
 	ex := &sh.ex
 	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
-	// The witness fan-out depends on the template only through its
-	// value-join count.
-	for i := range ex.fanouts {
-		ex.fanouts[i] = -1
-	}
-	fanout := func(k int) float64 {
-		for len(ex.fanouts) <= k {
-			ex.fanouts = append(ex.fanouts, -1)
-		}
-		if ex.fanouts[k] < 0 {
-			ex.fanouts[k] = witnessFanout(pre.byDoc, k)
-		}
-		return ex.fanouts[k]
-	}
+	ex.probes, ex.rows = 0, 0
+	// The pair relation is built before the clock starts, so its one-time
+	// build lands in Stats.Rvj, not in CQ.
 	for _, t := range sh.templates {
-		dec := p.choosePlan(t, fanout)
 		if t.needRvj {
-			// Resolved before the timed plan run so the one-time build
-			// lands in Stats.Rvj, not in CQ or a plan's calibration.
 			pre.sharedRvj(p.state, w, &sh.stats)
+			break
 		}
-		p.runPlans(sh, t, dec, ex)
+	}
+	plan := 0
+	if p.cfg.Plan == PlanRTDriven {
+		plan = 1
+	}
+	t0 := time.Now()
+	for _, t := range sh.templates {
+		ex.run(t.progs[plan])
+		t.runs[plan]++
+	}
+	sh.stats.CQ += time.Since(t0)
+	sh.stats.CQProbes += ex.probes
+	sh.stats.CQRows += ex.rows
+	if plan == 1 {
+		sh.stats.RTPlans += int64(len(sh.templates))
+	} else {
+		sh.stats.WitnessPlans += int64(len(sh.templates))
 	}
 	// The executor outlives the document; its inputs must not.
-	ex.w, ex.d, ex.pre, ex.group = nil, nil, nil, nil
+	ex.w, ex.d, ex.pre = nil, nil, nil
 }
 
 // matchCmp is the canonical total order: the output is identical regardless

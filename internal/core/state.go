@@ -214,6 +214,11 @@ type CurrentWitness struct {
 	// var2, node1, node2, strVal), between conjunctive-query evaluation and
 	// view-cache maintenance (Algorithm 5).
 	rr, rrSlices *relation.Relation
+
+	// order is RunStage1's scratch: the triggered patterns' sort keys
+	// (Processor.triggerOrder), kept with the witness so that a pooled
+	// witness brings its storage to the next document.
+	order []uint64
 }
 
 // witnessNode is what the current document's rows hold for one node: the

@@ -29,26 +29,21 @@ type Template struct {
 	// unary root-binding relation instead of a structural edge.
 	SingleLeft, SingleRight bool
 
-	// vectors groups the template's RT rows — one per registered instance
-	// — by distinct variable vector (cqplan.go); the groups are the query
-	// relation RT both plans read. vecList holds them in creation order.
-	vectors vecTable
+	// vecList holds the template's vector groups (cqplan.go) — the RT rows,
+	// one per registered instance, grouped by distinct variable vector — in
+	// no particular order; trie holds their vectors, its levels[l] the
+	// position whose variable level l branches on.
 	vecList []*vecGroup
-	// live[p] counts, per packed (v_parent, v_p) variable pair, the vector
-	// groups carrying it at position p (a side root pairs with itself).
-	live []pairSet
+	trie    vecTrie
+	levels  []int
 
 	// progs are the compiled conjunctive query in its two step orders,
-	// witness-driven and RT-driven (cqplan.go); needRvj reports that some
-	// step reads the value-join pair relation.
+	// witness-driven and RT-driven (cqplan.go), and runs counts the runs of
+	// each; needRvj reports that some step reads the value-join pair
+	// relation.
 	progs   [2]*cqProgram
+	runs    [2]int64
 	needRvj bool
-
-	// plan is the template's adaptive-planner record (planner.go). It is
-	// owned by the processor's planMemo keyed by Sig and therefore
-	// survives template reclamation: a re-registered template resumes
-	// with its calibrated cost model.
-	plan *planStats
 
 	// refs counts the live query instances registered on this template;
 	// at zero the processor reclaims the template and everything it owns

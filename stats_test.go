@@ -13,8 +13,8 @@ import (
 var engineStatsKeys = []string{
 	"sequential", "queries", "templates", "documents", "matches",
 	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
-	"stage1_wall_ns", "stage2_wall_ns", "explore_wall_ns",
-	"witness_plans", "rt_plans", "explorations", "cq_probes", "cq_rows",
+	"stage1_wall_ns", "stage2_wall_ns",
+	"witness_plans", "rt_plans", "cq_probes", "cq_rows",
 	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
 	"subscription_bytes", "dropped_cascades",
