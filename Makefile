@@ -88,10 +88,10 @@ lint: lint-invariants
 		echo "staticcheck not installed; skipping (CI installs and runs it)"; fi
 
 # Repo-invariant static analysis (cmd/mmqjplint): deterministic map
-# iteration on output paths, //mmqjp:guardedby lock discipline,
-# //mmqjp:shardowned shard ownership, a ban on wall-clock and unseeded
-# randomness in internal/core, and //mmqjp:pooled sync.Pool arguments. See
-# DESIGN.md "Static invariants" for the directive grammar.
+# iteration on output paths, //mmqjp:guardedby lock discipline, a ban on
+# wall-clock and unseeded randomness in internal/core, and //mmqjp:pooled
+# sync.Pool arguments. See DESIGN.md "Static invariants" for the directive
+# grammar.
 lint-invariants:
 	$(GO) run ./cmd/mmqjplint ./...
 

@@ -17,14 +17,14 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defined := definedNames(flagDefRe, string(src))
-	for _, name := range []string{"addr", "workers", "viewmat", "snapshot-path"} {
+	for _, name := range []string{"addr", "pipeline", "viewmat", "snapshot-path"} {
 		if !defined[name] {
 			t.Fatalf("flagDefRe missed -%s: %v", name, defined)
 		}
 	}
 
 	guide := strings.Join([]string{
-		"The server exposes the knobs as flags: `-workers`, `-plan auto|witness|rt`",
+		"The server exposes the knobs as flags: `-pipeline`, `-plan auto|witness|rt`",
 		"and `-split-threshold 64`.",
 		"",
 		"Run `cmd/mmqjp-server -async -split-threshold=1` for the ablation.",
@@ -32,7 +32,7 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 		"`mmqjp-bench` takes `-seq-rss-items 100`; `go test` takes `-race`.",
 		"",
 		"```sh",
-		"$ mmqjp-server -addr :7878 -workers 8 \\",
+		"$ mmqjp-server -addr :7878 -pipeline 8 \\",
 		"    -split-threshold 256 | tee -a log",
 		"$ go run ./cmd/mmqjp-bench -experiment fig16",
 		"```",

@@ -48,7 +48,7 @@ type countingServer struct {
 
 func startCountingServer(t *testing.T, async bool) *countingServer {
 	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
 	cs := &countingServer{
 		s:     &server{eng: eng, async: async},
 		conns: make(chan *countingConn, 1), // handed to dial, one connection at a time
@@ -510,7 +510,7 @@ func TestBurstToFastReaderIsDelivered(t *testing.T) {
 func TestOwnBacklogIsBackPressure(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
+			eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
 			defer eng.Close()
 			s := &server{eng: eng, async: async}
 			cli, srv := net.Pipe()

@@ -28,7 +28,7 @@ func startDebugTestServer(t *testing.T) (brokerAddr, debugAddr string) {
 	s := &server{async: true}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	opts := mmqjp.Options{
-		Processor: mmqjp.ProcessorViewMat, Parallelism: 2, PipelineDepth: 4,
+		Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4,
 		OnDocument: s.m.onDocument,
 	}
 	if _, err := s.initEngine(opts); err != nil {

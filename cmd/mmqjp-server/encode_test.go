@@ -98,7 +98,7 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 	// slots, against a reference engine fed the same requests and rendered
 	// with appendMatch.
 	t.Run("unsub-resub", func(t *testing.T) {
-		opts := mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 4, PipelineDepth: 4}
+		opts := mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4}
 		addr := startTestServer(t)
 		ref := mmqjp.New(opts)
 		defer ref.Close()

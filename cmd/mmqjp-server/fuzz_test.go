@@ -108,7 +108,7 @@ func FuzzWireSession(f *testing.F) {
 		if !ok {
 			t.Skip("batch needs too much padding")
 		}
-		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 1, PipelineDepth: 2})
+		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
 		defer eng.Close()
 		s := &server{eng: eng, async: async}
 		cli, srv := net.Pipe()

@@ -209,7 +209,6 @@ const (
 func main() {
 	addr := flag.String("addr", ":7878", "listen address")
 	viewMat := flag.Bool("viewmat", true, "enable view materialization")
-	workers := flag.Int("workers", runtime.NumCPU(), "Stage-2 worker goroutines per publish (1 = sequential)")
 	pipeline := flag.Int("pipeline", runtime.NumCPU(), "ingest pipeline depth for PUBB batches and -async publishes (1 = sequential)")
 	async := flag.Bool("async", false, "route PUB through the continuous async ingest pipeline")
 	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto or witness (the witness-driven plan), or rt (the RT-driven plan, an ablation)")
@@ -235,8 +234,7 @@ func main() {
 		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	}
 	opts := mmqjp.Options{
-		Processor: kind, Parallelism: *workers, PipelineDepth: *pipeline,
-		Plan: plan,
+		Processor: kind, PipelineDepth: *pipeline, Plan: plan,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument

@@ -22,7 +22,7 @@ func startTestServer(t *testing.T) string {
 // startTestServerMode runs the broker in synchronous or -async mode.
 func startTestServerMode(t *testing.T, async bool) string {
 	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Parallelism: 4, PipelineDepth: 4})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4})
 	s := &server{eng: eng, async: async}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,10 +1,9 @@
 // Command mmqjplint runs the repo-invariant static-analysis suite: mapiter
 // (no order-sensitive map iteration on the output path), guarded (lock
-// discipline for //mmqjp:guardedby annotations), shardowned (shard state only
-// touched by its owner or allowlisted protocols), nodeterm (no wall clock
-// or math/rand in the core outside annotated sites) and pooled (every
-// sync.Pool argues its reuse is safe) — plus validation of the
-// //mmqjp: directive grammar itself.
+// discipline for //mmqjp:guardedby annotations), nodeterm (no wall clock or
+// math/rand in the core outside annotated sites) and pooled (every sync.Pool
+// argues its reuse is safe) — plus validation of the //mmqjp: directive
+// grammar itself.
 //
 // Usage:
 //

@@ -24,16 +24,15 @@
 // hundreds of thousands of registered queries the system maintains a few
 // dozen templates, which is the source of its scalability.
 //
-// Engines are safe for concurrent use. Stage-2 evaluation is additionally
-// parallelized across query templates when Options.Parallelism is set:
-// templates are sharded over a bounded worker pool with per-shard state
-// ownership, and matches are merged deterministically, so output is
-// identical for every worker count (see DESIGN.md; TUNING.md maps workload
-// shapes onto the knobs). Batch publishes (PublishBatch, PublishXMLBatch)
-// further pipeline ingestion when Options.PipelineDepth is set: Stage 1 of up to PipelineDepth upcoming
-// documents runs ahead in workers while Stage 2, the state merge, and
-// window GC are applied strictly in arrival order, so batch output is
-// identical to per-document Publish for every depth. PublishAsync extends
+// Engines are safe for concurrent use. Stage 2 runs on the goroutine that
+// publishes the document: at tens of microseconds per document, splitting
+// the templates over goroutines costs more than it saves (DESIGN.md; TUNING.md
+// maps workload shapes onto the knobs). Batch publishes (PublishBatch,
+// PublishXMLBatch) pipeline ingestion when Options.PipelineDepth is set:
+// Stage 1 of up to PipelineDepth upcoming documents runs ahead in workers
+// while Stage 2, the state merge, and window GC are applied strictly in
+// arrival order, so batch output is identical to per-document Publish for
+// every depth. PublishAsync extends
 // the same overlap to concurrent publishers through a persistent ingest
 // pipeline with bounded admission: matches are delivered on a per-document
 // channel in admission order, byte-identical to serial Publish of that

@@ -90,10 +90,9 @@ type Options struct {
 	// queries' outputs. Implies RetainDocuments. Derived documents
 	// cascade up to MaxCompositionDepth levels.
 	EnableComposition bool
-	// Parallelism sets the number of worker goroutines used for Stage-2
-	// template evaluation inside each Publish (0 or 1 = sequential).
-	// Match output is identical for every setting. Ignored by
-	// ProcessorSequential, which exists for benchmarking only.
+	// Parallelism is ignored: Stage 2 runs on the goroutine that publishes
+	// the document. The field stays only until the benchmark, which names
+	// it, is re-fitted.
 	Parallelism int
 	// PipelineDepth bounds how many upcoming documents of a PublishBatch
 	// call may have Stage 1 (XML parse, shared-NFA match, witness
@@ -137,9 +136,8 @@ type Match struct {
 // Engine is an XML publish/subscribe engine: register XSCL subscriptions,
 // publish documents, receive matches, unsubscribe. All methods are safe for
 // concurrent use: Subscribe, Unsubscribe and Publish serialize against each
-// other (documents enter the join state one at a time — parallelism lives
-// inside a Publish, across query templates; see Options.Parallelism), while
-// read-only accessors only exclude writers. PublishAsync additionally
+// other (documents enter the join state one at a time), while read-only
+// accessors only exclude writers. PublishAsync additionally
 // overlaps the document-local Stage-1 work of concurrently admitted
 // documents through a persistent ingest pipeline (see PublishAsync).
 type Engine struct {
@@ -207,7 +205,6 @@ func New(opts Options) *Engine {
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			RetainDocuments:     opts.RetainDocuments,
 			Plan:                core.PlanKind(opts.Plan),
-			Workers:             opts.Parallelism,
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
 		})
@@ -545,8 +542,8 @@ func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
 // matches (exactly one send, then a close) once it has been fully
 // processed. Admission order — the order concurrent PublishAsync calls are
 // admitted — is the serial document order: per-document match output is
-// byte-identical to calling Publish in that order, for every
-// Parallelism/PipelineDepth setting. Unlike Publish, concurrent publishers
+// byte-identical to calling Publish in that order, for every PipelineDepth.
+// Unlike Publish, concurrent publishers
 // do not serialize the whole call: the document-local Stage-1 work (NFA
 // match, witness construction) of up to PipelineDepth+1 admitted documents
 // runs concurrently in a persistent worker pool while Stage 2, the state

@@ -33,8 +33,8 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		appendXML                  bool
 		allocCeiling, bytesCeiling float64
 	}{
-		{"owned result", false, 19, 15600},
-		{"caller's buffer", true, 16, 2680},
+		{"owned result", false, 17, 15500},
+		{"caller's buffer", true, 14, 2550},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(Options{Processor: ProcessorViewMat})
@@ -125,7 +125,7 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 		{"paper scale", paper, 66, 3980},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
+			eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

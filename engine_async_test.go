@@ -25,58 +25,55 @@ func collectAsync(t *testing.T, ch <-chan []Match) []Match {
 // workload through PublishAsync while the test records the admission order
 // (its mutex wraps each call, so the engine's internal admission order
 // equals the recorded order); per-document match output — order included —
-// must be byte-identical to serial Publish of the same admission order, for
-// every Workers × PipelineDepth combination. The CI race job runs this
-// under -race.
+// must be byte-identical to serial Publish of the same admission order, at
+// every PipelineDepth. The CI race job runs this under -race.
 func TestPublishAsyncMatchesPublish(t *testing.T) {
 	queries, stream := rssBatchFixture(300, 100)
-	for _, workers := range []int{1, 4} {
-		for _, depth := range []int{0, 2} {
-			eng := New(Options{Processor: ProcessorViewMat, Parallelism: workers, PipelineDepth: depth})
-			for _, q := range queries {
-				eng.MustSubscribe(q)
-			}
-			var mu sync.Mutex
-			order := make([]*Document, 0, len(stream))
-			results := make(map[int64]<-chan []Match, len(stream))
-			const publishers = 4
-			var wg sync.WaitGroup
-			for g := 0; g < publishers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < len(stream); i += publishers {
-						d := stream[i]
-						mu.Lock()
-						results[int64(d.ID)] = eng.PublishAsync("S", d)
-						order = append(order, d)
-						mu.Unlock()
-					}
-				}(g)
-			}
-			wg.Wait()
-			eng.Flush()
-
-			ref := New(Options{Processor: ProcessorViewMat})
-			for _, q := range queries {
-				ref.MustSubscribe(q)
-			}
-			for i, d := range order {
-				want := ref.Publish("S", d)
-				got := collectAsync(t, results[int64(d.ID)])
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d depth=%d admission %d (doc %d): %d matches async vs %d serial",
-						workers, depth, i, d.ID, len(got), len(want))
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("workers=%d depth=%d admission %d match %d: async %+v vs serial %+v",
-							workers, depth, i, j, got[j], want[j])
-					}
-				}
-			}
-			eng.Close()
+	for _, depth := range []int{0, 2} {
+		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
+		for _, q := range queries {
+			eng.MustSubscribe(q)
 		}
+		var mu sync.Mutex
+		order := make([]*Document, 0, len(stream))
+		results := make(map[int64]<-chan []Match, len(stream))
+		const publishers = 4
+		var wg sync.WaitGroup
+		for g := 0; g < publishers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(stream); i += publishers {
+					d := stream[i]
+					mu.Lock()
+					results[int64(d.ID)] = eng.PublishAsync("S", d)
+					order = append(order, d)
+					mu.Unlock()
+				}
+			}(g)
+		}
+		wg.Wait()
+		eng.Flush()
+
+		ref := New(Options{Processor: ProcessorViewMat})
+		for _, q := range queries {
+			ref.MustSubscribe(q)
+		}
+		for i, d := range order {
+			want := ref.Publish("S", d)
+			got := collectAsync(t, results[int64(d.ID)])
+			if len(got) != len(want) {
+				t.Fatalf("depth=%d admission %d (doc %d): %d matches async vs %d serial",
+					depth, i, d.ID, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("depth=%d admission %d match %d: async %+v vs serial %+v",
+						depth, i, j, got[j], want[j])
+				}
+			}
+		}
+		eng.Close()
 	}
 }
 
@@ -107,7 +104,7 @@ func TestPublishAsyncSubscribeBarrier(t *testing.T) {
 		want = append(want, ref.Publish("S", d))
 	}
 
-	eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: 2})
+	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
 	for _, q := range standing {
 		eng.MustSubscribe(q)
 	}
@@ -245,7 +242,7 @@ func TestEngineCloseSemantics(t *testing.T) {
 // ingest pipeline.
 func TestPublishAsyncStress(t *testing.T) {
 	for _, depth := range []int{0, 2} {
-		eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: depth})
+		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 		const goroutines = 8
 		const iters = 30

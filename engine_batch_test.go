@@ -61,8 +61,8 @@ func TestPublishBatchMatchesPublish(t *testing.T) {
 	}
 }
 
-// TestPublishBatchWithParallelism crosses the ingest pipeline with Stage-2
-// parallelism at the engine level.
+// TestPublishBatchWithParallelism checks the ingest pipeline's Stage-1
+// workers at the engine level: a depth-4 batch equals per-document Publish.
 func TestPublishBatchWithParallelism(t *testing.T) {
 	queries, stream := rssBatchFixture(300, 80)
 	ref := New(Options{Processor: ProcessorViewMat})
@@ -73,7 +73,7 @@ func TestPublishBatchWithParallelism(t *testing.T) {
 	for _, d := range stream {
 		want = append(want, ref.Publish("S", d))
 	}
-	eng := New(Options{Processor: ProcessorViewMat, Parallelism: 4, PipelineDepth: 4})
+	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 4})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
 	}

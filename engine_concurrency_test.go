@@ -2,12 +2,9 @@ package mmqjp
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // TestEngineConcurrentSubscribePublish hammers one shared engine from many
@@ -15,49 +12,47 @@ import (
 // -race (the CI race job does) this is the thread-safety proof of the
 // facade.
 func TestEngineConcurrentSubscribePublish(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		eng := New(Options{Processor: ProcessorViewMat, Parallelism: parallelism})
-		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
-		const goroutines = 8
-		const iters = 25
-		var matches int64
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					id := int64(g*1000 + i + 1)
-					if g%3 == 0 && i%5 == 0 {
-						src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b->y", 1000+g*10+i)
-						if _, err := eng.Subscribe(src); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-					xml := "<a>k</a>"
-					if id%2 == 0 {
-						xml = "<b>k</b>"
-					}
-					ms, err := eng.PublishXML("S", xml, id, id)
-					if err != nil {
+	eng := New(Options{Processor: ProcessorViewMat})
+	eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
+	const goroutines = 8
+	const iters = 25
+	var matches int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				id := int64(g*1000 + i + 1)
+				if g%3 == 0 && i%5 == 0 {
+					src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b->y", 1000+g*10+i)
+					if _, err := eng.Subscribe(src); err != nil {
 						t.Error(err)
 						return
 					}
-					atomic.AddInt64(&matches, int64(len(ms)))
-					_ = eng.NumQueries()
-					_ = eng.NumTemplates()
-					_ = eng.Stats()
 				}
-			}(g)
-		}
-		wg.Wait()
-		if atomic.LoadInt64(&matches) == 0 {
-			t.Errorf("parallelism=%d: no matches across concurrent publishes", parallelism)
-		}
-		if n := eng.NumQueries(); n < 1 {
-			t.Errorf("parallelism=%d: queries lost: %d", parallelism, n)
-		}
+				xml := "<a>k</a>"
+				if id%2 == 0 {
+					xml = "<b>k</b>"
+				}
+				ms, err := eng.PublishXML("S", xml, id, id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				atomic.AddInt64(&matches, int64(len(ms)))
+				_ = eng.NumQueries()
+				_ = eng.NumTemplates()
+				_ = eng.Stats()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if atomic.LoadInt64(&matches) == 0 {
+		t.Error("no matches across concurrent publishes")
+	}
+	if n := eng.NumQueries(); n < 1 {
+		t.Errorf("queries lost: %d", n)
 	}
 }
 
@@ -69,7 +64,7 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 // concurrent readers or with the serialized writers.
 func TestEngineConcurrentBatchPublish(t *testing.T) {
 	for _, depth := range []int{1, 4} {
-		eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2, PipelineDepth: depth})
+		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 		const goroutines = 6
 		const iters = 8
@@ -133,52 +128,6 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 		wg.Wait()
 		if atomic.LoadInt64(&matches) == 0 {
 			t.Errorf("depth=%d: no matches across concurrent batch publishes", depth)
-		}
-	}
-}
-
-// TestEngineParallelismDeterminism runs the multi-template RSS workload
-// through Parallelism 1 and 8 and requires identical match sequences —
-// the engine-level version of the core determinism guarantee.
-func TestEngineParallelismDeterminism(t *testing.T) {
-	c := workload.DefaultRSS()
-	qrng := rand.New(rand.NewSource(11))
-	queries := c.Queries(qrng, 400)
-	srng := rand.New(rand.NewSource(12))
-	stream := c.Stream(srng, 120)
-
-	for _, kind := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
-		var ref [][]Match
-		for _, parallelism := range []int{1, 8} {
-			eng := New(Options{Processor: kind, Parallelism: parallelism})
-			for _, q := range queries {
-				if _, err := eng.Subscribe(q.Source); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var all [][]Match
-			for _, d := range stream {
-				all = append(all, eng.Publish("S", d))
-			}
-			if parallelism == 1 {
-				ref = all
-				continue
-			}
-			if len(all) != len(ref) {
-				t.Fatalf("kind=%d: publish count mismatch", kind)
-			}
-			for i := range all {
-				if len(all[i]) != len(ref[i]) {
-					t.Fatalf("kind=%d doc %d: %d matches parallel vs %d sequential",
-						kind, i, len(all[i]), len(ref[i]))
-				}
-				for j := range all[i] {
-					if all[i][j] != ref[i][j] {
-						t.Fatalf("kind=%d doc %d match %d: parallel %+v vs sequential %+v",
-							kind, i, j, all[i][j], ref[i][j])
-					}
-				}
-			}
 		}
 	}
 }

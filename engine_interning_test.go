@@ -40,17 +40,14 @@ func TestInterningDifferential(t *testing.T) {
 	}
 
 	for _, plan := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
-		for _, workers := range []int{0, 4} {
-			label := fmt.Sprintf("plan=%v workers=%d", plan, workers)
-			eng := New(Options{Processor: plan, Parallelism: workers})
-			for _, src := range sources {
-				eng.MustSubscribe(src)
-			}
-			for di, d := range stream {
-				if got := renderEngineMatches(eng.Publish("S", d)); got != want[di] {
-					t.Fatalf("%s: doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
-						label, di+1, got, want[di])
-				}
+		eng := New(Options{Processor: plan})
+		for _, src := range sources {
+			eng.MustSubscribe(src)
+		}
+		for di, d := range stream {
+			if got := renderEngineMatches(eng.Publish("S", d)); got != want[di] {
+				t.Fatalf("plan=%v: doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
+					plan, di+1, got, want[di])
 			}
 		}
 	}

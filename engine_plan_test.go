@@ -35,8 +35,8 @@ func TestParsePlan(t *testing.T) {
 // admission schedule — PublishAsync admissions from one goroutine with
 // Unsubscribe/Subscribe churn at fixed positions (routed through the
 // pipeline barrier) — so any cross-engine difference is the plan's doing.
-// The CI race job runs this under -race, with the shard workers reading the
-// templates' tries concurrently.
+// The CI race job runs this under -race, with the pipeline's Stage-1 workers
+// beside the goroutine that walks the templates' tries.
 func TestPlanInvisibilityUnderAsyncChurn(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 120)
 	// Deterministic replacement queries for the churn-in half of each
@@ -80,7 +80,7 @@ func TestPlanInvisibilityUnderAsyncChurn(t *testing.T) {
 		return out
 	}
 
-	base := Options{Processor: ProcessorViewMat, Parallelism: 4, PipelineDepth: 2}
+	base := Options{Processor: ProcessorViewMat, PipelineDepth: 2}
 	witness, rt, auto := base, base, base
 	witness.Plan = PlanWitness
 	rt.Plan = PlanRTDriven

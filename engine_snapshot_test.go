@@ -31,7 +31,7 @@ func snapshotWorkload(nq, ndocs int) ([]string, []*Document) {
 // engine restored from a mid-stream snapshot — after subscription churn, so
 // the snapshot holds id gaps — must produce byte-identical per-document
 // match output to the engine that never restarted, across restore-side
-// Workers × PipelineDepth settings.
+// processor and PipelineDepth settings.
 func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	sources, stream := snapshotWorkload(60, 150)
 	const cut = 75
@@ -62,7 +62,7 @@ func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	for _, opts := range []Options{
 		{Processor: ProcessorViewMat},
 		{Processor: ProcessorMMQJP},
-		{Processor: ProcessorViewMat, Parallelism: 4, PipelineDepth: 2},
+		{Processor: ProcessorViewMat, PipelineDepth: 2},
 	} {
 		restored, err := OpenEngineFrom(&store, opts)
 		if err != nil {

@@ -134,8 +134,8 @@ func renderEngineMatches(ms []Match) string {
 // TestEngineChurnDeterminism is the lifecycle determinism requirement at the
 // facade: publish → GC → publish interleaved with Subscribe/Unsubscribe
 // churn must leave the engine producing byte-identical per-document output
-// to a fresh engine holding only the surviving subscriptions — across
-// Workers ∈ {1,4} × PipelineDepth ∈ {0,2} (run under -race in CI).
+// to a fresh engine holding only the surviving subscriptions — at
+// PipelineDepth 0 and 2 (run under -race in CI).
 func TestEngineChurnDeterminism(t *testing.T) {
 	gen := workload.DefaultRSS()
 	qrng := rand.New(rand.NewSource(3))
@@ -161,31 +161,29 @@ func TestEngineChurnDeterminism(t *testing.T) {
 		ref = append(ref, renderEngineMatches(fresh.Publish("S", d)))
 	}
 
-	for _, workers := range []int{1, 4} {
-		for _, depth := range []int{0, 2} {
-			eng := New(Options{Processor: ProcessorViewMat, Parallelism: workers, PipelineDepth: depth})
-			var churnIDs []QueryID
-			for _, src := range surviving {
-				eng.MustSubscribe(src)
+	for _, depth := range []int{0, 2} {
+		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
+		var churnIDs []QueryID
+		for _, src := range surviving {
+			eng.MustSubscribe(src)
+		}
+		for _, src := range churned {
+			churnIDs = append(churnIDs, eng.MustSubscribe(src))
+		}
+		eng.PublishBatch("S", stream[:churnAt])
+		for _, id := range churnIDs {
+			if err := eng.Unsubscribe(id); err != nil {
+				t.Fatal(err)
 			}
-			for _, src := range churned {
-				churnIDs = append(churnIDs, eng.MustSubscribe(src))
-			}
-			eng.PublishBatch("S", stream[:churnAt])
-			for _, id := range churnIDs {
-				if err := eng.Unsubscribe(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := eng.NumQueries(); n != len(surviving) {
-				t.Fatalf("NumQueries = %d, want %d", n, len(surviving))
-			}
-			for di, ms := range eng.PublishBatch("S", stream[churnAt:]) {
-				got := renderEngineMatches(ms)
-				if got != ref[churnAt+di] {
-					t.Fatalf("workers=%d depth=%d: churned engine diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
-						workers, depth, churnAt+di+1, got, ref[churnAt+di])
-				}
+		}
+		if n := eng.NumQueries(); n != len(surviving) {
+			t.Fatalf("NumQueries = %d, want %d", n, len(surviving))
+		}
+		for di, ms := range eng.PublishBatch("S", stream[churnAt:]) {
+			got := renderEngineMatches(ms)
+			if got != ref[churnAt+di] {
+				t.Fatalf("depth=%d: churned engine diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
+					depth, churnAt+di+1, got, ref[churnAt+di])
 			}
 		}
 	}

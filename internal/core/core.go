@@ -1,8 +1,9 @@
 // Package core implements the MMQJP Join Processor: Stage-1 shared
-// tree-pattern matching feeding Stage-2 template-sharded conjunctive-query
+// tree-pattern matching feeding Stage-2 per-template conjunctive-query
 // evaluation over the join state, with view materialization (Section 5),
 // pipelined and continuous ingestion, and subscription lifecycle. Stage 2
-// runs each template's compiled conjunctive query (cqplan.go).
+// runs each template's compiled conjunctive query (cqplan.go) on the
+// goroutine that consumes the document (stage2.go).
 //
 // This file holds the processor-wide configuration and the accumulated
 // statistics; the Processor itself lives in processor.go.
@@ -26,12 +27,6 @@ type Config struct {
 	// (cqplan.go): PlanAuto and PlanWitness run the witness-driven order,
 	// PlanRTDriven the RT-driven one (tests and ablation benchmarks).
 	Plan PlanKind
-	// Workers sets the number of template shards evaluated concurrently
-	// in Stage 2 (shard.go). Each shard owns the run counts, view
-	// cache entries and stats of the templates assigned to it, so workers
-	// share no mutable state. 0 or 1 selects sequential evaluation;
-	// match output is identical for every worker count.
-	Workers int
 	// PipelineDepth bounds how many upcoming documents of a ProcessBatch
 	// call may have Stage 1 (parse-independent NFA match and witness
 	// construction) running or completed ahead of the coordinator's
@@ -83,14 +78,14 @@ const (
 // declaration (StatFields): its json tag names it (a duration's ends in _ns),
 // its help tag describes it, and its kind is a time.Duration's type or the
 // stat tag — "counter" for a cumulative count, "gauge" for a value read off
-// the state when the stats are taken. Add, the facade's EngineStats (JSON and
-// the STATS line) and the server's /metrics families all walk these fields.
+// the state when the stats are taken. The facade's EngineStats (JSON and the
+// STATS line) and the server's /metrics families walk these fields.
 type Stats struct {
 	Documents int64 `json:"documents" stat:"counter" help:"Documents admitted into the join state."`
 	Matches   int64 `json:"matches" stat:"counter" help:"Matches produced across all queries."`
 
-	// Phase times; with Workers > 1 the Stage-2 phases (Rvj, RL, RR, CQ)
-	// accumulate CPU time across workers.
+	// Phase times. Stage 2 (Rvj, RL, RR, CQ) runs on the goroutine that
+	// consumes the document, so its phases are wall time.
 	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
 	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW."`
 	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
@@ -105,10 +100,9 @@ type Stats struct {
 	// across workers and may exceed the batch's elapsed wall time.
 	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time, summed over documents."`
 	// Stage2Wall is the coordinator's wall-clock time of Stage-2 template
-	// evaluation. With Workers > 1 the per-phase timings above accumulate
-	// CPU time across workers and may exceed it; Stage2Wall is what
-	// shrinks as workers are added. Both wall counters accumulate across
-	// Process and ProcessBatch calls.
+	// evaluation: the phases Rvj, RL, RR and CQ above plus what lies
+	// between them. Both wall counters accumulate across Process and
+	// ProcessBatch calls.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Coordinator wall time of Stage-2 template evaluation."`
 
 	// WitnessPlans and RTPlans count the per-template runs of each step
@@ -121,6 +115,13 @@ type Stats struct {
 	// plan, so they repeat exactly.
 	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps."`
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
+	// ViewCacheHits and ViewCacheMisses count the view cache's lookups of
+	// a common string's RL slice (view materialization only), and
+	// ViewCacheInvalidations the entries it dropped as stale: slices
+	// referencing a document a window collection expired.
+	ViewCacheHits          int64 `json:"view_cache_hits" stat:"counter" help:"View-cache lookups that found the string's RL slice."`
+	ViewCacheMisses        int64 `json:"view_cache_misses" stat:"counter" help:"View-cache lookups that computed the string's RL slice."`
+	ViewCacheInvalidations int64 `json:"view_cache_invalidations" stat:"counter" help:"View-cache entries dropped as stale."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
 	// document) and WitnessProbes what their assembly examined
@@ -139,8 +140,8 @@ type Stats struct {
 	GCRowsDropped int64 `json:"gc_rows_dropped" stat:"counter" help:"Join-state rows removed by window collections."`
 
 	// Gauges, read off the join state when the stats are taken (they
-	// survive ResetStats, and Add leaves them alone): the documents inside
-	// the widest window and their rows per witness relation.
+	// survive ResetStats): the documents inside the widest window and their
+	// rows per witness relation.
 	StateDocs      int64 `json:"state_docs" stat:"gauge" help:"Documents in the join state (inside the widest window)."`
 	StateRbinRows  int64 `json:"state_rbin_rows" stat:"gauge" help:"Live join-state Rbin rows."`
 	StateRdocRows  int64 `json:"state_rdoc_rows" stat:"gauge" help:"Live join-state Rdoc rows."`
@@ -218,18 +219,4 @@ func (f StatField) Float(v reflect.Value) float64 {
 		return 0
 	}
 	return float64(x.Int())
-}
-
-var statsFields = StatFields(reflect.TypeOf(Stats{}))
-
-// Add accumulates o's counters and durations into s: per-shard stats into
-// the processor's total. The gauges are the processor's own reading.
-func (s *Stats) Add(o Stats) {
-	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
-	for _, f := range statsFields {
-		if f.Kind != StatGauge {
-			d := dst.FieldByIndex(f.Index)
-			d.SetInt(d.Int() + src.FieldByIndex(f.Index).Int())
-		}
-	}
 }

@@ -24,7 +24,7 @@ import (
 // only checks against bound ones. Column offsets are resolved at compile
 // time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
 // a depth-first index nested loop over the frame that emits complete frames
-// straight into the shard's emit buffer. No intermediate relation is
+// straight into the processor's emit buffer. No intermediate relation is
 // materialized, and no step scans join state: a previous document's rows are
 // reached through its record's node indexes (State.add builds them), the
 // per-document relations through the indexes built once per document in
@@ -290,8 +290,8 @@ func (t *Template) removeVector(g *vecGroup, iid int64) {
 	t.vecList = t.vecList[:last]
 }
 
-// cqExec evaluates compiled programs on one shard (shard.ex), one document at
-// a time. It reads the processor's registration-time structures, the join
+// cqExec evaluates compiled programs for the processor (Processor.ex), one
+// document at a time. It reads the processor's registration-time structures, the join
 // state and the per-document inputs, all read-only during Process; everything
 // it writes (frame, output, counters) is its own.
 type cqExec struct {

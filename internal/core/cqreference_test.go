@@ -118,7 +118,8 @@ func churnTrace(queries []*xscl.Query, docs []*xmldoc.Document) workload.Trace {
 // TestCompiledPlanMatchesReference holds the compiled Stage-2 programs to
 // the interpreted reference, document by document, in both step orders
 // (forced witness-driven and RT-driven), with and without the Section-5
-// views, at Workers 1 and 4 (the shard path under the race detector). The
+// views, with Stage 1 run ahead on 1 and 4 goroutines (stage1Ahead; under
+// the race detector, Stage-1 workers beside the ordered Consume). The
 // traces cover multi-value-join templates with shared endpoints
 // (workload.PaperScale), single-node sides (the k=1 queries of
 // workload.RandomWorkload), deep sides, JOIN instances in both orientations,
@@ -152,9 +153,9 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 		for _, vm := range []bool{false, true} {
 			for _, plan := range []PlanKind{PlanWitness, PlanRTDriven} {
 				for _, workers := range []int{1, 4} {
-					cfg := Config{ViewMaterialization: vm, Plan: plan, Workers: workers}
-					t.Run(fmt.Sprintf("%s/%s", name, comboName(cfg)), func(t *testing.T) {
-						rows := replayAgainstReference(t, cfg, tr)
+					cfg := Config{ViewMaterialization: vm, Plan: plan}
+					t.Run(fmt.Sprintf("%s/%s", name, comboName(cfg, workers)), func(t *testing.T) {
+						rows := replayAgainstReference(t, cfg, workers, tr)
 						if rows == 0 {
 							t.Fatal("the trace produced no RoutT row: nothing was compared")
 						}
@@ -167,30 +168,37 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 
 // replayAgainstReference replays tr through a processor configured by cfg,
 // comparing each document's matches with referenceMatches computed from the
-// same processor's relations just before the document is consumed. It
+// same processor's relations just before the document is consumed. Stage 1
+// of each churn-free run of events runs ahead on workers goroutines. It
 // returns the number of matches compared.
-func replayAgainstReference(t *testing.T, cfg Config, tr workload.Trace) int {
+func replayAgainstReference(t *testing.T, cfg Config, workers int, tr workload.Trace) int {
 	p := NewProcessor(cfg)
 	var ids []QueryID
 	for _, q := range tr.Initial {
 		ids = append(ids, p.MustRegister(q))
 	}
 	total := 0
-	for i, ev := range tr.Events {
-		for _, u := range ev.Unsubscribe {
+	for i := 0; i < len(tr.Events); {
+		for _, u := range tr.Events[i].Unsubscribe {
 			p.MustUnregister(ids[u])
 		}
-		for _, q := range ev.Subscribe {
+		for _, q := range tr.Events[i].Subscribe {
 			ids = append(ids, p.MustRegister(q))
 		}
-		r := p.RunStage1("S", ev.Doc)
-		want := harnessRecs(referenceMatches(p, r.w, ev.Doc))
-		got := harnessRecs(p.Consume(r).Slice())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("event %d (doc %d): compiled program diverges from the reference\ngot:  %v\nwant: %v",
-				i, ev.Doc.ID, got, want)
+		docs := []*xmldoc.Document{tr.Events[i].Doc}
+		for j := i + 1; j < len(tr.Events) && len(tr.Events[j].Unsubscribe)+len(tr.Events[j].Subscribe) == 0; j++ {
+			docs = append(docs, tr.Events[j].Doc)
 		}
-		total += len(got)
+		for k, r := range stage1Ahead(p, "S", docs, workers) {
+			want := harnessRecs(referenceMatches(p, r.w, docs[k]))
+			got := harnessRecs(p.Consume(r).Slice())
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("event %d (doc %d): compiled program diverges from the reference\ngot:  %v\nwant: %v",
+					i+k, docs[k].ID, got, want)
+			}
+			total += len(got)
+		}
+		i += len(docs)
 	}
 	return total
 }
@@ -259,7 +267,7 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 		{Config{Plan: PlanWitness, ViewMaterialization: true}, 22},
 		{Config{Plan: PlanRTDriven, ViewMaterialization: true}, 10478.0 / 20},
 	} {
-		t.Run(comboName(tc.cfg), func(t *testing.T) {
+		t.Run(comboName(tc.cfg, 0), func(t *testing.T) {
 			count := func() (probes, rows int64) {
 				p, docs := paperScaleSlice(tc.cfg, 60)
 				before := p.Stats()
@@ -289,7 +297,7 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // path, as a count and — on the cases that measure both stages — as bytes.
 // Both are the same on every machine, so a regression fails here and not in a
 // timing comparison. Each case runs its stream (generator seeds 1 and 8)
-// through a one-worker ViewMat processor that has processed a pass already, so
+// through a ViewMat processor that has processed a pass already, so
 // templates, join state, view cache and pools are warm; stage1 measures
 // RunStage1 alone, the others RunStage1 and Consume, which is the whole path
 // up to the ordered result: writing it out is its reader's one allocation (the
@@ -327,9 +335,9 @@ func TestPublishAllocCeiling(t *testing.T) {
 		bytesCeiling   float64 // 0: count only
 	}{
 		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 35, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 60, 4750},
-		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 9, 1130},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 31, 16900},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 58, 4600},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 8, 880},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 29, 16800},
 		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 64, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -195,7 +195,7 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 		id++
 		ts++
 	}
-	if sl, ok := p.shardOfSym(sym.Intern("oldA")).cache.Get(sym.Intern("oldA")); !ok || sl.Len() == 0 {
+	if sl, ok := p.cache.Get(sym.Intern("oldA")); !ok || sl.Len() == 0 {
 		t.Fatalf("precondition: no populated cache entry for oldA (ok=%v)", ok)
 	}
 	// Live documents carrying different strings, far enough ahead that the
@@ -206,21 +206,16 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 		id++
 		ts++
 	}
-	sh := p.shardOfSym(sym.Intern("newA"))
-	if n := sh.cache.Len(); n == 0 {
+	if n := p.cache.Len(); n == 0 {
 		t.Fatalf("no cache entries after the fresh epoch (GC wiped the cache wholesale?)")
 	}
-	if _, ok := sh.cache.Get(sym.Intern("newA")); !ok {
+	if _, ok := p.cache.Get(sym.Intern("newA")); !ok {
 		t.Errorf("live entry %q invalidated by GC of unrelated documents", "newA")
 	}
-	if _, ok := p.shardOfSym(sym.Intern("oldA")).cache.Get(sym.Intern("oldA")); ok {
+	if _, ok := p.cache.Get(sym.Intern("oldA")); ok {
 		t.Errorf("stale entry %q survived GC", "oldA")
 	}
-	inval := int64(0)
-	for _, s := range p.shards {
-		inval += s.cache.Invalidations()
-	}
-	if inval == 0 {
+	if p.Stats().ViewCacheInvalidations == 0 {
 		t.Errorf("no invalidations accounted after GC")
 	}
 }
@@ -229,7 +224,8 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 // referencing an expired doc are dropped and accounted, as are empty entries
 // (no expiry could ever reach them); entries referencing live docs survive.
 func TestViewCacheInvalidateDocs(t *testing.T) {
-	c := NewViewCache()
+	var st Stats
+	c := NewViewCache(&st)
 	slice := func(docids ...int64) *relation.Relation {
 		r := relation.New(rlSchema...)
 		for _, d := range docids {
@@ -250,8 +246,8 @@ func TestViewCacheInvalidateDocs(t *testing.T) {
 	if _, ok := c.Get(sym.Intern("empty")); ok {
 		t.Error("empty slice survived: nothing else would ever reclaim it")
 	}
-	if got := c.Invalidations(); got != 2 {
-		t.Errorf("Invalidations = %d, want 2", got)
+	if got := st.ViewCacheInvalidations; got != 2 {
+		t.Errorf("ViewCacheInvalidations = %d, want 2", got)
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
@@ -261,13 +257,14 @@ func TestViewCacheInvalidateDocs(t *testing.T) {
 // TestViewCacheClearAccountsDrop checks Clear records the dropped entries in
 // the invalidation stats instead of silently zeroing the population.
 func TestViewCacheClearAccountsDrop(t *testing.T) {
-	c := NewViewCache()
+	var st Stats
+	c := NewViewCache(&st)
 	for i := 0; i < 5; i++ {
 		c.Put(sym.Intern(fmt.Sprintf("s%d", i)), relation.New(relation.Int("docid")))
 	}
 	c.Clear()
-	if got := c.Invalidations(); got != 5 {
-		t.Errorf("Invalidations after Clear = %d, want 5", got)
+	if got := st.ViewCacheInvalidations; got != 5 {
+		t.Errorf("ViewCacheInvalidations after Clear = %d, want 5", got)
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len after Clear = %d", c.Len())
@@ -280,66 +277,64 @@ func TestViewCacheClearAccountsDrop(t *testing.T) {
 // merged minus the rows live — and the state gauges are the state's sizes,
 // also after ResetStats, which zeroes the counters only.
 func TestWindowGCStats(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := NewProcessor(Config{ViewMaterialization: true, Workers: workers})
-		p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 25} S//item->y[.//a->w][.//b->z]"))
-		p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, ROWS 10} S//b->w"))
-		live := func(s Stats) int64 { return s.StateRbinRows + s.StateRdocRows + s.StateRrootRows }
-		liveDocs := func() map[xmldoc.DocID]bool {
-			ids := map[xmldoc.DocID]bool{}
-			for _, slot := range p.state.order {
-				ids[p.state.recs[slot].id] = true
-			}
-			return ids
+	p := NewProcessor(Config{ViewMaterialization: true})
+	p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 25} S//item->y[.//a->w][.//b->z]"))
+	p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, ROWS 10} S//b->w"))
+	live := func(s Stats) int64 { return s.StateRbinRows + s.StateRdocRows + s.StateRrootRows }
+	liveDocs := func() map[xmldoc.DocID]bool {
+		ids := map[xmldoc.DocID]bool{}
+		for _, slot := range p.state.order {
+			ids[p.state.recs[slot].id] = true
 		}
-		var merged int64
-		rowsOf := map[xmldoc.DocID]int64{}
-		prev := p.Stats()
-		for i := 1; i <= 400; i++ {
-			b := xmldoc.NewBuilder(xmldoc.DocID(i), xmldoc.Timestamp(i), "item")
-			b.Element(0, "a", fmt.Sprintf("k%d", i%7))
-			b.Element(0, "b", fmt.Sprintf("k%d", i%5))
-			r := p.RunStage1("S", b.Build())
-			rowsOf[r.doc.ID] = int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
-			merged += rowsOf[r.doc.ID]
-			before := liveDocs()
-			p.Consume(r)
-			st := p.Stats()
-			if gcs := st.WindowGCs - prev.WindowGCs; gcs > 1 {
-				t.Fatalf("document %d: %d collections", i, gcs)
-			}
-			after, left := liveDocs(), int64(0)
-			for id := range before {
-				if !after[id] {
-					left += rowsOf[id]
-				}
-			}
-			if dropped := st.GCRowsDropped - prev.GCRowsDropped; dropped != left {
-				t.Fatalf("document %d: a collection dropped %d rows, the documents that left held %d", i, dropped, left)
-			}
-			if st.GCRowsDropped != merged-live(st) {
-				t.Fatalf("document %d: %d rows dropped, want %d merged - %d live", i, st.GCRowsDropped, merged, live(st))
-			}
-			if p.state.late != 0 {
-				t.Fatalf("document %d: %d late documents in a stream in timestamp order", i, p.state.late)
-			}
-			prev = st
+		return ids
+	}
+	var merged int64
+	rowsOf := map[xmldoc.DocID]int64{}
+	prev := p.Stats()
+	for i := 1; i <= 400; i++ {
+		b := xmldoc.NewBuilder(xmldoc.DocID(i), xmldoc.Timestamp(i), "item")
+		b.Element(0, "a", fmt.Sprintf("k%d", i%7))
+		b.Element(0, "b", fmt.Sprintf("k%d", i%5))
+		r := p.RunStage1("S", b.Build())
+		rowsOf[r.doc.ID] = int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
+		merged += rowsOf[r.doc.ID]
+		before := liveDocs()
+		p.Consume(r)
+		st := p.Stats()
+		if gcs := st.WindowGCs - prev.WindowGCs; gcs > 1 {
+			t.Fatalf("document %d: %d collections", i, gcs)
 		}
-		s := p.state
-		if prev.WindowGCs < 5 {
-			t.Errorf("workers=%d: %d collections: the stream did not exercise expiry", workers, prev.WindowGCs)
+		after, left := liveDocs(), int64(0)
+		for id := range before {
+			if !after[id] {
+				left += rowsOf[id]
+			}
 		}
-		bin, doc, root := s.Rows()
-		if prev.StateDocs != int64(s.NumDocs()) || prev.StateRbinRows != int64(bin) ||
-			prev.StateRdocRows != int64(doc) || prev.StateRrootRows != int64(root) ||
-			bin == 0 || root == 0 {
-			t.Errorf("workers=%d: gauges %+v do not describe the state (%d docs, %d/%d/%d rows)",
-				workers, prev, s.NumDocs(), bin, doc, root)
+		if dropped := st.GCRowsDropped - prev.GCRowsDropped; dropped != left {
+			t.Fatalf("document %d: a collection dropped %d rows, the documents that left held %d", i, dropped, left)
 		}
-		p.ResetStats()
-		if st := p.Stats(); st.WindowGCs != 0 || st.GCRowsDropped != 0 || st.StateDocs != prev.StateDocs || live(st) != live(prev) {
-			t.Errorf("workers=%d: after ResetStats: %+v", workers, st)
+		if st.GCRowsDropped != merged-live(st) {
+			t.Fatalf("document %d: %d rows dropped, want %d merged - %d live", i, st.GCRowsDropped, merged, live(st))
 		}
+		if p.state.late != 0 {
+			t.Fatalf("document %d: %d late documents in a stream in timestamp order", i, p.state.late)
+		}
+		prev = st
+	}
+	s := p.state
+	if prev.WindowGCs < 5 {
+		t.Errorf("%d collections: the stream did not exercise expiry", prev.WindowGCs)
+	}
+	bin, doc, root := s.Rows()
+	if prev.StateDocs != int64(s.NumDocs()) || prev.StateRbinRows != int64(bin) ||
+		prev.StateRdocRows != int64(doc) || prev.StateRrootRows != int64(root) ||
+		bin == 0 || root == 0 {
+		t.Errorf("gauges %+v do not describe the state (%d docs, %d/%d/%d rows)",
+			prev, s.NumDocs(), bin, doc, root)
+	}
+	p.ResetStats()
+	if st := p.Stats(); st.WindowGCs != 0 || st.GCRowsDropped != 0 || st.StateDocs != prev.StateDocs || live(st) != live(prev) {
+		t.Errorf("after ResetStats: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sequential"
@@ -13,15 +14,14 @@ import (
 
 // The randomized differential harness: seeded random traces (queries,
 // document streams, subscription churn — internal/workload/random.go) are
-// replayed through every Plan × Workers × PipelineDepth ×
-// ViewMaterialization combination of the core processor and through the
-// sequential oracle.
+// replayed through every Plan × PipelineDepth × ViewMaterialization
+// combination of the core processor and through the sequential oracle.
 //
 //   - All core combinations must produce byte-identical per-event match
 //     streams — order included. This subsumes the plan-invisibility claim
 //     (witness, forced RT-driven and PlanAuto emit the same bytes; the
 //     RT-driven order never reads the vector-group trie the others walk)
-//     and the worker/pipeline determinism claims at once.
+//     and the pipeline determinism claim at once.
 //   - The (query, leftDoc, rightDoc) sets must equal the sequential
 //     oracle's (multiplicities differ by design: MMQJP emits one match per
 //     RoutT row, Sequential one per witness pair) — restricted to document
@@ -137,30 +137,50 @@ func harnessKeySet(recs []harnessRec) map[matchKey]bool {
 	return out
 }
 
-// harnessCombos enumerates every Plan × Workers × PipelineDepth ×
-// ViewMaterialization combination under differential test (24 in all).
+// harnessCombos enumerates every Plan × PipelineDepth × ViewMaterialization
+// combination under differential test (12 in all).
 func harnessCombos() []Config {
 	var out []Config
 	for _, plan := range []PlanKind{PlanWitness, PlanRTDriven, PlanAuto} {
-		for _, workers := range []int{1, 4} {
-			for _, depth := range []int{0, 2} {
-				for _, vm := range []bool{false, true} {
-					out = append(out, Config{
-						Plan:                plan,
-						Workers:             workers,
-						PipelineDepth:       depth,
-						ViewMaterialization: vm,
-					})
-				}
+		for _, depth := range []int{0, 2} {
+			for _, vm := range []bool{false, true} {
+				out = append(out, Config{
+					Plan:                plan,
+					PipelineDepth:       depth,
+					ViewMaterialization: vm,
+				})
 			}
 		}
 	}
 	return out
 }
 
-func comboName(cfg Config) string {
+// comboName names a configuration under test; workers is the number of
+// goroutines the test runs Stage 1 on ahead of Consume (stage1Ahead), 0 when
+// Stage 1 runs where the processor puts it.
+func comboName(cfg Config, workers int) string {
 	plan := map[PlanKind]string{PlanWitness: "witness", PlanRTDriven: "rt", PlanAuto: "auto"}[cfg.Plan]
-	return fmt.Sprintf("plan=%s workers=%d depth=%d viewmat=%v", plan, cfg.Workers, cfg.PipelineDepth, cfg.ViewMaterialization)
+	return fmt.Sprintf("plan=%s workers=%d depth=%d viewmat=%v", plan, workers, cfg.PipelineDepth, cfg.ViewMaterialization)
+}
+
+// stage1Ahead runs Stage 1 of docs on workers goroutines and returns the
+// results in document order. Stage 1 reads only the documents and the
+// registered patterns, so it may run ahead of the ordered Consume, as the
+// ingest pipeline's Stage-1 workers run it.
+func stage1Ahead(p *Processor, stream string, docs []*xmldoc.Document, workers int) []*Stage1Result {
+	out := make([]*Stage1Result, len(docs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(docs); i += workers {
+				out[i] = p.RunStage1(stream, docs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 func runHarnessSeed(t *testing.T, seed int64, deep bool) {
@@ -181,7 +201,7 @@ func runHarnessSeed(t *testing.T, seed int64, deep bool) {
 		for ev := range ref {
 			if !reflect.DeepEqual(ref[ev], got[ev]) {
 				t.Fatalf("seed %d deep=%v: event %d diverges between %q and %q:\nref: %v\ngot: %v",
-					seed, deep, ev, comboName(combos[0]), comboName(cfg), ref[ev], got[ev])
+					seed, deep, ev, comboName(combos[0], 0), comboName(cfg, 0), ref[ev], got[ev])
 			}
 		}
 	}
@@ -231,7 +251,7 @@ func filterLiveWindow(s map[matchKey]bool, subEvent map[int64]int) map[matchKey]
 }
 
 // TestRandomizedDifferentialHarness replays seeded random churn traces
-// through every plan/worker/pipeline/view-materialization combination and
+// through every plan/pipeline/view-materialization combination and
 // the sequential oracle. Failures log the seed.
 func TestRandomizedDifferentialHarness(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {

@@ -83,11 +83,11 @@ func TestIngestMatchesProcess(t *testing.T) {
 func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 	queries, docs := ingestFixture(202, 10, 150)
 	for _, workers := range []int{1, 4} {
-		p := NewProcessor(Config{ViewMaterialization: true, Workers: workers})
+		p := NewProcessor(Config{ViewMaterialization: true})
 		for _, q := range queries {
 			p.MustRegister(q)
 		}
-		ing := NewIngest(p, IngestConfig{Depth: 4})
+		ing := NewIngest(p, IngestConfig{Depth: 4, Workers: workers})
 		var mu sync.Mutex
 		order := make([]*xmldoc.Document, 0, len(docs))
 		got := map[xmldoc.DocID]string{}

@@ -21,8 +21,8 @@ func (p *Processor) MustUnregister(qid QueryID) {
 
 // assertFreshProcessor checks the lifecycle invariant: a processor whose
 // queries have all been unregistered is observationally identical to a fresh
-// one — templates, queries, patterns, shard relations, indexes, view-cache
-// entries, join state and stats all reclaimed.
+// one — templates, queries, patterns, indexes, view-cache entries, join
+// state and stats all reclaimed.
 func assertFreshProcessor(t *testing.T, p *Processor) {
 	t.Helper()
 	if n := p.NumQueries(); n != 0 {
@@ -31,8 +31,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if n := p.NumTemplates(); n != 0 {
 		t.Errorf("NumTemplates = %d, want 0", n)
 	}
-	if len(p.templates) != 0 || len(p.tmplShard) != 0 {
-		t.Errorf("template maps not empty: %d sigs, %d shard assignments", len(p.templates), len(p.tmplShard))
+	if len(p.templates) != 0 {
+		t.Errorf("template map not empty: %d sigs", len(p.templates))
 	}
 	if len(p.patterns) != 0 || slices.ContainsFunc(p.byYID, func(pi *patternInfo) bool { return pi != nil }) {
 		t.Errorf("pattern registry not empty: %d by key, %v by Stage-1 id", len(p.patterns), p.byYID)
@@ -47,16 +47,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			t.Errorf("instance %d still registered", iid)
 		}
 	}
-	for _, sh := range p.shards {
-		if len(sh.templates) != 0 {
-			t.Errorf("shard %d still owns %d templates", sh.id, len(sh.templates))
-		}
-		if n := sh.cache.Len(); n != 0 {
-			t.Errorf("shard %d view cache has %d entries, want 0", sh.id, n)
-		}
-		if sh.stats != (Stats{}) {
-			t.Errorf("shard %d stats not reclaimed: %+v", sh.id, sh.stats)
-		}
+	if n := p.cache.Len(); n != 0 {
+		t.Errorf("view cache has %d entries, want 0", n)
 	}
 	st := p.state
 	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {
@@ -66,7 +58,7 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 		t.Errorf("join-state records and posting lists not reclaimed")
 	}
 	if p.stats != (Stats{}) {
-		t.Errorf("coordinator stats not reclaimed: %+v", p.stats)
+		t.Errorf("stats not reclaimed: %+v", p.stats)
 	}
 	if p.maxFiniteWindow != 0 || p.maxCountWindow != 0 || p.anyInfWindow {
 		t.Errorf("window maxima not reclaimed: finite=%d count=%d inf=%v",
@@ -101,8 +93,8 @@ func TestUnregisterAllRestoresFreshProcessor(t *testing.T) {
 	}
 
 	for _, cfg := range []Config{
-		{Workers: 1},
-		{ViewMaterialization: true, Workers: 3},
+		{},
+		{ViewMaterialization: true},
 	} {
 		p := NewProcessor(cfg)
 		var ids []QueryID
@@ -210,10 +202,10 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 }
 
 // TestUnregisterReclaimsTemplateAndPatterns removes the only query of a
-// template: template, shard slot, vector groups and pattern demands must
-// all be reclaimed while unrelated queries are untouched.
+// template: template, vector groups and pattern demands must all be
+// reclaimed while unrelated queries are untouched.
 func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
-	p := NewProcessor(Config{Workers: 2})
+	p := NewProcessor(Config{})
 	keep := p.MustRegister(xscl.MustParse("S//book->x[.//author->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//author->b]"))
 	// Two predicates: a different template and an extra pattern demand.
 	drop := p.MustRegister(xscl.MustParse("S//book->x[.//author->a][.//title->t] JOIN{a=b AND t=u, 1000} S//blog->y[.//author->b][.//title->u]"))
@@ -229,13 +221,6 @@ func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
 	if len(p.patterns) >= patternsBefore {
 		t.Errorf("pattern demands not narrowed: %d -> %d", patternsBefore, len(p.patterns))
 	}
-	total := 0
-	for _, sh := range p.shards {
-		total += len(sh.templates)
-	}
-	if total != 1 {
-		t.Errorf("shards own %d templates, want 1", total)
-	}
 	_ = keep
 }
 
@@ -244,11 +229,11 @@ func TestUnregisterReclaimsTemplateAndPatterns(t *testing.T) {
 // observable) unchanged, and the rollback path — registerInstance followed
 // by unregisterInstance — must restore the exact pre-registration shape.
 func TestRegisterFailureLeavesNoTrace(t *testing.T) {
-	p := NewProcessor(Config{Workers: 2})
+	p := NewProcessor(Config{})
 	p.MustRegister(xscl.MustParse("S//book->x[.//author->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//author->b]"))
 
 	type snapshot struct {
-		queries, templates, patterns, shard0, shard1, rt0 int
+		queries, templates, patterns, rt0 int
 	}
 	snap := func() snapshot {
 		rt0 := 0
@@ -259,9 +244,7 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 		}
 		return snapshot{
 			queries: p.NumQueries(), templates: p.NumTemplates(),
-			patterns: len(p.patterns),
-			shard0:   len(p.shards[0].templates), shard1: len(p.shards[1].templates),
-			rt0: rt0,
+			patterns: len(p.patterns), rt0: rt0,
 		}
 	}
 	before := snap()
@@ -338,53 +321,11 @@ func TestUnregisterRecomputesWindows(t *testing.T) {
 	_ = small
 }
 
-// TestShardCompactionUnderChurn checks that reclaimed shard slots are
-// refilled: new templates go to the least-loaded shard, not blindly
-// round-robin over ever-growing ids.
-func TestShardCompactionUnderChurn(t *testing.T) {
-	// Distinct templates via distinct value-join counts.
-	mk := func(k int) *xscl.Query {
-		lhs, rhs, pred := "S//item->v0", "S//item->w0", ""
-		for i := 0; i < k; i++ {
-			lhs += fmt.Sprintf("[.//l%d->v%d]", i, i+1)
-			rhs += fmt.Sprintf("[.//l%d->w%d]", i, i+1)
-			if pred != "" {
-				pred += " AND "
-			}
-			pred += fmt.Sprintf("v%d=w%d", i+1, i+1)
-		}
-		return xscl.MustParse(fmt.Sprintf("%s FOLLOWED BY{%s, 10} %s", lhs, pred, rhs))
-	}
-	p := NewProcessor(Config{Workers: 2})
-	var ids []QueryID
-	for k := 1; k <= 4; k++ {
-		ids = append(ids, p.MustRegister(mk(k)))
-	}
-	if len(p.shards[0].templates) != 2 || len(p.shards[1].templates) != 2 {
-		t.Fatalf("initial assignment unbalanced: %d/%d",
-			len(p.shards[0].templates), len(p.shards[1].templates))
-	}
-	// Free two slots on shard 0.
-	p.MustUnregister(ids[0]) // k=1 -> shard 0
-	p.MustUnregister(ids[2]) // k=3 -> shard 0
-	if len(p.shards[0].templates) != 0 || len(p.shards[1].templates) != 2 {
-		t.Fatalf("after unregister: %d/%d, want 0/2",
-			len(p.shards[0].templates), len(p.shards[1].templates))
-	}
-	// Two new distinct templates must both land on the emptied shard.
-	p.MustRegister(mk(5))
-	p.MustRegister(mk(6))
-	if len(p.shards[0].templates) != 2 || len(p.shards[1].templates) != 2 {
-		t.Errorf("churn skewed the shards: %d/%d, want 2/2",
-			len(p.shards[0].templates), len(p.shards[1].templates))
-	}
-}
-
 // TestChurnDeterminism is the lifecycle determinism requirement: a stream
 // processed with publish → GC → publish interleaved with Subscribe and
 // Unsubscribe churn must produce, after the churn, byte-identical per-
 // document output to a fresh processor holding only the surviving query set
-// — at every Workers and PipelineDepth combination.
+// — at every PipelineDepth.
 func TestChurnDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	leafNames := []string{"a", "b", "c", "d"}
@@ -414,33 +355,31 @@ func TestChurnDeterminism(t *testing.T) {
 			ref = append(ref, renderMatches(fresh.Process("S", d)))
 		}
 
-		for _, workers := range []int{1, 4} {
-			for _, depth := range []int{0, 2} {
-				cfg := Config{ViewMaterialization: viewMat, Workers: workers, PipelineDepth: depth}
-				p := NewProcessor(cfg)
-				var survIDs, churnIDs []QueryID
-				for _, q := range surviving {
-					survIDs = append(survIDs, p.MustRegister(q))
-				}
-				for _, q := range churned {
-					churnIDs = append(churnIDs, p.MustRegister(q))
-				}
-				p.ProcessBatch("S", docs[:churnAt])
-				for _, id := range churnIDs {
-					p.MustUnregister(id)
-				}
-				if p.NumQueries() != len(surviving) {
-					t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
-				}
-				for di, ms := range p.ProcessBatch("S", docs[churnAt:]) {
-					got := renderMatches(ms)
-					if got != ref[churnAt+di] {
-						t.Fatalf("viewmat=%v workers=%d depth=%d: churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
-							viewMat, workers, depth, churnAt+di+1, got, ref[churnAt+di])
-					}
-				}
-				_ = survIDs
+		for _, depth := range []int{0, 2} {
+			cfg := Config{ViewMaterialization: viewMat, PipelineDepth: depth}
+			p := NewProcessor(cfg)
+			var survIDs, churnIDs []QueryID
+			for _, q := range surviving {
+				survIDs = append(survIDs, p.MustRegister(q))
 			}
+			for _, q := range churned {
+				churnIDs = append(churnIDs, p.MustRegister(q))
+			}
+			p.ProcessBatch("S", docs[:churnAt])
+			for _, id := range churnIDs {
+				p.MustUnregister(id)
+			}
+			if p.NumQueries() != len(surviving) {
+				t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
+			}
+			for di, ms := range p.ProcessBatch("S", docs[churnAt:]) {
+				got := renderMatches(ms)
+				if got != ref[churnAt+di] {
+					t.Fatalf("viewmat=%v depth=%d: churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
+						viewMat, depth, churnAt+di+1, got, ref[churnAt+di])
+				}
+			}
+			_ = survIDs
 		}
 	}
 }

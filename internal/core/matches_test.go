@@ -37,7 +37,7 @@ var (
 
 // randomResult builds one document's result as the collector receives it:
 // n matches spread at random over a singles buffer (single-block matches, no
-// template) and one to four shard buffers, with the query ids drawn from
+// template) and one to four emit buffers, with the query ids drawn from
 // queries and the left documents from docs. Matches that share their key tie
 // at random further down the order: JOIN self-matches (right document = left),
 // witnesses differing only in roots or in the binding vector, one query
@@ -165,13 +165,15 @@ func FuzzMatchOrder(f *testing.F) {
 
 // TestMatchesOwnedByCaller pins who owns a publish's result: the []Match a
 // document returns, and the Bindings inside it, are the caller's for good.
-// Stage 2 emits into buffers the shards keep and reuse across documents
-// (shard.ex), so every entry point keeps each document's slice untouched
-// until the stream ends — through documents with more, fewer and no matches,
-// window collections included — and only then fingerprints it, against a
-// second processor of the same configuration whose output was fingerprinted
-// document by document. A result aliasing a reused buffer would have been
-// overwritten by then.
+// Stage 2 emits into a buffer the processor keeps and reuses across
+// documents (Processor.ex), so every entry point keeps each document's slice
+// untouched until the stream ends — through documents with more, fewer and no
+// matches, window collections included — and only then fingerprints it,
+// against a second processor of the same configuration whose output was
+// fingerprinted document by document. A result aliasing a reused buffer would
+// have been overwritten by then. workers is the number of goroutines Stage 1
+// runs on where the entry point takes it from the caller (ConsumeStage1, via
+// stage1Ahead) or from a pool (Ingest).
 func TestMatchesOwnedByCaller(t *testing.T) {
 	gen := workload.DefaultRSS()
 	queries := gen.Queries(rand.New(rand.NewSource(3)), 60)
@@ -196,7 +198,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		newProcessor := func() *Processor {
-			p := NewProcessor(Config{ViewMaterialization: true, Workers: workers, PipelineDepth: 2})
+			p := NewProcessor(Config{ViewMaterialization: true, PipelineDepth: 2})
 			for _, q := range queries {
 				if _, err := p.Register(q); err != nil {
 					t.Fatal(err)
@@ -219,8 +221,8 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 			}},
 			{"ConsumeStage1", func(p *Processor) [][]Match {
 				out := make([][]Match, len(docs))
-				for i, d := range docs {
-					out[i] = p.ConsumeStage1(p.RunStage1("S", d))
+				for i, r := range stage1Ahead(p, "S", docs, workers) {
+					out[i] = p.ConsumeStage1(r)
 				}
 				return out
 			}},
@@ -229,7 +231,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 			}},
 			{"Ingest", func(p *Processor) [][]Match {
 				out := make([][]Match, len(docs))
-				in := NewIngest(p, IngestConfig{Depth: 2})
+				in := NewIngest(p, IngestConfig{Depth: 2, Workers: workers})
 				for i, d := range docs {
 					i := i
 					if err := in.Submit("S", d, func(ms *Matches) { out[i] = ms.Slice() }); err != nil {

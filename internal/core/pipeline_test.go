@@ -1,12 +1,27 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
+
+// renderMatches serializes a match slice byte-for-byte (order included):
+// the pipelined paths promise output identical to sequential processing, not
+// just the same set.
+func renderMatches(ms []Match) string {
+	var sb strings.Builder
+	for _, m := range ms {
+		fmt.Fprintf(&sb, "q%d l%d@%d r%d@%d roots(%d,%d) t%q b%v\n",
+			m.Query, m.LeftDoc, m.LeftTS, m.RightDoc, m.RightTS,
+			m.LeftRoot, m.RightRoot, templateSig(m.Template), m.Bindings)
+	}
+	return sb.String()
+}
 
 // joiningDocs returns two documents that match both sides of joinQuery with
 // a shared string value, so Stage 2 actually evaluates on the second.
@@ -90,9 +105,10 @@ func TestProcessBatchDegenerate(t *testing.T) {
 	}
 }
 
-// TestPipelineWithWorkersDeterminism crosses the ingest pipeline with
-// Stage-2 template shards on a longer generated stream (GC active) and
-// requires byte-identical output to the fully sequential engine.
+// TestPipelineWithWorkersDeterminism runs a longer generated stream (GC
+// active) through ProcessBatch at several pipeline depths — as many Stage-1
+// workers — and requires byte-identical output to the fully sequential
+// engine.
 func TestPipelineWithWorkersDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	leafNames := []string{"a", "b", "c"}
@@ -115,9 +131,9 @@ func TestPipelineWithWorkersDeterminism(t *testing.T) {
 		ref = append(ref, renderMatches(p.Process("S", d)))
 	}
 	for _, cfg := range []Config{
-		{ViewMaterialization: true, Workers: 2, PipelineDepth: 4},
-		{ViewMaterialization: true, Workers: 4, PipelineDepth: 8},
-		{Workers: 3, PipelineDepth: 2},
+		{ViewMaterialization: true, PipelineDepth: 4},
+		{ViewMaterialization: true, PipelineDepth: 8},
+		{PipelineDepth: 2},
 	} {
 		q := NewProcessor(cfg)
 		for _, src := range queries {
@@ -126,8 +142,8 @@ func TestPipelineWithWorkersDeterminism(t *testing.T) {
 		if cfg.ViewMaterialization {
 			for di, ms := range q.ProcessBatch("S", docs) {
 				if got := renderMatches(ms); got != ref[di] {
-					t.Fatalf("workers=%d depth=%d diverges on doc %d:\nseq:\n%sbatch:\n%s",
-						cfg.Workers, cfg.PipelineDepth, di+1, ref[di], got)
+					t.Fatalf("depth=%d diverges on doc %d:\nseq:\n%sbatch:\n%s",
+						cfg.PipelineDepth, di+1, ref[di], got)
 				}
 			}
 			continue
@@ -141,8 +157,8 @@ func TestPipelineWithWorkersDeterminism(t *testing.T) {
 		}
 		for di, ms := range q.ProcessBatch("S", docs) {
 			if got, want := renderMatches(ms), renderMatches(r.Process("S", docs[di])); got != want {
-				t.Fatalf("basic workers=%d depth=%d diverges on doc %d:\nseq:\n%sbatch:\n%s",
-					cfg.Workers, cfg.PipelineDepth, di+1, want, got)
+				t.Fatalf("basic depth=%d diverges on doc %d:\nseq:\n%sbatch:\n%s",
+					cfg.PipelineDepth, di+1, want, got)
 			}
 		}
 	}

@@ -70,12 +70,18 @@ type Processor struct {
 	// nextTemplateID allocates template ids; ids are never reused, so a
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
-	// shards partition the templates for Stage-2 evaluation; each shard
-	// owns its templates' run counts, view cache entries and phase
-	// stats (shard.go). tmplShard records each live template's home shard
-	// (assigned least-loaded-first, see assignShard).
-	shards    []*shard
-	tmplShard map[TemplateID]int
+
+	// ex evaluates the templates in Stage 2 (stage2.go) and keeps its
+	// scratch — the binding frame, the bindings slab and the emit buffer
+	// ex.out — across documents. ex.out holds the current document's
+	// matches from evalTemplates until the next document's resetEmit; the
+	// processor's Matches view points into it meanwhile, and whoever reads
+	// the view copies out of it: no slice handed to a caller ever aliases
+	// it.
+	ex cqExec
+	// cache holds the Section-5 RL slices by string (view materialization
+	// only), counting its hits, misses and invalidations into stats.
+	cache *ViewCache
 
 	// patterns holds the live patterns by canonical key (the normalized
 	// block's xpath.NormalForm.Key); byYID is the same set by Stage-1
@@ -215,23 +221,16 @@ type patternInfo struct {
 
 // NewProcessor returns an empty processor.
 func NewProcessor(cfg Config) *Processor {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	p := &Processor{
 		cfg:       cfg,
 		xp:        yfilter.NewEngine(),
 		syms:      newSymtab(),
 		templates: map[string]*Template{},
-		tmplShard: map[TemplateID]int{},
 		patterns:  map[string]*patternInfo{},
 		canonMemo: map[string]canonResult{},
 		state:     NewState(),
 	}
-	for i := 0; i < workers; i++ {
-		p.shards = append(p.shards, newShard(i))
-	}
+	p.cache = NewViewCache(&p.stats)
 	return p
 }
 
@@ -245,17 +244,10 @@ func (p *Processor) Templates() []*Template { return p.templateList }
 // queries.
 func (p *Processor) NumQueries() int { return p.numQueries }
 
-// Stats returns the accumulated phase timings: the coordinator's own
-// (Stage 1, maintenance, Stage-2 wall clock) plus every shard's Stage-2
-// phase times. With Workers > 1 the shard phases are CPU time summed across
-// workers.
-//
-//mmqjp:shardaccess barrier-time collection; the engine facade serializes Stats against Process
+// Stats returns the accumulated phase timings and counts, with the gauges
+// read off the join state now.
 func (p *Processor) Stats() Stats {
 	s := p.stats
-	for _, sh := range p.shards {
-		s.Add(sh.stats)
-	}
 	s.StateDocs = int64(p.state.NumDocs())
 	bin, doc, root := p.state.Rows()
 	s.StateRbinRows, s.StateRdocRows, s.StateRrootRows = int64(bin), int64(doc), int64(root)
@@ -263,18 +255,8 @@ func (p *Processor) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes the accumulated phase timings.
-//
-//mmqjp:shardaccess barrier-time reset; the engine facade serializes it against Process
-func (p *Processor) ResetStats() {
-	p.stats = Stats{}
-	for _, sh := range p.shards {
-		sh.stats = Stats{}
-	}
-}
-
-// Workers returns the number of template shards evaluated concurrently.
-func (p *Processor) Workers() int { return len(p.shards) }
+// ResetStats zeroes the accumulated phase timings and counts.
+func (p *Processor) ResetStats() { p.stats = Stats{} }
 
 // State exposes the join state (read-only use: tests, inspection).
 func (p *Processor) State() *State { return p.state }
@@ -397,12 +379,11 @@ func (p *Processor) releaseWindow(rec *queryRec) bool {
 
 // Unregister removes a registered query: its instances leave their vector
 // groups, its templates' refcounts are decremented, and a template whose
-// last member query leaves is reclaimed with its compiled programs and its
-// shard slot. Pattern extraction demands
-// are refcounted the same way, so Stage 1 stops extracting witness tuples no
-// surviving query needs. When the last query leaves, the processor reclaims
-// everything — join state, view caches and stats — and is observationally
-// identical to a fresh one. Query ids are never reused.
+// last member query leaves is reclaimed with its compiled programs. Pattern
+// extraction demands are refcounted the same way, so Stage 1 stops extracting
+// witness tuples no surviving query needs. When the last query leaves, the
+// processor reclaims everything — join state, view cache and stats — and is
+// observationally identical to a fresh one. Query ids are never reused.
 //
 // Like Register, Unregister must not run concurrently with Process or
 // ProcessBatch (the engine facade serializes them).
@@ -466,17 +447,10 @@ func (p *Processor) unregisterInstance(iid int64) {
 	p.freeInsts = append(p.freeInsts, iid)
 }
 
-// removeTemplate reclaims a template whose last instance left, freeing its
-// shard slot for future templates (assignShard fills the least-loaded shard
-// first, so churn compacts instead of skewing).
-//
-//mmqjp:shardaccess registration-quiesced; Unregister never runs concurrently with Process
+// removeTemplate reclaims a template whose last instance left.
 func (p *Processor) removeTemplate(t *Template) {
 	delete(p.templates, t.Sig)
 	p.templateList = removeFirst(p.templateList, t)
-	sh := p.shardOf(t)
-	sh.templates = removeFirst(sh.templates, t)
-	delete(p.tmplShard, t.ID)
 }
 
 // removePattern drops a pattern no live query references from Stage-1
@@ -506,22 +480,16 @@ func (p *Processor) recomputeWindows() {
 }
 
 // reclaimAll resets the processor to its initial state once the last query
-// has been unregistered: join state, per-shard view caches and stats are all
-// released, making the processor observationally identical to a fresh one
-// (query and template ids are still never reused; the caches' cumulative
-// hit/miss/invalidation counters survive, like any diagnostics counter).
-//
-//mmqjp:shardaccess registration-quiesced; runs inside Unregister
+// has been unregistered: join state, view cache and stats are all released,
+// making the processor observationally identical to a fresh one (query and
+// template ids are still never reused).
 func (p *Processor) reclaimAll() {
 	p.state = NewState()
+	p.cache.Clear()
 	p.stats = Stats{}
 	p.result = Matches{}
 	p.pre = stage2Shared{}
-	for _, sh := range p.shards {
-		sh.cache.Clear()
-		sh.stats = Stats{}
-		sh.ex = cqExec{}
-	}
+	p.ex = cqExec{}
 }
 
 // MustRegister is Register, panicking on error (tests, examples).
@@ -575,8 +543,6 @@ func (s *regScratch) rawKey(g *JoinGraph) []byte {
 // normal forms are lf and rf, and returns its instance id. All mutations
 // happen after the fallible analysis steps, so a returned error implies no
 // processor state changed.
-//
-//mmqjp:shardaccess registration-quiesced; Register never runs concurrently with Process
 func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.NormalForm, swapped bool) (int64, error) {
 	red := &p.reg.red
 	if err := p.reg.full.build(q); err != nil {
@@ -600,8 +566,6 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
 		p.templateList = append(p.templateList, tmpl)
-		sh := p.assignShard(tmpl)
-		sh.templates = append(sh.templates, tmpl)
 	}
 	tmpl.refs++
 
@@ -905,7 +869,6 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 // wants them writes them out before that.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-//mmqjp:shardaccess coordinator section after Stage-2 workers drain; GC invalidates every shard's cache
 func (p *Processor) Consume(r *Stage1Result) *Matches {
 	d, w := r.doc, r.w
 	p.stats.Documents++
@@ -926,7 +889,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
 	// registered query set, never on pattern registration order. This is
-	// the only sort on the path: the shards' results arrive unordered.
+	// the only sort on the path: the emit buffer's matches arrive unordered.
 	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
@@ -953,9 +916,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 			if len(expired) > 0 {
 				p.stats.WindowGCs++
 				p.stats.GCRowsDropped += int64(dropped)
-				for _, sh := range p.shards {
-					sh.cache.InvalidateDocs(expired)
-				}
+				p.cache.InvalidateDocs(expired)
 			}
 		}
 	}
@@ -1012,17 +973,14 @@ func (p *Processor) windowOK(inst *instance, prev *docRec, d *xmldoc.Document) b
 
 // maintainCache implements Algorithm 5: fold the current document's RR
 // bindings, stamped with the slot it was merged on, into the cached RL slices
-// so future documents find them. Each string's slice lives in the cache of
-// the shard that owns the string.
-//
-//mmqjp:shardaccess coordinator maintenance after Stage-2 workers drain
+// so future documents find them.
 func (p *Processor) maintainCache(w *CurrentWitness, slot int32) {
 	if w.rrSlices == nil {
 		return
 	}
 	for _, row := range w.rrSlices.Rows {
 		id := sym.ID(row[rrStrVal])
-		slice, ok := p.shardOfSym(id).cache.GetAndNote(id, slot)
+		slice, ok := p.cache.GetAndNote(id, slot)
 		if !ok {
 			continue
 		}

@@ -589,7 +589,7 @@ func TestRegistrationMatchesReference(t *testing.T) {
 	}
 	for name, qs := range lists {
 		t.Run(name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true, Workers: 2})
+			p := NewProcessor(Config{ViewMaterialization: true})
 			ref := newRefRegistry()
 			for i, q := range qs {
 				if msg := derivationMismatch(q); msg != "" {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/relation"
@@ -12,123 +11,32 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// Stage-2 evaluation is template-sharded: each new template is assigned to
-// the currently least-loaded shard (lowest shard id on ties — round-robin
-// while no template has ever been reclaimed), and each shard owns every
-// piece of state a Process call mutates per template — the run counts of
-// its templates, the view cache entries of the strings it owns, and the
-// phase stats. Unregistering a template frees its shard slot, and because
-// assignment always fills the emptiest shard first, subscription churn
-// compacts the assignment instead of skewing it. Workers therefore share no
-// mutable data during a Process call: the join state, the current witness,
-// the per-document indexes (stage2Shared) and the templates' compiled
-// programs and vector groups are read-only inputs, and each worker evaluates
-// only its own shard's templates, emitting into its own shard's buffer. The
-// coordinator orders the buffers' matches under a total order — a radix sort
-// of keys that point into them, ties finished by matchCmp (Matches) — so the
-// output is identical for every worker count, including Workers = 1, and is
+// Stage 2 runs on the goroutine that calls Consume: one executor (the
+// processor's cqExec) evaluates every live template in registration order
+// against read-only inputs — the join state, the current witness, the
+// per-document indexes (stage2Shared) and the templates' compiled programs
+// and vector groups — emitting into one buffer. The result orders that
+// buffer and the single-block matches under a total order — a radix sort of
+// keys that point into them, ties finished by matchCmp (Matches) — and is
 // written once, by whoever reads it.
 
-// shard is one unit of Stage-2 parallelism.
-type shard struct {
-	id int
-	//mmqjp:shardowned
-	templates []*Template // owned templates, in registration order
-
-	// cache holds the Section-5 RL slices of the strings this shard owns
-	// (shardOfSym); ownership is stable, so Algorithm-5 maintenance
-	// and lookups always land on the same shard.
-	//
-	//mmqjp:shardowned
-	cache *ViewCache
-
-	//mmqjp:shardowned
-	stats Stats // Stage-2 phase timings and plan counts for this shard
-
-	// ex evaluates this shard's templates and keeps its scratch — the
-	// binding frame, the key buffer and the emit buffer ex.out — across
-	// documents. ex.out holds the current document's matches from evalShard
-	// until the next document's resetEmit; the processor's Matches view
-	// points into it meanwhile, and whoever reads the view copies out of
-	// it: no slice handed to a caller ever aliases it.
-	//
-	//mmqjp:shardowned
-	ex cqExec
-}
-
-// shardEmitKeep is the emit-buffer capacity, in matches, a shard keeps across
-// documents (≈ 350 KB); a document that grew the buffer beyond it takes the
-// buffer with it, so one burst does not stay resident per shard.
-const shardEmitKeep = 4096
+// emitKeep is the emit-buffer capacity, in matches, the executor keeps
+// across documents (≈ 350 KB); a document that grew the buffer beyond it
+// takes the buffer with it, so one burst does not stay resident.
+const emitKeep = 4096
 
 // keysKeep is the same bound for a result's sort keys and the radix sort's
-// second buffer, each key a quarter of a match's size and counted over all
-// shards.
-const keysKeep = 4 * shardEmitKeep
+// second buffer, each key a quarter of a match's size.
+const keysKeep = 4 * emitKeep
 
-func newShard(id int) *shard {
-	return &shard{id: id, cache: NewViewCache()}
-}
-
-// assignShard picks the home shard of a newly created template — the shard
-// currently owning the fewest templates, lowest id on ties — and records the
-// assignment. With no churn this degenerates to round-robin; under churn it
-// refills reclaimed slots, keeping the shards balanced.
+// evalTemplates evaluates the live templates against the document: per
+// template, the compiled program runs in witness-driven order, or RT-driven
+// when that plan is forced (Algorithm 1; under view materialization the
+// programs read the shared views, which is the per-template tail of
+// Algorithm 4). The matches stay in the executor's emit buffer for
+// collectMatches.
 //
-//mmqjp:shardaccess registration-quiesced; assignment happens inside Register
-func (p *Processor) assignShard(t *Template) *shard {
-	best := p.shards[0]
-	for _, sh := range p.shards[1:] {
-		if len(sh.templates) < len(best.templates) {
-			best = sh
-		}
-	}
-	p.tmplShard[t.ID] = best.id
-	return best
-}
-
-// shardOf returns the shard owning a template.
-func (p *Processor) shardOf(t *Template) *shard {
-	return p.shards[p.tmplShard[t.ID]]
-}
-
-// shardOfSym returns the shard owning an interned string's view-cache entry
-// (FNV-1a over the 4 id bytes). Symbol ids are stable for the process
-// lifetime, so ownership is stable across documents; it need not be stable
-// across processes — view caches are never snapshotted.
-func (p *Processor) shardOfSym(id sym.ID) *shard {
-	if len(p.shards) == 1 {
-		return p.shards[0]
-	}
-	u := uint32(id)
-	h := uint32(2166136261)
-	for i := 0; i < 4; i++ {
-		h ^= (u >> (8 * i)) & 0xff
-		h *= 16777619
-	}
-	return p.shards[h%uint32(len(p.shards))]
-}
-
-// runShards invokes f once per shard, concurrently when more than one shard
-// is configured. f must touch only its shard's state plus read-only inputs.
-func (p *Processor) runShards(f func(*shard)) {
-	if len(p.shards) == 1 {
-		f(p.shards[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, sh := range p.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			f(sh)
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// evalTemplates fans Stage-2 template evaluation out over the shards; each
-// leaves its matches in its emit buffer for collectMatches.
+//mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 	if len(p.templateList) == 0 {
 		return
@@ -137,40 +45,55 @@ func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 	if pre == nil {
 		return
 	}
-	p.runShards(func(sh *shard) {
-		p.evalShard(sh, w, d, pre)
-	})
+	ex := &p.ex
+	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
+	ex.probes, ex.rows = 0, 0
+	// The pair relation is built before the clock starts, so its one-time
+	// build lands in Stats.Rvj, not in CQ.
+	for _, t := range p.templateList {
+		if t.needRvj {
+			pre.sharedRvj(p.state, w, &p.stats)
+			break
+		}
+	}
+	plan := 0
+	if p.cfg.Plan == PlanRTDriven {
+		plan = 1
+	}
+	t0 := time.Now()
+	for _, t := range p.templateList {
+		ex.run(t.progs[plan])
+		t.runs[plan]++
+	}
+	p.stats.CQ += time.Since(t0)
+	p.stats.CQProbes += ex.probes
+	p.stats.CQRows += ex.rows
+	if plan == 1 {
+		p.stats.RTPlans += int64(len(p.templateList))
+	} else {
+		p.stats.WitnessPlans += int64(len(p.templateList))
+	}
+	// The executor outlives the document; its inputs must not.
+	ex.w, ex.d, ex.pre = nil, nil, nil
 }
 
-// resetEmit empties the emit buffers and the result view for the next
+// resetEmit empties the emit buffer and the result view for the next
 // document.
-//
-//mmqjp:shardaccess coordinator section before Stage-2 workers start
 func (p *Processor) resetEmit() {
 	p.result.reset()
-	for _, sh := range p.shards {
-		if cap(sh.ex.out) > shardEmitKeep {
-			sh.ex.out = nil
-		}
-		sh.ex.out = sh.ex.out[:0]
+	if cap(p.ex.out) > emitKeep {
+		p.ex.out = nil
 	}
+	p.ex.out = p.ex.out[:0]
 }
 
 // collectMatches builds the document's result: the single-block matches and
-// every shard's emit buffer, ordered where they lie.
-//
-//mmqjp:shardaccess coordinator section after Stage-2 workers drain
+// the emit buffer, ordered where they lie.
 func (p *Processor) collectMatches(singles []Match) *Matches {
 	ms := &p.result
-	n := len(singles)
-	for _, sh := range p.shards {
-		n += len(sh.ex.out)
-	}
-	ms.keys = slices.Grow(ms.keys, n)
+	ms.keys = slices.Grow(ms.keys, len(singles)+len(p.ex.out))
 	ms.add(singles)
-	for _, sh := range p.shards {
-		ms.add(sh.ex.out)
-	}
+	ms.add(p.ex.out)
 	ms.sort()
 	return ms
 }
@@ -184,7 +107,7 @@ func (p *Processor) collectMatches(singles []Match) *Matches {
 // materialised.
 //
 // The order is total down to the binding vector (matchCmp), so it is a pure
-// function of match content: the same for every worker count.
+// function of match content.
 type Matches struct {
 	keys []orderKey
 	tmp  []orderKey // the radix sort's second buffer
@@ -321,12 +244,13 @@ func (ms *Matches) sort() {
 }
 
 // stage2Shared carries the per-document inputs of the compiled programs,
-// computed once per document and read-only during shard evaluation, so every
-// template probes the same indexes instead of re-indexing the document's
-// relations: the current witness by node, the value-join pair relation by
-// previous document's slot and, under view materialization, the shared views
-// RL (by slot) and RR (by string). The processor keeps one (Processor.pre)
-// and resets it for each document, so its slices and indexes are reused.
+// computed once per document and read-only during template evaluation, so
+// every template probes the same indexes instead of re-indexing the
+// document's relations: the current witness by node, the value-join pair
+// relation by previous document's slot and, under view materialization, the
+// shared views RL (by slot) and RR (by string). The processor keeps one
+// (Processor.pre) and resets it for each document, so its slices and indexes
+// are reused.
 type stage2Shared struct {
 	// RbinW by node2 and RrootW by node.
 	binWByNode2 rowIndex
@@ -337,9 +261,8 @@ type stage2Shared struct {
 	// posting lists — with its rows grouped by slot. The
 	// basic path builds it up front. Under view materialization only
 	// templates with a value join on a side root read it, so it is built
-	// on first use, once across all shards (the computation is identical
-	// for every shard).
-	rvjOnce  sync.Once
+	// on first use (rvjBuilt).
+	rvjBuilt bool
 	rvj      [][]int64
 	rvjByDoc rowIndex
 	arena    relation.Arena // this document's rvj rows
@@ -349,18 +272,14 @@ type stage2Shared struct {
 	rr      [][]int64 // rlSchema without the slot
 	rrBySym rowIndex
 
-	// syms, parts and owned are prepareViewMat's scratch: the common
-	// strings, their RL slices, and each shard's share of them.
-	syms  []sym.ID
-	parts []*relation.Relation
-	owned [][]int
+	syms []sym.ID // prepareViewMat's scratch: the common strings
 }
 
 // reset empties pre for the next document. Its row lists drop what they
 // pointed at (the previous document's arena rows, the cached slices' rows);
 // one that a burst document grew past witnessKeep goes.
 func (pre *stage2Shared) reset() {
-	pre.rvjOnce = sync.Once{}
+	pre.rvjBuilt = false
 	pre.arena.Reset()
 	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl} {
 		if clear(*rows); cap(*rows) > witnessKeep {
@@ -368,7 +287,6 @@ func (pre *stage2Shared) reset() {
 		}
 		*rows = (*rows)[:0]
 	}
-	clear(pre.parts)
 	pre.rr = nil
 }
 
@@ -377,19 +295,21 @@ func (pre *stage2Shared) reset() {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
-	pre.rvjOnce.Do(func() {
-		t0 := time.Now()
-		for _, row := range w.RdocW.Rows {
-			for _, ref := range s.postings(sym.ID(row[rdocWStrVal])) {
-				dt := s.recs[ref.slot].rdoc[ref.row]
-				t := pre.arena.Row(len(rvjSchema))
-				t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
-				pre.rvj = append(pre.rvj, t)
-			}
+	if pre.rvjBuilt {
+		return
+	}
+	pre.rvjBuilt = true
+	t0 := time.Now()
+	for _, row := range w.RdocW.Rows {
+		for _, ref := range s.postings(sym.ID(row[rdocWStrVal])) {
+			dt := s.recs[ref.slot].rdoc[ref.row]
+			t := pre.arena.Row(len(rvjSchema))
+			t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
+			pre.rvj = append(pre.rvj, t)
 		}
-		pre.rvjByDoc.build(pre.rvj, 0)
-		stats.Rvj += time.Since(t0)
-	})
+	}
+	pre.rvjByDoc.build(pre.rvj, 0)
+	stats.Rvj += time.Since(t0)
 }
 
 // prepareStage2 computes the per-document inputs on the coordinator. It
@@ -418,16 +338,14 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 }
 
 // prepareViewMat computes the shared prefix of Algorithm 4 into pre. The
-// per-string RL slices are computed by the shard owning each string (hitting
-// that shard's cache), in parallel; the union is concatenated in
-// sorted-symbol order, so its row order is independent of the worker count
-// (symbol ids are process-global, so the order is also identical for every
-// engine configuration within a process — only enumeration order depends on
-// it, the output leaves through Matches.sort regardless). It reports false
-// when no string is shared with the join state (no template can match).
+// per-string RL slices come from the view cache, or are computed and cached
+// on a miss; the union is concatenated in sorted-symbol order (symbol ids are
+// process-global, so the order is identical for every engine configuration
+// within a process — only enumeration order depends on it, the output leaves
+// through Matches.sort regardless). It reports false when no string is shared
+// with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-//mmqjp:shardaccess per-shard closures run on the owning shard's worker
 func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
@@ -445,34 +363,14 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 		return false
 	}
 
-	// RL slices (lines 3-7), sharded by string ownership. Ownership is
-	// resolved once on the coordinator so workers neither rescan nor
-	// rehash the full symbol list.
-	owned := resize(pre.owned, len(p.shards))
-	for i := range owned {
-		owned[i] = owned[i][:0]
-	}
-	for i, id := range syms {
-		sh := p.shardOfSym(id)
-		owned[sh.id] = append(owned[sh.id], i)
-	}
-	parts := resize(pre.parts, len(syms))
-	pre.owned, pre.parts = owned, parts
-	p.runShards(func(sh *shard) {
-		t := time.Now()
-		for _, i := range owned[sh.id] {
-			id := syms[i]
-			slice, ok := sh.cache.Get(id)
-			if !ok {
-				slice = p.state.SliceEL(id)
-				sh.cache.Put(id, slice)
-			}
-			parts[i] = slice
-		}
-		sh.stats.RL += time.Since(t)
-	})
+	// RL slices (lines 3-7).
 	t1 := time.Now()
-	for _, slice := range parts {
+	for _, id := range syms {
+		slice, ok := p.cache.Get(id)
+		if !ok {
+			slice = p.state.SliceEL(id)
+			p.cache.Put(id, slice)
+		}
 		pre.rl = append(pre.rl, slice.Rows...)
 	}
 	pre.rlByDoc.build(pre.rl, 0)
@@ -497,50 +395,9 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	return true
 }
 
-// evalShard evaluates one shard's templates against the document: per
-// template, the compiled program runs in witness-driven order, or RT-driven
-// when that plan is forced (Algorithm 1; under view materialization the
-// programs read the shared views, which is the per-template tail of
-// Algorithm 4).
-//
-//mmqjp:nondet wall-clock stats timing (output-invisible)
-//mmqjp:shardaccess Stage-2 evaluation invoked on the owning shard's worker
-func (p *Processor) evalShard(sh *shard, w *CurrentWitness, d *xmldoc.Document, pre *stage2Shared) {
-	ex := &sh.ex
-	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
-	ex.probes, ex.rows = 0, 0
-	// The pair relation is built before the clock starts, so its one-time
-	// build lands in Stats.Rvj, not in CQ.
-	for _, t := range sh.templates {
-		if t.needRvj {
-			pre.sharedRvj(p.state, w, &sh.stats)
-			break
-		}
-	}
-	plan := 0
-	if p.cfg.Plan == PlanRTDriven {
-		plan = 1
-	}
-	t0 := time.Now()
-	for _, t := range sh.templates {
-		ex.run(t.progs[plan])
-		t.runs[plan]++
-	}
-	sh.stats.CQ += time.Since(t0)
-	sh.stats.CQProbes += ex.probes
-	sh.stats.CQRows += ex.rows
-	if plan == 1 {
-		sh.stats.RTPlans += int64(len(sh.templates))
-	} else {
-		sh.stats.WitnessPlans += int64(len(sh.templates))
-	}
-	// The executor outlives the document; its inputs must not.
-	ex.w, ex.d, ex.pre = nil, nil, nil
-}
-
 // matchCmp is the canonical total order: the output is identical regardless
-// of how templates are sharded across workers. Ties are broken down to the
-// binding vector; fully equal matches are interchangeable.
+// of the order templates and patterns were evaluated in. Ties are broken down
+// to the binding vector; fully equal matches are interchangeable.
 func matchCmp(a, b *Match) int {
 	if c := cmp.Compare(a.Query, b.Query); c != 0 {
 		return c

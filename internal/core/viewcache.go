@@ -27,10 +27,9 @@ type ViewCache struct {
 	bySlot [][]*cacheEntry
 	empty  []*cacheEntry
 
-	hits, misses int64
-	// invalidations counts entries dropped because their contents became
-	// stale (window GC expiring documents their slices reference).
-	invalidations int64
+	// stats receives the cache's counts: Get hits and misses, and entries
+	// dropped as stale (ViewCacheInvalidations).
+	stats *Stats
 }
 
 type cacheEntry struct {
@@ -45,19 +44,19 @@ type cacheEntry struct {
 // rlSlot is the slot column of a view slice.
 var rlSlot = rlSchema.Col("slot")
 
-// NewViewCache returns an empty cache.
-func NewViewCache() *ViewCache {
-	return &ViewCache{entries: map[sym.ID]*cacheEntry{}}
+// NewViewCache returns an empty cache that counts into stats.
+func NewViewCache(stats *Stats) *ViewCache {
+	return &ViewCache{entries: map[sym.ID]*cacheEntry{}, stats: stats}
 }
 
 // Get returns the cached slice for s.
 func (c *ViewCache) Get(s sym.ID) (*relation.Relation, bool) {
 	e, ok := c.entries[s]
 	if !ok {
-		c.misses++
+		c.stats.ViewCacheMisses++
 		return nil, false
 	}
-	c.hits++
+	c.stats.ViewCacheHits++
 	return e.slice, true
 }
 
@@ -91,7 +90,7 @@ func (c *ViewCache) note(e *cacheEntry, slot int32) {
 // whole-cache staleness path: full state reclamation when the last query
 // unregisters (processor.reclaimAll).
 func (c *ViewCache) Clear() {
-	c.invalidations += int64(len(c.entries))
+	c.stats.ViewCacheInvalidations += int64(len(c.entries))
 	c.entries = map[sym.ID]*cacheEntry{}
 	c.bySlot, c.empty = nil, nil
 }
@@ -147,16 +146,9 @@ func (c *ViewCache) InvalidateDocs(expired []int32) {
 func (c *ViewCache) drop(e *cacheEntry) {
 	if c.entries[e.key] == e {
 		delete(c.entries, e.key)
-		c.invalidations++
+		c.stats.ViewCacheInvalidations++
 	}
 }
 
 // Len returns the number of cached slices.
 func (c *ViewCache) Len() int { return len(c.entries) }
-
-// HitRate returns the Get hits and misses since creation.
-func (c *ViewCache) HitRate() (hits, misses int64) { return c.hits, c.misses }
-
-// Invalidations returns the number of entries dropped as stale (Clear and
-// InvalidateDocs) since creation.
-func (c *ViewCache) Invalidations() int64 { return c.invalidations }

@@ -17,7 +17,8 @@ func sliceOf(vals ...int64) *relation.Relation {
 }
 
 func TestViewCachePutGet(t *testing.T) {
-	c := NewViewCache()
+	var st Stats
+	c := NewViewCache(&st)
 	if _, ok := c.Get(sym.Intern("a")); ok {
 		t.Error("empty cache hit")
 	}
@@ -29,13 +30,13 @@ func TestViewCachePutGet(t *testing.T) {
 	// Algorithm-5 maintenance lookups (hit or miss) are not cache reads.
 	c.GetAndNote(sym.Intern("a"), 2)
 	c.GetAndNote(sym.Intern("absent"), 2)
-	if hits, misses := c.HitRate(); hits != 1 || misses != 1 {
-		t.Errorf("hits=%d misses=%d", hits, misses)
+	if st.ViewCacheHits != 1 || st.ViewCacheMisses != 1 {
+		t.Errorf("hits=%d misses=%d", st.ViewCacheHits, st.ViewCacheMisses)
 	}
 }
 
 func TestViewCacheReplace(t *testing.T) {
-	c := NewViewCache()
+	c := NewViewCache(&Stats{})
 	c.Put(sym.Intern("a"), sliceOf(1))
 	c.Put(sym.Intern("a"), sliceOf(1, 2))
 	got, _ := c.Get(sym.Intern("a"))
@@ -48,7 +49,7 @@ func TestViewCacheReplace(t *testing.T) {
 }
 
 func TestViewCacheClear(t *testing.T) {
-	c := NewViewCache()
+	c := NewViewCache(&Stats{})
 	for i := 0; i < 10; i++ {
 		c.Put(sym.Intern(fmt.Sprint(i)), sliceOf(int64(i)))
 	}

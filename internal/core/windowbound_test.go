@@ -14,6 +14,8 @@ import (
 // everything the processor keeps per document to plateau at a small multiple
 // of the window instead of growing with the stream. Window GC (and the
 // scoped view-cache invalidation riding on it) is the only bound there is.
+// Stage 1 runs ahead on 1 and 4 goroutines (stage1Ahead), so the witnesses of
+// documents not yet consumed are live beside the state.
 func TestStateBoundedByWindow(t *testing.T) {
 	const window = 32
 	const ndocs = 12 * window
@@ -42,21 +44,23 @@ func TestStateBoundedByWindow(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				p := NewProcessor(Config{ViewMaterialization: true, RetainDocuments: true, Workers: workers})
+				p := NewProcessor(Config{ViewMaterialization: true, RetainDocuments: true})
 				p.MustRegister(xscl.MustParse(tc.query))
-				matches := 0
+				docs := make([]*xmldoc.Document, ndocs)
 				for i := 1; i <= ndocs; i++ {
 					b := xmldoc.NewBuilder(xmldoc.DocID(i), tc.ts(i), "item")
 					b.Element(0, "a", fmt.Sprintf("k%dA", i))
 					b.Element(0, "b", fmt.Sprintf("k%dB", i))
 					b.Element(0, "c", fmt.Sprintf("k%dA", i-1))
 					b.Element(0, "d", fmt.Sprintf("k%dB", i-1))
-					matches += len(p.Process("S", b.Build()))
+					docs[i-1] = b.Build()
+				}
+				matches := 0
+				for k, r := range stage1Ahead(p, "S", docs, workers) {
+					i := k + 1
+					matches += p.Consume(r).Len()
 
-					entries := 0
-					for _, sh := range p.shards {
-						entries += sh.cache.Len()
-					}
+					entries := p.cache.Len()
 					s := p.state
 					bin, doc, root := s.Rows()
 					retained, storage, postings, postingCap, slotRefs := 0, 0, 0, 0, 0
@@ -70,10 +74,8 @@ func TestStateBoundedByWindow(t *testing.T) {
 						postings += len(s.lists[j].live())
 						postingCap += cap(s.lists[j].refs)
 					}
-					for _, sh := range p.shards {
-						for _, refs := range sh.cache.bySlot {
-							slotRefs += len(refs)
-						}
+					for _, refs := range p.cache.bySlot {
+						slotRefs += len(refs)
 					}
 					for _, c := range []struct {
 						what     string
@@ -107,10 +109,8 @@ func TestStateBoundedByWindow(t *testing.T) {
 					// reachable, and no cache entry stays listed under it.
 					checkState(t, s)
 					for _, slot := range s.free {
-						for _, sh := range p.shards {
-							if int(slot) < len(sh.cache.bySlot) && len(sh.cache.bySlot[slot]) > 0 {
-								t.Fatalf("after %d documents: free slot %d still lists %d cache entries", i, slot, len(sh.cache.bySlot[slot]))
-							}
+						if int(slot) < len(p.cache.bySlot) && len(p.cache.bySlot[slot]) > 0 {
+							t.Fatalf("after %d documents: free slot %d still lists %d cache entries", i, slot, len(p.cache.bySlot[slot]))
 						}
 					}
 				}

@@ -17,40 +17,31 @@ const DirectivePrefix = "//mmqjp:"
 // and cmd/docscheck validates every //mmqjp: line quoted in the markdown
 // guides against it, so docs and analyzers cannot drift.
 type DirectiveSpec struct {
-	Name        string
-	Arg         string // placeholder shown in docs; "" if the directive takes none
-	ArgRequired bool
-	Doc         string // one-line summary
+	Name string
+	Arg  string // placeholder shown in docs for the required argument
+	Doc  string // one-line summary
 }
 
 // Grammar lists every valid directive, in documentation order.
 var Grammar = []DirectiveSpec{
 	{
-		Name: "unordered", Arg: "<reason>", ArgRequired: true,
+		Name: "unordered", Arg: "<reason>",
 		Doc: "this map iteration is intentionally order-insensitive; <reason> says why (mapiter)",
 	},
 	{
-		Name: "guardedby", Arg: "<recv>.<mutex>", ArgRequired: true,
+		Name: "guardedby", Arg: "<recv>.<mutex>",
 		Doc: "field: protected by the named mutex; func: callers must hold it (guarded)",
 	},
 	{
-		Name: "shardowned", Arg: "", ArgRequired: false,
-		Doc: "field of the shard struct owned by the evaluating shard (shardowned)",
-	},
-	{
-		Name: "shardaccess", Arg: "<reason>", ArgRequired: true,
-		Doc: "function allowed to touch shardowned fields; <reason> names the protocol (shardowned)",
-	},
-	{
-		Name: "nondet", Arg: "<reason>", ArgRequired: true,
+		Name: "nondet", Arg: "<reason>",
 		Doc: "function allowed to use time.Now/math/rand; <reason> says why output is unaffected (nodeterm)",
 	},
 	{
-		Name: "nolock", Arg: "<reason>", ArgRequired: true,
+		Name: "nolock", Arg: "<reason>",
 		Doc: "function exempt from guarded checks; <reason> states why access is exclusive (guarded)",
 	},
 	{
-		Name: "pooled", Arg: "<reason>", ArgRequired: true,
+		Name: "pooled", Arg: "<reason>",
 		Doc: "sync.Pool declaration; <reason> argues pooled objects are reset on reuse and never escape (pooled)",
 	},
 }
@@ -89,11 +80,8 @@ func ParseDirectiveText(text string) (name, arg string, err error) {
 	if !ok {
 		return "", "", fmt.Errorf("unknown directive %smmqjp:%s", "//", name)
 	}
-	if spec.ArgRequired && arg == "" {
+	if arg == "" {
 		return "", "", fmt.Errorf("directive %s%s requires an argument: %s", DirectivePrefix, name, spec.Arg)
-	}
-	if !spec.ArgRequired && arg != "" {
-		return "", "", fmt.Errorf("directive %s%s takes no argument (got %q)", DirectivePrefix, name, arg)
 	}
 	return name, arg, nil
 }
@@ -267,7 +255,7 @@ func (d *Directives) UnitDirective(units []ast.Node, name string) (Directive, bo
 }
 
 // CheckDirectives validates every //mmqjp: comment in the program against the
-// grammar: unknown names, missing or unexpected arguments.
+// grammar: unknown names and missing arguments.
 func CheckDirectives(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {

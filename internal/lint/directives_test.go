@@ -15,15 +15,12 @@ func TestParseDirectiveText(t *testing.T) {
 	}{
 		{"//mmqjp:unordered keys sorted below", ""},
 		{"//mmqjp:guardedby e.mu", ""},
-		{"//mmqjp:shardowned", ""},
-		{"//mmqjp:shardaccess registration-quiesced", ""},
 		{"//mmqjp:nondet seeded PRNG", ""},
 		{"//mmqjp:nolock under construction", ""},
 		{"//mmqjp:pooled scratch reset on Get, nothing escapes", ""},
 		{"//mmqjp:pooled", "requires an argument"},
 		{"//mmqjp:unknown x", "unknown directive"},
 		{"//mmqjp:unordered", "requires an argument"},
-		{"//mmqjp:shardowned extra", "takes no argument"},
 		{"// not a directive", "not a //mmqjp: directive"},
 	}
 	for _, c := range cases {
@@ -51,8 +48,8 @@ func TestGrammarSpecs(t *testing.T) {
 			t.Errorf("duplicate grammar entry %q", s.Name)
 		}
 		seen[s.Name] = true
-		if s.ArgRequired && s.Arg == "" {
-			t.Errorf("directive %q requires an argument but documents no placeholder", s.Name)
+		if s.Arg == "" {
+			t.Errorf("directive %q documents no placeholder for its argument", s.Name)
 		}
 	}
 }

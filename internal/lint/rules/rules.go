@@ -11,7 +11,6 @@ import (
 	"repro/internal/lint/mapiter"
 	"repro/internal/lint/nodeterm"
 	"repro/internal/lint/pooled"
-	"repro/internal/lint/shardowned"
 )
 
 const module = "repro"
@@ -21,7 +20,6 @@ func Default() []lint.Analyzer {
 	return []lint.Analyzer{
 		mapiter.New(mapiter.Config{Enforce: onOutputPath}),
 		guarded.New(),
-		shardowned.New(),
 		nodeterm.New(nodeterm.Config{Enforce: func(pkgPath string) bool {
 			return pkgPath == module+"/internal/core"
 		}}),

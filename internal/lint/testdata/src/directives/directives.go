@@ -8,16 +8,7 @@ var a int
 //mmqjp:unordered
 var b int
 
-//mmqjp:shardowned with an argument
-var c int
-
 //mmqjp:pooled
 var e int
 
-type s struct {
-	//mmqjp:shardowned
-	d int
-}
-
-var _ = a + b + c + e
-var _ = s{}
+var _ = a + b + e

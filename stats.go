@@ -17,10 +17,11 @@ import (
 // are the embedded core.Stats, where each is declared once; the fields
 // here are the facade's own, declared the same way.
 //
-// Phase durations follow the paper's Figure-14/15 breakdown and accumulate
-// CPU time across Stage-2 workers; Stage1Wall/Stage2Wall are the wall-clock
-// counterparts (see core.Stats). In sequential mode only Queries, Documents,
-// Matches, CQ (the join time) and SubscriptionBytes are populated.
+// Phase durations follow the paper's Figure-14/15 breakdown; Stage2Wall
+// spans the Stage-2 phases, and Stage1Wall sums Stage 1 over documents, which
+// pipeline workers may run concurrently (see core.Stats). In sequential mode
+// only Queries, Documents, Matches, CQ (the join time) and SubscriptionBytes
+// are populated.
 type EngineStats struct {
 	// Sequential is true for ProcessorSequential engines, whose cost is
 	// reported as a single join time (in CQ).

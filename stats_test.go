@@ -15,6 +15,7 @@ var engineStatsKeys = []string{
 	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
 	"stage1_wall_ns", "stage2_wall_ns",
 	"witness_plans", "rt_plans", "cq_probes", "cq_rows",
+	"view_cache_hits", "view_cache_misses", "view_cache_invalidations",
 	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
 	"subscription_bytes", "dropped_cascades",
@@ -69,7 +70,7 @@ func TestEngineStatsJSONRoundTrip(t *testing.T) {
 
 	// And a live engine's stats must round-trip identically too.
 	queries, stream := rssBatchFixture(40, 20)
-	eng := New(Options{Processor: ProcessorViewMat, Parallelism: 2})
+	eng := New(Options{Processor: ProcessorViewMat})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
 	}
