@@ -112,7 +112,7 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 	m.stage1 = r.Histogram("mmqjp_stage1_seconds",
 		"Per-document Stage-1 wall time (shared-NFA match, witness construction).", obs.DurationBuckets)
 	m.stage2 = r.Histogram("mmqjp_stage2_seconds",
-		"Per-document Stage-2 wall time (template-sharded join evaluation).", obs.DurationBuckets)
+		"Per-document Stage-2 wall time (per-template join evaluation).", obs.DurationBuckets)
 	m.merge = r.Histogram("mmqjp_merge_seconds",
 		"Per-document state-merge wall time (Algorithm 2).", obs.DurationBuckets)
 	m.gc = r.Histogram("mmqjp_gc_seconds",

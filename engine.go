@@ -293,7 +293,7 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 
 // Unsubscribe removes a subscription. The join processor reclaims everything
 // the query no longer shares with surviving subscriptions — refcounted
-// canonical templates, per-shard query relations and indexes, pattern
+// canonical templates, their query relations and indexes, pattern
 // extraction demands, and (when the last subscription leaves) the whole join
 // state and view caches. Matches already delivered are unaffected, and ids
 // are never reused. Unsubscribing a PUBLISH query stops its composition

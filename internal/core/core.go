@@ -151,6 +151,10 @@ type Stats struct {
 	// per registered query, whatever the query's text looked like. The
 	// facade adds the subscriptions' source text and its own records.
 	SubscriptionBytes int64 `json:"subscription_bytes" stat:"gauge" help:"Source text and registration records retained by the live subscriptions."`
+	// PatternsDormant is the live patterns Stage 1 does not assemble,
+	// because smaller live patterns write every row they would: it moves
+	// at Register and Unregister only.
+	PatternsDormant int64 `json:"patterns_dormant" stat:"gauge" help:"Live patterns Stage 1 skips because smaller live patterns write every row they would."`
 }
 
 // StatKind is how a statistic accumulates.

@@ -442,52 +442,64 @@ func TestStage1WorkFollowsTriggeredPatterns(t *testing.T) {
 }
 
 // TestStage1RowsInRegistrationOrder holds RunStage1, which visits only the
-// triggered patterns, to a scan of every live pattern in registration order
+// triggered patterns, to a scan of every awake pattern in registration order
 // (the order the witness relations' rows and the single-block matches come
-// in), on the deep_filter shape after churn has revived patterns under their
-// old Stage-1 ids.
+// in; a dormant pattern writes nothing), after churn has revived patterns
+// under their old Stage-1 ids: on the deep_filter shape, where every
+// triggered pattern carries single-block queries, and on the paper-scale
+// shape, where most patterns are dormant.
 func TestStage1RowsInRegistrationOrder(t *testing.T) {
-	c := workload.DefaultDeepFeed()
-	p := NewProcessor(Config{ViewMaterialization: true})
-	queries := c.Queries(rand.New(rand.NewSource(1)), 600)
-	var qids []QueryID
-	for _, q := range queries {
-		qids = append(qids, p.MustRegister(q))
-	}
-	for i := 0; i < len(queries); i += 3 {
-		p.MustUnregister(qids[i])
-	}
-	for i := 0; i < len(queries); i += 6 {
-		p.MustRegister(queries[i])
-	}
-	var live []*patternInfo
-	for _, pi := range p.byYID {
-		if pi != nil {
-			live = append(live, pi)
-		}
-	}
-	slices.SortFunc(live, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
-	rows := 0
-	for _, d := range c.Stream(rand.New(rand.NewSource(8)), 40) {
-		got := p.RunStage1("S", d)
-		want := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
-		res := p.xp.MatchDocument("S", d)
-		for _, pi := range live {
-			want.addWitnesses(pi, res)
-		}
-		res.Release()
-		for i, rel := range [][2]*relation.Relation{{got.w.RbinW, want.w.RbinW}, {got.w.RdocW, want.w.RdocW}, {got.w.RrootW, want.w.RrootW}} {
-			if !slices.EqualFunc(rel[0].Rows, rel[1].Rows, slices.Equal) {
-				t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0].Rows, rel[1].Rows)
+	deep, ps := workload.DefaultDeepFeed(), workload.DefaultPaperScale()
+	for _, tc := range []struct {
+		name    string
+		queries []*xscl.Query
+		stream  []*xmldoc.Document
+	}{
+		{"deep feed", deep.Queries(rand.New(rand.NewSource(1)), 600), deep.Stream(rand.New(rand.NewSource(8)), 40)},
+		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 600), ps.Stream(rand.New(rand.NewSource(8)), 40)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProcessor(Config{ViewMaterialization: true})
+			var qids []QueryID
+			for _, q := range tc.queries {
+				qids = append(qids, p.MustRegister(q))
 			}
-			rows += rel[0].Len()
-		}
-		if !reflect.DeepEqual(got.singles, want.singles) {
-			t.Fatalf("document %d: single-block matches %v, full scan %v", d.ID, got.singles, want.singles)
-		}
-	}
-	if rows == 0 {
-		t.Fatal("test premise: the documents produce witness rows")
+			for i := 0; i < len(tc.queries); i += 3 {
+				p.MustUnregister(qids[i])
+			}
+			for i := 0; i < len(tc.queries); i += 6 {
+				p.MustRegister(tc.queries[i])
+			}
+			var awake []*patternInfo
+			for _, pi := range p.byYID {
+				if pi != nil && !pi.dormant {
+					awake = append(awake, pi)
+				}
+			}
+			slices.SortFunc(awake, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
+			rows := 0
+			for _, d := range tc.stream {
+				got := p.RunStage1("S", d)
+				want := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
+				res := p.xp.MatchDocument("S", d)
+				for _, pi := range awake {
+					want.addWitnesses(pi, res)
+				}
+				res.Release()
+				for i, rel := range [][2]*relation.Relation{{got.w.RbinW, want.w.RbinW}, {got.w.RdocW, want.w.RdocW}, {got.w.RrootW, want.w.RrootW}} {
+					if !slices.EqualFunc(rel[0].Rows, rel[1].Rows, slices.Equal) {
+						t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0].Rows, rel[1].Rows)
+					}
+					rows += rel[0].Len()
+				}
+				if !reflect.DeepEqual(got.singles, want.singles) {
+					t.Fatalf("document %d: single-block matches %v, full scan %v", d.ID, got.singles, want.singles)
+				}
+			}
+			if rows == 0 {
+				t.Fatal("test premise: the documents produce witness rows")
+			}
+		})
 	}
 }
 

@@ -91,6 +91,11 @@ type Processor struct {
 	patterns   map[string]*patternInfo
 	byYID      []*patternInfo
 	patternSeq int64
+	// families holds the live patterns by their root's canonical variable,
+	// in registration order: the only patterns that can cover one another
+	// (dormant.go). dormant counts the dormant ones.
+	families map[int64][]*patternInfo
+	dormant  int64
 
 	state *State
 
@@ -196,8 +201,15 @@ type patternInfo struct {
 	// relations' row order.
 	seq int64
 	// canonIDs[i] is the interned canonical variable of node i of the
-	// normalized, fully bound pattern.
+	// normalized, fully bound pattern pat (the Stage-1 engine's own); sig
+	// sets one of 64 bits per canonical variable, so a pattern whose sig is
+	// not within another's cannot cover it. A dormant pattern is out of
+	// the Stage-1 engine: smaller live patterns write all its rows
+	// (dormant.go).
 	canonIDs []int64
+	pat      *xpath.Pattern
+	sig      uint64
+	dormant  bool
 	// singles lists the single-block (OpNone) queries on the pattern, which
 	// fire once per witness.
 	singles []QueryID
@@ -227,6 +239,7 @@ func NewProcessor(cfg Config) *Processor {
 		syms:      newSymtab(),
 		templates: map[string]*Template{},
 		patterns:  map[string]*patternInfo{},
+		families:  map[int64][]*patternInfo{},
 		canonMemo: map[string]canonResult{},
 		state:     NewState(),
 	}
@@ -252,6 +265,7 @@ func (p *Processor) Stats() Stats {
 	bin, doc, root := p.state.Rows()
 	s.StateRbinRows, s.StateRdocRows, s.StateRrootRows = int64(bin), int64(doc), int64(root)
 	s.SubscriptionBytes = p.recBytes
+	s.PatternsDormant = p.dormant
 	return s
 }
 
@@ -278,6 +292,7 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		pi := p.patternFor(q.Left, lf)
 		pi.refs++
 		pi.singles = append(pi.singles, qid)
+		p.setDormant(pi, false)
 		rec.single = pi
 		p.addQuery(rec)
 		return qid, nil
@@ -398,6 +413,8 @@ func (p *Processor) Unregister(qid QueryID) error {
 		pi.refs--
 		if pi.refs == 0 {
 			p.removePattern(pi)
+		} else if len(pi.singles) == 0 {
+			p.setDormant(pi, p.coverable(pi))
 		}
 	}
 	for _, iid := range rec.insts {
@@ -430,8 +447,8 @@ func (p *Processor) unregisterInstance(iid int64) {
 	t.removeVector(inst.group, iid)
 
 	lpi, rpi := inst.left.pi, inst.right.pi
-	lpi.release(inst.left)
-	rpi.release(inst.right)
+	p.release(inst.left)
+	p.release(inst.right)
 	if lpi.refs == 0 {
 		p.removePattern(lpi)
 	}
@@ -463,6 +480,7 @@ func (p *Processor) removePattern(pi *patternInfo) {
 	delete(p.patterns, pi.key)
 	p.byYID[pi.yid] = nil
 	p.xp.SetLive(pi.yid, false)
+	p.leaveFamily(pi)
 }
 
 // recomputeWindows re-derives the window maxima from the live queries, so GC
@@ -667,7 +685,8 @@ func appendContribKey(b []byte, c *patternContrib) []byte {
 // acquire takes one reference on the scratch demand's record in its pattern,
 // creating the record — and folding it into the pattern's refcounted emission
 // sets, where an item appearing for the first time joins the emission lists —
-// when no live instance side demands the same.
+// when no live instance side demands the same; an item new to the pattern
+// settles its dormancy and that of the patterns it may cover.
 func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 	pi := scratch.pi
 	pi.refs++
@@ -682,9 +701,13 @@ func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes), roots: slices.Clone(scratch.roots),
 	}
 	pi.contribs[c.key] = c
+	n := pi.items()
 	pi.edges = countIn(pi.edgeCount, pi.edges, c.edges)
 	pi.strNodes = countIn(pi.strCount, pi.strNodes, c.strNodes)
 	pi.roots = countIn(pi.rootCount, pi.roots, c.roots)
+	if pi.items() > n {
+		p.settle(pi, true)
+	}
 	return c
 }
 
@@ -712,17 +735,26 @@ func countOut[K comparable](count map[K]int, list, items []K) []K {
 
 // release undoes acquire; when the record's last reference goes, an item
 // whose count reaches zero leaves the emission lists (order of the survivors
-// is preserved).
-func (pi *patternInfo) release(c *patternContrib) {
+// is preserved), and a pattern that lost an item settles again, before the
+// caller removes it if it is left unreferenced.
+func (p *Processor) release(c *patternContrib) {
+	pi := c.pi
 	pi.refs--
 	if c.refs--; c.refs > 0 {
 		return
 	}
 	delete(pi.contribs, c.key)
+	n := pi.items()
 	pi.edges = countOut(pi.edgeCount, pi.edges, c.edges)
 	pi.strNodes = countOut(pi.strCount, pi.strNodes, c.strNodes)
 	pi.roots = countOut(pi.rootCount, pi.roots, c.roots)
+	if pi.items() < n {
+		p.settle(pi, false)
+	}
 }
+
+// items counts the demand items the pattern emits.
+func (pi *patternInfo) items() int { return len(pi.edges) + len(pi.strNodes) + len(pi.roots) }
 
 // removeFirst removes the first occurrence of v from s, preserving order.
 func removeFirst[T comparable](s []T, v T) []T {
@@ -746,7 +778,7 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 	// with: the same tree, so the same names node for node.
 	rep := p.xp.Pattern(yid)
 	pi := &patternInfo{
-		yid: yid, key: key, seq: p.patternSeq,
+		yid: yid, key: key, seq: p.patternSeq, pat: rep,
 		canonIDs:  make([]int64, len(rep.Nodes)),
 		contribs:  map[string]*patternContrib{},
 		edgeCount: map[[2]int32]int{},
@@ -758,6 +790,7 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 	}
 	p.patternSeq++
 	p.patterns[key] = pi
+	p.joinFamily(pi)
 	for int(yid) >= len(p.byYID) {
 		p.byYID = append(p.byYID, nil)
 	}

@@ -1,7 +1,7 @@
 // Package lint is the framework behind cmd/mmqjplint: a zero-dependency
 // static-analysis suite that turns the repo's prose invariants ("callers must
-// hold e.mu", "owned by the evaluating shard", "iteration order must not
-// reach the output") into machine-checked rules. It loads and type-checks the
+// hold e.mu", "pooled objects are emptied before reuse", "iteration order
+// must not reach the output") into machine-checked rules. It loads and type-checks the
 // module's packages with the standard library only (go/parser + go/types with
 // a source importer), parses //mmqjp: directives out of the comments, and
 // hands both to the analyzer packages under internal/lint/.

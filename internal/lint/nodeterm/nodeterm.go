@@ -1,9 +1,8 @@
 // Package nodeterm forbids nondeterminism sources — time.Now/Since/Until and
 // anything from math/rand — in the hot-path packages, outside functions
 // annotated `//mmqjp:nondet <reason>`. The allowlisted sites are the
-// wall-clock stats timers (output-invisible) and the adaptive planner's
-// seeded exploration PRNG (deterministic by construction); the annotation
-// forces every new site to state which kind it is.
+// wall-clock stats timers (output-invisible); the annotation forces every
+// new site to state why its nondeterminism cannot reach the output.
 package nodeterm
 
 import (

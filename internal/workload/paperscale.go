@@ -15,9 +15,9 @@ import (
 // parent vectors and the value-join wiring graph; element names never enter
 // the canonical signature — so the earlier generators, which all emit the
 // identity wiring (v1=w1 AND … AND vk=wk over k distinct leaves per side),
-// collapse onto roughly one template per k and saturate template-granular
-// parallelism at a handful of shards. PaperScale instead samples the
-// endpoint wiring itself: each side's k join endpoints are drawn as a
+// collapse onto roughly one template per k: a handful of templates, far
+// from the many-template regime. PaperScale instead samples the endpoint
+// wiring itself: each side's k join endpoints are drawn as a
 // restricted-growth label sequence (repeated labels make several joins
 // share one bound node), duplicate (left,right) label pairs rejected as
 // redundant predicates. Distinct wiring shapes yield distinct canonical

@@ -18,7 +18,7 @@ var engineStatsKeys = []string{
 	"view_cache_hits", "view_cache_misses", "view_cache_invalidations",
 	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
-	"subscription_bytes", "dropped_cascades",
+	"subscription_bytes", "patterns_dormant", "dropped_cascades",
 }
 
 // TestEngineStatsJSONRoundTrip pins the structured stats contract: every
