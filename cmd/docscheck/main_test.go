@@ -24,7 +24,7 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 	}
 
 	guide := strings.Join([]string{
-		"The server exposes the knobs as flags: `-pipeline`, `-plan auto|witness|rt`",
+		"The server exposes the knobs as flags: `-pipeline`, `-snapshot-every 30s`",
 		"and `-split-threshold 64`.",
 		"",
 		"Run `cmd/mmqjp-server -async -split-threshold=1` for the ablation.",

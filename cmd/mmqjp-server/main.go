@@ -52,7 +52,8 @@
 //
 // -snapshot-gzip compresses saved snapshots; restores sniff the on-disk
 // format, so the flag can be added (or dropped) across restarts without
-// losing the existing snapshot.
+// losing the existing snapshot. -snapshot-every or -snapshot-gzip without
+// -snapshot-path is a usage error, not a server without durability.
 //
 // -debug-addr starts an HTTP observability sidecar with /metrics
 // (Prometheus text), /healthz (ingest-pipeline liveness under a deadline)
@@ -68,10 +69,6 @@
 // through the same outbound buffer and write rule as synchronous mode), and
 // match output is identical to synchronous mode for the same admission
 // order.
-//
-// Stage 2 runs the witness-driven plan by default (-plan auto, the same as
-// -plan witness); -plan rt forces the RT-driven plan for ablation runs.
-// Match output is identical for every plan setting.
 //
 // Matches are pushed to the connection that owns the matched query as
 //
@@ -206,64 +203,92 @@ const (
 	errLimit = "ELIMIT" // size limit exceeded
 )
 
-func main() {
-	addr := flag.String("addr", ":7878", "listen address")
-	viewMat := flag.Bool("viewmat", true, "enable view materialization")
-	pipeline := flag.Int("pipeline", runtime.NumCPU(), "ingest pipeline depth for PUBB batches and -async publishes (1 = sequential)")
-	async := flag.Bool("async", false, "route PUB through the continuous async ingest pipeline")
-	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto or witness (the witness-driven plan), or rt (the RT-driven plan, an ablation)")
-	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables")
-	snapPath := flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables")
-	snapEvery := flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)")
-	snapGzip := flag.Bool("snapshot-gzip", false, "with -snapshot-path, gzip-compress saved snapshots (restores sniff the format, so existing uncompressed snapshots still open)")
-	flag.Parse()
+// config is the server's command line.
+type config struct {
+	addr, debugAddr, snapPath *string
+	viewMat, async, snapGzip  *bool
+	pipeline                  *int
+	snapEvery                 *time.Duration
+}
 
+// parseFlags defines the server's flags on flag.CommandLine and parses args.
+// A snapshot option without -snapshot-path is a usage error: only durable
+// mode reads it, so a forgotten path would leave the server without
+// durability and without a word.
+func parseFlags(args []string) (*config, error) {
+	c := &config{
+		addr:      flag.String("addr", ":7878", "listen address"),
+		viewMat:   flag.Bool("viewmat", true, "enable view materialization"),
+		pipeline:  flag.Int("pipeline", runtime.NumCPU(), "ingest pipeline depth for PUBB batches and -async publishes (1 = sequential)"),
+		async:     flag.Bool("async", false, "route PUB through the continuous async ingest pipeline"),
+		debugAddr: flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables"),
+		snapPath:  flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables"),
+		snapEvery: flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)"),
+		snapGzip:  flag.Bool("snapshot-gzip", false, "with -snapshot-path, gzip-compress saved snapshots (restores sniff the format, so existing uncompressed snapshots still open)"),
+	}
+	if err := flag.CommandLine.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err == nil && *c.snapPath == "" && f.Name != "snapshot-path" && strings.HasPrefix(f.Name, "snapshot-") {
+			err = fmt.Errorf("-%s needs -snapshot-path", f.Name)
+		}
+	})
+	if err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "mmqjp-server: %v\n", err)
+		flag.Usage()
+	}
+	return c, err
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2)
+	}
 	kind := mmqjp.ProcessorMMQJP
-	if *viewMat {
+	if *cfg.viewMat {
 		kind = mmqjp.ProcessorViewMat
 	}
-	plan, err := mmqjp.ParsePlan(*planName)
-	if err != nil {
-		log.Fatalf("mmqjp-server: %v", err)
-	}
 	s := &server{
-		async:   *async,
-		durable: *snapPath != "",
+		async:   *cfg.async,
+		durable: *cfg.snapPath != "",
 	}
-	if *debugAddr != "" {
+	if *cfg.debugAddr != "" {
 		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	}
 	opts := mmqjp.Options{
-		Processor: kind, PipelineDepth: *pipeline, Plan: plan,
+		Processor: kind, PipelineDepth: *cfg.pipeline,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument
 	}
 	if s.durable {
 		var storeOpts []mmqjp.StoreOption
-		if *snapGzip {
+		if *cfg.snapGzip {
 			storeOpts = append(storeOpts, mmqjp.WithGzip())
 		}
-		s.store = mmqjp.NewFileStore(*snapPath, storeOpts...)
+		s.store = mmqjp.NewFileStore(*cfg.snapPath, storeOpts...)
 	}
 	restored, err := s.initEngine(opts)
 	if err != nil {
-		log.Fatalf("mmqjp-server: restore %s: %v", *snapPath, err)
+		log.Fatalf("mmqjp-server: restore %s: %v", *cfg.snapPath, err)
 	}
 	if restored > 0 {
-		log.Printf("mmqjp-server: restored %d subscriptions from %s", restored, *snapPath)
+		log.Printf("mmqjp-server: restored %d subscriptions from %s", restored, *cfg.snapPath)
 	}
-	if *debugAddr != "" {
-		dbg, err := s.startDebugServer(*debugAddr)
+	if *cfg.debugAddr != "" {
+		dbg, err := s.startDebugServer(*cfg.debugAddr)
 		if err != nil {
 			log.Fatalf("mmqjp-server: debug listener: %v", err)
 		}
 		log.Printf("mmqjp-server debug endpoints on http://%s", dbg)
 	}
 	if s.durable {
-		if *snapEvery > 0 {
+		if *cfg.snapEvery > 0 {
 			go func() {
-				for range time.Tick(*snapEvery) {
+				for range time.Tick(*cfg.snapEvery) {
 					s.saveSnapshot()
 				}
 			}()
@@ -278,7 +303,7 @@ func main() {
 			os.Exit(0)
 		}()
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", *cfg.addr)
 	if err != nil {
 		log.Fatalf("mmqjp-server: %v", err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"net"
 	"strings"
@@ -229,6 +230,51 @@ func TestServerErrors(t *testing.T) {
 	c.sendLine(t, "STATS")
 	if got := c.readLine(t); !strings.HasPrefix(got, "OK ") {
 		t.Errorf("STATS -> %q", got)
+	}
+}
+
+// parseTestFlags runs parseFlags on a fresh flag.CommandLine, so each call
+// defines the server's flags anew, and returns what the parse printed.
+func parseTestFlags(t *testing.T, args ...string) (*config, string, error) {
+	t.Helper()
+	saved := flag.CommandLine
+	t.Cleanup(func() { flag.CommandLine = saved })
+	flag.CommandLine = flag.NewFlagSet("mmqjp-server", flag.ContinueOnError)
+	var out strings.Builder
+	flag.CommandLine.SetOutput(&out)
+	cfg, err := parseFlags(args)
+	return cfg, out.String(), err
+}
+
+// TestSnapshotFlagsNeedPath checks that each snapshot option given without
+// -snapshot-path is refused at startup with a usage error naming the missing
+// flag, instead of leaving the server without durability, and that the same
+// option with the path parses.
+func TestSnapshotFlagsNeedPath(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-snapshot-every", []string{"-snapshot-every", "30s"}},
+		{"-snapshot-gzip", []string{"-snapshot-gzip"}},
+		// Set explicitly, even to its default, the option is still refused.
+		{"-snapshot-gzip", []string{"-addr", ":0", "-snapshot-gzip=false"}},
+	} {
+		_, out, err := parseTestFlags(t, tc.args...)
+		if err == nil {
+			t.Errorf("%v: parsed without -snapshot-path", tc.args)
+			continue
+		}
+		if want := tc.flag + " needs -snapshot-path"; !strings.Contains(err.Error(), want) || !strings.Contains(out, want) || !strings.Contains(out, "Usage") {
+			t.Errorf("%v: error %q, output %q; want %q and the usage", tc.args, err, out, want)
+		}
+		cfg, _, err := parseTestFlags(t, append(tc.args, "-snapshot-path", "subs.snap")...)
+		if err != nil || *cfg.snapPath != "subs.snap" {
+			t.Errorf("%v with -snapshot-path: %v", tc.args, err)
+		}
+	}
+	if cfg, _, err := parseTestFlags(t, "-addr", ":0"); err != nil || *cfg.snapPath != "" || *cfg.addr != ":0" {
+		t.Errorf("no snapshot flags: %v", err)
 	}
 }
 

@@ -38,14 +38,12 @@
 // channel in admission order, byte-identical to serial Publish of that
 // order, and Flush/Close drain the pipeline.
 //
-// Stage 2 evaluates each query template's conjunctive query in
-// witness-driven order (Options.Plan, default PlanAuto): it joins outward
-// from the current document's value-join pairs and extends a trie of the
-// template's registered variable vectors with every variable it binds, so it
-// probes only what some subscription registered. PlanRTDriven, which
-// iterates the registered vectors first, stays as an ablation. The plan
-// never changes output: every setting produces byte-identical match streams.
-// Engine.PlanStats exposes the per-template statistics.
+// Stage 2 evaluates each query template's conjunctive query with one
+// compiled program, in witness-driven order: it joins outward from the
+// current document's value-join pairs and extends a trie of the template's
+// registered variable vectors with every variable it binds, so it probes
+// only what some subscription registered. Engine.PlanStats exposes the
+// per-template statistics.
 //
 // Subscriptions have a full lifecycle: Unsubscribe removes a query and
 // reclaims everything it no longer shares with the survivors — canonical

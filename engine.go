@@ -32,37 +32,6 @@ const (
 	ProcessorSequential
 )
 
-// Plan selects the Stage-2 physical plan for template conjunctive queries.
-type Plan int
-
-const (
-	// PlanAuto is the default: the witness-driven plan, whose walk extends
-	// a trie of the registered variable vectors with every variable it
-	// binds, so it probes only what some subscription registered.
-	PlanAuto Plan = iota
-	// PlanWitness names the witness-driven plan (join outward from the
-	// current document's value-join pairs) explicitly; it runs as PlanAuto.
-	PlanWitness
-	// PlanRTDriven forces the RT-driven plan (iterate the query
-	// relation's distinct variable vectors with index probes) —
-	// ablations and tests.
-	PlanRTDriven
-)
-
-// ParsePlan parses a plan name as accepted by the server's -plan flag:
-// "auto", "witness", or "rt" (also "rtdriven"/"rt-driven").
-func ParsePlan(s string) (Plan, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
-		return PlanAuto, nil
-	case "witness":
-		return PlanWitness, nil
-	case "rt", "rtdriven", "rt-driven":
-		return PlanRTDriven, nil
-	}
-	return PlanAuto, fmt.Errorf("mmqjp: unknown plan %q (want auto, witness or rt)", s)
-}
-
 // Options configures an Engine.
 type Options struct {
 	// Processor selects the join strategy. The zero value is
@@ -70,11 +39,6 @@ type Options struct {
 	// ProcessorViewMat, so set this field explicitly to get the same
 	// evaluator from the library.
 	Processor ProcessorKind
-	// Plan selects the Stage-2 physical plan (default PlanAuto, the
-	// witness-driven plan; PlanRTDriven is an ablation). Match output is
-	// byte-identical for every setting; only cost differs. Ignored by
-	// ProcessorSequential.
-	Plan Plan
 	// PlanExploreEvery is ignored: the plan chooser whose calibration runs
 	// it sampled is gone. The field stays only until the benchmark, which
 	// names it, is re-fitted.
@@ -94,11 +58,13 @@ type Options struct {
 	// the document. The field stays only until the benchmark, which names
 	// it, is re-fitted.
 	Parallelism int
-	// PipelineDepth bounds how many upcoming documents of a PublishBatch
-	// call may have Stage 1 (XML parse, shared-NFA match, witness
-	// construction) running ahead of the in-order Stage-2 consumption
-	// (0 or 1 = fully sequential). Match output is identical for every
-	// depth; per-Publish calls are unaffected. Ignored by
+	// PipelineDepth sizes every Stage-1 overlap: how many upcoming
+	// documents of a PublishBatch call run Stage 1 (shared-NFA match,
+	// witness construction) ahead of the in-order Stage-2 consumption (0
+	// or 1 = sequential), the PublishAsync pipeline's workers and its
+	// admission bound of PipelineDepth+1 documents, and how many raw-XML
+	// items of a PublishXMLBatch or PublishDoc call parse concurrently.
+	// Match output is identical for every depth. Ignored by
 	// ProcessorSequential.
 	PipelineDepth int
 	// OnDocument, when set, is called once per processed document with its
@@ -204,7 +170,6 @@ func New(opts Options) *Engine {
 		e.proc = core.NewProcessor(core.Config{
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			RetainDocuments:     opts.RetainDocuments,
-			Plan:                core.PlanKind(opts.Plan),
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
 		})

@@ -84,7 +84,7 @@ func ExampleEngine_PlanStats() {
 
 	for _, ts := range eng.PlanStats() {
 		fmt.Printf("template %d: %d vector groups, %d plan runs\n",
-			ts.Template, ts.VecGroups, ts.WitnessRuns+ts.RTRuns)
+			ts.Template, ts.VecGroups, ts.WitnessRuns)
 	}
 	// Output:
 	// template 0: 2 vector groups, 3 plan runs

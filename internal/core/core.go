@@ -23,16 +23,13 @@ type Config struct {
 	// RetainDocuments keeps full documents in the join state so that
 	// query outputs can be constructed as XML; benchmarks disable it.
 	RetainDocuments bool
-	// Plan selects the step order of the compiled Stage-2 programs
-	// (cqplan.go): PlanAuto and PlanWitness run the witness-driven order,
-	// PlanRTDriven the RT-driven one (tests and ablation benchmarks).
-	Plan PlanKind
 	// PipelineDepth bounds how many upcoming documents of a ProcessBatch
 	// call may have Stage 1 (parse-independent NFA match and witness
 	// construction) running or completed ahead of the coordinator's
 	// in-order Stage-2 consumption (pipeline.go). 0 or 1 selects the
 	// sequential per-document path; match output is identical for every
-	// depth.
+	// depth. Only ProcessBatch reads it: an Ingest is sized by its
+	// IngestConfig.Depth (the engine facade passes both the same value).
 	PipelineDepth int
 	// OnDocument, when set, is called once per processed document with its
 	// hot-path wall times, after the document has been fully consumed.
@@ -56,21 +53,6 @@ type DocTimings struct {
 	GC      time.Duration
 	Matches int
 }
-
-// PlanKind selects the physical plan for template conjunctive queries.
-type PlanKind int
-
-const (
-	// PlanAuto runs the witness-driven order, which probes only what some
-	// subscription registered (cqplan.go).
-	PlanAuto PlanKind = iota
-	// PlanWitness always joins outward from the current document's
-	// value-join pairs (cqplan.go).
-	PlanWitness
-	// PlanRTDriven always iterates RT's distinct variable vectors first
-	// (cqplan.go).
-	PlanRTDriven
-)
 
 // Stats accumulates the cost of the processing phases, matching the
 // breakdown of Figures 14 and 15, and the counted work behind them. Each
@@ -105,10 +87,9 @@ type Stats struct {
 	// ProcessBatch calls.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Coordinator wall time of Stage-2 template evaluation."`
 
-	// WitnessPlans and RTPlans count the per-template runs of each step
-	// order of the compiled programs (cqplan.go).
+	// WitnessPlans counts the per-template runs of the compiled programs
+	// (cqplan.go).
 	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Per-template Stage-2 runs in witness-driven order."`
-	RTPlans      int64 `json:"rt_plans" stat:"counter" help:"Per-template Stage-2 runs in RT-driven order."`
 	// CQProbes counts the index entries the compiled Stage-2 steps visited
 	// (cqplan.go) and CQRows the RoutT rows they produced, before the
 	// window test. Both are pure functions of the input sequence and the

@@ -20,7 +20,7 @@ func mkTagged(id xmldoc.DocID, ts xmldoc.Timestamp, tag, val string) *xmldoc.Doc
 func TestCountWindowSemantics(t *testing.T) {
 	// ROWS 2: the right event must arrive within 2 stream positions of
 	// the left event, regardless of timestamps.
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}, {Plan: PlanRTDriven}} {
+	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
 		p := NewProcessor(cfg)
 		p.MustRegister(xscl.MustParse("S//a->x FOLLOWED BY{x=y, ROWS 2} S//b->y"))
 

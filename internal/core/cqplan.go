@@ -31,32 +31,26 @@ import (
 // stage2Shared. No step hashes: every index is an offset array or a flat
 // table over integer keys (flat.go).
 //
-// The program runs in one of two step orders, the same machine either way.
-// The witness-driven order — what PlanAuto runs — starts from the document's
-// value-join pairs and assigns the v slots from the structural rows it walks.
-// The query relation RT is one more atom of that walk: the template's vector
-// groups form a trie (Template.trie) whose levels are the v slots in the
-// order this program assigns them, and every v slot a step assigns extends
-// the frame's trie node (cqExec.nodes) or ends the branch. A walk therefore
-// never completes a variable vector no subscription registered, and the edge
-// its last v slot takes names the vector group whose instances it emits. The
-// RT-driven order (PlanRTDriven, an ablation) starts by iterating the vector
-// groups, so every v slot is bound up front, each structural row is a check
-// and the trie is never read: forcing it checks the trie in every
-// differential.
+// The program joins outward from the document's value-join pairs and assigns
+// the v slots from the structural rows it walks. The query relation RT is one
+// more atom of that walk: the template's vector groups form a trie
+// (Template.trie) whose levels are the v slots in the order this program
+// assigns them, and every v slot a step assigns extends the frame's trie node
+// (cqExec.nodes) or ends the branch. A walk therefore never completes a
+// variable vector no subscription registered, and the edge its last v slot
+// takes names the vector group whose instances it emits.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
 
 const (
-	srcVectors cqSource = iota // the template's live vector groups, one after another
-	srcRvj                     // value-join pairs: all, or by slot
-	srcRL                      // left view: all, or by slot
-	srcRR                      // right view by strVal
-	srcRbin                    // Rbin by (slot, node2)
-	srcRbinW                   // RbinW by node2
-	srcRroot                   // Rroot by (slot, node)
-	srcRrootW                  // RrootW by node
+	srcRvj    cqSource = iota // value-join pairs: all, or by slot
+	srcRL                     // left view: all, or by slot
+	srcRR                     // right view by strVal
+	srcRbin                   // Rbin by (slot, node2)
+	srcRbinW                  // RbinW by node2
+	srcRroot                  // Rroot by (slot, node)
+	srcRrootW                 // RrootW by node
 )
 
 // The per-document relations' schemas: the value-join pairs and the Section-5
@@ -101,7 +95,7 @@ type cqStep struct {
 	vars []int
 }
 
-// cqProgram is one step order of a template's compiled conjunctive query.
+// cqProgram is a template's compiled conjunctive query.
 // Programs are immutable after compilation and shared by every document.
 type cqProgram struct {
 	t     *Template
@@ -121,13 +115,13 @@ func (t *Template) usesViews(k int) bool {
 	return t.Parent[t.VJ[k][0]] >= 0 && t.Parent[t.VJ[k][1]] >= 0
 }
 
-// compile builds the template's two programs (setting needRvj when a step
-// reads the pair relation) and lays out its trie's levels in the order the
-// witness-driven program assigns the v slots. views selects the Section-5
-// rewriting (RL/RR atoms) for the value joins that admit it.
+// compile builds the template's program (setting needRvj when a step reads
+// the pair relation) and lays out its trie's levels in the order the program
+// assigns the v slots. views selects the Section-5 rewriting (RL/RR atoms)
+// for the value joins that admit it.
 func (t *Template) compile(views bool) {
-	t.progs = [2]*cqProgram{compileCQ(t, views, false), compileCQ(t, views, true)}
-	for _, st := range t.progs[0].steps {
+	t.prog = compileCQ(t, views)
+	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
 			t.levels = append(t.levels, slot-t.vSlot(0))
 		}
@@ -135,7 +129,7 @@ func (t *Template) compile(views bool) {
 	// Every position lies on the path from a value-join endpoint to its
 	// side root, so every v slot is assigned once.
 	if len(t.levels) != t.N {
-		panic(fmt.Sprintf("core: the witness-driven program of %s assigns %d of %d variables", t.Sig, len(t.levels), t.N))
+		panic(fmt.Sprintf("core: the program of %s assigns %d of %d variables", t.Sig, len(t.levels), t.N))
 	}
 }
 
@@ -148,18 +142,12 @@ type cqCompiler struct {
 	emitted []bool // per position: the atom binding it to its parent (or its root atom)
 }
 
-func compileCQ(t *Template, views, rtDriven bool) *cqProgram {
+func compileCQ(t *Template, views bool) *cqProgram {
 	c := &cqCompiler{
 		t:       t,
 		prog:    &cqProgram{t: t},
 		bound:   make([]bool, t.numSlots()),
 		emitted: make([]bool, t.N),
-	}
-	if rtDriven {
-		c.prog.steps = append(c.prog.steps, cqStep{src: srcVectors, key: -1})
-		for p := 0; p < t.N; p++ {
-			c.bound[t.vSlot(p)] = true
-		}
 	}
 	// Each value join is followed at once by the structural atoms anchoring
 	// its endpoints up to the side roots, so every step after the first
@@ -334,20 +322,10 @@ func (ex *cqExec) step(i int) {
 		return
 	}
 	st := &ex.prog.steps[i]
-	t, f, s, pre := ex.prog.t, ex.frame, ex.p.state, ex.pre
+	f, s, pre := ex.frame, ex.p.state, ex.pre
 	var rows [][]int64
 	var idx []int32
 	switch st.src {
-	case srcVectors:
-		for gi, g := range t.vecList {
-			ex.probes++
-			for p, v := range g.vars {
-				f[t.vSlot(p)] = int64(v)
-			}
-			ex.nodes[i+1] = int32(gi)
-			ex.step(i + 1)
-		}
-		return
 	case srcRvj:
 		rows = pre.rvj
 		if st.key >= 0 {
@@ -458,12 +436,11 @@ func orientMatch(m *Match, t *Template, inst *instance, prevDoc xmldoc.DocID, pr
 type TemplatePlanStats struct {
 	Template TemplateID
 	Sig      string
-	// VecGroups is the live distinct-variable-vector count, the outer
-	// cardinality of the RT-driven order.
+	// VecGroups is the live distinct-variable-vector count: the vector
+	// groups the template's trie holds.
 	VecGroups int
-	// WitnessRuns and RTRuns count the template's runs in each step order.
+	// WitnessRuns counts the template's program runs.
 	WitnessRuns int64
-	RTRuns      int64
 }
 
 // PlanStats returns a snapshot of the live templates' Stage-2 statistics, in
@@ -476,8 +453,7 @@ func (p *Processor) PlanStats() []TemplatePlanStats {
 			Template:    t.ID,
 			Sig:         t.Sig,
 			VecGroups:   len(t.vecList),
-			WitnessRuns: t.runs[0],
-			RTRuns:      t.runs[1],
+			WitnessRuns: t.runs,
 		})
 	}
 	return out

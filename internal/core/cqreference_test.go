@@ -116,11 +116,10 @@ func churnTrace(queries []*xscl.Query, docs []*xmldoc.Document) workload.Trace {
 }
 
 // TestCompiledPlanMatchesReference holds the compiled Stage-2 programs to
-// the interpreted reference, document by document, in both step orders
-// (forced witness-driven and RT-driven), with and without the Section-5
-// views, with Stage 1 run ahead on 1 and 4 goroutines (stage1Ahead; under
-// the race detector, Stage-1 workers beside the ordered Consume). The
-// traces cover multi-value-join templates with shared endpoints
+// the interpreted reference, which never reads the vector-group trie,
+// document by document, with and without the Section-5 views, with Stage 1
+// run ahead on 1 and 4 goroutines (stage1Ahead; under the race detector,
+// Stage-1 workers beside the ordered Consume). The traces cover multi-value-join templates with shared endpoints
 // (workload.PaperScale), single-node sides (the k=1 queries of
 // workload.RandomWorkload), deep sides, JOIN instances in both orientations,
 // ROWS and time windows, a value join on the root of a multi-node side, and
@@ -151,16 +150,14 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 
 	for name, tr := range traces {
 		for _, vm := range []bool{false, true} {
-			for _, plan := range []PlanKind{PlanWitness, PlanRTDriven} {
-				for _, workers := range []int{1, 4} {
-					cfg := Config{ViewMaterialization: vm, Plan: plan}
-					t.Run(fmt.Sprintf("%s/%s", name, comboName(cfg, workers)), func(t *testing.T) {
-						rows := replayAgainstReference(t, cfg, workers, tr)
-						if rows == 0 {
-							t.Fatal("the trace produced no RoutT row: nothing was compared")
-						}
-					})
-				}
+			for _, workers := range []int{1, 4} {
+				cfg := Config{ViewMaterialization: vm}
+				t.Run(fmt.Sprintf("%s/%s", name, comboName(cfg, workers)), func(t *testing.T) {
+					rows := replayAgainstReference(t, cfg, workers, tr)
+					if rows == 0 {
+						t.Fatal("the trace produced no RoutT row: nothing was compared")
+					}
+				})
 			}
 		}
 	}
@@ -245,27 +242,21 @@ func paperScaleSlice(cfg Config, measured int) (*Processor, []*xmldoc.Document) 
 }
 
 // TestCompiledPlanCountedWorkCeiling bounds the compiled programs' counted
-// work on paperScaleSlice under each forced plan: index entries visited per
-// RoutT row produced. The witness-driven order, which walks the vector-group
-// trie, reads 24.6 (basic) and 17.7 (view materialization) per row and must
-// stay within 1.25 times that: 31 and 22. The RT-driven order must stay
-// under a twentieth of the rows the interpreted evaluator the programs
-// replaced key-encoded into its hash joins per row on the same slice
-// (measured at its last commit by counting in hashJoinArena, probeJoin and
-// BuildIndex; on the benchmark's paper_scale at the server defaults the same
-// count was about 3 800 per row — 17.8 M rows for 4 646 RoutT rows over 600
-// documents, with 1.74 M intermediate tuples on top). The counts repeat
-// exactly for a fixed input and forced plan, so the test pins that too.
+// work on paperScaleSlice: index entries visited per RoutT row produced. The
+// programs, which walk the vector-group trie, read 24.6 (basic) and 17.7
+// (view materialization) per row and must stay within 1.25 times that: 31
+// and 22. The interpreted evaluator the programs replaced key-encoded 10 478
+// rows into its hash joins per row on the same slice (measured at its last
+// commit by counting in hashJoinArena, probeJoin and BuildIndex). The counts
+// repeat exactly for a fixed input, so the test pins that too.
 func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		cfg Config
 		// ceiling is the bound on probes per row.
 		ceiling float64
 	}{
-		{Config{Plan: PlanWitness}, 31},
-		{Config{Plan: PlanRTDriven}, 10478.0 / 20},
-		{Config{Plan: PlanWitness, ViewMaterialization: true}, 22},
-		{Config{Plan: PlanRTDriven, ViewMaterialization: true}, 10478.0 / 20},
+		{Config{}, 31},
+		{Config{ViewMaterialization: true}, 22},
 	} {
 		t.Run(comboName(tc.cfg, 0), func(t *testing.T) {
 			count := func() (probes, rows int64) {

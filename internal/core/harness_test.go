@@ -14,16 +14,14 @@ import (
 
 // The randomized differential harness: seeded random traces (queries,
 // document streams, subscription churn — internal/workload/random.go) are
-// replayed through every Plan × PipelineDepth × ViewMaterialization
-// combination of the core processor and through the sequential oracle.
+// replayed through every PipelineDepth × ViewMaterialization combination of
+// the core processor and through the sequential oracle.
 //
 //   - All core combinations must produce byte-identical per-event match
-//     streams — order included. This subsumes the plan-invisibility claim
-//     (witness, forced RT-driven and PlanAuto emit the same bytes; the
-//     RT-driven order never reads the vector-group trie the others walk)
-//     and the pipeline determinism claim at once.
+//     streams — order included: the pipeline determinism claim.
 //   - The (query, leftDoc, rightDoc) sets must equal the sequential
-//     oracle's (multiplicities differ by design: MMQJP emits one match per
+//     oracle's, which evaluates each query alone and never reads the
+//     vector-group trie the compiled programs walk (multiplicities differ by design: MMQJP emits one match per
 //     RoutT row, Sequential one per witness pair) — restricted to document
 //     pairs published at or after the query's subscription. For documents
 //     that predate a churned-in subscription, visibility is
@@ -137,19 +135,13 @@ func harnessKeySet(recs []harnessRec) map[matchKey]bool {
 	return out
 }
 
-// harnessCombos enumerates every Plan × PipelineDepth × ViewMaterialization
-// combination under differential test (12 in all).
+// harnessCombos enumerates every PipelineDepth × ViewMaterialization
+// combination under differential test (4 in all).
 func harnessCombos() []Config {
 	var out []Config
-	for _, plan := range []PlanKind{PlanWitness, PlanRTDriven, PlanAuto} {
-		for _, depth := range []int{0, 2} {
-			for _, vm := range []bool{false, true} {
-				out = append(out, Config{
-					Plan:                plan,
-					PipelineDepth:       depth,
-					ViewMaterialization: vm,
-				})
-			}
+	for _, depth := range []int{0, 2} {
+		for _, vm := range []bool{false, true} {
+			out = append(out, Config{PipelineDepth: depth, ViewMaterialization: vm})
 		}
 	}
 	return out
@@ -157,10 +149,11 @@ func harnessCombos() []Config {
 
 // comboName names a configuration under test; workers is the number of
 // goroutines the test runs Stage 1 on ahead of Consume (stage1Ahead), 0 when
-// Stage 1 runs where the processor puts it.
+// Stage 1 runs where the processor puts it. Every name starts plan=witness:
+// the witness-driven step order every program runs, as Stats.WitnessPlans
+// names it.
 func comboName(cfg Config, workers int) string {
-	plan := map[PlanKind]string{PlanWitness: "witness", PlanRTDriven: "rt", PlanAuto: "auto"}[cfg.Plan]
-	return fmt.Sprintf("plan=%s workers=%d depth=%d viewmat=%v", plan, workers, cfg.PipelineDepth, cfg.ViewMaterialization)
+	return fmt.Sprintf("plan=witness workers=%d depth=%d viewmat=%v", workers, cfg.PipelineDepth, cfg.ViewMaterialization)
 }
 
 // stage1Ahead runs Stage 1 of docs on workers goroutines and returns the
@@ -251,8 +244,8 @@ func filterLiveWindow(s map[matchKey]bool, subEvent map[int64]int) map[matchKey]
 }
 
 // TestRandomizedDifferentialHarness replays seeded random churn traces
-// through every plan/pipeline/view-materialization combination and
-// the sequential oracle. Failures log the seed.
+// through every pipeline/view-materialization combination and the
+// sequential oracle. Failures log the seed.
 func TestRandomizedDifferentialHarness(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		runHarnessSeed(t, seed, false)

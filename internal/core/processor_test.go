@@ -361,7 +361,7 @@ func TestCrossStreamJoin(t *testing.T) {
 	// The paper's techniques "can be extended to handle ... more than one
 	// input stream": blocks on different streams join through the shared
 	// witness relations.
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}, {Plan: PlanRTDriven}} {
+	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
 		p := NewProcessor(cfg)
 		qid := p.MustRegister(xscl.MustParse(
 			"News//story->s[./topic->t] FOLLOWED BY{t=t2, 100} Blogs//post->b[./topic->t2]"))

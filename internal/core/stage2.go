@@ -30,11 +30,10 @@ const emitKeep = 4096
 const keysKeep = 4 * emitKeep
 
 // evalTemplates evaluates the live templates against the document: per
-// template, the compiled program runs in witness-driven order, or RT-driven
-// when that plan is forced (Algorithm 1; under view materialization the
-// programs read the shared views, which is the per-template tail of
-// Algorithm 4). The matches stay in the executor's emit buffer for
-// collectMatches.
+// template, its compiled program runs (Algorithm 1; under view
+// materialization the programs read the shared views, which is the
+// per-template tail of Algorithm 4). The matches stay in the executor's emit
+// buffer for collectMatches.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
@@ -56,23 +55,15 @@ func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 			break
 		}
 	}
-	plan := 0
-	if p.cfg.Plan == PlanRTDriven {
-		plan = 1
-	}
 	t0 := time.Now()
 	for _, t := range p.templateList {
-		ex.run(t.progs[plan])
-		t.runs[plan]++
+		ex.run(t.prog)
+		t.runs++
 	}
 	p.stats.CQ += time.Since(t0)
 	p.stats.CQProbes += ex.probes
 	p.stats.CQRows += ex.rows
-	if plan == 1 {
-		p.stats.RTPlans += int64(len(p.templateList))
-	} else {
-		p.stats.WitnessPlans += int64(len(p.templateList))
-	}
+	p.stats.WitnessPlans += int64(len(p.templateList))
 	// The executor outlives the document; its inputs must not.
 	ex.w, ex.d, ex.pre = nil, nil, nil
 }

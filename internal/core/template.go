@@ -37,12 +37,11 @@ type Template struct {
 	trie    vecTrie
 	levels  []int
 
-	// progs are the compiled conjunctive query in its two step orders,
-	// witness-driven and RT-driven (cqplan.go), and runs counts the runs of
-	// each; needRvj reports that some step reads the value-join pair
+	// prog is the compiled conjunctive query (cqplan.go) and runs counts
+	// its runs; needRvj reports that some step reads the value-join pair
 	// relation.
-	progs   [2]*cqProgram
-	runs    [2]int64
+	prog    *cqProgram
+	runs    int64
 	needRvj bool
 
 	// refs counts the live query instances registered on this template;

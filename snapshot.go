@@ -117,8 +117,8 @@ func (e *Engine) snapshot(w io.Writer) error {
 
 // OpenEngine rebuilds an engine from a Snapshot stream. opts plays the same
 // role as in New and need not match the snapshotting engine's options —
-// processor kind (among the shared-join kinds), parallelism, pipeline depth
-// and plan strategy are all output-invisible — except that
+// processor kind (among the shared-join kinds), parallelism and pipeline
+// depth are all output-invisible — except that
 // ProcessorSequential cannot host a snapshot. Every subscription resumes
 // under its original QueryID, and publishing the stream suffix produces
 // exactly the matches the original engine would have produced. A snapshot
