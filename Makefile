@@ -27,8 +27,12 @@ alloc-ceilings:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# The whole tree under the race detector, then the concurrent-publisher
+# tests twenty times over, so a lock-order race that only shows once in a
+# while fails here (the CI race job).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'ConcurrentPublishers|ConcurrentSubscribePublish' .
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against

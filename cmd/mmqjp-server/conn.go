@@ -129,9 +129,9 @@ func (c *docCache) appendMatch(b, prefix []byte, m *mmqjp.Match) []byte {
 }
 
 // client is one connection. Its own replies are produced by exactly one
-// goroutine — the handler, or in -async mode the replier — which is also
-// the one that writes them; MATCH lines for its subscriptions are appended
-// by whichever connection published the matching document.
+// goroutine — its handler — which is also the one that writes them; MATCH
+// lines for its subscriptions are appended by whichever connection published
+// the matching document.
 type client struct {
 	s    *server
 	conn net.Conn
@@ -160,84 +160,22 @@ type client struct {
 	// allocated by the connection's first publish that has matches.
 	matchOwners []owner
 	docs        *docCache
-	// matches is the synchronous handler's result buffer: a PUB's matches
+	// matches is the handler's result buffer: a PUB's matches
 	// are written into it (Engine.AppendPublishXML) and encoded into the
 	// owners' outbound buffers before the handler reads its next request,
 	// so every PUB of the connection uses the same one. One that a burst
 	// grew past maxKeptMatches is released after its reply.
 	matches []mmqjp.Match
-
-	// pending (-async mode only) carries this connection's replies to the
-	// replier goroutine in request order: each entry runs at its slot,
-	// appending a resolved reply or waiting for an admitted publish to be
-	// processed. Routing every reply through one queue keeps the
-	// per-connection reply order equal to the request order even though
-	// publishes complete asynchronously. replierDone closes once the
-	// replier has drained pending and written what it queued, so serve
-	// can close the connection after it.
-	pending     chan func()
-	replierDone chan struct{}
 }
 
-// newClient wraps an accepted connection; in async mode it also starts the
-// connection's replier goroutine, which exits when serve closes pending.
+// newClient wraps an accepted connection.
 func (s *server) newClient(conn net.Conn) *client {
-	c := &client{s: s, conn: conn}
-	if s.async {
-		// Up to 256 replies wait behind in-flight publishes before the
-		// handler stops reading requests: deep enough that a pipelining
-		// publisher keeps the ingest pipeline full, small enough that a
-		// client that never reads holds a bounded number of match slices.
-		c.pending = make(chan func(), 256)
-		c.replierDone = make(chan struct{})
-		go func() {
-			defer close(c.replierDone)
-			for {
-				f, ok := recv(c, c.pending)
-				if !ok {
-					c.flush()
-					return
-				}
-				f()
-			}
-		}()
-	}
-	return c
-}
-
-// recv is every wait of the replier — for its next entry, and for an
-// admitted publish to be processed: what is queued is written out before the
-// replier would block, the rule flushReader applies to the synchronous
-// handler's read.
-func recv[T any](c *client, ch <-chan T) (T, bool) {
-	select {
-	case v, ok := <-ch:
-		return v, ok
-	default:
-	}
-	c.flush()
-	v, ok := <-ch
-	return v, ok
-}
-
-// atSlot runs f where c's next reply belongs: at once in synchronous mode,
-// behind the connection's in-flight publishes on the replier in async mode.
-func (c *client) atSlot(f func()) {
-	if c.pending != nil {
-		c.pending <- f
-		return
-	}
-	f()
-}
-
-// reply answers one request.
-func (s *server) reply(c *client, r reply) {
-	c.atSlot(func() { c.enqueue(r) })
+	return &client{s: s, conn: conn}
 }
 
 // replyErr answers one request with a coded error.
 func (s *server) replyErr(c *client, code, msg string) {
-	s.reply(c, errReply(code, msg))
+	c.enqueue(errReply(code, msg))
 }
 
 // enqueue appends one of c's own replies; only the goroutine that produces
@@ -322,7 +260,7 @@ func (c *client) drain() {
 	}
 }
 
-// flushReader is the synchronous handler's view of its socket: whatever the
+// flushReader is the handler's view of its socket: whatever the
 // handler has queued is written before it waits for the next request, so it
 // never sits in a read while its client waits for a reply.
 type flushReader struct{ c *client }

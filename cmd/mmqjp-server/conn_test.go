@@ -46,18 +46,18 @@ type countingServer struct {
 	conns chan *countingConn
 }
 
-func startCountingServer(t *testing.T, async bool) *countingServer {
+func startCountingServer(t *testing.T) *countingServer {
 	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 	cs := &countingServer{
-		s:     &server{eng: eng, async: async},
+		s:     &server{eng: eng},
 		conns: make(chan *countingConn, 1), // handed to dial, one connection at a time
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close(); eng.Close() })
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -119,83 +119,76 @@ const abJoin = "S//a->x FOLLOWED BY{x=y, 100000} S//b->y"
 // MATCH lines and its OK leave in one Write on the publishing connection, and
 // in one Write on every other connection that owns matched queries.
 func TestReplyGroupIsOneWrite(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		async bool
-	}{{"sync", false}, {"async", true}} {
-		t.Run(mode.name+"/own", func(t *testing.T) {
-			cs := startCountingServer(t, mode.async)
-			c, cc := cs.dial(t)
-			const n = 120
-			subscribeN(t, c, n, abJoin)
-			c.sendLine(t, "PUB S 1 <a>k</a>")
-			if got := c.readLine(t); got != "OK 0" {
-				t.Fatalf("PUB a -> %q", got)
+	t.Run("sync/own", func(t *testing.T) {
+		cs := startCountingServer(t)
+		c, cc := cs.dial(t)
+		const n = 120
+		subscribeN(t, c, n, abJoin)
+		c.sendLine(t, "PUB S 1 <a>k</a>")
+		if got := c.readLine(t); got != "OK 0" {
+			t.Fatalf("PUB a -> %q", got)
+		}
+		before := cc.count()
+		c.sendLine(t, "PUB S 2 <b>k</b>")
+		for i := 0; i < n; i++ {
+			if got := c.readLine(t); !strings.HasPrefix(got, "MATCH ") {
+				t.Fatalf("line %d = %q, want a MATCH", i, got)
 			}
-			before := cc.count()
-			c.sendLine(t, "PUB S 2 <b>k</b>")
-			for i := 0; i < n; i++ {
-				if got := c.readLine(t); !strings.HasPrefix(got, "MATCH ") {
-					t.Fatalf("line %d = %q, want a MATCH", i, got)
+		}
+		if got := c.readLine(t); got != fmt.Sprint("OK ", n) {
+			t.Fatalf("after %d MATCH lines: %q", n, got)
+		}
+		ws := cc.since(before)
+		if len(ws) != 1 {
+			t.Fatalf("%d MATCH lines and their OK took %d writes, want 1", n, len(ws))
+		}
+		if got := bytes.Count(ws[0], []byte("\n")); got != n+1 {
+			t.Errorf("the write carries %d lines, want %d", got, n+1)
+		}
+		if !bytes.HasSuffix(ws[0], []byte(fmt.Sprintf("\nOK %d\n", n))) {
+			t.Errorf("the write does not end with OK %d: %q", n, ws[0][len(ws[0])-20:])
+		}
+	})
+	t.Run("sync/others", func(t *testing.T) {
+		cs := startCountingServer(t)
+		pub, pubConn := cs.dial(t)
+		b, bConn := cs.dial(t)
+		c, cConn := cs.dial(t)
+		const n = 50
+		subscribeN(t, b, n, abJoin)
+		subscribeN(t, c, n, abJoin)
+		pub.sendLine(t, "PUB S 1 <a>k</a>")
+		if got := pub.readLine(t); got != "OK 0" {
+			t.Fatalf("PUB a -> %q", got)
+		}
+		before := [3]int{pubConn.count(), bConn.count(), cConn.count()}
+		pub.sendLine(t, "PUB S 2 <b>k</b>")
+		if got := pub.readLine(t); got != fmt.Sprint("OK ", 2*n) {
+			t.Fatalf("PUB b -> %q", got)
+		}
+		for i, sub := range []*testConn{b, c} {
+			for j := 0; j < n; j++ {
+				if got := sub.readLine(t); !strings.HasPrefix(got, "MATCH ") {
+					t.Fatalf("subscriber %d line %d = %q", i, j, got)
 				}
 			}
-			if got := c.readLine(t); got != fmt.Sprint("OK ", n) {
-				t.Fatalf("after %d MATCH lines: %q", n, got)
+		}
+		if ws := pubConn.since(before[0]); len(ws) != 1 || string(ws[0]) != fmt.Sprintf("OK %d\n", 2*n) {
+			t.Errorf("publisher got %q, want one write of its OK", ws)
+		}
+		for i, cc := range []*countingConn{bConn, cConn} {
+			ws := waitWrites(t, cc, before[i+1], 1)
+			if len(ws) != 1 || bytes.Count(ws[0], []byte("\nMATCH "))+1 != n {
+				t.Errorf("subscriber %d: %d writes, first of %d bytes; want one write of %d MATCH lines", i, len(ws), len(ws[0]), n)
 			}
-			ws := cc.since(before)
-			if len(ws) != 1 {
-				t.Fatalf("%d MATCH lines and their OK took %d writes, want 1", n, len(ws))
-			}
-			if got := bytes.Count(ws[0], []byte("\n")); got != n+1 {
-				t.Errorf("the write carries %d lines, want %d", got, n+1)
-			}
-			if !bytes.HasSuffix(ws[0], []byte(fmt.Sprintf("\nOK %d\n", n))) {
-				t.Errorf("the write does not end with OK %d: %q", n, ws[0][len(ws[0])-20:])
-			}
-		})
-		t.Run(mode.name+"/others", func(t *testing.T) {
-			cs := startCountingServer(t, mode.async)
-			pub, pubConn := cs.dial(t)
-			b, bConn := cs.dial(t)
-			c, cConn := cs.dial(t)
-			const n = 50
-			subscribeN(t, b, n, abJoin)
-			subscribeN(t, c, n, abJoin)
-			pub.sendLine(t, "PUB S 1 <a>k</a>")
-			if got := pub.readLine(t); got != "OK 0" {
-				t.Fatalf("PUB a -> %q", got)
-			}
-			before := [3]int{pubConn.count(), bConn.count(), cConn.count()}
-			pub.sendLine(t, "PUB S 2 <b>k</b>")
-			if got := pub.readLine(t); got != fmt.Sprint("OK ", 2*n) {
-				t.Fatalf("PUB b -> %q", got)
-			}
-			for i, sub := range []*testConn{b, c} {
-				for j := 0; j < n; j++ {
-					if got := sub.readLine(t); !strings.HasPrefix(got, "MATCH ") {
-						t.Fatalf("subscriber %d line %d = %q", i, j, got)
-					}
-				}
-			}
-			if ws := pubConn.since(before[0]); len(ws) != 1 || string(ws[0]) != fmt.Sprintf("OK %d\n", 2*n) {
-				t.Errorf("publisher got %q, want one write of its OK", ws)
-			}
-			for i, cc := range []*countingConn{bConn, cConn} {
-				ws := waitWrites(t, cc, before[i+1], 1)
-				if len(ws) != 1 || bytes.Count(ws[0], []byte("\nMATCH "))+1 != n {
-					t.Errorf("subscriber %d: %d writes, first of %d bytes; want one write of %d MATCH lines", i, len(ws), len(ws[0]), n)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSubBurstCoalesces sends 1 000 pipelined SUB lines: the acknowledgements
 // of requests the server had already read share writes, and keep their order.
-// (Synchronous mode: in -async mode the replier writes whenever the handler
-// has not yet queued the next reply, which depends on scheduling.)
 func TestSubBurstCoalesces(t *testing.T) {
-	cs := startCountingServer(t, false)
+	cs := startCountingServer(t)
 	c, cc := cs.dial(t)
 	const n = 1000
 	var burst bytes.Buffer
@@ -451,55 +444,51 @@ func TestSlowReaderIsDropped(t *testing.T) {
 // server): B's drain only runs when the publishing loop is preempted.
 func TestBurstToFastReaderIsDelivered(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			cs := startCountingServer(t, async)
-			a, _ := cs.dial(t)
-			b, _ := cs.dial(t)
-			const subs, docs, batch = 200, 10, 150
-			fanout(t, b, a, subs, docs)
+	cs := startCountingServer(t)
+	a, _ := cs.dial(t)
+	b, _ := cs.dial(t)
+	const subs, docs, batch = 200, 10, 150
+	fanout(t, b, a, subs, docs)
 
-			const want = subs * docs * batch
-			read := make(chan error, 1)
-			go func() {
-				bytesIn := 0
-				for i := 0; i < want; i++ {
-					b.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-					line, err := b.rd.ReadSlice('\n')
-					if err != nil || !bytes.HasPrefix(line, []byte("MATCH ")) {
-						read <- fmt.Errorf("B's line %d of %d = %q, %v", i, want, line, err)
-						return
-					}
-					bytesIn += len(line)
-				}
-				if bytesIn < 2*maxOutboundBytes {
-					read <- fmt.Errorf("the batch produced %d bytes, too few to exercise the bound %d", bytesIn, maxOutboundBytes)
-					return
-				}
-				read <- nil
-			}()
+	const want = subs * docs * batch
+	read := make(chan error, 1)
+	go func() {
+		bytesIn := 0
+		for i := 0; i < want; i++ {
+			b.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+			line, err := b.rd.ReadSlice('\n')
+			if err != nil || !bytes.HasPrefix(line, []byte("MATCH ")) {
+				read <- fmt.Errorf("B's line %d of %d = %q, %v", i, want, line, err)
+				return
+			}
+			bytesIn += len(line)
+		}
+		if bytesIn < 2*maxOutboundBytes {
+			read <- fmt.Errorf("the batch produced %d bytes, too few to exercise the bound %d", bytesIn, maxOutboundBytes)
+			return
+		}
+		read <- nil
+	}()
 
-			var pubb strings.Builder
-			fmt.Fprintf(&pubb, "PUBB S %d\n", batch)
-			for i := 0; i < batch; i++ {
-				fmt.Fprintf(&pubb, "%d <b>k</b>\n", 100+i)
-			}
-			if _, err := a.conn.Write([]byte(pubb.String())); err != nil {
-				t.Fatal(err)
-			}
-			a.conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-			if got, err := a.rd.ReadString('\n'); got != fmt.Sprintf("OK %d\n", want) {
-				t.Fatalf("PUBB -> %q, %v", got, err)
-			}
-			if err := <-read; err != nil {
-				t.Fatal(err)
-			}
-			// B is still subscribed and served.
-			a.sendLine(t, "PUB S 1000 <b>k</b>")
-			if got := a.readLine(t); got != fmt.Sprint("OK ", subs*docs) {
-				t.Fatalf("PUB after the burst -> %q", got)
-			}
-		})
+	var pubb strings.Builder
+	fmt.Fprintf(&pubb, "PUBB S %d\n", batch)
+	for i := 0; i < batch; i++ {
+		fmt.Fprintf(&pubb, "%d <b>k</b>\n", 100+i)
+	}
+	if _, err := a.conn.Write([]byte(pubb.String())); err != nil {
+		t.Fatal(err)
+	}
+	a.conn.SetReadDeadline(time.Now().Add(60 * time.Second))
+	if got, err := a.rd.ReadString('\n'); got != fmt.Sprintf("OK %d\n", want) {
+		t.Fatalf("PUBB -> %q, %v", got, err)
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	// B is still subscribed and served.
+	a.sendLine(t, "PUB S 1000 <b>k</b>")
+	if got := a.readLine(t); got != fmt.Sprint("OK ", subs*docs) {
+		t.Fatalf("PUB after the burst -> %q", got)
 	}
 }
 
@@ -508,68 +497,63 @@ func TestBurstToFastReaderIsDelivered(t *testing.T) {
 // (so the reader is always slower than the server), is made to wait, not
 // dropped: every line arrives, then the OK, and the connection stays usable.
 func TestOwnBacklogIsBackPressure(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
-			defer eng.Close()
-			s := &server{eng: eng, async: async}
-			cli, srv := net.Pipe()
-			defer cli.Close()
-			served := make(chan struct{})
-			go func() { defer close(served); s.serve(s.newClient(srv)) }()
-			c := &testConn{conn: cli, rd: bufio.NewReaderSize(cli, 1<<20)}
-			// net.Pipe writes complete when the server reads them, and the
-			// server reads ahead of replying, so requests go out on their
-			// own goroutine while this one reads.
-			send := func(text string) {
-				go func() { cli.Write([]byte(text)) }()
-			}
-
-			const subs, docs, batch = 200, 10, 150
-			var setup strings.Builder
-			for i := 0; i < subs; i++ {
-				fmt.Fprintf(&setup, "SUB %s\n", abJoin)
-			}
-			for i := 0; i < docs; i++ {
-				fmt.Fprintf(&setup, "PUB S %d <a>k</a>\n", i+1)
-			}
-			send(setup.String())
-			for i := 0; i < subs+docs; i++ {
-				if got := c.readLine(t); !strings.HasPrefix(got, "OK ") {
-					t.Fatalf("setup reply %d = %q", i, got)
-				}
-			}
-
-			var pubb strings.Builder
-			fmt.Fprintf(&pubb, "PUBB S %d\n", batch)
-			for i := 0; i < batch; i++ {
-				fmt.Fprintf(&pubb, "%d <b>k</b>\n", 100+i)
-			}
-			send(pubb.String())
-			const want = subs * docs * batch
-			bytesIn := 0
-			for i := 0; i < want; i++ {
-				cli.SetReadDeadline(time.Now().Add(10 * time.Second))
-				line, err := c.rd.ReadSlice('\n')
-				if err != nil {
-					t.Fatalf("after %d of %d MATCH lines (%d bytes): %v", i, want, bytesIn, err)
-				}
-				if !bytes.HasPrefix(line, []byte("MATCH ")) {
-					t.Fatalf("line %d = %q, want a MATCH", i, line)
-				}
-				bytesIn += len(line)
-			}
-			if bytesIn < 2*maxOutboundBytes {
-				t.Fatalf("the batch produced %d bytes, too few to exercise the bound %d", bytesIn, maxOutboundBytes)
-			}
-			if got := c.readLine(t); got != fmt.Sprint("OK ", want) {
-				t.Fatalf("batch acknowledgement = %q", got)
-			}
-			send("STATS\nQUIT\n")
-			if got := c.readLine(t); !strings.HasPrefix(got, "OK sequential=false queries=") {
-				t.Fatalf("STATS after the batch -> %q", got)
-			}
-			<-served
-		})
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	s := &server{eng: eng}
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	served := make(chan struct{})
+	go func() { defer close(served); s.serve(s.newClient(srv)) }()
+	c := &testConn{conn: cli, rd: bufio.NewReaderSize(cli, 1<<20)}
+	// net.Pipe writes complete when the server reads them, and the
+	// server reads ahead of replying, so requests go out on their
+	// own goroutine while this one reads.
+	send := func(text string) {
+		go func() { cli.Write([]byte(text)) }()
 	}
+
+	const subs, docs, batch = 200, 10, 150
+	var setup strings.Builder
+	for i := 0; i < subs; i++ {
+		fmt.Fprintf(&setup, "SUB %s\n", abJoin)
+	}
+	for i := 0; i < docs; i++ {
+		fmt.Fprintf(&setup, "PUB S %d <a>k</a>\n", i+1)
+	}
+	send(setup.String())
+	for i := 0; i < subs+docs; i++ {
+		if got := c.readLine(t); !strings.HasPrefix(got, "OK ") {
+			t.Fatalf("setup reply %d = %q", i, got)
+		}
+	}
+
+	var pubb strings.Builder
+	fmt.Fprintf(&pubb, "PUBB S %d\n", batch)
+	for i := 0; i < batch; i++ {
+		fmt.Fprintf(&pubb, "%d <b>k</b>\n", 100+i)
+	}
+	send(pubb.String())
+	const want = subs * docs * batch
+	bytesIn := 0
+	for i := 0; i < want; i++ {
+		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+		line, err := c.rd.ReadSlice('\n')
+		if err != nil {
+			t.Fatalf("after %d of %d MATCH lines (%d bytes): %v", i, want, bytesIn, err)
+		}
+		if !bytes.HasPrefix(line, []byte("MATCH ")) {
+			t.Fatalf("line %d = %q, want a MATCH", i, line)
+		}
+		bytesIn += len(line)
+	}
+	if bytesIn < 2*maxOutboundBytes {
+		t.Fatalf("the batch produced %d bytes, too few to exercise the bound %d", bytesIn, maxOutboundBytes)
+	}
+	if got := c.readLine(t); got != fmt.Sprint("OK ", want) {
+		t.Fatalf("batch acknowledgement = %q", got)
+	}
+	send("STATS\nQUIT\n")
+	if got := c.readLine(t); !strings.HasPrefix(got, "OK sequential=false queries=") {
+		t.Fatalf("STATS after the batch -> %q", got)
+	}
+	<-served
 }

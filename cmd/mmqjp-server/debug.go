@@ -24,9 +24,10 @@ import (
 // serving
 //
 //	/metrics       Prometheus text exposition of the metric set below
-//	/healthz       pipeline liveness: a barrier round-trip through the
-//	               continuous ingest pipeline under a deadline; 200 while
-//	               the pipeline consumes, 503 once it is stuck
+//	/healthz       engine liveness: a round trip through the lock every
+//	               document's Stage 2 holds (Engine.Ping) under a
+//	               deadline; 200 while documents can enter the join
+//	               state, 503 once a publish is stuck inside it
 //	/debug/pprof/  the standard Go profiling endpoints
 //
 // Metric set (all prefixed mmqjp_): one family per field of
@@ -43,9 +44,6 @@ import (
 //	                                      symbol interner (sym.Count)
 //	stage1_seconds, stage2_seconds,       per-document hot-path wall-time
 //	merge_seconds, gc_seconds             histograms (Options.OnDocument)
-//	ingest_queue_depth                    admitted-but-unconsumed gauge
-//	ingest_backpressure_stalls_total      admissions that blocked on a
-//	                                      full queue
 //	stream_publish_total{stream},         per-stream publish and match
 //	stream_matches_total{stream}          counters (server-side)
 //	reply_bytes_total, reply_writes_total reply bytes handed to client sockets
@@ -60,9 +58,9 @@ import (
 //	snapshots_total, snapshot_errors_total, durable-mode snapshot activity
 //	snapshot_seconds                      and duration histogram
 
-// healthzTimeout bounds the /healthz barrier round-trip. A healthy pipeline
-// answers in microseconds; the deadline only has to be comfortably above a
-// worst-case Stage-2 drain.
+// healthzTimeout bounds the /healthz round trip. A healthy engine answers
+// within one document's Stage 2; the deadline only has to be comfortably
+// above a worst-case one, or a batch's.
 const healthzTimeout = 5 * time.Second
 
 // serverMetrics is the server's metric set. A nil *serverMetrics is valid
@@ -117,10 +115,6 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 		"Per-document state-merge wall time (Algorithm 2).", obs.DurationBuckets)
 	m.gc = r.Histogram("mmqjp_gc_seconds",
 		"Per-document window-GC wall time.", obs.DurationBuckets)
-	r.GaugeFunc("mmqjp_ingest_queue_depth", "Documents admitted into the continuous ingest pipeline but not yet consumed.",
-		func() float64 { return float64(eng().IngestQueueDepth()) })
-	r.CounterFunc("mmqjp_ingest_backpressure_stalls_total", "Pipeline admissions that blocked on a full admission queue.",
-		func() float64 { return float64(eng().IngestStalls()) })
 	m.streamPub = r.CounterVec("mmqjp_stream_publish_total", "Documents published, by stream.", "stream")
 	m.streamMatches = r.CounterVec("mmqjp_stream_matches_total", "Matches triggered by publishes, by stream.", "stream")
 	m.replyBytes = r.Counter("mmqjp_reply_bytes_total", "Reply bytes (MATCH, OK and ERR lines) handed to client sockets.")

@@ -21,16 +21,13 @@ import (
 	"repro/internal/core"
 )
 
-// startDebugTestServer runs an -async broker with the observability sidecar
+// startDebugTestServer runs a broker with the observability sidecar
 // attached and returns both addresses.
 func startDebugTestServer(t *testing.T) (brokerAddr, debugAddr string) {
 	t.Helper()
-	s := &server{async: true}
+	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
-	opts := mmqjp.Options{
-		Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4,
-		OnDocument: s.m.onDocument,
-	}
+	opts := mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}
 	if _, err := s.initEngine(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +62,10 @@ func lineRead(conn net.Conn, rd *bufio.Reader) (string, error) {
 }
 
 // TestServerMetricsHealthzUnderLoad scrapes /metrics and /healthz
-// concurrently with -async publish load and subscribe/unsubscribe churn —
-// the CI race job runs this under -race, so any unsynchronized access
-// between the hot path, the scrape-time stat readers and the churn surfaces
-// here.
+// concurrently with publish load from several connections, whose Stage 1
+// runs side by side, and subscribe/unsubscribe churn — the CI race job runs
+// this under -race, so any unsynchronized access between the hot path, the
+// scrape-time stat readers and the churn surfaces here.
 func TestServerMetricsHealthzUnderLoad(t *testing.T) {
 	brokerAddr, debugAddr := startDebugTestServer(t)
 
@@ -78,7 +75,8 @@ func TestServerMetricsHealthzUnderLoad(t *testing.T) {
 	errs := make(chan error, publishers+2)
 	stop := make(chan struct{})
 
-	// Publishers: pipelined async PUB bursts on private streams.
+	// Publishers: PUB bursts on private streams, every request sent before
+	// the first reply is read.
 	for i := 0; i < publishers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -181,7 +179,7 @@ func TestServerMetricsHealthzUnderLoad(t *testing.T) {
 		"# TYPE mmqjp_documents_total counter",
 		"# TYPE mmqjp_stage1_seconds histogram",
 		"mmqjp_stage1_seconds_bucket{le=\"+Inf\"}",
-		"mmqjp_ingest_queue_depth",
+		"mmqjp_outbound_queue_bytes",
 		"mmqjp_witness_plans_total",
 		"mmqjp_stream_publish_total{stream=\"S0\"} " + fmt.Sprint(pubs),
 		"mmqjp_stream_matches_total{stream=\"S0\"}",
@@ -516,7 +514,6 @@ func TestServerStatsCoverEveryStatistic(t *testing.T) {
 // the table names none the server does not register.
 func TestMetricsTableMatchesDesign(t *testing.T) {
 	eng := mmqjp.New(mmqjp.Options{})
-	defer eng.Close()
 	var buf bytes.Buffer
 	newServerMetrics(func() *mmqjp.Engine { return eng }).writeMetrics(&buf)
 	registered := map[string]bool{}

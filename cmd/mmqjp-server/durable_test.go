@@ -29,7 +29,7 @@ func serveOn(t *testing.T, s *server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close(); s.eng.Close() })
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()

@@ -98,10 +98,8 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 	// slots, against a reference engine fed the same requests and rendered
 	// with appendMatch.
 	t.Run("unsub-resub", func(t *testing.T) {
-		opts := mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4}
 		addr := startTestServer(t)
-		ref := mmqjp.New(opts)
-		defer ref.Close()
+		ref := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 		conns := []*testConn{dialTest(t, addr), dialTest(t, addr)}
 		owner := map[mmqjp.QueryID]int{}
 		request := func(k int, line string) {
@@ -240,11 +238,10 @@ func readBytes(t *testing.T, c *testConn, n int) []byte {
 
 // TestReplyStreamsIdenticalAcrossIngestShapes sends one script — windowed
 // joins in both orientations, a single-block query, churn, documents
-// matching many predecessors and none — through synchronous PUB, -async
-// PUB and PUBB with one document per batch, in both modes. The reply
-// streams must be byte-identical. A last run sends the documents as one
-// PUBB: its MATCH lines are the same bytes, followed by one OK with their
-// total.
+// matching many predecessors and none — through PUB and through PUBB with
+// one document per batch. The reply streams must be byte-identical. A last
+// run sends the documents as one PUBB: its MATCH lines are the same bytes,
+// followed by one OK with their total.
 func TestReplyStreamsIdenticalAcrossIngestShapes(t *testing.T) {
 	type doc struct {
 		ts  int
@@ -286,8 +283,8 @@ func TestReplyStreamsIdenticalAcrossIngestShapes(t *testing.T) {
 		b.WriteString("QUIT\n")
 		return b.String()
 	}
-	run := func(async bool, text string) []byte {
-		addr := startTestServerMode(t, async)
+	run := func(text string) []byte {
+		addr := startTestServer(t)
 		c := dialTest(t, addr)
 		if _, err := io.WriteString(c.conn, text); err != nil {
 			t.Fatal(err)
@@ -299,18 +296,12 @@ func TestReplyStreamsIdenticalAcrossIngestShapes(t *testing.T) {
 		}
 		return out
 	}
-	want := run(false, script(0, true))
+	want := run(script(0, true))
 	if n := bytes.Count(want, []byte("\nMATCH ")); n < 500 {
 		t.Fatalf("the script produces %d MATCH lines, too few to compare", n)
 	}
-	for _, tc := range []struct {
-		name  string
-		async bool
-		batch int
-	}{{"async PUB", true, 0}, {"sync PUBB 1", false, 1}, {"async PUBB 1", true, 1}} {
-		if got := run(tc.async, script(tc.batch, true)); !bytes.Equal(got, want) {
-			t.Errorf("%s: reply stream differs from synchronous PUB's (%d vs %d bytes)", tc.name, len(got), len(want))
-		}
+	if got := run(script(1, true)); !bytes.Equal(got, want) {
+		t.Errorf("PUBB 1: reply stream differs from PUB's (%d vs %d bytes)", len(got), len(want))
 	}
 
 	matchLines := func(stream []byte) (lines []byte, n int) {
@@ -322,14 +313,12 @@ func TestReplyStreamsIdenticalAcrossIngestShapes(t *testing.T) {
 		}
 		return lines, n
 	}
-	wantLines, n := matchLines(run(false, script(0, false)))
-	for _, async := range []bool{false, true} {
-		got := run(async, script(len(docs), false))
-		if gotLines, _ := matchLines(got); !bytes.Equal(gotLines, wantLines) {
-			t.Errorf("one PUBB (async=%v): MATCH lines differ from synchronous PUB's", async)
-		}
-		if !bytes.HasSuffix(got, []byte(fmt.Sprintf("\nOK %d\n", n))) {
-			t.Errorf("one PUBB (async=%v) does not end with OK %d", async, n)
-		}
+	wantLines, n := matchLines(run(script(0, false)))
+	got := run(script(len(docs), false))
+	if gotLines, _ := matchLines(got); !bytes.Equal(gotLines, wantLines) {
+		t.Error("one PUBB: MATCH lines differ from PUB's")
+	}
+	if !bytes.HasSuffix(got, []byte(fmt.Sprintf("\nOK %d\n", n))) {
+		t.Errorf("one PUBB does not end with OK %d", n)
 	}
 }

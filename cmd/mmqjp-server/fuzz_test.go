@@ -94,13 +94,14 @@ func frameSession(input []byte) (script []byte, requests []wireRequest, ok bool)
 // lines come only in front of a publish's OK, which counts them (the
 // session's one connection owns every query), and the stream is still
 // line-synchronised at the end — the closing STATS is answered in its place
-// and nothing follows.
+// and nothing follows. viewMat picks the engine's processor, as the server's
+// -viewmat flag does.
 func FuzzWireSession(f *testing.F) {
 	for _, seed := range wireSeeds {
 		f.Add([]byte(seed), false)
 		f.Add([]byte(seed), true)
 	}
-	f.Fuzz(func(t *testing.T, input []byte, async bool) {
+	f.Fuzz(func(t *testing.T, input []byte, viewMat bool) {
 		if len(input) > 16<<10 {
 			t.Skip("longer than a fuzz iteration should spend")
 		}
@@ -108,9 +109,11 @@ func FuzzWireSession(f *testing.F) {
 		if !ok {
 			t.Skip("batch needs too much padding")
 		}
-		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
-		defer eng.Close()
-		s := &server{eng: eng, async: async}
+		kind := mmqjp.ProcessorMMQJP
+		if viewMat {
+			kind = mmqjp.ProcessorViewMat
+		}
+		s := &server{eng: mmqjp.New(mmqjp.Options{Processor: kind})}
 		cli, srv := net.Pipe()
 		defer cli.Close()
 		served := make(chan struct{})

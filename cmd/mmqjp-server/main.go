@@ -26,10 +26,10 @@
 // dropped).
 //
 // PUBB publishes a batch: the header line is followed by exactly <n> lines
-// (n ≤ 65536), each `<ts> <xml>`, ingested in order through the engine's
-// pipelined batch path (Stage 1 of upcoming documents overlaps Stage-2
-// consumption, depth set by -pipeline). A malformed document line rejects
-// the whole batch after the announced lines are consumed; no document of a
+// (n ≤ 65536), each `<ts> <xml>`, published in order under one hold of the
+// engine's lock (Engine.PublishXMLBatch), so no other connection's document
+// lands between two of the batch's. A malformed document line rejects the
+// whole batch after the announced lines are consumed; no document of a
 // rejected batch is published.
 //
 // UNSUB removes a subscription; only the connection that registered (or
@@ -56,19 +56,9 @@
 // -snapshot-path is a usage error, not a server without durability.
 //
 // -debug-addr starts an HTTP observability sidecar with /metrics
-// (Prometheus text), /healthz (ingest-pipeline liveness under a deadline)
-// and /debug/pprof; see debug.go for the metric set.
-//
-// With -async, PUB requests are routed through the engine's continuous
-// ingest pipeline (Engine.PublishAsync): the connection handler admits the
-// document and moves on to the next request, so concurrent publishers —
-// and consecutive PUBs on one connection — overlap their documents'
-// Stage-1 work instead of serializing whole publishes. Replies keep the
-// request order per connection (a dedicated replier goroutine acknowledges
-// each PUB with its match count once the document has been processed,
-// through the same outbound buffer and write rule as synchronous mode), and
-// match output is identical to synchronous mode for the same admission
-// order.
+// (Prometheus text), /healthz (a round trip through the engine's Stage-2
+// lock under a deadline, Engine.Ping) and /debug/pprof; see debug.go for the
+// metric set.
 //
 // Matches are pushed to the connection that owns the matched query as
 //
@@ -86,8 +76,11 @@
 // like a disconnect, with `ERR ELIMIT slow reader` as its last line if the
 // socket still takes one.
 //
-// Connections are served concurrently against one shared engine; document
-// ids are assigned by arrival order. Example session:
+// Connections are served concurrently against one shared engine: each
+// connection's handler runs its PUB's Stage 1 (NFA match, witness
+// construction) on its own goroutine, so publishers on different
+// connections overlap it, and documents enter the join state one at a time.
+// Document ids are assigned by arrival order. Example session:
 //
 //	$ mmqjp-server -addr :7878 &
 //	$ printf 'SUB S//a->x JOIN{x=y, 100} S//b->y\nPUB S 1 <a>v</a>\nPUB S 2 <b>v</b>\n' | nc localhost 7878
@@ -103,7 +96,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,12 +112,11 @@ import (
 const maxLineBytes = 1 << 20
 
 // server fans concurrent client connections into a shared Engine. The
-// engine itself is safe for concurrent Subscribe/Publish (it serializes
-// writers internally and parallelizes Stage-2 across templates), so the
-// server's own mutex only guards the query-ownership table.
+// engine itself is safe for concurrent Subscribe/Publish, so the server's own
+// mutex only guards the query-ownership table. Lock order: s.mu, then the
+// engine's registration lock, then its Stage-2 lock.
 type server struct {
 	eng     *mmqjp.Engine
-	async   bool // route PUB through the continuous ingest pipeline
 	durable bool // -snapshot-path set: disconnects orphan instead of unsubscribing
 	store   mmqjp.Store
 	m       *serverMetrics // nil without -debug-addr: all methods no-op
@@ -206,8 +197,7 @@ const (
 // config is the server's command line.
 type config struct {
 	addr, debugAddr, snapPath *string
-	viewMat, async, snapGzip  *bool
-	pipeline                  *int
+	viewMat, snapGzip         *bool
 	snapEvery                 *time.Duration
 }
 
@@ -219,8 +209,6 @@ func parseFlags(args []string) (*config, error) {
 	c := &config{
 		addr:      flag.String("addr", ":7878", "listen address"),
 		viewMat:   flag.Bool("viewmat", true, "enable view materialization"),
-		pipeline:  flag.Int("pipeline", runtime.NumCPU(), "ingest pipeline depth for PUBB batches and -async publishes (1 = sequential)"),
-		async:     flag.Bool("async", false, "route PUB through the continuous async ingest pipeline"),
 		debugAddr: flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables"),
 		snapPath:  flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables"),
 		snapEvery: flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)"),
@@ -251,16 +239,11 @@ func main() {
 	if *cfg.viewMat {
 		kind = mmqjp.ProcessorViewMat
 	}
-	s := &server{
-		async:   *cfg.async,
-		durable: *cfg.snapPath != "",
-	}
+	s := &server{durable: *cfg.snapPath != ""}
 	if *cfg.debugAddr != "" {
 		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	}
-	opts := mmqjp.Options{
-		Processor: kind, PipelineDepth: *cfg.pipeline,
-	}
+	opts := mmqjp.Options{Processor: kind}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument
 	}
@@ -344,9 +327,9 @@ func (s *server) initEngine(opts mmqjp.Options) (restored int, err error) {
 }
 
 // saveSnapshot writes the engine snapshot into the durable store. The
-// snapshot lands at an ingest barrier (a consistent admission-order prefix)
-// and replaces the previous file atomically, so a crash at any point leaves
-// a restartable snapshot behind.
+// snapshot is a consistent prefix of the serial document order and replaces
+// the previous file atomically, so a crash at any point leaves a restartable
+// snapshot behind.
 func (s *server) saveSnapshot() error {
 	start := time.Now()
 	err := s.eng.SnapshotTo(s.store)
@@ -393,25 +376,10 @@ func (s *server) serve(c *client) {
 	// connection cannot leak un-removable queries into the engine (UNSUB
 	// rejects every other connection by the ownership rule).
 	defer s.dropClient(c)
-	var in io.Reader = flushReader{c}
-	if c.pending != nil {
-		// The replier writes what it queues; the handler only reads.
-		in = c.conn
-		// Flush before disconnect: stop the replier and wait for it to
-		// drain the queued replies (the in-flight publishes' match
-		// channels resolve independently of this connection), so a QUIT
-		// does not race the close against pending acknowledgements.
-		// Defers run LIFO: the drain completes before dropClient and the
-		// connection close above.
-		defer func() {
-			close(c.pending)
-			<-c.replierDone
-		}()
-	} else {
-		// A QUIT may leave coalesced replies queued.
-		defer c.flush()
-	}
-	rd := bufio.NewReaderSize(in, 64<<10)
+	// A QUIT may leave coalesced replies queued. Defers run LIFO: the flush
+	// completes before dropClient and the connection close above.
+	defer c.flush()
+	rd := bufio.NewReaderSize(flushReader{c}, 64<<10)
 	for !c.isDead() {
 		line, tooLong, err := readLine(rd, maxLineBytes)
 		if err != nil {
@@ -441,9 +409,7 @@ func (s *server) serve(c *client) {
 		case verbIs(verb, "PUBB"):
 			s.handlePubBatch(c, rd, rest)
 		case verbIs(verb, "STATS"):
-			// Evaluated at the reply's position in the queue, so an async
-			// STATS reflects the publishes acknowledged before it.
-			c.atSlot(func() { c.enqueue(reply{text: statsLine(s.eng.Stats())}) })
+			c.enqueue(reply{text: statsLine(s.eng.Stats())})
 		case verbIs(verb, "QUIT"):
 			return
 		default:
@@ -486,7 +452,7 @@ func (s *server) handleSub(c *client, src string) {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.reply(c, okReply(int64(id)))
+	c.enqueue(okReply(int64(id)))
 }
 
 // handleClaim re-attaches the requesting connection to an orphaned durable
@@ -515,16 +481,13 @@ func (s *server) handleClaim(c *client, rest string) {
 		s.replyErr(c, errQuery, err.Error())
 		return
 	}
-	s.reply(c, okReply(int64(qid)))
+	c.enqueue(okReply(int64(qid)))
 }
 
 // handleUnsub removes a subscription owned by the requesting connection.
 // s.mu is held across the ownership check and the engine call, mirroring
 // handleSub: a concurrent PUB either publishes before the query is removed
-// (and may deliver its final matches) or after (and cannot). The owners
-// entry goes at the reply's slot, so in -async mode the publishes this
-// connection sent before the UNSUB — whose matches the replier routes later
-// — still find the query's owner.
+// (and may deliver its final matches) or after (and cannot).
 func (s *server) handleUnsub(c *client, rest string) {
 	id, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
 	if err != nil {
@@ -543,18 +506,16 @@ func (s *server) handleUnsub(c *client, rest string) {
 		err = fmt.Errorf("query %d belongs to another connection", qid)
 	default:
 		err = s.eng.Unsubscribe(qid)
+		if err == nil {
+			s.owners.remove(qid)
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
 		s.replyErr(c, errQuery, err.Error())
 		return
 	}
-	c.atSlot(func() {
-		s.mu.Lock()
-		s.owners.remove(qid)
-		s.mu.Unlock()
-		c.enqueue(okReply(int64(qid)))
-	})
+	c.enqueue(okReply(int64(qid)))
 }
 
 // dropClient releases every query owned by a disconnecting client: in
@@ -601,23 +562,6 @@ func (s *server) handlePub(c *client, rest string) {
 		return
 	}
 	docID := s.nextDoc.Add(1)
-	if c.pending != nil {
-		// Async mode: parse on the connection handler (concurrent across
-		// connections), admit, and let the replier acknowledge once the
-		// document has been processed. The handler is free to read the
-		// next request while this document's Stage 1 runs.
-		d, err := mmqjp.ParseDocument(xmlText, docID, ts)
-		if err != nil {
-			s.replyErr(c, errParse, err.Error())
-			return
-		}
-		matches := s.eng.PublishAsync(stream, d)
-		c.pending <- func() {
-			ms, _ := recv(c, matches)
-			s.ackPublish(c, stream, 1, ms)
-		}
-		return
-	}
 	matches, err := s.eng.AppendPublishXML(c.matches[:0], stream, xmlText, docID, ts)
 	if err != nil {
 		s.replyErr(c, errParse, err.Error())
@@ -653,11 +597,11 @@ func batchHeader(rest string) (stream string, n int, bad reply, ok bool) {
 }
 
 // handlePubBatch reads the <n> document lines announced by a PUBB header
-// and publishes them through the engine's pipelined batch path.
+// and publishes them as one batch.
 func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 	stream, n, bad, ok := batchHeader(rest)
 	if !ok {
-		s.reply(c, bad)
+		c.enqueue(bad)
 		return
 	}
 	events := make([]mmqjp.XMLEvent, 0, n)
@@ -695,19 +639,12 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 		s.replyErr(c, badCode, badLine)
 		return
 	}
-	if c.pending != nil {
-		// Async mode: the batch path takes the engine lock directly, so
-		// drain this connection's earlier admitted-but-unconsumed PUB
-		// documents first — otherwise the batch could enter the join
-		// state ahead of them and break per-connection document order.
-		s.eng.Flush()
-	}
 	batches, err := s.eng.PublishXMLBatch(stream, events)
 	if err != nil {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	c.atSlot(func() { s.ackPublish(c, stream, len(events), batches...) })
+	s.ackPublish(c, stream, len(events), batches...)
 }
 
 func cut(s string) (first, rest string, ok bool) {

@@ -17,19 +17,13 @@ import (
 // address.
 func startTestServer(t *testing.T) string {
 	t.Helper()
-	return startTestServerMode(t, false)
-}
-
-// startTestServerMode runs the broker in synchronous or -async mode.
-func startTestServerMode(t *testing.T, async bool) string {
-	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 4})
-	s := &server{eng: eng, async: async}
+	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	s := &server{eng: eng}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close(); eng.Close() })
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -337,12 +331,12 @@ func TestServerLineTooLong(t *testing.T) {
 	}
 }
 
-// TestServerAsyncPub drives the -async mode: PUB replies arrive in request
-// order with the match counts of the fully processed documents, pipelined
-// PUBs on one connection are all acknowledged, and error replies keep their
-// position in the order.
+// TestServerAsyncPub drives a client that does not wait for replies: PUB
+// replies arrive in request order with the match counts of the fully
+// processed documents, pipelined PUBs on one connection are all
+// acknowledged, and error replies keep their position in the order.
 func TestServerAsyncPub(t *testing.T) {
-	addr := startTestServerMode(t, true)
+	addr := startTestServer(t)
 	c := dialTest(t, addr)
 
 	c.sendLine(t, "SUB S//a->x FOLLOWED BY{x=y, 1000} S//b->y")
@@ -350,24 +344,24 @@ func TestServerAsyncPub(t *testing.T) {
 		t.Fatalf("SUB -> %q", got)
 	}
 	// Pipelined publishes: send everything before reading any reply. The
-	// replier acknowledges in admission order, delivering each MATCH push
+	// handler acknowledges in request order, delivering each MATCH push
 	// before the corresponding OK.
 	c.sendLine(t, "PUB S 1 <a>k</a>")
 	c.sendLine(t, "PUB S 2 <unclosed>")
 	c.sendLine(t, "PUB S 3 <b>k</b>")
 	if got := c.readLine(t); got != "OK 0" {
-		t.Fatalf("first async PUB -> %q", got)
+		t.Fatalf("first pipelined PUB -> %q", got)
 	}
 	if got := c.readLine(t); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("bad-xml async PUB -> %q, want ERR in request order", got)
+		t.Fatalf("bad-xml pipelined PUB -> %q, want ERR in request order", got)
 	}
 	if got := c.readLine(t); !strings.HasPrefix(got, "MATCH 0 left=1@1") {
 		t.Fatalf("missing MATCH push before the ack: %q", got)
 	}
 	if got := c.readLine(t); got != "OK 1" {
-		t.Fatalf("matching async PUB -> %q", got)
+		t.Fatalf("matching pipelined PUB -> %q", got)
 	}
-	// UNSUB still barriers correctly against the pipeline.
+	// A document published after the UNSUB sees the query gone.
 	c.sendLine(t, "UNSUB 0")
 	if got := c.readLine(t); got != "OK 0" {
 		t.Fatalf("UNSUB -> %q", got)
@@ -378,62 +372,55 @@ func TestServerAsyncPub(t *testing.T) {
 	}
 }
 
-// TestServerUnsubAfterPubKeepsItsMatches is the regression test for an
-// -async UNSUB overtaking an earlier PUB: a PUB and the UNSUB of a query that
-// PUB matches, sent in one write. The query is still subscribed when the
-// document is processed, so its MATCH line must come before the PUB's OK 1,
-// in both modes. Under -async the UNSUB used to release the query's owner
-// before the replier routed the PUB's matches, which were then counted but
-// never sent. Each round subscribes afresh on a stream of its own.
+// TestServerUnsubAfterPubKeepsItsMatches: a PUB and the UNSUB of a query
+// that PUB matches, sent in one write. The query is still subscribed when the
+// document is processed, so its MATCH line must come before the PUB's OK 1:
+// the UNSUB must not release the query's owner before the PUB's matches are
+// routed. Each round subscribes afresh on a stream of its own.
 func TestServerUnsubAfterPubKeepsItsMatches(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		c := dialTest(t, startTestServerMode(t, async))
-		for round := 0; round < 20; round++ {
-			c.sendLine(t, fmt.Sprintf("SUB R%d//a->x JOIN{x=y, 100} R%[1]d//b->y", round))
-			qid := strings.TrimPrefix(c.readLine(t), "OK ")
-			c.sendLine(t, fmt.Sprintf("PUB R%d 1 <a>v</a>", round))
-			if got := c.readLine(t); got != "OK 0" {
-				t.Fatalf("async=%v: first PUB -> %q", async, got)
-			}
-			if _, err := fmt.Fprintf(c.conn, "PUB R%d 2 <b>v</b>\nUNSUB %s\n", round, qid); err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{"MATCH " + qid + " ", "OK 1", "OK " + qid} {
-				if got := c.readLine(t); !strings.HasPrefix(got, want) {
-					t.Fatalf("async=%v, round %d: got %q, want %q...", async, round, got, want)
-				}
+	c := dialTest(t, startTestServer(t))
+	for round := 0; round < 20; round++ {
+		c.sendLine(t, fmt.Sprintf("SUB R%d//a->x JOIN{x=y, 100} R%[1]d//b->y", round))
+		qid := strings.TrimPrefix(c.readLine(t), "OK ")
+		c.sendLine(t, fmt.Sprintf("PUB R%d 1 <a>v</a>", round))
+		if got := c.readLine(t); got != "OK 0" {
+			t.Fatalf("first PUB -> %q", got)
+		}
+		if _, err := fmt.Fprintf(c.conn, "PUB R%d 2 <b>v</b>\nUNSUB %s\n", round, qid); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"MATCH " + qid + " ", "OK 1", "OK " + qid} {
+			if got := c.readLine(t); !strings.HasPrefix(got, want) {
+				t.Fatalf("round %d: got %q, want %q...", round, got, want)
 			}
 		}
 	}
 }
 
 // TestServerRejectedPubKeepsConnection sends documents the XML scanner
-// rejects — malformed, and well-formed but outside its subset — in both
-// modes: each is answered ERR EPARSE with the parser's message, and the
-// connection answers the next request.
+// rejects — malformed, and well-formed but outside its subset: each is
+// answered ERR EPARSE with the parser's message, and the connection answers
+// the next request.
 func TestServerRejectedPubKeepsConnection(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		c := dialTest(t, startTestServerMode(t, async))
-		for _, doc := range []string{"<a><b></a>", "<a>&nbsp;</a>", "<a>\xff</a>", "<!DOCTYPE a><a/>", "<a>&#xD800;</a>"} {
-			c.sendLine(t, "PUB S 1 "+doc)
-			if got := c.readLine(t); !strings.HasPrefix(got, "ERR EPARSE ") || !strings.Contains(got, "xmldoc: ") {
-				t.Errorf("async=%v: PUB %q -> %q, want ERR EPARSE ... xmldoc: ...", async, doc, got)
-			}
+	c := dialTest(t, startTestServer(t))
+	for _, doc := range []string{"<a><b></a>", "<a>&nbsp;</a>", "<a>\xff</a>", "<!DOCTYPE a><a/>", "<a>&#xD800;</a>"} {
+		c.sendLine(t, "PUB S 1 "+doc)
+		if got := c.readLine(t); !strings.HasPrefix(got, "ERR EPARSE ") || !strings.Contains(got, "xmldoc: ") {
+			t.Errorf("PUB %q -> %q, want ERR EPARSE ... xmldoc: ...", doc, got)
 		}
-		c.sendLine(t, "PUB S 2 <a>v</a>")
-		if got := c.readLine(t); got != "OK 0" {
-			t.Errorf("async=%v: PUB after the rejected ones -> %q", async, got)
-		}
+	}
+	c.sendLine(t, "PUB S 2 <a>v</a>")
+	if got := c.readLine(t); got != "OK 0" {
+		t.Errorf("PUB after the rejected ones -> %q", got)
 	}
 }
 
 // TestServerAsyncPubThenBatch checks per-connection document order across
-// the two ingest paths in async mode: a PUBB must not enter the join state
-// ahead of the connection's earlier async PUB (the server drains the
-// pipeline before the synchronous batch), so the FOLLOWED BY join across
-// the boundary always fires.
+// PUB and PUBB sent in one go: the PUBB must not enter the join state ahead
+// of the connection's earlier PUB, so the FOLLOWED BY join across the
+// boundary always fires.
 func TestServerAsyncPubThenBatch(t *testing.T) {
-	addr := startTestServerMode(t, true)
+	addr := startTestServer(t)
 	c := dialTest(t, addr)
 
 	c.sendLine(t, "SUB S//a->x FOLLOWED BY{x=y, 100} S//b->y")
@@ -456,15 +443,15 @@ func TestServerAsyncPubThenBatch(t *testing.T) {
 		}
 	}
 	if !matched || acks[0] != "OK 0" || acks[1] != "OK 1" {
-		t.Fatalf("batch overtook the async publish: acks=%q matched=%v (want OK 0, OK 1, with a MATCH)", acks, matched)
+		t.Fatalf("batch overtook the earlier publish: acks=%q matched=%v (want OK 0, OK 1, with a MATCH)", acks, matched)
 	}
 }
 
-// TestServerAsyncQuitFlushesReplies checks that a QUIT (or disconnect)
-// right behind a burst of async publishes does not lose their replies: the
-// server drains the replier before closing the connection.
+// TestServerAsyncQuitFlushesReplies checks that a QUIT right behind a burst
+// of requests sent without waiting does not lose their replies: the server
+// writes what it queued before closing the connection.
 func TestServerAsyncQuitFlushesReplies(t *testing.T) {
-	addr := startTestServerMode(t, true)
+	addr := startTestServer(t)
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -492,12 +479,12 @@ func TestServerAsyncQuitFlushesReplies(t *testing.T) {
 	}
 }
 
-// TestServerAsyncConcurrentClients hammers the async server from many
-// connections at once (the CI race job runs this under -race): every PUB
-// must be acknowledged in per-connection request order and the private
-// streams must keep matching.
+// TestServerAsyncConcurrentClients hammers the server from many connections
+// at once, each sending all its requests before reading a reply (the CI race
+// job runs this under -race): every PUB must be acknowledged in
+// per-connection request order and the private streams must keep matching.
 func TestServerAsyncConcurrentClients(t *testing.T) {
-	addr := startTestServerMode(t, true)
+	addr := startTestServer(t)
 
 	const clients = 5
 	const pubs = 16

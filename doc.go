@@ -24,19 +24,17 @@
 // hundreds of thousands of registered queries the system maintains a few
 // dozen templates, which is the source of its scalability.
 //
-// Engines are safe for concurrent use. Stage 2 runs on the goroutine that
-// publishes the document: at tens of microseconds per document, splitting
-// the templates over goroutines costs more than it saves (DESIGN.md; TUNING.md
-// maps workload shapes onto the knobs). Batch publishes (PublishBatch,
-// PublishXMLBatch) pipeline ingestion when Options.PipelineDepth is set:
-// Stage 1 of up to PipelineDepth upcoming documents runs ahead in workers
-// while Stage 2, the state merge, and window GC are applied strictly in
-// arrival order, so batch output is identical to per-document Publish for
-// every depth. PublishAsync extends
-// the same overlap to concurrent publishers through a persistent ingest
-// pipeline with bounded admission: matches are delivered on a per-document
-// channel in admission order, byte-identical to serial Publish of that
-// order, and Flush/Close drain the pipeline.
+// Engines are safe for concurrent use, and every publish takes one path. Its
+// Stage 1 — the shared-NFA match and witness construction, which touch no
+// join state — runs on the publisher's goroutine, so concurrent publishers
+// overlap it. Its Stage 2, the state merge and window expiry run under the
+// engine's lock, one document at a time, on the same goroutine: at tens of
+// microseconds per document, splitting the templates over goroutines costs
+// more than it saves (DESIGN.md; TUNING.md maps workload shapes onto the
+// knobs). Documents enter the join state in the order their publishers take
+// that lock, and each document's matches are byte-identical to a serial
+// Publish of that order. A batch (PublishBatch, PublishXMLBatch) holds the
+// lock across its documents, so it enters the join state contiguously.
 //
 // Stage 2 evaluates each query template's conjunctive query with one
 // compiled program, in witness-driven order: it joins outward from the
@@ -62,8 +60,8 @@
 // metrics.
 //
 // Engines are durable: Snapshot serializes the subscription set and the
-// windowed join state at an ingest barrier (an exact admission-order prefix
-// of the stream), and OpenEngine restores an engine that continues the
+// windowed join state between two documents (an exact prefix of the serial
+// document order), and OpenEngine restores an engine that continues the
 // stream byte-identically to one that never restarted. The Store interface
 // (MemStore, FileStore) wraps snapshot transport; FileStore replaces its
 // file atomically. See DESIGN.md "Observability & durability".

@@ -58,20 +58,11 @@ type Options struct {
 	// the document. The field stays only until the benchmark, which names
 	// it, is re-fitted.
 	Parallelism int
-	// PipelineDepth sizes every Stage-1 overlap: how many upcoming
-	// documents of a PublishBatch call run Stage 1 (shared-NFA match,
-	// witness construction) ahead of the in-order Stage-2 consumption (0
-	// or 1 = sequential), the PublishAsync pipeline's workers and its
-	// admission bound of PipelineDepth+1 documents, and how many raw-XML
-	// items of a PublishXMLBatch or PublishDoc call parse concurrently.
-	// Match output is identical for every depth. Ignored by
-	// ProcessorSequential.
-	PipelineDepth int
 	// OnDocument, when set, is called once per processed document with its
-	// hot-path wall times, after the document has been fully consumed —
-	// the hook observability wiring (histograms) hangs on. It runs on the
-	// document's consuming goroutine and must be fast and non-blocking.
-	// Ignored by ProcessorSequential.
+	// id and hot-path wall times, after the document has been fully
+	// consumed — the hook observability wiring (histograms) hangs on. It
+	// runs under the engine's lock, in the serial document order, so it
+	// must be fast and non-blocking. Ignored by ProcessorSequential.
 	OnDocument func(DocTimings)
 }
 
@@ -101,24 +92,24 @@ type Match struct {
 
 // Engine is an XML publish/subscribe engine: register XSCL subscriptions,
 // publish documents, receive matches, unsubscribe. All methods are safe for
-// concurrent use: Subscribe, Unsubscribe and Publish serialize against each
-// other (documents enter the join state one at a time), while read-only
-// accessors only exclude writers. PublishAsync additionally
-// overlaps the document-local Stage-1 work of concurrently admitted
-// documents through a persistent ingest pipeline (see PublishAsync).
+// concurrent use. A publish runs Stage 1 — the shared-NFA match and witness
+// construction, which touch no join state — on the caller's goroutine, so
+// concurrent publishers overlap it; the rest of the publish (Stage 2, the
+// state merge, window expiry, delivery, the composition cascade) runs under
+// e.mu, one document at a time, and documents enter the join state in the
+// order their publishers acquire it. Subscribe and Unsubscribe exclude every
+// publish, Stage 1 included; read-only accessors only exclude writers of
+// e.mu.
 type Engine struct {
+	// reg is the registration lock. A publish holds its read side across
+	// Stage 1 and the consume, so every document's witnesses are consumed
+	// under the registration set they were built against; Subscribe and
+	// Unsubscribe hold its write side. Lock order: reg, then mu.
+	reg  sync.RWMutex
 	mu   sync.RWMutex
 	opts Options
 	proc *core.Processor       // nil when Sequential
 	seq  *sequential.Processor // nil otherwise
-
-	// ingestMu guards the lazily started continuous ingest pipeline. It is
-	// also held across direct (pipeline-less) Subscribe/Unsubscribe calls,
-	// so the pipeline cannot spin up — and start Stage-1 workers that read
-	// the registration structures — in the middle of a registration.
-	ingestMu sync.Mutex
-	//mmqjp:guardedby e.ingestMu
-	ing *core.Ingest
 
 	// queries is indexed by QueryID; Unsubscribe leaves a nil slot so ids
 	// stay stable across churn. numQueries counts live subscriptions and
@@ -170,56 +161,25 @@ func New(opts Options) *Engine {
 		e.proc = core.NewProcessor(core.Config{
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			RetainDocuments:     opts.RetainDocuments,
-			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
 		})
 	}
 	return e
 }
 
-// Subscribe parses and registers an XSCL query, returning its id. While the
-// continuous ingest pipeline is live (see PublishAsync), registration runs
-// at a pipeline barrier: every document admitted before the Subscribe is
-// fully processed first, and no later document starts Stage 1 until the
-// registration completes — so a subscription's position in the admission
-// order is exact, at the cost of one pipeline drain.
+// Subscribe parses and registers an XSCL query, returning its id. It waits
+// for the publishes in flight, Stage 1 included, and every document
+// published after it returns is matched against the query.
 func (e *Engine) Subscribe(src string) (QueryID, error) {
 	q, err := xscl.Parse(src)
 	if err != nil {
 		return 0, err
 	}
-	var id QueryID
-	e.atBarrier(func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		id, err = e.subscribe(q)
-	})
-	return id, err
-}
-
-// atBarrier runs fn — a registration or a snapshot, which takes e.mu itself —
-// at a point where no Stage-1 work is in flight: at a barrier of the
-// continuous ingest pipeline while it is live (every document admitted
-// before is fully processed, none admitted after has started), directly
-// otherwise.
-func (e *Engine) atBarrier(fn func()) {
-	e.ingestMu.Lock()
-	ing := e.ing
-	if ing == nil {
-		// No pipeline: run directly. ingestMu is held across fn so a
-		// concurrent first PublishAsync cannot start Stage-1 workers
-		// mid-registration.
-		defer e.ingestMu.Unlock()
-		fn()
-		return
-	}
-	e.ingestMu.Unlock()
-	if err := ing.Barrier(fn); err != nil {
-		// The pipeline was closed concurrently; wait for its drain so no
-		// Stage-1 work is in flight, then run directly.
-		ing.Wait()
-		fn()
-	}
+	e.reg.Lock()
+	defer e.reg.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.subscribe(q)
 }
 
 // MustSubscribe is Subscribe, panicking on error (examples, tests).
@@ -266,17 +226,12 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 // further derived documents, while an unsubscribed downstream query stops
 // receiving cascaded matches — Unsubscribe serializes with Publish, so a
 // cascade is never torn mid-document. Returns an error for an unknown or
-// already-unsubscribed id. Like Subscribe, Unsubscribe runs at a pipeline
-// barrier while the continuous ingest pipeline is live: documents admitted
-// before it keep their matches, documents admitted after it see the query
-// gone.
+// already-unsubscribed id. Like Subscribe, Unsubscribe waits for the
+// publishes in flight: documents published before it keep their matches,
+// documents published after it see the query gone.
 func (e *Engine) Unsubscribe(id QueryID) error {
-	var err error
-	e.atBarrier(func() { err = e.unsubscribe(id) })
-	return err
-}
-
-func (e *Engine) unsubscribe(id QueryID) error {
+	e.reg.Lock()
+	defer e.reg.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if id < 0 || int(id) >= len(e.queries) || e.queries[id] == nil {
@@ -350,33 +305,59 @@ func (e *Engine) NumTemplates() int {
 // Publish processes a document on the named stream and returns the matches
 // it triggered, in deterministic order. With composition enabled, matches of
 // PUBLISH queries cascade into their output streams and the derived matches
-// are included in the result. Concurrent Publish calls are serialized;
-// documents enter the join state in lock-acquisition order.
+// are included in the result. Concurrent Publish calls overlap their Stage 1
+// and serialize the rest; documents enter the join state in the order they
+// acquire the engine's lock.
 //
 // Publish is shorthand for PublishDoc(stream, d); the PublishDoc options
-// cover batches, raw XML, and pipeline admission.
+// cover batches and raw XML.
 func (e *Engine) Publish(stream string, d *Document) []Match {
-	return e.publishOne(stream, d)
+	return e.publishAppend(nil, stream, d)
 }
 
-func (e *Engine) publishOne(stream string, d *Document) []Match {
+// publishAppend is the one publish path: Stage 1 on the caller's goroutine
+// under the registration lock's read side, then the order-sensitive rest
+// under e.mu. The document's matches are appended to dst.
+func (e *Engine) publishAppend(dst []Match, stream string, d *Document) []Match {
+	e.reg.RLock()
+	defer e.reg.RUnlock()
+	r := e.stage1(stream, d)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.publish(nil, stream, d, 0)
+	return e.consume(dst, stream, d, r, 0)
 }
 
-// publish processes one document, runs the composition cascade and appends
-// the matches to dst.
+// stage1 runs a document's Stage 1. The sequential baseline has no separate
+// Stage 1: it returns nil there. Callers hold the registration lock.
+func (e *Engine) stage1(stream string, d *Document) *core.Stage1Result {
+	if e.proc == nil {
+		return nil
+	}
+	return e.proc.RunStage1(stream, d)
+}
+
+// publish processes one document whose Stage 1 has not run yet — a batch
+// member or a derived document of the cascade — and appends its matches to
+// dst.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) publish(dst []Match, stream string, d *Document, depth int) []Match {
+	return e.consume(dst, stream, d, e.stage1(stream, d), depth)
+}
+
+// consume runs the order-sensitive rest of a publish for a document whose
+// Stage 1 gave r: Stage 2 and the state merge, delivery of the matches to
+// dst and the composition cascade.
+//
+//mmqjp:guardedby e.mu
+func (e *Engine) consume(dst []Match, stream string, d *Document, r *core.Stage1Result, depth int) []Match {
 	if e.opts.RetainDocuments {
 		e.docs[d.ID] = d
 	}
 	if e.seq != nil {
 		return e.cascade(e.deliver(dst, &sequentialMatches{ms: e.seq.Process(stream, d)}), len(dst), depth)
 	}
-	return e.cascade(e.deliver(dst, e.proc.Consume(e.proc.RunStage1(stream, d))), len(dst), depth)
+	return e.cascade(e.deliver(dst, e.proc.Consume(r)), len(dst), depth)
 }
 
 // orderedMatches is a document's result as a processor hands it over: in
@@ -411,9 +392,9 @@ func (s *sequentialMatches) At(i int) *core.Match {
 // deliver writes a document's result out as public matches appended to dst —
 // a slice the caller owns: nil everywhere but under AppendPublishXML —
 // resolving each query's PUBLISH stream from its subscription record. This is
-// the one place the result is materialised, whatever the ingest shape: the
-// processor's view is only valid until it consumes its next document, so every
-// consume point calls deliver before anything else — the cascade included.
+// the one place the result is materialised: the processor's view is only
+// valid until it consumes its next document, so consume calls deliver before
+// anything else — the cascade included.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) deliver(dst []Match, ms orderedMatches) []Match {
@@ -465,12 +446,8 @@ func (e *Engine) cascade(out []Match, from, depth int) []Match {
 
 // PublishBatch processes docs on stream in arrival order and returns each
 // document's matches — exactly what len(docs) consecutive Publish calls
-// would return, for every Options.PipelineDepth. With PipelineDepth > 1 the
-// Stage-1 work (shared-NFA match, witness construction) of up to
-// PipelineDepth upcoming documents runs in worker goroutines while Stage 2,
-// the state merge, and window GC are applied strictly in arrival order, so
-// join state and window semantics are identical to the sequential path.
-// Like Publish, the whole batch is serialized against other writers.
+// would return. The whole batch runs under one hold of the engine's lock, so
+// no other publisher's document lands between two of its documents.
 //
 // PublishBatch is shorthand for PublishDoc(stream, nil, WithDocs(docs...)).
 func (e *Engine) PublishBatch(stream string, docs []*Document) [][]Match {
@@ -478,148 +455,21 @@ func (e *Engine) PublishBatch(stream string, docs []*Document) [][]Match {
 }
 
 func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
+	e.reg.RLock()
+	defer e.reg.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([][]Match, len(docs))
-	if e.seq != nil {
-		for i, d := range docs {
-			out[i] = e.publish(nil, stream, d, 0)
-		}
-		return out
-	}
-	if e.opts.RetainDocuments {
-		for _, d := range docs {
-			e.docs[d.ID] = d
-		}
-	}
-	e.proc.ProcessBatchFunc(stream, docs, func(i int, cms *core.Matches) {
-		// Composition cascades run here, between batch documents, at the
-		// same point the per-document Publish path would run them; the
-		// derived documents' processing is safe alongside the pipeline's
-		// Stage-1 workers, which never touch the join state.
-		out[i] = e.cascade(e.deliver(nil, cms), 0, 0)
-	})
-	return out
-}
-
-// PublishAsync admits a document into the engine's continuous ingest
-// pipeline and returns a buffered channel that receives the document's
-// matches (exactly one send, then a close) once it has been fully
-// processed. Admission order — the order concurrent PublishAsync calls are
-// admitted — is the serial document order: per-document match output is
-// byte-identical to calling Publish in that order, for every PipelineDepth.
-// Unlike Publish, concurrent publishers
-// do not serialize the whole call: the document-local Stage-1 work (NFA
-// match, witness construction) of up to PipelineDepth+1 admitted documents
-// runs concurrently in a persistent worker pool while Stage 2, the state
-// merge and window GC are applied strictly in admission order, under the
-// same lock a serial Publish holds. PublishAsync blocks while the pipeline
-// is at its admission bound (backpressure).
-//
-// The pipeline starts lazily on the first call and runs until Close.
-// Composition cascades fire before delivery, exactly as in Publish, and the
-// derived matches are included in the delivered slice. With
-// ProcessorSequential (no Stage-1/Stage-2 split), or after Close, the
-// document is published synchronously and the channel is already resolved
-// on return.
-//
-// PublishAsync is shorthand for PublishDoc(stream, d, WithAsync()).
-func (e *Engine) PublishAsync(stream string, d *Document) <-chan []Match {
-	return e.publishAsync(stream, d)
-}
-
-func (e *Engine) publishAsync(stream string, d *Document) <-chan []Match {
-	out := make(chan []Match, 1)
-	if e.proc == nil {
-		out <- e.Publish(stream, d)
-		close(out)
-		return out
-	}
-	err := e.ingestPipeline().Submit(stream, d, func(cms *core.Matches) {
-		// Runs on the pipeline coordinator under e.mu (write), in
-		// admission order — the same critical section a serial Publish
-		// holds for this document.
-		//mmqjp:guardedby e.mu
-		if e.opts.RetainDocuments {
-			e.docs[d.ID] = d
-		}
-		out <- e.cascade(e.deliver(nil, cms), 0, 0)
-		close(out)
-	})
-	if err != nil {
-		// The pipeline was closed: degrade to a synchronous publish.
-		out <- e.Publish(stream, d)
-		close(out)
+	for i, d := range docs {
+		out[i] = e.publish(nil, stream, d, 0)
 	}
 	return out
 }
 
-// ingestPipeline returns the continuous ingest pipeline, starting it on
-// first use. The engine's writer lock is the pipeline's consume lock, so
-// asynchronous consumption excludes readers and synchronous writers exactly
-// like a serial Publish.
-func (e *Engine) ingestPipeline() *core.Ingest {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	if e.ing == nil {
-		e.ing = core.NewIngest(e.proc, core.IngestConfig{Depth: e.opts.PipelineDepth, Lock: &e.mu})
-	}
-	return e.ing
-}
-
-// IngestQueueDepth reports the number of documents admitted into the
-// continuous ingest pipeline but not yet consumed — an instantaneous sample
-// of the admission queue (0 when the pipeline has never started).
-func (e *Engine) IngestQueueDepth() int {
-	e.ingestMu.Lock()
-	ing := e.ing
-	e.ingestMu.Unlock()
-	if ing == nil {
-		return 0
-	}
-	return ing.QueueDepth()
-}
-
-// IngestStalls reports how many PublishAsync admissions have blocked on a
-// full admission queue (backpressure) since the pipeline started.
-func (e *Engine) IngestStalls() int64 {
-	e.ingestMu.Lock()
-	ing := e.ing
-	e.ingestMu.Unlock()
-	if ing == nil {
-		return 0
-	}
-	return ing.Stalls()
-}
-
-// Flush blocks until every document admitted by PublishAsync before the
-// call has been fully processed and its matches delivered. It is a no-op
-// when the pipeline has never started or is closed.
-func (e *Engine) Flush() {
-	e.ingestMu.Lock()
-	ing := e.ing
-	e.ingestMu.Unlock()
-	if ing == nil {
-		return
-	}
-	if err := ing.Flush(); err != nil {
-		ing.Wait()
-	}
-}
-
-// Close drains and permanently stops the continuous ingest pipeline:
-// documents already admitted are fully processed and delivered first.
-// Every other engine method keeps working — PublishAsync itself degrades to
-// synchronous per-call delivery. Close is idempotent, and a no-op when
-// PublishAsync was never used.
-func (e *Engine) Close() {
-	e.ingestMu.Lock()
-	ing := e.ing
-	e.ingestMu.Unlock()
-	if ing != nil {
-		ing.Close()
-	}
-}
+// Close is a no-op: an engine starts no goroutine and holds nothing that
+// needs releasing. It is kept so that callers which close their engines keep
+// compiling.
+func (e *Engine) Close() {}
 
 // XMLEvent is one document of a PublishXMLBatch: the raw XML text plus the
 // document id and timestamp the corresponding PublishXML call would receive.
@@ -630,10 +480,9 @@ type XMLEvent struct {
 }
 
 // PublishXMLBatch parses a batch of XML documents and publishes them in
-// order via PublishBatch. Parsing runs concurrently (bounded by
-// Options.PipelineDepth) before the batch enters the engine; a parse error
-// on any document fails the whole batch with a *DocumentError without
-// publishing anything.
+// order via PublishBatch. Every document is parsed before the batch enters
+// the engine; a parse error on any document fails the whole batch with a
+// *DocumentError without publishing anything.
 //
 // PublishXMLBatch is shorthand for
 // PublishDoc(stream, nil, WithXMLEvents(events...)).
@@ -722,9 +571,7 @@ func (e *Engine) AppendPublishXML(dst []Match, stream, xmlText string, docID, ti
 	if err != nil {
 		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.publish(dst, stream, d, 0), nil
+	return e.publishAppend(dst, stream, d), nil
 }
 
 // OutputXML renders the default SELECT * output document of a match: a new

@@ -125,7 +125,7 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 		{"paper scale", paper, 66, 3980},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
+			eng := New(Options{Processor: ProcessorViewMat})
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -1,142 +1,148 @@
 package mmqjp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// collectAsync drains a PublishAsync result channel.
-func collectAsync(t *testing.T, ch <-chan []Match) []Match {
-	t.Helper()
-	ms, ok := <-ch
-	if !ok {
-		t.Fatal("match channel closed without a delivery")
+// publishAsync publishes d through PublishDoc's WithAsync form and returns
+// its matches, checking the form's contract: Done only, already resolved when
+// the call returns, one delivery and then closed.
+func publishAsync(eng *Engine, stream string, d *Document) ([]Match, error) {
+	res, err := eng.PublishDoc(stream, d, WithAsync())
+	if err != nil {
+		return nil, err
 	}
-	if _, open := <-ch; open {
-		t.Fatal("match channel delivered twice")
+	if res.Done == nil || res.Batches != nil {
+		return nil, fmt.Errorf("result = %+v, want Done only", res)
+	}
+	var ms []Match
+	select {
+	case got, ok := <-res.Done:
+		if !ok {
+			return nil, errors.New("result channel closed without a delivery")
+		}
+		ms = got
+	default:
+		return nil, errors.New("result channel not resolved when PublishDoc returned")
+	}
+	if _, open := <-res.Done; open {
+		return nil, errors.New("result channel delivered twice")
+	}
+	return ms, nil
+}
+
+// mustPublishAsync is publishAsync on the test's goroutine.
+func mustPublishAsync(t *testing.T, eng *Engine, stream string, d *Document) []Match {
+	t.Helper()
+	ms, err := publishAsync(eng, stream, d)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ms
 }
 
-// TestPublishAsyncMatchesPublish is the engine-level acceptance test of the
-// continuous async ingest pipeline: concurrent publishers push the RSS
-// workload through PublishAsync while the test records the admission order
-// (its mutex wraps each call, so the engine's internal admission order
-// equals the recorded order); per-document match output — order included —
-// must be byte-identical to serial Publish of the same admission order, at
-// every PipelineDepth. The CI race job runs this under -race.
+// TestPublishAsyncMatchesPublish runs the RSS workload through the WithAsync
+// form from concurrent publishers, reading the serial document order off
+// OnDocument; per-document match output — order included — must be
+// byte-identical to serial Publish of the same order.
 func TestPublishAsyncMatchesPublish(t *testing.T) {
 	queries, stream := rssBatchFixture(300, 100)
-	for _, depth := range []int{0, 2} {
-		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
-		for _, q := range queries {
-			eng.MustSubscribe(q)
-		}
-		var mu sync.Mutex
-		order := make([]*Document, 0, len(stream))
-		results := make(map[int64]<-chan []Match, len(stream))
-		const publishers = 4
-		var wg sync.WaitGroup
-		for g := 0; g < publishers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < len(stream); i += publishers {
-					d := stream[i]
-					mu.Lock()
-					results[int64(d.ID)] = eng.PublishAsync("S", d)
-					order = append(order, d)
-					mu.Unlock()
+	byID := map[int64]*Document{}
+	for _, d := range stream {
+		byID[int64(d.ID)] = d
+	}
+	var order []int64 // appended under the engine's lock
+	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	for _, q := range queries {
+		eng.MustSubscribe(q)
+	}
+	results := make([][]Match, len(stream))
+	const publishers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(stream); i += publishers {
+				ms, err := publishAsync(eng, "S", stream[i])
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}(g)
-		}
-		wg.Wait()
-		eng.Flush()
+				results[i] = ms
+			}
+		}(g)
+	}
+	wg.Wait()
+	got := map[int64][]Match{}
+	for i, d := range stream {
+		got[int64(d.ID)] = results[i]
+	}
 
-		ref := New(Options{Processor: ProcessorViewMat})
-		for _, q := range queries {
-			ref.MustSubscribe(q)
+	ref := New(Options{Processor: ProcessorViewMat})
+	for _, q := range queries {
+		ref.MustSubscribe(q)
+	}
+	if len(order) != len(stream) {
+		t.Fatalf("OnDocument saw %d documents, want %d", len(order), len(stream))
+	}
+	for i, id := range order {
+		if g, w := fmt.Sprint(got[id]), fmt.Sprint(ref.Publish("S", byID[id])); g != w {
+			t.Fatalf("serial position %d (doc %d):\nasync:  %s\nserial: %s", i, id, g, w)
 		}
-		for i, d := range order {
-			want := ref.Publish("S", d)
-			got := collectAsync(t, results[int64(d.ID)])
-			if len(got) != len(want) {
-				t.Fatalf("depth=%d admission %d (doc %d): %d matches async vs %d serial",
-					depth, i, d.ID, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("depth=%d admission %d match %d: async %+v vs serial %+v",
-						depth, i, j, got[j], want[j])
-				}
-			}
-		}
-		eng.Close()
 	}
 }
 
 // TestPublishAsyncSubscribeBarrier checks that a Subscribe (and an
-// Unsubscribe) issued between async publishes lands exactly at its position
-// in the admission order: output equals a serial engine running the same
-// publish/subscribe sequence.
+// Unsubscribe) issued between WithAsync publishes lands exactly at its
+// position in the document order: output equals an engine running the same
+// publish/subscribe sequence through Publish.
 func TestPublishAsyncSubscribeBarrier(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 80)
 	late := queries[len(queries)-1]
 	standing := queries[:len(queries)-1]
 
-	ref := New(Options{Processor: ProcessorViewMat})
-	for _, q := range standing {
-		ref.MustSubscribe(q)
-	}
-	var want [][]Match
-	var lateID QueryID
-	for i, d := range stream {
-		if i == len(stream)/3 {
-			lateID = ref.MustSubscribe(late)
+	run := func(publish func(eng *Engine, d *Document) []Match) ([][]Match, QueryID) {
+		eng := New(Options{Processor: ProcessorViewMat})
+		for _, q := range standing {
+			eng.MustSubscribe(q)
 		}
-		if i == 2*len(stream)/3 {
-			if err := ref.Unsubscribe(lateID); err != nil {
-				t.Fatal(err)
+		var out [][]Match
+		var lateID QueryID
+		for i, d := range stream {
+			if i == len(stream)/3 {
+				lateID = eng.MustSubscribe(late)
 			}
-		}
-		want = append(want, ref.Publish("S", d))
-	}
-
-	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
-	for _, q := range standing {
-		eng.MustSubscribe(q)
-	}
-	chans := make([]<-chan []Match, len(stream))
-	var asyncLate QueryID
-	for i, d := range stream {
-		if i == len(stream)/3 {
-			asyncLate = eng.MustSubscribe(late)
-			if asyncLate != lateID {
-				t.Fatalf("late subscription id %d vs serial %d", asyncLate, lateID)
+			if i == 2*len(stream)/3 {
+				if err := eng.Unsubscribe(lateID); err != nil {
+					t.Fatal(err)
+				}
 			}
+			out = append(out, publish(eng, d))
 		}
-		if i == 2*len(stream)/3 {
-			if err := eng.Unsubscribe(asyncLate); err != nil {
-				t.Fatal(err)
-			}
-		}
-		chans[i] = eng.PublishAsync("S", d)
+		return out, lateID
 	}
-	eng.Close()
+	want, wantID := run(func(eng *Engine, d *Document) []Match { return eng.Publish("S", d) })
+	got, gotID := run(func(eng *Engine, d *Document) []Match { return mustPublishAsync(t, eng, "S", d) })
+	if gotID != wantID {
+		t.Fatalf("late subscription id %d vs %d", gotID, wantID)
+	}
 	for i := range stream {
-		got := collectAsync(t, chans[i])
-		if fmt.Sprint(got) != fmt.Sprint(want[i]) {
-			t.Fatalf("doc %d diverges across mid-stream subscribe/unsubscribe:\nserial: %v\nasync:  %v",
-				i, want[i], got)
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("doc %d diverges across mid-stream subscribe/unsubscribe:\nPublish:   %v\nWithAsync: %v",
+				i, want[i], got[i])
 		}
 	}
 }
 
-// TestPublishAsyncComposition checks that PUBLISH-clause cascades fire
-// inside the async pipeline exactly as they do in serial Publish, and that
-// OutputXML works on the delivered matches.
+// TestPublishAsyncComposition checks that PUBLISH-clause cascades fire in
+// the WithAsync form exactly as they do in Publish, and that OutputXML works
+// on the delivered matches.
 func TestPublishAsyncComposition(t *testing.T) {
 	subscribe := func(eng *Engine) {
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000} S//b->y PUBLISH D")
@@ -156,34 +162,31 @@ func TestPublishAsyncComposition(t *testing.T) {
 	}
 	ref := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
 	subscribe(ref)
-	var want [][]Match
-	for _, d := range docs {
-		want = append(want, ref.Publish("S", d))
-	}
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true, PipelineDepth: 4})
+	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
 	subscribe(eng)
-	chans := make([]<-chan []Match, len(docs))
+	cascaded := 0
 	for i, d := range docs {
-		chans[i] = eng.PublishAsync("S", d)
-	}
-	eng.Flush()
-	for i := range docs {
-		got := collectAsync(t, chans[i])
-		if fmt.Sprint(got) != fmt.Sprint(want[i]) {
-			t.Fatalf("doc %d:\nasync:  %v\nserial: %v", i, got, want[i])
+		want := ref.Publish("S", d)
+		got := mustPublishAsync(t, eng, "S", d)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("doc %d:\nasync:  %v\nserial: %v", i, got, want)
 		}
 		for _, m := range got {
+			if m.Publish == "" {
+				cascaded++
+			}
 			if _, ok := eng.OutputXML(m); !ok {
 				t.Fatalf("doc %d: OutputXML failed for async match %+v", i, m)
 			}
 		}
 	}
-	eng.Close()
+	if cascaded == 0 {
+		t.Fatal("no derived document matched downstream")
+	}
 }
 
-// TestPublishAsyncSequentialProcessor checks the degraded path: the
-// sequential baseline has no Stage-1/Stage-2 split, so PublishAsync
-// resolves synchronously but keeps the channel contract.
+// TestPublishAsyncSequentialProcessor checks the WithAsync form on the
+// sequential baseline: same contract, same matches as Publish.
 func TestPublishAsyncSequentialProcessor(t *testing.T) {
 	eng := New(Options{Processor: ProcessorSequential})
 	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
@@ -195,117 +198,81 @@ func TestPublishAsyncSequentialProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms := collectAsync(t, eng.PublishAsync("S", d1)); len(ms) != 0 {
+	if ms := mustPublishAsync(t, eng, "S", d1); len(ms) != 0 {
 		t.Fatalf("first doc matched %d, want 0", len(ms))
 	}
-	if ms := collectAsync(t, eng.PublishAsync("S", d2)); len(ms) != 1 {
+	if ms := mustPublishAsync(t, eng, "S", d2); len(ms) != 1 {
 		t.Fatalf("second doc matched %d, want 1", len(ms))
 	}
-	eng.Flush() // no-op without a pipeline
-	eng.Close()
 }
 
-// TestEngineCloseSemantics checks that Close drains in-flight publishes,
-// that PublishAsync after Close degrades to synchronous delivery with
-// identical results, and that Flush/Close stay safe afterwards.
-func TestEngineCloseSemantics(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 4})
-	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
-	mkDoc := func(id int64, xml string) *Document {
-		d, err := ParseDocument(xml, id, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	ch1 := eng.PublishAsync("S", mkDoc(1, "<a>k</a>"))
-	eng.Close()
-	if ms := collectAsync(t, ch1); len(ms) != 0 {
-		t.Fatalf("in-flight doc matched %d, want 0", len(ms))
-	}
-	// After Close the async path degrades to a synchronous publish: the
-	// document still enters the join state and matches.
-	if ms := collectAsync(t, eng.PublishAsync("S", mkDoc(2, "<b>k</b>"))); len(ms) != 1 {
-		t.Fatal("PublishAsync after Close did not publish")
-	}
-	if _, err := eng.Subscribe("S//a->z"); err != nil {
-		t.Fatalf("Subscribe after Close: %v", err)
-	}
-	eng.Flush()
-	eng.Close() // idempotent
-}
-
-// TestPublishAsyncStress hammers one shared engine with concurrent
-// PublishAsync, synchronous Publish, Subscribe/Unsubscribe (both of which
-// run at pipeline barriers), Flush, and the read accessors. Run under -race
-// (the CI race job does) this is the thread-safety proof of the continuous
-// ingest pipeline.
+// TestPublishAsyncStress hammers one shared engine with concurrent Publish
+// and WithAsync publishes racing Subscribe/Unsubscribe, Ping and the read
+// accessors. Run under -race (the CI race job does) this is the
+// thread-safety proof of the registration lock: Stage 1 runs outside the
+// engine's lock, beside registrations that must wait for it.
 func TestPublishAsyncStress(t *testing.T) {
-	for _, depth := range []int{0, 2} {
-		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
-		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
-		const goroutines = 8
-		const iters = 30
-		var matches atomic.Int64
-		var wg sync.WaitGroup
-		var chmu sync.Mutex
-		var chans []<-chan []Match
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var mine []QueryID
-				for i := 0; i < iters; i++ {
-					id := int64(g*1000 + i + 1)
-					switch {
-					case g%4 == 0 && i%6 == 0:
-						src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b->y", 1000+g*100+i)
-						qid, err := eng.Subscribe(src)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						mine = append(mine, qid)
-					case g%4 == 0 && i%6 == 3 && len(mine) > 0:
-						if err := eng.Unsubscribe(mine[0]); err != nil {
-							t.Error(err)
-							return
-						}
-						mine = mine[1:]
-					}
-					xml := "<a>k</a>"
-					if id%2 == 0 {
-						xml = "<b>k</b>"
-					}
-					d, err := ParseDocument(xml, id, id)
+	eng := New(Options{Processor: ProcessorViewMat})
+	eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
+	const goroutines = 8
+	const iters = 30
+	var matches atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var mine []QueryID
+			for i := 0; i < iters; i++ {
+				id := int64(g*1000 + i + 1)
+				switch {
+				case g%4 == 0 && i%6 == 0:
+					src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b->y", 1000+g*100+i)
+					qid, err := eng.Subscribe(src)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if g%5 == 1 {
-						ms := eng.Publish("S", d)
-						matches.Add(int64(len(ms)))
-					} else {
-						ch := eng.PublishAsync("S", d)
-						chmu.Lock()
-						chans = append(chans, ch)
-						chmu.Unlock()
+					mine = append(mine, qid)
+				case g%4 == 0 && i%6 == 3 && len(mine) > 0:
+					if err := eng.Unsubscribe(mine[0]); err != nil {
+						t.Error(err)
+						return
 					}
-					if i%10 == 7 {
-						eng.Flush()
-					}
-					_ = eng.NumQueries()
-					_ = eng.Stats()
+					mine = mine[1:]
 				}
-			}(g)
-		}
-		wg.Wait()
-		eng.Close()
-		for _, ch := range chans {
-			matches.Add(int64(len(<-ch)))
-		}
-		if matches.Load() == 0 {
-			t.Errorf("depth=%d: no matches across concurrent async publishes", depth)
-		}
+				xml := "<a>k</a>"
+				if id%2 == 0 {
+					xml = "<b>k</b>"
+				}
+				d, err := ParseDocument(xml, id, id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if g%2 == 1 {
+					matches.Add(int64(len(eng.Publish("S", d))))
+				} else {
+					ms, err := publishAsync(eng, "S", d)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					matches.Add(int64(len(ms)))
+				}
+				if i%10 == 7 {
+					if err := eng.Ping(5 * time.Second); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				_ = eng.NumQueries()
+				_ = eng.Stats()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if matches.Load() == 0 {
+		t.Error("no matches across concurrent publishes")
 	}
 }

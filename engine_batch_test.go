@@ -3,13 +3,14 @@ package mmqjp
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
 )
 
 // rssBatchFixture generates the multi-template RSS workload used by the
-// batch determinism tests: queries plus a document stream.
+// determinism tests: queries plus a document stream.
 func rssBatchFixture(nq, items int) ([]string, []*Document) {
 	c := workload.DefaultRSS()
 	qrng := rand.New(rand.NewSource(21))
@@ -21,71 +22,112 @@ func rssBatchFixture(nq, items int) ([]string, []*Document) {
 	return queries, c.Stream(srng, items)
 }
 
-// TestPublishBatchMatchesPublish is the engine-level acceptance test of the
-// ingest pipeline: on the multi-template RSS workload, PublishBatch output
-// must be identical to per-document Publish for every PipelineDepth
-// ∈ {0, 1, 2, 8}, for both processor kinds, down to every Match field.
+// TestPublishBatchMatchesPublish: on the multi-template RSS workload,
+// PublishBatch output must be identical to per-document Publish, for both
+// processor kinds, down to every Match field.
 func TestPublishBatchMatchesPublish(t *testing.T) {
 	queries, stream := rssBatchFixture(400, 120)
 	for _, kind := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
 		ref := New(Options{Processor: kind})
+		eng := New(Options{Processor: kind})
 		for _, q := range queries {
 			ref.MustSubscribe(q)
+			eng.MustSubscribe(q)
 		}
-		var want [][]Match
-		for _, d := range stream {
-			want = append(want, ref.Publish("S", d))
+		got := eng.PublishBatch("S", stream)
+		if len(got) != len(stream) {
+			t.Fatalf("kind=%d: %d result slices for %d docs", kind, len(got), len(stream))
 		}
-		for _, depth := range []int{0, 1, 2, 8} {
-			eng := New(Options{Processor: kind, PipelineDepth: depth})
-			for _, q := range queries {
-				eng.MustSubscribe(q)
+		for i, d := range stream {
+			want := ref.Publish("S", d)
+			if len(got[i]) != len(want) {
+				t.Fatalf("kind=%d doc %d: %d matches batch vs %d sequential", kind, i, len(got[i]), len(want))
 			}
-			got := eng.PublishBatch("S", stream)
-			if len(got) != len(want) {
-				t.Fatalf("kind=%d depth=%d: %d result slices for %d docs", kind, depth, len(got), len(want))
-			}
-			for i := range got {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("kind=%d depth=%d doc %d: %d matches batch vs %d sequential",
-						kind, depth, i, len(got[i]), len(want[i]))
-				}
-				for j := range got[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("kind=%d depth=%d doc %d match %d: batch %+v vs sequential %+v",
-							kind, depth, i, j, got[i][j], want[i][j])
-					}
+			for j := range got[i] {
+				if got[i][j] != want[j] {
+					t.Fatalf("kind=%d doc %d match %d: batch %+v vs sequential %+v", kind, i, j, got[i][j], want[j])
 				}
 			}
 		}
 	}
 }
 
-// TestPublishBatchWithParallelism checks the ingest pipeline's Stage-1
-// workers at the engine level: a depth-4 batch equals per-document Publish.
+// TestPublishBatchWithParallelism publishes batches while other goroutines
+// Publish single documents: each batch enters the join state contiguously —
+// no other document lands between two of its documents in the serial order
+// OnDocument reports — and every document's matches equal a serial replay of
+// that order.
 func TestPublishBatchWithParallelism(t *testing.T) {
-	queries, stream := rssBatchFixture(300, 80)
+	queries, stream := rssBatchFixture(300, 120)
+	byID := map[int64]*Document{}
+	for _, d := range stream {
+		byID[int64(d.ID)] = d
+	}
+	var order []int64 // appended under the engine's lock
+	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	for _, q := range queries {
+		eng.MustSubscribe(q)
+	}
+	got := make(map[int64][]Match, len(stream))
+	var mu sync.Mutex
+	const batchLen = 10
+	var wg sync.WaitGroup
+	// Goroutine 0 publishes the first half in batches; three others publish
+	// the second half one document at a time.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		half := stream[:len(stream)/2]
+		for b := 0; b < len(half); b += batchLen {
+			batch := half[b:min(b+batchLen, len(half))]
+			out := eng.PublishBatch("S", batch)
+			mu.Lock()
+			for i, d := range batch {
+				got[int64(d.ID)] = out[i]
+			}
+			mu.Unlock()
+		}
+	}()
+	const singles = 3
+	for g := 0; g < singles; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := len(stream)/2 + g; i < len(stream); i += singles {
+				d := stream[i]
+				ms := eng.Publish("S", d)
+				mu.Lock()
+				got[int64(d.ID)] = ms
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if len(order) != len(stream) {
+		t.Fatalf("OnDocument saw %d documents, want %d", len(order), len(stream))
+	}
+	pos := map[int64]int{}
+	for i, id := range order {
+		pos[id] = i
+	}
+	half := stream[:len(stream)/2]
+	for b := 0; b < len(half); b += batchLen {
+		first := pos[int64(half[b].ID)]
+		for k, d := range half[b:min(b+batchLen, len(half))] {
+			if pos[int64(d.ID)] != first+k {
+				t.Fatalf("batch at %d is not contiguous: its document %d is at serial position %d, want %d",
+					b, k, pos[int64(d.ID)], first+k)
+			}
+		}
+	}
 	ref := New(Options{Processor: ProcessorViewMat})
 	for _, q := range queries {
 		ref.MustSubscribe(q)
 	}
-	var want [][]Match
-	for _, d := range stream {
-		want = append(want, ref.Publish("S", d))
-	}
-	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 4})
-	for _, q := range queries {
-		eng.MustSubscribe(q)
-	}
-	got := eng.PublishBatch("S", stream)
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("doc %d: %d matches vs %d", i, len(got[i]), len(want[i]))
-		}
-		for j := range got[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("doc %d match %d: %+v vs %+v", i, j, got[i][j], want[i][j])
-			}
+	for i, id := range order {
+		if g, w := fmt.Sprint(got[id]), fmt.Sprint(ref.Publish("S", byID[id])); g != w {
+			t.Fatalf("serial position %d (doc %d):\nconcurrent: %s\nserial:     %s", i, id, g, w)
 		}
 	}
 }
@@ -101,31 +143,29 @@ func TestPublishXMLBatch(t *testing.T) {
 			{XML: "<b>k</b>", DocID: 3, Timestamp: 3},
 		}
 	}
-	for _, depth := range []int{0, 4} {
-		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
-		eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
+	eng := New(Options{Processor: ProcessorViewMat})
+	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
 
-		// A bad document anywhere rejects the batch whole.
-		bad := mkEvents()
-		bad[1].XML = "<unclosed>"
-		if _, err := eng.PublishXMLBatch("S", bad); err == nil {
-			t.Fatalf("depth=%d: batch with bad XML accepted", depth)
-		}
-		if got := eng.Stats(); got.Documents != 0 {
-			t.Fatalf("depth=%d: rejected batch published documents: %s", depth, got)
-		}
+	// A bad document anywhere rejects the batch whole.
+	bad := mkEvents()
+	bad[1].XML = "<unclosed>"
+	if _, err := eng.PublishXMLBatch("S", bad); err == nil {
+		t.Fatal("batch with bad XML accepted")
+	}
+	if got := eng.Stats(); got.Documents != 0 {
+		t.Fatalf("rejected batch published documents: %s", got)
+	}
 
-		out, err := eng.PublishXMLBatch("S", mkEvents())
-		if err != nil {
-			t.Fatalf("depth=%d: %v", depth, err)
-		}
-		total := 0
-		for _, ms := range out {
-			total += len(ms)
-		}
-		if len(out) != 3 || total != 2 {
-			t.Errorf("depth=%d: got %d slices, %d matches, want 3 slices with 2 matches", depth, len(out), total)
-		}
+	out, err := eng.PublishXMLBatch("S", mkEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, ms := range out {
+		total += len(ms)
+	}
+	if len(out) != 3 || total != 2 {
+		t.Errorf("got %d slices, %d matches, want 3 slices with 2 matches", len(out), total)
 	}
 }
 
@@ -154,14 +194,12 @@ func TestPublishBatchComposition(t *testing.T) {
 	for _, d := range docs {
 		want = append(want, ref.Publish("S", d))
 	}
-	for _, depth := range []int{0, 4} {
-		eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true, PipelineDepth: depth})
-		subscribe(eng)
-		got := eng.PublishBatch("S", docs)
-		for i := range got {
-			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("depth=%d doc %d:\nbatch:      %v\nsequential: %v", depth, i, got[i], want[i])
-			}
+	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	subscribe(eng)
+	got := eng.PublishBatch("S", docs)
+	for i := range got {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("doc %d:\nbatch:      %v\nsequential: %v", i, got[i], want[i])
 		}
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestEngineConcurrentSubscribePublish hammers one shared engine from many
-// goroutines mixing Subscribe, Publish and the read accessors. Run under
-// -race (the CI race job does) this is the thread-safety proof of the
-// facade.
+// goroutines mixing Subscribe, Publish and the read accessors. Each
+// subscription brings an element name of its own, so registration grows the
+// shared NFA that concurrent publishers' Stage 1 walks outside the engine's
+// lock. Run under -race (the CI race job does, twenty times over) this is
+// the thread-safety proof of the facade and its registration lock.
 func TestEngineConcurrentSubscribePublish(t *testing.T) {
 	eng := New(Options{Processor: ProcessorViewMat})
 	eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
@@ -25,14 +28,17 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := int64(g*1000 + i + 1)
 				if g%3 == 0 && i%5 == 0 {
-					src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b->y", 1000+g*10+i)
+					src := fmt.Sprintf("S//a->x JOIN{x=y, %d} S//b%d->y", 1000+g*10+i, id)
 					if _, err := eng.Subscribe(src); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				xml := "<a>k</a>"
-				if id%2 == 0 {
+				switch {
+				case id%4 == 2:
+					xml = fmt.Sprintf("<b%d>k</b%d>", id-1, id-1)
+				case id%2 == 0:
 					xml = "<b>k</b>"
 				}
 				ms, err := eng.PublishXML("S", xml, id, id)
@@ -59,12 +65,12 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 // TestEngineConcurrentBatchPublish hammers one shared engine with batch
 // publishes (PublishBatch and PublishXMLBatch) racing Subscribe and the
 // read accessors from many goroutines. Run under -race (the CI race job
-// does) this is the thread-safety proof of the pipelined ingest path: the
-// Stage-1 worker goroutines inside a batch must never conflict with
-// concurrent readers or with the serialized writers.
+// does) this is the thread-safety proof of the batch path: a batch holds the
+// engine's lock across its documents, beside publishers whose Stage 1 runs
+// outside it.
 func TestEngineConcurrentBatchPublish(t *testing.T) {
-	for _, depth := range []int{1, 4} {
-		eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: depth})
+	for _, single := range []bool{false, true} {
+		eng := New(Options{Processor: ProcessorViewMat})
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 		const goroutines = 6
 		const iters = 8
@@ -84,7 +90,14 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 						}
 					}
 					base := int64(g*10000 + i*100)
-					if g%2 == 0 {
+					if single && g%3 == 2 {
+						ms, err := eng.PublishXML("S", "<b>k</b>", base+1, base+1)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						atomic.AddInt64(&matches, int64(len(ms)))
+					} else if g%2 == 0 {
 						docs := make([]*Document, batchLen)
 						for j := range docs {
 							xml := "<a>k</a>"
@@ -127,7 +140,94 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 		}
 		wg.Wait()
 		if atomic.LoadInt64(&matches) == 0 {
-			t.Errorf("depth=%d: no matches across concurrent batch publishes", depth)
+			t.Errorf("single=%v: no matches across concurrent batch publishes", single)
 		}
+	}
+}
+
+// TestConcurrentPublishersMatchSequential publishes the RSS stream from four
+// goroutines, so their Stage 1 runs side by side outside the engine's lock,
+// and reads the serial document order off OnDocument; replaying that order on
+// a ProcessorSequential engine (one query at a time, never a shared
+// structure) must give every document byte-identical matches. The CI race
+// job runs it twenty times over.
+func TestConcurrentPublishersMatchSequential(t *testing.T) {
+	queries, stream := rssBatchFixture(300, 120)
+	byID := map[int64]*Document{}
+	for _, d := range stream {
+		byID[int64(d.ID)] = d
+	}
+	var order []int64 // appended under the engine's lock
+	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	ref := New(Options{Processor: ProcessorSequential})
+	for _, q := range queries {
+		eng.MustSubscribe(q)
+		ref.MustSubscribe(q)
+	}
+	got := make([][]Match, len(stream))
+	const publishers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(stream); i += publishers {
+				got[i] = eng.Publish("S", stream[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+	byDoc := map[int64][]Match{}
+	for i, d := range stream {
+		byDoc[int64(d.ID)] = got[i]
+	}
+	if len(order) != len(stream) {
+		t.Fatalf("OnDocument saw %d documents, want %d", len(order), len(stream))
+	}
+	total := 0
+	for i, id := range order {
+		want := ref.Publish("S", byID[id])
+		total += len(want)
+		if g, w := renderEngineMatches(byDoc[id]), renderEngineMatches(want); g != w {
+			t.Fatalf("serial position %d (doc %d): concurrent\n%sdiffers from sequential\n%s", i, id, g, w)
+		}
+	}
+	if total == 0 {
+		t.Fatal("the sequential engine produced no matches; the comparison is vacuous")
+	}
+}
+
+// TestPingFailsWhileStage2Blocked: Ping round-trips the lock every
+// document's Stage 2 holds, so a publish wedged inside it — here in its
+// OnDocument hook — makes Ping fail, and Ping succeeds again once the
+// publish completes.
+func TestPingFailsWhileStage2Blocked(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var block atomic.Bool
+	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(DocTimings) {
+		if block.Load() {
+			close(entered)
+			<-release
+		}
+	}})
+	eng.MustSubscribe("S//a->x JOIN{x=y, 100} S//b->y")
+	if err := eng.Ping(time.Second); err != nil {
+		t.Fatalf("idle engine: Ping = %v", err)
+	}
+	block.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.PublishXML("S", "<a>k</a>", 1, 1)
+	}()
+	<-entered
+	if err := eng.Ping(50 * time.Millisecond); err == nil {
+		t.Fatal("Ping succeeded while a publish is wedged in Stage 2")
+	}
+	block.Store(false)
+	close(release)
+	<-done
+	if err := eng.Ping(time.Second); err != nil {
+		t.Fatalf("after the publish completed: Ping = %v", err)
 	}
 }

@@ -9,14 +9,11 @@ import (
 )
 
 // TestAsyncChurnMatchesSequential checks the compiled Stage-2 programs
-// against an evaluator that never reads a template's trie: while documents
-// flow through the continuous async ingest pipeline and subscriptions churn
-// between publishes, every document's matches must equal those of a
-// ProcessorSequential engine (one query at a time, synchronous) replaying
-// the identical schedule — PublishAsync admissions from one goroutine with
-// Unsubscribe/Subscribe churn at fixed positions (routed through the
-// pipeline barrier). The CI race job runs this under -race, with the
-// pipeline's Stage-1 workers beside the goroutine that walks the tries.
+// against an evaluator that never reads a template's trie: while
+// subscriptions churn between publishes, every document's matches must equal
+// those of a ProcessorSequential engine (one query at a time) replaying the
+// identical schedule — Publish from one goroutine with Unsubscribe/Subscribe
+// churn at fixed positions.
 func TestAsyncChurnMatchesSequential(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 120)
 	// Deterministic replacement queries for the churn-in half of each
@@ -33,14 +30,12 @@ func TestAsyncChurnMatchesSequential(t *testing.T) {
 		for _, q := range queries {
 			live = append(live, eng.MustSubscribe(q))
 		}
-		chans := make([]<-chan []Match, 0, len(stream))
+		out := make([][]Match, 0, len(stream))
 		nextExtra := 0
 		for i, d := range stream {
 			if i%10 == 5 {
 				// Unsubscribe the oldest live query and subscribe a
-				// replacement; both run at a pipeline barrier, so their
-				// position in the admission order is exact and identical
-				// in both engines.
+				// replacement, at the same position in both engines.
 				if err := eng.Unsubscribe(live[0]); err != nil {
 					t.Fatalf("unsubscribe %d: %v", live[0], err)
 				}
@@ -48,24 +43,18 @@ func TestAsyncChurnMatchesSequential(t *testing.T) {
 				live = append(live, eng.MustSubscribe(extras[nextExtra%len(extras)]))
 				nextExtra++
 			}
-			chans = append(chans, eng.PublishAsync("S", d))
+			out = append(out, eng.Publish("S", d))
 		}
-		eng.Flush()
-		out := make([][]Match, len(chans))
-		for i, ch := range chans {
-			out[i] = collectAsync(t, ch)
-		}
-		eng.Close()
 		return out
 	}
 
 	want := run(Options{Processor: ProcessorSequential})
-	got := run(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
+	got := run(Options{Processor: ProcessorViewMat})
 	total := 0
 	for i := range want {
 		total += len(want[i])
 		if g, w := renderEngineMatches(got[i]), renderEngineMatches(want[i]); g != w {
-			t.Fatalf("doc %d: async pipeline\n%sdiffers from sequential\n%s", i, g, w)
+			t.Fatalf("doc %d: ViewMat\n%sdiffers from sequential\n%s", i, g, w)
 		}
 	}
 	if total == 0 {

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -31,7 +33,7 @@ func snapshotWorkload(nq, ndocs int) ([]string, []*Document) {
 // engine restored from a mid-stream snapshot — after subscription churn, so
 // the snapshot holds id gaps — must produce byte-identical per-document
 // match output to the engine that never restarted, across restore-side
-// processor and PipelineDepth settings.
+// processor settings.
 func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	sources, stream := snapshotWorkload(60, 150)
 	const cut = 75
@@ -62,7 +64,6 @@ func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	for _, opts := range []Options{
 		{Processor: ProcessorViewMat},
 		{Processor: ProcessorMMQJP},
-		{Processor: ProcessorViewMat, PipelineDepth: 2},
 	} {
 		restored, err := OpenEngineFrom(&store, opts)
 		if err != nil {
@@ -91,45 +92,91 @@ func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotAsyncPipeline snapshots an engine whose continuous
-// ingest pipeline is live: the snapshot must land at a barrier (an exact
-// admission-order prefix) and the restored engine must continue the stream
-// identically.
+// TestEngineSnapshotAsyncPipeline snapshots an engine while four goroutines
+// publish into it: the snapshot must be an exact prefix of the serial
+// document order (OnDocument reports it; the snapshot's one write happens
+// under the engine's lock, so the writer reads how many documents the prefix
+// holds), and the restored engine must continue the stream exactly as an
+// engine that published that prefix serially.
 func TestEngineSnapshotAsyncPipeline(t *testing.T) {
 	sources, stream := snapshotWorkload(40, 120)
-	const cut = 60
-
-	live := New(Options{Processor: ProcessorViewMat, PipelineDepth: 4})
+	const cut = 80
+	byID := map[int64]*Document{}
+	for _, d := range stream {
+		byID[int64(d.ID)] = d
+	}
+	var order []int64 // appended under the engine's lock
+	live := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
 	for _, src := range sources {
 		live.MustSubscribe(src)
 	}
-	for _, d := range stream[:cut] {
-		live.PublishAsync("S", d)
+	const publishers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < cut; i += publishers {
+				live.Publish("S", stream[i])
+			}
+		}(g)
 	}
-	// No Flush: Snapshot's own barrier must order itself after the 60
-	// admitted documents.
-	var store MemStore
-	if err := live.SnapshotTo(&store); err != nil {
+	snap := &prefixWriter{order: &order}
+	for len(snapOrder(live, &order)) < cut/4 {
+		runtime.Gosched()
+	}
+	if err := live.Snapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	defer live.Close()
-	prefixMax := live.MaxDocID()
+	wg.Wait()
+	prefix := order[:snap.k]
 
-	restored, err := OpenEngineFrom(&store, Options{Processor: ProcessorViewMat, PipelineDepth: 4})
+	restored, err := OpenEngine(&snap.buf, Options{Processor: ProcessorViewMat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
+	ref := New(Options{Processor: ProcessorViewMat})
+	for _, src := range sources {
+		ref.MustSubscribe(src)
+	}
+	var prefixMax int64
+	for _, id := range prefix {
+		ref.Publish("S", byID[id])
+		prefixMax = max(prefixMax, id)
+	}
 	if got := restored.MaxDocID(); got != prefixMax || got == 0 {
-		t.Fatalf("snapshot not an admission-order prefix: restored MaxDocID = %d, want %d", got, prefixMax)
+		t.Fatalf("snapshot not a prefix of the serial order: restored MaxDocID = %d, want %d (%d documents)", got, prefixMax, len(prefix))
 	}
 	for di, d := range stream[cut:] {
-		got := renderEngineMatches(<-restored.PublishAsync("S", d))
-		want := renderEngineMatches(<-live.PublishAsync("S", d))
+		got := renderEngineMatches(restored.Publish("S", d))
+		want := renderEngineMatches(ref.Publish("S", d))
 		if got != want {
-			t.Fatalf("restored engine diverges on doc %d:\nrestored:\n%slive:\n%s", cut+di+1, got, want)
+			t.Fatalf("restored engine diverges on doc %d:\nrestored:\n%sserial:\n%s", cut+di+1, got, want)
 		}
 	}
+}
+
+// prefixWriter collects a snapshot and, at its first write — made under the
+// engine's lock — how many documents *order holds.
+type prefixWriter struct {
+	buf   bytes.Buffer
+	order *[]int64
+	k     int
+	wrote bool
+}
+
+func (w *prefixWriter) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.k, w.wrote = len(*w.order), true
+	}
+	return w.buf.Write(p)
+}
+
+// snapOrder reads *order under the engine's lock.
+func snapOrder(e *Engine, order *[]int64) []int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return *order
 }
 
 // TestEngineSnapshotComposition restores an engine with composition and
@@ -388,5 +435,51 @@ func TestFileStoreGzip(t *testing.T) {
 	}
 	if restored.Query(qid) != paperQ1 {
 		t.Fatalf("restored query %d = %q, want the subscribed source", qid, restored.Query(qid))
+	}
+}
+
+// TestFileStoreBareRelativePath saves to a bare file name with TMPDIR
+// pointing nowhere: the temporary file must be created beside the snapshot
+// (in the working directory), not under TMPDIR, so Save succeeds and the
+// rename stays within one directory; Open then round-trips.
+func TestFileStoreBareRelativePath(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	t.Setenv("TMPDIR", filepath.Join(dir, "no-such-dir"))
+
+	eng := New(Options{Processor: ProcessorViewMat})
+	qid := eng.MustSubscribe(paperQ1)
+	eng.PublishXML("S", paperD1, 1, 100)
+	store := NewFileStore("snap.json")
+	if err := eng.SnapshotTo(store); err != nil {
+		t.Fatalf("Save to a bare relative path: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snap.json")); err != nil {
+		t.Fatalf("snapshot not in the working directory: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("working directory holds %d entries after Save, want only the snapshot", len(entries))
+	}
+	restored, err := OpenEngineFrom(store, Options{Processor: ProcessorViewMat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := restored.PublishXML("S", paperD2, 2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Query != qid {
+		t.Fatalf("restored engine matches = %v, want one for query %d", ms, qid)
 	}
 }

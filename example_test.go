@@ -14,28 +14,6 @@ func itemDoc(id int64, price string) *mmqjp.Document {
 	return b.Build()
 }
 
-// ExampleEngine_PublishAsync publishes through the continuous async ingest
-// pipeline: PublishAsync returns immediately with a channel that delivers
-// the document's matches once Stage 2 reaches it, in admission order.
-func ExampleEngine_PublishAsync() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, PipelineDepth: 2})
-	defer eng.Close()
-
-	eng.MustSubscribe("S//item->v0[./price->v1] FOLLOWED BY{v1=w1, 100} S//item->w0[./price->w1]")
-
-	ch1 := eng.PublishAsync("S", itemDoc(1, "9.99"))
-	ch2 := eng.PublishAsync("S", itemDoc(2, "9.99"))
-	eng.Flush() // barrier: both documents fully processed
-
-	for i, ch := range []<-chan []mmqjp.Match{ch1, ch2} {
-		for _, m := range <-ch {
-			fmt.Printf("doc %d: match left=%d right=%d\n", i+1, m.LeftDoc, m.RightDoc)
-		}
-	}
-	// Output:
-	// doc 2: match left=1 right=2
-}
-
 // ExampleEngine_Snapshot saves a consistent snapshot of a running engine
 // and reopens it: the restored engine resumes every subscription and
 // produces exactly the matches the original would have on the stream
@@ -50,14 +28,12 @@ func ExampleEngine_Snapshot() {
 		fmt.Println("snapshot:", err)
 		return
 	}
-	eng.Close()
 
 	restored, err := mmqjp.OpenEngine(&snap, mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 	if err != nil {
 		fmt.Println("open:", err)
 		return
 	}
-	defer restored.Close()
 
 	ms := restored.Publish("S", itemDoc(2, "9.99"))
 	fmt.Printf("restored %d subscription(s); doc 2 matched doc %d\n",
@@ -71,7 +47,6 @@ func ExampleEngine_Snapshot() {
 // snapshot reports its vector groups and plan runs.
 func ExampleEngine_PlanStats() {
 	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
-	defer eng.Close()
 
 	// Same structural shape twice (leaf names never enter template
 	// identity), so both queries share one template.

@@ -1,9 +1,10 @@
 // Package core implements the MMQJP Join Processor: Stage-1 shared
 // tree-pattern matching feeding Stage-2 per-template conjunctive-query
-// evaluation over the join state, with view materialization (Section 5),
-// pipelined and continuous ingestion, and subscription lifecycle. Stage 2
-// runs each template's compiled conjunctive query (cqplan.go) on the
-// goroutine that consumes the document (stage2.go).
+// evaluation over the join state, with view materialization (Section 5) and
+// subscription lifecycle. Stage 1 (RunStage1) is document-local and may run
+// on any goroutine; Stage 2 (Consume) runs each template's compiled
+// conjunctive query (cqplan.go) on the goroutine that consumes the document
+// (stage2.go), one document at a time.
 //
 // This file holds the processor-wide configuration and the accumulated
 // statistics; the Processor itself lives in processor.go.
@@ -23,30 +24,25 @@ type Config struct {
 	// RetainDocuments keeps full documents in the join state so that
 	// query outputs can be constructed as XML; benchmarks disable it.
 	RetainDocuments bool
-	// PipelineDepth bounds how many upcoming documents of a ProcessBatch
-	// call may have Stage 1 (parse-independent NFA match and witness
-	// construction) running or completed ahead of the coordinator's
-	// in-order Stage-2 consumption (pipeline.go). 0 or 1 selects the
-	// sequential per-document path; match output is identical for every
-	// depth. Only ProcessBatch reads it: an Ingest is sized by its
-	// IngestConfig.Depth (the engine facade passes both the same value).
-	PipelineDepth int
 	// OnDocument, when set, is called once per processed document with its
 	// hot-path wall times, after the document has been fully consumed.
-	// It runs on the coordinator (in document order, never concurrently
-	// with itself) and must be fast and non-blocking — it sits on the
-	// ingest hot path. nil disables observation at zero cost.
+	// It runs inside Consume (in document order, never concurrently with
+	// itself) and must be fast and non-blocking — it sits on the publish
+	// hot path. nil disables observation at zero cost.
 	OnDocument func(DocTimings)
 }
 
 // DocTimings is one document's hot-path observation, delivered to
-// Config.OnDocument: the wall-clock time of each order-sensitive phase and
-// the number of matches the document triggered. Stage1 is the document-local
-// NFA match + witness construction (possibly measured on a pipeline worker),
+// Config.OnDocument: the document's id, the wall-clock time of each phase and
+// the number of matches the document triggered. DocID is what a caller
+// reads the serial document order from: OnDocument calls come in the order
+// documents entered the join state. Stage1 is the document-local NFA match +
+// witness construction (measured on whichever goroutine ran RunStage1),
 // Stage2 the template evaluation, Merge the Algorithm-2 state merge plus
 // view-cache maintenance, and GC the window-expiry check and, when it fires,
 // the collection (State.GC).
 type DocTimings struct {
+	DocID   int64
 	Stage1  time.Duration
 	Stage2  time.Duration
 	Merge   time.Duration
@@ -76,16 +72,13 @@ type Stats struct {
 	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time."`
 	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2), view-cache maintenance and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
-	// plus witness construction), accumulated across documents and batch
-	// publishes. In a pipelined batch (Config.PipelineDepth > 1) Stage 1
-	// runs concurrently in workers, so Stage1Wall sums per-document time
-	// across workers and may exceed the batch's elapsed wall time.
+	// plus witness construction), accumulated across documents. Concurrent
+	// publishers run Stage 1 side by side, so Stage1Wall sums per-document
+	// time across goroutines and may exceed the elapsed wall time.
 	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time, summed over documents."`
-	// Stage2Wall is the coordinator's wall-clock time of Stage-2 template
-	// evaluation: the phases Rvj, RL, RR and CQ above plus what lies
-	// between them. Both wall counters accumulate across Process and
-	// ProcessBatch calls.
-	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Coordinator wall time of Stage-2 template evaluation."`
+	// Stage2Wall is the wall-clock time of Stage-2 template evaluation: the
+	// phases Rvj, RL, RR and CQ above plus what lies between them.
+	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Wall time of Stage-2 template evaluation."`
 
 	// WitnessPlans counts the per-template runs of the compiled programs
 	// (cqplan.go).

@@ -14,11 +14,11 @@ import (
 
 // The randomized differential harness: seeded random traces (queries,
 // document streams, subscription churn — internal/workload/random.go) are
-// replayed through every PipelineDepth × ViewMaterialization combination of
-// the core processor and through the sequential oracle.
+// replayed through both ViewMaterialization settings of the core processor
+// and through the sequential oracle.
 //
-//   - All core combinations must produce byte-identical per-event match
-//     streams — order included: the pipeline determinism claim.
+//   - Both core configurations must produce byte-identical per-event match
+//     streams — order included.
 //   - The (query, leftDoc, rightDoc) sets must equal the sequential
 //     oracle's, which evaluates each query alone and never reads the
 //     vector-group trie the compiled programs walk (multiplicities differ by design: MMQJP emits one match per
@@ -65,10 +65,8 @@ func harnessRecs(ms []Match) []harnessRec {
 }
 
 // replayTrace runs a trace through one processor configuration and returns
-// the per-event match records. Events between churn points are fed through
-// ProcessBatchFunc so PipelineDepth > 1 actually exercises the pipelined
-// path; churn is applied between batches, exactly where the engine's
-// barrier would put it.
+// the per-event match records; each event's churn is applied before its
+// document, where the engine's registration lock puts it.
 func replayTrace(cfg Config, tr workload.Trace) [][]harnessRec {
 	p := NewProcessor(cfg)
 	var ids []QueryID
@@ -76,30 +74,14 @@ func replayTrace(cfg Config, tr workload.Trace) [][]harnessRec {
 		ids = append(ids, p.MustRegister(q))
 	}
 	out := make([][]harnessRec, len(tr.Events))
-	i := 0
-	for i < len(tr.Events) {
-		ev := tr.Events[i]
+	for i, ev := range tr.Events {
 		for _, u := range ev.Unsubscribe {
 			p.MustUnregister(ids[u])
 		}
 		for _, q := range ev.Subscribe {
 			ids = append(ids, p.MustRegister(q))
 		}
-		// Batch this event's document with the following churn-free
-		// events' documents.
-		j := i + 1
-		for j < len(tr.Events) && len(tr.Events[j].Unsubscribe) == 0 && len(tr.Events[j].Subscribe) == 0 {
-			j++
-		}
-		docs := make([]*xmldoc.Document, 0, j-i)
-		for k := i; k < j; k++ {
-			docs = append(docs, tr.Events[k].Doc)
-		}
-		base := i
-		p.ProcessBatchFunc("S", docs, func(k int, ms *Matches) {
-			out[base+k] = harnessRecs(ms.Slice())
-		})
-		i = j
+		out[i] = harnessRecs(p.Process("S", ev.Doc))
 	}
 	return out
 }
@@ -135,31 +117,26 @@ func harnessKeySet(recs []harnessRec) map[matchKey]bool {
 	return out
 }
 
-// harnessCombos enumerates every PipelineDepth × ViewMaterialization
-// combination under differential test (4 in all).
+// harnessCombos enumerates the configurations under differential test: both
+// ViewMaterialization settings.
 func harnessCombos() []Config {
-	var out []Config
-	for _, depth := range []int{0, 2} {
-		for _, vm := range []bool{false, true} {
-			out = append(out, Config{PipelineDepth: depth, ViewMaterialization: vm})
-		}
-	}
-	return out
+	return []Config{{ViewMaterialization: false}, {ViewMaterialization: true}}
 }
 
 // comboName names a configuration under test; workers is the number of
 // goroutines the test runs Stage 1 on ahead of Consume (stage1Ahead), 0 when
-// Stage 1 runs where the processor puts it. Every name starts plan=witness:
-// the witness-driven step order every program runs, as Stats.WitnessPlans
-// names it.
+// Stage 1 runs where the processor puts it. Every name starts plan=witness
+// and carries depth=0: the one step order every program runs (as
+// Stats.WitnessPlans names it) and no Stage-1 lookahead inside the processor,
+// kept in the name so results stay comparable with earlier runs.
 func comboName(cfg Config, workers int) string {
-	return fmt.Sprintf("plan=witness workers=%d depth=%d viewmat=%v", workers, cfg.PipelineDepth, cfg.ViewMaterialization)
+	return fmt.Sprintf("plan=witness workers=%d depth=0 viewmat=%v", workers, cfg.ViewMaterialization)
 }
 
 // stage1Ahead runs Stage 1 of docs on workers goroutines and returns the
 // results in document order. Stage 1 reads only the documents and the
-// registered patterns, so it may run ahead of the ordered Consume, as the
-// ingest pipeline's Stage-1 workers run it.
+// registered patterns, so it may run ahead of the ordered Consume, as
+// concurrent publishers run it.
 func stage1Ahead(p *Processor, stream string, docs []*xmldoc.Document, workers int) []*Stage1Result {
 	out := make([]*Stage1Result, len(docs))
 	var wg sync.WaitGroup
@@ -244,8 +221,7 @@ func filterLiveWindow(s map[matchKey]bool, subEvent map[int64]int) map[matchKey]
 }
 
 // TestRandomizedDifferentialHarness replays seeded random churn traces
-// through every pipeline/view-materialization combination and the
-// sequential oracle. Failures log the seed.
+// through both view-materialization settings and the sequential oracle. Failures log the seed.
 func TestRandomizedDifferentialHarness(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		runHarnessSeed(t, seed, false)
@@ -253,4 +229,33 @@ func TestRandomizedDifferentialHarness(t *testing.T) {
 	for seed := int64(101); seed <= 106; seed++ {
 		runHarnessSeed(t, seed, true)
 	}
+}
+
+// publishInTurn is the ingest shape of concurrent publishers: docs are spread
+// over workers goroutines, each runs a document's Stage 1 on its own
+// goroutine and then waits for the document's turn to Consume it, so Stage 1
+// of later documents overlaps the Consume of earlier ones while the serial
+// order stays the document order. It returns each document's matches.
+func publishInTurn(p *Processor, stream string, docs []*xmldoc.Document, workers int) [][]Match {
+	out := make([][]Match, len(docs))
+	turn := make([]chan struct{}, len(docs)+1)
+	for i := range turn {
+		turn[i] = make(chan struct{})
+	}
+	close(turn[0])
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(docs); i += workers {
+				r := p.RunStage1(stream, docs[i])
+				<-turn[i]
+				out[i] = p.ConsumeStage1(r)
+				close(turn[i+1])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }

@@ -324,8 +324,7 @@ func TestUnregisterRecomputesWindows(t *testing.T) {
 // TestChurnDeterminism is the lifecycle determinism requirement: a stream
 // processed with publish → GC → publish interleaved with Subscribe and
 // Unsubscribe churn must produce, after the churn, byte-identical per-
-// document output to a fresh processor holding only the surviving query set
-// — at every PipelineDepth.
+// document output to a fresh processor holding only the surviving query set.
 func TestChurnDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	leafNames := []string{"a", "b", "c", "d"}
@@ -355,31 +354,28 @@ func TestChurnDeterminism(t *testing.T) {
 			ref = append(ref, renderMatches(fresh.Process("S", d)))
 		}
 
-		for _, depth := range []int{0, 2} {
-			cfg := Config{ViewMaterialization: viewMat, PipelineDepth: depth}
-			p := NewProcessor(cfg)
-			var survIDs, churnIDs []QueryID
-			for _, q := range surviving {
-				survIDs = append(survIDs, p.MustRegister(q))
+		p := NewProcessor(Config{ViewMaterialization: viewMat})
+		for _, q := range surviving {
+			p.MustRegister(q)
+		}
+		var churnIDs []QueryID
+		for _, q := range churned {
+			churnIDs = append(churnIDs, p.MustRegister(q))
+		}
+		for _, d := range docs[:churnAt] {
+			p.Process("S", d)
+		}
+		for _, id := range churnIDs {
+			p.MustUnregister(id)
+		}
+		if p.NumQueries() != len(surviving) {
+			t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
+		}
+		for di, d := range docs[churnAt:] {
+			if got := renderMatches(p.Process("S", d)); got != ref[churnAt+di] {
+				t.Fatalf("viewmat=%v: churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
+					viewMat, churnAt+di+1, got, ref[churnAt+di])
 			}
-			for _, q := range churned {
-				churnIDs = append(churnIDs, p.MustRegister(q))
-			}
-			p.ProcessBatch("S", docs[:churnAt])
-			for _, id := range churnIDs {
-				p.MustUnregister(id)
-			}
-			if p.NumQueries() != len(surviving) {
-				t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
-			}
-			for di, ms := range p.ProcessBatch("S", docs[churnAt:]) {
-				got := renderMatches(ms)
-				if got != ref[churnAt+di] {
-					t.Fatalf("viewmat=%v depth=%d: churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
-						viewMat, depth, churnAt+di+1, got, ref[churnAt+di])
-				}
-			}
-			_ = survIDs
 		}
 	}
 }

@@ -172,8 +172,10 @@ func FuzzMatchOrder(f *testing.F) {
 // against a second processor of the same configuration whose output was
 // fingerprinted document by document. A result aliasing a reused buffer would
 // have been overwritten by then. workers is the number of goroutines Stage 1
-// runs on where the entry point takes it from the caller (ConsumeStage1, via
-// stage1Ahead) or from a pool (Ingest).
+// runs on where the entry point takes it from the caller: all of it ahead of
+// the ordered Consume (ConsumeStage1, via stage1Ahead), or each document's
+// on its publisher's goroutine while earlier documents are consumed (InTurn,
+// via publishInTurn).
 func TestMatchesOwnedByCaller(t *testing.T) {
 	gen := workload.DefaultRSS()
 	queries := gen.Queries(rand.New(rand.NewSource(3)), 60)
@@ -198,7 +200,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		newProcessor := func() *Processor {
-			p := NewProcessor(Config{ViewMaterialization: true, PipelineDepth: 2})
+			p := NewProcessor(Config{ViewMaterialization: true})
 			for _, q := range queries {
 				if _, err := p.Register(q); err != nil {
 					t.Fatal(err)
@@ -226,20 +228,8 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 				}
 				return out
 			}},
-			{"ProcessBatch", func(p *Processor) [][]Match {
-				return p.ProcessBatch("S", docs)
-			}},
-			{"Ingest", func(p *Processor) [][]Match {
-				out := make([][]Match, len(docs))
-				in := NewIngest(p, IngestConfig{Depth: 2, Workers: workers})
-				for i, d := range docs {
-					i := i
-					if err := in.Submit("S", d, func(ms *Matches) { out[i] = ms.Slice() }); err != nil {
-						t.Fatal(err)
-					}
-				}
-				in.Close()
-				return out
+			{"InTurn", func(p *Processor) [][]Match {
+				return publishInTurn(p, "S", docs, workers)
 			}},
 		} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {

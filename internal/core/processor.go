@@ -400,8 +400,8 @@ func (p *Processor) releaseWindow(rec *queryRec) bool {
 // processor reclaims everything — join state, view cache and stats — and is
 // observationally identical to a fresh one. Query ids are never reused.
 //
-// Like Register, Unregister must not run concurrently with Process or
-// ProcessBatch (the engine facade serializes them).
+// Like Register, Unregister must not run concurrently with RunStage1 or
+// Consume (the engine facade serializes them).
 func (p *Processor) Unregister(qid QueryID) error {
 	if qid < 0 || int(qid) >= len(p.queries) || p.queries[qid] == nil {
 		return fmt.Errorf("core: unknown query id %d", qid)
@@ -801,9 +801,10 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 // Stage1Result is an in-flight document, opaque outside the package: what
 // RunStage1 hands to Consume. It carries the order-insensitive per-document
 // work of Stage 1 — the current-witness relations, the single-block matches,
-// and the phase timings to be accumulated by the coordinator — and depends
-// only on the document and the registered patterns, never on the join state,
-// which is what makes Stage 1 safe to run ahead of order in pipeline workers.
+// and the phase timings Consume accumulates — and depends only on the
+// document and the registered patterns, never on the join state, which is
+// what makes Stage 1 safe to run on the publisher's goroutine, outside the
+// lock that orders Consume calls.
 type Stage1Result struct {
 	doc     *xmldoc.Document
 	w       *CurrentWitness
@@ -818,8 +819,10 @@ type Stage1Result struct {
 // RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
 // relation construction, and single-block match emission. It only reads
 // registration-time structures (the shared NFA, pattern infos, query lists),
-// so concurrent calls for different documents are safe as long as no
-// Register or Unregister runs concurrently.
+// so calls for different documents may run concurrently with each other and
+// with Consume, as long as no Register or Unregister runs concurrently. Its
+// result must be consumed before the next Register or Unregister: the
+// witnesses were built against the registration set of the call.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
@@ -841,8 +844,8 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	// Every row is in the current-witness relations and the single-block
 	// matches above, so the match result's scratch (candidate lists, NFA
 	// state sets, the slab) can go back to the engine's pool here — still
-	// inside the order-insensitive stage, so pipelined Stage-1 workers
-	// recycle scratch without waiting on the coordinator.
+	// inside the order-insensitive stage, so concurrent publishers recycle
+	// scratch without waiting for their turn at Consume.
 	res.Release()
 	return r
 }
@@ -894,10 +897,10 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	}
 }
 
-// Consume runs the order-sensitive tail of document processing on the
-// coordinator: Stage-2 template evaluation against the join state, the
-// Algorithm-2 state merge, view-cache maintenance, and window GC. Results
-// must be consumed in arrival order, never concurrently. The returned matches
+// Consume runs the order-sensitive tail of document processing: Stage-2
+// template evaluation against the join state, the Algorithm-2 state merge,
+// view-cache maintenance, and window GC. The order of Consume calls is the
+// serial document order; they never run concurrently. The returned matches
 // are the processor's own view (Matches), valid until the next call: whoever
 // wants them writes them out before that.
 //
@@ -958,6 +961,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.Matches += int64(out.Len())
 	if p.cfg.OnDocument != nil {
 		p.cfg.OnDocument(DocTimings{
+			DocID:   int64(d.ID),
 			Stage1:  r.wall,
 			Stage2:  stage2,
 			Merge:   t3.Sub(t2),

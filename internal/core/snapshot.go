@@ -19,11 +19,11 @@ import (
 // arrival index that drive window semantics, and (when document retention is
 // on) the retained documents as XML text.
 //
-// A snapshot is consistent only when taken at a quiescent point — no Process
-// in flight, no pipeline Stage-1 work running. The engine facade takes it at
-// an ingest barrier, which makes the snapshot an exact admission-order
-// prefix: every admitted document is fully merged, no later document has
-// touched the state.
+// A snapshot is consistent only when taken between two Consume calls. Stage 1
+// never touches the join state, so RunStage1 calls in flight do not matter.
+// The engine facade takes it under the lock every Consume holds, which makes
+// the snapshot an exact prefix of the serial document order: every consumed
+// document is fully merged, no later document has touched the state.
 //
 // Registrations are NOT part of StateSnapshot: queries are re-registered
 // from source text by the caller before RestoreState, which rebuilds vector
@@ -82,8 +82,7 @@ type StateSnapshot struct {
 }
 
 // ExportState captures the join state. Like Stats, it must not run
-// concurrently with Process/ProcessBatch (the engine facade serializes it
-// behind an ingest barrier).
+// concurrently with Consume (the engine facade serializes them).
 func (p *Processor) ExportState() StateSnapshot { return p.state.export(p.syms.name) }
 
 // export writes the records out in arrival order — relation by relation, each

@@ -303,7 +303,7 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 	stats.Rvj += time.Since(t0)
 }
 
-// prepareStage2 computes the per-document inputs on the coordinator. It
+// prepareStage2 computes the per-document inputs inside Consume. It
 // returns nil when the document shares no string value with the join state,
 // so no template can match.
 //

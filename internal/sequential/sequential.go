@@ -12,6 +12,7 @@
 package sequential
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -288,6 +289,12 @@ func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 			}
 		}
 	}
+	// The loops above emit each query's matches in witness-store order,
+	// which is arrival order; the document's result leaves in the join
+	// processor's canonical order — query, then left and right document id,
+	// then the block roots — so the two agree whatever order the caller's
+	// document ids arrive in.
+	slices.SortStableFunc(out, matchCmp)
 	p.joinTime += time.Since(t0)
 	p.matches += int64(len(out))
 
@@ -309,6 +316,24 @@ func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 	p.nextSeq++
 	p.gc(d.Timestamp)
 	return out
+}
+
+// matchCmp orders matches by query, left and right document id and block
+// roots.
+func matchCmp(a, b Match) int {
+	if c := cmp.Compare(a.Query, b.Query); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.LeftDoc, b.LeftDoc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.RightDoc, b.RightDoc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.LeftRoot, b.LeftRoot); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.RightRoot, b.RightRoot)
 }
 
 // windowOK applies the per-query window constraint: Δ is the timestamp

@@ -3,26 +3,23 @@ package mmqjp
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Publishing: PublishDoc is the general ingestion entrypoint. The historical
-// variants — Publish, PublishBatch, PublishAsync, PublishXML,
-// PublishXMLBatch — are thin wrappers over it, each fixing one combination
-// of input form (parsed documents vs raw XML) and delivery (synchronous vs
-// pipeline-admitted). PublishDoc accepts any combination: documents
-// accumulate in the order given (the leading *Document argument first, then
-// each option's documents in option order) and are published as one batch in
-// that order, with the same serial-order output guarantees as PublishBatch.
+// variants — Publish, PublishBatch, PublishXML, PublishXMLBatch — are thin
+// wrappers over it, each fixing one input form (parsed documents vs raw
+// XML). PublishDoc accepts any combination: documents accumulate in the
+// order given (the leading *Document argument first, then each option's
+// documents in option order) and are published as one batch in that order,
+// with the same serial-order output guarantees as PublishBatch.
 //
 // Error contract, shared by every XML-accepting path: a parse failure on any
 // document fails the whole call with a *DocumentError identifying the
 // document, and nothing is published.
 
 // ErrAsyncBatch is returned by PublishDoc when WithAsync is combined with
-// anything other than exactly one document: pipeline admission is
-// per-document (each admitted document gets its own delivery), so an async
-// batch has no single completion to hand back.
+// anything other than exactly one document: PublishResult.Done carries one
+// document's matches.
 var ErrAsyncBatch = errors.New("mmqjp: WithAsync requires exactly one document")
 
 // DocumentError reports which document of a publish call failed and why.
@@ -52,10 +49,10 @@ type publishReq struct {
 	items []publishItem
 }
 
-// WithAsync admits the document into the continuous ingest pipeline instead
-// of publishing synchronously: PublishDoc returns immediately with
-// PublishResult.Done carrying the eventual matches (see PublishAsync for the
-// ordering and backpressure semantics). Valid only for exactly one document.
+// WithAsync hands the matches back through PublishResult.Done instead of
+// Batches. The document is published before PublishDoc returns, exactly as
+// Publish would, so Done is already resolved. Valid only for exactly one
+// document.
 func WithAsync() PublishOption {
 	return func(r *publishReq) { r.async = true }
 }
@@ -78,7 +75,7 @@ func WithXML(xmlText string, docID, timestamp int64) PublishOption {
 }
 
 // WithXMLEvents appends raw XML documents, parsed before anything is
-// published. Parsing runs concurrently when Options.PipelineDepth > 1.
+// published.
 func WithXMLEvents(events ...XMLEvent) PublishOption {
 	return func(r *publishReq) {
 		for i := range events {
@@ -88,19 +85,18 @@ func WithXMLEvents(events ...XMLEvent) PublishOption {
 }
 
 // PublishResult is the outcome of a PublishDoc call. Exactly one delivery
-// form is populated: Batches for synchronous calls (one element per input
-// document, in input order), Done for WithAsync calls.
+// form is populated: Batches by default (one element per input document, in
+// input order), Done for WithAsync calls.
 type PublishResult struct {
 	// Batches holds each document's matches, exactly what consecutive
-	// Publish calls would return. Nil for async calls.
+	// Publish calls would return. Nil for WithAsync calls.
 	Batches [][]Match
-	// Done receives the async document's matches (one send, then a close)
-	// once the pipeline has fully processed it. Nil for synchronous calls.
+	// Done holds the WithAsync document's matches (one value, then a
+	// close). Nil otherwise.
 	Done <-chan []Match
 }
 
 // Matches flattens the result into a single match slice in document order.
-// For an async result it blocks until the pipeline delivers.
 func (r PublishResult) Matches() []Match {
 	if r.Done != nil {
 		return <-r.Done
@@ -117,10 +113,8 @@ func (r PublishResult) Matches() []Match {
 
 // PublishDoc publishes documents on the named stream. The leading document
 // may be nil when options supply the input; all inputs are published as one
-// batch in input order. With WithAsync (single document only) the call
-// returns after pipeline admission and PublishResult.Done resolves later;
-// otherwise the call blocks until every document is processed and
-// PublishResult.Batches holds each document's matches.
+// batch in input order, and the call returns once every document is
+// processed.
 //
 // Raw-XML inputs are parsed first; a parse failure on any document fails the
 // call with a *DocumentError and publishes nothing.
@@ -132,7 +126,7 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 	for _, o := range opts {
 		o(&req)
 	}
-	docs, err := e.parseItems(req.items)
+	docs, err := parseItems(req.items)
 	if err != nil {
 		return PublishResult{}, err
 	}
@@ -140,63 +134,33 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 		if len(docs) != 1 {
 			return PublishResult{}, ErrAsyncBatch
 		}
-		return PublishResult{Done: e.publishAsync(stream, docs[0])}, nil
+		done := make(chan []Match, 1)
+		done <- e.Publish(stream, docs[0])
+		close(done)
+		return PublishResult{Done: done}, nil
 	}
 	if len(docs) == 1 {
-		return PublishResult{Batches: [][]Match{e.publishOne(stream, docs[0])}}, nil
+		return PublishResult{Batches: [][]Match{e.Publish(stream, docs[0])}}, nil
 	}
 	return PublishResult{Batches: e.publishMany(stream, docs)}, nil
 }
 
-// parseItems resolves every input item to a parsed document, parsing raw-XML
-// items concurrently (bounded by Options.PipelineDepth) when there are
-// several. On error nothing is returned: the whole call must fail before any
-// document is published.
-func (e *Engine) parseItems(items []publishItem) ([]*Document, error) {
+// parseItems resolves every input item to a parsed document. On error
+// nothing is returned: the whole call must fail before any document is
+// published.
+func parseItems(items []publishItem) ([]*Document, error) {
 	docs := make([]*Document, len(items))
-	nxml := 0
 	for i, it := range items {
 		if it.doc != nil {
 			docs[i] = it.doc
-		} else {
-			nxml++
+			continue
 		}
-	}
-	if nxml == 0 {
-		return docs, nil
-	}
-	errs := make([]error, len(items))
-	parse := func(i int) {
-		ev := items[i].xml
-		docs[i], errs[i] = ParseDocument(ev.XML, ev.DocID, ev.Timestamp)
-	}
-	if depth := e.opts.PipelineDepth; depth > 1 && nxml > 1 {
-		sem := make(chan struct{}, depth)
-		var wg sync.WaitGroup
-		for i := range items {
-			if items[i].xml == nil {
-				continue
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				parse(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range items {
-			if items[i].xml != nil {
-				parse(i)
-			}
-		}
-	}
-	for i, err := range errs {
+		ev := it.xml
+		d, err := ParseDocument(ev.XML, ev.DocID, ev.Timestamp)
 		if err != nil {
-			return nil, &DocumentError{Index: i, DocID: items[i].xml.DocID, Err: err}
+			return nil, &DocumentError{Index: i, DocID: ev.DocID, Err: err}
 		}
+		docs[i] = d
 	}
 	return docs, nil
 }

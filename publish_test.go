@@ -51,15 +51,8 @@ func TestPublishDocForms(t *testing.T) {
 				WithDocs(parse(2)),
 				WithXML(docs[3].xml, docs[3].id, docs[3].ts))
 		},
-		"concurrent-parse": func(e *Engine) (PublishResult, error) {
-			return e.PublishDoc("S", nil, WithXMLEvents(events...))
-		},
 	} {
-		opts := Options{Processor: ProcessorViewMat}
-		if name == "concurrent-parse" {
-			opts.PipelineDepth = 4
-		}
-		eng := New(opts)
+		eng := New(Options{Processor: ProcessorViewMat})
 		eng.MustSubscribe(paperQ1)
 		res, err := publish(eng)
 		if err != nil {
@@ -89,12 +82,11 @@ func countMatches(batches [][]Match) int {
 	return n
 }
 
-// TestPublishDocAsync checks the WithAsync form: single-document admission
-// returns Done, Matches() blocks for the delivery, and a multi-document
-// async call is rejected with ErrAsyncBatch before anything is published.
+// TestPublishDocAsync checks the WithAsync form: a single document returns
+// Done, already resolved when PublishDoc returns, and a multi-document async
+// call is rejected with ErrAsyncBatch before anything is published.
 func TestPublishDocAsync(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, PipelineDepth: 2})
-	defer eng.Close()
+	eng := New(Options{Processor: ProcessorViewMat})
 	eng.MustSubscribe(paperQ1)
 
 	if _, err := eng.PublishDoc("S", nil,
@@ -111,6 +103,9 @@ func TestPublishDocAsync(t *testing.T) {
 	}
 	if res1.Done == nil || res1.Batches != nil {
 		t.Fatalf("async result = %+v, want Done only", res1)
+	}
+	if len(res1.Done) != 1 {
+		t.Fatal("Done is not resolved when PublishDoc returns")
 	}
 	res2, err := eng.PublishDoc("S", nil, WithXML(paperD2, 2, 200), WithAsync())
 	if err != nil {

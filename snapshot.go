@@ -22,12 +22,11 @@ import (
 // queries are re-registered from source in id order (gaps padded with
 // tombstones), then the join state is restored underneath them.
 //
-// The snapshot is taken at an ingest-pipeline barrier, exactly like
-// Subscribe: every document admitted before the call is fully processed and
-// no later document has touched the state, so the snapshot is a consistent
-// admission-order prefix of the stream. Restoring it and replaying the
-// suffix yields byte-identical match output to a process that never
-// restarted.
+// The snapshot is taken under the lock every document's Stage 2 holds: every
+// document consumed before it is fully merged and no later document has
+// touched the state, so the snapshot is a consistent prefix of the serial
+// document order. Restoring it and replaying the suffix yields
+// byte-identical match output to a process that never restarted.
 
 // ErrSequentialSnapshot is returned by Snapshot for ProcessorSequential
 // engines, whose per-query baseline processor has no durable form.
@@ -61,26 +60,20 @@ type engineSnapshot struct {
 }
 
 // Snapshot writes a consistent snapshot of the engine — subscriptions, join
-// state, retained documents, id allocators — to w as JSON. While the
-// continuous ingest pipeline is live the snapshot is taken at a pipeline
-// barrier (every admitted document processed, none in flight), so it is an
-// exact admission-order prefix; otherwise it runs under the writer lock like
-// any registration. Returns ErrSequentialSnapshot in sequential mode.
+// state, retained documents, id allocators — to w as JSON. It runs under the
+// engine's writer lock, between two documents' Stage 2, so it is an exact
+// prefix of the serial document order; a publish whose Stage 1 is in flight
+// lands after it. Returns ErrSequentialSnapshot in sequential mode.
 func (e *Engine) Snapshot(w io.Writer) error {
 	if e.seq != nil {
 		return ErrSequentialSnapshot
 	}
-	var err error
-	e.atBarrier(func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		err = e.snapshot(w)
-	})
-	return err
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.snapshot(w)
 }
 
-// snapshot builds and encodes the snapshot. Callers guarantee no pipeline
-// work is in flight.
+// snapshot builds and encodes the snapshot.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) snapshot(w io.Writer) error {
@@ -117,8 +110,8 @@ func (e *Engine) snapshot(w io.Writer) error {
 
 // OpenEngine rebuilds an engine from a Snapshot stream. opts plays the same
 // role as in New and need not match the snapshotting engine's options —
-// processor kind (among the shared-join kinds), parallelism and pipeline
-// depth are all output-invisible — except that
+// processor kind (among the shared-join kinds) is output-invisible — except
+// that
 // ProcessorSequential cannot host a snapshot. Every subscription resumes
 // under its original QueryID, and publishing the stream suffix produces
 // exactly the matches the original engine would have produced. A snapshot
@@ -198,20 +191,24 @@ func (e *Engine) MaxDocID() int64 {
 	return e.proc.MaxDocID()
 }
 
-// Ping verifies pipeline liveness: it round-trips a barrier through the
-// continuous ingest pipeline (a no-op when the pipeline has never started)
-// and reports an error if the round-trip does not complete within timeout —
-// the health signal behind the server's /healthz endpoint.
+// Ping verifies that documents can still enter the join state: it takes and
+// releases the lock every document's Stage 2 holds, and reports an error if
+// that does not happen within timeout — a publish wedged in Stage 2 (or in
+// an OnDocument hook) fails it. It is the health signal behind the server's
+// /healthz endpoint.
 func (e *Engine) Ping(timeout time.Duration) error {
 	done := make(chan struct{})
 	go func() {
-		e.Flush()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		close(done)
 	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-done:
 		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("mmqjp: ingest pipeline unresponsive after %v", timeout)
+	case <-timer.C:
+		return fmt.Errorf("mmqjp: engine unresponsive after %v", timeout)
 	}
 }

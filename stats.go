@@ -19,7 +19,7 @@ import (
 //
 // Phase durations follow the paper's Figure-14/15 breakdown; Stage2Wall
 // spans the Stage-2 phases, and Stage1Wall sums Stage 1 over documents, which
-// pipeline workers may run concurrently (see core.Stats). In sequential mode
+// concurrent publishers run side by side (see core.Stats). In sequential mode
 // only Queries, Documents, Matches, CQ (the join time) and SubscriptionBytes
 // are populated.
 type EngineStats struct {

@@ -111,13 +111,16 @@ func NewFileStore(path string, opts ...StoreOption) *FileStore {
 // Path returns the snapshot file's path.
 func (s *FileStore) Path() string { return s.path }
 
-// Save writes the snapshot to a temporary file and renames it over the
-// store's path.
+// Save writes the snapshot to a temporary file beside the store's path,
+// renames it over the path and syncs the directory, so the rename itself
+// survives a crash. The temporary file is created in the path's own
+// directory (the working directory for a bare file name): a rename only
+// replaces a file atomically within one filesystem.
 func (s *FileStore) Save(write func(w io.Writer) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir, base := filepath.Split(s.path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+	dir := filepath.Dir(s.path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("mmqjp: snapshot store: %w", err)
 	}
@@ -150,7 +153,24 @@ func (s *FileStore) Save(write func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), s.path); err != nil {
 		return fmt.Errorf("mmqjp: snapshot store: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("mmqjp: snapshot store: %w", err)
+	}
 	return nil
+}
+
+// syncDir flushes a directory's entries — a rename into it — to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Open opens the snapshot file; a missing file reports ErrNoSnapshot. The
