@@ -444,6 +444,12 @@ func TestSlowReaderIsDropped(t *testing.T) {
 // server): B's drain only runs when the publishing loop is preempted.
 func TestBurstToFastReaderIsDelivered(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The server writes every reply in turn on the connection's own
+	// goroutine; the subtest is named for that synchronous mode.
+	t.Run("async=false", burstToFastReaderIsDelivered)
+}
+
+func burstToFastReaderIsDelivered(t *testing.T) {
 	cs := startCountingServer(t)
 	a, _ := cs.dial(t)
 	b, _ := cs.dial(t)
@@ -497,6 +503,12 @@ func TestBurstToFastReaderIsDelivered(t *testing.T) {
 // (so the reader is always slower than the server), is made to wait, not
 // dropped: every line arrives, then the OK, and the connection stays usable.
 func TestOwnBacklogIsBackPressure(t *testing.T) {
+	// Replies are written synchronously, in turn, as in
+	// TestBurstToFastReaderIsDelivered.
+	t.Run("async=false", ownBacklogIsBackPressure)
+}
+
+func ownBacklogIsBackPressure(t *testing.T) {
 	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
 	s := &server{eng: eng}
 	cli, srv := net.Pipe()
