@@ -17,17 +17,17 @@ func TestServerFlagsRemovedFlagReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defined := definedNames(flagDefRe, string(src))
-	for _, name := range []string{"addr", "debug-addr", "viewmat", "snapshot-path"} {
+	for _, name := range []string{"addr", "debug-addr", "snapshot-gzip", "snapshot-path"} {
 		if !defined[name] {
 			t.Fatalf("flagDefRe missed -%s: %v", name, defined)
 		}
 	}
 
 	guide := strings.Join([]string{
-		"The server exposes the knobs as flags: `-viewmat`, `-snapshot-every 30s`",
+		"The server exposes the knobs as flags: `-snapshot-gzip`, `-snapshot-every 30s`",
 		"and `-split-threshold 64`.",
 		"",
-		"Run `cmd/mmqjp-server -viewmat=false -split-threshold=1` for the ablation.",
+		"Run `cmd/mmqjp-server -snapshot-gzip=false -split-threshold=1` for the ablation.",
 		"",
 		"`mmqjp-bench` takes `-seq-rss-items 100`; `go test` takes `-race`.",
 		"",

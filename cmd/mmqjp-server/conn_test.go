@@ -48,7 +48,7 @@ type countingServer struct {
 
 func startCountingServer(t *testing.T) *countingServer {
 	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{})
 	cs := &countingServer{
 		s:     &server{eng: eng},
 		conns: make(chan *countingConn, 1), // handed to dial, one connection at a time
@@ -509,7 +509,7 @@ func TestOwnBacklogIsBackPressure(t *testing.T) {
 }
 
 func ownBacklogIsBackPressure(t *testing.T) {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{})
 	s := &server{eng: eng}
 	cli, srv := net.Pipe()
 	defer cli.Close()

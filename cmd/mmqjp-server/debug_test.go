@@ -27,8 +27,7 @@ func startDebugTestServer(t *testing.T) (brokerAddr, debugAddr string) {
 	t.Helper()
 	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
-	opts := mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}
-	if _, err := s.initEngine(opts); err != nil {
+	if _, err := s.initEngine(s.engineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	brokerAddr = serveOn(t, s)
@@ -239,7 +238,7 @@ func metricValue(t *testing.T, body, name string) int64 {
 func TestServerReplyPathMetrics(t *testing.T) {
 	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
-	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+	if _, err := s.initEngine(s.engineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	brokerAddr := serveOn(t, s)
@@ -348,7 +347,7 @@ func TestServerReplyPathMetrics(t *testing.T) {
 func TestServerWindowStateMetrics(t *testing.T) {
 	s := &server{}
 	s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
-	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+	if _, err := s.initEngine(s.engineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	brokerAddr := serveOn(t, s)
@@ -472,7 +471,7 @@ func TestServerMetricsOneSnapshotPerScrape(t *testing.T) {
 	var calls atomic.Int64
 	source := s.m.stats
 	s.m.stats = func() mmqjp.EngineStats { calls.Add(1); return source() }
-	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, OnDocument: s.m.onDocument}); err != nil {
+	if _, err := s.initEngine(s.engineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	debugAddr, err := s.startDebugServer("127.0.0.1:0")

@@ -15,7 +15,7 @@ import (
 func startDurableServer(t *testing.T, store mmqjp.Store) (string, *server) {
 	t.Helper()
 	s := &server{durable: true, store: store}
-	if _, err := s.initEngine(mmqjp.Options{Processor: mmqjp.ProcessorViewMat}); err != nil {
+	if _, err := s.initEngine(s.engineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	addr := serveOn(t, s)

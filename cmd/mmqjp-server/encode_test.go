@@ -99,7 +99,7 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 	// with appendMatch.
 	t.Run("unsub-resub", func(t *testing.T) {
 		addr := startTestServer(t)
-		ref := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+		ref := mmqjp.New(mmqjp.Options{})
 		conns := []*testConn{dialTest(t, addr), dialTest(t, addr)}
 		owner := map[mmqjp.QueryID]int{}
 		request := func(k int, line string) {

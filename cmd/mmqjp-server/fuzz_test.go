@@ -14,7 +14,10 @@ import (
 )
 
 // wireSeeds are the sessions of main_test.go and durable_test.go, one request
-// per line.
+// per line, then sessions that reach further into the engine: the paper's
+// two-predicate join, window expiry, templates shared and unsubscribed, empty
+// and one-document batches, streams no query reads, self-joins, entities, and
+// every verb without its arguments.
 var wireSeeds = []string{
 	"SUB S//a->x JOIN{x=y, 100} S//b->y\nPUB S 1 <a>v</a>\nPUB S 2 <b>v</b>\n",
 	"SUB S//a->x FOLLOWED BY{x=y, 100} S//b->y\nPUBB S 3\n1 <a>k</a>\n2 <b>k</b>\n3 <b>k</b>\n",
@@ -27,6 +30,17 @@ var wireSeeds = []string{
 	"SUB S//a->x JOIN{x=y, 100} S//b->y\nPUB S 1 <a>v</a>\nPUB S 2 <b>v</b>\nUNSUB 0\nCLAIM 0\nPUB S 3 <b>v</b>\n",
 	"sub S//a->x JOIN{x=y, 100} S//b->y\r\n\r\n  pub S 1 <a>v</a>  \r\npUb S 2 <b>v</b>\n\nstats\nquit\n",
 	"PUBB S 4\n1 <a>k</a>\n",
+	"SUB S//book->x1[.//author->x2][.//title->x3] FOLLOWED BY{x2=x5 AND x3=x6, 1000} S//blog->x4[.//author->x5][.//title->x6]\nPUB S 100 <book><author>A</author><title>T</title></book>\nPUB S 200 <blog><author>A</author><title>T</title></blog>\n",
+	"SUB S//a->x JOIN{x=y, 100} S//b->y\nSUB S//c->x JOIN{x=y, 100} S//d->y\nPUBB S 4\n1 <a>k</a>\n2 <c>k</c>\n3 <b>k</b>\n4 <d>k</d>\n",
+	"SUB S//a->x FOLLOWED BY{x=y, 5} S//b->y\nPUB S 1 <a>k</a>\nPUB S 100 <b>k</b>\nPUB S 101 <a>k</a>\nPUB S 103 <b>k</b>\n",
+	"SUB S//a->x JOIN{x=y, 100} S//b->y\nPUBB S 0\nPUB S 1 <a>k</a>\nPUBB S 1\n2 <b>k</b>\n",
+	"SUB T//a->x JOIN{x=y, 100} T//b->y\nPUB S 1 <a>k</a>\nPUB T 2 <a>k</a>\nPUB T 3 <b>k</b>\nPUB S 4 <b>k</b>\n",
+	"SUB S//a->x FOLLOWED BY{x=y, 100} S//a->y\nPUB S 1 <a>k</a>\nPUB S 2 <a>k</a>\nPUB S 3 <a>k</a>\n",
+	"SUB S//a->x JOIN{x=y, 100} S//b->y\nSUB S//a->x JOIN{x=y, 200} S//b->y\nPUB S 1 <a>k</a>\nUNSUB 1\nPUB S 2 <b>k</b>\nSUB S//a->x JOIN{x=y, 100} S//b->y\nPUB S 3 <b>k</b>\n",
+	"SUB S//r->x1[./p->x2][./q->x3] FOLLOWED BY{x2=x5 AND x3=x6, 100} S//s->x4[./p->x5][./q->x6]\nPUB S 1 <r><p>1</p><q>2</q></r>\nPUB S 2 <s><p>1</p><q>2</q></s>\nPUB S 3 <s><p>1</p><q>3</q></s>\n",
+	"PUB\nPUB S\nPUB S 1\nUNSUB\nCLAIM\nSUB\nPUBB\nSTATS extra\n",
+	"SUB S//a->x JOIN{x=y, 100} S//b->y\nPUBB S 2\n1 <a>x &amp; y</a>\n2 <b>x &amp; y</b>\nSTATS\n",
+	"SUB S//a->x JOIN{x=y, 100} S//b->y\nPUBB S 3\n1 <a>k</a>\n2 <a>k</a>\n3 <a>k</a>\nPUB S 4 <b>k</b>\nPUB S 5 <b><x>k</x></b>\n",
 }
 
 var (
@@ -94,14 +108,12 @@ func frameSession(input []byte) (script []byte, requests []wireRequest, ok bool)
 // lines come only in front of a publish's OK, which counts them (the
 // session's one connection owns every query), and the stream is still
 // line-synchronised at the end — the closing STATS is answered in its place
-// and nothing follows. viewMat picks the engine's processor, as the server's
-// -viewmat flag does.
+// and nothing follows. The engine is built as the server builds it.
 func FuzzWireSession(f *testing.F) {
 	for _, seed := range wireSeeds {
-		f.Add([]byte(seed), false)
-		f.Add([]byte(seed), true)
+		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, input []byte, viewMat bool) {
+	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 16<<10 {
 			t.Skip("longer than a fuzz iteration should spend")
 		}
@@ -109,11 +121,8 @@ func FuzzWireSession(f *testing.F) {
 		if !ok {
 			t.Skip("batch needs too much padding")
 		}
-		kind := mmqjp.ProcessorMMQJP
-		if viewMat {
-			kind = mmqjp.ProcessorViewMat
-		}
-		s := &server{eng: mmqjp.New(mmqjp.Options{Processor: kind})}
+		s := &server{}
+		s.eng = mmqjp.New(s.engineOptions())
 		cli, srv := net.Pipe()
 		defer cli.Close()
 		served := make(chan struct{})

@@ -27,8 +27,8 @@
 //
 // PUBB publishes a batch: the header line is followed by exactly <n> lines
 // (n ≤ 65536), each `<ts> <xml>`, published in order under one hold of the
-// engine's lock (Engine.PublishXMLBatch), so no other connection's document
-// lands between two of the batch's. A malformed document line rejects the
+// engine's lock (one Engine.PublishDoc call), so no other connection's
+// document lands between two of the batch's. A malformed document line rejects the
 // whole batch after the announced lines are consumed; no document of a
 // rejected batch is published.
 //
@@ -112,9 +112,9 @@ import (
 const maxLineBytes = 1 << 20
 
 // server fans concurrent client connections into a shared Engine. The
-// engine itself is safe for concurrent Subscribe/Publish, so the server's own
-// mutex only guards the query-ownership table. Lock order: s.mu, then the
-// engine's registration lock, then its Stage-2 lock.
+// engine itself is safe for concurrent subscribes and publishes, so the
+// server's own mutex only guards the query-ownership table. Lock order: s.mu,
+// then the engine's registration lock, then its Stage-2 lock.
 type server struct {
 	eng     *mmqjp.Engine
 	durable bool // -snapshot-path set: disconnects orphan instead of unsubscribing
@@ -197,7 +197,7 @@ const (
 // config is the server's command line.
 type config struct {
 	addr, debugAddr, snapPath *string
-	viewMat, snapGzip         *bool
+	snapGzip                  *bool
 	snapEvery                 *time.Duration
 }
 
@@ -208,7 +208,6 @@ type config struct {
 func parseFlags(args []string) (*config, error) {
 	c := &config{
 		addr:      flag.String("addr", ":7878", "listen address"),
-		viewMat:   flag.Bool("viewmat", true, "enable view materialization"),
 		debugAddr: flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables"),
 		snapPath:  flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables"),
 		snapEvery: flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)"),
@@ -235,17 +234,9 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	kind := mmqjp.ProcessorMMQJP
-	if *cfg.viewMat {
-		kind = mmqjp.ProcessorViewMat
-	}
 	s := &server{durable: *cfg.snapPath != ""}
 	if *cfg.debugAddr != "" {
 		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
-	}
-	opts := mmqjp.Options{Processor: kind}
-	if s.m != nil {
-		opts.OnDocument = s.m.onDocument
 	}
 	if s.durable {
 		var storeOpts []mmqjp.StoreOption
@@ -254,7 +245,7 @@ func main() {
 		}
 		s.store = mmqjp.NewFileStore(*cfg.snapPath, storeOpts...)
 	}
-	restored, err := s.initEngine(opts)
+	restored, err := s.initEngine(s.engineOptions())
 	if err != nil {
 		log.Fatalf("mmqjp-server: restore %s: %v", *cfg.snapPath, err)
 	}
@@ -299,6 +290,17 @@ func main() {
 		}
 		go s.serve(s.newClient(conn))
 	}
+}
+
+// engineOptions is what the server builds its engine from: the library's
+// zero Options, plus the per-document metrics hook under -debug-addr. A
+// library caller with New(Options{}) runs the evaluator the server runs.
+func (s *server) engineOptions() mmqjp.Options {
+	var opts mmqjp.Options
+	if s.m != nil {
+		opts.OnDocument = s.m.onDocument
+	}
+	return opts
 }
 
 // initEngine creates the server's engine: in durable mode an existing
@@ -439,7 +441,7 @@ func verbIs(verb, name string) bool {
 func (s *server) handleSub(c *client, src string) {
 	// s.mu is held across Subscribe and the owners insert so a concurrent
 	// PUB can never observe the query registered but unowned (its matches
-	// would be dropped): handlePub reads owners only after PublishXML
+	// would be dropped): handlePub reads owners only after its publish
 	// returns, and by then either the query wasn't registered yet or the
 	// owner is in the table. Publishes themselves never run under s.mu.
 	s.mu.Lock()
@@ -604,7 +606,7 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 		c.enqueue(bad)
 		return
 	}
-	events := make([]mmqjp.XMLEvent, 0, n)
+	docs := make([]mmqjp.PublishOption, 0, n)
 	badLine, badCode := "", ""
 	for i := 0; i < n; i++ {
 		// Consume every announced line even after an error, so the
@@ -633,18 +635,18 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 			}
 			continue
 		}
-		events = append(events, mmqjp.XMLEvent{XML: xmlText, DocID: s.nextDoc.Add(1), Timestamp: ts})
+		docs = append(docs, mmqjp.WithXML(xmlText, s.nextDoc.Add(1), ts))
 	}
 	if badLine != "" {
 		s.replyErr(c, badCode, badLine)
 		return
 	}
-	batches, err := s.eng.PublishXMLBatch(stream, events)
+	res, err := s.eng.PublishDoc(stream, nil, docs...)
 	if err != nil {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.ackPublish(c, stream, len(events), batches...)
+	s.ackPublish(c, stream, len(docs), res.Batches...)
 }
 
 func cut(s string) (first, rest string, ok bool) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,8 @@ import (
 // address.
 func startTestServer(t *testing.T) string {
 	t.Helper()
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
-	s := &server{eng: eng}
+	s := &server{}
+	s.eng = mmqjp.New(s.engineOptions())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +270,35 @@ func TestSnapshotFlagsNeedPath(t *testing.T) {
 	}
 	if cfg, _, err := parseTestFlags(t, "-addr", ":0"); err != nil || *cfg.snapPath != "" || *cfg.addr != ":0" {
 		t.Errorf("no snapshot flags: %v", err)
+	}
+}
+
+// TestServerEngineIsLibraryDefault checks that the server builds its engine
+// from mmqjp.Options{} plus, under -debug-addr, the OnDocument hook and
+// nothing else, so a library's New(Options{}) runs the evaluator the server
+// runs, and that no flag selects another evaluator.
+func TestServerEngineIsLibraryDefault(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		s := &server{}
+		if debug {
+			s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
+		}
+		opts := s.engineOptions()
+		if (opts.OnDocument != nil) != debug {
+			t.Errorf("debug=%v: OnDocument set = %v", debug, opts.OnDocument != nil)
+		}
+		opts.OnDocument = nil
+		if !reflect.DeepEqual(opts, mmqjp.Options{}) {
+			t.Errorf("debug=%v: engine options %+v, want mmqjp.Options{} plus OnDocument", debug, opts)
+		}
+	}
+	if _, _, err := parseTestFlags(t); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	flag.CommandLine.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got, want := strings.Join(names, " "), "addr debug-addr snapshot-every snapshot-gzip snapshot-path"; got != want {
+		t.Errorf("flags %q, want %q", got, want)
 	}
 }
 

@@ -33,14 +33,17 @@
 // more than it saves (DESIGN.md; TUNING.md maps workload shapes onto the
 // knobs). Documents enter the join state in the order their publishers take
 // that lock, and each document's matches are byte-identical to a serial
-// Publish of that order. A batch (PublishBatch, PublishXMLBatch) holds the
-// lock across its documents, so it enters the join state contiguously.
+// publish of that order. A batch (several documents in one PublishDoc call)
+// holds the lock across its documents, so it enters the join state
+// contiguously.
 //
 // Stage 2 evaluates each query template's conjunctive query with one
 // compiled program, in witness-driven order: it joins outward from the
 // current document's value-join pairs and extends a trie of the template's
 // registered variable vectors with every variable it binds, so it probes
-// only what some subscription registered. Engine.PlanStats exposes the
+// only what some subscription registered. Its value-join views are computed
+// once per document, the left view cached per join string (the paper's
+// Section-5 view materialization). Engine.PlanStats exposes the
 // per-template statistics.
 //
 // Subscriptions have a full lifecycle: Unsubscribe removes a query and
@@ -50,11 +53,11 @@
 // member leaves. Draining every subscription returns the engine to its
 // initial state; ids are never reused.
 //
-// PublishDoc is the general ingestion entrypoint, covering every
-// combination of input form and delivery through options (WithDocs,
-// WithXML, WithXMLEvents, WithAsync); the named Publish variants are thin
-// wrappers over it, and AppendPublishXML is PublishXML appending to a buffer
-// the caller reuses from one document to the next. Engine.Stats returns a structured EngineStats snapshot
+// Two methods publish. PublishDoc takes parsed documents and raw XML in any
+// combination through its options (WithDocs, WithXML) and returns each
+// document's matches; AppendPublishXML publishes one raw XML document and
+// appends its matches to a buffer the caller reuses from one document to the
+// next. Engine.Stats returns a structured EngineStats snapshot
 // (JSON-marshalable; String renders every statistic as name=value), and
 // Options.OnDocument delivers per-document stage timings for external
 // metrics.
@@ -68,14 +71,12 @@
 //
 // # Quick start
 //
-//	eng := mmqjp.New(mmqjp.Options{
-//	    Processor: mmqjp.ProcessorViewMat, // zero value: ProcessorMMQJP (no view materialization)
-//	})
+//	eng := mmqjp.New(mmqjp.Options{}) // the evaluator mmqjp-server runs
 //	qid, err := eng.Subscribe(
 //	    "S//book->b[.//author->a] FOLLOWED BY{a=a2, 100} S//blog->g[.//author->a2]")
 //	...
-//	matches, err := eng.PublishXML("S", "<book>...</book>", docID, timestamp)
-//	for _, m := range matches { ... }
+//	res, err := eng.PublishDoc("S", nil, mmqjp.WithXML("<book>...</book>", docID, timestamp))
+//	for _, m := range res.Matches() { ... }
 //
 // See the package examples (Example_*) and the examples directory for
 // runnable programs, DESIGN.md for the architecture, TUNING.md for the

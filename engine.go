@@ -18,14 +18,12 @@ import (
 type ProcessorKind int
 
 const (
-	// ProcessorMMQJP is template-based multi-query join processing
-	// (Algorithm 1 of the paper). It is the zero value, so an Options
-	// literal that does not set Processor runs this evaluator.
+	// ProcessorMMQJP is template-based multi-query join processing with the
+	// Section-5 view materialization and per-string view cache (Algorithm 4
+	// of the paper). It is the zero value, and it is what mmqjp-server runs.
 	ProcessorMMQJP ProcessorKind = iota
-	// ProcessorViewMat is MMQJP with the Section-5 view materialization
-	// and per-string view cache (Algorithm 4). It is what mmqjp-server
-	// runs by default (-viewmat=true). Neither evaluator wins everywhere;
-	// TUNING.md has the measured comparison.
+	// ProcessorViewMat is ProcessorMMQJP under its older name: the two
+	// values select the same evaluator.
 	ProcessorViewMat
 	// ProcessorSequential is the one-query-at-a-time baseline; it exists
 	// for benchmarking and differential testing.
@@ -34,10 +32,8 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// Processor selects the join strategy. The zero value is
-	// ProcessorMMQJP (no view materialization); mmqjp-server defaults to
-	// ProcessorViewMat, so set this field explicitly to get the same
-	// evaluator from the library.
+	// Processor selects the join strategy. The zero value, ProcessorMMQJP,
+	// is the evaluator mmqjp-server runs.
 	Processor ProcessorKind
 	// PlanExploreEvery is ignored: the plan chooser whose calibration runs
 	// it sampled is gone. The field stays only until the benchmark, which
@@ -159,7 +155,7 @@ func New(opts Options) *Engine {
 		e.seq = sequential.NewProcessor()
 	default:
 		e.proc = core.NewProcessor(core.Config{
-			ViewMaterialization: opts.Processor == ProcessorViewMat,
+			ViewMaterialization: true,
 			RetainDocuments:     opts.RetainDocuments,
 			OnDocument:          opts.OnDocument,
 		})
@@ -224,8 +220,8 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 // are never reused. Unsubscribing a PUBLISH query stops its composition
 // cascade: downstream subscriptions on its output stream simply see no
 // further derived documents, while an unsubscribed downstream query stops
-// receiving cascaded matches — Unsubscribe serializes with Publish, so a
-// cascade is never torn mid-document. Returns an error for an unknown or
+// receiving cascaded matches — Unsubscribe serializes with every publish, so
+// a cascade is never torn mid-document. Returns an error for an unknown or
 // already-unsubscribed id. Like Subscribe, Unsubscribe waits for the
 // publishes in flight: documents published before it keep their matches,
 // documents published after it see the query gone.
@@ -300,19 +296,6 @@ func (e *Engine) NumTemplates() int {
 		return 0
 	}
 	return e.proc.NumTemplates()
-}
-
-// Publish processes a document on the named stream and returns the matches
-// it triggered, in deterministic order. With composition enabled, matches of
-// PUBLISH queries cascade into their output streams and the derived matches
-// are included in the result. Concurrent Publish calls overlap their Stage 1
-// and serialize the rest; documents enter the join state in the order they
-// acquire the engine's lock.
-//
-// Publish is shorthand for PublishDoc(stream, d); the PublishDoc options
-// cover batches and raw XML.
-func (e *Engine) Publish(stream string, d *Document) []Match {
-	return e.publishAppend(nil, stream, d)
 }
 
 // publishAppend is the one publish path: Stage 1 on the caller's goroutine
@@ -390,11 +373,11 @@ func (s *sequentialMatches) At(i int) *core.Match {
 }
 
 // deliver writes a document's result out as public matches appended to dst —
-// a slice the caller owns: nil everywhere but under AppendPublishXML —
-// resolving each query's PUBLISH stream from its subscription record. This is
-// the one place the result is materialised: the processor's view is only
-// valid until it consumes its next document, so consume calls deliver before
-// anything else — the cascade included.
+// a slice the caller owns: nil under PublishDoc, the caller's reused buffer
+// under AppendPublishXML — resolving each query's PUBLISH stream from its
+// subscription record. This is the one place the result is materialised:
+// the processor's view is only valid until it consumes its next document, so
+// consume calls deliver before anything else — the cascade included.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) deliver(dst []Match, ms orderedMatches) []Match {
@@ -444,58 +427,10 @@ func (e *Engine) cascade(out []Match, from, depth int) []Match {
 	return out
 }
 
-// PublishBatch processes docs on stream in arrival order and returns each
-// document's matches — exactly what len(docs) consecutive Publish calls
-// would return. The whole batch runs under one hold of the engine's lock, so
-// no other publisher's document lands between two of its documents.
-//
-// PublishBatch is shorthand for PublishDoc(stream, nil, WithDocs(docs...)).
-func (e *Engine) PublishBatch(stream string, docs []*Document) [][]Match {
-	return e.publishMany(stream, docs)
-}
-
-func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
-	e.reg.RLock()
-	defer e.reg.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([][]Match, len(docs))
-	for i, d := range docs {
-		out[i] = e.publish(nil, stream, d, 0)
-	}
-	return out
-}
-
 // Close is a no-op: an engine starts no goroutine and holds nothing that
 // needs releasing. It is kept so that callers which close their engines keep
 // compiling.
 func (e *Engine) Close() {}
-
-// XMLEvent is one document of a PublishXMLBatch: the raw XML text plus the
-// document id and timestamp the corresponding PublishXML call would receive.
-type XMLEvent struct {
-	XML       string
-	DocID     int64
-	Timestamp int64
-}
-
-// PublishXMLBatch parses a batch of XML documents and publishes them in
-// order via PublishBatch. Every document is parsed before the batch enters
-// the engine; a parse error on any document fails the whole batch with a
-// *DocumentError without publishing anything.
-//
-// PublishXMLBatch is shorthand for
-// PublishDoc(stream, nil, WithXMLEvents(events...)).
-func (e *Engine) PublishXMLBatch(stream string, events []XMLEvent) ([][]Match, error) {
-	res, err := e.PublishDoc(stream, nil, WithXMLEvents(events...))
-	if err != nil {
-		return nil, err
-	}
-	if res.Batches == nil {
-		res.Batches = make([][]Match, 0)
-	}
-	return res.Batches, nil
-}
 
 // DroppedCascades reports derived documents discarded at the composition
 // depth limit since the engine was created.
@@ -545,33 +480,6 @@ func copySubtree(b *xmldoc.Builder, parent xmldoc.NodeID, src *xmldoc.Document, 
 	for _, c := range n.Children {
 		copySubtree(b, id, src, c)
 	}
-}
-
-// PublishXML parses an XML document and publishes it. A parse failure is
-// reported as a *DocumentError, the same contract as PublishXMLBatch.
-//
-// PublishXML is shorthand for
-// PublishDoc(stream, nil, WithXML(xmlText, docID, timestamp)).
-func (e *Engine) PublishXML(stream, xmlText string, docID, timestamp int64) ([]Match, error) {
-	res, err := e.PublishDoc(stream, nil, WithXML(xmlText, docID, timestamp))
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches(), nil
-}
-
-// AppendPublishXML is PublishXML with the result buffer brought by the
-// caller: the document's matches — cascaded ones included — are appended to
-// dst and the extended slice is returned, so a caller that is done with one
-// document's matches before it publishes the next (the server encodes them
-// into its reply) passes the same buffer every time and a publish allocates
-// nothing for its result. On a parse failure dst is returned as it came.
-func (e *Engine) AppendPublishXML(dst []Match, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
-	d, err := ParseDocument(xmlText, docID, timestamp)
-	if err != nil {
-		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
-	}
-	return e.publishAppend(dst, stream, d), nil
 }
 
 // OutputXML renders the default SELECT * output document of a match: a new

@@ -37,7 +37,7 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		{"caller's buffer", true, 14, 2550},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Options{Processor: ProcessorViewMat})
+			eng := New(Options{})
 			subscribeAll(t, eng, windowedRSSSources(1, subs))
 			var texts []string
 			if tc.appendXML {
@@ -125,7 +125,7 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 		{"paper scale", paper, 66, 3980},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := New(Options{Processor: ProcessorViewMat})
+			eng := New(Options{})
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -150,8 +150,8 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 // TestAppendPublishXMLEqualsPublishXML holds the caller's-buffer publish to
 // the owned one: two engines with the same subscriptions — every processor
 // kind; a cascading chain, a self-feeding loop cut at the depth limit,
-// windowed feed queries — take the same documents, one through
-// PublishXML, the other through AppendPublishXML into one buffer behind a
+// windowed feed queries — take the same documents, one through PublishDoc
+// with WithXML, the other through AppendPublishXML into one buffer behind a
 // sentinel match. Every document's matches must be equal, the sentinel must
 // stay, and a document that does not parse must leave the buffer as it came
 // and report the same DocumentError.
@@ -184,7 +184,8 @@ func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 		buf := []Match{sentinel}
 		total := 0
 		for i, d := range docs {
-			want, wantErr := owned.PublishXML(d.stream, d.xml, int64(i+1), int64(10*i))
+			res, wantErr := owned.PublishDoc(d.stream, nil, WithXML(d.xml, int64(i+1), int64(10*i)))
+			want := res.Matches()
 			var err error
 			buf, err = appended.AppendPublishXML(buf[:1], d.stream, d.xml, int64(i+1), int64(10*i))
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {

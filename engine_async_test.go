@@ -49,7 +49,7 @@ func mustPublishAsync(t *testing.T, eng *Engine, stream string, d *Document) []M
 // TestPublishAsyncMatchesPublish runs the RSS workload through the WithAsync
 // form from concurrent publishers, reading the serial document order off
 // OnDocument; per-document match output — order included — must be
-// byte-identical to serial Publish of the same order.
+// byte-identical to a serial replay of the same order.
 func TestPublishAsyncMatchesPublish(t *testing.T) {
 	queries, stream := rssBatchFixture(300, 100)
 	byID := map[int64]*Document{}
@@ -57,7 +57,7 @@ func TestPublishAsyncMatchesPublish(t *testing.T) {
 		byID[int64(d.ID)] = d
 	}
 	var order []int64 // appended under the engine's lock
-	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	eng := New(Options{OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
 	}
@@ -84,7 +84,7 @@ func TestPublishAsyncMatchesPublish(t *testing.T) {
 		got[int64(d.ID)] = results[i]
 	}
 
-	ref := New(Options{Processor: ProcessorViewMat})
+	ref := New(Options{})
 	for _, q := range queries {
 		ref.MustSubscribe(q)
 	}
@@ -92,7 +92,7 @@ func TestPublishAsyncMatchesPublish(t *testing.T) {
 		t.Fatalf("OnDocument saw %d documents, want %d", len(order), len(stream))
 	}
 	for i, id := range order {
-		if g, w := fmt.Sprint(got[id]), fmt.Sprint(ref.Publish("S", byID[id])); g != w {
+		if g, w := fmt.Sprint(got[id]), fmt.Sprint(publishOne(ref, "S", byID[id])); g != w {
 			t.Fatalf("serial position %d (doc %d):\nasync:  %s\nserial: %s", i, id, g, w)
 		}
 	}
@@ -101,14 +101,14 @@ func TestPublishAsyncMatchesPublish(t *testing.T) {
 // TestPublishAsyncSubscribeBarrier checks that a Subscribe (and an
 // Unsubscribe) issued between WithAsync publishes lands exactly at its
 // position in the document order: output equals an engine running the same
-// publish/subscribe sequence through Publish.
+// publish/subscribe sequence through plain PublishDoc calls.
 func TestPublishAsyncSubscribeBarrier(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 80)
 	late := queries[len(queries)-1]
 	standing := queries[:len(queries)-1]
 
 	run := func(publish func(eng *Engine, d *Document) []Match) ([][]Match, QueryID) {
-		eng := New(Options{Processor: ProcessorViewMat})
+		eng := New(Options{})
 		for _, q := range standing {
 			eng.MustSubscribe(q)
 		}
@@ -127,22 +127,22 @@ func TestPublishAsyncSubscribeBarrier(t *testing.T) {
 		}
 		return out, lateID
 	}
-	want, wantID := run(func(eng *Engine, d *Document) []Match { return eng.Publish("S", d) })
+	want, wantID := run(func(eng *Engine, d *Document) []Match { return publishOne(eng, "S", d) })
 	got, gotID := run(func(eng *Engine, d *Document) []Match { return mustPublishAsync(t, eng, "S", d) })
 	if gotID != wantID {
 		t.Fatalf("late subscription id %d vs %d", gotID, wantID)
 	}
 	for i := range stream {
 		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-			t.Fatalf("doc %d diverges across mid-stream subscribe/unsubscribe:\nPublish:   %v\nWithAsync: %v",
+			t.Fatalf("doc %d diverges across mid-stream subscribe/unsubscribe:\nPublishDoc: %v\nWithAsync:  %v",
 				i, want[i], got[i])
 		}
 	}
 }
 
 // TestPublishAsyncComposition checks that PUBLISH-clause cascades fire in
-// the WithAsync form exactly as they do in Publish, and that OutputXML works
-// on the delivered matches.
+// the WithAsync form exactly as they do in a plain PublishDoc, and that
+// OutputXML works on the delivered matches.
 func TestPublishAsyncComposition(t *testing.T) {
 	subscribe := func(eng *Engine) {
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000} S//b->y PUBLISH D")
@@ -160,13 +160,13 @@ func TestPublishAsyncComposition(t *testing.T) {
 		}
 		docs = append(docs, d)
 	}
-	ref := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	ref := New(Options{EnableComposition: true})
 	subscribe(ref)
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	subscribe(eng)
 	cascaded := 0
 	for i, d := range docs {
-		want := ref.Publish("S", d)
+		want := publishOne(ref, "S", d)
 		got := mustPublishAsync(t, eng, "S", d)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("doc %d:\nasync:  %v\nserial: %v", i, got, want)
@@ -186,7 +186,7 @@ func TestPublishAsyncComposition(t *testing.T) {
 }
 
 // TestPublishAsyncSequentialProcessor checks the WithAsync form on the
-// sequential baseline: same contract, same matches as Publish.
+// sequential baseline: same contract, same matches as a plain PublishDoc.
 func TestPublishAsyncSequentialProcessor(t *testing.T) {
 	eng := New(Options{Processor: ProcessorSequential})
 	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
@@ -206,13 +206,13 @@ func TestPublishAsyncSequentialProcessor(t *testing.T) {
 	}
 }
 
-// TestPublishAsyncStress hammers one shared engine with concurrent Publish
+// TestPublishAsyncStress hammers one shared engine with concurrent plain
 // and WithAsync publishes racing Subscribe/Unsubscribe, Ping and the read
 // accessors. Run under -race (the CI race job does) this is the
 // thread-safety proof of the registration lock: Stage 1 runs outside the
 // engine's lock, beside registrations that must wait for it.
 func TestPublishAsyncStress(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 	const goroutines = 8
 	const iters = 30
@@ -251,7 +251,7 @@ func TestPublishAsyncStress(t *testing.T) {
 					return
 				}
 				if g%2 == 1 {
-					matches.Add(int64(len(eng.Publish("S", d))))
+					matches.Add(int64(len(publishOne(eng, "S", d))))
 				} else {
 					ms, err := publishAsync(eng, "S", d)
 					if err != nil {

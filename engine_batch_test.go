@@ -22,24 +22,24 @@ func rssBatchFixture(nq, items int) ([]string, []*Document) {
 	return queries, c.Stream(srng, items)
 }
 
-// TestPublishBatchMatchesPublish: on the multi-template RSS workload,
-// PublishBatch output must be identical to per-document Publish, for both
-// processor kinds, down to every Match field.
+// TestPublishBatchMatchesPublish: on the multi-template RSS workload, a
+// batch PublishDoc must return exactly what one PublishDoc per document does,
+// for both processor kinds, down to every Match field.
 func TestPublishBatchMatchesPublish(t *testing.T) {
 	queries, stream := rssBatchFixture(400, 120)
-	for _, kind := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
+	for _, kind := range allKinds() {
 		ref := New(Options{Processor: kind})
 		eng := New(Options{Processor: kind})
 		for _, q := range queries {
 			ref.MustSubscribe(q)
 			eng.MustSubscribe(q)
 		}
-		got := eng.PublishBatch("S", stream)
+		got := publishBatch(eng, "S", stream)
 		if len(got) != len(stream) {
 			t.Fatalf("kind=%d: %d result slices for %d docs", kind, len(got), len(stream))
 		}
 		for i, d := range stream {
-			want := ref.Publish("S", d)
+			want := publishOne(ref, "S", d)
 			if len(got[i]) != len(want) {
 				t.Fatalf("kind=%d doc %d: %d matches batch vs %d sequential", kind, i, len(got[i]), len(want))
 			}
@@ -53,7 +53,7 @@ func TestPublishBatchMatchesPublish(t *testing.T) {
 }
 
 // TestPublishBatchWithParallelism publishes batches while other goroutines
-// Publish single documents: each batch enters the join state contiguously —
+// publish single documents: each batch enters the join state contiguously —
 // no other document lands between two of its documents in the serial order
 // OnDocument reports — and every document's matches equal a serial replay of
 // that order.
@@ -64,7 +64,7 @@ func TestPublishBatchWithParallelism(t *testing.T) {
 		byID[int64(d.ID)] = d
 	}
 	var order []int64 // appended under the engine's lock
-	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	eng := New(Options{OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
 	}
@@ -80,7 +80,7 @@ func TestPublishBatchWithParallelism(t *testing.T) {
 		half := stream[:len(stream)/2]
 		for b := 0; b < len(half); b += batchLen {
 			batch := half[b:min(b+batchLen, len(half))]
-			out := eng.PublishBatch("S", batch)
+			out := publishBatch(eng, "S", batch)
 			mu.Lock()
 			for i, d := range batch {
 				got[int64(d.ID)] = out[i]
@@ -95,7 +95,7 @@ func TestPublishBatchWithParallelism(t *testing.T) {
 			defer wg.Done()
 			for i := len(stream)/2 + g; i < len(stream); i += singles {
 				d := stream[i]
-				ms := eng.Publish("S", d)
+				ms := publishOne(eng, "S", d)
 				mu.Lock()
 				got[int64(d.ID)] = ms
 				mu.Unlock()
@@ -121,45 +121,40 @@ func TestPublishBatchWithParallelism(t *testing.T) {
 			}
 		}
 	}
-	ref := New(Options{Processor: ProcessorViewMat})
+	ref := New(Options{})
 	for _, q := range queries {
 		ref.MustSubscribe(q)
 	}
 	for i, id := range order {
-		if g, w := fmt.Sprint(got[id]), fmt.Sprint(ref.Publish("S", byID[id])); g != w {
+		if g, w := fmt.Sprint(got[id]), fmt.Sprint(publishOne(ref, "S", byID[id])); g != w {
 			t.Fatalf("serial position %d (doc %d):\nconcurrent: %s\nserial:     %s", i, id, g, w)
 		}
 	}
 }
 
-// TestPublishXMLBatch checks the XML entry point: batch output equals
-// per-document PublishXML, and a parse error anywhere rejects the whole
-// batch without publishing any document of it.
+// TestPublishXMLBatch checks a raw-XML batch (one WithXML per document):
+// each document gets its own result slice, and a parse error anywhere
+// rejects the whole batch without publishing any document of it.
 func TestPublishXMLBatch(t *testing.T) {
-	mkEvents := func() []XMLEvent {
-		return []XMLEvent{
-			{XML: "<a>k</a>", DocID: 1, Timestamp: 1},
-			{XML: "<b>k</b>", DocID: 2, Timestamp: 2},
-			{XML: "<b>k</b>", DocID: 3, Timestamp: 3},
-		}
+	batch := func(second string) []PublishOption {
+		return []PublishOption{WithXML("<a>k</a>", 1, 1), WithXML(second, 2, 2), WithXML("<b>k</b>", 3, 3)}
 	}
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y")
 
 	// A bad document anywhere rejects the batch whole.
-	bad := mkEvents()
-	bad[1].XML = "<unclosed>"
-	if _, err := eng.PublishXMLBatch("S", bad); err == nil {
+	if _, err := eng.PublishDoc("S", nil, batch("<unclosed>")...); err == nil {
 		t.Fatal("batch with bad XML accepted")
 	}
 	if got := eng.Stats(); got.Documents != 0 {
 		t.Fatalf("rejected batch published documents: %s", got)
 	}
 
-	out, err := eng.PublishXMLBatch("S", mkEvents())
+	res, err := eng.PublishDoc("S", nil, batch("<b>k</b>")...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.Batches
 	total := 0
 	for _, ms := range out {
 		total += len(ms)
@@ -188,15 +183,15 @@ func TestPublishBatchComposition(t *testing.T) {
 		}
 		docs = append(docs, d)
 	}
-	ref := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	ref := New(Options{EnableComposition: true})
 	subscribe(ref)
 	var want [][]Match
 	for _, d := range docs {
-		want = append(want, ref.Publish("S", d))
+		want = append(want, publishOne(ref, "S", d))
 	}
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	subscribe(eng)
-	got := eng.PublishBatch("S", docs)
+	got := publishBatch(eng, "S", docs)
 	for i := range got {
 		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 			t.Fatalf("doc %d:\nbatch:      %v\nsequential: %v", i, got[i], want[i])

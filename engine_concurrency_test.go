@@ -9,13 +9,13 @@ import (
 )
 
 // TestEngineConcurrentSubscribePublish hammers one shared engine from many
-// goroutines mixing Subscribe, Publish and the read accessors. Each
+// goroutines mixing Subscribe, publishes and the read accessors. Each
 // subscription brings an element name of its own, so registration grows the
 // shared NFA that concurrent publishers' Stage 1 walks outside the engine's
 // lock. Run under -race (the CI race job does, twenty times over) this is
 // the thread-safety proof of the facade and its registration lock.
 func TestEngineConcurrentSubscribePublish(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 	const goroutines = 8
 	const iters = 25
@@ -41,7 +41,7 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 				case id%2 == 0:
 					xml = "<b>k</b>"
 				}
-				ms, err := eng.PublishXML("S", xml, id, id)
+				ms, err := eng.AppendPublishXML(nil, "S", xml, id, id)
 				if err != nil {
 					t.Error(err)
 					return
@@ -63,14 +63,14 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 }
 
 // TestEngineConcurrentBatchPublish hammers one shared engine with batch
-// publishes (PublishBatch and PublishXMLBatch) racing Subscribe and the
+// publishes (parsed documents and raw XML) racing Subscribe and the
 // read accessors from many goroutines. Run under -race (the CI race job
 // does) this is the thread-safety proof of the batch path: a batch holds the
 // engine's lock across its documents, beside publishers whose Stage 1 runs
 // outside it.
 func TestEngineConcurrentBatchPublish(t *testing.T) {
 	for _, single := range []bool{false, true} {
-		eng := New(Options{Processor: ProcessorViewMat})
+		eng := New(Options{})
 		eng.MustSubscribe("S//a->x JOIN{x=y, 1000000} S//b->y")
 		const goroutines = 6
 		const iters = 8
@@ -91,7 +91,7 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 					}
 					base := int64(g*10000 + i*100)
 					if single && g%3 == 2 {
-						ms, err := eng.PublishXML("S", "<b>k</b>", base+1, base+1)
+						ms, err := eng.AppendPublishXML(nil, "S", "<b>k</b>", base+1, base+1)
 						if err != nil {
 							t.Error(err)
 							return
@@ -111,24 +111,24 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 							}
 							docs[j] = d
 						}
-						for _, ms := range eng.PublishBatch("S", docs) {
+						for _, ms := range publishBatch(eng, "S", docs) {
 							atomic.AddInt64(&matches, int64(len(ms)))
 						}
 					} else {
-						events := make([]XMLEvent, batchLen)
-						for j := range events {
+						docs := make([]PublishOption, batchLen)
+						for j := range docs {
 							xml := "<a>k</a>"
 							if j%2 == 1 {
 								xml = "<b>k</b>"
 							}
-							events[j] = XMLEvent{XML: xml, DocID: base + int64(j) + 1, Timestamp: base + int64(j) + 1}
+							docs[j] = WithXML(xml, base+int64(j)+1, base+int64(j)+1)
 						}
-						out, err := eng.PublishXMLBatch("S", events)
+						res, err := eng.PublishDoc("S", nil, docs...)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						for _, ms := range out {
+						for _, ms := range res.Batches {
 							atomic.AddInt64(&matches, int64(len(ms)))
 						}
 					}
@@ -158,7 +158,7 @@ func TestConcurrentPublishersMatchSequential(t *testing.T) {
 		byID[int64(d.ID)] = d
 	}
 	var order []int64 // appended under the engine's lock
-	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	eng := New(Options{OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
 	ref := New(Options{Processor: ProcessorSequential})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
@@ -172,7 +172,7 @@ func TestConcurrentPublishersMatchSequential(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(stream); i += publishers {
-				got[i] = eng.Publish("S", stream[i])
+				got[i] = publishOne(eng, "S", stream[i])
 			}
 		}(g)
 	}
@@ -186,7 +186,7 @@ func TestConcurrentPublishersMatchSequential(t *testing.T) {
 	}
 	total := 0
 	for i, id := range order {
-		want := ref.Publish("S", byID[id])
+		want := publishOne(ref, "S", byID[id])
 		total += len(want)
 		if g, w := renderEngineMatches(byDoc[id]), renderEngineMatches(want); g != w {
 			t.Fatalf("serial position %d (doc %d): concurrent\n%sdiffers from sequential\n%s", i, id, g, w)
@@ -204,7 +204,7 @@ func TestConcurrentPublishersMatchSequential(t *testing.T) {
 func TestPingFailsWhileStage2Blocked(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var block atomic.Bool
-	eng := New(Options{Processor: ProcessorViewMat, OnDocument: func(DocTimings) {
+	eng := New(Options{OnDocument: func(DocTimings) {
 		if block.Load() {
 			close(entered)
 			<-release
@@ -218,7 +218,7 @@ func TestPingFailsWhileStage2Blocked(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		eng.PublishXML("S", "<a>k</a>", 1, 1)
+		eng.AppendPublishXML(nil, "S", "<a>k</a>", 1, 1)
 	}()
 	<-entered
 	if err := eng.Ping(50 * time.Millisecond); err == nil {

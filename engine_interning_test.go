@@ -31,7 +31,7 @@ func TestInterningDifferential(t *testing.T) {
 	var want []string
 	total := 0
 	for _, d := range stream {
-		ms := oracle.Publish("S", d)
+		ms := publishOne(oracle, "S", d)
 		total += len(ms)
 		want = append(want, renderEngineMatches(ms))
 	}
@@ -39,16 +39,14 @@ func TestInterningDifferential(t *testing.T) {
 		t.Fatal("oracle produced no matches; the comparison is vacuous")
 	}
 
-	for _, plan := range []ProcessorKind{ProcessorMMQJP, ProcessorViewMat} {
-		eng := New(Options{Processor: plan})
-		for _, src := range sources {
-			eng.MustSubscribe(src)
-		}
-		for di, d := range stream {
-			if got := renderEngineMatches(eng.Publish("S", d)); got != want[di] {
-				t.Fatalf("plan=%v: doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
-					plan, di+1, got, want[di])
-			}
+	eng := New(Options{})
+	for _, src := range sources {
+		eng.MustSubscribe(src)
+	}
+	for di, d := range stream {
+		if got := renderEngineMatches(publishOne(eng, "S", d)); got != want[di] {
+			t.Fatalf("doc %d diverges from sequential oracle:\ngot:\n%swant:\n%s",
+				di+1, got, want[di])
 		}
 	}
 }
@@ -64,11 +62,11 @@ func TestSnapshotInterningInvariance(t *testing.T) {
 	sources, stream := snapshotWorkload(40, 120)
 	const cut = 60
 
-	live := New(Options{Processor: ProcessorViewMat})
+	live := New(Options{})
 	for _, src := range sources {
 		live.MustSubscribe(src)
 	}
-	live.PublishBatch("S", stream[:cut])
+	publishBatch(live, "S", stream[:cut])
 
 	var store MemStore
 	if err := live.SnapshotTo(&store); err != nil {
@@ -94,7 +92,7 @@ func TestSnapshotInterningInvariance(t *testing.T) {
 		sym.Intern(fmt.Sprintf("interner-shift-%d", i))
 	}
 
-	restored, err := OpenEngineFrom(&store, Options{Processor: ProcessorViewMat})
+	restored, err := OpenEngineFrom(&store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +109,8 @@ func TestSnapshotInterningInvariance(t *testing.T) {
 	}
 
 	for di, d := range stream[cut:] {
-		got := renderEngineMatches(restored.Publish("S", d))
-		want := renderEngineMatches(live.Publish("S", d))
+		got := renderEngineMatches(publishOne(restored, "S", d))
+		want := renderEngineMatches(publishOne(live, "S", d))
 		if got != want {
 			t.Fatalf("restored engine diverges on doc %d after interner shift:\ngot:\n%swant:\n%s",
 				cut+di+1, got, want)

@@ -30,7 +30,7 @@ func findAttrValue(d *Document, elem, attr string) (string, bool) {
 func TestOutputXMLEscaping(t *testing.T) {
 	const title = "Scripting & Programming"
 	const author = `A<B "junior"`
-	eng := New(Options{Processor: ProcessorViewMat, RetainDocuments: true})
+	eng := New(Options{RetainDocuments: true})
 	eng.MustSubscribe(
 		"S//book->b[.//title->t][.//author->a] FOLLOWED BY{t=u AND a=c, 100} S//review->r[.//title->u][.//author->c]")
 
@@ -41,10 +41,10 @@ func TestOutputXMLEscaping(t *testing.T) {
 	review := `<review><title>Scripting &amp; Programming</title>` +
 		`<author>A&lt;B &#34;junior&#34;</author></review>`
 
-	if ms, err := eng.PublishXML("S", book, 1, 1); err != nil || len(ms) != 0 {
+	if ms, err := eng.AppendPublishXML(nil, "S", book, 1, 1); err != nil || len(ms) != 0 {
 		t.Fatalf("book publish: %v matches, err %v", ms, err)
 	}
-	ms, err := eng.PublishXML("S", review, 2, 2)
+	ms, err := eng.AppendPublishXML(nil, "S", review, 2, 2)
 	if err != nil || len(ms) != 1 {
 		t.Fatalf("review publish: %d matches, err %v (want 1 match)", len(ms), err)
 	}
@@ -91,17 +91,17 @@ func TestOutputXMLEscaping(t *testing.T) {
 // composition cascade: a derived document built from subtrees with special
 // characters must render to parseable XML for downstream matches.
 func TestOutputXMLCompositionEscaping(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	// Two predicates on different branches keep the block roots (and their
 	// attributes) in the derived document.
 	eng.MustSubscribe("S//a->x[.//k->v][.//m->u] JOIN{v=w AND u=z, 1000} S//b->y[.//k->w][.//m->z] PUBLISH D")
 	eng.MustSubscribe("D//result->r")
 
-	if _, err := eng.PublishXML("S",
+	if _, err := eng.AppendPublishXML(nil, "S",
 		`<a lang="C&amp;C++"><k>x &amp; y</k><m>p &lt; q</m></a>`, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.PublishXML("S", `<b><k>x &amp; y</k><m>p &lt; q</m></b>`, 2, 2)
+	ms, err := eng.AppendPublishXML(nil, "S", `<b><k>x &amp; y</k><m>p &lt; q</m></b>`, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

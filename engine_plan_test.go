@@ -12,7 +12,7 @@ import (
 // against an evaluator that never reads a template's trie: while
 // subscriptions churn between publishes, every document's matches must equal
 // those of a ProcessorSequential engine (one query at a time) replaying the
-// identical schedule — Publish from one goroutine with Unsubscribe/Subscribe
+// identical schedule — PublishDoc from one goroutine with Unsubscribe/Subscribe
 // churn at fixed positions.
 func TestAsyncChurnMatchesSequential(t *testing.T) {
 	queries, stream := rssBatchFixture(200, 120)
@@ -43,18 +43,18 @@ func TestAsyncChurnMatchesSequential(t *testing.T) {
 				live = append(live, eng.MustSubscribe(extras[nextExtra%len(extras)]))
 				nextExtra++
 			}
-			out = append(out, eng.Publish("S", d))
+			out = append(out, publishOne(eng, "S", d))
 		}
 		return out
 	}
 
 	want := run(Options{Processor: ProcessorSequential})
-	got := run(Options{Processor: ProcessorViewMat})
+	got := run(Options{})
 	total := 0
 	for i := range want {
 		total += len(want[i])
 		if g, w := renderEngineMatches(got[i]), renderEngineMatches(want[i]); g != w {
-			t.Fatalf("doc %d: ViewMat\n%sdiffers from sequential\n%s", i, g, w)
+			t.Fatalf("doc %d: MMQJP\n%sdiffers from sequential\n%s", i, g, w)
 		}
 	}
 	if total == 0 {
@@ -66,7 +66,7 @@ func TestAsyncChurnMatchesSequential(t *testing.T) {
 // after a multi-template workload the snapshot reports the live templates in
 // template order, with their signatures, vector groups and run counters.
 func TestPlanStatsAccessor(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	for i := 1; i <= 4; i++ {
 		for j := 1; j <= 4; j++ {
 			if i == j {
@@ -81,7 +81,7 @@ func TestPlanStatsAccessor(t *testing.T) {
 		for l := 1; l <= 4; l++ {
 			b.Element(0, fmt.Sprintf("l%d", l), fmt.Sprintf("value-%d", l))
 		}
-		eng.Publish("S", b.Build())
+		publishOne(eng, "S", b.Build())
 	}
 	stats := eng.PlanStats()
 	if len(stats) == 0 {

@@ -32,18 +32,17 @@ func snapshotWorkload(nq, ndocs int) ([]string, []*Document) {
 // TestEngineSnapshotRestoreDifferential is the durability requirement: an
 // engine restored from a mid-stream snapshot — after subscription churn, so
 // the snapshot holds id gaps — must produce byte-identical per-document
-// match output to the engine that never restarted, across restore-side
-// processor settings.
+// match output to the engine that never restarted.
 func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	sources, stream := snapshotWorkload(60, 150)
 	const cut = 75
 
-	live := New(Options{Processor: ProcessorViewMat})
+	live := New(Options{})
 	var ids []QueryID
 	for _, src := range sources {
 		ids = append(ids, live.MustSubscribe(src))
 	}
-	live.PublishBatch("S", stream[:cut])
+	publishBatch(live, "S", stream[:cut])
 	// Churn before the snapshot: ids 20..39 unsubscribe, leaving gaps the
 	// snapshot must preserve so survivors keep their ids.
 	for _, id := range ids[20:40] {
@@ -58,36 +57,31 @@ func TestEngineSnapshotRestoreDifferential(t *testing.T) {
 	}
 	var ref []string
 	for _, d := range stream[cut:] {
-		ref = append(ref, renderEngineMatches(live.Publish("S", d)))
+		ref = append(ref, renderEngineMatches(publishOne(live, "S", d)))
 	}
 
-	for _, opts := range []Options{
-		{Processor: ProcessorViewMat},
-		{Processor: ProcessorMMQJP},
-	} {
-		restored, err := OpenEngineFrom(&store, opts)
-		if err != nil {
-			t.Fatal(err)
+	restored, err := OpenEngineFrom(&store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.NumQueries(), live.NumQueries(); got != want {
+		t.Fatalf("restored NumQueries = %d, want %d", got, want)
+	}
+	for _, id := range append(append([]QueryID{}, ids[:20]...), ids[40:]...) {
+		if restored.Query(id) != live.Query(id) {
+			t.Fatalf("query %d source diverges after restore", id)
 		}
-		if got, want := restored.NumQueries(), live.NumQueries(); got != want {
-			t.Fatalf("opts=%+v: restored NumQueries = %d, want %d", opts, got, want)
+	}
+	for _, id := range ids[20:40] {
+		if restored.Query(id) != "" {
+			t.Fatalf("unsubscribed query %d resurrected by restore", id)
 		}
-		for _, id := range append(append([]QueryID{}, ids[:20]...), ids[40:]...) {
-			if restored.Query(id) != live.Query(id) {
-				t.Fatalf("opts=%+v: query %d source diverges after restore", opts, id)
-			}
-		}
-		for _, id := range ids[20:40] {
-			if restored.Query(id) != "" {
-				t.Fatalf("opts=%+v: unsubscribed query %d resurrected by restore", opts, id)
-			}
-		}
-		for di, d := range stream[cut:] {
-			got := renderEngineMatches(restored.Publish("S", d))
-			if got != ref[di] {
-				t.Fatalf("opts=%+v: restored engine diverges from live on doc %d:\nrestored:\n%slive:\n%s",
-					opts, cut+di+1, got, ref[di])
-			}
+	}
+	for di, d := range stream[cut:] {
+		got := renderEngineMatches(publishOne(restored, "S", d))
+		if got != ref[di] {
+			t.Fatalf("restored engine diverges from live on doc %d:\nrestored:\n%slive:\n%s",
+				cut+di+1, got, ref[di])
 		}
 	}
 }
@@ -106,7 +100,7 @@ func TestEngineSnapshotAsyncPipeline(t *testing.T) {
 		byID[int64(d.ID)] = d
 	}
 	var order []int64 // appended under the engine's lock
-	live := New(Options{Processor: ProcessorViewMat, OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
+	live := New(Options{OnDocument: func(dt DocTimings) { order = append(order, dt.DocID) }})
 	for _, src := range sources {
 		live.MustSubscribe(src)
 	}
@@ -117,7 +111,7 @@ func TestEngineSnapshotAsyncPipeline(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < cut; i += publishers {
-				live.Publish("S", stream[i])
+				publishOne(live, "S", stream[i])
 			}
 		}(g)
 	}
@@ -131,25 +125,25 @@ func TestEngineSnapshotAsyncPipeline(t *testing.T) {
 	wg.Wait()
 	prefix := order[:snap.k]
 
-	restored, err := OpenEngine(&snap.buf, Options{Processor: ProcessorViewMat})
+	restored, err := OpenEngine(&snap.buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := New(Options{Processor: ProcessorViewMat})
+	ref := New(Options{})
 	for _, src := range sources {
 		ref.MustSubscribe(src)
 	}
 	var prefixMax int64
 	for _, id := range prefix {
-		ref.Publish("S", byID[id])
+		publishOne(ref, "S", byID[id])
 		prefixMax = max(prefixMax, id)
 	}
 	if got := restored.MaxDocID(); got != prefixMax || got == 0 {
 		t.Fatalf("snapshot not a prefix of the serial order: restored MaxDocID = %d, want %d (%d documents)", got, prefixMax, len(prefix))
 	}
 	for di, d := range stream[cut:] {
-		got := renderEngineMatches(restored.Publish("S", d))
-		want := renderEngineMatches(ref.Publish("S", d))
+		got := renderEngineMatches(publishOne(restored, "S", d))
+		want := renderEngineMatches(publishOne(ref, "S", d))
 		if got != want {
 			t.Fatalf("restored engine diverges on doc %d:\nrestored:\n%sserial:\n%s", cut+di+1, got, want)
 		}
@@ -185,7 +179,7 @@ func snapOrder(e *Engine, order *[]int64) []int64 {
 // colliding with pre-snapshot ones.
 func TestEngineSnapshotComposition(t *testing.T) {
 	mk := func() *Engine {
-		eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+		eng := New(Options{EnableComposition: true})
 		eng.MustSubscribe(
 			"S//alert->a[./host->h][./sev->s] FOLLOWED BY{h=h2 AND s=s2, 1000} S//confirm->c[./host->h2][./sev->s2] PUBLISH incidents")
 		eng.MustSubscribe(
@@ -193,9 +187,9 @@ func TestEngineSnapshotComposition(t *testing.T) {
 		return eng
 	}
 	feed := func(eng *Engine, id int64) []Match {
-		eng.PublishXML("P", "<page><host>web1</host></page>", id, id*10)
-		eng.PublishXML("S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
-		ms, err := eng.PublishXML("S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
+		eng.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", id, id*10)
+		eng.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
+		ms, err := eng.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +202,7 @@ func TestEngineSnapshotComposition(t *testing.T) {
 	if err := live.SnapshotTo(&store); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := OpenEngineFrom(&store, Options{Processor: ProcessorViewMat, EnableComposition: true})
+	restored, err := OpenEngineFrom(&store, Options{EnableComposition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +261,7 @@ const (
 // engine opens, and replaying the stream's suffix on it gives what an engine
 // that never restarted gives.
 func TestRoutedSnapshotRefused(t *testing.T) {
-	opts := Options{Processor: ProcessorViewMat}
+	opts := Options{}
 	for _, gz := range []bool{false, true} {
 		var storeOpts []StoreOption
 		if gz {
@@ -311,14 +305,14 @@ func TestRoutedSnapshotRefused(t *testing.T) {
 	}
 	total := 0
 	for i, xml := range docs {
-		want, err := live.PublishXML("S", xml, int64(i+1), int64(i+1))
+		want, err := live.AppendPublishXML(nil, "S", xml, int64(i+1), int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i < 3 {
 			continue
 		}
-		got, err := restored.PublishXML("S", xml, int64(i+1), int64(i+1))
+		got, err := restored.AppendPublishXML(nil, "S", xml, int64(i+1), int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,9 +340,9 @@ func TestFileStore(t *testing.T) {
 		t.Fatalf("OpenEngineFrom on empty store = %v, want ErrNoSnapshot", err)
 	}
 
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.PublishXML("S", paperD1, 1, 100)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
 	if err := eng.SnapshotTo(store); err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +356,14 @@ func TestFileStore(t *testing.T) {
 		t.Fatalf("Save error = %v, want the write function's error", err)
 	}
 
-	restored, err := OpenEngineFrom(store, Options{Processor: ProcessorViewMat})
+	restored, err := OpenEngineFrom(store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Query(qid) != paperQ1 {
 		t.Fatalf("restored query %d = %q, want the subscribed source", qid, restored.Query(qid))
 	}
-	ms, err := restored.PublishXML("S", paperD2, 2, 200)
+	ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +380,9 @@ func TestFileStore(t *testing.T) {
 func TestFileStoreGzip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "engine.snap")
 
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.PublishXML("S", paperD1, 1, 100)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
 
 	gz := NewFileStore(path, WithGzip())
 	if err := eng.SnapshotTo(gz); err != nil {
@@ -404,11 +398,11 @@ func TestFileStoreGzip(t *testing.T) {
 
 	plainStore := NewFileStore(path)
 	for _, store := range []*FileStore{gz, plainStore} {
-		restored, err := OpenEngineFrom(store, Options{Processor: ProcessorViewMat})
+		restored, err := OpenEngineFrom(store, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := restored.PublishXML("S", paperD2, 2, 200)
+		ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +423,7 @@ func TestFileStoreGzip(t *testing.T) {
 	if raw[0] == 0x1f && raw[1] == 0x8b {
 		t.Fatal("plain store wrote a gzipped file")
 	}
-	restored, err := OpenEngineFrom(gz, Options{Processor: ProcessorViewMat})
+	restored, err := OpenEngineFrom(gz, Options{})
 	if err != nil {
 		t.Fatalf("WithGzip store opening a plain snapshot: %v", err)
 	}
@@ -454,9 +448,9 @@ func TestFileStoreBareRelativePath(t *testing.T) {
 	t.Cleanup(func() { os.Chdir(wd) })
 	t.Setenv("TMPDIR", filepath.Join(dir, "no-such-dir"))
 
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.PublishXML("S", paperD1, 1, 100)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
 	store := NewFileStore("snap.json")
 	if err := eng.SnapshotTo(store); err != nil {
 		t.Fatalf("Save to a bare relative path: %v", err)
@@ -471,11 +465,11 @@ func TestFileStoreBareRelativePath(t *testing.T) {
 	if len(entries) != 1 {
 		t.Errorf("working directory holds %d entries after Save, want only the snapshot", len(entries))
 	}
-	restored, err := OpenEngineFrom(store, Options{Processor: ProcessorViewMat})
+	restored, err := OpenEngineFrom(store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := restored.PublishXML("S", paperD2, 2, 200)
+	ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

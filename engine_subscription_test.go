@@ -64,7 +64,7 @@ func TestSubscriptionHeapCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not fixed under the race detector")
 	}
-	opts := Options{Processor: ProcessorViewMat}
+	opts := Options{}
 
 	t.Run("standing", func(t *testing.T) {
 		const n = 10000
@@ -152,7 +152,7 @@ func TestQueryTextSurvivesRegister(t *testing.T) {
 		"SELECT * FROM S//alert->a[./sev->s]",
 		paperQ1,
 	}
-	opts := Options{Processor: ProcessorViewMat, EnableComposition: true}
+	opts := Options{EnableComposition: true}
 	eng := New(opts)
 	ids := subscribeAll(t, eng, srcs)
 	if err := eng.Unsubscribe(ids[3]); err != nil {
@@ -172,9 +172,9 @@ func TestQueryTextSurvivesRegister(t *testing.T) {
 				t.Errorf("%s: Query(%d) = %q, want %q", label, id, got, want)
 			}
 		}
-		e.PublishXML("P", "<page><host>web1</host></page>", 1, 10)
-		e.PublishXML("S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
-		ms, err := e.PublishXML("S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
+		e.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", 1, 10)
+		e.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
+		ms, err := e.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,12 @@ package mmqjp
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 const (
@@ -14,7 +18,85 @@ const (
 )
 
 func allKinds() []ProcessorKind {
-	return []ProcessorKind{ProcessorMMQJP, ProcessorViewMat, ProcessorSequential}
+	return []ProcessorKind{ProcessorMMQJP, ProcessorSequential}
+}
+
+// publishOne publishes one parsed document through PublishDoc and returns
+// its matches.
+func publishOne(e *Engine, stream string, d *Document) []Match {
+	res, err := e.PublishDoc(stream, d)
+	if err != nil {
+		panic(err) // a parsed document has nothing left to fail on
+	}
+	return res.Matches()
+}
+
+// publishBatch publishes docs as one PublishDoc batch and returns each
+// document's matches.
+func publishBatch(e *Engine, stream string, docs []*Document) [][]Match {
+	res, err := e.PublishDoc(stream, nil, WithDocs(docs...))
+	if err != nil {
+		panic(err)
+	}
+	return res.Batches
+}
+
+// TestZeroOptionsRunViewMaterialization pins the evaluator New(Options{})
+// builds to the one mmqjp-server runs, template-based MMQJP with view
+// materialization. On the colliding two-level stream, where every stored
+// document joins the current one on every leaf, it must give the same matches
+// and the same Stage-2 probe count as ProcessorViewMat and as a core
+// processor with view materialization on. The evaluator without it gives the
+// same matches with about 1.6 times the probes, so the count tells the two
+// apart.
+func TestZeroOptionsRunViewMaterialization(t *testing.T) {
+	tl := workload.TwoLevel{N: 4, Theta: 0.8, Window: 12}
+	queries := tl.Queries(rand.New(rand.NewSource(1)), 300)
+	stream := make([]*Document, 100)
+	for i := range stream {
+		b := NewDocumentBuilder(int64(i+1), int64(i+1), "r")
+		for l := 1; l <= tl.N; l++ {
+			b.Element(0, fmt.Sprintf("l%d", l), fmt.Sprintf("value-%d", l))
+		}
+		stream[i] = b.Build()
+	}
+	coreProbes := func(viewMat bool) int64 {
+		p := core.NewProcessor(core.Config{ViewMaterialization: viewMat})
+		for _, q := range queries {
+			p.MustRegister(q)
+		}
+		for _, d := range stream {
+			p.Process("S", d)
+		}
+		return p.Stats().CQProbes
+	}
+	run := func(opts Options) (string, int64) {
+		eng := New(opts)
+		for _, q := range queries {
+			eng.MustSubscribe(q.Source)
+		}
+		var out strings.Builder
+		for _, ms := range publishBatch(eng, "S", stream) {
+			out.WriteString(renderEngineMatches(ms))
+		}
+		return out.String(), eng.Stats().CQProbes
+	}
+	viewMat, basic := coreProbes(true), coreProbes(false)
+	if viewMat == basic {
+		t.Fatalf("both core settings probe %d entries: the stream cannot tell them apart", viewMat)
+	}
+	zero, zeroProbes := run(Options{})
+	alias, aliasProbes := run(Options{Processor: ProcessorViewMat})
+	if zero != alias {
+		t.Errorf("Options{} and ProcessorViewMat match differently")
+	}
+	if strings.Count(zero, "\n") == 0 {
+		t.Fatal("no matches: the comparison is vacuous")
+	}
+	if zeroProbes != viewMat || aliasProbes != viewMat {
+		t.Errorf("CQProbes: Options{} %d, ProcessorViewMat %d; want %d (view materialization), not %d (without)",
+			zeroProbes, aliasProbes, viewMat, basic)
+	}
 }
 
 func TestEngineEndToEnd(t *testing.T) {
@@ -22,14 +104,14 @@ func TestEngineEndToEnd(t *testing.T) {
 		eng := New(Options{Processor: kind})
 		qid := eng.MustSubscribe(paperQ1)
 
-		ms, err := eng.PublishXML("S", paperD1, 1, 100)
+		ms, err := eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ms) != 0 {
 			t.Errorf("kind=%d: book alone fired", kind)
 		}
-		ms, err = eng.PublishXML("S", paperD2, 2, 200)
+		ms, err = eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +126,10 @@ func TestEngineEndToEnd(t *testing.T) {
 }
 
 func TestEngineOutputXML(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, RetainDocuments: true})
+	eng := New(Options{RetainDocuments: true})
 	eng.MustSubscribe(paperQ1)
-	eng.PublishXML("S", paperD1, 1, 100)
-	ms, _ := eng.PublishXML("S", paperD2, 2, 200)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if len(ms) != 1 {
 		t.Fatal("no match")
 	}
@@ -64,10 +146,10 @@ func TestEngineOutputXML(t *testing.T) {
 }
 
 func TestEngineOutputRequiresRetention(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe(paperQ1)
-	eng.PublishXML("S", paperD1, 1, 100)
-	ms, _ := eng.PublishXML("S", paperD2, 2, 200)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if _, ok := eng.OutputXML(ms[0]); ok {
 		t.Error("output available without RetainDocuments")
 	}
@@ -78,7 +160,7 @@ func TestEngineSubscribeError(t *testing.T) {
 	if _, err := eng.Subscribe("not a query at all ["); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := eng.PublishXML("S", "<unclosed>", 1, 1); err == nil {
+	if _, err := eng.AppendPublishXML(nil, "S", "<unclosed>", 1, 1); err == nil {
 		t.Error("bad document accepted")
 	}
 }
@@ -88,10 +170,10 @@ func TestEnginePublishName(t *testing.T) {
 	eng.MustSubscribe("S//a->x JOIN{x=y, 10} S//b->y PUBLISH hits")
 	b1 := NewDocumentBuilder(1, 5, "a")
 	b1.SetText(0, "v")
-	eng.Publish("S", b1.Build())
+	publishOne(eng, "S", b1.Build())
 	b2 := NewDocumentBuilder(2, 6, "b")
 	b2.SetText(0, "v")
-	ms := eng.Publish("S", b2.Build())
+	ms := publishOne(eng, "S", b2.Build())
 	if len(ms) != 1 || ms[0].Publish != "hits" {
 		t.Errorf("matches = %+v", ms)
 	}
@@ -101,8 +183,8 @@ func TestEngineStatsString(t *testing.T) {
 	for _, kind := range allKinds() {
 		eng := New(Options{Processor: kind})
 		eng.MustSubscribe(paperQ1)
-		eng.PublishXML("S", paperD1, 1, 100)
-		eng.PublishXML("S", paperD2, 2, 200)
+		eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+		eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 		s := eng.Stats()
 		// The STATS rendering: every statistic as name=value, durations as
 		// Go durations under their name without _ns.
@@ -142,7 +224,7 @@ func TestEngineStatsString(t *testing.T) {
 }
 
 func TestEngineTemplatesExposed(t *testing.T) {
-	eng := New(Options{Processor: ProcessorMMQJP})
+	eng := New(Options{})
 	eng.MustSubscribe(paperQ1)
 	eng.MustSubscribe("S//book->x1[.//author->x2][.//category->x7] FOLLOWED BY{x2=x5 AND x7=x8, 1000} S//blog->x4[.//author->x5][.//category->x8]")
 	if eng.NumTemplates() != 1 {
@@ -160,7 +242,7 @@ func TestEngineCompositionChain(t *testing.T) {
 	// q1 joins an alert with a confirmation and publishes to "incidents";
 	// q2 consumes incidents and correlates them with a page on the same
 	// host. The chain only resolves through the derived stream.
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	// Two predicates keep the block roots in the templates, so the
 	// derived documents carry whole alert/confirm subtrees.
 	q1 := eng.MustSubscribe(
@@ -169,7 +251,7 @@ func TestEngineCompositionChain(t *testing.T) {
 		"incidents//alert->a[./host->h] JOIN{h=h2, 1000} P//page->p[./host->h2]")
 
 	feed := func(stream, xml string, id, ts int64) []Match {
-		ms, err := eng.PublishXML(stream, xml, id, ts)
+		ms, err := eng.AppendPublishXML(nil, stream, xml, id, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,9 +281,9 @@ func TestEngineCompositionDepthLimit(t *testing.T) {
 	// A self-feeding query network must be cut off at the depth limit
 	// rather than looping forever: the single-block query republishes
 	// every x element it sees back onto its own input stream.
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	eng.MustSubscribe("loop//x->a PUBLISH loop")
-	ms, err := eng.PublishXML("loop", "<r><x>v</x></r>", 1, 10)
+	ms, err := eng.AppendPublishXML(nil, "loop", "<r><x>v</x></r>", 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +296,11 @@ func TestEngineCompositionDepthLimit(t *testing.T) {
 }
 
 func TestEngineCompositionDisabledByDefault(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat, RetainDocuments: true})
+	eng := New(Options{RetainDocuments: true})
 	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y PUBLISH derived")
 	eng.MustSubscribe("derived//a->x")
-	eng.PublishXML("S", "<a>v</a>", 1, 10)
-	ms, _ := eng.PublishXML("S", "<b>v</b>", 2, 20)
+	eng.AppendPublishXML(nil, "S", "<a>v</a>", 1, 10)
+	ms, _ := eng.AppendPublishXML(nil, "S", "<b>v</b>", 2, 20)
 	// Only the first query fires; no cascade without EnableComposition.
 	if len(ms) != 1 {
 		t.Errorf("matches = %d, want 1", len(ms))
@@ -228,11 +310,11 @@ func TestEngineCompositionDisabledByDefault(t *testing.T) {
 func TestEngineCompositionDerivedContent(t *testing.T) {
 	// The derived document carries the matched subtrees, verified by a
 	// downstream query binding into them.
-	eng := New(Options{Processor: ProcessorMMQJP, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	eng.MustSubscribe("S//book->b[.//author->a][.//title->t] FOLLOWED BY{a=a2 AND t=t2, 100} S//blog->g[.//author->a2][.//title->t2] PUBLISH pairs")
 	probe := eng.MustSubscribe("pairs//result->r[./book[./author->x]][./blog[./author->y]]")
-	eng.PublishXML("S", "<book><author>Danny</author><title>RSS</title></book>", 1, 10)
-	ms, _ := eng.PublishXML("S", "<blog><author>Danny</author><title>RSS</title></blog>", 2, 20)
+	eng.AppendPublishXML(nil, "S", "<book><author>Danny</author><title>RSS</title></book>", 1, 10)
+	ms, _ := eng.AppendPublishXML(nil, "S", "<blog><author>Danny</author><title>RSS</title></blog>", 2, 20)
 	found := false
 	for _, m := range ms {
 		if m.Query == probe {

@@ -17,8 +17,8 @@ func TestEngineUnsubscribe(t *testing.T) {
 		eng := New(Options{Processor: kind})
 		qid := eng.MustSubscribe(paperQ1)
 
-		eng.PublishXML("S", paperD1, 1, 100)
-		ms, _ := eng.PublishXML("S", paperD2, 2, 200)
+		eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+		ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 		if len(ms) != 1 {
 			t.Fatalf("kind=%d: %d matches before unsubscribe, want 1", kind, len(ms))
 		}
@@ -31,8 +31,8 @@ func TestEngineUnsubscribe(t *testing.T) {
 		if src := eng.Query(qid); src != "" {
 			t.Errorf("kind=%d: Query returns %q after unsubscribe", kind, src)
 		}
-		eng.PublishXML("S", paperD1, 3, 300)
-		ms, _ = eng.PublishXML("S", paperD2, 4, 400)
+		eng.AppendPublishXML(nil, "S", paperD1, 3, 300)
+		ms, _ = eng.AppendPublishXML(nil, "S", paperD2, 4, 400)
 		if len(ms) != 0 {
 			t.Errorf("kind=%d: unsubscribed query fired %d times", kind, len(ms))
 		}
@@ -49,7 +49,7 @@ func TestEngineUnsubscribe(t *testing.T) {
 // survivor keeps firing under its original id, and templates shared with the
 // removed query survive.
 func TestEngineUnsubscribeKeepsOthers(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	keep := eng.MustSubscribe(paperQ1)
 	drop := eng.MustSubscribe(
 		"S//book->x1[.//category->x2][.//title->x3] FOLLOWED BY{x2=x5 AND x3=x6, 1000} S//blog->x4[.//category->x5][.//title->x6]")
@@ -62,8 +62,8 @@ func TestEngineUnsubscribeKeepsOthers(t *testing.T) {
 	if eng.NumTemplates() != 1 {
 		t.Errorf("shared template reclaimed with a survivor: %d", eng.NumTemplates())
 	}
-	eng.PublishXML("S", paperD1, 1, 100)
-	ms, _ := eng.PublishXML("S", paperD2, 2, 200)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if len(ms) != 1 || ms[0].Query != keep {
 		t.Errorf("survivor matches = %v, want one for query %d", ms, keep)
 	}
@@ -75,7 +75,7 @@ func TestEngineUnsubscribeKeepsOthers(t *testing.T) {
 // the upstream keeps publishing).
 func TestEngineUnsubscribeStopsCascade(t *testing.T) {
 	setup := func() (*Engine, QueryID, QueryID) {
-		eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+		eng := New(Options{EnableComposition: true})
 		q1 := eng.MustSubscribe(
 			"S//alert->a[./host->h][./sev->s] FOLLOWED BY{h=h2 AND s=s2, 100} S//confirm->c[./host->h2][./sev->s2] PUBLISH incidents")
 		q2 := eng.MustSubscribe(
@@ -84,9 +84,9 @@ func TestEngineUnsubscribeStopsCascade(t *testing.T) {
 	}
 	feed := func(t *testing.T, eng *Engine, id int64) map[QueryID]int {
 		t.Helper()
-		eng.PublishXML("P", "<page><host>web1</host></page>", id, id*10)
-		eng.PublishXML("S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
-		ms, err := eng.PublishXML("S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
+		eng.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", id, id*10)
+		eng.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
+		ms, err := eng.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,16 +152,16 @@ func TestEngineChurnDeterminism(t *testing.T) {
 
 	// Reference: a fresh sequential-config engine with only the surviving
 	// subscriptions, fed the whole stream.
-	fresh := New(Options{Processor: ProcessorViewMat})
+	fresh := New(Options{})
 	for _, src := range surviving {
 		fresh.MustSubscribe(src)
 	}
 	var ref []string
 	for _, d := range stream {
-		ref = append(ref, renderEngineMatches(fresh.Publish("S", d)))
+		ref = append(ref, renderEngineMatches(publishOne(fresh, "S", d)))
 	}
 
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	var churnIDs []QueryID
 	for _, src := range surviving {
 		eng.MustSubscribe(src)
@@ -169,7 +169,7 @@ func TestEngineChurnDeterminism(t *testing.T) {
 	for _, src := range churned {
 		churnIDs = append(churnIDs, eng.MustSubscribe(src))
 	}
-	eng.PublishBatch("S", stream[:churnAt])
+	publishBatch(eng, "S", stream[:churnAt])
 	for _, id := range churnIDs {
 		if err := eng.Unsubscribe(id); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestEngineChurnDeterminism(t *testing.T) {
 	if n := eng.NumQueries(); n != len(surviving) {
 		t.Fatalf("NumQueries = %d, want %d", n, len(surviving))
 	}
-	for di, ms := range eng.PublishBatch("S", stream[churnAt:]) {
+	for di, ms := range publishBatch(eng, "S", stream[churnAt:]) {
 		if got := renderEngineMatches(ms); got != ref[churnAt+di] {
 			t.Fatalf("churned engine diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
 				churnAt+di+1, got, ref[churnAt+di])
@@ -192,13 +192,13 @@ func TestEngineChurnDeterminism(t *testing.T) {
 func TestEngineUnsubscribeAllThenResubscribe(t *testing.T) {
 	// Composition implies RetainDocuments, so the drain must also release
 	// the engine-side document store.
-	eng := New(Options{Processor: ProcessorViewMat, EnableComposition: true})
+	eng := New(Options{EnableComposition: true})
 	var ids []QueryID
 	for i := 0; i < 3; i++ {
 		ids = append(ids, eng.MustSubscribe(paperQ1))
 	}
-	eng.PublishXML("S", paperD1, 1, 100)
-	eng.PublishXML("S", paperD2, 2, 200)
+	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
 	if len(eng.docs) == 0 {
 		t.Fatal("test premise: documents retained while subscribed")
 	}
@@ -216,12 +216,12 @@ func TestEngineUnsubscribeAllThenResubscribe(t *testing.T) {
 	// The old join state must be gone: a resubscribed query starts from
 	// scratch and cannot match against pre-unsubscribe documents.
 	qid := eng.MustSubscribe(paperQ1)
-	ms, _ := eng.PublishXML("S", paperD2, 3, 250)
+	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 3, 250)
 	if len(ms) != 0 {
 		t.Errorf("resubscribed query matched against reclaimed state: %v", ms)
 	}
-	eng.PublishXML("S", paperD1, 4, 300)
-	ms, _ = eng.PublishXML("S", paperD2, 5, 350)
+	eng.AppendPublishXML(nil, "S", paperD1, 4, 300)
+	ms, _ = eng.AppendPublishXML(nil, "S", paperD2, 5, 350)
 	if len(ms) != 1 || ms[0].Query != qid {
 		t.Errorf("resubscribed query does not fire on fresh documents: %v", ms)
 	}

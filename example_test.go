@@ -19,9 +19,12 @@ func itemDoc(id int64, price string) *mmqjp.Document {
 // produces exactly the matches the original would have on the stream
 // suffix.
 func ExampleEngine_Snapshot() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{})
 	eng.MustSubscribe("S//item->v0[./price->v1] FOLLOWED BY{v1=w1, 100} S//item->w0[./price->w1]")
-	eng.Publish("S", itemDoc(1, "9.99"))
+	if _, err := eng.PublishDoc("S", itemDoc(1, "9.99")); err != nil {
+		fmt.Println("publish:", err)
+		return
+	}
 
 	var snap bytes.Buffer
 	if err := eng.Snapshot(&snap); err != nil {
@@ -29,15 +32,19 @@ func ExampleEngine_Snapshot() {
 		return
 	}
 
-	restored, err := mmqjp.OpenEngine(&snap, mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	restored, err := mmqjp.OpenEngine(&snap, mmqjp.Options{})
 	if err != nil {
 		fmt.Println("open:", err)
 		return
 	}
 
-	ms := restored.Publish("S", itemDoc(2, "9.99"))
+	res, err := restored.PublishDoc("S", itemDoc(2, "9.99"))
+	if err != nil {
+		fmt.Println("publish:", err)
+		return
+	}
 	fmt.Printf("restored %d subscription(s); doc 2 matched doc %d\n",
-		restored.NumQueries(), ms[0].LeftDoc)
+		restored.NumQueries(), res.Matches()[0].LeftDoc)
 	// Output:
 	// restored 1 subscription(s); doc 2 matched doc 1
 }
@@ -46,7 +53,7 @@ func ExampleEngine_Snapshot() {
 // share a wiring shape collapse onto one canonical template, and the
 // snapshot reports its vector groups and plan runs.
 func ExampleEngine_PlanStats() {
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{})
 
 	// Same structural shape twice (leaf names never enter template
 	// identity), so both queries share one template.
@@ -54,7 +61,10 @@ func ExampleEngine_PlanStats() {
 	eng.MustSubscribe("S//item->v0[./qty->v1] FOLLOWED BY{v1=w1, 100} S//item->w0[./qty->w1]")
 
 	for i := 1; i <= 4; i++ {
-		eng.Publish("S", itemDoc(int64(i), "9.99"))
+		if _, err := eng.PublishDoc("S", itemDoc(int64(i), "9.99")); err != nil {
+			fmt.Println("publish:", err)
+			return
+		}
 	}
 
 	for _, ts := range eng.PlanStats() {

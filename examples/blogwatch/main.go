@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 	rng := rand.New(rand.NewSource(*seed))
 
-	eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat})
+	eng := mmqjp.New(mmqjp.Options{})
 
 	// A third of the subscriptions watch each correlation family; windows
 	// vary per subscriber.
@@ -78,7 +78,11 @@ func main() {
 			b.Element(0, "category", category)
 			doc = b.Build()
 		}
-		for _, m := range eng.Publish("S", doc) {
+		res, err := eng.PublishDoc("S", doc)
+		if err != nil {
+			panic(err)
+		}
+		for _, m := range res.Matches() {
 			firedByKind[kinds[m.Query]]++
 			total++
 		}

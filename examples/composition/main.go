@@ -16,10 +16,7 @@ import (
 )
 
 func main() {
-	eng := mmqjp.New(mmqjp.Options{
-		Processor:         mmqjp.ProcessorViewMat,
-		EnableComposition: true,
-	})
+	eng := mmqjp.New(mmqjp.Options{EnableComposition: true})
 
 	// Layer 1: an error alert confirmed on the same host and service
 	// within 300 time units becomes an incident.
@@ -39,9 +36,12 @@ func main() {
 
 	names := map[mmqjp.QueryID]string{incident: "incident", repeat: "repeat-offender"}
 
+	// Each event's matches, cascaded ones included, are appended to one
+	// buffer reused from event to event.
+	var ms []mmqjp.Match
 	feed := func(ts int64, xml string) {
-		ms, err := eng.PublishXML("ops", xml, ts, ts)
-		if err != nil {
+		var err error
+		if ms, err = eng.AppendPublishXML(ms[:0], "ops", xml, ts, ts); err != nil {
 			log.Fatal(err)
 		}
 		for _, m := range ms {

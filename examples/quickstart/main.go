@@ -15,7 +15,6 @@ import (
 
 func main() {
 	eng := mmqjp.New(mmqjp.Options{
-		Processor:       mmqjp.ProcessorViewMat,
 		RetainDocuments: true, // keep documents so matches can be rendered as XML
 	})
 
@@ -62,10 +61,11 @@ func main() {
 	</blog>`
 
 	feed := func(xml string, id, ts int64) {
-		matches, err := eng.PublishXML("S", xml, id, ts)
+		res, err := eng.PublishDoc("S", nil, mmqjp.WithXML(xml, id, ts))
 		if err != nil {
 			log.Fatal(err)
 		}
+		matches := res.Matches()
 		fmt.Printf("document %d (t=%d): %d match(es)\n", id, ts, len(matches))
 		for _, m := range matches {
 			fmt.Printf("  %s fired: doc %d (t=%d) followed by doc %d (t=%d)\n",

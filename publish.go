@@ -5,17 +5,9 @@ import (
 	"fmt"
 )
 
-// Publishing: PublishDoc is the general ingestion entrypoint. The historical
-// variants — Publish, PublishBatch, PublishXML, PublishXMLBatch — are thin
-// wrappers over it, each fixing one input form (parsed documents vs raw
-// XML). PublishDoc accepts any combination: documents accumulate in the
-// order given (the leading *Document argument first, then each option's
-// documents in option order) and are published as one batch in that order,
-// with the same serial-order output guarantees as PublishBatch.
-//
-// Error contract, shared by every XML-accepting path: a parse failure on any
-// document fails the whole call with a *DocumentError identifying the
-// document, and nothing is published.
+// Publishing has two entry points, PublishDoc and AppendPublishXML. Both
+// parse every raw-XML input before publishing anything: a parse failure fails
+// the whole call with a *DocumentError naming the document.
 
 // ErrAsyncBatch is returned by PublishDoc when WithAsync is combined with
 // anything other than exactly one document: PublishResult.Done carries one
@@ -39,9 +31,12 @@ func (e *DocumentError) Unwrap() error { return e.Err }
 // PublishOption configures one PublishDoc call.
 type PublishOption func(*publishReq)
 
+// publishItem is one input document: parsed (doc), or raw XML to be parsed
+// with the given id and timestamp.
 type publishItem struct {
-	doc *Document
-	xml *XMLEvent
+	doc       *Document
+	xml       string
+	docID, ts int64
 }
 
 type publishReq struct {
@@ -50,9 +45,8 @@ type publishReq struct {
 }
 
 // WithAsync hands the matches back through PublishResult.Done instead of
-// Batches. The document is published before PublishDoc returns, exactly as
-// Publish would, so Done is already resolved. Valid only for exactly one
-// document.
+// Batches. The document is published before PublishDoc returns, so Done is
+// already resolved. Valid only for exactly one document.
 func WithAsync() PublishOption {
 	return func(r *publishReq) { r.async = true }
 }
@@ -70,17 +64,7 @@ func WithDocs(docs ...*Document) PublishOption {
 // timestamp before anything is published.
 func WithXML(xmlText string, docID, timestamp int64) PublishOption {
 	return func(r *publishReq) {
-		r.items = append(r.items, publishItem{xml: &XMLEvent{XML: xmlText, DocID: docID, Timestamp: timestamp}})
-	}
-}
-
-// WithXMLEvents appends raw XML documents, parsed before anything is
-// published.
-func WithXMLEvents(events ...XMLEvent) PublishOption {
-	return func(r *publishReq) {
-		for i := range events {
-			r.items = append(r.items, publishItem{xml: &events[i]})
-		}
+		r.items = append(r.items, publishItem{xml: xmlText, docID: docID, ts: timestamp})
 	}
 }
 
@@ -88,8 +72,8 @@ func WithXMLEvents(events ...XMLEvent) PublishOption {
 // form is populated: Batches by default (one element per input document, in
 // input order), Done for WithAsync calls.
 type PublishResult struct {
-	// Batches holds each document's matches, exactly what consecutive
-	// Publish calls would return. Nil for WithAsync calls.
+	// Batches holds each document's matches, in input order. Nil for
+	// WithAsync calls.
 	Batches [][]Match
 	// Done holds the WithAsync document's matches (one value, then a
 	// close). Nil otherwise.
@@ -111,13 +95,18 @@ func (r PublishResult) Matches() []Match {
 	return out
 }
 
-// PublishDoc publishes documents on the named stream. The leading document
-// may be nil when options supply the input; all inputs are published as one
-// batch in input order, and the call returns once every document is
-// processed.
+// PublishDoc publishes documents on the named stream — the leading one
+// (which may be nil), then each option's in option order — and returns the
+// matches each one triggered, in deterministic order. With composition
+// enabled, matches of PUBLISH queries cascade into their output streams, and
+// the derived matches are included in the triggering document's result.
 //
 // Raw-XML inputs are parsed first; a parse failure on any document fails the
-// call with a *DocumentError and publishes nothing.
+// call with a *DocumentError and publishes nothing. One document runs its
+// Stage 1 on the caller's goroutine, so concurrent publishers overlap it, and
+// enters the join state when it acquires the engine's lock. Several documents
+// run under one hold of that lock, so no other publisher's document lands
+// between two of them.
 func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (PublishResult, error) {
 	var req publishReq
 	if d != nil {
@@ -135,14 +124,43 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 			return PublishResult{}, ErrAsyncBatch
 		}
 		done := make(chan []Match, 1)
-		done <- e.Publish(stream, docs[0])
+		done <- e.publishAppend(nil, stream, docs[0])
 		close(done)
 		return PublishResult{Done: done}, nil
 	}
 	if len(docs) == 1 {
-		return PublishResult{Batches: [][]Match{e.Publish(stream, docs[0])}}, nil
+		return PublishResult{Batches: [][]Match{e.publishAppend(nil, stream, docs[0])}}, nil
 	}
 	return PublishResult{Batches: e.publishMany(stream, docs)}, nil
+}
+
+// AppendPublishXML publishes one raw XML document with the result buffer
+// brought by the caller: the document's matches — cascaded ones included —
+// are appended to dst and the extended slice is returned, so a caller that is
+// done with one document's matches before it publishes the next (the server
+// encodes them into its reply) passes the same buffer every time and a
+// publish allocates nothing for its result. On a parse failure dst is
+// returned as it came.
+func (e *Engine) AppendPublishXML(dst []Match, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
+	d, err := ParseDocument(xmlText, docID, timestamp)
+	if err != nil {
+		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
+	}
+	return e.publishAppend(dst, stream, d), nil
+}
+
+// publishMany publishes docs on stream in order under one hold of the
+// engine's lock and returns each document's matches.
+func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
+	e.reg.RLock()
+	defer e.reg.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([][]Match, len(docs))
+	for i, d := range docs {
+		out[i] = e.publish(nil, stream, d, 0)
+	}
+	return out
 }
 
 // parseItems resolves every input item to a parsed document. On error
@@ -155,10 +173,9 @@ func parseItems(items []publishItem) ([]*Document, error) {
 			docs[i] = it.doc
 			continue
 		}
-		ev := it.xml
-		d, err := ParseDocument(ev.XML, ev.DocID, ev.Timestamp)
+		d, err := ParseDocument(it.xml, it.docID, it.ts)
 		if err != nil {
-			return nil, &DocumentError{Index: i, DocID: ev.DocID, Err: err}
+			return nil, &DocumentError{Index: i, DocID: it.docID, Err: err}
 		}
 		docs[i] = d
 	}

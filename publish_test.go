@@ -6,9 +6,9 @@ import (
 )
 
 // TestPublishDocForms checks that every input form of PublishDoc — a leading
-// parsed document, WithDocs, WithXML, WithXMLEvents, mixed — publishes the
-// same documents in the same order, producing match output identical to the
-// historical per-document Publish path.
+// parsed document, WithDocs, WithXML, mixed — publishes the same documents
+// in the same order, producing match output identical to one PublishDoc per
+// parsed document.
 func TestPublishDocForms(t *testing.T) {
 	docs := []struct {
 		xml    string
@@ -26,24 +26,24 @@ func TestPublishDocForms(t *testing.T) {
 		}
 		return d
 	}
-	events := make([]XMLEvent, len(docs))
+	xmlDocs := make([]PublishOption, len(docs))
 	for i, d := range docs {
-		events[i] = XMLEvent{XML: d.xml, DocID: d.id, Timestamp: d.ts}
+		xmlDocs[i] = WithXML(d.xml, d.id, d.ts)
 	}
 
-	ref := New(Options{Processor: ProcessorViewMat})
+	ref := New(Options{})
 	ref.MustSubscribe(paperQ1)
 	var want string
 	for i := range docs {
-		want += renderEngineMatches(ref.Publish("S", parse(i)))
+		want += renderEngineMatches(publishOne(ref, "S", parse(i)))
 	}
 
 	for name, publish := range map[string]func(e *Engine) (PublishResult, error){
 		"leading+withdocs": func(e *Engine) (PublishResult, error) {
 			return e.PublishDoc("S", parse(0), WithDocs(parse(1), parse(2), parse(3)))
 		},
-		"xml-events": func(e *Engine) (PublishResult, error) {
-			return e.PublishDoc("S", nil, WithXMLEvents(events...))
+		"xml": func(e *Engine) (PublishResult, error) {
+			return e.PublishDoc("S", nil, xmlDocs...)
 		},
 		"mixed": func(e *Engine) (PublishResult, error) {
 			return e.PublishDoc("S", parse(0),
@@ -52,7 +52,7 @@ func TestPublishDocForms(t *testing.T) {
 				WithXML(docs[3].xml, docs[3].id, docs[3].ts))
 		},
 	} {
-		eng := New(Options{Processor: ProcessorViewMat})
+		eng := New(Options{})
 		eng.MustSubscribe(paperQ1)
 		res, err := publish(eng)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestPublishDocForms(t *testing.T) {
 			got += renderEngineMatches(b)
 		}
 		if got != want {
-			t.Errorf("%s diverges from per-document Publish:\ngot:\n%swant:\n%s", name, got, want)
+			t.Errorf("%s diverges from per-document PublishDoc:\ngot:\n%swant:\n%s", name, got, want)
 		}
 		if flat := res.Matches(); len(flat) != countMatches(res.Batches) {
 			t.Errorf("%s: Matches() flattened %d, want %d", name, len(flat), countMatches(res.Batches))
@@ -86,7 +86,7 @@ func countMatches(batches [][]Match) int {
 // Done, already resolved when PublishDoc returns, and a multi-document async
 // call is rejected with ErrAsyncBatch before anything is published.
 func TestPublishDocAsync(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe(paperQ1)
 
 	if _, err := eng.PublishDoc("S", nil,
@@ -119,11 +119,11 @@ func TestPublishDocAsync(t *testing.T) {
 	}
 }
 
-// TestPublishDocParseError pins the shared error contract of the
-// XML-accepting paths: any document failing to parse fails the whole call
+// TestPublishDocParseError pins the shared error contract of the two
+// publish methods: any document failing to parse fails the whole call
 // with a *DocumentError naming the document, and nothing is published.
 func TestPublishDocParseError(t *testing.T) {
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	eng.MustSubscribe(paperQ1)
 
 	_, err := eng.PublishDoc("S", nil,
@@ -144,19 +144,23 @@ func TestPublishDocParseError(t *testing.T) {
 		t.Errorf("failed call published %d documents, want 0", got)
 	}
 
-	// The historical wrappers share the contract.
-	if _, err := eng.PublishXML("S", "<unclosed>", 4, 400); !errors.As(err, &de) {
-		t.Errorf("PublishXML error = %v (%T), want *DocumentError", err, err)
+	// AppendPublishXML shares the contract, and so does a batch whose
+	// failing document follows a parsed one.
+	if _, err := eng.AppendPublishXML(nil, "S", "<unclosed>", 4, 400); !errors.As(err, &de) {
+		t.Errorf("AppendPublishXML error = %v (%T), want *DocumentError", err, err)
+	} else if de.Index != 0 || de.DocID != 4 {
+		t.Errorf("AppendPublishXML DocumentError = index %d id %d, want index 0 id 4", de.Index, de.DocID)
 	}
-	if _, err := eng.PublishXMLBatch("S", []XMLEvent{
-		{XML: paperD1, DocID: 5, Timestamp: 500},
-		{XML: "<unclosed>", DocID: 6, Timestamp: 600},
-	}); !errors.As(err, &de) {
-		t.Errorf("PublishXMLBatch error = %v (%T), want *DocumentError", err, err)
+	d5, err := ParseDocument(paperD1, 5, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PublishDoc("S", d5, WithXML("<unclosed>", 6, 600)); !errors.As(err, &de) {
+		t.Errorf("mixed batch error = %v (%T), want *DocumentError", err, err)
 	} else if de.Index != 1 || de.DocID != 6 {
-		t.Errorf("PublishXMLBatch DocumentError = index %d id %d, want index 1 id 6", de.Index, de.DocID)
+		t.Errorf("mixed batch DocumentError = index %d id %d, want index 1 id 6", de.Index, de.DocID)
 	}
 	if got := eng.Stats().Documents; got != 0 {
-		t.Errorf("failed wrapper calls published %d documents, want 0", got)
+		t.Errorf("failed calls published %d documents, want 0", got)
 	}
 }

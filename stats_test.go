@@ -70,11 +70,11 @@ func TestEngineStatsJSONRoundTrip(t *testing.T) {
 
 	// And a live engine's stats must round-trip identically too.
 	queries, stream := rssBatchFixture(40, 20)
-	eng := New(Options{Processor: ProcessorViewMat})
+	eng := New(Options{})
 	for _, q := range queries {
 		eng.MustSubscribe(q)
 	}
-	eng.PublishBatch("S", stream)
+	publishBatch(eng, "S", stream)
 	live := eng.Stats()
 	b, err = json.Marshal(live)
 	if err != nil {
