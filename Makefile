@@ -27,12 +27,12 @@ alloc-ceilings:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The whole tree under the race detector, then the concurrent-publisher
-# tests twenty times over, so a lock-order race that only shows once in a
-# while fails here (the CI race job).
+# The whole tree under the race detector, then the concurrent-publisher and
+# concurrent document-reader tests twenty times over, so a lock-order race
+# that only shows once in a while fails here (the CI race job).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ConcurrentPublishers|ConcurrentSubscribePublish' .
+	$(GO) test -race -count=20 -run 'ConcurrentPublishers|ConcurrentSubscribePublish|ConcurrentDocumentReaders' .
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against
@@ -72,9 +72,11 @@ server-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Per-package coverage (the CI coverage job uploads coverage.out).
+# Per-package coverage, also kept in coverage-by-package.txt (the CI coverage
+# job puts that file in its summary and uploads coverage.out). pipefail keeps
+# a failing test from hiding behind tee.
 coverage:
-	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
+	bash -o pipefail -c '$(GO) test -coverprofile=coverage.out -covermode=atomic ./... | tee coverage-by-package.txt'
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Documentation gate (the CI docs job): vet, every ```go block in the

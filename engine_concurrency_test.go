@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/xmldoc"
 )
 
 // TestEngineConcurrentSubscribePublish hammers one shared engine from many
@@ -230,4 +232,67 @@ func TestPingFailsWhileStage2Blocked(t *testing.T) {
 	if err := eng.Ping(time.Second); err != nil {
 		t.Fatalf("after the publish completed: Ping = %v", err)
 	}
+}
+
+// TestConcurrentDocumentReaders: string values are computed on demand and
+// memoized nowhere, so goroutines reading one retained document at once —
+// StringValue on every node, OutputXML on a match over it, and publishers
+// whose Stage 1 reads the join value of an interior element — write nothing
+// shared, and each reads what a lone reader reads. The CI race job runs it
+// twenty times over.
+func TestConcurrentDocumentReaders(t *testing.T) {
+	const text = `<feed><entry k="v"><id>a<sub>1</sub>b</id><title>t <em>e</em></title></entry></feed>`
+	eng := New(Options{RetainDocuments: true})
+	eng.MustSubscribe("S//entry->e[./id->x] FOLLOWED BY{x=y, 100} S//entry->f[./ref->y]")
+	d, err := ParseDocument(text, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishOne(eng, "S", d)
+	ms, err := eng.AppendPublishXML(nil, "S", `<feed><entry><ref>ab1</ref></entry></feed>`, 2, 2)
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("%d matches, err %v; want 1 (the interior id's value joins)", len(ms), err)
+	}
+	// The expected values come from a copy, so the readers below are the
+	// first to ask d for its other interior elements' values.
+	ref, err := ParseDocument(text, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]string, ref.Len())
+	for i := range values {
+		values[i] = ref.StringValue(xmldoc.NodeID(i))
+	}
+	out, ok := eng.OutputXML(ms[0])
+	if !ok {
+		t.Fatal("OutputXML not available with RetainDocuments")
+	}
+	const readers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, want := range values {
+					if got := d.StringValue(xmldoc.NodeID(i)); got != want {
+						t.Errorf("node %d: string value %q, want %q", i, got, want)
+						return
+					}
+				}
+				if got, _ := eng.OutputXML(ms[0]); got != out {
+					t.Errorf("OutputXML %q, want %q", got, out)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds/10; r++ {
+			publishOne(eng, "S", d)
+		}
+	}()
+	wg.Wait()
 }

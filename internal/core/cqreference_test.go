@@ -285,7 +285,7 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 }
 
 // TestPublishAllocCeiling bounds the allocations per document of the publish
-// path, as a count and — on the cases that measure both stages — as bytes.
+// path, as a count and — on every case but "rss stage1" — as bytes.
 // Both are the same on every machine, so a regression fails here and not in a
 // timing comparison. Each case runs its stream (generator seeds 1 and 8)
 // through a ViewMat processor that has processed a pass already, so
@@ -307,7 +307,11 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // are inside the ceiling. The both-stage cases consume every document, so the
 // witness relations are recycled (CurrentWitness.Release) and cost nothing;
 // the stage1 cases drop their results, and each document pays for a witness
-// of its own. A ceiling is at most 1.25 times what its case logs.
+// of its own. "deep stage1" logs 40.9 allocations and 26.8 KB, or up to 52.3
+// and 27.5 KB when the pooled match result was last put back on the
+// processor that GOMAXPROCS(1) retires, where no Get finds it, and a new one
+// regrows its candidate lists in the pass. A ceiling is at most 1.25 times
+// what its case logs.
 func TestPublishAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under the race detector (race_test.go)")
@@ -329,7 +333,7 @@ func TestPublishAllocCeiling(t *testing.T) {
 		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 58, 4600},
 		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 8, 880},
 		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 29, 16800},
-		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 64, 0},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 64, 33500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{ViewMaterialization: true})

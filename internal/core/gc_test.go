@@ -20,7 +20,7 @@ func mergeDoc(s *State, id int64, ts int64, str string) {
 	d := b.Build()
 	w := NewCurrentWitness(d)
 	w.AddBin(1, 2, 0, 1)
-	w.AddDoc(1, str)
+	w.AddDoc(1)
 	s.Merge(w, false)
 }
 
@@ -359,7 +359,7 @@ func TestCurrentWitnessReuse(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ { // the second round is deduplicated
 			w.AddBin(v, v+1, 0, 1)
-			w.AddDoc(1, str)
+			w.AddDoc(1)
 			w.AddRoot(v, 0)
 		}
 		if w.RbinW.Len() != 1 || w.RdocW.Len() != 1 || w.RrootW.Len() != 1 {

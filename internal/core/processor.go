@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -101,8 +102,10 @@ type Processor struct {
 
 	// result is the current document's matches between one Consume and
 	// the next one (Matches): its keys and buffer list are reused across
-	// documents.
-	result Matches
+	// documents. consumed is the Stage-1 result whose single-block matches
+	// it reads; the next Consume returns it to stage1Pool.
+	result   Matches
+	consumed *Stage1Result
 
 	// pre is the current document's Stage-2 inputs (prepareStage2), which
 	// nothing reads once the document is evaluated: the next document's
@@ -816,6 +819,12 @@ type Stage1Result struct {
 	triggered, probes int64
 }
 
+// stage1Pool holds consumed Stage-1 results, so a document's result and its
+// single-block match buffer cost no allocation once grown.
+//
+//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; RunStage1 empties singles and sets every other field before handing it out
+var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
+
 // RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
 // relation construction, and single-block match emission. It only reads
 // registration-time structures (the shared NFA, pattern infos, query lists),
@@ -826,7 +835,8 @@ type Stage1Result struct {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
-	r := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
+	r := stage1Pool.Get().(*Stage1Result)
+	r.doc, r.w, r.singles = d, NewCurrentWitness(d), r.singles[:0]
 	t0 := time.Now()
 	res := p.xp.MatchDocument(stream, d)
 	r.xpath = time.Since(t0)
@@ -877,7 +887,7 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 			r.w.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
 		}
 		for _, n := range pi.strNodes {
-			r.w.AddDoc(b[n], d.StringValue(b[n]))
+			r.w.AddDoc(b[n])
 		}
 		for _, n := range pi.roots {
 			r.w.AddRoot(pi.canonIDs[n], b[n])
@@ -970,9 +980,19 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 		})
 	}
 	// The document is merged and its matches hold no witness row: the
-	// witness relations' storage serves a later document.
-	r.w = nil
+	// witness relations' storage serves a later document. The matches do
+	// hold r.singles, until the next Consume; the result consumed before
+	// this one serves a later document now.
+	r.w, r.doc = nil, nil
 	w.Release()
+	prev := p.consumed
+	p.consumed = r
+	if prev != nil {
+		if cap(prev.singles) > emitKeep {
+			prev.singles = nil
+		}
+		stage1Pool.Put(prev)
+	}
 	return out
 }
 

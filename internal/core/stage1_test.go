@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -184,5 +185,27 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 					publishers, i, d.ID, want, got[d.ID])
 			}
 		}
+	}
+}
+
+// BenchmarkStage1DeepFeed times RunStage1 — the NFA walk, witness assembly
+// and the witness rows — on the deep_filter shape: 1 100 subscriptions over
+// DefaultDeepFeed documents. Each result is recycled as Consume recycles it
+// (the witness released, the result back in its pool), so the loop is the
+// steady state of a serving process.
+func BenchmarkStage1DeepFeed(b *testing.B) {
+	c := workload.DefaultDeepFeed()
+	p := NewProcessor(Config{ViewMaterialization: true})
+	for _, q := range c.Queries(rand.New(rand.NewSource(1)), 1100) {
+		p.MustRegister(q)
+	}
+	stream := c.Stream(rand.New(rand.NewSource(8)), 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.RunStage1("S", stream[i%len(stream)])
+		r.w.Release()
+		r.w = nil
+		stage1Pool.Put(r)
 	}
 }

@@ -304,15 +304,20 @@ func (w *CurrentWitness) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
 	w.arena.Insert(w.RbinW, var1, var2, int64(n1), int64(n2))
 }
 
-// AddDoc inserts a deduplicated node string value tuple. The string value is
-// interned here, at the Stage-1 boundary, once per node: everything
-// downstream (witness joins, the view caches, the state's posting lists)
-// sees only the symbol.
-func (w *CurrentWitness) AddDoc(n xmldoc.NodeID, strVal string) {
-	e := w.node(n)
-	if e.doc >= 0 {
-		return
+// AddDoc inserts a deduplicated string-value tuple for node n of the
+// witness's document. The value is computed — an interior element's is
+// concatenated (xmldoc.Document.StringValue) — and interned only when the
+// row is new, at the Stage-1 boundary: everything downstream (witness
+// joins, the view caches, the state's posting lists) sees only the symbol.
+func (w *CurrentWitness) AddDoc(n xmldoc.NodeID) {
+	if e := w.node(n); e.doc < 0 {
+		w.insertDoc(e, n, w.Doc.StringValue(n))
 	}
+}
+
+// insertDoc inserts node n's row, with string value strVal, as its entry e
+// records.
+func (w *CurrentWitness) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string) {
 	e.doc = int32(w.RdocW.Len())
 	w.arena.Insert(w.RdocW, int64(n), int64(sym.Intern(strVal)))
 }

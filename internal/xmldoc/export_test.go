@@ -22,3 +22,7 @@ func Unsupported(err error) (construct string, ok bool) {
 	}
 	return "", false
 }
+
+// DiffValues names the first node of a parsed document whose StringValue
+// differs from the eager oracle (preorderValues), or returns "".
+func DiffValues(d *Document) string { return diffValues(d) }

@@ -5,6 +5,8 @@ import "testing"
 // FuzzParseDocument fuzzes the XML document parser. Properties:
 //
 //   - no panic on arbitrary input (the fuzzer's implicit check);
+//   - every node's string value, computed on demand, equals the eager
+//     oracle's (preorderValues);
 //   - parse → print → parse stability: a successfully parsed document
 //     serializes (XMLText) to well-formed XML that reparses to a document
 //     of identical shape and identical serialization — printing is a
@@ -31,6 +33,9 @@ func FuzzParseDocument(f *testing.F) {
 		d, err := ParseString(src, 1, 10)
 		if err != nil {
 			return
+		}
+		if diff := diffValues(d); diff != "" {
+			t.Fatalf("%s (input %q)", diff, src)
 		}
 		p1 := d.XMLText()
 		d2, err := ParseString(p1, 1, 10)

@@ -2,6 +2,8 @@ package xmldoc
 
 import (
 	"fmt"
+	"hash/maphash"
+	"runtime"
 	"strings"
 	"unicode/utf8"
 
@@ -44,12 +46,12 @@ func (e *parseError) Error() string {
 // trimmed of surrounding white space, and names are the local part after a
 // namespace prefix.
 //
-// It is one forward pass over s: element and attribute names are interned
-// as they are read (Node.Name is the interner's copy), the node table and
-// every Children list come from two allocations sized from the input, an
-// element's text is a substring of s unless it needed decoding, and the
-// string values of elements with element children are substrings of one
-// per-document buffer.
+// It is one forward pass over s: element and attribute names are resolved
+// to their symbols as they are read (Node.Name is the interner's copy), the
+// node table and every Children list come from two allocations sized from
+// the input, and an element's text is a substring of s unless it needed
+// decoding. No string value is computed (Document.StringValue builds an
+// interior element's on demand).
 func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
 	// Every node is an element, which has a '<' and — in its end tag or its
 	// "/>" — a '/', or an attribute, which has an '=': the node table of a
@@ -58,7 +60,9 @@ func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
 	// those bytes can make it reserve at what a document that dense needs.
 	bound := min(strings.Count(s, "<"), strings.Count(s, "/")) + strings.Count(s, "=")
 	bound = min(bound, len(s)/4)
-	p := scanner{src: s, nodes: make([]Node, 0, bound), stack: make([]frame, 0, 16)}
+	names := takeNameCache()
+	defer returnNameCache(names)
+	p := scanner{src: s, nodes: make([]Node, 0, bound), stack: make([]frame, 0, 16), names: names}
 	if bound > 1 {
 		p.slab = make([]NodeID, 0, bound-1)
 	}
@@ -70,60 +74,7 @@ func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
 		par := nodes[i].Parent
 		nodes[par].Children = append(nodes[par].Children, NodeID(i))
 	}
-	return &Document{ID: id, Timestamp: ts, Nodes: nodes, strValues: preorderValues(nodes)}, nil
-}
-
-// preorderValues computes the string values of a document whose node ids
-// are in pre-order. An element's value is its own text followed by its
-// element children's values, which is the concatenation of the texts of its
-// subtree in pre-order — one range of a buffer holding every element's text
-// in pre-order. A value is that range for an element with element children
-// and the text itself for every other node.
-func preorderValues(nodes []Node) []string {
-	vals := make([]string, len(nodes))
-	total := 0
-	for i := range nodes {
-		if nodes[i].Kind == ElementNode {
-			total += len(nodes[i].text)
-		}
-	}
-	var buf strings.Builder
-	buf.Grow(total)
-	type open struct {
-		id       NodeID
-		start    int
-		interior bool
-	}
-	stack := make([]open, 0, 32)
-	finish := func(o open) {
-		if o.interior {
-			// Grown once to its final size, buf never moves: the string
-			// so far is a prefix of the final one.
-			vals[o.id] = buf.String()[o.start:]
-		} else {
-			vals[o.id] = nodes[o.id].text
-		}
-	}
-	for i := range nodes {
-		n := &nodes[i]
-		if n.Kind == AttributeNode {
-			vals[i] = n.text
-			continue
-		}
-		for len(stack) > 0 && nodes[stack[len(stack)-1].id].Depth >= n.Depth {
-			finish(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) > 0 {
-			stack[len(stack)-1].interior = true
-		}
-		stack = append(stack, open{id: NodeID(i), start: buf.Len()})
-		buf.WriteString(n.text)
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		finish(stack[i])
-	}
-	return vals
+	return &Document{ID: id, Timestamp: ts, Nodes: nodes}, nil
 }
 
 // scanner is the state of one ParseString.
@@ -133,23 +84,113 @@ type scanner struct {
 	nodes []Node
 	slab  []NodeID // every Children list is carved from it
 	stack []frame  // open elements
-	names [64]internedName
+	names *nameCache
 }
 
-// internedName caches an element name's symbol for the rest of a document,
-// which repeats a few names many times: a hit takes no lock.
-type internedName struct {
-	name string // the interner's copy
-	id   sym.ID
-}
+// idleNames holds the name caches no parse is using. A cache outlives the
+// documents that filled it, so a name an earlier parse on the cache resolved
+// costs a hash and a probe of the cache: no lock and no probe of the global
+// table. A cache holds only (interner's copy, symbol) pairs, which stay valid
+// for the life of the process because the interner never retires a name's
+// id. Unlike a sync.Pool, the channel keeps its caches across collections,
+// so a warm cache is not rebuilt; it holds one per processor, as many as can
+// parse at once, and a cache returned to a full channel is dropped.
+var idleNames = make(chan *nameCache, runtime.GOMAXPROCS(0))
 
-// intern returns an element name's symbol and the interner's copy of it.
-func (p *scanner) intern(local string) (sym.ID, string) {
-	e := &p.names[(len(local)+7*int(local[0])+3*int(local[len(local)-1]))%len(p.names)]
-	if e.name != local {
-		e.id, e.name = sym.InternName(local)
+// takeNameCache returns an idle name cache, or a new one.
+func takeNameCache() *nameCache {
+	select {
+	case c := <-idleNames:
+		return c
+	default:
+		return &nameCache{slots: make([]cachedName, 64)}
 	}
-	return e.id, e.name
+}
+
+// returnNameCache gives back a cache the caller no longer uses.
+func returnNameCache(c *nameCache) {
+	select {
+	case idleNames <- c:
+	default:
+	}
+}
+
+// nameSeed seeds the name caches' hash.
+var nameSeed = maphash.MakeSeed()
+
+// nameCacheSlots bounds a name cache: a cache whose names reach half of it is
+// emptied, so text full of distinct names cannot make an idle cache grow
+// without bound.
+const nameCacheSlots = 1 << 13
+
+// nameCache is an open-addressed table of the element and attribute names a
+// scanner has resolved, with linear probing; its length is a power of two,
+// from 64 to nameCacheSlots, at least twice the number of names.
+type nameCache struct {
+	slots []cachedName
+	n     int
+}
+
+// cachedName is a resolved name: an element's or an attribute's local name
+// (the interner's copy; "" marks a free slot), its hash and its symbol —
+// "@"+name for an attribute.
+type cachedName struct {
+	name string
+	hash uint32
+	id   sym.ID
+	attr bool
+}
+
+// resolve returns the symbol of an element name, or of attribute name local
+// when attr is set, and the interner's copy of the name.
+func (c *nameCache) resolve(local string, attr bool) (sym.ID, string) {
+	h := uint32(maphash.String(nameSeed, local))
+	mask := len(c.slots) - 1
+	for i := int(h) & mask; c.slots[i].name != ""; i = (i + 1) & mask {
+		if e := &c.slots[i]; e.hash == h && e.attr == attr && e.name == local {
+			return e.id, e.name
+		}
+	}
+	var id sym.ID
+	var name string
+	if attr {
+		id = sym.AttrIntern(local)
+		name = sym.Name(id)[1:]
+	} else {
+		id, name = sym.InternName(local)
+	}
+	if 2*(c.n+1) > len(c.slots) {
+		c.grow()
+	}
+	c.insert(cachedName{name: name, hash: h, id: id, attr: attr})
+	return id, name
+}
+
+// grow doubles the table, or empties it once it has nameCacheSlots slots.
+func (c *nameCache) grow() {
+	if len(c.slots) == nameCacheSlots {
+		clear(c.slots)
+		c.n = 0
+		return
+	}
+	old := c.slots
+	c.slots, c.n = make([]cachedName, 2*len(old)), 0
+	for _, e := range old {
+		if e.name != "" {
+			c.insert(e)
+		}
+	}
+}
+
+// insert files a name known to be absent in the free slot its probe ends on.
+func (c *nameCache) insert(e cachedName) {
+	mask := len(c.slots) - 1
+	i := int(e.hash) & mask
+	for c.slots[i].name != "" {
+		i = (i + 1) & mask
+	}
+	c.slots[i] = e
+	c.n++
 }
 
 // node appends a zero node to the table and returns it.
@@ -255,7 +296,7 @@ func (p *scanner) startTag() error {
 	id := NodeID(len(p.nodes))
 	n := p.node()
 	n.ID, n.Kind, n.Parent, n.Depth = id, ElementNode, parent, depth
-	n.Sym, n.Name = p.intern(local)
+	n.Sym, n.Name = p.names.resolve(local, false)
 	attrs := int32(0)
 	s := p.src
 	for {
@@ -302,10 +343,10 @@ func (p *scanner) startTag() error {
 			}
 			continue
 		}
-		aid := sym.AttrIntern(alocal)
+		aid, aname := p.names.resolve(alocal, true)
 		a := p.node()
 		a.ID, a.Kind, a.Parent, a.Depth = NodeID(len(p.nodes)-1), AttributeNode, id, depth+1
-		a.Sym, a.Name, a.text = aid, sym.Name(aid)[1:], value
+		a.Sym, a.Name, a.text = aid, aname, value
 		attrs++
 	}
 }

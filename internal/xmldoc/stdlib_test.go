@@ -38,6 +38,9 @@ func TestParseMatchesStdlibOnWorkloads(t *testing.T) {
 			if diff := diffDocuments(got, want); diff != "" {
 				t.Fatalf("document %d: %s\n%s", i, diff, s)
 			}
+			if diff := xmldoc.DiffValues(got); diff != "" {
+				t.Fatalf("document %d: %s\n%s", i, diff, s)
+			}
 		}
 	}
 }
@@ -62,7 +65,8 @@ var stdlibSeeds = []string{
 
 // FuzzParseMatchesStdlib holds ParseString to the encoding/xml tree builder
 // it replaced: when the scanner accepts an input, the reference accepts it
-// with an identical node table; when only the reference accepts it, the
+// with an identical node table, and every node's string value equals the
+// eager oracle's (xmldoc.DiffValues); when only the reference accepts it, the
 // scanner must have named one of the unsupported constructs the package
 // comment lists, and the input must contain it.
 func FuzzParseMatchesStdlib(f *testing.F) {
@@ -87,6 +91,9 @@ func FuzzParseMatchesStdlib(f *testing.F) {
 			t.Fatalf("scanner accepts what encoding/xml rejects (%v): %q", refErr, src)
 		case err == nil:
 			if diff := diffDocuments(got, want); diff != "" {
+				t.Fatalf("%s: %q", diff, src)
+			}
+			if diff := xmldoc.DiffValues(got); diff != "" {
 				t.Fatalf("%s: %q", diff, src)
 			}
 		case refErr == nil:

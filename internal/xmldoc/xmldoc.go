@@ -88,13 +88,12 @@ type Node struct {
 	text string
 }
 
-// Document is an immutable parsed XML document with stream metadata.
+// Document is an immutable parsed XML document with stream metadata. Its
+// methods only read it, so any number of goroutines may call them at once.
 type Document struct {
 	ID        DocID
 	Timestamp Timestamp
 	Nodes     []Node // indexed by NodeID
-
-	strValues []string // memoized XPath string values, indexed by NodeID
 }
 
 // Root returns the id of the document's root element (always 0).
@@ -108,9 +107,49 @@ func (d *Document) Node(id NodeID) *Node { return &d.Nodes[id] }
 func (d *Document) Len() int { return len(d.Nodes) }
 
 // StringValue returns the XPath string value of the node: for attributes the
-// attribute value, for elements the concatenation of all descendant text in
-// document order. Values are memoized at parse/build time.
-func (d *Document) StringValue(id NodeID) string { return d.strValues[id] }
+// attribute value, for elements their own text followed by their element
+// children's string values in child order — the concatenation of the text of
+// the element subtree in pre-order. An attribute's or a leaf element's value
+// is its text, returned without allocating. An interior element's value is
+// built on every call: nothing is memoized, so concurrent readers of one
+// document write nothing shared.
+func (d *Document) StringValue(id NodeID) string {
+	n := &d.Nodes[id]
+	if n.Kind == AttributeNode || d.IsLeaf(id) {
+		return n.text
+	}
+	size := d.valueLen(id)
+	if size == len(n.text) {
+		return n.text // no descendant contributes text
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	d.writeValue(&sb, id)
+	return sb.String()
+}
+
+// valueLen is the length of element id's string value.
+func (d *Document) valueLen(id NodeID) int {
+	n := &d.Nodes[id]
+	size := len(n.text)
+	for _, c := range n.Children {
+		if d.Nodes[c].Kind == ElementNode {
+			size += d.valueLen(c)
+		}
+	}
+	return size
+}
+
+// writeValue writes element id's string value.
+func (d *Document) writeValue(sb *strings.Builder, id NodeID) {
+	n := &d.Nodes[id]
+	sb.WriteString(n.text)
+	for _, c := range n.Children {
+		if d.Nodes[c].Kind == ElementNode {
+			d.writeValue(sb, c)
+		}
+	}
+}
 
 // Text returns the directly-contained character data of the node (for
 // attributes, the attribute value). Unlike StringValue it does not include
@@ -125,44 +164,6 @@ func (d *Document) IsLeaf(id NodeID) bool {
 		}
 	}
 	return true
-}
-
-// finalize computes memoized string values. It must be called once after all
-// nodes are in place.
-func (d *Document) finalize() {
-	d.strValues = make([]string, len(d.Nodes))
-	// Post-order accumulation: children have larger pre-order ids than
-	// their parent, so a reverse scan visits children before parents and
-	// can concatenate their already-memoized values directly.
-	for i := len(d.Nodes) - 1; i >= 0; i-- {
-		n := &d.Nodes[i]
-		if n.Kind == AttributeNode {
-			d.strValues[i] = n.text
-			continue
-		}
-		// Attribute children do not contribute to an element's string
-		// value (XPath semantics); elements with no element children —
-		// the vast majority of nodes — reuse their text verbatim.
-		hasElemChild := false
-		for _, c := range n.Children {
-			if d.Nodes[c].Kind == ElementNode {
-				hasElemChild = true
-				break
-			}
-		}
-		if !hasElemChild {
-			d.strValues[i] = n.text
-			continue
-		}
-		var sb strings.Builder
-		sb.WriteString(n.text)
-		for _, c := range n.Children {
-			if d.Nodes[c].Kind == ElementNode {
-				sb.WriteString(d.strValues[c])
-			}
-		}
-		d.strValues[i] = sb.String()
-	}
 }
 
 // Builder constructs documents programmatically (used by workload generators
@@ -209,14 +210,10 @@ func (b *Builder) Attribute(parent NodeID, name, value string) NodeID {
 // SetText replaces the directly-contained text of a node.
 func (b *Builder) SetText(id NodeID, text string) { b.doc.Nodes[id].text = text }
 
-// Build finalizes and returns the document. The builder must not be reused.
-func (b *Builder) Build() *Document {
-	d := &b.doc
-	d.finalize()
-	return d
-}
+// Build returns the document. The builder must not be reused.
+func (b *Builder) Build() *Document { return &b.doc }
 
-// MarshalXML serializes the document back to XML text (elements, attributes
+// XMLText serializes the document back to XML text (elements, attributes
 // and direct text only). It is used for constructing query outputs.
 func (d *Document) XMLText() string {
 	var sb strings.Builder

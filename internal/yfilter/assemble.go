@@ -24,55 +24,121 @@ import (
 // assembly is what Register derives from one pattern for Bindings.
 type assembly struct {
 	sn *streamNFA
-	// prefix[i] is the prefix id of pattern node i.
-	prefix []int
-	// distinct lists the pattern's prefix ids once each: the lists whose
-	// liveness the pattern holds, and that must all be non-empty for the
-	// pattern to have a witness in a document (the trigger). watch is the
-	// one whose watcher list the pattern sits on while it is live.
-	distinct []int
-	watch    int
-	// enum lists, in pre-order, the pattern nodes whose subtree binds a
-	// variable. Enumeration assigns only these; the other (existential)
-	// subtrees are settled by the reduction.
-	enum []int
-	// dedup is set when an enumerated node is unbound: two assignments can
-	// then agree on every binding and the second must be dropped. A fully
-	// bound pattern cannot repeat a witness.
-	dedup bool
+	// watch is the prefix whose watcher list the pattern sits on while it
+	// is live.
+	watch int
+	prog  program
 }
 
+// program is one pattern compiled for assembly, once, at Register: a single
+// int32 array that Triggered and Bindings read instead of the pattern's node
+// graph, so assembling a pattern follows no pointer of the pattern. Its
+// layout, after a header of progHeader words:
+//
+//	nodes     nodeWords words per pattern node i, in pre-order: i's prefix
+//	          id, its parent's index (-1 for the root), 1 if it hangs off
+//	          its parent by the child axis (0: descendant), and the offsets
+//	          [lo, hi) of its children in kids
+//	kids      the children of every node, node after node, in pre-order
+//	vars      the bound nodes, in pre-order: a witness's bindings, in order
+//	enum      the nodes whose subtree binds a variable, in pre-order.
+//	          Enumeration assigns only these; the other (existential)
+//	          subtrees are settled by the reduction.
+//	distinct  the pattern's prefix ids, once each: the lists whose liveness
+//	          the pattern holds, and that must all be non-empty for it to
+//	          have a witness in a document (the trigger)
+//
+// The header holds the number of nodes, the offsets of vars, enum and
+// distinct (each section ends where the next begins, distinct at the end of
+// the array), and the dedup flag: set when an enumerated node is unbound, so
+// that two assignments can agree on every binding and the second must be
+// dropped. A fully bound pattern cannot repeat a witness.
+type program []int32
+
+// The header words and the fields of a node record.
+const (
+	progNodes = iota
+	progVars
+	progEnum
+	progDistinct
+	progDedup
+	progHeader
+)
+
+const (
+	nodePrefix = iota
+	nodeParent
+	nodeChildAxis
+	nodeKidsLo
+	nodeKidsHi
+	nodeWords
+)
+
+func (p program) numNodes() int          { return int(p[progNodes]) }
+func (p program) vars() []int32          { return p[p[progVars]:p[progEnum]] }
+func (p program) enum() []int32          { return p[p[progEnum]:p[progDistinct]] }
+func (p program) distinct() []int32      { return p[p[progDistinct]:] }
+func (p program) dedup() bool            { return p[progDedup] != 0 }
+func (p program) kids(n []int32) []int32 { return p[n[nodeKidsLo]:n[nodeKidsHi]] }
+
+// node returns pattern node i's record.
+func (p program) node(i int32) []int32 {
+	o := progHeader + int(i)*nodeWords
+	return p[o : o+nodeWords : o+nodeWords]
+}
+
+// newAssembly compiles pattern p, registered on sn, whose node i has prefix
+// id prefix[i].
 func newAssembly(p *xpath.Pattern, sn *streamNFA, prefix []int) assembly {
-	a := assembly{sn: sn, prefix: prefix, distinct: make([]int, 0, len(prefix))}
-	for _, pid := range prefix {
-		if !slices.Contains(a.distinct, pid) {
-			a.distinct = append(a.distinct, pid)
-		}
-	}
-	binds := make([]bool, len(p.Nodes))
-	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		n := p.Nodes[i]
-		binds[i] = n.Var != ""
-		for _, c := range n.Children {
+	n := len(p.Nodes)
+	binds := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		binds[i] = p.Nodes[i].Var != ""
+		for _, c := range p.Nodes[i].Children {
 			binds[i] = binds[i] || binds[c.Index]
 		}
 	}
-	a.enum = make([]int, 0, len(p.Nodes))
-	for i, n := range p.Nodes {
-		if binds[i] {
-			a.enum = append(a.enum, i)
-			a.dedup = a.dedup || n.Var == ""
+	prog := make(program, progHeader+n*nodeWords, progHeader+n*nodeWords+4*n)
+	prog[progNodes] = int32(n)
+	for i, pn := range p.Nodes {
+		lo := int32(len(prog))
+		for _, c := range pn.Children {
+			prog = append(prog, int32(c.Index))
+		}
+		rec := prog.node(int32(i))
+		rec[nodePrefix], rec[nodeParent] = int32(prefix[i]), int32(pn.ParentIndex)
+		rec[nodeKidsLo], rec[nodeKidsHi] = lo, int32(len(prog))
+		if pn.Axis == xpath.Child {
+			rec[nodeChildAxis] = 1
 		}
 	}
-	return a
+	prog[progVars] = int32(len(prog))
+	for _, i := range p.VarNodes {
+		prog = append(prog, int32(i))
+	}
+	prog[progEnum] = int32(len(prog))
+	for i, pn := range p.Nodes {
+		if binds[i] {
+			prog = append(prog, int32(i))
+			if pn.Var == "" {
+				prog[progDedup] = 1
+			}
+		}
+	}
+	prog[progDistinct] = int32(len(prog))
+	for _, pid := range prefix {
+		if !slices.Contains(prog.distinct(), int32(pid)) {
+			prog = append(prog, int32(pid))
+		}
+	}
+	return assembly{sn: sn, prog: prog}
 }
 
 // asmScratch is the part of a MatchResult that assembly works in. All of it
 // is reused from pattern to pattern and document to document.
 type asmScratch struct {
-	// pat and asm are the pattern being assembled.
-	pat *xpath.Pattern
-	asm *assembly
+	// prog is the program of the pattern being assembled.
+	prog program
 
 	// sat[i] lists, in document order, the candidates of pattern node i
 	// under which the pattern subtree rooted at i embeds. A leaf's list is
@@ -139,7 +205,7 @@ func (r *MatchResult) Triggered() []PatternID {
 
 // complete reports whether every prefix of the pattern has a candidate.
 func (r *MatchResult) complete(a *assembly) bool {
-	for _, pid := range a.distinct {
+	for _, pid := range a.prog.distinct() {
 		if len(r.candList[pid]) == 0 {
 			return false
 		}
@@ -167,16 +233,16 @@ func (r *MatchResult) Bindings(id PatternID) (slab []xmldoc.NodeID, n int) {
 		return nil, 0
 	}
 	r.triggered++
-	r.pat, r.asm = r.eng.patterns[id], a
+	r.prog = a.prog
 	if !r.reduce() {
 		return nil, 0
 	}
-	if len(a.enum) == 0 {
+	if len(r.prog.enum()) == 0 {
 		return nil, 1 // a pure existential pattern: one empty witness
 	}
 	r.slab, r.seen = r.slab[:0], r.seen[:0]
 	r.enumerate(0)
-	return r.slab, len(r.slab) / len(r.pat.VarNodes)
+	return r.slab, len(r.slab) / len(r.prog.vars())
 }
 
 // reduce computes sat bottom-up (children before parents: pattern nodes are
@@ -185,13 +251,15 @@ func (r *MatchResult) Bindings(id PatternID) (slab []xmldoc.NodeID, n int) {
 // reduced list leaves on its possible parents; the first filter copies into
 // own[i], the later ones compact own[i] in place.
 func (r *MatchResult) reduce() bool {
-	nodes := r.pat.Nodes
-	for len(r.sat) < len(nodes) {
+	prog := r.prog
+	n := prog.numNodes()
+	for len(r.sat) < n {
 		r.sat, r.own, r.assign = append(r.sat, nil), append(r.own, nil), append(r.assign, 0)
 	}
-	for i := len(nodes) - 1; i >= 0; i-- {
-		list := r.candList[r.asm.prefix[i]]
-		for _, c := range nodes[i].Children {
+	for i := int32(n - 1); i >= 0; i-- {
+		node := prog.node(i)
+		list := r.candList[node[nodePrefix]]
+		for _, c := range prog.kids(node) {
 			r.stampParents(c)
 			kept := r.own[i][:0]
 			for _, d := range list {
@@ -215,16 +283,17 @@ func (r *MatchResult) reduce() bool {
 // parent on the child axis, all its proper ancestors on the descendant axis.
 // An ancestor walk stops at the first node already stamped, whose own
 // ancestors are stamped already, so a node is stamped at most once per edge.
-func (r *MatchResult) stampParents(c *xpath.PatternNode) {
+func (r *MatchResult) stampParents(c int32) {
 	if r.stamp++; r.stamp == 0 {
 		clear(r.stamps)
 		r.stamp = 1
 	}
 	nodes, stamps, stamp := r.doc.Nodes, r.stamps, r.stamp
-	for _, m := range r.sat[c.Index] {
+	child := r.prog.node(c)[nodeChildAxis] != 0
+	for _, m := range r.sat[c] {
 		r.probes++
 		p := nodes[m].Parent
-		if c.Axis == xpath.Child {
+		if child {
 			stamps[p] = stamp
 			continue
 		}
@@ -259,14 +328,16 @@ func (r *MatchResult) firstUnder(list []xmldoc.NodeID, d xmldoc.NodeID) (lo int,
 // witness at full depth. The reduction guarantees that every choice extends
 // to a witness.
 func (r *MatchResult) enumerate(k int) {
-	if k == len(r.asm.enum) {
+	enum := r.prog.enum()
+	if k == len(enum) {
 		r.emit()
 		return
 	}
-	i := r.asm.enum[k]
-	pn := r.pat.Nodes[i]
+	i := enum[k]
+	node := r.prog.node(i)
 	list := r.sat[i]
-	if pn.ParentIndex < 0 {
+	parent := node[nodeParent]
+	if parent < 0 {
 		for _, m := range list {
 			r.probes++
 			r.assign[i] = m
@@ -274,14 +345,15 @@ func (r *MatchResult) enumerate(k int) {
 		}
 		return
 	}
-	d := r.assign[pn.ParentIndex]
+	d := r.assign[parent]
+	child := node[nodeChildAxis] != 0
 	lo, end := r.firstUnder(list, d)
 	for _, m := range list[lo:] {
 		if r.span[m].pre > end {
 			break
 		}
 		r.probes++
-		if pn.Axis == xpath.Child && r.doc.Nodes[m].Parent != d {
+		if child && r.doc.Nodes[m].Parent != d {
 			continue
 		}
 		r.assign[i] = m
@@ -293,10 +365,10 @@ func (r *MatchResult) enumerate(k int) {
 // pattern deduplicates and an earlier witness carries the same bindings.
 func (r *MatchResult) emit() {
 	start := len(r.slab)
-	for _, i := range r.pat.VarNodes {
+	for _, i := range r.prog.vars() {
 		r.slab = append(r.slab, r.assign[i])
 	}
-	if r.asm.dedup && !r.firstSeen(start) {
+	if r.prog.dedup() && !r.firstSeen(start) {
 		r.slab = r.slab[:start]
 	}
 }

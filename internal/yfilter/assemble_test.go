@@ -104,7 +104,7 @@ func TestPropertyLargeDocuments(t *testing.T) {
 		}
 		r := e.MatchDocument("S", doc)
 		for _, id := range ids {
-			if e.asm[id].dedup {
+			if e.asm[id].prog.dedup() {
 				dedup++
 			}
 			checkAgainstNaive(t, fmt.Sprintf("trial %d", trial), r, id, e.Pattern(id), doc)
@@ -246,8 +246,9 @@ func TestAssemblyWorkBound(t *testing.T) {
 			before, _ := r.Work()
 			witnesses += int64(len(r.Witnesses(id)))
 			if after, _ := r.Work(); after > before {
-				for _, pid := range e.asm[id].prefix {
-					candidates += int64(len(r.candList[pid]))
+				prog := e.asm[id].prog
+				for i := int32(0); i < int32(prog.numNodes()); i++ {
+					candidates += int64(len(r.candList[prog.node(i)[nodePrefix]]))
 				}
 			}
 		}

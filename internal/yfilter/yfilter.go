@@ -237,7 +237,7 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 	}
 	sn.tableClean.Store(false)
 	a := newAssembly(p, sn, np)
-	a.watch = sn.leastWatched(a.distinct)
+	a.watch = sn.leastWatched(a.prog.distinct())
 	e.asm = append(e.asm, a)
 	e.dead = append(e.dead, true)
 	e.SetLive(id, true)
@@ -248,9 +248,10 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 // fewest watchers so far, ties going to the deeper step (and then to the
 // later prefix), which is the more selective one. Spreading the watchers is
 // what keeps a hit prefix's list short when many patterns share a prefix.
-func (sn *streamNFA) leastWatched(prefixes []int) int {
-	best := prefixes[0]
-	for _, p := range prefixes[1:] {
+func (sn *streamNFA) leastWatched(prefixes []int32) int {
+	best := int(prefixes[0])
+	for _, p32 := range prefixes[1:] {
+		p := int(p32)
 		n, m := len(sn.watchers[p]), len(sn.watchers[best])
 		if n < m || n == m && sn.prefixDepth[p] >= sn.prefixDepth[best] {
 			best = p
@@ -282,7 +283,7 @@ func (e *Engine) SetLive(id PatternID, live bool) {
 		i := slices.Index(w, id)
 		sn.watchers[a.watch] = slices.Delete(w, i, i+1)
 	}
-	for _, pid := range a.distinct {
+	for _, pid := range a.prog.distinct() {
 		sn.prefixLive[pid] += delta
 	}
 }
@@ -428,7 +429,7 @@ func (r *MatchResult) Release() {
 		r.candList[pid] = r.candList[pid][:0]
 	}
 	r.hit, r.trig = r.hit[:0], r.trig[:0]
-	r.eng, r.sn, r.doc, r.pat, r.asm = nil, nil, nil, nil, nil
+	r.eng, r.sn, r.doc, r.prog = nil, nil, nil, nil
 	eng.pool.Put(r)
 }
 
