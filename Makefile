@@ -66,11 +66,13 @@ fuzz:
 server-smoke:
 	./scripts/server_smoke.sh
 
-# The paper's Table 3 and Figures 8-16 at reduced scale plus the subsystem
-# micro-benchmarks, one iteration each. Not a CI job and not a gate: a
-# performance statement is made with `bash benchmark/run.sh` (BENCHMARK.json).
+# Every Go benchmark in the module, one iteration each — the paper's Table 3
+# and Figures 8-16 at reduced scale and the subsystem micro-benchmarks — so a
+# benchmark that no longer builds or runs fails here (the CI bench-smoke job).
+# Not a gate on any number: a performance statement is made with
+# `bash benchmark/run.sh` (BENCHMARK.json).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Per-package coverage, also kept in coverage-by-package.txt (the CI coverage
 # job puts that file in its summary and uploads coverage.out). pipefail keeps
@@ -114,4 +116,4 @@ loc:
 fmt:
 	gofmt -w .
 
-ci: build lint test alloc-ceilings benchmark-module race fuzz-smoke server-smoke coverage docs-check
+ci: build lint test alloc-ceilings benchmark-module race fuzz-smoke server-smoke coverage docs-check bench

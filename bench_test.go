@@ -216,32 +216,3 @@ func BenchmarkSequentialProcessDocument(b *testing.B) {
 		p.Process("S", c.Item(srng, 500+i))
 	}
 }
-
-// BenchmarkViewCacheAblation quantifies the Section-5 cache: steady-state
-// document cost with the view cache and without it.
-func BenchmarkViewCacheAblation(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"cache", core.Config{ViewMaterialization: true}},
-		{"nocache", core.Config{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			c := workload.DefaultRSS()
-			rng := rand.New(rand.NewSource(1))
-			p := core.NewProcessor(tc.cfg)
-			for _, q := range c.Queries(rng, 2000) {
-				p.MustRegister(q)
-			}
-			srng := rand.New(rand.NewSource(3))
-			for _, d := range c.Stream(srng, 300) {
-				p.Process("S", d)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Process("S", c.Item(srng, 300+i))
-			}
-		})
-	}
-}

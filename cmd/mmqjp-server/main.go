@@ -35,7 +35,7 @@
 // UNSUB removes a subscription; only the connection that registered (or
 // claimed) a query may unsubscribe it. The engine reclaims everything the
 // query no longer shares with surviving subscriptions (refcounted canonical
-// templates, query relations, view-cache entries). Without -snapshot-path a
+// templates, query relations, indexes). Without -snapshot-path a
 // subscription lives at most as long as its connection: disconnecting
 // unsubscribes all of the connection's queries.
 //

@@ -42,14 +42,15 @@
 // current document's value-join pairs and extends a trie of the template's
 // registered variable vectors with every variable it binds, so it probes
 // only what some subscription registered. Its value-join views are computed
-// once per document, the left view cached per join string (the paper's
-// Section-5 view materialization). Engine.PlanStats exposes the
+// once per document and shared by every template, the left view read off the
+// join state's per-string posting lists (the paper's Section-5 view
+// materialization, without its cache). Engine.PlanStats exposes the
 // per-template statistics.
 //
 // Subscriptions have a full lifecycle: Unsubscribe removes a query and
 // reclaims everything it no longer shares with the survivors — canonical
 // templates are refcounted over their member queries, and a template's
-// query relation, indexes and view-cache entries are released when its last
+// query relation and indexes are released when its last
 // member leaves. Draining every subscription returns the engine to its
 // initial state; ids are never reused.
 //

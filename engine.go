@@ -19,8 +19,8 @@ type ProcessorKind int
 
 const (
 	// ProcessorMMQJP is template-based multi-query join processing with the
-	// Section-5 view materialization and per-string view cache (Algorithm 4
-	// of the paper). It is the zero value, and it is what mmqjp-server runs.
+	// Section-5 view materialization (Algorithm 4 of the paper). It is the
+	// zero value, and it is what mmqjp-server runs.
 	ProcessorMMQJP ProcessorKind = iota
 	// ProcessorViewMat is ProcessorMMQJP under its older name: the two
 	// values select the same evaluator.
@@ -216,7 +216,7 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 // the query no longer shares with surviving subscriptions — refcounted
 // canonical templates, their query relations and indexes, pattern
 // extraction demands, and (when the last subscription leaves) the whole join
-// state and view caches. Matches already delivered are unaffected, and ids
+// state. Matches already delivered are unaffected, and ids
 // are never reused. Unsubscribing a PUBLISH query stops its composition
 // cascade: downstream subscriptions on its output stream simply see no
 // further derived documents, while an unsubscribed downstream query stops

@@ -12,11 +12,12 @@ import (
 
 // Differential tests for the symbol-interning layer. The shared-join plans
 // compare join values through dense interned ids (relation.Sym columns, the
-// rdocBySym index, sym-keyed view caches); ProcessorSequential evaluates each
-// query alone and compares the original strings, so it is a string-keyed
-// oracle the interned engines must match byte for byte. Interning is a pure
-// representation change — any id that leaked into a comparison, a hash
-// partition decision, or a snapshot would show up here as divergence.
+// rdocBySym posting lists, the views' strVal columns); ProcessorSequential
+// evaluates each query alone and compares the original strings, so it is a
+// string-keyed oracle the interned engines must match byte for byte.
+// Interning is a pure representation change — any id that leaked into a
+// comparison, a hash partition decision, or a snapshot would show up here as
+// divergence.
 
 // TestInterningDifferential runs the RSS workload through every shared-join
 // plan × worker count and requires per-document output

@@ -28,7 +28,7 @@ type Mode int
 const (
 	// ModeMMQJP is Algorithm 1 (template joins, no view materialization).
 	ModeMMQJP Mode = iota
-	// ModeViewMat is Algorithm 4 (shared views + view cache).
+	// ModeViewMat is Algorithm 4 (the shared views STR, RL and RR).
 	ModeViewMat
 	// ModeSequential is the per-query baseline.
 	ModeSequential

@@ -18,8 +18,9 @@ import (
 
 // Config selects processor behaviour.
 type Config struct {
-	// ViewMaterialization enables the Section-5 optimization: shared
-	// Rvj/RL/RR views and the per-string view cache (Algorithms 4 and 5).
+	// ViewMaterialization enables the Section-5 optimization: the shared
+	// views STR, RL and RR of Algorithm 4, built per document from the join
+	// state's posting lists.
 	ViewMaterialization bool
 	// RetainDocuments keeps full documents in the join state so that
 	// query outputs can be constructed as XML; benchmarks disable it.
@@ -38,9 +39,8 @@ type Config struct {
 // reads the serial document order from: OnDocument calls come in the order
 // documents entered the join state. Stage1 is the document-local NFA match +
 // witness construction (measured on whichever goroutine ran RunStage1),
-// Stage2 the template evaluation, Merge the Algorithm-2 state merge plus
-// view-cache maintenance, and GC the window-expiry check and, when it fires,
-// the collection (State.GC).
+// Stage2 the template evaluation, Merge the Algorithm-2 state merge, and GC
+// the window-expiry check and, when it fires, the collection (State.GC).
 type DocTimings struct {
 	DocID   int64
 	Stage1  time.Duration
@@ -67,10 +67,10 @@ type Stats struct {
 	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
 	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW."`
 	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
-	RL       time.Duration `json:"rl_ns" help:"Time computing or looking up RL slices."`
-	RR       time.Duration `json:"rr_ns" help:"Time computing RR slices."`
+	RL       time.Duration `json:"rl_ns" help:"Time building the left view RL from the join state."`
+	RR       time.Duration `json:"rr_ns" help:"Time building the right view RR from the current witness."`
 	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time."`
-	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2), view-cache maintenance and window collection time."`
+	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2) and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
 	// plus witness construction), accumulated across documents. Concurrent
 	// publishers run Stage 1 side by side, so Stage1Wall sums per-document
@@ -89,13 +89,6 @@ type Stats struct {
 	// plan, so they repeat exactly.
 	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps."`
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
-	// ViewCacheHits and ViewCacheMisses count the view cache's lookups of
-	// a common string's RL slice (view materialization only), and
-	// ViewCacheInvalidations the entries it dropped as stale: slices
-	// referencing a document a window collection expired.
-	ViewCacheHits          int64 `json:"view_cache_hits" stat:"counter" help:"View-cache lookups that found the string's RL slice."`
-	ViewCacheMisses        int64 `json:"view_cache_misses" stat:"counter" help:"View-cache lookups that computed the string's RL slice."`
-	ViewCacheInvalidations int64 `json:"view_cache_invalidations" stat:"counter" help:"View-cache entries dropped as stale."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
 	// document) and WitnessProbes what their assembly examined

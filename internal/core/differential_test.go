@@ -15,8 +15,7 @@ import (
 // The differential test: on random workloads, the match sets of
 //
 //   - MMQJP (Algorithm 1),
-//   - MMQJP with view materialization (Algorithm 4), with and without a
-//     tight view-cache capacity, and
+//   - MMQJP with view materialization (Algorithm 4), and
 //   - the Sequential baseline (per-query nested loops over Stage-1
 //     witnesses)
 //

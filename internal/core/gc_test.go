@@ -3,10 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/sequential"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
@@ -170,16 +171,20 @@ func TestGCReturnsExpiredSet(t *testing.T) {
 	}
 }
 
-// TestGCScopedCacheInvalidation is the satellite bugfix check: after a GC,
-// only view-cache entries whose slices reference expired documents are
-// dropped — the post-GC cache is no longer wiped wholesale.
-func TestGCScopedCacheInvalidation(t *testing.T) {
+// TestSlotReuseMatchesSequential streams two epochs whose strings differ:
+// the first falls out of the window, its slots are freed and reused by the
+// second, and the first epoch's strings come back after they expired. The
+// views are built from the join state for every document, so a row of a
+// freed slot, or of a later document on it, is never read as the expired
+// document's: each document's matches must equal the Sequential baseline's.
+func TestSlotReuseMatchesSequential(t *testing.T) {
+	// Two leaves per side keep the block roots in the template, so the RL
+	// rows carry Rbin rows (a single-node side would use the Rroot path).
+	q := xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 1000} S//item->y[.//a->w][.//b->z]")
 	p := NewProcessor(Config{ViewMaterialization: true})
-	// Two leaves per side keep the block roots in the template, so the
-	// cached RL slices actually carry Rbin rows (a single-node side would
-	// use the Rroot path and cache empty slices).
-	p.MustRegister(xscl.MustParse(
-		"S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 1000} S//item->y[.//a->w][.//b->z]"))
+	p.MustRegister(q)
+	sp := sequential.NewProcessor()
+	sp.MustRegister(q)
 
 	doc := func(id, ts int64, val string) *xmldoc.Document {
 		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(ts), "item")
@@ -187,87 +192,37 @@ func TestGCScopedCacheInvalidation(t *testing.T) {
 		b.Element(0, "b", val+"B")
 		return b.Build()
 	}
-	// Old epoch: values "oldA"/"oldB" repeated, so their slices reference
-	// only documents that will expire together.
-	id, ts := int64(1), int64(0)
-	for i := 0; i < gcBatchMin+1; i++ {
-		p.Process("S", doc(id, ts, "old"))
+	id, ts, matched := int64(1), int64(0), 0
+	publish := func(val string) {
+		t.Helper()
+		d := doc(id, ts, val)
+		got, want := matchSet(p.Process("S", d)), seqMatchSet(sp.Process("S", d))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("document %d (%s): matches %v, Sequential %v", id, val, keys(got), keys(want))
+		}
+		matched += len(got)
 		id++
 		ts++
 	}
-	if sl, ok := p.cache.Get(sym.Intern("oldA")); !ok || sl.Len() == 0 {
-		t.Fatalf("precondition: no populated cache entry for oldA (ok=%v)", ok)
+	for i := 0; i < gcBatchMin+1; i++ {
+		publish("old")
 	}
-	// Live documents carrying different strings, far enough ahead that the
-	// old epoch falls out of the window on the next publishes.
+	slots := len(p.state.recs)
+	// Far enough ahead that the first epoch leaves on the next publishes.
 	ts += 2000
 	for i := 0; i < 4; i++ {
-		p.Process("S", doc(id, ts, "new"))
-		id++
-		ts++
+		publish("new")
 	}
-	if n := p.cache.Len(); n == 0 {
-		t.Fatalf("no cache entries after the fresh epoch (GC wiped the cache wholesale?)")
+	if p.Stats().WindowGCs == 0 || len(p.state.recs) > slots+1 {
+		t.Fatalf("%d collections, %d slots after %d: the second epoch did not reuse the first's slots",
+			p.Stats().WindowGCs, len(p.state.recs), slots)
 	}
-	if _, ok := p.cache.Get(sym.Intern("newA")); !ok {
-		t.Errorf("live entry %q invalidated by GC of unrelated documents", "newA")
+	for i := 0; i < 4; i++ {
+		publish("old")
+		publish("new")
 	}
-	if _, ok := p.cache.Get(sym.Intern("oldA")); ok {
-		t.Errorf("stale entry %q survived GC", "oldA")
-	}
-	if p.Stats().ViewCacheInvalidations == 0 {
-		t.Errorf("no invalidations accounted after GC")
-	}
-}
-
-// TestViewCacheInvalidateDocs unit-tests the scoped invalidation: entries
-// referencing an expired doc are dropped and accounted, as are empty entries
-// (no expiry could ever reach them); entries referencing live docs survive.
-func TestViewCacheInvalidateDocs(t *testing.T) {
-	var st Stats
-	c := NewViewCache(&st)
-	slice := func(docids ...int64) *relation.Relation {
-		r := relation.New(rlSchema...)
-		for _, d := range docids {
-			r.Insert(d, 1, 2, 0, 1, int64(sym.Intern("s")))
-		}
-		return r
-	}
-	c.Put(sym.Intern("stale"), slice(1, 2))
-	c.Put(sym.Intern("live"), slice(3))
-	c.Put(sym.Intern("empty"), slice())
-	c.InvalidateDocs([]int32{2})
-	if _, ok := c.Get(sym.Intern("stale")); ok {
-		t.Error("entry referencing expired doc 2 survived")
-	}
-	if _, ok := c.Get(sym.Intern("live")); !ok {
-		t.Error("entry referencing only live docs dropped")
-	}
-	if _, ok := c.Get(sym.Intern("empty")); ok {
-		t.Error("empty slice survived: nothing else would ever reclaim it")
-	}
-	if got := st.ViewCacheInvalidations; got != 2 {
-		t.Errorf("ViewCacheInvalidations = %d, want 2", got)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-// TestViewCacheClearAccountsDrop checks Clear records the dropped entries in
-// the invalidation stats instead of silently zeroing the population.
-func TestViewCacheClearAccountsDrop(t *testing.T) {
-	var st Stats
-	c := NewViewCache(&st)
-	for i := 0; i < 5; i++ {
-		c.Put(sym.Intern(fmt.Sprintf("s%d", i)), relation.New(relation.Int("docid")))
-	}
-	c.Clear()
-	if got := st.ViewCacheInvalidations; got != 5 {
-		t.Errorf("ViewCacheInvalidations after Clear = %d, want 5", got)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len after Clear = %d", c.Len())
+	if matched == 0 {
+		t.Fatal("no matches: the stream did not exercise Stage 2")
 	}
 }
 
@@ -354,7 +309,7 @@ func TestCurrentWitnessReuse(t *testing.T) {
 				stamped++
 			}
 		}
-		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + stamped + len(w.binNext) + len(w.rootNext); n != 0 || w.rrSlices != nil {
+		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + stamped + len(w.binNext) + len(w.rootNext); n != 0 {
 			t.Fatalf("document %d: a new witness holds %d rows and node entries", id, n)
 		}
 		for i := 0; i < 2; i++ { // the second round is deduplicated

@@ -5,8 +5,8 @@
 // isomorphism class of the graph minor of the query's join graph — and one
 // relational conjunctive query per template evaluates every member query at
 // once against the witness relations produced by Stage 1 (the shared XPath
-// evaluator). Section 5's view materialization (Rvj/RL/RR and the per-string
-// view cache) is implemented as an optional processor mode.
+// evaluator). Section 5's view materialization (STR and the views RL and RR)
+// is implemented as an optional processor mode.
 package core
 
 import (

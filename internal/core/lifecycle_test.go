@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -21,8 +22,8 @@ func (p *Processor) MustUnregister(qid QueryID) {
 
 // assertFreshProcessor checks the lifecycle invariant: a processor whose
 // queries have all been unregistered is observationally identical to a fresh
-// one — templates, queries, patterns, indexes, view-cache entries, join
-// state and stats all reclaimed.
+// one — templates, queries, patterns, indexes, Stage-2 scratch, join state
+// and stats all reclaimed.
 func assertFreshProcessor(t *testing.T, p *Processor) {
 	t.Helper()
 	if n := p.NumQueries(); n != 0 {
@@ -47,8 +48,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			t.Errorf("instance %d still registered", iid)
 		}
 	}
-	if n := p.cache.Len(); n != 0 {
-		t.Errorf("view cache has %d entries, want 0", n)
+	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
+		t.Errorf("Stage-2 scratch not reclaimed: %d RL and %d RR rows kept", cap(p.pre.rl), cap(p.pre.rr))
 	}
 	st := p.state
 	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {

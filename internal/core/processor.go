@@ -11,7 +11,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/xscl"
@@ -80,9 +79,6 @@ type Processor struct {
 	// the view copies out of it: no slice handed to a caller ever aliases
 	// it.
 	ex cqExec
-	// cache holds the Section-5 RL slices by string (view materialization
-	// only), counting its hits, misses and invalidations into stats.
-	cache *ViewCache
 
 	// patterns holds the live patterns by canonical key (the normalized
 	// block's xpath.NormalForm.Key); byYID is the same set by Stage-1
@@ -236,7 +232,7 @@ type patternInfo struct {
 
 // NewProcessor returns an empty processor.
 func NewProcessor(cfg Config) *Processor {
-	p := &Processor{
+	return &Processor{
 		cfg:       cfg,
 		xp:        yfilter.NewEngine(),
 		syms:      newSymtab(),
@@ -246,8 +242,6 @@ func NewProcessor(cfg Config) *Processor {
 		canonMemo: map[string]canonResult{},
 		state:     NewState(),
 	}
-	p.cache = NewViewCache(&p.stats)
-	return p
 }
 
 // NumTemplates returns the number of distinct query templates registered.
@@ -400,8 +394,9 @@ func (p *Processor) releaseWindow(rec *queryRec) bool {
 // last member query leaves is reclaimed with its compiled programs. Pattern
 // extraction demands are refcounted the same way, so Stage 1 stops extracting
 // witness tuples no surviving query needs. When the last query leaves, the
-// processor reclaims everything — join state, view cache and stats — and is
-// observationally identical to a fresh one. Query ids are never reused.
+// processor reclaims everything — join state, Stage-2 scratch and stats —
+// and is observationally identical to a fresh one. Query ids are never
+// reused.
 //
 // Like Register, Unregister must not run concurrently with RunStage1 or
 // Consume (the engine facade serializes them).
@@ -501,12 +496,11 @@ func (p *Processor) recomputeWindows() {
 }
 
 // reclaimAll resets the processor to its initial state once the last query
-// has been unregistered: join state, view cache and stats are all released,
-// making the processor observationally identical to a fresh one (query and
-// template ids are still never reused).
+// has been unregistered: join state, Stage-2 scratch and stats are all
+// released, making the processor observationally identical to a fresh one
+// (query and template ids are still never reused).
 func (p *Processor) reclaimAll() {
 	p.state = NewState()
-	p.cache.Clear()
 	p.stats = Stats{}
 	p.result = Matches{}
 	p.pre = stage2Shared{}
@@ -908,11 +902,11 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 }
 
 // Consume runs the order-sensitive tail of document processing: Stage-2
-// template evaluation against the join state, the Algorithm-2 state merge,
-// view-cache maintenance, and window GC. The order of Consume calls is the
-// serial document order; they never run concurrently. The returned matches
-// are the processor's own view (Matches), valid until the next call: whoever
-// wants them writes them out before that.
+// template evaluation against the join state, the Algorithm-2 state merge
+// and window GC. The order of Consume calls is the serial document order;
+// they never run concurrently. The returned matches are the processor's own
+// view (Matches), valid until the next call: whoever wants them writes them
+// out before that.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) Consume(r *Stage1Result) *Matches {
@@ -939,10 +933,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
-	slot := p.state.Merge(w, p.cfg.RetainDocuments)
-	if p.cfg.ViewMaterialization {
-		p.maintainCache(w, slot)
-	}
+	p.state.Merge(w, p.cfg.RetainDocuments)
 	t3 := time.Now()
 	if !p.anyInfWindow && (p.maxFiniteWindow > 0 || p.maxCountWindow > 0) {
 		cutoffTS := xmldoc.Timestamp(int64(math.MaxInt64))
@@ -954,15 +945,10 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 			cutoffSeq = p.state.nextSeq - p.maxCountWindow
 		}
 		if p.state.shouldGC(cutoffTS, cutoffSeq) {
-			// Invalidation is scoped: only cache entries whose slices
-			// reference an expired slot are dropped, before the next
-			// Merge reuses the slot; surviving entries stay exact, since
-			// Algorithm-5 maintenance keeps them in sync with every merge.
 			expired, dropped := p.state.GC(cutoffTS, cutoffSeq)
 			if len(expired) > 0 {
 				p.stats.WindowGCs++
 				p.stats.GCRowsDropped += int64(dropped)
-				p.cache.InvalidateDocs(expired)
 			}
 		}
 	}
@@ -1026,24 +1012,4 @@ func (p *Processor) windowOK(inst *instance, prev *docRec, d *xmldoc.Document) b
 		return 0 <= delta && delta <= inst.window
 	}
 	return 0 < delta && delta <= inst.window
-}
-
-// maintainCache implements Algorithm 5: fold the current document's RR
-// bindings, stamped with the slot it was merged on, into the cached RL slices
-// so future documents find them.
-func (p *Processor) maintainCache(w *CurrentWitness, slot int32) {
-	if w.rrSlices == nil {
-		return
-	}
-	for _, row := range w.rrSlices.Rows {
-		id := sym.ID(row[rrStrVal])
-		slice, ok := p.cache.GetAndNote(id, slot)
-		if !ok {
-			continue
-		}
-		// Cached slices outlive the document, so this row is heap
-		// allocated by Insert, never carved from the witness arena.
-		slice.Insert(int64(slot), row[0], row[1], row[2], row[3], row[4])
-	}
-	w.rrSlices = nil
 }

@@ -258,27 +258,44 @@ type stage2Shared struct {
 	rvjByDoc rowIndex
 	arena    relation.Arena // this document's rvj rows
 
-	rl      [][]int64 // rlSchema
-	rlByDoc rowIndex
-	rr      [][]int64 // rlSchema without the slot
-	rrBySym rowIndex
+	// rl and rr are the views RL (rlSchema) and RR (rlSchema without the
+	// slot), their values laid out in rlVals and rrVals.
+	rl, rr         [][]int64
+	rlVals, rrVals []int64
+	rlByDoc        rowIndex
+	rrBySym        rowIndex
 
 	syms []sym.ID // prepareViewMat's scratch: the common strings
 }
 
 // reset empties pre for the next document. Its row lists drop what they
-// pointed at (the previous document's arena rows, the cached slices' rows);
-// one that a burst document grew past witnessKeep goes.
+// pointed at (the previous document's rows); one that a burst document grew
+// past witnessKeep rows goes, and so does a value buffer grown past as many
+// rows of the views.
 func (pre *stage2Shared) reset() {
 	pre.rvjBuilt = false
 	pre.arena.Reset()
-	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl} {
+	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl, &pre.rr} {
 		if clear(*rows); cap(*rows) > witnessKeep {
 			*rows = nil
 		}
 		*rows = (*rows)[:0]
 	}
-	pre.rr = nil
+	for _, vals := range [...]*[]int64{&pre.rlVals, &pre.rrVals} {
+		if cap(*vals) > witnessKeep*len(rlSchema) {
+			*vals = nil
+		}
+		*vals = (*vals)[:0]
+	}
+}
+
+// headRows points rows at vals, width values to a row.
+func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
+	rows = resize(rows, len(vals)/width)
+	for i := range rows {
+		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // sharedRvj builds the document's value-join pair relation on first call,
@@ -328,9 +345,9 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 	return pre
 }
 
-// prepareViewMat computes the shared prefix of Algorithm 4 into pre. The
-// per-string RL slices come from the view cache, or are computed and cached
-// on a miss; the union is concatenated in sorted-symbol order (symbol ids are
+// prepareViewMat computes the shared prefix of Algorithm 4 into pre. RL is
+// read off the join state: for each common string in sorted-symbol order,
+// its posting list and each record's Rbin index by node2 (symbol ids are
 // process-global, so the order is identical for every engine configuration
 // within a process — only enumeration order depends on it, the output leaves
 // through Matches.sort regardless). It reports false when no string is shared
@@ -340,9 +357,10 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
+	s := p.state
 	syms := pre.syms[:0]
 	for _, row := range w.RdocW.Rows {
-		if id := sym.ID(row[rdocWStrVal]); p.state.HasSym(id) {
+		if id := sym.ID(row[rdocWStrVal]); s.HasSym(id) {
 			syms = append(syms, id)
 		}
 	}
@@ -354,33 +372,29 @@ func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
 		return false
 	}
 
-	// RL slices (lines 3-7).
+	// RL: per string s, σ_strVal=s(Rdoc) ⋈_{node=node2} Rbin (lines 3-7).
 	t1 := time.Now()
+	vals := pre.rlVals
 	for _, id := range syms {
-		slice, ok := p.cache.Get(id)
-		if !ok {
-			slice = p.state.SliceEL(id)
-			p.cache.Put(id, slice)
-		}
-		pre.rl = append(pre.rl, slice.Rows...)
+		vals = s.appendRL(vals, id)
 	}
+	pre.rlVals = vals
+	pre.rl = headRows(pre.rl, vals, len(rlSchema))
 	pre.rlByDoc.build(pre.rl, 0)
 	p.stats.RL += time.Since(t1)
 
 	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8). A node's string
 	// value is in STR when the state holds it.
 	t2 := time.Now()
-	rr := w.rr
+	vals = pre.rrVals
 	for _, row := range w.RbinW.Rows {
-		id, ok := w.docSym(row[3])
-		if !ok || !p.state.HasSym(id) {
-			continue
+		if id, ok := w.docSym(row[3]); ok && s.HasSym(id) {
+			vals = append(append(vals, row...), int64(id))
 		}
-		w.arena.Insert(rr, row[0], row[1], row[2], row[3], int64(id))
 	}
-	w.rrSlices = rr
-	pre.rr = rr.Rows
-	pre.rrBySym.build(rr.Rows, rrStrVal)
+	pre.rrVals = vals
+	pre.rr = headRows(pre.rr, vals, len(rlSchema)-1)
+	pre.rrBySym.build(pre.rr, rrStrVal)
 	p.stats.RR += time.Since(t2)
 
 	return true

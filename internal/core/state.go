@@ -47,15 +47,15 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 // A document's record sits on a dense slot and holds its id, timestamp and
 // arrival index (the window bookkeeping), the retained document, its rows of
 // the three relations and its own indexes over them. The slot, not the
-// document id, is what a state row, a view-cache slice and the Stage-2 frame
-// carry, so reaching a document's rows is an array index. Across records,
-// rdocBySym lists every Rdoc row by string value, in arrival order.
+// document id, is what a state row and the Stage-2 frame carry, so reaching
+// a document's rows is an array index. Across records, rdocBySym lists every
+// Rdoc row by string value, in arrival order.
 //
 // Expiry (GC) frees the expired records and pops their rows off the front of
 // the posting lists: it touches the expired rows, never the live ones. A
-// freed slot is reused by a later Merge, so whoever keeps slot-stamped rows
-// across documents (the view caches) drops those of the expired slots before
-// the next Merge (Processor.Consume does).
+// freed slot is reused by a later Merge. Nothing outside the state keeps a
+// slot-stamped row across documents: Stage 2 reads the views off the
+// posting lists for each document (prepareViewMat).
 type State struct {
 	// recs holds the records by slot. A free slot's record keeps its row
 	// storage for the next document placed there.
@@ -210,11 +210,6 @@ type CurrentWitness struct {
 	// document — which is what lets Release hand the slab to the next one.
 	arena relation.Arena
 
-	// rrSlices is rr once it holds the current document's RR rows (var1,
-	// var2, node1, node2, strVal), between conjunctive-query evaluation and
-	// view-cache maintenance (Algorithm 5).
-	rr, rrSlices *relation.Relation
-
 	// order is RunStage1's scratch: the triggered patterns' sort keys
 	// (Processor.triggerOrder), kept with the witness so that a pooled
 	// witness brings its storage to the next document.
@@ -235,13 +230,12 @@ type witnessNode struct {
 // size. Stage-1 workers of concurrently admitted documents each take their
 // own.
 //
-//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (State.add) and the view caches (Insert) keep copies of the rows, never the arena's
+//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (State.add) keeps copies of the rows, never the arena's
 var witnessPool = sync.Pool{New: func() any {
 	return &CurrentWitness{
 		RbinW:  relation.New(rbinSchema[1:]...),
 		RdocW:  relation.New(rdocSchema[1:]...),
 		RrootW: relation.New(rrootSchema[1:]...),
-		rr:     relation.New(rlSchema[1:]...),
 		gen:    1,
 	}
 }}
@@ -259,13 +253,13 @@ func NewCurrentWitness(d *xmldoc.Document) *CurrentWitness {
 }
 
 // Release gives the witness's storage to a later document. The caller is
-// done with the document: every row has been copied where it is kept (Merge,
-// the view caches' Insert), and nothing reads w or a row of it afterwards.
+// done with the document: every row has been copied where it is kept
+// (Merge), and nothing reads w or a row of it afterwards.
 func (w *CurrentWitness) Release() {
-	if w.RbinW.Len()+w.RdocW.Len()+w.RrootW.Len()+w.rr.Len() > witnessKeep || len(w.nodes) > witnessKeep {
+	if w.RbinW.Len()+w.RdocW.Len()+w.RrootW.Len() > witnessKeep || len(w.nodes) > witnessKeep {
 		return
 	}
-	for _, r := range [...]*relation.Relation{w.RbinW, w.RdocW, w.RrootW, w.rr} {
+	for _, r := range [...]*relation.Relation{w.RbinW, w.RdocW, w.RrootW} {
 		clear(r.Rows)
 		r.Rows = r.Rows[:0]
 	}
@@ -275,7 +269,7 @@ func (w *CurrentWitness) Release() {
 		w.gen = 1
 	}
 	w.arena.Reset()
-	w.Doc, w.rrSlices = nil, nil
+	w.Doc = nil
 	witnessPool.Put(w)
 }
 
@@ -308,7 +302,7 @@ func (w *CurrentWitness) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
 // witness's document. The value is computed — an interior element's is
 // concatenated (xmldoc.Document.StringValue) — and interned only when the
 // row is new, at the Stage-1 boundary: everything downstream (witness
-// joins, the view caches, the state's posting lists) sees only the symbol.
+// joins, the views, the state's posting lists) sees only the symbol.
 func (w *CurrentWitness) AddDoc(n xmldoc.NodeID) {
 	if e := w.node(n); e.doc < 0 {
 		w.insertDoc(e, n, w.Doc.StringValue(n))
@@ -461,22 +455,19 @@ func (s *State) HasSym(id sym.ID) bool {
 	return int(id) < len(s.rdocBySym) && s.rdocBySym[id] != 0
 }
 
-// SliceEL computes E_{L,s} = σ_{strVal=s}(Rdoc) ⋈_{node=node2} Rbin — the
-// per-string slice of the left view RL (Section 5) — through the posting
-// list of s and each record's node index. The result schema is (slot, var1,
-// var2, node1, node2, strVal). Slices are cached across documents
-// (ViewCache), so their rows are heap allocated, never arena carved.
-func (s *State) SliceEL(id sym.ID) *relation.Relation {
-	out := relation.New(rlSchema...)
-	sv := int64(id)
+// appendRL appends to vals the rows of E_{L,s} = σ_{strVal=s}(Rdoc)
+// ⋈_{node=node2} Rbin, the part of the left view RL (Section 5) whose rows
+// carry the string value s, and returns the extended buffer: rlSchema rows,
+// one after another, read off the posting list of s and each record's Rbin
+// index by node2.
+func (s *State) appendRL(vals []int64, id sym.ID) []int64 {
 	for _, ref := range s.postings(id) {
 		r := &s.recs[ref.slot]
 		for _, bi := range r.binByNode2.get(r.rdoc[ref.row][rdocNode]) {
-			bt := r.bin[bi]
-			out.Insert(bt[0], bt[1], bt[2], bt[3], bt[4], sv)
+			vals = append(append(vals, r.bin[bi]...), int64(id))
 		}
 	}
-	return out
+	return vals
 }
 
 // GC removes every document expired in both window dimensions (timestamp <
@@ -488,8 +479,7 @@ func (s *State) SliceEL(id sym.ID) *relation.Relation {
 // popped off the front of its value's posting list, which is where it sits
 // when expiry follows arrival; a list that lost a row elsewhere (clock skew)
 // is filtered once at the end. The expired records are freed and their
-// slots reused by later merges, so a caller keeping slot-stamped rows drops
-// those of the returned slots first (ViewCache.InvalidateDocs).
+// slots reused by later merges.
 func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired []int32, dropped int) {
 	expired = s.expired[:0]
 	if s.late == 0 {

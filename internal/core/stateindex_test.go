@@ -145,6 +145,45 @@ func checkState(t testing.TB, s *State) {
 	}
 }
 
+// checkLeftView requires, for every string value the state holds, the left
+// view rows State.appendRL reads off its posting list to be, as a multiset,
+// those of a full scan: every live record's Rdoc rows with that value joined
+// with the same record's Rbin rows on node = node2, stamped with the record's
+// slot. A posting that outlived its document, or one that names a reused
+// slot's new document, shows here as a row too many or too few.
+func checkLeftView(t testing.TB, s *State) {
+	t.Helper()
+	want := map[sym.ID][][]int64{}
+	for v, li := range s.rdocBySym {
+		if li != 0 {
+			want[sym.ID(v)] = nil
+		}
+	}
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		for _, dt := range r.rdoc {
+			id := sym.ID(dt[rdocStrVal])
+			for _, bt := range r.bin {
+				if bt[rbinNode2] == dt[rdocNode] {
+					want[id] = append(want[id], append(slices.Clone(bt), int64(id)))
+				}
+			}
+		}
+	}
+	for id, rows := range want {
+		vals := s.appendRL(nil, id)
+		var got [][]int64
+		for len(vals) > 0 {
+			got, vals = append(got, vals[:len(rlSchema)]), vals[len(rlSchema):]
+		}
+		slices.SortFunc(got, slices.Compare)
+		slices.SortFunc(rows, slices.Compare)
+		if !slices.EqualFunc(got, rows, slices.Equal) {
+			t.Fatalf("left view of %q = %v, a full scan of the live records gives %v", sym.Name(id), got, rows)
+		}
+	}
+}
+
 // snapVar and snapVarID name the bare variable ids the tests' witnesses use.
 func snapVar(v int64) string      { return strconv.FormatInt(v, 10) }
 func snapVarID(name string) int64 { v, _ := strconv.ParseInt(name, 10, 64); return v }
@@ -340,11 +379,13 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 }
 
 // check requires the two states to be equal: export bytes, records, indexes
-// and posting lists; and the in-place one to be consistent.
+// and posting lists; and the in-place one to be consistent, its left view
+// included.
 func (h *expiryPair) check() {
 	t := h.t
 	t.Helper()
 	checkState(t, h.got)
+	checkLeftView(t, h.got)
 	got, err := json.Marshal(h.got.export(snapVar))
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +488,8 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 // the documents and cutoffs: each byte of the input starts a merge (its rows
 // and its timestamp's lag behind the clock drawn from the bytes that follow)
 // or an expiry by time, by ROWS or by both. After every step the state must
-// equal the one rebuilt from the surviving documents, export bytes included.
+// equal the one rebuilt from the surviving documents, export bytes included,
+// and the left view of every string it holds a full scan of its records.
 func FuzzStateExpiry(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 7, 3, 9, 9, 1, 2, 5, 3, 3, 4})
 	f.Add([]byte{0, 0xff, 0, 1, 0, 2, 0, 3, 3, 2, 1, 0, 3, 1, 2})

@@ -10,10 +10,11 @@ import (
 
 // TestStateBoundedByWindow streams many windows' worth of documents whose
 // join values each recur in the next document only — every string enters STR
-// once, gets a view-cache entry, and is never looked up again — and requires
+// once, in the document after the one that brought it — and requires
 // everything the processor keeps per document to plateau at a small multiple
-// of the window instead of growing with the stream. Window GC (and the
-// scoped view-cache invalidation riding on it) is the only bound there is.
+// of the window instead of growing with the stream: the join state, whose
+// only bound is window GC, and the Stage-2 buffers (the views RL and RR) it
+// keeps across documents.
 // Stage 1 runs ahead on 1 and 4 goroutines (stage1Ahead), so the witnesses of
 // documents not yet consumed are live beside the state.
 func TestStateBoundedByWindow(t *testing.T) {
@@ -32,13 +33,12 @@ func TestStateBoundedByWindow(t *testing.T) {
 		ts    func(i int) xmldoc.Timestamp
 	}{
 		// Two leaves per side keep the block roots in the template, so the
-		// cached RL slices carry Rbin rows.
+		// RL rows carry Rbin rows.
 		{"time", fmt.Sprintf("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, %d} S//item->y[.//c->w][.//d->z]", window),
 			func(i int) xmldoc.Timestamp { return xmldoc.Timestamp(i) }},
 		{"rows", fmt.Sprintf("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, ROWS %d} S//item->y[.//c->w][.//d->z]", window),
 			func(int) xmldoc.Timestamp { return 7 }},
-		// Single-node sides: the cached slices are empty and reference no
-		// document.
+		// Single-node sides: RL and RR are empty.
 		{"single-node", fmt.Sprintf("S//a->v FOLLOWED BY{v=w, %d} S//c->w", window),
 			func(i int) xmldoc.Timestamp { return xmldoc.Timestamp(i) }},
 	} {
@@ -60,10 +60,9 @@ func TestStateBoundedByWindow(t *testing.T) {
 					i := k + 1
 					matches += p.Consume(r).Len()
 
-					entries := p.cache.Len()
 					s := p.state
 					bin, doc, root := s.Rows()
-					retained, storage, postings, postingCap, slotRefs := 0, 0, 0, 0, 0
+					retained, storage, postings, postingCap := 0, 0, 0, 0
 					for j := range s.recs {
 						if s.recs[j].doc != nil {
 							retained++
@@ -74,18 +73,17 @@ func TestStateBoundedByWindow(t *testing.T) {
 						postings += len(s.lists[j].live())
 						postingCap += cap(s.lists[j].refs)
 					}
-					for _, refs := range p.cache.bySlot {
-						slotRefs += len(refs)
-					}
 					for _, c := range []struct {
 						what     string
 						n, bound int
 					}{
-						{"view-cache entries", entries, maxDocs * stringsPerDoc},
-						// An entry is listed under each slot its rows
-						// carry: the document that produced the value and
-						// the one that joined it.
-						{"view-cache slot references", slotRefs, 2 * maxDocs * stringsPerDoc},
+						// A document's views hold the rows of the strings
+						// it shares with the state, whatever the stream
+						// length.
+						{"RL rows", cap(p.pre.rl), rowsPerDoc * stringsPerDoc},
+						{"RL values", cap(p.pre.rlVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
+						{"RR rows", cap(p.pre.rr), rowsPerDoc * stringsPerDoc},
+						{"RR values", cap(p.pre.rrVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
 						{"slots", len(s.recs), maxDocs},
 						{"retained documents", retained, maxDocs},
@@ -106,16 +104,11 @@ func TestStateBoundedByWindow(t *testing.T) {
 						}
 					}
 					// A freed slot keeps no expired document or row
-					// reachable, and no cache entry stays listed under it.
+					// reachable.
 					checkState(t, s)
-					for _, slot := range s.free {
-						if int(slot) < len(p.cache.bySlot) && len(p.cache.bySlot[slot]) > 0 {
-							t.Fatalf("after %d documents: free slot %d still lists %d cache entries", i, slot, len(p.cache.bySlot[slot]))
-						}
-					}
 				}
 				// Each document joins its predecessor exactly once, so the
-				// stream really exercised Stage 2 and the cache.
+				// stream really exercised Stage 2.
 				if matches != ndocs-1 {
 					t.Fatalf("%d matches, want %d", matches, ndocs-1)
 				}

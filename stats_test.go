@@ -15,7 +15,6 @@ var engineStatsKeys = []string{
 	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
 	"stage1_wall_ns", "stage2_wall_ns",
 	"witness_plans", "cq_probes", "cq_rows",
-	"view_cache_hits", "view_cache_misses", "view_cache_invalidations",
 	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
 	"subscription_bytes", "patterns_dormant", "dropped_cascades",
