@@ -40,9 +40,9 @@ race:
 # assembly against its naive oracle, window expiry of the join state
 # against a rebuild, template canonicalization against its string-
 # signature reference, the radix result order against the comparison sort,
-# the Stage-2 vector-group trie against a map, and the dormant-pattern set
-# under registration churn against a from-scratch computation (the CI
-# fuzz-smoke job). -fuzz takes one target per run, so a package
+# the Stage-2 vector-group trie against a map, the dormant-pattern set
+# under registration churn against a from-scratch computation, and snapshot
+# restore on arbitrary bytes (the CI fuzz-smoke job). -fuzz takes one target per run, so a package
 # with several names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzTrieChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzDormancyChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
+	$(GO) test -run=^$$ -fuzz='^FuzzOpenEngine$$' -fuzztime=$(FUZZTIME) .
 
 # Longer local fuzzing session (override FUZZTIME as needed).
 fuzz:

@@ -170,21 +170,12 @@ func benchYFilter(b *testing.B, e *yfilter.Engine, docs []*xmldoc.Document) {
 	}
 }
 
-// BenchmarkProcessDocumentViewMat measures steady-state per-document cost of
-// the full MMQJP pipeline with view materialization on the RSS workload.
-func BenchmarkProcessDocumentViewMat(b *testing.B) {
-	benchProcessDocument(b, true)
-}
-
-// BenchmarkProcessDocumentBasic is the same without view materialization.
-func BenchmarkProcessDocumentBasic(b *testing.B) {
-	benchProcessDocument(b, false)
-}
-
-func benchProcessDocument(b *testing.B, viewMat bool) {
+// BenchmarkProcessDocument measures steady-state per-document cost of the
+// full MMQJP pipeline on the RSS workload.
+func BenchmarkProcessDocument(b *testing.B) {
 	c := workload.DefaultRSS()
 	rng := rand.New(rand.NewSource(1))
-	p := core.NewProcessor(core.Config{ViewMaterialization: viewMat})
+	p := core.NewProcessor(core.Config{})
 	for _, q := range c.Queries(rng, 5000) {
 		p.MustRegister(q)
 	}

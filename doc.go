@@ -37,15 +37,19 @@
 // holds the lock across its documents, so it enters the join state
 // contiguously.
 //
-// Stage 2 evaluates each query template's conjunctive query with one
-// compiled program, in witness-driven order: it joins outward from the
-// current document's value-join pairs and extends a trie of the template's
+// Stage 2 is the paper's Algorithm 4, and there is no other evaluator: each
+// query template's conjunctive query is one compiled program over the
+// Section-5 views STR, RL and RR. It joins outward from the current
+// document's value-join pairs and extends a trie of the template's
 // registered variable vectors with every variable it binds, so it probes
-// only what some subscription registered. Its value-join views are computed
-// once per document and shared by every template, the left view read off the
-// join state's per-string posting lists (the paper's Section-5 view
-// materialization, without its cache). Engine.PlanStats exposes the
-// per-template statistics.
+// only what some subscription registered. The views are computed once per
+// document and shared by every template, the left view read off the join
+// state's per-string posting lists (the paper's view materialization,
+// without its cache). Engine.PlanStats exposes the per-template statistics.
+//
+// Memory follows the windows, not the stream: the join state, and the
+// documents Options.RetainDocuments keeps for Engine.OutputXML, hold only
+// what some window still reaches.
 //
 // Subscriptions have a full lifecycle: Unsubscribe removes a query and
 // reclaims everything it no longer shares with the survivors — canonical

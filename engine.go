@@ -40,7 +40,8 @@ type Options struct {
 	// names it, is re-fitted.
 	PlanExploreEvery int
 	// RetainDocuments keeps processed documents in memory so that match
-	// outputs can be rendered as XML with Engine.OutputXML. Defaults to
+	// outputs can be rendered as XML with Engine.OutputXML, for as long as
+	// a later document may still join them (see OutputXML). Defaults to
 	// false: high-volume deployments usually only need match metadata.
 	RetainDocuments bool
 	// EnableComposition activates the PUBLISH clause: a match of a query
@@ -119,6 +120,11 @@ type Engine struct {
 	subBytes int64
 	//mmqjp:guardedby e.mu
 	docs map[xmldoc.DocID]*xmldoc.Document
+	// departed lists the documents the last publish call let go of
+	// (core.Processor.Departed), for the next one to drop (dropDeparted).
+	//
+	//mmqjp:guardedby e.mu
+	departed []xmldoc.DocID
 
 	// nextDerived allocates ids for documents synthesized by query
 	// composition, well away from caller-assigned ids.
@@ -154,11 +160,7 @@ func New(opts Options) *Engine {
 	case ProcessorSequential:
 		e.seq = sequential.NewProcessor()
 	default:
-		e.proc = core.NewProcessor(core.Config{
-			ViewMaterialization: true,
-			RetainDocuments:     opts.RetainDocuments,
-			OnDocument:          opts.OnDocument,
-		})
+		e.proc = core.NewProcessor(core.Config{OnDocument: opts.OnDocument})
 	}
 	return e
 }
@@ -251,6 +253,7 @@ func (e *Engine) Unsubscribe(id QueryID) error {
 		// memory. OutputXML for matches delivered before the drain
 		// reports ok=false from here on.
 		e.docs = map[xmldoc.DocID]*xmldoc.Document{}
+		e.departed = nil
 	}
 	return nil
 }
@@ -307,7 +310,21 @@ func (e *Engine) publishAppend(dst []Match, stream string, d *Document) []Match 
 	r := e.stage1(stream, d)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.dropDeparted()
 	return e.consume(dst, stream, d, r, 0)
+}
+
+// dropDeparted forgets the documents the previous publish call let go of. It
+// runs at the start of a call, never inside one: under ROWS 1 a match's left
+// document leaves in the Consume that emitted the match, and the cascade and
+// the caller's OutputXML still read it.
+//
+//mmqjp:guardedby e.mu
+func (e *Engine) dropDeparted() {
+	for _, id := range e.departed {
+		delete(e.docs, id)
+	}
+	e.departed = e.departed[:0]
 }
 
 // stage1 runs a document's Stage 1. The sequential baseline has no separate
@@ -340,7 +357,11 @@ func (e *Engine) consume(dst []Match, stream string, d *Document, r *core.Stage1
 	if e.seq != nil {
 		return e.cascade(e.deliver(dst, &sequentialMatches{ms: e.seq.Process(stream, d)}), len(dst), depth)
 	}
-	return e.cascade(e.deliver(dst, e.proc.Consume(r)), len(dst), depth)
+	ms := e.proc.Consume(r)
+	if e.opts.RetainDocuments {
+		e.departed = append(e.departed, e.proc.Departed()...)
+	}
+	return e.cascade(e.deliver(dst, ms), len(dst), depth)
 }
 
 // orderedMatches is a document's result as a processor hands it over: in
@@ -485,6 +506,13 @@ func copySubtree(b *xmldoc.Builder, parent xmldoc.NodeID, src *xmldoc.Document, 
 // OutputXML renders the default SELECT * output document of a match: a new
 // root whose two subtrees are the matched block roots from the two joined
 // documents. It requires Options.RetainDocuments; otherwise ok is false.
+//
+// A document is kept from its publish until the start of the first publish
+// call after it left the join state (by window expiry, or at once when it
+// carries no value a join reads). So a match renders until the engine's next
+// publish call, whoever makes it, and after that while both its documents are
+// in the window. A snapshot keeps the join state's documents; the last
+// Unsubscribe drops all. ProcessorSequential keeps every document.
 func (e *Engine) OutputXML(m Match) (xml string, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -504,7 +532,7 @@ func (e *Engine) OutputXML(m Match) (xml string, ok bool) {
 }
 
 // TemplatePlanStats is one query template's Stage-2 snapshot: its signature,
-// its live vector groups and how often each step order ran. See
+// its live vector groups and how often its compiled program ran. See
 // Engine.PlanStats.
 type TemplatePlanStats = core.TemplatePlanStats
 

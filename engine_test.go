@@ -42,13 +42,12 @@ func publishBatch(e *Engine, stream string, docs []*Document) [][]Match {
 }
 
 // TestZeroOptionsRunViewMaterialization pins the evaluator New(Options{})
-// builds to the one mmqjp-server runs, template-based MMQJP with view
-// materialization. On the colliding two-level stream, where every stored
-// document joins the current one on every leaf, it must give the same matches
-// and the same Stage-2 probe count as ProcessorViewMat and as a core
-// processor with view materialization on. The evaluator without it gives the
-// same matches with about 1.6 times the probes, so the count tells the two
-// apart.
+// builds — the one mmqjp-server runs — to the join processor's only one,
+// template joins over the Section-5 views. On the colliding two-level stream,
+// where every stored document joins the current one on every leaf,
+// Options{}, ProcessorViewMat and core.NewProcessor(core.Config{}) must give
+// the same matches and exactly the same Stage-2 probe count: 299 775, where
+// the evaluator without the views, since deleted, probed 484 779.
 func TestZeroOptionsRunViewMaterialization(t *testing.T) {
 	tl := workload.TwoLevel{N: 4, Theta: 0.8, Window: 12}
 	queries := tl.Queries(rand.New(rand.NewSource(1)), 300)
@@ -60,42 +59,38 @@ func TestZeroOptionsRunViewMaterialization(t *testing.T) {
 		}
 		stream[i] = b.Build()
 	}
-	coreProbes := func(viewMat bool) int64 {
-		p := core.NewProcessor(core.Config{ViewMaterialization: viewMat})
-		for _, q := range queries {
-			p.MustRegister(q)
-		}
-		for _, d := range stream {
-			p.Process("S", d)
-		}
-		return p.Stats().CQProbes
+	p := core.NewProcessor(core.Config{})
+	for _, q := range queries {
+		p.MustRegister(q)
 	}
-	run := func(opts Options) (string, int64) {
+	var want strings.Builder
+	for _, d := range stream {
+		for _, m := range p.Process("S", d) {
+			fmt.Fprintf(&want, "q%d l%d@%d r%d@%d\n", m.Query, m.LeftDoc, m.LeftTS, m.RightDoc, m.RightTS)
+		}
+	}
+	const wantProbes = 299775
+	if got := p.Stats().CQProbes; got != wantProbes {
+		t.Fatalf("core processor: %d probes, want %d", got, wantProbes)
+	}
+	if strings.Count(want.String(), "\n") == 0 {
+		t.Fatal("no matches: the comparison is vacuous")
+	}
+	for _, opts := range []Options{{}, {Processor: ProcessorViewMat}} {
 		eng := New(opts)
 		for _, q := range queries {
 			eng.MustSubscribe(q.Source)
 		}
-		var out strings.Builder
+		var got strings.Builder
 		for _, ms := range publishBatch(eng, "S", stream) {
-			out.WriteString(renderEngineMatches(ms))
+			got.WriteString(renderEngineMatches(ms))
 		}
-		return out.String(), eng.Stats().CQProbes
-	}
-	viewMat, basic := coreProbes(true), coreProbes(false)
-	if viewMat == basic {
-		t.Fatalf("both core settings probe %d entries: the stream cannot tell them apart", viewMat)
-	}
-	zero, zeroProbes := run(Options{})
-	alias, aliasProbes := run(Options{Processor: ProcessorViewMat})
-	if zero != alias {
-		t.Errorf("Options{} and ProcessorViewMat match differently")
-	}
-	if strings.Count(zero, "\n") == 0 {
-		t.Fatal("no matches: the comparison is vacuous")
-	}
-	if zeroProbes != viewMat || aliasProbes != viewMat {
-		t.Errorf("CQProbes: Options{} %d, ProcessorViewMat %d; want %d (view materialization), not %d (without)",
-			zeroProbes, aliasProbes, viewMat, basic)
+		if got.String() != want.String() {
+			t.Errorf("%+v: matches differ from the core processor's", opts)
+		}
+		if probes := eng.Stats().CQProbes; probes != wantProbes {
+			t.Errorf("%+v: %d probes, want %d", opts, probes, wantProbes)
+		}
 	}
 }
 

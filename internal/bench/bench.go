@@ -26,10 +26,9 @@ import (
 type Mode int
 
 const (
-	// ModeMMQJP is Algorithm 1 (template joins, no view materialization).
+	// ModeMMQJP is Algorithm 4: template joins over the shared views STR,
+	// RL and RR.
 	ModeMMQJP Mode = iota
-	// ModeViewMat is Algorithm 4 (the shared views STR, RL and RR).
-	ModeViewMat
 	// ModeSequential is the per-query baseline.
 	ModeSequential
 )
@@ -133,7 +132,7 @@ func twoDocRun(qs []*xscl.Query, d1, d2 *xmldoc.Document, mode Mode, repeats int
 			total += float64(p.JoinTime()) / float64(time.Millisecond)
 			continue
 		}
-		p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat})
+		p := core.NewProcessor(core.Config{})
 		for _, q := range qs {
 			p.MustRegister(q)
 		}
@@ -254,11 +253,10 @@ func Fig13(o Options) Result {
 	return res
 }
 
-// viewMatBreakdown measures the stacked cost components of Figures 14/15.
-func viewMatBreakdown(qs []*xscl.Query, d1, d2 *xmldoc.Document) (plain float64, rvj, rl, rr, cq float64) {
-	plain, _ = twoDocRun(qs, d1, d2, ModeMMQJP, 1)
-
-	p := core.NewProcessor(core.Config{ViewMaterialization: true})
+// viewMatBreakdown measures the stacked cost components of Figures 14/15 as
+// the result's rows.
+func viewMatBreakdown(qs []*xscl.Query, d1, d2 *xmldoc.Document) [][]string {
+	p := core.NewProcessor(core.Config{})
 	for _, q := range qs {
 		p.MustRegister(q)
 	}
@@ -266,7 +264,13 @@ func viewMatBreakdown(qs []*xscl.Query, d1, d2 *xmldoc.Document) (plain float64,
 	p.ResetStats()
 	p.Process("S", d2)
 	s := p.Stats()
-	return plain, ms(s.Rvj), ms(s.RL), ms(s.RR), ms(s.CQ)
+	return [][]string{
+		{"computing Rvj (STR)", f(ms(s.Rvj))},
+		{"computing RL", f(ms(s.RL))},
+		{"computing RR", f(ms(s.RR))},
+		{"conjunctive query", f(ms(s.CQ))},
+		{"total", f(ms(s.Rvj + s.RL + s.RR + s.CQ))},
+	}
 }
 
 // Fig14 — view materialization breakdown on the simple schema.
@@ -276,17 +280,9 @@ func Fig14(o Options) Result {
 	rng := rand.New(rand.NewSource(o.Seed))
 	qs := c.Queries(rng, o.BigQueries)
 	d1, d2 := c.Documents()
-	plain, rvj, rl, rr, cq := viewMatBreakdown(qs, d1, d2)
 	return Result{ID: "fig14", Title: fmt.Sprintf("view materialization, simple schema, %d queries", o.BigQueries),
-		Columns: []string{"approach", "component", "time (ms)"},
-		Rows: [][]string{
-			{"MMQJP", "conjunctive query", f(plain)},
-			{"MMQJP+ViewMat", "computing Rvj (STR)", f(rvj)},
-			{"MMQJP+ViewMat", "computing RL", f(rl)},
-			{"MMQJP+ViewMat", "computing RR", f(rr)},
-			{"MMQJP+ViewMat", "conjunctive query", f(cq)},
-			{"MMQJP+ViewMat", "total", f(rvj + rl + rr + cq)},
-		}}
+		Columns: []string{"component", "time (ms)"},
+		Rows:    viewMatBreakdown(qs, d1, d2)}
 }
 
 // Fig15 — view materialization breakdown on the complex schema.
@@ -296,24 +292,16 @@ func Fig15(o Options) Result {
 	rng := rand.New(rand.NewSource(o.Seed))
 	qs := c.Queries(rng, o.BigQueries)
 	d1, d2 := c.Documents()
-	plain, rvj, rl, rr, cq := viewMatBreakdown(qs, d1, d2)
 	return Result{ID: "fig15", Title: fmt.Sprintf("view materialization, complex schema, %d queries", o.BigQueries),
-		Columns: []string{"approach", "component", "time (ms)"},
-		Rows: [][]string{
-			{"MMQJP", "conjunctive query", f(plain)},
-			{"MMQJP+ViewMat", "computing Rvj (STR)", f(rvj)},
-			{"MMQJP+ViewMat", "computing RL", f(rl)},
-			{"MMQJP+ViewMat", "computing RR", f(rr)},
-			{"MMQJP+ViewMat", "conjunctive query", f(cq)},
-			{"MMQJP+ViewMat", "total", f(rvj + rl + rr + cq)},
-		}}
+		Columns: []string{"component", "time (ms)"},
+		Rows:    viewMatBreakdown(qs, d1, d2)}
 }
 
 // Fig16 — RSS stream processing throughput vs number of queries.
 func Fig16(o Options) Result {
 	o = o.Defaults()
 	res := Result{ID: "fig16", Title: fmt.Sprintf("RSS stream throughput (%d items)", o.RSSItems),
-		Columns: []string{"queries", "MMQJP+ViewMat (ev/s)", "MMQJP (ev/s)", "Sequential (ev/s)", "seq items"}}
+		Columns: []string{"queries", "MMQJP (ev/s)", "Sequential (ev/s)", "seq items"}}
 	c := workload.DefaultRSS()
 	for _, nq := range o.QueryCounts {
 		rng := rand.New(rand.NewSource(o.Seed))
@@ -321,15 +309,14 @@ func Fig16(o Options) Result {
 		srng := rand.New(rand.NewSource(o.Seed + 7))
 		stream := c.Stream(srng, o.RSSItems)
 
-		vm := rssThroughput(qs, stream, ModeViewMat)
-		basic := rssThroughput(qs, stream, ModeMMQJP)
+		mm := rssThroughput(qs, stream, ModeMMQJP)
 		seqStream := stream
 		if len(seqStream) > o.SeqRSSItems {
 			seqStream = seqStream[:o.SeqRSSItems]
 		}
 		seq := rssThroughput(qs, seqStream, ModeSequential)
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(nq), f(vm), f(basic), f(seq), fmt.Sprint(len(seqStream))})
+			fmt.Sprint(nq), f(mm), f(seq), fmt.Sprint(len(seqStream))})
 	}
 	return res
 }
@@ -347,7 +334,7 @@ func rssThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode) float
 		}
 		return perSecond(len(stream), p.JoinTime())
 	}
-	p := core.NewProcessor(core.Config{ViewMaterialization: mode == ModeViewMat})
+	p := core.NewProcessor(core.Config{})
 	for _, q := range qs {
 		p.MustRegister(q)
 	}

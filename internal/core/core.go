@@ -1,10 +1,20 @@
-// Package core implements the MMQJP Join Processor: Stage-1 shared
-// tree-pattern matching feeding Stage-2 per-template conjunctive-query
-// evaluation over the join state, with view materialization (Section 5) and
-// subscription lifecycle. Stage 1 (RunStage1) is document-local and may run
-// on any goroutine; Stage 2 (Consume) runs each template's compiled
-// conjunctive query (cqplan.go) on the goroutine that consumes the document
-// (stage2.go), one document at a time.
+// Package core implements the paper's primary contribution, Massively
+// Multi-Query Join Processing (Sections 4 and 5).
+//
+// Queries are partitioned into equivalence classes by query template — the
+// isomorphism class of the graph minor of the query's join graph — and one
+// relational conjunctive query per template evaluates every member query at
+// once against the witness relations produced by Stage 1 (the shared XPath
+// evaluator). The Join Processor runs Stage-1 shared tree-pattern matching
+// feeding Stage-2 per-template conjunctive-query evaluation over the join
+// state — Algorithm 4, template joins over the Section-5 views STR, RL and
+// RR — and keeps the subscription lifecycle. Stage 1
+// (RunStage1) is document-local and may run on any goroutine; Stage 2
+// (Consume) runs each template's compiled conjunctive query (cqplan.go) on
+// the goroutine that consumes the document (stage2.go), one document at a
+// time. The join state holds witness rows, never documents: a caller that
+// renders outputs keeps the documents itself (Consume reports when the
+// state lets go of one).
 //
 // This file holds the processor-wide configuration and the accumulated
 // statistics; the Processor itself lives in processor.go.
@@ -18,13 +28,6 @@ import (
 
 // Config selects processor behaviour.
 type Config struct {
-	// ViewMaterialization enables the Section-5 optimization: the shared
-	// views STR, RL and RR of Algorithm 4, built per document from the join
-	// state's posting lists.
-	ViewMaterialization bool
-	// RetainDocuments keeps full documents in the join state so that
-	// query outputs can be constructed as XML; benchmarks disable it.
-	RetainDocuments bool
 	// OnDocument, when set, is called once per processed document with its
 	// hot-path wall times, after the document has been fully consumed.
 	// It runs inside Consume (in document order, never concurrently with
@@ -37,7 +40,7 @@ type Config struct {
 // Config.OnDocument: the document's id, the wall-clock time of each phase and
 // the number of matches the document triggered. DocID is what a caller
 // reads the serial document order from: OnDocument calls come in the order
-// documents entered the join state. Stage1 is the document-local NFA match +
+// documents were consumed. Stage1 is the document-local NFA match +
 // witness construction (measured on whichever goroutine ran RunStage1),
 // Stage2 the template evaluation, Merge the Algorithm-2 state merge, and GC
 // the window-expiry check and, when it fires, the collection (State.GC).
@@ -59,7 +62,7 @@ type DocTimings struct {
 // the state when the stats are taken. The facade's EngineStats (JSON and the
 // STATS line) and the server's /metrics families walk these fields.
 type Stats struct {
-	Documents int64 `json:"documents" stat:"counter" help:"Documents admitted into the join state."`
+	Documents int64 `json:"documents" stat:"counter" help:"Documents published, whether or not they entered the join state."`
 	Matches   int64 `json:"matches" stat:"counter" help:"Matches produced across all queries."`
 
 	// Phase times. Stage 2 (Rvj, RL, RR, CQ) runs on the goroutine that
@@ -82,7 +85,7 @@ type Stats struct {
 
 	// WitnessPlans counts the per-template runs of the compiled programs
 	// (cqplan.go).
-	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Per-template Stage-2 runs in witness-driven order."`
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Per-template runs of the compiled Stage-2 programs."`
 	// CQProbes counts the index entries the compiled Stage-2 steps visited
 	// (cqplan.go) and CQRows the RoutT rows they produced, before the
 	// window test. Both are pure functions of the input sequence and the

@@ -107,20 +107,19 @@ func (t *Template) vSlot(p int) int { return 1 + t.N + p }
 func (t *Template) sSlot(k int) int { return 1 + 2*t.N + k }
 func (t *Template) numSlots() int   { return 1 + 2*t.N + len(t.VJ) }
 
-// usesViews reports whether value join k is served by the Section-5 views
-// under view materialization: RL and RR fold the endpoint's edge to its
-// parent into the view, so both endpoints need one. A value join on a side
-// root falls back to the pair relation Rvj.
+// usesViews reports whether value join k is served by the Section-5 views:
+// RL and RR fold the endpoint's edge to its parent into the view, so both
+// endpoints need one. A value join on a side root reads the pair relation
+// Rvj instead.
 func (t *Template) usesViews(k int) bool {
 	return t.Parent[t.VJ[k][0]] >= 0 && t.Parent[t.VJ[k][1]] >= 0
 }
 
 // compile builds the template's program (setting needRvj when a step reads
 // the pair relation) and lays out its trie's levels in the order the program
-// assigns the v slots. views selects the Section-5 rewriting (RL/RR atoms)
-// for the value joins that admit it.
-func (t *Template) compile(views bool) {
-	t.prog = compileCQ(t, views)
+// assigns the v slots.
+func (t *Template) compile() {
+	t.prog = compileCQ(t)
 	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
 			t.levels = append(t.levels, slot-t.vSlot(0))
@@ -142,7 +141,7 @@ type cqCompiler struct {
 	emitted []bool // per position: the atom binding it to its parent (or its root atom)
 }
 
-func compileCQ(t *Template, views bool) *cqProgram {
+func compileCQ(t *Template) *cqProgram {
 	c := &cqCompiler{
 		t:       t,
 		prog:    &cqProgram{t: t},
@@ -161,7 +160,7 @@ func compileCQ(t *Template, views bool) *cqProgram {
 		if k == 0 {
 			docKey = -1
 		}
-		if views && t.usesViews(k) {
+		if t.usesViews(k) {
 			pl, pr := t.Parent[l], t.Parent[r]
 			c.atom(srcRL, docKey, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
 			c.emitted[l] = true

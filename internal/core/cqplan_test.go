@@ -205,7 +205,7 @@ func TestTrieEqualsVectorGroups(t *testing.T) {
 		"random":      random,
 	} {
 		t.Run(name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			rng := rand.New(rand.NewSource(9))
 			seen := map[*Template]bool{}
 			check := func(step int) {
@@ -350,7 +350,7 @@ func TestWitnessOrderCountedWork(t *testing.T) {
 		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 1000), rss.Stream(rand.New(rand.NewSource(8)), 2000), 86030, 1.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			for _, q := range tc.queries {
 				p.MustRegister(q)
 			}

@@ -149,27 +149,23 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 	traces["paperscale"] = churnTrace(ps.Queries(rng, 60), ps.Stream(rng, 36))
 
 	for name, tr := range traces {
-		for _, vm := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{ViewMaterialization: vm}
-				t.Run(fmt.Sprintf("%s/%s", name, comboName(cfg, workers)), func(t *testing.T) {
-					rows := replayAgainstReference(t, cfg, workers, tr)
-					if rows == 0 {
-						t.Fatal("the trace produced no RoutT row: nothing was compared")
-					}
-				})
-			}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%s", name, comboName(workers)), func(t *testing.T) {
+				rows := replayAgainstReference(t, workers, tr)
+				if rows == 0 {
+					t.Fatal("the trace produced no RoutT row: nothing was compared")
+				}
+			})
 		}
 	}
 }
 
-// replayAgainstReference replays tr through a processor configured by cfg,
-// comparing each document's matches with referenceMatches computed from the
+// replayAgainstReference replays tr through a processor, comparing each document's matches with referenceMatches computed from the
 // same processor's relations just before the document is consumed. Stage 1
 // of each churn-free run of events runs ahead on workers goroutines. It
 // returns the number of matches compared.
-func replayAgainstReference(t *testing.T, cfg Config, workers int, tr workload.Trace) int {
-	p := NewProcessor(cfg)
+func replayAgainstReference(t *testing.T, workers int, tr workload.Trace) int {
+	p := NewProcessor(Config{})
 	var ids []QueryID
 	for _, q := range tr.Initial {
 		ids = append(ids, p.MustRegister(q))
@@ -206,31 +202,29 @@ func replayAgainstReference(t *testing.T, cfg Config, workers int, tr workload.T
 // building the atoms). The compiled program serves such a join from the pair
 // relation instead.
 func TestValueJoinOnSideRootUnderViewMat(t *testing.T) {
-	for _, vm := range []bool{false, true} {
-		p := NewProcessor(Config{ViewMaterialization: vm})
-		p.MustRegister(xscl.MustParse("S//a->x[./b->y] FOLLOWED BY{x=z AND y=w, 100} S//c->z[./d->w]"))
-		d1, err := xmldoc.ParseString("<r><a>k<b>v</b></a></r>", 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := xmldoc.ParseString("<r><c>k<d>v</d></c></r>", 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Process("S", d1)
-		if ms := p.Process("S", d2); len(ms) != 1 {
-			t.Errorf("viewmat=%v: %d matches, want 1", vm, len(ms))
-		}
+	p := NewProcessor(Config{})
+	p.MustRegister(xscl.MustParse("S//a->x[./b->y] FOLLOWED BY{x=z AND y=w, 100} S//c->z[./d->w]"))
+	d1, err := xmldoc.ParseString("<r><a>k<b>v</b></a></r>", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := xmldoc.ParseString("<r><c>k<d>v</d></c></r>", 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Process("S", d1)
+	if ms := p.Process("S", d2); len(ms) != 1 {
+		t.Errorf("%d matches, want 1", len(ms))
 	}
 }
 
 // paperScaleSlice is the fixed input of the counted-work ceilings: the
 // benchmark's paper_scale shape (2 000 subscriptions over 8-leaf items,
 // value pool 3 000, window 200) from the in-tree generator, window full.
-func paperScaleSlice(cfg Config, measured int) (*Processor, []*xmldoc.Document) {
+func paperScaleSlice(measured int) (*Processor, []*xmldoc.Document) {
 	c := workload.PaperScale{Leaves: 8, MaxK: 5, Theta: 0.2, Window: 200, ValuePool: 3000}
 	rng := rand.New(rand.NewSource(1))
-	p := NewProcessor(cfg)
+	p := NewProcessor(Config{})
 	for _, q := range c.Queries(rng, 2000) {
 		p.MustRegister(q)
 	}
@@ -243,52 +237,45 @@ func paperScaleSlice(cfg Config, measured int) (*Processor, []*xmldoc.Document) 
 
 // TestCompiledPlanCountedWorkCeiling bounds the compiled programs' counted
 // work on paperScaleSlice: index entries visited per RoutT row produced. The
-// programs, which walk the vector-group trie, read 24.6 (basic) and 17.7
-// (view materialization) per row and must stay within 1.25 times that: 31
-// and 22. The interpreted evaluator the programs replaced key-encoded 10 478
-// rows into its hash joins per row on the same slice (measured at its last
-// commit by counting in hashJoinArena, probeJoin and BuildIndex). The counts
+// programs, which walk the vector-group trie over the views, read 17.7 per
+// row and must stay within 1.25 times that: 22. The interpreted evaluator
+// the programs replaced key-encoded 10 478 rows into its hash joins per row
+// on the same slice (measured at its last commit by counting in
+// hashJoinArena, probeJoin and BuildIndex). The counts
 // repeat exactly for a fixed input, so the test pins that too.
 func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
-	for _, tc := range []struct {
-		cfg Config
-		// ceiling is the bound on probes per row.
-		ceiling float64
-	}{
-		{Config{}, 31},
-		{Config{ViewMaterialization: true}, 22},
-	} {
-		t.Run(comboName(tc.cfg, 0), func(t *testing.T) {
-			count := func() (probes, rows int64) {
-				p, docs := paperScaleSlice(tc.cfg, 60)
-				before := p.Stats()
-				for _, d := range docs {
-					p.Process("S", d)
-				}
-				after := p.Stats()
-				return after.CQProbes - before.CQProbes, after.CQRows - before.CQRows
+	// ceiling is the bound on probes per row.
+	const ceiling = 22
+	t.Run(comboName(0), func(t *testing.T) {
+		count := func() (probes, rows int64) {
+			p, docs := paperScaleSlice(60)
+			before := p.Stats()
+			for _, d := range docs {
+				p.Process("S", d)
 			}
-			probes, rows := count()
-			if rows == 0 {
-				t.Fatal("no RoutT row produced")
-			}
-			perRow := float64(probes) / float64(rows)
-			t.Logf("%d probes for %d rows: %.1f per row", probes, rows, perRow)
-			if perRow > tc.ceiling {
-				t.Errorf("%d probes for %d rows: %.1f per row, want <= %.1f", probes, rows, perRow, tc.ceiling)
-			}
-			if p2, r2 := count(); p2 != probes || r2 != rows {
-				t.Errorf("counts do not repeat: %d/%d then %d/%d", probes, rows, p2, r2)
-			}
-		})
-	}
+			after := p.Stats()
+			return after.CQProbes - before.CQProbes, after.CQRows - before.CQRows
+		}
+		probes, rows := count()
+		if rows == 0 {
+			t.Fatal("no RoutT row produced")
+		}
+		perRow := float64(probes) / float64(rows)
+		t.Logf("%d probes for %d rows: %.1f per row", probes, rows, perRow)
+		if perRow > ceiling {
+			t.Errorf("%d probes for %d rows: %.1f per row, want <= %.1f", probes, rows, perRow, float64(ceiling))
+		}
+		if p2, r2 := count(); p2 != probes || r2 != rows {
+			t.Errorf("counts do not repeat: %d/%d then %d/%d", probes, rows, p2, r2)
+		}
+	})
 }
 
 // TestPublishAllocCeiling bounds the allocations per document of the publish
 // path, as a count and — on every case but "rss stage1" — as bytes.
 // Both are the same on every machine, so a regression fails here and not in a
 // timing comparison. Each case runs its stream (generator seeds 1 and 8)
-// through a ViewMat processor that has processed a pass already, so
+// through a processor that has processed a pass already, so
 // templates, join state, Stage-2 buffers and pools are warm; stage1 measures
 // RunStage1 alone, the others RunStage1 and Consume, which is the whole path
 // up to the ordered result: writing it out is its reader's one allocation (the
@@ -337,7 +324,7 @@ func TestPublishAllocCeiling(t *testing.T) {
 		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 49, 33400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			for _, q := range tc.gen.Queries(rand.New(rand.NewSource(1)), tc.queries) {
 				if tc.window > 0 {
 					q.Window = tc.window
@@ -404,7 +391,7 @@ func TestStage1WorkFollowsTriggeredPatterns(t *testing.T) {
 	c := workload.DefaultDeepFeed()
 	stream := c.Stream(rand.New(rand.NewSource(8)), 40)
 	measure := func(never int) (triggered, probes int64, allocs float64) {
-		p := NewProcessor(Config{ViewMaterialization: true})
+		p := NewProcessor(Config{})
 		rng := rand.New(rand.NewSource(1))
 		for _, q := range c.Queries(rng, 600) {
 			p.MustRegister(q)
@@ -456,7 +443,7 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 600), ps.Stream(rand.New(rand.NewSource(8)), 40)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			var qids []QueryID
 			for _, q := range tc.queries {
 				qids = append(qids, p.MustRegister(q))

@@ -12,14 +12,9 @@ import (
 	"repro/internal/xscl"
 )
 
-// The differential test: on random workloads, the match sets of
-//
-//   - MMQJP (Algorithm 1),
-//   - MMQJP with view materialization (Algorithm 4), and
-//   - the Sequential baseline (per-query nested loops over Stage-1
-//     witnesses)
-//
-// must coincide. Matches are compared as sets of (query, leftDoc, rightDoc):
+// The differential test: on random workloads, the match sets of MMQJP
+// (Algorithm 4) and of the Sequential baseline (per-query nested loops over
+// Stage-1 witnesses) must coincide. Matches are compared as sets of (query, leftDoc, rightDoc):
 // MMQJP emits one match per RoutT row (template-node binding combination)
 // while Sequential emits one per witness pair, so multiplicities may differ
 // on patterns with non-template bound nodes; the (query, doc-pair) set is
@@ -151,27 +146,19 @@ func randomTrial(rng *rand.Rand, deep bool) ([]*xscl.Query, []*xmldoc.Document) 
 	return queries, docs
 }
 
-// runDifferentialTrial checks one trial: the basic and view-materialized
-// processors and the sequential baseline must produce the same match set.
+// runDifferentialTrial checks one trial: the processor and the sequential
+// baseline must produce the same match set.
 func runDifferentialTrial(t *testing.T, trial int, deep bool, queries []*xscl.Query, docs []*xmldoc.Document) {
 	t.Helper()
-	configs := []Config{
-		{},
-		{ViewMaterialization: true},
+	p := NewProcessor(Config{})
+	for _, q := range queries {
+		p.MustRegister(q)
 	}
-	var results []map[matchKey]bool
-	for _, cfg := range configs {
-		p := NewProcessor(cfg)
-		for _, q := range queries {
-			p.MustRegister(q)
+	all := map[matchKey]bool{}
+	for _, d := range docs {
+		for k := range matchSet(p.Process("S", d)) {
+			all[k] = true
 		}
-		all := map[matchKey]bool{}
-		for _, d := range docs {
-			for k := range matchSet(p.Process("S", d)) {
-				all[k] = true
-			}
-		}
-		results = append(results, all)
 	}
 
 	sp := sequential.NewProcessor()
@@ -185,15 +172,9 @@ func runDifferentialTrial(t *testing.T, trial int, deep bool, queries []*xscl.Qu
 		}
 	}
 
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("trial %d (deep=%v): config %d diverges from basic:\nbasic: %v\nother: %v\nqueries: %s",
-				trial, deep, i, keys(results[0]), keys(results[i]), querySources(queries))
-		}
-	}
-	if !reflect.DeepEqual(results[0], seqAll) {
+	if !reflect.DeepEqual(all, seqAll) {
 		t.Fatalf("trial %d (deep=%v): MMQJP vs Sequential:\nmmqjp: %v\nseq:   %v\nqueries: %s\ndocs: %s",
-			trial, deep, keys(results[0]), keys(seqAll), querySources(queries), docDump(docs))
+			trial, deep, keys(all), keys(seqAll), querySources(queries), docDump(docs))
 	}
 }
 
@@ -246,12 +227,10 @@ func TestDifferentialLongStreamWithGC(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		queries = append(queries, randomFlatQuery(rng, leafNames, 2, int64(5+rng.Intn(20)), "FOLLOWED BY"))
 	}
-	p := NewProcessor(Config{ViewMaterialization: true})
-	pb := NewProcessor(Config{})
+	p := NewProcessor(Config{})
 	sp := sequential.NewProcessor()
 	for _, q := range queries {
 		p.MustRegister(q)
-		pb.MustRegister(q)
 		sp.MustRegister(q)
 	}
 	ts := xmldoc.Timestamp(0)
@@ -259,15 +238,14 @@ func TestDifferentialLongStreamWithGC(t *testing.T) {
 		ts += xmldoc.Timestamp(rng.Intn(4))
 		d := randomFlatDoc(rng, xmldoc.DocID(i+1), ts, leafNames, 2)
 		a := matchSet(p.Process("S", d))
-		b := matchSet(pb.Process("S", d))
 		c := seqMatchSet(sp.Process("S", d))
-		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
-			t.Fatalf("doc %d: divergence:\nviewmat: %v\nbasic:   %v\nseq:     %v", i+1, keys(a), keys(b), keys(c))
+		if !reflect.DeepEqual(a, c) {
+			t.Fatalf("doc %d: divergence:\ncore: %v\nseq:  %v", i+1, keys(a), keys(c))
 		}
 	}
 	// GC must have bounded the state.
-	if n := pb.State().NumDocs(); n > 150 {
-		t.Errorf("basic state holds %d docs, GC ineffective", n)
+	if n := p.State().NumDocs(); n > 150 {
+		t.Errorf("state holds %d docs, GC ineffective", n)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestDormantPatternsAddNoRow(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := churnTrace(tc.queries, tc.docs)
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			var qids []QueryID
 			for _, q := range tr.Initial {
 				qids = append(qids, p.MustRegister(q))
@@ -245,7 +245,7 @@ func FuzzDormancyChurn(f *testing.F) {
 		// The reference is quadratic in live patterns per operation: longer
 		// inputs add time, not cases.
 		ops = ops[:min(len(ops), 128)]
-		p := NewProcessor(Config{ViewMaterialization: true})
+		p := NewProcessor(Config{})
 		var live []QueryID
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], int(ops[i+1])
@@ -283,7 +283,7 @@ func TestStage1CountedWork(t *testing.T) {
 		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 2000), rss.Stream(rand.New(rand.NewSource(8)), 200), 18.75, 112.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			for _, q := range tc.queries {
 				p.MustRegister(q)
 			}

@@ -22,7 +22,7 @@ func mergeDoc(s *State, id int64, ts int64, str string) {
 	w := NewCurrentWitness(d)
 	w.AddBin(1, 2, 0, 1)
 	w.AddDoc(1)
-	s.Merge(w, false)
+	s.Merge(w)
 }
 
 // TestShouldGCExpiredPrefix pins the prefix semantics of the per-publish GC
@@ -82,7 +82,7 @@ func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
 		t.Fatalf("shouldGC never fired within %d calls with %d non-prefix expired documents",
 			gcFullScanEvery+1, 79)
 	}
-	if got, _ := s.GC(100, noSeq); len(got) != 79 {
+	if got, _ := s.GC(100, noSeq, nil); len(got) != 79 {
 		t.Errorf("GC reclaimed %d documents, want 79", len(got))
 	}
 	if s.NumDocs() != 1 {
@@ -95,7 +95,7 @@ func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
 // not pin the whole stream in the join state — neither its documents nor the
 // slots, row storage and posting lists behind them.
 func TestGCOutOfOrderProcessor(t *testing.T) {
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	p.MustRegister(xscl.MustParse(
 		"S//a->r1[.//x->v] JOIN{v=w, 10} S//b->r2[.//y->w]"))
 	doc := func(id, ts int64) *xmldoc.Document {
@@ -148,18 +148,10 @@ func TestGCReturnsExpiredSet(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		mergeDoc(s, i, i, fmt.Sprintf("s%d", i))
 	}
-	if got, _ := s.GC(1, noSeq); len(got) != 0 {
+	if got, _ := s.GC(1, noSeq, nil); len(got) != 0 {
 		t.Errorf("GC expired %v with cutoff below all docs", got)
 	}
-	idOf := map[int32]xmldoc.DocID{}
-	for _, slot := range s.order {
-		idOf[slot] = s.recs[slot].id
-	}
-	got, dropped := s.GC(4, noSeq)
-	var ids []xmldoc.DocID
-	for _, slot := range got {
-		ids = append(ids, idOf[slot])
-	}
+	ids, dropped := s.GC(4, noSeq, nil)
 	if want := []xmldoc.DocID{1, 2, 3}; !slices.Equal(ids, want) {
 		t.Fatalf("GC expired documents %v, want %v", ids, want)
 	}
@@ -181,7 +173,7 @@ func TestSlotReuseMatchesSequential(t *testing.T) {
 	// Two leaves per side keep the block roots in the template, so the RL
 	// rows carry Rbin rows (a single-node side would use the Rroot path).
 	q := xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 1000} S//item->y[.//a->w][.//b->z]")
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	p.MustRegister(q)
 	sp := sequential.NewProcessor()
 	sp.MustRegister(q)
@@ -232,7 +224,7 @@ func TestSlotReuseMatchesSequential(t *testing.T) {
 // merged minus the rows live — and the state gauges are the state's sizes,
 // also after ResetStats, which zeroes the counters only.
 func TestWindowGCStats(t *testing.T) {
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 25} S//item->y[.//a->w][.//b->z]"))
 	p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, ROWS 10} S//b->w"))
 	live := func(s Stats) int64 { return s.StateRbinRows + s.StateRdocRows + s.StateRrootRows }
@@ -324,7 +316,7 @@ func TestCurrentWitnessReuse(t *testing.T) {
 	}
 	for id := int64(1); id <= 3; id++ {
 		w := build(id, fmt.Sprintf("value-%d", id), 10*id)
-		s.Merge(w, false)
+		s.Merge(w)
 		w.Release()
 		if w.Doc != nil {
 			t.Errorf("document %d: a released witness still holds its document", id)

@@ -14,11 +14,8 @@ import (
 
 // The randomized differential harness: seeded random traces (queries,
 // document streams, subscription churn — internal/workload/random.go) are
-// replayed through both ViewMaterialization settings of the core processor
-// and through the sequential oracle.
+// replayed through the core processor and through the sequential oracle.
 //
-//   - Both core configurations must produce byte-identical per-event match
-//     streams — order included.
 //   - The (query, leftDoc, rightDoc) sets must equal the sequential
 //     oracle's, which evaluates each query alone and never reads the
 //     vector-group trie the compiled programs walk (multiplicities differ by design: MMQJP emits one match per
@@ -64,11 +61,11 @@ func harnessRecs(ms []Match) []harnessRec {
 	return out
 }
 
-// replayTrace runs a trace through one processor configuration and returns
-// the per-event match records; each event's churn is applied before its
-// document, where the engine's registration lock puts it.
-func replayTrace(cfg Config, tr workload.Trace) [][]harnessRec {
-	p := NewProcessor(cfg)
+// replayTrace runs a trace through the processor and returns the per-event
+// match records; each event's churn is applied before its document, where
+// the engine's registration lock puts it.
+func replayTrace(tr workload.Trace) [][]harnessRec {
+	p := NewProcessor(Config{})
 	var ids []QueryID
 	for _, q := range tr.Initial {
 		ids = append(ids, p.MustRegister(q))
@@ -117,20 +114,14 @@ func harnessKeySet(recs []harnessRec) map[matchKey]bool {
 	return out
 }
 
-// harnessCombos enumerates the configurations under differential test: both
-// ViewMaterialization settings.
-func harnessCombos() []Config {
-	return []Config{{ViewMaterialization: false}, {ViewMaterialization: true}}
-}
-
-// comboName names a configuration under test; workers is the number of
-// goroutines the test runs Stage 1 on ahead of Consume (stage1Ahead), 0 when
-// Stage 1 runs where the processor puts it. Every name starts plan=witness
-// and carries depth=0: the one step order every program runs (as
-// Stats.WitnessPlans names it) and no Stage-1 lookahead inside the processor,
-// kept in the name so results stay comparable with earlier runs.
-func comboName(cfg Config, workers int) string {
-	return fmt.Sprintf("plan=witness workers=%d depth=0 viewmat=%v", workers, cfg.ViewMaterialization)
+// comboName names a run under test; workers is the number of goroutines the
+// test runs Stage 1 on ahead of Consume (stage1Ahead), 0 when Stage 1 runs
+// where the processor puts it. The rest of the name is fixed: it spelled
+// out settings that are gone (one step order, no Stage-1 lookahead inside
+// the processor, the views), and it stays so that subtest names and results
+// compare with earlier runs.
+func comboName(workers int) string {
+	return fmt.Sprintf("plan=witness workers=%d depth=0 viewmat=true", workers)
 }
 
 // stage1Ahead runs Stage 1 of docs on workers goroutines and returns the
@@ -164,18 +155,7 @@ func runHarnessSeed(t *testing.T, seed int64, deep bool) {
 	nDocs := 6 + rng.Intn(10)
 	tr := gen.Trace(rng, nQueries, nDocs, true)
 
-	combos := harnessCombos()
-	ref := replayTrace(combos[0], tr)
-	for _, cfg := range combos[1:] {
-		got := replayTrace(cfg, tr)
-		for ev := range ref {
-			if !reflect.DeepEqual(ref[ev], got[ev]) {
-				t.Fatalf("seed %d deep=%v: event %d diverges between %q and %q:\nref: %v\ngot: %v",
-					seed, deep, ev, comboName(combos[0], 0), comboName(cfg, 0), ref[ev], got[ev])
-			}
-		}
-	}
-
+	ref := replayTrace(tr)
 	seq := replaySequential(tr)
 	subEvent := subscriptionEvents(tr)
 	for ev := range ref {
@@ -221,7 +201,8 @@ func filterLiveWindow(s map[matchKey]bool, subEvent map[int64]int) map[matchKey]
 }
 
 // TestRandomizedDifferentialHarness replays seeded random churn traces
-// through both view-materialization settings and the sequential oracle. Failures log the seed.
+// through the core processor and the sequential oracle. Failures log the
+// seed.
 func TestRandomizedDifferentialHarness(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		runHarnessSeed(t, seed, false)

@@ -1,12 +1,3 @@
-// Package core implements the paper's primary contribution: Massively
-// Multi-Query Join Processing (Sections 4 and 5).
-//
-// Queries are partitioned into equivalence classes by query template — the
-// isomorphism class of the graph minor of the query's join graph — and one
-// relational conjunctive query per template evaluates every member query at
-// once against the witness relations produced by Stage 1 (the shared XPath
-// evaluator). Section 5's view materialization (STR and the views RL and RR)
-// is implemented as an optional processor mode.
 package core
 
 import (

@@ -93,56 +93,51 @@ func TestUnregisterAllRestoresFreshProcessor(t *testing.T) {
 		docs = append(docs, randomFlatDoc(rng, xmldoc.DocID(i+1), ts, leafNames, 2))
 	}
 
-	for _, cfg := range []Config{
-		{},
-		{ViewMaterialization: true},
-	} {
-		p := NewProcessor(cfg)
-		var ids []QueryID
-		for _, q := range mkQueries() {
-			ids = append(ids, p.MustRegister(q))
-		}
-		for _, d := range docs {
-			p.Process("S", d)
-		}
-		for _, id := range ids {
-			p.MustUnregister(id)
-		}
-		assertFreshProcessor(t, p)
+	p := NewProcessor(Config{})
+	var ids []QueryID
+	for _, q := range mkQueries() {
+		ids = append(ids, p.MustRegister(q))
+	}
+	for _, d := range docs {
+		p.Process("S", d)
+	}
+	for _, id := range ids {
+		p.MustUnregister(id)
+	}
+	assertFreshProcessor(t, p)
 
-		// Behavioral half of the invariant: the reclaimed processor and a
-		// genuinely fresh one must produce byte-identical output for the
-		// same subsequent workload. Query ids are never reused, so the
-		// comparison normalizes them to registration order.
-		fresh := NewProcessor(cfg)
-		ord := map[QueryID]QueryID{}
-		freshOrd := map[QueryID]QueryID{}
-		for i, q := range mkQueries() {
-			ord[p.MustRegister(q)] = QueryID(i)
-			freshOrd[fresh.MustRegister(q)] = QueryID(i)
-		}
-		// Template ids are not reused either, so the render keys the
-		// template by its canonical signature instead of its ordinal.
-		norm := func(ms []Match, m map[QueryID]QueryID) string {
-			var sb strings.Builder
-			for _, match := range ms {
-				sig := ""
-				if match.Template != nil {
-					sig = match.Template.Sig
-				}
-				fmt.Fprintf(&sb, "q%d l%d@%d r%d@%d roots(%d,%d) t%q b%v\n",
-					m[match.Query], match.LeftDoc, match.LeftTS, match.RightDoc, match.RightTS,
-					match.LeftRoot, match.RightRoot, sig, match.Bindings)
+	// Behavioral half of the invariant: the reclaimed processor and a
+	// genuinely fresh one must produce byte-identical output for the
+	// same subsequent workload. Query ids are never reused, so the
+	// comparison normalizes them to registration order.
+	fresh := NewProcessor(Config{})
+	ord := map[QueryID]QueryID{}
+	freshOrd := map[QueryID]QueryID{}
+	for i, q := range mkQueries() {
+		ord[p.MustRegister(q)] = QueryID(i)
+		freshOrd[fresh.MustRegister(q)] = QueryID(i)
+	}
+	// Template ids are not reused either, so the render keys the
+	// template by its canonical signature instead of its ordinal.
+	norm := func(ms []Match, m map[QueryID]QueryID) string {
+		var sb strings.Builder
+		for _, match := range ms {
+			sig := ""
+			if match.Template != nil {
+				sig = match.Template.Sig
 			}
-			return sb.String()
+			fmt.Fprintf(&sb, "q%d l%d@%d r%d@%d roots(%d,%d) t%q b%v\n",
+				m[match.Query], match.LeftDoc, match.LeftTS, match.RightDoc, match.RightTS,
+				match.LeftRoot, match.RightRoot, sig, match.Bindings)
 		}
-		for di, d := range docs {
-			got := norm(p.Process("S", d), ord)
-			want := norm(fresh.Process("S", d), freshOrd)
-			if got != want {
-				t.Fatalf("cfg=%+v: reclaimed processor diverges from fresh on doc %d:\nreclaimed:\n%sfresh:\n%s",
-					cfg, di+1, got, want)
-			}
+		return sb.String()
+	}
+	for di, d := range docs {
+		got := norm(p.Process("S", d), ord)
+		want := norm(fresh.Process("S", d), freshOrd)
+		if got != want {
+			t.Fatalf("reclaimed processor diverges from fresh on doc %d:\nreclaimed:\n%sfresh:\n%s",
+				di+1, got, want)
 		}
 	}
 }
@@ -164,7 +159,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 	q1 := xscl.MustParse("S//book->x[.//author->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//author->b]")
 	q2 := xscl.MustParse("S//book->x[.//title->a] FOLLOWED BY{a=b, 1000} S//blog->y[.//title->b]")
 
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	id1 := p.MustRegister(q1)
 	id2 := p.MustRegister(q2)
 	if p.NumTemplates() != 1 {
@@ -186,7 +181,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 		t.Errorf("NumQueries = %d, want 1", p.NumQueries())
 	}
 
-	fresh := NewProcessor(Config{ViewMaterialization: true})
+	fresh := NewProcessor(Config{})
 	fid := fresh.MustRegister(q1)
 	if fid != 0 || id1 != 0 {
 		t.Fatalf("query id mismatch: %d vs %d", id1, fid)
@@ -343,40 +338,38 @@ func TestChurnDeterminism(t *testing.T) {
 	}
 	const churnAt = 80
 
-	for _, viewMat := range []bool{false, true} {
-		// Reference: a fresh sequential processor holding only the
-		// surviving queries, fed the whole stream.
-		fresh := NewProcessor(Config{ViewMaterialization: viewMat})
-		for _, q := range surviving {
-			fresh.MustRegister(q)
-		}
-		var ref []string
-		for _, d := range docs {
-			ref = append(ref, renderMatches(fresh.Process("S", d)))
-		}
+	// Reference: a fresh sequential processor holding only the
+	// surviving queries, fed the whole stream.
+	fresh := NewProcessor(Config{})
+	for _, q := range surviving {
+		fresh.MustRegister(q)
+	}
+	var ref []string
+	for _, d := range docs {
+		ref = append(ref, renderMatches(fresh.Process("S", d)))
+	}
 
-		p := NewProcessor(Config{ViewMaterialization: viewMat})
-		for _, q := range surviving {
-			p.MustRegister(q)
-		}
-		var churnIDs []QueryID
-		for _, q := range churned {
-			churnIDs = append(churnIDs, p.MustRegister(q))
-		}
-		for _, d := range docs[:churnAt] {
-			p.Process("S", d)
-		}
-		for _, id := range churnIDs {
-			p.MustUnregister(id)
-		}
-		if p.NumQueries() != len(surviving) {
-			t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
-		}
-		for di, d := range docs[churnAt:] {
-			if got := renderMatches(p.Process("S", d)); got != ref[churnAt+di] {
-				t.Fatalf("viewmat=%v: churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
-					viewMat, churnAt+di+1, got, ref[churnAt+di])
-			}
+	p := NewProcessor(Config{})
+	for _, q := range surviving {
+		p.MustRegister(q)
+	}
+	var churnIDs []QueryID
+	for _, q := range churned {
+		churnIDs = append(churnIDs, p.MustRegister(q))
+	}
+	for _, d := range docs[:churnAt] {
+		p.Process("S", d)
+	}
+	for _, id := range churnIDs {
+		p.MustUnregister(id)
+	}
+	if p.NumQueries() != len(surviving) {
+		t.Fatalf("NumQueries = %d, want %d", p.NumQueries(), len(surviving))
+	}
+	for di, d := range docs[churnAt:] {
+		if got := renderMatches(p.Process("S", d)); got != ref[churnAt+di] {
+			t.Fatalf("churned processor diverges from fresh on doc %d:\nchurned:\n%sfresh:\n%s",
+				churnAt+di+1, got, ref[churnAt+di])
 		}
 	}
 }

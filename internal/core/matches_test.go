@@ -200,7 +200,7 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		newProcessor := func() *Processor {
-			p := NewProcessor(Config{ViewMaterialization: true})
+			p := NewProcessor(Config{})
 			for _, q := range queries {
 				if _, err := p.Register(q); err != nil {
 					t.Fatal(err)

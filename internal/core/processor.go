@@ -94,7 +94,8 @@ type Processor struct {
 	families map[int64][]*patternInfo
 	dormant  int64
 
-	state *State
+	state    *State
+	departed []xmldoc.DocID // Departed
 
 	// result is the current document's matches between one Consume and
 	// the next one (Matches): its keys and buffer list are reused across
@@ -577,7 +578,7 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	if tmpl == nil {
 		tmpl = NewTemplateFromCanonical(sig, red, order)
 		tmpl.ID = p.nextTemplateID
-		tmpl.compile(p.cfg.ViewMaterialization)
+		tmpl.compile()
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
 		p.templateList = append(p.templateList, tmpl)
@@ -906,7 +907,7 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 // and window GC. The order of Consume calls is the serial document order;
 // they never run concurrently. The returned matches are the processor's own
 // view (Matches), valid until the next call: whoever wants them writes them
-// out before that.
+// out before that. Departed lists the documents the call let go of.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) Consume(r *Stage1Result) *Matches {
@@ -933,7 +934,16 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	out := p.collectMatches(r.singles)
 
 	t2 := time.Now()
-	p.state.Merge(w, p.cfg.RetainDocuments)
+	p.departed = p.departed[:0]
+	if w.RdocW.Len() > 0 {
+		p.state.Merge(w)
+	} else {
+		// Every program starts from Rdoc, so a document without a row
+		// there is never a left side: it counts in the arrival index but
+		// does not enter the state.
+		p.state.pass(d.ID)
+		p.departed = append(p.departed, d.ID)
+	}
 	t3 := time.Now()
 	if !p.anyInfWindow && (p.maxFiniteWindow > 0 || p.maxCountWindow > 0) {
 		cutoffTS := xmldoc.Timestamp(int64(math.MaxInt64))
@@ -945,8 +955,10 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 			cutoffSeq = p.state.nextSeq - p.maxCountWindow
 		}
 		if p.state.shouldGC(cutoffTS, cutoffSeq) {
-			expired, dropped := p.state.GC(cutoffTS, cutoffSeq)
-			if len(expired) > 0 {
+			n := len(p.departed)
+			var dropped int
+			p.departed, dropped = p.state.GC(cutoffTS, cutoffSeq, p.departed)
+			if len(p.departed) > n {
 				p.stats.WindowGCs++
 				p.stats.GCRowsDropped += int64(dropped)
 			}
@@ -982,12 +994,16 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	return out
 }
 
-// Process runs the full per-document pipeline (Algorithm 1, or Algorithm 4
-// when view materialization is enabled) and returns the matches the
-// document triggered, in a slice the caller owns.
+// Process runs the full per-document pipeline (Algorithm 4) and returns the
+// matches the document triggered, in a slice the caller owns.
 func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 	return p.Consume(p.RunStage1(stream, d)).Slice()
 }
+
+// Departed returns the ids of the documents the last Consume let go of —
+// expired, or the consumed one when it wrote no Rdoc row — which no later
+// match names. The slice is valid until the next Consume.
+func (p *Processor) Departed() []xmldoc.DocID { return p.departed }
 
 // ConsumeStage1 is Consume with the matches copied into a slice the caller
 // owns.

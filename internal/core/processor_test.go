@@ -12,9 +12,9 @@ import (
 
 // feedPaperDocs processes d1 then d2 (Figures 1 and 2) and returns the
 // matches triggered by d2.
-func feedPaperDocs(t *testing.T, cfg Config, window int64) (*Processor, []QueryID, []Match) {
+func feedPaperDocs(t *testing.T, window int64) (*Processor, []QueryID, []Match) {
 	t.Helper()
-	p := NewProcessor(cfg)
+	p := NewProcessor(Config{})
 	ids := []QueryID{
 		p.MustRegister(xscl.PaperQ1(window)),
 		p.MustRegister(xscl.PaperQ2(window)),
@@ -52,24 +52,22 @@ func itos(i int64) string {
 // TestPaperWorkedExample reproduces Section 4.4.1: after d1 and d2, Q1 and
 // Q2 each produce exactly one result; Q3 produces none (d1 is not a blog).
 func TestPaperWorkedExample(t *testing.T) {
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
-		_, ids, ms := feedPaperDocs(t, cfg, 1000)
-		if len(ms) != 2 {
-			t.Fatalf("cfg=%+v: %d matches, want 2: %v", cfg, len(ms), matchSummary(ms))
+	_, ids, ms := feedPaperDocs(t, 1000)
+	if len(ms) != 2 {
+		t.Fatalf("%d matches, want 2: %v", len(ms), matchSummary(ms))
+	}
+	seen := map[QueryID]bool{}
+	for _, m := range ms {
+		seen[m.Query] = true
+		if m.LeftDoc != 1 || m.RightDoc != 2 {
+			t.Errorf("match docs = %d -> %d", m.LeftDoc, m.RightDoc)
 		}
-		seen := map[QueryID]bool{}
-		for _, m := range ms {
-			seen[m.Query] = true
-			if m.LeftDoc != 1 || m.RightDoc != 2 {
-				t.Errorf("match docs = %d -> %d", m.LeftDoc, m.RightDoc)
-			}
-			if m.LeftRoot != 0 || m.RightRoot != 0 {
-				t.Errorf("roots = %d, %d, want the two document roots", m.LeftRoot, m.RightRoot)
-			}
+		if m.LeftRoot != 0 || m.RightRoot != 0 {
+			t.Errorf("roots = %d, %d, want the two document roots", m.LeftRoot, m.RightRoot)
 		}
-		if !seen[ids[0]] || !seen[ids[1]] || seen[ids[2]] {
-			t.Errorf("fired queries = %v, want Q1 and Q2 only", seen)
-		}
+	}
+	if !seen[ids[0]] || !seen[ids[1]] || seen[ids[2]] {
+		t.Errorf("fired queries = %v, want Q1 and Q2 only", seen)
 	}
 }
 
@@ -77,7 +75,7 @@ func TestPaperWorkedExample(t *testing.T) {
 // Q1 binds (0,2,4 | 0,2,3): book root, Danny Ayers author, title in d1;
 // blog root, author, title in d2.
 func TestPaperTable4Bindings(t *testing.T) {
-	_, ids, ms := feedPaperDocs(t, Config{}, 1000)
+	_, ids, ms := feedPaperDocs(t, 1000)
 	for _, m := range ms {
 		if m.Query != ids[0] {
 			continue
@@ -184,33 +182,31 @@ func TestFollowedByDirectionality(t *testing.T) {
 }
 
 func TestJoinOperatorSymmetric(t *testing.T) {
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
-		p := NewProcessor(cfg)
-		qid := p.MustRegister(xscl.MustParse("S//a->x JOIN{x=y, 100} S//b->y"))
-		mk := func(id xmldoc.DocID, ts xmldoc.Timestamp, tag string) *xmldoc.Document {
-			b := xmldoc.NewBuilder(id, ts, tag)
-			b.SetText(0, "v")
-			return b.Build()
-		}
-		// b first, then a: JOIN fires (symmetric).
-		p.Process("S", mk(1, 100, "b"))
-		ms := p.Process("S", mk(2, 150, "a"))
-		if len(ms) != 1 {
-			t.Fatalf("cfg=%+v: reversed JOIN matches = %d, want 1", cfg, len(ms))
-		}
-		m := ms[0]
-		if m.Query != qid {
-			t.Errorf("query = %d", m.Query)
-		}
-		// The a document is the query's LEFT block even though it is newer.
-		if m.LeftDoc != 2 || m.RightDoc != 1 {
-			t.Errorf("join orientation: left=%d right=%d, want 2,1", m.LeftDoc, m.RightDoc)
-		}
-		// Same-timestamp JOIN also fires.
-		ms = p.Process("S", mk(3, 150, "b"))
-		if len(ms) != 1 {
-			t.Errorf("cfg=%+v: same-ts JOIN matches = %d, want 1 (a@150 JOIN b@150)", cfg, len(ms))
-		}
+	p := NewProcessor(Config{})
+	qid := p.MustRegister(xscl.MustParse("S//a->x JOIN{x=y, 100} S//b->y"))
+	mk := func(id xmldoc.DocID, ts xmldoc.Timestamp, tag string) *xmldoc.Document {
+		b := xmldoc.NewBuilder(id, ts, tag)
+		b.SetText(0, "v")
+		return b.Build()
+	}
+	// b first, then a: JOIN fires (symmetric).
+	p.Process("S", mk(1, 100, "b"))
+	ms := p.Process("S", mk(2, 150, "a"))
+	if len(ms) != 1 {
+		t.Fatalf("reversed JOIN matches = %d, want 1", len(ms))
+	}
+	m := ms[0]
+	if m.Query != qid {
+		t.Errorf("query = %d", m.Query)
+	}
+	// The a document is the query's LEFT block even though it is newer.
+	if m.LeftDoc != 2 || m.RightDoc != 1 {
+		t.Errorf("join orientation: left=%d right=%d, want 2,1", m.LeftDoc, m.RightDoc)
+	}
+	// Same-timestamp JOIN also fires.
+	ms = p.Process("S", mk(3, 150, "b"))
+	if len(ms) != 1 {
+		t.Errorf("same-ts JOIN matches = %d, want 1 (a@150 JOIN b@150)", len(ms))
 	}
 }
 
@@ -231,19 +227,17 @@ func TestSingleBlockQuery(t *testing.T) {
 
 func TestSelfJoinQ3OnBlogPair(t *testing.T) {
 	// Two blog postings by the same author with the same title: Q3 fires.
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
-		p := NewProcessor(cfg)
-		qid := p.MustRegister(xscl.PaperQ3(1000))
-		d2 := xmldoc.PaperD2(1, 100)
-		d2b := xmldoc.PaperD2(2, 200) // identical content, later timestamp
-		p.Process("S", d2)
-		ms := p.Process("S", d2b)
-		if len(ms) != 1 {
-			t.Fatalf("cfg=%+v: Q3 matches = %d, want 1", cfg, len(ms))
-		}
-		if ms[0].Query != qid || ms[0].LeftDoc != 1 || ms[0].RightDoc != 2 {
-			t.Errorf("match = %+v", ms[0])
-		}
+	p := NewProcessor(Config{})
+	qid := p.MustRegister(xscl.PaperQ3(1000))
+	d2 := xmldoc.PaperD2(1, 100)
+	d2b := xmldoc.PaperD2(2, 200) // identical content, later timestamp
+	p.Process("S", d2)
+	ms := p.Process("S", d2b)
+	if len(ms) != 1 {
+		t.Fatalf("Q3 matches = %d, want 1", len(ms))
+	}
+	if ms[0].Query != qid || ms[0].LeftDoc != 1 || ms[0].RightDoc != 2 {
+		t.Errorf("match = %+v", ms[0])
 	}
 }
 
@@ -278,29 +272,27 @@ func TestValueJoinMustMatchVariables(t *testing.T) {
 }
 
 func TestConjunctionAllPredicatesRequired(t *testing.T) {
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
-		p := NewProcessor(cfg)
-		p.MustRegister(xscl.MustParse(
-			"S//a->r1[.//x->v1][.//y->v2] FOLLOWED BY{v1=w1 AND v2=w2, 100} S//b->r2[.//x->w1][.//y->w2]"))
-		b1 := xmldoc.NewBuilder(1, 100, "a")
-		b1.Element(0, "x", "p")
-		b1.Element(0, "y", "q")
-		p.Process("S", b1.Build())
+	p := NewProcessor(Config{})
+	p.MustRegister(xscl.MustParse(
+		"S//a->r1[.//x->v1][.//y->v2] FOLLOWED BY{v1=w1 AND v2=w2, 100} S//b->r2[.//x->w1][.//y->w2]"))
+	b1 := xmldoc.NewBuilder(1, 100, "a")
+	b1.Element(0, "x", "p")
+	b1.Element(0, "y", "q")
+	p.Process("S", b1.Build())
 
-		// Only x matches: no fire.
-		b2 := xmldoc.NewBuilder(2, 110, "b")
-		b2.Element(0, "x", "p")
-		b2.Element(0, "y", "DIFFERENT")
-		if ms := p.Process("S", b2.Build()); len(ms) != 0 {
-			t.Errorf("cfg=%+v: partial predicate satisfaction fired", cfg)
-		}
-		// Both match: fire.
-		b3 := xmldoc.NewBuilder(3, 120, "b")
-		b3.Element(0, "x", "p")
-		b3.Element(0, "y", "q")
-		if ms := p.Process("S", b3.Build()); len(ms) != 1 {
-			t.Errorf("cfg=%+v: full predicate satisfaction matches = %d, want 1", cfg, len(ms))
-		}
+	// Only x matches: no fire.
+	b2 := xmldoc.NewBuilder(2, 110, "b")
+	b2.Element(0, "x", "p")
+	b2.Element(0, "y", "DIFFERENT")
+	if ms := p.Process("S", b2.Build()); len(ms) != 0 {
+		t.Errorf("partial predicate satisfaction fired")
+	}
+	// Both match: fire.
+	b3 := xmldoc.NewBuilder(3, 120, "b")
+	b3.Element(0, "x", "p")
+	b3.Element(0, "y", "q")
+	if ms := p.Process("S", b3.Build()); len(ms) != 1 {
+		t.Errorf("full predicate satisfaction matches = %d, want 1", len(ms))
 	}
 }
 
@@ -343,7 +335,7 @@ func TestWindowGC(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	p, _, _ := feedPaperDocs(t, Config{ViewMaterialization: true}, 1000)
+	p, _, _ := feedPaperDocs(t, 1000)
 	st := p.Stats()
 	if st.Documents != 2 || st.Matches != 2 {
 		t.Errorf("stats = %+v", st)
@@ -361,27 +353,25 @@ func TestCrossStreamJoin(t *testing.T) {
 	// The paper's techniques "can be extended to handle ... more than one
 	// input stream": blocks on different streams join through the shared
 	// witness relations.
-	for _, cfg := range []Config{{}, {ViewMaterialization: true}} {
-		p := NewProcessor(cfg)
-		qid := p.MustRegister(xscl.MustParse(
-			"News//story->s[./topic->t] FOLLOWED BY{t=t2, 100} Blogs//post->b[./topic->t2]"))
+	p := NewProcessor(Config{})
+	qid := p.MustRegister(xscl.MustParse(
+		"News//story->s[./topic->t] FOLLOWED BY{t=t2, 100} Blogs//post->b[./topic->t2]"))
 
-		mk := func(id xmldoc.DocID, ts xmldoc.Timestamp, root, leaf, val string) *xmldoc.Document {
-			b := xmldoc.NewBuilder(id, ts, root)
-			b.Element(0, leaf, val)
-			return b.Build()
-		}
-		if ms := p.Process("News", mk(1, 10, "story", "topic", "go")); len(ms) != 0 {
-			t.Fatalf("cfg=%+v: story alone fired", cfg)
-		}
-		// A matching topic on the wrong stream must not fire.
-		if ms := p.Process("News", mk(2, 20, "post", "topic", "go")); len(ms) != 0 {
-			t.Fatalf("cfg=%+v: post document on News stream fired", cfg)
-		}
-		ms := p.Process("Blogs", mk(3, 30, "post", "topic", "go"))
-		if len(ms) != 1 || ms[0].Query != qid || ms[0].LeftDoc != 1 || ms[0].RightDoc != 3 {
-			t.Fatalf("cfg=%+v: cross-stream match = %v", cfg, ms)
-		}
+	mk := func(id xmldoc.DocID, ts xmldoc.Timestamp, root, leaf, val string) *xmldoc.Document {
+		b := xmldoc.NewBuilder(id, ts, root)
+		b.Element(0, leaf, val)
+		return b.Build()
+	}
+	if ms := p.Process("News", mk(1, 10, "story", "topic", "go")); len(ms) != 0 {
+		t.Fatalf("story alone fired")
+	}
+	// A matching topic on the wrong stream must not fire.
+	if ms := p.Process("News", mk(2, 20, "post", "topic", "go")); len(ms) != 0 {
+		t.Fatalf("post document on News stream fired")
+	}
+	ms := p.Process("Blogs", mk(3, 30, "post", "topic", "go"))
+	if len(ms) != 1 || ms[0].Query != qid || ms[0].LeftDoc != 1 || ms[0].RightDoc != 3 {
+		t.Fatalf("cross-stream match = %v", ms)
 	}
 }
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -15,9 +13,9 @@ import (
 // relations with canonical-variable columns resolved to their names (interned
 // symbol ids are an in-process artifact; a restored processor re-interns
 // under its own symbol table) and the slot column to document ids (slots are
-// where a state happens to keep its records), each document's timestamp and
-// arrival index that drive window semantics, and (when document retention is
-// on) the retained documents as XML text.
+// where a state happens to keep its records), and each document's timestamp
+// and arrival index that drive window semantics. The documents themselves
+// are not state: a caller that keeps them for output writes them itself.
 //
 // A snapshot is consistent only when taken between two Consume calls. Stage 1
 // never touches the join state, so RunStage1 calls in flight do not matter.
@@ -62,23 +60,15 @@ type SnapRoot struct {
 	Node int64  `json:"node"`
 }
 
-// SnapRetained is one retained document, serialized as XML.
-type SnapRetained struct {
-	ID  int64  `json:"id"`
-	TS  int64  `json:"ts"`
-	XML string `json:"xml"`
-}
-
 // StateSnapshot is the portable form of the join state. See the package
 // comment above for the consistency contract.
 type StateSnapshot struct {
-	NextSeq  int64          `json:"next_seq"`
-	MaxDoc   int64          `json:"max_doc"`
-	Docs     []SnapDoc      `json:"docs,omitempty"`
-	Rbin     []SnapBin      `json:"rbin,omitempty"`
-	Rdoc     []SnapRdoc     `json:"rdoc,omitempty"`
-	Rroot    []SnapRoot     `json:"rroot,omitempty"`
-	Retained []SnapRetained `json:"retained,omitempty"`
+	NextSeq int64      `json:"next_seq"`
+	MaxDoc  int64      `json:"max_doc"`
+	Docs    []SnapDoc  `json:"docs,omitempty"`
+	Rbin    []SnapBin  `json:"rbin,omitempty"`
+	Rdoc    []SnapRdoc `json:"rdoc,omitempty"`
+	Rroot   []SnapRoot `json:"rroot,omitempty"`
 }
 
 // ExportState captures the join state. Like Stats, it must not run
@@ -90,13 +80,9 @@ func (p *Processor) ExportState() StateSnapshot { return p.state.export(p.syms.n
 // document ids and the variables to their names.
 func (s *State) export(varName func(int64) string) StateSnapshot {
 	out := StateSnapshot{NextSeq: s.nextSeq, MaxDoc: int64(s.maxDoc)}
-	var retained []*xmldoc.Document
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		out.Docs = append(out.Docs, SnapDoc{ID: int64(r.id), TS: int64(r.ts), Seq: r.seq})
-		if r.doc != nil {
-			retained = append(retained, r.doc)
-		}
 	}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
@@ -122,10 +108,6 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 			out.Rroot = append(out.Rroot, SnapRoot{Doc: int64(r.id), Var: varName(t[1]), Node: t[2]})
 		}
 	}
-	slices.SortFunc(retained, func(a, b *xmldoc.Document) int { return cmp.Compare(a.ID, b.ID) })
-	for _, d := range retained {
-		out.Retained = append(out.Retained, SnapRetained{ID: int64(d.ID), TS: int64(d.Timestamp), XML: d.XMLText()})
-	}
 	return out
 }
 
@@ -136,8 +118,9 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 // the re-registered vector groups exactly as the original state did. The
 // documents are placed in arrival order, each with its rows in snapshot
 // order — what Merge did for them — so a restored state is indistinguishable
-// from the original. A row or retained document of a document the snapshot
-// does not list is refused: no engine writes one.
+// from the original. A row of a document the snapshot does not list is
+// refused: no engine writes one. A snapshot written when the state still
+// held documents carries them under "retained"; decoding ignores them.
 func (p *Processor) RestoreState(snap StateSnapshot) error {
 	return p.state.restore(snap, p.syms.intern)
 }
@@ -185,28 +168,17 @@ func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 		}
 		d.root = append(d.root, []int64{varID(r.Var), r.Node})
 	}
-	docs := make([]*xmldoc.Document, len(snap.Docs))
-	for _, r := range snap.Retained {
-		i, ok := at[r.ID]
-		if !ok {
-			return fmt.Errorf("core: snapshot retains document %d, which it does not list", r.ID)
-		}
-		d, err := xmldoc.ParseString(r.XML, xmldoc.DocID(r.ID), xmldoc.Timestamp(r.TS))
-		if err != nil {
-			return fmt.Errorf("core: restore retained document %d: %w", r.ID, err)
-		}
-		docs[i] = d
-	}
 	for i, d := range snap.Docs {
-		s.add(xmldoc.DocID(d.ID), xmldoc.Timestamp(d.TS), d.Seq, docs[i], rows[i].bin, rows[i].rdoc, rows[i].root)
+		s.add(xmldoc.DocID(d.ID), xmldoc.Timestamp(d.TS), d.Seq, rows[i].bin, rows[i].rdoc, rows[i].root)
 	}
 	s.nextSeq = snap.NextSeq
 	s.maxDoc = xmldoc.DocID(snap.MaxDoc)
 	return nil
 }
 
-// MaxDocID returns the largest document id the join state has ever seen
-// (surviving GC); id allocators resume above it after a restore.
+// MaxDocID returns the largest document id ever published — whether or not
+// the document entered the join state, and surviving GC; id allocators
+// resume above it after a restore.
 func (p *Processor) MaxDocID() int64 { return int64(p.state.maxDoc) }
 
 // SkipQueryID burns one query id, leaving a permanent tombstone slot. A

@@ -60,7 +60,7 @@ func ingestFixture(seed int64, nq, items int) ([]*xscl.Query, []*xmldoc.Document
 // Stage1Wall/Stage2Wall counters (and the document count) accumulate across
 // calls rather than resetting, and that ResetStats clears them.
 func TestBatchStatsAccumulate(t *testing.T) {
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	p.MustRegister(xscl.MustParse(joinQuery))
 	d1, d2 := joiningDocs()
 	p.Process("S", d1)
@@ -111,31 +111,29 @@ func TestBatchStatsAccumulate(t *testing.T) {
 // calls on a fresh processor.
 func TestIngestMatchesProcess(t *testing.T) {
 	queries, docs := ingestFixture(101, 8, 120)
-	for _, viewMat := range []bool{false, true} {
-		newProcessor := func() *Processor {
-			p := NewProcessor(Config{ViewMaterialization: viewMat})
-			for _, q := range queries {
-				p.MustRegister(q)
+	newProcessor := func() *Processor {
+		p := NewProcessor(Config{})
+		for _, q := range queries {
+			p.MustRegister(q)
+		}
+		return p
+	}
+	ref := newProcessor()
+	var want []string
+	for _, d := range docs {
+		want = append(want, renderMatches(ref.Process("S", d)))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		ahead := newProcessor()
+		inTurn := publishInTurn(newProcessor(), "S", docs, workers)
+		for i, r := range stage1Ahead(ahead, "S", docs, workers) {
+			if got := renderMatches(ahead.ConsumeStage1(r)); got != want[i] {
+				t.Fatalf("workers=%d: Stage 1 ahead diverges on doc %d:\nserial:\n%sahead:\n%s",
+					workers, i+1, want[i], got)
 			}
-			return p
-		}
-		ref := newProcessor()
-		var want []string
-		for _, d := range docs {
-			want = append(want, renderMatches(ref.Process("S", d)))
-		}
-		for _, workers := range []int{1, 2, 4} {
-			ahead := newProcessor()
-			inTurn := publishInTurn(newProcessor(), "S", docs, workers)
-			for i, r := range stage1Ahead(ahead, "S", docs, workers) {
-				if got := renderMatches(ahead.ConsumeStage1(r)); got != want[i] {
-					t.Fatalf("viewmat=%v workers=%d: Stage 1 ahead diverges on doc %d:\nserial:\n%sahead:\n%s",
-						viewMat, workers, i+1, want[i], got)
-				}
-				if got := renderMatches(inTurn[i]); got != want[i] {
-					t.Fatalf("viewmat=%v workers=%d: Stage 1 in turn diverges on doc %d:\nserial:\n%sin turn:\n%s",
-						viewMat, workers, i+1, want[i], got)
-				}
+			if got := renderMatches(inTurn[i]); got != want[i] {
+				t.Fatalf("workers=%d: Stage 1 in turn diverges on doc %d:\nserial:\n%sin turn:\n%s",
+					workers, i+1, want[i], got)
 			}
 		}
 	}
@@ -150,7 +148,7 @@ func TestIngestMatchesProcess(t *testing.T) {
 func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 	queries, docs := ingestFixture(202, 10, 150)
 	for _, publishers := range []int{2, 5} {
-		p := NewProcessor(Config{ViewMaterialization: true})
+		p := NewProcessor(Config{})
 		for _, q := range queries {
 			p.MustRegister(q)
 		}
@@ -174,7 +172,7 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 		}
 		wg.Wait()
 
-		ref := NewProcessor(Config{ViewMaterialization: true})
+		ref := NewProcessor(Config{})
 		for _, q := range queries {
 			ref.MustRegister(q)
 		}
@@ -195,7 +193,7 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 // steady state of a serving process.
 func BenchmarkStage1DeepFeed(b *testing.B) {
 	c := workload.DefaultDeepFeed()
-	p := NewProcessor(Config{ViewMaterialization: true})
+	p := NewProcessor(Config{})
 	for _, q := range c.Queries(rand.New(rand.NewSource(1)), 1100) {
 		p.MustRegister(q)
 	}

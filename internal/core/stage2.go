@@ -30,9 +30,8 @@ const emitKeep = 4096
 const keysKeep = 4 * emitKeep
 
 // evalTemplates evaluates the live templates against the document: per
-// template, its compiled program runs (Algorithm 1; under view
-// materialization the programs read the shared views, which is the
-// per-template tail of Algorithm 4). The matches stay in the executor's emit
+// template, its compiled program runs over the shared views, the
+// per-template tail of Algorithm 4. The matches stay in the executor's emit
 // buffer for collectMatches.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
@@ -237,11 +236,10 @@ func (ms *Matches) sort() {
 // stage2Shared carries the per-document inputs of the compiled programs,
 // computed once per document and read-only during template evaluation, so
 // every template probes the same indexes instead of re-indexing the
-// document's relations: the current witness by node, the value-join pair
-// relation by previous document's slot and, under view materialization, the
-// shared views RL (by slot) and RR (by string). The processor keeps one
-// (Processor.pre) and resets it for each document, so its slices and indexes
-// are reused.
+// document's relations: the current witness by node, the shared views RL
+// (by slot) and RR (by string) and the value-join pair relation by previous
+// document's slot. The processor keeps one (Processor.pre) and resets it for
+// each document, so its slices and indexes are reused.
 type stage2Shared struct {
 	// RbinW by node2 and RrootW by node.
 	binWByNode2 rowIndex
@@ -249,11 +247,9 @@ type stage2Shared struct {
 
 	// rvj is the value-join pair relation (rvjSchema) of the current
 	// document — Rdoc ⋈ RdocW on the string value, read off the state's
-	// posting lists — with its rows grouped by slot. The
-	// basic path builds it up front. Under view materialization only
-	// templates with a value join on a side root read it, so it is built
-	// on first use (rvjBuilt).
-	rvjBuilt bool
+	// posting lists — with its rows grouped by slot. Only templates with a
+	// value join on a side root read it, so it is built only when one is
+	// live.
 	rvj      [][]int64
 	rvjByDoc rowIndex
 	arena    relation.Arena // this document's rvj rows
@@ -265,7 +261,7 @@ type stage2Shared struct {
 	rlByDoc        rowIndex
 	rrBySym        rowIndex
 
-	syms []sym.ID // prepareViewMat's scratch: the common strings
+	syms []sym.ID // prepareViews' scratch: the common strings
 }
 
 // reset empties pre for the next document. Its row lists drop what they
@@ -273,7 +269,6 @@ type stage2Shared struct {
 // past witnessKeep rows goes, and so does a value buffer grown past as many
 // rows of the views.
 func (pre *stage2Shared) reset() {
-	pre.rvjBuilt = false
 	pre.arena.Reset()
 	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl, &pre.rr} {
 		if clear(*rows); cap(*rows) > witnessKeep {
@@ -298,15 +293,11 @@ func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
 	return rows
 }
 
-// sharedRvj builds the document's value-join pair relation on first call,
-// charging the build to stats.
+// sharedRvj builds the document's value-join pair relation, charging the
+// build to stats.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
-	if pre.rvjBuilt {
-		return
-	}
-	pre.rvjBuilt = true
 	t0 := time.Now()
 	for _, row := range w.RdocW.Rows {
 		for _, ref := range s.postings(sym.ID(row[rdocWStrVal])) {
@@ -328,15 +319,8 @@ func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
 func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 	pre := &p.pre
 	pre.reset()
-	if p.cfg.ViewMaterialization {
-		if !p.prepareViewMat(w, pre) {
-			return nil
-		}
-	} else {
-		pre.sharedRvj(p.state, w, &p.stats)
-		if len(pre.rvj) == 0 {
-			return nil
-		}
+	if !p.prepareViews(w, pre) {
+		return nil
 	}
 	t0 := time.Now()
 	pre.binWByNode2.build(w.RbinW.Rows, 3)
@@ -345,7 +329,7 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 	return pre
 }
 
-// prepareViewMat computes the shared prefix of Algorithm 4 into pre. RL is
+// prepareViews computes the shared prefix of Algorithm 4 into pre. RL is
 // read off the join state: for each common string in sorted-symbol order,
 // its posting list and each record's Rbin index by node2 (symbol ids are
 // process-global, so the order is identical for every engine configuration
@@ -354,7 +338,7 @@ func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
 // with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) prepareViewMat(w *CurrentWitness, pre *stage2Shared) bool {
+func (p *Processor) prepareViews(w *CurrentWitness, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
 	s := p.state

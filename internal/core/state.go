@@ -45,17 +45,18 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 //	       whose side is a single node (see DESIGN.md)
 //
 // A document's record sits on a dense slot and holds its id, timestamp and
-// arrival index (the window bookkeeping), the retained document, its rows of
-// the three relations and its own indexes over them. The slot, not the
-// document id, is what a state row and the Stage-2 frame carry, so reaching
-// a document's rows is an array index. Across records, rdocBySym lists every
+// arrival index (the window bookkeeping), its rows of the three relations and
+// its own indexes over them — never the document itself, which a caller that
+// renders outputs keeps. The slot, not the document id, is what a state row
+// and the Stage-2 frame carry, so reaching a document's rows is an array
+// index. Across records, rdocBySym lists every
 // Rdoc row by string value, in arrival order.
 //
 // Expiry (GC) frees the expired records and pops their rows off the front of
 // the posting lists: it touches the expired rows, never the live ones. A
 // freed slot is reused by a later Merge. Nothing outside the state keeps a
 // slot-stamped row across documents: Stage 2 reads the views off the
-// posting lists for each document (prepareViewMat).
+// posting lists for each document (prepareViews).
 type State struct {
 	// recs holds the records by slot. A free slot's record keeps its row
 	// storage for the next document placed there.
@@ -95,24 +96,22 @@ type State struct {
 	// the last full expiry scan (see gcFullScanEvery).
 	gcStale int
 
-	// expired is GC's result, dirty its scratch (the symbols whose lists
-	// lost a row that was not at their front), both reused.
+	// expired and dirty are GC's scratch, reused: the expired slots and the
+	// symbols whose lists lost a row that was not at their front.
 	expired []int32
 	dirty   []sym.ID
 
-	// maxDoc is the largest document id ever merged (it survives GC), so a
+	// maxDoc is the largest document id ever consumed (it survives GC), so a
 	// restored engine can hand out fresh ids that cannot collide with
-	// retained state.
+	// earlier documents.
 	maxDoc xmldoc.DocID
 }
 
 // docRec is one in-window document.
 type docRec struct {
-	id  xmldoc.DocID
-	ts  xmldoc.Timestamp
-	seq int64 // arrival index
-	// doc is the document, retained for output construction, or nil.
-	doc        *xmldoc.Document
+	id         xmldoc.DocID
+	ts         xmldoc.Timestamp
+	seq        int64 // arrival index
 	live, late bool
 
 	// bin, rdoc and root are the document's rows of Rbin, Rdoc and Rroot,
@@ -164,7 +163,7 @@ func (l *postList) push(r rowRef) {
 // The schemas of the witness relations. A current-document relation is its
 // state relation without the slot (State.add relies on it). strVal is the
 // only symbol column; the code that reads symbols out of it by position
-// (State.add, sharedRvj, prepareViewMat) resolves the position through
+// (State.add, sharedRvj, prepareViews) resolves the position through
 // Schema.SymCol, once.
 var (
 	rbinSchema  = relation.Schema{relation.Int("slot"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2")}
@@ -344,21 +343,22 @@ func (w *CurrentWitness) docSym(n int64) (sym.ID, bool) {
 // Merge folds the current document's witness relations into the join state,
 // implementing Algorithm 2 — the timestamp cross product of the paper is
 // realized by the document's record, which its rows point at through their
-// slot column — and returns the slot.
-func (s *State) Merge(w *CurrentWitness, retainDoc bool) int32 {
-	var doc *xmldoc.Document
-	if retainDoc {
-		doc = w.Doc
-	}
-	slot := s.add(w.DocID, w.TS, s.nextSeq, doc, w.RbinW.Rows, w.RdocW.Rows, w.RrootW.Rows)
+// slot column.
+func (s *State) Merge(w *CurrentWitness) {
+	s.add(w.DocID, w.TS, s.nextSeq, w.RbinW.Rows, w.RdocW.Rows, w.RrootW.Rows)
+	s.pass(w.DocID)
+}
+
+// pass counts a consumed document, merged or not.
+func (s *State) pass(id xmldoc.DocID) {
 	s.nextSeq++
-	return slot
+	s.maxDoc = max(s.maxDoc, id)
 }
 
 // add places a document on a free slot: its witness-shaped rows (no slot
 // column) are copied into the record behind the slot, indexed, and posted
 // under their string values.
-func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, doc *xmldoc.Document, bin, rdoc, root [][]int64) int32 {
+func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, bin, rdoc, root [][]int64) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot, s.free = s.free[n-1], s.free[:n-1]
@@ -367,7 +367,7 @@ func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, doc *xmldoc
 		s.recs = append(s.recs, docRec{})
 	}
 	r := &s.recs[slot]
-	r.id, r.ts, r.seq, r.doc, r.live = id, ts, seq, doc, true
+	r.id, r.ts, r.seq, r.live = id, ts, seq, true
 	if r.late = ts < s.maxTS; r.late {
 		s.late++
 	} else {
@@ -388,10 +388,6 @@ func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, doc *xmldoc
 	s.rows[1] += len(rdoc)
 	s.rows[2] += len(root)
 	s.order = append(s.order, slot)
-	if id > s.maxDoc {
-		s.maxDoc = id
-	}
-	return slot
 }
 
 // stampRows carves len(rows) rows of width n from hdr and vals, each the
@@ -472,16 +468,16 @@ func (s *State) appendRL(vals []int64, id sym.ID) []int64 {
 
 // GC removes every document expired in both window dimensions (timestamp <
 // cutoffTS and arrival index < cutoffSeq), whether they form a prefix of the
-// arrival order or not, and returns their slots — valid until the next GC —
-// with the number of rows they held. While no live document is late the
+// arrival order or not, appends their ids to gone in the order it frees them
+// and returns it with the number of rows they held. While no live document is late the
 // expired ones are a prefix of the arrival order and the scan stops at the
 // first live one; otherwise every live record is tested. Each expired row is
 // popped off the front of its value's posting list, which is where it sits
 // when expiry follows arrival; a list that lost a row elsewhere (clock skew)
 // is filtered once at the end. The expired records are freed and their
 // slots reused by later merges.
-func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired []int32, dropped int) {
-	expired = s.expired[:0]
+func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.DocID) ([]xmldoc.DocID, int) {
+	expired, dropped := s.expired[:0], 0
 	if s.late == 0 {
 		n := 0
 		for n < len(s.order) && s.recs[s.order[n]].expired(cutoffTS, cutoffSeq) {
@@ -508,6 +504,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired []int32,
 	}
 	for _, slot := range expired {
 		r := &s.recs[slot]
+		gone = append(gone, r.id)
 		for i, row := range r.rdoc {
 			s.unpost(sym.ID(row[rdocStrVal]), rowRef{slot, int32(i)})
 		}
@@ -518,7 +515,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired []int32,
 		if r.late {
 			s.late--
 		}
-		r.bin, r.rdoc, r.root, r.doc = nil, nil, nil, nil
+		r.bin, r.rdoc, r.root = nil, nil, nil
 		if cap(r.vals) > recKeep {
 			*r = docRec{}
 		}
@@ -538,7 +535,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) (expired []int32,
 		}
 	}
 	s.dirty = s.dirty[:0]
-	return expired, dropped
+	return gone, dropped
 }
 
 // unpost removes an expired Rdoc row from its value's posting list: off the

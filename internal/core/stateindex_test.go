@@ -42,7 +42,6 @@ func stateDump(s *State) map[string]any {
 	id := func(slot int64) int64 { return int64(s.recs[slot].id) }
 	type docDump struct {
 		ID, TS, Seq     int64
-		Retained        bool
 		Bin, Rdoc, Root [][]int64
 		// ByNode2 and ByNode list, per row, the rows the record's index
 		// returns for the row's key.
@@ -66,7 +65,7 @@ func stateDump(s *State) map[string]any {
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		docs = append(docs, docDump{
-			ID: int64(r.id), TS: int64(r.ts), Seq: r.seq, Retained: r.doc != nil,
+			ID: int64(r.id), TS: int64(r.ts), Seq: r.seq,
 			Bin: rows(r.bin), Rdoc: rows(r.rdoc), Root: rows(r.root),
 			ByNode2: index(&r.binByNode2, r.bin, rbinNode2), ByNode: index(&r.rootByNode, r.root, rrootNode),
 		})
@@ -93,7 +92,7 @@ func checkState(t testing.TB, s *State) {
 		t.Fatalf("%d live and %d free slots in a table of %d", len(s.order), len(s.free), len(s.recs))
 	}
 	for _, slot := range s.free {
-		if r := &s.recs[slot]; r.live || r.doc != nil || r.bin != nil || r.rdoc != nil || r.root != nil {
+		if r := &s.recs[slot]; r.live || r.bin != nil || r.rdoc != nil || r.root != nil {
 			t.Fatalf("free slot %d still holds a document", slot)
 		}
 	}
@@ -204,7 +203,7 @@ func TestStateIndexesEqualRebuilt(t *testing.T) {
 		queries = append(queries, gen.Query(rng))
 	}
 	register := func() *Processor {
-		p := NewProcessor(Config{ViewMaterialization: true})
+		p := NewProcessor(Config{})
 		for _, q := range queries {
 			p.MustRegister(q)
 		}
@@ -258,7 +257,7 @@ func rebuildGC(t testing.TB, s *State, cutoffTS xmldoc.Timestamp, cutoffSeq int6
 	var expired []xmldoc.DocID
 	gone := map[int64]bool{}
 	kept := snap
-	kept.Docs, kept.Rbin, kept.Rdoc, kept.Rroot, kept.Retained = nil, nil, nil, nil, nil
+	kept.Docs, kept.Rbin, kept.Rdoc, kept.Rroot = nil, nil, nil, nil
 	for _, d := range snap.Docs {
 		if xmldoc.Timestamp(d.TS) < cutoffTS && d.Seq < cutoffSeq {
 			gone[d.ID] = true
@@ -327,8 +326,8 @@ func (h *expiryPair) merge(ts int64, fill func(w *CurrentWitness)) {
 	n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len()
 	h.merged += n
 	h.rowsOf[d.ID] = n
-	h.got.Merge(w, false)
-	h.want.Merge(w, false)
+	h.got.Merge(w)
+	h.want.Merge(w)
 	w.Release()
 }
 
@@ -339,23 +338,19 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 	t, s := h.t, h.got
 	t.Helper()
 	arrival := []xmldoc.DocID{}
-	idOf := map[int32]xmldoc.DocID{}
 	storage := map[xmldoc.DocID]*int64{}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		arrival = append(arrival, r.id)
-		idOf[slot] = r.id
 		if len(r.vals) > 0 {
 			storage[r.id] = &r.vals[0]
 		}
 	}
-	expired, dropped := s.GC(cutoffTS, cutoffSeq)
+	gotIDs, dropped := s.GC(cutoffTS, cutoffSeq, nil)
 	h.dropped += dropped
-	var gotIDs []xmldoc.DocID
 	wantRows := 0
-	for _, slot := range expired {
-		gotIDs = append(gotIDs, idOf[slot])
-		wantRows += h.rowsOf[idOf[slot]]
+	for _, id := range gotIDs {
+		wantRows += h.rowsOf[id]
 	}
 	var wantIDs []xmldoc.DocID
 	h.want, wantIDs = rebuildGC(t, h.want, cutoffTS, cutoffSeq)
@@ -370,7 +365,7 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 			t.Fatalf("document %d's rows moved in a collection", r.id)
 		}
 	}
-	if len(expired) > 0 {
+	if len(gotIDs) > 0 {
 		h.gcs++
 		if !slices.Equal(arrival[:len(gotIDs)], gotIDs) {
 			h.nonPrefix++

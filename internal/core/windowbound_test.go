@@ -14,7 +14,8 @@ import (
 // everything the processor keeps per document to plateau at a small multiple
 // of the window instead of growing with the stream: the join state, whose
 // only bound is window GC, and the Stage-2 buffers (the views RL and RR) it
-// keeps across documents.
+// keeps across documents. The documents themselves are the facade's, and so
+// is their bound (TestRetainedDocumentsBoundedByWindow in the root package).
 // Stage 1 runs ahead on 1 and 4 goroutines (stage1Ahead), so the witnesses of
 // documents not yet consumed are live beside the state.
 func TestStateBoundedByWindow(t *testing.T) {
@@ -44,7 +45,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				p := NewProcessor(Config{ViewMaterialization: true, RetainDocuments: true})
+				p := NewProcessor(Config{})
 				p.MustRegister(xscl.MustParse(tc.query))
 				docs := make([]*xmldoc.Document, ndocs)
 				for i := 1; i <= ndocs; i++ {
@@ -62,11 +63,8 @@ func TestStateBoundedByWindow(t *testing.T) {
 
 					s := p.state
 					bin, doc, root := s.Rows()
-					retained, storage, postings, postingCap := 0, 0, 0, 0
+					storage, postings, postingCap := 0, 0, 0
 					for j := range s.recs {
-						if s.recs[j].doc != nil {
-							retained++
-						}
 						storage += cap(s.recs[j].vals)
 					}
 					for j := range s.lists {
@@ -86,7 +84,6 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"RR values", cap(p.pre.rrVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
 						{"slots", len(s.recs), maxDocs},
-						{"retained documents", retained, maxDocs},
 						{"Rdoc rows", doc, maxDocs * rowsPerDoc},
 						{"Rbin rows", bin, maxDocs * rowsPerDoc},
 						{"Rroot rows", root, maxDocs * rowsPerDoc},

@@ -156,6 +156,7 @@ func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
 	defer e.reg.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.dropDeparted()
 	out := make([][]Match, len(docs))
 	for i, d := range docs {
 		out[i] = e.publish(nil, stream, d, 0)

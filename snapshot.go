@@ -17,8 +17,8 @@ import (
 // resume every subscription with identical output — the subscription set
 // (query source text keyed by QueryID, with unsubscribed ids recorded as
 // gaps so surviving ids stay stable), the windowed join state (see
-// core.StateSnapshot for the consistency argument), the retained documents,
-// and the engine's id allocators. OpenEngine rebuilds an engine from it:
+// core.StateSnapshot for the consistency argument), the retained documents
+// the join state still holds, and the engine's id allocators. OpenEngine rebuilds an engine from it:
 // queries are re-registered from source in id order (gaps padded with
 // tombstones), then the join state is restored underneath them.
 //
@@ -42,15 +42,22 @@ type snapQuery struct {
 	Source string `json:"source"`
 }
 
+// snapRetained is one retained document, serialized as XML.
+type snapRetained struct {
+	ID  int64  `json:"id"`
+	TS  int64  `json:"ts"`
+	XML string `json:"xml"`
+}
+
 type engineSnapshot struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 
-	Queries         []snapQuery         `json:"queries,omitempty"`
-	NextDerived     int64               `json:"next_derived"`
-	DroppedCascades int64               `json:"dropped_cascades,omitempty"`
-	Docs            []core.SnapRetained `json:"docs,omitempty"`
-	State           core.StateSnapshot  `json:"state"`
+	Queries         []snapQuery        `json:"queries,omitempty"`
+	NextDerived     int64              `json:"next_derived"`
+	DroppedCascades int64              `json:"dropped_cascades,omitempty"`
+	Docs            []snapRetained     `json:"docs,omitempty"`
+	State           core.StateSnapshot `json:"state"`
 
 	// Partitions and PartStates are read, never written: a snapshot taken
 	// by a release that had the in-process router holds its join state in
@@ -90,18 +97,11 @@ func (e *Engine) snapshot(w io.Writer) error {
 		}
 		snap.Queries = append(snap.Queries, snapQuery{ID: int64(id), Source: q.source})
 	}
-	if len(e.docs) > 0 {
-		ids := make([]int64, 0, len(e.docs))
-		//mmqjp:unordered ids are sorted before the snapshot is emitted
-		for id := range e.docs {
-			ids = append(ids, int64(id))
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			d := e.docs[xmldoc.DocID(id)]
-			snap.Docs = append(snap.Docs, core.SnapRetained{
-				ID: id, TS: int64(d.Timestamp), XML: d.XMLText(),
-			})
+	// The documents the state holds, in its arrival order: the ones that
+	// already left are dropped at the next publish call anyway.
+	for _, sd := range snap.State.Docs {
+		if d := e.docs[xmldoc.DocID(sd.ID)]; d != nil {
+			snap.Docs = append(snap.Docs, snapRetained{ID: sd.ID, TS: int64(d.Timestamp), XML: d.XMLText()})
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -166,7 +166,17 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 	if err := e.proc.RestoreState(snap.State); err != nil {
 		return nil, err
 	}
+	// Only the documents the restored state holds: a snapshot written
+	// before the retained set was bounded by the window carries every
+	// document ever published.
+	inState := make(map[int64]bool, len(snap.State.Docs))
+	for _, sd := range snap.State.Docs {
+		inState[sd.ID] = true
+	}
 	for _, rd := range snap.Docs {
+		if !inState[rd.ID] {
+			continue
+		}
 		d, err := ParseDocument(rd.XML, rd.ID, rd.TS)
 		if err != nil {
 			return nil, fmt.Errorf("mmqjp: restore document %d: %w", rd.ID, err)
@@ -178,10 +188,10 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// MaxDocID returns the largest document id the engine has ever admitted
-// into the join state (it survives both GC and snapshot/restore), so id
-// allocators — like the server's auto-assigned PUB ids — can resume above
-// it after a restart. Zero in sequential mode.
+// MaxDocID returns the largest document id ever published to the engine,
+// whether or not the document entered the join state (it survives both GC
+// and snapshot/restore), so id allocators — like the server's auto-assigned
+// PUB ids — can resume above it after a restart. Zero in sequential mode.
 func (e *Engine) MaxDocID() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
