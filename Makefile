@@ -28,11 +28,15 @@ benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The whole tree under the race detector, then the concurrent-publisher and
-# concurrent document-reader tests twenty times over, so a lock-order race
-# that only shows once in a while fails here (the CI race job).
+# concurrent document-reader tests and internal/core's concurrent ingest (a
+# record Stage 1 built on one goroutine, swapped into the state under the
+# lock, its displaced storage pooled for another) twenty times over, so a
+# lock-order race that only shows once in a while fails here (the CI race
+# job).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'ConcurrentPublishers|ConcurrentSubscribePublish|ConcurrentDocumentReaders' .
+	$(GO) test -race -count=20 -run 'IngestConcurrentSubmitDeterminism' ./internal/core
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against

@@ -234,6 +234,62 @@ func TestOpenEngineDocsTwiceSnapshot(t *testing.T) {
 	}
 }
 
+// TestOpenEngineRetainsOnlyWhenAsked restores a retaining engine's snapshot,
+// which carries the join state's documents. An engine opened without
+// RetainDocuments keeps none of them, as one that never retained any: a match
+// on a restored document does not render, and its own snapshots write no
+// document. One opened with RetainDocuments keeps exactly the state's, and the
+// match renders.
+func TestOpenEngineRetainsOnlyWhenAsked(t *testing.T) {
+	src := retainEngine(t)
+	for i := int64(1); i <= 60; i++ {
+		if _, err := src.AppendPublishXML(nil, "S", retainXML(i), i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	stateDocs := len(src.proc.ExportState().Docs)
+	for _, retain := range []bool{false, true} {
+		e, err := OpenEngine(bytes.NewReader(snap.Bytes()), Options{RetainDocuments: retain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if retain {
+			want = stateDocs
+		}
+		if len(e.docs) != want || stateDocs == 0 {
+			t.Fatalf("RetainDocuments=%v: the restored engine keeps %d documents, want %d (the state lists %d)", retain, len(e.docs), want, stateDocs)
+		}
+		ms, err := e.AppendPublishXML(nil, "S", retainXML(61), 61, 61)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) == 0 {
+			t.Fatal("test premise: document 61 joins a restored document")
+		}
+		if _, ok := e.OutputXML(ms[0]); ok != retain {
+			t.Errorf("RetainDocuments=%v: OutputXML of a match on a restored document answers ok=%v", retain, ok)
+		}
+		var again bytes.Buffer
+		if err := e.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		var written struct {
+			Docs []json.RawMessage `json:"docs"`
+		}
+		if err := json.Unmarshal(again.Bytes(), &written); err != nil {
+			t.Fatal(err)
+		}
+		if retain != (len(written.Docs) > 0) {
+			t.Errorf("RetainDocuments=%v: the next snapshot writes %d documents", retain, len(written.Docs))
+		}
+	}
+}
+
 // FuzzOpenEngine feeds snapshot bytes to OpenEngine: every input must open or
 // fail with an error, never panic, and an engine that opens must take a
 // document and write a snapshot. Seeds: a snapshot in the current format, one

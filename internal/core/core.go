@@ -41,9 +41,11 @@ type Config struct {
 // the number of matches the document triggered. DocID is what a caller
 // reads the serial document order from: OnDocument calls come in the order
 // documents were consumed. Stage1 is the document-local NFA match +
-// witness construction (measured on whichever goroutine ran RunStage1),
-// Stage2 the template evaluation, Merge the Algorithm-2 state merge, and GC
-// the window-expiry check and, when it fires, the collection (State.GC).
+// witness construction, the document's join-state record and its node
+// indexes included (measured on whichever goroutine ran RunStage1), Stage2
+// the template evaluation, Merge the Algorithm-2 state merge (the state
+// adopts the record; no row is copied), and GC the window-expiry check and,
+// when it fires, the collection (State.GC).
 type DocTimings struct {
 	DocID   int64
 	Stage1  time.Duration
@@ -68,17 +70,18 @@ type Stats struct {
 	// Phase times. Stage 2 (Rvj, RL, RR, CQ) runs on the goroutine that
 	// consumes the document, so its phases are wall time.
 	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
-	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW."`
+	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW: the document's join-state record and its node indexes."`
 	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
 	RL       time.Duration `json:"rl_ns" help:"Time building the left view RL from the join state."`
 	RR       time.Duration `json:"rr_ns" help:"Time building the right view RR from the current witness."`
-	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time."`
-	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2) and window collection time."`
+	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time (the current document's indexes are Stage 1's)."`
+	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2: the state adopts the document's record, no row is copied) and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
-	// plus witness construction), accumulated across documents. Concurrent
+	// plus witness construction, the record's node indexes included),
+	// accumulated across documents. Concurrent
 	// publishers run Stage 1 side by side, so Stage1Wall sums per-document
 	// time across goroutines and may exceed the elapsed wall time.
-	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time, summed over documents."`
+	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time (NFA match, witness relations and their node indexes), summed over documents."`
 	// Stage2Wall is the wall-clock time of Stage-2 template evaluation: the
 	// phases Rvj, RL, RR and CQ above plus what lies between them.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Wall time of Stage-2 template evaluation."`

@@ -25,11 +25,12 @@ import (
 // time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
 // a depth-first index nested loop over the frame that emits complete frames
 // straight into the processor's emit buffer. No intermediate relation is
-// materialized, and no step scans join state: a previous document's rows are
-// reached through its record's node indexes (State.add builds them), the
-// per-document relations through the indexes built once per document in
-// stage2Shared. No step hashes: every index is an offset array or a flat
-// table over integer keys (flat.go).
+// materialized, and no step scans join state: a document's rows — a previous
+// one's or the current one's — are reached through its record's node indexes
+// (docRec.seal builds them at the end of the document's Stage 1), the views
+// through the indexes built once per document in stage2Shared. No step
+// hashes: every index is an offset array or a flat table over integer keys
+// (flat.go).
 //
 // The program joins outward from the document's value-join pairs and assigns
 // the v slots from the structural rows it walks. The query relation RT is one
@@ -47,10 +48,10 @@ const (
 	srcRvj    cqSource = iota // value-join pairs: all, or by slot
 	srcRL                     // left view: all, or by slot
 	srcRR                     // right view by strVal
-	srcRbin                   // Rbin by (slot, node2)
-	srcRbinW                  // RbinW by node2
-	srcRroot                  // Rroot by (slot, node)
-	srcRrootW                 // RrootW by node
+	srcRbin                   // Rbin: the slot's record by node2
+	srcRbinW                  // RbinW: the current record by node2
+	srcRroot                  // Rroot: the slot's record by node
+	srcRrootW                 // RrootW: the current record by node
 )
 
 // The per-document relations' schemas: the value-join pairs and the Section-5
@@ -62,18 +63,19 @@ var (
 	rrStrVal = rlSchema[1:].SymCol("strVal")
 )
 
-// cqSchemas is the schema of the rows each source yields. cqCompiler.atom
-// holds every step to it — a symbol column binds an s slot and nothing else
-// does — so evaluation compares and copies bare int64s without asking what
-// they are.
+// cqSchemas is the schema of the rows each source yields: a witness
+// relation's rows are the same records' rows, whether the current document's
+// or a previous one's, so they share one schema. cqCompiler.atom holds every
+// step to it — a symbol column binds an s slot and nothing else does — so
+// evaluation compares and copies bare int64s without asking what they are.
 var cqSchemas = [...]relation.Schema{
 	srcRvj:    rvjSchema,
 	srcRL:     rlSchema,
 	srcRR:     rlSchema[1:],
 	srcRbin:   rbinSchema,
-	srcRbinW:  rbinSchema[1:],
+	srcRbinW:  rbinSchema,
 	srcRroot:  rrootSchema,
-	srcRrootW: rrootSchema[1:],
+	srcRrootW: rrootSchema,
 }
 
 const slotDoc = 0
@@ -84,7 +86,7 @@ type colSlot struct{ col, slot int }
 // cqStep is one step of a compiled program.
 type cqStep struct {
 	src cqSource
-	// key is the bound slot the probe key is read from (state relations
+	// key is the bound slot the probe key is read from (Rbin and Rroot
 	// read the record of the slotDoc slot); -1 reads every row of the
 	// source.
 	key    int
@@ -189,21 +191,21 @@ func (c *cqCompiler) anchor(pos int) {
 			return
 		}
 		c.emitted[pos] = true
+		src := srcRrootW
 		if left {
-			c.atom(srcRroot, t.nSlot(pos), slotDoc, t.vSlot(pos), t.nSlot(pos))
-		} else {
-			c.atom(srcRrootW, t.nSlot(pos), t.vSlot(pos), t.nSlot(pos))
+			src = srcRroot
 		}
+		c.atom(src, t.nSlot(pos), t.vSlot(pos), t.nSlot(pos))
 		return
+	}
+	src := srcRbinW
+	if left {
+		src = srcRbin
 	}
 	for ch := pos; t.Parent[ch] >= 0 && !c.emitted[ch]; ch = t.Parent[ch] {
 		c.emitted[ch] = true
 		pa := t.Parent[ch]
-		if left {
-			c.atom(srcRbin, t.nSlot(ch), slotDoc, t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
-		} else {
-			c.atom(srcRbinW, t.nSlot(ch), t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
-		}
+		c.atom(src, t.nSlot(ch), t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
 	}
 }
 
@@ -222,7 +224,7 @@ func (c *cqCompiler) atom(src cqSource, key int, cols ...int) {
 			panic(fmt.Sprintf("core: column %q of %v bound to slot %d", schema[col].Name, schema, slot))
 		}
 		switch {
-		case slot == key, slot == slotDoc && (src == srcRbin || src == srcRroot):
+		case slot == key:
 		case c.bound[slot]:
 			st.check = append(st.check, colSlot{col, slot})
 		default:
@@ -283,7 +285,7 @@ func (t *Template) removeVector(g *vecGroup, iid int64) {
 // it writes (frame, output, counters) is its own.
 type cqExec struct {
 	p   *Processor
-	w   *CurrentWitness
+	cur *docRec // the current document's record
 	d   *xmldoc.Document
 	pre *stage2Shared
 
@@ -341,12 +343,12 @@ func (ex *cqExec) step(i int) {
 		r := &s.recs[f[slotDoc]]
 		rows, idx = r.bin, r.binByNode2.get(f[st.key])
 	case srcRbinW:
-		rows, idx = ex.w.RbinW.Rows, pre.binWByNode2.get(f[st.key])
+		rows, idx = ex.cur.bin, ex.cur.binByNode2.get(f[st.key])
 	case srcRroot:
 		r := &s.recs[f[slotDoc]]
 		rows, idx = r.root, r.rootByNode.get(f[st.key])
 	case srcRrootW:
-		rows, idx = ex.w.RrootW.Rows, pre.rootWByNode.get(f[st.key])
+		rows, idx = ex.cur.root, ex.cur.rootByNode.get(f[st.key])
 	}
 	if st.key < 0 {
 		for _, row := range rows {

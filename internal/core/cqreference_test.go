@@ -17,31 +17,32 @@ import (
 )
 
 // referenceMatches evaluates every live template's conjunctive query CQ_T
-// for the current witness the way the paper states it (Section 4.4,
+// for the current document's record the way the paper states it (Section 4.4,
 // Template.Datalog) — one atom per value join side, structural edge, root
 // binding and the query relation RT, handed to the interpreted evaluator
 // EvalConjunctive (evalconjunctive_test.go), which picks its own join order —
 // and applies the Algorithm-3 window test to the RoutT rows. It shares nothing
 // with the compiled programs but the relations themselves.
-func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Match {
+func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
 	v := func(i int) string { return fmt.Sprintf("v%d", i) }
 	n := func(i int) string { return fmt.Sprintf("n%d", i) }
 	var out []Match
 	rbin, rdoc, rroot := stateRelations(p.state)
+	rbinW, rdocW, rrootW := currentRelations(cur)
 	for _, t := range p.templateList {
 		var atoms []Atom
 		for k, e := range t.VJ {
 			s := fmt.Sprintf("s%d", k)
 			atoms = append(atoms,
 				Atom{Name: "Rdoc", Rel: rdoc, Vars: []string{"slot", n(e[0]), s}},
-				Atom{Name: "RdocW", Rel: w.RdocW, Vars: []string{n(e[1]), s}})
+				Atom{Name: "RdocW", Rel: rdocW, Vars: []string{n(e[1]), s}})
 		}
 		for _, e := range t.StructEdges(Left) {
 			atoms = append(atoms, Atom{Name: "Rbin", Rel: rbin,
 				Vars: []string{"slot", v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		for _, e := range t.StructEdges(Right) {
-			atoms = append(atoms, Atom{Name: "RbinW", Rel: w.RbinW,
+			atoms = append(atoms, Atom{Name: "RbinW", Rel: rbinW,
 				Vars: []string{v(e[0]), v(e[1]), n(e[0]), n(e[1])}})
 		}
 		if t.SingleLeft {
@@ -49,7 +50,7 @@ func referenceMatches(p *Processor, w *CurrentWitness, d *xmldoc.Document) []Mat
 				Vars: []string{"slot", v(t.LeftRoot), n(t.LeftRoot)}})
 		}
 		if t.SingleRight {
-			atoms = append(atoms, Atom{Name: "RrootW", Rel: w.RrootW,
+			atoms = append(atoms, Atom{Name: "RrootW", Rel: rrootW,
 				Vars: []string{v(t.RightRoot), n(t.RightRoot)}})
 		}
 		rtCols, head := []string{"qid"}, []string{"qid", "slot"}
@@ -183,7 +184,7 @@ func replayAgainstReference(t *testing.T, workers int, tr workload.Trace) int {
 			docs = append(docs, tr.Events[j].Doc)
 		}
 		for k, r := range stage1Ahead(p, "S", docs, workers) {
-			want := harnessRecs(referenceMatches(p, r.w, docs[k]))
+			want := harnessRecs(referenceMatches(p, &r.rec, docs[k]))
 			got := harnessRecs(p.Consume(r).Slice())
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("event %d (doc %d): compiled program diverges from the reference\ngot:  %v\nwant: %v",
@@ -292,12 +293,12 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // measured pass consecutive 400-item segments of one stream — so the state
 // merge and window expiry (State.GC, at least three collections in the pass)
 // are inside the ceiling. The both-stage cases consume every document, so the
-// witness relations are recycled (CurrentWitness.Release) and cost nothing;
-// the stage1 cases drop their results, and each document pays for a witness
-// of its own. Both passes run under GOMAXPROCS(1): a pooled object put back
+// records are recycled (Merge hands each result the storage of a freed slot)
+// and cost nothing; the stage1 cases drop their results, and each document
+// pays for a record of its own. Both passes run under GOMAXPROCS(1): a pooled object put back
 // on a processor that a later GOMAXPROCS(1) retires is found by no Get, and a
 // case would log one of two readings. The cases log 28.0, 10.7, 4.5, 10.0 and
-// 39.9 allocations and 1.8, 0.56, 12.4 and 26.7 KB per document ("rss
+// 38.9 allocations and 1.73, 0.56, 12.3 and 24.8 KB per document ("rss
 // window" 0.2 and 86 B when an earlier run in the process left the pools
 // warm); a ceiling is at most 1.25 times what its case logs.
 func TestPublishAllocCeiling(t *testing.T) {
@@ -318,10 +319,10 @@ func TestPublishAllocCeiling(t *testing.T) {
 		bytesCeiling   float64 // 0: count only
 	}{
 		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 35, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 13, 2270},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 13, 2160},
 		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 5, 700},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 12, 15400},
-		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 49, 33400},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 12, 15360},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 48, 30950},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{})
@@ -464,17 +465,18 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 			rows := 0
 			for _, d := range tc.stream {
 				got := p.RunStage1("S", d)
-				want := &Stage1Result{doc: d, w: NewCurrentWitness(d)}
 				res := p.xp.MatchDocument("S", d)
-				for _, pi := range awake {
-					want.addWitnesses(pi, res)
-				}
-				res.Release()
-				for i, rel := range [][2]*relation.Relation{{got.w.RbinW, want.w.RbinW}, {got.w.RdocW, want.w.RdocW}, {got.w.RrootW, want.w.RrootW}} {
-					if !slices.EqualFunc(rel[0].Rows, rel[1].Rows, slices.Equal) {
-						t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0].Rows, rel[1].Rows)
+				want := buildRec(d, func(r *Stage1Result) {
+					for _, pi := range awake {
+						r.addWitnesses(pi, res)
 					}
-					rows += rel[0].Len()
+				})
+				res.Release()
+				for i, rel := range [][2][][]int64{{got.rec.bin, want.rec.bin}, {got.rec.rdoc, want.rec.rdoc}, {got.rec.root, want.rec.root}} {
+					if !slices.EqualFunc(rel[0], rel[1], slices.Equal) {
+						t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0], rel[1])
+					}
+					rows += len(rel[0])
 				}
 				if !reflect.DeepEqual(got.singles, want.singles) {
 					t.Fatalf("document %d: single-block matches %v, full scan %v", d.ID, got.singles, want.singles)

@@ -191,13 +191,13 @@ func TestDormantPatternsAddNoRow(t *testing.T) {
 						}
 					}
 				}
-				if got := r.w.RbinW.Rows; len(got) != len(bin) || !allIn(got, func(row []int64) bool { return bin[[4]int64(row)] }) {
+				if got := r.rec.bin; len(got) != len(bin) || !allIn(got, func(row []int64) bool { return bin[[4]int64(row)] }) {
 					t.Fatalf("document %d: RbinW %v, want the set %v", d.ID, got, bin)
 				}
-				if got := r.w.RdocW.Rows; len(got) != len(doc) || !allIn(got, func(row []int64) bool { return doc[[2]int64(row)] }) {
+				if got := r.rec.rdoc; len(got) != len(doc) || !allIn(got, func(row []int64) bool { return doc[[2]int64(row)] }) {
 					t.Fatalf("document %d: RdocW %v, want the set %v", d.ID, got, doc)
 				}
-				if got := r.w.RrootW.Rows; len(got) != len(root) || !allIn(got, func(row []int64) bool { return root[[2]int64(row)] }) {
+				if got := r.rec.root; len(got) != len(root) || !allIn(got, func(row []int64) bool { return root[[2]int64(row)] }) {
 					t.Fatalf("document %d: RrootW %v, want the set %v", d.ID, got, root)
 				}
 				rows += len(bin) + len(doc) + len(root)
@@ -291,7 +291,7 @@ func TestStage1CountedWork(t *testing.T) {
 			for _, d := range tc.docs {
 				r := p.RunStage1("S", d)
 				triggered, probes = triggered+r.triggered, probes+r.probes
-				r.w.Release()
+				stage1Pool.Put(r)
 			}
 			n := float64(len(tc.docs))
 			perTrig, perProbe := float64(triggered)/n, float64(probes)/n

@@ -254,7 +254,9 @@ func (x *rowIndex) buildSparse(rows [][]int64, col int) {
 		x.rows[i] = int32(i)
 	}
 	slices.SortStableFunc(x.rows, func(a, b int32) int { return cmp.Compare(rows[a][col], rows[b][col]) })
-	x.off = x.off[:0]
+	// At most one key per row: sized once, the lists never regrow.
+	x.keys = slices.Grow(x.keys, len(rows))
+	x.off = slices.Grow(x.off[:0], len(rows)+1)
 	for i, r := range x.rows {
 		if k := rows[r][col]; i == 0 || k != x.keys[len(x.keys)-1] {
 			x.keys = append(x.keys, k)

@@ -18,11 +18,12 @@ import (
 func mergeDoc(s *State, id int64, ts int64, str string) {
 	b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(ts), "item")
 	b.Element(0, "a", str)
-	d := b.Build()
-	w := NewCurrentWitness(d)
-	w.AddBin(1, 2, 0, 1)
-	w.AddDoc(1)
-	s.Merge(w)
+	r := buildRec(b.Build(), func(r *Stage1Result) {
+		r.AddBin(1, 2, 0, 1)
+		r.AddDoc(1)
+	})
+	s.Merge(&r.rec)
+	stage1Pool.Put(r)
 }
 
 // TestShouldGCExpiredPrefix pins the prefix semantics of the per-publish GC
@@ -115,10 +116,10 @@ func TestGCOutOfOrderProcessor(t *testing.T) {
 	if got := s.NumDocs(); got > maxDocs {
 		t.Errorf("join state holds %d documents after %d publishes (window 10): GC starved", got, n)
 	}
-	// A document holds one Rbin and one Rdoc row: 8 values.
+	// A document holds one Rbin and one Rdoc row: 6 values.
 	storage, postings := 0, 0
 	for i := range s.recs {
-		storage += cap(s.recs[i].vals)
+		storage += s.recs[i].storage()
 	}
 	for i := range s.lists {
 		postings += cap(s.lists[i].refs)
@@ -128,7 +129,7 @@ func TestGCOutOfOrderProcessor(t *testing.T) {
 		n, bound int
 	}{
 		{"slots", len(s.recs), maxDocs},
-		{"row storage values", storage, 8 * maxDocs},
+		{"row storage values", storage, 6 * maxDocs},
 		{"posting lists", len(s.lists), 7},
 		{"posting capacity", postings, 2 * maxDocs},
 		{"arrival order capacity", cap(s.order), 2 * maxDocs},
@@ -243,7 +244,7 @@ func TestWindowGCStats(t *testing.T) {
 		b.Element(0, "a", fmt.Sprintf("k%d", i%7))
 		b.Element(0, "b", fmt.Sprintf("k%d", i%5))
 		r := p.RunStage1("S", b.Build())
-		rowsOf[r.doc.ID] = int64(r.w.RbinW.Len() + r.w.RdocW.Len() + r.w.RrootW.Len())
+		rowsOf[r.doc.ID] = int64(r.rec.numRows())
 		merged += rowsOf[r.doc.ID]
 		before := liveDocs()
 		p.Consume(r)
@@ -285,55 +286,144 @@ func TestWindowGCStats(t *testing.T) {
 	}
 }
 
-// TestCurrentWitnessReuse pins the witness pool's contract from both sides: a
-// released witness comes back empty — relations, dedup sets, document — and
-// what Merge took from the document before it is the state's own, untouched
-// while the next document's rows overwrite the slab they were carved from.
-func TestCurrentWitnessReuse(t *testing.T) {
+// TestRecordStorageReuse pins the contract of recycled record storage — the
+// storage Merge swaps out of a freed slot for the document's record, which
+// the result carries to a later document's Stage 1. A result readied for a
+// document shows no row and no stamped node entry, whatever its storage held;
+// the rows the state adopted from earlier documents stay intact while later
+// documents write into storage that expired ones used; and storage a burst
+// document grew past recKeep is dropped, not recycled, both when its slot is
+// freed and when the result is readied again.
+func TestRecordStorageReuse(t *testing.T) {
 	s := NewState()
-	build := func(id int64, str string, v int64) *CurrentWitness {
+	r := new(Stage1Result)
+	var live []int64
+	merge := func(id int64, rows int) {
+		t.Helper()
 		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "item")
-		b.Element(0, "a", str)
-		w := NewCurrentWitness(b.Build())
+		b.Element(0, "a", fmt.Sprintf("value-%d", id))
+		r.reset(b.Build())
 		stamped := 0
-		for _, e := range w.nodes {
-			if e.gen == w.gen {
+		for _, e := range r.nodes {
+			if e.gen == r.gen {
 				stamped++
 			}
 		}
-		if n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len() + stamped + len(w.binNext) + len(w.rootNext); n != 0 {
-			t.Fatalf("document %d: a new witness holds %d rows and node entries", id, n)
+		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + len(r.rec.rootVals) + r.rec.numRows() + stamped + len(r.binNext) + len(r.rootNext); n != 0 {
+			t.Fatalf("document %d: a readied result holds %d values, rows and node entries", id, n)
 		}
+		v := 10 * id
 		for i := 0; i < 2; i++ { // the second round is deduplicated
-			w.AddBin(v, v+1, 0, 1)
-			w.AddDoc(1)
-			w.AddRoot(v, 0)
+			r.AddBin(v, v+1, 0, 1)
+			r.AddDoc(1)
+			r.AddRoot(v, 0)
 		}
-		if w.RbinW.Len() != 1 || w.RdocW.Len() != 1 || w.RrootW.Len() != 1 {
-			t.Fatalf("document %d: witness rows %d/%d/%d, want 1/1/1", id, w.RbinW.Len(), w.RdocW.Len(), w.RrootW.Len())
+		for i := 1; i < rows; i++ {
+			r.AddBin(v, v+1, xmldoc.NodeID(i), xmldoc.NodeID(i+1))
 		}
-		return w
+		r.rec.seal()
+		if len(r.rec.bin) != rows || len(r.rec.rdoc) != 1 || len(r.rec.root) != 1 {
+			t.Fatalf("document %d: rows %d/%d/%d, want %d/1/1", id, len(r.rec.bin), len(r.rec.rdoc), len(r.rec.root), rows)
+		}
+		s.Merge(&r.rec)
+		live = append(live, id)
+		checkState(t, s)
+		for _, slot := range s.order {
+			rec := &s.recs[slot]
+			v := 10 * int64(rec.id)
+			if bin := rec.bin[0]; bin[0] != v || bin[1] != v+1 || bin[3] != 1 {
+				t.Errorf("document %d: Rbin row %v after document %d", rec.id, bin, id)
+			}
+			if doc := rec.rdoc[0]; doc[0] != 1 || sym.ID(doc[1]) != sym.Intern(fmt.Sprintf("value-%d", rec.id)) {
+				t.Errorf("document %d: Rdoc row %v after document %d", rec.id, doc, id)
+			}
+			if root := rec.root[0]; root[0] != v || root[1] != 0 {
+				t.Errorf("document %d: Rroot row %v after document %d", rec.id, root, id)
+			}
+		}
 	}
+	noSeq := int64(math.MaxInt64)
+	// One result serves every document. The first three take new slots and
+	// bring back their empty records.
 	for id := int64(1); id <= 3; id++ {
-		w := build(id, fmt.Sprintf("value-%d", id), 10*id)
-		s.Merge(w)
-		w.Release()
-		if w.Doc != nil {
-			t.Errorf("document %d: a released witness still holds its document", id)
+		merge(id, 1)
+		if r.rec.storage() != 0 {
+			t.Fatalf("document %d took a new slot, but %d values came back", id, r.rec.storage())
 		}
 	}
-	rbin, rdoc, rroot := stateRelations(s)
-	for i := 0; i < 3; i++ {
-		id, v := int64(i+1), int64(10*(i+1))
-		bin, doc, root := rbin.Rows[i], rdoc.Rows[i], rroot.Rows[i]
-		if s.recs[bin[0]].id != xmldoc.DocID(id) || bin[1] != v || bin[2] != v+1 || bin[4] != 1 {
-			t.Errorf("Rbin row %d = %v after later documents reused the slab", i, bin)
+	// Documents 1 and 2 expire; 4 and 5 take their slots and bring back
+	// their storage, which 5 and 6 write their rows into.
+	if gone, _ := s.GC(3, noSeq, nil); !slices.Equal(gone, []xmldoc.DocID{1, 2}) {
+		t.Fatalf("GC expired %v, want documents 1 and 2", gone)
+	}
+	for id := int64(4); id <= 6; id++ {
+		merge(id, 1)
+		if recycled := r.rec.storage() > 0; recycled != (id < 6) {
+			t.Fatalf("document %d: %d values came back from its slot", id, r.rec.storage())
 		}
-		if s.recs[doc[0]].id != xmldoc.DocID(id) || sym.ID(doc[2]) != sym.Intern(fmt.Sprintf("value-%d", id)) {
-			t.Errorf("Rdoc row %d = %v after later documents reused the slab", i, doc)
+	}
+	// A burst document's storage: the slot it took drops it when it is
+	// freed, and a result readied after holding it drops it too, with the
+	// dedup arrays grown past recKeep.
+	burst := recKeep/len(rbinSchema) + 1
+	merge(7, burst)
+	if _, dropped := s.GC(8, noSeq, nil); dropped != 4*3+burst+2 {
+		t.Fatalf("GC dropped %d rows", dropped)
+	}
+	for slot := range s.recs {
+		if n := s.recs[slot].storage(); n > recKeep {
+			t.Errorf("freed slot %d keeps %d values", slot, n)
 		}
-		if s.recs[root[0]].id != xmldoc.DocID(id) || root[1] != v {
-			t.Errorf("Rroot row %d = %v after later documents reused the slab", i, root)
+	}
+	b := xmldoc.NewBuilder(8, 8, "item")
+	r.reset(b.Build())
+	for i := 0; i <= burst; i++ {
+		r.AddBin(1, 2, xmldoc.NodeID(4*i), xmldoc.NodeID(4*i+1))
+	}
+	if r.rec.storage() <= recKeep || len(r.nodes) <= recKeep {
+		t.Fatalf("test premise: the burst grew the record to %d values and %d node entries", r.rec.storage(), len(r.nodes))
+	}
+	merge(9, 1)
+	if r.rec.storage() > recKeep || cap(r.nodes) > recKeep || cap(r.binNext) > recKeep {
+		t.Errorf("after a burst: %d values, %d node entries and %d chain links kept", r.rec.storage(), cap(r.nodes), cap(r.binNext))
+	}
+}
+
+// TestMergeAdoptsStage1Rows pins that the join state keeps the rows Stage 1
+// wrote, not a copy of them: after Consume, the document's record in the
+// state holds every row, Rbin, Rdoc and Rroot, in the memory RunStage1
+// filled. The stream's window expires documents, so later documents write
+// into storage that freed slots handed back.
+func TestMergeAdoptsStage1Rows(t *testing.T) {
+	p := NewProcessor(Config{})
+	p.MustRegister(xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 5} S//item->y[.//a->w][.//b->z]"))
+	p.MustRegister(xscl.MustParse("S//a->v FOLLOWED BY{v=w, 5} S//b->w"))
+	for id := int64(1); id <= 60; id++ {
+		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "item")
+		b.Element(0, "a", fmt.Sprintf("k%d", id%3))
+		b.Element(0, "b", fmt.Sprintf("k%d", id%4))
+		r := p.RunStage1("S", b.Build())
+		wrote := slices.Concat(r.rec.bin, r.rec.rdoc, r.rec.root)
+		if len(r.rec.bin) == 0 || len(r.rec.rdoc) == 0 || len(r.rec.root) == 0 {
+			t.Fatalf("test premise: document %d writes rows of every relation, got %d/%d/%d", id, len(r.rec.bin), len(r.rec.rdoc), len(r.rec.root))
 		}
+		p.Consume(r)
+		var kept [][]int64
+		for _, slot := range p.state.order {
+			if rec := &p.state.recs[slot]; rec.id == xmldoc.DocID(id) {
+				kept = slices.Concat(rec.bin, rec.rdoc, rec.root)
+			}
+		}
+		if len(kept) != len(wrote) {
+			t.Fatalf("document %d: the state holds %d rows, Stage 1 wrote %d", id, len(kept), len(wrote))
+		}
+		for i := range kept {
+			if &kept[i][0] != &wrote[i][0] || !slices.Equal(kept[i], wrote[i]) {
+				t.Fatalf("document %d: state row %d %v is not the row Stage 1 wrote", id, i, kept[i])
+			}
+		}
+	}
+	if p.Stats().WindowGCs == 0 {
+		t.Fatal("test premise: the window expires documents")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/xscl"
@@ -798,15 +799,37 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 
 // Stage1Result is an in-flight document, opaque outside the package: what
 // RunStage1 hands to Consume. It carries the order-insensitive per-document
-// work of Stage 1 — the current-witness relations, the single-block matches,
-// and the phase timings Consume accumulates — and depends only on the
-// document and the registered patterns, never on the join state, which is
-// what makes Stage 1 safe to run on the publisher's goroutine, outside the
+// work of Stage 1 — the document's join-state record, the single-block
+// matches, and the phase timings Consume accumulates — and depends only on
+// the document and the registered patterns, never on the join state, which
+// is what makes Stage 1 safe to run on the publisher's goroutine, outside the
 // lock that orders Consume calls.
 type Stage1Result struct {
-	doc     *xmldoc.Document
-	w       *CurrentWitness
+	doc *xmldoc.Document
+	// rec is the document's record: its witness relations RbinW, RdocW and
+	// RrootW (Section 3.1), which Stage 2 reads as the current document and
+	// Merge adopts as the document's rows of Rbin, Rdoc and Rroot. After
+	// the merge it holds the storage of the slot the document took.
+	rec     docRec
 	singles []Match
+
+	// nodes deduplicates the rows by node id: nodes[n] speaks for node n of
+	// this document only while its gen equals gen, which reset advances, so
+	// a later document finds every entry stale without a clear.
+	// binNext[i] (rootNext[i]) chains Rbin (Rroot) row i to the previous
+	// row with the same child (root) node, -1 ending the chain. None of it
+	// enters the state.
+	gen      uint32
+	nodes    []witnessNode
+	binNext  []int32
+	rootNext []int32
+	// order is RunStage1's scratch: the triggered patterns' sort keys
+	// (Processor.triggerOrder).
+	order []uint64
+	// sized is what the last record r sealed held, in values per relation:
+	// a record that comes back with no storage (its document took a new
+	// slot) is given that much in one allocation (docRec.carve).
+	sized [3]int
 
 	xpath, witness, wall time.Duration
 	// triggered and probes are the document's counted assembly work
@@ -814,11 +837,121 @@ type Stage1Result struct {
 	triggered, probes int64
 }
 
-// stage1Pool holds consumed Stage-1 results, so a document's result and its
-// single-block match buffer cost no allocation once grown.
+// witnessNode is what the current document's rows hold for one node: the
+// newest Rbin row with it as node2, the newest Rroot row with it as node,
+// and its Rdoc row, each -1 for none.
+type witnessNode struct {
+	gen            uint32
+	bin, root, doc int32
+}
+
+// stage1Pool holds consumed Stage-1 results, so a document's record, its
+// dedup arrays and its single-block match buffer cost no allocation once
+// grown. The record a result brings back is the storage of the slot its
+// document took in the join state.
 //
-//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; RunStage1 empties singles and sets every other field before handing it out
+//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the dedup arrays and singles and sets every other field before handing it out
 var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
+
+// newStage1 returns a pooled result readied for document d: an empty record
+// for d, no stamped node, no single-block match.
+func newStage1(d *xmldoc.Document) *Stage1Result {
+	r := stage1Pool.Get().(*Stage1Result)
+	r.reset(d)
+	return r
+}
+
+// reset readies r for document d. Its record and dedup arrays keep their
+// storage, up to recKeep values each.
+func (r *Stage1Result) reset(d *xmldoc.Document) {
+	r.doc, r.singles = d, r.singles[:0]
+	if r.rec.empty(); r.rec.storage() == 0 {
+		r.rec.carve(r.sized)
+	}
+	r.rec.id, r.rec.ts = d.ID, d.Timestamp
+	if len(r.nodes) > recKeep || cap(r.binNext)+cap(r.rootNext) > recKeep {
+		r.nodes, r.binNext, r.rootNext = nil, nil, nil
+	}
+	r.binNext, r.rootNext = r.binNext[:0], r.rootNext[:0]
+	if r.gen++; r.gen == 0 {
+		clear(r.nodes)
+		r.gen = 1
+	}
+}
+
+// node returns node n's entry for the current document.
+func (r *Stage1Result) node(n xmldoc.NodeID) *witnessNode {
+	if need := int(n) + 1; need > len(r.nodes) {
+		r.nodes = slices.Grow(r.nodes, need-len(r.nodes))[:need]
+	}
+	e := &r.nodes[n]
+	if e.gen != r.gen {
+		*e = witnessNode{gen: r.gen, bin: -1, root: -1, doc: -1}
+	}
+	return e
+}
+
+// AddBin inserts a deduplicated structural-edge binding tuple.
+func (r *Stage1Result) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
+	e := r.node(n2)
+	for i := e.bin; i >= 0; i = r.binNext[i] {
+		if row := r.rec.binVals[int(i)*rbinWidth:]; row[0] == var1 && row[1] == var2 && row[2] == int64(n1) {
+			return
+		}
+	}
+	r.binNext = append(r.binNext, e.bin)
+	e.bin = int32(len(r.rec.binVals) / rbinWidth)
+	r.rec.addBin(var1, var2, int64(n1), int64(n2))
+}
+
+// AddDoc inserts a deduplicated string-value tuple for node n of the
+// result's document. The value is computed — an interior element's is
+// concatenated (xmldoc.Document.StringValue) — and interned only when the
+// row is new, at the Stage-1 boundary: everything downstream (witness
+// joins, the views, the state's posting lists) sees only the symbol.
+func (r *Stage1Result) AddDoc(n xmldoc.NodeID) {
+	if e := r.node(n); e.doc < 0 {
+		r.insertDoc(e, n, r.doc.StringValue(n))
+	}
+}
+
+// insertDoc inserts node n's row, with string value strVal, as its entry e
+// records.
+func (r *Stage1Result) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string) {
+	e.doc = int32(len(r.rec.rdocVals) / rdocWidth)
+	r.rec.addDoc(int64(n), sym.Intern(strVal))
+}
+
+// AddRoot inserts a deduplicated root binding tuple.
+func (r *Stage1Result) AddRoot(v int64, n xmldoc.NodeID) {
+	e := r.node(n)
+	for i := e.root; i >= 0; i = r.rootNext[i] {
+		if r.rec.rootVals[int(i)*rrootWidth] == v {
+			return
+		}
+	}
+	r.rootNext = append(r.rootNext, e.root)
+	e.root = int32(len(r.rec.rootVals) / rrootWidth)
+	r.rec.addRoot(v, int64(n))
+}
+
+// seal seals the record (docRec.seal) and notes its size for the next.
+func (r *Stage1Result) seal() {
+	r.rec.seal()
+	r.sized = [3]int{len(r.rec.binVals), len(r.rec.rdocVals), len(r.rec.rootVals)}
+}
+
+// docSym returns the string value symbol of node n, if the document has an
+// Rdoc row for it.
+func (r *Stage1Result) docSym(n int64) (sym.ID, bool) {
+	if n < 0 || n >= int64(len(r.nodes)) {
+		return 0, false
+	}
+	if e := &r.nodes[n]; e.gen == r.gen && e.doc >= 0 {
+		return sym.ID(r.rec.rdocVals[int(e.doc)*rdocWidth+rdocStrVal]), true
+	}
+	return 0, false
+}
 
 // RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
 // relation construction, and single-block match emission. It only reads
@@ -830,8 +963,7 @@ var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
-	r := stage1Pool.Get().(*Stage1Result)
-	r.doc, r.w, r.singles = d, NewCurrentWitness(d), r.singles[:0]
+	r := newStage1(d)
 	t0 := time.Now()
 	res := p.xp.MatchDocument(stream, d)
 	r.xpath = time.Since(t0)
@@ -839,18 +971,21 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	t1 := time.Now()
 	// Only the patterns the document triggered are visited, in registration
 	// order (which fixes the relations' row order).
-	r.w.order = p.triggerOrder(r.w.order, res.Triggered())
-	for _, k := range r.w.order {
+	r.order = p.triggerOrder(r.order, res.Triggered())
+	for _, k := range r.order {
 		r.addWitnesses(p.byYID[yfilter.PatternID(uint32(k))], res)
 	}
+	// The record's node indexes are built here, outside the lock Consume
+	// holds: Stage 2 probes them, and the state keeps them.
+	r.seal()
 	r.witness = time.Since(t1)
 	r.wall = time.Since(t0)
 	r.triggered, r.probes = res.Work()
-	// Every row is in the current-witness relations and the single-block
-	// matches above, so the match result's scratch (candidate lists, NFA
-	// state sets, the slab) can go back to the engine's pool here — still
-	// inside the order-insensitive stage, so concurrent publishers recycle
-	// scratch without waiting for their turn at Consume.
+	// Every row is in the record and the single-block matches above, so
+	// the match result's scratch (candidate lists, NFA state sets, the slab)
+	// can go back to the engine's pool here — still inside the
+	// order-insensitive stage, so concurrent publishers recycle scratch
+	// without waiting for their turn at Consume.
 	res.Release()
 	return r
 }
@@ -868,7 +1003,7 @@ func (p *Processor) triggerOrder(keys []uint64, trig []yfilter.PatternID) []uint
 }
 
 // addWitnesses writes one pattern's witnesses in the document into the
-// current-witness relations and its single-block queries' matches.
+// document's record and its single-block queries' matches.
 func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	d := r.doc
 	// The pattern is fully bound: witness k binds pattern node i to
@@ -879,13 +1014,13 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	for k := 0; k < nw; k++ {
 		b := slab[k*nv : (k+1)*nv]
 		for _, e := range pi.edges {
-			r.w.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
+			r.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
 		}
 		for _, n := range pi.strNodes {
-			r.w.AddDoc(b[n])
+			r.AddDoc(b[n])
 		}
 		for _, n := range pi.roots {
-			r.w.AddRoot(pi.canonIDs[n], b[n])
+			r.AddRoot(pi.canonIDs[n], b[n])
 		}
 	}
 	// Single-block queries fire once per witness.
@@ -911,7 +1046,7 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) Consume(r *Stage1Result) *Matches {
-	d, w := r.doc, r.w
+	d := r.doc
 	p.stats.Documents++
 	p.stats.XPath += r.xpath
 	p.stats.Witness += r.witness
@@ -921,9 +1056,9 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 
 	p.resetEmit()
 	var stage2 time.Duration
-	if p.state.NumDocs() > 0 && w.RdocW.Len() > 0 {
+	if p.state.NumDocs() > 0 && len(r.rec.rdoc) > 0 {
 		t := time.Now()
-		p.evalTemplates(w, d)
+		p.evalTemplates(r)
 		stage2 = time.Since(t)
 		p.stats.Stage2Wall += stage2
 	}
@@ -935,8 +1070,8 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 
 	t2 := time.Now()
 	p.departed = p.departed[:0]
-	if w.RdocW.Len() > 0 {
-		p.state.Merge(w)
+	if len(r.rec.rdoc) > 0 {
+		p.state.Merge(&r.rec)
 	} else {
 		// Every program starts from Rdoc, so a document without a row
 		// there is never a left side: it counts in the arrival index but
@@ -977,12 +1112,11 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 			Matches: out.Len(),
 		})
 	}
-	// The document is merged and its matches hold no witness row: the
-	// witness relations' storage serves a later document. The matches do
-	// hold r.singles, until the next Consume; the result consumed before
-	// this one serves a later document now.
-	r.w, r.doc = nil, nil
-	w.Release()
+	// The matches hold no row of the document's record, which the state
+	// adopted unless the document wrote no Rdoc row. They do hold
+	// r.singles, until the next Consume; the result consumed before this
+	// one serves a later document now.
+	r.doc = nil
 	prev := p.consumed
 	p.consumed = r
 	if prev != nil {

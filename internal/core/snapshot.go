@@ -12,7 +12,7 @@ import (
 // in-window document. StateSnapshot is its portable form: the witness
 // relations with canonical-variable columns resolved to their names (interned
 // symbol ids are an in-process artifact; a restored processor re-interns
-// under its own symbol table) and the slot column to document ids (slots are
+// under its own symbol table) and each row under its document's id (slots are
 // where a state happens to keep its records), and each document's timestamp
 // and arrival index that drive window semantics. The documents themselves
 // are not state: a caller that keeps them for output writes them itself.
@@ -76,8 +76,8 @@ type StateSnapshot struct {
 func (p *Processor) ExportState() StateSnapshot { return p.state.export(p.syms.name) }
 
 // export writes the records out in arrival order — relation by relation, each
-// document's rows in the order they were merged — with the slots resolved to
-// document ids and the variables to their names.
+// document's rows in the order they were merged — under their documents' ids
+// and with the variables resolved to their names.
 func (s *State) export(varName func(int64) string) StateSnapshot {
 	out := StateSnapshot{NextSeq: s.nextSeq, MaxDoc: int64(s.maxDoc)}
 	for _, slot := range s.order {
@@ -88,8 +88,8 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 		r := &s.recs[slot]
 		for _, t := range r.bin {
 			out.Rbin = append(out.Rbin, SnapBin{
-				Doc: int64(r.id), Var1: varName(t[1]), Var2: varName(t[2]),
-				Node1: t[3], Node2: t[4],
+				Doc: int64(r.id), Var1: varName(t[0]), Var2: varName(t[1]),
+				Node1: t[2], Node2: t[3],
 			})
 		}
 	}
@@ -99,13 +99,13 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 			// Interned symbols are process-scoped, so the snapshot carries
 			// the original string: snapshot bytes are identical to what a
 			// string-keyed engine would write, and ids never escape to disk.
-			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[1], Str: sym.Name(sym.ID(t[rdocStrVal]))})
+			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[rdocNode], Str: sym.Name(sym.ID(t[rdocStrVal]))})
 		}
 	}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		for _, t := range r.root {
-			out.Rroot = append(out.Rroot, SnapRoot{Doc: int64(r.id), Var: varName(t[1]), Node: t[2]})
+			out.Rroot = append(out.Rroot, SnapRoot{Doc: int64(r.id), Var: varName(t[0]), Node: t[1]})
 		}
 	}
 	return out
@@ -115,61 +115,66 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 // hold the restored subscription set (queries re-registered from source) and
 // must not have processed any document yet; variable names are re-interned
 // under this processor's symbol table, so the restored state joins against
-// the re-registered vector groups exactly as the original state did. The
-// documents are placed in arrival order, each with its rows in snapshot
-// order — what Merge did for them — so a restored state is indistinguishable
-// from the original. A row of a document the snapshot does not list is
-// refused: no engine writes one. A snapshot written when the state still
-// held documents carries them under "retained"; decoding ignores them.
+// the re-registered vector groups exactly as the original state did. Each
+// document's record is built the way Stage 1 builds one — its rows written
+// in snapshot order, then sealed — and merged in arrival order, so a
+// restored state is indistinguishable from the original. A row of a
+// document the snapshot does not list is refused: no engine writes one. A
+// snapshot written when the state still held documents carries them under
+// "retained"; decoding ignores them.
 func (p *Processor) RestoreState(snap StateSnapshot) error {
 	return p.state.restore(snap, p.syms.intern)
 }
 
+// restore writes the rows as the snapshot lists them, without Stage 1's
+// deduplication: that keys on node ids, which a snapshot file does not
+// bound, and no engine writes a row twice.
 func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 	if s.nextSeq != 0 || len(s.order) != 0 {
 		return fmt.Errorf("core: RestoreState on a processor that has already processed %d documents", len(s.order))
 	}
 	// Restore is not on the per-document path: a map from document id to
-	// its position in snap.Docs is fine here.
-	type docRows struct{ bin, rdoc, root [][]int64 }
+	// its record is fine here.
 	at := make(map[int64]int, len(snap.Docs))
-	rows := make([]docRows, len(snap.Docs))
+	recs := make([]docRec, len(snap.Docs))
 	for i, d := range snap.Docs {
 		if _, dup := at[d.ID]; dup {
 			return fmt.Errorf("core: snapshot lists document %d twice", d.ID)
 		}
 		at[d.ID] = i
+		recs[i] = docRec{id: xmldoc.DocID(d.ID), ts: xmldoc.Timestamp(d.TS), seq: d.Seq}
 	}
-	find := func(what string, id int64) (*docRows, error) {
+	find := func(what string, id int64) (*docRec, error) {
 		i, ok := at[id]
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot %s row of document %d, which it does not list", what, id)
 		}
-		return &rows[i], nil
+		return &recs[i], nil
 	}
 	for _, r := range snap.Rbin {
 		d, err := find("rbin", r.Doc)
 		if err != nil {
 			return err
 		}
-		d.bin = append(d.bin, []int64{varID(r.Var1), varID(r.Var2), r.Node1, r.Node2})
+		d.addBin(varID(r.Var1), varID(r.Var2), r.Node1, r.Node2)
 	}
 	for _, r := range snap.Rdoc {
 		d, err := find("rdoc", r.Doc)
 		if err != nil {
 			return err
 		}
-		d.rdoc = append(d.rdoc, []int64{r.Node, int64(sym.Intern(r.Str))})
+		d.addDoc(r.Node, sym.Intern(r.Str))
 	}
 	for _, r := range snap.Rroot {
 		d, err := find("rroot", r.Doc)
 		if err != nil {
 			return err
 		}
-		d.root = append(d.root, []int64{varID(r.Var), r.Node})
+		d.addRoot(varID(r.Var), r.Node)
 	}
-	for i, d := range snap.Docs {
-		s.add(xmldoc.DocID(d.ID), xmldoc.Timestamp(d.TS), d.Seq, rows[i].bin, rows[i].rdoc, rows[i].root)
+	for i := range recs {
+		recs[i].seal()
+		s.adopt(&recs[i])
 	}
 	s.nextSeq = snap.NextSeq
 	s.maxDoc = xmldoc.DocID(snap.MaxDoc)

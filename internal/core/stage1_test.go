@@ -188,9 +188,8 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 
 // BenchmarkStage1DeepFeed times RunStage1 — the NFA walk, witness assembly
 // and the witness rows — on the deep_filter shape: 1 100 subscriptions over
-// DefaultDeepFeed documents. Each result is recycled as Consume recycles it
-// (the witness released, the result back in its pool), so the loop is the
-// steady state of a serving process.
+// DefaultDeepFeed documents. Each result goes back to its pool, as Consume
+// puts it back, so the loop is the steady state of a serving process.
 func BenchmarkStage1DeepFeed(b *testing.B) {
 	c := workload.DefaultDeepFeed()
 	p := NewProcessor(Config{})
@@ -202,8 +201,6 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := p.RunStage1("S", stream[i%len(stream)])
-		r.w.Release()
-		r.w = nil
 		stage1Pool.Put(r)
 	}
 }

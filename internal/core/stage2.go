@@ -6,15 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
 // Stage 2 runs on the goroutine that calls Consume: one executor (the
 // processor's cqExec) evaluates every live template in registration order
-// against read-only inputs — the join state, the current witness, the
-// per-document indexes (stage2Shared) and the templates' compiled programs
+// against read-only inputs — the join state, the current document's record,
+// the per-document views (stage2Shared) and the templates' compiled programs
 // and vector groups — emitting into one buffer. The result orders that
 // buffer and the single-block matches under a total order — a radix sort of
 // keys that point into them, ties finished by matchCmp (Matches) — and is
@@ -35,22 +34,23 @@ const keysKeep = 4 * emitKeep
 // buffer for collectMatches.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
+func (p *Processor) evalTemplates(r *Stage1Result) {
 	if len(p.templateList) == 0 {
 		return
 	}
-	pre := p.prepareStage2(w)
-	if pre == nil {
+	pre := &p.pre
+	pre.reset()
+	if !p.prepareViews(r, pre) {
 		return
 	}
 	ex := &p.ex
-	ex.p, ex.w, ex.d, ex.pre = p, w, d, pre
+	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
 	ex.probes, ex.rows = 0, 0
 	// The pair relation is built before the clock starts, so its one-time
 	// build lands in Stats.Rvj, not in CQ.
 	for _, t := range p.templateList {
 		if t.needRvj {
-			pre.sharedRvj(p.state, w, &p.stats)
+			pre.sharedRvj(p.state, &r.rec, &p.stats)
 			break
 		}
 	}
@@ -64,7 +64,7 @@ func (p *Processor) evalTemplates(w *CurrentWitness, d *xmldoc.Document) {
 	p.stats.CQRows += ex.rows
 	p.stats.WitnessPlans += int64(len(p.templateList))
 	// The executor outlives the document; its inputs must not.
-	ex.w, ex.d, ex.pre = nil, nil, nil
+	ex.cur, ex.d, ex.pre = nil, nil, nil
 }
 
 // resetEmit empties the emit buffer and the result view for the next
@@ -233,26 +233,23 @@ func (ms *Matches) sort() {
 	}
 }
 
-// stage2Shared carries the per-document inputs of the compiled programs,
+// stage2Shared carries the per-document views the compiled programs read,
 // computed once per document and read-only during template evaluation, so
-// every template probes the same indexes instead of re-indexing the
-// document's relations: the current witness by node, the shared views RL
-// (by slot) and RR (by string) and the value-join pair relation by previous
-// document's slot. The processor keeps one (Processor.pre) and resets it for
-// each document, so its slices and indexes are reused.
+// every template probes the same indexes: the shared views RL (by slot) and
+// RR (by string) and the value-join pair relation by previous document's
+// slot. The current document's own rows are read through its record, whose
+// node indexes Stage 1 built (docRec.seal). The processor keeps one
+// (Processor.pre) and resets it for each document, so its slices and
+// indexes are reused.
 type stage2Shared struct {
-	// RbinW by node2 and RrootW by node.
-	binWByNode2 rowIndex
-	rootWByNode rowIndex
-
 	// rvj is the value-join pair relation (rvjSchema) of the current
 	// document — Rdoc ⋈ RdocW on the string value, read off the state's
-	// posting lists — with its rows grouped by slot. Only templates with a
-	// value join on a side root read it, so it is built only when one is
-	// live.
+	// posting lists — its values laid out in rvjVals, with its rows grouped
+	// by slot. Only templates with a value join on a side root read it, so
+	// it is built only when one is live.
 	rvj      [][]int64
+	rvjVals  []int64
 	rvjByDoc rowIndex
-	arena    relation.Arena // this document's rvj rows
 
 	// rl and rr are the views RL (rlSchema) and RR (rlSchema without the
 	// slot), their values laid out in rlVals and rrVals.
@@ -266,18 +263,17 @@ type stage2Shared struct {
 
 // reset empties pre for the next document. Its row lists drop what they
 // pointed at (the previous document's rows); one that a burst document grew
-// past witnessKeep rows goes, and so does a value buffer grown past as many
-// rows of the views.
+// past recKeep rows goes, and so does a value buffer grown past as many rows
+// of the views.
 func (pre *stage2Shared) reset() {
-	pre.arena.Reset()
 	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl, &pre.rr} {
-		if clear(*rows); cap(*rows) > witnessKeep {
+		if clear(*rows); cap(*rows) > recKeep {
 			*rows = nil
 		}
 		*rows = (*rows)[:0]
 	}
-	for _, vals := range [...]*[]int64{&pre.rlVals, &pre.rrVals} {
-		if cap(*vals) > witnessKeep*len(rlSchema) {
+	for _, vals := range [...]*[]int64{&pre.rvjVals, &pre.rlVals, &pre.rrVals} {
+		if cap(*vals) > recKeep*len(rlSchema) {
 			*vals = nil
 		}
 		*vals = (*vals)[:0]
@@ -294,57 +290,42 @@ func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
 }
 
 // sharedRvj builds the document's value-join pair relation, charging the
-// build to stats.
+// build to stats. A pair takes its slot from the posting list that named
+// the previous document's row.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (pre *stage2Shared) sharedRvj(s *State, w *CurrentWitness, stats *Stats) {
+func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 	t0 := time.Now()
-	for _, row := range w.RdocW.Rows {
-		for _, ref := range s.postings(sym.ID(row[rdocWStrVal])) {
+	vals := pre.rvjVals
+	for _, row := range cur.rdoc {
+		for _, ref := range s.postings(sym.ID(row[rdocStrVal])) {
 			dt := s.recs[ref.slot].rdoc[ref.row]
-			t := pre.arena.Row(len(rvjSchema))
-			t[0], t[1], t[2], t[3] = dt[0], dt[1], row[0], dt[2]
-			pre.rvj = append(pre.rvj, t)
+			vals = append(vals, int64(ref.slot), dt[rdocNode], row[rdocNode], dt[rdocStrVal])
 		}
 	}
+	pre.rvjVals = vals
+	pre.rvj = headRows(pre.rvj, vals, len(rvjSchema))
 	pre.rvjByDoc.build(pre.rvj, 0)
 	stats.Rvj += time.Since(t0)
 }
 
-// prepareStage2 computes the per-document inputs inside Consume. It
-// returns nil when the document shares no string value with the join state,
-// so no template can match.
+// prepareViews computes the shared prefix of Algorithm 4 into pre for the
+// document Stage 1 gave r. RL is read off the join state: for each common
+// string in sorted-symbol order, its posting list and each record's Rbin
+// index by node2 (symbol ids are process-global, so the order is identical
+// for every engine configuration within a process — only enumeration order
+// depends on it, the output leaves through Matches.sort regardless). It
+// reports false when no string is shared with the join state (no template
+// can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) prepareStage2(w *CurrentWitness) *stage2Shared {
-	pre := &p.pre
-	pre.reset()
-	if !p.prepareViews(w, pre) {
-		return nil
-	}
-	t0 := time.Now()
-	pre.binWByNode2.build(w.RbinW.Rows, 3)
-	pre.rootWByNode.build(w.RrootW.Rows, 1)
-	p.stats.CQ += time.Since(t0)
-	return pre
-}
-
-// prepareViews computes the shared prefix of Algorithm 4 into pre. RL is
-// read off the join state: for each common string in sorted-symbol order,
-// its posting list and each record's Rbin index by node2 (symbol ids are
-// process-global, so the order is identical for every engine configuration
-// within a process — only enumeration order depends on it, the output leaves
-// through Matches.sort regardless). It reports false when no string is shared
-// with the join state (no template can match).
-//
-//mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) prepareViews(w *CurrentWitness, pre *stage2Shared) bool {
+func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
 	s := p.state
 	syms := pre.syms[:0]
-	for _, row := range w.RdocW.Rows {
-		if id := sym.ID(row[rdocWStrVal]); s.HasSym(id) {
+	for _, row := range r.rec.rdoc {
+		if id := sym.ID(row[rdocStrVal]); s.HasSym(id) {
 			syms = append(syms, id)
 		}
 	}
@@ -371,8 +352,8 @@ func (p *Processor) prepareViews(w *CurrentWitness, pre *stage2Shared) bool {
 	// value is in STR when the state holds it.
 	t2 := time.Now()
 	vals = pre.rrVals
-	for _, row := range w.RbinW.Rows {
-		if id, ok := w.docSym(row[3]); ok && s.HasSym(id) {
+	for _, row := range r.rec.bin {
+		if id, ok := r.docSym(row[rbinNode2]); ok && s.HasSym(id) {
 			vals = append(append(vals, row...), int64(id))
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/relation"
 	"repro/internal/sym"
@@ -35,31 +34,34 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 // previously processed documents still inside some window (Section 3.1),
 // held as one record per document.
 //
-//	Rbin  (slot, var1, var2, node1, node2) — bindings of template structural
-//	       edges
-//	Rdoc  (slot, node, strVal)             — string values of value-join
-//	       nodes; strVal is a symbol column (relation.Sym: interned ids), so
+//	Rbin  (var1, var2, node1, node2) — bindings of template structural edges
+//	Rdoc  (node, strVal)             — string values of value-join nodes;
+//	       strVal is a symbol column (relation.Sym: interned ids), so
 //	       value-join equality is an integer compare and never rehashes
 //	       string bytes
-//	Rroot (slot, var, node)                — root bindings for templates
-//	       whose side is a single node (see DESIGN.md)
+//	Rroot (var, node)                — root bindings for templates whose
+//	       side is a single node (see DESIGN.md)
 //
 // A document's record sits on a dense slot and holds its id, timestamp and
 // arrival index (the window bookkeeping), its rows of the three relations and
 // its own indexes over them — never the document itself, which a caller that
-// renders outputs keeps. The slot, not the document id, is what a state row
-// and the Stage-2 frame carry, so reaching a document's rows is an array
-// index. Across records, rdocBySym lists every
-// Rdoc row by string value, in arrival order.
+// renders outputs keeps. The record is the one Stage 1 built for the
+// document (Stage1Result): Merge adopts it onto a free slot, so a state row
+// is exactly the row Stage 1 wrote, and the slot, which is where a reader
+// found the record, is not in it. A posting-list reference (rowRef) and the
+// Stage-2 frame carry the slot, so reaching a document's rows is an array
+// index. Across records, rdocBySym lists every Rdoc row by string value, in
+// arrival order.
 //
 // Expiry (GC) frees the expired records and pops their rows off the front of
 // the posting lists: it touches the expired rows, never the live ones. A
-// freed slot is reused by a later Merge. Nothing outside the state keeps a
-// slot-stamped row across documents: Stage 2 reads the views off the
-// posting lists for each document (prepareViews).
+// freed slot's storage goes to the next document Merge places there, in
+// exchange for that document's record. Nothing outside the state keeps a
+// state row across documents: Stage 2 reads the views off the posting lists
+// for each document (prepareViews).
 type State struct {
 	// recs holds the records by slot. A free slot's record keeps its row
-	// storage for the next document placed there.
+	// storage until Merge swaps it for the next record placed there.
 	recs []docRec
 	free []int32
 	// order lists the live slots in arrival order.
@@ -107,26 +109,101 @@ type State struct {
 	maxDoc xmldoc.DocID
 }
 
-// docRec is one in-window document.
+// docRec is one document's record: built detached by Stage 1 (or a
+// restore), adopted by the state on Merge, and kept there while the
+// document is inside some window.
 type docRec struct {
 	id         xmldoc.DocID
 	ts         xmldoc.Timestamp
-	seq        int64 // arrival index
+	seq        int64 // arrival index, set when the state adopts the record
 	live, late bool
 
-	// bin, rdoc and root are the document's rows of Rbin, Rdoc and Rroot,
-	// each carved from vals, their headers from hdr. binByNode2 indexes bin
-	// by node2 (the walk from a bound node up to its parent), rootByNode
-	// root by node.
-	bin, rdoc, root        [][]int64
-	binByNode2, rootByNode rowIndex
-	hdr                    [][]int64
-	vals                   []int64
+	// bin, rdoc and root are the document's rows of Rbin, Rdoc and Rroot in
+	// the order they were written. The add methods append each row's values
+	// to binVals, rdocVals and rootVals; seal points the rows at them, their
+	// headers carved from hdr, and indexes bin by node2 (binByNode2: the
+	// walk from a bound node up to its parent) and root by node
+	// (rootByNode). A row is 8 bytes a value, which the collector never
+	// looks into.
+	bin, rdoc, root             [][]int64
+	binByNode2, rootByNode      rowIndex
+	hdr                         [][]int64
+	binVals, rdocVals, rootVals []int64
 }
 
-// recKeep bounds the row storage, in values, a freed record keeps for the
-// next document on its slot: a burst document's storage goes with it.
+// recKeep bounds the storage kept for a later document wherever it is
+// recycled, in values: a record's rows, the Stage-1 dedup arrays
+// (Stage1Result.reset) and the Stage-2 view buffers (stage2Shared.reset). A
+// burst document's storage goes with it instead of being cleared for every
+// document after it.
 const recKeep = 4096
+
+// The row widths of the witness relations.
+var (
+	rbinWidth  = len(rbinSchema)
+	rdocWidth  = len(rdocSchema)
+	rrootWidth = len(rrootSchema)
+)
+
+// addBin, addDoc and addRoot append one row of Rbin, Rdoc and Rroot, as
+// given: deduplication is the caller's (Stage1Result.AddBin and its
+// siblings).
+func (r *docRec) addBin(var1, var2, n1, n2 int64) {
+	r.binVals = append(r.binVals, var1, var2, n1, n2)
+}
+
+func (r *docRec) addDoc(n int64, strVal sym.ID) {
+	r.rdocVals = append(r.rdocVals, n, int64(strVal))
+}
+
+func (r *docRec) addRoot(v, n int64) {
+	r.rootVals = append(r.rootVals, v, n)
+}
+
+// seal points the record's rows at the values written and indexes them: the
+// record is then what Stage 2 reads as the current document and what Merge
+// adopts.
+func (r *docRec) seal() {
+	nb, nd := len(r.binVals)/rbinWidth, len(r.rdocVals)/rdocWidth
+	n := nb + nd + len(r.rootVals)/rrootWidth
+	r.hdr = resize(r.hdr, n)
+	r.bin = headRows(r.hdr[:nb:nb], r.binVals, rbinWidth)
+	r.rdoc = headRows(r.hdr[nb:nb+nd:nb+nd], r.rdocVals, rdocWidth)
+	r.root = headRows(r.hdr[nb+nd:n:n], r.rootVals, rrootWidth)
+	r.binByNode2.build(r.bin, rbinNode2)
+	r.rootByNode.build(r.root, rrootNode)
+}
+
+// empty readies the record's storage for another document: no row. Storage
+// grown past recKeep values is dropped instead.
+func (r *docRec) empty() {
+	if r.storage() > recKeep {
+		*r = docRec{}
+		return
+	}
+	r.bin, r.rdoc, r.root = nil, nil, nil
+	r.binVals, r.rdocVals, r.rootVals = r.binVals[:0], r.rdocVals[:0], r.rootVals[:0]
+}
+
+// carve gives a record that has no storage room for n[0], n[1] and n[2]
+// values of Rbin, Rdoc and Rroot, carved from one allocation; a relation that
+// outgrows its part grows alone.
+func (r *docRec) carve(n [3]int) {
+	total := n[0] + n[1] + n[2]
+	if total == 0 || total > recKeep {
+		return
+	}
+	buf := make([]int64, total)
+	r.binVals = buf[:0:n[0]]
+	r.rdocVals = buf[n[0] : n[0] : n[0]+n[1]]
+	r.rootVals = buf[n[0]+n[1] : n[0]+n[1] : total]
+}
+
+// storage is the record's row storage, in values.
+func (r *docRec) storage() int { return cap(r.binVals) + cap(r.rdocVals) + cap(r.rootVals) }
+
+// numRows is the record's row count over the three relations.
+func (r *docRec) numRows() int { return len(r.bin) + len(r.rdoc) + len(r.root) }
 
 // expired reports whether the document is out of every window: timestamp
 // below cutoffTS and arrival index below cutoffSeq.
@@ -160,21 +237,19 @@ func (l *postList) push(r rowRef) {
 	l.refs = append(l.refs, r)
 }
 
-// The schemas of the witness relations. A current-document relation is its
-// state relation without the slot (State.add relies on it). strVal is the
-// only symbol column; the code that reads symbols out of it by position
-// (State.add, sharedRvj, prepareViews) resolves the position through
-// Schema.SymCol, once.
+// The schemas of the witness relations, the same for the current document
+// and the join state. strVal is the only symbol column; the code that reads
+// symbols out of it by position (Merge, sharedRvj, prepareViews) resolves
+// the position through Schema.SymCol, once.
 var (
-	rbinSchema  = relation.Schema{relation.Int("slot"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2")}
-	rdocSchema  = relation.Schema{relation.Int("slot"), relation.Int("node"), relation.Sym("strVal")}
-	rrootSchema = relation.Schema{relation.Int("slot"), relation.Int("var"), relation.Int("node")}
+	rbinSchema  = relation.Schema{relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2")}
+	rdocSchema  = relation.Schema{relation.Int("node"), relation.Sym("strVal")}
+	rrootSchema = relation.Schema{relation.Int("var"), relation.Int("node")}
 
-	rbinNode2   = rbinSchema.Col("node2")
-	rdocNode    = rdocSchema.Col("node")
-	rdocStrVal  = rdocSchema.SymCol("strVal")
-	rdocWStrVal = rdocSchema[1:].SymCol("strVal")
-	rrootNode   = rrootSchema.Col("node")
+	rbinNode2  = rbinSchema.Col("node2")
+	rdocNode   = rdocSchema.Col("node")
+	rdocStrVal = rdocSchema.SymCol("strVal")
+	rrootNode  = rrootSchema.Col("node")
 )
 
 // NewState returns empty join state.
@@ -182,171 +257,16 @@ func NewState() *State {
 	return &State{maxTS: math.MinInt64}
 }
 
-// CurrentWitness holds the Stage-1 output for the document currently being
-// processed: RbinW, RdocW and RrootW of Section 3.1.
-type CurrentWitness struct {
-	RbinW  *relation.Relation // (var1, var2, node1, node2)
-	RdocW  *relation.Relation // (node, strVal)
-	RrootW *relation.Relation // (var, node)
-	DocID  xmldoc.DocID
-	TS     xmldoc.Timestamp
-	Doc    *xmldoc.Document
-
-	// nodes deduplicates the rows by node id: nodes[n] speaks for node n of
-	// this document only while its gen equals gen, which Release advances,
-	// so a later document finds every entry stale without a clear.
-	// binNext[r] (rootNext[r]) chains RbinW (RrootW) row r to the previous
-	// row with the same child (root) node, -1 ending the chain.
-	gen      uint32
-	nodes    []witnessNode
-	binNext  []int32
-	rootNext []int32
-
-	// arena slab-allocates the witness rows: the relations above are
-	// per-document and dropped together, so their tuples share chunks
-	// instead of costing one allocation each. Merge copies the rows into
-	// the join state's own storage, so nothing arena-backed outlives the
-	// document — which is what lets Release hand the slab to the next one.
-	arena relation.Arena
-
-	// order is RunStage1's scratch: the triggered patterns' sort keys
-	// (Processor.triggerOrder), kept with the witness so that a pooled
-	// witness brings its storage to the next document.
-	order []uint64
-}
-
-// witnessNode is what the current document's rows hold for one node: the
-// newest RbinW row with it as node2, the newest RrootW row with it as node,
-// and its RdocW row, each -1 for none.
-type witnessNode struct {
-	gen            uint32
-	bin, root, doc int32
-}
-
-// witnessPool holds the witness relations of consumed documents (Release):
-// row slices, dedup arrays and the arena's slab serve the next document, so a
-// document's Stage-1 output costs no allocation once they have grown to its
-// size. Stage-1 workers of concurrently admitted documents each take their
-// own.
-//
-//mmqjp:pooled witnesses are emptied by Release, after Consume has merged the document; the join state (State.add) keeps copies of the rows, never the arena's
-var witnessPool = sync.Pool{New: func() any {
-	return &CurrentWitness{
-		RbinW:  relation.New(rbinSchema[1:]...),
-		RdocW:  relation.New(rdocSchema[1:]...),
-		RrootW: relation.New(rrootSchema[1:]...),
-		gen:    1,
-	}
-}}
-
-// witnessKeep bounds what Release keeps, in rows and in node entries: a burst
-// document's slab and arrays go with it instead of being cleared for every
-// document after it.
-const witnessKeep = 4096
-
-// NewCurrentWitness returns empty current-document witness relations.
-func NewCurrentWitness(d *xmldoc.Document) *CurrentWitness {
-	w := witnessPool.Get().(*CurrentWitness)
-	w.DocID, w.TS, w.Doc = d.ID, d.Timestamp, d
-	return w
-}
-
-// Release gives the witness's storage to a later document. The caller is
-// done with the document: every row has been copied where it is kept
-// (Merge), and nothing reads w or a row of it afterwards.
-func (w *CurrentWitness) Release() {
-	if w.RbinW.Len()+w.RdocW.Len()+w.RrootW.Len() > witnessKeep || len(w.nodes) > witnessKeep {
-		return
-	}
-	for _, r := range [...]*relation.Relation{w.RbinW, w.RdocW, w.RrootW} {
-		clear(r.Rows)
-		r.Rows = r.Rows[:0]
-	}
-	w.binNext, w.rootNext = w.binNext[:0], w.rootNext[:0]
-	if w.gen++; w.gen == 0 {
-		clear(w.nodes)
-		w.gen = 1
-	}
-	w.arena.Reset()
-	w.Doc = nil
-	witnessPool.Put(w)
-}
-
-// node returns node n's entry for the current document.
-func (w *CurrentWitness) node(n xmldoc.NodeID) *witnessNode {
-	if need := int(n) + 1; need > len(w.nodes) {
-		w.nodes = slices.Grow(w.nodes, need-len(w.nodes))[:need]
-	}
-	e := &w.nodes[n]
-	if e.gen != w.gen {
-		*e = witnessNode{gen: w.gen, bin: -1, root: -1, doc: -1}
-	}
-	return e
-}
-
-// AddBin inserts a deduplicated structural-edge binding tuple.
-func (w *CurrentWitness) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
-	e := w.node(n2)
-	for r := e.bin; r >= 0; r = w.binNext[r] {
-		if row := w.RbinW.Rows[r]; row[0] == var1 && row[1] == var2 && row[2] == int64(n1) {
-			return
-		}
-	}
-	w.binNext = append(w.binNext, e.bin)
-	e.bin = int32(w.RbinW.Len())
-	w.arena.Insert(w.RbinW, var1, var2, int64(n1), int64(n2))
-}
-
-// AddDoc inserts a deduplicated string-value tuple for node n of the
-// witness's document. The value is computed — an interior element's is
-// concatenated (xmldoc.Document.StringValue) — and interned only when the
-// row is new, at the Stage-1 boundary: everything downstream (witness
-// joins, the views, the state's posting lists) sees only the symbol.
-func (w *CurrentWitness) AddDoc(n xmldoc.NodeID) {
-	if e := w.node(n); e.doc < 0 {
-		w.insertDoc(e, n, w.Doc.StringValue(n))
-	}
-}
-
-// insertDoc inserts node n's row, with string value strVal, as its entry e
-// records.
-func (w *CurrentWitness) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string) {
-	e.doc = int32(w.RdocW.Len())
-	w.arena.Insert(w.RdocW, int64(n), int64(sym.Intern(strVal)))
-}
-
-// AddRoot inserts a deduplicated root binding tuple.
-func (w *CurrentWitness) AddRoot(v int64, n xmldoc.NodeID) {
-	e := w.node(n)
-	for r := e.root; r >= 0; r = w.rootNext[r] {
-		if w.RrootW.Rows[r][0] == v {
-			return
-		}
-	}
-	w.rootNext = append(w.rootNext, e.root)
-	e.root = int32(w.RrootW.Len())
-	w.arena.Insert(w.RrootW, v, int64(n))
-}
-
-// docSym returns the string value symbol of node n, if the document has an
-// RdocW row for it.
-func (w *CurrentWitness) docSym(n int64) (sym.ID, bool) {
-	if n < 0 || n >= int64(len(w.nodes)) {
-		return 0, false
-	}
-	if e := &w.nodes[n]; e.gen == w.gen && e.doc >= 0 {
-		return sym.ID(w.RdocW.Rows[e.doc][rdocWStrVal]), true
-	}
-	return 0, false
-}
-
-// Merge folds the current document's witness relations into the join state,
-// implementing Algorithm 2 — the timestamp cross product of the paper is
-// realized by the document's record, which its rows point at through their
-// slot column.
-func (s *State) Merge(w *CurrentWitness) {
-	s.add(w.DocID, w.TS, s.nextSeq, w.RbinW.Rows, w.RdocW.Rows, w.RrootW.Rows)
-	s.pass(w.DocID)
+// Merge folds the current document's witness relations — its sealed record
+// — into the join state, implementing Algorithm 2: the timestamp cross
+// product of the paper is realized by the record, which the state adopts
+// without copying a row. rec receives the storage of the slot it lands on,
+// empty, for a later document.
+func (s *State) Merge(rec *docRec) {
+	id := rec.id
+	rec.seq = s.nextSeq
+	s.adopt(rec)
+	s.pass(id)
 }
 
 // pass counts a consumed document, merged or not.
@@ -355,10 +275,10 @@ func (s *State) pass(id xmldoc.DocID) {
 	s.maxDoc = max(s.maxDoc, id)
 }
 
-// add places a document on a free slot: its witness-shaped rows (no slot
-// column) are copied into the record behind the slot, indexed, and posted
-// under their string values.
-func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, bin, rdoc, root [][]int64) {
+// adopt places a sealed record, arrival index set, on a free slot by
+// swapping it with the slot's record, and posts its Rdoc rows under their
+// string values.
+func (s *State) adopt(rec *docRec) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot, s.free = s.free[n-1], s.free[:n-1]
@@ -367,42 +287,20 @@ func (s *State) add(id xmldoc.DocID, ts xmldoc.Timestamp, seq int64, bin, rdoc, 
 		s.recs = append(s.recs, docRec{})
 	}
 	r := &s.recs[slot]
-	r.id, r.ts, r.seq, r.live = id, ts, seq, true
-	if r.late = ts < s.maxTS; r.late {
+	*r, *rec = *rec, *r
+	r.live = true
+	if r.late = r.ts < s.maxTS; r.late {
 		s.late++
 	} else {
-		s.maxTS = ts
+		s.maxTS = r.ts
 	}
-	r.vals = resize(r.vals, len(bin)*len(rbinSchema)+len(rdoc)*len(rdocSchema)+len(root)*len(rrootSchema))
-	r.hdr = resize(r.hdr, len(bin)+len(rdoc)+len(root))
-	hdr, vals := r.hdr, r.vals
-	r.bin, hdr, vals = stampRows(hdr, vals, slot, bin, len(rbinSchema))
-	r.rdoc, hdr, vals = stampRows(hdr, vals, slot, rdoc, len(rdocSchema))
-	r.root, _, _ = stampRows(hdr, vals, slot, root, len(rrootSchema))
-	r.binByNode2.build(r.bin, rbinNode2)
-	r.rootByNode.build(r.root, rrootNode)
 	for i, row := range r.rdoc {
 		s.post(sym.ID(row[rdocStrVal]), rowRef{slot, int32(i)})
 	}
-	s.rows[0] += len(bin)
-	s.rows[1] += len(rdoc)
-	s.rows[2] += len(root)
+	s.rows[0] += len(r.bin)
+	s.rows[1] += len(r.rdoc)
+	s.rows[2] += len(r.root)
 	s.order = append(s.order, slot)
-}
-
-// stampRows carves len(rows) rows of width n from hdr and vals, each the
-// slot followed by the witness row, and returns them with what is left of
-// hdr and vals. A state row is 8·n bytes the collector never looks into.
-func stampRows(hdr [][]int64, vals []int64, slot int32, rows [][]int64, n int) (out, restHdr [][]int64, restVals []int64) {
-	out = hdr[:len(rows):len(rows)]
-	for i, t := range rows {
-		row := vals[:n:n]
-		vals = vals[n:]
-		row[0] = int64(slot)
-		copy(row[1:], t)
-		out[i] = row
-	}
-	return out, hdr[len(rows):], vals
 }
 
 // post appends an Rdoc row to its value's posting list.
@@ -454,13 +352,13 @@ func (s *State) HasSym(id sym.ID) bool {
 // appendRL appends to vals the rows of E_{L,s} = σ_{strVal=s}(Rdoc)
 // ⋈_{node=node2} Rbin, the part of the left view RL (Section 5) whose rows
 // carry the string value s, and returns the extended buffer: rlSchema rows,
-// one after another, read off the posting list of s and each record's Rbin
-// index by node2.
+// one after another, read off the posting list of s — which names each row's
+// slot — and each record's Rbin index by node2.
 func (s *State) appendRL(vals []int64, id sym.ID) []int64 {
 	for _, ref := range s.postings(id) {
 		r := &s.recs[ref.slot]
 		for _, bi := range r.binByNode2.get(r.rdoc[ref.row][rdocNode]) {
-			vals = append(append(vals, r.bin[bi]...), int64(id))
+			vals = append(append(append(vals, int64(ref.slot)), r.bin[bi]...), int64(id))
 		}
 	}
 	return vals
@@ -508,17 +406,14 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 		for i, row := range r.rdoc {
 			s.unpost(sym.ID(row[rdocStrVal]), rowRef{slot, int32(i)})
 		}
-		dropped += len(r.bin) + len(r.rdoc) + len(r.root)
+		dropped += r.numRows()
 		s.rows[0] -= len(r.bin)
 		s.rows[1] -= len(r.rdoc)
 		s.rows[2] -= len(r.root)
 		if r.late {
 			s.late--
 		}
-		r.bin, r.rdoc, r.root = nil, nil, nil
-		if cap(r.vals) > recKeep {
-			*r = docRec{}
-		}
+		r.empty()
 		s.free = append(s.free, slot)
 	}
 	for _, id := range s.dirty {

@@ -20,16 +20,42 @@ import (
 
 // stateRelations materializes the join state as the three relations it
 // stands for, documents in arrival order and each document's rows in merge
-// order; column 0 is the slot, as in the state's own rows.
+// order, each row behind its record's slot (column 0), which the paper's
+// relations carry as the document's timestamp.
 func stateRelations(s *State) (rbin, rdoc, rroot *relation.Relation) {
-	rbin, rdoc, rroot = relation.New(rbinSchema...), relation.New(rdocSchema...), relation.New(rrootSchema...)
+	slotted := func(schema relation.Schema) *relation.Relation {
+		return relation.New(append(relation.Schema{relation.Int("slot")}, schema...)...)
+	}
+	rbin, rdoc, rroot = slotted(rbinSchema), slotted(rdocSchema), slotted(rrootSchema)
 	for _, slot := range s.order {
 		r := &s.recs[slot]
-		rbin.Rows = append(rbin.Rows, r.bin...)
-		rdoc.Rows = append(rdoc.Rows, r.rdoc...)
-		rroot.Rows = append(rroot.Rows, r.root...)
+		for _, rel := range []struct {
+			to   *relation.Relation
+			rows [][]int64
+		}{{rbin, r.bin}, {rdoc, r.rdoc}, {rroot, r.root}} {
+			for _, row := range rel.rows {
+				rel.to.Insert(append([]int64{int64(slot)}, row...)...)
+			}
+		}
 	}
 	return rbin, rdoc, rroot
+}
+
+// currentRelations is the current document's record as the witness
+// relations RbinW, RdocW and RrootW.
+func currentRelations(r *docRec) (rbinW, rdocW, rrootW *relation.Relation) {
+	return &relation.Relation{Schema: rbinSchema, Rows: r.bin},
+		&relation.Relation{Schema: rdocSchema, Rows: r.rdoc},
+		&relation.Relation{Schema: rrootSchema, Rows: r.root}
+}
+
+// buildRec runs fill on a Stage-1 result for d, the builder RunStage1 fills,
+// and seals the result's record.
+func buildRec(d *xmldoc.Document, fill func(r *Stage1Result)) *Stage1Result {
+	r := newStage1(d)
+	fill(r)
+	r.seal()
+	return r
 }
 
 // stateDump describes everything the state keeps per document — window
@@ -50,7 +76,7 @@ func stateDump(s *State) map[string]any {
 	rows := func(rows [][]int64) [][]int64 {
 		out := [][]int64{}
 		for _, row := range rows {
-			out = append(out, append([]int64{id(row[0])}, row[1:]...))
+			out = append(out, slices.Clone(row))
 		}
 		return out
 	}
@@ -147,7 +173,7 @@ func checkState(t testing.TB, s *State) {
 // checkLeftView requires, for every string value the state holds, the left
 // view rows State.appendRL reads off its posting list to be, as a multiset,
 // those of a full scan: every live record's Rdoc rows with that value joined
-// with the same record's Rbin rows on node = node2, stamped with the record's
+// with the same record's Rbin rows on node = node2, behind the record's
 // slot. A posting that outlived its document, or one that names a reused
 // slot's new document, shows here as a row too many or too few.
 func checkLeftView(t testing.TB, s *State) {
@@ -164,7 +190,7 @@ func checkLeftView(t testing.TB, s *State) {
 			id := sym.ID(dt[rdocStrVal])
 			for _, bt := range r.bin {
 				if bt[rbinNode2] == dt[rdocNode] {
-					want[id] = append(want[id], append(slices.Clone(bt), int64(id)))
+					want[id] = append(want[id], append(append([]int64{int64(slot)}, bt...), int64(id)))
 				}
 			}
 		}
@@ -310,25 +336,28 @@ func newExpiryPair(t testing.TB) *expiryPair {
 // addDocValue is AddDoc with a string value of the caller's choosing in
 // place of the document's: the expiry tests' witnesses bind nodes their
 // one-node documents do not have.
-func addDocValue(w *CurrentWitness, n xmldoc.NodeID, strVal string) {
-	if e := w.node(n); e.doc < 0 {
-		w.insertDoc(e, n, strVal)
+func addDocValue(r *Stage1Result, n xmldoc.NodeID, strVal string) {
+	if e := r.node(n); e.doc < 0 {
+		r.insertDoc(e, n, strVal)
 	}
 }
 
-// merge adds one document with timestamp ts to both states; fill adds its
-// witness rows.
-func (h *expiryPair) merge(ts int64, fill func(w *CurrentWitness)) {
+// merge adds one document with timestamp ts to both states: fill writes its
+// rows through the Stage-1 builder, once for each state, which adopts the
+// record.
+func (h *expiryPair) merge(ts int64, fill func(r *Stage1Result)) {
 	d := xmldoc.NewBuilder(xmldoc.DocID(h.nextID), xmldoc.Timestamp(ts), "item").Build()
 	h.nextID++
-	w := NewCurrentWitness(d)
-	fill(w)
-	n := w.RbinW.Len() + w.RdocW.Len() + w.RrootW.Len()
-	h.merged += n
-	h.rowsOf[d.ID] = n
-	h.got.Merge(w)
-	h.want.Merge(w)
-	w.Release()
+	for _, s := range []*State{h.got, h.want} {
+		r := buildRec(d, fill)
+		n := r.rec.numRows()
+		s.Merge(&r.rec)
+		stage1Pool.Put(r)
+		if s == h.got {
+			h.merged += n
+			h.rowsOf[d.ID] = n
+		}
+	}
 }
 
 // gc expires both states at the cutoffs and checks what the collection did:
@@ -338,13 +367,11 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 	t, s := h.t, h.got
 	t.Helper()
 	arrival := []xmldoc.DocID{}
-	storage := map[xmldoc.DocID]*int64{}
+	storage := map[xmldoc.DocID][][]int64{}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		arrival = append(arrival, r.id)
-		if len(r.vals) > 0 {
-			storage[r.id] = &r.vals[0]
-		}
+		storage[r.id] = slices.Concat(r.bin, r.rdoc, r.root)
 	}
 	gotIDs, dropped := s.GC(cutoffTS, cutoffSeq, nil)
 	h.dropped += dropped
@@ -361,8 +388,11 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 		t.Fatalf("%d rows dropped, the expired documents held %d", dropped, wantRows)
 	}
 	for _, slot := range s.order {
-		if r := &s.recs[slot]; len(r.vals) > 0 && storage[r.id] != &r.vals[0] {
-			t.Fatalf("document %d's rows moved in a collection", r.id)
+		r := &s.recs[slot]
+		for i, row := range slices.Concat(r.bin, r.rdoc, r.root) {
+			if &row[0] != &storage[r.id][i][0] {
+				t.Fatalf("document %d's rows moved in a collection", r.id)
+			}
 		}
 	}
 	if len(gotIDs) > 0 {
@@ -416,16 +446,16 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := newExpiryPair(t)
 		merge := func(ts int64) {
-			h.merge(ts, func(w *CurrentWitness) {
+			h.merge(ts, func(b *Stage1Result) {
 				r := rand.New(rand.NewSource(seed<<20 | h.nextID))
 				for n := r.Intn(5); n > 0; n-- {
-					w.AddBin(int64(r.Intn(3)), int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)), xmldoc.NodeID(r.Intn(4)))
+					b.AddBin(int64(r.Intn(3)), int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)), xmldoc.NodeID(r.Intn(4)))
 				}
 				for n := r.Intn(4); n > 0; n-- {
-					addDocValue(w, xmldoc.NodeID(r.Intn(6)), fmt.Sprintf("inplace-%d", r.Intn(12)))
+					addDocValue(b, xmldoc.NodeID(r.Intn(6)), fmt.Sprintf("inplace-%d", r.Intn(12)))
 				}
 				for n := r.Intn(3); n > 0; n-- {
-					w.AddRoot(int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)))
+					b.AddRoot(int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)))
 				}
 			})
 		}
@@ -482,9 +512,12 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 // FuzzStateExpiry is TestInPlaceExpiryEqualsRebuild with the fuzzer choosing
 // the documents and cutoffs: each byte of the input starts a merge (its rows
 // and its timestamp's lag behind the clock drawn from the bytes that follow)
-// or an expiry by time, by ROWS or by both. After every step the state must
-// equal the one rebuilt from the surviving documents, export bytes included,
-// and the left view of every string it holds a full scan of its records.
+// or an expiry by time, by ROWS or by both. A merge writes its rows through
+// the Stage-1 builder (Stage1Result.AddBin and its siblings, then seal) and
+// the state adopts the record, as Consume's merge does, so recycled record
+// storage is exercised too. After every step the state must equal the one
+// rebuilt from the surviving documents, export bytes included, and the left
+// view of every string it holds a full scan of its records.
 func FuzzStateExpiry(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 7, 3, 9, 9, 1, 2, 5, 3, 3, 4})
 	f.Add([]byte{0, 0xff, 0, 1, 0, 2, 0, 3, 3, 2, 1, 0, 3, 1, 2})
@@ -512,15 +545,15 @@ func FuzzStateExpiry(f *testing.F) {
 					lag = 1_000_000 - now // far future: clock skew
 				}
 				shape := next()
-				h.merge(now-lag, func(w *CurrentWitness) {
+				h.merge(now-lag, func(b *Stage1Result) {
 					for i := int64(0); i < shape%5; i++ {
-						w.AddBin(i%3, (i+shape)%3, xmldoc.NodeID(shape%4), xmldoc.NodeID((shape+i)%5))
+						b.AddBin(i%3, (i+shape)%3, xmldoc.NodeID(shape%4), xmldoc.NodeID((shape+i)%5))
 					}
 					for i := int64(0); i < shape%4; i++ {
-						addDocValue(w, xmldoc.NodeID((shape+i)%6), fmt.Sprintf("fuzz-%d", (shape+i)%7))
+						addDocValue(b, xmldoc.NodeID((shape+i)%6), fmt.Sprintf("fuzz-%d", (shape+i)%7))
 					}
 					for i := int64(0); i < (shape/5)%3; i++ {
-						w.AddRoot(i, xmldoc.NodeID(shape%4))
+						b.AddRoot(i, xmldoc.NodeID(shape%4))
 					}
 				})
 			default:

@@ -65,7 +65,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 					bin, doc, root := s.Rows()
 					storage, postings, postingCap := 0, 0, 0
 					for j := range s.recs {
-						storage += cap(s.recs[j].vals)
+						storage += s.recs[j].storage()
 					}
 					for j := range s.lists {
 						postings += len(s.lists[j].live())
@@ -90,9 +90,9 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"posting entries", postings, maxDocs * rowsPerDoc},
 						{"posting lists", len(s.lists), maxDocs * rowsPerDoc},
 						// Freed slots keep their storage for the next
-						// document (a row is at most 5 values), and a
+						// document (a row is at most 4 values), and a
 						// posting list at most doubles past its peak.
-						{"row storage values", storage, 5 * 3 * maxDocs * rowsPerDoc},
+						{"row storage values", storage, 4 * 3 * maxDocs * rowsPerDoc},
 						{"posting capacity", postingCap, 2 * maxDocs * rowsPerDoc},
 						{"arrival order capacity", cap(s.order), 2 * maxDocs},
 					} {

@@ -1,10 +1,15 @@
-// Package relation is the row store of the MMQJP Join Processor: the witness
-// relations, the join state and the view slices are relations here, and the
-// compiled Stage-2 programs (internal/core/cqplan.go) read their rows
-// directly. It holds no operator: the paper hands each template's conjunctive
-// query to a SQL engine, the engine here compiles it, and the interpreted
-// evaluator the compiled programs are tested against lives with that test
-// (internal/core/cqreference_test.go).
+// Package relation declares the schemas of the MMQJP Join Processor's rows:
+// which column of a witness relation, a join-state record or a Stage-2 view
+// holds what, and which columns hold symbols. The rows themselves are stored
+// where they are used — internal/core writes each document's rows into flat
+// value buffers of its join-state record and the views' rows into flat
+// per-document buffers — and the compiled Stage-2 programs
+// (internal/core/cqplan.go) resolve every column against these schemas once,
+// when a program is compiled. Relation, a schema with its rows, is the form
+// the interpreted evaluator the compiled programs are tested against takes
+// its atoms in (internal/core/cqreference_test.go); it holds no operator:
+// the paper hands each template's conjunctive query to a SQL engine, and the
+// engine here compiles it.
 //
 // A row is a []int64, fixed-width and pointer-free: document ids, node ids,
 // interned variable names, and interned symbols (internal/sym ids standing

@@ -169,7 +169,7 @@ type Engine struct {
 	// canonically-equal pattern.
 	dead []bool
 
-	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists and the prefixes hit, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab); the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core copies each pattern's rows into its witness arena before asking for the next pattern and before it releases the result
+	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists and the prefixes hit, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab); the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core writes each pattern's rows into the document's record before asking for the next pattern and before it releases the result
 	pool sync.Pool
 }
 

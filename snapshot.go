@@ -114,7 +114,9 @@ func (e *Engine) snapshot(w io.Writer) error {
 // that
 // ProcessorSequential cannot host a snapshot. Every subscription resumes
 // under its original QueryID, and publishing the stream suffix produces
-// exactly the matches the original engine would have produced. A snapshot
+// exactly the matches the original engine would have produced. The
+// documents the snapshot carries are kept for OutputXML only when opts
+// retains documents. A snapshot
 // written by a routed engine (Options.Partitions > 1 in releases that had
 // the in-process router) is refused: its join state is split over the
 // partitions, and merging those states back is not supported.
@@ -166,15 +168,16 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 	if err := e.proc.RestoreState(snap.State); err != nil {
 		return nil, err
 	}
-	// Only the documents the restored state holds: a snapshot written
-	// before the retained set was bounded by the window carries every
-	// document ever published.
+	// Only an engine that retains documents keeps the snapshot's: one
+	// without RetainDocuments would never drop them. And only the documents
+	// the restored state holds: a snapshot written before the retained set
+	// was bounded by the window carries every document ever published.
 	inState := make(map[int64]bool, len(snap.State.Docs))
 	for _, sd := range snap.State.Docs {
 		inState[sd.ID] = true
 	}
 	for _, rd := range snap.Docs {
-		if !inState[rd.ID] {
+		if !e.opts.RetainDocuments || !inState[rd.ID] {
 			continue
 		}
 		d, err := ParseDocument(rd.XML, rd.ID, rd.TS)
