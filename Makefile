@@ -45,8 +45,10 @@ race:
 # against a rebuild, template canonicalization against its string-
 # signature reference, the radix result order against the comparison sort,
 # the Stage-2 vector-group trie against a map, the dormant-pattern set
-# under registration churn against a from-scratch computation, and snapshot
-# restore on arbitrary bytes (the CI fuzz-smoke job). -fuzz takes one target per run, so a package
+# under registration churn against a from-scratch computation, snapshot
+# restore on arbitrary bytes, and the engine's matches on a generated
+# subscription and document stream against the sequential baseline (the CI
+# fuzz-smoke job). -fuzz takes one target per run, so a package
 # with several names each with an anchored pattern.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzDormancyChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 	$(GO) test -run=^$$ -fuzz='^FuzzOpenEngine$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) .
 
 # Longer local fuzzing session (override FUZZTIME as needed).
 fuzz:

@@ -14,7 +14,10 @@ import (
 // with the golden files in testdata, which were written by the derivation
 // that built every string afresh per query. Template identity and the
 // canonical node order are frozen (they key templates and lay out RT rows),
-// so the report must not move.
+// so the report must not move. A third run prints three blocks that filter a
+// join path — at the root, below it, and on the branch the query does not
+// join on — whose nodes are named by filter class, and whose dropped
+// subtrees print as filters.
 func TestGolden(t *testing.T) {
 	stdin, err := os.ReadFile(filepath.Join("testdata", "paper_scale.xscl"))
 	if err != nil {
@@ -27,6 +30,11 @@ func TestGolden(t *testing.T) {
 	}{
 		{"paper.golden", []string{"-paper"}, nil},
 		{"paper_scale.golden", []string{"-"}, stdin},
+		{"filtered.golden", []string{
+			"S//entry->e[./id->x][./topics/t17] FOLLOWED BY{x=y,200} S//entry->f[./ref->y]",
+			"S//entry->e[./id->x[./en]] FOLLOWED BY{x=y,200} S//entry->f[./ref->y]",
+			"S//entry->e[./id->x][./ref->z][./topics/t1] FOLLOWED BY{z=y,200} S//entry->f[./ref->y]",
+		}, nil},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

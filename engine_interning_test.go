@@ -11,7 +11,7 @@ import (
 )
 
 // Differential tests for the symbol-interning layer. The shared-join plans
-// compare join values through dense interned ids (relation.Sym columns, the
+// compare join values through dense interned ids (core.Sym columns, the
 // rdocBySym posting lists, the views' strVal columns); ProcessorSequential
 // evaluates each query alone and compares the original strings, so it is a
 // string-keyed oracle the interned engines must match byte for byte.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/relation"
 	"repro/internal/xmldoc"
 )
 
@@ -16,7 +15,7 @@ import (
 //
 //	slot 0          slot    the previous document's state slot
 //	slots 1..N      n_p     node bound at template position p
-//	slots N+1..2N   v_p     interned canonical variable at position p
+//	slots N+1..2N   v_p     interned class name at position p
 //	slots 2N+1..    s_k     interned string value of value join k
 //
 // Every step names a source relation, the bound slot its probe key comes
@@ -57,8 +56,8 @@ const (
 // The per-document relations' schemas: the value-join pairs and the Section-5
 // left view; the right view RR is RL without the slot.
 var (
-	rvjSchema = relation.Schema{relation.Int("slot"), relation.Int("nodeL"), relation.Int("nodeR"), relation.Sym("strVal")}
-	rlSchema  = relation.Schema{relation.Int("slot"), relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2"), relation.Sym("strVal")}
+	rvjSchema = Schema{Int("slot"), Int("nodeL"), Int("nodeR"), Sym("strVal")}
+	rlSchema  = Schema{Int("slot"), Int("var1"), Int("var2"), Int("node1"), Int("node2"), Sym("strVal")}
 
 	rrStrVal = rlSchema[1:].SymCol("strVal")
 )
@@ -68,7 +67,7 @@ var (
 // or a previous one's, so they share one schema. cqCompiler.atom holds every
 // step to it — a symbol column binds an s slot and nothing else does — so
 // evaluation compares and copies bare int64s without asking what they are.
-var cqSchemas = [...]relation.Schema{
+var cqSchemas = [...]Schema{
 	srcRvj:    rvjSchema,
 	srcRL:     rlSchema,
 	srcRR:     rlSchema[1:],
@@ -239,10 +238,10 @@ func (c *cqCompiler) atom(src cqSource, key int, cols ...int) {
 }
 
 // vecGroup is one distinct variable vector of a template — the RT rows of
-// every instance registered with the same canonical variable at each
+// every instance registered with the same class name at each
 // position collapse onto it — with the instances sharing it.
 type vecGroup struct {
-	vars  []int32 // interned canonical variable per template position
+	vars  []int32 // interned class name per template position
 	insts []int64 // instance ids
 }
 

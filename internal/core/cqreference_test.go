@@ -7,14 +7,111 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/sym"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 	"repro/internal/yfilter"
 )
+
+// Relation is a schema with its rows: the form the interpreted evaluator
+// (EvalConjunctive) takes its atoms in and the reference derivations here
+// read the join state as. It holds no operator: the paper hands each
+// template's conjunctive query to a SQL engine, and the engine here compiles
+// it (cqplan.go).
+type Relation struct {
+	Schema Schema
+	Rows   [][]int64
+}
+
+// newRelation creates an empty relation with the given columns.
+func newRelation(cols ...Column) *Relation {
+	return &Relation{Schema: cols}
+}
+
+// Insert appends vals as one row, without copying it. The number of values
+// must match the schema.
+func (r *Relation) Insert(vals ...int64) {
+	if len(vals) != len(r.Schema) {
+		panic(fmt.Sprintf("relation: inserting %d values into %d-column schema %v", len(vals), len(r.Schema), r.Schema))
+	}
+	r.Rows = append(r.Rows, vals)
+}
+
+// Len returns the number of rows.
+func (r *Relation) Len() int { return len(r.Rows) }
+
+// String renders the relation as a table, rows sorted. Symbol columns render
+// as their interned string, so the text does not depend on the ids a process
+// happened to hand out.
+func (r *Relation) String() string {
+	names := make([]string, len(r.Schema))
+	for i, c := range r.Schema {
+		names[i] = c.Name
+	}
+	rows := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		parts := make([]string, len(row))
+		for c, v := range row {
+			if r.Schema[c].Sym {
+				parts[c] = sym.Name(sym.ID(v))
+			} else {
+				parts[c] = strconv.FormatInt(v, 10)
+			}
+		}
+		rows[i] = strings.Join(parts, " | ")
+	}
+	sort.Strings(rows)
+	return strings.Join(append([]string{strings.Join(names, " | ")}, rows...), "\n")
+}
+
+func TestInsertAndSchema(t *testing.T) {
+	r := newRelation(Int("docid"), Int("node"), Sym("strVal"))
+	r.Insert(1, 2, int64(sym.Intern("Danny Ayers")))
+	if r.Len() != 1 {
+		t.Fatalf("len = %d", r.Len())
+	}
+	if r.Schema.Col("node") != 1 {
+		t.Errorf("col(node) = %d", r.Schema.Col("node"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("arity mismatch did not panic")
+		}
+	}()
+	r.Insert(1)
+}
+
+// TestSymValueKind: whether a value is a symbol is its column's to say. String
+// renders a symbol column as the interned text and an integer column as the
+// number, even where the two hold the same int64; SymCol gives the position of
+// a symbol column and refuses an integer one (and, like Col, an unknown name).
+func TestSymValueKind(t *testing.T) {
+	id := sym.Intern("relation-test-val")
+	r := newRelation(Int("n"), Sym("s"))
+	r.Insert(int64(id), int64(id))
+	if want := fmt.Sprintf("n | s\n%d | relation-test-val", id); r.String() != want {
+		t.Errorf("String = %q, want %q", r.String(), want)
+	}
+	if c := r.Schema.SymCol("s"); c != 1 {
+		t.Errorf("SymCol(s) = %d, want 1", c)
+	}
+	for _, name := range []string{"n", "absent"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SymCol(%q) did not panic", name)
+				}
+			}()
+			r.Schema.SymCol(name)
+		}()
+	}
+}
 
 // referenceMatches evaluates every live template's conjunctive query CQ_T
 // for the current document's record the way the paper states it (Section 4.4,
@@ -57,7 +154,7 @@ func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
 		for i := 0; i < t.N; i++ {
 			rtCols, head = append(rtCols, v(i)), append(head, n(i))
 		}
-		rt := relation.New(intCols(rtCols...)...)
+		rt := newRelation(intCols(rtCols...)...)
 		for _, g := range t.vecList {
 			for _, iid := range g.insts {
 				row := []int64{iid}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sequential"
+	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -277,5 +278,50 @@ func TestDifferentialOneOperatorPerSchema(t *testing.T) {
 			}
 		}
 		runDifferentialTrial(t, trial, deep, queries, docs)
+	}
+}
+
+// TestDeepFeedFilteredJoinsMatchSequential publishes deep-feed documents to
+// the deep-feed subscriptions — path filters and the three value joins —
+// together with joins that filter a join path the deep-feed joins also bind:
+// one with a non-join predicate at its left block's root, one with it below
+// the root, and the below-root block's unfiltered twin. Per document, the
+// (query, left document, right document) set must equal the sequential
+// oracle's, and the filters must decide some match both ways: a cited entry
+// that has a ref of its own and one that has none.
+func TestDeepFeedFilteredJoinsMatchSequential(t *testing.T) {
+	// A reference cites one of the last 50 documents, so a window of 50
+	// sees every citation and keeps the oracle's stored witnesses short.
+	deep := workload.DefaultDeepFeed()
+	deep.Window = 50
+	queries := deep.Queries(rand.New(rand.NewSource(1)), 110)
+	filtered := []string{
+		"S//entry->e[./id->x][./ref] FOLLOWED BY{x=y, 50} S//entry->f[./ref->y]",
+		"S//feed->r[.//entry[./ref]/id->x] FOLLOWED BY{x=y, 50} S//entry->f[./ref->y]",
+		"S//feed->r[.//entry/id->x] FOLLOWED BY{x=y, 50} S//entry->f[./ref->y]",
+	}
+	first := len(queries)
+	for _, src := range filtered {
+		queries = append(queries, xscl.MustParse(src))
+	}
+	p, sp := NewProcessor(Config{}), sequential.NewProcessor()
+	for _, q := range queries {
+		p.MustRegister(q)
+		sp.MustRegister(q)
+	}
+	perQuery := map[int64]int{}
+	for _, d := range deep.Stream(rand.New(rand.NewSource(8)), 300) {
+		got, want := matchSet(p.Process("S", d)), seqMatchSet(sp.Process("S", d))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("document %d: MMQJP %v, sequential %v", d.ID, keys(got), keys(want))
+		}
+		for k := range want {
+			perQuery[k.q]++
+		}
+	}
+	rooted, below, twin := perQuery[int64(first)], perQuery[int64(first+1)], perQuery[int64(first+2)]
+	t.Logf("matched document pairs: root filter %d, below-root filter %d, its unfiltered twin %d", rooted, below, twin)
+	if rooted == 0 || below == 0 || twin <= below {
+		t.Fatal("test premise: the filters pass some cited entries and reject others")
 	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // homImages calls f with every homomorphism from q to pi — h[i] is the image
-// of q's node i; parents go to parents and canonical variables are kept — by
+// of q's node i; parents go to parents and step paths are kept — by
 // trying every node of pi for every node of q in pre-order. It shares nothing
 // with dormant.go's walk but the patterns.
 func homImages(q, pi *patternInfo, f func(h []int32)) {
-	h := make([]int32, len(q.canonIDs))
+	h := make([]int32, len(q.pathIDs))
 	var assign func(i int)
 	assign = func(i int) {
 		if i == len(h) {
@@ -24,9 +24,9 @@ func homImages(q, pi *patternInfo, f func(h []int32)) {
 			return
 		}
 		parent := q.pat.Nodes[i].ParentIndex
-		for j := range pi.canonIDs {
+		for j := range pi.pathIDs {
 			pp := pi.pat.Nodes[j].ParentIndex
-			if pi.canonIDs[j] != q.canonIDs[i] || (parent < 0) != (pp < 0) || parent >= 0 && int(h[parent]) != pp {
+			if pi.pathIDs[j] != q.pathIDs[i] || (parent < 0) != (pp < 0) || parent >= 0 && int(h[parent]) != pp {
 				continue
 			}
 			h[i] = int32(j)
@@ -36,29 +36,35 @@ func homImages(q, pi *patternInfo, f func(h []int32)) {
 	assign(0)
 }
 
-// demandCovered reports whether every item pi demands q demands at a node
-// some homomorphism from q to pi maps onto it, item by item: covered[k] for
-// pi's k-th item in edges, strNodes, roots order.
+// demandCovered reports whether every item pi demands q demands, under the
+// same ids, at a node some homomorphism from q to pi maps onto it, item by
+// item: covered[k] for pi's k-th item in edges, strNodes, roots order.
 func demandCovered(q, pi *patternInfo, covered []bool) {
 	homImages(q, pi, func(h []int32) {
 		k := 0
 		for _, e := range pi.edges {
 			for _, f := range q.edges {
-				if h[f[0]] == e[0] && h[f[1]] == e[1] {
+				if f.id == e.id && h[f.n[0]] == e.n[0] && h[f.n[1]] == e.n[1] {
 					covered[k] = true
 				}
 			}
 			k++
 		}
-		for _, list := range [2][2][]int32{{pi.strNodes, q.strNodes}, {pi.roots, q.roots}} {
-			for _, n := range list[0] {
-				for _, m := range list[1] {
-					if h[m] == n {
-						covered[k] = true
-					}
+		for _, n := range pi.strNodes {
+			for _, m := range q.strNodes {
+				if h[m] == n {
+					covered[k] = true
 				}
-				k++
 			}
+			k++
+		}
+		for _, r := range pi.roots {
+			for _, m := range q.roots {
+				if m.id == r.id && h[m.n] == r.n {
+					covered[k] = true
+				}
+			}
+			k++
 		}
 	})
 }
@@ -88,7 +94,7 @@ func dormancyMismatch(p *Processor) string {
 		items := len(pi.edges) + len(pi.strNodes) + len(pi.roots)
 		bySmaller, byAwake := make([]bool, items), make([]bool, items)
 		for _, q := range live {
-			if len(q.canonIDs) < len(pi.canonIDs) {
+			if len(q.pathIDs) < len(pi.pathIDs) {
 				demandCovered(q, pi, bySmaller)
 			}
 			if q != pi && !q.dormant {
@@ -181,13 +187,13 @@ func TestDormantPatternsAddNoRow(t *testing.T) {
 					for _, w := range pi.pat.MatchNaive(d) {
 						b := w.Bindings
 						for _, e := range pi.edges {
-							bin[[4]int64{pi.canonIDs[e[0]], pi.canonIDs[e[1]], int64(b[e[0]]), int64(b[e[1]])}] = true
+							bin[[4]int64{e.id[0], e.id[1], int64(b[e.n[0]]), int64(b[e.n[1]])}] = true
 						}
 						for _, n := range pi.strNodes {
 							doc[[2]int64{int64(b[n]), int64(sym.Intern(d.StringValue(b[n])))}] = true
 						}
-						for _, n := range pi.roots {
-							root[[2]int64{pi.canonIDs[n], int64(b[n])}] = true
+						for _, r := range pi.roots {
+							root[[2]int64{r.id, int64(b[r.n])}] = true
 						}
 					}
 				}

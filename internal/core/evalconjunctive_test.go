@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 )
 
@@ -26,7 +25,7 @@ import (
 // expresses equi-joins. A column bound to "" (or "_") is projected away.
 type Atom struct {
 	Name string // for error messages
-	Rel  *relation.Relation
+	Rel  *Relation
 	Vars []string // one entry per column of Rel
 }
 
@@ -38,11 +37,11 @@ type Atom struct {
 // require). Intermediate results are relations whose columns are named after
 // the variables and keep their kind, so a variable bound to a symbol column
 // in one atom and an integer column in another is caught where they join.
-func EvalConjunctive(atoms []Atom, head []string) *relation.Relation {
+func EvalConjunctive(atoms []Atom, head []string) *Relation {
 	if len(atoms) == 0 {
-		return projectHead(relation.New(), head)
+		return projectHead(newRelation(), head)
 	}
-	work := make([]*relation.Relation, len(atoms))
+	work := make([]*Relation, len(atoms))
 	for i, a := range atoms {
 		if len(a.Vars) != len(a.Rel.Schema) {
 			panic(fmt.Sprintf("atom %s has %d vars for %d columns", a.Name, len(a.Vars), len(a.Rel.Schema)))
@@ -73,14 +72,14 @@ func EvalConjunctive(atoms []Atom, head []string) *relation.Relation {
 }
 
 // colOf returns the position of the named column, or -1.
-func colOf(s relation.Schema, name string) int {
-	return slices.IndexFunc(s, func(c relation.Column) bool { return c.Name == name })
+func colOf(s Schema, name string) int {
+	return slices.IndexFunc(s, func(c Column) bool { return c.Name == name })
 }
 
 // atomRelation converts an atom to a relation over its variable names,
 // applying intra-atom equality selections and dropping ignored columns.
-func atomRelation(a Atom) *relation.Relation {
-	out := relation.New()
+func atomRelation(a Atom) *Relation {
+	out := newRelation()
 	var outCols []int
 	type eq struct{ a, b int }
 	var eqs []eq
@@ -88,7 +87,7 @@ func atomRelation(a Atom) *relation.Relation {
 		if v == "" || v == "_" {
 			continue
 		}
-		col := relation.Column{Name: v, Sym: a.Rel.Schema[i].Sym}
+		col := Column{Name: v, Sym: a.Rel.Schema[i].Sym}
 		if j := colOf(out.Schema, v); j >= 0 {
 			sameKind(a.Name, out.Schema[j], col)
 			eqs = append(eqs, eq{outCols[j], i})
@@ -112,14 +111,14 @@ func atomRelation(a Atom) *relation.Relation {
 
 // sameKind panics when one variable meets a symbol column and an integer
 // column: equal numbers would then not mean equal values.
-func sameKind(where string, a, b relation.Column) {
+func sameKind(where string, a, b Column) {
 	if a.Sym != b.Sym {
 		panic(fmt.Sprintf("%s: variable %s is bound to a symbol column and an integer column", where, a.Name))
 	}
 }
 
 // sharedCols pairs the positions of the columns l and r have in common.
-func sharedCols(l, r relation.Schema) (pairs [][2]int) {
+func sharedCols(l, r Schema) (pairs [][2]int) {
 	for ri, c := range r {
 		if li := colOf(l, c.Name); li >= 0 {
 			pairs = append(pairs, [2]int{li, ri})
@@ -131,12 +130,12 @@ func sharedCols(l, r relation.Schema) (pairs [][2]int) {
 // naturalJoin is the hash join of l and r on all the column names they share
 // — with none, every row has the empty key and the result is the cross
 // product. The output schema is l's columns followed by r's unshared ones.
-func naturalJoin(l, r *relation.Relation) *relation.Relation {
+func naturalJoin(l, r *Relation) *Relation {
 	shared := sharedCols(l.Schema, r.Schema)
 	for _, p := range shared {
 		sameKind("join", l.Schema[p[0]], r.Schema[p[1]])
 	}
-	out := relation.New(slices.Clone(l.Schema)...)
+	out := newRelation(slices.Clone(l.Schema)...)
 	var keep []int
 	for ri, c := range r.Schema {
 		if colOf(l.Schema, c.Name) < 0 {
@@ -171,12 +170,12 @@ func naturalJoin(l, r *relation.Relation) *relation.Relation {
 // projectHead projects r onto the head variables. A head variable r does not
 // have — evaluation stopped at an empty intermediate result before the atom
 // providing it was joined — gives the empty relation over the head.
-func projectHead(r *relation.Relation, head []string) *relation.Relation {
-	out := relation.New()
+func projectHead(r *Relation, head []string) *Relation {
+	out := newRelation()
 	idx := make([]int, len(head))
 	complete := true
 	for i, h := range head {
-		col := relation.Int(h)
+		col := Int(h)
 		if idx[i] = colOf(r.Schema, h); idx[i] >= 0 {
 			col = r.Schema[idx[i]]
 		} else {
@@ -198,18 +197,18 @@ func projectHead(r *relation.Relation, head []string) *relation.Relation {
 }
 
 // rel builds a relation from literal rows.
-func rel(schema relation.Schema, rows ...[]int64) *relation.Relation {
-	r := relation.New(schema...)
+func rel(schema Schema, rows ...[]int64) *Relation {
+	r := newRelation(schema...)
 	for _, row := range rows {
 		r.Insert(row...)
 	}
 	return r
 }
 
-func intCols(names ...string) relation.Schema {
-	s := make(relation.Schema, len(names))
+func intCols(names ...string) Schema {
+	s := make(Schema, len(names))
 	for i, n := range names {
-		s[i] = relation.Int(n)
+		s[i] = Int(n)
 	}
 	return s
 }
@@ -268,7 +267,7 @@ func TestEvalConjunctiveEmptyAtomShortCircuit(t *testing.T) {
 
 func TestEvalConjunctiveCrossProduct(t *testing.T) {
 	r := rel(intCols("a"), []int64{1}, []int64{2})
-	s := rel(relation.Schema{relation.Sym("b")}, []int64{int64(sym.Intern("x"))})
+	s := rel(Schema{Sym("b")}, []int64{int64(sym.Intern("x"))})
 	got := EvalConjunctive([]Atom{
 		{Name: "R", Rel: r, Vars: []string{"u"}},
 		{Name: "S", Rel: s, Vars: []string{"v"}},
@@ -285,7 +284,7 @@ func TestEvalConjunctiveCrossProduct(t *testing.T) {
 // integer column is refused, within an atom and across atoms — the numbers
 // could be equal without the values being.
 func TestEvalConjunctiveKindMismatch(t *testing.T) {
-	mixed := rel(relation.Schema{relation.Int("n"), relation.Sym("s")}, []int64{1, 1})
+	mixed := rel(Schema{Int("n"), Sym("s")}, []int64{1, 1})
 	ints := rel(intCols("n"), []int64{1})
 	for name, atoms := range map[string][]Atom{
 		"within": {{Name: "M", Rel: mixed, Vars: []string{"x", "x"}}},
@@ -317,8 +316,8 @@ func canonRows(rows [][]int64) []string {
 // two.
 func TestPropertyNaturalJoinMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	random := func(cols ...string) *relation.Relation {
-		r := relation.New(intCols(cols...)...)
+	random := func(cols ...string) *Relation {
+		r := newRelation(intCols(cols...)...)
 		for i, n := 0, rng.Intn(20); i < n; i++ {
 			row := make([]int64, len(cols))
 			for j := range row {
@@ -416,7 +415,7 @@ func TestPropertyEvalConjunctiveMatchesBruteForce(t *testing.T) {
 		var head []string
 		for i := range atoms {
 			cols := 1 + rng.Intn(2)
-			r := relation.New(intCols("c0", "c1")[:cols]...)
+			r := newRelation(intCols("c0", "c1")[:cols]...)
 			for n := rng.Intn(6); n > 0; n-- {
 				row := make([]int64, cols)
 				for c := range row {

@@ -65,7 +65,7 @@ type trieEdge struct {
 	count int32 // live groups below the edge
 }
 
-// packPair packs a node id or interned canonical variable (symtab ids, far
+// packPair packs a node id or interned class name (symtab ids, far
 // below 2^31) with a variable into one key.
 func packPair(a, b int64) int64 { return a<<32 | int64(uint32(b)) }
 

@@ -23,9 +23,10 @@ import (
 //     pairs published at or after the query's subscription. For documents
 //     that predate a churned-in subscription, visibility is
 //     implementation-defined state sharing: the core processor shares
-//     retained witness tuples at canonical-variable granularity while the
-//     oracle shares whole-pattern witness stores, so the two legitimately
-//     disagree about pre-subscription history (both ways). Within a
+//     retained witness tuples by class name — a row written for one
+//     pattern serves every query whose demand names it the same — while
+//     the oracle shares whole-pattern witness stores, so the two
+//     legitimately disagree about pre-subscription history (both ways). Within a
 //     query's live window the semantics are exact and the sets must
 //     coincide.
 //

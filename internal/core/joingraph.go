@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -29,8 +30,8 @@ type JGNode struct {
 
 // SideGraph is the tree of one side of a join graph.
 type SideGraph struct {
-	// Pattern is the query block the side was derived from; its canonical
-	// variable names label the nodes (String).
+	// Pattern is the query block the side was derived from; String labels
+	// the nodes with their class names (classNames).
 	Pattern *xpath.Pattern
 	Nodes   []JGNode // Nodes[0] is the root
 }
@@ -198,10 +199,66 @@ func (sc *minorScratch) build(s *SideGraph, side Side, out *SideGraph, root, old
 	}
 }
 
-// String renders the join graph for debugging and the xsclc inspector.
+// classNames names the nodes of pat that a demand on its value-join nodes vj
+// keeps — those and their ancestors, which the minor keeps or splices — and
+// gives every other node, a filter the minor drops at its parent, "" (with vj
+// nil every node is kept). A node's name is its parent's name (the stream's
+// for the root), its own step, and, each in brackets, the sorted NormalForm
+// encodings of the children the minor drops at it: its filter class. Rows
+// carry the names of their nodes, so two blocks share a row only when their
+// step paths and the subtrees dropped along them agree, and a node with
+// nothing dropped on its path is named by its step path alone.
+func classNames(pat *xpath.Pattern, vj []int32) []string {
+	keep := make([]bool, len(pat.Nodes))
+	for i := range keep {
+		keep[i] = vj == nil
+	}
+	for _, n := range vj {
+		keep[n] = true
+	}
+	for i := len(keep) - 1; i > 0; i-- {
+		if keep[i] {
+			keep[pat.Nodes[i].ParentIndex] = true
+		}
+	}
+	names := make([]string, len(pat.Nodes))
+	var b []byte
+	var dropped [][]byte
+	for i, n := range pat.Nodes {
+		if !keep[i] {
+			continue
+		}
+		prefix := pat.Stream
+		if n.ParentIndex >= 0 {
+			prefix = names[n.ParentIndex]
+		}
+		b = n.AppendStep(append(b[:0], prefix...))
+		dropped = dropped[:0]
+		for _, c := range n.Children {
+			if !keep[c.Index] {
+				dropped = append(dropped, c.AppendKey(nil))
+			}
+		}
+		slices.SortFunc(dropped, bytes.Compare)
+		for _, k := range dropped {
+			b = append(append(append(b, '['), k...), ']')
+		}
+		names[i] = string(b)
+	}
+	return names
+}
+
+// String renders the join graph for debugging and the xsclc inspector: each
+// node with the name its rows are written under, or "filter" for a node the
+// minor drops.
 func (g *JoinGraph) String() string {
 	var sb strings.Builder
-	writeSide := func(label string, s *SideGraph) {
+	writeSide := func(label string, s *SideGraph, side Side) {
+		vj := []int32{}
+		for _, e := range g.VJ {
+			vj = append(vj, int32(s.Nodes[[2]int{e.L, e.R}[side]].PatternNode.Index))
+		}
+		names := classNames(s.Pattern, vj)
 		fmt.Fprintf(&sb, "%s:\n", label)
 		for i, n := range s.Nodes {
 			indent := strings.Repeat("  ", depthOf(s, i))
@@ -209,11 +266,15 @@ func (g *JoinGraph) String() string {
 			if v == "" {
 				v = "(unbound)"
 			}
-			fmt.Fprintf(&sb, "  %s[%d] %s  canon=%s\n", indent, i, v, s.Pattern.CanonicalVar(n.PatternNode))
+			label := "filter"
+			if name := names[n.PatternNode.Index]; name != "" {
+				label = "canon=" + name
+			}
+			fmt.Fprintf(&sb, "  %s[%d] %s  %s\n", indent, i, v, label)
 		}
 	}
-	writeSide("LHS", &g.LeftSide)
-	writeSide("RHS", &g.RightSide)
+	writeSide("LHS", &g.LeftSide, Left)
+	writeSide("RHS", &g.RightSide, Right)
 	sb.WriteString("value joins:\n")
 	for _, e := range g.VJ {
 		fmt.Fprintf(&sb, "  L[%d] = R[%d]\n", e.L, e.R)

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/xpath"
 	"repro/internal/xscl"
 )
 
@@ -121,8 +123,71 @@ func TestMinorUnboundLCARetained(t *testing.T) {
 	if len(red.LeftSide.Nodes) != 3 {
 		t.Fatalf("left reduced = %d nodes, want 3", len(red.LeftSide.Nodes))
 	}
-	if lca := red.LeftSide.Nodes[0].PatternNode; lca.Name != "m" || red.LeftSide.Pattern.CanonicalVar(lca) != "S//r//m" {
-		t.Errorf("reduced root is %q, canonical name %q", lca.Name, red.LeftSide.Pattern.CanonicalVar(lca))
+	names := classNames(q.Left, []int32{int32(q.Left.VarNode("x2").Index), int32(q.Left.VarNode("x3").Index)})
+	if lca := red.LeftSide.Nodes[0].PatternNode; lca.Name != "m" || names[lca.Index] != "S//r//m" {
+		t.Errorf("reduced root is %q, class name %q", lca.Name, names[lca.Index])
+	}
+}
+
+// TestClassNameSharedAcrossQueries: x5 in Q1's RHS and x5' in Q3's RHS have
+// the same definition, S//blog//author, and filter nothing, so their rows
+// share one name; author under book is another definition.
+func TestClassNameSharedAcrossQueries(t *testing.T) {
+	name := func(src, v string, marks ...string) string {
+		p := xpath.MustParseBlock(src)
+		var m []int32
+		for _, mv := range marks {
+			m = append(m, int32(p.VarNode(mv).Index))
+		}
+		return classNames(p, m)[p.VarNode(v).Index]
+	}
+	c1 := name("S//blog->x4[.//author->x5][.//title->x6]", "x5", "x5", "x6")
+	c3 := name("S//blog->x4'[.//author->x5'][.//title->x6']", "x5'", "x5'", "x6'")
+	if c1 != c3 || c1 != "S//blog//author" {
+		t.Errorf("class names %q and %q, want both S//blog//author", c1, c3)
+	}
+	if cb := name("S//book->x1[.//author->x2]", "x2", "x2"); cb == c1 {
+		t.Errorf("book author and blog author share the name %q", cb)
+	}
+}
+
+// TestClassNamesQualifyDroppedSubtrees: a kept node's name is its step path
+// with the subtrees the minor drops along it, so blocks that filter one path
+// differently name its rows differently, and the order the predicates are
+// written in does not matter.
+func TestClassNamesQualifyDroppedSubtrees(t *testing.T) {
+	names := func(src string, marks ...string) []string {
+		p := xpath.MustParseBlock(src)
+		var m []int32
+		for _, v := range marks {
+			m = append(m, int32(p.VarNode(v).Index))
+		}
+		var out []string
+		for _, n := range classNames(p, m) {
+			if n != "" {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		src   string
+		marks []string
+		want  []string
+	}{
+		{"S//entry->e[./id->x]", []string{"x"}, []string{"S//entry", "S//entry/id"}},
+		{"S//entry->e[./id->x][./topics/t17]", []string{"x"}, []string{"S//entry[!/topics[!/t17]]", "S//entry[!/topics[!/t17]]/id"}},
+		{"S//entry->e[./id->x[./en]]", []string{"x"}, []string{"S//entry", "S//entry/id[!/en]"}},
+		{"S//entry->e[./b][./id->x][./a]", []string{"x"}, []string{"S//entry[!/a][!/b]", "S//entry[!/a][!/b]/id"}},
+		{"S//entry->e[./a][./id->x][./b]", []string{"x"}, []string{"S//entry[!/a][!/b]", "S//entry[!/a][!/b]/id"}},
+		// One block, two demands: each drops the branch the other joins on.
+		{"S//entry->e[./id->x][./ref->z]", []string{"x"}, []string{"S//entry[!/ref]", "S//entry[!/ref]/id"}},
+		{"S//entry->e[./id->x][./ref->z]", []string{"z"}, []string{"S//entry[!/id]", "S//entry[!/id]/ref"}},
+		{"S//entry->e[./id->x][./ref->z]", []string{"x", "z"}, []string{"S//entry", "S//entry/id", "S//entry/ref"}},
+	} {
+		if got := names(tc.src, tc.marks...); !slices.Equal(got, tc.want) {
+			t.Errorf("%s keeping %v: %q, want %q", tc.src, tc.marks, got, tc.want)
+		}
 	}
 }
 

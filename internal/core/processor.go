@@ -89,8 +89,8 @@ type Processor struct {
 	patterns   map[string]*patternInfo
 	byYID      []*patternInfo
 	patternSeq int64
-	// families holds the live patterns by their root's canonical variable,
-	// in registration order: the only patterns that can cover one another
+	// families holds the live patterns by their root's path id, in
+	// registration order: the only patterns that can cover one another
 	// (dormant.go). dormant counts the dormant ones.
 	families map[int64][]*patternInfo
 	dormant  int64
@@ -105,7 +105,8 @@ type Processor struct {
 	result   Matches
 	consumed *Stage1Result
 
-	// pre is the current document's Stage-2 inputs (prepareStage2), which
+	// pre is the current document's Stage-2 inputs (the views prepareViews
+	// builds and the pairs sharedRvj builds, both from evalTemplates), which
 	// nothing reads once the document is evaluated: the next document's
 	// are built in its storage.
 	pre stage2Shared
@@ -179,14 +180,33 @@ type instance struct {
 // witness. Instances of one template over one pattern demand the same thing,
 // so a pattern keeps one record per distinct demand (patternInfo.contribs)
 // and refs counts the instance sides sharing it.
+//
+// ids[i] is the interned class name (classNames) of node i for the nodes the
+// demand keeps — its string-value nodes and their ancestors — and -1 for the
+// others: the demand's rows are written under them, and its instances' RT
+// tuples read them. The edge and root items carry the ids of their nodes.
 type patternContrib struct {
 	pi       *patternInfo
-	edges    [][2]int32
+	edges    []binItem
 	strNodes []int32
-	roots    []int32
+	roots    []rootItem
+	ids      []int64
 
 	key  string // in pi.contribs
 	refs int
+}
+
+// binItem is a structural edge a pattern emits: the nodes' indexes and the
+// ids their Rbin rows are written under; rootItem is a root node and its
+// Rroot id. One node pair can be emitted under two demands' ids.
+type binItem struct {
+	n  [2]int32
+	id [2]int64
+}
+
+type rootItem struct {
+	n  int32
+	id int64
 }
 
 // patternInfo records what the Join Processor extracts from the witnesses of
@@ -201,16 +221,16 @@ type patternInfo struct {
 	// triggered patterns' rows in seq order, which fixes the witness
 	// relations' row order.
 	seq int64
-	// canonIDs[i] is the interned canonical variable of node i of the
-	// normalized, fully bound pattern pat (the Stage-1 engine's own); sig
-	// sets one of 64 bits per canonical variable, so a pattern whose sig is
-	// not within another's cannot cover it. A dormant pattern is out of
-	// the Stage-1 engine: smaller live patterns write all its rows
-	// (dormant.go).
-	canonIDs []int64
-	pat      *xpath.Pattern
-	sig      uint64
-	dormant  bool
+	// pathIDs[i] is the interned step path of node i of the normalized,
+	// fully bound pattern pat (the Stage-1 engine's own): its class name
+	// with nothing dropped. Homomorphisms between patterns keep it, and sig
+	// sets one of 64 bits per path, so a pattern whose sig is not within
+	// another's cannot cover it. A dormant pattern is out of the Stage-1
+	// engine: smaller live patterns write all its rows (dormant.go).
+	pathIDs []int64
+	pat     *xpath.Pattern
+	sig     uint64
+	dormant bool
 	// singles lists the single-block (OpNone) queries on the pattern, which
 	// fire once per witness.
 	singles []QueryID
@@ -224,12 +244,12 @@ type patternInfo struct {
 	// instance sides sharing them.
 	contribs map[string]*patternContrib
 
-	edgeCount map[[2]int32]int
-	edges     [][2]int32 // structural edges to emit, as node index pairs
+	edgeCount map[binItem]int
+	edges     []binItem // structural edges to emit to RbinW
 	strCount  map[int32]int
 	strNodes  []int32 // nodes whose string values go to RdocW
-	rootCount map[int32]int
-	roots     []int32 // nodes emitted to RrootW (single-node template sides)
+	rootCount map[rootItem]int
+	roots     []rootItem // nodes emitted to RrootW (single-node template sides)
 }
 
 // NewProcessor returns an empty processor.
@@ -603,11 +623,11 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	}{{lc, lf, &red.LeftSide}, {rc, rf, &red.RightSide}} {
 		for i, nd := range side.s.Nodes {
 			if nd.Parent >= 0 {
-				side.c.edges = appendNew(side.c.edges, [2]int32{normIndex(side.f, side.s, nd.Parent), normIndex(side.f, side.s, i)})
+				side.c.edges = appendNew(side.c.edges, binItem{n: [2]int32{normIndex(side.f, side.s, nd.Parent), normIndex(side.f, side.s, i)}})
 			}
 		}
 		if len(side.s.Nodes) == 1 {
-			side.c.roots = appendNew(side.c.roots, normIndex(side.f, side.s, 0))
+			side.c.roots = appendNew(side.c.roots, rootItem{n: normIndex(side.f, side.s, 0)})
 		}
 	}
 	// Value-join endpoints need string values.
@@ -617,9 +637,9 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	}
 	left, right := p.acquire(lc), p.acquire(rc)
 
-	// Record the query's RT tuple — its canonical variable at each
-	// template position, the pattern's interned name of the node — in its
-	// vector group; the window length stays on the instance.
+	// Record the query's RT tuple — at each template position, the id the
+	// demand writes the node's rows under — in its vector group; the window
+	// length stays on the instance.
 	nl := len(red.LeftSide.Nodes)
 	iid := int64(len(p.instances))
 	if n := len(p.freeInsts); n > 0 {
@@ -630,9 +650,9 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	varIDs := resize(p.reg.varIDs, tmpl.N)
 	for pos, flat := range order {
 		if flat < nl {
-			varIDs[pos] = int32(lpi.canonIDs[normIndex(lf, &red.LeftSide, flat)])
+			varIDs[pos] = int32(left.ids[normIndex(lf, &red.LeftSide, flat)])
 		} else {
-			varIDs[pos] = int32(rpi.canonIDs[normIndex(rf, &red.RightSide, flat-nl)])
+			varIDs[pos] = int32(right.ids[normIndex(rf, &red.RightSide, flat-nl)])
 		}
 	}
 	p.reg.varIDs = varIDs
@@ -664,28 +684,22 @@ func appendNew[T comparable](s []T, v T) []T {
 	return append(s, v)
 }
 
-// appendContribKey appends the encoding a pattern files a demand under: the
-// three lists in order, each behind its length.
+// appendContribKey appends the encoding a pattern files a demand under: its
+// string-value nodes. They are the side's value-join nodes, and the minor
+// they make fixes the rest — the edges, the roots and the names.
 func appendContribKey(b []byte, c *patternContrib) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.edges)))
-	for _, e := range c.edges {
-		b = binary.LittleEndian.AppendUint32(b, uint32(e[0]))
-		b = binary.LittleEndian.AppendUint32(b, uint32(e[1]))
-	}
-	for _, list := range [][]int32{c.strNodes, c.roots} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(list)))
-		for _, n := range list {
-			b = binary.LittleEndian.AppendUint32(b, uint32(n))
-		}
+	for _, n := range c.strNodes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	}
 	return b
 }
 
 // acquire takes one reference on the scratch demand's record in its pattern,
-// creating the record — and folding it into the pattern's refcounted emission
-// sets, where an item appearing for the first time joins the emission lists —
-// when no live instance side demands the same; an item new to the pattern
-// settles its dormancy and that of the patterns it may cover.
+// creating the record — naming the nodes it keeps (classNames), and folding
+// its items, under those ids, into the pattern's refcounted emission sets,
+// where an item appearing for the first time joins the emission lists — when
+// no live instance side demands the same; an item new to the pattern settles
+// its dormancy and that of the patterns it may cover.
 func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 	pi := scratch.pi
 	pi.refs++
@@ -698,6 +712,19 @@ func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 	c = &patternContrib{
 		pi: pi, key: string(p.reg.contribKey), refs: 1,
 		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes), roots: slices.Clone(scratch.roots),
+		ids: make([]int64, len(pi.pat.Nodes)),
+	}
+	for i, name := range classNames(pi.pat, c.strNodes) {
+		c.ids[i] = -1
+		if name != "" {
+			c.ids[i] = p.syms.intern(name)
+		}
+	}
+	for i, e := range c.edges {
+		c.edges[i].id = [2]int64{c.ids[e.n[0]], c.ids[e.n[1]]}
+	}
+	for i, r := range c.roots {
+		c.roots[i].id = c.ids[r.n]
 	}
 	pi.contribs[c.key] = c
 	n := pi.items()
@@ -766,7 +793,7 @@ func removeFirst[T comparable](s []T, v T) []T {
 // patternFor returns the live pattern of a block whose normal form is f,
 // registering the normalized, fully bound block with the shared XPath engine
 // when no live pattern has its key. Only then is the normalized pattern built
-// and its canonical variables interned, in the pattern's pre-order.
+// and its step paths interned, in the pattern's pre-order.
 func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patternInfo {
 	if pi := p.patterns[string(f.Key)]; pi != nil {
 		return pi
@@ -778,14 +805,14 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 	rep := p.xp.Pattern(yid)
 	pi := &patternInfo{
 		yid: yid, key: key, seq: p.patternSeq, pat: rep,
-		canonIDs:  make([]int64, len(rep.Nodes)),
+		pathIDs:   make([]int64, len(rep.Nodes)),
 		contribs:  map[string]*patternContrib{},
-		edgeCount: map[[2]int32]int{},
+		edgeCount: map[binItem]int{},
 		strCount:  map[int32]int{},
-		rootCount: map[int32]int{},
+		rootCount: map[rootItem]int{},
 	}
-	for i, name := range rep.CanonicalVars() {
-		pi.canonIDs[i] = p.syms.intern(name)
+	for i, name := range classNames(rep, nil) {
+		pi.pathIDs[i] = p.syms.intern(name)
 	}
 	p.patternSeq++
 	p.patterns[key] = pi
@@ -1010,17 +1037,17 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	// slab[k*nv+i]. The slab is the match result's scratch, so the rows are
 	// written from it before the next pattern is assembled.
 	slab, nw := res.Bindings(pi.yid)
-	nv := len(pi.canonIDs)
+	nv := len(pi.pathIDs)
 	for k := 0; k < nw; k++ {
 		b := slab[k*nv : (k+1)*nv]
 		for _, e := range pi.edges {
-			r.AddBin(pi.canonIDs[e[0]], pi.canonIDs[e[1]], b[e[0]], b[e[1]])
+			r.AddBin(e.id[0], e.id[1], b[e.n[0]], b[e.n[1]])
 		}
 		for _, n := range pi.strNodes {
 			r.AddDoc(b[n])
 		}
-		for _, n := range pi.roots {
-			r.AddRoot(pi.canonIDs[n], b[n])
+		for _, e := range pi.roots {
+			r.AddRoot(e.id, b[e.n])
 		}
 	}
 	// Single-block queries fire once per witness.

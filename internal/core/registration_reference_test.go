@@ -16,18 +16,17 @@ import (
 )
 
 // This file keeps the direct derivation of a query's template and RT row as
-// the reference registration is held to: every join-graph node labelled with
-// its canonical name (CanonicalVar, a root-to-node string join), the minor
-// built over maps, colour refinement over fmt-built signature strings, and
-// the RT tuple interned name by name. xpath's tests hold NormalForm to the
-// comparator-sort normalization the same way.
+// the reference registration is held to: the minor built over maps, colour
+// refinement over fmt-built signature strings, every kept node named by a
+// root-to-node string join of steps and dropped subtrees' keys
+// (refClassNames), and the RT tuple interned name by name. xpath's tests hold
+// NormalForm to the comparator-sort normalization the same way.
 
 // refNode is a join-graph node of the reference derivation.
 type refNode struct {
-	pn        *xpath.PatternNode
-	canonical string
-	parent    int
-	children  []int
+	pn       *xpath.PatternNode
+	parent   int
+	children []int
 }
 
 type refGraph struct {
@@ -63,7 +62,7 @@ func refBuildSide(s *[]refNode, p *xpath.Pattern) []int {
 			parent = idx[pn.ParentIndex]
 		}
 		idx[i] = len(*s)
-		*s = append(*s, refNode{pn: pn, canonical: p.CanonicalVar(pn), parent: parent})
+		*s = append(*s, refNode{pn: pn, parent: parent})
 		if parent >= 0 {
 			(*s)[parent].children = append((*s)[parent].children, idx[i])
 		}
@@ -134,7 +133,7 @@ func refReduceSide(s []refNode, vj map[int]bool, out *[]refNode) map[int]int {
 		if retained(old) {
 			self = len(*out)
 			m[old] = self
-			*out = append(*out, refNode{pn: s[old].pn, canonical: s[old].canonical, parent: newParent})
+			*out = append(*out, refNode{pn: s[old].pn, parent: newParent})
 			if newParent >= 0 {
 				(*out)[newParent].children = append((*out)[newParent].children, self)
 			}
@@ -391,12 +390,56 @@ type refRegistry struct {
 
 type refPattern struct {
 	key                   string
-	canonIDs              []int64
-	edges                 [][2]int32
-	strNodes, roots       []int32
-	edgeSeen              map[[2]int32]bool
-	strSeen, rootSeen     map[int32]bool
+	norm                  *xpath.Pattern
+	pathIDs               []int64
+	edges                 []binItem
+	strNodes              []int32
+	roots                 []rootItem
+	edgeSeen              map[binItem]bool
+	strSeen               map[int32]bool
+	rootSeen              map[rootItem]bool
 	numNodes, patternYFID int
+}
+
+// refClassNames names the nodes of the normalized pattern norm with a node of
+// marks in their subtree: each the string join of the steps from the root,
+// every step followed by the CanonicalKey, as a pattern of its own, of each
+// child subtree without a mark, sorted and bracketed.
+func refClassNames(norm *xpath.Pattern, marks []int32) map[int]string {
+	keep := map[int]bool{}
+	for _, n := range marks {
+		for i := int(n); i >= 0; i = norm.Nodes[i].ParentIndex {
+			keep[i] = true
+		}
+	}
+	names := map[int]string{}
+	var walk func(n *xpath.PatternNode, prefix string)
+	walk = func(n *xpath.PatternNode, prefix string) {
+		name := prefix + n.Axis.String()
+		if n.IsAttr {
+			name += "@"
+		}
+		name += n.Name
+		var dropped []string
+		for _, c := range n.Children {
+			if !keep[c.Index] {
+				sub := &xpath.Pattern{Stream: norm.Stream, Root: c}
+				dropped = append(dropped, strings.TrimPrefix(sub.CanonicalKey(), norm.Stream+"|"))
+			}
+		}
+		sort.Strings(dropped)
+		for _, k := range dropped {
+			name += "[" + k + "]"
+		}
+		names[n.Index] = name
+		for _, c := range n.Children {
+			if keep[c.Index] {
+				walk(c, name)
+			}
+		}
+	}
+	walk(norm.Root, norm.Stream)
+	return names
 }
 
 type refTemplate struct {
@@ -415,10 +458,15 @@ func (r *refRegistry) pattern(block *xpath.Pattern) (*refPattern, []int) {
 	if id, ok := r.patternID[key]; ok {
 		return r.patterns[id], imap
 	}
-	pi := &refPattern{key: key, patternYFID: len(r.patterns), numNodes: len(norm.Nodes),
-		edgeSeen: map[[2]int32]bool{}, strSeen: map[int32]bool{}, rootSeen: map[int32]bool{}}
-	for _, n := range norm.Nodes {
-		pi.canonIDs = append(pi.canonIDs, r.syms.intern(norm.CanonicalVar(n)))
+	pi := &refPattern{key: key, norm: norm, patternYFID: len(r.patterns), numNodes: len(norm.Nodes),
+		edgeSeen: map[binItem]bool{}, strSeen: map[int32]bool{}, rootSeen: map[rootItem]bool{}}
+	all := make([]int32, len(norm.Nodes))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	paths := refClassNames(norm, all)
+	for i := range norm.Nodes {
+		pi.pathIDs = append(pi.pathIDs, r.syms.intern(paths[i]))
 	}
 	r.patternID[key] = len(r.patterns)
 	r.patterns = append(r.patterns, pi)
@@ -488,12 +536,23 @@ func (r *refRegistry) instance(q *xscl.Query) error {
 		dem[0].strNodes = addOnce(dem[0].strNodes, int32(lmap[red.left[e.L].pn.Index]))
 		dem[1].strNodes = addOnce(dem[1].strNodes, int32(rmap[red.right[e.R].pn.Index]))
 	}
+	// Each side's kept nodes are named and interned in pre-order, the left
+	// side's first; the items are qualified by the names.
+	var ids [2]map[int]int64
 	for side, pi := range [2]*refPattern{lp, rp} {
 		d := dem[side]
+		names := refClassNames(pi.norm, d.strNodes)
+		ids[side] = map[int]int64{}
+		for i := range pi.norm.Nodes {
+			if name, ok := names[i]; ok {
+				ids[side][i] = r.syms.intern(name)
+			}
+		}
 		for _, e := range d.edges {
-			if !pi.edgeSeen[e] {
-				pi.edgeSeen[e] = true
-				pi.edges = append(pi.edges, e)
+			it := binItem{n: e, id: [2]int64{ids[side][int(e[0])], ids[side][int(e[1])]}}
+			if !pi.edgeSeen[it] {
+				pi.edgeSeen[it] = true
+				pi.edges = append(pi.edges, it)
 			}
 		}
 		for _, n := range d.strNodes {
@@ -503,9 +562,9 @@ func (r *refRegistry) instance(q *xscl.Query) error {
 			}
 		}
 		for _, n := range d.roots {
-			if !pi.rootSeen[n] {
-				pi.rootSeen[n] = true
-				pi.roots = append(pi.roots, n)
+			if it := (rootItem{n: n, id: ids[side][int(n)]}); !pi.rootSeen[it] {
+				pi.rootSeen[it] = true
+				pi.roots = append(pi.roots, it)
 			}
 		}
 	}
@@ -513,9 +572,9 @@ func (r *refRegistry) instance(q *xscl.Query) error {
 	vars := make([]int32, len(order))
 	for pos, flat := range order {
 		if flat < nl {
-			vars[pos] = int32(r.syms.intern(red.left[flat].canonical))
+			vars[pos] = int32(ids[0][lmap[red.left[flat].pn.Index]])
 		} else {
-			vars[pos] = int32(r.syms.intern(red.right[flat-nl].canonical))
+			vars[pos] = int32(ids[1][rmap[red.right[flat-nl].pn.Index]])
 		}
 	}
 	iid := int64(r.instances)
@@ -618,11 +677,11 @@ func TestRegistrationMatchesReference(t *testing.T) {
 			for i, pi := range live {
 				rp := ref.patterns[i]
 				if int(pi.yid) != rp.patternYFID || pi.key != rp.key || p.xp.Pattern(pi.yid).CanonicalKey() != rp.key ||
-					!slices.Equal(pi.canonIDs, rp.canonIDs) || !slices.Equal(pi.edges, rp.edges) ||
+					!slices.Equal(pi.pathIDs, rp.pathIDs) || !slices.Equal(pi.edges, rp.edges) ||
 					!slices.Equal(pi.strNodes, rp.strNodes) || !slices.Equal(pi.roots, rp.roots) {
 					t.Fatalf("pattern %d: id %d key %q ids %v edges %v str %v roots %v\nreference: id %d key %q ids %v edges %v str %v roots %v",
-						i, pi.yid, pi.key, pi.canonIDs, pi.edges, pi.strNodes, pi.roots,
-						rp.patternYFID, rp.key, rp.canonIDs, rp.edges, rp.strNodes, rp.roots)
+						i, pi.yid, pi.key, pi.pathIDs, pi.edges, pi.strNodes, pi.roots,
+						rp.patternYFID, rp.key, rp.pathIDs, rp.edges, rp.strNodes, rp.roots)
 				}
 			}
 			if len(p.templateList) != len(ref.tmplList) {

@@ -10,7 +10,7 @@ import (
 // Durability: the join state is exactly what incremental maintenance has
 // paid for — re-deriving it after a restart would mean replaying every
 // in-window document. StateSnapshot is its portable form: the witness
-// relations with canonical-variable columns resolved to their names (interned
+// relations with class-name columns resolved to their names (interned
 // symbol ids are an in-process artifact; a restored processor re-interns
 // under its own symbol table) and each row under its document's id (slots are
 // where a state happens to keep its records), and each document's timestamp

@@ -1,15 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
-// symtab interns canonical variable names as dense int64 ids so that the
+// symtab interns class names (classNames) as dense int64 ids so that the
 // witness relations can store them as integer attributes.
 type symtab struct {
 	ids   map[string]int64
@@ -36,7 +36,7 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 //
 //	Rbin  (var1, var2, node1, node2) — bindings of template structural edges
 //	Rdoc  (node, strVal)             — string values of value-join nodes;
-//	       strVal is a symbol column (relation.Sym: interned ids), so
+//	       strVal is a symbol column (Sym: interned ids), so
 //	       value-join equality is an integer compare and never rehashes
 //	       string bytes
 //	Rroot (var, node)                — root bindings for templates whose
@@ -237,14 +237,55 @@ func (l *postList) push(r rowRef) {
 	l.refs = append(l.refs, r)
 }
 
+// Column is one column of a row schema: its name and whether its values are
+// interned symbols (internal/sym ids) or plain integers. A row is a
+// pointer-free []int64, and what a number is belongs to its column: whoever
+// reads a symbol column asks the schema once (Schema.SymCol).
+type Column struct {
+	Name string
+	Sym  bool
+}
+
+// Int declares an integer column.
+func Int(name string) Column { return Column{Name: name} }
+
+// Sym declares a symbol column.
+func Sym(name string) Column { return Column{Name: name, Sym: true} }
+
+// Schema is an ordered list of columns.
+type Schema []Column
+
+// Col returns the position of the named column, or panics: every name passed
+// here is a literal in this package's source, so a mismatch is a plan bug
+// that no byte of a wire line or a snapshot file can reach.
+func (s Schema) Col(name string) int {
+	for i, c := range s {
+		if c.Name == name {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: column %q not in schema %v", name, s))
+}
+
+// SymCol is Col for a column read as a symbol: reading a symbol out of a
+// non-symbol column is a plan bug, caught here once, where a program is
+// compiled or an index is built, and not per value.
+func (s Schema) SymCol(name string) int {
+	c := s.Col(name)
+	if !s[c].Sym {
+		panic(fmt.Sprintf("core: column %q of schema %v is not a symbol column", name, s))
+	}
+	return c
+}
+
 // The schemas of the witness relations, the same for the current document
 // and the join state. strVal is the only symbol column; the code that reads
 // symbols out of it by position (Merge, sharedRvj, prepareViews) resolves
 // the position through Schema.SymCol, once.
 var (
-	rbinSchema  = relation.Schema{relation.Int("var1"), relation.Int("var2"), relation.Int("node1"), relation.Int("node2")}
-	rdocSchema  = relation.Schema{relation.Int("node"), relation.Sym("strVal")}
-	rrootSchema = relation.Schema{relation.Int("var"), relation.Int("node")}
+	rbinSchema  = Schema{Int("var1"), Int("var2"), Int("node1"), Int("node2")}
+	rdocSchema  = Schema{Int("node"), Sym("strVal")}
+	rrootSchema = Schema{Int("var"), Int("node")}
 
 	rbinNode2  = rbinSchema.Col("node2")
 	rdocNode   = rdocSchema.Col("node")

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/relation"
 	"repro/internal/sym"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
@@ -22,15 +21,15 @@ import (
 // stands for, documents in arrival order and each document's rows in merge
 // order, each row behind its record's slot (column 0), which the paper's
 // relations carry as the document's timestamp.
-func stateRelations(s *State) (rbin, rdoc, rroot *relation.Relation) {
-	slotted := func(schema relation.Schema) *relation.Relation {
-		return relation.New(append(relation.Schema{relation.Int("slot")}, schema...)...)
+func stateRelations(s *State) (rbin, rdoc, rroot *Relation) {
+	slotted := func(schema Schema) *Relation {
+		return newRelation(append(Schema{Int("slot")}, schema...)...)
 	}
 	rbin, rdoc, rroot = slotted(rbinSchema), slotted(rdocSchema), slotted(rrootSchema)
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		for _, rel := range []struct {
-			to   *relation.Relation
+			to   *Relation
 			rows [][]int64
 		}{{rbin, r.bin}, {rdoc, r.rdoc}, {rroot, r.root}} {
 			for _, row := range rel.rows {
@@ -43,10 +42,10 @@ func stateRelations(s *State) (rbin, rdoc, rroot *relation.Relation) {
 
 // currentRelations is the current document's record as the witness
 // relations RbinW, RdocW and RrootW.
-func currentRelations(r *docRec) (rbinW, rdocW, rrootW *relation.Relation) {
-	return &relation.Relation{Schema: rbinSchema, Rows: r.bin},
-		&relation.Relation{Schema: rdocSchema, Rows: r.rdoc},
-		&relation.Relation{Schema: rrootSchema, Rows: r.root}
+func currentRelations(r *docRec) (rbinW, rdocW, rrootW *Relation) {
+	return &Relation{Schema: rbinSchema, Rows: r.bin},
+		&Relation{Schema: rdocSchema, Rows: r.rdoc},
+		&Relation{Schema: rrootSchema, Rows: r.root}
 }
 
 // buildRec runs fill on a Stage-1 result for d, the builder RunStage1 fills,

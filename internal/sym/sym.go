@@ -1,7 +1,7 @@
 // Package sym is the module-wide symbol interner: element and attribute
 // names and join-value strings are mapped to dense int32 ids, so the
 // per-document hot path (NFA transitions in internal/yfilter, value-join
-// columns in internal/relation and internal/core) compares and hashes
+// columns in internal/core) compares and hashes
 // 4-byte ids instead of re-hashing string bytes on every document.
 //
 // The table is process-global and append-only. Global scope is what makes

@@ -47,13 +47,16 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("round trip changed pattern shape: %d/%d nodes, %d/%d vars",
 				len(pat.Nodes), len(pat2.Nodes), len(pat.VarNodes), len(pat2.VarNodes))
 		}
-		// The canonical variable names — the system-wide identity of
-		// bound variables — must survive the round trip position by
-		// position.
-		cv1, cv2 := pat.CanonicalVars(), pat2.CanonicalVars()
-		for i := range cv1 {
-			if cv1[i] != cv2[i] {
-				t.Fatalf("canonical var %d changed: %q vs %q (input %q)", i, cv1[i], cv2[i], src)
+		// Every node's step and subtree key — what the join processor
+		// names witness rows with — must survive the round trip position
+		// by position.
+		for i, n := range pat.Nodes {
+			n2 := pat2.Nodes[i]
+			if s1, s2 := n.AppendStep(nil), n2.AppendStep(nil); string(s1) != string(s2) {
+				t.Fatalf("step %d changed: %q vs %q (input %q)", i, s1, s2, src)
+			}
+			if k1, k2 := n.AppendKey(nil), n2.AppendKey(nil); string(k1) != string(k2) {
+				t.Fatalf("subtree key %d changed: %q vs %q (input %q)", i, k1, k2, src)
 			}
 		}
 		// Normalization — the pattern, the index map and the key — equals

@@ -97,6 +97,9 @@ func normalFormMismatch(p *Pattern) string {
 	if key := want.CanonicalKey(); string(f.Key) != key {
 		return fmt.Sprintf("key %q, want %q", f.Key, key)
 	}
+	if key := p.Root.AppendKey([]byte(p.Stream + "|")); string(key) != string(f.Key) {
+		return fmt.Sprintf("AppendKey %q, NormalForm key %q", key, f.Key)
+	}
 	got, gotMap := p.NormalizedFullyBound()
 	if !reflect.DeepEqual(gotMap, wantMap) {
 		return fmt.Sprintf("NormalizedFullyBound index map %v, want %v", gotMap, wantMap)

@@ -9,12 +9,15 @@
 // parses into a Pattern: a tree of PatternNodes rooted at the block's output
 // node, annotated with variable bindings. The package also provides a naive
 // (brute force) matcher used as the correctness oracle for the shared
-// yfilter engine, canonical variable naming, and root-to-leaf path
-// decomposition for NFA construction.
+// yfilter engine, the step and subtree encodings the join processor names
+// witness rows with, and root-to-leaf path decomposition for NFA
+// construction.
 package xpath
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,37 +96,23 @@ func (p *Pattern) VarNode(name string) *PatternNode {
 	return nil
 }
 
-// CanonicalVar returns the canonical system-wide name of the variable bound
-// at pattern node n: the stream name followed by the structural definition
-// path (axis and name test of every step from the block root to n). Two
-// variables in any two queries receive equal canonical names exactly when
-// their definitions are identical, implementing the paper's assumption that
-// identically-defined variables share a name.
-func (p *Pattern) CanonicalVar(n *PatternNode) string { return p.canonicalNames()[n.Index] }
+// AppendStep appends n's location step: its axis, "@" for an attribute, and
+// its name test.
+func (n *PatternNode) AppendStep(b []byte) []byte { return appendStep(b, n, false) }
 
-// CanonicalVars returns canonical names for all bound variables, parallel to
-// VarNodes.
-func (p *Pattern) CanonicalVars() []string {
-	names := p.canonicalNames()
-	out := make([]string, len(p.VarNodes))
-	for i, idx := range p.VarNodes {
-		out[i] = names[idx]
+// AppendKey appends the encoding NormalForm gives n's subtree: n's step,
+// marked bound, then its children's encodings, sorted, in brackets.
+func (n *PatternNode) AppendKey(b []byte) []byte {
+	b = appendStep(b, n, true)
+	if len(n.Children) == 0 {
+		return b
 	}
-	return out
-}
-
-// canonicalNames returns every node's canonical name, built in one pre-order
-// pass: a node's name is its parent's followed by its own step.
-func (p *Pattern) canonicalNames() []string {
-	names := make([]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		prefix := p.Stream
-		if n.ParentIndex >= 0 {
-			prefix = names[n.ParentIndex]
-		}
-		names[i] = string(appendStep([]byte(prefix), n, false))
+	kids := make([][]byte, len(n.Children))
+	for i, c := range n.Children {
+		kids[i] = c.AppendKey(nil)
 	}
-	return names
+	slices.SortFunc(kids, bytes.Compare)
+	return append(append(b, '['), append(bytes.Join(kids, []byte{','}), ']')...)
 }
 
 // String renders the pattern in XSCL block syntax. Children beyond the first

@@ -139,24 +139,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCanonicalVarSharedAcrossQueries(t *testing.T) {
-	// x5 in Q1's RHS and x5' in Q3's RHS have the same definition
-	// S//blog//author and must canonicalize identically.
-	q1 := MustParseBlock("S//blog->x4[.//author->x5][.//title->x6]")
-	q3 := MustParseBlock("S//blog->x4'[.//author->x5'][.//title->x6']")
-	c1 := q1.CanonicalVar(q1.VarNode("x5"))
-	c3 := q3.CanonicalVar(q3.VarNode("x5'"))
-	if c1 != c3 {
-		t.Errorf("canonical names differ: %q vs %q", c1, c3)
-	}
-	// Different definition: author under book.
-	qb := MustParseBlock("S//book->x1[.//author->x2]")
-	cb := qb.CanonicalVar(qb.VarNode("x2"))
-	if cb == c1 {
-		t.Errorf("book author and blog author canonicalized the same: %q", cb)
-	}
-}
-
 func TestCanonicalKeyPredicateOrderInvariance(t *testing.T) {
 	a := MustParseBlock("S//blog->x[.//author->y][.//title->z]")
 	b := MustParseBlock("S//blog->x[.//title->z][.//author->y]")

@@ -74,9 +74,10 @@ func (o OpKind) String() string {
 }
 
 // ValueJoin is one equality predicate in value-join normal form: LeftVar is
-// bound in the left block, RightVar in the right block. The variables'
-// system-wide names, used for sharing (Section 3), are their blocks'
-// canonical definitions (xpath.Pattern.CanonicalVar).
+// bound in the left block, RightVar in the right block. The names the join
+// processor shares the variables' rows under (Section 3) are their filter
+// classes: the step path from the block root with the subtrees its template
+// drops along it (internal/core classNames).
 type ValueJoin struct {
 	LeftVar  string
 	RightVar string

@@ -3,22 +3,34 @@ package xscl
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/xpath"
 )
 
-// leftCanonical and rightCanonical are the canonical names of predicate i's
-// variables, "" for a variable its block does not bind.
+// leftCanonical and rightCanonical are the step paths of predicate i's
+// variables — the stream and the steps from the block root, the name the
+// join processor writes a node's rows under when its block filters nothing
+// along it — and "" for a variable its block does not bind.
 func leftCanonical(q *Query, i int) string {
 	if n := q.Left.VarNode(q.Preds[i].LeftVar); n != nil {
-		return q.Left.CanonicalVar(n)
+		return stepPath(q.Left, n)
 	}
 	return ""
 }
 
 func rightCanonical(q *Query, i int) string {
 	if n := q.Right.VarNode(q.Preds[i].RightVar); n != nil {
-		return q.Right.CanonicalVar(n)
+		return stepPath(q.Right, n)
 	}
 	return ""
+}
+
+func stepPath(p *xpath.Pattern, n *xpath.PatternNode) string {
+	b := n.AppendStep(nil)
+	for i := n.ParentIndex; i >= 0; i = p.Nodes[i].ParentIndex {
+		b = append(p.Nodes[i].AppendStep(nil), b...)
+	}
+	return p.Stream + string(b)
 }
 
 func TestParseQ1(t *testing.T) {
