@@ -42,7 +42,8 @@ race:
 # two input parsers (the XML scanner twice: round trip, and against
 # encoding/xml) and the server's wire sessions, plus Stage-1 witness
 # assembly against its naive oracle, window expiry of the join state
-# against a rebuild, template canonicalization against its string-
+# against a rebuild, the join state's value dictionary under inserts and
+# retirements against a map, template canonicalization against its string-
 # signature reference, the radix result order against the comparison sort,
 # the Stage-2 vector-group trie against a map, the dormant-pattern set
 # under registration churn against a from-scratch computation, snapshot
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseMatchesStdlib$$' -fuzztime=$(FUZZTIME) ./internal/xmldoc
 	$(GO) test -run=^$$ -fuzz='^FuzzWitnessesMatchNaive$$' -fuzztime=$(FUZZTIME) ./internal/yfilter
 	$(GO) test -run=^$$ -fuzz='^FuzzStateExpiry$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzValueDictionary$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzMatchOrder$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzTrieChurn$$' -fuzztime=$(FUZZTIME) ./internal/core

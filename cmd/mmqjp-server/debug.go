@@ -41,7 +41,9 @@ import (
 //	                                      the share of the process's CPU time
 //	                                      the collector has taken
 //	interned_symbols                      strings in the process-global
-//	                                      symbol interner (sym.Count)
+//	                                      symbol interner (sym.Count):
+//	                                      element and attribute names, not
+//	                                      join values (state_values)
 //	stage1_seconds, stage2_seconds,       per-document hot-path wall-time
 //	merge_seconds, gc_seconds             histograms (Options.OnDocument)
 //	stream_publish_total{stream},         per-stream publish and match
@@ -105,7 +107,7 @@ func newServerMetrics(eng func() *mmqjp.Engine) *serverMetrics {
 		func() float64 { live, _ := collectorGauges(); return live })
 	r.GaugeFunc("mmqjp_gc_cpu_fraction", "Share of the process's CPU time spent in the garbage collector since start.",
 		func() float64 { _, frac := collectorGauges(); return frac })
-	r.GaugeFunc("mmqjp_interned_symbols", "Strings in the process-global symbol interner: element and attribute names and join values, never released.",
+	r.GaugeFunc("mmqjp_interned_symbols", "Strings in the process-global symbol interner: element and attribute names, never released. Join values are the join state's (mmqjp_state_values).",
 		func() float64 { return float64(sym.Count()) })
 	m.stage1 = r.Histogram("mmqjp_stage1_seconds",
 		"Per-document Stage-1 wall time (shared-NFA match, witness construction).", obs.DurationBuckets)

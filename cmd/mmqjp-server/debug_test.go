@@ -403,6 +403,8 @@ func TestServerWindowStateMetrics(t *testing.T) {
 // live heap and CPU share and the interner's size appear on /metrics and in
 // the STATS line, the subscription gauge counts at least the text of the live
 // subscriptions, and it returns to zero when the last subscription has left.
+// Documents with fresh join values move the join state's value gauge and not
+// the interner's.
 func TestServerMemoryGauges(t *testing.T) {
 	brokerAddr, debugAddr := startDebugTestServer(t)
 	c := dialTest(t, brokerAddr)
@@ -449,6 +451,26 @@ func TestServerMemoryGauges(t *testing.T) {
 	_, last, _ := strings.Cut(stats, " interned_symbols=")
 	if n, err := strconv.ParseInt(last, 10, 64); err != nil || n < interned {
 		t.Errorf("STATS ends with interned_symbols=%q, want a number >= %d", last, interned)
+	}
+	// Join values are the join state's, not the interner's: documents
+	// whose values are all new, on names the subscriptions already used,
+	// leave the interner as it was, while the state holds their values.
+	_, body = httpGet(t, "http://"+debugAddr+"/metrics")
+	interned = metricValue(t, body, "mmqjp_interned_symbols")
+	for i := 1; i <= 50; i++ {
+		c.sendLine(t, fmt.Sprintf("PUB S %d <a>fresh-value-%d<b>fresh-b-%d</b></a>", i, i, i))
+		for line := c.readLine(t); !strings.HasPrefix(line, "OK"); line = c.readLine(t) {
+			if !strings.HasPrefix(line, "MATCH") {
+				t.Fatalf("PUB %d -> %q", i, line)
+			}
+		}
+	}
+	_, body = httpGet(t, "http://"+debugAddr+"/metrics")
+	if after := metricValue(t, body, "mmqjp_interned_symbols"); after != interned {
+		t.Errorf("mmqjp_interned_symbols = %d after 50 documents of fresh join values, %d before", after, interned)
+	}
+	if values := metricValue(t, body, "mmqjp_state_values"); values <= 0 {
+		t.Errorf("mmqjp_state_values = %d with documents in the join state", values)
 	}
 	for _, id := range ids {
 		c.sendLine(t, "UNSUB "+id)

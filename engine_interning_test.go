@@ -10,12 +10,13 @@ import (
 	"repro/internal/sym"
 )
 
-// Differential tests for the symbol-interning layer. The shared-join plans
-// compare join values through dense interned ids (core.Sym columns, the
-// rdocBySym posting lists, the views' strVal columns); ProcessorSequential
-// evaluates each query alone and compares the original strings, so it is a
-// string-keyed oracle the interned engines must match byte for byte.
-// Interning is a pure representation change — any id that leaked into a
+// Differential tests for the interning layers. The shared-join plans
+// compare join values through dense ids that the join state hands out (its
+// value dictionary: core.Sym columns, the posting lists, the views' strVal
+// columns) and names through the process-global internal/sym table;
+// ProcessorSequential evaluates each query alone and compares the original
+// strings, so it is a string-keyed oracle the engines must match byte for
+// byte. Both are pure representation changes — any id that leaked into a
 // comparison, a hash partition decision, or a snapshot would show up here as
 // divergence.
 
@@ -52,12 +53,13 @@ func TestInterningDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotInterningInvariance proves interned ids never reach snapshot
-// bytes. A snapshot taken mid-stream must carry the original join-value
-// strings (asserted directly on the raw bytes), and restoring it into a
-// process whose interner has moved on — simulated by interning thousands of
-// novel strings between snapshot and restore, so every re-interned value
-// lands on a different id — must yield a byte-identical re-snapshot and a
+// TestSnapshotInterningInvariance proves ids never reach snapshot bytes. A
+// snapshot taken mid-stream must carry the original join-value strings
+// (asserted directly on the raw bytes), and restoring it into a process
+// whose interner has moved on — simulated by interning thousands of novel
+// strings between snapshot and restore — and into a fresh join state, whose
+// value dictionary numbers the values in restore order, not in the order the
+// live engine met them, must yield a byte-identical re-snapshot and a
 // byte-identical continuation of the match stream.
 func TestSnapshotInterningInvariance(t *testing.T) {
 	sources, stream := snapshotWorkload(40, 120)

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
@@ -343,4 +345,67 @@ func FuzzOpenEngine(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestJoinValuesBoundedByWindow publishes fifty windows' worth of documents
+// through AppendPublishXML, each bringing join values no document had before
+// (and rejoining its predecessor's), and requires what the process keeps to
+// follow the window, not the stream: after the first window, the symbol
+// table and the live heap stay within 10% of their reading there. Join values
+// live in the join state's dictionary and retire with the last row that
+// carries them; were they interned process-wide, both would grow with every
+// document.
+func TestJoinValuesBoundedByWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes object sizes")
+	}
+	const window = 640 // documents, and time units: ts = document id
+	const values = 4   // new join values per document
+	e := New(Options{})
+	e.MustSubscribe(fmt.Sprintf("S//item->x[./a->v] FOLLOWED BY{v=w, %d} S//item->y[./b->w]", window))
+	xml := func(i int64) string {
+		var b strings.Builder
+		b.WriteString("<item>")
+		for k := 0; k < values; k++ {
+			fmt.Fprintf(&b, "<a>join-value-%d-%d</a><b>join-value-%d-%d</b>", i, k, i-1, k)
+		}
+		b.WriteString("</item>")
+		return b.String()
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var dst []Match
+	var symbols int
+	var heap uint64
+	matches := 0
+	for i := int64(1); i <= 50*window; i++ {
+		var err error
+		if dst, err = e.AppendPublishXML(dst[:0], "S", xml(i), i, i); err != nil {
+			t.Fatal(err)
+		}
+		matches += len(dst)
+		if i%window != 0 {
+			continue
+		}
+		n, h := sym.Count(), liveHeap()
+		if i == window {
+			symbols, heap = n, h
+			continue
+		}
+		if 10*n > 11*symbols || 10*h > 11*heap {
+			t.Fatalf("after %d documents (window %d): %d interned symbols and %d B live heap, %d and %d B after the first window",
+				i, window, n, h, symbols, heap)
+		}
+	}
+	if want := 50*window - 1; matches < want {
+		t.Fatalf("%d matches, want at least %d: the stream did not join", matches, want)
+	}
+	if v := e.Stats().StateValues; v < window*values || v > 2*window*(values+1) {
+		t.Fatalf("%d join values in the state, want about a window's %d", v, window*values)
+	}
 }

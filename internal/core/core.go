@@ -75,7 +75,7 @@ type Stats struct {
 	RL       time.Duration `json:"rl_ns" help:"Time building the left view RL from the join state."`
 	RR       time.Duration `json:"rr_ns" help:"Time building the right view RR from the current witness."`
 	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time (the current document's indexes are Stage 1's)."`
-	Maintain time.Duration `json:"maintain_ns" help:"State merge (Algorithm 2: the state adopts the document's record, no row is copied) and window collection time."`
+	Maintain time.Duration `json:"maintain_ns" help:"Join-value resolution, state merge (Algorithm 2: the state adopts the document's record, no row is copied) and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
 	// plus witness construction, the record's node indexes included),
 	// accumulated across documents. Concurrent
@@ -113,12 +113,15 @@ type Stats struct {
 	GCRowsDropped int64 `json:"gc_rows_dropped" stat:"counter" help:"Join-state rows removed by window collections."`
 
 	// Gauges, read off the join state when the stats are taken (they
-	// survive ResetStats): the documents inside the widest window and their
-	// rows per witness relation.
+	// survive ResetStats): the documents inside the widest window, their
+	// rows per witness relation and the join values those rows carry.
 	StateDocs      int64 `json:"state_docs" stat:"gauge" help:"Documents in the join state (inside the widest window)."`
 	StateRbinRows  int64 `json:"state_rbin_rows" stat:"gauge" help:"Live join-state Rbin rows."`
 	StateRdocRows  int64 `json:"state_rdoc_rows" stat:"gauge" help:"Live join-state Rdoc rows."`
 	StateRrootRows int64 `json:"state_rroot_rows" stat:"gauge" help:"Live join-state Rroot rows."`
+	// StateValues is the distinct join values the live Rdoc rows carry: the
+	// entries of the state's value dictionary.
+	StateValues int64 `json:"state_values" stat:"gauge" help:"Distinct join values in the join state (entries of its value dictionary)."`
 	// SubscriptionBytes is a gauge too: what the live queries' registration
 	// records (one per query, one per join instance) occupy. It is constant
 	// per registered query, whatever the query's text looked like. The

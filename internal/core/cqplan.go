@@ -16,7 +16,7 @@ import (
 //	slot 0          slot    the previous document's state slot
 //	slots 1..N      n_p     node bound at template position p
 //	slots N+1..2N   v_p     interned class name at position p
-//	slots 2N+1..    s_k     interned string value of value join k
+//	slots 2N+1..    s_k     join-value id (the state's) of value join k
 //
 // Every step names a source relation, the bound slot its probe key comes
 // from, the row columns it assigns to still-unbound slots and the columns it

@@ -47,8 +47,9 @@ func (r *Relation) Insert(vals ...int64) {
 func (r *Relation) Len() int { return len(r.Rows) }
 
 // String renders the relation as a table, rows sorted. Symbol columns render
-// as their interned string, so the text does not depend on the ids a process
-// happened to hand out.
+// as the internal/sym string of their id — the tests that render a relation
+// write its symbols there, not in a join state's dictionary — so the text
+// does not depend on the ids a process happened to hand out.
 func (r *Relation) String() string {
 	names := make([]string, len(r.Schema))
 	for i, c := range r.Schema {
@@ -281,6 +282,9 @@ func replayAgainstReference(t *testing.T, workers int, tr workload.Trace) int {
 			docs = append(docs, tr.Events[j].Doc)
 		}
 		for k, r := range stage1Ahead(p, "S", docs, workers) {
+			// The reference joins the document's value ids with the
+			// state's, which Consume would resolve first.
+			p.state.resolve(r)
 			want := harnessRecs(referenceMatches(p, &r.rec, docs[k]))
 			got := harnessRecs(p.Consume(r).Slice())
 			if !reflect.DeepEqual(got, want) {
@@ -394,10 +398,11 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // and cost nothing; the stage1 cases drop their results, and each document
 // pays for a record of its own. Both passes run under GOMAXPROCS(1): a pooled object put back
 // on a processor that a later GOMAXPROCS(1) retires is found by no Get, and a
-// case would log one of two readings. The cases log 28.0, 10.7, 4.5, 10.0 and
-// 38.9 allocations and 1.73, 0.56, 12.3 and 24.8 KB per document ("rss
-// window" 0.2 and 86 B when an earlier run in the process left the pools
-// warm); a ceiling is at most 1.25 times what its case logs.
+// case would log one of two readings. The cases log 32.0, 10.7, 5.0, 10.0 and
+// 45.9 allocations and 1.73, 0.11, 12.3 and 28.2 KB per document ("rss
+// window" copies about 3.8 join values per document into the state's
+// dictionary, whatever an earlier run saw); a ceiling is at most 1.25 times
+// what its case logs.
 func TestPublishAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under the race detector (race_test.go)")

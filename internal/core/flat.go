@@ -7,8 +7,8 @@ import (
 )
 
 // Integer-keyed indexes of the per-document path. Every key Stage 2 probes
-// with is already an integer — a node id, a state slot, an interned symbol or
-// variable — so none of these tables hashes through a Go map: a row index is
+// with is already an integer — a node id, a state slot, a join-value id or an
+// interned variable — so none of these tables hashes through a Go map: a row index is
 // an offset array (or a sorted key list), and the trie registration
 // maintains for evaluation (Template.trie) is an open-addressing table with
 // linear probing over one flat slice.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/sequential"
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -22,6 +21,7 @@ func mergeDoc(s *State, id int64, ts int64, str string) {
 		r.AddBin(1, 2, 0, 1)
 		r.AddDoc(1)
 	})
+	s.resolve(r)
 	s.Merge(&r.rec)
 	stage1Pool.Put(r)
 }
@@ -309,7 +309,7 @@ func TestRecordStorageReuse(t *testing.T) {
 				stamped++
 			}
 		}
-		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + len(r.rec.rootVals) + r.rec.numRows() + stamped + len(r.binNext) + len(r.rootNext); n != 0 {
+		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + len(r.rec.rootVals) + r.rec.numRows() + stamped + len(r.binNext) + len(r.rootNext) + len(r.vals); n != 0 {
 			t.Fatalf("document %d: a readied result holds %d values, rows and node entries", id, n)
 		}
 		v := 10 * id
@@ -325,6 +325,7 @@ func TestRecordStorageReuse(t *testing.T) {
 		if len(r.rec.bin) != rows || len(r.rec.rdoc) != 1 || len(r.rec.root) != 1 {
 			t.Fatalf("document %d: rows %d/%d/%d, want %d/1/1", id, len(r.rec.bin), len(r.rec.rdoc), len(r.rec.root), rows)
 		}
+		s.resolve(r)
 		s.Merge(&r.rec)
 		live = append(live, id)
 		checkState(t, s)
@@ -334,7 +335,7 @@ func TestRecordStorageReuse(t *testing.T) {
 			if bin := rec.bin[0]; bin[0] != v || bin[1] != v+1 || bin[3] != 1 {
 				t.Errorf("document %d: Rbin row %v after document %d", rec.id, bin, id)
 			}
-			if doc := rec.rdoc[0]; doc[0] != 1 || sym.ID(doc[1]) != sym.Intern(fmt.Sprintf("value-%d", rec.id)) {
+			if doc := rec.rdoc[0]; doc[0] != 1 || s.value(int32(doc[1])) != fmt.Sprintf("value-%d", rec.id) {
 				t.Errorf("document %d: Rdoc row %v after document %d", rec.id, doc, id)
 			}
 			if root := rec.root[0]; root[0] != v || root[1] != 0 {

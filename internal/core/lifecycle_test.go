@@ -55,7 +55,7 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {
 		t.Errorf("join state not reclaimed: %d docs, Rbin %d, Rdoc %d, Rroot %d", st.NumDocs(), bin, doc, root)
 	}
-	if len(st.recs) != 0 || len(st.lists) != 0 || len(st.rdocBySym) != 0 || st.nextSeq != 0 {
+	if len(st.recs) != 0 || len(st.lists) != 0 || st.values.n != 0 || st.nextSeq != 0 {
 		t.Errorf("join-state records and posting lists not reclaimed")
 	}
 	if p.stats != (Stats{}) {

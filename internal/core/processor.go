@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strconv"
@@ -11,7 +12,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/xscl"
@@ -283,6 +283,7 @@ func (p *Processor) Stats() Stats {
 	s.StateDocs = int64(p.state.NumDocs())
 	bin, doc, root := p.state.Rows()
 	s.StateRbinRows, s.StateRdocRows, s.StateRrootRows = int64(bin), int64(doc), int64(root)
+	s.StateValues = int64(p.state.NumValues())
 	s.SubscriptionBytes = p.recBytes
 	s.PatternsDormant = p.dormant
 	return s
@@ -839,6 +840,10 @@ type Stage1Result struct {
 	// the merge it holds the storage of the slot the document took.
 	rec     docRec
 	singles []Match
+	// vals holds, by row, the join value of each Rdoc row and its hash:
+	// Stage 1 writes the rows with no value id, and Consume resolves the
+	// values against the state's dictionary (State.resolve).
+	vals []rdocValue
 
 	// nodes deduplicates the rows by node id: nodes[n] speaks for node n of
 	// this document only while its gen equals gen, which reset advances, so
@@ -864,6 +869,13 @@ type Stage1Result struct {
 	triggered, probes int64
 }
 
+// rdocValue is an Rdoc row's join value as Stage 1 read it — possibly a
+// substring of the document's buffer — and its hash under valueSeed.
+type rdocValue struct {
+	s    string
+	hash uint64
+}
+
 // witnessNode is what the current document's rows hold for one node: the
 // newest Rbin row with it as node2, the newest Rroot row with it as node,
 // and its Rdoc row, each -1 for none.
@@ -877,7 +889,7 @@ type witnessNode struct {
 // grown. The record a result brings back is the storage of the slot its
 // document took in the join state.
 //
-//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the dedup arrays and singles and sets every other field before handing it out
+//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the dedup arrays, the row values and singles and sets every other field before handing it out; Consume clears the row values' strings once it has resolved them
 var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
 
 // newStage1 returns a pooled result readied for document d: an empty record
@@ -891,13 +903,16 @@ func newStage1(d *xmldoc.Document) *Stage1Result {
 // reset readies r for document d. Its record and dedup arrays keep their
 // storage, up to recKeep values each.
 func (r *Stage1Result) reset(d *xmldoc.Document) {
-	r.doc, r.singles = d, r.singles[:0]
+	r.doc, r.singles, r.vals = d, r.singles[:0], r.vals[:0]
 	if r.rec.empty(); r.rec.storage() == 0 {
 		r.rec.carve(r.sized)
 	}
 	r.rec.id, r.rec.ts = d.ID, d.Timestamp
 	if len(r.nodes) > recKeep || cap(r.binNext)+cap(r.rootNext) > recKeep {
 		r.nodes, r.binNext, r.rootNext = nil, nil, nil
+	}
+	if cap(r.vals) > recKeep {
+		r.vals = nil
 	}
 	r.binNext, r.rootNext = r.binNext[:0], r.rootNext[:0]
 	if r.gen++; r.gen == 0 {
@@ -933,9 +948,10 @@ func (r *Stage1Result) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
 
 // AddDoc inserts a deduplicated string-value tuple for node n of the
 // result's document. The value is computed — an interior element's is
-// concatenated (xmldoc.Document.StringValue) — and interned only when the
-// row is new, at the Stage-1 boundary: everything downstream (witness
-// joins, the views, the state's posting lists) sees only the symbol.
+// concatenated (xmldoc.Document.StringValue) — and hashed only when the row
+// is new. It takes no lock: Consume resolves the value to the join state's
+// id, and everything downstream (witness joins, the views, the state's
+// posting lists) sees only the id.
 func (r *Stage1Result) AddDoc(n xmldoc.NodeID) {
 	if e := r.node(n); e.doc < 0 {
 		r.insertDoc(e, n, r.doc.StringValue(n))
@@ -943,10 +959,11 @@ func (r *Stage1Result) AddDoc(n xmldoc.NodeID) {
 }
 
 // insertDoc inserts node n's row, with string value strVal, as its entry e
-// records.
+// records. The row's value id is Consume's to write.
 func (r *Stage1Result) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string) {
 	e.doc = int32(len(r.rec.rdocVals) / rdocWidth)
-	r.rec.addDoc(int64(n), sym.Intern(strVal))
+	r.rec.addDoc(int64(n), -1)
+	r.vals = append(r.vals, rdocValue{strVal, maphash.String(valueSeed, strVal)})
 }
 
 // AddRoot inserts a deduplicated root binding tuple.
@@ -968,14 +985,14 @@ func (r *Stage1Result) seal() {
 	r.sized = [3]int{len(r.rec.binVals), len(r.rec.rdocVals), len(r.rec.rootVals)}
 }
 
-// docSym returns the string value symbol of node n, if the document has an
-// Rdoc row for it.
-func (r *Stage1Result) docSym(n int64) (sym.ID, bool) {
+// docValue returns the join value id of node n, if the document has an Rdoc
+// row for it. The ids are there once Consume has resolved them.
+func (r *Stage1Result) docValue(n int64) (int32, bool) {
 	if n < 0 || n >= int64(len(r.nodes)) {
 		return 0, false
 	}
 	if e := &r.nodes[n]; e.gen == r.gen && e.doc >= 0 {
-		return sym.ID(r.rec.rdocVals[int(e.doc)*rdocWidth+rdocStrVal]), true
+		return int32(r.rec.rdocVals[int(e.doc)*rdocWidth+rdocStrVal]), true
 	}
 	return 0, false
 }
@@ -1082,6 +1099,11 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.WitnessProbes += r.probes
 
 	p.resetEmit()
+	// The document's values get the state's ids here, before Stage 2 reads
+	// them and Merge posts them.
+	t := time.Now()
+	p.state.resolve(r)
+	p.stats.Maintain += time.Since(t)
 	var stage2 time.Duration
 	if p.state.NumDocs() > 0 && len(r.rec.rdoc) > 0 {
 		t := time.Now()

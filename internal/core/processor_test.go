@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -109,7 +108,7 @@ func TestPaperStateRelations(t *testing.T) {
 	rbin, rdoc, _ := stateRelations(p.State())
 	gotNodes := map[int64]string{}
 	for _, row := range rdoc.Rows {
-		gotNodes[row[1]] = sym.Name(sym.ID(row[2]))
+		gotNodes[row[1]] = p.State().value(int32(row[2]))
 	}
 	want := map[int64]string{
 		2: "Andrew Watt",

@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
 // Durability: the join state is exactly what incremental maintenance has
 // paid for — re-deriving it after a restart would mean replaying every
 // in-window document. StateSnapshot is its portable form: the witness
-// relations with class-name columns resolved to their names (interned
-// symbol ids are an in-process artifact; a restored processor re-interns
-// under its own symbol table) and each row under its document's id (slots are
+// relations with class-name and join-value columns resolved to their strings
+// (class-name ids are the processor's and value ids the state's, both
+// in-process artifacts; a restored processor re-interns the names under its
+// own symbol table and files the values in its state's dictionary) and each
+// row under its document's id (slots are
 // where a state happens to keep its records), and each document's timestamp
 // and arrival index that drive window semantics. The documents themselves
 // are not state: a caller that keeps them for output writes them itself.
@@ -27,8 +29,8 @@ import (
 // from source text by the caller before RestoreState, which rebuilds vector
 // groups, templates, patterns and the shared NFA exactly as original
 // registration did. RestoreState then re-interns the witness rows, so the
-// restored processor is internally consistent even though its symbol ids
-// differ from the snapshotting process's.
+// restored processor is internally consistent even though its ids differ
+// from the snapshotting processor's.
 
 // SnapDoc is one in-window document's window metadata, in arrival order.
 type SnapDoc struct {
@@ -96,10 +98,10 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		for _, t := range r.rdoc {
-			// Interned symbols are process-scoped, so the snapshot carries
-			// the original string: snapshot bytes are identical to what a
-			// string-keyed engine would write, and ids never escape to disk.
-			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[rdocNode], Str: sym.Name(sym.ID(t[rdocStrVal]))})
+			// Value ids are the state's, so the snapshot carries the
+			// string: snapshot bytes are identical to what a string-keyed
+			// engine would write, and ids never escape to disk.
+			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[rdocNode], Str: s.value(int32(t[rdocStrVal]))})
 		}
 	}
 	for _, slot := range s.order {
@@ -117,8 +119,10 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 // under this processor's symbol table, so the restored state joins against
 // the re-registered vector groups exactly as the original state did. Each
 // document's record is built the way Stage 1 builds one — its rows written
-// in snapshot order, then sealed — and merged in arrival order, so a
-// restored state is indistinguishable from the original. A row of a
+// in snapshot order, its join values filed in the state's dictionary, then
+// sealed — and merged in arrival order, so a restored state holds what the
+// original held; only its value ids, which follow the order the values were
+// filed in, may differ. A row of a
 // document the snapshot does not list is refused: no engine writes one. A
 // snapshot written when the state still held documents carries them under
 // "retained"; decoding ignores them.
@@ -128,7 +132,8 @@ func (p *Processor) RestoreState(snap StateSnapshot) error {
 
 // restore writes the rows as the snapshot lists them, without Stage 1's
 // deduplication: that keys on node ids, which a snapshot file does not
-// bound, and no engine writes a row twice.
+// bound, and no engine writes a row twice. Every row is checked before any
+// value enters the dictionary, so a refused snapshot files none.
 func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 	if s.nextSeq != 0 || len(s.order) != 0 {
 		return fmt.Errorf("core: RestoreState on a processor that has already processed %d documents", len(s.order))
@@ -159,11 +164,9 @@ func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 		d.addBin(varID(r.Var1), varID(r.Var2), r.Node1, r.Node2)
 	}
 	for _, r := range snap.Rdoc {
-		d, err := find("rdoc", r.Doc)
-		if err != nil {
+		if _, err := find("rdoc", r.Doc); err != nil {
 			return err
 		}
-		d.addDoc(r.Node, sym.Intern(r.Str))
 	}
 	for _, r := range snap.Rroot {
 		d, err := find("rroot", r.Doc)
@@ -171,6 +174,9 @@ func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 			return err
 		}
 		d.addRoot(varID(r.Var), r.Node)
+	}
+	for _, r := range snap.Rdoc {
+		recs[at[r.Doc]].addDoc(r.Node, s.valueID(r.Str, maphash.String(valueSeed, r.Str)))
 	}
 	for i := range recs {
 		recs[i].seal()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
@@ -258,7 +257,7 @@ type stage2Shared struct {
 	rlByDoc        rowIndex
 	rrBySym        rowIndex
 
-	syms []sym.ID // prepareViews' scratch: the common strings
+	ids []int32 // prepareViews' scratch: the common values
 }
 
 // reset empties pre for the next document. Its row lists drop what they
@@ -298,7 +297,7 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 	t0 := time.Now()
 	vals := pre.rvjVals
 	for _, row := range cur.rdoc {
-		for _, ref := range s.postings(sym.ID(row[rdocStrVal])) {
+		for _, ref := range s.postings(int32(row[rdocStrVal])) {
 			dt := s.recs[ref.slot].rdoc[ref.row]
 			vals = append(vals, int64(ref.slot), dt[rdocNode], row[rdocNode], dt[rdocStrVal])
 		}
@@ -310,37 +309,37 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 }
 
 // prepareViews computes the shared prefix of Algorithm 4 into pre for the
-// document Stage 1 gave r. RL is read off the join state: for each common
-// string in sorted-symbol order, its posting list and each record's Rbin
-// index by node2 (symbol ids are process-global, so the order is identical
-// for every engine configuration within a process — only enumeration order
-// depends on it, the output leaves through Matches.sort regardless). It
-// reports false when no string is shared with the join state (no template
-// can match).
+// document Stage 1 gave r, its values resolved. RL is read off the join
+// state: for each common value in id order, its posting list and each
+// record's Rbin index by node2. The ids are the state's (State.resolve), so
+// the order follows the state's history — a restored state may number its
+// values differently — and only enumeration order depends on it: the output
+// leaves through Matches.sort regardless. It reports false when no value is
+// shared with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
 	t0 := time.Now()
 	s := p.state
-	syms := pre.syms[:0]
+	ids := pre.ids[:0]
 	for _, row := range r.rec.rdoc {
-		if id := sym.ID(row[rdocStrVal]); s.HasSym(id) {
-			syms = append(syms, id)
+		if id := int32(row[rdocStrVal]); s.HasValue(id) {
+			ids = append(ids, id)
 		}
 	}
-	slices.Sort(syms)
-	syms = slices.Compact(syms)
-	pre.syms = syms
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	pre.ids = ids
 	p.stats.Rvj += time.Since(t0)
-	if len(syms) == 0 {
+	if len(ids) == 0 {
 		return false
 	}
 
 	// RL: per string s, σ_strVal=s(Rdoc) ⋈_{node=node2} Rbin (lines 3-7).
 	t1 := time.Now()
 	vals := pre.rlVals
-	for _, id := range syms {
+	for _, id := range ids {
 		vals = s.appendRL(vals, id)
 	}
 	pre.rlVals = vals
@@ -353,7 +352,7 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	t2 := time.Now()
 	vals = pre.rrVals
 	for _, row := range r.rec.bin {
-		if id, ok := r.docSym(row[rbinNode2]); ok && s.HasSym(id) {
+		if id, ok := r.docValue(row[rbinNode2]); ok && s.HasValue(id) {
 			vals = append(append(vals, row...), int64(id))
 		}
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
-	"slices"
+	"strings"
 
-	"repro/internal/sym"
 	"repro/internal/xmldoc"
 )
 
@@ -36,7 +36,7 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 //
 //	Rbin  (var1, var2, node1, node2) — bindings of template structural edges
 //	Rdoc  (node, strVal)             — string values of value-join nodes;
-//	       strVal is a symbol column (Sym: interned ids), so
+//	       strVal is a symbol column (Sym: the state's value ids), so
 //	       value-join equality is an integer compare and never rehashes
 //	       string bytes
 //	Rroot (var, node)                — root bindings for templates whose
@@ -50,8 +50,18 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 // is exactly the row Stage 1 wrote, and the slot, which is where a reader
 // found the record, is not in it. A posting-list reference (rowRef) and the
 // Stage-2 frame carry the slot, so reaching a document's rows is an array
-// index. Across records, rdocBySym lists every Rdoc row by string value, in
-// arrival order.
+// index. Across records, one posting list per join value lists every Rdoc row
+// carrying it, in arrival order.
+//
+// The state owns its join values. A value's id is the index of its posting
+// list, and the value dictionary (valueDict) finds the id from the string:
+// Consume resolves each of a document's Rdoc rows once (State.resolve), and a
+// value the state does not hold yet gets an empty list there, which Merge
+// fills in the same call. The value retires when expiry empties its list, and
+// the id and the list go to the next new value. So ids depend on the state's
+// history — which values came and went, in what order — and only enumeration
+// order depends on them: the output leaves through Matches.sort, and a
+// snapshot carries the strings.
 //
 // Expiry (GC) frees the expired records and pops their rows off the front of
 // the posting lists: it touches the expired rows, never the live ones. A
@@ -67,14 +77,14 @@ type State struct {
 	// order lists the live slots in arrival order.
 	order []int32
 
-	// rdocBySym holds, per symbol id, 1 + the index in lists of the posting
-	// list of the Rdoc rows carrying that string value (0: none does). A
-	// list that empties is released to freeLists, so lists stays as long as
-	// the peak number of distinct live values; rdocBySym itself is one int32
-	// per symbol the process has interned.
-	rdocBySym []int32
+	// lists holds the posting list of each join value the state holds, at
+	// the value's id, and values finds the id from the value. A list that
+	// empties retires its value: the value leaves values and its id goes to
+	// freeLists for the next new value. So lists and values are as long as
+	// the peak number of distinct live values, whatever the stream length.
 	lists     []postList
 	freeLists []int32
+	values    valueDict
 
 	// nextSeq is the arrival index of the next document (tuple-based windows
 	// are expressed over it); it survives GC.
@@ -99,9 +109,9 @@ type State struct {
 	gcStale int
 
 	// expired and dirty are GC's scratch, reused: the expired slots and the
-	// symbols whose lists lost a row that was not at their front.
+	// values whose lists lost a row that was not at their front.
 	expired []int32
-	dirty   []sym.ID
+	dirty   []int32
 
 	// maxDoc is the largest document id ever consumed (it survives GC), so a
 	// restored engine can hand out fresh ids that cannot collide with
@@ -152,7 +162,7 @@ func (r *docRec) addBin(var1, var2, n1, n2 int64) {
 	r.binVals = append(r.binVals, var1, var2, n1, n2)
 }
 
-func (r *docRec) addDoc(n int64, strVal sym.ID) {
+func (r *docRec) addDoc(n int64, strVal int32) {
 	r.rdocVals = append(r.rdocVals, n, int64(strVal))
 }
 
@@ -214,13 +224,17 @@ func (r *docRec) expired(cutoffTS xmldoc.Timestamp, cutoffSeq int64) bool {
 // rowRef names one Rdoc row: a record's slot and the row's position in it.
 type rowRef struct{ slot, row int32 }
 
-// postList is one string value's Rdoc rows in arrival order: refs[head:] are
+// postList is one join value's Rdoc rows in arrival order: refs[head:] are
 // live. Expiry pops the front; a push slides the live part back or grows the
-// array only when it is full, so both are amortized O(1).
+// array only when it is full, so both are amortized O(1). val is the value,
+// the state's own copy, and hash its hash (valueSeed), which the dictionary
+// probes and refiles by.
 type postList struct {
 	refs  []rowRef
 	head  int
 	dirty bool // queued in State.dirty
+	val   string
+	hash  uint64
 }
 
 func (l *postList) live() []rowRef { return l.refs[l.head:] }
@@ -238,7 +252,8 @@ func (l *postList) push(r rowRef) {
 }
 
 // Column is one column of a row schema: its name and whether its values are
-// interned symbols (internal/sym ids) or plain integers. A row is a
+// symbols (join-value ids, which the state's dictionary hands out) or plain
+// integers. A row is a
 // pointer-free []int64, and what a number is belongs to its column: whoever
 // reads a symbol column asks the schema once (Schema.SymCol).
 type Column struct {
@@ -336,7 +351,7 @@ func (s *State) adopt(rec *docRec) {
 		s.maxTS = r.ts
 	}
 	for i, row := range r.rdoc {
-		s.post(sym.ID(row[rdocStrVal]), rowRef{slot, int32(i)})
+		s.lists[row[rdocStrVal]].push(rowRef{slot, int32(i)})
 	}
 	s.rows[0] += len(r.bin)
 	s.rows[1] += len(r.rdoc)
@@ -344,58 +359,149 @@ func (s *State) adopt(rec *docRec) {
 	s.order = append(s.order, slot)
 }
 
-// post appends an Rdoc row to its value's posting list.
-func (s *State) post(id sym.ID, ref rowRef) {
-	if need := int(id) + 1; need > len(s.rdocBySym) {
-		s.rdocBySym = slices.Grow(s.rdocBySym, need-len(s.rdocBySym))[:need]
+// valueSeed seeds the join-value hashes. Stage 1 hashes each value it writes
+// (Stage1Result.insertDoc) with no access to the state, so the seed is the
+// package's.
+var valueSeed = maphash.MakeSeed()
+
+// valueDict indexes the posting lists by join value. It is open addressing
+// with linear probing over a pointer-free slot array: 0 is a free slot, any
+// other entry is 1 + the id of a list filed there, at or after the slot its
+// hash picks. Each list keeps its value and hash, so a probe compares strings
+// only when the hashes agree and a doubling refiles the ids without hashing a
+// string again. A retired id leaves by backward shift: the entries after it
+// in its probe run move up when that shortens their probe, so no tombstone
+// lengthens a later probe. The length is a power of two at least twice the
+// entry count n.
+type valueDict struct {
+	slots []int32
+	n     int
+}
+
+// find returns the slot holding value v, whose hash is h, and its id; for a
+// value the dictionary does not hold, the free slot its probe ended on and -1.
+func (d *valueDict) find(lists []postList, h uint64, v string) (int, int32) {
+	if d.slots == nil {
+		d.slots = make([]int32, 16)
 	}
-	li := s.rdocBySym[id]
-	if li == 0 {
-		if n := len(s.freeLists); n > 0 {
-			li, s.freeLists = s.freeLists[n-1], s.freeLists[:n-1]
-		} else {
-			s.lists = append(s.lists, postList{})
-			li = int32(len(s.lists))
+	mask := uint64(len(d.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := d.slots[i]
+		if e == 0 {
+			return int(i), -1
 		}
-		s.rdocBySym[id] = li
+		if l := &lists[e-1]; l.hash == h && l.val == v {
+			return int(i), e - 1
+		}
 	}
-	s.lists[li-1].push(ref)
 }
 
-// postings returns the live Rdoc rows carrying the string value id, in
-// arrival order.
-func (s *State) postings(id sym.ID) []rowRef {
-	if int(id) >= len(s.rdocBySym) || s.rdocBySym[id] == 0 {
-		return nil
+// file enters id, whose list holds its value and hash, in the free slot find
+// returned for that value.
+func (d *valueDict) file(lists []postList, slot int, id int32) {
+	d.slots[slot] = id + 1
+	if d.n++; 2*d.n > len(d.slots) {
+		old := d.slots
+		d.slots = make([]int32, 2*len(old))
+		mask := uint64(len(d.slots) - 1)
+		for _, e := range old {
+			if e != 0 {
+				i := lists[e-1].hash & mask
+				for d.slots[i] != 0 {
+					i = (i + 1) & mask
+				}
+				d.slots[i] = e
+			}
+		}
 	}
-	return s.lists[s.rdocBySym[id]-1].live()
 }
 
-// releaseList returns the emptied posting list of id to the free lists.
-func (s *State) releaseList(id sym.ID) {
-	li := s.rdocBySym[id]
-	l := &s.lists[li-1]
-	l.refs, l.head, l.dirty = l.refs[:0], 0, false
+// remove takes id out of the dictionary. Walking the probe run after the
+// vacated slot, an entry whose home slot (its hash's) is not between the
+// vacated slot and itself would no longer be found, so it moves into the
+// vacated slot, which its own slot then becomes; the run ends at a free slot.
+func (d *valueDict) remove(lists []postList, id int32) {
+	mask := uint64(len(d.slots) - 1)
+	i := lists[id].hash & mask
+	for d.slots[i] != id+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; d.slots[j] != 0; j = (j + 1) & mask {
+		if home := lists[d.slots[j]-1].hash & mask; (j-home)&mask >= (j-i)&mask {
+			d.slots[i] = d.slots[j]
+			i = j
+		}
+	}
+	d.slots[i] = 0
+	d.n--
+}
+
+// resolve writes into each of r's Rdoc rows the id of its value, which
+// Stage 1 kept as a string and its hash (Stage1Result.vals), once: the
+// strings are dropped when resolved, since they may point into the
+// document's buffer.
+func (s *State) resolve(r *Stage1Result) {
+	for i, v := range r.vals {
+		r.rec.rdocVals[i*rdocWidth+rdocStrVal] = int64(s.valueID(v.s, v.hash))
+	}
+	clear(r.vals)
+	r.vals = r.vals[:0]
+}
+
+// valueID returns the id of join value v, whose hash is h. A value the state
+// does not hold is copied into a new, empty posting list, which the caller
+// fills before the state is read again: Consume's Merge, or a restore's.
+func (s *State) valueID(v string, h uint64) int32 {
+	slot, id := s.values.find(s.lists, h, v)
+	if id >= 0 {
+		return id
+	}
+	if n := len(s.freeLists); n > 0 {
+		id, s.freeLists = s.freeLists[n-1], s.freeLists[:n-1]
+	} else {
+		id = int32(len(s.lists))
+		s.lists = append(s.lists, postList{})
+	}
+	l := &s.lists[id]
+	l.val, l.hash = strings.Clone(v), h
+	s.values.file(s.lists, slot, id)
+	return id
+}
+
+// value returns the join value of id.
+func (s *State) value(id int32) string { return s.lists[id].val }
+
+// postings returns the live Rdoc rows carrying the join value id, in
+// arrival order: none for a value resolved for the current document that no
+// earlier document carries.
+func (s *State) postings(id int32) []rowRef { return s.lists[id].live() }
+
+// retire empties the posting list of id and frees the value: it leaves the
+// dictionary, and the id and the list go to the next new value.
+func (s *State) retire(id int32) {
+	s.values.remove(s.lists, id)
+	l := &s.lists[id]
+	l.refs, l.head, l.dirty, l.val = l.refs[:0], 0, false, ""
 	if cap(l.refs) > recKeep {
 		l.refs = nil
 	}
-	s.rdocBySym[id] = 0
-	s.freeLists = append(s.freeLists, li)
+	s.freeLists = append(s.freeLists, id)
 }
 
-// HasSym reports whether any previous document produced a value-join node
-// with the given (interned) string value — the semi-join of Algorithm 4,
-// line 2, served from the posting lists.
-func (s *State) HasSym(id sym.ID) bool {
-	return int(id) < len(s.rdocBySym) && s.rdocBySym[id] != 0
-}
+// HasValue reports whether any previous document produced a value-join node
+// with the join value id — the semi-join of Algorithm 4, line 2, served from
+// the posting lists.
+func (s *State) HasValue(id int32) bool { return len(s.lists[id].live()) > 0 }
+
+// NumValues returns the number of join values the state holds.
+func (s *State) NumValues() int { return s.values.n }
 
 // appendRL appends to vals the rows of E_{L,s} = σ_{strVal=s}(Rdoc)
 // ⋈_{node=node2} Rbin, the part of the left view RL (Section 5) whose rows
-// carry the string value s, and returns the extended buffer: rlSchema rows,
-// one after another, read off the posting list of s — which names each row's
-// slot — and each record's Rbin index by node2.
-func (s *State) appendRL(vals []int64, id sym.ID) []int64 {
+// carry the join value s (id), and returns the extended buffer: rlSchema
+// rows, one after another, read off the posting list of s — which names each
+// row's slot — and each record's Rbin index by node2.
+func (s *State) appendRL(vals []int64, id int32) []int64 {
 	for _, ref := range s.postings(id) {
 		r := &s.recs[ref.slot]
 		for _, bi := range r.binByNode2.get(r.rdoc[ref.row][rdocNode]) {
@@ -445,7 +551,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 		r := &s.recs[slot]
 		gone = append(gone, r.id)
 		for i, row := range r.rdoc {
-			s.unpost(sym.ID(row[rdocStrVal]), rowRef{slot, int32(i)})
+			s.unpost(int32(row[rdocStrVal]), rowRef{slot, int32(i)})
 		}
 		dropped += r.numRows()
 		s.rows[0] -= len(r.bin)
@@ -458,7 +564,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 		s.free = append(s.free, slot)
 	}
 	for _, id := range s.dirty {
-		l := &s.lists[s.rdocBySym[id]-1]
+		l := &s.lists[id]
 		kept := l.refs[:l.head]
 		for _, ref := range l.live() {
 			if s.recs[ref.slot].live {
@@ -467,7 +573,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 		}
 		l.refs, l.dirty = kept, false
 		if len(l.live()) == 0 {
-			s.releaseList(id)
+			s.retire(id)
 		}
 	}
 	s.dirty = s.dirty[:0]
@@ -475,9 +581,10 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 }
 
 // unpost removes an expired Rdoc row from its value's posting list: off the
-// front when it is there, else by queueing the list for GC's filter pass.
-func (s *State) unpost(id sym.ID, ref rowRef) {
-	l := &s.lists[s.rdocBySym[id]-1]
+// front when it is there, else by queueing the list for GC's filter pass. A
+// list it empties retires its value.
+func (s *State) unpost(id int32, ref rowRef) {
+	l := &s.lists[id]
 	if l.live()[0] != ref {
 		if !l.dirty {
 			l.dirty = true
@@ -486,7 +593,7 @@ func (s *State) unpost(id sym.ID, ref rowRef) {
 		return
 	}
 	if l.head++; l.head == len(l.refs) && !l.dirty {
-		s.releaseList(id)
+		s.retire(id)
 	}
 }
 

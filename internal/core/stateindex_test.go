@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/sym"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
@@ -59,8 +59,9 @@ func buildRec(d *xmldoc.Document, fill func(r *Stage1Result)) *Stage1Result {
 
 // stateDump describes everything the state keeps per document — window
 // bookkeeping, rows, the record's indexes — and every posting list, with
-// slots replaced by document ids, so two states holding the same documents
-// on different slots compare equal. Whether a document is late is left out:
+// slots replaced by document ids and value ids by the values, so two states
+// holding the same documents on different slots, or numbering their values
+// in a different order, compare equal. Whether a document is late is left out:
 // it depends on documents that already left (see State.maxTS) and only picks
 // how GC finds the expired ones.
 func stateDump(s *State) map[string]any {
@@ -68,6 +69,8 @@ func stateDump(s *State) map[string]any {
 	type docDump struct {
 		ID, TS, Seq     int64
 		Bin, Rdoc, Root [][]int64
+		// Values holds the Rdoc rows' values, whose strVal column reads 0.
+		Values []string
 		// ByNode2 and ByNode list, per row, the rows the record's index
 		// returns for the row's key.
 		ByNode2, ByNode [][]int32
@@ -95,13 +98,22 @@ func stateDump(s *State) map[string]any {
 			ByNode2: index(&r.binByNode2, r.bin, rbinNode2), ByNode: index(&r.rootByNode, r.root, rrootNode),
 		})
 	}
-	postings := map[sym.ID][][2]int64{}
-	for v, li := range s.rdocBySym {
-		if li == 0 {
-			continue
+	// Value ids follow the order the state filed its values in, so a row's
+	// value and a posting list are keyed by the string.
+	for i := range docs {
+		for _, row := range docs[i].Rdoc {
+			row[rdocStrVal] = 0
 		}
-		for _, ref := range s.lists[li-1].live() {
-			postings[sym.ID(v)] = append(postings[sym.ID(v)], [2]int64{id(int64(ref.slot)), int64(ref.row)})
+		docs[i].Values = []string{}
+		for _, row := range s.recs[s.order[i]].rdoc {
+			docs[i].Values = append(docs[i].Values, s.value(int32(row[rdocStrVal])))
+		}
+	}
+	postings := map[string][][2]int64{}
+	for v := range s.lists {
+		l := &s.lists[v]
+		for _, ref := range l.live() {
+			postings[l.val] = append(postings[l.val], [2]int64{id(int64(ref.slot)), int64(ref.row)})
 		}
 	}
 	return map[string]any{"docs": docs, "postings": postings, "nextSeq": s.nextSeq, "maxDoc": s.maxDoc}
@@ -123,7 +135,7 @@ func checkState(t testing.TB, s *State) {
 	}
 	var rows [3]int
 	late := 0
-	want := map[sym.ID][]rowRef{}
+	want := map[int32][]rowRef{}
 	prev := (*docRec)(nil)
 	for _, slot := range s.order {
 		r := &s.recs[slot]
@@ -138,7 +150,7 @@ func checkState(t testing.TB, s *State) {
 		}
 		rows[0], rows[1], rows[2] = rows[0]+len(r.bin), rows[1]+len(r.rdoc), rows[2]+len(r.root)
 		for i, row := range r.rdoc {
-			id := sym.ID(row[rdocStrVal])
+			id := int32(row[rdocStrVal])
 			want[id] = append(want[id], rowRef{slot, int32(i)})
 		}
 		prev = r
@@ -153,20 +165,54 @@ func checkState(t testing.TB, s *State) {
 			}
 		}
 	}
-	lists := 0
-	for v, li := range s.rdocBySym {
-		if li == 0 {
-			continue
-		}
-		lists++
-		l := &s.lists[li-1]
-		if got := l.live(); len(got) == 0 || l.dirty || !slices.Equal(got, want[sym.ID(v)]) {
-			t.Fatalf("posting list of %q = %v (dirty %v), want %v", sym.Name(sym.ID(v)), got, l.dirty, want[sym.ID(v)])
+	// Each value's list is live and holds exactly the value's rows, under
+	// the value's own hash, or is free.
+	free := checkValueDict(t, s)
+	for v := range s.lists {
+		if id, l := int32(v), &s.lists[v]; !free[id] {
+			if got := l.live(); len(got) == 0 || l.dirty || !slices.Equal(got, want[id]) {
+				t.Fatalf("posting list of %q = %v (dirty %v), want %v", l.val, got, l.dirty, want[id])
+			}
+			if l.hash != maphash.String(valueSeed, l.val) {
+				t.Fatalf("posting list of %q keeps hash %x", l.val, l.hash)
+			}
 		}
 	}
-	if lists != len(want) || lists+len(s.freeLists) != len(s.lists) {
-		t.Fatalf("%d posting lists for %d values, %d free of %d", lists, len(want), len(s.freeLists), len(s.lists))
+	if live := len(s.lists) - len(s.freeLists); live != len(want) {
+		t.Fatalf("%d posting lists, %d free, for %d values", len(s.lists), len(s.freeLists), len(want))
 	}
+}
+
+// checkValueDict asserts the value dictionary's invariants and returns the
+// free ids: a free list is empty and out of the dictionary, the dictionary
+// finds every other list's value under the list's own id, and it holds
+// nothing else.
+func checkValueDict(t testing.TB, s *State) map[int32]bool {
+	t.Helper()
+	free := map[int32]bool{}
+	for _, id := range s.freeLists {
+		if l := &s.lists[id]; free[id] || len(l.live()) != 0 || l.val != "" {
+			t.Fatalf("free posting list %d holds %v (value %q), or is freed twice", id, l.live(), l.val)
+		}
+		free[id] = true
+	}
+	for v := range s.lists {
+		if id, l := int32(v), &s.lists[v]; !free[id] {
+			if _, found := s.values.find(s.lists, l.hash, l.val); found != id {
+				t.Fatalf("the dictionary finds %q under id %d, its list is %d", l.val, found, id)
+			}
+		}
+	}
+	entries := 0
+	for _, e := range s.values.slots {
+		if e != 0 {
+			entries++
+		}
+	}
+	if live := len(s.lists) - len(free); s.values.n != live || entries != live {
+		t.Fatalf("the dictionary counts %d entries and fills %d slots for %d live values", s.values.n, entries, live)
+	}
+	return free
 }
 
 // checkLeftView requires, for every string value the state holds, the left
@@ -177,16 +223,16 @@ func checkState(t testing.TB, s *State) {
 // slot's new document, shows here as a row too many or too few.
 func checkLeftView(t testing.TB, s *State) {
 	t.Helper()
-	want := map[sym.ID][][]int64{}
-	for v, li := range s.rdocBySym {
-		if li != 0 {
-			want[sym.ID(v)] = nil
+	want := map[int32][][]int64{}
+	for v := range s.lists {
+		if len(s.lists[v].live()) > 0 {
+			want[int32(v)] = nil
 		}
 	}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		for _, dt := range r.rdoc {
-			id := sym.ID(dt[rdocStrVal])
+			id := int32(dt[rdocStrVal])
 			for _, bt := range r.bin {
 				if bt[rbinNode2] == dt[rdocNode] {
 					want[id] = append(want[id], append(append([]int64{int64(slot)}, bt...), int64(id)))
@@ -203,7 +249,7 @@ func checkLeftView(t testing.TB, s *State) {
 		slices.SortFunc(got, slices.Compare)
 		slices.SortFunc(rows, slices.Compare)
 		if !slices.EqualFunc(got, rows, slices.Equal) {
-			t.Fatalf("left view of %q = %v, a full scan of the live records gives %v", sym.Name(id), got, rows)
+			t.Fatalf("left view of %q = %v, a full scan of the live records gives %v", s.value(id), got, rows)
 		}
 	}
 }
@@ -350,6 +396,7 @@ func (h *expiryPair) merge(ts int64, fill func(r *Stage1Result)) {
 	for _, s := range []*State{h.got, h.want} {
 		r := buildRec(d, fill)
 		n := r.rec.numRows()
+		s.resolve(r)
 		s.Merge(&r.rec)
 		stage1Pool.Put(r)
 		if s == h.got {

@@ -4,23 +4,27 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/sym"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
 
-// TestStateBoundedByWindow streams many windows' worth of documents whose
+// TestStateBoundedByWindow streams fifty windows' worth of documents whose
 // join values each recur in the next document only — every string enters STR
 // once, in the document after the one that brought it — and requires
 // everything the processor keeps per document to plateau at a small multiple
 // of the window instead of growing with the stream: the join state, whose
-// only bound is window GC, and the Stage-2 buffers (the views RL and RR) it
-// keeps across documents. The documents themselves are the facade's, and so
-// is their bound (TestRetainedDocumentsBoundedByWindow in the root package).
+// only bound is window GC, its value dictionary, which holds no value no row
+// carries, the process-global symbol table, which join values never enter,
+// and the Stage-2 buffers (the views RL and RR) it keeps across documents.
+// The documents themselves are the facade's, and so is their bound
+// (TestRetainedDocumentsBoundedByWindow in the root package; the facade's
+// heap under fresh join values is TestJoinValuesBoundedByWindow's).
 // Stage 1 runs ahead on 1 and 4 goroutines (stage1Ahead), so the witnesses of
 // documents not yet consumed are live beside the state.
 func TestStateBoundedByWindow(t *testing.T) {
 	const window = 32
-	const ndocs = 12 * window
+	const ndocs = 50 * window
 	// Everything below is O(1) per live document; GC runs in batches of up
 	// to gcBatchMin expired documents, so the live set peaks near
 	// window+gcBatchMin documents.
@@ -57,6 +61,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 					docs[i-1] = b.Build()
 				}
 				matches := 0
+				symbols, peakValues, peakSlots := 0, 0, 0
 				for k, r := range stage1Ahead(p, "S", docs, workers) {
 					i := k + 1
 					matches += p.Consume(r).Len()
@@ -89,6 +94,8 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"Rroot rows", root, maxDocs * rowsPerDoc},
 						{"posting entries", postings, maxDocs * rowsPerDoc},
 						{"posting lists", len(s.lists), maxDocs * rowsPerDoc},
+						// A value lives as long as a row carries it.
+						{"dictionary entries", s.values.n, doc},
 						// Freed slots keep their storage for the next
 						// document (a row is at most 4 values), and a
 						// posting list at most doubles past its peak.
@@ -103,6 +110,23 @@ func TestStateBoundedByWindow(t *testing.T) {
 					// A freed slot keeps no expired document or row
 					// reachable.
 					checkState(t, s)
+					// Every value is new twice per document, yet nothing
+					// interns it, and the dictionary stops growing once
+					// the state has: GC runs in batches of gcBatchMin
+					// (here a window) documents, so the state reaches its
+					// peak within two windows.
+					switch {
+					case i == window:
+						symbols = sym.Count()
+					case i > window && sym.Count() != symbols:
+						t.Fatalf("after %d documents: %d interned symbols, %d after the first window", i, sym.Count(), symbols)
+					}
+					if i <= 2*window {
+						peakValues, peakSlots = max(peakValues, s.values.n), max(peakSlots, len(s.values.slots))
+					} else if s.values.n > peakValues || len(s.values.slots) > peakSlots {
+						t.Fatalf("after %d documents: %d values on %d dictionary slots, at most %d on %d in the first two windows",
+							i, s.values.n, len(s.values.slots), peakValues, peakSlots)
+					}
 				}
 				// Each document joins its predecessor exactly once, so the
 				// stream really exercised Stage 2.

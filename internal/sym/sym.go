@@ -1,26 +1,21 @@
 // Package sym is the module-wide symbol interner: element and attribute
-// names and join-value strings are mapped to dense int32 ids, so the
-// per-document hot path (NFA transitions in internal/yfilter, value-join
-// columns in internal/core) compares and hashes
-// 4-byte ids instead of re-hashing string bytes on every document.
+// names are mapped to dense int32 ids, so the per-document hot path (the
+// XML scanner's node names, NFA transitions in internal/yfilter) compares
+// and hashes 4-byte ids instead of re-hashing string bytes on every
+// document. Join values are not symbols: the join state owns them and
+// retires them with its window (internal/core, State).
 //
 // The table is process-global and append-only. Global scope is what makes
-// ids safe to use everywhere at once: every engine configuration and the
-// sequential oracle of one process agree on the id of a given string, so
-// id-keyed structures behave identically across configurations — which the
-// differential harness checks. Ids are NOT
-// stable across processes (they depend on interning order), so nothing
+// ids safe to use everywhere at once: every engine configuration of one
+// process agrees on the id of a given name, so id-keyed structures behave
+// identically across configurations; the sequential oracle compares
+// strings, and the differential harness holds the engines to it. Ids are
+// NOT stable across processes (they depend on interning order), so nothing
 // durable may contain one: snapshot encoding maps ids back to strings
 // (internal/core/snapshot.go) and the snapshot byte-compare tests pin that.
 //
-// The table never shrinks. Element and attribute vocabularies are tiny and
-// closed; join values are open-ended, so a long-lived process interning
-// adversarial value streams grows the table without bound — the documented
-// tradeoff for an allocation-free equality/hash path. See DESIGN.md
-// "Memory & interning".
-//
 // The table owns its strings: a novel string is copied on insert, so a
-// value sliced out of a document or a wire line never keeps that whole
+// name sliced out of a document or a wire line never keeps that whole
 // buffer alive for the life of the process. A repeat lookup allocates
 // nothing, whatever buffer its argument points into.
 //

@@ -16,7 +16,7 @@ var engineStatsKeys = []string{
 	"stage1_wall_ns", "stage2_wall_ns",
 	"witness_plans", "cq_probes", "cq_rows",
 	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
-	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows",
+	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows", "state_values",
 	"subscription_bytes", "patterns_dormant", "dropped_cascades",
 }
 
