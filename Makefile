@@ -30,13 +30,15 @@ benchmark-module:
 # The whole tree under the race detector, then the concurrent-publisher and
 # concurrent document-reader tests and internal/core's concurrent ingest (a
 # record Stage 1 built on one goroutine, swapped into the state under the
-# lock, its displaced storage pooled for another) twenty times over, so a
-# lock-order race that only shows once in a while fails here (the CI race
-# job).
+# lock, its displaced storage pooled for another) and FuzzDifferential's
+# seeds (three publishers against the sequential baseline, window expiry
+# on) twenty times over, so a lock-order race or an expiry bug that only
+# shows under one interleaving fails here (the CI race job).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'ConcurrentPublishers|ConcurrentSubscribePublish|ConcurrentDocumentReaders' .
 	$(GO) test -race -count=20 -run 'IngestConcurrentSubmitDeterminism' ./internal/core
+	$(GO) test -race -count=20 -run '^FuzzDifferential$$' .
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against

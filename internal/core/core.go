@@ -44,8 +44,8 @@ type Config struct {
 // witness construction, the document's join-state record and its node
 // indexes included (measured on whichever goroutine ran RunStage1), Stage2
 // the template evaluation, Merge the Algorithm-2 state merge (the state
-// adopts the record; no row is copied), and GC the window-expiry check and,
-// when it fires, the collection (State.GC).
+// adopts the record; no row is copied), and GC the window collection that
+// follows every merge under a finite window (State.GC).
 type DocTimings struct {
 	DocID   int64
 	Stage1  time.Duration

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -26,76 +27,43 @@ func mergeDoc(s *State, id int64, ts int64, str string) {
 	stage1Pool.Put(r)
 }
 
-// TestShouldGCExpiredPrefix pins the prefix semantics of the per-publish GC
-// check: the scan stops at the first live document, the half-expired rule
-// and the gcBatchMin fast path both hold, and no expired documents means no
-// GC.
-func TestShouldGCExpiredPrefix(t *testing.T) {
-	noSeq := int64(math.MaxInt64)
-	s := NewState()
-	for i := int64(1); i <= 10; i++ {
-		mergeDoc(s, i, i, fmt.Sprintf("s%d", i))
-	}
-	if s.shouldGC(1, noSeq) {
-		t.Error("shouldGC with nothing expired")
-	}
-	if s.shouldGC(5, noSeq) {
-		t.Error("shouldGC with 4/10 expired (below half, below batch)")
-	}
-	if !s.shouldGC(6, noSeq) {
-		t.Error("!shouldGC with 5/10 expired (half the state)")
-	}
-	// A long stream: gcBatchMin expired documents suffice even when they
-	// are a small fraction of the state.
-	big := NewState()
-	for i := int64(1); i <= 1000; i++ {
-		mergeDoc(big, i, i, fmt.Sprintf("s%d", i))
-	}
-	if big.shouldGC(xmldoc.Timestamp(gcBatchMin), noSeq) {
-		t.Errorf("shouldGC with %d/1000 expired", gcBatchMin-1)
-	}
-	if !big.shouldGC(xmldoc.Timestamp(gcBatchMin)+1, noSeq) {
-		t.Errorf("!shouldGC with %d/1000 expired", gcBatchMin)
-	}
-}
-
-// TestShouldGCOutOfOrderTimestamps is the starvation regression test: a
-// single early document with a far-future timestamp (clock skew) keeps the
-// expired prefix empty forever, but the periodic full scan must still
-// trigger GC once enough non-prefix documents have expired — previously the
-// trigger starved and expired state accumulated unboundedly.
-func TestShouldGCOutOfOrderTimestamps(t *testing.T) {
+// TestGCOutOfOrderTimestamps pins expiry that is not a prefix: a single
+// early document with a far-future timestamp (clock skew) heads the arrival
+// order and never expires, and one collection still removes every expired
+// document behind it.
+func TestGCOutOfOrderTimestamps(t *testing.T) {
 	noSeq := int64(math.MaxInt64)
 	s := NewState()
 	mergeDoc(s, 1, 1_000_000, "skew") // prefix head that never expires
 	for i := int64(2); i <= 80; i++ {
 		mergeDoc(s, i, i, fmt.Sprintf("s%d", i))
 	}
-	// Cutoff 100 expires docs 2..80 (79 ≥ gcBatchMin) but not the head.
-	fired := false
-	for call := 0; call < gcFullScanEvery+1; call++ {
-		if s.shouldGC(100, noSeq) {
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatalf("shouldGC never fired within %d calls with %d non-prefix expired documents",
-			gcFullScanEvery+1, 79)
-	}
+	// Cutoff 100 expires docs 2..80 but not the head.
 	if got, _ := s.GC(100, noSeq, nil); len(got) != 79 {
 		t.Errorf("GC reclaimed %d documents, want 79", len(got))
 	}
 	if s.NumDocs() != 1 {
 		t.Errorf("NumDocs = %d after GC, want 1 (the skewed head)", s.NumDocs())
 	}
+	checkState(t, s)
 }
 
-// TestGCOutOfOrderProcessor drives the starvation scenario end-to-end: a
-// skewed first document followed by a long normally-timestamped stream must
-// not pin the whole stream in the join state — neither its documents nor the
-// slots, row storage and posting lists behind them.
+// emptyStage1Pool drops the results earlier tests left in stage1Pool. A
+// result carries the record storage of the last document it served, so a
+// bound on the storage the state keeps holds for the test's own documents
+// only once the pool is empty; two collections empty a sync.Pool.
+func emptyStage1Pool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestGCOutOfOrderProcessor drives clock skew end-to-end: a skewed first
+// document followed by a long normally-timestamped stream must not pin the
+// stream in the join state — neither its documents nor the slots, row
+// storage and posting lists behind them. Each publish tests every live
+// record while the head is live, and drops what left the window.
 func TestGCOutOfOrderProcessor(t *testing.T) {
+	emptyStage1Pool()
 	p := NewProcessor(Config{})
 	p.MustRegister(xscl.MustParse(
 		"S//a->r1[.//x->v] JOIN{v=w, 10} S//b->r2[.//y->w]"))
@@ -109,14 +77,15 @@ func TestGCOutOfOrderProcessor(t *testing.T) {
 	for i := int64(2); i <= n; i++ {
 		p.Process("S", doc(i, i))
 	}
-	// Window 10: all but the head and the last ~10 documents are expired.
-	// Without the periodic full scan the state would hold all n documents.
-	const maxDocs = 1 + 10 + gcFullScanEvery + gcBatchMin
+	// Window 10: every publish expires all but the head and the last 11
+	// documents (timestamps within 10 of the newest).
+	const maxDocs = 1 + 11
 	s := p.State()
 	if got := s.NumDocs(); got > maxDocs {
-		t.Errorf("join state holds %d documents after %d publishes (window 10): GC starved", got, n)
+		t.Errorf("join state holds %d documents after %d publishes (window 10): expired documents kept", got, n)
 	}
-	// A document holds one Rbin and one Rdoc row: 6 values.
+	// A document holds one Rbin and one Rdoc row: 6 values. A merge takes a
+	// slot before the collection frees one.
 	storage, postings := 0, 0
 	for i := range s.recs {
 		storage += s.recs[i].storage()
@@ -128,8 +97,8 @@ func TestGCOutOfOrderProcessor(t *testing.T) {
 		what     string
 		n, bound int
 	}{
-		{"slots", len(s.recs), maxDocs},
-		{"row storage values", storage, 6 * maxDocs},
+		{"slots", len(s.recs), maxDocs + 1},
+		{"row storage values", storage, 6 * (maxDocs + 1)},
 		{"posting lists", len(s.lists), 7},
 		{"posting capacity", postings, 2 * maxDocs},
 		{"arrival order capacity", cap(s.order), 2 * maxDocs},
@@ -197,7 +166,7 @@ func TestSlotReuseMatchesSequential(t *testing.T) {
 		id++
 		ts++
 	}
-	for i := 0; i < gcBatchMin+1; i++ {
+	for i := 0; i < 33; i++ {
 		publish("old")
 	}
 	slots := len(p.state.recs)

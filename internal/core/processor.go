@@ -1138,14 +1138,12 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 		if p.maxCountWindow > 0 {
 			cutoffSeq = p.state.nextSeq - p.maxCountWindow
 		}
-		if p.state.shouldGC(cutoffTS, cutoffSeq) {
-			n := len(p.departed)
-			var dropped int
-			p.departed, dropped = p.state.GC(cutoffTS, cutoffSeq, p.departed)
-			if len(p.departed) > n {
-				p.stats.WindowGCs++
-				p.stats.GCRowsDropped += int64(dropped)
-			}
+		n := len(p.departed)
+		var dropped int
+		p.departed, dropped = p.state.GC(cutoffTS, cutoffSeq, p.departed)
+		if len(p.departed) > n {
+			p.stats.WindowGCs++
+			p.stats.GCRowsDropped += int64(dropped)
 		}
 	}
 	t4 := time.Now()

@@ -104,10 +104,6 @@ type State struct {
 	// rows counts the live rows of Rbin, Rdoc and Rroot.
 	rows [3]int
 
-	// gcStale counts consecutive negative shouldGC prefix verdicts since
-	// the last full expiry scan (see gcFullScanEvery).
-	gcStale int
-
 	// expired and dirty are GC's scratch, reused: the expired slots and the
 	// values whose lists lost a row that was not at their front.
 	expired []int32
@@ -514,9 +510,12 @@ func (s *State) appendRL(vals []int64, id int32) []int64 {
 // GC removes every document expired in both window dimensions (timestamp <
 // cutoffTS and arrival index < cutoffSeq), whether they form a prefix of the
 // arrival order or not, appends their ids to gone in the order it frees them
-// and returns it with the number of rows they held. While no live document is late the
-// expired ones are a prefix of the arrival order and the scan stops at the
-// first live one; otherwise every live record is tested. Each expired row is
+// and returns it with the number of rows they held. Consume calls it after
+// every merge under a finite window, so the state holds exactly the
+// documents no cutoff has passed. While no live document is late the expired
+// ones are a prefix of the arrival order and the scan stops at the first
+// live one, O(expired); otherwise every live record is tested, O(window) per
+// call for as long as a late document is live. Each expired row is
 // popped off the front of its value's posting list, which is where it sits
 // when expiry follows arrival; a list that lost a row elsewhere (clock skew)
 // is filtered once at the end. The expired records are freed and their
@@ -595,66 +594,6 @@ func (s *State) unpost(id int32, ref rowRef) {
 	if l.head++; l.head == len(l.refs) && !l.dirty {
 		s.retire(id)
 	}
-}
-
-// gcBatchMin is the expired-prefix length beyond which a GC pays for the
-// collection regardless of the live fraction.
-const gcBatchMin = 32
-
-// gcFullScanEvery bounds trigger starvation under out-of-order timestamps:
-// the cheap per-publish check scans only the expired prefix of the arrival
-// order, so a single early document with a far-future timestamp (clock skew)
-// would otherwise hide an unbounded number of expired successors from the
-// trigger forever. Every gcFullScanEvery consecutive negative prefix
-// verdicts, the check pays one full scan — amortized O(len/gcFullScanEvery)
-// per publish — so non-prefix expiry is still collected (GC itself already
-// removes any expired document, prefix or not). While no live document is
-// late the full scan would count the prefix again, so it is skipped: the
-// verdict is the same.
-const gcFullScanEvery = 64
-
-// shouldGC reports whether enough documents have expired to make a
-// collection worthwhile. A document is expired when its timestamp is below
-// cutoffTS AND its arrival index is below cutoffSeq (pass the maximum value
-// for a dimension with no active windows). Documents normally arrive in
-// timestamp order, so expired documents form a prefix of the arrival order:
-// the scan stops at the first live document (and at gcBatchMin, when the
-// verdict is already decided), so this per-publish check is O(min(expired,
-// gcBatchMin)) — except for the periodic full scan that guards against
-// out-of-order arrivals (gcFullScanEvery).
-func (s *State) shouldGC(cutoffTS xmldoc.Timestamp, cutoffSeq int64) bool {
-	expired := 0
-	for _, slot := range s.order {
-		if !s.recs[slot].expired(cutoffTS, cutoffSeq) {
-			break
-		}
-		expired++
-		if expired >= gcBatchMin {
-			s.gcStale = 0
-			return true
-		}
-	}
-	if expired > 0 && 2*expired >= len(s.order) {
-		s.gcStale = 0
-		return true
-	}
-	if s.gcStale++; s.gcStale < gcFullScanEvery {
-		return false
-	}
-	s.gcStale = 0
-	if s.late == 0 {
-		return false
-	}
-	total := 0
-	for _, slot := range s.order {
-		if s.recs[slot].expired(cutoffTS, cutoffSeq) {
-			total++
-			if total >= gcBatchMin {
-				return true
-			}
-		}
-	}
-	return total > 0 && 2*total >= len(s.order)
 }
 
 // NumDocs returns the number of documents currently in the join state.

@@ -25,10 +25,12 @@ import (
 func TestStateBoundedByWindow(t *testing.T) {
 	const window = 32
 	const ndocs = 50 * window
-	// Everything below is O(1) per live document; GC runs in batches of up
-	// to gcBatchMin expired documents, so the live set peaks near
-	// window+gcBatchMin documents.
-	const maxDocs = 3 * window
+	// Everything below is O(1) per live document. Every Consume expires
+	// what left the window, so the state holds the window's documents: the
+	// timestamps within window of the newest (window+1 of them) or the
+	// last window arrivals. A merge takes a slot before the collection
+	// frees one.
+	const maxDocs = window + 1
 	const rowsPerDoc = 4    // witness rows of each relation per document
 	const stringsPerDoc = 2 // strings a document shares with its predecessor
 
@@ -49,6 +51,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				emptyStage1Pool()
 				p := NewProcessor(Config{})
 				p.MustRegister(xscl.MustParse(tc.query))
 				docs := make([]*xmldoc.Document, ndocs)
@@ -88,7 +91,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 						{"RR rows", cap(p.pre.rr), rowsPerDoc * stringsPerDoc},
 						{"RR values", cap(p.pre.rrVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
-						{"slots", len(s.recs), maxDocs},
+						{"slots", len(s.recs), maxDocs + 1},
 						{"Rdoc rows", doc, maxDocs * rowsPerDoc},
 						{"Rbin rows", bin, maxDocs * rowsPerDoc},
 						{"Rroot rows", root, maxDocs * rowsPerDoc},
@@ -99,9 +102,13 @@ func TestStateBoundedByWindow(t *testing.T) {
 						// Freed slots keep their storage for the next
 						// document (a row is at most 4 values), and a
 						// posting list at most doubles past its peak.
-						{"row storage values", storage, 4 * 3 * maxDocs * rowsPerDoc},
+						{"row storage values", storage, 4 * 3 * (maxDocs + 1) * rowsPerDoc},
 						{"posting capacity", postingCap, 2 * maxDocs * rowsPerDoc},
-						{"arrival order capacity", cap(s.order), 2 * maxDocs},
+						// The arrival order loses its front to every
+						// collection and append regrows it: at most twice
+						// its length, rounded up to a size class (at most
+						// an eighth more).
+						{"arrival order capacity", cap(s.order), 9 * 2 * (maxDocs + 1) / 8},
 					} {
 						if c.n > c.bound {
 							t.Fatalf("after %d documents (window %d): %d %s, want <= %d", i, window, c.n, c.what, c.bound)
@@ -112,9 +119,9 @@ func TestStateBoundedByWindow(t *testing.T) {
 					checkState(t, s)
 					// Every value is new twice per document, yet nothing
 					// interns it, and the dictionary stops growing once
-					// the state has: GC runs in batches of gcBatchMin
-					// (here a window) documents, so the state reaches its
-					// peak within two windows.
+					// the state has: the state holds a window's documents
+					// from the first window on, so it reaches its peak
+					// within two windows.
 					switch {
 					case i == window:
 						symbols = sym.Count()

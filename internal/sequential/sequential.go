@@ -374,8 +374,11 @@ func (p *Processor) predsMatchSwapped(plan *queryPlan, lw xpath.Witness, sw stor
 	return true
 }
 
-// gc drops stored witnesses that fell out of every window (both the time
-// and the tuple dimension).
+// gc drops every stored witness that fell out of every window (both the time
+// and the tuple dimension), wherever it sits in the store, on every document:
+// the store holds exactly the witnesses no cutoff has passed, as the join
+// state holds exactly the documents, so a late document finds the same
+// partners in both.
 func (p *Processor) gc(now xmldoc.Timestamp) {
 	if p.anyInfWindow || (p.maxFiniteWindow == 0 && p.maxCountWindow == 0) {
 		return
@@ -389,14 +392,8 @@ func (p *Processor) gc(now xmldoc.Timestamp) {
 		cutoffSeq = p.nextSeq - p.maxCountWindow
 	}
 	for pid, sws := range p.store {
-		// Witnesses are appended in arrival order; find the first
-		// survivor.
-		i := 0
-		for i < len(sws) && sws[i].ts < cutoffTS && sws[i].seq < cutoffSeq {
-			i++
-		}
-		if i > 0 && (i >= 32 || 2*i >= len(sws)) {
-			p.store[pid] = append([]storedWitness(nil), sws[i:]...)
-		}
+		p.store[pid] = slices.DeleteFunc(sws, func(sw storedWitness) bool {
+			return sw.ts < cutoffTS && sw.seq < cutoffSeq
+		})
 	}
 }

@@ -83,17 +83,6 @@ func AttrIntern(name string) ID {
 	return id
 }
 
-// Lookup returns the id of s without interning it; ok is false when s has
-// never been interned.
-func Lookup(s string) (ID, bool) {
-	t := global
-	h := t.hash(false, s)
-	t.mu.RLock()
-	_, id := t.find(h, false, s)
-	t.mu.RUnlock()
-	return id, id >= 0
-}
-
 // Name returns the string a live id was interned from. It panics on an id
 // that was never issued — such a value is a corrupted or cross-process id,
 // never valid data.

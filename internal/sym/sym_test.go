@@ -42,17 +42,18 @@ func TestAttrInternMatchesPrefixedIntern(t *testing.T) {
 	}
 }
 
-func TestLookupDoesNotIntern(t *testing.T) {
+// TestReinternDoesNotGrow pins that the table grows by one symbol per novel
+// string and never on a string it holds: interning it again returns its id.
+func TestReinternDoesNotGrow(t *testing.T) {
 	before := Count()
-	if _, ok := Lookup("sym-test-never-interned"); ok {
-		t.Fatal("Lookup invented a symbol")
+	// Named after the table's size, so it is novel on every run.
+	novel := fmt.Sprintf("sym-test-novel-%d", before)
+	id := Intern(novel)
+	if Count() != before+1 {
+		t.Fatalf("a novel string grew the table by %d symbols, want 1", Count()-before)
 	}
-	if Count() != before {
-		t.Fatal("Lookup grew the table")
-	}
-	id := Intern("sym-test-now-interned")
-	if got, ok := Lookup("sym-test-now-interned"); !ok || got != id {
-		t.Fatalf("Lookup after Intern = (%d, %v), want (%d, true)", got, ok, id)
+	if got := Intern(novel); got != id || Count() != before+1 {
+		t.Fatalf("Intern again = %d with %d symbols, want %d with %d", got, Count(), id, before+1)
 	}
 }
 
@@ -102,8 +103,8 @@ func TestRepeatInternDoesNotAllocate(t *testing.T) {
 			t.Fatal("InternName disagrees with Name")
 		}
 		AttrIntern(sub)
-		if got, ok := Lookup(string(b)); !ok || got != id {
-			t.Fatal("Lookup by bytes missed")
+		if Intern(string(b)) != id {
+			t.Fatal("Intern by bytes missed")
 		}
 	})
 	if allocs != 0 {
