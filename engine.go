@@ -366,24 +366,34 @@ func (e *Engine) consume(dst []Match, stream string, d *Document, r *core.Stage1
 
 // orderedMatches is a document's result as a processor hands it over: in
 // canonical order and not yet written out (core.Matches; the sequential
-// baseline's slice).
+// baseline's slice), read with a cursor — First, then Next until nil.
 type orderedMatches interface {
 	Len() int
-	At(i int) *core.Match
+	First() *core.Match
+	Next() *core.Match
 }
 
 // sequentialMatches presents the baseline processor's result, which carries
-// the same fields under its own types, as orderedMatches; At converts into
-// cur, so reading costs the baseline no allocation.
+// the same fields under its own types, as orderedMatches; the cursor
+// converts into cur, so reading costs the baseline no allocation.
 type sequentialMatches struct {
 	ms  []sequential.Match
+	i   int
 	cur core.Match
 }
 
 func (s *sequentialMatches) Len() int { return len(s.ms) }
 
-func (s *sequentialMatches) At(i int) *core.Match {
-	m := &s.ms[i]
+func (s *sequentialMatches) First() *core.Match {
+	s.i = -1
+	return s.Next()
+}
+
+func (s *sequentialMatches) Next() *core.Match {
+	if s.i++; s.i >= len(s.ms) {
+		return nil
+	}
+	m := &s.ms[s.i]
 	s.cur = core.Match{
 		Query:   core.QueryID(m.Query),
 		LeftDoc: m.LeftDoc, RightDoc: m.RightDoc,
@@ -397,26 +407,24 @@ func (s *sequentialMatches) At(i int) *core.Match {
 // a slice the caller owns: nil under PublishDoc, the caller's reused buffer
 // under AppendPublishXML — resolving each query's PUBLISH stream from its
 // subscription record. This is the one place the result is materialised:
-// the processor's view is only valid until it consumes its next document, so
-// consume calls deliver before anything else — the cascade included.
+// the processor's view is only valid until it consumes its next document or
+// its registrations change, so consume calls deliver before anything else —
+// the cascade included — and under the registration lock's read side.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) deliver(dst []Match, ms orderedMatches) []Match {
-	n := ms.Len()
-	if n == 0 {
+	if ms.Len() == 0 {
 		return dst
 	}
-	at := len(dst)
-	out := slices.Grow(dst, n)[:at+n]
-	for i := 0; i < n; i++ {
-		m := ms.At(i)
-		out[at+i] = Match{
+	out := slices.Grow(dst, ms.Len())
+	for m := ms.First(); m != nil; m = ms.Next() {
+		out = append(out, Match{
 			Query:   QueryID(m.Query),
 			Publish: e.queries[m.Query].publish,
 			LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
 			LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
 			leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
-		}
+		})
 	}
 	return out
 }

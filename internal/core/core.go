@@ -95,6 +95,11 @@ type Stats struct {
 	// plan, so they repeat exactly.
 	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps."`
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
+	// MatchRuns counts the runs Stage 2 wrote: one per complete frame and
+	// window class that passed the window, each standing for the matches
+	// of its class's queries. MatchRuns / Matches is the output work per
+	// match.
+	MatchRuns int64 `json:"match_runs" stat:"counter" help:"Stage-2 match runs written: one per frame and window class that passed the window."`
 	// PatternsTriggered counts the registered patterns that reached witness
 	// assembly (every path prefix of the pattern had a candidate in the
 	// document) and WitnessProbes what their assembly examined

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/xmldoc"
+	"repro/internal/xscl"
 )
 
 // Compiled Stage-2 programs.
@@ -22,14 +23,14 @@ import (
 // from, the row columns it assigns to still-unbound slots and the columns it
 // only checks against bound ones. Column offsets are resolved at compile
 // time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
-// a depth-first index nested loop over the frame that emits complete frames
-// straight into the processor's emit buffer. No intermediate relation is
-// materialized, and no step scans join state: a document's rows — a previous
-// one's or the current one's — are reached through its record's node indexes
-// (docRec.seal builds them at the end of the document's Stage 1), the views
-// through the indexes built once per document in stage2Shared. No step
-// hashes: every index is an offset array or a flat table over integer keys
-// (flat.go).
+// a depth-first index nested loop over the frame that writes each complete
+// frame into the processor's result as runs (cqExec.emit). No intermediate
+// relation is materialized, and no step scans join state: a document's rows
+// — a previous one's or the current one's — are reached through its record's
+// node indexes (docRec.seal builds them at the end of the document's Stage
+// 1), the views through the indexes built once per document in
+// stage2Shared. No step hashes: every index is an offset array or a flat
+// table over integer keys (flat.go).
 //
 // The program joins outward from the document's value-join pairs and assigns
 // the v slots from the structural rows it walks. The query relation RT is one
@@ -238,23 +239,100 @@ func (c *cqCompiler) atom(src cqSource, key int, cols ...int) {
 }
 
 // vecGroup is one distinct variable vector of a template — the RT rows of
-// every instance registered with the same class name at each
-// position collapse onto it — with the instances sharing it.
+// every instance registered with the same class name at each position
+// collapse onto it — with the instances sharing it, as window classes. The
+// first class is inline: nearly every group has exactly one.
 type vecGroup struct {
 	vars  []int32 // interned class name per template position
-	insts []int64 // instance ids
+	first windowClass
+	more  *[]windowClass // the other classes, nil when there are none
 }
 
-// addVector records an instance's variable vector in its template and
-// returns its group (kept by the instance for removeVector). A new group's
-// path enters the trie.
-func (t *Template) addVector(vars []int32, iid int64) *vecGroup {
+// windowKey is what Algorithm 3 reads of an instance, and the orientation
+// its matches take: the instances of a vector group with one key pass or
+// fail the window together for a frame, and their matches differ only in
+// the query.
+type windowKey struct {
+	window  int64
+	op      xscl.OpKind
+	kind    xscl.WindowKind
+	swapped bool
+}
+
+// windowClass is a vector group's instances with one window key: their
+// query ids, ascending. No query has two instances with one key in one
+// group, since a JOIN's second instance is the swapped one.
+type windowClass struct {
+	key  windowKey
+	qids []QueryID
+}
+
+// class returns g's class with key k, nil when there is none.
+func (g *vecGroup) class(k windowKey) *windowClass {
+	if g.first.key == k {
+		return &g.first
+	}
+	if g.more != nil {
+		for i := range *g.more {
+			if c := &(*g.more)[i]; c.key == k {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// add inserts query qid into g's class with key k, which it starts when g
+// has none.
+func (g *vecGroup) add(k windowKey, qid QueryID) {
+	c := g.class(k)
+	if c == nil {
+		if g.more == nil {
+			g.more = new([]windowClass)
+		}
+		*g.more = append(*g.more, windowClass{key: k, qids: []QueryID{qid}})
+		return
+	}
+	i, _ := slices.BinarySearch(c.qids, qid)
+	c.qids = slices.Insert(c.qids, i, qid)
+}
+
+// remove deletes query qid from g's class with key k, and the class when it
+// empties; the last of the other classes fills an emptied first one. It
+// reports whether g is left without an instance.
+func (g *vecGroup) remove(k windowKey, qid QueryID) bool {
+	c := g.class(k)
+	if i, ok := slices.BinarySearch(c.qids, qid); ok {
+		c.qids = slices.Delete(c.qids, i, i+1)
+	}
+	if len(c.qids) > 0 {
+		return false
+	}
+	if g.more == nil {
+		return true
+	}
+	more := *g.more
+	last := len(more) - 1
+	*c = more[last]
+	if last == 0 {
+		g.more = nil
+	} else {
+		more[last] = windowClass{}
+		*g.more = more[:last]
+	}
+	return false
+}
+
+// addVector records an instance of query qid with window key k and
+// variable vector vars in its template and returns its group (kept by the
+// instance for removeVector). A new group's path enters the trie.
+func (t *Template) addVector(vars []int32, k windowKey, qid QueryID) *vecGroup {
 	if gi := t.trie.walk(t.levels, vars); gi >= 0 {
 		g := t.vecList[gi]
-		g.insts = append(g.insts, iid)
+		g.add(k, qid)
 		return g
 	}
-	g := &vecGroup{vars: slices.Clone(vars), insts: []int64{iid}}
+	g := &vecGroup{vars: slices.Clone(vars), first: windowClass{key: k, qids: []QueryID{qid}}}
 	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
 	t.vecList = append(t.vecList, g)
 	return g
@@ -264,8 +342,8 @@ func (t *Template) addVector(vars []int32, iid int64) *vecGroup {
 // group whose last instance leaves is dropped entirely — its path leaves the
 // trie and the last group takes its index — so no plan visits a vector no
 // live query shares.
-func (t *Template) removeVector(g *vecGroup, iid int64) {
-	if g.insts = removeFirst(g.insts, iid); len(g.insts) > 0 {
+func (t *Template) removeVector(g *vecGroup, k windowKey, qid QueryID) {
+	if !g.remove(k, qid) {
 		return
 	}
 	gi := t.trie.remove(t.levels, g.vars)
@@ -293,7 +371,6 @@ type cqExec struct {
 	// nodes[i] is the frame's trie node when step i starts: the root at
 	// step 0; once every v slot is bound, the vector group's index.
 	nodes []int32
-	out   []Match
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -304,8 +381,9 @@ type cqExec struct {
 	probes, rows int64
 }
 
-// run evaluates prog against the document, appending the matches that pass
-// their instance's window to ex.out.
+// run evaluates prog against the document, appending a run to the
+// processor's result for every window class of a complete frame that passes
+// the window.
 func (ex *cqExec) run(prog *cqProgram) {
 	ex.prog = prog
 	ex.frame = resize(ex.frame, prog.t.numSlots())
@@ -386,41 +464,56 @@ func (ex *cqExec) try(st *cqStep, row []int64, i int) {
 }
 
 // emit turns the complete frame into the RoutT rows of its vector group g —
-// one per instance sharing it — and appends those that pass the instance's
-// window (Algorithm 3) as matches. The rows of one frame share one Bindings
-// slice, carved from the slab.
+// one per instance sharing it — and writes one run to the processor's
+// result for each window class that passes Algorithm 3: the class's query
+// ids and the frame's oriented match. The runs of one frame share one
+// Bindings slice, carved from the slab.
 func (ex *cqExec) emit(g *vecGroup) {
-	p, t, f := ex.p, ex.prog.t, ex.frame
-	prev := &p.state.recs[f[slotDoc]]
-	var bindings []xmldoc.NodeID
-	for _, iid := range g.insts {
-		ex.rows++
-		inst := p.instances[iid]
-		if !p.windowOK(inst, prev, ex.d) {
-			continue
+	bindings := ex.emitClass(&g.first, nil)
+	if g.more != nil {
+		for i := range *g.more {
+			bindings = ex.emitClass(&(*g.more)[i], bindings)
 		}
-		if bindings == nil {
-			if len(ex.slab) < t.N {
-				ex.slab = make([]xmldoc.NodeID, max(256, t.N))
-			}
-			bindings, ex.slab = ex.slab[:t.N:t.N], ex.slab[t.N:]
-			for i := range bindings {
-				bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
-			}
-		}
-		ex.out = slices.Grow(ex.out, 1)[:len(ex.out)+1]
-		orientMatch(&ex.out[len(ex.out)-1], t, inst, prev.id, prev.ts, bindings, ex.d)
 	}
 }
 
-// orientMatch writes the Match of an RoutT row into m, every field, applying
-// the instance's block orientation. Writing in place spares the emit buffer
-// a copy of every match; m may hold a previous document's match.
-func orientMatch(m *Match, t *Template, inst *instance, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, bindings []xmldoc.NodeID, d *xmldoc.Document) {
-	m.Query, m.Template, m.Bindings = inst.qid, t, bindings
+// emitClass writes class c's run when it passes the window, carving the
+// frame's bindings unless an earlier class of the frame did, and returns
+// them.
+func (ex *cqExec) emitClass(c *windowClass, bindings []xmldoc.NodeID) []xmldoc.NodeID {
+	p, t, f := ex.p, ex.prog.t, ex.frame
+	prev := &p.state.recs[f[slotDoc]]
+	ex.rows += int64(len(c.qids))
+	if !p.windowOK(c.key, prev, ex.d) {
+		return bindings
+	}
+	if bindings == nil {
+		if len(ex.slab) < t.N {
+			ex.slab = make([]xmldoc.NodeID, max(256, t.N))
+		}
+		bindings, ex.slab = ex.slab[:t.N:t.N], ex.slab[t.N:]
+		for i := range bindings {
+			bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
+		}
+	}
+	runs := slices.Grow(p.result.runs, 1)[:len(p.result.runs)+1]
+	run := &runs[len(runs)-1]
+	run.qids = c.qids
+	orientKey(&run.key, t, c.key.swapped, prev.id, prev.ts, bindings, ex.d)
+	p.result.runs = runs
+	return bindings
+}
+
+// orientKey writes into m every field of the match of an RoutT row but the
+// query, applying the block orientation: the matches of one frame and one
+// window class differ only in their query. The run keeps the previous
+// document's id and timestamp, not its slot, since the merge and window
+// collection run before the result is read.
+func orientKey(m *Match, t *Template, swapped bool, prevDoc xmldoc.DocID, prevTS xmldoc.Timestamp, bindings []xmldoc.NodeID, d *xmldoc.Document) {
+	m.Query, m.Template, m.Bindings = 0, t, bindings
 	prevRoot := bindings[t.LeftRoot]
 	curRoot := bindings[t.RightRoot]
-	if inst.swapped {
+	if swapped {
 		m.LeftDoc, m.RightDoc = d.ID, prevDoc
 		m.LeftTS, m.RightTS = d.Timestamp, prevTS
 		m.LeftRoot, m.RightRoot = curRoot, prevRoot

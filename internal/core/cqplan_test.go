@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -19,6 +20,24 @@ func twoLeafQuery(leaf string, window int64) *xscl.Query {
 	return xscl.MustParse(fmt.Sprintf(
 		"S//r->v0[./%s->v1] FOLLOWED BY{v1=w1, %d} S//r->w0[./%s->w1]",
 		leaf, window, leaf))
+}
+
+// classesOf returns g's window classes, the inline first one first.
+func classesOf(g *vecGroup) []windowClass {
+	out := []windowClass{g.first}
+	if g.more != nil {
+		out = append(out, *g.more...)
+	}
+	return out
+}
+
+// groupSize counts g's instances, over its window classes.
+func groupSize(g *vecGroup) int {
+	n := 0
+	for _, c := range classesOf(g) {
+		n += len(c.qids)
+	}
+	return n
 }
 
 // TestVectorGroupChurn exercises vector-group add/remove under
@@ -41,15 +60,15 @@ func TestVectorGroupChurn(t *testing.T) {
 	}
 	var shared *vecGroup
 	for _, g := range tmpl.vecList {
-		if len(g.insts) == 2 {
+		if groupSize(g) == 2 {
 			shared = g
 		}
 	}
 	if shared == nil {
 		t.Fatal("no vector group holds both l1 instances")
 	}
-	if w0, w1 := p.instances[shared.insts[0]].window, p.instances[shared.insts[1]].window; w0 != 10 || w1 != 20 {
-		t.Fatalf("shared group windows = %d, %d, want 10, 20", w0, w1)
+	if cs := classesOf(shared); len(cs) != 2 || cs[0].key.window != 10 || cs[1].key.window != 20 {
+		t.Fatalf("shared group classes = %+v, want windows 10 and 20", cs)
 	}
 
 	// Removing one of two sharers shrinks the group but keeps it.
@@ -57,7 +76,7 @@ func TestVectorGroupChurn(t *testing.T) {
 	if n := len(tmpl.vecList); n != 2 {
 		t.Fatalf("after partial removal: %d groups, want 2", n)
 	}
-	if n := len(shared.insts); n != 1 {
+	if n := groupSize(shared); n != 1 {
 		t.Fatalf("shared group holds %d instances, want 1", n)
 	}
 	// Removing the last sharer drops the group entirely.
@@ -248,34 +267,49 @@ func TestTrieEqualsVectorGroups(t *testing.T) {
 
 // FuzzTrieChurn applies a byte string as a sequence of vector-group
 // registrations and removals to a three-level template and compares the
-// trie with a map from vector to instances after every operation: each
-// vector of the small alphabet must walk to its group, with the group's
-// vector and instances, or nowhere.
+// trie and the groups' window classes with a map from vector to instances
+// after every operation: each vector of the small alphabet must walk to its
+// group, with the group's vector, or nowhere; no class may be empty, each
+// class's queries must strictly ascend, and each group's (window key, query)
+// multiset must be the map's. An instance's window key is drawn from a
+// small alphabet too, so groups hold several classes that empty and refill.
 func FuzzTrieChurn(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 1, 6, 3, 8, 1, 1})
 	f.Add([]byte("the trie keeps exactly the vectors registered"))
+	f.Add([]byte{0, 0x40, 0x80, 0xc0, 0x40, 1, 3, 0, 0x80, 5, 1, 1, 1})
+	type entry struct {
+		key windowKey
+		qid QueryID
+	}
+	keys := [...]windowKey{
+		{window: 10, op: xscl.OpFollowedBy},
+		{window: 20, op: xscl.OpFollowedBy},
+		{window: 10, op: xscl.OpJoin},
+		{window: 10, op: xscl.OpJoin, swapped: true},
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tmpl := &Template{N: 3, levels: []int{1, 2, 0}}
-		ref := map[[3]int32][]int64{}
-		var live []int64                // instance ids
-		groups := map[int64]*vecGroup{} // instance -> its group
-		next := int64(0)
+		ref := map[[3]int32][]entry{}
+		var live []entry                  // registered instances
+		groups := map[QueryID]*vecGroup{} // instance -> its group
+		next := QueryID(0)
 		for step, b := range ops {
 			if b&1 == 0 || len(live) == 0 {
 				v := [3]int32{int32(b>>1) % 4, int32(b>>3) % 4, int32(b>>5) % 3}
-				groups[next] = tmpl.addVector(v[:], next)
-				ref[v] = append(ref[v], next)
-				live = append(live, next)
+				e := entry{keys[int(b>>6)%len(keys)], next}
+				groups[next] = tmpl.addVector(v[:], e.key, next)
+				ref[v] = append(ref[v], e)
+				live = append(live, e)
 				next++
 			} else {
 				k := int(b>>1) % len(live)
-				iid := live[k]
+				e := live[k]
 				live = slices.Delete(live, k, k+1)
-				g := groups[iid]
+				g := groups[e.qid]
 				v := [3]int32(g.vars)
-				tmpl.removeVector(g, iid)
-				delete(groups, iid)
-				if ref[v] = removeFirst(ref[v], iid); len(ref[v]) == 0 {
+				tmpl.removeVector(g, e.key, e.qid)
+				delete(groups, e.qid)
+				if ref[v] = removeFirst(ref[v], e); len(ref[v]) == 0 {
 					delete(ref, v)
 				}
 			}
@@ -284,6 +318,27 @@ func FuzzTrieChurn(f *testing.F) {
 			}
 			if len(tmpl.vecList) != len(ref) {
 				t.Fatalf("op %d: %d groups, want %d", step, len(tmpl.vecList), len(ref))
+			}
+			for _, g := range tmpl.vecList {
+				var got []entry
+				for _, c := range classesOf(g) {
+					if len(c.qids) == 0 {
+						t.Fatalf("op %d: group %v holds an empty class %+v", step, g.vars, c.key)
+					}
+					for i, q := range c.qids {
+						if i > 0 && q <= c.qids[i-1] {
+							t.Fatalf("op %d: class %+v of group %v holds %v, not strictly ascending", step, c.key, g.vars, c.qids)
+						}
+						got = append(got, entry{c.key, q})
+					}
+				}
+				want := slices.Clone(ref[[3]int32(g.vars)])
+				byQuery := func(a, b entry) int { return cmp.Compare(a.qid, b.qid) }
+				slices.SortFunc(got, byQuery)
+				slices.SortFunc(want, byQuery)
+				if !slices.Equal(got, want) {
+					t.Fatalf("op %d: group %v holds %v, want %v", step, g.vars, got, want)
+				}
 			}
 			for a := int32(0); a < 4; a++ {
 				for b := int32(0); b < 4; b++ {
@@ -296,8 +351,8 @@ func FuzzTrieChurn(f *testing.F) {
 							t.Fatalf("op %d: %v walks to group %d, registered by no instance", step, v, gi)
 						case ok && gi < 0:
 							t.Fatalf("op %d: %v of instances %v leaves the trie", step, v, want)
-						case ok && !slices.Equal(tmpl.vecList[gi].insts, want):
-							t.Fatalf("op %d: %v walks to the group of %v, want %v", step, v, tmpl.vecList[gi].insts, want)
+						case ok && !slices.Equal(tmpl.vecList[gi].vars, v[:]):
+							t.Fatalf("op %d: %v walks to the group of %v", step, v, tmpl.vecList[gi].vars)
 						}
 					}
 				}
@@ -366,6 +421,48 @@ func TestWitnessOrderCountedWork(t *testing.T) {
 			t.Logf("%d matches; %d probes (%.2f per match)", matches, probes, perMatch)
 			if perMatch > tc.perMatch {
 				t.Errorf("visited %.2f index entries per match, want <= %.2f", perMatch, tc.perMatch)
+			}
+		})
+	}
+}
+
+// TestMatchRunsPerMatch bounds Stage 2's output work per match on the
+// Figure-16 shape — 10 000 unbounded-window feed subscriptions on five
+// templates, where one frame stands for about 150 instances — at ROADMAP
+// item 2's 0.2 runs per match: Stage 2 writes one run per frame and window
+// class (Stats.MatchRuns), not one match per instance. The windowed feed
+// shape of the benchmark's rss_window is logged beside it.
+func TestMatchRunsPerMatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one worker, no second goroutine: the race detector has nothing to see here and takes ten times as long")
+	}
+	rss := workload.DefaultRSS()
+	stream := rss.Stream(rand.New(rand.NewSource(8)), 2600)
+	for _, tc := range []struct {
+		name   string
+		window int64 // 0 keeps the generator's unbounded window
+		bound  float64
+	}{
+		{"figure 16", 0, 0.2},
+		{"windowed", 500, 0.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProcessor(Config{})
+			for _, q := range rss.Queries(rand.New(rand.NewSource(1)), 10000) {
+				if tc.window > 0 {
+					q.Window = tc.window
+				}
+				p.MustRegister(q)
+			}
+			for _, d := range stream {
+				p.Consume(p.RunStage1("S", d))
+			}
+			st := p.Stats()
+			perMatch := float64(st.MatchRuns) / float64(st.Matches)
+			t.Logf("%d runs for %d matches over %d documents: %.4f runs per match, %.1f matches per run",
+				st.MatchRuns, st.Matches, len(stream), perMatch, 1/perMatch)
+			if st.Matches == 0 || perMatch > tc.bound {
+				t.Errorf("%.4f runs per match, want <= %.2f", perMatch, tc.bound)
 			}
 		})
 	}

@@ -151,34 +151,41 @@ func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
 			atoms = append(atoms, Atom{Name: "RrootW", Rel: rrootW,
 				Vars: []string{v(t.RightRoot), n(t.RightRoot)}})
 		}
-		rtCols, head := []string{"qid"}, []string{"qid", "slot"}
+		// An RT row is one instance: its query, its window key (by index
+		// into keys) and its variable vector.
+		rtCols, head := []string{"qid", "key"}, []string{"qid", "key", "slot"}
 		for i := 0; i < t.N; i++ {
 			rtCols, head = append(rtCols, v(i)), append(head, n(i))
 		}
 		rt := newRelation(intCols(rtCols...)...)
+		var keys []windowKey
 		for _, g := range t.vecList {
-			for _, iid := range g.insts {
-				row := []int64{iid}
-				for _, v := range g.vars {
-					row = append(row, int64(v))
+			for _, c := range classesOf(g) {
+				keys = append(keys, c.key)
+				for _, qid := range c.qids {
+					row := []int64{int64(qid), int64(len(keys) - 1)}
+					for _, v := range g.vars {
+						row = append(row, int64(v))
+					}
+					rt.Insert(row...)
 				}
-				rt.Insert(row...)
 			}
 		}
 		atoms = append(atoms, Atom{Name: "RT", Rel: rt, Vars: rtCols})
 
 		for _, row := range EvalConjunctive(atoms, head).Rows {
-			inst := p.instances[row[0]]
-			prev := &p.state.recs[row[1]]
-			if !p.windowOK(inst, prev, d) {
+			key := keys[row[1]]
+			prev := &p.state.recs[row[2]]
+			if !p.windowOK(key, prev, d) {
 				continue
 			}
 			bindings := make([]xmldoc.NodeID, t.N)
 			for i := range bindings {
-				bindings[i] = xmldoc.NodeID(row[2+i])
+				bindings[i] = xmldoc.NodeID(row[3+i])
 			}
 			var m Match
-			orientMatch(&m, t, inst, prev.id, prev.ts, bindings, d)
+			orientKey(&m, t, key.swapped, prev.id, prev.ts, bindings, d)
+			m.Query = QueryID(row[0])
 			out = append(out, m)
 		}
 	}
@@ -187,8 +194,7 @@ func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
 }
 
 // sortMatches is the reference for the canonical order: the matches
-// themselves sorted under matchCmp, as every result was before the collector
-// ordered keys (Matches.sort).
+// themselves sorted under matchCmp.
 func sortMatches(ms []Match) {
 	slices.SortFunc(ms, func(a, b Match) int { return matchCmp(&a, &b) })
 }

@@ -43,11 +43,6 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			t.Errorf("query %d still registered", qid)
 		}
 	}
-	for iid, inst := range p.instances {
-		if inst != nil {
-			t.Errorf("instance %d still registered", iid)
-		}
-	}
 	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
 		t.Errorf("Stage-2 scratch not reclaimed: %d RL and %d RR rows kept", cap(p.pre.rl), cap(p.pre.rr))
 	}
@@ -152,7 +147,7 @@ func TestUnregisterSharedTemplateKeepsSurvivor(t *testing.T) {
 	rtRows := func(tmpl *Template) int {
 		n := 0
 		for _, g := range tmpl.vecList {
-			n += len(g.insts)
+			n += groupSize(g)
 		}
 		return n
 	}
@@ -235,7 +230,7 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 		rt0 := 0
 		for _, tmpl := range p.templateList {
 			for _, g := range tmpl.vecList {
-				rt0 += len(g.insts)
+				rt0 += groupSize(g)
 			}
 		}
 		return snapshot{
@@ -261,11 +256,11 @@ func TestRegisterFailureLeavesNoTrace(t *testing.T) {
 	var lf, rf xpath.NormalForm
 	lf.Compute(good.Left)
 	rf.Compute(good.Right)
-	iid, err := p.registerInstance(good, QueryID(999), &lf, &rf, false)
+	inst, err := p.registerInstance(good, QueryID(999), &lf, &rf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.unregisterInstance(iid)
+	p.unregisterInstance(QueryID(999), inst)
 	if after := snap(); after != before {
 		t.Errorf("registerInstance rollback left a trace: %+v -> %+v", before, after)
 	}

@@ -36,56 +36,96 @@ var (
 )
 
 // randomResult builds one document's result as the collector receives it:
-// n matches spread at random over a singles buffer (single-block matches, no
-// template) and one to four emit buffers, with the query ids drawn from
-// queries and the left documents from docs. Matches that share their key tie
-// at random further down the order: JOIN self-matches (right document = left),
-// witnesses differing only in roots or in the binding vector, one query
-// reached through two templates, and, when dups is set, exact duplicates of
-// earlier matches. It returns the buffers and every match in emit order.
-func randomResult(rng *rand.Rand, n int, queries, docs matchDomain, dups bool) (bufs [][]Match, all []Match) {
-	tmpls := []*Template{nil, {Sig: "A", N: 3}, {Sig: "B", N: 3}}
-	bufs = make([][]Match, 2+rng.Intn(4))
-	for i := 0; i < n; i++ {
-		var m Match
-		if dups && len(all) > 0 && rng.Intn(5) == 0 {
-			m = all[rng.Intn(len(all))]
+// up to nRuns Stage-2 runs and up to nSingles single-block matches, with the
+// query ids drawn from queries and the documents of the runs' keys from
+// docs. A query id is a single-block query's or a join query's by its value,
+// never both, as in the processor. A run's ids are distinct and ascend; its
+// key ties at random with others further down the order: JOIN self-matches
+// (right document = left), keys differing only in roots, template or the
+// binding vector, and, when dups is set, keys identical to an earlier run's
+// and one query in about half the runs. The singles all name one document
+// and tie on (query, root), and repeat exactly when dups is set. It returns
+// the runs, the singles and every match they stand for.
+func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain, dups bool) (runs []matchRun, singles []Match, all []Match) {
+	tmpls := []*Template{{Sig: "A", N: 3}, {Sig: "B", N: 3}}
+	single := func(q int64) bool { return uint64(q)%3 == 0 }
+	joinQuery := func() (QueryID, bool) {
+		for try := 0; try < 8; try++ {
+			if q := queries(rng); !single(q) {
+				return QueryID(q), true
+			}
+		}
+		return 0, false
+	}
+	hot, hasHot := joinQuery()
+	for i := 0; i < nRuns; i++ {
+		var key Match
+		if dups && len(runs) > 0 && rng.Intn(5) == 0 {
+			key = runs[rng.Intn(len(runs))].key
 		} else {
-			m = Match{
-				Query:    QueryID(queries(rng)),
+			key = Match{
 				LeftDoc:  xmldoc.DocID(docs(rng)),
 				RightDoc: xmldoc.DocID(docs(rng)),
 				LeftRoot: xmldoc.NodeID(rng.Intn(2)), RightRoot: xmldoc.NodeID(rng.Intn(2)),
 				Template: tmpls[rng.Intn(len(tmpls))],
 			}
 			if rng.Intn(3) == 0 {
-				m.RightDoc = m.LeftDoc
+				key.RightDoc = key.LeftDoc
 			}
-			m.LeftTS, m.RightTS = xmldoc.Timestamp(10*m.LeftDoc), xmldoc.Timestamp(10*m.RightDoc)
-			if m.Template != nil {
-				m.Bindings = []xmldoc.NodeID{m.LeftRoot, m.RightRoot, xmldoc.NodeID(rng.Intn(2))}
+			key.LeftTS, key.RightTS = xmldoc.Timestamp(10*key.LeftDoc), xmldoc.Timestamp(10*key.RightDoc)
+			key.Bindings = []xmldoc.NodeID{key.LeftRoot, key.RightRoot, xmldoc.NodeID(rng.Intn(2))}
+		}
+		var qids []QueryID
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			if q, ok := joinQuery(); ok {
+				qids = append(qids, q)
 			}
 		}
-		b := 1 + rng.Intn(len(bufs)-1)
-		if m.Template == nil {
-			b = 0
+		if dups && hasHot && rng.Intn(2) == 0 {
+			qids = append(qids, hot)
 		}
-		bufs[b] = append(bufs[b], m)
+		slices.Sort(qids)
+		if qids = slices.Compact(qids); len(qids) == 0 {
+			continue
+		}
+		runs = append(runs, matchRun{qids: qids, key: key})
+		for _, q := range qids {
+			m := key
+			m.Query = q
+			all = append(all, m)
+		}
+	}
+	doc := xmldoc.DocID(docs(rng))
+	for i := 0; i < nSingles; i++ {
+		var m Match
+		if dups && len(singles) > 0 && rng.Intn(5) == 0 {
+			m = singles[rng.Intn(len(singles))]
+		} else {
+			q := queries(rng)
+			if !single(q) {
+				q -= int64(uint64(q) % 3)
+			}
+			root := xmldoc.NodeID(rng.Intn(3))
+			m = Match{
+				Query: QueryID(q), LeftDoc: doc, RightDoc: doc,
+				LeftTS: xmldoc.Timestamp(10 * doc), RightTS: xmldoc.Timestamp(10 * doc),
+				LeftRoot: root, RightRoot: root,
+			}
+		}
+		singles = append(singles, m)
 		all = append(all, m)
 	}
-	return bufs, all
+	return runs, singles, all
 }
 
-// keyedOrder is what the collector hands out for bufs: the keys added and
-// radix-ordered, read back as a slice. ms carries the buffers between calls,
-// as the processor's result does between documents.
-func keyedOrder(ms *Matches, bufs [][]Match) []Match {
+// mergedOrder is what the collector hands out for runs and singles: the
+// sources sorted and merged, read back as a slice. ms carries its buffers
+// between calls, as the processor's result does between documents; runs and
+// singles are copied, since the collector sorts them in place.
+func mergedOrder(ms *Matches, runs []matchRun, singles []Match) []Match {
 	ms.reset()
-	for _, b := range bufs {
-		ms.add(b)
-	}
-	ms.sort()
-	return ms.Slice()
+	ms.runs = append(ms.runs, runs...)
+	return ms.collect(slices.Clone(singles)).Slice()
 }
 
 // sortedCopy is the reference order of all: the matches themselves sorted
@@ -99,49 +139,54 @@ func sortedCopy(all []Match) []Match {
 	return want
 }
 
-// TestKeyedOrderEqualsSortMatches holds the collector's order — keys of
-// (query, left document, position) radix-ordered, the matches read only on a
-// tie — to the canonical order, the matches themselves sorted under matchCmp
-// (sortMatches). The random multisets are built to tie on the key (a handful
-// of queries and documents, exact duplicates), so the tie-break is exercised
-// on every round, then spread over the other domains: the benchmark's shape
-// and every byte and sign of both fields.
+// TestKeyedOrderEqualsSortMatches holds the collector's order — the runs
+// sorted by key and the singles by (query, root), merged on (query, source)
+// — to the canonical order, the flattened matches themselves sorted under
+// matchCmp (sortMatches). The random results are built to tie (a handful of
+// queries and documents, identical keys, one query in many runs, duplicate
+// singles), so the merge meets one query in several sources on every round,
+// then spread over the other domains: the benchmark's shape and every byte
+// and sign of both fields. Zero runs and one run are rounds of their own.
 func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var ms Matches
-	ties := 0
+	shared := 0
 	for round := 0; round < 300; round++ {
-		bufs, all := randomResult(rng, rng.Intn(60), fewValues, fewValues, true)
+		nRuns := rng.Intn(20)
+		if round%10 == 0 {
+			nRuns = round / 10 % 2
+		}
+		runs, singles, all := randomResult(rng, nRuns, rng.Intn(20), fewValues, fewValues, true)
 		want := sortedCopy(all)
 		for i := 1; i < len(want); i++ {
-			if want[i].Query == want[i-1].Query && want[i].LeftDoc == want[i-1].LeftDoc {
-				ties++
+			if want[i].Query == want[i-1].Query && want[i].Template != nil {
+				shared++
 			}
 		}
-		if got := keyedOrder(&ms, bufs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: keyed order differs from the sorted matches\ngot:  %v\nwant: %v", round, got, want)
+		if got := mergedOrder(&ms, runs, singles); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: merged order differs from the sorted matches\ngot:  %v\nwant: %v", round, got, want)
 		}
 	}
-	if ties < 1000 {
-		t.Errorf("only %d adjacent matches tied on (query, left document): the multisets do not exercise the tie-break", ties)
+	if shared < 1000 {
+		t.Errorf("only %d adjacent matches of one query came from runs: the results do not exercise the merge", shared)
 	}
 	for qi, queries := range matchDomains {
 		for di, docs := range matchDomains {
-			bufs, all := randomResult(rng, 300, queries, docs, true)
-			if got, want := keyedOrder(&ms, bufs), sortedCopy(all); !reflect.DeepEqual(got, want) {
-				t.Fatalf("query domain %d, document domain %d: keyed order differs from the sorted matches", qi, di)
+			runs, singles, all := randomResult(rng, 100, 100, queries, docs, true)
+			if got, want := mergedOrder(&ms, runs, singles), sortedCopy(all); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query domain %d, document domain %d: merged order differs from the sorted matches", qi, di)
 			}
 		}
 	}
 }
 
-// FuzzMatchOrder holds the radix order to slices.SortFunc under matchCmp over
-// multisets of 0–5 000 matches: the fuzzer picks the seed, the size, the
-// domains of the query ids and the left documents (few values, a window above
-// 2^32, every byte and sign, the extremes) and whether exact duplicates occur.
-// Every multiset is ordered twice through one Matches, so the buffers the
-// first sort left behind (a swapped second buffer, the varying-byte mask)
-// must not leak into the next.
+// FuzzMatchOrder holds the merged order to slices.SortFunc under matchCmp
+// over results of 0–1 000 runs and 0–1 000 singles: the fuzzer picks the
+// seed, the sizes, the domains of the query ids and of the documents (few
+// values, a window above 2^32, every byte and sign, the extremes) and
+// whether identical keys, a query in many runs and duplicate singles occur.
+// Every result is read twice through one Matches, so what the first walk
+// left behind (the heap, the runs' keys) must not leak into the next.
 func FuzzMatchOrder(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(0))
 	f.Add(int64(2), uint16(200), uint8(0x12))
@@ -152,12 +197,16 @@ func FuzzMatchOrder(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		queries := matchDomains[int(shape&0x0f)%len(matchDomains)]
 		docs := matchDomains[int(shape>>4&0x07)%len(matchDomains)]
-		bufs, all := randomResult(rng, int(size)%5001, queries, docs, shape&0x80 == 0)
+		nRuns, nSingles := int(size)%1001, int(size>>10)*32
+		if shape&0x40 != 0 {
+			nRuns %= 2
+		}
+		runs, singles, all := randomResult(rng, nRuns, nSingles, queries, docs, shape&0x80 == 0)
 		want := sortedCopy(all)
 		var ms Matches
 		for pass := 0; pass < 2; pass++ {
-			if got := keyedOrder(&ms, bufs); !reflect.DeepEqual(got, want) {
-				t.Fatalf("pass %d over %d matches: keyed order differs from the sorted matches", pass, len(all))
+			if got := mergedOrder(&ms, runs, singles); !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d over %d runs and %d singles: merged order differs from the sorted matches", pass, len(runs), len(singles))
 			}
 		}
 	})

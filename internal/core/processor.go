@@ -51,20 +51,12 @@ type Processor struct {
 
 	// queries is indexed by QueryID; an Unregistered query leaves a nil
 	// slot so ids stay stable across churn. numQueries counts live slots.
-	// Tombstones cost one pointer per lifetime registration; bounding
-	// memory to the live set instead would put an id map on the per-match
-	// emit path. What a live query keeps is its queryRec and instances —
-	// a row, never the parsed query (recBytes sums them).
+	// Tombstones cost one pointer per lifetime registration. What a live
+	// query keeps is its queryRec and instances — a row, never the parsed
+	// query (recBytes sums them).
 	queries    []*queryRec
 	numQueries int
 	recBytes   int64
-	// instances is indexed by instance id (the RT qid column); slots of
-	// unregistered instances are nil — they left their vector groups, so
-	// dead ids are never looked up during evaluation — and are handed out
-	// again (freeInsts), so the table follows the peak live set, not the
-	// lifetime registrations.
-	instances []*instance
-	freeInsts []int64
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
@@ -73,12 +65,8 @@ type Processor struct {
 	nextTemplateID TemplateID
 
 	// ex evaluates the templates in Stage 2 (stage2.go) and keeps its
-	// scratch — the binding frame, the bindings slab and the emit buffer
-	// ex.out — across documents. ex.out holds the current document's
-	// matches from evalTemplates until the next document's resetEmit; the
-	// processor's Matches view points into it meanwhile, and whoever reads
-	// the view copies out of it: no slice handed to a caller ever aliases
-	// it.
+	// scratch — the binding frame and the bindings slab — across
+	// documents. It writes the document's runs into result.
 	ex cqExec
 
 	// patterns holds the live patterns by canonical key (the normalized
@@ -99,7 +87,7 @@ type Processor struct {
 	departed []xmldoc.DocID // Departed
 
 	// result is the current document's matches between one Consume and
-	// the next one (Matches): its keys and buffer list are reused across
+	// the next one (Matches): its runs and heap are reused across
 	// documents. consumed is the Stage-1 result whose single-block matches
 	// it reads; the next Consume returns it to stage1Pool.
 	result   Matches
@@ -142,14 +130,12 @@ type queryRec struct {
 	op         xscl.OpKind
 	windowKind xscl.WindowKind
 	window     int64
-	// insts holds the query's instance ids: one for FOLLOWED BY, two for
-	// JOIN, none for a single-block query (noInstance fills the rest).
-	insts [2]int64
+	// insts holds the query's instances: one for FOLLOWED BY, two for
+	// JOIN, none for a single-block query (nil fills the rest).
+	insts [2]*instance
 	// single is the pattern of a single-block query (nil otherwise).
 	single *patternInfo
 }
-
-const noInstance = -1
 
 type canonResult struct {
 	sig   string
@@ -159,15 +145,11 @@ type canonResult struct {
 // instance is one orientation of one query's join: FOLLOWED BY queries have
 // one instance, JOIN queries two (the second with the blocks swapped).
 type instance struct {
-	qid        QueryID
-	op         xscl.OpKind
-	swapped    bool
-	tmpl       *Template
-	window     int64
-	windowKind xscl.WindowKind
-
-	// group is the instance's variable-vector group in its template
-	// (cqplan.go), so Unregister can leave it.
+	tmpl *Template
+	// key is the instance's window and orientation, and group its
+	// variable-vector group in its template (cqplan.go): the query is in
+	// the group's class with that key, which Unregister leaves.
+	key   windowKey
 	group *vecGroup
 	// left and right are the witness-extraction demands this instance
 	// placed on its block patterns, released on Unregister. They are the
@@ -302,10 +284,7 @@ func (p *Processor) State() *State { return p.state }
 func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 	qid := QueryID(len(p.queries))
 
-	rec := &queryRec{
-		op: q.Op, windowKind: q.WindowKind, window: q.Window,
-		insts: [2]int64{noInstance, noInstance},
-	}
+	rec := &queryRec{op: q.Op, windowKind: q.WindowKind, window: q.Window}
 	lf, rf := &p.reg.norm[0], &p.reg.norm[1]
 	lf.Compute(q.Left)
 	if q.Op == xscl.OpNone {
@@ -319,11 +298,11 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 	}
 
 	rf.Compute(q.Right)
-	iid, err := p.registerInstance(q, qid, lf, rf, false)
+	inst, err := p.registerInstance(q, qid, lf, rf, false)
 	if err != nil {
 		return 0, err
 	}
-	rec.insts[0] = iid
+	rec.insts[0] = inst
 	if q.Op == xscl.OpJoin {
 		swapped := &xscl.Query{
 			Left: q.Right, Right: q.Left, Op: q.Op,
@@ -332,14 +311,14 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		for _, pr := range q.Preds {
 			swapped.Preds = append(swapped.Preds, xscl.ValueJoin{LeftVar: pr.RightVar, RightVar: pr.LeftVar})
 		}
-		iid2, err := p.registerInstance(swapped, qid, rf, lf, true)
+		inst2, err := p.registerInstance(swapped, qid, rf, lf, true)
 		if err != nil {
 			// Roll the first orientation back so the failed Register
 			// has no effect.
-			p.unregisterInstance(iid)
+			p.unregisterInstance(qid, inst)
 			return 0, err
 		}
-		rec.insts[1] = iid2
+		rec.insts[1] = inst2
 	}
 
 	p.noteWindow(rec)
@@ -358,9 +337,9 @@ func (p *Processor) addQuery(rec *queryRec) {
 // part of the processor's memory (Stats.SubscriptionBytes).
 func (rec *queryRec) bytes() int64 {
 	n := int64(unsafe.Sizeof(*rec))
-	for _, iid := range rec.insts {
-		if iid != noInstance {
-			n += int64(unsafe.Sizeof(instance{}))
+	for _, inst := range rec.insts {
+		if inst != nil {
+			n += int64(unsafe.Sizeof(*inst))
 		}
 	}
 	return n
@@ -438,9 +417,9 @@ func (p *Processor) Unregister(qid QueryID) error {
 			p.setDormant(pi, p.coverable(pi))
 		}
 	}
-	for _, iid := range rec.insts {
-		if iid != noInstance {
-			p.unregisterInstance(iid)
+	for _, inst := range rec.insts {
+		if inst != nil {
+			p.unregisterInstance(qid, inst)
 		}
 	}
 	p.queries[qid] = nil
@@ -458,14 +437,13 @@ func (p *Processor) Unregister(qid QueryID) error {
 	return nil
 }
 
-// unregisterInstance reclaims one query instance: its vector group entry
-// (its RT row), its pattern contributions, and — when it was the template's
-// last instance — the template itself. It is both the Unregister work-horse
-// and the rollback path of a partially failed Register.
-func (p *Processor) unregisterInstance(iid int64) {
-	inst := p.instances[iid]
+// unregisterInstance reclaims one instance of query qid: its vector group
+// entry (its RT row), its pattern contributions, and — when it was the
+// template's last instance — the template itself. It is both the Unregister
+// work-horse and the rollback path of a partially failed Register.
+func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 	t := inst.tmpl
-	t.removeVector(inst.group, iid)
+	t.removeVector(inst.group, inst.key, qid)
 
 	lpi, rpi := inst.left.pi, inst.right.pi
 	p.release(inst.left)
@@ -481,8 +459,6 @@ func (p *Processor) unregisterInstance(iid int64) {
 	if t.refs == 0 {
 		p.removeTemplate(t)
 	}
-	p.instances[iid] = nil
-	p.freeInsts = append(p.freeInsts, iid)
 }
 
 // removeTemplate reclaims a template whose last instance left.
@@ -578,13 +554,13 @@ func (s *regScratch) rawKey(g *JoinGraph) []byte {
 }
 
 // registerInstance registers one orientation of a join query, whose blocks'
-// normal forms are lf and rf, and returns its instance id. All mutations
+// normal forms are lf and rf, and returns the instance. All mutations
 // happen after the fallible analysis steps, so a returned error implies no
 // processor state changed.
-func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.NormalForm, swapped bool) (int64, error) {
+func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.NormalForm, swapped bool) (*instance, error) {
 	red := &p.reg.red
 	if err := p.reg.full.build(q); err != nil {
-		return 0, err
+		return nil, err
 	}
 	p.reg.full.minorInto(red, &p.reg.minor)
 	raw := p.reg.rawKey(red)
@@ -639,15 +615,9 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	left, right := p.acquire(lc), p.acquire(rc)
 
 	// Record the query's RT tuple — at each template position, the id the
-	// demand writes the node's rows under — in its vector group; the window
-	// length stays on the instance.
+	// demand writes the node's rows under — in its vector group, in the
+	// class of its window key.
 	nl := len(red.LeftSide.Nodes)
-	iid := int64(len(p.instances))
-	if n := len(p.freeInsts); n > 0 {
-		iid, p.freeInsts = p.freeInsts[n-1], p.freeInsts[:n-1]
-	} else {
-		p.instances = append(p.instances, nil)
-	}
 	varIDs := resize(p.reg.varIDs, tmpl.N)
 	for pos, flat := range order {
 		if flat < nl {
@@ -657,12 +627,11 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 		}
 	}
 	p.reg.varIDs = varIDs
-	p.instances[iid] = &instance{
-		qid: qid, op: q.Op, swapped: swapped, tmpl: tmpl,
-		window: q.Window, windowKind: q.WindowKind,
-		group: tmpl.addVector(varIDs, iid), left: left, right: right,
-	}
-	return iid, nil
+	key := windowKey{window: q.Window, op: q.Op, kind: q.WindowKind, swapped: swapped}
+	return &instance{
+		tmpl: tmpl, key: key,
+		group: tmpl.addVector(varIDs, key, qid), left: left, right: right,
+	}, nil
 }
 
 // normIndex is the index, in its block's normalized pattern, of node i of a
@@ -1098,7 +1067,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.PatternsTriggered += r.triggered
 	p.stats.WitnessProbes += r.probes
 
-	p.resetEmit()
+	p.result.reset()
 	// The document's values get the state's ids here, before Stage 2 reads
 	// them and Merge posts them.
 	t := time.Now()
@@ -1113,9 +1082,9 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	}
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
-	// registered query set, never on pattern registration order. This is
-	// the only sort on the path: the emit buffer's matches arrive unordered.
-	out := p.collectMatches(r.singles)
+	// registered query set, never on pattern registration order: the runs
+	// and the singles arrive unordered.
+	out := p.result.collect(r.singles)
 
 	t2 := time.Now()
 	p.departed = p.departed[:0]
@@ -1167,7 +1136,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	prev := p.consumed
 	p.consumed = r
 	if prev != nil {
-		if cap(prev.singles) > emitKeep {
+		if cap(prev.singles) > recKeep {
 			prev.singles = nil
 		}
 		stage1Pool.Put(prev)
@@ -1192,21 +1161,21 @@ func (p *Processor) ConsumeStage1(r *Stage1Result) []Match {
 	return p.Consume(r).Slice()
 }
 
-// windowOK applies the Algorithm-3 window constraint for one instance and
-// the previous document's record: 0 < Δ ≤ wl for FOLLOWED BY, 0 ≤ Δ ≤ wl for
-// JOIN, where Δ is the timestamp difference for time windows or the
-// arrival-index difference for tuple (ROWS) windows.
-func (p *Processor) windowOK(inst *instance, prev *docRec, d *xmldoc.Document) bool {
+// windowOK applies the Algorithm-3 window constraint for the instances with
+// window key k and the previous document's record: 0 < Δ ≤ wl for FOLLOWED
+// BY, 0 ≤ Δ ≤ wl for JOIN, where Δ is the timestamp difference for time
+// windows or the arrival-index difference for tuple (ROWS) windows.
+func (p *Processor) windowOK(k windowKey, prev *docRec, d *xmldoc.Document) bool {
 	var delta int64
-	if inst.windowKind == xscl.WindowCount {
+	if k.kind == xscl.WindowCount {
 		// The current document has not been merged yet; its arrival
 		// index will be nextSeq.
 		delta = p.state.nextSeq - prev.seq
 	} else {
 		delta = int64(d.Timestamp - prev.ts)
 	}
-	if inst.op == xscl.OpJoin {
-		return 0 <= delta && delta <= inst.window
+	if k.op == xscl.OpJoin {
+		return 0 <= delta && delta <= k.window
 	}
-	return 0 < delta && delta <= inst.window
+	return 0 < delta && delta <= k.window
 }

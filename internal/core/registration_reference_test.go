@@ -385,7 +385,7 @@ type refRegistry struct {
 	patterns  []*refPattern
 	templates map[string]*refTemplate
 	tmplList  []*refTemplate
-	instances int
+	queries   int // the next query id
 }
 
 type refPattern struct {
@@ -443,9 +443,9 @@ func refClassNames(norm *xpath.Pattern, marks []int32) map[int]string {
 }
 
 type refTemplate struct {
-	sig    string
-	groups [][]int32 // distinct variable vectors, in creation order
-	insts  [][]int64 // per group, its instance ids
+	sig     string
+	groups  [][]int32       // distinct variable vectors, in creation order
+	classes [][]windowClass // per group, its window classes in creation order
 }
 
 func newRefRegistry() *refRegistry {
@@ -474,11 +474,13 @@ func (r *refRegistry) pattern(block *xpath.Pattern) (*refPattern, []int) {
 }
 
 func (r *refRegistry) register(q *xscl.Query) error {
+	qid := QueryID(r.queries)
+	r.queries++
 	if q.Op == xscl.OpNone {
 		r.pattern(q.Left)
 		return nil
 	}
-	if err := r.instance(q); err != nil {
+	if err := r.instance(q, qid, false); err != nil {
 		return err
 	}
 	if q.Op == xscl.OpJoin {
@@ -486,12 +488,12 @@ func (r *refRegistry) register(q *xscl.Query) error {
 		for _, pr := range q.Preds {
 			swapped.Preds = append(swapped.Preds, xscl.ValueJoin{LeftVar: pr.RightVar, RightVar: pr.LeftVar})
 		}
-		return r.instance(swapped)
+		return r.instance(swapped, qid, true)
 	}
 	return nil
 }
 
-func (r *refRegistry) instance(q *xscl.Query) error {
+func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 	g, err := refBuildJoinGraph(q)
 	if err != nil {
 		return err
@@ -577,16 +579,22 @@ func (r *refRegistry) instance(q *xscl.Query) error {
 			vars[pos] = int32(ids[1][rmap[red.right[flat-nl].pn.Index]])
 		}
 	}
-	iid := int64(r.instances)
-	r.instances++
+	key := windowKey{window: q.Window, op: q.Op, kind: q.WindowKind, swapped: swapped}
 	for i, gv := range tmpl.groups {
-		if slices.Equal(gv, vars) {
-			tmpl.insts[i] = append(tmpl.insts[i], iid)
-			return nil
+		if !slices.Equal(gv, vars) {
+			continue
 		}
+		for j := range tmpl.classes[i] {
+			if c := &tmpl.classes[i][j]; c.key == key {
+				c.qids = append(c.qids, qid)
+				return nil
+			}
+		}
+		tmpl.classes[i] = append(tmpl.classes[i], windowClass{key, []QueryID{qid}})
+		return nil
 	}
 	tmpl.groups = append(tmpl.groups, vars)
-	tmpl.insts = append(tmpl.insts, []int64{iid})
+	tmpl.classes = append(tmpl.classes, []windowClass{{key, []QueryID{qid}}})
 	return nil
 }
 
@@ -693,8 +701,8 @@ func TestRegistrationMatchesReference(t *testing.T) {
 					t.Fatalf("template %d: %q with %d groups, reference %q with %d", i, tmpl.Sig, len(tmpl.vecList), rt.sig, len(rt.groups))
 				}
 				for j, g := range tmpl.vecList {
-					if !slices.Equal(g.vars, rt.groups[j]) || !slices.Equal(g.insts, rt.insts[j]) {
-						t.Fatalf("template %d group %d: vars %v insts %v, reference %v %v", i, j, g.vars, g.insts, rt.groups[j], rt.insts[j])
+					if !slices.Equal(g.vars, rt.groups[j]) || !reflect.DeepEqual(classesOf(g), rt.classes[j]) {
+						t.Fatalf("template %d group %d: vars %v classes %v, reference %v %v", i, j, g.vars, classesOf(g), rt.groups[j], rt.classes[j])
 					}
 				}
 			}

@@ -5,32 +5,21 @@ import (
 	"slices"
 	"strings"
 	"time"
-
-	"repro/internal/xmldoc"
 )
 
 // Stage 2 runs on the goroutine that calls Consume: one executor (the
 // processor's cqExec) evaluates every live template in registration order
 // against read-only inputs — the join state, the current document's record,
 // the per-document views (stage2Shared) and the templates' compiled programs
-// and vector groups — emitting into one buffer. The result orders that
-// buffer and the single-block matches under a total order — a radix sort of
-// keys that point into them, ties finished by matchCmp (Matches) — and is
-// written once, by whoever reads it.
-
-// emitKeep is the emit-buffer capacity, in matches, the executor keeps
-// across documents (≈ 350 KB); a document that grew the buffer beyond it
-// takes the buffer with it, so one burst does not stay resident.
-const emitKeep = 4096
-
-// keysKeep is the same bound for a result's sort keys and the radix sort's
-// second buffer, each key a quarter of a match's size.
-const keysKeep = 4 * emitKeep
+// and vector groups — writing one run per frame and passing window class
+// into the processor's result. The result is read as a merge of the sorted
+// runs and the sorted single-block matches (Matches), and is written once,
+// by whoever reads it.
 
 // evalTemplates evaluates the live templates against the document: per
 // template, its compiled program runs over the shared views, the
-// per-template tail of Algorithm 4. The matches stay in the executor's emit
-// buffer for collectMatches.
+// per-template tail of Algorithm 4. The runs stay in the processor's result
+// for Matches.collect.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(r *Stage1Result) {
@@ -61,175 +50,187 @@ func (p *Processor) evalTemplates(r *Stage1Result) {
 	p.stats.CQ += time.Since(t0)
 	p.stats.CQProbes += ex.probes
 	p.stats.CQRows += ex.rows
+	p.stats.MatchRuns += int64(len(p.result.runs))
 	p.stats.WitnessPlans += int64(len(p.templateList))
 	// The executor outlives the document; its inputs must not.
 	ex.cur, ex.d, ex.pre = nil, nil, nil
 }
 
-// resetEmit empties the emit buffer and the result view for the next
-// document.
-func (p *Processor) resetEmit() {
-	p.result.reset()
-	if cap(p.ex.out) > emitKeep {
-		p.ex.out = nil
+// collect completes the document's result from the runs Stage 2 wrote and
+// the single-block matches: each sorted, ready to be merged by whoever reads
+// them.
+func (ms *Matches) collect(singles []Match) *Matches {
+	slices.SortFunc(ms.runs, func(a, b matchRun) int { return keyCmp(&a.key, &b.key) })
+	slices.SortFunc(singles, func(a, b Match) int {
+		if c := cmp.Compare(a.Query, b.Query); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.LeftRoot, b.LeftRoot)
+	})
+	ms.singles = singles
+	ms.n = len(singles)
+	for i := range ms.runs {
+		ms.n += len(ms.runs[i].qids)
 	}
-	p.ex.out = p.ex.out[:0]
-}
-
-// collectMatches builds the document's result: the single-block matches and
-// the emit buffer, ordered where they lie.
-func (p *Processor) collectMatches(singles []Match) *Matches {
-	ms := &p.result
-	ms.keys = slices.Grow(ms.keys, len(singles)+len(p.ex.out))
-	ms.add(singles)
-	ms.add(p.ex.out)
-	ms.sort()
 	return ms
 }
 
 // Matches is one document's result in the canonical total order, before
-// anyone has written it out: ordered keys over the buffers the matches were
-// emitted into. It belongs to the processor that returned it and is valid
-// until that processor consumes its next document; a reader walks it once —
-// At(0) to At(Len()-1) — into the representation it needs (the engine facade
-// its public matches, Slice a []Match), which is the only time the result is
+// anyone has written it out: a merge of sorted sources. Stage 2 writes one
+// run per frame and passing window class — the class's query ids and the
+// frame's match without its query — and the document's single-block matches
+// are one more source. It belongs to the processor that returned it and is
+// valid until that processor's next Consume, Register or Unregister (the
+// runs alias the window classes); a reader walks it once, First then Next
+// until nil, into the representation it needs (the engine facade its public
+// matches, Slice a []Match), which is the only time the result is
 // materialised.
 //
-// The order is total down to the binding vector (matchCmp), so it is a pure
-// function of match content.
+// The walk pops a heap of one head per source ordered by (query, source):
+// the runs are sorted by keyCmp and each run's queries ascend, two singles
+// of one query differ at most in their root, and no query is in both a run
+// and the singles, so the walk is matchCmp's order (DESIGN.md, "Stage 2 per
+// document"). The order is total down to the binding vector, so it is a
+// pure function of match content.
 type Matches struct {
-	keys []orderKey
-	tmp  []orderKey // the radix sort's second buffer
-	bufs [][]Match
-	// vary has a bit set wherever some key's leftDoc (vary[0]) or query
-	// (vary[1]) differs from the first key's: the bytes the radix sort
-	// passes over. add accumulates it, so finding them costs no pass.
-	vary [2]uint64
+	runs    []matchRun
+	singles []Match // sorted by (query, root)
+	n       int
+	heap    []sourceHead
 }
 
-// orderKey is the pointer-free sort key of one match: the two leading fields
-// of the canonical order and where the match lies. The radix sort reads only
-// the first two; only keys that tie on both read the matches themselves.
-type orderKey struct {
-	query    QueryID
-	leftDoc  xmldoc.DocID
-	buf, idx int32
+// matchRun is the matches of one frame and one window class: one per query
+// id in qids, each equal to key with that query. key.Query is the cursor's:
+// it holds the query of the match last read from the run.
+type matchRun struct {
+	qids []QueryID
+	key  Match
 }
 
-// digit is byte shift/8 of the key's leftDoc (field 0) or query (field 1),
-// sign bit flipped so that unsigned byte order is the signed order.
-func (k *orderKey) digit(field int, shift uint) byte {
-	v := uint64(k.leftDoc)
-	if field == 1 {
-		v = uint64(k.query)
-	}
-	return byte((v ^ 1<<63) >> shift)
+// sourceHead is a source's next match in a walk: its query and where it
+// lies — run src, or the singles when src is len(runs) — at pos.
+type sourceHead struct {
+	q        QueryID
+	src, pos int32
 }
 
 // Len returns the number of matches.
-func (ms *Matches) Len() int { return len(ms.keys) }
+func (ms *Matches) Len() int { return ms.n }
 
-// At returns the i-th match in canonical order. The pointer is into the
-// processor's buffers: read it, do not keep it.
-func (ms *Matches) At(i int) *Match {
-	k := ms.keys[i]
-	return &ms.bufs[k.buf][k.idx]
+// First starts a walk of the matches in canonical order and returns the
+// first, nil when there are none; Next returns the one after it, nil after
+// the last. The pointer is into the result: read it, do not keep it.
+func (ms *Matches) First() *Match {
+	h := ms.heap[:0]
+	for src := int32(0); int(src) <= len(ms.runs); src++ {
+		if q, ok := ms.query(src, 0); ok {
+			h = append(h, sourceHead{q, src, 0})
+		}
+	}
+	ms.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		ms.down(i)
+	}
+	return ms.top()
+}
+
+// Next advances the walk First started; see First.
+func (ms *Matches) Next() *Match {
+	h := &ms.heap[0]
+	h.pos++
+	if q, ok := ms.query(h.src, h.pos); ok {
+		h.q = q
+	} else {
+		ms.pop()
+	}
+	ms.down(0)
+	return ms.top()
+}
+
+// query returns the query of source src's match at pos, false past the
+// source's end.
+func (ms *Matches) query(src, pos int32) (QueryID, bool) {
+	if int(src) == len(ms.runs) {
+		if int(pos) < len(ms.singles) {
+			return ms.singles[pos].Query, true
+		}
+		return 0, false
+	}
+	if qids := ms.runs[src].qids; int(pos) < len(qids) {
+		return qids[pos], true
+	}
+	return 0, false
+}
+
+// top returns the match at the heap's head, nil when the walk is done.
+func (ms *Matches) top() *Match {
+	if len(ms.heap) == 0 {
+		return nil
+	}
+	h := ms.heap[0]
+	if int(h.src) == len(ms.runs) {
+		return &ms.singles[h.pos]
+	}
+	m := &ms.runs[h.src].key
+	m.Query = h.q
+	return m
+}
+
+// pop replaces the exhausted head with the heap's last entry.
+func (ms *Matches) pop() {
+	last := len(ms.heap) - 1
+	ms.heap[0] = ms.heap[last]
+	ms.heap = ms.heap[:last]
+}
+
+// down restores the heap order below entry i.
+func (ms *Matches) down(i int) {
+	h := ms.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (a sourceHead) before(b sourceHead) bool {
+	return a.q < b.q || a.q == b.q && a.src < b.src
 }
 
 // Slice copies the matches, in order, into a new slice the caller owns (nil
 // when there are none).
 func (ms *Matches) Slice() []Match {
-	if len(ms.keys) == 0 {
+	if ms.n == 0 {
 		return nil
 	}
-	out := make([]Match, len(ms.keys))
-	for i := range out {
-		out[i] = *ms.At(i)
+	out := make([]Match, 0, ms.n)
+	for m := ms.First(); m != nil; m = ms.Next() {
+		out = append(out, *m)
 	}
 	return out
 }
 
+// reset empties the result for the next document. A runs or heap buffer a
+// burst document grew past recKeep entries goes with it.
 func (ms *Matches) reset() {
-	if cap(ms.keys) > keysKeep {
-		ms.keys = nil
+	clear(ms.runs)
+	if cap(ms.runs) > recKeep {
+		ms.runs = nil
 	}
-	if cap(ms.tmp) > keysKeep {
-		ms.tmp = nil
+	if cap(ms.heap) > recKeep {
+		ms.heap = nil
 	}
-	ms.keys = ms.keys[:0]
-	clear(ms.bufs)
-	ms.bufs = ms.bufs[:0]
-	ms.vary = [2]uint64{}
-}
-
-// add appends buf's matches, unordered.
-func (ms *Matches) add(buf []Match) {
-	b := int32(len(ms.bufs))
-	ms.bufs = append(ms.bufs, buf)
-	for i := range buf {
-		m := &buf[i]
-		ms.keys = append(ms.keys, orderKey{m.Query, m.LeftDoc, b, int32(i)})
-		first := &ms.keys[0]
-		ms.vary[0] |= uint64(m.LeftDoc ^ first.leftDoc)
-		ms.vary[1] |= uint64(m.Query ^ first.query)
-	}
-}
-
-// sort applies the canonical total order to the keys: a least-significant-
-// digit radix sort on the bytes of (query, leftDoc), leftDoc's low byte
-// first, skipping every byte on which all keys agree, then matchCmp on each
-// run of keys that tie on both fields. Each pass is stable, so the passes
-// compose into the order on the pair. A document whose matches span a few
-// hundred queries and documents takes four counting passes. A byte's digits
-// differ from the first key's only in the byte's varying bits, so they lie
-// in [lo, lo|vary], and only those counters are cleared and summed.
-func (ms *Matches) sort() {
-	n := len(ms.keys)
-	if n < 2 {
-		return
-	}
-	src, dst := ms.keys, slices.Grow(ms.tmp[:0], n)[:n]
-	var count [256]uint32
-	for d := uint(0); d < 16; d++ {
-		field, shift := int(d/8), 8*(d%8)
-		vary := byte(ms.vary[field] >> shift)
-		if vary == 0 {
-			continue
-		}
-		lo := int(src[0].digit(field, shift) &^ vary)
-		used := count[lo : lo+int(vary)+1]
-		clear(used)
-		for i := range src {
-			count[src[i].digit(field, shift)]++
-		}
-		at := uint32(0)
-		for b, c := range used {
-			used[b] = at
-			at += c
-		}
-		for i := range src {
-			c := &count[src[i].digit(field, shift)]
-			dst[*c] = src[i]
-			*c++
-		}
-		src, dst = dst, src
-	}
-	ms.keys, ms.tmp = src, dst
-
-	tie := func(a, b orderKey) int {
-		return matchCmp(&ms.bufs[a.buf][a.idx], &ms.bufs[b.buf][b.idx])
-	}
-	keys := ms.keys
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && keys[j].query == keys[i].query && keys[j].leftDoc == keys[i].leftDoc {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(keys[i:j], tie)
-		}
-		i = j
-	}
+	ms.runs, ms.heap = ms.runs[:0], ms.heap[:0]
+	ms.singles, ms.n = nil, 0
 }
 
 // stage2Shared carries the per-document views the compiled programs read,
@@ -314,7 +315,7 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 // record's Rbin index by node2. The ids are the state's (State.resolve), so
 // the order follows the state's history — a restored state may number its
 // values differently — and only enumeration order depends on it: the output
-// leaves through Matches.sort regardless. It reports false when no value is
+// leaves in the canonical order regardless. It reports false when no value is
 // shared with the join state (no template can match).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
@@ -371,6 +372,11 @@ func matchCmp(a, b *Match) int {
 	if c := cmp.Compare(a.Query, b.Query); c != 0 {
 		return c
 	}
+	return keyCmp(a, b)
+}
+
+// keyCmp is matchCmp below the query: the order of a result's runs.
+func keyCmp(a, b *Match) int {
 	if c := cmp.Compare(a.LeftDoc, b.LeftDoc); c != 0 {
 		return c
 	}
