@@ -47,8 +47,8 @@ race:
 # against a rebuild, the join state's value dictionary under inserts and
 # retirements against a map, template canonicalization against its string-
 # signature reference, the result order — a merge of sorted query runs —
-# against the comparison sort, the Stage-2 vector-group trie and its window
-# classes against a map, the dormant-pattern set
+# against the comparison sort, the Stage-2 vector-group trie, its window
+# classes and the head index against a map, the dormant-pattern set
 # under registration churn against a from-scratch computation, snapshot
 # restore on arbitrary bytes, and the engine's matches on a generated
 # subscription and document stream against the sequential baseline (the CI

@@ -86,14 +86,14 @@ type Stats struct {
 	// phases Rvj, RL, RR and CQ above plus what lies between them.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Wall time of Stage-2 template evaluation."`
 
-	// WitnessPlans counts the per-template runs of the compiled programs
-	// (cqplan.go).
-	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Per-template runs of the compiled Stage-2 programs."`
-	// CQProbes counts the index entries the compiled Stage-2 steps visited
-	// (cqplan.go) and CQRows the RoutT rows they produced, before the
+	// WitnessPlans counts the compiled programs (cqplan.go) Stage 2
+	// entered, once per document each.
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Compiled Stage-2 programs entered, once per document each: headed templates reached through the head index, side-root templates run whole."`
+	// CQProbes counts the rows and index entries Stage 2 visited (the head
+	// join's, then cqplan.go's steps') and CQRows the RoutT rows, before the
 	// window test. Both are pure functions of the input sequence and the
 	// plan, so they repeat exactly.
-	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Index entries visited by the compiled Stage-2 steps."`
+	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Rows and index entries visited by Stage 2: the head join's, then the compiled steps'."`
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
 	// MatchRuns counts the runs Stage 2 wrote: one per complete frame and
 	// window class that passed the window, each standing for the matches

@@ -40,6 +40,13 @@ import (
 // (cqExec.nodes) or ends the branch. A walk therefore never completes a
 // variable vector no subscription registered, and the edge its last v slot
 // takes names the vector group whose instances it emits.
+//
+// A headed template — its first value join reads the views — reads RL, then
+// RR, then anchors both endpoints, so its trie's first four levels are one
+// RL and one RR row's class names (headKey). Stage 2 walks that join once
+// for all of them (cqExec.runHeads) and enters each at step 2 through the
+// head index; a template whose first value join is on a side root runs its
+// whole program.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
@@ -60,7 +67,8 @@ var (
 	rvjSchema = Schema{Int("slot"), Int("nodeL"), Int("nodeR"), Sym("strVal")}
 	rlSchema  = Schema{Int("slot"), Int("var1"), Int("var2"), Int("node1"), Int("node2"), Sym("strVal")}
 
-	rrStrVal = rlSchema[1:].SymCol("strVal")
+	rlVar1, rlVar2, rlStrVal = rlSchema.Col("var1"), rlSchema.Col("var2"), rlSchema.SymCol("strVal")
+	rrVar1, rrVar2, rrStrVal = rlSchema[1:].Col("var1"), rlSchema[1:].Col("var2"), rlSchema[1:].SymCol("strVal")
 )
 
 // cqSchemas is the schema of the rows each source yields: a witness
@@ -118,10 +126,11 @@ func (t *Template) usesViews(k int) bool {
 }
 
 // compile builds the template's program (setting needRvj when a step reads
-// the pair relation) and lays out its trie's levels in the order the program
-// assigns the v slots.
+// the pair relation, headed when the first value join reads the views) and
+// lays out its trie's levels in the order the program assigns the v slots.
 func (t *Template) compile() {
 	t.prog = compileCQ(t)
+	t.headed = t.usesViews(0)
 	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
 			t.levels = append(t.levels, slot-t.vSlot(0))
@@ -166,9 +175,13 @@ func compileCQ(t *Template) *cqProgram {
 			pl, pr := t.Parent[l], t.Parent[r]
 			c.atom(srcRL, docKey, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
 			c.emitted[l] = true
-			c.anchor(pl)
+			// A headed template's first four trie levels are its head key.
+			if k > 0 {
+				c.anchor(pl)
+			}
 			c.atom(srcRR, t.sSlot(k), t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
 			c.emitted[r] = true
+			c.anchor(pl)
 			c.anchor(pr)
 			continue
 		}
@@ -323,10 +336,16 @@ func (g *vecGroup) remove(k windowKey, qid QueryID) bool {
 	return false
 }
 
+// headKey returns the head key of a headed template's vector vars.
+func (t *Template) headKey(v []int32) headKey {
+	return headKey{v[t.levels[0]], v[t.levels[1]], v[t.levels[2]], v[t.levels[3]]}
+}
+
 // addVector records an instance of query qid with window key k and
 // variable vector vars in its template and returns its group (kept by the
-// instance for removeVector). A new group's path enters the trie.
-func (t *Template) addVector(vars []int32, k windowKey, qid QueryID) *vecGroup {
+// instance for removeVector). A new group's path enters the trie and, in a
+// headed template, the head index.
+func (t *Template) addVector(heads *headIndex, vars []int32, k windowKey, qid QueryID) *vecGroup {
 	if gi := t.trie.walk(t.levels, vars); gi >= 0 {
 		g := t.vecList[gi]
 		g.add(k, qid)
@@ -335,22 +354,32 @@ func (t *Template) addVector(vars []int32, k windowKey, qid QueryID) *vecGroup {
 	g := &vecGroup{vars: slices.Clone(vars), first: windowClass{key: k, qids: []QueryID{qid}}}
 	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
 	t.vecList = append(t.vecList, g)
+	if t.headed {
+		heads.set(t.headKey(g.vars), t, t.trie.walk(t.levels[:len(headKey{})], g.vars))
+	}
 	return g
 }
 
 // removeVector removes an unregistered instance from its vector group; a
 // group whose last instance leaves is dropped entirely — its path leaves the
-// trie and the last group takes its index — so no plan visits a vector no
-// live query shares.
-func (t *Template) removeVector(g *vecGroup, k windowKey, qid QueryID) {
+// trie, with its head key when no other group holds it, and the last group
+// takes its index — so no plan visits a vector no live query shares.
+func (t *Template) removeVector(heads *headIndex, g *vecGroup, k windowKey, qid QueryID) {
 	if !g.remove(k, qid) {
 		return
 	}
 	gi := t.trie.remove(t.levels, g.vars)
+	if t.headed && t.trie.walk(t.levels[:len(headKey{})], g.vars) < 0 {
+		heads.drop(t.headKey(g.vars), t)
+	}
 	last := len(t.vecList) - 1
 	if moved := t.vecList[last]; int(gi) != last {
 		t.vecList[gi] = moved
 		t.trie.relink(t.levels, moved.vars, gi)
+		// A four-position template's head key ends at the group.
+		if t.headed && t.N == len(headKey{}) {
+			heads.set(t.headKey(moved.vars), t, gi)
+		}
 	}
 	t.vecList[last] = nil
 	t.vecList = t.vecList[:last]
@@ -371,6 +400,8 @@ type cqExec struct {
 	// nodes[i] is the frame's trie node when step i starts: the root at
 	// step 0; once every v slot is bound, the vector group's index.
 	nodes []int32
+	// doc numbers the documents (Template.entered), plans their entries.
+	doc, plans int64
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -381,15 +412,52 @@ type cqExec struct {
 	probes, rows int64
 }
 
-// run evaluates prog against the document, appending a run to the
-// processor's result for every window class of a complete frame that passes
-// the window.
-func (ex *cqExec) run(prog *cqProgram) {
-	ex.prog = prog
-	ex.frame = resize(ex.frame, prog.t.numSlots())
-	ex.nodes = resize(ex.nodes, len(prog.steps)+1)
+// runHeads walks the head join — every RL row with every RR row of its
+// value — once for all headed templates, and runs each template the pair's
+// head key names from step 2, its frame seeded as steps 0 and 1 would.
+func (ex *cqExec) runHeads(heads *headIndex) {
+	if heads.n == 0 {
+		return
+	}
+	pre, mask := ex.pre, len(heads.slots)-1
+	for _, l := range pre.rl {
+		ex.probes++
+		for _, ri := range pre.rrBySym.get(l[rlStrVal]) {
+			r := pre.rr[ri]
+			ex.probes++
+			k := headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}
+			for i := heads.home(k); heads.slots[i].t != nil; i = (i + 1) & mask {
+				if e := &heads.slots[i]; e.key == k {
+					ex.probes++
+					ex.enter(e.t)
+					f, steps := ex.frame, ex.prog.steps
+					for _, a := range steps[0].assign {
+						f[a.slot] = l[a.col]
+					}
+					for _, a := range steps[1].assign {
+						f[a.slot] = r[a.col]
+					}
+					ex.nodes[2] = e.node
+					ex.step(2)
+				}
+			}
+		}
+	}
+}
+
+// enter makes t's program the frame's, from the trie's root, counting its
+// first entry per document. Each complete frame appends a run to the
+// processor's result for every window class that passes the window.
+func (ex *cqExec) enter(t *Template) {
+	ex.prog = t.prog
+	ex.frame = resize(ex.frame, t.numSlots())
+	ex.nodes = resize(ex.nodes, len(t.prog.steps)+1)
 	ex.nodes[0] = 0
-	ex.step(0)
+	if t.entered != ex.doc {
+		t.entered = ex.doc
+		t.runs++
+		ex.plans++
+	}
 }
 
 // step runs step i for the current frame and recurses into step i+1 for
@@ -410,10 +478,7 @@ func (ex *cqExec) step(i int) {
 			idx = pre.rvjByDoc.get(f[st.key])
 		}
 	case srcRL:
-		rows = pre.rl
-		if st.key >= 0 {
-			idx = pre.rlByDoc.get(f[st.key])
-		}
+		rows, idx = pre.rl, pre.rlByDoc.get(f[st.key])
 	case srcRR:
 		rows, idx = pre.rr, pre.rrBySym.get(f[st.key])
 	case srcRbin:
@@ -532,7 +597,7 @@ type TemplatePlanStats struct {
 	// VecGroups is the live distinct-variable-vector count: the vector
 	// groups the template's trie holds.
 	VecGroups int
-	// WitnessRuns counts the template's program runs.
+	// WitnessRuns counts the documents that entered the template's program.
 	WitnessRuns int64
 }
 

@@ -188,6 +188,80 @@ func (tr *vecTrie) put(e trieEdge) {
 	tr.n++
 }
 
+// headKey is the four class names a headed template's first value join
+// binds, in its trie's first four levels: v(pl), v(l) from the RL row and
+// v(pr), v(r) from the RR row (cqplan.go, compileCQ).
+type headKey [4]int32
+
+// headIndex mirrors the headed templates' level-3 trie edges: one entry per
+// head key and template whose trie holds it, with the node below (for a
+// four-position template, the group's index). A key's entries share a home
+// slot, so a lookup scans one probe run (cqExec.runHeads).
+type headIndex struct {
+	slots []headEntry // a nil t marks an empty slot
+	n     int
+	shift uint
+}
+
+type headEntry struct {
+	key  headKey
+	t    *Template
+	node int32
+}
+
+func (h *headIndex) home(k headKey) int {
+	a, b := uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(k[2]), int64(k[3])))
+	return int((a*fib ^ b) * fib >> h.shift)
+}
+
+// find returns the slot of template t's entry under k, or -1.
+func (h *headIndex) find(k headKey, t *Template) int {
+	if h.n == 0 {
+		return -1
+	}
+	mask := len(h.slots) - 1
+	for i := h.home(k); h.slots[i].t != nil; i = (i + 1) & mask {
+		if h.slots[i].key == k && h.slots[i].t == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// set records that template t's trie holds k with node below it, growing
+// the table to keep it at most three-quarters full.
+func (h *headIndex) set(k headKey, t *Template, node int32) {
+	if i := h.find(k, t); i >= 0 {
+		h.slots[i].node = node
+		return
+	}
+	if 4*(h.n+1) > 3*len(h.slots) {
+		old := h.slots
+		h.slots = make([]headEntry, max(8, 2*len(old)))
+		h.shift = tableShift(len(h.slots))
+		h.n = 0
+		for _, e := range old {
+			if e.t != nil {
+				h.set(e.key, e.t, e.node)
+			}
+		}
+	}
+	mask := len(h.slots) - 1
+	i := h.home(k)
+	for h.slots[i].t != nil {
+		i = (i + 1) & mask
+	}
+	h.slots[i] = headEntry{k, t, node}
+	h.n++
+}
+
+// drop removes template t's entry under k.
+func (h *headIndex) drop(k headKey, t *Template) {
+	i := h.find(k, t)
+	h.n--
+	backshift(h.slots, i, func(e *headEntry) (int, bool) { return h.home(e.key), e.t != nil })
+}
+
 // rowIndex groups the rows of a relation by the value of one integer column.
 // Keys spanning a range not much wider than the row count — node ids, state
 // slots — get an offset array indexed by key minus the smallest key; sparse

@@ -43,6 +43,9 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			t.Errorf("query %d still registered", qid)
 		}
 	}
+	if !reflect.DeepEqual(p.heads, headIndex{}) {
+		t.Errorf("head index not reclaimed: %d keys", p.heads.n)
+	}
 	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
 		t.Errorf("Stage-2 scratch not reclaimed: %d RL and %d RR rows kept", cap(p.pre.rl), cap(p.pre.rr))
 	}

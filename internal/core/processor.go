@@ -60,6 +60,7 @@ type Processor struct {
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
+	heads        headIndex   // the headed templates' tries by their first four levels
 	// nextTemplateID allocates template ids; ids are never reused, so a
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
@@ -443,7 +444,7 @@ func (p *Processor) Unregister(qid QueryID) error {
 // work-horse and the rollback path of a partially failed Register.
 func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 	t := inst.tmpl
-	t.removeVector(inst.group, inst.key, qid)
+	t.removeVector(&p.heads, inst.group, inst.key, qid)
 
 	lpi, rpi := inst.left.pi, inst.right.pi
 	p.release(inst.left)
@@ -504,6 +505,7 @@ func (p *Processor) reclaimAll() {
 	p.result = Matches{}
 	p.pre = stage2Shared{}
 	p.ex = cqExec{}
+	p.heads = headIndex{}
 }
 
 // MustRegister is Register, panicking on error (tests, examples).
@@ -630,7 +632,7 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	key := windowKey{window: q.Window, op: q.Op, kind: q.WindowKind, swapped: swapped}
 	return &instance{
 		tmpl: tmpl, key: key,
-		group: tmpl.addVector(varIDs, key, qid), left: left, right: right,
+		group: tmpl.addVector(&p.heads, varIDs, key, qid), left: left, right: right,
 	}, nil
 }
 

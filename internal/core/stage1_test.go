@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
@@ -203,4 +204,40 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 		r := p.RunStage1("S", stream[i%len(stream)])
 		stage1Pool.Put(r)
 	}
+}
+
+// BenchmarkStage2ManyTemplates times a publish on the benchmark's
+// paper_scale shape, window full (paperScaleSlice): 2 000 subscriptions on
+// 56 templates, where Stage 2's conjunctive queries are most of the cost.
+// Beside ns per document it reports the conjunctive-query time (Stats.CQ)
+// and the probes per document, so the head join and the programs can be
+// read in process. Every 600 documents the slice is rebuilt off the clock,
+// so the window stays full and no document is replayed.
+func BenchmarkStage2ManyTemplates(b *testing.B) {
+	const measured = 600
+	var p *Processor
+	var docs []*xmldoc.Document
+	var cq time.Duration
+	var probes int64
+	flush := func() {
+		if p != nil {
+			st := p.Stats()
+			cq += st.CQ
+			probes += st.CQProbes
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%measured == 0 {
+			b.StopTimer()
+			flush()
+			p, docs = paperScaleSlice(measured)
+			p.ResetStats()
+			b.StartTimer()
+		}
+		p.Process("S", docs[i%measured])
+	}
+	flush()
+	b.ReportMetric(float64(cq.Nanoseconds())/float64(b.N), "cq-ns/doc")
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/doc")
 }

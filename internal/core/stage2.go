@@ -8,18 +8,19 @@ import (
 )
 
 // Stage 2 runs on the goroutine that calls Consume: one executor (the
-// processor's cqExec) evaluates every live template in registration order
-// against read-only inputs — the join state, the current document's record,
-// the per-document views (stage2Shared) and the templates' compiled programs
-// and vector groups — writing one run per frame and passing window class
-// into the processor's result. The result is read as a merge of the sorted
-// runs and the sorted single-block matches (Matches), and is written once,
-// by whoever reads it.
+// processor's cqExec) evaluates the live templates against read-only inputs
+// — the join state, the current document's record, the per-document views
+// (stage2Shared), the head index and the templates' compiled programs and
+// vector groups — writing one run per frame and passing window class into
+// the processor's result. The result is read as a merge of the sorted runs
+// and the sorted single-block matches (Matches), and is written once, by
+// whoever reads it.
 
-// evalTemplates evaluates the live templates against the document: per
-// template, its compiled program runs over the shared views, the
-// per-template tail of Algorithm 4. The runs stay in the processor's result
-// for Matches.collect.
+// evalTemplates evaluates the live templates against the document, the
+// per-template tail of Algorithm 4: the head join for the headed templates,
+// the whole program for the others. The runs stay in the processor's result
+// for Matches.collect, which sorts them, so the order templates are entered
+// in never reaches the output.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(r *Stage1Result) {
@@ -33,7 +34,8 @@ func (p *Processor) evalTemplates(r *Stage1Result) {
 	}
 	ex := &p.ex
 	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
-	ex.probes, ex.rows = 0, 0
+	ex.probes, ex.rows, ex.plans = 0, 0, 0
+	ex.doc++
 	// The pair relation is built before the clock starts, so its one-time
 	// build lands in Stats.Rvj, not in CQ.
 	for _, t := range p.templateList {
@@ -43,15 +45,18 @@ func (p *Processor) evalTemplates(r *Stage1Result) {
 		}
 	}
 	t0 := time.Now()
+	ex.runHeads(&p.heads)
 	for _, t := range p.templateList {
-		ex.run(t.prog)
-		t.runs++
+		if !t.headed {
+			ex.enter(t)
+			ex.step(0)
+		}
 	}
 	p.stats.CQ += time.Since(t0)
 	p.stats.CQProbes += ex.probes
 	p.stats.CQRows += ex.rows
 	p.stats.MatchRuns += int64(len(p.result.runs))
-	p.stats.WitnessPlans += int64(len(p.templateList))
+	p.stats.WitnessPlans += ex.plans
 	// The executor outlives the document; its inputs must not.
 	ex.cur, ex.d, ex.pre = nil, nil, nil
 }

@@ -38,11 +38,14 @@ type Template struct {
 	levels  []int
 
 	// prog is the compiled conjunctive query (cqplan.go) and runs counts
-	// its runs; needRvj reports that some step reads the value-join pair
-	// relation.
+	// the documents that entered it, entered the last (cqExec.doc); needRvj
+	// reports that some step reads the value-join pair relation, headed
+	// that the first value join reads the views.
 	prog    *cqProgram
 	runs    int64
+	entered int64
 	needRvj bool
+	headed  bool
 
 	// refs counts the live query instances registered on this template;
 	// at zero the processor reclaims the template and everything it owns
