@@ -110,6 +110,12 @@ type Stats struct {
 	// registered patterns. A pattern that is not triggered is not visited.
 	PatternsTriggered int64 `json:"patterns_triggered" stat:"counter" help:"Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document)."`
 	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Steps of the witness assembly of triggered patterns: reduced child bindings, ancestors they stamped and parent candidates tested in the semi-join reduction, and candidates tried by the enumeration."`
+	// NFASteps counts the DFA transitions Stage 1's walks computed from
+	// the shared NFA instead of finding them in their memo
+	// (yfilter.MatchResult.Steps): it settles near 0 per document once the
+	// memos have seen the stream's shapes, and a Register that adds NFA
+	// states starts them over.
+	NFASteps int64 `json:"nfa_steps" stat:"counter" help:"Stage-1 walk memo misses: DFA transitions computed from the shared NFA rather than found in the walk's memo."`
 	// WindowGCs counts the window collections that expired at least one
 	// document (State.GC) and GCRowsDropped the Rbin/Rdoc/Rroot rows they
 	// removed — expiry's counted work, which is exactly the expired

@@ -126,11 +126,15 @@ func (t *Template) usesViews(k int) bool {
 }
 
 // compile builds the template's program (setting needRvj when a step reads
-// the pair relation, headed when the first value join reads the views) and
-// lays out its trie's levels in the order the program assigns the v slots.
+// the pair relation, headed when the first value join reads the views,
+// readsViews when any does) and lays out its trie's levels in the order the
+// program assigns the v slots.
 func (t *Template) compile() {
 	t.prog = compileCQ(t)
 	t.headed = t.usesViews(0)
+	for k := range t.VJ {
+		t.readsViews = t.readsViews || t.usesViews(k)
+	}
 	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
 			t.levels = append(t.levels, slot-t.vSlot(0))

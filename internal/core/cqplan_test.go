@@ -582,3 +582,57 @@ func TestMatchRunsPerMatch(t *testing.T) {
 		})
 	}
 }
+
+// TestViewsOnlyForViewReaders pins that Stage 2 builds the views RL and RR
+// only while a live template reads them. The deep-feed joins compile to one
+// side-root template, which reads the value-join pairs only: no view is
+// built — no row, and no time charged to Stats.RL or Stats.RR — and every
+// document's matches equal those of a processor made to build the views
+// anyway. A headed template turns the views back on, and unregistering it
+// turns them off again.
+func TestViewsOnlyForViewReaders(t *testing.T) {
+	c := workload.DefaultDeepFeed()
+	queries := c.Queries(rand.New(rand.NewSource(5)), 330)
+	docs := c.Stream(rand.New(rand.NewSource(6)), 160)
+	p, forced := NewProcessor(Config{}), NewProcessor(Config{})
+	for _, q := range queries {
+		p.MustRegister(q)
+		forced.MustRegister(q)
+	}
+	if p.viewReaders != 0 {
+		t.Fatalf("premise: the deep-feed templates read no view, %d do", p.viewReaders)
+	}
+	forced.viewReaders++
+	publish := func(docs []*xmldoc.Document) (views, matches int) {
+		for _, d := range docs {
+			got, want := p.Process("S", d), forced.Process("S", d)
+			if g, w := renderMatches(got), renderMatches(want); g != w {
+				t.Fatalf("doc %d: matches differ from the processor that builds the views:\ngot:\n%swant:\n%s", d.ID, g, w)
+			}
+			views += len(p.pre.rl) + len(p.pre.rr)
+			matches += len(got)
+		}
+		return views, matches
+	}
+	views, matches := publish(docs[:100])
+	if views != 0 || p.stats.RL != 0 || p.stats.RR != 0 {
+		t.Errorf("side roots only: %d view rows built in %v + %v, want none", views, p.stats.RL, p.stats.RR)
+	}
+	if forced.stats.RL == 0 || matches == 0 {
+		t.Fatalf("premise: the views are built when forced (%v) and the documents match (%d)", forced.stats.RL, matches)
+	}
+
+	headed := xscl.MustParse("S//entry->e[./id->x][./title->t] FOLLOWED BY{x=y AND t=u, 200} S//entry->f[./ref->y][./title->u]")
+	qid := p.MustRegister(headed)
+	forced.MustRegister(headed)
+	if p.viewReaders != 1 {
+		t.Fatalf("after a headed template: %d view readers, want 1", p.viewReaders)
+	}
+	if views, _ = publish(docs[100:]); views == 0 || p.stats.RL == 0 {
+		t.Errorf("a headed template is live and %d view rows were built in %v", views, p.stats.RL)
+	}
+	p.MustUnregister(qid)
+	if p.viewReaders != 0 {
+		t.Errorf("after unregistering the headed template: %d view readers, want 0", p.viewReaders)
+	}
+}

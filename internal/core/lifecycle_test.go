@@ -43,6 +43,9 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 			t.Errorf("query %d still registered", qid)
 		}
 	}
+	if p.viewReaders != 0 {
+		t.Errorf("%d view-reading templates counted, want 0", p.viewReaders)
+	}
 	if !reflect.DeepEqual(p.heads, headIndex{}) {
 		t.Errorf("head index not reclaimed: %d keys", p.heads.n)
 	}

@@ -61,6 +61,9 @@ type Processor struct {
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
 	heads        headIndex   // the headed templates' tries by their first four levels
+	// viewReaders counts the live templates with readsViews: while it is
+	// 0, prepareViews builds no RL or RR.
+	viewReaders int
 	// nextTemplateID allocates template ids; ids are never reused, so a
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
@@ -466,6 +469,9 @@ func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 func (p *Processor) removeTemplate(t *Template) {
 	delete(p.templates, t.Sig)
 	p.templateList = removeFirst(p.templateList, t)
+	if t.readsViews {
+		p.viewReaders--
+	}
 }
 
 // removePattern drops a pattern no live query references from Stage-1
@@ -582,6 +588,9 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
 		p.templateList = append(p.templateList, tmpl)
+		if tmpl.readsViews {
+			p.viewReaders++
+		}
 	}
 	tmpl.refs++
 
@@ -836,8 +845,9 @@ type Stage1Result struct {
 
 	xpath, witness, wall time.Duration
 	// triggered and probes are the document's counted assembly work
-	// (Stats.PatternsTriggered, Stats.WitnessProbes).
-	triggered, probes int64
+	// (Stats.PatternsTriggered, Stats.WitnessProbes), steps its walk's memo
+	// misses (Stats.NFASteps).
+	triggered, probes, steps int64
 }
 
 // rdocValue is an Rdoc row's join value as Stage 1 read it — possibly a
@@ -996,8 +1006,9 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	r.witness = time.Since(t1)
 	r.wall = time.Since(t0)
 	r.triggered, r.probes = res.Work()
+	r.steps = res.Steps()
 	// Every row is in the record and the single-block matches above, so
-	// the match result's scratch (candidate lists, NFA state sets, the slab)
+	// the match result's scratch (candidate lists, the walk's path, the slab)
 	// can go back to the engine's pool here — still inside the
 	// order-insensitive stage, so concurrent publishers recycle scratch
 	// without waiting for their turn at Consume.
@@ -1068,6 +1079,7 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.Stage1Wall += r.wall
 	p.stats.PatternsTriggered += r.triggered
 	p.stats.WitnessProbes += r.probes
+	p.stats.NFASteps += r.steps
 
 	p.result.reset()
 	// The document's values get the state's ids here, before Stage 2 reads

@@ -191,6 +191,10 @@ func TestIngestConcurrentSubmitDeterminism(t *testing.T) {
 // and the witness rows — on the deep_filter shape: 1 100 subscriptions over
 // DefaultDeepFeed documents. Each result goes back to its pool, as Consume
 // puts it back, so the loop is the steady state of a serving process.
+// The documents are walked once before the clock starts, so even one
+// iteration finds the walk memo warm. Beside ns per document it reports the
+// walk's time (Stage1Result.xpath) and its memo misses (Stats.NFASteps) per
+// document.
 func BenchmarkStage1DeepFeed(b *testing.B) {
 	c := workload.DefaultDeepFeed()
 	p := NewProcessor(Config{})
@@ -198,12 +202,20 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 		p.MustRegister(q)
 	}
 	stream := c.Stream(rand.New(rand.NewSource(8)), 200)
+	for _, d := range stream {
+		stage1Pool.Put(p.RunStage1("S", d))
+	}
+	var walk time.Duration
+	var steps int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := p.RunStage1("S", stream[i%len(stream)])
+		walk, steps = walk+r.xpath, steps+r.steps
 		stage1Pool.Put(r)
 	}
+	b.ReportMetric(float64(walk.Nanoseconds())/float64(b.N), "walk-ns/doc")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/doc")
 }
 
 // BenchmarkStage2ManyTemplates times a publish on the benchmark's
@@ -240,4 +252,39 @@ func BenchmarkStage2ManyTemplates(b *testing.B) {
 	flush()
 	b.ReportMetric(float64(cq.Nanoseconds())/float64(b.N), "cq-ns/doc")
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/doc")
+}
+
+// TestStage1WalkSteps counts the transitions Stage 1's walk computes rather
+// than finds in its memo (Stats.NFASteps) on the deep_filter shape: 1 100
+// subscriptions, 200 warm-up DefaultDeepFeed documents, then at most one
+// step per document over 300 more, where the NFA walk took about 6.8 state
+// steps per node. A Register that adds NFA states empties the memos, so the
+// next document computes its sets again. (Under the race detector sync.Pool
+// drops results at random and a walk may start cold.)
+func TestStage1WalkSteps(t *testing.T) {
+	c := workload.DefaultDeepFeed()
+	p := NewProcessor(Config{})
+	rng := rand.New(rand.NewSource(1))
+	for _, q := range c.Queries(rng, 1100) {
+		p.MustRegister(q)
+	}
+	docs := c.Stream(rand.New(rand.NewSource(8)), 501)
+	for _, d := range docs[:200] {
+		p.Process("S", d)
+	}
+	p.ResetStats()
+	for _, d := range docs[200:500] {
+		p.Process("S", d)
+	}
+	warm := p.Stats().NFASteps
+	t.Logf("%d steps over 300 warm documents", warm)
+	if warm > 300 && !raceEnabled {
+		t.Errorf("%d steps over 300 warm documents, want at most one per document", warm)
+	}
+	p.MustRegister(c.Filter(rng, c.Topics+1))
+	p.ResetStats()
+	p.Process("S", docs[500])
+	if steps := p.Stats().NFASteps; steps == 0 {
+		t.Errorf("the document after a Register that added NFA states took no step")
+	}
 }

@@ -321,7 +321,8 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 // the order follows the state's history — a restored state may number its
 // values differently — and only enumeration order depends on it: the output
 // leaves in the canonical order regardless. It reports false when no value is
-// shared with the join state (no template can match).
+// shared with the join state (no template can match). RL and RR are built
+// only while a live template reads them (Processor.viewReaders).
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
@@ -340,6 +341,9 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	p.stats.Rvj += time.Since(t0)
 	if len(ids) == 0 {
 		return false
+	}
+	if p.viewReaders == 0 {
+		return true
 	}
 
 	// RL: per string s, σ_strVal=s(Rdoc) ⋈_{node=node2} Rbin (lines 3-7).

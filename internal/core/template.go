@@ -40,12 +40,14 @@ type Template struct {
 	// prog is the compiled conjunctive query (cqplan.go) and runs counts
 	// the documents that entered it, entered the last (cqExec.doc); needRvj
 	// reports that some step reads the value-join pair relation, headed
-	// that the first value join reads the views.
-	prog    *cqProgram
-	runs    int64
-	entered int64
-	needRvj bool
-	headed  bool
+	// that the first value join reads the views, readsViews that some value
+	// join does.
+	prog       *cqProgram
+	runs       int64
+	entered    int64
+	needRvj    bool
+	headed     bool
+	readsViews bool
 
 	// refs counts the live query instances registered on this template;
 	// at zero the processor reclaims the template and everything it owns

@@ -205,6 +205,9 @@ func (p *Processor) Unregister(id QueryID) error {
 func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 	p.docs++
 	res := p.xp.MatchDocument(stream, d)
+	// Every witness is copied out of the result, so it goes back to the
+	// pool, and its walk memo with it, when the document is done.
+	defer res.Release()
 
 	// Current witnesses per pattern (computed once; Stage 1 is shared).
 	cur := map[yfilter.PatternID][]xpath.Witness{}

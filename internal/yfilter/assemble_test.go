@@ -302,11 +302,16 @@ func pathPattern(stream string, steps []xpath.PathStep) *xpath.Pattern {
 // FuzzWitnessesMatchNaive lets the fuzzer supply a block pattern and an XML
 // document. The pattern as written (possibly deduplicating), its fully bound
 // form and the linear path to each of its leaves share prefixes in one
-// engine; for each, on a fresh result and again on the recycled one, the
-// witnesses Bindings assembles must equal MatchNaive's as sets, and the
-// pattern must be among Triggered exactly when every one of its root-to-leaf
-// paths has a match — all without panicking. Sizes are capped because
-// MatchNaive is exponential in the pattern.
+// engine; for each, on a fresh result, on a recycled one whose walk memo is
+// warm from another document, and again on the recycled one warm from this
+// document, the witnesses Bindings assembles must equal MatchNaive's as
+// sets, and the pattern must be among Triggered exactly when every one of
+// its root-to-leaf paths has a match — all without panicking. Then a
+// Register that extends the first path by a //* step adds NFA states and
+// prefixes that the memo's sets do not know: the document is matched once
+// more on the recycled result, the new pattern too, so a stale memo cannot
+// survive. Sizes are capped because MatchNaive is exponential in the
+// pattern.
 func FuzzWitnessesMatchNaive(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"S//book->x1[.//author->x2][.//title->x3]", "<lib><book><author>a</author><title>t</title><author>b</author></book></lib>"},
@@ -318,6 +323,10 @@ func FuzzWitnessesMatchNaive(f *testing.F) {
 		{"S//a[.//b][.//c]", "<a><b/><a><c/></a></a>"},
 	} {
 		f.Add(seed[0], seed[1])
+	}
+	warm, err := xmldoc.ParseString(`<a i="1"><b><a><c j="2"/></a><book><author/><title/></book></b><r><a><b/></a></r></a>`, 1, 0)
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, block, doc string) {
 		raw, err := xpath.ParseBlock(block)
@@ -331,24 +340,32 @@ func FuzzWitnessesMatchNaive(f *testing.F) {
 		bound, _ := raw.NormalizedFullyBound()
 		e := NewEngine()
 		ids := []PatternID{e.Register(raw), e.Register(bound)}
-		for _, path := range raw.Decompose() {
+		paths := raw.Decompose()
+		for _, path := range paths {
 			ids = append(ids, e.Register(pathPattern(raw.Stream, path.Steps)))
 		}
-		for round := 0; round < 2; round++ {
+		check := func(label string) {
 			r := e.MatchDocument(raw.Stream, d)
 			triggered := r.Triggered()
 			for _, id := range ids {
 				p := e.Pattern(id)
-				checkAgainstNaive(t, fmt.Sprintf("round %d", round), r, id, p, d)
+				checkAgainstNaive(t, label, r, id, p, d)
 				want := true
 				for _, path := range p.Decompose() {
 					want = want && len(pathPattern(p.Stream, path.Steps).MatchNaive(d)) > 0
 				}
 				if got := slices.Contains(triggered, id); got != want {
-					t.Fatalf("round %d: pattern %q doc %s: triggered %v, want %v", round, p.String(), d.XMLText(), got, want)
+					t.Fatalf("%s: pattern %q doc %s: triggered %v, want %v", label, p.String(), d.XMLText(), got, want)
 				}
 			}
 			r.Release()
 		}
+		check("fresh result")
+		e.MatchDocument(raw.Stream, warm).Release()
+		check("memo warm from another document")
+		check("memo warm from this document")
+		steps := append(slices.Clip(paths[0].Steps), xpath.PathStep{Axis: xpath.Descendant, Name: "*"})
+		ids = append(ids, e.Register(pathPattern(raw.Stream, steps)))
+		check("after a Register")
 	})
 }

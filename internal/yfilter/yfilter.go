@@ -25,23 +25,27 @@
 //
 // # Memory layout
 //
-// States live in a dense slice indexed by int32 state id. Transitions are
-// matched through a flat table indexed by (state, symbol slot), where a
-// symbol slot is the NFA-local index of an interned symbol id
-// (internal/sym): document nodes carry their interned symbol, so the
-// per-node transition step is two array loads and never hashes a string.
-// The table is rebuilt lazily after Register; rebuilds are serialized and
-// published with an atomic flag so concurrent MatchDocument calls are safe.
-// Per-document evaluation state (active-state sets per depth, the
-// generation-stamped visited array, candidate lists, the visit numbering and
-// the assembly scratch) lives in a pooled MatchResult that callers return
-// with Release when they have copied out the bindings they need.
+// States live in a dense slice indexed by int32 state id, in the form
+// Register builds them: exact-symbol transitions in a per-state map keyed by
+// the interned symbol id (internal/sym), which document nodes carry, plus
+// the wildcard, attribute-wildcard and ε targets and the self-loop flag. The
+// walk runs the NFA as a lazily built DFA (dfa.go): its state at a node is
+// an interned, sorted set of NFA states, and the next set for (set, node
+// symbol, element or attribute) is looked up in a memo of flat open-addressed
+// arrays that the pooled MatchResult keeps across documents, one per stream.
+// Only a miss reads the construction form. A node therefore costs one probe
+// plus its candidate appends, whatever the number of active NFA states. The
+// memo is stamped with the stream's structure version, which Register bumps
+// when it adds states or prefixes, and is emptied at memoLimit. Per-document
+// evaluation state (the set ids along the current path, candidate lists, the
+// visit numbering and the assembly scratch) lives in the same pooled result,
+// which callers return with Release when they have copied out the bindings
+// they need.
 package yfilter
 
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -56,11 +60,10 @@ type stateID = int32
 
 const noState stateID = -1
 
-// nfaState is one state of the shared NFA. Exact-symbol transitions are
-// kept in a per-state map during construction and flattened into the
-// stream's dense transition table before matching.
+// nfaState is one state of the shared NFA, as Register builds it and the
+// walk's memo misses read it.
 type nfaState struct {
-	trans   map[sym.ID]stateID // construction form of the exact-symbol transitions
+	trans   map[sym.ID]stateID // the exact-symbol transitions
 	star    stateID            // transition on any element symbol (noState if absent)
 	attr    stateID            // transition on any attribute symbol, the @* test (noState if absent)
 	eps     stateID            // ε-transition to the //-self-loop state (noState if absent)
@@ -86,72 +89,17 @@ type streamNFA struct {
 	// prefixes it hit.
 	watchers [][]PatternID
 
-	// Dense transition table, rebuilt lazily after Register. slot maps a
-	// global interned symbol id to 1+its NFA-local column (0 = the symbol
-	// labels no transition anywhere in this NFA); table[s*width+c] is the
-	// target of state s on column c, or noState. tableClean flips to false
-	// on every Register and is re-set after a rebuild under tableMu, so
-	// concurrent matchers either see a clean table or serialize on the
-	// rebuild.
-	tableMu    sync.Mutex
-	tableClean atomic.Bool
-	width      int
-	slot       []int32
-	table      []stateID
+	// id indexes the stream's memo in a MatchResult (MatchResult.memos).
+	// version counts the Register calls that added states or prefixes: a
+	// memo built against an older version is emptied before a walk.
+	id      int
+	version uint64
 }
 
 func (sn *streamNFA) newState() stateID {
 	id := stateID(len(sn.states))
 	sn.states = append(sn.states, nfaState{star: noState, attr: noState, eps: noState})
 	return id
-}
-
-// ensureTable flattens the per-state transition maps into the dense table
-// if Register has invalidated it. Safe to call from concurrent matchers.
-func (sn *streamNFA) ensureTable() {
-	if sn.tableClean.Load() {
-		return
-	}
-	sn.tableMu.Lock()
-	defer sn.tableMu.Unlock()
-	if sn.tableClean.Load() {
-		return
-	}
-	// Mark the symbols that label at least one transition, then assign
-	// columns in increasing symbol-id order (deterministic layout).
-	maxSym := sym.ID(-1)
-	for i := range sn.states {
-		for id := range sn.states[i].trans {
-			if id > maxSym {
-				maxSym = id
-			}
-		}
-	}
-	slot := make([]int32, int(maxSym)+1)
-	for i := range sn.states {
-		for id := range sn.states[i].trans {
-			slot[id] = 1
-		}
-	}
-	width := 0
-	for i := range slot {
-		if slot[i] != 0 {
-			width++
-			slot[i] = int32(width)
-		}
-	}
-	table := make([]stateID, len(sn.states)*width)
-	for i := range table {
-		table[i] = noState
-	}
-	for i := range sn.states {
-		base := i * width
-		for id, t := range sn.states[i].trans {
-			table[base+int(slot[id])-1] = t
-		}
-	}
-	sn.slot, sn.width, sn.table = slot, width, table
-	sn.tableClean.Store(true)
 }
 
 // Engine is the shared XPath evaluator.
@@ -169,7 +117,7 @@ type Engine struct {
 	// canonically-equal pattern.
 	dead []bool
 
-	//mmqjp:pooled MatchResults are reset by Release and hold only per-document scratch (candidate lists and the prefixes hit, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab); the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core writes each pattern's rows into the document's record before asking for the next pattern and before it releases the result
+	//mmqjp:pooled MatchResults are reset by Release and hold per-document scratch (candidate lists and the prefixes hit, the walk's path, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab) plus their walk memos, which hold only set ids, NFA state ids and prefix ids and are emptied when the stream's version moves; the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core writes each pattern's rows into the document's record before asking for the next pattern and before it releases the result
 	pool sync.Pool
 }
 
@@ -204,7 +152,7 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 
 	sn := e.streams[p.Stream]
 	if sn == nil {
-		sn = &streamNFA{prefixIDs: map[string]int{}}
+		sn = &streamNFA{prefixIDs: map[string]int{}, id: len(e.streams)}
 		sn.newState()
 		e.streams[p.Stream] = sn
 	}
@@ -212,6 +160,7 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 	// Insert every root-to-node prefix of the pattern into the NFA and
 	// record the prefix id for each pattern node.
 	np := make([]int, len(p.Nodes))
+	states, prefixes := len(sn.states), sn.numPrefix
 	for _, path := range p.Decompose() {
 		cur := stateID(0)
 		key := ""
@@ -235,7 +184,9 @@ func (e *Engine) Register(p *xpath.Pattern) PatternID {
 			np[path.NodeIndexes[si]] = pid
 		}
 	}
-	sn.tableClean.Store(false)
+	if len(sn.states) != states || sn.numPrefix != prefixes {
+		sn.version++
+	}
 	a := newAssembly(p, sn, np)
 	a.watch = sn.leastWatched(a.prog.distinct())
 	e.asm = append(e.asm, a)
@@ -330,11 +281,11 @@ func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {
 }
 
 // MatchResult holds the outcome of evaluating one document against all
-// patterns of one stream: the NFA run's candidate lists and visit numbering,
+// patterns of one stream: the walk's candidate lists and visit numbering,
 // from which Triggered finds the patterns that can have witnesses and
 // Bindings assembles them one pattern at a time. Results come from a
-// per-engine pool and everything in them is scratch that Release recycles,
-// the slices Triggered and Bindings return included.
+// per-engine pool and everything in them but the walk memos is scratch that
+// Release recycles, the slices Triggered and Bindings return included.
 type MatchResult struct {
 	eng *Engine
 	sn  *streamNFA
@@ -357,19 +308,30 @@ type MatchResult struct {
 	span  []interval
 	clock int32
 
-	// levels[d] is the active state set at document depth d; each depth
-	// owns its slice, so sibling subtrees can never alias each other's
-	// active sets. visited[s] == gen marks state s as already in the
-	// next set being built (one generation per document node).
-	levels  [][]stateID
-	visited []uint64
-	gen     uint64
+	// memos[sn.id] is the lazy DFA of stream sn as this result's walks
+	// have built it; it outlives Release, and memo is the current
+	// stream's. path[d] is the DFA set at document depth d of the node
+	// being walked. scratch is a miss's, pathBuf and pathSwap hold the path
+	// sets a flush detached (dfa.go), and steps counts the misses of this
+	// document.
+	memos    []walkMemo
+	memo     *walkMemo
+	path     []pathSet
+	scratch  []int32
+	pathBuf  []int32
+	pathSwap []int32
+	steps    int64
 
 	asmScratch
 }
 
 // interval is one node's entry in MatchResult.span.
 type interval struct{ pre, end int32 }
+
+// pathSet is one depth's entry in MatchResult.path: a memo set id, or -1
+// when a flush of the memo detached the set, whose states are then
+// pathBuf[lo:hi].
+type pathSet struct{ set, lo, hi int32 }
 
 // MatchDocument runs the stream's shared NFA over the document and returns a
 // result from which per-pattern witnesses can be drawn. A nil result is
@@ -379,13 +341,12 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 	if sn == nil {
 		return nil
 	}
-	sn.ensureTable()
 	r, _ := e.pool.Get().(*MatchResult)
 	if r == nil {
 		r = &MatchResult{}
 	}
 	r.eng, r.sn, r.doc = e, sn, d
-	r.clock, r.triggered, r.probes, r.triggerWork = 0, 0, 0, 0
+	r.clock, r.steps, r.triggered, r.probes, r.triggerWork = 0, 0, 0, 0, 0
 	if len(r.span) < d.Len() {
 		r.span = make([]interval, d.Len())
 		r.stamps = make([]uint32, d.Len())
@@ -395,24 +356,25 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 	} else {
 		r.candList = append(r.candList[:cap(r.candList)], make([][]xmldoc.NodeID, sn.numPrefix-cap(r.candList))...)
 	}
-	if len(r.visited) < len(sn.states) {
-		r.visited = make([]uint64, len(sn.states))
-		r.gen = 0
+	if len(r.memos) <= sn.id {
+		r.memos = append(r.memos, make([]walkMemo, sn.id+1-len(r.memos))...)
 	}
-	if len(r.levels) == 0 {
-		r.levels = append(r.levels, nil)
+	r.memo = &r.memos[sn.id]
+	if r.memo.version != sn.version || len(r.memo.sets) == 0 {
+		r.memo.reset(sn)
 	}
-
-	// Seed depth 0 with the ε-closure of the start state.
-	r.gen++
-	lvl0 := r.levels[0][:0]
-	for u := stateID(0); u != noState && r.visited[u] != r.gen; u = sn.states[u].eps {
-		r.visited[u] = r.gen
-		lvl0 = append(lvl0, u)
-	}
-	r.levels[0] = lvl0
+	r.path = append(r.path[:0], pathSet{set: startSet})
 	r.visit(d.Root(), 0)
 	return r
+}
+
+// Steps reports the DFA transitions this document's walk computed rather
+// than found in the memo: 0 once the memo has seen the document's shapes.
+func (r *MatchResult) Steps() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.steps
 }
 
 // Release returns the result's scratch to the engine's pool. The result
@@ -429,78 +391,51 @@ func (r *MatchResult) Release() {
 		r.candList[pid] = r.candList[pid][:0]
 	}
 	r.hit, r.trig = r.hit[:0], r.trig[:0]
-	r.eng, r.sn, r.doc, r.prog = nil, nil, nil, nil
+	r.eng, r.sn, r.doc, r.prog, r.memo = nil, nil, nil, nil, nil
 	eng.pool.Put(r)
 }
 
-// visit consumes document node n from the active state set at the given
-// depth and recurses into its children (SAX start-element semantics;
-// end-element corresponds to the implicit stack pop on return). The next
-// set is deduplicated with the generation-stamped visited array, and
-// ε-successors are folded in as each state is added, so closure costs O(1)
-// per discovered state instead of a rescan of the set. A node the walk
-// descends into gets its entry in span; a node it prunes can be no
-// candidate and needs none.
+// visit consumes document node n, whose parent's DFA set is path[depth],
+// and recurses into its children (SAX start-element semantics;
+// end-element corresponds to the implicit stack pop on return). The node's
+// set is one memo probe away, computed only on a miss; it collects n for
+// each live prefix the set accepts. A node the walk descends into gets its
+// entry in span; one whose set is empty can be no candidate, nor can any
+// node below it, and needs none.
 func (r *MatchResult) visit(n xmldoc.NodeID, depth int) {
 	dn := r.doc.Node(n)
-	isElem := dn.Kind == xmldoc.ElementNode
-	sn := r.sn
-	active := r.levels[depth]
-	if len(r.levels) == depth+1 {
-		r.levels = append(r.levels, nil)
+	from := r.path[depth].set
+	if from < 0 {
+		from = r.enter(depth)
 	}
-	next := r.levels[depth+1][:0]
-	r.gen++
-	gen := r.gen
-	visited := r.visited
-	var slotID int32
-	if int(dn.Sym) < len(sn.slot) {
-		slotID = sn.slot[dn.Sym]
+	k := transKey(from, dn.Sym, dn.Kind)
+	set := r.memo.lookup(k)
+	if set < 0 {
+		set = r.miss(k, depth, dn.Sym, dn.Kind)
 	}
-	for _, s := range active {
-		st := &sn.states[s]
-		if slotID > 0 {
-			if t := sn.table[int(s)*sn.width+int(slotID)-1]; t != noState {
-				for u := t; u != noState && visited[u] != gen; u = sn.states[u].eps {
-					visited[u] = gen
-					next = append(next, u)
-				}
-			}
-		}
-		wild := st.star
-		if !isElem {
-			wild = st.attr
-		}
-		if wild != noState {
-			for u := wild; u != noState && visited[u] != gen; u = sn.states[u].eps {
-				visited[u] = gen
-				next = append(next, u)
-			}
-		}
-		if st.self {
-			// The // state stays active at all depths.
-			for u := s; u != noState && visited[u] != gen; u = sn.states[u].eps {
-				visited[u] = gen
-				next = append(next, u)
-			}
-		}
-	}
-	r.levels[depth+1] = next
-	for _, s := range next {
-		for _, pid := range sn.states[s].accepts {
-			if sn.prefixLive[pid] == 0 {
-				continue // only unregistered patterns need this prefix
-			}
-			list := r.candList[pid]
-			if len(list) == 0 {
-				r.hit = append(r.hit, pid)
-			}
-			r.candList[pid] = append(list, n)
-		}
-	}
-	if len(next) == 0 {
+	if set == deadSet {
 		return // no active state can ever fire below this node
 	}
+	live := r.sn.prefixLive
+	for _, pid := range r.memo.accepts(set) {
+		if live[pid] == 0 {
+			continue // only unregistered patterns need this prefix
+		}
+		list := r.candList[pid]
+		if len(list) == 0 {
+			r.hit = append(r.hit, int(pid))
+		}
+		r.candList[pid] = append(list, n)
+	}
+	if len(dn.Children) == 0 {
+		r.span[n] = interval{r.clock, r.clock}
+		r.clock++
+		return
+	}
+	if len(r.path) == depth+1 {
+		r.path = append(r.path, pathSet{})
+	}
+	r.path[depth+1].set = set
 	pre := r.clock
 	r.clock++
 	for _, c := range dn.Children {

@@ -15,7 +15,7 @@ var engineStatsKeys = []string{
 	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
 	"stage1_wall_ns", "stage2_wall_ns",
 	"witness_plans", "cq_probes", "cq_rows", "match_runs",
-	"patterns_triggered", "witness_probes", "window_gcs", "gc_rows_dropped",
+	"patterns_triggered", "witness_probes", "nfa_steps", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows", "state_values",
 	"subscription_bytes", "patterns_dormant", "dropped_cascades",
 }
