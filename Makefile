@@ -14,12 +14,14 @@ test:
 	$(GO) test ./...
 
 # The allocation ceilings (count and bytes per document and per Subscribe,
-# fixed numbers) and the retained-heap ceiling of standing subscriptions ten
-# times over, so one that only passes once in a while — a pooled object lost
-# to a collection, a map that grew — fails here and not at the benchmark gate
-# (the CI alloc-ceilings job).
+# fixed numbers), the retained-heap ceiling of standing subscriptions and the
+# server's allocation-free reply encoding ten times over, so one that only
+# passes once in a while — a pooled object lost to a collection, a map that
+# grew — fails here and not at the benchmark gate (the CI alloc-ceilings
+# job).
 alloc-ceilings:
 	$(GO) test -run 'AllocCeiling|BytesCeiling|HeapCeiling' -count=10 . ./internal/core ./internal/xmldoc
+	$(GO) test -run 'DoesNotAllocate' -count=10 ./cmd/mmqjp-server
 
 # benchmark/ is a nested module the root ./... patterns never reach (the CI
 # benchmark-module job): keep it compiling and its tests green against the

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	mmqjp "repro"
 )
@@ -33,16 +34,6 @@ const (
 	// socket drains, is not a slow reader); and how long a dropped
 	// connection then gets to take that write and the final ERR ELIMIT line.
 	slowReaderGrace = time.Second
-	// maxKeptMatches is how large a result buffer a connection keeps
-	// between PUBs (client.matches).
-	maxKeptMatches = 4096
-	// docCacheSize is how many documents' rendered `<doc>@<ts>` a
-	// publishing connection keeps (docCache), direct-mapped by id. A
-	// document's matches pair it with documents of its join window, and ids
-	// are issued consecutively, so with a window of up to this many
-	// documents each is rendered once while it is in the window. 1 024
-	// slots are 72 KB per connection that has published.
-	docCacheSize = 1024
 )
 
 // reply is one non-MATCH reply line: OK <n>, OK <text> or ERR <code> <text>.
@@ -84,49 +75,24 @@ func appendLine(b []byte, text string) []byte {
 	return append(b, '\n')
 }
 
-// docCache holds rendered document references, the pieces MATCH lines are
-// copied from: a line is its query's prefix (ownerTable), the left
-// document's piece and the right document's, with no number formatted on a
-// hit. A slot is keyed by document id and verified by id and timestamp; a
-// miss renders the slot in place, so any pattern of misses — two documents
-// of one line on one slot included — encodes the same bytes, and nothing is
-// ever evicted. Only the goroutine that produces its connection's replies
-// touches it.
-type docCache [docCacheSize]docPiece
-
-// docPiece is one slot: ` right=<doc>@<ts>\n`, the tail of a line whose
-// right document is doc; the middle of it, `<doc>@<ts>`, is the left piece.
-type docPiece struct {
-	doc, ts int64
-	n       uint8
-	text    [len(rightTag) + 2*20 + len("@\n")]byte
-}
-
-const rightTag = " right="
-
-// piece returns the slot of doc, rendering it unless it holds doc already.
-func (c *docCache) piece(doc, ts int64) []byte {
-	p := &c[uint64(doc)%docCacheSize]
-	if p.n == 0 || p.doc != doc || p.ts != ts {
-		b := append(p.text[:0], rightTag...)
-		b = strconv.AppendInt(b, doc, 10)
-		b = append(b, '@')
-		b = strconv.AppendInt(b, ts, 10)
-		b = append(b, '\n')
-		p.doc, p.ts, p.n = doc, ts, uint8(len(b))
+// renderTails renders the tail of every frame of ms, `<doc>@<ts>
+// right=<doc>@<ts>\n`, into c's scratch, where tail finds it. A MATCH line is
+// its query's prefix (ownerTable) and its frame's tail, so a publish renders
+// each frame once however many queries share it.
+func (c *client) renderTails(ms *mmqjp.Matches) {
+	b, at := c.tails[:0], append(c.tailAt[:0], 0)
+	for _, f := range ms.Frames {
+		b = append(strconv.AppendInt(b, f.LeftDoc, 10), '@')
+		b = append(strconv.AppendInt(b, f.LeftTS, 10), " right="...)
+		b = append(strconv.AppendInt(b, f.RightDoc, 10), '@')
+		b = append(strconv.AppendInt(b, f.RightTS, 10), '\n')
+		at = append(at, uint32(len(b)))
 	}
-	return p.text[:p.n]
+	c.tails, c.tailAt = b, at
 }
 
-// appendMatch appends `MATCH <qid> left=<doc>@<ts> right=<doc>@<ts>`, prefix
-// being the query's `MATCH <qid> left=`. The left piece is copied out before
-// the right one is looked up, which may re-render the same slot.
-func (c *docCache) appendMatch(b, prefix []byte, m *mmqjp.Match) []byte {
-	b = append(b, prefix...)
-	left := c.piece(m.LeftDoc, m.LeftTS)
-	b = append(b, left[len(rightTag):len(left)-1]...)
-	return append(b, c.piece(m.RightDoc, m.RightTS)...)
-}
+// tail returns frame f's tail from the last renderTails.
+func (c *client) tail(f int32) []byte { return c.tails[c.tailAt[f]:c.tailAt[f+1]] }
 
 // client is one connection. Its own replies are produced by exactly one
 // goroutine — its handler — which is also the one that writes them; MATCH
@@ -155,17 +121,15 @@ type client struct {
 	wmu   sync.Mutex
 	spare []byte // the previous write's buffer, swapped in by the next
 
-	// matchOwners and docs are deliver's scratch and piece cache, used by
-	// the goroutine that produces this connection's replies; docs is
-	// allocated by the connection's first publish that has matches.
+	// res is the handler's result buffer: a publish's matches are written
+	// into it (Engine.AppendPublishXML, or Matches.Append for a PUBB batch)
+	// and encoded into the owners' outbound buffers before the handler
+	// reads its next request, so every publish of the connection uses the
+	// same one. matchOwners, tails and tailAt are deliver's scratch.
+	res         mmqjp.Matches
 	matchOwners []owner
-	docs        *docCache
-	// matches is the handler's result buffer: a PUB's matches
-	// are written into it (Engine.AppendPublishXML) and encoded into the
-	// owners' outbound buffers before the handler reads its next request,
-	// so every PUB of the connection uses the same one. One that a burst
-	// grew past maxKeptMatches is released after its reply.
-	matches []mmqjp.Match
+	tails       []byte
+	tailAt      []uint32 // frame f's tail is tails[tailAt[f]:tailAt[f+1]]
 }
 
 // newClient wraps an accepted connection.
@@ -270,61 +234,58 @@ func (r flushReader) Read(p []byte) (int, error) {
 	return r.c.conn.Read(p)
 }
 
-// ackPublish completes a publish's reply group at c's reply slot: the MATCH
-// lines of every batch go to the connections that own the matched queries,
-// then c gets OK <total> and its group is written.
-func (s *server) ackPublish(c *client, stream string, docs int, batches ...[]mmqjp.Match) {
-	total := 0
-	for _, matches := range batches {
-		total += len(matches)
-		s.deliver(c, matches)
-	}
+// ackPublish completes a publish's reply group at c's reply slot, once
+// deliver has routed its MATCH lines: c gets OK <total> and its group is
+// written. Scratch a burst grew past flushBytes is released, as an outbound
+// buffer past twice that is after its write.
+func (s *server) ackPublish(c *client, stream string, docs, total int) {
 	s.m.published(stream, docs, total)
 	c.enqueue(okReply(int64(total)))
 	c.flush()
+	if cap(c.res.Entries)*int(unsafe.Sizeof(mmqjp.MatchEntry{})) > flushBytes || cap(c.tails) > flushBytes {
+		c.res, c.matchOwners, c.tails, c.tailAt = mmqjp.Matches{}, nil, nil, nil
+	}
 }
 
-// deliver appends one document's MATCH lines to the connections owning the
-// matched queries: owners and prefixes are resolved under the read lock,
-// then each owner's lines are encoded into its buffer, from self's piece
-// cache, under one acquisition of its lock. self is the publishing
-// connection, whose own lines wait for its OK.
-func (s *server) deliver(self *client, matches []mmqjp.Match) {
-	if len(matches) == 0 {
+// deliver appends the MATCH lines of ms to the connections owning the
+// matched queries: each frame's tail is rendered once into self's scratch,
+// owners and prefixes are resolved under the read lock, then each owner's
+// lines are encoded into its buffer under one acquisition of its lock. self
+// is the publishing connection, whose own lines wait for its OK.
+func (s *server) deliver(self *client, ms *mmqjp.Matches) {
+	if ms.Len() == 0 {
 		return
 	}
-	if self.docs == nil {
-		self.docs = new(docCache)
-	}
+	self.renderTails(ms)
 	owners := self.matchOwners[:0]
 	s.mu.RLock()
 	prefixes := s.owners.prefixes
-	for i := range matches {
-		o, _ := s.owners.get(matches[i].Query)
+	for i := range ms.Entries {
+		o, _ := s.owners.get(ms.Entries[i].Query)
 		owners = append(owners, o)
 	}
 	s.mu.RUnlock()
 	for i := range owners {
 		if to := owners[i].c; to != nil {
-			s.deliverTo(self, to, matches[i:], owners[i:], prefixes)
+			s.deliverTo(self, to, ms.Entries[i:], owners[i:], prefixes)
 		}
 	}
 	self.matchOwners = owners[:0]
 }
 
-// deliverTo appends the matches owned by to and clears their owners
-// entries, so deliver visits each owner once.
-func (s *server) deliverTo(self, to *client, matches []mmqjp.Match, owners []owner, prefixes []byte) {
+// deliverTo appends the lines of the entries owned by to and clears their
+// owners entries, so deliver visits each owner once.
+func (s *server) deliverTo(self, to *client, entries []mmqjp.MatchEntry, owners []owner, prefixes []byte) {
 	to.mu.Lock()
 	n := len(to.out)
-	for i := range matches {
+	for i := range entries {
 		o := &owners[i]
 		if o.c != to {
 			continue
 		}
 		o.c = nil
 		if !to.dead {
-			to.out = self.docs.appendMatch(to.out, o.prefix(prefixes), &matches[i])
+			to.out = append(append(to.out, o.prefix(prefixes)...), self.tail(entries[i].Frame)...)
 		}
 	}
 	s.m.replyQueued(len(to.out) - n)

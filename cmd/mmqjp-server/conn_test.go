@@ -214,44 +214,60 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestMatchEncodingDoesNotAllocate is the allocation ceiling of the reply
-// path: routing and encoding a 200-match reply group into a warmed
-// connection buffer from a warm piece cache (every document already
-// rendered), and writing it, allocates nothing. AllocsPerRun counts the
-// whole process's mallocs, and earlier tests' servers and engines may still
-// be winding down; they can only add, so the path is clean if any one
-// measurement reads zero.
+// path: rendering the frame tails of a 200-match result — several frames of
+// Stage-2 runs and one of single-block matches — routing its lines into a
+// warmed connection buffer and writing them allocates nothing. AllocsPerRun
+// counts the whole process's mallocs, and earlier tests' servers and engines
+// may still be winding down; they can only add, so the path is clean if any
+// one measurement reads zero.
 func TestMatchEncodingDoesNotAllocate(t *testing.T) {
 	s := &server{}
 	c := s.newClient(discardConn{})
-	matches := make([]mmqjp.Match, 200)
-	for i := range matches {
-		q := mmqjp.QueryID(i % 50)
-		s.owners.set(q, c)
-		matches[i] = mmqjp.Match{Query: q, LeftDoc: int64(1000 + i), LeftTS: 1700000000, RightDoc: 123456, RightTS: 1700000999}
+	ms := framedMatches(rand.New(rand.NewSource(3)), 200, 6, 1700000999)
+	ms.Frames = append(ms.Frames, mmqjp.Frame{LeftDoc: 123456, RightDoc: 123456, LeftTS: 1700000999, RightTS: 1700000999})
+	for i := 0; i < 20; i++ {
+		ms.Entries = append(ms.Entries, mmqjp.MatchEntry{Query: mmqjp.QueryID(10000 + i/2), Frame: int32(len(ms.Frames) - 1)})
 	}
-	group := func() { s.ackPublish(c, "S", 1, matches) }
-	group() // size the two buffers, the owners scratch and the piece cache
+	for i := range ms.Entries {
+		s.owners.set(ms.Entries[i].Query, c)
+	}
+	group := func() {
+		s.deliver(c, &ms)
+		s.ackPublish(c, "S", 1, ms.Len())
+	}
+	group() // size the two buffers and the deliver scratch
 	group()
-	for i := range matches {
-		for _, d := range [][2]int64{{matches[i].LeftDoc, matches[i].LeftTS}, {matches[i].RightDoc, matches[i].RightTS}} {
-			if p := &c.docs[uint64(d[0])%docCacheSize]; p.doc != d[0] || p.ts != d[1] || p.n == 0 {
-				t.Fatalf("document %d is not in the warm cache", d[0])
-			}
-		}
-	}
 	got := testing.AllocsPerRun(100, group)
 	for try := 0; got != 0 && try < 20; try++ {
 		time.Sleep(50 * time.Millisecond)
 		got = testing.AllocsPerRun(100, group)
 	}
 	if got != 0 {
-		t.Errorf("a 200-match reply group allocates %v times, want 0", got)
+		t.Errorf("a %d-match reply group allocates %v times, want 0", ms.Len(), got)
 	}
 }
 
+// framedMatches returns a result of n matches over the given number of
+// frames, shaped like rss_window's: queries among 10 000 in ascending order,
+// each on a random frame, whose left documents lie in a window of 500 and
+// whose right document is the published one, doc.
+func framedMatches(rng *rand.Rand, n, frames int, doc int64) mmqjp.Matches {
+	var ms mmqjp.Matches
+	for f := 0; f < frames; f++ {
+		left := doc - 1 - rng.Int63n(500)
+		ms.Frames = append(ms.Frames, mmqjp.Frame{LeftDoc: left, LeftTS: 1700000000 + left, RightDoc: doc, RightTS: 1700000000 + doc})
+	}
+	q := mmqjp.QueryID(0)
+	for i := 0; i < n; i++ {
+		q += 1 + mmqjp.QueryID(rng.Intn(2*10000/n))
+		ms.Entries = append(ms.Entries, mmqjp.MatchEntry{Query: q, Frame: int32(rng.Intn(frames))})
+	}
+	return ms
+}
+
 // appendMatch is the reference MATCH line encoder, five integers formatted
-// with strconv: the server's piece encoder (docCache.appendMatch) must
-// produce the same bytes.
+// with strconv: the server's frame encoder (deliver) must produce the same
+// bytes.
 func appendMatch(b []byte, m *mmqjp.Match) []byte {
 	b = append(b, "MATCH "...)
 	b = strconv.AppendInt(b, int64(m.Query), 10)
@@ -267,27 +283,25 @@ func appendMatch(b []byte, m *mmqjp.Match) []byte {
 }
 
 // BenchmarkMatchLines encodes one document's MATCH lines, reported per line:
-// 200 matches of queries among 10 000, their left documents from a window of
-// 500 and the document itself on the right, a new document id every
-// iteration (the shape of rss_window). "strconv" is the reference encoder;
-// "pieces" is the server's, prefixes from the ownership table and documents
-// from the publisher's cache, which renders each new document once.
+// 200 matches of queries among 10 000 over four frames, their left documents
+// from a window of 500 and the document itself on the right, a new document
+// every iteration (the shape of rss_window, where a run stands for over a
+// hundred matches). "strconv" is the reference encoder, five integers per
+// line; "frames" is the server's, each frame's tail rendered once and each
+// line its query's prefix from the ownership table and its frame's tail.
 func BenchmarkMatchLines(b *testing.B) {
-	const lines, window = 200, 500
+	const lines = 200
 	rng := rand.New(rand.NewSource(1))
 	s := &server{}
 	c := s.newClient(nil)
-	matches := make([]mmqjp.Match, lines)
-	for i := range matches {
-		q := mmqjp.QueryID(rng.Intn(10000))
-		s.owners.set(q, c)
-		left := 100000 + rng.Int63n(window)
-		matches[i] = mmqjp.Match{Query: q, LeftDoc: left, LeftTS: 1700000000 + left}
+	ms := framedMatches(rng, lines, 4, 100500)
+	for i := range ms.Entries {
+		s.owners.set(ms.Entries[i].Query, c)
 	}
 	next := func(i int) {
-		doc := 100000 + window + int64(i)
-		for j := range matches {
-			matches[j].RightDoc, matches[j].RightTS = doc, 1700000000+doc
+		doc := 100500 + int64(i)
+		for f := range ms.Frames {
+			ms.Frames[f].RightDoc, ms.Frames[f].RightTS = doc, 1700000000+doc
 		}
 	}
 	var out []byte
@@ -295,20 +309,21 @@ func BenchmarkMatchLines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			next(i)
 			out = out[:0]
-			for j := range matches {
-				out = appendMatch(out, &matches[j])
+			for j := range ms.Entries {
+				m := ms.Match(j)
+				out = appendMatch(out, &m)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 	})
-	b.Run("pieces", func(b *testing.B) {
-		c.docs = new(docCache)
+	b.Run("frames", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			next(i)
 			out = out[:0]
-			for j := range matches {
-				o, _ := s.owners.get(matches[j].Query)
-				out = c.docs.appendMatch(out, o.prefix(s.owners.prefixes), &matches[j])
+			c.renderTails(&ms)
+			for j := range ms.Entries {
+				o, _ := s.owners.get(ms.Entries[j].Query)
+				out = append(append(out, o.prefix(s.owners.prefixes)...), c.tail(ms.Entries[j].Frame)...)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")

@@ -37,16 +37,16 @@ func (c *recordConn) take() []byte {
 	return b
 }
 
-// TestMatchLinesEqualStrconv holds the piece encoder — prefixes from the
-// ownership table, document pieces from the publisher's cache — to the
-// strconv reference appendMatch, byte for byte.
+// TestMatchLinesEqualStrconv holds the frame encoder — prefixes from the
+// ownership table, frame tails rendered once per publish — to the strconv
+// reference appendMatch, byte for byte.
 func TestMatchLinesEqualStrconv(t *testing.T) {
-	// Unit level: reply groups routed by one publisher to itself and to
-	// another connection, whose lines the publisher's cache renders too.
-	// The documents collide in the cache (ids docCacheSize apart) within
-	// one line and across lines, so slots are evicted and re-rendered while
-	// the group is encoded; one document also appears under two timestamps,
-	// and the ids and timestamps reach both signs and every width.
+	// Unit level: results routed by one publisher to itself and to another
+	// connection, whose lines the publisher renders too. A result has
+	// several frames of Stage-2 runs, each shared by queries out of frame
+	// order, and a frame of single-block matches, all of its entries on
+	// it; one document appears under two timestamps, and the ids and
+	// timestamps reach both signs and every width.
 	t.Run("pieces", func(t *testing.T) {
 		s := &server{}
 		self, selfConn := s.newClient(nil), &recordConn{}
@@ -56,47 +56,53 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 		for i, q := range qids {
 			s.owners.set(q, [2]*client{self, other}[i%2])
 		}
-		const d = 77
-		docs := []int64{d, d + docCacheSize, d + 2*docCacheSize, -d, -d - docCacheSize, 0, 1, 1<<40 + d, math.MinInt64, math.MaxInt64}
-		stamps := []int64{0, 1700000000, math.MaxInt64, -5}
+		docs := []int64{77, -77, 0, 1, 9, 10, 1<<40 + 77, -1 << 40, math.MinInt64, math.MaxInt64}
+		stamps := []int64{0, 1, -5, 1700000000, math.MinInt64, math.MaxInt64}
 		rng := rand.New(rand.NewSource(29))
-		var group []mmqjp.Match
-		for _, l := range docs {
-			for _, r := range docs {
-				group = append(group, mmqjp.Match{
-					Query:   qids[rng.Intn(len(qids))],
-					LeftDoc: l, LeftTS: stamps[rng.Intn(len(stamps))],
-					RightDoc: r, RightTS: stamps[rng.Intn(len(stamps))],
+		for round := 0; round < 8; round++ {
+			var ms mmqjp.Matches
+			right := docs[rng.Intn(len(docs))]
+			rightTS := stamps[rng.Intn(len(stamps))]
+			for f, n := 0, 1+rng.Intn(6); f < n; f++ {
+				ms.Frames = append(ms.Frames, mmqjp.Frame{
+					LeftDoc: docs[rng.Intn(len(docs))], LeftTS: stamps[rng.Intn(len(stamps))],
+					RightDoc: right, RightTS: rightTS,
 				})
 			}
-		}
-		for round := 0; round < 4; round++ {
-			rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+			if round%2 == 0 {
+				ms.Frames = append(ms.Frames, mmqjp.Frame{LeftDoc: right, RightDoc: right, LeftTS: rightTS, RightTS: rightTS})
+			}
+			for i, n := 0, 20+rng.Intn(200); i < n; i++ {
+				ms.Entries = append(ms.Entries, mmqjp.MatchEntry{
+					Query: qids[rng.Intn(len(qids))],
+					Frame: int32(rng.Intn(len(ms.Frames))),
+				})
+			}
 			var want [2][]byte
-			for i := range group {
-				o, _ := s.owners.get(group[i].Query)
+			for i := range ms.Entries {
+				o, _ := s.owners.get(ms.Entries[i].Query)
 				k := 0
 				if o.c == other {
 					k = 1
 				}
-				want[k] = appendMatch(want[k], &group[i])
+				m := ms.Match(i)
+				want[k] = appendMatch(want[k], &m)
 			}
-			s.deliver(self, group)
+			s.deliver(self, &ms)
 			self.flush()
 			other.flush()
 			for k, got := range [][]byte{selfConn.take(), otherConn.take()} {
 				if !bytes.Equal(got, want[k]) {
-					t.Fatalf("round %d, connection %d: piece encoder differs from strconv\ngot:  %.300q\nwant: %.300q", round, k, got, want[k])
+					t.Fatalf("round %d, connection %d: frame encoder differs from strconv\ngot:  %.300q\nwant: %.300q", round, k, got, want[k])
 				}
 			}
 		}
 	})
 
 	// End to end: a publisher and a subscriber that both own queries, ids
-	// moving across UNSUB → SUB, a window short enough that most documents
-	// join a few predecessors only, and more documents than the cache has
-	// slots, against a reference engine fed the same requests and rendered
-	// with appendMatch.
+	// moving across UNSUB → SUB, and a window short enough that most
+	// documents join a few predecessors only, against a reference engine fed
+	// the same requests and rendered with appendMatch.
 	t.Run("unsub-resub", func(t *testing.T) {
 		addr := startTestServer(t)
 		ref := mmqjp.New(mmqjp.Options{})
@@ -132,14 +138,15 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 		sub(0, "S//b->y JOIN{y=x, 5} S//a->x")
 
 		var want, reply [2][]byte
-		docs := docCacheSize + 300
+		const docs = 1300
 		for i := 1; i <= docs; i++ {
 			tag := [2]string{"a", "b"}[i%3/2]
 			xml := fmt.Sprintf("<%s>k%d</%s>", tag, i%2, tag)
-			ms, err := ref.AppendPublishXML(nil, "S", xml, int64(i), int64(i))
+			res, err := ref.PublishDoc("S", nil, mmqjp.WithXML(xml, int64(i), int64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			ms := res.Batches[0]
 			for j := range ms {
 				k := owner[ms[j].Query]
 				want[k] = appendMatch(want[k], &ms[j])
@@ -155,14 +162,14 @@ func TestMatchLinesEqualStrconv(t *testing.T) {
 			}
 		}
 		if n := bytes.Count(want[1], []byte("MATCH ")); n < docs {
-			t.Fatalf("the subscriber got %d MATCH lines over %d documents: too few to exercise the cache", n, docs)
+			t.Fatalf("the subscriber got %d MATCH lines over %d documents: too few to compare", n, docs)
 		}
 	})
 
 	// Durable mode: subscriptions restored from a snapshot are adopted by
 	// CLAIM on a new connection, out of id order and across a gap, and their
 	// first lines pair a document published after the restart with ones
-	// published before it, which the new connection's cache has never seen.
+	// published before it, which the new connection has never rendered.
 	t.Run("claim-after-restart", func(t *testing.T) {
 		store := &mmqjp.MemStore{}
 		addr, s1 := startDurableServer(t, store)

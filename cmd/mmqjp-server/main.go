@@ -564,15 +564,13 @@ func (s *server) handlePub(c *client, rest string) {
 		return
 	}
 	docID := s.nextDoc.Add(1)
-	matches, err := s.eng.AppendPublishXML(c.matches[:0], stream, xmlText, docID, ts)
-	if err != nil {
+	c.res.Reset()
+	if c.res, err = s.eng.AppendPublishXML(c.res, stream, xmlText, docID, ts); err != nil {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.ackPublish(c, stream, 1, matches)
-	if c.matches = matches; cap(matches) > maxKeptMatches {
-		c.matches = nil
-	}
+	s.deliver(c, &c.res)
+	s.ackPublish(c, stream, 1, c.res.Len())
 }
 
 // maxBatchDocs bounds the document count a PUBB header may announce, so a
@@ -646,7 +644,17 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 		s.replyErr(c, errParse, err.Error())
 		return
 	}
-	s.ackPublish(c, stream, len(docs), res.Batches...)
+	// Document by document, so the flush rule sees each one's lines.
+	total := 0
+	for _, ms := range res.Batches {
+		c.res.Reset()
+		for _, m := range ms {
+			c.res.Append(m)
+		}
+		s.deliver(c, &c.res)
+		total += len(ms)
+	}
+	s.ackPublish(c, stream, len(docs), total)
 }
 
 func cut(s string) (first, rest string, ok bool) {

@@ -441,11 +441,11 @@ func TestLateDocumentMatchesSequential(t *testing.T) {
 	eng.MustSubscribe(q)
 	ref.MustSubscribe(q)
 	for _, d := range docs {
-		got, err := eng.AppendPublishXML(nil, "S", d.xml, d.id, d.ts)
+		got, err := publishXML(eng, "S", d.xml, d.id, d.ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.AppendPublishXML(nil, "S", d.xml, d.id, d.ts)
+		want, err := publishXML(ref, "S", d.xml, d.id, d.ts)
 		if err != nil {
 			t.Fatal(err)
 		}

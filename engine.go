@@ -125,6 +125,11 @@ type Engine struct {
 	//
 	//mmqjp:guardedby e.mu
 	departed []xmldoc.DocID
+	// out is PublishDoc's compact result, written out as public matches
+	// before the lock is released; it keeps its storage across calls.
+	//
+	//mmqjp:guardedby e.mu
+	out Matches
 
 	// nextDerived allocates ids for documents synthesized by query
 	// composition, well away from caller-assigned ids.
@@ -301,17 +306,37 @@ func (e *Engine) NumTemplates() int {
 	return e.proc.NumTemplates()
 }
 
-// publishAppend is the one publish path: Stage 1 on the caller's goroutine
-// under the registration lock's read side, then the order-sensitive rest
-// under e.mu. The document's matches are appended to dst.
-func (e *Engine) publishAppend(dst []Match, stream string, d *Document) []Match {
+// publishDocs is the one publish path, under the registration lock's read
+// side: the first document's Stage 1 runs before e.mu is taken, so concurrent
+// publishers overlap it, and the rest under one hold of e.mu. The matches are
+// appended to dst; with a nil dst each document's are returned instead.
+func (e *Engine) publishDocs(dst *Matches, stream string, docs []*Document) [][]Match {
+	if len(docs) == 0 {
+		return [][]Match{}
+	}
 	e.reg.RLock()
 	defer e.reg.RUnlock()
-	r := e.stage1(stream, d)
+	r := e.stage1(stream, docs[0])
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.dropDeparted()
-	return e.consume(dst, stream, d, r, 0)
+	var out [][]Match
+	if dst == nil {
+		out = make([][]Match, len(docs))
+	}
+	for i, d := range docs {
+		if i > 0 {
+			r = e.stage1(stream, d)
+		}
+		if out == nil {
+			e.consume(dst, stream, d, r, 0)
+			continue
+		}
+		e.out.Reset()
+		e.consume(&e.out, stream, d, r, 0)
+		out[i] = e.appendMatches(nil, &e.out)
+	}
+	return out
 }
 
 // dropDeparted forgets the documents the previous publish call let go of. It
@@ -336,111 +361,77 @@ func (e *Engine) stage1(stream string, d *Document) *core.Stage1Result {
 	return e.proc.RunStage1(stream, d)
 }
 
-// publish processes one document whose Stage 1 has not run yet — a batch
-// member or a derived document of the cascade — and appends its matches to
-// dst.
-//
-//mmqjp:guardedby e.mu
-func (e *Engine) publish(dst []Match, stream string, d *Document, depth int) []Match {
-	return e.consume(dst, stream, d, e.stage1(stream, d), depth)
-}
-
 // consume runs the order-sensitive rest of a publish for a document whose
 // Stage 1 gave r: Stage 2 and the state merge, delivery of the matches to
 // dst and the composition cascade.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) consume(dst []Match, stream string, d *Document, r *core.Stage1Result, depth int) []Match {
+func (e *Engine) consume(dst *Matches, stream string, d *Document, r *core.Stage1Result, depth int) {
 	if e.opts.RetainDocuments {
 		e.docs[d.ID] = d
 	}
+	from := len(dst.Entries)
 	if e.seq != nil {
-		return e.cascade(e.deliver(dst, &sequentialMatches{ms: e.seq.Process(stream, d)}), len(dst), depth)
+		// The baseline's matches carry the same fields under its own types.
+		for _, m := range e.seq.Process(stream, d) {
+			dst.Append(Match{
+				Query:   QueryID(m.Query),
+				LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
+				LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
+				leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
+			})
+		}
+	} else {
+		ms := e.proc.Consume(r)
+		if e.opts.RetainDocuments {
+			e.departed = append(e.departed, e.proc.Departed()...)
+		}
+		e.deliver(dst, ms)
 	}
-	ms := e.proc.Consume(r)
-	if e.opts.RetainDocuments {
-		e.departed = append(e.departed, e.proc.Departed()...)
-	}
-	return e.cascade(e.deliver(dst, ms), len(dst), depth)
+	e.cascade(dst, from, depth)
 }
 
-// orderedMatches is a document's result as a processor hands it over: in
-// canonical order and not yet written out (core.Matches; the sequential
-// baseline's slice), read with a cursor — First, then Next until nil.
-type orderedMatches interface {
-	Len() int
-	First() *core.Match
-	Next() *core.Match
-}
-
-// sequentialMatches presents the baseline processor's result, which carries
-// the same fields under its own types, as orderedMatches; the cursor
-// converts into cur, so reading costs the baseline no allocation.
-type sequentialMatches struct {
-	ms  []sequential.Match
-	i   int
-	cur core.Match
-}
-
-func (s *sequentialMatches) Len() int { return len(s.ms) }
-
-func (s *sequentialMatches) First() *core.Match {
-	s.i = -1
-	return s.Next()
-}
-
-func (s *sequentialMatches) Next() *core.Match {
-	if s.i++; s.i >= len(s.ms) {
-		return nil
-	}
-	m := &s.ms[s.i]
-	s.cur = core.Match{
-		Query:   core.QueryID(m.Query),
-		LeftDoc: m.LeftDoc, RightDoc: m.RightDoc,
-		LeftTS: m.LeftTS, RightTS: m.RightTS,
-		LeftRoot: m.LeftRoot, RightRoot: m.RightRoot,
-	}
-	return &s.cur
-}
-
-// deliver writes a document's result out as public matches appended to dst —
-// a slice the caller owns: nil under PublishDoc, the caller's reused buffer
-// under AppendPublishXML — resolving each query's PUBLISH stream from its
-// subscription record. This is the one place the result is materialised:
-// the processor's view is only valid until it consumes its next document or
-// its registrations change, so consume calls deliver before anything else —
-// the cascade included — and under the registration lock's read side.
+// deliver appends a document's result to dst in compact form: one frame per
+// source of the processor's merge (core.Matches.Sources), then one entry per
+// match in canonical order. This is the one place the processor's result is
+// read: its view is only valid until it consumes its next document or its
+// registrations change, so consume calls deliver before anything else — the
+// cascade included — and under the registration lock's read side.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) deliver(dst []Match, ms orderedMatches) []Match {
-	if ms.Len() == 0 {
-		return dst
-	}
-	out := slices.Grow(dst, ms.Len())
-	for m := ms.First(); m != nil; m = ms.Next() {
-		out = append(out, Match{
-			Query:   QueryID(m.Query),
-			Publish: e.queries[m.Query].publish,
+func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
+	base := int32(len(dst.Frames))
+	for src := range ms.Sources() {
+		m := ms.Frame(src)
+		dst.Frames = append(dst.Frames, Frame{
 			LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
 			LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
+		})
+	}
+	out := slices.Grow(dst.Entries, ms.Len())
+	for m := ms.First(); m != nil; m = ms.Next() {
+		out = append(out, MatchEntry{
+			Query: QueryID(m.Query), Frame: base + int32(ms.Source()),
 			leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
 		})
 	}
-	return out
+	dst.Entries = out
 }
 
-// cascade republishes each PUBLISH match of out[from:] — one document's own
-// matches — as a derived document and appends the resulting matches. Derived
-// matches cascade recursively inside their own publish call, so only that
-// part of the slice is scanned here.
+// cascade republishes each match of dst.Entries[from:] — one document's own
+// matches — whose query has a PUBLISH clause as a derived document and
+// appends the resulting matches. Derived matches cascade recursively inside
+// their own publish call, so only that part of the result is scanned here.
 //
 //mmqjp:guardedby e.mu
-func (e *Engine) cascade(out []Match, from, depth int) []Match {
+func (e *Engine) cascade(dst *Matches, from, depth int) {
 	if !e.opts.EnableComposition {
-		return out
+		return
 	}
-	for _, m := range out[from:] {
-		if m.Publish == "" {
+	for i, n := from, len(dst.Entries); i < n; i++ {
+		m := dst.Match(i)
+		publish := e.queries[m.Query].publish
+		if publish == "" {
 			continue
 		}
 		if depth >= MaxCompositionDepth {
@@ -451,9 +442,8 @@ func (e *Engine) cascade(out []Match, from, depth int) []Match {
 		if !ok {
 			continue
 		}
-		out = e.publish(out, m.Publish, derived, depth+1)
+		e.consume(dst, publish, derived, e.stage1(publish, derived), depth+1)
 	}
-	return out
 }
 
 // Close is a no-op: an engine starts no goroutine and holds nothing that

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -18,9 +19,10 @@ import (
 // bytes each — so the bytes ceiling sits below what a second, intermediate
 // copy of the result (88 bytes per match more, as the facade made before it
 // read the processor's ordered view) would cost. The "caller's buffer" case is
-// what the server does, AppendPublishXML into one buffer: parsing included, it
-// must stay below the owned case less the result itself, so the result cannot
-// come back as an allocation there. The "figure 16" case is the output-heavy
+// what the server does, AppendPublishXML into one compact buffer: parsing
+// included, it must stay below what the compact result itself (24 bytes per
+// match) would add, so the result cannot come back as an allocation there.
+// The "figure 16" case is the output-heavy
 // shape, the caller's buffer again: the same subscriptions with unbounded
 // windows, measured over 3 000 documents after 3 000, where a document
 // completes a few frames that stand for hundreds of matches each; what
@@ -45,7 +47,7 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 	}{
 		{"owned result", windowedRSSSources(1, subs), 600, false, 17, 15500},
 		{"caller's buffer", windowedRSSSources(1, subs), 600, true, 14, 2550},
-		{"figure 16", figure16, 3000, true, 22, 8050},
+		{"figure 16", figure16, 3000, true, 22, 7880},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			items := tc.items
@@ -60,15 +62,16 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 				}
 			}
 			matches := 0
-			var buf []Match
+			var buf Matches
 			pass := func(from, to int) {
 				for i := from; i < to; i++ {
 					if tc.appendXML {
 						var err error
-						if buf, err = eng.AppendPublishXML(buf[:0], "S", texts[i], int64(stream[i].ID), int64(stream[i].Timestamp)); err != nil {
+						buf.Reset()
+						if buf, err = eng.AppendPublishXML(buf, "S", texts[i], int64(stream[i].ID), int64(stream[i].Timestamp)); err != nil {
 							t.Fatal(err)
 						}
-						matches += len(buf)
+						matches += buf.Len()
 						continue
 					}
 					res, err := eng.PublishDoc("S", stream[i])
@@ -100,7 +103,7 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 			// caller's buffer.
 			copyBytes := 88 * perDoc
 			if tc.appendXML {
-				copyBytes = 64 * perDoc
+				copyBytes = float64(unsafe.Sizeof(MatchEntry{})) * perDoc
 			}
 			if tc.bytesCeiling > bytes+copyBytes {
 				t.Errorf("the ceiling leaves room for another copy of the result (%.0f bytes per document)", copyBytes)
@@ -162,18 +165,20 @@ func TestSubscribeAllocCeiling(t *testing.T) {
 }
 
 // TestAppendPublishXMLEqualsPublishXML holds the caller's-buffer publish to
-// the owned one: two engines with the same subscriptions — every processor
-// kind; a cascading chain, a self-feeding loop cut at the depth limit,
-// windowed feed queries — take the same documents, one through PublishDoc
-// with WithXML, the other through AppendPublishXML into one buffer behind a
-// sentinel match. Every document's matches must be equal, the sentinel must
-// stay, and a document that does not parse must leave the buffer as it came
-// and report the same DocumentError.
+// the owned one: two engines with the same subscriptions — a cascading chain,
+// a self-feeding loop cut at the depth limit, windowed feed queries — take
+// the same documents, one through PublishDoc with WithXML, the other through
+// AppendPublishXML into one compact buffer behind a sentinel match, written
+// out as PublishDoc does. They run without composition, and with it under
+// every processor kind. Every document's matches must be equal, the
+// sentinel must stay, and a document that does not parse must leave the
+// buffer as it came and report the same DocumentError.
 func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 	srcs := append([]string{
 		"S//alert->a[./host->h][./sev->s] FOLLOWED BY{h=h2 AND s=s2, 100} S//confirm->c[./host->h2][./sev->s2] PUBLISH incidents",
 		"incidents//alert->a[./host->h] JOIN{h=h2, 1000} P//page->p[./host->h2]",
 		"loop//x->a PUBLISH loop",
+		"S//alert->a[./sev->s]",
 	}, windowedRSSSources(3, 400)...)
 	type doc struct {
 		stream, xml string
@@ -185,37 +190,60 @@ func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 		{"loop", "<r><x>v</x></r>"},
 		{"S", "<unclosed>"},
 		{"S", "<nothing/>"},
+		{"S", "<alert><host>web2</host><sev>lo</sev><sev>hi</sev></alert>"},
 	}
 	for _, d := range workload.DefaultRSS().Stream(rand.New(rand.NewSource(5)), 300) {
 		docs = append(docs, doc{"S", d.XMLText()})
 	}
+	optss := []Options{{}}
 	for _, kind := range allKinds() {
-		opts := Options{Processor: kind, EnableComposition: true}
+		optss = append(optss, Options{Processor: kind, EnableComposition: true})
+	}
+	for _, opts := range optss {
 		owned, appended := New(opts), New(opts)
 		subscribeAll(t, owned, srcs)
 		subscribeAll(t, appended, srcs)
-		sentinel := Match{Query: -1, Publish: "sentinel"}
-		buf := []Match{sentinel}
+		var buf Matches
+		sentinel := Match{Query: -1, LeftDoc: -2, RightDoc: -3}
+		buf.Append(sentinel)
 		total := 0
 		for i, d := range docs {
 			res, wantErr := owned.PublishDoc(d.stream, nil, WithXML(d.xml, int64(i+1), int64(10*i)))
 			want := res.Matches()
 			var err error
-			buf, err = appended.AppendPublishXML(buf[:1], d.stream, d.xml, int64(i+1), int64(10*i))
+			buf.Frames, buf.Entries = buf.Frames[:1], buf.Entries[:1]
+			buf, err = appended.AppendPublishXML(buf, d.stream, d.xml, int64(i+1), int64(10*i))
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-				t.Fatalf("%v document %d: error %v, want %v", kind, i, err, wantErr)
+				t.Fatalf("%+v document %d: error %v, want %v", opts, i, err, wantErr)
 			}
-			if buf[0] != sentinel {
-				t.Fatalf("%v document %d: the buffer's own element was overwritten: %+v", kind, i, buf[0])
+			if buf.Match(0) != sentinel {
+				t.Fatalf("%+v document %d: the buffer's own match was overwritten: %+v", opts, i, buf.Match(0))
 			}
-			if got := buf[1:]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v document %d: appended %d matches %+v, want %d %+v", kind, i, len(got), got, len(want), want)
+			got := appended.appendMatchesLocked(&Matches{Frames: buf.Frames, Entries: buf.Entries[1:]})
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v document %d: appended %d matches %+v, want %d %+v", opts, i, len(got), got, len(want), want)
 			}
 			total += len(want)
 		}
-		if total < 100 || owned.DroppedCascades() == 0 || owned.DroppedCascades() != appended.DroppedCascades() {
-			t.Errorf("%v: %d matches, %d and %d dropped cascades: the stream exercises too little", kind,
+		composing := opts.EnableComposition
+		if total < 100 || composing && owned.DroppedCascades() == 0 || owned.DroppedCascades() != appended.DroppedCascades() {
+			t.Errorf("%+v: %d matches, %d and %d dropped cascades: the stream exercises too little", opts,
 				total, owned.DroppedCascades(), appended.DroppedCascades())
 		}
 	}
+}
+
+// publishXML publishes one raw XML document through AppendPublishXML and
+// returns its matches as PublishDoc would.
+func publishXML(e *Engine, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
+	ms, err := e.AppendPublishXML(Matches{}, stream, xmlText, docID, timestamp)
+	return e.appendMatchesLocked(&ms), err
+}
+
+// appendMatchesLocked writes ms out as public matches, PUBLISH streams
+// included, as PublishDoc does.
+func (e *Engine) appendMatchesLocked(ms *Matches) []Match {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.appendMatches(nil, ms)
 }

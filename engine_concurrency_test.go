@@ -43,7 +43,7 @@ func TestEngineConcurrentSubscribePublish(t *testing.T) {
 				case id%2 == 0:
 					xml = "<b>k</b>"
 				}
-				ms, err := eng.AppendPublishXML(nil, "S", xml, id, id)
+				ms, err := publishXML(eng, "S", xml, id, id)
 				if err != nil {
 					t.Error(err)
 					return
@@ -93,7 +93,7 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 					}
 					base := int64(g*10000 + i*100)
 					if single && g%3 == 2 {
-						ms, err := eng.AppendPublishXML(nil, "S", "<b>k</b>", base+1, base+1)
+						ms, err := publishXML(eng, "S", "<b>k</b>", base+1, base+1)
 						if err != nil {
 							t.Error(err)
 							return
@@ -220,7 +220,7 @@ func TestPingFailsWhileStage2Blocked(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		eng.AppendPublishXML(nil, "S", "<a>k</a>", 1, 1)
+		publishXML(eng, "S", "<a>k</a>", 1, 1)
 	}()
 	<-entered
 	if err := eng.Ping(50 * time.Millisecond); err == nil {
@@ -249,7 +249,7 @@ func TestConcurrentDocumentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishOne(eng, "S", d)
-	ms, err := eng.AppendPublishXML(nil, "S", `<feed><entry><ref>ab1</ref></entry></feed>`, 2, 2)
+	ms, err := publishXML(eng, "S", `<feed><entry><ref>ab1</ref></entry></feed>`, 2, 2)
 	if err != nil || len(ms) != 1 {
 		t.Fatalf("%d matches, err %v; want 1 (the interior id's value joins)", len(ms), err)
 	}

@@ -22,7 +22,7 @@ func matchedQueries(t *testing.T, kind ProcessorKind, queries, docs []string) []
 	}
 	out := make([][]QueryID, len(docs))
 	for i, x := range docs {
-		ms, err := e.AppendPublishXML(nil, "S", x, int64(i+1), int64(i+1))
+		ms, err := publishXML(e, "S", x, int64(i+1), int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,10 +41,10 @@ func TestOutputXMLEscaping(t *testing.T) {
 	review := `<review><title>Scripting &amp; Programming</title>` +
 		`<author>A&lt;B &#34;junior&#34;</author></review>`
 
-	if ms, err := eng.AppendPublishXML(nil, "S", book, 1, 1); err != nil || len(ms) != 0 {
+	if ms, err := publishXML(eng, "S", book, 1, 1); err != nil || len(ms) != 0 {
 		t.Fatalf("book publish: %v matches, err %v", ms, err)
 	}
-	ms, err := eng.AppendPublishXML(nil, "S", review, 2, 2)
+	ms, err := publishXML(eng, "S", review, 2, 2)
 	if err != nil || len(ms) != 1 {
 		t.Fatalf("review publish: %d matches, err %v (want 1 match)", len(ms), err)
 	}
@@ -97,11 +97,11 @@ func TestOutputXMLCompositionEscaping(t *testing.T) {
 	eng.MustSubscribe("S//a->x[.//k->v][.//m->u] JOIN{v=w AND u=z, 1000} S//b->y[.//k->w][.//m->z] PUBLISH D")
 	eng.MustSubscribe("D//result->r")
 
-	if _, err := eng.AppendPublishXML(nil, "S",
+	if _, err := publishXML(eng, "S",
 		`<a lang="C&amp;C++"><k>x &amp; y</k><m>p &lt; q</m></a>`, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.AppendPublishXML(nil, "S", `<b><k>x &amp; y</k><m>p &lt; q</m></b>`, 2, 2)
+	ms, err := publishXML(eng, "S", `<b><k>x &amp; y</k><m>p &lt; q</m></b>`, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestSingleBlockStreamRetainsNothing(t *testing.T) {
 	e := New(Options{RetainDocuments: true})
 	e.MustSubscribe("S//note->n")
 	for i := int64(1); i <= 1000; i++ {
-		ms, err := e.AppendPublishXML(nil, "S", retainXML(3*i), i, i)
+		ms, err := publishXML(e, "S", retainXML(3*i), i, i)
 		if err != nil || len(ms) != 1 {
 			t.Fatalf("document %d: %d matches, err %v", i, len(ms), err)
 		}
@@ -146,10 +146,10 @@ func TestOutputXMLAtRowsBoundary(t *testing.T) {
 	e := New(Options{EnableComposition: true})
 	e.MustSubscribe("S//a->x[./k->v] FOLLOWED BY{v=w, ROWS 1} S//b->y[./k->w] PUBLISH D")
 	down := e.MustSubscribe("D//result->r")
-	if _, err := e.AppendPublishXML(nil, "S", "<a><k>v</k></a>", 1, 1); err != nil {
+	if _, err := publishXML(e, "S", "<a><k>v</k></a>", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.AppendPublishXML(nil, "S", "<b><k>v</k></b>", 2, 2)
+	ms, err := publishXML(e, "S", "<b><k>v</k></b>", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestOutputXMLAtRowsBoundary(t *testing.T) {
 	if want := "<result><k>v</k><k>v</k></result>"; !ok || out != want {
 		t.Fatalf("OutputXML = %q, %v; want %q", out, ok, want)
 	}
-	if _, err := e.AppendPublishXML(nil, "S", "<c/>", 3, 3); err != nil {
+	if _, err := publishXML(e, "S", "<c/>", 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.OutputXML(ms[0]); ok {
@@ -205,17 +205,17 @@ func TestOpenEngineDocsTwiceSnapshot(t *testing.T) {
 	}
 	live := retainEngine(t)
 	for i := int64(1); i <= 60; i++ {
-		if _, err := live.AppendPublishXML(nil, "S", retainXML(i), i, i); err != nil {
+		if _, err := publishXML(live, "S", retainXML(i), i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rendered := 0
 	for i := int64(61); i <= 120; i++ {
-		want, err := live.AppendPublishXML(nil, "S", retainXML(i), i, i)
+		want, err := publishXML(live, "S", retainXML(i), i, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.AppendPublishXML(nil, "S", retainXML(i), i, i)
+		got, err := publishXML(restored, "S", retainXML(i), i, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestOpenEngineDocsTwiceSnapshot(t *testing.T) {
 func TestOpenEngineRetainsOnlyWhenAsked(t *testing.T) {
 	src := retainEngine(t)
 	for i := int64(1); i <= 60; i++ {
-		if _, err := src.AppendPublishXML(nil, "S", retainXML(i), i, i); err != nil {
+		if _, err := publishXML(src, "S", retainXML(i), i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestOpenEngineRetainsOnlyWhenAsked(t *testing.T) {
 		if len(e.docs) != want || stateDocs == 0 {
 			t.Fatalf("RetainDocuments=%v: the restored engine keeps %d documents, want %d (the state lists %d)", retain, len(e.docs), want, stateDocs)
 		}
-		ms, err := e.AppendPublishXML(nil, "S", retainXML(61), 61, 61)
+		ms, err := publishXML(e, "S", retainXML(61), 61, 61)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestOpenEngineRetainsOnlyWhenAsked(t *testing.T) {
 func FuzzOpenEngine(f *testing.F) {
 	cur := retainEngine(f)
 	for i := int64(1); i <= 20; i++ {
-		if _, err := cur.AppendPublishXML(nil, "S", retainXML(i), i, i); err != nil {
+		if _, err := publishXML(cur, "S", retainXML(i), i, i); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func FuzzOpenEngine(f *testing.F) {
 			t.Fatal("no engine and no error")
 		}
 		next := e.MaxDocID() + 1
-		if _, err := e.AppendPublishXML(nil, "S", retainXML(next), next, next); err != nil {
+		if _, err := publishXML(e, "S", retainXML(next), next, next); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Snapshot(&strings.Builder{}); err != nil {
@@ -379,16 +379,17 @@ func TestJoinValuesBoundedByWindow(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	var dst []Match
+	var dst Matches
 	var symbols int
 	var heap uint64
 	matches := 0
 	for i := int64(1); i <= 50*window; i++ {
 		var err error
-		if dst, err = e.AppendPublishXML(dst[:0], "S", xml(i), i, i); err != nil {
+		dst.Reset()
+		if dst, err = e.AppendPublishXML(dst, "S", xml(i), i, i); err != nil {
 			t.Fatal(err)
 		}
-		matches += len(dst)
+		matches += dst.Len()
 		if i%window != 0 {
 			continue
 		}

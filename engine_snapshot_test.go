@@ -187,9 +187,9 @@ func TestEngineSnapshotComposition(t *testing.T) {
 		return eng
 	}
 	feed := func(eng *Engine, id int64) []Match {
-		eng.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", id, id*10)
-		eng.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
-		ms, err := eng.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
+		publishXML(eng, "P", "<page><host>web1</host></page>", id, id*10)
+		publishXML(eng, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
+		ms, err := publishXML(eng, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,14 +305,14 @@ func TestRoutedSnapshotRefused(t *testing.T) {
 	}
 	total := 0
 	for i, xml := range docs {
-		want, err := live.AppendPublishXML(nil, "S", xml, int64(i+1), int64(i+1))
+		want, err := publishXML(live, "S", xml, int64(i+1), int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i < 3 {
 			continue
 		}
-		got, err := restored.AppendPublishXML(nil, "S", xml, int64(i+1), int64(i+1))
+		got, err := publishXML(restored, "S", xml, int64(i+1), int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestFileStore(t *testing.T) {
 
 	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	publishXML(eng, "S", paperD1, 1, 100)
 	if err := eng.SnapshotTo(store); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestFileStore(t *testing.T) {
 	if restored.Query(qid) != paperQ1 {
 		t.Fatalf("restored query %d = %q, want the subscribed source", qid, restored.Query(qid))
 	}
-	ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	ms, err := publishXML(restored, "S", paperD2, 2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestFileStoreGzip(t *testing.T) {
 
 	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	publishXML(eng, "S", paperD1, 1, 100)
 
 	gz := NewFileStore(path, WithGzip())
 	if err := eng.SnapshotTo(gz); err != nil {
@@ -402,7 +402,7 @@ func TestFileStoreGzip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
+		ms, err := publishXML(restored, "S", paperD2, 2, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestFileStoreBareRelativePath(t *testing.T) {
 
 	eng := New(Options{})
 	qid := eng.MustSubscribe(paperQ1)
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+	publishXML(eng, "S", paperD1, 1, 100)
 	store := NewFileStore("snap.json")
 	if err := eng.SnapshotTo(store); err != nil {
 		t.Fatalf("Save to a bare relative path: %v", err)
@@ -469,7 +469,7 @@ func TestFileStoreBareRelativePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := restored.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	ms, err := publishXML(restored, "S", paperD2, 2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,9 +172,9 @@ func TestQueryTextSurvivesRegister(t *testing.T) {
 				t.Errorf("%s: Query(%d) = %q, want %q", label, id, got, want)
 			}
 		}
-		e.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", 1, 10)
-		e.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
-		ms, err := e.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
+		publishXML(e, "P", "<page><host>web1</host></page>", 1, 10)
+		publishXML(e, "S", "<alert><host>web1</host><sev>hi</sev></alert>", 2, 11)
+		ms, err := publishXML(e, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", 3, 12)
 		if err != nil {
 			t.Fatal(err)
 		}

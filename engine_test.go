@@ -101,14 +101,14 @@ func TestEngineEndToEnd(t *testing.T) {
 		eng := New(Options{Processor: kind})
 		qid := eng.MustSubscribe(paperQ1)
 
-		ms, err := eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
+		ms, err := publishXML(eng, "S", paperD1, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ms) != 0 {
 			t.Errorf("kind=%d: book alone fired", kind)
 		}
-		ms, err = eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+		ms, err = publishXML(eng, "S", paperD2, 2, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +125,8 @@ func TestEngineEndToEnd(t *testing.T) {
 func TestEngineOutputXML(t *testing.T) {
 	eng := New(Options{RetainDocuments: true})
 	eng.MustSubscribe(paperQ1)
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	publishXML(eng, "S", paperD1, 1, 100)
+	ms, _ := publishXML(eng, "S", paperD2, 2, 200)
 	if len(ms) != 1 {
 		t.Fatal("no match")
 	}
@@ -145,8 +145,8 @@ func TestEngineOutputXML(t *testing.T) {
 func TestEngineOutputRequiresRetention(t *testing.T) {
 	eng := New(Options{})
 	eng.MustSubscribe(paperQ1)
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	publishXML(eng, "S", paperD1, 1, 100)
+	ms, _ := publishXML(eng, "S", paperD2, 2, 200)
 	if _, ok := eng.OutputXML(ms[0]); ok {
 		t.Error("output available without RetainDocuments")
 	}
@@ -157,7 +157,7 @@ func TestEngineSubscribeError(t *testing.T) {
 	if _, err := eng.Subscribe("not a query at all ["); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := eng.AppendPublishXML(nil, "S", "<unclosed>", 1, 1); err == nil {
+	if _, err := publishXML(eng, "S", "<unclosed>", 1, 1); err == nil {
 		t.Error("bad document accepted")
 	}
 }
@@ -180,8 +180,8 @@ func TestEngineStatsString(t *testing.T) {
 	for _, kind := range allKinds() {
 		eng := New(Options{Processor: kind})
 		eng.MustSubscribe(paperQ1)
-		eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-		eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+		publishXML(eng, "S", paperD1, 1, 100)
+		publishXML(eng, "S", paperD2, 2, 200)
 		s := eng.Stats()
 		// The STATS rendering: every statistic as name=value, durations as
 		// Go durations under their name without _ns.
@@ -248,7 +248,7 @@ func TestEngineCompositionChain(t *testing.T) {
 		"incidents//alert->a[./host->h] JOIN{h=h2, 1000} P//page->p[./host->h2]")
 
 	feed := func(stream, xml string, id, ts int64) []Match {
-		ms, err := eng.AppendPublishXML(nil, stream, xml, id, ts)
+		ms, err := publishXML(eng, stream, xml, id, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestEngineCompositionDepthLimit(t *testing.T) {
 	// every x element it sees back onto its own input stream.
 	eng := New(Options{EnableComposition: true})
 	eng.MustSubscribe("loop//x->a PUBLISH loop")
-	ms, err := eng.AppendPublishXML(nil, "loop", "<r><x>v</x></r>", 1, 10)
+	ms, err := publishXML(eng, "loop", "<r><x>v</x></r>", 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +296,8 @@ func TestEngineCompositionDisabledByDefault(t *testing.T) {
 	eng := New(Options{RetainDocuments: true})
 	eng.MustSubscribe("S//a->x FOLLOWED BY{x=y, 100} S//b->y PUBLISH derived")
 	eng.MustSubscribe("derived//a->x")
-	eng.AppendPublishXML(nil, "S", "<a>v</a>", 1, 10)
-	ms, _ := eng.AppendPublishXML(nil, "S", "<b>v</b>", 2, 20)
+	publishXML(eng, "S", "<a>v</a>", 1, 10)
+	ms, _ := publishXML(eng, "S", "<b>v</b>", 2, 20)
 	// Only the first query fires; no cascade without EnableComposition.
 	if len(ms) != 1 {
 		t.Errorf("matches = %d, want 1", len(ms))
@@ -310,8 +310,8 @@ func TestEngineCompositionDerivedContent(t *testing.T) {
 	eng := New(Options{EnableComposition: true})
 	eng.MustSubscribe("S//book->b[.//author->a][.//title->t] FOLLOWED BY{a=a2 AND t=t2, 100} S//blog->g[.//author->a2][.//title->t2] PUBLISH pairs")
 	probe := eng.MustSubscribe("pairs//result->r[./book[./author->x]][./blog[./author->y]]")
-	eng.AppendPublishXML(nil, "S", "<book><author>Danny</author><title>RSS</title></book>", 1, 10)
-	ms, _ := eng.AppendPublishXML(nil, "S", "<blog><author>Danny</author><title>RSS</title></blog>", 2, 20)
+	publishXML(eng, "S", "<book><author>Danny</author><title>RSS</title></book>", 1, 10)
+	ms, _ := publishXML(eng, "S", "<blog><author>Danny</author><title>RSS</title></blog>", 2, 20)
 	found := false
 	for _, m := range ms {
 		if m.Query == probe {

@@ -17,8 +17,8 @@ func TestEngineUnsubscribe(t *testing.T) {
 		eng := New(Options{Processor: kind})
 		qid := eng.MustSubscribe(paperQ1)
 
-		eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-		ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+		publishXML(eng, "S", paperD1, 1, 100)
+		ms, _ := publishXML(eng, "S", paperD2, 2, 200)
 		if len(ms) != 1 {
 			t.Fatalf("kind=%d: %d matches before unsubscribe, want 1", kind, len(ms))
 		}
@@ -31,8 +31,8 @@ func TestEngineUnsubscribe(t *testing.T) {
 		if src := eng.Query(qid); src != "" {
 			t.Errorf("kind=%d: Query returns %q after unsubscribe", kind, src)
 		}
-		eng.AppendPublishXML(nil, "S", paperD1, 3, 300)
-		ms, _ = eng.AppendPublishXML(nil, "S", paperD2, 4, 400)
+		publishXML(eng, "S", paperD1, 3, 300)
+		ms, _ = publishXML(eng, "S", paperD2, 4, 400)
 		if len(ms) != 0 {
 			t.Errorf("kind=%d: unsubscribed query fired %d times", kind, len(ms))
 		}
@@ -62,8 +62,8 @@ func TestEngineUnsubscribeKeepsOthers(t *testing.T) {
 	if eng.NumTemplates() != 1 {
 		t.Errorf("shared template reclaimed with a survivor: %d", eng.NumTemplates())
 	}
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	publishXML(eng, "S", paperD1, 1, 100)
+	ms, _ := publishXML(eng, "S", paperD2, 2, 200)
 	if len(ms) != 1 || ms[0].Query != keep {
 		t.Errorf("survivor matches = %v, want one for query %d", ms, keep)
 	}
@@ -84,9 +84,9 @@ func TestEngineUnsubscribeStopsCascade(t *testing.T) {
 	}
 	feed := func(t *testing.T, eng *Engine, id int64) map[QueryID]int {
 		t.Helper()
-		eng.AppendPublishXML(nil, "P", "<page><host>web1</host></page>", id, id*10)
-		eng.AppendPublishXML(nil, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
-		ms, err := eng.AppendPublishXML(nil, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
+		publishXML(eng, "P", "<page><host>web1</host></page>", id, id*10)
+		publishXML(eng, "S", "<alert><host>web1</host><sev>hi</sev></alert>", id+1, id*10+1)
+		ms, err := publishXML(eng, "S", "<confirm><host>web1</host><sev>hi</sev></confirm>", id+2, id*10+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +197,8 @@ func TestEngineUnsubscribeAllThenResubscribe(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ids = append(ids, eng.MustSubscribe(paperQ1))
 	}
-	eng.AppendPublishXML(nil, "S", paperD1, 1, 100)
-	eng.AppendPublishXML(nil, "S", paperD2, 2, 200)
+	publishXML(eng, "S", paperD1, 1, 100)
+	publishXML(eng, "S", paperD2, 2, 200)
 	if len(eng.docs) == 0 {
 		t.Fatal("test premise: documents retained while subscribed")
 	}
@@ -216,12 +216,12 @@ func TestEngineUnsubscribeAllThenResubscribe(t *testing.T) {
 	// The old join state must be gone: a resubscribed query starts from
 	// scratch and cannot match against pre-unsubscribe documents.
 	qid := eng.MustSubscribe(paperQ1)
-	ms, _ := eng.AppendPublishXML(nil, "S", paperD2, 3, 250)
+	ms, _ := publishXML(eng, "S", paperD2, 3, 250)
 	if len(ms) != 0 {
 		t.Errorf("resubscribed query matched against reclaimed state: %v", ms)
 	}
-	eng.AppendPublishXML(nil, "S", paperD1, 4, 300)
-	ms, _ = eng.AppendPublishXML(nil, "S", paperD2, 5, 350)
+	publishXML(eng, "S", paperD1, 4, 300)
+	ms, _ = publishXML(eng, "S", paperD2, 5, 350)
 	if len(ms) != 1 || ms[0].Query != qid {
 		t.Errorf("resubscribed query does not fire on fresh documents: %v", ms)
 	}

@@ -38,13 +38,15 @@ func main() {
 
 	// Each event's matches, cascaded ones included, are appended to one
 	// buffer reused from event to event.
-	var ms []mmqjp.Match
+	var ms mmqjp.Matches
 	feed := func(ts int64, xml string) {
 		var err error
-		if ms, err = eng.AppendPublishXML(ms[:0], "ops", xml, ts, ts); err != nil {
+		ms.Reset()
+		if ms, err = eng.AppendPublishXML(ms, "ops", xml, ts, ts); err != nil {
 			log.Fatal(err)
 		}
-		for _, m := range ms {
+		for i := range ms.Entries {
+			m := ms.Match(i)
 			fmt.Printf("t=%4d  %-15s (left t=%d, right t=%d)\n", ts, names[m.Query], m.LeftTS, m.RightTS)
 		}
 	}

@@ -843,7 +843,7 @@ type Stage1Result struct {
 	// slot) is given that much in one allocation (docRec.carve).
 	sized [3]int
 
-	xpath, witness, wall time.Duration
+	xpath, witness time.Duration
 	// triggered and probes are the document's counted assembly work
 	// (Stats.PatternsTriggered, Stats.WitnessProbes), steps its walk's memo
 	// misses (Stats.NFASteps).
@@ -989,11 +989,12 @@ func (r *Stage1Result) docValue(n int64) (int32, bool) {
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	r := newStage1(d)
+	// One clock reading ends a phase and starts the next.
 	t0 := time.Now()
 	res := p.xp.MatchDocument(stream, d)
-	r.xpath = time.Since(t0)
-
 	t1 := time.Now()
+	r.xpath = t1.Sub(t0)
+
 	// Only the patterns the document triggered are visited, in registration
 	// order (which fixes the relations' row order).
 	r.order = p.triggerOrder(r.order, res.Triggered())
@@ -1004,7 +1005,6 @@ func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *Stage1Result {
 	// holds: Stage 2 probes them, and the state keeps them.
 	r.seal()
 	r.witness = time.Since(t1)
-	r.wall = time.Since(t0)
 	r.triggered, r.probes = res.Work()
 	r.steps = res.Steps()
 	// Every row is in the record and the single-block matches above, so
@@ -1076,31 +1076,26 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.Documents++
 	p.stats.XPath += r.xpath
 	p.stats.Witness += r.witness
-	p.stats.Stage1Wall += r.wall
+	p.stats.Stage1Wall += r.xpath + r.witness
 	p.stats.PatternsTriggered += r.triggered
 	p.stats.WitnessProbes += r.probes
 	p.stats.NFASteps += r.steps
 
 	p.result.reset()
 	// The document's values get the state's ids here, before Stage 2 reads
-	// them and Merge posts them.
-	t := time.Now()
+	// them and Merge posts them. Each clock reading ends one phase and
+	// starts the next.
+	t0 := time.Now()
 	p.state.resolve(r)
-	p.stats.Maintain += time.Since(t)
+	t1 := time.Now()
+	p.stats.Maintain += t1.Sub(t0)
+	t2 := t1
 	var stage2 time.Duration
 	if p.state.NumDocs() > 0 && len(r.rec.rdoc) > 0 {
-		t := time.Now()
-		p.evalTemplates(r)
-		stage2 = time.Since(t)
+		t2 = p.evalTemplates(r, t1)
+		stage2 = t2.Sub(t1)
 		p.stats.Stage2Wall += stage2
 	}
-	// The full per-document set — single-block and Stage-2 matches alike —
-	// leaves under the canonical total order, so output depends only on the
-	// registered query set, never on pattern registration order: the runs
-	// and the singles arrive unordered.
-	out := p.result.collect(r.singles)
-
-	t2 := time.Now()
 	p.departed = p.departed[:0]
 	if len(r.rec.rdoc) > 0 {
 		p.state.Merge(&r.rec)
@@ -1131,11 +1126,17 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	}
 	t4 := time.Now()
 	p.stats.Maintain += t4.Sub(t2)
+	// The full per-document set — single-block and Stage-2 matches alike —
+	// leaves under the canonical total order, so output depends only on the
+	// registered query set, never on pattern registration order: the runs
+	// and the singles arrive unordered. The merge and the collection read
+	// neither, so the sort is timed in no phase.
+	out := p.result.collect(r.singles)
 	p.stats.Matches += int64(out.Len())
 	if p.cfg.OnDocument != nil {
 		p.cfg.OnDocument(DocTimings{
 			DocID:   int64(d.ID),
-			Stage1:  r.wall,
+			Stage1:  r.xpath + r.witness,
 			Stage2:  stage2,
 			Merge:   t3.Sub(t2),
 			GC:      t4.Sub(t3),

@@ -20,31 +20,32 @@ import (
 // per-template tail of Algorithm 4: the head join for the headed templates,
 // the whole program for the others. The runs stay in the processor's result
 // for Matches.collect, which sorts them, so the order templates are entered
-// in never reaches the output.
+// in never reaches the output. Its phases are timed from start; it returns
+// the last clock reading.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) evalTemplates(r *Stage1Result) {
+func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
 	if len(p.templateList) == 0 {
-		return
+		return start
 	}
 	pre := &p.pre
 	pre.reset()
-	if !p.prepareViews(r, pre) {
-		return
+	t0, ok := p.prepareViews(r, pre, start)
+	if !ok {
+		return t0
+	}
+	// The pair relation is built before CQ's clock starts, so its one-time
+	// build lands in Stats.Rvj, not in CQ.
+	for _, t := range p.templateList {
+		if t.needRvj {
+			t0 = pre.sharedRvj(p.state, &r.rec, &p.stats, t0)
+			break
+		}
 	}
 	ex := &p.ex
 	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
 	ex.probes, ex.rows, ex.plans = 0, 0, 0
 	ex.doc++
-	// The pair relation is built before the clock starts, so its one-time
-	// build lands in Stats.Rvj, not in CQ.
-	for _, t := range p.templateList {
-		if t.needRvj {
-			pre.sharedRvj(p.state, &r.rec, &p.stats)
-			break
-		}
-	}
-	t0 := time.Now()
 	ex.runHeads(&p.heads)
 	for _, t := range p.templateList {
 		if !t.headed {
@@ -52,13 +53,15 @@ func (p *Processor) evalTemplates(r *Stage1Result) {
 			ex.step(0)
 		}
 	}
-	p.stats.CQ += time.Since(t0)
+	t1 := time.Now()
+	p.stats.CQ += t1.Sub(t0)
 	p.stats.CQProbes += ex.probes
 	p.stats.CQRows += ex.rows
 	p.stats.MatchRuns += int64(len(p.result.runs))
 	p.stats.WitnessPlans += ex.plans
 	// The executor outlives the document; its inputs must not.
 	ex.cur, ex.d, ex.pre = nil, nil, nil
+	return t1
 }
 
 // collect completes the document's result from the runs Stage 2 wrote and
@@ -150,6 +153,26 @@ func (ms *Matches) Next() *Match {
 	}
 	ms.down(0)
 	return ms.top()
+}
+
+// Sources returns the number of sources the walk merges — one per run, then
+// one for the singles if any — Source the source of the walk's current
+// match, and Frame a match of source src: all of a source's matches name the
+// same two documents at the same timestamps.
+func (ms *Matches) Sources() int {
+	if len(ms.singles) > 0 {
+		return len(ms.runs) + 1
+	}
+	return len(ms.runs)
+}
+
+func (ms *Matches) Source() int { return int(ms.heap[0].src) }
+
+func (ms *Matches) Frame(src int) *Match {
+	if src == len(ms.runs) {
+		return &ms.singles[0]
+	}
+	return &ms.runs[src].key
 }
 
 // query returns the query of source src's match at pos, false past the
@@ -295,12 +318,12 @@ func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
 }
 
 // sharedRvj builds the document's value-join pair relation, charging the
-// build to stats. A pair takes its slot from the posting list that named
-// the previous document's row.
+// build since t0 to stats and returning the clock reading that ends it. A
+// pair takes its slot from the posting list that named the previous
+// document's row.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
-	t0 := time.Now()
+func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats, t0 time.Time) time.Time {
 	vals := pre.rvjVals
 	for _, row := range cur.rdoc {
 		for _, ref := range s.postings(int32(row[rdocStrVal])) {
@@ -311,7 +334,9 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 	pre.rvjVals = vals
 	pre.rvj = headRows(pre.rvj, vals, len(rvjSchema))
 	pre.rvjByDoc.build(pre.rvj, 0)
-	stats.Rvj += time.Since(t0)
+	t1 := time.Now()
+	stats.Rvj += t1.Sub(t0)
+	return t1
 }
 
 // prepareViews computes the shared prefix of Algorithm 4 into pre for the
@@ -322,12 +347,12 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats) {
 // values differently — and only enumeration order depends on it: the output
 // leaves in the canonical order regardless. It reports false when no value is
 // shared with the join state (no template can match). RL and RR are built
-// only while a live template reads them (Processor.viewReaders).
+// only while a live template reads them (Processor.viewReaders). Timed from
+// t0; it returns the last clock reading.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
+func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared, t0 time.Time) (time.Time, bool) {
 	// STR: distinct string values common to RdocW and Rdoc (line 2).
-	t0 := time.Now()
 	s := p.state
 	ids := pre.ids[:0]
 	for _, row := range r.rec.rdoc {
@@ -338,16 +363,16 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	pre.ids = ids
-	p.stats.Rvj += time.Since(t0)
+	t1 := time.Now()
+	p.stats.Rvj += t1.Sub(t0)
 	if len(ids) == 0 {
-		return false
+		return t1, false
 	}
 	if p.viewReaders == 0 {
-		return true
+		return t1, true
 	}
 
 	// RL: per string s, σ_strVal=s(Rdoc) ⋈_{node=node2} Rbin (lines 3-7).
-	t1 := time.Now()
 	vals := pre.rlVals
 	for _, id := range ids {
 		vals = s.appendRL(vals, id)
@@ -355,11 +380,11 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	pre.rlVals = vals
 	pre.rl = headRows(pre.rl, vals, len(rlSchema))
 	pre.rlByDoc.build(pre.rl, 0)
-	p.stats.RL += time.Since(t1)
+	t2 := time.Now()
+	p.stats.RL += t2.Sub(t1)
 
 	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8). A node's string
 	// value is in STR when the state holds it.
-	t2 := time.Now()
 	vals = pre.rrVals
 	for _, row := range r.rec.bin {
 		if id, ok := r.docValue(row[rbinNode2]); ok && s.HasValue(id) {
@@ -369,9 +394,9 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared) bool {
 	pre.rrVals = vals
 	pre.rr = headRows(pre.rr, vals, len(rlSchema)-1)
 	pre.rrBySym.build(pre.rr, rrStrVal)
-	p.stats.RR += time.Since(t2)
-
-	return true
+	t3 := time.Now()
+	p.stats.RR += t3.Sub(t2)
+	return t3, true
 }
 
 // matchCmp is the canonical total order: the output is identical regardless

@@ -46,6 +46,7 @@ package yfilter
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sym"
 	"repro/internal/xmldoc"
@@ -119,6 +120,10 @@ type Engine struct {
 
 	//mmqjp:pooled MatchResults are reset by Release and hold per-document scratch (candidate lists and the prefixes hit, the walk's path, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab) plus their walk memos, which hold only set ids, NFA state ids and prefix ids and are emptied when the stream's version moves; the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core writes each pattern's rows into the document's record before asking for the next pattern and before it releases the result
 	pool sync.Pool
+	// warm holds the last released result outside the pool, whose objects
+	// are per-P and dropped by collections, so a single publisher's next
+	// walk finds its memo wherever it runs.
+	warm atomic.Pointer[MatchResult]
 }
 
 // NewEngine returns an empty evaluator.
@@ -341,7 +346,10 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 	if sn == nil {
 		return nil
 	}
-	r, _ := e.pool.Get().(*MatchResult)
+	r := e.warm.Swap(nil)
+	if r == nil {
+		r, _ = e.pool.Get().(*MatchResult)
+	}
 	if r == nil {
 		r = &MatchResult{}
 	}
@@ -392,7 +400,9 @@ func (r *MatchResult) Release() {
 	}
 	r.hit, r.trig = r.hit[:0], r.trig[:0]
 	r.eng, r.sn, r.doc, r.prog, r.memo = nil, nil, nil, nil, nil
-	eng.pool.Put(r)
+	if !eng.warm.CompareAndSwap(nil, r) {
+		eng.pool.Put(r)
+	}
 }
 
 // visit consumes document node n, whose parent's DFA set is path[depth],

@@ -3,6 +3,9 @@ package mmqjp
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/xmldoc"
 )
 
 // Publishing has two entry points, PublishDoc and AppendPublishXML. Both
@@ -124,42 +127,101 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 			return PublishResult{}, ErrAsyncBatch
 		}
 		done := make(chan []Match, 1)
-		done <- e.publishAppend(nil, stream, docs[0])
+		done <- e.publishDocs(nil, stream, docs)[0]
 		close(done)
 		return PublishResult{Done: done}, nil
 	}
-	if len(docs) == 1 {
-		return PublishResult{Batches: [][]Match{e.publishAppend(nil, stream, docs[0])}}, nil
-	}
-	return PublishResult{Batches: e.publishMany(stream, docs)}, nil
+	return PublishResult{Batches: e.publishDocs(nil, stream, docs)}, nil
 }
 
 // AppendPublishXML publishes one raw XML document with the result buffer
 // brought by the caller: the document's matches — cascaded ones included —
-// are appended to dst and the extended slice is returned, so a caller that is
-// done with one document's matches before it publishes the next (the server
-// encodes them into its reply) passes the same buffer every time and a
-// publish allocates nothing for its result. On a parse failure dst is
-// returned as it came.
-func (e *Engine) AppendPublishXML(dst []Match, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
+// are appended to dst in compact form and the extended value is returned, so
+// a caller that is done with one document's matches before it publishes the
+// next (the server encodes them into its reply) passes the same buffer every
+// time, emptied with Reset, and a publish allocates nothing for its result.
+// On a parse failure dst is returned as it came.
+func (e *Engine) AppendPublishXML(dst Matches, stream, xmlText string, docID, timestamp int64) (Matches, error) {
 	d, err := ParseDocument(xmlText, docID, timestamp)
 	if err != nil {
 		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
 	}
-	return e.publishAppend(dst, stream, d), nil
+	one := [1]*Document{d}
+	e.publishDocs(&dst, stream, one[:])
+	return dst, nil
 }
 
-// publishMany publishes docs on stream in order under one hold of the
-// engine's lock and returns each document's matches.
-func (e *Engine) publishMany(stream string, docs []*Document) [][]Match {
-	e.reg.RLock()
-	defer e.reg.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.dropDeparted()
-	out := make([][]Match, len(docs))
-	for i, d := range docs {
-		out[i] = e.publish(nil, stream, d, 0)
+// Matches is a publish call's matches in compact, pointer-free form, as
+// AppendPublishXML hands them back. Stage 2 writes the matches of one frame —
+// a pair of documents, joined at the same nodes — for every query of a
+// window class at once, and a document's single-block matches all name the
+// document itself, so the matches share a few frames: Frames holds them once,
+// and Entries holds one entry per match, naming its query and its frame, in
+// the order PublishDoc returns the matches.
+type Matches struct {
+	Frames  []Frame
+	Entries []MatchEntry
+}
+
+// Frame is the two documents a run of matches names, by id and timestamp.
+type Frame struct {
+	LeftDoc, RightDoc int64
+	LeftTS, RightTS   int64
+}
+
+// MatchEntry is one match of a Matches: its query and the index of its frame
+// in Frames.
+type MatchEntry struct {
+	Query QueryID
+	Frame int32
+
+	leftRoot, rightRoot xmldoc.NodeID
+}
+
+// Len returns the number of matches.
+func (ms *Matches) Len() int { return len(ms.Entries) }
+
+// Reset empties ms and keeps its storage.
+func (ms *Matches) Reset() {
+	ms.Frames, ms.Entries = ms.Frames[:0], ms.Entries[:0]
+}
+
+// Append adds m, on the last frame when m names the same documents at the
+// same timestamps; m.Publish is not kept.
+func (ms *Matches) Append(m Match) {
+	f := Frame{LeftDoc: m.LeftDoc, RightDoc: m.RightDoc, LeftTS: m.LeftTS, RightTS: m.RightTS}
+	if n := len(ms.Frames); n == 0 || ms.Frames[n-1] != f {
+		ms.Frames = append(ms.Frames, f)
+	}
+	ms.Entries = append(ms.Entries, MatchEntry{
+		Query: m.Query, Frame: int32(len(ms.Frames) - 1),
+		leftRoot: m.leftRoot, rightRoot: m.rightRoot,
+	})
+}
+
+// Match returns match i as a public match, roots included (OutputXML renders
+// it), but without its PUBLISH stream.
+func (ms *Matches) Match(i int) Match {
+	en := &ms.Entries[i]
+	f := &ms.Frames[en.Frame]
+	return Match{
+		Query:   en.Query,
+		LeftDoc: f.LeftDoc, RightDoc: f.RightDoc,
+		LeftTS: f.LeftTS, RightTS: f.RightTS,
+		leftRoot: en.leftRoot, rightRoot: en.rightRoot,
+	}
+}
+
+// appendMatches appends ms's matches to dst as public matches, what
+// PublishDoc returns, each with its query's PUBLISH stream.
+//
+//mmqjp:guardedby e.mu
+func (e *Engine) appendMatches(dst []Match, ms *Matches) []Match {
+	out := slices.Grow(dst, ms.Len())
+	for i := range ms.Entries {
+		m := ms.Match(i)
+		m.Publish = e.queries[m.Query].publish
+		out = append(out, m)
 	}
 	return out
 }

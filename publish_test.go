@@ -146,7 +146,7 @@ func TestPublishDocParseError(t *testing.T) {
 
 	// AppendPublishXML shares the contract, and so does a batch whose
 	// failing document follows a parsed one.
-	if _, err := eng.AppendPublishXML(nil, "S", "<unclosed>", 4, 400); !errors.As(err, &de) {
+	if _, err := publishXML(eng, "S", "<unclosed>", 4, 400); !errors.As(err, &de) {
 		t.Errorf("AppendPublishXML error = %v (%T), want *DocumentError", err, err)
 	} else if de.Index != 0 || de.DocID != 4 {
 		t.Errorf("AppendPublishXML DocumentError = index %d id %d, want index 0 id 4", de.Index, de.DocID)
