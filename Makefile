@@ -14,14 +14,14 @@ test:
 	$(GO) test ./...
 
 # The allocation ceilings (count and bytes per document and per Subscribe,
-# fixed numbers), the retained-heap ceiling of standing subscriptions and the
-# server's allocation-free reply encoding ten times over, so one that only
-# passes once in a while — a pooled object lost to a collection, a map that
-# grew — fails here and not at the benchmark gate (the CI alloc-ceilings
-# job).
+# fixed numbers), the retained-heap ceiling of standing subscriptions, and
+# the server's allocation-free reply encoding and warm PUB, ten times over,
+# so one that only passes once in a while — a pooled object lost to a
+# collection, a map that grew — fails here and not at the benchmark gate (the
+# CI alloc-ceilings job).
 alloc-ceilings:
 	$(GO) test -run 'AllocCeiling|BytesCeiling|HeapCeiling' -count=10 . ./internal/core ./internal/xmldoc
-	$(GO) test -run 'DoesNotAllocate' -count=10 ./cmd/mmqjp-server
+	$(GO) test -run 'DoesNotAllocate|AllocCeiling' -count=10 ./cmd/mmqjp-server
 
 # benchmark/ is a nested module the root ./... patterns never reach (the CI
 # benchmark-module job): keep it compiling and its tests green against the
@@ -44,7 +44,8 @@ race:
 
 # Short native-fuzz runs of everything that takes bytes from outside: the
 # two input parsers (the XML scanner twice: round trip, and against
-# encoding/xml) and the server's wire sessions, plus Stage-1 witness
+# encoding/xml and its own reparse into a used document) and the server's
+# wire sessions, plus Stage-1 witness
 # assembly against its naive oracle, window expiry of the join state
 # against a rebuild, the join state's value dictionary under inserts and
 # retirements against a map, template canonicalization against its string-

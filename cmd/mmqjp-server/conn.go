@@ -130,6 +130,10 @@ type client struct {
 	matchOwners []owner
 	tails       []byte
 	tailAt      []uint32 // frame f's tail is tails[tailAt[f]:tailAt[f+1]]
+
+	// line assembles a request line longer than the read buffer
+	// (client.readLine). Only the handler touches it.
+	line []byte
 }
 
 // newClient wraps an accepted connection.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	mmqjp "repro"
+	"repro/internal/workload"
 )
 
 // countingConn records every Write the server makes on one connection.
@@ -245,6 +246,95 @@ func TestMatchEncodingDoesNotAllocate(t *testing.T) {
 	if got != 0 {
 		t.Errorf("a %d-match reply group allocates %v times, want 0", ms.Len(), got)
 	}
+}
+
+// TestWarmPubAllocCeiling is the allocation ceiling of ingest: a PUB of a
+// deep feed document (8.6 KB, 265 nodes) through serve, with deep_filter's
+// 1 000 path filters owned by the publishing connection, is parsed where the
+// read left it, into a pooled document. Once every document of the stream
+// has been published, a PUB copies no line and builds no node table, nor
+// anything else: it must allocate nothing. (There is no join, so
+// no join value for the state to copy: the engine's own ceilings,
+// TestEnginePublishAllocCeiling's "deep feed" among them, bound those.)
+// Other tests' servers may still be winding down, which can only add
+// allocations, so the path is clean if any one of a few measurements is.
+func TestWarmPubAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not fixed under the race detector")
+	}
+	s := &server{eng: mmqjp.New(mmqjp.Options{})}
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	served := make(chan struct{})
+	go func() { defer close(served); s.serve(s.newClient(srv)) }()
+	rd := bufio.NewReaderSize(cli, 1<<16)
+	// request writes one request and reads through its OK reply: the server
+	// reads a whole line before it answers, so the two do not overlap.
+	request := func(line []byte) {
+		if _, err := cli.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			reply, err := rd.ReadSlice('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.HasPrefix(reply, []byte("OK ")) {
+				return
+			}
+			if !bytes.HasPrefix(reply, []byte("MATCH ")) {
+				t.Fatalf("reply %q", reply)
+			}
+		}
+	}
+	feed, rng := workload.DefaultDeepFeed(), rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		request([]byte("SUB " + feed.Filter(rng, rng.Intn(feed.Topics)).Source + "\n"))
+	}
+	// The documents are published over and over, each time under the next
+	// timestamp, written over the last one's fixed-width digits, so the
+	// window moves and the values stay in it.
+	const tsAt, tsWidth = len("PUB S "), 12
+	var lines [][]byte
+	shortest := 0
+	for _, d := range feed.Stream(rand.New(rand.NewSource(8)), 40) {
+		lines = append(lines, []byte(fmt.Sprintf("PUB S %0*d %s\n", tsWidth, 0, d.XMLText())))
+		if n := len(lines[len(lines)-1]); shortest == 0 || n < shortest {
+			shortest = n
+		}
+	}
+	ts := 0
+	pass := func() {
+		for _, line := range lines {
+			ts++
+			for i, v := tsAt+tsWidth-1, ts; i >= tsAt; i, v = i-1, v/10 {
+				line[i] = byte('0' + v%10)
+			}
+			request(line)
+		}
+	}
+	pass()
+	pass()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perPub := func() (allocs, bytes float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		n := float64(len(lines))
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	allocs, bytes := perPub()
+	for try := 0; allocs != 0 && try < 10; try++ {
+		time.Sleep(50 * time.Millisecond)
+		allocs, bytes = perPub()
+	}
+	t.Logf("%.1f allocations, %.0f bytes per PUB of %d bytes or more", allocs, bytes, shortest)
+	if allocs != 0 {
+		t.Errorf("a warm PUB allocates %.1f times, %.0f bytes, want 0", allocs, bytes)
+	}
+	cli.Write([]byte("QUIT\n"))
+	<-served
 }
 
 // framedMatches returns a result of n matches over the given number of

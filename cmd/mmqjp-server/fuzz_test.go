@@ -73,7 +73,8 @@ func frameSession(input []byte) (script []byte, requests []wireRequest, ok bool)
 		if line == "" {
 			continue
 		}
-		verb, rest, _ := strings.Cut(line, " ")
+		verbText, rest, _ := strings.Cut(line, " ")
+		verb := []byte(verbText)
 		req := wireRequest{line: line}
 		switch {
 		case verbIs(verb, "QUIT"):
@@ -83,7 +84,7 @@ func frameSession(input []byte) (script []byte, requests []wireRequest, ok bool)
 		case verbIs(verb, "STATS"):
 			req.stats = true
 		case verbIs(verb, "PUBB"):
-			if _, n, _, wellFormed := batchHeader(rest); wellFormed {
+			if _, n, _, wellFormed := batchHeader([]byte(rest)); wellFormed {
 				req.publish = true
 				for ; n > 0 && i+1 < len(lines); n-- {
 					i++

@@ -88,6 +88,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -343,30 +344,41 @@ func (s *server) saveSnapshot() error {
 }
 
 // readLine reads one newline-terminated line from r, retaining at most max
-// bytes. An over-long line is consumed to its newline and reported via
+// bytes, and returns it without its line end. The line is a view of r's
+// buffer, valid until the next read of r; one longer than the buffer is
+// assembled in c's line buffer, valid until the next readLine, which
+// releases that buffer once it has grown past 2×flushBytes, as an outbound
+// buffer is. An over-long line is consumed to its newline and reported via
 // tooLong, so the caller can reject it and keep the connection
 // line-synchronized. A final unterminated line is returned before the
 // subsequent error.
-func readLine(r *bufio.Reader, max int) (line string, tooLong bool, err error) {
-	var sb strings.Builder
+func (c *client) readLine(r *bufio.Reader, max int) (line []byte, tooLong bool, err error) {
+	if cap(c.line) > 2*flushBytes {
+		c.line = nil
+	}
+	long := c.line[:0]
 	for {
 		frag, err := r.ReadSlice('\n')
-		if !tooLong && sb.Len()+len(frag) > max {
+		if !tooLong && len(long)+len(frag) > max {
 			tooLong = true
 		}
+		if err == nil && len(long) == 0 && !tooLong {
+			return bytes.TrimRight(frag, "\r\n"), false, nil
+		}
 		if !tooLong {
-			sb.Write(frag)
+			long = append(long, frag...)
+			c.line = long
 		}
 		switch err {
 		case nil:
-			return strings.TrimRight(sb.String(), "\r\n"), tooLong, nil
+			return bytes.TrimRight(long, "\r\n"), tooLong, nil
 		case bufio.ErrBufferFull:
 			continue
 		default:
-			if err == io.EOF && (sb.Len() > 0 || tooLong) {
-				return sb.String(), tooLong, nil
+			if err == io.EOF && (len(long) > 0 || tooLong) {
+				return long, tooLong, nil
 			}
-			return "", tooLong, err
+			return nil, tooLong, err
 		}
 	}
 }
@@ -383,7 +395,7 @@ func (s *server) serve(c *client) {
 	defer c.flush()
 	rd := bufio.NewReaderSize(flushReader{c}, 64<<10)
 	for !c.isDead() {
-		line, tooLong, err := readLine(rd, maxLineBytes)
+		line, tooLong, err := c.readLine(rd, maxLineBytes)
 		if err != nil {
 			return
 		}
@@ -391,23 +403,25 @@ func (s *server) serve(c *client) {
 			s.replyErr(c, errLimit, fmt.Sprintf("line exceeds %d bytes", maxLineBytes))
 			continue
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		// A PUB is handed to the engine where it lies; every other request
+		// copies what it keeps out of the read buffer before the next read.
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		verb, rest := line, ""
-		if i := strings.IndexByte(line, ' '); i >= 0 {
+		verb, rest := line, []byte(nil)
+		if i := bytes.IndexByte(line, ' '); i >= 0 {
 			verb, rest = line[:i], line[i+1:]
 		}
 		switch {
 		case verbIs(verb, "PUB"):
 			s.handlePub(c, rest)
 		case verbIs(verb, "SUB"):
-			s.handleSub(c, rest)
+			s.handleSub(c, string(rest))
 		case verbIs(verb, "UNSUB"):
-			s.handleUnsub(c, rest)
+			s.handleUnsub(c, string(rest))
 		case verbIs(verb, "CLAIM"):
-			s.handleClaim(c, rest)
+			s.handleClaim(c, string(rest))
 		case verbIs(verb, "PUBB"):
 			s.handlePubBatch(c, rd, rest)
 		case verbIs(verb, "STATS"):
@@ -415,14 +429,14 @@ func (s *server) serve(c *client) {
 		case verbIs(verb, "QUIT"):
 			return
 		default:
-			s.replyErr(c, errProto, "unknown verb "+verb)
+			s.replyErr(c, errProto, "unknown verb "+string(verb))
 		}
 	}
 }
 
 // verbIs reports whether verb spells name, which is upper case, in any
 // ASCII case.
-func verbIs(verb, name string) bool {
+func verbIs(verb []byte, name string) bool {
 	if len(verb) != len(name) {
 		return false
 	}
@@ -544,14 +558,16 @@ func (s *server) dropClient(c *client) {
 	}
 }
 
-func (s *server) handlePub(c *client, rest string) {
-	stream, rest, ok1 := cut(rest)
+// handlePub publishes `<stream> <ts> <xml>`, rest, where the read left it:
+// the engine keeps nothing of the XML (Engine.AppendPublishXML).
+func (s *server) handlePub(c *client, rest []byte) {
+	streamText, rest, ok1 := cut(rest)
 	tsText, xmlText, ok2 := cut(rest)
 	if !ok1 || !ok2 {
 		s.replyErr(c, errProto, "usage: PUB <stream> <ts> <xml>")
 		return
 	}
-	ts, err := strconv.ParseInt(tsText, 10, 64)
+	ts, err := strconv.ParseInt(string(tsText), 10, 64)
 	if err != nil {
 		s.replyErr(c, errProto, "bad timestamp: "+err.Error())
 		return
@@ -560,9 +576,10 @@ func (s *server) handlePub(c *client, rest string) {
 	// would sort before every document already in the window. ParseInt
 	// happily accepts "-5", so reject it explicitly.
 	if ts < 0 {
-		s.replyErr(c, errProto, "bad timestamp: must be non-negative, got "+tsText)
+		s.replyErr(c, errProto, "bad timestamp: must be non-negative, got "+string(tsText))
 		return
 	}
+	stream := string(streamText)
 	docID := s.nextDoc.Add(1)
 	c.res.Reset()
 	if c.res, err = s.eng.AppendPublishXML(c.res, stream, xmlText, docID, ts); err != nil {
@@ -581,24 +598,24 @@ const maxBatchDocs = 65536
 
 // batchHeader parses `<stream> <n>`, the rest of a PUBB header line. When ok
 // is false no document line is consumed and bad is the reply.
-func batchHeader(rest string) (stream string, n int, bad reply, ok bool) {
-	stream, nText, ok := cut(rest)
-	if !ok || nText == "" {
+func batchHeader(rest []byte) (stream string, n int, bad reply, ok bool) {
+	streamText, nText, ok := cut(rest)
+	if !ok || len(nText) == 0 {
 		return "", 0, errReply(errProto, "usage: PUBB <stream> <n>, then n lines of <ts> <xml>"), false
 	}
-	n, err := strconv.Atoi(nText)
+	n, err := strconv.Atoi(string(nText))
 	if err != nil || n < 0 {
-		return "", 0, errReply(errProto, "bad batch count "+nText), false
+		return "", 0, errReply(errProto, "bad batch count "+string(nText)), false
 	}
 	if n > maxBatchDocs {
 		return "", 0, errReply(errLimit, fmt.Sprintf("batch count %d exceeds %d", n, maxBatchDocs)), false
 	}
-	return stream, n, reply{}, true
+	return string(streamText), n, reply{}, true
 }
 
 // handlePubBatch reads the <n> document lines announced by a PUBB header
 // and publishes them as one batch.
-func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
+func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest []byte) {
 	stream, n, bad, ok := batchHeader(rest)
 	if !ok {
 		c.enqueue(bad)
@@ -609,7 +626,7 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 	for i := 0; i < n; i++ {
 		// Consume every announced line even after an error, so the
 		// connection stays line-synchronized.
-		line, tooLong, err := readLine(rd, maxLineBytes)
+		line, tooLong, err := c.readLine(rd, maxLineBytes)
 		if err != nil {
 			s.replyErr(c, errProto, "truncated batch")
 			return
@@ -621,9 +638,9 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 			}
 			continue
 		}
-		tsText, xmlText, ok := cut(strings.TrimSpace(line))
-		ts, perr := strconv.ParseInt(tsText, 10, 64)
-		if !ok || xmlText == "" || perr != nil || ts < 0 {
+		tsText, xmlText, ok := cut(line)
+		ts, perr := strconv.ParseInt(string(tsText), 10, 64)
+		if !ok || len(xmlText) == 0 || perr != nil || ts < 0 {
 			// ts < 0: same rejection as handlePub — ParseInt accepts a
 			// leading minus, but negative timestamps would invert window
 			// eviction order.
@@ -633,7 +650,7 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 			}
 			continue
 		}
-		docs = append(docs, mmqjp.WithXML(xmlText, s.nextDoc.Add(1), ts))
+		docs = append(docs, mmqjp.WithXML(string(xmlText), s.nextDoc.Add(1), ts))
 	}
 	if badLine != "" {
 		s.replyErr(c, badCode, badLine)
@@ -657,11 +674,13 @@ func (s *server) handlePubBatch(c *client, rd *bufio.Reader, rest string) {
 	s.ackPublish(c, stream, len(docs), total)
 }
 
-func cut(s string) (first, rest string, ok bool) {
-	s = strings.TrimSpace(s)
-	i := strings.IndexByte(s, ' ')
+// cut splits s, trimmed, at its first space into a first field and the
+// trimmed rest; ok is false for a blank s.
+func cut(s []byte) (first, rest []byte, ok bool) {
+	s = bytes.TrimSpace(s)
+	i := bytes.IndexByte(s, ' ')
 	if i < 0 {
-		return s, "", s != ""
+		return s, nil, len(s) > 0
 	}
-	return s[:i], strings.TrimSpace(s[i+1:]), true
+	return s[:i], bytes.TrimSpace(s[i+1:]), true
 }

@@ -60,10 +60,13 @@
 //
 // Two methods publish. PublishDoc takes parsed documents and raw XML in any
 // combination through its options (WithDocs, WithXML) and returns each
-// document's matches; AppendPublishXML publishes one raw XML document and
+// document's matches; AppendPublishXML publishes one raw XML document, given
+// as bytes it keeps nothing of once it returns (like an io.Writer), and
 // appends its matches to a Matches the caller reuses from one document to
 // the next, in compact form: each Frame (a pair of documents) once, and a
-// (query, frame) MatchEntry per match. Engine.Stats returns a structured EngineStats snapshot
+// (query, frame) MatchEntry per match. An engine that keeps no document
+// (no RetainDocuments, no composition, not ProcessorSequential) parses raw
+// XML into pooled documents. Engine.Stats returns a structured EngineStats snapshot
 // (JSON-marshalable; String renders every statistic as name=value), and
 // Options.OnDocument delivers per-document stage timings for external
 // metrics.

@@ -393,10 +393,11 @@ func (e *Engine) consume(dst *Matches, stream string, d *Document, r *core.Stage
 
 // deliver appends a document's result to dst in compact form: one frame per
 // source of the processor's merge (core.Matches.Sources), then one entry per
-// match in canonical order. This is the one place the processor's result is
-// read: its view is only valid until it consumes its next document or its
-// registrations change, so consume calls deliver before anything else — the
-// cascade included — and under the registration lock's read side.
+// match in canonical order, a stretch of one source at a time. This is the
+// one place the processor's result is read: its view is only valid until it
+// consumes its next document or its registrations change, so consume calls
+// deliver before anything else — the cascade included — and under the
+// registration lock's read side.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
@@ -409,11 +410,21 @@ func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
 		})
 	}
 	out := slices.Grow(dst.Entries, ms.Len())
-	for m := ms.First(); m != nil; m = ms.Next() {
-		out = append(out, MatchEntry{
-			Query: QueryID(m.Query), Frame: base + int32(ms.Source()),
-			leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
-		})
+	ms.Start()
+	for {
+		src, qids, singles, ok := ms.Stretch()
+		if !ok {
+			break
+		}
+		f := base + int32(src)
+		for i := range singles {
+			m := &singles[i]
+			out = append(out, MatchEntry{Query: QueryID(m.Query), Frame: f, leftRoot: m.LeftRoot, rightRoot: m.RightRoot})
+		}
+		key := ms.Frame(src)
+		for _, q := range qids {
+			out = append(out, MatchEntry{Query: QueryID(q), Frame: f, leftRoot: key.LeftRoot, rightRoot: key.RightRoot})
+		}
 	}
 	dst.Entries = out
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/workload"
+	"repro/internal/xmldoc"
 )
 
 // TestEnginePublishAllocCeiling bounds what a publish allocates at the facade,
@@ -27,6 +28,11 @@ import (
 // windows, measured over 3 000 documents after 3 000, where a document
 // completes a few frames that stand for hundreds of matches each; what
 // Stage 2 writes per frame, not per match, is all the result may cost there.
+// The "deep feed" case is deep_filter's shape through AppendPublishXML: 1 100
+// subscriptions (path filters and near-unique joins) over 265-node feed
+// documents, where the document is parsed into pooled storage, so its bytes
+// ceiling lies below one document's node table: what remains is the join
+// state's copies of the values new to its window.
 // Counts and bytes are the same on every machine; a ceiling is at most 1.25
 // times what the test logs.
 func TestEnginePublishAllocCeiling(t *testing.T) {
@@ -34,31 +40,41 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 		t.Skip("allocation counts are not fixed under the race detector")
 	}
 	const subs = 10000
-	var figure16 []string
+	var figure16, deep []string
 	for _, q := range workload.DefaultRSS().Queries(rand.New(rand.NewSource(1)), subs) {
 		figure16 = append(figure16, q.Source)
 	}
+	for _, q := range workload.DefaultDeepFeed().Queries(rand.New(rand.NewSource(1)), 1100) {
+		deep = append(deep, q.Source)
+	}
 	for _, tc := range []struct {
-		name                       string
-		srcs                       []string
+		name string
+		srcs []string
+		gen  interface {
+			Stream(*rand.Rand, int) []*Document
+		}
 		items                      int // documents in the warm-up and in the measured pass
 		appendXML                  bool
 		allocCeiling, bytesCeiling float64
+		belowNodeTable             bool // the bytes ceiling lies below the largest document's node table
 	}{
-		{"owned result", windowedRSSSources(1, subs), 600, false, 17, 15500},
-		{"caller's buffer", windowedRSSSources(1, subs), 600, true, 14, 2550},
-		{"figure 16", figure16, 3000, true, 22, 7880},
+		{"owned result", windowedRSSSources(1, subs), workload.DefaultRSS(), 600, false, 17, 15500, false},
+		{"caller's buffer", windowedRSSSources(1, subs), workload.DefaultRSS(), 600, true, 6, 140, false},
+		{"figure 16", figure16, workload.DefaultRSS(), 3000, true, 17, 6000, false},
+		{"deep feed", deep, workload.DefaultDeepFeed(), 600, true, 50, 1320, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			items := tc.items
 			n := float64(items)
-			stream := workload.DefaultRSS().Stream(rand.New(rand.NewSource(8)), 2*items)
+			stream := tc.gen.Stream(rand.New(rand.NewSource(8)), 2*items)
 			eng := New(Options{})
 			subscribeAll(t, eng, tc.srcs)
-			var texts []string
+			var texts [][]byte
+			nodes := 0
 			if tc.appendXML {
 				for _, d := range stream {
-					texts = append(texts, d.XMLText())
+					texts = append(texts, []byte(d.XMLText()))
+					nodes = max(nodes, d.Len())
 				}
 			}
 			matches := 0
@@ -107,6 +123,9 @@ func TestEnginePublishAllocCeiling(t *testing.T) {
 			}
 			if tc.bytesCeiling > bytes+copyBytes {
 				t.Errorf("the ceiling leaves room for another copy of the result (%.0f bytes per document)", copyBytes)
+			}
+			if table := float64(nodes) * float64(unsafe.Sizeof(xmldoc.Node{})); tc.belowNodeTable && tc.bytesCeiling >= table {
+				t.Errorf("the ceiling leaves room for a node table of the largest document (%.0f bytes)", table)
 			}
 		})
 	}
@@ -212,7 +231,7 @@ func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 			want := res.Matches()
 			var err error
 			buf.Frames, buf.Entries = buf.Frames[:1], buf.Entries[:1]
-			buf, err = appended.AppendPublishXML(buf, d.stream, d.xml, int64(i+1), int64(10*i))
+			buf, err = appended.AppendPublishXML(buf, d.stream, []byte(d.xml), int64(i+1), int64(10*i))
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("%+v document %d: error %v, want %v", opts, i, err, wantErr)
 			}
@@ -236,7 +255,7 @@ func TestAppendPublishXMLEqualsPublishXML(t *testing.T) {
 // publishXML publishes one raw XML document through AppendPublishXML and
 // returns its matches as PublishDoc would.
 func publishXML(e *Engine, stream, xmlText string, docID, timestamp int64) ([]Match, error) {
-	ms, err := e.AppendPublishXML(Matches{}, stream, xmlText, docID, timestamp)
+	ms, err := e.AppendPublishXML(Matches{}, stream, []byte(xmlText), docID, timestamp)
 	return e.appendMatchesLocked(&ms), err
 }
 

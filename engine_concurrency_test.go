@@ -1,6 +1,7 @@
 package mmqjp
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -151,8 +152,11 @@ func TestEngineConcurrentBatchPublish(t *testing.T) {
 // goroutines, so their Stage 1 runs side by side outside the engine's lock,
 // and reads the serial document order off OnDocument; replaying that order on
 // a ProcessorSequential engine (one query at a time, never a shared
-// structure) must give every document byte-identical matches. The CI race
-// job runs it twenty times over.
+// structure) must give every document byte-identical matches. Every other
+// document goes in as XML through AppendPublishXML, from a buffer of its
+// publisher's that is overwritten with junk after the call, so the pooled
+// documents pass between publishers too. The CI race job runs it twenty
+// times over.
 func TestConcurrentPublishersMatchSequential(t *testing.T) {
 	queries, stream := rssBatchFixture(300, 120)
 	byID := map[int64]*Document{}
@@ -173,8 +177,21 @@ func TestConcurrentPublishersMatchSequential(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var buf []byte
 			for i := g; i < len(stream); i += publishers {
-				got[i] = publishOne(eng, "S", stream[i])
+				d := stream[i]
+				if i%2 == 0 {
+					got[i] = publishOne(eng, "S", d)
+					continue
+				}
+				buf = append(buf[:0], d.XMLText()...)
+				ms, err := eng.AppendPublishXML(Matches{}, "S", buf, int64(d.ID), int64(d.Timestamp))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				copy(buf, bytes.Repeat([]byte{'#'}, len(buf)))
+				got[i] = eng.appendMatchesLocked(&ms)
 			}
 		}(g)
 	}

@@ -386,7 +386,7 @@ func TestJoinValuesBoundedByWindow(t *testing.T) {
 	for i := int64(1); i <= 50*window; i++ {
 		var err error
 		dst.Reset()
-		if dst, err = e.AppendPublishXML(dst, "S", xml(i), i, i); err != nil {
+		if dst, err = e.AppendPublishXML(dst, "S", []byte(xml(i)), i, i); err != nil {
 			t.Fatal(err)
 		}
 		matches += dst.Len()

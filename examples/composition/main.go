@@ -42,7 +42,7 @@ func main() {
 	feed := func(ts int64, xml string) {
 		var err error
 		ms.Reset()
-		if ms, err = eng.AppendPublishXML(ms, "ops", xml, ts, ts); err != nil {
+		if ms, err = eng.AppendPublishXML(ms, "ops", []byte(xml), ts, ts); err != nil {
 			log.Fatal(err)
 		}
 		for i := range ms.Entries {

@@ -180,7 +180,8 @@ func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 	}
 }
 
-// FuzzMatchOrder holds the merged order to slices.SortFunc under matchCmp
+// FuzzMatchOrder holds the merged order — the stretch walk Slice reads — to
+// slices.SortFunc under matchCmp
 // over results of 0–1 000 runs and 0–1 000 singles: the fuzzer picks the
 // seed, the sizes, the domains of the query ids and of the documents (few
 // values, a window above 2^32, every byte and sign, the extremes) and

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"strings"
 	"time"
 )
@@ -89,17 +90,19 @@ func (ms *Matches) collect(singles []Match) *Matches {
 // frame's match without its query — and the document's single-block matches
 // are one more source. It belongs to the processor that returned it and is
 // valid until that processor's next Consume, Register or Unregister (the
-// runs alias the window classes); a reader walks it once, First then Next
-// until nil, into the representation it needs (the engine facade its public
-// matches, Slice a []Match), which is the only time the result is
+// runs alias the window classes); a reader walks it once, Start then Stretch
+// until done, into the representation it needs (the engine facade its
+// compact matches, Slice a []Match), which is the only time the result is
 // materialised.
 //
-// The walk pops a heap of one head per source ordered by (query, source):
+// The walk keeps a heap of one head per source ordered by (query, source):
 // the runs are sorted by keyCmp and each run's queries ascend, two singles
 // of one query differ at most in their root, and no query is in both a run
 // and the singles, so the walk is matchCmp's order (DESIGN.md, "Stage 2 per
 // document"). The order is total down to the binding vector, so it is a
-// pure function of match content.
+// pure function of match content. The walk hands out stretches — a source's
+// matches before the next head of another source, found by binary search —
+// so it pays a heap step per stretch, not per match.
 type Matches struct {
 	runs    []matchRun
 	singles []Match // sorted by (query, root)
@@ -108,8 +111,7 @@ type Matches struct {
 }
 
 // matchRun is the matches of one frame and one window class: one per query
-// id in qids, each equal to key with that query. key.Query is the cursor's:
-// it holds the query of the match last read from the run.
+// id in qids, each equal to key with that query (key.Query is not read).
 type matchRun struct {
 	qids []QueryID
 	key  Match
@@ -125,10 +127,8 @@ type sourceHead struct {
 // Len returns the number of matches.
 func (ms *Matches) Len() int { return ms.n }
 
-// First starts a walk of the matches in canonical order and returns the
-// first, nil when there are none; Next returns the one after it, nil after
-// the last. The pointer is into the result: read it, do not keep it.
-func (ms *Matches) First() *Match {
+// Start starts a walk of the matches in canonical order; Stretch reads it.
+func (ms *Matches) Start() {
 	h := ms.heap[:0]
 	for src := int32(0); int(src) <= len(ms.runs); src++ {
 		if q, ok := ms.query(src, 0); ok {
@@ -139,34 +139,57 @@ func (ms *Matches) First() *Match {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		ms.down(i)
 	}
-	return ms.top()
 }
 
-// Next advances the walk First started; see First.
-func (ms *Matches) Next() *Match {
+// Stretch returns the walk's next matches, as many as one source holds
+// before any other source's next match, and moves the walk past them; ok is
+// false once the walk is done. The source is src: for a run, qids holds the
+// stretch's queries, each match being Frame(src) with that query; for the
+// singles, singles holds the matches. The slices are into the result: read
+// them, do not keep them.
+func (ms *Matches) Stretch() (src int, qids []QueryID, singles []Match, ok bool) {
+	if len(ms.heap) == 0 {
+		return 0, nil, nil, false
+	}
 	h := &ms.heap[0]
-	h.pos++
-	if q, ok := ms.query(h.src, h.pos); ok {
-		h.q = q
+	// The stretch is the source's matches before the least other head.
+	var next *sourceHead
+	if len(ms.heap) > 1 {
+		next = &ms.heap[1]
+		if len(ms.heap) > 2 && ms.heap[2].before(*next) {
+			next = &ms.heap[2]
+		}
+	}
+	before := func(q QueryID) bool { return next == nil || sourceHead{q: q, src: h.src}.before(*next) }
+	var end int32
+	if int(h.src) == len(ms.runs) {
+		rest := ms.singles[h.pos:]
+		k := sort.Search(len(rest), func(i int) bool { return !before(rest[i].Query) })
+		singles, end = rest[:k], h.pos+int32(k)
+	} else {
+		rest := ms.runs[h.src].qids[h.pos:]
+		k := sort.Search(len(rest), func(i int) bool { return !before(rest[i]) })
+		qids, end = rest[:k], h.pos+int32(k)
+	}
+	src = int(h.src)
+	if q, more := ms.query(h.src, end); more {
+		h.q, h.pos = q, end
 	} else {
 		ms.pop()
 	}
 	ms.down(0)
-	return ms.top()
+	return src, qids, singles, true
 }
 
 // Sources returns the number of sources the walk merges — one per run, then
-// one for the singles if any — Source the source of the walk's current
-// match, and Frame a match of source src: all of a source's matches name the
-// same two documents at the same timestamps.
+// one for the singles if any — and Frame a match of source src: all of a
+// source's matches name the same two documents at the same timestamps.
 func (ms *Matches) Sources() int {
 	if len(ms.singles) > 0 {
 		return len(ms.runs) + 1
 	}
 	return len(ms.runs)
 }
-
-func (ms *Matches) Source() int { return int(ms.heap[0].src) }
 
 func (ms *Matches) Frame(src int) *Match {
 	if src == len(ms.runs) {
@@ -188,20 +211,6 @@ func (ms *Matches) query(src, pos int32) (QueryID, bool) {
 		return qids[pos], true
 	}
 	return 0, false
-}
-
-// top returns the match at the heap's head, nil when the walk is done.
-func (ms *Matches) top() *Match {
-	if len(ms.heap) == 0 {
-		return nil
-	}
-	h := ms.heap[0]
-	if int(h.src) == len(ms.runs) {
-		return &ms.singles[h.pos]
-	}
-	m := &ms.runs[h.src].key
-	m.Query = h.q
-	return m
 }
 
 // pop replaces the exhausted head with the heap's last entry.
@@ -241,10 +250,19 @@ func (ms *Matches) Slice() []Match {
 		return nil
 	}
 	out := make([]Match, 0, ms.n)
-	for m := ms.First(); m != nil; m = ms.Next() {
-		out = append(out, *m)
+	ms.Start()
+	for {
+		src, qids, singles, ok := ms.Stretch()
+		if !ok {
+			return out
+		}
+		out = append(out, singles...)
+		m := *ms.Frame(src)
+		for _, q := range qids {
+			m.Query = q
+			out = append(out, m)
+		}
 	}
-	return out
 }
 
 // reset empties the result for the next document. A runs or heap buffer a

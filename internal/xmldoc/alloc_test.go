@@ -34,29 +34,55 @@ func parseTexts(i int) []string {
 	return texts
 }
 
+// allocCeiling is the most allocations and bytes per document a parse may
+// cost.
+type allocCeiling struct{ allocs, bytes float64 }
+
 // TestParseAllocCeiling bounds the allocations and allocated bytes of parsing
 // one document — the scan a publish pays before Stage 1, string values
 // excluded (they are computed on demand); the stages after it are bounded by
-// internal/core's
-// TestPublishAllocCeiling. Counts and bytes are the same on every machine. A
-// ceiling is at most 1.25 times what the test logs. The package is external
-// because workload imports xmldoc.
+// internal/core's TestPublishAllocCeiling. "fresh" is ParseString, a new
+// document each time; "reuse" is ParseInto into one document that has held
+// the stream's largest, which must allocate nothing. Counts and bytes are the
+// same on every machine. A ceiling is at most 1.25 times what the test logs.
+// The package is external because workload imports xmldoc.
 func TestParseAllocCeiling(t *testing.T) {
-	ceilings := []struct{ allocs, bytes float64 }{
-		{5, 1880},  // rss item: 4 allocations, 1.5 KB (encoding/xml: 63, 3.7 KB)
-		{5, 29000}, // deep feed: 4 allocations, 23.3 KB (encoding/xml: 2 176, 132 KB)
+	fresh := []allocCeiling{
+		{3, 1420},  // rss item: 3 allocations, 1.1 KB (encoding/xml: 63, 3.7 KB)
+		{3, 28700}, // deep feed: 3 allocations, 23.0 KB (encoding/xml: 2 176, 132 KB)
 	}
 	for i, tc := range parseCases {
-		t.Run(tc.name, func(t *testing.T) {
-			texts := parseTexts(i)
+		t.Run(tc.name, func(t *testing.T) { parseAllocCeiling(t, i, fresh[i]) })
+	}
+}
+
+// parseAllocCeiling is TestParseAllocCeiling on parseCases[i]: a fresh
+// parse under the given ceiling, and a reused document under none.
+func parseAllocCeiling(t *testing.T, i int, fresh allocCeiling) {
+	texts := parseTexts(i)
+	reused := new(xmldoc.Document)
+	for _, mode := range []struct {
+		name    string
+		parse   func(j int, txt string) error
+		ceiling allocCeiling
+	}{
+		{"fresh", func(j int, txt string) error {
+			_, err := xmldoc.ParseString(txt, xmldoc.DocID(j+1), xmldoc.Timestamp(j+1))
+			return err
+		}, fresh},
+		{"reuse", func(j int, txt string) error {
+			return xmldoc.ParseInto(reused, txt, xmldoc.DocID(j+1), xmldoc.Timestamp(j+1))
+		}, allocCeiling{}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
 			pass := func() {
 				for j, txt := range texts {
-					if _, err := xmldoc.ParseString(txt, xmldoc.DocID(j+1), xmldoc.Timestamp(j+1)); err != nil {
+					if err := mode.parse(j, txt); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			pass() // every name interned
+			pass() // every name interned, the reused document grown
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -65,18 +91,19 @@ func TestParseAllocCeiling(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / float64(len(texts))
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(texts))
 			t.Logf("%.1f allocations, %.0f bytes per document", allocs, bytes)
-			if allocs > ceilings[i].allocs {
-				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, ceilings[i].allocs)
+			if allocs > mode.ceiling.allocs {
+				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, mode.ceiling.allocs)
 			}
-			if bytes > ceilings[i].bytes {
-				t.Errorf("%.0f bytes allocated per document, want <= %.0f", bytes, ceilings[i].bytes)
+			if bytes > mode.ceiling.bytes {
+				t.Errorf("%.0f bytes allocated per document, want <= %.0f", bytes, mode.ceiling.bytes)
 			}
 		})
 	}
 }
 
 // BenchmarkParse times ParseString against the encoding/xml tree builder it
-// replaced, on the two document shapes.
+// replaced, on the two document shapes, and ParseInto into one reused
+// document ("scanner-reuse"), the parse of a publish that keeps no document.
 func BenchmarkParse(b *testing.B) {
 	for i, tc := range parseCases {
 		texts := parseTexts(i)
@@ -84,10 +111,14 @@ func BenchmarkParse(b *testing.B) {
 		for _, txt := range texts {
 			size += len(txt)
 		}
+		reused := new(xmldoc.Document)
+		parseReused := func(s string, id xmldoc.DocID, ts xmldoc.Timestamp) (*xmldoc.Document, error) {
+			return reused, xmldoc.ParseInto(reused, s, id, ts)
+		}
 		for _, p := range []struct {
 			name  string
 			parse func(string, xmldoc.DocID, xmldoc.Timestamp) (*xmldoc.Document, error)
-		}{{"scanner", xmldoc.ParseString}, {"encoding-xml", parseStdlib}} {
+		}{{"scanner", xmldoc.ParseString}, {"scanner-reuse", parseReused}, {"encoding-xml", parseStdlib}} {
 			b.Run(tc.name+"/"+p.name, func(b *testing.B) {
 				b.SetBytes(int64(size / len(texts)))
 				b.ReportAllocs()

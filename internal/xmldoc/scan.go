@@ -51,8 +51,23 @@ func (e *parseError) Error() string {
 // node table and every Children list come from two allocations sized from
 // the input, and an element's text is a substring of s unless it needed
 // decoding. No string value is computed (Document.StringValue builds an
-// interior element's on demand).
+// interior element's on demand). It is ParseInto on a new document.
 func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
+	d := new(Document)
+	if err := ParseInto(d, s, id, ts); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ParseInto parses s as ParseString does, into d: the node table and the
+// Children lists reuse the storage d holds from an earlier parse when it is
+// large enough, so reparsing a document no larger than d's last allocates
+// nothing. Everything d held before is overwritten; on an error d's content
+// is unspecified. The document's text and attribute values are substrings
+// of s, as ParseString's are: d reads s until it is reparsed, dropped, or
+// its nodes are zeroed (clear(d.Nodes)).
+func ParseInto(d *Document, s string, id DocID, ts Timestamp) error {
 	// Every node is an element, which has a '<' and — in its end tag or its
 	// "/>" — a '/', or an attribute, which has an '=': the node table of a
 	// document that parses never outgrows this bound. Nor does it outgrow
@@ -60,57 +75,79 @@ func ParseString(s string, id DocID, ts Timestamp) (*Document, error) {
 	// those bytes can make it reserve at what a document that dense needs.
 	bound := min(strings.Count(s, "<"), strings.Count(s, "/")) + strings.Count(s, "=")
 	bound = min(bound, len(s)/4)
-	names := takeNameCache()
-	defer returnNameCache(names)
-	p := scanner{src: s, nodes: make([]Node, 0, bound), stack: make([]frame, 0, 16), names: names}
-	if bound > 1 {
+	// The table is reused zeroed, so scanner.node need not zero a node it
+	// hands out; past its length, the table is zero already.
+	clear(d.Nodes)
+	scratch := takeScratch()
+	defer returnScratch(scratch)
+	p := scanner{src: s, nodes: d.Nodes[:0], slab: d.slab[:0], stack: scratch.stack[:0], names: &scratch.names}
+	if cap(p.nodes) < bound {
+		p.nodes = make([]Node, 0, bound)
+	}
+	if cap(p.slab) < bound-1 {
 		p.slab = make([]NodeID, 0, bound-1)
 	}
-	if err := p.document(); err != nil {
-		return nil, err
+	err := p.document()
+	// The stack goes back empty: a frame's name is a substring of s.
+	clear(p.stack[:p.deep])
+	scratch.stack = p.stack[:0]
+	d.ID, d.Timestamp, d.Nodes, d.slab = id, ts, p.nodes, p.slab
+	if err != nil {
+		return err
 	}
 	nodes := p.nodes
 	for i := 1; i < len(nodes); i++ {
 		par := nodes[i].Parent
 		nodes[par].Children = append(nodes[par].Children, NodeID(i))
 	}
-	return &Document{ID: id, Timestamp: ts, Nodes: nodes}, nil
+	return nil
 }
 
-// scanner is the state of one ParseString.
+// scanner is the state of one ParseInto.
 type scanner struct {
 	src   string
 	pos   int
 	nodes []Node
 	slab  []NodeID // every Children list is carved from it
 	stack []frame  // open elements
+	deep  int      // the most elements open at once
 	names *nameCache
 }
 
-// idleNames holds the name caches no parse is using. A cache outlives the
-// documents that filled it, so a name an earlier parse on the cache resolved
-// costs a hash and a probe of the cache: no lock and no probe of the global
-// table. A cache holds only (interner's copy, symbol) pairs, which stay valid
-// for the life of the process because the interner never retires a name's
-// id. Unlike a sync.Pool, the channel keeps its caches across collections,
-// so a warm cache is not rebuilt; it holds one per processor, as many as can
-// parse at once, and a cache returned to a full channel is dropped.
-var idleNames = make(chan *nameCache, runtime.GOMAXPROCS(0))
+// idleScratch holds the scanner scratch no parse is using: a name cache and
+// an open-element stack. A cache outlives the documents that filled it, so a
+// name an earlier parse on the cache resolved costs a hash and a probe of the
+// cache: no lock and no probe of the global table. A cache holds only
+// (interner's copy, symbol) pairs, which stay valid for the life of the
+// process because the interner never retires a name's id; the stack holds
+// nothing once its parse returns. Unlike a sync.Pool, the channel keeps its
+// scratch across collections, so a warm cache is not rebuilt; it holds one
+// per processor, as many as can parse at once, and scratch returned to a full
+// channel is dropped.
+var idleScratch = make(chan *scanScratch, runtime.GOMAXPROCS(0))
 
-// takeNameCache returns an idle name cache, or a new one.
-func takeNameCache() *nameCache {
+// scanScratch is what a parse borrows beyond the document it fills. The
+// stack keeps the capacity the deepest document on it needed, at most
+// maxDepth frames.
+type scanScratch struct {
+	names nameCache
+	stack []frame
+}
+
+// takeScratch returns idle scanner scratch, or new scratch.
+func takeScratch() *scanScratch {
 	select {
-	case c := <-idleNames:
+	case c := <-idleScratch:
 		return c
 	default:
-		return &nameCache{slots: make([]cachedName, 64)}
+		return &scanScratch{names: nameCache{slots: make([]cachedName, 64)}, stack: make([]frame, 0, 16)}
 	}
 }
 
-// returnNameCache gives back a cache the caller no longer uses.
-func returnNameCache(c *nameCache) {
+// returnScratch gives back scratch the caller no longer uses.
+func returnScratch(c *scanScratch) {
 	select {
-	case idleNames <- c:
+	case idleScratch <- c:
 	default:
 	}
 }
@@ -193,7 +230,9 @@ func (c *nameCache) insert(e cachedName) {
 	c.n++
 }
 
-// node appends a zero node to the table and returns it.
+// node appends a zero node to the table and returns it. The table may be an
+// earlier document's; ParseInto zeroed it, so a node within its capacity is
+// zero already.
 func (p *scanner) node() *Node {
 	if len(p.nodes) < cap(p.nodes) {
 		p.nodes = p.nodes[:len(p.nodes)+1]
@@ -315,6 +354,7 @@ func (p *scanner) startTag() error {
 		case '>':
 			p.pos++
 			p.stack = append(p.stack, frame{id: id, name: qname, children: attrs})
+			p.deep = max(p.deep, len(p.stack))
 			return nil
 		}
 		aq, alocal, err := p.qname("attribute")
@@ -351,9 +391,21 @@ func (p *scanner) startTag() error {
 	}
 }
 
-// endTag scans "</name>" and closes the innermost open element.
+// endTag scans "</name>" and closes the innermost open element. An end tag
+// that repeats the open element's name and ends at once — nearly every one —
+// is taken by comparing the name: it is the name the start tag scanned, so
+// scanning it again would find the same. Any other is scanned byte by byte.
 func (p *scanner) endTag() error {
 	p.pos += 2
+	if len(p.stack) > 0 {
+		f := p.stack[len(p.stack)-1]
+		if end := p.pos + len(f.name); end < len(p.src) && p.src[end] == '>' && p.src[p.pos:end] == f.name {
+			p.pos = end + 1
+			p.stack = p.stack[:len(p.stack)-1]
+			p.close(f.id, f.children)
+			return nil
+		}
+	}
 	qname, _, err := p.qname("element")
 	if err != nil {
 		return err
@@ -379,7 +431,7 @@ func (p *scanner) endTag() error {
 }
 
 // close completes an element: its trimmed text, and room in the slab for
-// its children, which ParseString fills in once every node is known.
+// its children, which ParseInto fills in once every node is known.
 func (p *scanner) close(id NodeID, children int32) {
 	n := &p.nodes[id]
 	n.text = strings.TrimSpace(n.text)

@@ -68,11 +68,17 @@ var stdlibSeeds = []string{
 // with an identical node table, and every node's string value equals the
 // eager oracle's (xmldoc.DiffValues); when only the reference accepts it, the
 // scanner must have named one of the unsupported constructs the package
-// comment lists, and the input must contain it.
+// comment lists, and the input must contain it. Each input is also parsed
+// with ParseInto into a document that last held a larger one, a deep feed
+// with text in every element: it must fail alike or give ParseString's node
+// table, so nothing of the earlier document — a Children list, a text —
+// survives the reuse.
 func FuzzParseMatchesStdlib(f *testing.F) {
-	for _, s := range workloadTexts(2) {
+	texts := workloadTexts(2)
+	for _, s := range texts {
 		f.Add(s)
 	}
+	earlier := strings.ReplaceAll(texts[len(texts)/2], "><", ">x<")
 	for _, s := range stdlibSeeds {
 		f.Add(s)
 	}
@@ -85,6 +91,18 @@ func FuzzParseMatchesStdlib(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := xmldoc.ParseString(src, 1, 10)
+		reused := new(xmldoc.Document)
+		if err := xmldoc.ParseInto(reused, earlier, 2, 20); err != nil {
+			t.Fatal(err)
+		}
+		switch reErr := xmldoc.ParseInto(reused, src, 1, 10); {
+		case (reErr == nil) != (err == nil) || err != nil && reErr.Error() != err.Error():
+			t.Fatalf("ParseInto into a used document: %v, ParseString: %v: %q", reErr, err, src)
+		case err == nil:
+			if diff := diffDocuments(reused, got); diff != "" {
+				t.Fatalf("ParseInto into a used document: %s: %q", diff, src)
+			}
+		}
 		want, refErr := parseStdlib(src, 1, 10)
 		switch {
 		case err == nil && refErr != nil:

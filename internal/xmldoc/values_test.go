@@ -200,8 +200,8 @@ func TestNameCacheManyNames(t *testing.T) {
 			}
 		}
 	}
-	for len(idleNames) > 0 {
-		if c := takeNameCache(); len(c.slots) > nameCacheSlots || 2*c.n > len(c.slots) {
+	for len(idleScratch) > 0 {
+		if c := &takeScratch().names; len(c.slots) > nameCacheSlots || 2*c.n > len(c.slots) {
 			t.Errorf("an idle name cache has %d names in %d slots, bound %d", c.n, len(c.slots), nameCacheSlots)
 		}
 	}

@@ -7,7 +7,8 @@
 // the string value of a node is the XPath string value, i.e. the
 // concatenation of all descendant text in document order.
 //
-// ParseString is a scanner written for the XML the wire carries (scan.go).
+// ParseString is a scanner written for the XML the wire carries (scan.go);
+// ParseInto is the same parse into an earlier document's storage.
 // It accepts what encoding/xml's strict decoder accepts, with the same
 // node table, within this subset: UTF-8 input; one root element; elements
 // and attributes, whose names are ASCII XML names, reduced to the local part
@@ -94,6 +95,10 @@ type Document struct {
 	ID        DocID
 	Timestamp Timestamp
 	Nodes     []Node // indexed by NodeID
+
+	// slab is the storage the Children lists of a parsed document are
+	// carved from, kept for the next ParseInto.
+	slab []NodeID
 }
 
 // Root returns the id of the document's root element (always 0).

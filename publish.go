@@ -4,13 +4,69 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"repro/internal/xmldoc"
 )
 
 // Publishing has two entry points, PublishDoc and AppendPublishXML. Both
 // parse every raw-XML input before publishing anything: a parse failure fails
-// the whole call with a *DocumentError naming the document.
+// the whole call with a *DocumentError naming the document. An engine that
+// keeps nothing of a document once its publish returns (keepsDocuments)
+// parses raw XML into pooled documents.
+
+// docPool holds the documents raw XML is parsed into when the engine keeps
+// none: a document's node table and Children slab come back with it, so a
+// steady stream reparses into storage its earlier documents grew.
+//
+//mmqjp:pooled a document is put back when the publish call that parsed it returns, only by an engine that keeps no document (keepsDocuments): the join state copies the join values it keeps and the Stage-1 result drops its document in Consume, so nothing reads the document after the call; putDoc zeroes its node table, so a pooled document holds no string into any caller's text, and drops it when it is more than twice the size its last text could need; caller-supplied documents (WithDocs) never enter the pool
+var docPool = sync.Pool{New: func() any { return new(Document) }}
+
+// keepsDocuments reports whether a document outlives its publish call:
+// RetainDocuments keeps it for OutputXML (composition implies that), and the
+// sequential baseline stores its leaf string values, substrings of the
+// document's text.
+func (e *Engine) keepsDocuments() bool {
+	return e.opts.RetainDocuments || e.seq != nil
+}
+
+// parseXML parses one raw XML document: into a pooled document when the
+// engine keeps none (release gives it back), into a new one otherwise.
+func (e *Engine) parseXML(xmlText string, docID, timestamp int64) (*Document, error) {
+	if e.keepsDocuments() {
+		return ParseDocument(xmlText, docID, timestamp)
+	}
+	d := docPool.Get().(*Document)
+	if err := xmldoc.ParseInto(d, xmlText, xmldoc.DocID(docID), xmldoc.Timestamp(timestamp)); err != nil {
+		putDoc(d, len(xmlText))
+		return nil, err
+	}
+	return d, nil
+}
+
+// release gives back a document parseXML parsed from textLen bytes, once its
+// publish call is done with it.
+func (e *Engine) release(d *Document, textLen int) {
+	if !e.keepsDocuments() {
+		putDoc(d, textLen)
+	}
+}
+
+// putDoc empties a pooled document parsed from textLen bytes and puts it
+// back, unless its node table has room for more than twice the nodes the
+// text could make (one per four bytes): the storage an outsized document
+// grew goes with the first smaller one after it. Emptying drops every
+// node's strings, which point into the caller's text, and leaves the whole
+// table zero, as xmldoc.ParseInto expects to find it.
+func putDoc(d *Document, textLen int) {
+	if cap(d.Nodes) > textLen/2 {
+		return
+	}
+	clear(d.Nodes)
+	d.Nodes = d.Nodes[:0]
+	docPool.Put(d)
+}
 
 // ErrAsyncBatch is returned by PublishDoc when WithAsync is combined with
 // anything other than exactly one document: PublishResult.Done carries one
@@ -118,20 +174,23 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 	for _, o := range opts {
 		o(&req)
 	}
-	docs, err := parseItems(req.items)
+	docs, err := e.parseItems(req.items)
 	if err != nil {
 		return PublishResult{}, err
 	}
+	if req.async && len(docs) != 1 {
+		e.releaseParsed(req.items, docs)
+		return PublishResult{}, ErrAsyncBatch
+	}
+	batches := e.publishDocs(nil, stream, docs)
+	e.releaseParsed(req.items, docs)
 	if req.async {
-		if len(docs) != 1 {
-			return PublishResult{}, ErrAsyncBatch
-		}
 		done := make(chan []Match, 1)
-		done <- e.publishDocs(nil, stream, docs)[0]
+		done <- batches[0]
 		close(done)
 		return PublishResult{Done: done}, nil
 	}
-	return PublishResult{Batches: e.publishDocs(nil, stream, docs)}, nil
+	return PublishResult{Batches: batches}, nil
 }
 
 // AppendPublishXML publishes one raw XML document with the result buffer
@@ -141,13 +200,24 @@ func (e *Engine) PublishDoc(stream string, d *Document, opts ...PublishOption) (
 // next (the server encodes them into its reply) passes the same buffer every
 // time, emptied with Reset, and a publish allocates nothing for its result.
 // On a parse failure dst is returned as it came.
-func (e *Engine) AppendPublishXML(dst Matches, stream, xmlText string, docID, timestamp int64) (Matches, error) {
-	d, err := ParseDocument(xmlText, docID, timestamp)
+//
+// Like an io.Writer, AppendPublishXML keeps nothing of xml after it returns:
+// the caller may overwrite the bytes at once (the server parses each PUB in
+// its read buffer). An engine that keeps no document parses them in place;
+// one that keeps documents (Options.RetainDocuments, composition,
+// ProcessorSequential) copies them first.
+func (e *Engine) AppendPublishXML(dst Matches, stream string, xml []byte, docID, timestamp int64) (Matches, error) {
+	xmlText := unsafe.String(unsafe.SliceData(xml), len(xml))
+	if e.keepsDocuments() {
+		xmlText = string(xml)
+	}
+	d, err := e.parseXML(xmlText, docID, timestamp)
 	if err != nil {
 		return dst, &DocumentError{Index: 0, DocID: docID, Err: err}
 	}
 	one := [1]*Document{d}
 	e.publishDocs(&dst, stream, one[:])
+	e.release(d, len(xml))
 	return dst, nil
 }
 
@@ -226,21 +296,31 @@ func (e *Engine) appendMatches(dst []Match, ms *Matches) []Match {
 	return out
 }
 
-// parseItems resolves every input item to a parsed document. On error
-// nothing is returned: the whole call must fail before any document is
-// published.
-func parseItems(items []publishItem) ([]*Document, error) {
+// parseItems resolves every input item to a parsed document, raw XML by
+// parseXML (releaseParsed gives those back). On error nothing is returned:
+// the whole call must fail before any document is published.
+func (e *Engine) parseItems(items []publishItem) ([]*Document, error) {
 	docs := make([]*Document, len(items))
 	for i, it := range items {
 		if it.doc != nil {
 			docs[i] = it.doc
 			continue
 		}
-		d, err := ParseDocument(it.xml, it.docID, it.ts)
+		d, err := e.parseXML(it.xml, it.docID, it.ts)
 		if err != nil {
+			e.releaseParsed(items[:i], docs[:i])
 			return nil, &DocumentError{Index: i, DocID: it.docID, Err: err}
 		}
 		docs[i] = d
 	}
 	return docs, nil
+}
+
+// releaseParsed gives back the documents parseItems parsed for items.
+func (e *Engine) releaseParsed(items []publishItem, docs []*Document) {
+	for i, it := range items {
+		if it.doc == nil {
+			e.release(docs[i], len(it.xml))
+		}
+	}
 }
