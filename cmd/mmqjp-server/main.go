@@ -131,19 +131,21 @@ type server struct {
 
 // ownerTable maps a query to the connection that subscribed (or claimed) it,
 // beside the query's rendered `MATCH <qid> left=`, the first piece of each of
-// its MATCH lines. It is indexed by QueryID, as the engine's own tables are:
-// ids are issued densely and in order and never reused, and an id the table
-// does not know — a restored engine's gap, a removed subscription — is a zero
-// row. In durable mode a known row with a nil owner marks an orphaned
-// subscription: alive in the engine, matches undelivered until a CLAIM.
+// its MATCH lines. Unlike the engine's maps of live queries it is indexed by
+// QueryID, because every match reads it: on a 2-core Xeon, 180 lookups (an
+// rss_window document's matches) over 10 000 owners take 0.2–0.3 µs from a
+// slice and ≈ 3 µs from a Go map, against ≈ 33 µs of CPU per document. The
+// price is ≈ 36 bytes per lifetime SUB (a 16-byte row, ≈ 20 bytes of prefix),
+// and a restored engine's highest id sizes the rows. An id the table does not
+// know — unsubscribed, or before a restore — is a zero row. In durable mode a
+// known row with a nil owner marks an orphaned subscription: alive in the
+// engine, matches undelivered until a CLAIM.
 type ownerTable struct {
 	rows []owner
 	// prefixes holds every row's prefix, appended when the table first
 	// learns the query and never rewritten, so bytes read through a copy of
-	// the slice taken under the read lock stay valid after its release.
-	// About 20 bytes per lifetime subscription, as the engine's id tables
-	// keep a word per lifetime subscription; the rows' uint32 offsets
-	// address 4 GiB, some 200 million lifetime subscriptions.
+	// the slice taken under the read lock stay valid after its release. The
+	// rows' uint32 offsets address 4 GiB, some 200 million lifetime SUBs.
 	prefixes []byte
 }
 

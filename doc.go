@@ -56,7 +56,7 @@
 // templates are refcounted over their member queries, and a template's
 // query relation and indexes are released when its last
 // member leaves. Draining every subscription returns the engine to its
-// initial state; ids are never reused.
+// initial state; ids are never reused, not even across a restore.
 //
 // Two methods publish. PublishDoc takes parsed documents and raw XML in any
 // combination through its options (WithDocs, WithXML) and returns each

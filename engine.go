@@ -3,6 +3,7 @@ package mmqjp
 import (
 	"encoding/xml"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -108,14 +109,19 @@ type Engine struct {
 	proc *core.Processor       // nil when Sequential
 	seq  *sequential.Processor // nil otherwise
 
-	// queries is indexed by QueryID; Unsubscribe leaves a nil slot so ids
-	// stay stable across churn. numQueries counts live subscriptions and
-	// subBytes what their records and text occupy here.
+	// queries holds the live subscriptions' text by id, and publish the
+	// PUBLISH streams (substrings of the text) of those that have one, so
+	// an engine without a live PUBLISH query probes no map per match; the
+	// join processor keeps its own row, never the parse tree. dropped
+	// counts the deletions since the maps were last copied, and subBytes
+	// is what their entries and the text occupy.
 	//
 	//mmqjp:guardedby e.mu
-	queries []*subscription
+	queries map[QueryID]string
 	//mmqjp:guardedby e.mu
-	numQueries int
+	publish map[QueryID]string
+	//mmqjp:guardedby e.mu
+	dropped int
 	//mmqjp:guardedby e.mu
 	subBytes int64
 	//mmqjp:guardedby e.mu
@@ -143,16 +149,14 @@ type Engine struct {
 	droppedCascades int64
 }
 
-// subscription is what the facade keeps of a live subscription once it is
-// registered: the query's text (Query, Snapshot) and its PUBLISH stream (a
-// substring of the text), not the parsed query — the join processor keeps its
-// own row, and the parse tree is garbage after Subscribe returns.
-type subscription struct {
-	source, publish string
-}
-
-func (s *subscription) bytes() int64 {
-	return int64(unsafe.Sizeof(*s)) + int64(len(s.source))
+// subscriptionBytes is what the facade keeps of a subscription with source
+// text src and PUBLISH stream publish: its map entries and the text.
+func subscriptionBytes(src, publish string) int64 {
+	n := int64(unsafe.Sizeof(QueryID(0))+unsafe.Sizeof(src)) + int64(len(src))
+	if publish != "" {
+		n += int64(unsafe.Sizeof(QueryID(0)) + unsafe.Sizeof(publish))
+	}
+	return n
 }
 
 // New creates an engine.
@@ -160,7 +164,7 @@ func New(opts Options) *Engine {
 	if opts.EnableComposition {
 		opts.RetainDocuments = true
 	}
-	e := &Engine{opts: opts, docs: map[xmldoc.DocID]*xmldoc.Document{}, nextDerived: 1 << 40}
+	e := &Engine{opts: opts, queries: map[QueryID]string{}, docs: map[xmldoc.DocID]*xmldoc.Document{}, nextDerived: 1 << 40}
 	switch opts.Processor {
 	case ProcessorSequential:
 		e.seq = sequential.NewProcessor()
@@ -212,10 +216,14 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 		}
 		id = QueryID(cid)
 	}
-	sub := &subscription{source: q.Source, publish: q.Publish}
-	e.queries = append(e.queries, sub)
-	e.numQueries++
-	e.subBytes += sub.bytes()
+	e.queries[id] = q.Source
+	if q.Publish != "" {
+		if e.publish == nil {
+			e.publish = map[QueryID]string{}
+		}
+		e.publish[id] = q.Publish
+	}
+	e.subBytes += subscriptionBytes(q.Source, q.Publish)
 	return id, nil
 }
 
@@ -223,8 +231,9 @@ func (e *Engine) subscribe(q *xscl.Query) (QueryID, error) {
 // the query no longer shares with surviving subscriptions — refcounted
 // canonical templates, their query relations and indexes, pattern
 // extraction demands, and (when the last subscription leaves) the whole join
-// state. Matches already delivered are unaffected, and ids
-// are never reused. Unsubscribing a PUBLISH query stops its composition
+// state. Matches already delivered are unaffected, and ids are never reused,
+// not even by an engine OpenEngine restored from a snapshot taken after the
+// Unsubscribe. Unsubscribing a PUBLISH query stops its composition
 // cascade: downstream subscriptions on its output stream simply see no
 // further derived documents, while an unsubscribed downstream query stops
 // receiving cascaded matches — Unsubscribe serializes with every publish, so
@@ -237,7 +246,8 @@ func (e *Engine) Unsubscribe(id QueryID) error {
 	defer e.reg.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if id < 0 || int(id) >= len(e.queries) || e.queries[id] == nil {
+	src, ok := e.queries[id]
+	if !ok {
 		return fmt.Errorf("mmqjp: unknown subscription %d", id)
 	}
 	if e.seq != nil {
@@ -249,10 +259,15 @@ func (e *Engine) Unsubscribe(id QueryID) error {
 			return err
 		}
 	}
-	e.subBytes -= e.queries[id].bytes()
-	e.queries[id] = nil
-	e.numQueries--
-	if e.numQueries == 0 {
+	e.subBytes -= subscriptionBytes(src, e.publish[id])
+	delete(e.queries, id)
+	delete(e.publish, id)
+	if e.dropped++; e.dropped > len(e.queries) {
+		// As in core.Processor.Unregister: a copy holds only the live
+		// entries, at an amortized O(1) per deletion.
+		e.queries, e.publish, e.dropped = maps.Clone(e.queries), maps.Clone(e.publish), 0
+	}
+	if len(e.queries) == 0 {
 		// The processor reclaimed its join state; release the retained
 		// documents too, so a drained engine holds no per-document
 		// memory. OutputXML for matches delivered before the drain
@@ -267,17 +282,14 @@ func (e *Engine) Unsubscribe(id QueryID) error {
 func (e *Engine) Query(id QueryID) string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if id < 0 || int(id) >= len(e.queries) || e.queries[id] == nil {
-		return ""
-	}
-	return e.queries[id].source
+	return e.queries[id]
 }
 
 // NumQueries returns the number of live subscriptions.
 func (e *Engine) NumQueries() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.numQueries
+	return len(e.queries)
 }
 
 // Subscriptions returns the ids of all live subscriptions in ascending
@@ -286,12 +298,11 @@ func (e *Engine) NumQueries() int {
 func (e *Engine) Subscriptions() []QueryID {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]QueryID, 0, e.numQueries)
-	for id, q := range e.queries {
-		if q != nil {
-			out = append(out, QueryID(id))
-		}
+	out := make([]QueryID, 0, len(e.queries))
+	for id := range e.queries { //mmqjp:unordered sorted below
+		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -436,12 +447,12 @@ func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) cascade(dst *Matches, from, depth int) {
-	if !e.opts.EnableComposition {
+	if !e.opts.EnableComposition || len(e.publish) == 0 {
 		return
 	}
 	for i, n := from, len(dst.Entries); i < n; i++ {
 		m := dst.Match(i)
-		publish := e.queries[m.Query].publish
+		publish := e.publish[m.Query]
 		if publish == "" {
 			continue
 		}

@@ -296,9 +296,6 @@ func TestOpenEngineRetainsOnlyWhenAsked(t *testing.T) {
 // fail with an error, never panic, and an engine that opens must take a
 // document and write a snapshot. Seeds: a snapshot in the current format, one
 // in the format that kept documents twice, and one with query-id gaps.
-// Inputs whose query ids run past 1<<16 are skipped: restoring them is
-// correct and costs one tombstone per skipped id, which is memory, not a
-// failure this target looks for.
 func FuzzOpenEngine(f *testing.F) {
 	cur := retainEngine(f)
 	for i := int64(1); i <= 20; i++ {
@@ -318,18 +315,6 @@ func FuzzOpenEngine(f *testing.F) {
 	f.Add(old)
 	f.Add([]byte(plainSnapshot))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ids struct {
-			Queries []struct {
-				ID int64 `json:"id"`
-			} `json:"queries"`
-		}
-		if json.Unmarshal(data, &ids) == nil {
-			for _, q := range ids.Queries {
-				if q.ID > 1<<16 {
-					t.Skip("query id past 1<<16")
-				}
-			}
-		}
 		e, err := OpenEngine(bytes.NewReader(data), Options{RetainDocuments: true})
 		if err != nil {
 			return

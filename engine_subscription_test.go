@@ -55,11 +55,11 @@ func subscribeAll(t *testing.T, eng *Engine, srcs []string) []QueryID {
 // 110 000 objects, source text included (with one xscl.Query per subscription
 // retained it was 20 MB and 300 000), and unsubscribing all of them must give
 // it back. The churn case replaces the oldest of 1 000 standing subscriptions
-// 20 000 times and must end within 10% of an engine that was handed the
-// surviving 1 000 under the same ids by OpenEngine — a fresh process with the
-// same one-word tombstones — so nothing but those grows with lifetime
-// registrations. Every measurement starts before the sources are generated:
-// the text counts, held by the engine alone when the heap is read.
+// 20 000 times and must end within 10% of a fresh engine that subscribed the
+// surviving 1 000 directly, and of one OpenEngine restored from its snapshot
+// under the same ids: no table keeps anything per lifetime registration.
+// Every measurement starts before the sources are generated: the text
+// counts, held by the engine alone when the heap is read.
 func TestSubscriptionHeapCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not fixed under the race detector")
@@ -127,14 +127,26 @@ func TestSubscriptionHeapCeiling(t *testing.T) {
 		}
 		b1, _ = liveHeap()
 		runtime.KeepAlive(&snap)
-		want := b1 - b0
-		t.Logf("%d subscriptions after %d replacements: %.2f MB; the same restored into a fresh engine: %.2f MB",
-			fresh.NumQueries(), rounds, float64(got)/1e6, float64(want)/1e6)
+		restored := b1 - b0
 		if fresh.NumQueries() != standing {
 			t.Fatalf("restored engine holds %d subscriptions, want %d", fresh.NumQueries(), standing)
 		}
-		if float64(got) > 1.10*float64(want) {
-			t.Errorf("live heap after churn is %d bytes, want within 10%% of a fresh engine's %d", got, want)
+
+		b0, _ = liveHeap()
+		direct := New(opts)
+		subscribeAll(t, direct, windowedRSSSources(2, standing+rounds)[rounds:])
+		b1, _ = liveHeap()
+		runtime.KeepAlive(direct)
+		want := b1 - b0
+		t.Logf("%d subscriptions after %d replacements: %.2f MB; restored into a fresh engine: %.2f MB; subscribed directly: %.2f MB",
+			standing, rounds, float64(got)/1e6, float64(restored)/1e6, float64(want)/1e6)
+		for _, w := range []struct {
+			name string
+			b    int64
+		}{{"a restored engine's", restored}, {"a fresh engine's", want}} {
+			if float64(got) > 1.10*float64(w.b) {
+				t.Errorf("live heap after churn is %d bytes, want within 10%% of %s %d", got, w.name, w.b)
+			}
 		}
 	})
 }

@@ -38,10 +38,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if len(p.patterns) != 0 || slices.ContainsFunc(p.byYID, func(pi *patternInfo) bool { return pi != nil }) {
 		t.Errorf("pattern registry not empty: %d by key, %v by Stage-1 id", len(p.patterns), p.byYID)
 	}
-	for qid, rec := range p.queries {
-		if rec != nil {
-			t.Errorf("query %d still registered", qid)
-		}
+	if len(p.queries) != 0 {
+		t.Errorf("%d queries still registered", len(p.queries))
 	}
 	if p.viewReaders != 0 {
 		t.Errorf("%d view-reading templates counted, want 0", p.viewReaders)

@@ -3,8 +3,10 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -49,14 +51,14 @@ type Processor struct {
 	xp   *yfilter.Engine
 	syms *symtab
 
-	// queries is indexed by QueryID; an Unregistered query leaves a nil
-	// slot so ids stay stable across churn. numQueries counts live slots.
-	// Tombstones cost one pointer per lifetime registration. What a live
-	// query keeps is its queryRec and instances — a row, never the parsed
-	// query (recBytes sums them).
-	queries    []*queryRec
-	numQueries int
-	recBytes   int64
+	// queries holds the live queries by id, and nextQuery is the id the
+	// next Register issues: ids are never reused, across a restore too
+	// (RaiseNextQueryID). A live query keeps its queryRec and instances,
+	// never the parsed query (recBytes sums them).
+	queries   map[QueryID]*queryRec
+	dropped   int // deletions from queries since it was last copied
+	nextQuery QueryID
+	recBytes  int64
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
@@ -244,6 +246,7 @@ func NewProcessor(cfg Config) *Processor {
 		cfg:       cfg,
 		xp:        yfilter.NewEngine(),
 		syms:      newSymtab(),
+		queries:   map[QueryID]*queryRec{},
 		templates: map[string]*Template{},
 		patterns:  map[string]*patternInfo{},
 		families:  map[int64][]*patternInfo{},
@@ -255,12 +258,9 @@ func NewProcessor(cfg Config) *Processor {
 // NumTemplates returns the number of distinct query templates registered.
 func (p *Processor) NumTemplates() int { return len(p.templateList) }
 
-// Templates returns the registered templates.
-func (p *Processor) Templates() []*Template { return p.templateList }
-
 // NumQueries returns the number of live (registered, not unregistered)
 // queries.
-func (p *Processor) NumQueries() int { return p.numQueries }
+func (p *Processor) NumQueries() int { return len(p.queries) }
 
 // Stats returns the accumulated phase timings and counts, with the gauges
 // read off the join state now.
@@ -286,7 +286,10 @@ func (p *Processor) State() *State { return p.state }
 // the same reclamation path Unregister uses, so a failed Register leaves the
 // processor exactly as it was.
 func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
-	qid := QueryID(len(p.queries))
+	qid := p.nextQuery
+	if qid == math.MaxInt64 {
+		return 0, errors.New("core: query ids exhausted")
+	}
 
 	rec := &queryRec{op: q.Op, windowKind: q.WindowKind, window: q.Window}
 	lf, rf := &p.reg.norm[0], &p.reg.norm[1]
@@ -297,7 +300,7 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		pi.singles = append(pi.singles, qid)
 		p.setDormant(pi, false)
 		rec.single = pi
-		p.addQuery(rec)
+		p.addQuery(qid, rec)
 		return qid, nil
 	}
 
@@ -326,14 +329,14 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 	}
 
 	p.noteWindow(rec)
-	p.addQuery(rec)
+	p.addQuery(qid, rec)
 	return qid, nil
 }
 
-// addQuery records a registered query under the next id.
-func (p *Processor) addQuery(rec *queryRec) {
-	p.queries = append(p.queries, rec)
-	p.numQueries++
+// addQuery records a registered query under qid, the next id.
+func (p *Processor) addQuery(qid QueryID, rec *queryRec) {
+	p.queries[qid] = rec
+	p.nextQuery = qid + 1
 	p.recBytes += rec.bytes()
 }
 
@@ -407,10 +410,10 @@ func (p *Processor) releaseWindow(rec *queryRec) bool {
 // Like Register, Unregister must not run concurrently with RunStage1 or
 // Consume (the engine facade serializes them).
 func (p *Processor) Unregister(qid QueryID) error {
-	if qid < 0 || int(qid) >= len(p.queries) || p.queries[qid] == nil {
+	rec := p.queries[qid]
+	if rec == nil {
 		return fmt.Errorf("core: unknown query id %d", qid)
 	}
-	rec := p.queries[qid]
 	if rec.single != nil {
 		pi := rec.single
 		pi.singles = removeFirst(pi.singles, qid)
@@ -426,8 +429,12 @@ func (p *Processor) Unregister(qid QueryID) error {
 			p.unregisterInstance(qid, inst)
 		}
 	}
-	p.queries[qid] = nil
-	p.numQueries--
+	delete(p.queries, qid)
+	if p.dropped++; p.dropped > len(p.queries) {
+		// A Go map keeps its buckets, and churn grows it over the slots
+		// deletions leave: a copy holds only the live queries.
+		p.queries, p.dropped = maps.Clone(p.queries), 0
+	}
 	p.recBytes -= rec.bytes()
 	// Re-derive the GC window maxima only when a maximum lost its last
 	// holder — a full scan per removal would make bulk drains quadratic
@@ -435,7 +442,7 @@ func (p *Processor) Unregister(qid QueryID) error {
 	if rec.op != xscl.OpNone && p.releaseWindow(rec) {
 		p.recomputeWindows()
 	}
-	if p.numQueries == 0 {
+	if len(p.queries) == 0 {
 		p.reclaimAll()
 	}
 	return nil
@@ -494,8 +501,8 @@ func (p *Processor) recomputeWindows() {
 	p.maxFiniteWindow, p.maxFiniteHolders = 0, 0
 	p.maxCountWindow, p.maxCountHolders = 0, 0
 	p.infWindows, p.anyInfWindow = 0, false
-	for _, rec := range p.queries {
-		if rec != nil && rec.op != xscl.OpNone {
+	for _, rec := range p.queries { //mmqjp:unordered noteWindow takes maxima and counts, which commute
+		if rec.op != xscl.OpNone {
 			p.noteWindow(rec)
 		}
 	}

@@ -84,30 +84,19 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 	out := StateSnapshot{NextSeq: s.nextSeq, MaxDoc: int64(s.maxDoc)}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
-		out.Docs = append(out.Docs, SnapDoc{ID: int64(r.id), TS: int64(r.ts), Seq: r.seq})
-	}
-	for _, slot := range s.order {
-		r := &s.recs[slot]
+		id := int64(r.id)
+		out.Docs = append(out.Docs, SnapDoc{ID: id, TS: int64(r.ts), Seq: r.seq})
 		for _, t := range r.bin {
-			out.Rbin = append(out.Rbin, SnapBin{
-				Doc: int64(r.id), Var1: varName(t[0]), Var2: varName(t[1]),
-				Node1: t[2], Node2: t[3],
-			})
+			out.Rbin = append(out.Rbin, SnapBin{Doc: id, Var1: varName(t[0]), Var2: varName(t[1]), Node1: t[2], Node2: t[3]})
 		}
-	}
-	for _, slot := range s.order {
-		r := &s.recs[slot]
 		for _, t := range r.rdoc {
 			// Value ids are the state's, so the snapshot carries the
 			// string: snapshot bytes are identical to what a string-keyed
 			// engine would write, and ids never escape to disk.
-			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: int64(r.id), Node: t[rdocNode], Str: s.value(int32(t[rdocStrVal]))})
+			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: id, Node: t[rdocNode], Str: s.value(int32(t[rdocStrVal]))})
 		}
-	}
-	for _, slot := range s.order {
-		r := &s.recs[slot]
 		for _, t := range r.root {
-			out.Rroot = append(out.Rroot, SnapRoot{Doc: int64(r.id), Var: varName(t[0]), Node: t[1]})
+			out.Rroot = append(out.Rroot, SnapRoot{Doc: id, Var: varName(t[0]), Node: t[1]})
 		}
 	}
 	return out
@@ -192,10 +181,17 @@ func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 // resume above it after a restore.
 func (p *Processor) MaxDocID() int64 { return int64(p.state.maxDoc) }
 
-// SkipQueryID burns one query id, leaving a permanent tombstone slot. A
-// restore uses it to re-register surviving queries at their original ids:
-// ids of queries unsubscribed before the snapshot are skipped, so every
-// surviving subscription keeps the id its owner holds.
-func (p *Processor) SkipQueryID() {
-	p.queries = append(p.queries, nil)
+// NextQueryID returns the id the next Register issues.
+func (p *Processor) NextQueryID() QueryID { return p.nextQuery }
+
+// RaiseNextQueryID makes next the id the next Register issues: a restore
+// raises it to each query's id before it re-registers the query, then to the
+// snapshot's counter. It refuses to go backwards, below an id already
+// issued, which refuses a negative, repeated or descending id.
+func (p *Processor) RaiseNextQueryID(next QueryID) error {
+	if next < p.nextQuery {
+		return fmt.Errorf("core: query id %d is below the next id %d", next, p.nextQuery)
+	}
+	p.nextQuery = next
+	return nil
 }

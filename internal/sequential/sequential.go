@@ -63,10 +63,10 @@ type queryPlan struct {
 // Processor is the sequential baseline engine.
 type Processor struct {
 	xp *yfilter.Engine
-	// queries is indexed by QueryID; Unregister leaves a nil slot so ids
-	// stay stable. numQueries counts live slots.
-	queries    []*queryPlan
-	numQueries int
+	// queries lists the live queries in id order; nextID is the id the next
+	// Register issues (ids are never reused).
+	queries []*queryPlan
+	nextID  QueryID
 	// plansByP refcounts, per distinct pattern, the live join-query block
 	// references; the witness store of a pattern whose count reaches zero
 	// is reclaimed.
@@ -97,7 +97,7 @@ func NewProcessor() *Processor {
 
 // NumQueries returns the number of live (registered, not unregistered)
 // queries.
-func (p *Processor) NumQueries() int { return p.numQueries }
+func (p *Processor) NumQueries() int { return len(p.queries) }
 
 // JoinTime returns the cumulative wall-clock time spent in per-query join
 // evaluation (the quantity the paper's figures report for Sequential).
@@ -116,13 +116,13 @@ func (p *Processor) ResetStats() { p.joinTime = 0; p.matches = 0; p.docs = 0 }
 
 // Register adds a query.
 func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
-	qid := QueryID(len(p.queries))
+	qid := p.nextID
+	p.nextID++
 	if q.Op == xscl.OpNone {
 		lp, _ := q.Left.NormalizedFullyBound()
 		p.queries = append(p.queries, &queryPlan{
 			id: qid, op: q.Op, left: p.xp.Register(lp), right: -1,
 		})
-		p.numQueries++
 		return qid, nil
 	}
 	lp, lmap := q.Left.NormalizedFullyBound()
@@ -139,7 +139,6 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 		plan.rightVJ = append(plan.rightVJ, int32(rmap[rn.Index]))
 	}
 	p.queries = append(p.queries, plan)
-	p.numQueries++
 	p.plansByP[plan.left]++
 	p.plansByP[plan.right]++
 	p.noteWindow(q.Window, q.WindowKind)
@@ -177,12 +176,12 @@ func (p *Processor) MustRegister(q *xscl.Query) QueryID {
 // survivors, and unregistering the last query empties the store entirely.
 // Query ids are never reused.
 func (p *Processor) Unregister(id QueryID) error {
-	if id < 0 || int(id) >= len(p.queries) || p.queries[id] == nil {
+	i, ok := slices.BinarySearchFunc(p.queries, id, func(pl *queryPlan, id QueryID) int { return cmp.Compare(pl.id, id) })
+	if !ok {
 		return fmt.Errorf("sequential: unknown query id %d", id)
 	}
-	plan := p.queries[id]
-	p.queries[id] = nil
-	p.numQueries--
+	plan := p.queries[i]
+	p.queries = slices.Delete(p.queries, i, i+1)
 	if plan.op != xscl.OpNone {
 		for _, pid := range []yfilter.PatternID{plan.left, plan.right} {
 			if p.plansByP[pid]--; p.plansByP[pid] == 0 {
@@ -193,7 +192,7 @@ func (p *Processor) Unregister(id QueryID) error {
 	}
 	p.maxFiniteWindow, p.maxCountWindow, p.anyInfWindow = 0, 0, false
 	for _, pl := range p.queries {
-		if pl != nil && pl.op != xscl.OpNone {
+		if pl.op != xscl.OpNone {
 			p.noteWindow(pl.window, pl.windowKind)
 		}
 	}
@@ -235,9 +234,6 @@ func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
 	var out []Match
 	t0 := time.Now()
 	for _, plan := range p.queries {
-		if plan == nil {
-			continue
-		}
 		if plan.op == xscl.OpNone {
 			for _, w := range witnessesOf(plan.left) {
 				out = append(out, Match{

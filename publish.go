@@ -290,7 +290,9 @@ func (e *Engine) appendMatches(dst []Match, ms *Matches) []Match {
 	out := slices.Grow(dst, ms.Len())
 	for i := range ms.Entries {
 		m := ms.Match(i)
-		m.Publish = e.queries[m.Query].publish
+		if len(e.publish) > 0 {
+			m.Publish = e.publish[m.Query]
+		}
 		out = append(out, m)
 	}
 	return out

@@ -8,8 +8,8 @@
 #
 # A second phase reruns the lifecycle with -snapshot-gzip: SUB/PUB/UNSUB over
 # the wire, SIGTERM into a gzipped snapshot (magic bytes checked), restart
-# without the flag (restores sniff the format), CLAIM, and a cross-restart
-# match.
+# without the flag (restores sniff the format), CLAIM, a cross-restart
+# match, and a SUB that gets the next id the first instance had not issued.
 #
 # Uses only bash (/dev/tcp for the line protocol) and curl.
 set -euo pipefail
@@ -156,11 +156,15 @@ grep -q '^mmqjp_queries 1$' <<<"$METRICS" || fail "subscription did not survive 
 OUT=$(send_lines \
   "CLAIM 0" \
   "PUB S 2 <b>k</b>" \
-  "STATS")
+  "STATS" \
+  "SUB S//e->x FOLLOWED BY{x=y, 1000} S//f->y")
 echo "$OUT"
 grep -q '^OK 0$' <<<"$OUT" || fail "CLAIM failed after the gzipped-snapshot restart: $OUT"
 grep -q '^MATCH 0 left=1@1 right=2@2$' <<<"$OUT" || fail "pre-restart join state lost across the gzipped snapshot: $OUT"
 # STATS is every statistic as name=value; counters restart with the process.
 grep -q '^OK sequential=false queries=1 templates=1 documents=1 matches=1 ' <<<"$OUT" || fail "STATS line: $OUT"
+# Ids 0 and 1 were issued before the restart, and 1 was unsubscribed: the
+# snapshot keeps the counter, so the next SUB gets 2, not 1 again.
+grep -q '^OK 2$' <<<"$OUT" || fail "SUB after the restart did not get the next unissued id 2: $OUT"
 
 echo "PASS: subscriptions and join state survived the gzipped-snapshot restart"

@@ -1,11 +1,12 @@
 package mmqjp
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -14,13 +15,13 @@ import (
 )
 
 // Durability: Snapshot serializes everything a restarted process needs to
-// resume every subscription with identical output — the subscription set
-// (query source text keyed by QueryID, with unsubscribed ids recorded as
-// gaps so surviving ids stay stable), the windowed join state (see
-// core.StateSnapshot for the consistency argument), the retained documents
-// the join state still holds, and the engine's id allocators. OpenEngine rebuilds an engine from it:
-// queries are re-registered from source in id order (gaps padded with
-// tombstones), then the join state is restored underneath them.
+// resume every subscription with identical output — the live subscriptions
+// (source text by QueryID, ids ascending), the next query and derived-document
+// ids, the windowed join state (see core.StateSnapshot for the consistency
+// argument) and the retained documents the join state still holds.
+// OpenEngine re-registers each query under its id, raises the query-id
+// counter to next_query (a snapshot without it resumes after its last id),
+// so no id is issued twice, and restores the join state underneath.
 //
 // The snapshot is taken under the lock every document's Stage 2 holds: every
 // document consumed before it is fully merged and no later document has
@@ -54,6 +55,7 @@ type engineSnapshot struct {
 	Version int    `json:"version"`
 
 	Queries         []snapQuery        `json:"queries,omitempty"`
+	NextQuery       *int64             `json:"next_query,omitempty"`
 	NextDerived     int64              `json:"next_derived"`
 	DroppedCascades int64              `json:"dropped_cascades,omitempty"`
 	Docs            []snapRetained     `json:"docs,omitempty"`
@@ -67,7 +69,8 @@ type engineSnapshot struct {
 }
 
 // Snapshot writes a consistent snapshot of the engine — subscriptions, join
-// state, retained documents, id allocators — to w as JSON. It runs under the
+// state, retained documents, the next query and derived-document ids — to w
+// as JSON. It runs under the
 // engine's writer lock, between two documents' Stage 2, so it is an exact
 // prefix of the serial document order; a publish whose Stage 1 is in flight
 // lands after it. Returns ErrSequentialSnapshot in sequential mode.
@@ -84,19 +87,19 @@ func (e *Engine) Snapshot(w io.Writer) error {
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) snapshot(w io.Writer) error {
+	next := int64(e.proc.NextQueryID())
 	snap := engineSnapshot{
 		Format:          snapshotFormat,
 		Version:         snapshotVersion,
+		NextQuery:       &next,
 		NextDerived:     e.nextDerived,
 		DroppedCascades: e.droppedCascades,
 		State:           e.proc.ExportState(),
 	}
-	for id, q := range e.queries {
-		if q == nil {
-			continue
-		}
-		snap.Queries = append(snap.Queries, snapQuery{ID: int64(id), Source: q.source})
+	for id, src := range e.queries { //mmqjp:unordered sorted below
+		snap.Queries = append(snap.Queries, snapQuery{ID: int64(id), Source: src})
 	}
+	slices.SortFunc(snap.Queries, func(a, b snapQuery) int { return cmp.Compare(a.ID, b.ID) })
 	// The documents the state holds, in its arrival order: the ones that
 	// already left are dropped at the next publish call anyway.
 	for _, sd := range snap.State.Docs {
@@ -113,8 +116,10 @@ func (e *Engine) snapshot(w io.Writer) error {
 // processor kind (among the shared-join kinds) is output-invisible — except
 // that
 // ProcessorSequential cannot host a snapshot. Every subscription resumes
-// under its original QueryID, and publishing the stream suffix produces
-// exactly the matches the original engine would have produced. The
+// under its original QueryID, the next Subscribe gets the id the original
+// engine's would have, and publishing the stream suffix produces exactly the
+// matches the original engine would have produced. Query ids must ascend,
+// and next_query must lie above the last of them. The
 // documents the snapshot carries are kept for OutputXML only when opts
 // retains documents. A snapshot
 // written by a routed engine (Options.Partitions > 1 in releases that had
@@ -142,27 +147,23 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 			snap.Partitions, len(snap.PartStates))
 	}
 	e := New(opts)
-	sort.Slice(snap.Queries, func(i, j int) bool { return snap.Queries[i].ID < snap.Queries[j].ID })
 	for _, sq := range snap.Queries {
-		if sq.ID < int64(len(e.queries)) {
-			return nil, fmt.Errorf("mmqjp: snapshot query id %d out of order", sq.ID)
-		}
-		for int64(len(e.queries)) < sq.ID {
-			// An id unsubscribed before the snapshot: burn it so surviving
-			// subscriptions land on their original ids.
-			e.proc.SkipQueryID()
-			e.queries = append(e.queries, nil)
+		// The counter only rises: a negative, repeated or descending id is
+		// refused.
+		if err := e.proc.RaiseNextQueryID(core.QueryID(sq.ID)); err != nil {
+			return nil, fmt.Errorf("mmqjp: restore query %d: %w", sq.ID, err)
 		}
 		q, err := xscl.Parse(sq.Source)
 		if err != nil {
 			return nil, fmt.Errorf("mmqjp: restore query %d: %w", sq.ID, err)
 		}
-		id, err := e.subscribe(q)
-		if err != nil {
+		if _, err := e.subscribe(q); err != nil {
 			return nil, fmt.Errorf("mmqjp: restore query %d: %w", sq.ID, err)
 		}
-		if int64(id) != sq.ID {
-			return nil, fmt.Errorf("mmqjp: restore query %d landed on id %d", sq.ID, id)
+	}
+	if snap.NextQuery != nil {
+		if err := e.proc.RaiseNextQueryID(core.QueryID(*snap.NextQuery)); err != nil {
+			return nil, fmt.Errorf("mmqjp: snapshot next_query %d: %w", *snap.NextQuery, err)
 		}
 	}
 	if err := e.proc.RestoreState(snap.State); err != nil {

@@ -108,9 +108,6 @@ func NewFileStore(path string, opts ...StoreOption) *FileStore {
 	return s
 }
 
-// Path returns the snapshot file's path.
-func (s *FileStore) Path() string { return s.path }
-
 // Save writes the snapshot to a temporary file beside the store's path,
 // renames it over the path and syncs the directory, so the rename itself
 // survives a crash. The temporary file is created in the path's own
@@ -193,37 +190,21 @@ func (s *FileStore) Open() (io.ReadCloser, error) {
 			f.Close()
 			return nil, fmt.Errorf("mmqjp: snapshot store: %w", err)
 		}
-		return &gzipReadCloser{zr: zr, f: f}, nil
+		// Closing checks the gzip stream as far as it was read, and closes
+		// the file.
+		return readCloser{zr, func() error { return errors.Join(zr.Close(), f.Close()) }}, nil
 	}
 	// A snapshot shorter than two bytes is not valid JSON either; let the
-	// decoder report that rather than masking the Peek error here.
-	return &bufReadCloser{br: br, f: f}, nil
+	// decoder report that rather than masking the Peek error here. The
+	// sniffing reader holds the peeked bytes, so it stays in front of the
+	// file.
+	return readCloser{br, f.Close}, nil
 }
 
-// gzipReadCloser closes both the gzip stream (verifying its checksum was
-// intact as far as it was read) and the underlying file.
-type gzipReadCloser struct {
-	zr *gzip.Reader
-	f  *os.File
+// readCloser reads through the reader Open put in front of the file.
+type readCloser struct {
+	io.Reader
+	close func() error
 }
 
-func (g *gzipReadCloser) Read(p []byte) (int, error) { return g.zr.Read(p) }
-
-func (g *gzipReadCloser) Close() error {
-	zerr := g.zr.Close()
-	ferr := g.f.Close()
-	if zerr != nil {
-		return zerr
-	}
-	return ferr
-}
-
-// bufReadCloser keeps the sniffing bufio.Reader (which holds the peeked
-// bytes) in front of the file.
-type bufReadCloser struct {
-	br *bufio.Reader
-	f  *os.File
-}
-
-func (b *bufReadCloser) Read(p []byte) (int, error) { return b.br.Read(p) }
-func (b *bufReadCloser) Close() error               { return b.f.Close() }
+func (r readCloser) Close() error { return r.close() }
