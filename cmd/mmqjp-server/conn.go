@@ -134,6 +134,16 @@ type client struct {
 	// line assembles a request line longer than the read buffer
 	// (client.readLine). Only the handler touches it.
 	line []byte
+
+	// owned lists the queries the connection took at SUB and CLAIM, so its
+	// disconnect visits only them. An UNSUB leaves its id behind (stale
+	// counts those) until they are a quarter of the list, when
+	// server.compactOwned drops them: 8 bytes per owned query, where a
+	// map took 35.
+	//mmqjp:guardedby s.mu
+	owned []mmqjp.QueryID
+	//mmqjp:guardedby s.mu
+	stale int
 }
 
 // newClient wraps an accepted connection.

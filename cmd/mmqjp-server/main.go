@@ -97,6 +97,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -464,6 +465,7 @@ func (s *server) handleSub(c *client, src string) {
 	id, err := s.eng.Subscribe(src)
 	if err == nil {
 		s.owners.set(id, c)
+		c.owned = append(c.owned, id)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -492,6 +494,9 @@ func (s *server) handleClaim(c *client, rest string) {
 	case o.c != nil && o.c != c:
 		err = fmt.Errorf("query %d belongs to another connection", qid)
 	default:
+		if o.c != c {
+			c.owned = append(c.owned, qid)
+		}
 		s.owners.set(qid, c)
 	}
 	s.mu.Unlock()
@@ -526,6 +531,9 @@ func (s *server) handleUnsub(c *client, rest string) {
 		err = s.eng.Unsubscribe(qid)
 		if err == nil {
 			s.owners.remove(qid)
+			if c.stale++; 4*c.stale > len(c.owned) {
+				s.compactOwned(c)
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -536,19 +544,19 @@ func (s *server) handleUnsub(c *client, rest string) {
 	c.enqueue(okReply(int64(qid)))
 }
 
-// dropClient releases every query owned by a disconnecting client: in
-// durable mode the queries are orphaned (kept alive in the engine, matches
-// undelivered until a CLAIM re-attaches them); otherwise they are
-// unsubscribed. Lock order matches handleSub/handleUnsub: s.mu is taken
-// first, the engine lock inside it.
+// dropClient releases every query owned by a disconnecting client, in id
+// order, visiting only those (client.owned): in durable mode the queries
+// are orphaned (kept alive in the engine, matches undelivered until a CLAIM
+// re-attaches them); otherwise they are unsubscribed. Lock order matches
+// handleSub/handleUnsub: s.mu is taken first, the engine lock inside it.
 func (s *server) dropClient(c *client) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.owners.rows {
-		if s.owners.rows[i].c != c {
-			continue
-		}
-		qid := mmqjp.QueryID(i)
+	s.compactOwned(c)
+	ids := c.owned
+	slices.Sort(ids) // a CLAIM appends out of order
+	c.owned = nil
+	for _, qid := range ids {
 		if s.durable {
 			s.owners.set(qid, nil)
 			continue
@@ -558,6 +566,20 @@ func (s *server) dropClient(c *client) {
 		}
 		s.owners.remove(qid)
 	}
+}
+
+// compactOwned drops from c's list the ids it no longer owns: those it
+// unsubscribed.
+//
+//mmqjp:guardedby s.mu
+func (s *server) compactOwned(c *client) {
+	kept := c.owned[:0]
+	for _, qid := range c.owned {
+		if o, ok := s.owners.get(qid); ok && o.c == c {
+			kept = append(kept, qid)
+		}
+	}
+	c.owned, c.stale = kept, 0
 }
 
 // handlePub publishes `<stream> <ts> <xml>`, rest, where the read left it:

@@ -738,6 +738,85 @@ func TestServerUnsub(t *testing.T) {
 	}
 }
 
+// TestServerDisconnectDropsOwnQueries gives two connections interleaved
+// query ids — one of them unsubscribed by its owner, one claimed again by
+// its owner — and drops one connection: exactly the queries it still owns are
+// unsubscribed, or in durable mode orphaned (alive in the engine, no owner
+// in the table); the other connection's stay live and owned.
+func TestServerDisconnectDropsOwnQueries(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			s := &server{durable: durable, store: &mmqjp.MemStore{}}
+			if _, err := s.initEngine(s.engineOptions()); err != nil {
+				t.Fatal(err)
+			}
+			addr := serveOn(t, s)
+			a, b := dialTest(t, addr), dialTest(t, addr)
+			for i := range 6 {
+				c := a
+				if i%2 == 1 {
+					c = b
+				}
+				c.sendLine(t, fmt.Sprintf("SUB S//a->x FOLLOWED BY{x=y, %d} S//b->y", 100+i))
+				if got, want := c.readLine(t), fmt.Sprintf("OK %d", i); got != want {
+					t.Fatalf("SUB %d -> %q, want %q", i, got, want)
+				}
+			}
+			a.sendLine(t, "UNSUB 2")
+			if got := a.readLine(t); got != "OK 2" {
+				t.Fatalf("UNSUB 2 -> %q", got)
+			}
+			// A CLAIM of a query the connection owns already is an
+			// idempotent OK.
+			b.sendLine(t, "CLAIM 3")
+			if got := b.readLine(t); got != "OK 3" {
+				t.Fatalf("CLAIM 3 -> %q", got)
+			}
+			a.conn.Close()
+
+			// The drop is asynchronous to the close: poll until a's
+			// queries 0 and 4 have left their owner.
+			gone := func(qid mmqjp.QueryID) bool {
+				o, ok := s.owners.get(qid)
+				if durable {
+					return ok && o.c == nil && s.eng.Query(qid) != ""
+				}
+				return !ok && s.eng.Query(qid) == ""
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				s.mu.RLock()
+				done := gone(0) && gone(4)
+				s.mu.RUnlock()
+				if done {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the disconnected connection's queries were never released")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			for _, qid := range []mmqjp.QueryID{1, 3, 5} {
+				if o, ok := s.owners.get(qid); !ok || o.c == nil || s.eng.Query(qid) == "" {
+					t.Errorf("query %d of the live connection: owned %v, in the engine %v", qid, ok && o.c != nil, s.eng.Query(qid) != "")
+				}
+			}
+			if _, ok := s.owners.get(2); ok || s.eng.Query(2) != "" {
+				t.Errorf("query 2, unsubscribed before the drop, is back")
+			}
+			want := 3
+			if durable {
+				want = 5
+			}
+			if n := s.eng.Stats().Queries; n != want {
+				t.Errorf("%d live queries, want %d", n, want)
+			}
+		})
+	}
+}
+
 func TestServerDisconnectUnsubscribes(t *testing.T) {
 	addr := startTestServer(t)
 	a := dialTest(t, addr)

@@ -403,12 +403,13 @@ func (e *Engine) consume(dst *Matches, stream string, d *Document, r *core.Stage
 }
 
 // deliver appends a document's result to dst in compact form: one frame per
-// source of the processor's merge (core.Matches.Sources), then one entry per
-// match in canonical order, a stretch of one source at a time. This is the
-// one place the processor's result is read: its view is only valid until it
-// consumes its next document or its registrations change, so consume calls
-// deliver before anything else — the cascade included — and under the
-// registration lock's read side.
+// run of the processor's result and one for its singles
+// (core.Matches.Sources), then one entry per match in canonical order, a
+// stretch at a time: a window class's queries times its runs, query-major,
+// or single-block matches. This is the one place the processor's result is
+// read: its view is only valid until it consumes its next document or its
+// registrations change, so consume calls deliver before anything else —
+// the cascade included — and under the registration lock's read side.
 //
 //mmqjp:guardedby e.mu
 func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
@@ -421,20 +422,22 @@ func (e *Engine) deliver(dst *Matches, ms *core.Matches) {
 		})
 	}
 	out := slices.Grow(dst.Entries, ms.Len())
+	singlesFrame := base + int32(ms.Sources()) - 1
 	ms.Start()
 	for {
-		src, qids, singles, ok := ms.Stretch()
+		qids, srcs, singles, ok := ms.Stretch()
 		if !ok {
 			break
 		}
-		f := base + int32(src)
 		for i := range singles {
 			m := &singles[i]
-			out = append(out, MatchEntry{Query: QueryID(m.Query), Frame: f, leftRoot: m.LeftRoot, rightRoot: m.RightRoot})
+			out = append(out, MatchEntry{Query: QueryID(m.Query), Frame: singlesFrame, leftRoot: m.LeftRoot, rightRoot: m.RightRoot})
 		}
-		key := ms.Frame(src)
 		for _, q := range qids {
-			out = append(out, MatchEntry{Query: QueryID(q), Frame: f, leftRoot: key.LeftRoot, rightRoot: key.RightRoot})
+			for _, src := range srcs {
+				key := ms.Frame(int(src))
+				out = append(out, MatchEntry{Query: QueryID(q), Frame: base + src, leftRoot: key.LeftRoot, rightRoot: key.RightRoot})
+			}
 		}
 	}
 	dst.Entries = out

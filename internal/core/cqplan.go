@@ -278,10 +278,13 @@ type windowKey struct {
 
 // windowClass is a vector group's instances with one window key: their
 // query ids, ascending. No query has two instances with one key in one
-// group, since a JOIN's second instance is the swapped one.
+// group, since a JOIN's second instance is the swapped one. result is
+// Stage 2's: where the class was last listed in a document's
+// Matches.classes (emitClass).
 type windowClass struct {
-	key  windowKey
-	qids []QueryID
+	key    windowKey
+	qids   []QueryID
+	result int32
 }
 
 // class returns g's class with key k, nil when there is none.
@@ -548,7 +551,8 @@ func (ex *cqExec) emit(g *vecGroup) {
 
 // emitClass writes class c's run when it passes the window, carving the
 // frame's bindings unless an earlier class of the frame did, and returns
-// them.
+// them. The class's first run of the document lists it in the result, so
+// the walk takes its frames as one source.
 func (ex *cqExec) emitClass(c *windowClass, bindings []xmldoc.NodeID) []xmldoc.NodeID {
 	p, t, f := ex.p, ex.prog.t, ex.frame
 	prev := &p.state.recs[f[slotDoc]]
@@ -565,9 +569,15 @@ func (ex *cqExec) emitClass(c *windowClass, bindings []xmldoc.NodeID) []xmldoc.N
 			bindings[i] = xmldoc.NodeID(f[t.nSlot(i)])
 		}
 	}
+	// The entry at c.result is this document's listing of c exactly when
+	// it holds c's ids: no two live classes share an ids array.
+	if cs := p.result.classes; int(c.result) >= len(cs) || &cs[c.result].qids[0] != &c.qids[0] {
+		c.result = int32(len(cs))
+		p.result.classes = append(cs, runClass{qids: c.qids})
+	}
 	runs := slices.Grow(p.result.runs, 1)[:len(p.result.runs)+1]
 	run := &runs[len(runs)-1]
-	run.qids = c.qids
+	run.class = c.result
 	orientKey(&run.key, t, c.key.swapped, prev.id, prev.ts, bindings, ex.d)
 	p.result.runs = runs
 	return bindings

@@ -583,6 +583,60 @@ func TestMatchRunsPerMatch(t *testing.T) {
 	}
 }
 
+// TestMatchWalkStepsPerClass bounds the result walk's heap steps (Stretch
+// calls) per document on the feed shape of TestMatchRunsPerMatch, windowed
+// as the benchmark's rss_window and unbounded as Figure 16. A document's
+// runs there are mostly frames of one window class, sharing its ~160 query
+// ids, and the walk hands out a range of the class's queries times all of
+// its frames in one step: 1.91 and 7.38 steps per document, bounded at 1.25
+// times that. A walk whose unit is the run switches source at every query
+// of such a document instead, and fails both bounds by far: 108 and 431
+// steps per document here, ≈ 129 on the benchmark's rss_window stream.
+func TestMatchWalkStepsPerClass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one worker, no second goroutine: the race detector has nothing to see here and takes ten times as long")
+	}
+	rss := workload.DefaultRSS()
+	stream := rss.Stream(rand.New(rand.NewSource(8)), 2600)
+	for _, tc := range []struct {
+		name   string
+		window int64 // 0 keeps the generator's unbounded window
+		bound  float64
+	}{
+		{"windowed", 500, 2.4},
+		{"figure 16", 0, 9.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProcessor(Config{})
+			for _, q := range rss.Queries(rand.New(rand.NewSource(1)), 10000) {
+				if tc.window > 0 {
+					q.Window = tc.window
+				}
+				p.MustRegister(q)
+			}
+			steps, runs, matches := 0, 0, 0
+			for _, d := range stream {
+				ms := p.Consume(p.RunStage1("S", d))
+				ms.Start()
+				for {
+					if _, _, _, ok := ms.Stretch(); !ok {
+						break
+					}
+					steps++
+				}
+				runs += len(ms.runs)
+				matches += ms.Len()
+			}
+			perDoc := float64(steps) / float64(len(stream))
+			t.Logf("%d steps, %d runs, %d matches over %d documents: %.2f steps per document",
+				steps, runs, matches, len(stream), perDoc)
+			if matches == 0 || perDoc > tc.bound {
+				t.Errorf("%.2f steps per document, want <= %.2f", perDoc, tc.bound)
+			}
+		})
+	}
+}
+
 // TestViewsOnlyForViewReaders pins that Stage 2 builds the views RL and RR
 // only while a live template reads them. The deep-feed joins compile to one
 // side-root template, which reads the value-join pairs only: no view is

@@ -35,6 +35,14 @@ var (
 	matchDomains = []matchDomain{fewValues, windowValues, queryValues, anyValues, edgeValues}
 )
 
+// testRun is a Stage-2 run as randomResult builds it: its window class's
+// query ids — one slice shared by every run of the class, as Stage 2's runs
+// alias their windowClass — and the frame's key.
+type testRun struct {
+	qids []QueryID
+	key  Match
+}
+
 // randomResult builds one document's result as the collector receives it:
 // up to nRuns Stage-2 runs and up to nSingles single-block matches, with the
 // query ids drawn from queries and the documents of the runs' keys from
@@ -43,10 +51,15 @@ var (
 // key ties at random with others further down the order: JOIN self-matches
 // (right document = left), keys differing only in roots, template or the
 // binding vector, and, when dups is set, keys identical to an earlier run's
-// and one query in about half the runs. The singles all name one document
-// and tie on (query, root), and repeat exactly when dups is set. It returns
-// the runs, the singles and every match they stand for.
-func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain, dups bool) (runs []matchRun, singles []Match, all []Match) {
+// and one query in about half the runs. When dups is set, runs also share
+// window classes: a run may be another frame of an earlier run's class (its
+// very qids slice), the whole result may be frames of one class (the shape
+// of rss_window), and a run may start a twin of an earlier class — equal
+// ids in a slice of its own, the key the earlier one's swapped, as a JOIN's
+// two orientations are. The singles all name one document and tie on
+// (query, root), and repeat exactly when dups is set. It returns the runs,
+// the singles and every match they stand for.
+func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain, dups bool) (runs []testRun, singles []Match, all []Match) {
 	tmpls := []*Template{{Sig: "A", N: 3}, {Sig: "B", N: 3}}
 	single := func(q int64) bool { return uint64(q)%3 == 0 }
 	joinQuery := func() (QueryID, bool) {
@@ -58,6 +71,7 @@ func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain
 		return 0, false
 	}
 	hot, hasHot := joinQuery()
+	oneClass := dups && rng.Intn(4) == 0
 	for i := 0; i < nRuns; i++ {
 		var key Match
 		if dups && len(runs) > 0 && rng.Intn(5) == 0 {
@@ -76,19 +90,40 @@ func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain
 			key.Bindings = []xmldoc.NodeID{key.LeftRoot, key.RightRoot, xmldoc.NodeID(rng.Intn(2))}
 		}
 		var qids []QueryID
-		for k := 1 + rng.Intn(6); k > 0; k-- {
-			if q, ok := joinQuery(); ok {
-				qids = append(qids, q)
+		pick := 3
+		if dups && len(runs) > 0 {
+			if pick = rng.Intn(8); oneClass {
+				pick = 0
 			}
 		}
-		if dups && hasHot && rng.Intn(2) == 0 {
-			qids = append(qids, hot)
+		switch {
+		case pick < 2: // another frame of an earlier run's class
+			qids = runs[rng.Intn(len(runs))].qids
+			if oneClass {
+				qids = runs[0].qids
+			}
+		case pick == 2: // a twin class: the same ids, the other orientation
+			twin := runs[rng.Intn(len(runs))]
+			qids = slices.Clone(twin.qids)
+			key = twin.key
+			key.LeftDoc, key.RightDoc = key.RightDoc, key.LeftDoc
+			key.LeftTS, key.RightTS = key.RightTS, key.LeftTS
+			key.LeftRoot, key.RightRoot = key.RightRoot, key.LeftRoot
+		default:
+			for k := 1 + rng.Intn(6); k > 0; k-- {
+				if q, ok := joinQuery(); ok {
+					qids = append(qids, q)
+				}
+			}
+			if dups && hasHot && rng.Intn(2) == 0 {
+				qids = append(qids, hot)
+			}
+			slices.Sort(qids)
+			if qids = slices.Compact(qids); len(qids) == 0 {
+				continue
+			}
 		}
-		slices.Sort(qids)
-		if qids = slices.Compact(qids); len(qids) == 0 {
-			continue
-		}
-		runs = append(runs, matchRun{qids: qids, key: key})
+		runs = append(runs, testRun{qids: qids, key: key})
 		for _, q := range qids {
 			m := key
 			m.Query = q
@@ -118,13 +153,43 @@ func randomResult(rng *rand.Rand, nRuns, nSingles int, queries, docs matchDomain
 	return runs, singles, all
 }
 
+// classShapes reports the class sharing among runs: how many runs are a
+// further frame of an earlier run's class, and how many classes are a twin —
+// equal ids in a slice of their own — of an earlier class.
+func classShapes(runs []testRun) (frames, twins int) {
+	var seen [][]QueryID
+	for _, r := range runs {
+		switch {
+		case slices.ContainsFunc(seen, func(c []QueryID) bool { return &c[0] == &r.qids[0] }):
+			frames++
+		case slices.ContainsFunc(seen, func(c []QueryID) bool { return slices.Equal(c, r.qids) }):
+			twins++
+			seen = append(seen, r.qids)
+		default:
+			seen = append(seen, r.qids)
+		}
+	}
+	return frames, twins
+}
+
 // mergedOrder is what the collector hands out for runs and singles: the
-// sources sorted and merged, read back as a slice. ms carries its buffers
-// between calls, as the processor's result does between documents; runs and
-// singles are copied, since the collector sorts them in place.
-func mergedOrder(ms *Matches, runs []matchRun, singles []Match) []Match {
+// sources sorted and merged, read back as a slice. The runs are listed by
+// class as emitClass lists them, a class being the runs that share one qids
+// slice. ms carries its buffers between calls, as the processor's result
+// does between documents; singles are copied, since the collector sorts
+// them in place.
+func mergedOrder(ms *Matches, runs []testRun, singles []Match) []Match {
 	ms.reset()
-	ms.runs = append(ms.runs, runs...)
+	classOf := map[*QueryID]int32{}
+	for _, r := range runs {
+		c, ok := classOf[&r.qids[0]]
+		if !ok {
+			c = int32(len(ms.classes))
+			classOf[&r.qids[0]] = c
+			ms.classes = append(ms.classes, runClass{qids: r.qids})
+		}
+		ms.runs = append(ms.runs, matchRun{class: c, key: r.key})
+	}
 	return ms.collect(slices.Clone(singles)).Slice()
 }
 
@@ -140,23 +205,31 @@ func sortedCopy(all []Match) []Match {
 }
 
 // TestKeyedOrderEqualsSortMatches holds the collector's order — the runs
-// sorted by key and the singles by (query, root), merged on (query, source)
-// — to the canonical order, the flattened matches themselves sorted under
-// matchCmp (sortMatches). The random results are built to tie (a handful of
-// queries and documents, identical keys, one query in many runs, duplicate
+// sorted by key and listed by window class, the singles by (query, root),
+// merged on (query, run) — to the canonical order, the flattened matches
+// themselves sorted under matchCmp (sortMatches). The random results are
+// built to tie (a handful of queries and documents, identical keys, one
+// query in many runs, several frames of one class, twin classes, duplicate
 // singles), so the merge meets one query in several sources on every round,
 // then spread over the other domains: the benchmark's shape and every byte
 // and sign of both fields. Zero runs and one run are rounds of their own.
 func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var ms Matches
-	shared := 0
+	shared, frameRounds, twinRounds := 0, 0, 0
 	for round := 0; round < 300; round++ {
 		nRuns := rng.Intn(20)
 		if round%10 == 0 {
 			nRuns = round / 10 % 2
 		}
 		runs, singles, all := randomResult(rng, nRuns, rng.Intn(20), fewValues, fewValues, true)
+		frames, twins := classShapes(runs)
+		if frames > 0 {
+			frameRounds++
+		}
+		if twins > 0 {
+			twinRounds++
+		}
 		want := sortedCopy(all)
 		for i := 1; i < len(want); i++ {
 			if want[i].Query == want[i-1].Query && want[i].Template != nil {
@@ -169,6 +242,9 @@ func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 	}
 	if shared < 1000 {
 		t.Errorf("only %d adjacent matches of one query came from runs: the results do not exercise the merge", shared)
+	}
+	if frameRounds < 100 || twinRounds < 50 {
+		t.Errorf("%d rounds with several frames of one class, %d with twin classes: the results do not exercise the class walk", frameRounds, twinRounds)
 	}
 	for qi, queries := range matchDomains {
 		for di, docs := range matchDomains {
@@ -185,7 +261,8 @@ func TestKeyedOrderEqualsSortMatches(t *testing.T) {
 // over results of 0–1 000 runs and 0–1 000 singles: the fuzzer picks the
 // seed, the sizes, the domains of the query ids and of the documents (few
 // values, a window above 2^32, every byte and sign, the extremes) and
-// whether identical keys, a query in many runs and duplicate singles occur.
+// whether identical keys, a query in many runs, runs sharing a window class
+// and duplicate singles occur.
 // Every result is read twice through one Matches, so what the first walk
 // left behind (the heap, the runs' keys) must not leak into the next.
 func FuzzMatchOrder(f *testing.F) {
@@ -194,6 +271,12 @@ func FuzzMatchOrder(f *testing.F) {
 	f.Add(int64(3), uint16(5000), uint8(0x33))
 	f.Add(int64(4), uint16(700), uint8(0x44))
 	f.Add(int64(5), uint16(1), uint8(0x24))
+	// Three frames of one window class, benchmark-sized query ids: the
+	// shape of rss_window.
+	f.Add(int64(8), uint16(3), uint8(0x12))
+	// Twelve runs, two classes twins of earlier ones: equal ids, as a
+	// JOIN's two orientations.
+	f.Add(int64(9), uint16(12), uint8(0x12))
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		queries := matchDomains[int(shape&0x0f)%len(matchDomains)]
@@ -302,5 +385,80 @@ func TestMatchesOwnedByCaller(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// walkEntry is a match as BenchmarkMatchWalk expands it: the shape of the
+// engine facade's compact entry.
+type walkEntry struct {
+	q                   QueryID
+	frame               int32
+	leftRoot, rightRoot xmldoc.NodeID
+}
+
+// BenchmarkMatchWalk times the result walk — Start, then Stretch until done,
+// each stretch expanded into a reused buffer as the engine facade expands it
+// — over one recorded result, and reports ns per match. "one class" is
+// rss_window's costly shape: three frames of one window class of 161
+// queries. "paper scale" is the first document of paperScaleSlice whose
+// result has four runs, kept as Stage 2 left it.
+func BenchmarkMatchWalk(b *testing.B) {
+	oneClass := func() *Matches {
+		var ms Matches
+		qids := make([]QueryID, 161)
+		for i := range qids {
+			qids[i] = QueryID(7 + 61*i)
+		}
+		ms.classes = append(ms.classes, runClass{qids: qids})
+		for f := range 3 {
+			ms.runs = append(ms.runs, matchRun{key: Match{LeftDoc: xmldoc.DocID(100 + f), RightDoc: 600}})
+		}
+		return ms.collect(nil)
+	}
+	paperScale := func() *Matches {
+		p, docs := paperScaleSlice(600)
+		for _, d := range docs {
+			if ms := p.Consume(p.RunStage1("S", d)); len(ms.runs) == 4 {
+				return ms
+			}
+		}
+		b.Fatal("no paper_scale document with four runs")
+		return nil
+	}
+	for _, shape := range []struct {
+		name string
+		ms   func() *Matches
+	}{{"one class", oneClass}, {"paper scale", paperScale}} {
+		b.Run(shape.name, func(b *testing.B) {
+			ms := shape.ms()
+			out := make([]walkEntry, 0, ms.Len())
+			singlesFrame := int32(ms.Sources() - 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out = out[:0]
+				ms.Start()
+				for {
+					qids, srcs, singles, ok := ms.Stretch()
+					if !ok {
+						break
+					}
+					for j := range singles {
+						m := &singles[j]
+						out = append(out, walkEntry{m.Query, singlesFrame, m.LeftRoot, m.RightRoot})
+					}
+					for _, q := range qids {
+						for _, src := range srcs {
+							key := ms.Frame(int(src))
+							out = append(out, walkEntry{q, src, key.LeftRoot, key.RightRoot})
+						}
+					}
+				}
+			}
+			if len(out) != ms.Len() {
+				b.Fatalf("walked %d matches of %d", len(out), ms.Len())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ms.Len()), "ns/match")
+		})
 	}
 }

@@ -590,11 +590,11 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 				return nil
 			}
 		}
-		tmpl.classes[i] = append(tmpl.classes[i], windowClass{key, []QueryID{qid}})
+		tmpl.classes[i] = append(tmpl.classes[i], windowClass{key: key, qids: []QueryID{qid}})
 		return nil
 	}
 	tmpl.groups = append(tmpl.groups, vars)
-	tmpl.classes = append(tmpl.classes, []windowClass{{key, []QueryID{qid}}})
+	tmpl.classes = append(tmpl.classes, []windowClass{{key: key, qids: []QueryID{qid}}})
 	return nil
 }
 

@@ -13,9 +13,9 @@ import (
 // — the join state, the current document's record, the per-document views
 // (stage2Shared), the head index and the templates' compiled programs and
 // vector groups — writing one run per frame and passing window class into
-// the processor's result. The result is read as a merge of the sorted runs
-// and the sorted single-block matches (Matches), and is written once, by
-// whoever reads it.
+// the processor's result. The result is read as a merge of the window
+// classes, each with its runs, and the sorted single-block matches
+// (Matches), and is written once, by whoever reads it.
 
 // evalTemplates evaluates the live templates against the document, the
 // per-template tail of Algorithm 4: the head join for the headed templates,
@@ -66,8 +66,8 @@ func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
 }
 
 // collect completes the document's result from the runs Stage 2 wrote and
-// the single-block matches: each sorted, ready to be merged by whoever reads
-// them.
+// the single-block matches: each sorted, and the runs listed by window
+// class, ready to be merged by whoever reads them.
 func (ms *Matches) collect(singles []Match) *Matches {
 	slices.SortFunc(ms.runs, func(a, b matchRun) int { return keyCmp(&a.key, &b.key) })
 	slices.SortFunc(singles, func(a, b Match) int {
@@ -78,50 +78,90 @@ func (ms *Matches) collect(singles []Match) *Matches {
 	})
 	ms.singles = singles
 	ms.n = len(singles)
+	// Each class's runs, in the runs' order: a counting sort by class.
+	order := slices.Grow(ms.order[:0], len(ms.runs))[:len(ms.runs)]
 	for i := range ms.runs {
-		ms.n += len(ms.runs[i].qids)
+		ms.classes[ms.runs[i].class].nRuns++
 	}
+	at := 0
+	for i := range ms.classes {
+		c := &ms.classes[i]
+		c.runs = order[at : at : at+c.nRuns]
+		at += c.nRuns
+		ms.n += len(c.qids) * c.nRuns
+	}
+	for i := range ms.runs {
+		c := &ms.classes[ms.runs[i].class]
+		c.runs = append(c.runs, int32(i))
+	}
+	ms.order = order
 	return ms
 }
 
 // Matches is one document's result in the canonical total order, before
 // anyone has written it out: a merge of sorted sources. Stage 2 writes one
-// run per frame and passing window class — the class's query ids and the
-// frame's match without its query — and the document's single-block matches
-// are one more source. It belongs to the processor that returned it and is
-// valid until that processor's next Consume, Register or Unregister (the
-// runs alias the window classes); a reader walks it once, Start then Stretch
-// until done, into the representation it needs (the engine facade its
-// compact matches, Slice a []Match), which is the only time the result is
-// materialised.
+// run per frame and passing window class — the frame's match without its
+// query, standing for one match per query id of the class — and the merge
+// takes each window class with its runs as one source; the document's
+// single-block matches are one more. It belongs to the processor that
+// returned it and is valid until that processor's next Consume, Register or
+// Unregister (the classes alias the window classes' query ids); a reader
+// walks it once, Start then Stretch until done, into the representation it
+// needs (the engine facade its compact matches, Slice a []Match), which is
+// the only time the result is materialised.
 //
-// The walk keeps a heap of one head per source ordered by (query, source):
-// the runs are sorted by keyCmp and each run's queries ascend, two singles
-// of one query differ at most in their root, and no query is in both a run
-// and the singles, so the walk is matchCmp's order (DESIGN.md, "Stage 2 per
-// document"). The order is total down to the binding vector, so it is a
-// pure function of match content. The walk hands out stretches — a source's
-// matches before the next head of another source, found by binary search —
-// so it pays a heap step per stretch, not per match.
+// The walk keeps a heap of one head per source ordered by (query, run): the
+// runs are sorted by keyCmp, a class's queries ascend, two singles of one
+// query differ at most in their root, and no query is in both a run and the
+// singles. The matches of one query within one class differ only in their
+// key, so a class hands out a range of its queries times all of its runs,
+// query-major and run-minor, and that is matchCmp's order (DESIGN.md,
+// "Stage 2 per document"). A query may lie in two classes — a JOIN's normal
+// and swapped orientations — and there the walk goes run by run, each run
+// in its keyCmp rank, so the order never assumes classes are disjoint. The
+// order is total down to the binding vector, so it is a pure function of
+// match content. The walk hands out stretches — a source's matches before
+// the next head of another source, found by binary search — so it pays a
+// heap step per stretch, not per match, and a class's frames take one.
 type Matches struct {
-	runs    []matchRun
+	runs []matchRun
+	// classes are the window classes with a run, in the order Stage 2 first
+	// wrote to them (which the walk never reads); order backs their run
+	// lists.
+	classes []runClass
+	order   []int32
 	singles []Match // sorted by (query, root)
 	n       int
 	heap    []sourceHead
+	// singlesPos is the walk's place in the singles.
+	singlesPos int
 }
 
 // matchRun is the matches of one frame and one window class: one per query
-// id in qids, each equal to key with that query (key.Query is not read).
+// id of the class, each equal to key with that query (key.Query is not
+// read).
 type matchRun struct {
-	qids []QueryID
-	key  Match
+	class int32 // in Matches.classes
+	key   Match
 }
 
-// sourceHead is a source's next match in a walk: its query and where it
-// lies — run src, or the singles when src is len(runs) — at pos.
+// runClass is a window class that passed the window for at least one frame
+// of the document: its query ids, ascending, and its runs, ascending (in
+// keyCmp order). pos and r are the walk's place in them: the query at pos,
+// and at that query, the run at r.
+type runClass struct {
+	qids   []QueryID
+	runs   []int32
+	nRuns  int
+	pos, r int32
+}
+
+// sourceHead is a source's next match in a walk: its query, its run src
+// (len(runs) for the singles) and the source, class index at, or
+// len(classes) for the singles.
 type sourceHead struct {
-	q        QueryID
-	src, pos int32
+	q       QueryID
+	src, at int32
 }
 
 // Len returns the number of matches.
@@ -130,10 +170,13 @@ func (ms *Matches) Len() int { return ms.n }
 // Start starts a walk of the matches in canonical order; Stretch reads it.
 func (ms *Matches) Start() {
 	h := ms.heap[:0]
-	for src := int32(0); int(src) <= len(ms.runs); src++ {
-		if q, ok := ms.query(src, 0); ok {
-			h = append(h, sourceHead{q, src, 0})
-		}
+	for i := range ms.classes {
+		c := &ms.classes[i]
+		c.pos, c.r = 0, 0
+		h = append(h, sourceHead{c.qids[0], c.runs[0], int32(i)})
+	}
+	if ms.singlesPos = 0; len(ms.singles) > 0 {
+		h = append(h, sourceHead{ms.singles[0].Query, int32(len(ms.runs)), int32(len(ms.classes))})
 	}
 	ms.heap = h
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -143,13 +186,13 @@ func (ms *Matches) Start() {
 
 // Stretch returns the walk's next matches, as many as one source holds
 // before any other source's next match, and moves the walk past them; ok is
-// false once the walk is done. The source is src: for a run, qids holds the
-// stretch's queries, each match being Frame(src) with that query; for the
-// singles, singles holds the matches. The slices are into the result: read
-// them, do not keep them.
-func (ms *Matches) Stretch() (src int, qids []QueryID, singles []Match, ok bool) {
+// false once the walk is done. For a class, the matches are qids × srcs,
+// query-major: for each query of qids, Frame(src) with that query for each
+// src of srcs. For the singles, singles holds the matches. The slices are
+// into the result: read them, do not keep them.
+func (ms *Matches) Stretch() (qids []QueryID, srcs []int32, singles []Match, ok bool) {
 	if len(ms.heap) == 0 {
-		return 0, nil, nil, false
+		return nil, nil, nil, false
 	}
 	h := &ms.heap[0]
 	// The stretch is the source's matches before the least other head.
@@ -160,30 +203,58 @@ func (ms *Matches) Stretch() (src int, qids []QueryID, singles []Match, ok bool)
 			next = &ms.heap[2]
 		}
 	}
-	before := func(q QueryID) bool { return next == nil || sourceHead{q: q, src: h.src}.before(*next) }
-	var end int32
-	if int(h.src) == len(ms.runs) {
-		rest := ms.singles[h.pos:]
-		k := sort.Search(len(rest), func(i int) bool { return !before(rest[i].Query) })
-		singles, end = rest[:k], h.pos+int32(k)
-	} else {
-		rest := ms.runs[h.src].qids[h.pos:]
-		k := sort.Search(len(rest), func(i int) bool { return !before(rest[i]) })
-		qids, end = rest[:k], h.pos+int32(k)
+	if int(h.at) == len(ms.classes) {
+		rest := ms.singles[ms.singlesPos:]
+		k := sort.Search(len(rest), func(i int) bool {
+			return next != nil && !(sourceHead{q: rest[i].Query, src: h.src}).before(*next)
+		})
+		singles = rest[:k]
+		if ms.singlesPos += k; ms.singlesPos < len(ms.singles) {
+			h.q = ms.singles[ms.singlesPos].Query
+		} else {
+			ms.pop()
+		}
+		ms.down(0)
+		return nil, nil, singles, true
 	}
-	src = int(h.src)
-	if q, more := ms.query(h.src, end); more {
-		h.q, h.pos = q, end
+	c := &ms.classes[h.at]
+	if c.r == 0 && (next == nil || h.q < next.q) {
+		// Every run of the class, for its queries below the next head's.
+		rest := c.qids[c.pos:]
+		k := len(rest)
+		if next != nil {
+			k, _ = slices.BinarySearch(rest, next.q)
+		}
+		qids, srcs = rest[:k], c.runs
+		c.pos += int32(k)
+	} else {
+		// The query lies in another source too: the class's runs at it
+		// that come before that source's next match.
+		j := c.r + 1
+		for int(j) < len(c.runs) && (next == nil || h.q < next.q || c.runs[j] < next.src) {
+			j++
+		}
+		qids, srcs = c.qids[c.pos:c.pos+1], c.runs[c.r:j]
+		if int(j) < len(c.runs) {
+			h.src, c.r = c.runs[j], j
+			ms.down(0)
+			return qids, srcs, nil, true
+		}
+		c.pos, c.r = c.pos+1, 0
+	}
+	if int(c.pos) < len(c.qids) {
+		h.q, h.src = c.qids[c.pos], c.runs[0]
 	} else {
 		ms.pop()
 	}
 	ms.down(0)
-	return src, qids, singles, true
+	return qids, srcs, nil, true
 }
 
-// Sources returns the number of sources the walk merges — one per run, then
-// one for the singles if any — and Frame a match of source src: all of a
-// source's matches name the same two documents at the same timestamps.
+// Sources returns the number of sources a reader writes a frame for — one
+// per run, then one for the singles if any — and Frame a match of source
+// src: all of a source's matches name the same two documents at the same
+// timestamps.
 func (ms *Matches) Sources() int {
 	if len(ms.singles) > 0 {
 		return len(ms.runs) + 1
@@ -196,21 +267,6 @@ func (ms *Matches) Frame(src int) *Match {
 		return &ms.singles[0]
 	}
 	return &ms.runs[src].key
-}
-
-// query returns the query of source src's match at pos, false past the
-// source's end.
-func (ms *Matches) query(src, pos int32) (QueryID, bool) {
-	if int(src) == len(ms.runs) {
-		if int(pos) < len(ms.singles) {
-			return ms.singles[pos].Query, true
-		}
-		return 0, false
-	}
-	if qids := ms.runs[src].qids; int(pos) < len(qids) {
-		return qids[pos], true
-	}
-	return 0, false
 }
 
 // pop replaces the exhausted head with the heap's last entry.
@@ -252,30 +308,39 @@ func (ms *Matches) Slice() []Match {
 	out := make([]Match, 0, ms.n)
 	ms.Start()
 	for {
-		src, qids, singles, ok := ms.Stretch()
+		qids, srcs, singles, ok := ms.Stretch()
 		if !ok {
 			return out
 		}
 		out = append(out, singles...)
-		m := *ms.Frame(src)
 		for _, q := range qids {
-			m.Query = q
-			out = append(out, m)
+			for _, src := range srcs {
+				m := ms.runs[src].key
+				m.Query = q
+				out = append(out, m)
+			}
 		}
 	}
 }
 
-// reset empties the result for the next document. A runs or heap buffer a
-// burst document grew past recKeep entries goes with it.
+// reset empties the result for the next document. A runs, classes, order
+// or heap buffer a burst document grew past recKeep entries goes with it.
 func (ms *Matches) reset() {
 	clear(ms.runs)
+	clear(ms.classes)
 	if cap(ms.runs) > recKeep {
 		ms.runs = nil
+	}
+	if cap(ms.classes) > recKeep {
+		ms.classes = nil
+	}
+	if cap(ms.order) > recKeep {
+		ms.order = nil
 	}
 	if cap(ms.heap) > recKeep {
 		ms.heap = nil
 	}
-	ms.runs, ms.heap = ms.runs[:0], ms.heap[:0]
+	ms.runs, ms.classes, ms.heap = ms.runs[:0], ms.classes[:0], ms.heap[:0]
 	ms.singles, ms.n = nil, 0
 }
 

@@ -2,6 +2,8 @@ package mmqjp
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -162,5 +164,97 @@ func TestPublishDocParseError(t *testing.T) {
 	}
 	if got := eng.Stats().Documents; got != 0 {
 		t.Errorf("failed calls published %d documents, want 0", got)
+	}
+}
+
+// TestResultWalkTiedClasses drives the result walk where a query lies in two
+// window classes: a JOIN of an element with itself matches each earlier
+// document in both orientations, so its normal and swapped classes hold the
+// same query ids and a document's result has several frames in each. Two
+// more JOINs share those classes, a FOLLOWED BY of the same shape has a
+// class of its own in the same vector group, and so has a JOIN with a
+// narrower window; the ids interleave. Every document's matches from
+// AppendPublishXML must equal the sequential baseline's, and its Frames and
+// Entries a replay of the document through the processor's Slice: one frame
+// per source (core.Matches.Sources), and entry i match i of Slice. (Two
+// classes of one frame write equal frames, so an entry is held to the frame
+// it names by content.)
+func TestResultWalkTiedClasses(t *testing.T) {
+	const join = "S//a->p[./x->x1][./y->y1] JOIN{x1=x2, %d} S//a->q[./x->x2][./y->y2]"
+	const followed = "S//a->p[./x->x1][./y->y1] FOLLOWED BY{x1=x2, 100} S//a->q[./x->x2][./y->y2]"
+	subs := []string{
+		fmt.Sprintf(join, 100), followed, fmt.Sprintf(join, 100), fmt.Sprintf(join, 30),
+		followed, fmt.Sprintf(join, 100),
+	}
+	eng, seq, rep := New(Options{}), New(Options{Processor: ProcessorSequential}), New(Options{})
+	for _, s := range subs {
+		for _, e := range []*Engine{eng, seq, rep} {
+			e.MustSubscribe(s)
+		}
+	}
+	var res Matches
+	bothWays := 0
+	for i := int64(1); i <= 8; i++ {
+		xml := fmt.Sprintf("<a><x>v%d</x><y>%d</y></a>", i%2, i)
+		parse := func() *Document {
+			d, err := ParseDocument(xml, i, 10*i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		res.Reset()
+		var err error
+		if res, err = eng.AppendPublishXML(res, "S", []byte(xml), i, 10*i); err != nil {
+			t.Fatal(err)
+		}
+		got := eng.appendMatchesLocked(&res)
+		want, err := seq.PublishDoc("S", parse())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := renderEngineMatches(got), renderEngineMatches(want.Matches()); g != w {
+			t.Fatalf("document %d: matches differ from the sequential baseline\ngot:\n%swant:\n%s", i, g, w)
+		}
+		seen := map[[3]int64]bool{}
+		for _, m := range got {
+			if seen[[3]int64{int64(m.Query), m.RightDoc, m.LeftDoc}] {
+				bothWays++
+			}
+			seen[[3]int64{int64(m.Query), m.LeftDoc, m.RightDoc}] = true
+		}
+
+		ms := rep.proc.Consume(rep.proc.RunStage1("S", parse()))
+		var frames []Frame
+		for src := range ms.Sources() {
+			m := ms.Frame(src)
+			frames = append(frames, Frame{
+				LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
+				LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
+			})
+		}
+		if !slices.Equal(res.Frames, frames) {
+			t.Fatalf("document %d: frames %v, replay through Slice %v", i, res.Frames, frames)
+		}
+		replay := ms.Slice()
+		if len(replay) != res.Len() {
+			t.Fatalf("document %d: %d entries, replay through Slice %d matches", i, res.Len(), len(replay))
+		}
+		for k, m := range replay {
+			w := Match{
+				Query:   QueryID(m.Query),
+				LeftDoc: int64(m.LeftDoc), RightDoc: int64(m.RightDoc),
+				LeftTS: int64(m.LeftTS), RightTS: int64(m.RightTS),
+				leftRoot: m.LeftRoot, rightRoot: m.RightRoot,
+			}
+			if g := res.Match(k); g != w {
+				t.Fatalf("document %d entry %d: %v, replay through Slice %v", i, k, g, w)
+			}
+		}
+	}
+	// Both orientations of one query and one earlier document, in one
+	// document's result: the query lies in two classes.
+	if bothWays < 10 {
+		t.Fatalf("%d matches in both orientations: the documents do not tie two classes", bothWays)
 	}
 }
