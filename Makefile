@@ -51,7 +51,7 @@ race:
 # retirements against a map, template canonicalization against its string-
 # signature reference, the result order — a merge of sorted query runs —
 # against the comparison sort, the Stage-2 vector-group trie, its window
-# classes and the head index against a map, the dormant-pattern set
+# classes and the join index against a map, the dormant-pattern set
 # under registration churn against a from-scratch computation, snapshot
 # restore on arbitrary bytes, and the engine's matches on a generated
 # subscription and document stream against the sequential baseline (the CI

@@ -136,18 +136,33 @@ type server struct {
 // QueryID, because every match reads it: on a 2-core Xeon, 180 lookups (an
 // rss_window document's matches) over 10 000 owners take 0.2–0.3 µs from a
 // slice and ≈ 3 µs from a Go map, against ≈ 33 µs of CPU per document. The
-// price is ≈ 36 bytes per lifetime SUB (a 16-byte row, ≈ 20 bytes of prefix),
-// and a restored engine's highest id sizes the rows. An id the table does not
-// know — unsubscribed, or before a restore — is a zero row. In durable mode a
-// known row with a nil owner marks an orphaned subscription: alive in the
-// engine, matches undelivered until a CLAIM.
+// rows lie in pages of ownerPageRows ids, a page allocated by the first set
+// into it and released with its last row, under a directory indexed by id /
+// ownerPageRows, so a lookup is still two indexes, and the table costs its
+// live pages plus a pointer per page of ids up to the highest: a restored
+// snapshot naming one id of 3 000 000 costs one page and a 94 KB directory,
+// not 48 MB of rows. The prefixes add ≈ 20 bytes per lifetime SUB. An id the
+// table does not know — unsubscribed, or before a restore — is a zero row.
+// In durable mode a known row with a nil owner marks an orphaned
+// subscription: alive in the engine, matches undelivered until a CLAIM.
 type ownerTable struct {
-	rows []owner
+	pages []*ownerPage
 	// prefixes holds every row's prefix, appended when the table first
 	// learns the query and never rewritten, so bytes read through a copy of
 	// the slice taken under the read lock stay valid after its release. The
 	// rows' uint32 offsets address 4 GiB, some 200 million lifetime SUBs.
 	prefixes []byte
+}
+
+// ownerPageRows is the ids one page of ownerTable holds: 256 16-byte rows,
+// one 4 KB memory page.
+const ownerPageRows = 256
+
+// ownerPage is one page of ownerTable's rows and the count of its known
+// ones.
+type ownerPage struct {
+	rows [ownerPageRows]owner
+	live int
 }
 
 // owner is one row of ownerTable: the owning connection and where the
@@ -162,22 +177,27 @@ func (o *owner) prefix(prefixes []byte) []byte { return prefixes[o.off : o.off+u
 
 // get returns qid's row and whether the table knows qid.
 func (t *ownerTable) get(qid mmqjp.QueryID) (owner, bool) {
-	if uint64(qid) >= uint64(len(t.rows)) {
-		return owner{}, false
+	if p := uint64(qid) / ownerPageRows; p < uint64(len(t.pages)) && t.pages[p] != nil {
+		o := t.pages[p].rows[qid%ownerPageRows]
+		return o, o.n > 0
 	}
-	o := t.rows[qid]
-	return o, o.n > 0
+	return owner{}, false
 }
 
 // set makes c the owner of qid (nil: orphaned), rendering qid's prefix when
 // the table first learns it: at SUB, or at restore for a query a CLAIM will
 // adopt.
 func (t *ownerTable) set(qid mmqjp.QueryID, c *client) {
-	if n := int(qid) + 1; n > len(t.rows) {
-		t.rows = append(t.rows, make([]owner, n-len(t.rows))...)
+	p := int(qid / ownerPageRows)
+	if n := p + 1; n > len(t.pages) {
+		t.pages = append(t.pages, make([]*ownerPage, n-len(t.pages))...)
 	}
-	o := &t.rows[qid]
+	if t.pages[p] == nil {
+		t.pages[p] = new(ownerPage)
+	}
+	o := &t.pages[p].rows[qid%ownerPageRows]
 	if o.n == 0 {
+		t.pages[p].live++
 		off := len(t.prefixes)
 		t.prefixes = append(t.prefixes, "MATCH "...)
 		t.prefixes = strconv.AppendInt(t.prefixes, int64(qid), 10)
@@ -187,8 +207,15 @@ func (t *ownerTable) set(qid mmqjp.QueryID, c *client) {
 	o.c = c
 }
 
-// remove forgets qid.
-func (t *ownerTable) remove(qid mmqjp.QueryID) { t.rows[qid] = owner{} }
+// remove forgets qid, which the table knows, and releases its page with the
+// page's last row.
+func (t *ownerTable) remove(qid mmqjp.QueryID) {
+	p := t.pages[qid/ownerPageRows]
+	p.rows[qid%ownerPageRows] = owner{}
+	if p.live--; p.live == 0 {
+		t.pages[qid/ownerPageRows] = nil
+	}
+}
 
 // Stable error codes, the first token of every ERR reply.
 const (

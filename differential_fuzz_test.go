@@ -86,6 +86,33 @@ func FuzzDifferential(f *testing.F) {
 	// window: while expiry ran on its own schedule in each processor, MMQJP
 	// still held a document the baseline had dropped, and matched it.
 	f.Add([]byte("0A0809081201000000120000%2012000000001010002011101000110002100020100021010101010022010100"))
+	// Two value joins that both read the views: the second document pairs
+	// with the first on the id only, the third on the ref only, and the
+	// fourth on both, so the template is entered for the fourth alone, and
+	// the join index must skip it for the second and third without losing
+	// a match.
+	f.Add([]byte{
+		0, 0, // in order; one block
+		0, 1, 1, 0, 0, // S//entry->x0[./id->x1][./ref->x2]
+		0,                         // one query
+		1, 0, 0, 1, 0, 0, 1, 1, 6, // block 0 FOLLOWED BY{x1=y1 AND x2=y2, 10} block 0
+		2, 1, 1, 0, 1, 0, 1, 1, 0, 0, // <entry><id>a</id><ref>b</ref></entry>
+		2, 1, 1, 0, 1, 0, 1, 2, 0, 0, // <entry><id>a</id><ref>c</ref></entry>
+		2, 1, 1, 0, 1, 2, 1, 1, 0, 0, // <entry><id>c</id><ref>b</ref></entry>
+		2, 1, 1, 0, 1, 0, 1, 1, 0, 0, // <entry><id>a</id><ref>b</ref></entry>
+	})
+	// A JOIN of a block with itself: the second document matches the first
+	// in both orientations, so one query lies in two window classes of one
+	// publish, and the result walk takes its runs one by one
+	// (core.Matches.Stretch).
+	f.Add([]byte{
+		0, 0, // in order; one block
+		0, 1, 0, 0, 0, // S//entry->x0[./id->x1]
+		0,                   // one query
+		2, 0, 0, 0, 0, 0, 6, // block 0 JOIN{x1=y1, 10} block 0
+		2, 1, 1, 0, 1, 0, 0, 0, 0, // <entry><id>a</id></entry>
+		2, 1, 1, 0, 1, 0, 0, 0, 0, // <entry><id>a</id></entry>
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeDiffCase(data)
 		for _, publishers := range []int{1, 3} {

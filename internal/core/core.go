@@ -88,7 +88,7 @@ type Stats struct {
 
 	// WitnessPlans counts the compiled programs (cqplan.go) Stage 2
 	// entered, once per document each.
-	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Compiled Stage-2 programs entered, once per document each: headed templates reached through the head index, side-root templates run whole."`
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Compiled Stage-2 programs entered, once per document each: headed templates reached through the join index, side-root templates run whole."`
 	// CQProbes counts the rows and index entries Stage 2 visited (the head
 	// join's, then cqplan.go's steps') and CQRows the RoutT rows, before the
 	// window test. Both are pure functions of the input sequence and the

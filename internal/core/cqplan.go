@@ -45,8 +45,9 @@ import (
 // RR, then anchors both endpoints, so its trie's first four levels are one
 // RL and one RR row's class names (headKey). Stage 2 walks that join once
 // for all of them (cqExec.runHeads) and enters each at step 2 through the
-// head index; a template whose first value join is on a side root runs its
-// whole program.
+// join index, and only where every later view join of one of its vector
+// groups has a pair in the document too; a template whose first value join
+// is on a side root runs its whole program.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
@@ -132,8 +133,14 @@ func (t *Template) usesViews(k int) bool {
 func (t *Template) compile() {
 	t.prog = compileCQ(t)
 	t.headed = t.usesViews(0)
-	for k := range t.VJ {
-		t.readsViews = t.readsViews || t.usesViews(k)
+	for k, e := range t.VJ {
+		if !t.usesViews(k) {
+			continue
+		}
+		t.readsViews = true
+		if k > 0 && t.headed {
+			t.tuple = append(t.tuple, [4]int{t.Parent[e[0]], e[0], t.Parent[e[1]], e[1]})
+		}
 	}
 	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
@@ -343,16 +350,29 @@ func (g *vecGroup) remove(k windowKey, qid QueryID) bool {
 	return false
 }
 
+// spell returns the key the positions pos spell in vector v.
+func spell(v []int32, pos [4]int) headKey {
+	return headKey{v[pos[0]], v[pos[1]], v[pos[2]], v[pos[3]]}
+}
+
 // headKey returns the head key of a headed template's vector vars.
-func (t *Template) headKey(v []int32) headKey {
-	return headKey{v[t.levels[0]], v[t.levels[1]], v[t.levels[2]], v[t.levels[3]]}
+func (t *Template) headKey(v []int32) headKey { return spell(v, [4]int(t.levels)) }
+
+// firstKey returns the first key of the tuple of a headed template's vector
+// v, or its head key when the tuple is empty: the second key the join index
+// finds v's entry by.
+func (t *Template) firstKey(v []int32) headKey {
+	if len(t.tuple) == 0 {
+		return t.headKey(v)
+	}
+	return spell(v, t.tuple[0])
 }
 
 // addVector records an instance of query qid with window key k and
 // variable vector vars in its template and returns its group (kept by the
 // instance for removeVector). A new group's path enters the trie and, in a
-// headed template, the head index.
-func (t *Template) addVector(heads *headIndex, vars []int32, k windowKey, qid QueryID) *vecGroup {
+// headed template, the join index.
+func (t *Template) addVector(joins *joinIndex, vars []int32, k windowKey, qid QueryID) *vecGroup {
 	if gi := t.trie.walk(t.levels, vars); gi >= 0 {
 		g := t.vecList[gi]
 		g.add(k, qid)
@@ -362,30 +382,29 @@ func (t *Template) addVector(heads *headIndex, vars []int32, k windowKey, qid Qu
 	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
 	t.vecList = append(t.vecList, g)
 	if t.headed {
-		heads.set(t.headKey(g.vars), t, t.trie.walk(t.levels[:len(headKey{})], g.vars))
+		joins.add(t, g.vars, int32(len(t.vecList)-1), t.trie.walk(t.levels[:len(headKey{})], g.vars))
 	}
 	return g
 }
 
 // removeVector removes an unregistered instance from its vector group; a
 // group whose last instance leaves is dropped entirely — its path leaves the
-// trie, with its head key when no other group holds it, and the last group
-// takes its index — so no plan visits a vector no live query shares.
-func (t *Template) removeVector(heads *headIndex, g *vecGroup, k windowKey, qid QueryID) {
+// trie and its entry the join index, and the last group takes its index —
+// so no plan visits a vector no live query shares.
+func (t *Template) removeVector(joins *joinIndex, g *vecGroup, k windowKey, qid QueryID) {
 	if !g.remove(k, qid) {
 		return
 	}
 	gi := t.trie.remove(t.levels, g.vars)
-	if t.headed && t.trie.walk(t.levels[:len(headKey{})], g.vars) < 0 {
-		heads.drop(t.headKey(g.vars), t)
+	if t.headed {
+		joins.remove(t, g.vars, gi)
 	}
 	last := len(t.vecList) - 1
 	if moved := t.vecList[last]; int(gi) != last {
 		t.vecList[gi] = moved
 		t.trie.relink(t.levels, moved.vars, gi)
-		// A four-position template's head key ends at the group.
-		if t.headed && t.N == len(headKey{}) {
-			heads.set(t.headKey(moved.vars), t, gi)
+		if t.headed {
+			joins.relink(t, moved.vars, int32(last), gi)
 		}
 	}
 	t.vecList[last] = nil
@@ -407,8 +426,14 @@ type cqExec struct {
 	// nodes[i] is the frame's trie node when step i starts: the root at
 	// step 0; once every v slot is bound, the vector group's index.
 	nodes []int32
-	// doc numbers the documents (Template.entered), plans their entries.
-	doc, plans int64
+	// doc numbers the documents (Template.entered), plans their entries;
+	// keys numbers the head keys runHeads looks up (Template.keyed).
+	doc, plans, keys int64
+
+	// pairs and present are runHeads' scratch: the document's head-join
+	// pairs, by key, and their distinct keys.
+	pairs   []headPair
+	present []headKey
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -419,37 +444,111 @@ type cqExec struct {
 	probes, rows int64
 }
 
+// headPair is one pair of the head join: an RL row and an RR row of its
+// value, with their four class names.
+type headPair struct {
+	key  headKey
+	l, r int32 // rows of the views RL and RR
+}
+
 // runHeads walks the head join — every RL row with every RR row of its
-// value — once for all headed templates, and runs each template the pair's
-// head key names from step 2, its frame seeded as steps 0 and 1 would.
-func (ex *cqExec) runHeads(heads *headIndex) {
-	if heads.n == 0 {
+// value — once for all headed templates. The distinct keys of its pairs are
+// the document's present keys. Under each present key it enters each
+// template with an entry whose key tuple is present, once, and runs it for
+// every pair with the key (runEntry). It finds those entries by walking the
+// key's entries, or by looking each present key up among them as a tuple's
+// first key, whichever visits fewer, and counts the entries it reads as
+// probes. Nothing else is looked at: an entry whose tuple is not present
+// names groups whose other view joins find no RL and RR rows to pair, so no
+// frame of theirs completes.
+func (ex *cqExec) runHeads(joins *joinIndex) {
+	if joins.n == 0 {
 		return
 	}
-	pre, mask := ex.pre, len(heads.slots)-1
-	for _, l := range pre.rl {
+	pre := ex.pre
+	pairs := ex.pairs[:0]
+	for li, l := range pre.rl {
 		ex.probes++
 		for _, ri := range pre.rrBySym.get(l[rlStrVal]) {
 			r := pre.rr[ri]
 			ex.probes++
-			k := headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}
-			for i := heads.home(k); heads.slots[i].t != nil; i = (i + 1) & mask {
-				if e := &heads.slots[i]; e.key == k {
-					ex.probes++
-					ex.enter(e.t)
-					f, steps := ex.frame, ex.prog.steps
-					for _, a := range steps[0].assign {
-						f[a.slot] = l[a.col]
-					}
-					for _, a := range steps[1].assign {
-						f[a.slot] = r[a.col]
-					}
-					ex.nodes[2] = e.node
-					ex.step(2)
+			pairs = append(pairs, headPair{headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}, int32(li), ri})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b headPair) int { return a.key.cmp(b.key) })
+	present := ex.present[:0]
+	for i := range pairs {
+		if i == 0 || pairs[i].key != pairs[i-1].key {
+			present = append(present, pairs[i].key)
+		}
+	}
+	for i, j := 0, 0; i < len(pairs); i = j {
+		k := pairs[i].key
+		for j = i + 1; j < len(pairs) && pairs[j].key == k; j++ {
+		}
+		si := joins.slot(k)
+		if si < 0 {
+			continue
+		}
+		ex.keys++
+		es := joins.slots[si].entries
+		if len(es) <= len(present) {
+			for x := range es {
+				if ex.probes++; has(present, es[x].first) {
+					ex.runEntry(present, &es[x], pairs[i:j])
 				}
+			}
+			continue
+		}
+		for _, k2 := range present {
+			for x := byFirst(es, k2); x < len(es) && es[x].first == k2; x++ {
+				ex.probes++
+				ex.runEntry(present, &es[x], pairs[i:j])
 			}
 		}
 	}
+	ex.pairs, ex.present = pairs, present
+	if cap(pairs) > recKeep {
+		ex.pairs, ex.present = nil, nil
+	}
+}
+
+// runEntry runs entry e's template from step 2, at e's trie node, for each
+// of the head-join pairs, which share e's head key, its frame seeded as
+// steps 0 and 1 would. e's head key and its tuple's first key are present;
+// it does nothing when the template ran under the head key already or a
+// later key of the tuple is not present.
+func (ex *cqExec) runEntry(present []headKey, e *joinEntry, pairs []headPair) {
+	if e.t.keyed == ex.keys {
+		return
+	}
+	if tuple := e.t.tuple; len(tuple) > 1 {
+		vars := e.vars()
+		for _, pos := range tuple[1:] {
+			if !has(present, spell(vars, pos)) {
+				return
+			}
+		}
+	}
+	e.t.keyed = ex.keys
+	ex.enter(e.t)
+	f, steps, pre := ex.frame, ex.prog.steps, ex.pre
+	for _, pr := range pairs {
+		for _, a := range steps[0].assign {
+			f[a.slot] = pre.rl[pr.l][a.col]
+		}
+		for _, a := range steps[1].assign {
+			f[a.slot] = pre.rr[pr.r][a.col]
+		}
+		ex.nodes[2] = e.node
+		ex.step(2)
+	}
+}
+
+// has reports whether k is one of the present keys.
+func has(present []headKey, k headKey) bool {
+	_, ok := slices.BinarySearchFunc(present, k, headKey.cmp)
+	return ok
 }
 
 // enter makes t's program the frame's, from the trie's root, counting its

@@ -206,7 +206,7 @@ func trieMismatch(t *Template) string {
 	return ""
 }
 
-// TestTrieEqualsVectorGroups holds every template's trie and the head index
+// TestTrieEqualsVectorGroups holds every template's trie and the join index
 // to the vector groups (trieMismatch, headMismatch) through random Register
 // and Unregister churn on the RSS, paper-scale and random shapes, including
 // revivals of unregistered queries; a template reclaimed with its last query, and every template once
@@ -234,8 +234,8 @@ func TestTrieEqualsVectorGroups(t *testing.T) {
 						t.Fatalf("step %d, template %s: %s", step, tmpl.Sig, msg)
 					}
 				}
-				if msg := headMismatch(&p.heads, p.templateList); msg != "" {
-					t.Fatalf("step %d, head index: %s", step, msg)
+				if msg := headMismatch(&p.joins, p.templateList); msg != "" {
+					t.Fatalf("step %d, join index: %s", step, msg)
 				}
 				for tmpl := range seen {
 					if tmpl.refs == 0 && (tmpl.trie.n != 0 || len(tmpl.vecList) != 0) {
@@ -268,66 +268,91 @@ func TestTrieEqualsVectorGroups(t *testing.T) {
 	}
 }
 
-// headMismatch checks the head index against one rebuilt from the headed
-// templates' vector groups and returns "" when they agree: every entry is
-// found where it lies, and the entries are exactly the groups' (head key,
-// template, node its trie reaches below the key), once each.
-func headMismatch(heads *headIndex, tmpls []*Template) string {
-	want := map[headEntry]bool{}
+// headMismatch checks the join index against the headed templates' vector
+// groups and returns "" when they agree: every head key is found where it
+// lies, and the entries are exactly one per group, under the group's head
+// key, ordered by their tuple's first key, each found where it lies and
+// naming the node the template's trie reaches below the head key.
+func headMismatch(joins *joinIndex, tmpls []*Template) string {
+	type group struct {
+		t *Template
+		g int32
+	}
+	want := map[group]bool{}
 	for _, t := range tmpls {
-		if !t.headed {
-			continue
-		}
-		for _, g := range t.vecList {
-			want[headEntry{t.headKey(g.vars), t, t.trie.walk(t.levels[:len(headKey{})], g.vars)}] = true
-		}
-	}
-	n := 0
-	for i, e := range heads.slots {
-		if e.t == nil {
-			continue
-		}
-		n++
-		switch {
-		case heads.find(e.key, e.t) != i:
-			return fmt.Sprintf("the entry of %v for template %s in slot %d is not found there", e.key, e.t.Sig, i)
-		case !want[e]:
-			return fmt.Sprintf("%v names template %s at node %d, which no group holds", e.key, e.t.Sig, e.node)
+		if t.headed {
+			for g := range t.vecList {
+				want[group{t, int32(g)}] = true
+			}
 		}
 	}
-	if n != len(want) || n != heads.n {
-		return fmt.Sprintf("the index holds %d entries and counts %d, the groups hold %d", n, heads.n, len(want))
+	n, keys := 0, 0
+	for i, slot := range joins.slots {
+		if len(slot.entries) == 0 {
+			continue
+		}
+		keys++
+		if joins.slot(slot.key) != i {
+			return fmt.Sprintf("head key %v in slot %d is not found there", slot.key, i)
+		}
+		for j, e := range slot.entries {
+			n++
+			id := group{e.t, e.group}
+			if !want[id] {
+				return fmt.Sprintf("an entry of %v names group %d of template %s, which is not live or was named twice", slot.key, e.group, e.t.Sig)
+			}
+			delete(want, id)
+			vars := e.vars()
+			switch node := e.t.trie.walk(e.t.levels[:len(headKey{})], vars); {
+			case j > 0 && slot.entries[j-1].first.cmp(e.first) > 0:
+				return fmt.Sprintf("the entries of %v are not ordered by first key", slot.key)
+			case e.t.headKey(vars) != slot.key || e.t.firstKey(vars) != e.first:
+				return fmt.Sprintf("group %v of template %s lies under %v with first key %v", vars, e.t.Sig, slot.key, e.first)
+			case e.node != node:
+				return fmt.Sprintf("group %v of template %s names node %d, its trie %d", vars, e.t.Sig, e.node, node)
+			}
+			if fi, fj := joins.find(e.t, vars, e.group); fi != i || fj != j {
+				return fmt.Sprintf("the entry of group %v of template %s at %d/%d is found at %d/%d", vars, e.t.Sig, i, j, fi, fj)
+			}
+		}
+	}
+	if len(want) != 0 || keys != joins.n {
+		return fmt.Sprintf("%d live groups have no entry; the index holds %d entries under %d keys and counts %d keys", len(want), n, keys, joins.n)
 	}
 	return ""
 }
 
 // FuzzTrieChurn applies a byte string as a sequence of vector-group
-// registrations and removals to two templates sharing one head index and
+// registrations and removals to two templates sharing one join index and
 // compares their tries, the groups' window classes and the index with a map
 // from vector to instances after every operation: each vector of the small
 // alphabet must walk to its group, with the group's vector, or nowhere; no
 // class may be empty, each class's queries must strictly ascend, each
-// group's (window key, query) multiset must be the map's, and the head
+// group's (window key, query) multiset must be the map's, and the join
 // index must equal one rebuilt from the groups (headMismatch). The first
 // byte picks the shape: a three-level template, a four-position headed one
 // (whose head key ends at the group, so removals relink it; no query
-// compiles to one, the index keeps it exact all the same) or a
-// five-position headed one. An instance's window key is drawn from a small
-// alphabet too, so groups hold several classes that empty and refill.
+// compiles to one, the index keeps it exact all the same), a five-position
+// headed one, or a six-position headed one with a second view join, whose
+// key tuple leaves one position out, so groups share a head key and a first
+// key and are told apart by their index, which removals move. An instance's
+// window key is drawn from a small alphabet too, so groups hold several
+// classes that empty and refill.
 func FuzzTrieChurn(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 4, 1, 6, 3, 8, 1, 1})
 	f.Add([]byte("the trie keeps exactly the vectors registered"))
 	f.Add([]byte{0, 0, 0x40, 0x80, 0xc0, 0x40, 1, 3, 0, 0x80, 5, 1, 1, 1})
 	f.Add([]byte{1, 0, 2, 4, 6, 8, 0x0a, 0x0c, 0x0e, 1, 3, 0x42, 0x86, 1, 5, 1, 1, 1})
 	f.Add([]byte{2, 0, 0x10, 2, 0x12, 4, 0x14, 0x46, 0x20, 3, 7, 1, 0x8a, 1, 1, 1})
+	f.Add([]byte{3, 0, 0x40, 0x10, 0x50, 0x08, 0x48, 3, 0x20, 0x60, 5, 1, 0x42, 1, 3, 1, 1, 1})
 	type entry struct {
 		key windowKey
 		qid QueryID
 	}
 	// vec is a vector of the small alphabet; positions past a shape's
 	// stay 0.
-	type vec [5]int32
-	radix := vec{4, 4, 3, 2, 2}
+	type vec [6]int32
+	radix := vec{4, 4, 3, 2, 2, 2}
 	keys := [...]windowKey{
 		{window: 10, op: xscl.OpFollowedBy},
 		{window: 20, op: xscl.OpFollowedBy},
@@ -337,10 +362,12 @@ func FuzzTrieChurn(f *testing.F) {
 	shapes := [...]struct {
 		levels []int
 		headed bool
+		tuple  [][4]int
 	}{
-		{[]int{1, 2, 0}, false},
-		{[]int{0, 1, 2, 3}, true},
-		{[]int{4, 0, 2, 1, 3}, true},
+		{[]int{1, 2, 0}, false, nil},
+		{[]int{0, 1, 2, 3}, true, nil},
+		{[]int{4, 0, 2, 1, 3}, true, nil},
+		{[]int{4, 0, 2, 1, 3, 5}, true, [][4]int{{4, 3, 2, 1}}},
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -348,10 +375,10 @@ func FuzzTrieChurn(f *testing.F) {
 		}
 		shape := shapes[int(ops[0])%len(shapes)]
 		ops = ops[1:]
-		var heads headIndex
+		var joins joinIndex
 		var tmpls []*Template
 		for i := 0; i < 2; i++ {
-			tmpls = append(tmpls, &Template{Sig: fmt.Sprint(i), N: len(shape.levels), levels: shape.levels, headed: shape.headed})
+			tmpls = append(tmpls, &Template{Sig: fmt.Sprint(i), N: len(shape.levels), levels: shape.levels, headed: shape.headed, tuple: shape.tuple})
 		}
 		type inst struct {
 			entry
@@ -363,11 +390,11 @@ func FuzzTrieChurn(f *testing.F) {
 		next := QueryID(0)
 		for step, b := range ops {
 			if b&1 == 0 || len(live) == 0 {
-				v := vec{int32(b>>1) % 4, int32(b>>3) % 4, int32(b>>5) % 3, int32(b>>2) % 2, int32(b>>4) % 2}
+				v := vec{int32(b>>1) % 4, int32(b>>3) % 4, int32(b>>5) % 3, int32(b>>2) % 2, int32(b>>4) % 2, int32(b>>6) % 2}
 				n := len(shape.levels)
 				clear(v[n:])
 				in := inst{entry{keys[int(b>>6)%len(keys)], next}, step % 2}
-				groups[next] = tmpls[in.ti].addVector(&heads, v[:n], in.key, next)
+				groups[next] = tmpls[in.ti].addVector(&joins, v[:n], in.key, next)
 				ref[in.ti][v] = append(ref[in.ti][v], in.entry)
 				live = append(live, in)
 				next++
@@ -378,17 +405,17 @@ func FuzzTrieChurn(f *testing.F) {
 				g := groups[in.qid]
 				var v vec
 				copy(v[:], g.vars)
-				tmpls[in.ti].removeVector(&heads, g, in.key, in.qid)
+				tmpls[in.ti].removeVector(&joins, g, in.key, in.qid)
 				delete(groups, in.qid)
 				if ref[in.ti][v] = removeFirst(ref[in.ti][v], in.entry); len(ref[in.ti][v]) == 0 {
 					delete(ref[in.ti], v)
 				}
 			}
-			if msg := headMismatch(&heads, tmpls); msg != "" {
-				t.Fatalf("op %d: head index: %s", step, msg)
+			if msg := headMismatch(&joins, tmpls); msg != "" {
+				t.Fatalf("op %d: join index: %s", step, msg)
 			}
-			if !shape.headed && heads.n != 0 {
-				t.Fatalf("op %d: templates with no head fill the head index", step)
+			if !shape.headed && joins.n != 0 {
+				t.Fatalf("op %d: templates with no head fill the join index", step)
 			}
 			for ti, tmpl := range tmpls {
 				if msg := trieMismatch(tmpl); msg != "" {
@@ -467,18 +494,20 @@ func collidingStream(n, count int) []*xmldoc.Document {
 }
 
 // TestWitnessOrderCountedWork bounds the index entries Stage 2 visits per
-// match — the head join and the compiled programs walking the vector-group
-// trie — on three shapes: colliding two-level documents, the paper-scale
-// generator and the RSS stream. The readings are 4.98, 19.45 and 0.72 probes
-// per match (5.10, 38.30 and 0.83 when every template scanned RL and probed
-// RR itself; 128 and 2.0 on the last two without the trie); each bound is
-// 1.25 times its reading, rounded, so a dead end the trie stopped cutting
-// fails here. The match totals are pinned exactly: the replay is
-// deterministic, and TestCompiledPlanMatchesReference and the differential
-// harness check what the matches are. The gate-regime case is the
-// benchmark's paper_scale shape (paperScaleSlice, 600 documents): 56
-// templates, 32.7 matches, 269.6 probes and 32.5 programs entered per
-// document (575.2 probes and 55.0 programs without the head join), each
+// match — the head join, the join index and the compiled programs walking
+// the vector-group trie — on three shapes: colliding two-level documents,
+// the paper-scale generator and the RSS stream. The readings are 3.30, 17.68
+// and 0.28 probes per match (4.98, 19.45 and 0.72 when the head key alone
+// chose the templates entered; 5.10, 38.30 and 0.83 when every template
+// scanned RL and probed RR itself; 128 and 2.0 on the last two without the
+// trie); each bound is 1.25 times its reading, rounded, so a dead end the
+// trie or the join index stopped cutting fails here. The match totals are
+// pinned exactly: the replay is deterministic, and
+// TestCompiledPlanMatchesReference and the differential harness check what
+// the matches are. The gate-regime case is the benchmark's paper_scale shape
+// (paperScaleSlice, 600 documents): 56 templates, 32.7 matches, 127.6 probes
+// and 7.3 programs entered per document (269.6 and 32.5 when the head key
+// alone chose the templates; 575.2 and 55.0 without the head join), each
 // bounded at 1.25 times its reading.
 func TestWitnessOrderCountedWork(t *testing.T) {
 	if raceEnabled {
@@ -494,9 +523,9 @@ func TestWitnessOrderCountedWork(t *testing.T) {
 		matches  int64
 		perMatch float64
 	}{
-		{"colliding two-level", tl.Queries(rand.New(rand.NewSource(1)), 300), collidingStream(tl.N, 100), 41514, 6.2},
-		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 800), ps.Stream(rand.New(rand.NewSource(8)), 300), 369008, 24},
-		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 1000), rss.Stream(rand.New(rand.NewSource(8)), 2000), 86030, 0.90},
+		{"colliding two-level", tl.Queries(rand.New(rand.NewSource(1)), 300), collidingStream(tl.N, 100), 41514, 4.1},
+		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 800), ps.Stream(rand.New(rand.NewSource(8)), 300), 369008, 22},
+		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 1000), rss.Stream(rand.New(rand.NewSource(8)), 2000), 86030, 0.35},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{})
@@ -519,7 +548,7 @@ func TestWitnessOrderCountedWork(t *testing.T) {
 		})
 	}
 	t.Run("paper scale gate regime", func(t *testing.T) {
-		const probeBound, enteredBound = 337, 41
+		const probeBound, enteredBound = 160, 9
 		p, docs := paperScaleSlice(600)
 		before := p.Stats()
 		for _, d := range docs {

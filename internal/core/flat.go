@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // Integer-keyed indexes of the per-document path. Every key Stage 2 probes
@@ -188,78 +189,151 @@ func (tr *vecTrie) put(e trieEdge) {
 	tr.n++
 }
 
-// headKey is the four class names a headed template's first value join
-// binds, in its trie's first four levels: v(pl), v(l) from the RL row and
-// v(pr), v(r) from the RR row (cqplan.go, compileCQ).
+// headKey is the four class names a value join that reads the views binds:
+// v(pl), v(l) from its RL row and v(pr), v(r) from its RR row. A headed
+// template's first value join binds them in its trie's first four levels
+// (cqplan.go, compileCQ); those of its later view joins are its key tuple
+// (Template.tuple).
 type headKey [4]int32
 
-// headIndex mirrors the headed templates' level-3 trie edges: one entry per
-// head key and template whose trie holds it, with the node below (for a
-// four-position template, the group's index). A key's entries share a home
-// slot, so a lookup scans one probe run (cqExec.runHeads).
-type headIndex struct {
-	slots []headEntry // a nil t marks an empty slot
+// cmp orders head keys by their four names read as two unsigned pairs:
+// any total order serves the sorted lists that hold them.
+func (k headKey) cmp(o headKey) int {
+	if c := cmp.Compare(uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(o[0]), int64(o[1])))); c != 0 {
+		return c
+	}
+	return cmp.Compare(uint64(packPair(int64(k[2]), int64(k[3]))), uint64(packPair(int64(o[2]), int64(o[3]))))
+}
+
+// joinIndex holds the headed templates' vector groups by their value-join
+// keys: one entry per group, naming its template, its index in the
+// template's vecList and the trie node below its head key (for a
+// four-position template, the group's index again). The table is keyed by
+// head key; a key's entries lie in one slice, ordered by their key tuple's
+// first key (the head key again for an empty tuple), which each entry
+// carries, so runHeads either walks them all or looks up each present key
+// among them, whichever visits fewer. The rest of a tuple is read off the
+// group's vector when it is needed.
+type joinIndex struct {
+	slots []headSlot // an empty entries marks an empty slot
 	n     int
 	shift uint
 }
 
-type headEntry struct {
-	key  headKey
-	t    *Template
-	node int32
+type headSlot struct {
+	key     headKey
+	entries []joinEntry
 }
 
-func (h *headIndex) home(k headKey) int {
+type joinEntry struct {
+	first       headKey
+	t           *Template
+	group, node int32
+}
+
+// vars returns the vector of e's group.
+func (e *joinEntry) vars() []int32 { return e.t.vecList[e.group].vars }
+
+func (h *joinIndex) home(k headKey) int {
 	a, b := uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(k[2]), int64(k[3])))
 	return int((a*fib ^ b) * fib >> h.shift)
 }
 
-// find returns the slot of template t's entry under k, or -1.
-func (h *headIndex) find(k headKey, t *Template) int {
+// slot returns the slot of head key k, or -1.
+func (h *joinIndex) slot(k headKey) int {
 	if h.n == 0 {
 		return -1
 	}
 	mask := len(h.slots) - 1
-	for i := h.home(k); h.slots[i].t != nil; i = (i + 1) & mask {
-		if h.slots[i].key == k && h.slots[i].t == t {
+	for i := h.home(k); len(h.slots[i].entries) != 0; i = (i + 1) & mask {
+		if h.slots[i].key == k {
 			return i
 		}
 	}
 	return -1
 }
 
-// set records that template t's trie holds k with node below it, growing
-// the table to keep it at most three-quarters full.
-func (h *headIndex) set(k headKey, t *Template, node int32) {
-	if i := h.find(k, t); i >= 0 {
-		h.slots[i].node = node
-		return
+// byFirst returns the index of the first of entries whose first key is k or
+// after it.
+func byFirst(entries []joinEntry, k headKey) int {
+	return sort.Search(len(entries), func(i int) bool { return entries[i].first.cmp(k) >= 0 })
+}
+
+// find returns the slot of the head key of template t's group with vector
+// vars, and the index of the group's entry there.
+func (h *joinIndex) find(t *Template, vars []int32, group int32) (int, int) {
+	i := h.slot(t.headKey(vars))
+	es := h.slots[i].entries
+	j := byFirst(es, t.firstKey(vars))
+	for es[j].t != t || es[j].group != group {
+		j++
 	}
+	return i, j
+}
+
+// add enters template t's new group, with vector vars at index group, whose
+// head key has node below it in t's trie.
+func (h *joinIndex) add(t *Template, vars []int32, group, node int32) {
+	k := t.headKey(vars)
+	i := h.slot(k)
+	if i < 0 {
+		i = h.put(k)
+	}
+	s, first := &h.slots[i], t.firstKey(vars)
+	s.entries = slices.Insert(s.entries, byFirst(s.entries, first), joinEntry{first: first, t: t, group: group, node: node})
+}
+
+// put makes the slot of head key k, which has none, and returns it, growing
+// the table to keep it at most three-quarters full; the caller gives the
+// slot its first entry.
+func (h *joinIndex) put(k headKey) int {
 	if 4*(h.n+1) > 3*len(h.slots) {
 		old := h.slots
-		h.slots = make([]headEntry, max(8, 2*len(old)))
+		h.slots = make([]headSlot, max(8, 2*len(old)))
 		h.shift = tableShift(len(h.slots))
-		h.n = 0
-		for _, e := range old {
-			if e.t != nil {
-				h.set(e.key, e.t, e.node)
+		for _, o := range old {
+			if len(o.entries) != 0 {
+				h.slots[h.free(o.key)] = o
 			}
 		}
 	}
-	mask := len(h.slots) - 1
-	i := h.home(k)
-	for h.slots[i].t != nil {
-		i = (i + 1) & mask
-	}
-	h.slots[i] = headEntry{k, t, node}
+	i := h.free(k)
+	h.slots[i].key = k
 	h.n++
+	return i
 }
 
-// drop removes template t's entry under k.
-func (h *headIndex) drop(k headKey, t *Template) {
-	i := h.find(k, t)
+// free returns the empty slot where k's probe run ends.
+func (h *joinIndex) free(k headKey) int {
+	mask := len(h.slots) - 1
+	i := h.home(k)
+	for len(h.slots[i].entries) != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove drops the entry of template t's retired group, with vector vars at
+// index group, and the head key's slot with its last entry.
+func (h *joinIndex) remove(t *Template, vars []int32, group int32) {
+	i, j := h.find(t, vars, group)
+	s := &h.slots[i]
+	if s.entries = slices.Delete(s.entries, j, j+1); len(s.entries) > 0 {
+		return
+	}
 	h.n--
-	backshift(h.slots, i, func(e *headEntry) (int, bool) { return h.home(e.key), e.t != nil })
+	backshift(h.slots, i, func(s *headSlot) (int, bool) { return h.home(s.key), len(s.entries) != 0 })
+}
+
+// relink points the entry of template t's group with vector vars, moved
+// from index from to index to, at its new index, and for a four-position
+// template, whose head key ends at the group, its node too.
+func (h *joinIndex) relink(t *Template, vars []int32, from, to int32) {
+	i, j := h.find(t, vars, from)
+	e := &h.slots[i].entries[j]
+	if e.group = to; t.N == len(headKey{}) {
+		e.node = to
+	}
 }
 
 // rowIndex groups the rows of a relation by the value of one integer column.

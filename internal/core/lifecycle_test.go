@@ -44,8 +44,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if p.viewReaders != 0 {
 		t.Errorf("%d view-reading templates counted, want 0", p.viewReaders)
 	}
-	if !reflect.DeepEqual(p.heads, headIndex{}) {
-		t.Errorf("head index not reclaimed: %d keys", p.heads.n)
+	if !reflect.DeepEqual(p.joins, joinIndex{}) {
+		t.Errorf("join index not reclaimed: %d entries", p.joins.n)
 	}
 	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
 		t.Errorf("Stage-2 scratch not reclaimed: %d RL and %d RR rows kept", cap(p.pre.rl), cap(p.pre.rr))

@@ -62,7 +62,7 @@ type Processor struct {
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
-	heads        headIndex   // the headed templates' tries by their first four levels
+	joins        joinIndex   // the headed templates' vector groups by their value-join keys
 	// viewReaders counts the live templates with readsViews: while it is
 	// 0, prepareViews builds no RL or RR.
 	viewReaders int
@@ -454,7 +454,7 @@ func (p *Processor) Unregister(qid QueryID) error {
 // work-horse and the rollback path of a partially failed Register.
 func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 	t := inst.tmpl
-	t.removeVector(&p.heads, inst.group, inst.key, qid)
+	t.removeVector(&p.joins, inst.group, inst.key, qid)
 
 	lpi, rpi := inst.left.pi, inst.right.pi
 	p.release(inst.left)
@@ -518,7 +518,7 @@ func (p *Processor) reclaimAll() {
 	p.result = Matches{}
 	p.pre = stage2Shared{}
 	p.ex = cqExec{}
-	p.heads = headIndex{}
+	p.joins = joinIndex{}
 }
 
 // MustRegister is Register, panicking on error (tests, examples).
@@ -648,7 +648,7 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	key := windowKey{window: q.Window, op: q.Op, kind: q.WindowKind, swapped: swapped}
 	return &instance{
 		tmpl: tmpl, key: key,
-		group: tmpl.addVector(&p.heads, varIDs, key, qid), left: left, right: right,
+		group: tmpl.addVector(&p.joins, varIDs, key, qid), left: left, right: right,
 	}, nil
 }
 

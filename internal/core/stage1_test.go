@@ -221,21 +221,23 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 // BenchmarkStage2ManyTemplates times a publish on the benchmark's
 // paper_scale shape, window full (paperScaleSlice): 2 000 subscriptions on
 // 56 templates, where Stage 2's conjunctive queries are most of the cost.
-// Beside ns per document it reports the conjunctive-query time (Stats.CQ)
-// and the probes per document, so the head join and the programs can be
-// read in process. Every 600 documents the slice is rebuilt off the clock,
+// Beside ns per document it reports the conjunctive-query time (Stats.CQ),
+// the probes and the programs entered per document (Stats.WitnessPlans), so
+// the head join, the join index's filter and the programs can be read in
+// process. Every 600 documents the slice is rebuilt off the clock,
 // so the window stays full and no document is replayed.
 func BenchmarkStage2ManyTemplates(b *testing.B) {
 	const measured = 600
 	var p *Processor
 	var docs []*xmldoc.Document
 	var cq time.Duration
-	var probes int64
+	var probes, entered int64
 	flush := func() {
 		if p != nil {
 			st := p.Stats()
 			cq += st.CQ
 			probes += st.CQProbes
+			entered += st.WitnessPlans
 		}
 	}
 	b.ReportAllocs()
@@ -252,6 +254,7 @@ func BenchmarkStage2ManyTemplates(b *testing.B) {
 	flush()
 	b.ReportMetric(float64(cq.Nanoseconds())/float64(b.N), "cq-ns/doc")
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/doc")
+	b.ReportMetric(float64(entered)/float64(b.N), "entered/doc")
 }
 
 // TestStage1WalkSteps counts the transitions Stage 1's walk computes rather

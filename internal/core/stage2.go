@@ -11,7 +11,7 @@ import (
 // Stage 2 runs on the goroutine that calls Consume: one executor (the
 // processor's cqExec) evaluates the live templates against read-only inputs
 // — the join state, the current document's record, the per-document views
-// (stage2Shared), the head index and the templates' compiled programs and
+// (stage2Shared), the join index and the templates' compiled programs and
 // vector groups — writing one run per frame and passing window class into
 // the processor's result. The result is read as a merge of the window
 // classes, each with its runs, and the sorted single-block matches
@@ -47,7 +47,7 @@ func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
 	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
 	ex.probes, ex.rows, ex.plans = 0, 0, 0
 	ex.doc++
-	ex.runHeads(&p.heads)
+	ex.runHeads(&p.joins)
 	for _, t := range p.templateList {
 		if !t.headed {
 			ex.enter(t)

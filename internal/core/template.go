@@ -36,15 +36,21 @@ type Template struct {
 	vecList []*vecGroup
 	trie    vecTrie
 	levels  []int
+	// tuple holds, in a headed template, the positions (pl, l, pr, r) of
+	// the key of each later value join that reads the views: what a
+	// group's vector spells there is the group's key tuple (joinIndex).
+	tuple [][4]int
 
 	// prog is the compiled conjunctive query (cqplan.go) and runs counts
-	// the documents that entered it, entered the last (cqExec.doc); needRvj
+	// the documents that entered it, entered the last (cqExec.doc) and
+	// keyed the last head key that did (cqExec.keys); needRvj
 	// reports that some step reads the value-join pair relation, headed
 	// that the first value join reads the views, readsViews that some value
 	// join does.
 	prog       *cqProgram
 	runs       int64
 	entered    int64
+	keyed      int64
 	needRvj    bool
 	headed     bool
 	readsViews bool
