@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,47 +197,96 @@ func TestServerDurableRestart(t *testing.T) {
 }
 
 // TestServerDurableSparseRestore: a durable server that restores a snapshot
-// naming query id 3 000 000 keeps one page of owner rows, not a row for every
-// id below it: the live heap (mmqjp_heap_live_bytes) reads under 2 MB more
-// right after start than before it (48.3 MB more with rows dense by id), and
-// the restored query is claimed and served under its id.
+// naming a large query id keeps a page of owner rows and the directories
+// above it, not a row or a pointer for every id below it: the live heap
+// (mmqjp_heap_live_bytes) reads under 2 MB more right after start than
+// before it (48.3 MB more for id 3 000 000 with rows dense by id, and 34 GB
+// of directory for id 1<<40 with one flat directory of pages), and the
+// restored query is claimed and served under its id.
 func TestServerDurableSparseRestore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not fixed under the race detector")
 	}
-	const snap = `{"format":"mmqjp-snapshot","version":1,"queries":[{"id":3000000,"source":"S//a->x FOLLOWED BY{x=y, 100} S//b->y"}],"state":{"next_seq":0,"max_doc":0}}`
-	store := &mmqjp.MemStore{}
-	if err := store.Save(func(w io.Writer) error {
-		_, err := io.WriteString(w, snap)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	before, _ := collectorGauges()
-	addr, s := startDurableServer(t, store)
-	runtime.GC()
-	after, _ := collectorGauges()
-	t.Logf("live heap %.2f MB before start, %.2f MB after", before/1e6, after/1e6)
-	if after-before > 2<<20 {
-		t.Errorf("restoring query id 3000000 added %.0f bytes of live heap, want <= %d", after-before, 2<<20)
-	}
-	runtime.KeepAlive(s)
+	for _, id := range []string{"3000000", "1099511627776"} {
+		t.Run(id, func(t *testing.T) {
+			snap := `{"format":"mmqjp-snapshot","version":1,"queries":[{"id":` + id + `,"source":"S//a->x FOLLOWED BY{x=y, 100} S//b->y"}],"state":{"next_seq":0,"max_doc":0}}`
+			store := &mmqjp.MemStore{}
+			if err := store.Save(func(w io.Writer) error {
+				_, err := io.WriteString(w, snap)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			before, _ := collectorGauges()
+			addr, s := startDurableServer(t, store)
+			runtime.GC()
+			after, _ := collectorGauges()
+			t.Logf("live heap %.2f MB before start, %.2f MB after", before/1e6, after/1e6)
+			if after-before > 2<<20 {
+				t.Errorf("restoring query id %s added %.0f bytes of live heap, want <= %d", id, after-before, 2<<20)
+			}
+			runtime.KeepAlive(s)
 
-	c := dialTest(t, addr)
-	c.sendLine(t, "CLAIM 3000000")
-	if got := c.readLine(t); got != "OK 3000000" {
-		t.Fatalf("CLAIM 3000000 -> %q", got)
+			c := dialTest(t, addr)
+			c.sendLine(t, "CLAIM "+id)
+			if got := c.readLine(t); got != "OK "+id {
+				t.Fatalf("CLAIM %s -> %q", id, got)
+			}
+			c.sendLine(t, "PUB S 1 <a>k</a>")
+			if got := c.readLine(t); got != "OK 0" {
+				t.Fatalf("PUB -> %q", got)
+			}
+			c.sendLine(t, "PUB S 2 <b>k</b>")
+			if got := c.readLine(t); got != "MATCH "+id+" left=1@1 right=2@2" {
+				t.Fatalf("PUB -> %q, want the restored query's match", got)
+			}
+			if got := c.readLine(t); got != "OK 1" {
+				t.Fatalf("PUB -> %q", got)
+			}
+		})
 	}
-	c.sendLine(t, "PUB S 1 <a>k</a>")
-	if got := c.readLine(t); got != "OK 0" {
-		t.Fatalf("PUB -> %q", got)
-	}
-	c.sendLine(t, "PUB S 2 <b>k</b>")
-	if got := c.readLine(t); got != "MATCH 3000000 left=1@1 right=2@2" {
-		t.Fatalf("PUB -> %q, want the restored query's match", got)
-	}
-	if got := c.readLine(t); got != "OK 1" {
-		t.Fatalf("PUB -> %q", got)
+}
+
+// TestOwnerTableSparse sets, reads and removes ids spread over the whole id
+// range, in both orders: every id reads back with its owner while set, its
+// neighbours read unknown, and once the last id is removed the table holds
+// no page or directory.
+func TestOwnerTableSparse(t *testing.T) {
+	ids := []mmqjp.QueryID{1, 255, 256, 65535, 65536, 3000000, 1 << 40, math.MaxInt64 - 1}
+	for _, reverse := range []bool{false, true} {
+		var tab ownerTable
+		owners := make([]client, len(ids))
+		for i, id := range ids {
+			tab.set(id, &owners[i])
+		}
+		for i, id := range ids {
+			if o, ok := tab.get(id); !ok || o.c != &owners[i] || string(o.prefix(tab.prefixes)) != fmt.Sprintf("MATCH %d left=", id) {
+				t.Fatalf("get(%d) = %+v, %v", id, o, ok)
+			}
+			for _, n := range []mmqjp.QueryID{id - 1, id + 1, -id} {
+				if _, ok := tab.get(n); ok && !slices.Contains(ids, n) {
+					t.Fatalf("get(%d) is known", n)
+				}
+			}
+		}
+		order := slices.Clone(ids)
+		if reverse {
+			slices.Reverse(order)
+		}
+		for i, id := range order {
+			tab.remove(id)
+			if _, ok := tab.get(id); ok {
+				t.Fatalf("get(%d) is known after remove", id)
+			}
+			for _, rest := range order[i+1:] {
+				if _, ok := tab.get(rest); !ok {
+					t.Fatalf("remove(%d) lost %d", id, rest)
+				}
+			}
+		}
+		if tab.root != nil || tab.shift != 0 {
+			t.Fatalf("empty table keeps a tree over %d bits", tab.shift)
+		}
 	}
 }

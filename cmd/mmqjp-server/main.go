@@ -136,17 +136,24 @@ type server struct {
 // QueryID, because every match reads it: on a 2-core Xeon, 180 lookups (an
 // rss_window document's matches) over 10 000 owners take 0.2–0.3 µs from a
 // slice and ≈ 3 µs from a Go map, against ≈ 33 µs of CPU per document. The
-// rows lie in pages of ownerPageRows ids, a page allocated by the first set
-// into it and released with its last row, under a directory indexed by id /
-// ownerPageRows, so a lookup is still two indexes, and the table costs its
-// live pages plus a pointer per page of ids up to the highest: a restored
-// snapshot naming one id of 3 000 000 costs one page and a 94 KB directory,
-// not 48 MB of rows. The prefixes add ≈ 20 bytes per lifetime SUB. An id the
+// index is a radix tree, so the table costs what its live ids reach, not
+// their highest: rows lie in pages of 256 ids under directories of 256
+// children, each allocated by the first set below it and released with the
+// last row below it, and the tree is as tall as the highest id needs. Ids
+// below 65 536 are two indexes from the root, as with one directory; a
+// restored snapshot naming id 3 000 000 costs a page and two directories,
+// and one naming id 1<<40 a page and five (24 KB), not a row or a pointer
+// per lower id. The prefixes add ≈ 20 bytes per lifetime SUB. An id the
 // table does not know — unsubscribed, or before a restore — is a zero row.
 // In durable mode a known row with a nil owner marks an orphaned
 // subscription: alive in the engine, matches undelivered until a CLAIM.
 type ownerTable struct {
-	pages []*ownerPage
+	// root is the tree's top directory, nil while no id is known; shift is
+	// the bits of an id below the root's index, ownerBits times the tree's
+	// height (0 while root is nil), so the tree covers the ids below
+	// ownerFan<<shift.
+	root  *ownerDir
+	shift uint
 	// prefixes holds every row's prefix, appended when the table first
 	// learns the query and never rewritten, so bytes read through a copy of
 	// the slice taken under the read lock stay valid after its release. The
@@ -154,19 +161,26 @@ type ownerTable struct {
 	prefixes []byte
 }
 
-// ownerPageRows is the ids one page of ownerTable holds: 256 16-byte rows,
-// one 4 KB memory page.
-const ownerPageRows = 256
+// ownerBits is the bits of an id that each level of ownerTable resolves: a
+// page holds 256 16-byte rows, one 4 KB memory page, and a directory 256
+// children.
+const ownerBits = 8
 
-// ownerPage is one page of ownerTable's rows and the count of its known
-// ones.
-type ownerPage struct {
-	rows [ownerPageRows]owner
-	live int
+const ownerFan = 1 << ownerBits
+
+// ownerPage is one page of ownerTable's rows.
+type ownerPage [ownerFan]owner
+
+// ownerDir is one directory of ownerTable: at the bottom (its index at bit
+// ownerBits) it holds pages, above that directories.
+type ownerDir struct {
+	dirs  [ownerFan]*ownerDir
+	pages [ownerFan]*ownerPage
 }
 
 // owner is one row of ownerTable: the owning connection and where the
-// query's prefix lies in ownerTable.prefixes (n = 0: unknown query).
+// query's prefix lies in ownerTable.prefixes (n = 0: unknown query). A row
+// the table does not know is all zero.
 type owner struct {
 	c   *client
 	off uint32
@@ -175,29 +189,53 @@ type owner struct {
 
 func (o *owner) prefix(prefixes []byte) []byte { return prefixes[o.off : o.off+uint32(o.n)] }
 
-// get returns qid's row and whether the table knows qid.
-func (t *ownerTable) get(qid mmqjp.QueryID) (owner, bool) {
-	if p := uint64(qid) / ownerPageRows; p < uint64(len(t.pages)) && t.pages[p] != nil {
-		o := t.pages[p].rows[qid%ownerPageRows]
-		return o, o.n > 0
+// get returns qid's row and whether the table knows qid. It is small enough
+// to inline, which every match's lookup takes.
+func (t *ownerTable) get(qid mmqjp.QueryID) (o owner, ok bool) {
+	u, d := uint64(qid), t.root
+	if u>>t.shift >= ownerFan {
+		return
 	}
-	return owner{}, false
+	for sh := t.shift; sh > ownerBits && d != nil; sh -= ownerBits {
+		d = d.dirs[u>>sh%ownerFan]
+	}
+	if d != nil {
+		if p := d.pages[u>>ownerBits%ownerFan]; p != nil {
+			o = p[u%ownerFan]
+		}
+	}
+	return o, o.n > 0
 }
 
 // set makes c the owner of qid (nil: orphaned), rendering qid's prefix when
 // the table first learns it: at SUB, or at restore for a query a CLAIM will
 // adopt.
 func (t *ownerTable) set(qid mmqjp.QueryID, c *client) {
-	p := int(qid / ownerPageRows)
-	if n := p + 1; n > len(t.pages) {
-		t.pages = append(t.pages, make([]*ownerPage, n-len(t.pages))...)
+	u := uint64(qid)
+	for t.shift == 0 || u>>t.shift >= ownerFan {
+		if t.root != nil {
+			up := new(ownerDir)
+			up.dirs[0], t.root = t.root, up
+		}
+		t.shift += ownerBits
 	}
-	if t.pages[p] == nil {
-		t.pages[p] = new(ownerPage)
+	if t.root == nil {
+		t.root = new(ownerDir)
 	}
-	o := &t.pages[p].rows[qid%ownerPageRows]
+	d := t.root
+	for sh := t.shift; sh > ownerBits; sh -= ownerBits {
+		next := &d.dirs[u>>sh%ownerFan]
+		if *next == nil {
+			*next = new(ownerDir)
+		}
+		d = *next
+	}
+	p := &d.pages[u>>ownerBits%ownerFan]
+	if *p == nil {
+		*p = new(ownerPage)
+	}
+	o := &(*p)[u%ownerFan]
 	if o.n == 0 {
-		t.pages[p].live++
 		off := len(t.prefixes)
 		t.prefixes = append(t.prefixes, "MATCH "...)
 		t.prefixes = strconv.AppendInt(t.prefixes, int64(qid), 10)
@@ -207,14 +245,31 @@ func (t *ownerTable) set(qid mmqjp.QueryID, c *client) {
 	o.c = c
 }
 
-// remove forgets qid, which the table knows, and releases its page with the
-// page's last row.
+// remove forgets qid, which the table knows, releasing its page with the
+// page's last row and each directory above it with its last child.
 func (t *ownerTable) remove(qid mmqjp.QueryID) {
-	p := t.pages[qid/ownerPageRows]
-	p.rows[qid%ownerPageRows] = owner{}
-	if p.live--; p.live == 0 {
-		t.pages[qid/ownerPageRows] = nil
+	if release(t.root, t.shift, uint64(qid)) {
+		t.root, t.shift = nil, 0
 	}
+}
+
+// release clears row u below directory d, whose index is at bit sh, and
+// reports whether d is left empty.
+func release(d *ownerDir, sh uint, u uint64) bool {
+	i := u >> sh % ownerFan
+	if sh > ownerBits {
+		if !release(d.dirs[i], sh-ownerBits, u) {
+			return false
+		}
+		d.dirs[i] = nil
+	} else {
+		p := d.pages[i]
+		if p[u%ownerFan] = (owner{}); *p != (ownerPage{}) {
+			return false
+		}
+		d.pages[i] = nil
+	}
+	return *d == (ownerDir{})
 }
 
 // Stable error codes, the first token of every ERR reply.

@@ -455,12 +455,11 @@ type headPair struct {
 // value — once for all headed templates. The distinct keys of its pairs are
 // the document's present keys. Under each present key it enters each
 // template with an entry whose key tuple is present, once, and runs it for
-// every pair with the key (runEntry). It finds those entries by walking the
-// key's entries, or by looking each present key up among them as a tuple's
-// first key, whichever visits fewer, and counts the entries it reads as
-// probes. Nothing else is looked at: an entry whose tuple is not present
-// names groups whose other view joins find no RL and RR rows to pair, so no
-// frame of theirs completes.
+// every pair with the key (runEntry). It finds those entries by looking each
+// present key up among the key's entries as a tuple's first key, and counts
+// the entries it reads as probes. Nothing else is looked at: an entry whose
+// tuple is not present names groups whose other view joins find no RL and RR
+// rows to pair, so no frame of theirs completes.
 func (ex *cqExec) runHeads(joins *joinIndex) {
 	if joins.n == 0 {
 		return
@@ -492,14 +491,6 @@ func (ex *cqExec) runHeads(joins *joinIndex) {
 		}
 		ex.keys++
 		es := joins.slots[si].entries
-		if len(es) <= len(present) {
-			for x := range es {
-				if ex.probes++; has(present, es[x].first) {
-					ex.runEntry(present, &es[x], pairs[i:j])
-				}
-			}
-			continue
-		}
 		for _, k2 := range present {
 			for x := byFirst(es, k2); x < len(es) && es[x].first == k2; x++ {
 				ex.probes++

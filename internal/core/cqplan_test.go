@@ -496,7 +496,7 @@ func collidingStream(n, count int) []*xmldoc.Document {
 // TestWitnessOrderCountedWork bounds the index entries Stage 2 visits per
 // match — the head join, the join index and the compiled programs walking
 // the vector-group trie — on three shapes: colliding two-level documents,
-// the paper-scale generator and the RSS stream. The readings are 3.30, 17.68
+// the paper-scale generator and the RSS stream. The readings are 3.30, 17.66
 // and 0.28 probes per match (4.98, 19.45 and 0.72 when the head key alone
 // chose the templates entered; 5.10, 38.30 and 0.83 when every template
 // scanned RL and probed RR itself; 128 and 2.0 on the last two without the

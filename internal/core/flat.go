@@ -211,9 +211,8 @@ func (k headKey) cmp(o headKey) int {
 // four-position template, the group's index again). The table is keyed by
 // head key; a key's entries lie in one slice, ordered by their key tuple's
 // first key (the head key again for an empty tuple), which each entry
-// carries, so runHeads either walks them all or looks up each present key
-// among them, whichever visits fewer. The rest of a tuple is read off the
-// group's vector when it is needed.
+// carries, so runHeads looks up each present key among them. The rest of a
+// tuple is read off the group's vector when it is needed.
 type joinIndex struct {
 	slots []headSlot // an empty entries marks an empty slot
 	n     int
