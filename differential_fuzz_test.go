@@ -20,8 +20,10 @@ import (
 // <en/> under the id, and an //entry under a //feed root), on either side,
 // from a small pool of blocks that several queries share while joining on
 // different variables; single-block queries; FOLLOWED BY and JOIN; time,
-// ROWS and unbounded windows; repeated document ids; subscription churn; and,
-// in late mode, out-of-order timestamps.
+// ROWS and unbounded windows; repeated document ids; subscription churn; in
+// late mode, out-of-order timestamps; and in roots mode, blocks rooted at an
+// id that join on the id itself and on the text of an <en> under it, so a
+// value join lies on the root of a side of two nodes.
 //
 // Every case runs twice: with one publisher, and with three publishing each
 // run of documents between two churn steps concurrently. Documents with one
@@ -29,7 +31,9 @@ import (
 // is the k-th document with it, and the baseline replays the documents in
 // that order. As in the core harness, only pairs whose documents were first
 // published once the query was live are compared: state shared with queries
-// that came earlier is the processors' own business.
+// that came earlier is the processors' own business. MMQJP may not emit a
+// match more often than the baseline: every template row extends to a
+// witness pair of its own, so a row emitted twice shows there.
 //
 // Both processors drop, after every document, whatever that document's
 // cutoffs put out of every window, so they hold the same documents whatever
@@ -113,6 +117,36 @@ func FuzzDifferential(f *testing.F) {
 		2, 1, 1, 0, 1, 0, 0, 0, 0, // <entry><id>a</id></entry>
 		2, 1, 1, 0, 1, 0, 0, 0, 0, // <entry><id>a</id></entry>
 	})
+	// A value join on block roots: the template's first value join is
+	// on an inner id and a single-node ref side, and the second document's
+	// id lies under two class names, one per query's block (the topic
+	// filter names its entry apart). Each query matches once: a row
+	// entered under both of the pair's keys would be emitted twice.
+	f.Add([]byte{
+		0, 2,
+		0, 1, 1, 0, 0, // S//entry->x0[./id->x1][./ref->x2]
+		0, 1, 1, 0, 1, // S//entry->x0[./id->x1][./ref->x2][./topics/t0]
+		0, 0, 1, 0, 0, // S//entry->x0[./ref->x2]
+		1,
+		1, 0, 2, 1, 0, 0, 1, 0, 6, // block 0 FOLLOWED BY{x1=y2 AND x2=y2, 10} block 2
+		1, 1, 2, 1, 0, 0, 1, 0, 6, // block 1 FOLLOWED BY{x1=y2 AND x2=y2, 10} block 2
+		2, 1, 1, 0, 1, 0, 1, 0, 0, 1, // <entry><id>a</id><ref>a</ref><topics><t0/></topics></entry>
+		2, 1, 1, 0, 0, 1, 0, 0, 0, // <entry><ref>a</ref></entry>
+	})
+	// Roots mode, x=z AND y=w on two-node sides: the ids join on their
+	// roots (a key of anyClass), and the <en> texts by the views. The
+	// second document's id equals the first's but its <en> does not, so
+	// the view join's key is absent and the template is not entered; the
+	// third document's is present and it matches the first.
+	f.Add([]byte{
+		2, 0, // roots mode, in order; one block
+		1,                         // S//id->x1[./en->x5]
+		0,                         // one query
+		1, 0, 0, 1, 0, 0, 1, 1, 6, // block 0 FOLLOWED BY{x1=y1 AND x5=y5, 10} block 0
+		2, 1, 1, 0, 2, 0, 2, 0, 0, 0, // <entry><id>a<en>b</en></id></entry>
+		2, 1, 1, 0, 2, 3, 0, 0, 0, 0, // <entry><id>ab<en></en></id></entry>
+		2, 1, 1, 0, 2, 0, 2, 0, 0, 0, // <entry><id>a<en>b</en></id></entry>
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeDiffCase(data)
 		for _, publishers := range []int{1, 3} {
@@ -172,10 +206,12 @@ const (
 
 func decodeDiffCase(data []byte) *diffCase {
 	r := &diffReader{b: data}
-	c := &diffCase{late: r.next(2) == 1}
+	mode := r.next(4)
+	c := &diffCase{late: mode&1 == 1}
+	roots := mode&2 != 0
 	blocks := make([]diffBlock, 1+r.next(3))
 	for i := range blocks {
-		blocks[i] = decodeDiffBlock(r)
+		blocks[i] = decodeDiffBlock(r, roots)
 	}
 	for n := 1 + r.next(4); n > 0; n-- {
 		c.initial = append(c.initial, diffQuery(r, blocks))
@@ -203,7 +239,7 @@ func decodeDiffCase(data []byte) *diffCase {
 			if rep := r.next(6); rep == 0 && docs > 0 {
 				id = int64(1 + r.next(docs))
 			}
-			x := decodeDiffDoc(r)
+			x := decodeDiffDoc(r, roots)
 			d, err := ParseDocument(x, id, ts)
 			if err != nil {
 				panic(err) // the grammar writes well-formed XML
@@ -218,8 +254,12 @@ func decodeDiffCase(data []byte) *diffCase {
 // decodeDiffBlock reads a block: its root (an entry, or a feed over one),
 // the entry's id, ref and author branches — each absent, bound, or a filter
 // (an <en/> under the bound id, an unbound ref or author) — and a topic
-// filter. A block binds at least one join variable.
-func decodeDiffBlock(r *diffReader) diffBlock {
+// filter. A block binds at least one join variable. In roots mode a block
+// may instead be rooted at an id, binding it and its <en>.
+func decodeDiffBlock(r *diffReader, roots bool) diffBlock {
+	if roots && r.next(2) == 1 {
+		return diffBlock{text: "S//id->%[1]s1[./en->%[1]s5]", vars: []string{"1", "5"}}
+	}
 	feedRoot := r.next(2) == 1
 	var entry string
 	var vars []string
@@ -286,8 +326,10 @@ func diffQuery(r *diffReader, blocks []diffBlock) string {
 
 // decodeDiffDoc reads a feed of one to three entries, each with an optional
 // id (with or without an <en/> child), ref and author name, values drawn
-// from three, and an optional topic.
-func decodeDiffDoc(r *diffReader) string {
+// from three, and an optional topic. In roots mode the <en> under an id
+// holds a text too, from "", a, b and c, after the id's own, from a, b, c
+// and ab, so two ids can be equal where their <en>s differ.
+func decodeDiffDoc(r *diffReader, roots bool) string {
 	val := func() string { return string("abc"[r.next(3)]) }
 	var sb strings.Builder
 	sb.WriteString("<feed>")
@@ -297,7 +339,12 @@ func decodeDiffDoc(r *diffReader) string {
 		case 1:
 			sb.WriteString("<id>" + val() + "</id>")
 		case 2:
-			sb.WriteString("<id>" + val() + "<en/></id>")
+			if roots {
+				id := []string{"a", "b", "c", "ab"}[r.next(4)]
+				sb.WriteString("<id>" + id + "<en>" + []string{"", "a", "b", "c"}[r.next(4)] + "</en></id>")
+			} else {
+				sb.WriteString("<id>" + val() + "<en/></id>")
+			}
 		}
 		if r.next(2) == 1 {
 			sb.WriteString("<ref>" + val() + "</ref>")
@@ -418,8 +465,18 @@ func (c *diffCase) run(publishers int) string {
 			}
 			next[id] = i + 1
 			want := diffKeys(publishOne(ref, "S", docs[i]), liveSince, firstSeg)
-			if have := diffKeys(got[i], liveSince, firstSeg); !slices.Equal(have, want) {
+			have := diffKeys(got[i], liveSince, firstSeg)
+			if !slices.Equal(slices.Compact(slices.Clone(have)), slices.Compact(slices.Clone(want))) {
 				return fmt.Sprintf("segment %d, document %d@%d: MMQJP %v, sequential %v", seg, id, docs[i].Timestamp, have, want)
+			}
+			n := map[diffKey]int{}
+			for _, k := range want {
+				n[k]++
+			}
+			for _, k := range have {
+				if n[k]--; n[k] < 0 {
+					return fmt.Sprintf("segment %d, document %d@%d: MMQJP emits %v more often than the sequential baseline", seg, id, docs[i].Timestamp, k)
+				}
 			}
 		}
 		if len(entered) != n {
@@ -429,8 +486,8 @@ func (c *diffCase) run(publishers int) string {
 	return ""
 }
 
-// diffKeys returns the sorted distinct keys of the matches whose documents
-// were both first published once their query was live.
+// diffKeys returns the sorted keys of the matches whose documents were both
+// first published once their query was live, one per match.
 func diffKeys(ms []Match, liveSince map[QueryID]int, firstSeg map[int64]int) []diffKey {
 	var out []diffKey
 	for _, m := range ms {
@@ -443,7 +500,7 @@ func diffKeys(ms []Match, liveSince map[QueryID]int, firstSeg map[int64]int) []d
 	slices.SortFunc(out, func(a, b diffKey) int {
 		return slices.Compare([]int64{int64(a.q), a.ldoc, a.rdoc, a.lts, a.rts}, []int64{int64(b.q), b.ldoc, b.rdoc, b.lts, b.rts})
 	})
-	return slices.Compact(out)
+	return out
 }
 
 // TestLateDocumentMatchesSequential: a late document may join only documents

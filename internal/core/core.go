@@ -88,12 +88,12 @@ type Stats struct {
 
 	// WitnessPlans counts the compiled programs (cqplan.go) Stage 2
 	// entered, once per document each.
-	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Compiled Stage-2 programs entered, once per document each: headed templates reached through the join index, side-root templates run whole."`
+	WitnessPlans int64 `json:"witness_plans" stat:"counter" help:"Compiled Stage-2 programs entered through the join index, once per document each."`
 	// CQProbes counts the rows and index entries Stage 2 visited (the head
-	// join's, then cqplan.go's steps') and CQRows the RoutT rows, before the
+	// joins', then cqplan.go's steps') and CQRows the RoutT rows, before the
 	// window test. Both are pure functions of the input sequence and the
 	// plan, so they repeat exactly.
-	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Rows and index entries visited by Stage 2: the head join's, then the compiled steps'."`
+	CQProbes int64 `json:"cq_probes" stat:"counter" help:"Rows and index entries visited by Stage 2: the head joins', then the compiled steps'."`
 	CQRows   int64 `json:"cq_rows" stat:"counter" help:"RoutT rows the Stage-2 programs produced, before the window test."`
 	// MatchRuns counts the runs Stage 2 wrote: one per complete frame and
 	// window class that passed the window, each standing for the matches

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/xmldoc"
@@ -41,13 +42,14 @@ import (
 // variable vector no subscription registered, and the edge its last v slot
 // takes names the vector group whose instances it emits.
 //
-// A headed template — its first value join reads the views — reads RL, then
-// RR, then anchors both endpoints, so its trie's first four levels are one
-// RL and one RR row's class names (headKey). Stage 2 walks that join once
-// for all of them (cqExec.runHeads) and enters each at step 2 through the
-// join index, and only where every later view join of one of its vector
-// groups has a pair in the document too; a template whose first value join
-// is on a side root runs its whole program.
+// Every program starts with the pairs of its first value join, which bind its
+// head key: the class names of both endpoints and of their parents. A join
+// that reads the views reads RL, then RR; one on a block root reads Rvj, then
+// each endpoint's Rroot or Rbin row. Stage 2 builds every pair of the
+// document once, for all templates (cqExec.runHeads), and enters a template
+// below its head key's trie node through the join index, only where every
+// later value join of one of its vector groups has a pair with the previous
+// document of one of the head key's pairs.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
@@ -70,6 +72,9 @@ var (
 
 	rlVar1, rlVar2, rlStrVal = rlSchema.Col("var1"), rlSchema.Col("var2"), rlSchema.SymCol("strVal")
 	rrVar1, rrVar2, rrStrVal = rlSchema[1:].Col("var1"), rlSchema[1:].Col("var2"), rlSchema[1:].SymCol("strVal")
+	rvjNodeL, rvjNodeR       = rvjSchema.Col("nodeL"), rvjSchema.Col("nodeR")
+	rbinVar1, rbinVar2       = rbinSchema.Col("var1"), rbinSchema.Col("var2")
+	rrootVar                 = rrootSchema.Col("var")
 )
 
 // cqSchemas is the schema of the rows each source yields: a witness
@@ -126,21 +131,87 @@ func (t *Template) usesViews(k int) bool {
 	return t.Parent[t.VJ[k][0]] >= 0 && t.Parent[t.VJ[k][1]] >= 0
 }
 
-// compile builds the template's program (setting needRvj when a step reads
-// the pair relation, headed when the first value join reads the views,
-// readsViews when any does) and lays out its trie's levels in the order the
-// program assigns the v slots.
+// single reports whether position p is the whole of its side.
+func (t *Template) single(p int) bool {
+	if t.SideOf[p] == Left {
+		return t.SingleLeft
+	}
+	return t.SingleRight
+}
+
+// The key of a value join lists, for each endpoint, the position of its
+// parent and its own; a key position below 0 stands for itself as a class
+// name (spell), which no interned name takes. A block root has noParent, and
+// one heading a side of more than one node has anyClass for itself: Stage 1
+// writes no Rroot row for it (an atom below it binds its class), so a pair
+// carries anyClass there whatever the node. A view join's key has four real
+// classes, and one on a block root never does, so the two never meet in one
+// key.
+const (
+	noParent = -1
+	anyClass = -2
+)
+
+// keyPos returns the positions of value join k's key.
+func (t *Template) keyPos(k int) [4]int {
+	var key [4]int
+	for i, p := range t.VJ[k] {
+		switch {
+		case t.Parent[p] >= 0:
+			key[2*i], key[2*i+1] = t.Parent[p], p
+		case t.single(p):
+			key[2*i], key[2*i+1] = noParent, p
+		default:
+			key[2*i], key[2*i+1] = noParent, anyClass
+		}
+	}
+	return key
+}
+
+// endKind returns the kind of a key's half, given its parent's and its own
+// class or position: 0 the root of a single-node side (an Rroot row), 1 a
+// node with a parent (an Rbin row), 2 anyClass.
+func endKind[E int | int32](pa, c E) int {
+	switch {
+	case pa >= 0:
+		return 1
+	case c == anyClass:
+		return 2
+	}
+	return 0
+}
+
+// keyShape returns the shape of a key, or of its positions: its halves'
+// kinds. A key of viewShape is a view join's; the pairs of every other shape
+// come from Rvj.
+func keyShape[E int | int32](k [4]E) int { return 3*endKind(k[0], k[1]) + endKind(k[2], k[3]) }
+
+const (
+	viewShape = 3*1 + 1
+	numShapes = 3 * 3
+)
+
+// keyLevels returns the number of trie levels the head key's classes take:
+// the program's seeded steps bind them first.
+func (t *Template) keyLevels() int {
+	n := 0
+	for _, p := range t.key {
+		if p >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// compile builds the template's program and its value joins' keys, and lays
+// out its trie's levels in the order the program assigns the v slots.
 func (t *Template) compile() {
 	t.prog = compileCQ(t)
-	t.headed = t.usesViews(0)
-	for k, e := range t.VJ {
-		if !t.usesViews(k) {
-			continue
-		}
-		t.readsViews = true
-		if k > 0 && t.headed {
-			t.tuple = append(t.tuple, [4]int{t.Parent[e[0]], e[0], t.Parent[e[1]], e[1]})
-		}
+	t.key = t.keyPos(0)
+	t.shapes = 1 << keyShape(t.key)
+	for k := 1; k < len(t.VJ); k++ {
+		t.tuple = append(t.tuple, t.keyPos(k))
+		t.shapes |= 1 << keyShape(t.tuple[k-1])
 	}
 	for _, st := range t.prog.steps {
 		for _, slot := range st.vars {
@@ -170,9 +241,12 @@ func compileCQ(t *Template) *cqProgram {
 		bound:   make([]bool, t.numSlots()),
 		emitted: make([]bool, t.N),
 	}
-	// Each value join is followed at once by the structural atoms anchoring
-	// its endpoints up to the side roots, so every step after the first
-	// probes with a bound key.
+	// Each value join reads its pair and the atoms that bind its endpoints'
+	// classes, and is followed at once by the structural atoms anchoring its
+	// endpoints up to the side roots, so every step after the first probes
+	// with a bound key. The first value join's steps up to the anchors are
+	// the ones its pairs seed (Template.seed), and the classes they bind are
+	// the head key, in its order.
 	for k, e := range t.VJ {
 		l, r := e[0], e[1]
 		// The first value join reads every pair (or left-view row); it
@@ -186,51 +260,60 @@ func compileCQ(t *Template) *cqProgram {
 			pl, pr := t.Parent[l], t.Parent[r]
 			c.atom(srcRL, docKey, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
 			c.emitted[l] = true
-			// A headed template's first four trie levels are its head key.
 			if k > 0 {
 				c.anchor(pl)
 			}
 			c.atom(srcRR, t.sSlot(k), t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
 			c.emitted[r] = true
-			c.anchor(pl)
-			c.anchor(pr)
-			continue
+		} else {
+			c.atom(srcRvj, docKey, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
+			c.edge(l)
+			c.edge(r)
 		}
-		t.needRvj = true
-		c.atom(srcRvj, docKey, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
-		c.anchor(l)
-		c.anchor(r)
+		if k == 0 {
+			t.seed = len(c.prog.steps)
+		}
+		c.anchor(t.Parent[l])
+		c.anchor(t.Parent[r])
 	}
 	return c.prog
 }
 
-// anchor emits the structural atoms from position pos up to its side root
-// (stopping at the first already emitted), or the unary root atom of a
-// single-node side. n_pos is bound when anchor is called.
+// anchor emits the structural atoms from position pos up to its side root,
+// stopping at the first already emitted; pos -1 (a root's parent) emits
+// none. n_pos is bound when anchor is called.
 func (c *cqCompiler) anchor(pos int) {
+	for ; pos >= 0 && !c.emitted[pos]; pos = c.t.Parent[pos] {
+		c.edge(pos)
+	}
+}
+
+// edge emits the atom binding position pos's class unless it was emitted:
+// the unary root atom of a single-node side, the structural atom to pos's
+// parent, and none for the root of a larger side, whose class an atom below
+// it binds.
+func (c *cqCompiler) edge(pos int) {
 	t := c.t
-	left := t.SideOf[pos] == Left
-	if (left && t.SingleLeft) || (!left && t.SingleRight) {
-		if c.emitted[pos] {
-			return
-		}
-		c.emitted[pos] = true
+	left, pa := t.SideOf[pos] == Left, t.Parent[pos]
+	switch {
+	case c.emitted[pos]:
+		return
+	case t.single(pos):
 		src := srcRrootW
 		if left {
 			src = srcRroot
 		}
 		c.atom(src, t.nSlot(pos), t.vSlot(pos), t.nSlot(pos))
+	case pa >= 0:
+		src := srcRbinW
+		if left {
+			src = srcRbin
+		}
+		c.atom(src, t.nSlot(pos), t.vSlot(pa), t.vSlot(pos), t.nSlot(pa), t.nSlot(pos))
+	default:
 		return
 	}
-	src := srcRbinW
-	if left {
-		src = srcRbin
-	}
-	for ch := pos; t.Parent[ch] >= 0 && !c.emitted[ch]; ch = t.Parent[ch] {
-		c.emitted[ch] = true
-		pa := t.Parent[ch]
-		c.atom(src, t.nSlot(ch), t.vSlot(pa), t.vSlot(ch), t.nSlot(pa), t.nSlot(ch))
-	}
+	c.emitted[pos] = true
 }
 
 // atom appends the step reading src with probe key slot key; cols[i] is the
@@ -350,16 +433,23 @@ func (g *vecGroup) remove(k windowKey, qid QueryID) bool {
 	return false
 }
 
-// spell returns the key the positions pos spell in vector v.
+// spell returns the key the positions pos spell in vector v; a position
+// below 0 spells itself (noParent, anyClass).
 func spell(v []int32, pos [4]int) headKey {
-	return headKey{v[pos[0]], v[pos[1]], v[pos[2]], v[pos[3]]}
+	var k headKey
+	for i, p := range pos {
+		if k[i] = int32(p); p >= 0 {
+			k[i] = v[p]
+		}
+	}
+	return k
 }
 
-// headKey returns the head key of a headed template's vector vars.
-func (t *Template) headKey(v []int32) headKey { return spell(v, [4]int(t.levels)) }
+// headKey returns the head key of the template's vector vars.
+func (t *Template) headKey(v []int32) headKey { return spell(v, t.key) }
 
-// firstKey returns the first key of the tuple of a headed template's vector
-// v, or its head key when the tuple is empty: the second key the join index
+// firstKey returns the first key of the tuple of the template's vector v,
+// or its head key when the tuple is empty: the second key the join index
 // finds v's entry by.
 func (t *Template) firstKey(v []int32) headKey {
 	if len(t.tuple) == 0 {
@@ -370,8 +460,8 @@ func (t *Template) firstKey(v []int32) headKey {
 
 // addVector records an instance of query qid with window key k and
 // variable vector vars in its template and returns its group (kept by the
-// instance for removeVector). A new group's path enters the trie and, in a
-// headed template, the join index.
+// instance for removeVector). A new group's path enters the trie and the
+// join index.
 func (t *Template) addVector(joins *joinIndex, vars []int32, k windowKey, qid QueryID) *vecGroup {
 	if gi := t.trie.walk(t.levels, vars); gi >= 0 {
 		g := t.vecList[gi]
@@ -381,9 +471,7 @@ func (t *Template) addVector(joins *joinIndex, vars []int32, k windowKey, qid Qu
 	g := &vecGroup{vars: slices.Clone(vars), first: windowClass{key: k, qids: []QueryID{qid}}}
 	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
 	t.vecList = append(t.vecList, g)
-	if t.headed {
-		joins.add(t, g.vars, int32(len(t.vecList)-1), t.trie.walk(t.levels[:len(headKey{})], g.vars))
-	}
+	joins.add(t, g, int32(len(t.vecList)-1), t.trie.walk(t.levels[:t.keyLevels()], g.vars))
 	return g
 }
 
@@ -396,16 +484,12 @@ func (t *Template) removeVector(joins *joinIndex, g *vecGroup, k windowKey, qid 
 		return
 	}
 	gi := t.trie.remove(t.levels, g.vars)
-	if t.headed {
-		joins.remove(t, g.vars, gi)
-	}
+	joins.remove(t, g.vars, gi)
 	last := len(t.vecList) - 1
 	if moved := t.vecList[last]; int(gi) != last {
 		t.vecList[gi] = moved
 		t.trie.relink(t.levels, moved.vars, gi)
-		if t.headed {
-			joins.relink(t, moved.vars, int32(last), gi)
-		}
+		joins.relink(t, moved.vars, int32(last), gi)
 	}
 	t.vecList[last] = nil
 	t.vecList = t.vecList[:last]
@@ -430,10 +514,13 @@ type cqExec struct {
 	// keys numbers the head keys runHeads looks up (Template.keyed).
 	doc, plans, keys int64
 
-	// pairs and present are runHeads' scratch: the document's head-join
-	// pairs, by key, and their distinct keys.
+	// pairs, present and ends are runHeads' scratch: the document's
+	// head-join pairs, their keys, and one value-join pair's endpoint
+	// classes; tuple is an entry's spelled key tuple (tupleIn).
 	pairs   []headPair
-	present []headKey
+	present keySet
+	ends    []endClass
+	tuple   []headKey
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -444,102 +531,210 @@ type cqExec struct {
 	probes, rows int64
 }
 
-// headPair is one pair of the head join: an RL row and an RR row of its
-// value, with their four class names.
+// headPair is one pair of a head join, with its key: an RL row l and an RR
+// row r of one value, or the value-join pair j (an Rvj row) and the rows its
+// endpoints' classes come from — l an Rroot or Rbin row of the previous
+// document, r one of the current document's, -1 for anyClass. in is the
+// previous document's state slot, and next the next pair with its key
+// (keySet), -1 after the last.
 type headPair struct {
-	key  headKey
-	l, r int32 // rows of the views RL and RR
+	key               headKey
+	l, r, j, in, next int32
 }
 
-// runHeads walks the head join — every RL row with every RR row of its
-// value — once for all headed templates. The distinct keys of its pairs are
-// the document's present keys. Under each present key it enters each
-// template with an entry whose key tuple is present, once, and runs it for
-// every pair with the key (runEntry). It finds those entries by looking each
-// present key up among the key's entries as a tuple's first key, and counts
-// the entries it reads as probes. Nothing else is looked at: an entry whose
-// tuple is not present names groups whose other view joins find no RL and RR
-// rows to pair, so no frame of theirs completes.
+// endClass is one way an endpoint node of a value-join pair binds a key: the
+// classes of its parent and its own, and the row they come from.
+type endClass struct {
+	pa, c, row int32
+}
+
+// runHeads builds every pair of the document's head joins, once for all
+// templates: every RL row with every RR row of its value, and every
+// value-join pair under each class pair its endpoints bind. The distinct
+// keys of its pairs are the document's present keys. Under each present key
+// it enters each template with an entry whose key tuple is present, once,
+// for every pair with the key (runEntry). It finds the entries whose first
+// key is present by testing each of the key's entries, or, where that would
+// read more entries than looking each present key up among them by binary
+// search, by the search. It counts the rows it reads and the entries it
+// finds as probes, the same whichever way it finds them. Nothing else is
+// looked at: an entry whose tuple is not present names groups whose other
+// value joins find no pair, so no frame of theirs completes.
 func (ex *cqExec) runHeads(joins *joinIndex) {
 	if joins.n == 0 {
 		return
 	}
-	pre := ex.pre
+	pre, s := ex.pre, ex.p.state
 	pairs := ex.pairs[:0]
 	for li, l := range pre.rl {
 		ex.probes++
 		for _, ri := range pre.rrBySym.get(l[rlStrVal]) {
 			r := pre.rr[ri]
 			ex.probes++
-			pairs = append(pairs, headPair{headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}, int32(li), ri})
+			pairs = append(pairs, headPair{headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}, int32(li), ri, -1, int32(l[slotDoc]), -1})
 		}
 	}
-	slices.SortFunc(pairs, func(a, b headPair) int { return a.key.cmp(b.key) })
-	present := ex.present[:0]
+	// A value-join pair binds a key of each shape some live template's key
+	// has, and reads only the rows those shapes take.
+	var live uint16
+	var kinds [2]uint8
+	for sh, n := range ex.p.keyShapes {
+		if n > 0 && sh != viewShape {
+			live |= 1 << sh
+			kinds[0] |= 1 << (sh / 3)
+			kinds[1] |= 1 << (sh % 3)
+		}
+	}
+	ends := ex.ends
+	for j, v := range pre.rvj {
+		ex.probes++
+		ends = ex.appendEnds(ends[:0], &s.recs[v[slotDoc]], v[rvjNodeL], kinds[0])
+		nl := len(ends)
+		ends = ex.appendEnds(ends, ex.cur, v[rvjNodeR], kinds[1])
+		for _, a := range ends[:nl] {
+			for _, b := range ends[nl:] {
+				if k := (headKey{a.pa, a.c, b.pa, b.c}); live&(1<<keyShape(k)) != 0 {
+					pairs = append(pairs, headPair{k, a.row, b.row, int32(j), int32(v[slotDoc]), -1})
+				}
+			}
+		}
+	}
+	present := &ex.present
+	present.reset(ex.doc, len(pairs))
 	for i := range pairs {
-		if i == 0 || pairs[i].key != pairs[i-1].key {
-			present = append(present, pairs[i].key)
-		}
+		present.add(pairs, i)
 	}
-	for i, j := 0, 0; i < len(pairs); i = j {
-		k := pairs[i].key
-		for j = i + 1; j < len(pairs) && pairs[j].key == k; j++ {
-		}
-		si := joins.slot(k)
+	ex.pairs, ex.ends = pairs, ends
+	for _, ki := range present.keys {
+		k := &present.slots[ki]
+		si := joins.slot(k.key)
 		if si < 0 {
 			continue
 		}
 		ex.keys++
 		es := joins.slots[si].entries
-		for _, k2 := range present {
+		if len(es) <= len(present.keys)*bits.Len(uint(len(es))) {
+			for x := range es {
+				if e := &es[x]; present.maybe(e.hash) && present.has(e.first, -1) {
+					ex.probes++
+					ex.runEntry(e, k.head)
+				}
+			}
+			continue
+		}
+		for _, ki2 := range present.keys {
+			k2 := present.slots[ki2].key
 			for x := byFirst(es, k2); x < len(es) && es[x].first == k2; x++ {
 				ex.probes++
-				ex.runEntry(present, &es[x], pairs[i:j])
+				ex.runEntry(&es[x], k.head)
 			}
 		}
 	}
-	ex.pairs, ex.present = pairs, present
 	if cap(pairs) > recKeep {
-		ex.pairs, ex.present = nil, nil
+		ex.pairs, ex.present = nil, keySet{}
 	}
 }
 
-// runEntry runs entry e's template from step 2, at e's trie node, for each
-// of the head-join pairs, which share e's head key, its frame seeded as
-// steps 0 and 1 would. e's head key and its tuple's first key are present;
-// it does nothing when the template ran under the head key already or a
-// later key of the tuple is not present.
-func (ex *cqExec) runEntry(present []headKey, e *joinEntry, pairs []headPair) {
-	if e.t.keyed == ex.keys {
+// appendEnds appends the classes node n of record r binds a value-join
+// endpoint to, of each kind (endKind) kinds has, counting the rows it reads
+// as probes: its Rroot rows' classes with noParent, its Rbin rows' by node2,
+// and anyClass.
+func (ex *cqExec) appendEnds(out []endClass, r *docRec, n int64, kinds uint8) []endClass {
+	if kinds&1 != 0 {
+		for _, i := range r.rootByNode.get(n) {
+			ex.probes++
+			out = append(out, endClass{noParent, int32(r.root[i][rrootVar]), i})
+		}
+	}
+	if kinds&2 != 0 {
+		for _, i := range r.binByNode2.get(n) {
+			ex.probes++
+			row := r.bin[i]
+			out = append(out, endClass{int32(row[rbinVar1]), int32(row[rbinVar2]), i})
+		}
+	}
+	if kinds&4 != 0 {
+		out = append(out, endClass{noParent, anyClass, -1})
+	}
+	return out
+}
+
+// runEntry runs entry e's template from the step after its seeded ones, at
+// e's trie node, for each pair of the chain from head, which share e's head
+// key, its frame seeded as those steps would from the pair's rows. e's head
+// key and its tuple's first key are present; it does nothing when the
+// template ran under the head key already or no pair lies in a previous
+// document where every key of the tuple has a pair too: all of a frame's
+// value joins pair with one previous document.
+func (ex *cqExec) runEntry(e *joinEntry, head int32) {
+	t := e.t
+	if t.keyed == ex.keys || !ex.tupleIn(e, head) {
 		return
 	}
-	if tuple := e.t.tuple; len(tuple) > 1 {
-		vars := e.vars()
-		for _, pos := range tuple[1:] {
-			if !has(present, spell(vars, pos)) {
-				return
+	t.keyed = ex.keys
+	ex.enter(t)
+	f, seeded := ex.frame, ex.prog.steps[:t.seed]
+	for i := head; i >= 0; i = ex.pairs[i].next {
+		for si := range seeded {
+			st := &seeded[si]
+			row := ex.seedRow(st.src, &ex.pairs[i])
+			for _, a := range st.assign {
+				f[a.slot] = row[a.col]
 			}
 		}
-	}
-	e.t.keyed = ex.keys
-	ex.enter(e.t)
-	f, steps, pre := ex.frame, ex.prog.steps, ex.pre
-	for _, pr := range pairs {
-		for _, a := range steps[0].assign {
-			f[a.slot] = pre.rl[pr.l][a.col]
-		}
-		for _, a := range steps[1].assign {
-			f[a.slot] = pre.rr[pr.r][a.col]
-		}
-		ex.nodes[2] = e.node
-		ex.step(2)
+		ex.nodes[t.seed] = e.node
+		ex.step(t.seed)
 	}
 }
 
-// has reports whether k is one of the present keys.
-func has(present []headKey, k headKey) bool {
-	_, ok := slices.BinarySearchFunc(present, k, headKey.cmp)
-	return ok
+// tupleIn reports whether a pair of the chain from head lies in a state
+// slot where every key of e's tuple has a pair. It spells the keys once, in
+// ex.tuple, and tests the later ones against the whole document first (the
+// first is present).
+func (ex *cqExec) tupleIn(e *joinEntry, head int32) bool {
+	tuple := e.t.tuple
+	if len(tuple) == 0 {
+		return true
+	}
+	keys := append(ex.tuple[:0], e.first)
+	for _, pos := range tuple[1:] {
+		k := spell(e.g.vars, pos)
+		if !ex.present.maybe(k.hash()) || !ex.present.has(k, -1) {
+			return false
+		}
+		keys = append(keys, k)
+	}
+	ex.tuple = keys
+next:
+	for i := head; i >= 0; i = ex.pairs[i].next {
+		for _, k := range keys {
+			if !ex.present.has(k, ex.pairs[i].in) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// seedRow returns the row of pair pr that a seeded step reading src binds.
+// No seeded step checks a column: each assigns slots no earlier step bound.
+func (ex *cqExec) seedRow(src cqSource, pr *headPair) []int64 {
+	switch src {
+	case srcRL:
+		return ex.pre.rl[pr.l]
+	case srcRR:
+		return ex.pre.rr[pr.r]
+	case srcRvj:
+		return ex.pre.rvj[pr.j]
+	case srcRroot:
+		return ex.p.state.recs[ex.frame[slotDoc]].root[pr.l]
+	case srcRbin:
+		return ex.p.state.recs[ex.frame[slotDoc]].bin[pr.l]
+	case srcRrootW:
+		return ex.cur.root[pr.r]
+	}
+	return ex.cur.bin[pr.r]
 }
 
 // enter makes t's program the frame's, from the trie's root, counting its

@@ -189,10 +189,11 @@ func (tr *vecTrie) put(e trieEdge) {
 	tr.n++
 }
 
-// headKey is the four class names a value join that reads the views binds:
-// v(pl), v(l) from its RL row and v(pr), v(r) from its RR row. A headed
-// template's first value join binds them in its trie's first four levels
-// (cqplan.go, compileCQ); those of its later view joins are its key tuple
+// headKey is the four class names a value join's pair binds: those of its
+// left endpoint's parent and of the endpoint, then the same on the right
+// (Template.keyPos; noParent and anyClass stand in where a block root has
+// none). A template's first value join binds them in its trie's first levels
+// (cqplan.go, compileCQ); those of its later value joins are its key tuple
 // (Template.tuple).
 type headKey [4]int32
 
@@ -205,14 +206,21 @@ func (k headKey) cmp(o headKey) int {
 	return cmp.Compare(uint64(packPair(int64(k[2]), int64(k[3]))), uint64(packPair(int64(o[2]), int64(o[3]))))
 }
 
-// joinIndex holds the headed templates' vector groups by their value-join
-// keys: one entry per group, naming its template, its index in the
-// template's vecList and the trie node below its head key (for a
-// four-position template, the group's index again). The table is keyed by
-// head key; a key's entries lie in one slice, ordered by their key tuple's
-// first key (the head key again for an empty tuple), which each entry
-// carries, so runHeads looks up each present key among them. The rest of a
-// tuple is read off the group's vector when it is needed.
+// hash spreads a head key over a power-of-two table (Fibonacci hashing of
+// its two halves).
+func (k headKey) hash() uint64 {
+	a, b := uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(k[2]), int64(k[3])))
+	return (a*fib ^ b) * fib
+}
+
+// joinIndex holds every template's vector groups by their value-join keys:
+// one entry per group, naming its template, its index in the template's
+// vecList, the trie node below its head key (the group's index again where
+// the head key ends at the group) and its key tuple's first key (the head
+// key again for an empty tuple). The table is keyed by head key; a key's
+// entries lie in one slice, ordered by their first key, so runHeads can look
+// a present key up among them. The rest of a tuple is read off the group's
+// vector when it is needed.
 type joinIndex struct {
 	slots []headSlot // an empty entries marks an empty slot
 	n     int
@@ -226,17 +234,13 @@ type headSlot struct {
 
 type joinEntry struct {
 	first       headKey
+	hash        uint64 // first's
+	g           *vecGroup
 	t           *Template
 	group, node int32
 }
 
-// vars returns the vector of e's group.
-func (e *joinEntry) vars() []int32 { return e.t.vecList[e.group].vars }
-
-func (h *joinIndex) home(k headKey) int {
-	a, b := uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(k[2]), int64(k[3])))
-	return int((a*fib ^ b) * fib >> h.shift)
-}
+func (h *joinIndex) home(k headKey) int { return int(k.hash() >> h.shift) }
 
 // slot returns the slot of head key k, or -1.
 func (h *joinIndex) slot(k headKey) int {
@@ -252,12 +256,6 @@ func (h *joinIndex) slot(k headKey) int {
 	return -1
 }
 
-// byFirst returns the index of the first of entries whose first key is k or
-// after it.
-func byFirst(entries []joinEntry, k headKey) int {
-	return sort.Search(len(entries), func(i int) bool { return entries[i].first.cmp(k) >= 0 })
-}
-
 // find returns the slot of the head key of template t's group with vector
 // vars, and the index of the group's entry there.
 func (h *joinIndex) find(t *Template, vars []int32, group int32) (int, int) {
@@ -270,16 +268,22 @@ func (h *joinIndex) find(t *Template, vars []int32, group int32) (int, int) {
 	return i, j
 }
 
-// add enters template t's new group, with vector vars at index group, whose
-// head key has node below it in t's trie.
-func (h *joinIndex) add(t *Template, vars []int32, group, node int32) {
-	k := t.headKey(vars)
+// add enters template t's new group g, at index group, whose head key has
+// node below it in t's trie.
+func (h *joinIndex) add(t *Template, g *vecGroup, group, node int32) {
+	k := t.headKey(g.vars)
 	i := h.slot(k)
 	if i < 0 {
 		i = h.put(k)
 	}
-	s, first := &h.slots[i], t.firstKey(vars)
-	s.entries = slices.Insert(s.entries, byFirst(s.entries, first), joinEntry{first: first, t: t, group: group, node: node})
+	s, first := &h.slots[i], t.firstKey(g.vars)
+	s.entries = slices.Insert(s.entries, byFirst(s.entries, first), joinEntry{first: first, hash: first.hash(), g: g, t: t, group: group, node: node})
+}
+
+// byFirst returns the index of the first of entries whose first key is k or
+// after it.
+func byFirst(entries []joinEntry, k headKey) int {
+	return sort.Search(len(entries), func(i int) bool { return entries[i].first.cmp(k) >= 0 })
 }
 
 // put makes the slot of head key k, which has none, and returns it, growing
@@ -325,15 +329,85 @@ func (h *joinIndex) remove(t *Template, vars []int32, group int32) {
 }
 
 // relink points the entry of template t's group with vector vars, moved
-// from index from to index to, at its new index, and for a four-position
-// template, whose head key ends at the group, its node too.
+// from index from to index to, at its new index, and where the head key ends
+// at the group, its node too.
 func (h *joinIndex) relink(t *Template, vars []int32, from, to int32) {
 	i, j := h.find(t, vars, from)
 	e := &h.slots[i].entries[j]
-	if e.group = to; t.N == len(headKey{}) {
+	if e.group = to; t.N == t.keyLevels() {
 		e.node = to
 	}
 }
+
+// keySet is a document's present keys, each with the first of its pairs
+// (headPair.next chains the rest), and the same keys once more for each
+// previous document they have a pair in: an open-addressing table whose
+// slots hold a key for the document that stamped them, so it is never
+// cleared. keys lists the document-wide slots in the order their keys were
+// first added, and bloom has bit hash>>56 set for each of their hashes.
+type keySet struct {
+	slots []keySlot
+	keys  []int32
+	bloom [4]uint64
+	shift uint
+	doc   int64
+}
+
+type keySlot struct {
+	key  headKey
+	in   int32 // the previous document's state slot, -1 for the whole document
+	head int32
+	doc  int64
+}
+
+// reset empties the set for document doc, which adds at most n pairs.
+func (ks *keySet) reset(doc int64, n int) {
+	ks.doc, ks.keys, ks.bloom = doc, ks.keys[:0], [4]uint64{}
+	if 4*n > len(ks.slots) {
+		ks.slots = make([]keySlot, max(64, 1<<bits.Len(uint(4*n))))
+		ks.shift = tableShift(len(ks.slots))
+	}
+}
+
+// find returns the slot of key k in state slot in, or the empty slot where
+// its probe run ends.
+func (ks *keySet) find(k headKey, in int32) int {
+	mask := len(ks.slots) - 1
+	i := int((k.hash() ^ uint64(uint32(in))) * fib >> ks.shift)
+	for s := &ks.slots[i]; s.doc == ks.doc && (s.key != k || s.in != in); s = &ks.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add chains pair i of pairs under its key, adding the key, and the key in
+// the pair's state slot, where they are new.
+func (ks *keySet) add(pairs []headPair, i int) {
+	pr := &pairs[i]
+	if s := &ks.slots[ks.find(pr.key, pr.in)]; s.doc != ks.doc {
+		*s = keySlot{key: pr.key, in: pr.in, doc: ks.doc}
+	}
+	si := ks.find(pr.key, -1)
+	s := &ks.slots[si]
+	if s.doc != ks.doc {
+		*s = keySlot{key: pr.key, in: -1, head: -1, doc: ks.doc}
+		ks.keys = append(ks.keys, int32(si))
+		b := pr.key.hash() >> 56
+		ks.bloom[b>>6] |= 1 << (b & 63)
+	}
+	pr.next, s.head = s.head, int32(i)
+}
+
+// maybe reports whether a key with hash h may be present: false when it is
+// not.
+func (ks *keySet) maybe(h uint64) bool {
+	b := h >> 56
+	return ks.bloom[b>>6]&(1<<(b&63)) != 0
+}
+
+// has reports whether k has a pair in state slot in, or in the document for
+// in -1.
+func (ks *keySet) has(k headKey, in int32) bool { return ks.slots[ks.find(k, in)].doc == ks.doc }
 
 // rowIndex groups the rows of a relation by the value of one integer column.
 // Keys spanning a range not much wider than the row count — node ids, state

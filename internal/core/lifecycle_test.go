@@ -41,8 +41,8 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if len(p.queries) != 0 {
 		t.Errorf("%d queries still registered", len(p.queries))
 	}
-	if p.viewReaders != 0 {
-		t.Errorf("%d view-reading templates counted, want 0", p.viewReaders)
+	if p.keyShapes[viewShape] != 0 {
+		t.Errorf("%d view-reading templates counted, want 0", p.keyShapes[viewShape])
 	}
 	if !reflect.DeepEqual(p.joins, joinIndex{}) {
 		t.Errorf("join index not reclaimed: %d entries", p.joins.n)

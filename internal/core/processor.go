@@ -62,10 +62,12 @@ type Processor struct {
 
 	templates    map[string]*Template
 	templateList []*Template // live templates, in registration order
-	joins        joinIndex   // the headed templates' vector groups by their value-join keys
-	// viewReaders counts the live templates with readsViews: while it is
-	// 0, prepareViews builds no RL or RR.
-	viewReaders int
+	joins        joinIndex   // every template's vector groups by their value-join keys
+	// keyShapes counts the live templates with a value-join key of each
+	// shape (Template.shapes): evalTemplates builds the views RL and RR
+	// only while one has a key of viewShape, Rvj only while one has a key
+	// of another shape.
+	keyShapes [numShapes]int
 	// nextTemplateID allocates template ids; ids are never reused, so a
 	// reclaimed template's id cannot alias a later one.
 	nextTemplateID TemplateID
@@ -476,8 +478,15 @@ func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 func (p *Processor) removeTemplate(t *Template) {
 	delete(p.templates, t.Sig)
 	p.templateList = removeFirst(p.templateList, t)
-	if t.readsViews {
-		p.viewReaders--
+	p.countShapes(t, -1)
+}
+
+// countShapes adds d to the counts of template t's key shapes.
+func (p *Processor) countShapes(t *Template, d int) {
+	for sh := range p.keyShapes {
+		if t.shapes&(1<<sh) != 0 {
+			p.keyShapes[sh] += d
+		}
 	}
 }
 
@@ -595,9 +604,7 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 		p.nextTemplateID++
 		p.templates[sig] = tmpl
 		p.templateList = append(p.templateList, tmpl)
-		if tmpl.readsViews {
-			p.viewReaders++
-		}
+		p.countShapes(tmpl, 1)
 	}
 	tmpl.refs++
 

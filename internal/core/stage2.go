@@ -18,11 +18,11 @@ import (
 // (Matches), and is written once, by whoever reads it.
 
 // evalTemplates evaluates the live templates against the document, the
-// per-template tail of Algorithm 4: the head join for the headed templates,
-// the whole program for the others. The runs stay in the processor's result
-// for Matches.collect, which sorts them, so the order templates are entered
-// in never reaches the output. Its phases are timed from start; it returns
-// the last clock reading.
+// per-template tail of Algorithm 4: every template is entered through the
+// join index from the pairs of its first value join. The runs stay in the
+// processor's result for Matches.collect, which sorts them, so the order
+// templates are entered in never reaches the output. Its phases are timed
+// from start; it returns the last clock reading.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
@@ -37,23 +37,14 @@ func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
 	}
 	// The pair relation is built before CQ's clock starts, so its one-time
 	// build lands in Stats.Rvj, not in CQ.
-	for _, t := range p.templateList {
-		if t.needRvj {
-			t0 = pre.sharedRvj(p.state, &r.rec, &p.stats, t0)
-			break
-		}
+	if p.readsRvj() {
+		t0 = pre.sharedRvj(p.state, &r.rec, &p.stats, t0)
 	}
 	ex := &p.ex
 	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
 	ex.probes, ex.rows, ex.plans = 0, 0, 0
 	ex.doc++
 	ex.runHeads(&p.joins)
-	for _, t := range p.templateList {
-		if !t.headed {
-			ex.enter(t)
-			ex.step(0)
-		}
-	}
 	t1 := time.Now()
 	p.stats.CQ += t1.Sub(t0)
 	p.stats.CQProbes += ex.probes
@@ -357,7 +348,7 @@ type stage2Shared struct {
 	// document — Rdoc ⋈ RdocW on the string value, read off the state's
 	// posting lists — its values laid out in rvjVals, with its rows grouped
 	// by slot. Only templates with a value join on a side root read it, so
-	// it is built only when one is live.
+	// it is built only when one is live (Processor.keyShapes).
 	rvj      [][]int64
 	rvjVals  []int64
 	rvjByDoc rowIndex
@@ -400,6 +391,17 @@ func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
 	return rows
 }
 
+// readsRvj reports whether a live template has a key that is not a view
+// join's, whose pairs come from Rvj.
+func (p *Processor) readsRvj() bool {
+	for sh, n := range p.keyShapes {
+		if n > 0 && sh != viewShape {
+			return true
+		}
+	}
+	return false
+}
+
 // sharedRvj builds the document's value-join pair relation, charging the
 // build since t0 to stats and returning the clock reading that ends it. A
 // pair takes its slot from the posting list that named the previous
@@ -430,7 +432,7 @@ func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats, t0 time.
 // values differently — and only enumeration order depends on it: the output
 // leaves in the canonical order regardless. It reports false when no value is
 // shared with the join state (no template can match). RL and RR are built
-// only while a live template reads them (Processor.viewReaders). Timed from
+// only while a live template reads them (Processor.keyShapes). Timed from
 // t0; it returns the last clock reading.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
@@ -451,7 +453,7 @@ func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared, t0 time.Tim
 	if len(ids) == 0 {
 		return t1, false
 	}
-	if p.viewReaders == 0 {
+	if p.keyShapes[viewShape] == 0 {
 		return t1, true
 	}
 

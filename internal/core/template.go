@@ -36,24 +36,26 @@ type Template struct {
 	vecList []*vecGroup
 	trie    vecTrie
 	levels  []int
-	// tuple holds, in a headed template, the positions (pl, l, pr, r) of
-	// the key of each later value join that reads the views: what a
-	// group's vector spells there is the group's key tuple (joinIndex).
+	// key holds the positions of the first value join's key (keyPos) and
+	// tuple those of each later value join's: what a group's vector spells
+	// there is the group's head key and key tuple (joinIndex). The pairs
+	// of the first value join seed the program's first seed steps, which
+	// bind the head key's classes.
+	key   [4]int
 	tuple [][4]int
+	seed  int
+
+	// shapes has bit s set when one of the value joins' keys has shape s
+	// (keyShape).
+	shapes uint16
 
 	// prog is the compiled conjunctive query (cqplan.go) and runs counts
 	// the documents that entered it, entered the last (cqExec.doc) and
-	// keyed the last head key that did (cqExec.keys); needRvj
-	// reports that some step reads the value-join pair relation, headed
-	// that the first value join reads the views, readsViews that some value
-	// join does.
-	prog       *cqProgram
-	runs       int64
-	entered    int64
-	keyed      int64
-	needRvj    bool
-	headed     bool
-	readsViews bool
+	// keyed the last head key that did (cqExec.keys).
+	prog    *cqProgram
+	runs    int64
+	entered int64
+	keyed   int64
 
 	// refs counts the live query instances registered on this template;
 	// at zero the processor reclaims the template and everything it owns
