@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/xmldoc"
@@ -48,8 +47,8 @@ import (
 // each endpoint's Rroot or Rbin row. Stage 2 builds every pair of the
 // document once, for all templates (cqExec.runHeads), and enters a template
 // below its head key's trie node through the join index, only where every
-// later value join of one of its vector groups has a pair with the previous
-// document of one of the head key's pairs.
+// later value join of one of its vector groups has a pair in the state slot,
+// modulo 64, of a previous document one of the head key's pairs lies in.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
@@ -516,11 +515,10 @@ type cqExec struct {
 
 	// pairs, present and ends are runHeads' scratch: the document's
 	// head-join pairs, their keys, and one value-join pair's endpoint
-	// classes; tuple is an entry's spelled key tuple (tupleIn).
+	// classes.
 	pairs   []headPair
 	present keySet
 	ends    []endClass
-	tuple   []headKey
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -552,14 +550,13 @@ type endClass struct {
 // templates: every RL row with every RR row of its value, and every
 // value-join pair under each class pair its endpoints bind. The distinct
 // keys of its pairs are the document's present keys. Under each present key
-// it enters each template with an entry whose key tuple is present, once,
-// for every pair with the key (runEntry). It finds the entries whose first
-// key is present by testing each of the key's entries, or, where that would
-// read more entries than looking each present key up among them by binary
-// search, by the search. It counts the rows it reads and the entries it
-// finds as probes, the same whichever way it finds them. Nothing else is
-// looked at: an entry whose tuple is not present names groups whose other
-// value joins find no pair, so no frame of theirs completes.
+// it reads each entry whose first key's pairs share a previous document's
+// state slot, modulo 64, with the head key's (keySlot.docs), and enters its
+// template where the rest of the key tuple does too, once, for every pair
+// with the key (runEntry). It counts the rows it reads and the entries it
+// finds as probes. Nothing else is looked at: every value join of a frame
+// pairs with the frame's previous document, so an entry whose keys' pairs
+// share no state slot names groups no frame of this document completes.
 func (ex *cqExec) runHeads(joins *joinIndex) {
 	if joins.n == 0 {
 		return
@@ -613,20 +610,10 @@ func (ex *cqExec) runHeads(joins *joinIndex) {
 		}
 		ex.keys++
 		es := joins.slots[si].entries
-		if len(es) <= len(present.keys)*bits.Len(uint(len(es))) {
-			for x := range es {
-				if e := &es[x]; present.maybe(e.hash) && present.has(e.first, -1) {
-					ex.probes++
-					ex.runEntry(e, k.head)
-				}
-			}
-			continue
-		}
-		for _, ki2 := range present.keys {
-			k2 := present.slots[ki2].key
-			for x := byFirst(es, k2); x < len(es) && es[x].first == k2; x++ {
+		for x := range es {
+			if e := &es[x]; present.docs(e.first)&k.docs != 0 {
 				ex.probes++
-				ex.runEntry(&es[x], k.head)
+				ex.runEntry(e, k)
 			}
 		}
 	}
@@ -660,21 +647,26 @@ func (ex *cqExec) appendEnds(out []endClass, r *docRec, n int64, kinds uint8) []
 }
 
 // runEntry runs entry e's template from the step after its seeded ones, at
-// e's trie node, for each pair of the chain from head, which share e's head
-// key, its frame seeded as those steps would from the pair's rows. e's head
-// key and its tuple's first key are present; it does nothing when the
-// template ran under the head key already or no pair lies in a previous
-// document where every key of the tuple has a pair too: all of a frame's
-// value joins pair with one previous document.
-func (ex *cqExec) runEntry(e *joinEntry, head int32) {
+// e's trie node, for each pair of e's head key k, its frame seeded as those
+// steps would from the pair's rows. It does nothing when the template ran
+// under k already or the state slots of k's pairs and those of each key of
+// e's tuple share none modulo 64 (keySlot.docs): no previous document then
+// pairs every value join of e's group.
+func (ex *cqExec) runEntry(e *joinEntry, k *keySlot) {
 	t := e.t
-	if t.keyed == ex.keys || !ex.tupleIn(e, head) {
+	if t.keyed == ex.keys {
 		return
+	}
+	docs := k.docs & ex.present.docs(e.first)
+	for _, pos := range t.tuple[min(1, len(t.tuple)):] {
+		if docs &= ex.present.docs(spell(e.g.vars, pos)); docs == 0 {
+			return
+		}
 	}
 	t.keyed = ex.keys
 	ex.enter(t)
 	f, seeded := ex.frame, ex.prog.steps[:t.seed]
-	for i := head; i >= 0; i = ex.pairs[i].next {
+	for i := k.head; i >= 0; i = ex.pairs[i].next {
 		for si := range seeded {
 			st := &seeded[si]
 			row := ex.seedRow(st.src, &ex.pairs[i])
@@ -685,36 +677,6 @@ func (ex *cqExec) runEntry(e *joinEntry, head int32) {
 		ex.nodes[t.seed] = e.node
 		ex.step(t.seed)
 	}
-}
-
-// tupleIn reports whether a pair of the chain from head lies in a state
-// slot where every key of e's tuple has a pair. It spells the keys once, in
-// ex.tuple, and tests the later ones against the whole document first (the
-// first is present).
-func (ex *cqExec) tupleIn(e *joinEntry, head int32) bool {
-	tuple := e.t.tuple
-	if len(tuple) == 0 {
-		return true
-	}
-	keys := append(ex.tuple[:0], e.first)
-	for _, pos := range tuple[1:] {
-		k := spell(e.g.vars, pos)
-		if !ex.present.maybe(k.hash()) || !ex.present.has(k, -1) {
-			return false
-		}
-		keys = append(keys, k)
-	}
-	ex.tuple = keys
-next:
-	for i := head; i >= 0; i = ex.pairs[i].next {
-		for _, k := range keys {
-			if !ex.present.has(k, ex.pairs[i].in) {
-				continue next
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // seedRow returns the row of pair pr that a seeded step reading src binds.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Integer-keyed indexes of the per-document path. Every key Stage 2 probes
@@ -197,15 +196,6 @@ func (tr *vecTrie) put(e trieEdge) {
 // (Template.tuple).
 type headKey [4]int32
 
-// cmp orders head keys by their four names read as two unsigned pairs:
-// any total order serves the sorted lists that hold them.
-func (k headKey) cmp(o headKey) int {
-	if c := cmp.Compare(uint64(packPair(int64(k[0]), int64(k[1]))), uint64(packPair(int64(o[0]), int64(o[1])))); c != 0 {
-		return c
-	}
-	return cmp.Compare(uint64(packPair(int64(k[2]), int64(k[3]))), uint64(packPair(int64(o[2]), int64(o[3]))))
-}
-
 // hash spreads a head key over a power-of-two table (Fibonacci hashing of
 // its two halves).
 func (k headKey) hash() uint64 {
@@ -218,9 +208,9 @@ func (k headKey) hash() uint64 {
 // vecList, the trie node below its head key (the group's index again where
 // the head key ends at the group) and its key tuple's first key (the head
 // key again for an empty tuple). The table is keyed by head key; a key's
-// entries lie in one slice, ordered by their first key, so runHeads can look
-// a present key up among them. The rest of a tuple is read off the group's
-// vector when it is needed.
+// entries lie in one slice, in no order: runHeads tests each one's first key
+// against the document's present keys. The rest of a tuple is read off the
+// group's vector when it is needed.
 type joinIndex struct {
 	slots []headSlot // an empty entries marks an empty slot
 	n     int
@@ -234,7 +224,6 @@ type headSlot struct {
 
 type joinEntry struct {
 	first       headKey
-	hash        uint64 // first's
 	g           *vecGroup
 	t           *Template
 	group, node int32
@@ -261,7 +250,7 @@ func (h *joinIndex) slot(k headKey) int {
 func (h *joinIndex) find(t *Template, vars []int32, group int32) (int, int) {
 	i := h.slot(t.headKey(vars))
 	es := h.slots[i].entries
-	j := byFirst(es, t.firstKey(vars))
+	j := 0
 	for es[j].t != t || es[j].group != group {
 		j++
 	}
@@ -276,14 +265,8 @@ func (h *joinIndex) add(t *Template, g *vecGroup, group, node int32) {
 	if i < 0 {
 		i = h.put(k)
 	}
-	s, first := &h.slots[i], t.firstKey(g.vars)
-	s.entries = slices.Insert(s.entries, byFirst(s.entries, first), joinEntry{first: first, hash: first.hash(), g: g, t: t, group: group, node: node})
-}
-
-// byFirst returns the index of the first of entries whose first key is k or
-// after it.
-func byFirst(entries []joinEntry, k headKey) int {
-	return sort.Search(len(entries), func(i int) bool { return entries[i].first.cmp(k) >= 0 })
+	s := &h.slots[i]
+	s.entries = append(s.entries, joinEntry{first: t.firstKey(g.vars), g: g, t: t, group: group, node: node})
 }
 
 // put makes the slot of head key k, which has none, and returns it, growing
@@ -340,74 +323,66 @@ func (h *joinIndex) relink(t *Template, vars []int32, from, to int32) {
 }
 
 // keySet is a document's present keys, each with the first of its pairs
-// (headPair.next chains the rest), and the same keys once more for each
-// previous document they have a pair in: an open-addressing table whose
-// slots hold a key for the document that stamped them, so it is never
-// cleared. keys lists the document-wide slots in the order their keys were
-// first added, and bloom has bit hash>>56 set for each of their hashes.
+// (headPair.next chains the rest) and the previous documents its pairs lie
+// in, as bit in%64 of docs for each state slot in: an open-addressing table
+// whose slots hold a key for the document that stamped them, so it is never
+// cleared. keys lists the slots in the order their keys were first added.
 type keySet struct {
 	slots []keySlot
 	keys  []int32
-	bloom [4]uint64
 	shift uint
 	doc   int64
 }
 
 type keySlot struct {
 	key  headKey
-	in   int32 // the previous document's state slot, -1 for the whole document
 	head int32
 	doc  int64
+	docs uint64
 }
 
 // reset empties the set for document doc, which adds at most n pairs.
 func (ks *keySet) reset(doc int64, n int) {
-	ks.doc, ks.keys, ks.bloom = doc, ks.keys[:0], [4]uint64{}
-	if 4*n > len(ks.slots) {
-		ks.slots = make([]keySlot, max(64, 1<<bits.Len(uint(4*n))))
+	ks.doc, ks.keys = doc, ks.keys[:0]
+	if 2*n > len(ks.slots) {
+		ks.slots = make([]keySlot, max(64, 1<<bits.Len(uint(2*n))))
 		ks.shift = tableShift(len(ks.slots))
 	}
 }
 
-// find returns the slot of key k in state slot in, or the empty slot where
-// its probe run ends.
-func (ks *keySet) find(k headKey, in int32) int {
+// find returns the slot of key k, or the empty slot where its probe run
+// ends.
+func (ks *keySet) find(k headKey) int {
 	mask := len(ks.slots) - 1
-	i := int((k.hash() ^ uint64(uint32(in))) * fib >> ks.shift)
-	for s := &ks.slots[i]; s.doc == ks.doc && (s.key != k || s.in != in); s = &ks.slots[i] {
+	i := int(k.hash() >> ks.shift)
+	for s := &ks.slots[i]; s.doc == ks.doc && s.key != k; s = &ks.slots[i] {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// add chains pair i of pairs under its key, adding the key, and the key in
-// the pair's state slot, where they are new.
+// add chains pair i of pairs under its key, adding the key where it is new,
+// and marks the pair's previous document.
 func (ks *keySet) add(pairs []headPair, i int) {
 	pr := &pairs[i]
-	if s := &ks.slots[ks.find(pr.key, pr.in)]; s.doc != ks.doc {
-		*s = keySlot{key: pr.key, in: pr.in, doc: ks.doc}
-	}
-	si := ks.find(pr.key, -1)
+	si := ks.find(pr.key)
 	s := &ks.slots[si]
 	if s.doc != ks.doc {
-		*s = keySlot{key: pr.key, in: -1, head: -1, doc: ks.doc}
+		*s = keySlot{key: pr.key, head: -1, doc: ks.doc}
 		ks.keys = append(ks.keys, int32(si))
-		b := pr.key.hash() >> 56
-		ks.bloom[b>>6] |= 1 << (b & 63)
 	}
+	s.docs |= 1 << (pr.in & 63)
 	pr.next, s.head = s.head, int32(i)
 }
 
-// maybe reports whether a key with hash h may be present: false when it is
-// not.
-func (ks *keySet) maybe(h uint64) bool {
-	b := h >> 56
-	return ks.bloom[b>>6]&(1<<(b&63)) != 0
+// docs returns the previous documents key k's pairs lie in, as keySlot.docs
+// marks them: 0 when k has no pair.
+func (ks *keySet) docs(k headKey) uint64 {
+	if s := &ks.slots[ks.find(k)]; s.doc == ks.doc {
+		return s.docs
+	}
+	return 0
 }
-
-// has reports whether k has a pair in state slot in, or in the document for
-// in -1.
-func (ks *keySet) has(k headKey, in int32) bool { return ks.slots[ks.find(k, in)].doc == ks.doc }
 
 // rowIndex groups the rows of a relation by the value of one integer column.
 // Keys spanning a range not much wider than the row count — node ids, state

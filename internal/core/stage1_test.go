@@ -224,7 +224,7 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 // Beside ns per document it reports the conjunctive-query time (Stats.CQ),
 // the probes and the programs entered per document (Stats.WitnessPlans), so
 // the head joins, the join index's filter and the programs can be read in
-// process: entered/doc reads 0.99 and probes/doc 40.4 since every template
+// process: entered/doc reads 1.005 and probes/doc 35.1 since every template
 // enters through the join index (7.34 and 127.6 while side-root templates
 // ran whole). Every 600 documents the slice is rebuilt off the clock,
 // so the window stays full and no document is replayed.
