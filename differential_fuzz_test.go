@@ -147,6 +147,22 @@ func FuzzDifferential(f *testing.F) {
 		2, 1, 1, 0, 2, 3, 0, 0, 0, 0, // <entry><id>ab<en></en></id></entry>
 		2, 1, 1, 0, 2, 0, 2, 0, 0, 0, // <entry><id>a<en>b</en></id></entry>
 	})
+	// Roots mode, one <en> node bound two ways under one class name: as
+	// the single-node side of x5=y1 AND x5=y2 (an Rroot row) and as the
+	// id's child in x1=y1 AND x5=y2 (an Rbin row). Both keys are live, so
+	// the document's pairs hold the <en> and the <ref> under both shapes,
+	// and the first query's second step must take only the pairs of its
+	// own shape: each query matches once.
+	f.Add([]byte{
+		2, 1, // roots mode, in order; two blocks
+		1,                // S//id->x1[./en->x5]
+		0, 0, 1, 1, 0, 0, // S//entry->x0[./id->x1][./ref->x2]
+		1,                         // two queries
+		1, 0, 1, 1, 1, 0, 1, 1, 6, // block 0 FOLLOWED BY{x5=y1 AND x5=y2, 10} block 1
+		1, 0, 1, 1, 0, 0, 1, 1, 6, // block 0 FOLLOWED BY{x1=y1 AND x5=y2, 10} block 1
+		2, 1, 1, 0, 2, 4, 1, 0, 0, 0, // <entry><id><en>a</en></id></entry>
+		2, 1, 1, 0, 1, 0, 1, 0, 0, 0, // <entry><id>a</id><ref>a</ref></entry>
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeDiffCase(data)
 		for _, publishers := range []int{1, 3} {
@@ -327,8 +343,9 @@ func diffQuery(r *diffReader, blocks []diffBlock) string {
 // decodeDiffDoc reads a feed of one to three entries, each with an optional
 // id (with or without an <en/> child), ref and author name, values drawn
 // from three, and an optional topic. In roots mode the <en> under an id
-// holds a text too, from "", a, b and c, after the id's own, from a, b, c
-// and ab, so two ids can be equal where their <en>s differ.
+// holds a text too, from "", a, b and c, after the id's own, from a, b, c,
+// ab and none, so two ids can be equal where their <en>s differ, and an id
+// can equal its own <en>.
 func decodeDiffDoc(r *diffReader, roots bool) string {
 	val := func() string { return string("abc"[r.next(3)]) }
 	var sb strings.Builder
@@ -340,7 +357,7 @@ func decodeDiffDoc(r *diffReader, roots bool) string {
 			sb.WriteString("<id>" + val() + "</id>")
 		case 2:
 			if roots {
-				id := []string{"a", "b", "c", "ab"}[r.next(4)]
+				id := []string{"a", "b", "c", "ab", ""}[r.next(5)]
 				sb.WriteString("<id>" + id + "<en>" + []string{"", "a", "b", "c"}[r.next(4)] + "</en></id>")
 			} else {
 				sb.WriteString("<id>" + val() + "<en/></id>")

@@ -38,14 +38,17 @@
 // contiguously.
 //
 // Stage 2 is the paper's Algorithm 4, and there is no other evaluator: each
-// query template's conjunctive query is one compiled program over the
-// Section-5 views STR, RL and RR. It joins outward from the current
-// document's value-join pairs and extends a trie of the template's
-// registered variable vectors with every variable it binds, so it probes
-// only what some subscription registered. The views are computed once per
-// document and shared by every template, the left view read off the join
-// state's per-string posting lists (the paper's view materialization,
-// without its cache). Engine.PlanStats exposes the per-template statistics.
+// query template's conjunctive query is one compiled program over one
+// relation of value-join pairs, the Section-5 views RL and RR folded
+// together. It joins outward from the current document's pairs and extends
+// a trie of the template's registered variable vectors with every variable
+// it binds, so it probes only what some subscription registered. The pairs
+// are built once per document and shared by every template: for each value
+// the document shares with the join state (STR), every previous document's
+// node on the value's posting list with every current node, each with the
+// class names a live template's value join reads (the paper's view
+// materialization, without its cache). Engine.PlanStats exposes the
+// per-template statistics.
 //
 // Memory follows the windows, not the stream: the join state, and the
 // documents Options.RetainDocuments keeps for Engine.OutputXML, hold only

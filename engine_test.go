@@ -43,14 +43,16 @@ func publishBatch(e *Engine, stream string, docs []*Document) [][]Match {
 
 // TestZeroOptionsRunViewMaterialization pins the evaluator New(Options{})
 // builds — the one mmqjp-server runs — to the join processor's only one,
-// template joins over the Section-5 views. On the colliding two-level stream,
-// where every stored document joins the current one on every leaf,
-// Options{}, ProcessorViewMat and core.NewProcessor(core.Config{}) must give
-// the same matches and exactly the same Stage-2 probe count: 137 487 (137 091
+// template joins over the document's value-join pairs. On the colliding
+// two-level stream, where every stored document joins the current one on
+// every leaf, Options{}, ProcessorViewMat and core.NewProcessor(core.Config{})
+// must give the same matches and exactly the same Stage-2 probe count:
+// 99 591 since every value join reads one pair relation, its later ones by
+// state slot and key shape (137 487 while view joins read RL and RR, 137 091
 // while side-root templates ran whole, 206 739 before the join index entered
 // a template only where its other view joins have pairs too). Every publish
 // expires what left the window, so no probe reaches an expired document, and
-// the document's first value join is walked once for every template.
+// the document's pairs are built once for every template.
 func TestZeroOptionsRunViewMaterialization(t *testing.T) {
 	tl := workload.TwoLevel{N: 4, Theta: 0.8, Window: 12}
 	queries := tl.Queries(rand.New(rand.NewSource(1)), 300)
@@ -72,7 +74,7 @@ func TestZeroOptionsRunViewMaterialization(t *testing.T) {
 			fmt.Fprintf(&want, "q%d l%d@%d r%d@%d\n", m.Query, m.LeftDoc, m.LeftTS, m.RightDoc, m.RightTS)
 		}
 	}
-	const wantProbes = 137487
+	const wantProbes = 99591
 	if got := p.Stats().CQProbes; got != wantProbes {
 		t.Fatalf("core processor: %d probes, want %d", got, wantProbes)
 	}

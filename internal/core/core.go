@@ -7,8 +7,9 @@
 // once against the witness relations produced by Stage 1 (the shared XPath
 // evaluator). The Join Processor runs Stage-1 shared tree-pattern matching
 // feeding Stage-2 per-template conjunctive-query evaluation over the join
-// state — Algorithm 4, template joins over the Section-5 views STR, RL and
-// RR — and keeps the subscription lifecycle. Stage 1
+// state — Algorithm 4, template joins over the document's value-join pairs,
+// the Section-5 views RL and RR folded into one relation built once for all
+// templates — and keeps the subscription lifecycle. Stage 1
 // (RunStage1) is document-local and may run on any goroutine; Stage 2
 // (Consume) runs each template's compiled conjunctive query (cqplan.go) on
 // the goroutine that consumes the document (stage2.go), one document at a
@@ -67,13 +68,11 @@ type Stats struct {
 	Documents int64 `json:"documents" stat:"counter" help:"Documents published, whether or not they entered the join state."`
 	Matches   int64 `json:"matches" stat:"counter" help:"Matches produced across all queries."`
 
-	// Phase times. Stage 2 (Rvj, RL, RR, CQ) runs on the goroutine that
-	// consumes the document, so its phases are wall time.
+	// Phase times. Stage 2 (Rvj, CQ) runs on the goroutine that consumes
+	// the document, so its phases are wall time.
 	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
 	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW: the document's join-state record and its node indexes."`
-	Rvj      time.Duration `json:"rvj_ns" help:"Common-string discovery time (semi-join, Algorithm 4 line 2)."`
-	RL       time.Duration `json:"rl_ns" help:"Time building the left view RL from the join state."`
-	RR       time.Duration `json:"rr_ns" help:"Time building the right view RR from the current witness."`
+	Rvj      time.Duration `json:"rvj_ns" help:"Time building the document's value-join pairs, once for all templates: the join values it shares with the join state (Algorithm 4 line 2), and for each the pairs of endpoint classes a live template's value join takes."`
 	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time (the current document's indexes are Stage 1's)."`
 	Maintain time.Duration `json:"maintain_ns" help:"Join-value resolution, state merge (Algorithm 2: the state adopts the document's record, no row is copied) and window collection time."`
 	// Stage1Wall is the per-document wall-clock time of Stage 1 (NFA match
@@ -83,7 +82,7 @@ type Stats struct {
 	// time across goroutines and may exceed the elapsed wall time.
 	Stage1Wall time.Duration `json:"stage1_wall_ns" help:"Per-document Stage-1 wall time (NFA match, witness relations and their node indexes), summed over documents."`
 	// Stage2Wall is the wall-clock time of Stage-2 template evaluation: the
-	// phases Rvj, RL, RR and CQ above plus what lies between them.
+	// phases Rvj and CQ above.
 	Stage2Wall time.Duration `json:"stage2_wall_ns" help:"Wall time of Stage-2 template evaluation."`
 
 	// WitnessPlans counts the compiled programs (cqplan.go) Stage 2

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -17,79 +18,69 @@ import (
 //	slot 0          slot    the previous document's state slot
 //	slots 1..N      n_p     node bound at template position p
 //	slots N+1..2N   v_p     interned class name at position p
-//	slots 2N+1..    s_k     join-value id (the state's) of value join k
+//
+// No slot holds a join value: a value join's pair names both its nodes, and
+// a node has one value.
 //
 // Every step names a source relation, the bound slot its probe key comes
 // from, the row columns it assigns to still-unbound slots and the columns it
-// only checks against bound ones. Column offsets are resolved at compile
-// time, against the source's schema (cqSchemas); evaluation (cqExec.step) is
-// a depth-first index nested loop over the frame that writes each complete
+// only checks against bound ones, every column a node or a class name, so
+// evaluation compares and copies bare int64s. Column offsets are resolved at
+// compile time, against the source's schema (the witness relations' and
+// pairSchema); evaluation (cqExec.step) is a depth-first index nested loop over the frame that writes each complete
 // frame into the processor's result as runs (cqExec.emit). No intermediate
 // relation is materialized, and no step scans join state: a document's rows
 // — a previous one's or the current one's — are reached through its record's
 // node indexes (docRec.seal builds them at the end of the document's Stage
-// 1), the views through the indexes built once per document in
-// stage2Shared. No step hashes: every index is an offset array or a flat
+// 1), the value-join pairs through the index built once per document
+// (stage2Shared). No step hashes: every index is an offset array or a flat
 // table over integer keys (flat.go).
 //
 // The program joins outward from the document's value-join pairs and assigns
-// the v slots from the structural rows it walks. The query relation RT is one
-// more atom of that walk: the template's vector groups form a trie
-// (Template.trie) whose levels are the v slots in the order this program
-// assigns them, and every v slot a step assigns extends the frame's trie node
-// (cqExec.nodes) or ends the branch. A walk therefore never completes a
-// variable vector no subscription registered, and the edge its last v slot
-// takes names the vector group whose instances it emits.
+// the v slots from the rows it walks. The query relation RT is one more atom
+// of that walk: the template's vector groups form a trie (Template.trie)
+// whose levels are the v slots in the order this program assigns them, and
+// every v slot a step assigns extends the frame's trie node (cqExec.nodes) or
+// ends the branch. A walk therefore never completes a variable vector no
+// subscription registered, and the edge its last v slot takes names the
+// vector group whose instances it emits.
 //
-// Every program starts with the pairs of its first value join, which bind its
-// head key: the class names of both endpoints and of their parents. A join
-// that reads the views reads RL, then RR; one on a block root reads Rvj, then
-// each endpoint's Rroot or Rbin row. Stage 2 builds every pair of the
-// document once, for all templates (cqExec.runHeads), and enters a template
+// Every value join is one step on the pair relation, whose rows carry both
+// endpoints' nodes and the classes of the endpoints and of their parents
+// (cqExec.buildPairs builds it once per document, for all templates). The
+// first value join's pairs bind the head key, and Stage 2 enters a template
 // below its head key's trie node through the join index, only where every
 // later value join of one of its vector groups has a pair in the state slot,
-// modulo 64, of a previous document one of the head key's pairs lies in.
+// modulo 64, of a previous document one of the head key's pairs lies in
+// (cqExec.runHeads); each later value join probes the pairs by the frame's
+// state slot.
 
 // cqSource names the relation a step reads.
 type cqSource uint8
 
 const (
-	srcRvj    cqSource = iota // value-join pairs: all, or by slot
-	srcRL                     // left view: all, or by slot
-	srcRR                     // right view by strVal
-	srcRbin                   // Rbin: the slot's record by node2
-	srcRbinW                  // RbinW: the current record by node2
-	srcRroot                  // Rroot: the slot's record by node
-	srcRrootW                 // RrootW: the current record by node
+	srcPairs cqSource = iota // value-join pairs by slot and key shape
+	srcRbin                  // Rbin: the slot's record by node2
+	srcRbinW                 // RbinW: the current record by node2
 )
 
-// The per-document relations' schemas: the value-join pairs and the Section-5
-// left view; the right view RR is RL without the slot.
+// pairSchema is the per-document value-join pair relation's: for each
+// endpoint, left then right, the classes of its parent and its own and the
+// parent's node and its own, laid out as an Rbin row (an endpoint without a
+// parent has noParent for the parent's class and node, and one heading a
+// side of more than one node anyClass for its own class); and last what the
+// pairs are indexed by: the previous document's state slot times numShapes
+// plus the pair's key shape (keyShape).
 var (
-	rvjSchema = Schema{Int("slot"), Int("nodeL"), Int("nodeR"), Sym("strVal")}
-	rlSchema  = Schema{Int("slot"), Int("var1"), Int("var2"), Int("node1"), Int("node2"), Sym("strVal")}
+	pairSchema = Schema{Int("slot"),
+		Int("parentL"), Int("classL"), Int("parentNodeL"), Int("nodeL"),
+		Int("parentR"), Int("classR"), Int("parentNodeR"), Int("nodeR"),
+		Int("slotShape")}
 
-	rlVar1, rlVar2, rlStrVal = rlSchema.Col("var1"), rlSchema.Col("var2"), rlSchema.SymCol("strVal")
-	rrVar1, rrVar2, rrStrVal = rlSchema[1:].Col("var1"), rlSchema[1:].Col("var2"), rlSchema[1:].SymCol("strVal")
-	rvjNodeL, rvjNodeR       = rvjSchema.Col("nodeL"), rvjSchema.Col("nodeR")
-	rbinVar1, rbinVar2       = rbinSchema.Col("var1"), rbinSchema.Col("var2")
+	pairParentL, pairParentR = pairSchema.Col("parentL"), pairSchema.Col("parentR")
+	pairSlotShape            = pairSchema.Col("slotShape")
 	rrootVar                 = rrootSchema.Col("var")
 )
-
-// cqSchemas is the schema of the rows each source yields: a witness
-// relation's rows are the same records' rows, whether the current document's
-// or a previous one's, so they share one schema. cqCompiler.atom holds every
-// step to it — a symbol column binds an s slot and nothing else does — so
-// evaluation compares and copies bare int64s without asking what they are.
-var cqSchemas = [...]Schema{
-	srcRvj:    rvjSchema,
-	srcRL:     rlSchema,
-	srcRR:     rlSchema[1:],
-	srcRbin:   rbinSchema,
-	srcRbinW:  rbinSchema,
-	srcRroot:  rrootSchema,
-	srcRrootW: rrootSchema,
-}
 
 const slotDoc = 0
 
@@ -99,15 +90,20 @@ type colSlot struct{ col, slot int }
 // cqStep is one step of a compiled program.
 type cqStep struct {
 	src cqSource
-	// key is the bound slot the probe key is read from (Rbin and Rroot
-	// read the record of the slotDoc slot); -1 reads every row of the
-	// source.
+	// key is the bound slot the probe key is read from (Rbin reads the
+	// record of the slotDoc slot); -1 for the first value join, whose pairs
+	// the join index hands out (cqExec.runEntry).
 	key    int
 	assign []colSlot
 	check  []colSlot
 	// vars are the v slots the step assigns, in assignment order: the
 	// levels of the template's trie this step descends.
 	vars []int
+	// shape is the key shape (keyShape) of a pair step's value join, which
+	// the step probes by with the slot: a node can bind an end of two kinds
+	// with one class — an Rroot row and an Rbin row — so the step takes
+	// only pairs of its own shape.
+	shape int64
 }
 
 // cqProgram is a template's compiled conjunctive query.
@@ -119,16 +115,7 @@ type cqProgram struct {
 
 func (t *Template) nSlot(p int) int { return 1 + p }
 func (t *Template) vSlot(p int) int { return 1 + t.N + p }
-func (t *Template) sSlot(k int) int { return 1 + 2*t.N + k }
-func (t *Template) numSlots() int   { return 1 + 2*t.N + len(t.VJ) }
-
-// usesViews reports whether value join k is served by the Section-5 views:
-// RL and RR fold the endpoint's edge to its parent into the view, so both
-// endpoints need one. A value join on a side root reads the pair relation
-// Rvj instead.
-func (t *Template) usesViews(k int) bool {
-	return t.Parent[t.VJ[k][0]] >= 0 && t.Parent[t.VJ[k][1]] >= 0
-}
+func (t *Template) numSlots() int   { return 1 + 2*t.N }
 
 // single reports whether position p is the whole of its side.
 func (t *Template) single(p int) bool {
@@ -143,9 +130,7 @@ func (t *Template) single(p int) bool {
 // name (spell), which no interned name takes. A block root has noParent, and
 // one heading a side of more than one node has anyClass for itself: Stage 1
 // writes no Rroot row for it (an atom below it binds its class), so a pair
-// carries anyClass there whatever the node. A view join's key has four real
-// classes, and one on a block root never does, so the two never meet in one
-// key.
+// carries anyClass there whatever the node.
 const (
 	noParent = -1
 	anyClass = -2
@@ -170,7 +155,7 @@ func (t *Template) keyPos(k int) [4]int {
 // endKind returns the kind of a key's half, given its parent's and its own
 // class or position: 0 the root of a single-node side (an Rroot row), 1 a
 // node with a parent (an Rbin row), 2 anyClass.
-func endKind[E int | int32](pa, c E) int {
+func endKind[E int | int32 | int64](pa, c E) int {
 	switch {
 	case pa >= 0:
 		return 1
@@ -181,25 +166,15 @@ func endKind[E int | int32](pa, c E) int {
 }
 
 // keyShape returns the shape of a key, or of its positions: its halves'
-// kinds. A key of viewShape is a view join's; the pairs of every other shape
-// come from Rvj.
-func keyShape[E int | int32](k [4]E) int { return 3*endKind(k[0], k[1]) + endKind(k[2], k[3]) }
+// kinds.
+func keyShape[E int | int32 | int64](k [4]E) int { return 3*endKind(k[0], k[1]) + endKind(k[2], k[3]) }
 
-const (
-	viewShape = 3*1 + 1
-	numShapes = 3 * 3
-)
+const numShapes = 3 * 3
 
-// keyLevels returns the number of trie levels the head key's classes take:
-// the program's seeded steps bind them first.
-func (t *Template) keyLevels() int {
-	n := 0
-	for _, p := range t.key {
-		if p >= 0 {
-			n++
-		}
-	}
-	return n
+// pairKey returns the key a pair row binds: its endpoints' classes and
+// their parents'.
+func pairKey(row []int64) headKey {
+	return headKey{int32(row[pairParentL]), int32(row[pairParentL+1]), int32(row[pairParentR]), int32(row[pairParentR+1])}
 }
 
 // compile builds the template's program and its value joins' keys, and lays
@@ -217,6 +192,7 @@ func (t *Template) compile() {
 			t.levels = append(t.levels, slot-t.vSlot(0))
 		}
 	}
+	t.keyDepth = len(t.prog.steps[0].vars)
 	// Every position lies on the path from a value-join endpoint to its
 	// side root, so every v slot is assigned once.
 	if len(t.levels) != t.N {
@@ -230,7 +206,7 @@ type cqCompiler struct {
 	t       *Template
 	prog    *cqProgram
 	bound   []bool
-	emitted []bool // per position: the atom binding it to its parent (or its root atom)
+	emitted []bool // per position: its class is bound by its pair or its atom to its parent
 }
 
 func compileCQ(t *Template) *cqProgram {
@@ -240,108 +216,84 @@ func compileCQ(t *Template) *cqProgram {
 		bound:   make([]bool, t.numSlots()),
 		emitted: make([]bool, t.N),
 	}
-	// Each value join reads its pair and the atoms that bind its endpoints'
-	// classes, and is followed at once by the structural atoms anchoring its
-	// endpoints up to the side roots, so every step after the first probes
-	// with a bound key. The first value join's steps up to the anchors are
-	// the ones its pairs seed (Template.seed), and the classes they bind are
-	// the head key, in its order.
+	// Each value join is one step on the pairs, which binds its endpoints'
+	// classes and their parents', and is followed at once by the structural
+	// atoms anchoring its endpoints up to the side roots, so every step after
+	// the first probes with a bound key. The first value join's step binds
+	// the head key's classes, in its order, and the previous document's
+	// slot, by which the later ones probe.
 	for k, e := range t.VJ {
-		l, r := e[0], e[1]
-		// The first value join reads every pair (or left-view row); it
-		// binds the previous document's slot, and the later ones probe by
-		// it.
 		docKey := slotDoc
 		if k == 0 {
 			docKey = -1
 		}
-		if t.usesViews(k) {
-			pl, pr := t.Parent[l], t.Parent[r]
-			c.atom(srcRL, docKey, slotDoc, t.vSlot(pl), t.vSlot(l), t.nSlot(pl), t.nSlot(l), t.sSlot(k))
-			c.emitted[l] = true
-			if k > 0 {
-				c.anchor(pl)
-			}
-			c.atom(srcRR, t.sSlot(k), t.vSlot(pr), t.vSlot(r), t.nSlot(pr), t.nSlot(r), t.sSlot(k))
-			c.emitted[r] = true
-		} else {
-			c.atom(srcRvj, docKey, slotDoc, t.nSlot(l), t.nSlot(r), t.sSlot(k))
-			c.edge(l)
-			c.edge(r)
+		key := t.keyPos(k)
+		cols := []int{slotDoc}
+		for i, p := range e {
+			pa, cl := key[2*i], key[2*i+1]
+			cols = append(cols, orSkip(t.vSlot, pa), orSkip(t.vSlot, cl), orSkip(t.nSlot, pa), t.nSlot(p))
+			// The pair binds the endpoint's class: its Rroot row or its
+			// Rbin row to its parent.
+			c.emitted[p] = c.emitted[p] || cl >= 0
 		}
-		if k == 0 {
-			t.seed = len(c.prog.steps)
-		}
-		c.anchor(t.Parent[l])
-		c.anchor(t.Parent[r])
+		c.atom(srcPairs, docKey, cols...).shape = int64(keyShape(key))
+		c.anchor(t.Parent[e[0]])
+		c.anchor(t.Parent[e[1]])
 	}
 	return c.prog
 }
 
-// anchor emits the structural atoms from position pos up to its side root,
-// stopping at the first already emitted; pos -1 (a root's parent) emits
-// none. n_pos is bound when anchor is called.
-func (c *cqCompiler) anchor(pos int) {
-	for ; pos >= 0 && !c.emitted[pos]; pos = c.t.Parent[pos] {
-		c.edge(pos)
+// skip is the frame slot of a column a step neither assigns nor checks.
+const skip = -1
+
+// orSkip returns slot(pos), or skip for a key position below 0.
+func orSkip(slot func(int) int, pos int) int {
+	if pos < 0 {
+		return skip
 	}
+	return slot(pos)
 }
 
-// edge emits the atom binding position pos's class unless it was emitted:
-// the unary root atom of a single-node side, the structural atom to pos's
-// parent, and none for the root of a larger side, whose class an atom below
-// it binds.
-func (c *cqCompiler) edge(pos int) {
+// anchor emits the structural atoms from position pos up to its side root,
+// stopping at the first already emitted; pos -1 (a root's parent) emits
+// none, and so does the root of a side, whose class an atom below it binds
+// (a single-node side's root is never a parent). n_pos is bound when anchor
+// is called.
+func (c *cqCompiler) anchor(pos int) {
 	t := c.t
-	left, pa := t.SideOf[pos] == Left, t.Parent[pos]
-	switch {
-	case c.emitted[pos]:
-		return
-	case t.single(pos):
-		src := srcRrootW
-		if left {
-			src = srcRroot
-		}
-		c.atom(src, t.nSlot(pos), t.vSlot(pos), t.nSlot(pos))
-	case pa >= 0:
+	for ; pos >= 0 && !c.emitted[pos] && t.Parent[pos] >= 0; pos = t.Parent[pos] {
 		src := srcRbinW
-		if left {
+		if t.SideOf[pos] == Left {
 			src = srcRbin
 		}
+		pa := t.Parent[pos]
 		c.atom(src, t.nSlot(pos), t.vSlot(pa), t.vSlot(pos), t.nSlot(pa), t.nSlot(pos))
-	default:
-		return
+		c.emitted[pos] = true
 	}
-	c.emitted[pos] = true
 }
 
 // atom appends the step reading src with probe key slot key; cols[i] is the
-// frame slot column i of the source row binds. Key columns equal the frame
-// by construction of the index; every other column is assigned when its
-// slot is still unbound and checked otherwise.
-func (c *cqCompiler) atom(src cqSource, key int, cols ...int) {
+// frame slot column i of the source row binds, or skip. Key columns equal
+// the frame by construction of the index; every other column is assigned
+// when its slot is still unbound and checked otherwise. It returns the step.
+func (c *cqCompiler) atom(src cqSource, key int, cols ...int) *cqStep {
 	st := cqStep{src: src, key: key}
-	schema := cqSchemas[src]
 	for col, slot := range cols {
-		// Reading a symbol into a node or variable slot, or the reverse, is
-		// a bug in compileCQ: which column meets which kind of slot is
-		// written there, and no subscription's text can change it.
-		if schema[col].Sym != (slot >= c.t.sSlot(0)) {
-			panic(fmt.Sprintf("core: column %q of %v bound to slot %d", schema[col].Name, schema, slot))
-		}
 		switch {
+		case slot == skip:
 		case slot == key:
 		case c.bound[slot]:
 			st.check = append(st.check, colSlot{col, slot})
 		default:
 			st.assign = append(st.assign, colSlot{col, slot})
 			c.bound[slot] = true
-			if slot >= c.t.vSlot(0) && slot < c.t.sSlot(0) {
+			if slot >= c.t.vSlot(0) {
 				st.vars = append(st.vars, slot)
 			}
 		}
 	}
 	c.prog.steps = append(c.prog.steps, st)
+	return &c.prog.steps[len(c.prog.steps)-1]
 }
 
 // vecGroup is one distinct variable vector of a template — the RT rows of
@@ -468,9 +420,10 @@ func (t *Template) addVector(joins *joinIndex, vars []int32, k windowKey, qid Qu
 		return g
 	}
 	g := &vecGroup{vars: slices.Clone(vars), first: windowClass{key: k, qids: []QueryID{qid}}}
-	t.trie.insert(t.levels, g.vars, int32(len(t.vecList)))
+	gi := int32(len(t.vecList))
+	node := t.trie.insert(t.levels, g.vars, gi, t.keyDepth)
 	t.vecList = append(t.vecList, g)
-	joins.add(t, g, int32(len(t.vecList)-1), t.trie.walk(t.levels[:t.keyLevels()], g.vars))
+	joins.add(t, g, gi, node)
 	return g
 }
 
@@ -513,12 +466,12 @@ type cqExec struct {
 	// keys numbers the head keys runHeads looks up (Template.keyed).
 	doc, plans, keys int64
 
-	// pairs, present and ends are runHeads' scratch: the document's
-	// head-join pairs, their keys, and one value-join pair's endpoint
-	// classes.
-	pairs   []headPair
+	// present and next are runHeads' scratch: the document's keys, and for
+	// each pair the next pair with its key (keySet), -1 after the last.
+	// ends is buildPairs': one join value's endpoint classes.
 	present keySet
-	ends    []endClass
+	next    []int32
+	ends    []int64
 
 	// slab is carved into the Bindings of the emitted matches: every
 	// carving is handed out once, so Bindings never alias each other or a
@@ -529,79 +482,111 @@ type cqExec struct {
 	probes, rows int64
 }
 
-// headPair is one pair of a head join, with its key: an RL row l and an RR
-// row r of one value, or the value-join pair j (an Rvj row) and the rows its
-// endpoints' classes come from — l an Rroot or Rbin row of the previous
-// document, r one of the current document's, -1 for anyClass. in is the
-// previous document's state slot, and next the next pair with its key
-// (keySet), -1 after the last.
-type headPair struct {
-	key               headKey
-	l, r, j, in, next int32
-}
-
-// endClass is one way an endpoint node of a value-join pair binds a key: the
-// classes of its parent and its own, and the row they come from.
-type endClass struct {
-	pa, c, row int32
-}
-
-// runHeads builds every pair of the document's head joins, once for all
-// templates: every RL row with every RR row of its value, and every
-// value-join pair under each class pair its endpoints bind. The distinct
-// keys of its pairs are the document's present keys. Under each present key
-// it reads each entry whose first key's pairs share a previous document's
-// state slot, modulo 64, with the head key's (keySlot.docs), and enters its
-// template where the rest of the key tuple does too, once, for every pair
-// with the key (runEntry). It counts the rows it reads and the entries it
-// finds as probes. Nothing else is looked at: every value join of a frame
-// pairs with the frame's previous document, so an entry whose keys' pairs
-// share no state slot names groups no frame of this document completes.
-func (ex *cqExec) runHeads(joins *joinIndex) {
-	if joins.n == 0 {
-		return
-	}
-	pre, s := ex.pre, ex.p.state
-	pairs := ex.pairs[:0]
-	for li, l := range pre.rl {
-		ex.probes++
-		for _, ri := range pre.rrBySym.get(l[rlStrVal]) {
-			r := pre.rr[ri]
-			ex.probes++
-			pairs = append(pairs, headPair{headKey{int32(l[rlVar1]), int32(l[rlVar2]), int32(r[rrVar1]), int32(r[rrVar2])}, int32(li), ri, -1, int32(l[slotDoc]), -1})
-		}
-	}
-	// A value-join pair binds a key of each shape some live template's key
-	// has, and reads only the rows those shapes take.
+// buildPairs builds the document's value-join pairs into pre, once for all
+// templates, and reports whether there is one. For each join value the
+// document shares with the join state (STR, Algorithm 4 line 2), in the
+// state's id order, it reads the endpoint classes of each current node with
+// the value and of each previous document's node on its posting list, once
+// per node, and pairs every left class with every right one, keeping the
+// pairs whose key has a shape some live template's value join has
+// (Processor.keyShapes); it reads only the row kinds those shapes take. The
+// ids are the state's (State.resolve), so the order follows the state's
+// history and only enumeration order depends on it: the output leaves in
+// the canonical order regardless. It counts the rows it reads and the pairs
+// it keeps as probes.
+func (ex *cqExec) buildPairs() bool {
+	p, s, cur, pre := ex.p, ex.p.state, ex.cur, ex.pre
+	pre.reset()
 	var live uint16
 	var kinds [2]uint8
-	for sh, n := range ex.p.keyShapes {
-		if n > 0 && sh != viewShape {
+	for sh, n := range p.keyShapes {
+		if n > 0 {
 			live |= 1 << sh
 			kinds[0] |= 1 << (sh / 3)
 			kinds[1] |= 1 << (sh % 3)
 		}
 	}
-	ends := ex.ends
-	for j, v := range pre.rvj {
-		ex.probes++
-		ends = ex.appendEnds(ends[:0], &s.recs[v[slotDoc]], v[rvjNodeL], kinds[0])
-		nl := len(ends)
-		ends = ex.appendEnds(ends, ex.cur, v[rvjNodeR], kinds[1])
-		for _, a := range ends[:nl] {
-			for _, b := range ends[nl:] {
-				if k := (headKey{a.pa, a.c, b.pa, b.c}); live&(1<<keyShape(k)) != 0 {
-					pairs = append(pairs, headPair{k, a.row, b.row, int32(j), int32(v[slotDoc]), -1})
+	// The current nodes whose value the state holds, by value.
+	held := pre.held[:0]
+	for _, row := range cur.rdoc {
+		if id := row[rdocStrVal]; s.HasValue(int32(id)) {
+			held = append(held, [2]int64{id, row[rdocNode]})
+		}
+	}
+	slices.SortFunc(held, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	pre.held = held
+	vals, ends := pre.vals, ex.ends
+	for len(held) > 0 {
+		id, n := held[0][0], 1
+		for n < len(held) && held[n][0] == id {
+			n++
+		}
+		ends = ends[:0]
+		for _, h := range held[:n] {
+			ends = ex.appendEnds(ends, cur, h[1], kinds[1])
+		}
+		right := len(ends)
+		for _, ref := range s.postings(int32(id)) {
+			r := &s.recs[ref.slot]
+			ends = ex.appendEnds(ends[:right], r, r.rdoc[ref.row][rdocNode], kinds[0])
+			for a := right; a < len(ends); a += rbinWidth {
+				for b := 0; b < right; b += rbinWidth {
+					if sh := keyShape([4]int64{ends[a], ends[a+1], ends[b], ends[b+1]}); live&(1<<sh) != 0 {
+						ex.probes++
+						vals = append(append(append(vals, int64(ref.slot)), ends[a:a+rbinWidth]...), ends[b:b+rbinWidth]...)
+						vals = append(vals, int64(ref.slot)*numShapes+int64(sh))
+					}
 				}
 			}
 		}
+		held = held[n:]
 	}
-	present := &ex.present
+	pre.vals, ex.ends = vals, ends
+	pre.pairs = headRows(pre.pairs, vals, len(pairSchema))
+	pre.bySlot.build(pre.pairs, pairSlotShape)
+	return len(pre.pairs) > 0
+}
+
+// appendEnds appends the classes node n of record r binds a value-join
+// endpoint to, of each kind (endKind) kinds has, as an Rbin row — the
+// parent's class, its own, the parent's node and its own — counting the
+// rows it reads as probes: its Rroot rows' classes with noParent, its Rbin
+// rows by node2, and anyClass.
+func (ex *cqExec) appendEnds(out []int64, r *docRec, n int64, kinds uint8) []int64 {
+	if kinds&1 != 0 {
+		for _, i := range r.rootByNode.get(n) {
+			ex.probes++
+			out = append(out, noParent, r.root[i][rrootVar], noParent, n)
+		}
+	}
+	if kinds&2 != 0 {
+		for _, i := range r.binByNode2.get(n) {
+			ex.probes++
+			out = append(out, r.bin[i]...)
+		}
+	}
+	if kinds&4 != 0 {
+		out = append(out, noParent, anyClass, noParent, n)
+	}
+	return out
+}
+
+// runHeads chains the document's pairs by key: the distinct keys are the
+// document's present keys. Under each present key it reads each entry of
+// the join index whose first key's pairs share a previous document's state
+// slot, modulo 64, with the head key's (keySlot.docs), and enters its
+// template where the rest of the key tuple does too, once, for every pair
+// with the key (runEntry). It counts the entries it finds as probes. Nothing
+// else is looked at: every value join of a frame pairs with the frame's
+// previous document, so an entry whose keys' pairs share no state slot
+// names groups no frame of this document completes.
+func (ex *cqExec) runHeads(joins *joinIndex) {
+	pairs, present := ex.pre.pairs, &ex.present
 	present.reset(ex.doc, len(pairs))
-	for i := range pairs {
-		present.add(pairs, i)
+	ex.next = resize(ex.next, len(pairs))
+	for i, row := range pairs {
+		ex.next[i] = present.add(pairKey(row), row[slotDoc], int32(i))
 	}
-	ex.pairs, ex.ends = pairs, ends
 	for _, ki := range present.keys {
 		k := &present.slots[ki]
 		si := joins.slot(k.key)
@@ -617,41 +602,17 @@ func (ex *cqExec) runHeads(joins *joinIndex) {
 			}
 		}
 	}
-	if cap(pairs) > recKeep {
-		ex.pairs, ex.present = nil, keySet{}
+	if cap(ex.next) > recKeep {
+		ex.next, ex.present = nil, keySet{}
 	}
 }
 
-// appendEnds appends the classes node n of record r binds a value-join
-// endpoint to, of each kind (endKind) kinds has, counting the rows it reads
-// as probes: its Rroot rows' classes with noParent, its Rbin rows' by node2,
-// and anyClass.
-func (ex *cqExec) appendEnds(out []endClass, r *docRec, n int64, kinds uint8) []endClass {
-	if kinds&1 != 0 {
-		for _, i := range r.rootByNode.get(n) {
-			ex.probes++
-			out = append(out, endClass{noParent, int32(r.root[i][rrootVar]), i})
-		}
-	}
-	if kinds&2 != 0 {
-		for _, i := range r.binByNode2.get(n) {
-			ex.probes++
-			row := r.bin[i]
-			out = append(out, endClass{int32(row[rbinVar1]), int32(row[rbinVar2]), i})
-		}
-	}
-	if kinds&4 != 0 {
-		out = append(out, endClass{noParent, anyClass, -1})
-	}
-	return out
-}
-
-// runEntry runs entry e's template from the step after its seeded ones, at
-// e's trie node, for each pair of e's head key k, its frame seeded as those
-// steps would from the pair's rows. It does nothing when the template ran
-// under k already or the state slots of k's pairs and those of each key of
-// e's tuple share none modulo 64 (keySlot.docs): no previous document then
-// pairs every value join of e's group.
+// runEntry runs entry e's template from its second step, at e's trie node,
+// for each pair of e's head key k, its frame seeded from the pair as the
+// first step would. It does nothing when the template ran under k already
+// or the state slots of k's pairs and those of each key of e's tuple share
+// none modulo 64 (keySlot.docs): no previous document then pairs every
+// value join of e's group.
 func (ex *cqExec) runEntry(e *joinEntry, k *keySlot) {
 	t := e.t
 	if t.keyed == ex.keys {
@@ -665,38 +626,15 @@ func (ex *cqExec) runEntry(e *joinEntry, k *keySlot) {
 	}
 	t.keyed = ex.keys
 	ex.enter(t)
-	f, seeded := ex.frame, ex.prog.steps[:t.seed]
-	for i := k.head; i >= 0; i = ex.pairs[i].next {
-		for si := range seeded {
-			st := &seeded[si]
-			row := ex.seedRow(st.src, &ex.pairs[i])
-			for _, a := range st.assign {
-				f[a.slot] = row[a.col]
-			}
+	f, first := ex.frame, &ex.prog.steps[0]
+	for i := k.head; i >= 0; i = ex.next[i] {
+		row := ex.pre.pairs[i]
+		for _, a := range first.assign {
+			f[a.slot] = row[a.col]
 		}
-		ex.nodes[t.seed] = e.node
-		ex.step(t.seed)
+		ex.nodes[1] = e.node
+		ex.step(1)
 	}
-}
-
-// seedRow returns the row of pair pr that a seeded step reading src binds.
-// No seeded step checks a column: each assigns slots no earlier step bound.
-func (ex *cqExec) seedRow(src cqSource, pr *headPair) []int64 {
-	switch src {
-	case srcRL:
-		return ex.pre.rl[pr.l]
-	case srcRR:
-		return ex.pre.rr[pr.r]
-	case srcRvj:
-		return ex.pre.rvj[pr.j]
-	case srcRroot:
-		return ex.p.state.recs[ex.frame[slotDoc]].root[pr.l]
-	case srcRbin:
-		return ex.p.state.recs[ex.frame[slotDoc]].bin[pr.l]
-	case srcRrootW:
-		return ex.cur.root[pr.r]
-	}
-	return ex.cur.bin[pr.r]
 }
 
 // enter makes t's program the frame's, from the trie's root, counting its
@@ -722,35 +660,17 @@ func (ex *cqExec) step(i int) {
 		return
 	}
 	st := &ex.prog.steps[i]
-	f, s, pre := ex.frame, ex.p.state, ex.pre
+	f, s := ex.frame, ex.p.state
 	var rows [][]int64
 	var idx []int32
 	switch st.src {
-	case srcRvj:
-		rows = pre.rvj
-		if st.key >= 0 {
-			idx = pre.rvjByDoc.get(f[st.key])
-		}
-	case srcRL:
-		rows, idx = pre.rl, pre.rlByDoc.get(f[st.key])
-	case srcRR:
-		rows, idx = pre.rr, pre.rrBySym.get(f[st.key])
+	case srcPairs:
+		rows, idx = ex.pre.pairs, ex.pre.bySlot.get(f[st.key]*numShapes+st.shape)
 	case srcRbin:
 		r := &s.recs[f[slotDoc]]
 		rows, idx = r.bin, r.binByNode2.get(f[st.key])
 	case srcRbinW:
 		rows, idx = ex.cur.bin, ex.cur.binByNode2.get(f[st.key])
-	case srcRroot:
-		r := &s.recs[f[slotDoc]]
-		rows, idx = r.root, r.rootByNode.get(f[st.key])
-	case srcRrootW:
-		rows, idx = ex.cur.root, ex.cur.rootByNode.get(f[st.key])
-	}
-	if st.key < 0 {
-		for _, row := range rows {
-			ex.try(st, row, i)
-		}
-		return
 	}
 	for _, ri := range idx {
 		ex.try(st, rows[ri], i)

@@ -304,7 +304,16 @@ func headMismatch(joins *joinIndex, tmpls []*Template) string {
 			if e.g != e.t.vecList[e.group] {
 				return fmt.Sprintf("the entry of group %d of template %s names another group, of vector %v", e.group, e.t.Sig, vars)
 			}
-			switch node := e.t.trie.walk(e.t.levels[:e.t.keyLevels()], vars); {
+			// The head key's classes take the trie's first levels.
+			depth := 0
+			for _, p := range e.t.key {
+				if p >= 0 {
+					depth++
+				}
+			}
+			switch node := e.t.trie.walk(e.t.levels[:depth], vars); {
+			case depth != e.t.keyDepth:
+				return fmt.Sprintf("template %s has a head key of %d classes and a key depth of %d", e.t.Sig, depth, e.t.keyDepth)
 			case e.t.headKey(vars) != slot.key || e.t.firstKey(vars) != e.first:
 				return fmt.Sprintf("group %v of template %s lies under %v with first key %v", vars, e.t.Sig, slot.key, e.first)
 			case e.node != node:
@@ -386,8 +395,14 @@ func FuzzTrieChurn(f *testing.F) {
 		ops = ops[1:]
 		var joins joinIndex
 		var tmpls []*Template
+		depth := 0
+		for _, p := range shape.key {
+			if p >= 0 {
+				depth++
+			}
+		}
 		for i := 0; i < 2; i++ {
-			tmpls = append(tmpls, &Template{Sig: fmt.Sprint(i), N: len(shape.levels), levels: shape.levels, key: shape.key, tuple: shape.tuple})
+			tmpls = append(tmpls, &Template{Sig: fmt.Sprint(i), N: len(shape.levels), levels: shape.levels, key: shape.key, tuple: shape.tuple, keyDepth: depth})
 		}
 		type inst struct {
 			entry
@@ -500,12 +515,15 @@ func collidingStream(n, count int) []*xmldoc.Document {
 }
 
 // TestWitnessOrderCountedWork bounds the index entries Stage 2 visits per
-// match — the head join, the join index and the compiled programs walking
+// match — the pair build, the join index and the compiled programs walking
 // the vector-group trie — on three shapes: colliding two-level documents,
-// the paper-scale generator and the RSS stream. The readings are 3.31, 4.88
-// and 0.30 probes per match since every template enters through the join
-// index, only where the pairs of every value join of one of its groups share
-// a previous document's state slot modulo 64 (3.30, 17.66 and 0.28 when
+// the paper-scale generator and the RSS stream. The readings are 2.40, 4.14
+// and 0.28 probes per match since every value join reads one pair relation,
+// its later ones by state slot and key shape (3.31, 4.88 and 0.30 while view
+// joins read RL and RR and side-root ones Rvj and their endpoints' rows,
+// every template entering through the join index only where the pairs of
+// every value join of one of its groups share a previous document's state
+// slot modulo 64; 3.30, 17.66 and 0.28 when
 // side-root templates ran whole and a key tuple had only to be present in
 // the document; 4.98, 19.45 and 0.72
 // when the head key alone chose the templates entered; 5.10, 38.30 and 0.83
@@ -517,8 +535,9 @@ func collidingStream(n, count int) []*xmldoc.Document {
 // here. The match totals are pinned exactly: the replay is deterministic, and
 // TestCompiledPlanMatchesReference and the differential harness check what
 // the matches are. The gate-regime case is the benchmark's paper_scale shape
-// (paperScaleSlice, 600 documents): 56 templates, 32.7 matches, 35.1 probes
-// and 1.00 program entered per document (127.6 and 7.3 when side-root
+// (paperScaleSlice, 600 documents): 56 templates, 32.7 matches, 37.4 probes
+// and 1.00 program entered per document (35.1 and 1.00 while view joins
+// read RL and RR; 127.6 and 7.3 when side-root
 // templates ran whole; 269.6 and 32.5 when the head key alone chose the
 // templates; 575.2 and 55.0 without the head join), each bounded at 1.25
 // times its reading.
@@ -679,14 +698,15 @@ func TestMatchWalkStepsPerClass(t *testing.T) {
 	}
 }
 
-// TestViewsOnlyForViewReaders pins that Stage 2 builds the views RL and RR
-// only while a live template reads them. The deep-feed joins compile to one
-// side-root template, which reads the value-join pairs only: no view is
-// built — no row, and no time charged to Stats.RL or Stats.RR — and every
-// document's matches equal those of a processor made to build the views
-// anyway. A headed template turns the views back on, and unregistering it
-// turns them off again.
-func TestViewsOnlyForViewReaders(t *testing.T) {
+// TestPairBuildReadsLiveEndKinds pins that Stage 2's pair build reads only
+// the endpoint rows the live templates' key shapes take. The deep-feed joins
+// compile to side-root templates, whose keys take no Rbin end: no pair
+// carries one, and the build visits fewer rows than that of a processor made
+// to read every kind of end, whose matches are the same document by
+// document — each value join's step takes only pairs of its own shape. A
+// template joining two nodes with parents turns the Rbin ends on, and
+// unregistering it turns them off again.
+func TestPairBuildReadsLiveEndKinds(t *testing.T) {
 	c := workload.DefaultDeepFeed()
 	queries := c.Queries(rand.New(rand.NewSource(5)), 330)
 	docs := c.Stream(rand.New(rand.NewSource(6)), 160)
@@ -695,40 +715,61 @@ func TestViewsOnlyForViewReaders(t *testing.T) {
 		p.MustRegister(q)
 		forced.MustRegister(q)
 	}
-	if p.keyShapes[viewShape] != 0 {
-		t.Fatalf("premise: the deep-feed templates read no view, %d do", p.keyShapes[viewShape])
+	// binShapes counts p's live templates with a key that has an Rbin end.
+	binShapes := func() (n int) {
+		for sh, c := range p.keyShapes {
+			if sh/3 == 1 || sh%3 == 1 {
+				n += c
+			}
+		}
+		return n
 	}
-	forced.keyShapes[viewShape]++
-	publish := func(docs []*xmldoc.Document) (views, matches int) {
+	if n := binShapes(); n != 0 {
+		t.Fatalf("premise: the deep-feed templates join side roots only, %d keys have an Rbin end", n)
+	}
+	for sh := range forced.keyShapes {
+		forced.keyShapes[sh]++
+	}
+	publish := func(docs []*xmldoc.Document) (binPairs, matches int) {
 		for _, d := range docs {
 			got, want := p.Process("S", d), forced.Process("S", d)
 			if g, w := renderMatches(got), renderMatches(want); g != w {
-				t.Fatalf("doc %d: matches differ from the processor that builds the views:\ngot:\n%swant:\n%s", d.ID, g, w)
+				t.Fatalf("doc %d: matches differ from the processor that reads every end:\ngot:\n%swant:\n%s", d.ID, g, w)
 			}
-			views += len(p.pre.rl) + len(p.pre.rr)
+			for _, row := range p.pre.pairs {
+				if row[pairParentL] >= 0 || row[pairParentR] >= 0 {
+					binPairs++
+				}
+			}
 			matches += len(got)
 		}
-		return views, matches
+		return binPairs, matches
 	}
-	views, matches := publish(docs[:100])
-	if views != 0 || p.stats.RL != 0 || p.stats.RR != 0 {
-		t.Errorf("side roots only: %d view rows built in %v + %v, want none", views, p.stats.RL, p.stats.RR)
+	binPairs, matches := publish(docs[:100])
+	if binPairs != 0 {
+		t.Errorf("side roots only: %d pairs with an Rbin end built, want none", binPairs)
 	}
-	if forced.stats.RL == 0 || matches == 0 {
-		t.Fatalf("premise: the views are built when forced (%v) and the documents match (%d)", forced.stats.RL, matches)
+	if matches == 0 {
+		t.Fatal("premise: the documents match")
+	}
+	if got, all := p.stats.CQProbes, forced.stats.CQProbes; got >= all {
+		t.Errorf("side roots only: Stage 2 visited %d rows and entries, reading every end kind %d", got, all)
 	}
 
-	headed := xscl.MustParse("S//entry->e[./id->x][./title->t] FOLLOWED BY{x=y AND t=u, 200} S//entry->f[./ref->y][./title->u]")
-	qid := p.MustRegister(headed)
-	forced.MustRegister(headed)
-	if p.keyShapes[viewShape] != 1 {
-		t.Fatalf("after a headed template: %d view readers, want 1", p.keyShapes[viewShape])
+	twoParent := xscl.MustParse("S//entry->e[./id->x][./title->t] FOLLOWED BY{x=y AND t=u, 200} S//entry->f[./ref->y][./title->u]")
+	qid, forcedQid := p.MustRegister(twoParent), forced.MustRegister(twoParent)
+	if n := binShapes(); n != 1 {
+		t.Fatalf("after a two-parent template: %d keys with an Rbin end, want 1", n)
 	}
-	if views, _ = publish(docs[100:]); views == 0 || p.stats.RL == 0 {
-		t.Errorf("a headed template is live and %d view rows were built in %v", views, p.stats.RL)
+	if binPairs, _ = publish(docs[100:130]); binPairs == 0 {
+		t.Error("a two-parent template is live and no pair with an Rbin end was built")
 	}
 	p.MustUnregister(qid)
-	if p.keyShapes[viewShape] != 0 {
-		t.Errorf("after unregistering the headed template: %d view readers, want 0", p.keyShapes[viewShape])
+	forced.MustUnregister(forcedQid)
+	if n := binShapes(); n != 0 {
+		t.Errorf("after unregistering the two-parent template: %d keys with an Rbin end, want 0", n)
+	}
+	if binPairs, _ = publish(docs[130:]); binPairs != 0 {
+		t.Errorf("after unregistering the two-parent template: %d pairs with an Rbin end built, want none", binPairs)
 	}
 }

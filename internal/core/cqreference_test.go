@@ -222,10 +222,10 @@ func churnTrace(queries []*xscl.Query, docs []*xmldoc.Document) workload.Trace {
 
 // TestCompiledPlanMatchesReference holds the compiled Stage-2 programs to
 // the interpreted reference, which never reads the vector-group trie,
-// document by document, with and without the Section-5 views, with Stage 1
-// run ahead on 1 and 4 goroutines (stage1Ahead; under the race detector,
-// Stage-1 workers beside the ordered Consume). The traces cover multi-value-join templates with shared endpoints
-// (workload.PaperScale), single-node sides (the k=1 queries of
+// document by document, with Stage 1 run ahead on 1 and 4 goroutines
+// (stage1Ahead; under the race detector, Stage-1 workers beside the ordered
+// Consume). The traces cover multi-value-join templates with shared
+// endpoints (workload.PaperScale), single-node sides (the k=1 queries of
 // workload.RandomWorkload), deep sides, JOIN instances in both orientations,
 // ROWS and time windows, a value join on the root of a multi-node side, a
 // first value join below a branch node, and Register/Unregister between
@@ -284,13 +284,14 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 		}
 	}
 
-	// The traces must reach every way a program starts: a headed template
-	// that anchors a branch node below its block root right after the head
-	// join, and a side-root template, which runs its whole program. No
-	// query makes a four-position headed template: a two-node side keeps
-	// its root only when the root is joined, and the canonical order puts
-	// the left root first, so that join is the template's first and it is
-	// on a side root. The count is logged; FuzzTrieChurn builds one.
+	// The traces must reach every way a program starts: a head key of
+	// two-parent endpoints, on a template that anchors a branch node below
+	// its block root right after the first value join, and a head key on a
+	// side root. No query makes a four-position template with a two-parent
+	// head key: a two-node side keeps its root only when the root is
+	// joined, and the canonical order puts the left root first, so that
+	// join is the template's first and it is on a side root. The count is
+	// logged; FuzzTrieChurn builds one.
 	p := NewProcessor(Config{})
 	for _, tr := range traces {
 		for _, q := range tr.Initial {
@@ -306,20 +307,20 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 	for _, tmpl := range p.templateList {
 		l, r := tmpl.VJ[0][0], tmpl.VJ[0][1]
 		switch {
-		case !tmpl.usesViews(0):
-			kinds["side root"]++
+		case tmpl.Parent[l] < 0 || tmpl.Parent[r] < 0:
+			kinds["side-root key"]++
 		case tmpl.N == len(headKey{}):
-			kinds["four-position headed"]++
+			kinds["two-parent key, four positions"]++
 		case tmpl.Parent[tmpl.Parent[l]] >= 0 || tmpl.Parent[tmpl.Parent[r]] >= 0:
-			kinds["anchor after the head"]++
+			kinds["two-parent key, anchor after the head"]++
 		default:
-			kinds["headed on the block roots"]++
+			kinds["two-parent key on the block roots"]++
 		}
 	}
 	t.Logf("%d templates: %v", len(p.templateList), kinds)
-	for _, k := range []string{"anchor after the head", "side root"} {
+	for _, k := range []string{"two-parent key, anchor after the head", "side-root key"} {
 		if kinds[k] == 0 {
-			t.Errorf("no %s template in the traces", k)
+			t.Errorf("no template with a %s in the traces", k)
 		}
 	}
 }
@@ -405,9 +406,11 @@ func paperScaleSlice(measured int) (*Processor, []*xmldoc.Document) {
 // TestCompiledPlanCountedWorkCeiling bounds the compiled programs' counted
 // work on paperScaleSlice: index entries visited per RoutT row produced. The
 // programs, which walk the vector-group trie behind one build of every
-// template's first value-join pairs and enter a template only where the
-// pairs of every value join of one of its groups share a previous document's
-// state slot modulo 64, read 1.07 per row (3.9 when side-root templates ran
+// value join's pairs and enter a template only where the pairs of every
+// value join of one of its groups share a previous document's state slot
+// modulo 64, read 1.13 per row (2 225 probes for 1 977 rows; the pair build
+// counts the endpoint rows it reads and the pairs it keeps), 1.07 while
+// view joins read RL and RR (3.9 when side-root templates ran
 // whole and a key tuple had only to be present in the document, 8.3 when
 // every template the head key named was entered, 17.6 when each template
 // walked its own first join) and must stay within 1.25 times that: 1.3. The

@@ -109,24 +109,29 @@ func (tr *vecTrie) walk(levels []int, vars []int32) int32 {
 }
 
 // insert adds the path vars spells along levels for a new group, whose
-// index the last edge records; the edges it shares with live groups count
-// one more group.
-func (tr *vecTrie) insert(levels []int, vars []int32, group int32) {
+// index the last edge records, and returns the node its first depth levels
+// reach; the edges it shares with live groups count one more group.
+func (tr *vecTrie) insert(levels []int, vars []int32, group int32, depth int) int32 {
 	node := int32(0)
+	at := node
 	for l, p := range levels {
 		k := packPair(int64(node), int64(vars[p]))
 		if i := tr.find(k); i >= 0 {
 			tr.slots[i].count++
 			node = tr.slots[i].child
-			continue
+		} else {
+			child := group
+			if l < len(levels)-1 {
+				child = tr.newNode()
+			}
+			tr.put(trieEdge{k, child, 1})
+			node = child
 		}
-		child := group
-		if l < len(levels)-1 {
-			child = tr.newNode()
+		if l+1 == depth {
+			at = node
 		}
-		tr.put(trieEdge{k, child, 1})
-		node = child
 	}
+	return at
 }
 
 // remove takes a retired group's path out of the trie, dropping every edge
@@ -317,13 +322,13 @@ func (h *joinIndex) remove(t *Template, vars []int32, group int32) {
 func (h *joinIndex) relink(t *Template, vars []int32, from, to int32) {
 	i, j := h.find(t, vars, from)
 	e := &h.slots[i].entries[j]
-	if e.group = to; t.N == t.keyLevels() {
+	if e.group = to; t.N == t.keyDepth {
 		e.node = to
 	}
 }
 
 // keySet is a document's present keys, each with the first of its pairs
-// (headPair.next chains the rest) and the previous documents its pairs lie
+// (cqExec.next chains the rest) and the previous documents its pairs lie
 // in, as bit in%64 of docs for each state slot in: an open-addressing table
 // whose slots hold a key for the document that stamped them, so it is never
 // cleared. keys lists the slots in the order their keys were first added.
@@ -361,18 +366,20 @@ func (ks *keySet) find(k headKey) int {
 	return i
 }
 
-// add chains pair i of pairs under its key, adding the key where it is new,
-// and marks the pair's previous document.
-func (ks *keySet) add(pairs []headPair, i int) {
-	pr := &pairs[i]
-	si := ks.find(pr.key)
+// add chains pair i, whose key is k and whose previous document lies in
+// state slot in, under k, adding the key where it is new, and returns the
+// pair chained after it, -1 for none.
+func (ks *keySet) add(k headKey, in int64, i int32) int32 {
+	si := ks.find(k)
 	s := &ks.slots[si]
 	if s.doc != ks.doc {
-		*s = keySlot{key: pr.key, head: -1, doc: ks.doc}
+		*s = keySlot{key: k, head: -1, doc: ks.doc}
 		ks.keys = append(ks.keys, int32(si))
 	}
-	s.docs |= 1 << (pr.in & 63)
-	pr.next, s.head = s.head, int32(i)
+	s.docs |= 1 << (in & 63)
+	next := s.head
+	s.head = i
+	return next
 }
 
 // docs returns the previous documents key k's pairs lie in, as keySlot.docs

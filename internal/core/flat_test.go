@@ -10,7 +10,8 @@ import (
 // random inserts and deletes of three-level paths over small variable
 // ranges — so probe runs collide, wrap around the table's end and are cut by
 // backward-shift deletion — and requires after every step that every vector
-// walks to the index a Go map holds for it, and that the table holds exactly
+// walks to the index a Go map holds for it, that an insert returns the node
+// a walk reaches at the depth asked for, and that the table holds exactly
 // one edge per distinct live prefix.
 func TestFlatTablesEqualMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -34,8 +35,12 @@ func TestFlatTablesEqualMaps(t *testing.T) {
 			delete(index, v)
 		} else {
 			index[v] = int32(len(live))
-			tr.insert(levels, v[:], int32(len(live)))
+			depth := step % (len(levels) + 1)
+			node := tr.insert(levels, v[:], int32(len(live)), depth)
 			live = append(live, v)
+			if want := tr.walk(levels[:depth], v[:]); node != want {
+				t.Fatalf("step %d: insert(%v) reached node %d at depth %d, a walk %d", step, v, node, depth, want)
+			}
 		}
 		prefixes := map[[3]int32]bool{}
 		for _, v := range live {
@@ -75,7 +80,7 @@ func TestFlatTablesEqualMaps(t *testing.T) {
 	}
 	one := []int{0}
 	for i, k := range wrap {
-		s.insert(one, []int32{k}, int32(i))
+		s.insert(one, []int32{k}, int32(i), 1)
 	}
 	s.remove(one, wrap[:1])
 	if s.walk(one, wrap[:1]) != -1 || s.walk(one, wrap[1:2]) != 1 || s.walk(one, wrap[2:]) != 2 {

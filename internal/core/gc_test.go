@@ -136,12 +136,12 @@ func TestGCReturnsExpiredSet(t *testing.T) {
 // TestSlotReuseMatchesSequential streams two epochs whose strings differ:
 // the first falls out of the window, its slots are freed and reused by the
 // second, and the first epoch's strings come back after they expired. The
-// views are built from the join state for every document, so a row of a
+// pairs are built from the join state for every document, so a row of a
 // freed slot, or of a later document on it, is never read as the expired
 // document's: each document's matches must equal the Sequential baseline's.
 func TestSlotReuseMatchesSequential(t *testing.T) {
-	// Two leaves per side keep the block roots in the template, so the RL
-	// rows carry Rbin rows (a single-node side would use the Rroot path).
+	// Two leaves per side keep the block roots in the template, so the
+	// pairs' ends are Rbin rows (a single-node side's are Rroot rows).
 	q := xscl.MustParse("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, 1000} S//item->y[.//a->w][.//b->z]")
 	p := NewProcessor(Config{})
 	p.MustRegister(q)

@@ -41,14 +41,14 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 	if len(p.queries) != 0 {
 		t.Errorf("%d queries still registered", len(p.queries))
 	}
-	if p.keyShapes[viewShape] != 0 {
-		t.Errorf("%d view-reading templates counted, want 0", p.keyShapes[viewShape])
+	if p.keyShapes != [numShapes]int{} {
+		t.Errorf("live key shapes counted: %v, want none", p.keyShapes)
 	}
 	if !reflect.DeepEqual(p.joins, joinIndex{}) {
 		t.Errorf("join index not reclaimed: %d entries", p.joins.n)
 	}
 	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
-		t.Errorf("Stage-2 scratch not reclaimed: %d RL and %d RR rows kept", cap(p.pre.rl), cap(p.pre.rr))
+		t.Errorf("Stage-2 scratch not reclaimed: %d pairs kept", cap(p.pre.pairs))
 	}
 	st := p.state
 	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {

@@ -64,9 +64,9 @@ type Processor struct {
 	templateList []*Template // live templates, in registration order
 	joins        joinIndex   // every template's vector groups by their value-join keys
 	// keyShapes counts the live templates with a value-join key of each
-	// shape (Template.shapes): evalTemplates builds the views RL and RR
-	// only while one has a key of viewShape, Rvj only while one has a key
-	// of another shape.
+	// shape (Template.shapes): the pair build keeps only the pairs of the
+	// shapes counted here, and reads only the endpoint rows they take
+	// (cqExec.buildPairs).
 	keyShapes [numShapes]int
 	// nextTemplateID allocates template ids; ids are never reused, so a
 	// reclaimed template's id cannot alias a later one.
@@ -101,10 +101,9 @@ type Processor struct {
 	result   Matches
 	consumed *Stage1Result
 
-	// pre is the current document's Stage-2 inputs (the views prepareViews
-	// builds and the pairs sharedRvj builds, both from evalTemplates), which
-	// nothing reads once the document is evaluated: the next document's
-	// are built in its storage.
+	// pre is the current document's value-join pairs (cqExec.buildPairs),
+	// which nothing reads once the document is evaluated: the next
+	// document's are built in its storage.
 	pre stage2Shared
 
 	reg regScratch

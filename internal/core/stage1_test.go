@@ -224,9 +224,11 @@ func BenchmarkStage1DeepFeed(b *testing.B) {
 // Beside ns per document it reports the conjunctive-query time (Stats.CQ),
 // the probes and the programs entered per document (Stats.WitnessPlans), so
 // the head joins, the join index's filter and the programs can be read in
-// process: entered/doc reads 1.005 and probes/doc 35.1 since every template
-// enters through the join index (7.34 and 127.6 while side-root templates
-// ran whole). Every 600 documents the slice is rebuilt off the clock,
+// process: entered/doc reads 1.005 and probes/doc 37.4 since every value
+// join reads one pair relation (35.1 while view joins read RL and RR; 7.34
+// and 127.6 while side-root templates ran whole). The pair build is timed
+// apart from the conjunctive queries (Stats.Rvj), so cq-ns/doc leaves it
+// out. Every 600 documents the slice is rebuilt off the clock,
 // so the window stays full and no document is replayed.
 func BenchmarkStage2ManyTemplates(b *testing.B) {
 	const measured = 600

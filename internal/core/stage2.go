@@ -10,43 +10,40 @@ import (
 
 // Stage 2 runs on the goroutine that calls Consume: one executor (the
 // processor's cqExec) evaluates the live templates against read-only inputs
-// — the join state, the current document's record, the per-document views
-// (stage2Shared), the join index and the templates' compiled programs and
-// vector groups — writing one run per frame and passing window class into
-// the processor's result. The result is read as a merge of the window
-// classes, each with its runs, and the sorted single-block matches
-// (Matches), and is written once, by whoever reads it.
+// — the join state, the current document's record, the document's
+// value-join pairs (stage2Shared), the join index and the templates'
+// compiled programs and vector groups — writing one run per frame and
+// passing window class into the processor's result. The result is read as a
+// merge of the window classes, each with its runs, and the sorted
+// single-block matches (Matches), and is written once, by whoever reads it.
 
 // evalTemplates evaluates the live templates against the document, the
-// per-template tail of Algorithm 4: every template is entered through the
-// join index from the pairs of its first value join. The runs stay in the
-// processor's result for Matches.collect, which sorts them, so the order
-// templates are entered in never reaches the output. Its phases are timed
-// from start; it returns the last clock reading.
+// per-template tail of Algorithm 4: it builds the document's value-join
+// pairs, and every template is entered through the join index from the
+// pairs of its first value join. The runs stay in the processor's result
+// for Matches.collect, which sorts them, so the order templates are entered
+// in never reaches the output. Its two phases, the pair build (Stats.Rvj)
+// and CQ, are timed from start, one clock reading each; it returns the
+// last.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 func (p *Processor) evalTemplates(r *Stage1Result, start time.Time) time.Time {
 	if len(p.templateList) == 0 {
 		return start
 	}
-	pre := &p.pre
-	pre.reset()
-	t0, ok := p.prepareViews(r, pre, start)
-	if !ok {
-		return t0
-	}
-	// The pair relation is built before CQ's clock starts, so its one-time
-	// build lands in Stats.Rvj, not in CQ.
-	if p.readsRvj() {
-		t0 = pre.sharedRvj(p.state, &r.rec, &p.stats, t0)
-	}
 	ex := &p.ex
-	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, pre
+	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, &p.pre
 	ex.probes, ex.rows, ex.plans = 0, 0, 0
 	ex.doc++
-	ex.runHeads(&p.joins)
-	t1 := time.Now()
-	p.stats.CQ += t1.Sub(t0)
+	paired := ex.buildPairs()
+	t0 := time.Now()
+	p.stats.Rvj += t0.Sub(start)
+	t1 := t0
+	if paired {
+		ex.runHeads(&p.joins)
+		t1 = time.Now()
+		p.stats.CQ += t1.Sub(t0)
+	}
 	p.stats.CQProbes += ex.probes
 	p.stats.CQRows += ex.rows
 	p.stats.MatchRuns += int64(len(p.result.runs))
@@ -335,51 +332,36 @@ func (ms *Matches) reset() {
 	ms.singles, ms.n = nil, 0
 }
 
-// stage2Shared carries the per-document views the compiled programs read,
-// computed once per document and read-only during template evaluation, so
-// every template probes the same indexes: the shared views RL (by slot) and
-// RR (by string) and the value-join pair relation by previous document's
-// slot. The current document's own rows are read through its record, whose
-// node indexes Stage 1 built (docRec.seal). The processor keeps one
-// (Processor.pre) and resets it for each document, so its slices and
-// indexes are reused.
+// stage2Shared is the document's value-join pair relation (pairSchema),
+// built once per document for every template (cqExec.buildPairs) and
+// read-only while the templates are evaluated: its values laid out in vals,
+// its rows indexed by the previous document's state slot and their key
+// shape (pairSlotShape). The current
+// document's own rows are read through its record, whose node indexes Stage
+// 1 built (docRec.seal). The processor keeps one (Processor.pre) and resets
+// it for each document, so its slices and index are reused.
 type stage2Shared struct {
-	// rvj is the value-join pair relation (rvjSchema) of the current
-	// document — Rdoc ⋈ RdocW on the string value, read off the state's
-	// posting lists — its values laid out in rvjVals, with its rows grouped
-	// by slot. Only templates with a value join on a side root read it, so
-	// it is built only when one is live (Processor.keyShapes).
-	rvj      [][]int64
-	rvjVals  []int64
-	rvjByDoc rowIndex
+	pairs  [][]int64
+	vals   []int64
+	bySlot rowIndex
 
-	// rl and rr are the views RL (rlSchema) and RR (rlSchema without the
-	// slot), their values laid out in rlVals and rrVals.
-	rl, rr         [][]int64
-	rlVals, rrVals []int64
-	rlByDoc        rowIndex
-	rrBySym        rowIndex
-
-	ids []int32 // prepareViews' scratch: the common values
+	held [][2]int64 // buildPairs' scratch: the current nodes' shared values
 }
 
-// reset empties pre for the next document. Its row lists drop what they
-// pointed at (the previous document's rows); one that a burst document grew
-// past recKeep rows goes, and so does a value buffer grown past as many rows
-// of the views.
+// reset empties pre for the next document. Its rows drop what they pointed
+// at; a row list or value buffer a burst document grew past recKeep rows
+// goes.
 func (pre *stage2Shared) reset() {
-	for _, rows := range [...]*[][]int64{&pre.rvj, &pre.rl, &pre.rr} {
-		if clear(*rows); cap(*rows) > recKeep {
-			*rows = nil
-		}
-		*rows = (*rows)[:0]
+	if clear(pre.pairs); cap(pre.pairs) > recKeep {
+		pre.pairs = nil
 	}
-	for _, vals := range [...]*[]int64{&pre.rvjVals, &pre.rlVals, &pre.rrVals} {
-		if cap(*vals) > recKeep*len(rlSchema) {
-			*vals = nil
-		}
-		*vals = (*vals)[:0]
+	if cap(pre.vals) > recKeep*len(pairSchema) {
+		pre.vals = nil
 	}
+	if cap(pre.held) > recKeep {
+		pre.held = nil
+	}
+	pre.pairs, pre.vals = pre.pairs[:0], pre.vals[:0]
 }
 
 // headRows points rows at vals, width values to a row.
@@ -389,99 +371,6 @@ func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
 		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
 	}
 	return rows
-}
-
-// readsRvj reports whether a live template has a key that is not a view
-// join's, whose pairs come from Rvj.
-func (p *Processor) readsRvj() bool {
-	for sh, n := range p.keyShapes {
-		if n > 0 && sh != viewShape {
-			return true
-		}
-	}
-	return false
-}
-
-// sharedRvj builds the document's value-join pair relation, charging the
-// build since t0 to stats and returning the clock reading that ends it. A
-// pair takes its slot from the posting list that named the previous
-// document's row.
-//
-//mmqjp:nondet wall-clock stats timing (output-invisible)
-func (pre *stage2Shared) sharedRvj(s *State, cur *docRec, stats *Stats, t0 time.Time) time.Time {
-	vals := pre.rvjVals
-	for _, row := range cur.rdoc {
-		for _, ref := range s.postings(int32(row[rdocStrVal])) {
-			dt := s.recs[ref.slot].rdoc[ref.row]
-			vals = append(vals, int64(ref.slot), dt[rdocNode], row[rdocNode], dt[rdocStrVal])
-		}
-	}
-	pre.rvjVals = vals
-	pre.rvj = headRows(pre.rvj, vals, len(rvjSchema))
-	pre.rvjByDoc.build(pre.rvj, 0)
-	t1 := time.Now()
-	stats.Rvj += t1.Sub(t0)
-	return t1
-}
-
-// prepareViews computes the shared prefix of Algorithm 4 into pre for the
-// document Stage 1 gave r, its values resolved. RL is read off the join
-// state: for each common value in id order, its posting list and each
-// record's Rbin index by node2. The ids are the state's (State.resolve), so
-// the order follows the state's history — a restored state may number its
-// values differently — and only enumeration order depends on it: the output
-// leaves in the canonical order regardless. It reports false when no value is
-// shared with the join state (no template can match). RL and RR are built
-// only while a live template reads them (Processor.keyShapes). Timed from
-// t0; it returns the last clock reading.
-//
-//mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) prepareViews(r *Stage1Result, pre *stage2Shared, t0 time.Time) (time.Time, bool) {
-	// STR: distinct string values common to RdocW and Rdoc (line 2).
-	s := p.state
-	ids := pre.ids[:0]
-	for _, row := range r.rec.rdoc {
-		if id := int32(row[rdocStrVal]); s.HasValue(id) {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	pre.ids = ids
-	t1 := time.Now()
-	p.stats.Rvj += t1.Sub(t0)
-	if len(ids) == 0 {
-		return t1, false
-	}
-	if p.keyShapes[viewShape] == 0 {
-		return t1, true
-	}
-
-	// RL: per string s, σ_strVal=s(Rdoc) ⋈_{node=node2} Rbin (lines 3-7).
-	vals := pre.rlVals
-	for _, id := range ids {
-		vals = s.appendRL(vals, id)
-	}
-	pre.rlVals = vals
-	pre.rl = headRows(pre.rl, vals, len(rlSchema))
-	pre.rlByDoc.build(pre.rl, 0)
-	t2 := time.Now()
-	p.stats.RL += t2.Sub(t1)
-
-	// RR: σ_strVal∈STR(RdocW) ⋈ RbinW on node2 (line 8). A node's string
-	// value is in STR when the state holds it.
-	vals = pre.rrVals
-	for _, row := range r.rec.bin {
-		if id, ok := r.docValue(row[rbinNode2]); ok && s.HasValue(id) {
-			vals = append(append(vals, row...), int64(id))
-		}
-	}
-	pre.rrVals = vals
-	pre.rr = headRows(pre.rr, vals, len(rlSchema)-1)
-	pre.rrBySym.build(pre.rr, rrStrVal)
-	t3 := time.Now()
-	p.stats.RR += t3.Sub(t2)
-	return t3, true
 }
 
 // matchCmp is the canonical total order: the output is identical regardless

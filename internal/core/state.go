@@ -67,8 +67,8 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 // the posting lists: it touches the expired rows, never the live ones. A
 // freed slot's storage goes to the next document Merge places there, in
 // exchange for that document's record. Nothing outside the state keeps a
-// state row across documents: Stage 2 reads the views off the posting lists
-// for each document (prepareViews).
+// state row across documents: Stage 2 reads the value-join pairs off the
+// posting lists for each document (cqExec.buildPairs).
 type State struct {
 	// recs holds the records by slot. A free slot's record keeps its row
 	// storage until Merge swaps it for the next record placed there.
@@ -139,7 +139,7 @@ type docRec struct {
 
 // recKeep bounds the storage kept for a later document wherever it is
 // recycled, in values: a record's rows, the Stage-1 dedup arrays
-// (Stage1Result.reset) and the Stage-2 view buffers (stage2Shared.reset). A
+// (Stage1Result.reset) and the Stage-2 pair buffers (stage2Shared.reset). A
 // burst document's storage goes with it instead of being cleared for every
 // document after it.
 const recKeep = 4096
@@ -291,8 +291,8 @@ func (s Schema) SymCol(name string) int {
 
 // The schemas of the witness relations, the same for the current document
 // and the join state. strVal is the only symbol column; the code that reads
-// symbols out of it by position (Merge, sharedRvj, prepareViews) resolves
-// the position through Schema.SymCol, once.
+// symbols out of it by position (Merge, cqExec.buildPairs) resolves the
+// position through Schema.SymCol, once.
 var (
 	rbinSchema  = Schema{Int("var1"), Int("var2"), Int("node1"), Int("node2")}
 	rdocSchema  = Schema{Int("node"), Sym("strVal")}
@@ -491,21 +491,6 @@ func (s *State) HasValue(id int32) bool { return len(s.lists[id].live()) > 0 }
 
 // NumValues returns the number of join values the state holds.
 func (s *State) NumValues() int { return s.values.n }
-
-// appendRL appends to vals the rows of E_{L,s} = σ_{strVal=s}(Rdoc)
-// ⋈_{node=node2} Rbin, the part of the left view RL (Section 5) whose rows
-// carry the join value s (id), and returns the extended buffer: rlSchema
-// rows, one after another, read off the posting list of s — which names each
-// row's slot — and each record's Rbin index by node2.
-func (s *State) appendRL(vals []int64, id int32) []int64 {
-	for _, ref := range s.postings(id) {
-		r := &s.recs[ref.slot]
-		for _, bi := range r.binByNode2.get(r.rdoc[ref.row][rdocNode]) {
-			vals = append(append(append(vals, int64(ref.slot)), r.bin[bi]...), int64(id))
-		}
-	}
-	return vals
-}
 
 // GC removes every document expired in both window dimensions (timestamp <
 // cutoffTS and arrival index < cutoffSeq), whether they form a prefix of the

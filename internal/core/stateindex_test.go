@@ -215,13 +215,15 @@ func checkValueDict(t testing.TB, s *State) map[int32]bool {
 	return free
 }
 
-// checkLeftView requires, for every string value the state holds, the left
-// view rows State.appendRL reads off its posting list to be, as a multiset,
-// those of a full scan: every live record's Rdoc rows with that value joined
-// with the same record's Rbin rows on node = node2, behind the record's
-// slot. A posting that outlived its document, or one that names a reused
-// slot's new document, shows here as a row too many or too few.
-func checkLeftView(t testing.TB, s *State) {
+// checkLeftEnds requires, for every string value the state holds, the
+// endpoint classes the pair build reads for the nodes on its posting list
+// (cqExec.appendEnds, of every kind) to be, as a multiset, those of a full
+// scan: every live record's Rdoc rows with that value, each with the same
+// record's Rbin rows on node = node2, its Rroot rows on node and anyClass,
+// behind the record's slot. A posting that outlived its document, or one
+// that names a reused slot's new document, shows here as a row too many or
+// too few.
+func checkLeftEnds(t testing.TB, s *State) {
 	t.Helper()
 	want := map[int32][][]int64{}
 	for v := range s.lists {
@@ -232,24 +234,34 @@ func checkLeftView(t testing.TB, s *State) {
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		for _, dt := range r.rdoc {
-			id := int32(dt[rdocStrVal])
+			id, n := int32(dt[rdocStrVal]), dt[rdocNode]
+			add := func(end ...int64) { want[id] = append(want[id], append([]int64{int64(slot)}, end...)) }
 			for _, bt := range r.bin {
-				if bt[rbinNode2] == dt[rdocNode] {
-					want[id] = append(want[id], append(append([]int64{int64(slot)}, bt...), int64(id)))
+				if bt[rbinNode2] == n {
+					add(bt...)
 				}
 			}
+			for _, rt := range r.root {
+				if rt[rrootNode] == n {
+					add(noParent, rt[rrootVar], noParent, n)
+				}
+			}
+			add(noParent, anyClass, noParent, n)
 		}
 	}
+	var ex cqExec
 	for id, rows := range want {
-		vals := s.appendRL(nil, id)
 		var got [][]int64
-		for len(vals) > 0 {
-			got, vals = append(got, vals[:len(rlSchema)]), vals[len(rlSchema):]
+		for _, ref := range s.postings(id) {
+			r := &s.recs[ref.slot]
+			for ends := ex.appendEnds(nil, r, r.rdoc[ref.row][rdocNode], 7); len(ends) > 0; ends = ends[rbinWidth:] {
+				got = append(got, append([]int64{int64(ref.slot)}, ends[:rbinWidth]...))
+			}
 		}
 		slices.SortFunc(got, slices.Compare)
 		slices.SortFunc(rows, slices.Compare)
 		if !slices.EqualFunc(got, rows, slices.Equal) {
-			t.Fatalf("left view of %q = %v, a full scan of the live records gives %v", s.value(id), got, rows)
+			t.Fatalf("left ends of %q = %v, a full scan of the live records gives %v", s.value(id), got, rows)
 		}
 	}
 }
@@ -450,13 +462,13 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 }
 
 // check requires the two states to be equal: export bytes, records, indexes
-// and posting lists; and the in-place one to be consistent, its left view
-// included.
+// and posting lists; and the in-place one to be consistent, the left ends
+// its posting lists lead to included.
 func (h *expiryPair) check() {
 	t := h.t
 	t.Helper()
 	checkState(t, h.got)
-	checkLeftView(t, h.got)
+	checkLeftEnds(t, h.got)
 	got, err := json.Marshal(h.got.export(snapVar))
 	if err != nil {
 		t.Fatal(err)

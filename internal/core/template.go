@@ -38,12 +38,12 @@ type Template struct {
 	levels  []int
 	// key holds the positions of the first value join's key (keyPos) and
 	// tuple those of each later value join's: what a group's vector spells
-	// there is the group's head key and key tuple (joinIndex). The pairs
-	// of the first value join seed the program's first seed steps, which
-	// bind the head key's classes.
-	key   [4]int
-	tuple [][4]int
-	seed  int
+	// there is the group's head key and key tuple (joinIndex). The program's
+	// first step, on the first value join's pairs, binds the head key's
+	// classes: the trie's first keyDepth levels.
+	key      [4]int
+	tuple    [][4]int
+	keyDepth int
 
 	// shapes has bit s set when one of the value joins' keys has shape s
 	// (keyShape).

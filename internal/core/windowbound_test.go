@@ -16,7 +16,7 @@ import (
 // of the window instead of growing with the stream: the join state, whose
 // only bound is window GC, its value dictionary, which holds no value no row
 // carries, the process-global symbol table, which join values never enter,
-// and the Stage-2 buffers (the views RL and RR) it keeps across documents.
+// and the Stage-2 buffers (the value-join pairs) it keeps across documents.
 // The documents themselves are the facade's, and so is their bound
 // (TestRetainedDocumentsBoundedByWindow in the root package; the facade's
 // heap under fresh join values is TestJoinValuesBoundedByWindow's).
@@ -40,12 +40,12 @@ func TestStateBoundedByWindow(t *testing.T) {
 		ts    func(i int) xmldoc.Timestamp
 	}{
 		// Two leaves per side keep the block roots in the template, so the
-		// RL rows carry Rbin rows.
+		// pairs' ends are Rbin rows.
 		{"time", fmt.Sprintf("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, %d} S//item->y[.//c->w][.//d->z]", window),
 			func(i int) xmldoc.Timestamp { return xmldoc.Timestamp(i) }},
 		{"rows", fmt.Sprintf("S//item->x[.//a->v][.//b->u] FOLLOWED BY{v=w AND u=z, ROWS %d} S//item->y[.//c->w][.//d->z]", window),
 			func(int) xmldoc.Timestamp { return 7 }},
-		// Single-node sides: RL and RR are empty.
+		// Single-node sides: the pairs' ends are Rroot rows.
 		{"single-node", fmt.Sprintf("S//a->v FOLLOWED BY{v=w, %d} S//c->w", window),
 			func(i int) xmldoc.Timestamp { return xmldoc.Timestamp(i) }},
 	} {
@@ -83,13 +83,12 @@ func TestStateBoundedByWindow(t *testing.T) {
 						what     string
 						n, bound int
 					}{
-						// A document's views hold the rows of the strings
-						// it shares with the state, whatever the stream
+						// A document's pairs are those of the strings it
+						// shares with the state, whatever the stream
 						// length.
-						{"RL rows", cap(p.pre.rl), rowsPerDoc * stringsPerDoc},
-						{"RL values", cap(p.pre.rlVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
-						{"RR rows", cap(p.pre.rr), rowsPerDoc * stringsPerDoc},
-						{"RR values", cap(p.pre.rrVals), len(rlSchema) * rowsPerDoc * stringsPerDoc},
+						{"pair rows", cap(p.pre.pairs), rowsPerDoc * stringsPerDoc},
+						{"pair values", cap(p.pre.vals), len(pairSchema) * rowsPerDoc * stringsPerDoc},
+						{"shared values", cap(p.pre.held), rowsPerDoc * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
 						{"slots", len(s.recs), maxDocs + 1},
 						{"Rdoc rows", doc, maxDocs * rowsPerDoc},

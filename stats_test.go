@@ -12,7 +12,7 @@ import (
 // renaming or losing one is a decision, not a side effect of a field edit.
 var engineStatsKeys = []string{
 	"sequential", "queries", "templates", "documents", "matches",
-	"xpath_ns", "witness_ns", "rvj_ns", "rl_ns", "rr_ns", "cq_ns", "maintain_ns",
+	"xpath_ns", "witness_ns", "rvj_ns", "cq_ns", "maintain_ns",
 	"stage1_wall_ns", "stage2_wall_ns",
 	"witness_plans", "cq_probes", "cq_rows", "match_runs",
 	"patterns_triggered", "witness_probes", "nfa_steps", "window_gcs", "gc_rows_dropped",
