@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test alloc-ceilings benchmark-module race bench coverage lint lint-invariants loc fmt fuzz-smoke fuzz server-smoke docs-check ci
+.PHONY: all build test alloc-ceilings counted-work benchmark-module race bench coverage lint lint-invariants loc fmt fuzz-smoke fuzz server-smoke docs-check ci
 
 all: build
 
@@ -22,6 +22,17 @@ test:
 alloc-ceilings:
 	$(GO) test -run 'AllocCeiling|BytesCeiling|HeapCeiling' -count=10 . ./internal/core ./internal/xmldoc
 	$(GO) test -run 'DoesNotAllocate|AllocCeiling' -count=10 ./cmd/mmqjp-server
+
+# The readings a PR quotes for its counted work and allocations, printed
+# uncached: Stage 2's probes per match, per document and per row, Stage 1's
+# triggered patterns and witness probes, allocations and bytes per document
+# of the core and the facade publish, and the zero-Options run's exact probe
+# pin. Each of these tests also fails on its own bound or pin.
+COUNTED_CORE = TestWitnessOrderCountedWork|TestCompiledPlanCountedWorkCeiling|TestStage1CountedWork|TestPublishAllocCeiling
+COUNTED_ROOT = TestEnginePublishAllocCeiling|TestZeroOptionsRunViewMaterialization
+counted-work:
+	bash -o pipefail -c "$(GO) test -v -count=1 -run '^($(COUNTED_CORE))$$' ./internal/core | grep -v '^=== '"
+	bash -o pipefail -c "$(GO) test -v -count=1 -run '^($(COUNTED_ROOT))$$' . | grep -v '^=== '"
 
 # benchmark/ is a nested module the root ./... patterns never reach (the CI
 # benchmark-module job): keep it compiling and its tests green against the

@@ -78,6 +78,7 @@ func TestZeroOptionsRunViewMaterialization(t *testing.T) {
 	if got := p.Stats().CQProbes; got != wantProbes {
 		t.Fatalf("core processor: %d probes, want %d", got, wantProbes)
 	}
+	t.Logf("core processor: %d probes", wantProbes)
 	if strings.Count(want.String(), "\n") == 0 {
 		t.Fatal("no matches: the comparison is vacuous")
 	}

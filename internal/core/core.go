@@ -71,7 +71,7 @@ type Stats struct {
 	// Phase times. Stage 2 (Rvj, CQ) runs on the goroutine that consumes
 	// the document, so its phases are wall time.
 	XPath    time.Duration `json:"xpath_ns" help:"Stage-1 shared tree-pattern matching time."`
-	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW/RrootW: the document's join-state record and its node indexes."`
+	Witness  time.Duration `json:"witness_ns" help:"Time building the witness relations RbinW/RdocW: the document's join-state record and its node index."`
 	Rvj      time.Duration `json:"rvj_ns" help:"Time building the document's value-join pairs, once for all templates: the join values it shares with the join state (Algorithm 4 line 2), and for each the pairs of endpoint classes a live template's value join takes."`
 	CQ       time.Duration `json:"cq_ns" help:"Per-template conjunctive-query evaluation time (the current document's indexes are Stage 1's)."`
 	Maintain time.Duration `json:"maintain_ns" help:"Join-value resolution, state merge (Algorithm 2: the state adopts the document's record, no row is copied) and window collection time."`
@@ -116,7 +116,7 @@ type Stats struct {
 	// states starts them over.
 	NFASteps int64 `json:"nfa_steps" stat:"counter" help:"Stage-1 walk memo misses: DFA transitions computed from the shared NFA rather than found in the walk's memo."`
 	// WindowGCs counts the window collections that expired at least one
-	// document (State.GC) and GCRowsDropped the Rbin/Rdoc/Rroot rows they
+	// document (State.GC) and GCRowsDropped the Rbin/Rdoc rows they
 	// removed — expiry's counted work, which is exactly the expired
 	// documents' rows: rows dropped is rows merged minus rows live.
 	WindowGCs     int64 `json:"window_gcs" stat:"counter" help:"Window collections that expired at least one document."`
@@ -124,11 +124,13 @@ type Stats struct {
 
 	// Gauges, read off the join state when the stats are taken (they
 	// survive ResetStats): the documents inside the widest window, their
-	// rows per witness relation and the join values those rows carry.
+	// rows per witness relation — Rbin's with a parent and without one (a
+	// single-node side's root, which a snapshot lists as "rroot") apart —
+	// and the join values those rows carry.
 	StateDocs      int64 `json:"state_docs" stat:"gauge" help:"Documents in the join state (inside the widest window)."`
-	StateRbinRows  int64 `json:"state_rbin_rows" stat:"gauge" help:"Live join-state Rbin rows."`
+	StateRbinRows  int64 `json:"state_rbin_rows" stat:"gauge" help:"Live join-state Rbin rows with a parent."`
 	StateRdocRows  int64 `json:"state_rdoc_rows" stat:"gauge" help:"Live join-state Rdoc rows."`
-	StateRrootRows int64 `json:"state_rroot_rows" stat:"gauge" help:"Live join-state Rroot rows."`
+	StateRrootRows int64 `json:"state_rroot_rows" stat:"gauge" help:"Live join-state Rbin rows without a parent: the roots of single-node sides."`
 	// StateValues is the distinct join values the live Rdoc rows carry: the
 	// entries of the state's value dictionary.
 	StateValues int64 `json:"state_values" stat:"gauge" help:"Distinct join values in the join state (entries of its value dictionary)."`

@@ -25,10 +25,11 @@ import (
 // Every step names a source relation, the bound slot its probe key comes
 // from, the row columns it assigns to still-unbound slots and the columns it
 // only checks against bound ones, every column a node or a class name, so
-// evaluation compares and copies bare int64s. Column offsets are resolved at
-// compile time, against the source's schema (the witness relations' and
-// pairSchema); evaluation (cqExec.step) is a depth-first index nested loop over the frame that writes each complete
-// frame into the processor's result as runs (cqExec.emit). No intermediate
+// evaluation compares and copies bare int64s. Column offsets are the
+// sources' column constants (the witness relations' and the pairs'), fixed at
+// compile time; evaluation (cqExec.step) is a depth-first index nested loop
+// over the frame that writes each complete frame into the processor's result
+// as runs (cqExec.emit). No intermediate
 // relation is materialized, and no step scans join state: a document's rows
 // — a previous one's or the current one's — are reached through its record's
 // node indexes (docRec.seal builds them at the end of the document's Stage
@@ -64,23 +65,14 @@ const (
 	srcRbinW                 // RbinW: the current record by node2
 )
 
-// pairSchema is the per-document value-join pair relation's: for each
-// endpoint, left then right, the classes of its parent and its own and the
-// parent's node and its own, laid out as an Rbin row (an endpoint without a
-// parent has noParent for the parent's class and node, and one heading a
-// side of more than one node anyClass for its own class); and last what the
-// pairs are indexed by: the previous document's state slot times numShapes
+// The columns of the per-document value-join pair relation's rows: the
+// previous document's state slot; for each endpoint, left then right, an
+// Rbin row — the classes of its parent and its own and the parent's node and
+// its own (an endpoint without a parent has noParent for the parent's class
+// and node, and one heading a side of more than one node anyClass for its own
+// class); and last what the pairs are indexed by: the slot times numShapes
 // plus the pair's key shape (keyShape).
-var (
-	pairSchema = Schema{Int("slot"),
-		Int("parentL"), Int("classL"), Int("parentNodeL"), Int("nodeL"),
-		Int("parentR"), Int("classR"), Int("parentNodeR"), Int("nodeR"),
-		Int("slotShape")}
-
-	pairParentL, pairParentR = pairSchema.Col("parentL"), pairSchema.Col("parentR")
-	pairSlotShape            = pairSchema.Col("slotShape")
-	rrootVar                 = rrootSchema.Col("var")
-)
+const pairSlot, pairL, pairR, pairSlotShape, pairWidth = 0, 1, 1 + rbinWidth, 1 + 2*rbinWidth, 2 + 2*rbinWidth
 
 const slotDoc = 0
 
@@ -101,8 +93,8 @@ type cqStep struct {
 	vars []int
 	// shape is the key shape (keyShape) of a pair step's value join, which
 	// the step probes by with the slot: a node can bind an end of two kinds
-	// with one class — an Rroot row and an Rbin row — so the step takes
-	// only pairs of its own shape.
+	// with one class — a parentless Rbin row and one with a parent — so the
+	// step takes only pairs of its own shape.
 	shape int64
 }
 
@@ -129,8 +121,8 @@ func (t *Template) single(p int) bool {
 // parent and its own; a key position below 0 stands for itself as a class
 // name (spell), which no interned name takes. A block root has noParent, and
 // one heading a side of more than one node has anyClass for itself: Stage 1
-// writes no Rroot row for it (an atom below it binds its class), so a pair
-// carries anyClass there whatever the node.
+// writes no parentless row for it (an atom below it binds its class), so a
+// pair carries anyClass there whatever the node.
 const (
 	noParent = -1
 	anyClass = -2
@@ -153,8 +145,8 @@ func (t *Template) keyPos(k int) [4]int {
 }
 
 // endKind returns the kind of a key's half, given its parent's and its own
-// class or position: 0 the root of a single-node side (an Rroot row), 1 a
-// node with a parent (an Rbin row), 2 anyClass.
+// class or position: 0 the root of a single-node side (a parentless Rbin
+// row), 1 a node with a parent (an Rbin row with one), 2 anyClass.
 func endKind[E int | int32 | int64](pa, c E) int {
 	switch {
 	case pa >= 0:
@@ -174,7 +166,7 @@ const numShapes = 3 * 3
 // pairKey returns the key a pair row binds: its endpoints' classes and
 // their parents'.
 func pairKey(row []int64) headKey {
-	return headKey{int32(row[pairParentL]), int32(row[pairParentL+1]), int32(row[pairParentR]), int32(row[pairParentR+1])}
+	return headKey{int32(row[pairL+rbinVar1]), int32(row[pairL+rbinVar2]), int32(row[pairR+rbinVar1]), int32(row[pairR+rbinVar2])}
 }
 
 // compile builds the template's program and its value joins' keys, and lays
@@ -232,8 +224,8 @@ func compileCQ(t *Template) *cqProgram {
 		for i, p := range e {
 			pa, cl := key[2*i], key[2*i+1]
 			cols = append(cols, orSkip(t.vSlot, pa), orSkip(t.vSlot, cl), orSkip(t.nSlot, pa), t.nSlot(p))
-			// The pair binds the endpoint's class: its Rroot row or its
-			// Rbin row to its parent.
+			// The pair binds the endpoint's class: its Rbin row, to its
+			// parent or parentless.
 			c.emitted[p] = c.emitted[p] || cl >= 0
 		}
 		c.atom(srcPairs, docKey, cols...).shape = int64(keyShape(key))
@@ -258,7 +250,9 @@ func orSkip(slot func(int) int, pos int) int {
 // stopping at the first already emitted; pos -1 (a root's parent) emits
 // none, and so does the root of a side, whose class an atom below it binds
 // (a single-node side's root is never a parent). n_pos is bound when anchor
-// is called.
+// is called. The step's probe also finds the parentless rows of n_pos, if
+// any: the check of the parent's class, or the trie at the class it would
+// assign, rejects them.
 func (c *cqCompiler) anchor(pos int) {
 	t := c.t
 	for ; pos >= 0 && !c.emitted[pos] && t.Parent[pos] >= 0; pos = t.Parent[pos] {
@@ -508,9 +502,9 @@ func (ex *cqExec) buildPairs() bool {
 	}
 	// The current nodes whose value the state holds, by value.
 	held := pre.held[:0]
-	for _, row := range cur.rdoc {
-		if id := row[rdocStrVal]; s.HasValue(int32(id)) {
-			held = append(held, [2]int64{id, row[rdocNode]})
+	for i := range int32(cur.numDoc()) {
+		if row := cur.docRow(i); s.HasValue(int32(row[rdocStrVal])) {
+			held = append(held, [2]int64{row[rdocStrVal], row[rdocNode]})
 		}
 	}
 	slices.SortFunc(held, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
@@ -528,11 +522,12 @@ func (ex *cqExec) buildPairs() bool {
 		right := len(ends)
 		for _, ref := range s.postings(int32(id)) {
 			r := &s.recs[ref.slot]
-			ends = ex.appendEnds(ends[:right], r, r.rdoc[ref.row][rdocNode], kinds[0])
+			ends = ex.appendEnds(ends[:right], r, r.docRow(ref.row)[rdocNode], kinds[0])
 			for a := right; a < len(ends); a += rbinWidth {
 				for b := 0; b < right; b += rbinWidth {
 					if sh := keyShape([4]int64{ends[a], ends[a+1], ends[b], ends[b+1]}); live&(1<<sh) != 0 {
 						ex.probes++
+						vals = growRow(vals, pairWidth)
 						vals = append(append(append(vals, int64(ref.slot)), ends[a:a+rbinWidth]...), ends[b:b+rbinWidth]...)
 						vals = append(vals, int64(ref.slot)*numShapes+int64(sh))
 					}
@@ -542,27 +537,33 @@ func (ex *cqExec) buildPairs() bool {
 		held = held[n:]
 	}
 	pre.vals, ex.ends = vals, ends
-	pre.pairs = headRows(pre.pairs, vals, len(pairSchema))
-	pre.bySlot.build(pre.pairs, pairSlotShape)
-	return len(pre.pairs) > 0
+	pre.bySlot.build(vals, pairWidth, pairSlotShape)
+	return len(vals) > 0
 }
 
-// appendEnds appends the classes node n of record r binds a value-join
-// endpoint to, of each kind (endKind) kinds has, as an Rbin row — the
-// parent's class, its own, the parent's node and its own — counting the
-// rows it reads as probes: its Rroot rows' classes with noParent, its Rbin
-// rows by node2, and anyClass.
-func (ex *cqExec) appendEnds(out []int64, r *docRec, n int64, kinds uint8) []int64 {
-	if kinds&1 != 0 {
-		for _, i := range r.rootByNode.get(n) {
-			ex.probes++
-			out = append(out, noParent, r.root[i][rrootVar], noParent, n)
-		}
+// growRow returns vals with room for one more row of width values. A full
+// array doubles, so a buffer that follows the largest document seen regrows
+// a logarithmic number of times (stage2Shared.reset drops one grown past
+// recKeep rows).
+func growRow(vals []int64, width int) []int64 {
+	if len(vals)+width <= cap(vals) {
+		return vals
 	}
-	if kinds&2 != 0 {
+	return append(make([]int64, 0, max(2*cap(vals), len(vals)+width)), vals...)
+}
+
+// appendEnds appends the ends node n of record r binds a value-join endpoint
+// to, of each kind (endKind) kinds has, as Rbin rows — the parent's class,
+// its own, the parent's node and its own: its Rbin rows by node2,
+// parentless (the root of a single-node side) or not, and anyClass. It
+// counts every Rbin row it reads as a probe, kept or not.
+func (ex *cqExec) appendEnds(out []int64, r *docRec, n int64, kinds uint8) []int64 {
+	if kinds&3 != 0 {
 		for _, i := range r.binByNode2.get(n) {
 			ex.probes++
-			out = append(out, r.bin[i]...)
+			if row := r.binRow(i); kinds&(1<<endKind(row[rbinVar1], row[rbinVar2])) != 0 {
+				out = append(out, row...)
+			}
 		}
 	}
 	if kinds&4 != 0 {
@@ -581,11 +582,13 @@ func (ex *cqExec) appendEnds(out []int64, r *docRec, n int64, kinds uint8) []int
 // previous document, so an entry whose keys' pairs share no state slot
 // names groups no frame of this document completes.
 func (ex *cqExec) runHeads(joins *joinIndex) {
-	pairs, present := ex.pre.pairs, &ex.present
-	present.reset(ex.doc, len(pairs))
-	ex.next = resize(ex.next, len(pairs))
-	for i, row := range pairs {
-		ex.next[i] = present.add(pairKey(row), row[slotDoc], int32(i))
+	vals, present := ex.pre.vals, &ex.present
+	n := len(vals) / pairWidth
+	present.reset(ex.doc, n)
+	ex.next = resize(ex.next, n)
+	for i := range int32(n) {
+		row := stride(vals, pairWidth, i)
+		ex.next[i] = present.add(pairKey(row), row[pairSlot], i)
 	}
 	for _, ki := range present.keys {
 		k := &present.slots[ki]
@@ -628,7 +631,7 @@ func (ex *cqExec) runEntry(e *joinEntry, k *keySlot) {
 	ex.enter(t)
 	f, first := ex.frame, &ex.prog.steps[0]
 	for i := k.head; i >= 0; i = ex.next[i] {
-		row := ex.pre.pairs[i]
+		row := stride(ex.pre.vals, pairWidth, i)
 		for _, a := range first.assign {
 			f[a.slot] = row[a.col]
 		}
@@ -661,19 +664,19 @@ func (ex *cqExec) step(i int) {
 	}
 	st := &ex.prog.steps[i]
 	f, s := ex.frame, ex.p.state
-	var rows [][]int64
+	vals, width := ex.pre.vals, pairWidth
 	var idx []int32
 	switch st.src {
 	case srcPairs:
-		rows, idx = ex.pre.pairs, ex.pre.bySlot.get(f[st.key]*numShapes+st.shape)
+		idx = ex.pre.bySlot.get(f[st.key]*numShapes + st.shape)
 	case srcRbin:
 		r := &s.recs[f[slotDoc]]
-		rows, idx = r.bin, r.binByNode2.get(f[st.key])
+		vals, width, idx = r.binVals, rbinWidth, r.binByNode2.get(f[st.key])
 	case srcRbinW:
-		rows, idx = ex.cur.bin, ex.cur.binByNode2.get(f[st.key])
+		vals, width, idx = ex.cur.binVals, rbinWidth, ex.cur.binByNode2.get(f[st.key])
 	}
 	for _, ri := range idx {
-		ex.try(st, rows[ri], i)
+		ex.try(st, stride(vals, width, ri), i)
 	}
 }
 

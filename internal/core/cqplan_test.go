@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -736,8 +737,8 @@ func TestPairBuildReadsLiveEndKinds(t *testing.T) {
 			if g, w := renderMatches(got), renderMatches(want); g != w {
 				t.Fatalf("doc %d: matches differ from the processor that reads every end:\ngot:\n%swant:\n%s", d.ID, g, w)
 			}
-			for _, row := range p.pre.pairs {
-				if row[pairParentL] >= 0 || row[pairParentR] >= 0 {
+			for i := range int32(len(p.pre.vals) / pairWidth) {
+				if row := stride(p.pre.vals, pairWidth, i); row[pairL+rbinVar1] >= 0 || row[pairR+rbinVar1] >= 0 {
 					binPairs++
 				}
 			}
@@ -772,4 +773,38 @@ func TestPairBuildReadsLiveEndKinds(t *testing.T) {
 	if binPairs, _ = publish(docs[130:]); binPairs != 0 {
 		t.Errorf("after unregistering the two-parent template: %d pairs with an Rbin end built, want none", binPairs)
 	}
+}
+
+// TestPairBufferGrowsGeometrically: a document with many more value-join
+// pairs than the recKeep rows a reset keeps builds them with a logarithmic
+// number of allocations. Each run starts from an empty buffer, since the
+// reset drops one grown past recKeep rows, so a buffer that grew one row at
+// a time past some size would show here as thousands of allocations, and
+// append's 1.25x steps as 28 against a bound of 20.
+func TestPairBufferGrowsGeometrically(t *testing.T) {
+	const side = 120 // side*side pairs, well over recKeep
+	doc := func(id int, name string) *xmldoc.Document {
+		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "r")
+		for range side {
+			b.Element(0, name, "v")
+		}
+		return b.Build()
+	}
+	p := NewProcessor(Config{})
+	p.MustRegister(xscl.MustParse("S//a->x FOLLOWED BY{x=y, 100} S//b->y"))
+	p.Process("S", doc(1, "a"))
+	r := p.RunStage1("S", doc(2, "b"))
+	p.state.resolve(r)
+	ex := &p.ex
+	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, &p.pre
+	if !ex.buildPairs() || len(p.pre.vals)/pairWidth != side*side {
+		t.Fatalf("premise: %d pairs built, want %d", len(p.pre.vals)/pairWidth, side*side)
+	}
+	allocs := testing.AllocsPerRun(5, func() { ex.buildPairs() })
+	// Doubling from one row to side*side rows reallocates about
+	// log2(side*side) = 14 times; the row index over the pairs adds a few.
+	if bound := 1.5 * math.Log2(side*side); allocs > bound {
+		t.Errorf("%d pairs: %.0f allocations per build, want at most %.0f", side*side, allocs, bound)
+	}
+	t.Logf("%d pairs: %.0f allocations per build", side*side, allocs)
 }

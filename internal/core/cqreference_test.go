@@ -19,6 +19,71 @@ import (
 	"repro/internal/yfilter"
 )
 
+// Column is one column of a row schema: its name and whether its values are
+// symbols (join-value ids) or plain integers. A row is a pointer-free
+// []int64, and what a number is belongs to its column: whoever reads a
+// symbol column asks the schema once (Schema.SymCol).
+type Column struct {
+	Name string
+	Sym  bool
+}
+
+// Int declares an integer column.
+func Int(name string) Column { return Column{Name: name} }
+
+// Sym declares a symbol column.
+func Sym(name string) Column { return Column{Name: name, Sym: true} }
+
+// Schema is an ordered list of columns.
+type Schema []Column
+
+// Col returns the position of the named column, or panics: every name passed
+// here is a literal in a test, so a mismatch is a bug in the test.
+func (s Schema) Col(name string) int {
+	for i, c := range s {
+		if c.Name == name {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: column %q not in schema %v", name, s))
+}
+
+// SymCol is Col for a column read as a symbol: reading a symbol out of a
+// non-symbol column is a bug, caught here.
+func (s Schema) SymCol(name string) int {
+	c := s.Col(name)
+	if !s[c].Sym {
+		panic(fmt.Sprintf("core: column %q of schema %v is not a symbol column", name, s))
+	}
+	return c
+}
+
+// The schemas of the witness relations as the paper states them: Rbin with a
+// parent, Rdoc, and Rroot, the projection of Rbin's parentless rows (the
+// roots of single-node sides) on their class and node.
+var (
+	rbinSchema  = Schema{Int("var1"), Int("var2"), Int("node1"), Int("node2")}
+	rdocSchema  = Schema{Int("node"), Sym("strVal")}
+	rrootSchema = Schema{Int("var"), Int("node")}
+)
+
+// TestWitnessColumns holds the engine's column constants to the schemas.
+func TestWitnessColumns(t *testing.T) {
+	for _, c := range []struct {
+		got, want int
+	}{
+		{rbinVar1, rbinSchema.Col("var1")}, {rbinVar2, rbinSchema.Col("var2")},
+		{rbinNode1, rbinSchema.Col("node1")}, {rbinNode2, rbinSchema.Col("node2")},
+		{rbinWidth, len(rbinSchema)},
+		{rdocNode, rdocSchema.Col("node")}, {rdocStrVal, rdocSchema.SymCol("strVal")},
+		{rdocWidth, len(rdocSchema)},
+	} {
+		if c.got != c.want {
+			t.Errorf("column constant %d, schema position %d", c.got, c.want)
+		}
+	}
+}
+
 // Relation is a schema with its rows: the form the interpreted evaluator
 // (EvalConjunctive) takes its atoms in and the reference derivations here
 // read the join state as. It holds no operator: the paper hands each
@@ -126,7 +191,7 @@ func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
 	n := func(i int) string { return fmt.Sprintf("n%d", i) }
 	var out []Match
 	rbin, rdoc, rroot := stateRelations(p.state)
-	rbinW, rdocW, rrootW := currentRelations(cur)
+	rbinW, rdocW, rrootW := witnessRelations(cur)
 	for _, t := range p.templateList {
 		var atoms []Atom
 		for k, e := range t.VJ {
@@ -648,7 +713,7 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 					}
 				})
 				res.Release()
-				for i, rel := range [][2][][]int64{{got.rec.bin, want.rec.bin}, {got.rec.rdoc, want.rec.rdoc}, {got.rec.root, want.rec.root}} {
+				for i, rel := range [][2][][]int64{{binRows(&got.rec), binRows(&want.rec)}, {docRows(&got.rec), docRows(&want.rec)}} {
 					if !slices.EqualFunc(rel[0], rel[1], slices.Equal) {
 						t.Fatalf("document %d, relation %d: rows\n%v\nfull scan in registration order\n%v", d.ID, i, rel[0], rel[1])
 					}

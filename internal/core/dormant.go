@@ -7,8 +7,9 @@ import (
 )
 
 // A pattern is dormant when Stage 1 need not assemble it: it has no
-// single-block query, and every item it demands — a structural edge, a
-// string-value node, a root node — a strictly smaller live pattern of its
+// single-block query, and every item it demands — a structural edge (the
+// root of a single-node side is a parentless one), a string-value node — a
+// strictly smaller live pattern of its
 // family (the patterns with its root's step path) demands too, under the same
 // class names, at a node some homomorphism maps onto the pattern's. A
 // homomorphism h from Q to P maps Q's nodes to P's keeping step paths and
@@ -75,7 +76,8 @@ func (p *Processor) leaveFamily(pi *patternInfo) {
 
 // coverable reports whether pi may be dormant: it has no single-block query
 // and each of its demand items is covered. Equal ids of an edge's parents
-// put both at one step path, so mapping the children maps the parents.
+// put both at one step path, so mapping the children maps the parents; a
+// parentless edge has noParent for both, and mapping its node is the rule.
 func (p *Processor) coverable(pi *patternInfo) bool {
 	if len(pi.singles) > 0 {
 		return false
@@ -90,13 +92,6 @@ func (p *Processor) coverable(pi *patternInfo) bool {
 	for _, n := range pi.strNodes {
 		if !p.covered(pi, func(q *patternInfo) bool {
 			return slices.ContainsFunc(q.strNodes, func(m int32) bool { return mapsOnto(q, m, pi, n) })
-		}) {
-			return false
-		}
-	}
-	for _, r := range pi.roots {
-		if !p.covered(pi, func(q *patternInfo) bool {
-			return slices.ContainsFunc(q.roots, func(m rootItem) bool { return m.id == r.id && mapsOnto(q, m.n, pi, r.n) })
 		}) {
 			return false
 		}

@@ -38,13 +38,20 @@ func homImages(q, pi *patternInfo, f func(h []int32)) {
 
 // demandCovered reports whether every item pi demands q demands, under the
 // same ids, at a node some homomorphism from q to pi maps onto it, item by
-// item: covered[k] for pi's k-th item in edges, strNodes, roots order.
+// item: covered[k] for pi's k-th item in edges, strNodes order. A parentless
+// edge (a single-node side's root) maps its noParent to noParent.
 func demandCovered(q, pi *patternInfo, covered []bool) {
 	homImages(q, pi, func(h []int32) {
+		image := func(n int32) int32 {
+			if n == noParent {
+				return noParent
+			}
+			return h[n]
+		}
 		k := 0
 		for _, e := range pi.edges {
 			for _, f := range q.edges {
-				if f.id == e.id && h[f.n[0]] == e.n[0] && h[f.n[1]] == e.n[1] {
+				if f.id == e.id && image(f.n[0]) == e.n[0] && h[f.n[1]] == e.n[1] {
 					covered[k] = true
 				}
 			}
@@ -53,14 +60,6 @@ func demandCovered(q, pi *patternInfo, covered []bool) {
 		for _, n := range pi.strNodes {
 			for _, m := range q.strNodes {
 				if h[m] == n {
-					covered[k] = true
-				}
-			}
-			k++
-		}
-		for _, r := range pi.roots {
-			for _, m := range q.roots {
-				if m.id == r.id && h[m.n] == r.n {
 					covered[k] = true
 				}
 			}
@@ -91,7 +90,7 @@ func dormancyMismatch(p *Processor) string {
 		if pi.dormant {
 			dormant++
 		}
-		items := len(pi.edges) + len(pi.strNodes) + len(pi.roots)
+		items := pi.items()
 		bySmaller, byAwake := make([]bool, items), make([]bool, items)
 		for _, q := range live {
 			if len(q.pathIDs) < len(pi.pathIDs) {
@@ -188,35 +187,35 @@ func TestDormantPatternsAddNoRow(t *testing.T) {
 					n int64
 					s string
 				}
-				bin, doc, root := map[[4]int64]bool{}, map[docRow]bool{}, map[[2]int64]bool{}
+				// A root item (a single-node side's) is a parentless RbinW
+				// row, (noParent, class, noParent, node).
+				bin, doc := map[[4]int64]bool{}, map[docRow]bool{}
 				for _, pi := range livePatterns(p) {
 					for _, w := range pi.pat.MatchNaive(d) {
 						b := w.Bindings
 						for _, e := range pi.edges {
-							bin[[4]int64{e.id[0], e.id[1], int64(b[e.n[0]]), int64(b[e.n[1]])}] = true
+							n1 := int64(noParent)
+							if e.n[0] != noParent {
+								n1 = int64(b[e.n[0]])
+							}
+							bin[[4]int64{e.id[0], e.id[1], n1, int64(b[e.n[1]])}] = true
 						}
 						for _, n := range pi.strNodes {
 							doc[docRow{int64(b[n]), d.StringValue(b[n])}] = true
 						}
-						for _, r := range pi.roots {
-							root[[2]int64{r.id, int64(b[r.n])}] = true
-						}
 					}
 				}
-				if got := r.rec.bin; len(got) != len(bin) || !allIn(got, func(row []int64) bool { return bin[[4]int64(row)] }) {
+				if got := binRows(&r.rec); len(got) != len(bin) || !allIn(got, func(row []int64) bool { return bin[[4]int64(row)] }) {
 					t.Fatalf("document %d: RbinW %v, want the set %v", d.ID, got, bin)
 				}
 				got := map[docRow]bool{}
-				for i, row := range r.rec.rdoc {
+				for i, row := range docRows(&r.rec) {
 					got[docRow{row[rdocNode], r.vals[i].s}] = true
 				}
-				if len(r.rec.rdoc) != len(doc) || !maps.Equal(got, doc) {
-					t.Fatalf("document %d: RdocW %v with values %v, want the set %v", d.ID, r.rec.rdoc, r.vals, doc)
+				if r.rec.numDoc() != len(doc) || !maps.Equal(got, doc) {
+					t.Fatalf("document %d: RdocW %v with values %v, want the set %v", d.ID, docRows(&r.rec), r.vals, doc)
 				}
-				if got := r.rec.root; len(got) != len(root) || !allIn(got, func(row []int64) bool { return root[[2]int64(row)] }) {
-					t.Fatalf("document %d: RrootW %v, want the set %v", d.ID, got, root)
-				}
-				rows += len(bin) + len(doc) + len(root)
+				rows += len(bin) + len(doc)
 				p.Consume(r)
 			}
 			if rows == 0 {

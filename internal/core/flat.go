@@ -410,23 +410,25 @@ type rowIndex struct {
 // above twice the row count plus this, the index goes sparse.
 const denseSlack = 64
 
-// build indexes rows on column col.
-func (x *rowIndex) build(rows [][]int64, col int) {
-	x.rows = resize(x.rows, len(rows))
+// build indexes the rows laid out in vals, width values a row, on column
+// col.
+func (x *rowIndex) build(vals []int64, width, col int) {
+	n := len(vals) / width
+	x.rows = resize(x.rows, n)
 	x.keys = x.keys[:0]
 	x.sparse = false
-	if len(rows) == 0 {
+	if n == 0 {
 		x.lo, x.off = 0, append(x.off[:0], 0)
 		return
 	}
-	lo, hi := rows[0][col], rows[0][col]
-	for _, r := range rows[1:] {
-		lo, hi = min(lo, r[col]), max(hi, r[col])
+	lo, hi := vals[col], vals[col]
+	for i := col + width; i < len(vals); i += width {
+		lo, hi = min(lo, vals[i]), max(hi, vals[i])
 	}
 	// hi-lo wraps for extreme keys, but as an unsigned number it is the
 	// exact span.
-	if span := uint64(hi - lo); span > 2*uint64(len(rows))+denseSlack {
-		x.buildSparse(rows, col)
+	if span := uint64(hi - lo); span > 2*uint64(n)+denseSlack {
+		x.buildSparse(vals, width, col)
 		return
 	}
 	// Counting sort: off[g+1] counts group g, the prefix sums make off[g]
@@ -436,14 +438,14 @@ func (x *rowIndex) build(rows [][]int64, col int) {
 	x.lo = lo
 	x.off = resize(x.off, ng+1)
 	clear(x.off)
-	for _, r := range rows {
-		x.off[r[col]-lo+1]++
+	for i := col; i < len(vals); i += width {
+		x.off[vals[i]-lo+1]++
 	}
 	for g := 1; g <= ng; g++ {
 		x.off[g] += x.off[g-1]
 	}
-	for i, r := range rows {
-		g := r[col] - lo
+	for i := range n {
+		g := vals[i*width+col] - lo
 		x.rows[x.off[g]] = int32(i)
 		x.off[g]++
 	}
@@ -451,17 +453,18 @@ func (x *rowIndex) build(rows [][]int64, col int) {
 	x.off[0] = 0
 }
 
-func (x *rowIndex) buildSparse(rows [][]int64, col int) {
+func (x *rowIndex) buildSparse(vals []int64, width, col int) {
 	x.sparse = true
 	for i := range x.rows {
 		x.rows[i] = int32(i)
 	}
-	slices.SortStableFunc(x.rows, func(a, b int32) int { return cmp.Compare(rows[a][col], rows[b][col]) })
+	key := func(r int32) int64 { return vals[int(r)*width+col] }
+	slices.SortStableFunc(x.rows, func(a, b int32) int { return cmp.Compare(key(a), key(b)) })
 	// At most one key per row: sized once, the lists never regrow.
-	x.keys = slices.Grow(x.keys, len(rows))
-	x.off = slices.Grow(x.off[:0], len(rows)+1)
+	x.keys = slices.Grow(x.keys, len(x.rows))
+	x.off = slices.Grow(x.off[:0], len(x.rows)+1)
 	for i, r := range x.rows {
-		if k := rows[r][col]; i == 0 || k != x.keys[len(x.keys)-1] {
+		if k := key(r); i == 0 || k != x.keys[len(x.keys)-1] {
 			x.keys = append(x.keys, k)
 			x.off = append(x.off, int32(i))
 		}

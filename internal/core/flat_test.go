@@ -92,7 +92,7 @@ func TestFlatTablesEqualMaps(t *testing.T) {
 // TestRowIndexLayouts checks both layouts of a row index against a scan:
 // keys spanning about the row count (dense), keys far apart (sparse),
 // negative and extreme keys, and a rebuild that reuses the storage of a
-// larger index.
+// larger index; the key column lies inside a row of three values.
 func TestRowIndexLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var x rowIndex
@@ -104,11 +104,12 @@ func TestRowIndexLayouts(t *testing.T) {
 		func() int64 { return 7 },
 	} {
 		for _, n := range []int{0, 1, 30, 3} {
-			rows := make([][]int64, n)
-			for i := range rows {
-				rows[i] = []int64{int64(i), keys()}
+			var vals []int64
+			for i := range n {
+				vals = append(vals, int64(i), keys(), -int64(i))
 			}
-			x.build(rows, 1)
+			rows := rowViews(vals, 3)
+			x.build(vals, 3, 1)
 			probe := []int64{-1 << 63, 1<<63 - 1, -21, 41, 1_000_003}
 			for _, r := range rows {
 				probe = append(probe, r[1], r[1]+1, r[1]-1)

@@ -278,21 +278,21 @@ func TestRecordStorageReuse(t *testing.T) {
 				stamped++
 			}
 		}
-		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + len(r.rec.rootVals) + r.rec.numRows() + stamped + len(r.binNext) + len(r.rootNext) + len(r.vals); n != 0 {
+		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + r.rec.roots + stamped + len(r.binNext) + len(r.vals); n != 0 {
 			t.Fatalf("document %d: a readied result holds %d values, rows and node entries", id, n)
 		}
 		v := 10 * id
 		for i := 0; i < 2; i++ { // the second round is deduplicated
 			r.AddBin(v, v+1, 0, 1)
 			r.AddDoc(1)
-			r.AddRoot(v, 0)
+			addRoot(r, v, 0)
 		}
 		for i := 1; i < rows; i++ {
 			r.AddBin(v, v+1, xmldoc.NodeID(i), xmldoc.NodeID(i+1))
 		}
 		r.rec.seal()
-		if len(r.rec.bin) != rows || len(r.rec.rdoc) != 1 || len(r.rec.root) != 1 {
-			t.Fatalf("document %d: rows %d/%d/%d, want %d/1/1", id, len(r.rec.bin), len(r.rec.rdoc), len(r.rec.root), rows)
+		if r.rec.numBin() != rows+1 || r.rec.numDoc() != 1 || r.rec.roots != 1 {
+			t.Fatalf("document %d: rows %d/%d, %d parentless, want %d/1, 1", id, r.rec.numBin(), r.rec.numDoc(), r.rec.roots, rows+1)
 		}
 		s.resolve(r)
 		s.Merge(&r.rec)
@@ -301,14 +301,14 @@ func TestRecordStorageReuse(t *testing.T) {
 		for _, slot := range s.order {
 			rec := &s.recs[slot]
 			v := 10 * int64(rec.id)
-			if bin := rec.bin[0]; bin[0] != v || bin[1] != v+1 || bin[3] != 1 {
+			if bin := rec.binRow(0); bin[0] != v || bin[1] != v+1 || bin[3] != 1 {
 				t.Errorf("document %d: Rbin row %v after document %d", rec.id, bin, id)
 			}
-			if doc := rec.rdoc[0]; doc[0] != 1 || s.value(int32(doc[1])) != fmt.Sprintf("value-%d", rec.id) {
+			if doc := rec.docRow(0); doc[0] != 1 || s.value(int32(doc[1])) != fmt.Sprintf("value-%d", rec.id) {
 				t.Errorf("document %d: Rdoc row %v after document %d", rec.id, doc, id)
 			}
-			if root := rec.root[0]; root[0] != v || root[1] != 0 {
-				t.Errorf("document %d: Rroot row %v after document %d", rec.id, root, id)
+			if root := rec.binRow(1); !slices.Equal(root, []int64{noParent, v, noParent, 0}) {
+				t.Errorf("document %d: parentless Rbin row %v after document %d", rec.id, root, id)
 			}
 		}
 	}
@@ -335,7 +335,7 @@ func TestRecordStorageReuse(t *testing.T) {
 	// A burst document's storage: the slot it took drops it when it is
 	// freed, and a result readied after holding it drops it too, with the
 	// dedup arrays grown past recKeep.
-	burst := recKeep/len(rbinSchema) + 1
+	burst := recKeep/rbinWidth + 1
 	merge(7, burst)
 	if _, dropped := s.GC(8, noSeq, nil); dropped != 4*3+burst+2 {
 		t.Fatalf("GC dropped %d rows", dropped)
@@ -361,7 +361,8 @@ func TestRecordStorageReuse(t *testing.T) {
 
 // TestMergeAdoptsStage1Rows pins that the join state keeps the rows Stage 1
 // wrote, not a copy of them: after Consume, the document's record in the
-// state holds every row, Rbin, Rdoc and Rroot, in the memory RunStage1
+// state holds every row, of Rbin with a parent and without and of Rdoc, in
+// the memory RunStage1
 // filled. The stream's window expires documents, so later documents write
 // into storage that freed slots handed back.
 func TestMergeAdoptsStage1Rows(t *testing.T) {
@@ -373,15 +374,15 @@ func TestMergeAdoptsStage1Rows(t *testing.T) {
 		b.Element(0, "a", fmt.Sprintf("k%d", id%3))
 		b.Element(0, "b", fmt.Sprintf("k%d", id%4))
 		r := p.RunStage1("S", b.Build())
-		wrote := slices.Concat(r.rec.bin, r.rec.rdoc, r.rec.root)
-		if len(r.rec.bin) == 0 || len(r.rec.rdoc) == 0 || len(r.rec.root) == 0 {
-			t.Fatalf("test premise: document %d writes rows of every relation, got %d/%d/%d", id, len(r.rec.bin), len(r.rec.rdoc), len(r.rec.root))
+		wrote := slices.Concat(binRows(&r.rec), docRows(&r.rec))
+		if bin := r.rec.numBin(); bin == r.rec.roots || r.rec.numDoc() == 0 || r.rec.roots == 0 {
+			t.Fatalf("test premise: document %d writes rows of every kind, got %d/%d, %d parentless", id, bin, r.rec.numDoc(), r.rec.roots)
 		}
 		p.Consume(r)
 		var kept [][]int64
 		for _, slot := range p.state.order {
 			if rec := &p.state.recs[slot]; rec.id == xmldoc.DocID(id) {
-				kept = slices.Concat(rec.bin, rec.rdoc, rec.root)
+				kept = slices.Concat(binRows(rec), docRows(rec))
 			}
 		}
 		if len(kept) != len(wrote) {

@@ -105,8 +105,8 @@ func (s *SideGraph) mirror(p *xpath.Pattern) {
 // When a side reduces to a single node (one value-join leaf, whose own LCA
 // is itself), the reduced graph has no structural edge on that side from
 // which the Join Processor could recover the leaf's variable identity; such
-// sides are served by the unary root-binding relations Rroot/RrootW instead
-// (see state.go and DESIGN.md).
+// a side's root binds a parentless Rbin row instead, (noParent, class,
+// noParent, node) (see state.go and DESIGN.md).
 //
 // Each side's parents must precede their children, as BuildJoinGraph and
 // Minor lay them out.

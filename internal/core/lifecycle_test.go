@@ -48,7 +48,7 @@ func assertFreshProcessor(t *testing.T, p *Processor) {
 		t.Errorf("join index not reclaimed: %d entries", p.joins.n)
 	}
 	if !reflect.DeepEqual(p.pre, stage2Shared{}) {
-		t.Errorf("Stage-2 scratch not reclaimed: %d pairs kept", cap(p.pre.pairs))
+		t.Errorf("Stage-2 scratch not reclaimed: %d pair values kept", cap(p.pre.vals))
 	}
 	st := p.state
 	if bin, doc, root := st.Rows(); st.NumDocs() != 0 || bin != 0 || doc != 0 || root != 0 {

@@ -164,21 +164,21 @@ type instance struct {
 	left, right *patternContrib
 }
 
-// patternContrib is one demand on a block pattern: the structural edges,
-// string-value nodes and root nodes the pattern must extract from each
-// witness. Instances of one template over one pattern demand the same thing,
-// so a pattern keeps one record per distinct demand (patternInfo.contribs)
-// and refs counts the instance sides sharing it.
+// patternContrib is one demand on a block pattern: the structural edges
+// (with the roots of single-node sides, as parentless edges) and
+// string-value nodes the pattern must extract from each witness. Instances
+// of one template over one pattern demand the same thing, so a pattern keeps
+// one record per distinct demand (patternInfo.contribs) and refs counts the
+// instance sides sharing it.
 //
 // ids[i] is the interned class name (classNames) of node i for the nodes the
 // demand keeps — its string-value nodes and their ancestors — and -1 for the
 // others: the demand's rows are written under them, and its instances' RT
-// tuples read them. The edge and root items carry the ids of their nodes.
+// tuples read them. The edge items carry the ids of their nodes.
 type patternContrib struct {
 	pi       *patternInfo
 	edges    []binItem
 	strNodes []int32
-	roots    []rootItem
 	ids      []int64
 
 	key  string // in pi.contribs
@@ -186,16 +186,13 @@ type patternContrib struct {
 }
 
 // binItem is a structural edge a pattern emits: the nodes' indexes and the
-// ids their Rbin rows are written under; rootItem is a root node and its
-// Rroot id. One node pair can be emitted under two demands' ids.
+// ids their Rbin rows are written under. The root of a single-node side is
+// an edge with noParent for the parent's index and id: its row is
+// (noParent, class, noParent, node). One node pair can be emitted under two
+// demands' ids.
 type binItem struct {
 	n  [2]int32
 	id [2]int64
-}
-
-type rootItem struct {
-	n  int32
-	id int64
 }
 
 // patternInfo records what the Join Processor extracts from the witnesses of
@@ -237,8 +234,6 @@ type patternInfo struct {
 	edges     []binItem // structural edges to emit to RbinW
 	strCount  map[int32]int
 	strNodes  []int32 // nodes whose string values go to RdocW
-	rootCount map[rootItem]int
-	roots     []rootItem // nodes emitted to RrootW (single-node template sides)
 }
 
 // NewProcessor returns an empty processor.
@@ -608,10 +603,10 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	tmpl.refs++
 
 	// Register the two block patterns and record, per pattern, the
-	// structural edges, string-value nodes and root nodes this instance
-	// needs (acquired refcounted, released on Unregister). A reduced node
-	// is traced to its normalized pattern node through the block's index
-	// map.
+	// structural edges (a single-node side's root a parentless one) and
+	// string-value nodes this instance needs (acquired refcounted, released
+	// on Unregister). A reduced node is traced to its normalized pattern node
+	// through the block's index map.
 	lpi := p.patternFor(q.Left, lf)
 	rpi := p.patternFor(q.Right, rf)
 	lc, rc := &p.reg.contribs[0], &p.reg.contribs[1]
@@ -628,7 +623,7 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 			}
 		}
 		if len(side.s.Nodes) == 1 {
-			side.c.roots = appendNew(side.c.roots, rootItem{n: normIndex(side.f, side.s, 0)})
+			side.c.edges = appendNew(side.c.edges, binItem{n: [2]int32{noParent, normIndex(side.f, side.s, 0)}})
 		}
 	}
 	// Value-join endpoints need string values.
@@ -666,7 +661,7 @@ func normIndex(f *xpath.NormalForm, s *SideGraph, i int) int32 {
 
 // reset empties the scratch contribution for a new instance side.
 func (c *patternContrib) reset(pi *patternInfo) {
-	c.pi, c.edges, c.strNodes, c.roots = pi, c.edges[:0], c.strNodes[:0], c.roots[:0]
+	c.pi, c.edges, c.strNodes = pi, c.edges[:0], c.strNodes[:0]
 }
 
 // appendNew appends v to s unless s holds it already: an instance side's
@@ -680,7 +675,7 @@ func appendNew[T comparable](s []T, v T) []T {
 
 // appendContribKey appends the encoding a pattern files a demand under: its
 // string-value nodes. They are the side's value-join nodes, and the minor
-// they make fixes the rest — the edges, the roots and the names.
+// they make fixes the rest — the edges and the names.
 func appendContribKey(b []byte, c *patternContrib) []byte {
 	for _, n := range c.strNodes {
 		b = binary.LittleEndian.AppendUint32(b, uint32(n))
@@ -705,7 +700,7 @@ func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 	}
 	c = &patternContrib{
 		pi: pi, key: string(p.reg.contribKey), refs: 1,
-		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes), roots: slices.Clone(scratch.roots),
+		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes),
 		ids: make([]int64, len(pi.pat.Nodes)),
 	}
 	for i, name := range classNames(pi.pat, c.strNodes) {
@@ -715,16 +710,15 @@ func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
 		}
 	}
 	for i, e := range c.edges {
-		c.edges[i].id = [2]int64{c.ids[e.n[0]], c.ids[e.n[1]]}
-	}
-	for i, r := range c.roots {
-		c.roots[i].id = c.ids[r.n]
+		c.edges[i].id = [2]int64{noParent, c.ids[e.n[1]]}
+		if e.n[0] != noParent {
+			c.edges[i].id[0] = c.ids[e.n[0]]
+		}
 	}
 	pi.contribs[c.key] = c
 	n := pi.items()
 	pi.edges = countIn(pi.edgeCount, pi.edges, c.edges)
 	pi.strNodes = countIn(pi.strCount, pi.strNodes, c.strNodes)
-	pi.roots = countIn(pi.rootCount, pi.roots, c.roots)
 	if pi.items() > n {
 		p.settle(pi, true)
 	}
@@ -767,14 +761,13 @@ func (p *Processor) release(c *patternContrib) {
 	n := pi.items()
 	pi.edges = countOut(pi.edgeCount, pi.edges, c.edges)
 	pi.strNodes = countOut(pi.strCount, pi.strNodes, c.strNodes)
-	pi.roots = countOut(pi.rootCount, pi.roots, c.roots)
 	if pi.items() < n {
 		p.settle(pi, false)
 	}
 }
 
 // items counts the demand items the pattern emits.
-func (pi *patternInfo) items() int { return len(pi.edges) + len(pi.strNodes) + len(pi.roots) }
+func (pi *patternInfo) items() int { return len(pi.edges) + len(pi.strNodes) }
 
 // removeFirst removes the first occurrence of v from s, preserving order.
 func removeFirst[T comparable](s []T, v T) []T {
@@ -803,7 +796,6 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 		contribs:  map[string]*patternContrib{},
 		edgeCount: map[binItem]int{},
 		strCount:  map[int32]int{},
-		rootCount: map[rootItem]int{},
 	}
 	for i, name := range classNames(rep, nil) {
 		pi.pathIDs[i] = p.syms.intern(name)
@@ -827,10 +819,10 @@ func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patte
 // lock that orders Consume calls.
 type Stage1Result struct {
 	doc *xmldoc.Document
-	// rec is the document's record: its witness relations RbinW, RdocW and
-	// RrootW (Section 3.1), which Stage 2 reads as the current document and
-	// Merge adopts as the document's rows of Rbin, Rdoc and Rroot. After
-	// the merge it holds the storage of the slot the document took.
+	// rec is the document's record: its witness relations RbinW and RdocW
+	// (Section 3.1), which Stage 2 reads as the current document and Merge
+	// adopts as the document's rows of Rbin and Rdoc. After the merge it
+	// holds the storage of the slot the document took.
 	rec     docRec
 	singles []Match
 	// vals holds, by row, the join value of each Rdoc row and its hash:
@@ -841,20 +833,18 @@ type Stage1Result struct {
 	// nodes deduplicates the rows by node id: nodes[n] speaks for node n of
 	// this document only while its gen equals gen, which reset advances, so
 	// a later document finds every entry stale without a clear.
-	// binNext[i] (rootNext[i]) chains Rbin (Rroot) row i to the previous
-	// row with the same child (root) node, -1 ending the chain. None of it
-	// enters the state.
-	gen      uint32
-	nodes    []witnessNode
-	binNext  []int32
-	rootNext []int32
+	// binNext[i] chains Rbin row i to the previous row with the same child
+	// node, -1 ending the chain. None of it enters the state.
+	gen     uint32
+	nodes   []witnessNode
+	binNext []int32
 	// order is RunStage1's scratch: the triggered patterns' sort keys
 	// (Processor.triggerOrder).
 	order []uint64
 	// sized is what the last record r sealed held, in values per relation:
 	// a record that comes back with no storage (its document took a new
 	// slot) is given that much in one allocation (docRec.carve).
-	sized [3]int
+	sized [2]int
 
 	xpath, witness time.Duration
 	// triggered and probes are the document's counted assembly work
@@ -871,11 +861,10 @@ type rdocValue struct {
 }
 
 // witnessNode is what the current document's rows hold for one node: the
-// newest Rbin row with it as node2, the newest Rroot row with it as node,
-// and its Rdoc row, each -1 for none.
+// newest Rbin row with it as node2 and its Rdoc row, each -1 for none.
 type witnessNode struct {
-	gen            uint32
-	bin, root, doc int32
+	gen      uint32
+	bin, doc int32
 }
 
 // stage1Pool holds consumed Stage-1 results, so a document's record, its
@@ -902,13 +891,13 @@ func (r *Stage1Result) reset(d *xmldoc.Document) {
 		r.rec.carve(r.sized)
 	}
 	r.rec.id, r.rec.ts = d.ID, d.Timestamp
-	if len(r.nodes) > recKeep || cap(r.binNext)+cap(r.rootNext) > recKeep {
-		r.nodes, r.binNext, r.rootNext = nil, nil, nil
+	if len(r.nodes) > recKeep || cap(r.binNext) > recKeep {
+		r.nodes, r.binNext = nil, nil
 	}
 	if cap(r.vals) > recKeep {
 		r.vals = nil
 	}
-	r.binNext, r.rootNext = r.binNext[:0], r.rootNext[:0]
+	r.binNext = r.binNext[:0]
 	if r.gen++; r.gen == 0 {
 		clear(r.nodes)
 		r.gen = 1
@@ -922,16 +911,17 @@ func (r *Stage1Result) node(n xmldoc.NodeID) *witnessNode {
 	}
 	e := &r.nodes[n]
 	if e.gen != r.gen {
-		*e = witnessNode{gen: r.gen, bin: -1, root: -1, doc: -1}
+		*e = witnessNode{gen: r.gen, bin: -1, doc: -1}
 	}
 	return e
 }
 
-// AddBin inserts a deduplicated structural-edge binding tuple.
+// AddBin inserts a deduplicated structural-edge binding tuple; a
+// single-node side's root binds with var1 and n1 noParent.
 func (r *Stage1Result) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
 	e := r.node(n2)
 	for i := e.bin; i >= 0; i = r.binNext[i] {
-		if row := r.rec.binVals[int(i)*rbinWidth:]; row[0] == var1 && row[1] == var2 && row[2] == int64(n1) {
+		if row := r.rec.binRow(i); row[rbinVar1] == var1 && row[rbinVar2] == var2 && row[rbinNode1] == int64(n1) {
 			return
 		}
 	}
@@ -960,23 +950,10 @@ func (r *Stage1Result) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string)
 	r.vals = append(r.vals, rdocValue{strVal, maphash.String(valueSeed, strVal)})
 }
 
-// AddRoot inserts a deduplicated root binding tuple.
-func (r *Stage1Result) AddRoot(v int64, n xmldoc.NodeID) {
-	e := r.node(n)
-	for i := e.root; i >= 0; i = r.rootNext[i] {
-		if r.rec.rootVals[int(i)*rrootWidth] == v {
-			return
-		}
-	}
-	r.rootNext = append(r.rootNext, e.root)
-	e.root = int32(len(r.rec.rootVals) / rrootWidth)
-	r.rec.addRoot(v, int64(n))
-}
-
 // seal seals the record (docRec.seal) and notes its size for the next.
 func (r *Stage1Result) seal() {
 	r.rec.seal()
-	r.sized = [3]int{len(r.rec.binVals), len(r.rec.rdocVals), len(r.rec.rootVals)}
+	r.sized = [2]int{len(r.rec.binVals), len(r.rec.rdocVals)}
 }
 
 // docValue returns the join value id of node n, if the document has an Rdoc
@@ -986,7 +963,7 @@ func (r *Stage1Result) docValue(n int64) (int32, bool) {
 		return 0, false
 	}
 	if e := &r.nodes[n]; e.gen == r.gen && e.doc >= 0 {
-		return int32(r.rec.rdocVals[int(e.doc)*rdocWidth+rdocStrVal]), true
+		return int32(r.rec.docRow(e.doc)[rdocStrVal]), true
 	}
 	return 0, false
 }
@@ -1053,13 +1030,14 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	for k := 0; k < nw; k++ {
 		b := slab[k*nv : (k+1)*nv]
 		for _, e := range pi.edges {
-			r.AddBin(e.id[0], e.id[1], b[e.n[0]], b[e.n[1]])
+			n1 := xmldoc.NodeID(noParent)
+			if e.n[0] != noParent {
+				n1 = b[e.n[0]]
+			}
+			r.AddBin(e.id[0], e.id[1], n1, b[e.n[1]])
 		}
 		for _, n := range pi.strNodes {
 			r.AddDoc(b[n])
-		}
-		for _, e := range pi.roots {
-			r.AddRoot(e.id, b[e.n])
 		}
 	}
 	// Single-block queries fire once per witness.
@@ -1104,13 +1082,13 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	p.stats.Maintain += t1.Sub(t0)
 	t2 := t1
 	var stage2 time.Duration
-	if p.state.NumDocs() > 0 && len(r.rec.rdoc) > 0 {
+	if p.state.NumDocs() > 0 && r.rec.numDoc() > 0 {
 		t2 = p.evalTemplates(r, t1)
 		stage2 = t2.Sub(t1)
 		p.stats.Stage2Wall += stage2
 	}
 	p.departed = p.departed[:0]
-	if len(r.rec.rdoc) > 0 {
+	if r.rec.numDoc() > 0 {
 		p.state.Merge(&r.rec)
 	} else {
 		// Every program starts from Rdoc, so a document without a row

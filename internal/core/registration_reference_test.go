@@ -394,10 +394,8 @@ type refPattern struct {
 	pathIDs               []int64
 	edges                 []binItem
 	strNodes              []int32
-	roots                 []rootItem
 	edgeSeen              map[binItem]bool
 	strSeen               map[int32]bool
-	rootSeen              map[rootItem]bool
 	numNodes, patternYFID int
 }
 
@@ -459,7 +457,7 @@ func (r *refRegistry) pattern(block *xpath.Pattern) (*refPattern, []int) {
 		return r.patterns[id], imap
 	}
 	pi := &refPattern{key: key, norm: norm, patternYFID: len(r.patterns), numNodes: len(norm.Nodes),
-		edgeSeen: map[binItem]bool{}, strSeen: map[int32]bool{}, rootSeen: map[rootItem]bool{}}
+		edgeSeen: map[binItem]bool{}, strSeen: map[int32]bool{}}
 	all := make([]int32, len(norm.Nodes))
 	for i := range all {
 		all[i] = int32(i)
@@ -509,8 +507,8 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 	lp, lmap := r.pattern(q.Left)
 	rp, rmap := r.pattern(q.Right)
 	type demand struct {
-		edges           [][2]int32
-		strNodes, roots []int32
+		edges    [][2]int32
+		strNodes []int32
 	}
 	var dem [2]demand
 	addOnce := func(s []int32, v int32) []int32 {
@@ -530,8 +528,9 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 				}
 			}
 		}
+		// A single-node side's root is a parentless edge.
 		if len(nodes) == 1 {
-			d.roots = addOnce(d.roots, int32(imap[nodes[0].pn.Index]))
+			d.edges = append(d.edges, [2]int32{noParent, int32(imap[nodes[0].pn.Index])})
 		}
 	}
 	for _, e := range red.vj {
@@ -551,7 +550,10 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 			}
 		}
 		for _, e := range d.edges {
-			it := binItem{n: e, id: [2]int64{ids[side][int(e[0])], ids[side][int(e[1])]}}
+			it := binItem{n: e, id: [2]int64{noParent, ids[side][int(e[1])]}}
+			if e[0] != noParent {
+				it.id[0] = ids[side][int(e[0])]
+			}
 			if !pi.edgeSeen[it] {
 				pi.edgeSeen[it] = true
 				pi.edges = append(pi.edges, it)
@@ -561,12 +563,6 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 			if !pi.strSeen[n] {
 				pi.strSeen[n] = true
 				pi.strNodes = append(pi.strNodes, n)
-			}
-		}
-		for _, n := range d.roots {
-			if it := (rootItem{n: n, id: ids[side][int(n)]}); !pi.rootSeen[it] {
-				pi.rootSeen[it] = true
-				pi.roots = append(pi.roots, it)
 			}
 		}
 	}
@@ -686,10 +682,10 @@ func TestRegistrationMatchesReference(t *testing.T) {
 				rp := ref.patterns[i]
 				if int(pi.yid) != rp.patternYFID || pi.key != rp.key || p.xp.Pattern(pi.yid).CanonicalKey() != rp.key ||
 					!slices.Equal(pi.pathIDs, rp.pathIDs) || !slices.Equal(pi.edges, rp.edges) ||
-					!slices.Equal(pi.strNodes, rp.strNodes) || !slices.Equal(pi.roots, rp.roots) {
-					t.Fatalf("pattern %d: id %d key %q ids %v edges %v str %v roots %v\nreference: id %d key %q ids %v edges %v str %v roots %v",
-						i, pi.yid, pi.key, pi.pathIDs, pi.edges, pi.strNodes, pi.roots,
-						rp.patternYFID, rp.key, rp.pathIDs, rp.edges, rp.strNodes, rp.roots)
+					!slices.Equal(pi.strNodes, rp.strNodes) {
+					t.Fatalf("pattern %d: id %d key %q ids %v edges %v str %v\nreference: id %d key %q ids %v edges %v str %v",
+						i, pi.yid, pi.key, pi.pathIDs, pi.edges, pi.strNodes,
+						rp.patternYFID, rp.key, rp.pathIDs, rp.edges, rp.strNodes)
 				}
 			}
 			if len(p.templateList) != len(ref.tmplList) {

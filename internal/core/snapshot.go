@@ -55,7 +55,8 @@ type SnapRdoc struct {
 	Str  string `json:"s"`
 }
 
-// SnapRoot is one Rroot row with a symbolic variable name.
+// SnapRoot is one parentless Rbin row — the root of a single-node side —
+// with a symbolic variable name.
 type SnapRoot struct {
 	Doc  int64  `json:"doc"`
 	Var  string `json:"v"`
@@ -63,7 +64,8 @@ type SnapRoot struct {
 }
 
 // StateSnapshot is the portable form of the join state. See the package
-// comment above for the consistency contract.
+// comment above for the consistency contract. Rbin lists the Rbin rows with
+// a parent and Rroot the parentless ones.
 type StateSnapshot struct {
 	NextSeq int64      `json:"next_seq"`
 	MaxDoc  int64      `json:"max_doc"`
@@ -86,17 +88,19 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 		r := &s.recs[slot]
 		id := int64(r.id)
 		out.Docs = append(out.Docs, SnapDoc{ID: id, TS: int64(r.ts), Seq: r.seq})
-		for _, t := range r.bin {
-			out.Rbin = append(out.Rbin, SnapBin{Doc: id, Var1: varName(t[0]), Var2: varName(t[1]), Node1: t[2], Node2: t[3]})
+		for i := range int32(r.numBin()) {
+			if t := r.binRow(i); t[rbinVar1] == noParent {
+				out.Rroot = append(out.Rroot, SnapRoot{Doc: id, Var: varName(t[rbinVar2]), Node: t[rbinNode2]})
+			} else {
+				out.Rbin = append(out.Rbin, SnapBin{Doc: id, Var1: varName(t[rbinVar1]), Var2: varName(t[rbinVar2]), Node1: t[rbinNode1], Node2: t[rbinNode2]})
+			}
 		}
-		for _, t := range r.rdoc {
+		for i := range int32(r.numDoc()) {
 			// Value ids are the state's, so the snapshot carries the
 			// string: snapshot bytes are identical to what a string-keyed
 			// engine would write, and ids never escape to disk.
+			t := r.docRow(i)
 			out.Rdoc = append(out.Rdoc, SnapRdoc{Doc: id, Node: t[rdocNode], Str: s.value(int32(t[rdocStrVal]))})
-		}
-		for _, t := range r.root {
-			out.Rroot = append(out.Rroot, SnapRoot{Doc: id, Var: varName(t[0]), Node: t[1]})
 		}
 	}
 	return out
@@ -108,10 +112,11 @@ func (s *State) export(varName func(int64) string) StateSnapshot {
 // under this processor's symbol table, so the restored state joins against
 // the re-registered vector groups exactly as the original state did. Each
 // document's record is built the way Stage 1 builds one — its rows written
-// in snapshot order, its join values filed in the state's dictionary, then
-// sealed — and merged in arrival order, so a restored state holds what the
-// original held; only its value ids, which follow the order the values were
-// filed in, may differ. A row of a
+// in snapshot order, the "rroot" rows as parentless Rbin rows after the
+// others, its join values filed in the state's dictionary, then sealed — and
+// merged in arrival order, so a restored state holds what the original held;
+// only its value ids, which follow the order the values were filed in, and
+// the order of its parentless Rbin rows among the others may differ. A row of a
 // document the snapshot does not list is refused: no engine writes one. A
 // snapshot written when the state still held documents carries them under
 // "retained"; decoding ignores them.
@@ -162,7 +167,7 @@ func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 		if err != nil {
 			return err
 		}
-		d.addRoot(varID(r.Var), r.Node)
+		d.addBin(noParent, varID(r.Var), noParent, r.Node)
 	}
 	for _, r := range snap.Rdoc {
 		recs[at[r.Doc]].addDoc(r.Node, s.valueID(r.Str, maphash.String(valueSeed, r.Str)))

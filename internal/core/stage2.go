@@ -332,45 +332,31 @@ func (ms *Matches) reset() {
 	ms.singles, ms.n = nil, 0
 }
 
-// stage2Shared is the document's value-join pair relation (pairSchema),
-// built once per document for every template (cqExec.buildPairs) and
-// read-only while the templates are evaluated: its values laid out in vals,
-// its rows indexed by the previous document's state slot and their key
-// shape (pairSlotShape). The current
-// document's own rows are read through its record, whose node indexes Stage
-// 1 built (docRec.seal). The processor keeps one (Processor.pre) and resets
-// it for each document, so its slices and index are reused.
+// stage2Shared is the document's value-join pair relation, built once per
+// document for every template (cqExec.buildPairs) and read-only while the
+// templates are evaluated: its rows laid out in vals, pairWidth values a row
+// (the pair columns, cqplan.go), and indexed by the previous document's
+// state slot and their key shape (pairSlotShape). The current document's own
+// rows are read through its record, whose node index Stage 1 built
+// (docRec.seal). The processor keeps one (Processor.pre) and resets it for
+// each document, so its slices and index are reused.
 type stage2Shared struct {
-	pairs  [][]int64
 	vals   []int64
 	bySlot rowIndex
 
 	held [][2]int64 // buildPairs' scratch: the current nodes' shared values
 }
 
-// reset empties pre for the next document. Its rows drop what they pointed
-// at; a row list or value buffer a burst document grew past recKeep rows
-// goes.
+// reset empties pre for the next document. A value buffer a burst document
+// grew past recKeep rows goes.
 func (pre *stage2Shared) reset() {
-	if clear(pre.pairs); cap(pre.pairs) > recKeep {
-		pre.pairs = nil
-	}
-	if cap(pre.vals) > recKeep*len(pairSchema) {
+	if cap(pre.vals) > recKeep*pairWidth {
 		pre.vals = nil
 	}
 	if cap(pre.held) > recKeep {
 		pre.held = nil
 	}
-	pre.pairs, pre.vals = pre.pairs[:0], pre.vals[:0]
-}
-
-// headRows points rows at vals, width values to a row.
-func headRows(rows [][]int64, vals []int64, width int) [][]int64 {
-	rows = resize(rows, len(vals)/width)
-	for i := range rows {
-		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
+	pre.vals = pre.vals[:0]
 }
 
 // matchCmp is the canonical total order: the output is identical regardless

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/maphash"
 	"math"
 	"strings"
@@ -34,17 +33,16 @@ func (s *symtab) name(id int64) string { return s.names[id] }
 // previously processed documents still inside some window (Section 3.1),
 // held as one record per document.
 //
-//	Rbin  (var1, var2, node1, node2) — bindings of template structural edges
-//	Rdoc  (node, strVal)             — string values of value-join nodes;
-//	       strVal is a symbol column (Sym: the state's value ids), so
-//	       value-join equality is an integer compare and never rehashes
-//	       string bytes
-//	Rroot (var, node)                — root bindings for templates whose
-//	       side is a single node (see DESIGN.md)
+//	Rbin (var1, var2, node1, node2) — bindings of template structural edges;
+//	      the root of a single-node side is a parentless row, (noParent,
+//	      class, noParent, node) (see DESIGN.md)
+//	Rdoc (node, strVal)             — string values of value-join nodes;
+//	      strVal is a join-value id (the state's), so value-join equality is
+//	      an integer compare and never rehashes string bytes
 //
 // A document's record sits on a dense slot and holds its id, timestamp and
-// arrival index (the window bookkeeping), its rows of the three relations and
-// its own indexes over them — never the document itself, which a caller that
+// arrival index (the window bookkeeping), its rows of the two relations and
+// its own index over them — never the document itself, which a caller that
 // renders outputs keeps. The record is the one Stage 1 built for the
 // document (Stage1Result): Merge adopts it onto a free slot, so a state row
 // is exactly the row Stage 1 wrote, and the slot, which is where a reader
@@ -101,7 +99,8 @@ type State struct {
 	maxTS xmldoc.Timestamp
 	late  int
 
-	// rows counts the live rows of Rbin, Rdoc and Rroot.
+	// rows counts the live rows of Rbin with a parent, of Rdoc and of Rbin
+	// without one (Stats.StateRbinRows, StateRdocRows, StateRrootRows).
 	rows [3]int
 
 	// expired and dirty are GC's scratch, reused: the expired slots and the
@@ -124,17 +123,15 @@ type docRec struct {
 	seq        int64 // arrival index, set when the state adopts the record
 	live, late bool
 
-	// bin, rdoc and root are the document's rows of Rbin, Rdoc and Rroot in
-	// the order they were written. The add methods append each row's values
-	// to binVals, rdocVals and rootVals; seal points the rows at them, their
-	// headers carved from hdr, and indexes bin by node2 (binByNode2: the
-	// walk from a bound node up to its parent) and root by node
-	// (rootByNode). A row is 8 bytes a value, which the collector never
-	// looks into.
-	bin, rdoc, root             [][]int64
-	binByNode2, rootByNode      rowIndex
-	hdr                         [][]int64
-	binVals, rdocVals, rootVals []int64
+	// binVals and rdocVals are the document's rows of Rbin and Rdoc, in the
+	// order they were written, rbinWidth and rdocWidth values a row (binRow,
+	// docRow); roots counts the parentless Rbin rows. seal indexes the Rbin
+	// rows by node2 (binByNode2: the walk from a bound node up to its parent,
+	// and a node's ends in the pair build). A row is 8 bytes a value, which
+	// the collector never looks into.
+	binVals, rdocVals []int64
+	roots             int
+	binByNode2        rowIndex
 }
 
 // recKeep bounds the storage kept for a later document wherever it is
@@ -144,41 +141,43 @@ type docRec struct {
 // document after it.
 const recKeep = 4096
 
-// The row widths of the witness relations.
-var (
-	rbinWidth  = len(rbinSchema)
-	rdocWidth  = len(rdocSchema)
-	rrootWidth = len(rrootSchema)
+// The columns of the witness relations' rows, the same for the current
+// document and the join state.
+const (
+	rbinVar1, rbinVar2, rbinNode1, rbinNode2, rbinWidth = 0, 1, 2, 3, 4
+	rdocNode, rdocStrVal, rdocWidth                     = 0, 1, 2
 )
 
-// addBin, addDoc and addRoot append one row of Rbin, Rdoc and Rroot, as
-// given: deduplication is the caller's (Stage1Result.AddBin and its
-// siblings).
+// addBin and addDoc append one row of Rbin and Rdoc, as given:
+// deduplication is the caller's (Stage1Result.AddBin and AddDoc).
 func (r *docRec) addBin(var1, var2, n1, n2 int64) {
 	r.binVals = append(r.binVals, var1, var2, n1, n2)
+	if var1 == noParent {
+		r.roots++
+	}
 }
 
 func (r *docRec) addDoc(n int64, strVal int32) {
 	r.rdocVals = append(r.rdocVals, n, int64(strVal))
 }
 
-func (r *docRec) addRoot(v, n int64) {
-	r.rootVals = append(r.rootVals, v, n)
+// numBin and numDoc count the record's rows of Rbin and Rdoc; binRow and
+// docRow return row i of each.
+func (r *docRec) numBin() int { return len(r.binVals) / rbinWidth }
+func (r *docRec) numDoc() int { return len(r.rdocVals) / rdocWidth }
+
+func (r *docRec) binRow(i int32) []int64 { return stride(r.binVals, rbinWidth, i) }
+func (r *docRec) docRow(i int32) []int64 { return stride(r.rdocVals, rdocWidth, i) }
+
+// stride returns row i of the rows laid out in vals, width values a row.
+func stride(vals []int64, width int, i int32) []int64 {
+	at := int(i) * width
+	return vals[at : at+width : at+width]
 }
 
-// seal points the record's rows at the values written and indexes them: the
-// record is then what Stage 2 reads as the current document and what Merge
-// adopts.
-func (r *docRec) seal() {
-	nb, nd := len(r.binVals)/rbinWidth, len(r.rdocVals)/rdocWidth
-	n := nb + nd + len(r.rootVals)/rrootWidth
-	r.hdr = resize(r.hdr, n)
-	r.bin = headRows(r.hdr[:nb:nb], r.binVals, rbinWidth)
-	r.rdoc = headRows(r.hdr[nb:nb+nd:nb+nd], r.rdocVals, rdocWidth)
-	r.root = headRows(r.hdr[nb+nd:n:n], r.rootVals, rrootWidth)
-	r.binByNode2.build(r.bin, rbinNode2)
-	r.rootByNode.build(r.root, rrootNode)
-}
+// seal indexes the values written: the record is then what Stage 2 reads as
+// the current document and what Merge adopts.
+func (r *docRec) seal() { r.binByNode2.build(r.binVals, rbinWidth, rbinNode2) }
 
 // empty readies the record's storage for another document: no row. Storage
 // grown past recKeep values is dropped instead.
@@ -187,29 +186,27 @@ func (r *docRec) empty() {
 		*r = docRec{}
 		return
 	}
-	r.bin, r.rdoc, r.root = nil, nil, nil
-	r.binVals, r.rdocVals, r.rootVals = r.binVals[:0], r.rdocVals[:0], r.rootVals[:0]
+	r.binVals, r.rdocVals, r.roots = r.binVals[:0], r.rdocVals[:0], 0
 }
 
-// carve gives a record that has no storage room for n[0], n[1] and n[2]
-// values of Rbin, Rdoc and Rroot, carved from one allocation; a relation that
-// outgrows its part grows alone.
-func (r *docRec) carve(n [3]int) {
-	total := n[0] + n[1] + n[2]
+// carve gives a record that has no storage room for n[0] and n[1] values of
+// Rbin and Rdoc, carved from one allocation; a relation that outgrows its
+// part grows alone.
+func (r *docRec) carve(n [2]int) {
+	total := n[0] + n[1]
 	if total == 0 || total > recKeep {
 		return
 	}
 	buf := make([]int64, total)
 	r.binVals = buf[:0:n[0]]
-	r.rdocVals = buf[n[0] : n[0] : n[0]+n[1]]
-	r.rootVals = buf[n[0]+n[1] : n[0]+n[1] : total]
+	r.rdocVals = buf[n[0]:n[0]:total]
 }
 
 // storage is the record's row storage, in values.
-func (r *docRec) storage() int { return cap(r.binVals) + cap(r.rdocVals) + cap(r.rootVals) }
+func (r *docRec) storage() int { return cap(r.binVals) + cap(r.rdocVals) }
 
-// numRows is the record's row count over the three relations.
-func (r *docRec) numRows() int { return len(r.bin) + len(r.rdoc) + len(r.root) }
+// numRows is the record's row count over the two relations.
+func (r *docRec) numRows() int { return r.numBin() + r.numDoc() }
 
 // expired reports whether the document is out of every window: timestamp
 // below cutoffTS and arrival index below cutoffSeq.
@@ -246,63 +243,6 @@ func (l *postList) push(r rowRef) {
 	}
 	l.refs = append(l.refs, r)
 }
-
-// Column is one column of a row schema: its name and whether its values are
-// symbols (join-value ids, which the state's dictionary hands out) or plain
-// integers. A row is a
-// pointer-free []int64, and what a number is belongs to its column: whoever
-// reads a symbol column asks the schema once (Schema.SymCol).
-type Column struct {
-	Name string
-	Sym  bool
-}
-
-// Int declares an integer column.
-func Int(name string) Column { return Column{Name: name} }
-
-// Sym declares a symbol column.
-func Sym(name string) Column { return Column{Name: name, Sym: true} }
-
-// Schema is an ordered list of columns.
-type Schema []Column
-
-// Col returns the position of the named column, or panics: every name passed
-// here is a literal in this package's source, so a mismatch is a plan bug
-// that no byte of a wire line or a snapshot file can reach.
-func (s Schema) Col(name string) int {
-	for i, c := range s {
-		if c.Name == name {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("core: column %q not in schema %v", name, s))
-}
-
-// SymCol is Col for a column read as a symbol: reading a symbol out of a
-// non-symbol column is a plan bug, caught here once, where a program is
-// compiled or an index is built, and not per value.
-func (s Schema) SymCol(name string) int {
-	c := s.Col(name)
-	if !s[c].Sym {
-		panic(fmt.Sprintf("core: column %q of schema %v is not a symbol column", name, s))
-	}
-	return c
-}
-
-// The schemas of the witness relations, the same for the current document
-// and the join state. strVal is the only symbol column; the code that reads
-// symbols out of it by position (Merge, cqExec.buildPairs) resolves the
-// position through Schema.SymCol, once.
-var (
-	rbinSchema  = Schema{Int("var1"), Int("var2"), Int("node1"), Int("node2")}
-	rdocSchema  = Schema{Int("node"), Sym("strVal")}
-	rrootSchema = Schema{Int("var"), Int("node")}
-
-	rbinNode2  = rbinSchema.Col("node2")
-	rdocNode   = rdocSchema.Col("node")
-	rdocStrVal = rdocSchema.SymCol("strVal")
-	rrootNode  = rrootSchema.Col("node")
-)
 
 // NewState returns empty join state.
 func NewState() *State {
@@ -346,12 +286,12 @@ func (s *State) adopt(rec *docRec) {
 	} else {
 		s.maxTS = r.ts
 	}
-	for i, row := range r.rdoc {
-		s.lists[row[rdocStrVal]].push(rowRef{slot, int32(i)})
+	for i := range int32(r.numDoc()) {
+		s.lists[r.docRow(i)[rdocStrVal]].push(rowRef{slot, i})
 	}
-	s.rows[0] += len(r.bin)
-	s.rows[1] += len(r.rdoc)
-	s.rows[2] += len(r.root)
+	s.rows[0] += r.numBin() - r.roots
+	s.rows[1] += r.numDoc()
+	s.rows[2] += r.roots
 	s.order = append(s.order, slot)
 }
 
@@ -534,13 +474,13 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 	for _, slot := range expired {
 		r := &s.recs[slot]
 		gone = append(gone, r.id)
-		for i, row := range r.rdoc {
-			s.unpost(int32(row[rdocStrVal]), rowRef{slot, int32(i)})
+		for i := range int32(r.numDoc()) {
+			s.unpost(int32(r.docRow(i)[rdocStrVal]), rowRef{slot, i})
 		}
 		dropped += r.numRows()
-		s.rows[0] -= len(r.bin)
-		s.rows[1] -= len(r.rdoc)
-		s.rows[2] -= len(r.root)
+		s.rows[0] -= r.numBin() - r.roots
+		s.rows[1] -= r.numDoc()
+		s.rows[2] -= r.roots
 		if r.late {
 			s.late--
 		}
@@ -584,5 +524,6 @@ func (s *State) unpost(id int32, ref rowRef) {
 // NumDocs returns the number of documents currently in the join state.
 func (s *State) NumDocs() int { return len(s.order) }
 
-// Rows returns the live row counts of Rbin, Rdoc and Rroot.
+// Rows returns the live row counts of Rbin with a parent, of Rdoc and of Rbin
+// without one (the roots of single-node sides).
 func (s *State) Rows() (bin, doc, root int) { return s.rows[0], s.rows[1], s.rows[2] }

@@ -17,36 +17,58 @@ import (
 	"repro/internal/xscl"
 )
 
-// stateRelations materializes the join state as the three relations it
-// stands for, documents in arrival order and each document's rows in merge
-// order, each row behind its record's slot (column 0), which the paper's
-// relations carry as the document's timestamp.
+// stateRelations materializes the join state as the three relations the
+// paper states it as, documents in arrival order and each document's rows in
+// merge order, each row behind its record's slot (column 0), which the
+// paper's relations carry as the document's timestamp: Rbin's rows with a
+// parent, Rdoc, and Rroot, its parentless rows projected on class and node.
 func stateRelations(s *State) (rbin, rdoc, rroot *Relation) {
 	slotted := func(schema Schema) *Relation {
 		return newRelation(append(Schema{Int("slot")}, schema...)...)
 	}
 	rbin, rdoc, rroot = slotted(rbinSchema), slotted(rdocSchema), slotted(rrootSchema)
 	for _, slot := range s.order {
-		r := &s.recs[slot]
-		for _, rel := range []struct {
-			to   *Relation
-			rows [][]int64
-		}{{rbin, r.bin}, {rdoc, r.rdoc}, {rroot, r.root}} {
-			for _, row := range rel.rows {
-				rel.to.Insert(append([]int64{int64(slot)}, row...)...)
+		bin, doc, root := witnessRelations(&s.recs[slot])
+		for _, rel := range [][2]*Relation{{rbin, bin}, {rdoc, doc}, {rroot, root}} {
+			for _, row := range rel[1].Rows {
+				rel[0].Insert(append([]int64{int64(slot)}, row...)...)
 			}
 		}
 	}
 	return rbin, rdoc, rroot
 }
 
-// currentRelations is the current document's record as the witness
-// relations RbinW, RdocW and RrootW.
-func currentRelations(r *docRec) (rbinW, rdocW, rrootW *Relation) {
-	return &Relation{Schema: rbinSchema, Rows: r.bin},
-		&Relation{Schema: rdocSchema, Rows: r.rdoc},
-		&Relation{Schema: rrootSchema, Rows: r.root}
+// witnessRelations is a record's rows as Rbin (with a parent), Rdoc and
+// Rroot (the parentless Rbin rows' class and node): for the current
+// document, RbinW, RdocW and RrootW.
+func witnessRelations(r *docRec) (rbin, rdoc, rroot *Relation) {
+	rbin, rdoc, rroot = newRelation(rbinSchema...), &Relation{Schema: rdocSchema, Rows: docRows(r)}, newRelation(rrootSchema...)
+	for _, row := range binRows(r) {
+		if row[rbinVar1] == noParent {
+			rroot.Insert(row[rbinVar2], row[rbinNode2])
+		} else {
+			rbin.Insert(row...)
+		}
+	}
+	return rbin, rdoc, rroot
 }
+
+// binRows and docRows return a record's rows of Rbin and Rdoc, each a view of
+// the record's values.
+func binRows(r *docRec) [][]int64 { return rowViews(r.binVals, rbinWidth) }
+func docRows(r *docRec) [][]int64 { return rowViews(r.rdocVals, rdocWidth) }
+
+func rowViews(vals []int64, width int) [][]int64 {
+	rows := [][]int64{}
+	for i := range int32(len(vals) / width) {
+		rows = append(rows, stride(vals, width, i))
+	}
+	return rows
+}
+
+// addRoot writes the root of a single-node side binding class v at node n,
+// as Stage 1 does: a parentless Rbin row.
+func addRoot(b *Stage1Result, v int64, n xmldoc.NodeID) { b.AddBin(noParent, v, noParent, n) }
 
 // buildRec runs fill on a Stage-1 result for d, the builder RunStage1 fills,
 // and seals the result's record.
@@ -55,6 +77,35 @@ func buildRec(d *xmldoc.Document, fill func(r *Stage1Result)) *Stage1Result {
 	fill(r)
 	r.seal()
 	return r
+}
+
+// TestAppendEndsKeepsLiveKinds: a node's ends come from one bucket of its
+// record's Rbin index, parentless rows and rows with a parent alike; only
+// the kinds asked for are kept, and every row read is counted. The pair
+// build's live-shape filter would drop an end of another kind anyway, so the
+// matches cannot show a kind kept in vain; the ends do.
+func TestAppendEndsKeepsLiveKinds(t *testing.T) {
+	r := buildRec(xmldoc.NewBuilder(1, 1, "r").Build(), func(b *Stage1Result) {
+		b.AddBin(5, 6, 0, 1)
+		addRoot(b, 6, 1)
+		b.AddBin(5, 7, 0, 2)
+	})
+	withParent, parentless, any := []int64{5, 6, 0, 1}, []int64{noParent, 6, noParent, 1}, []int64{noParent, anyClass, noParent, 1}
+	for _, c := range []struct {
+		kinds  uint8
+		want   []int64
+		probes int64
+	}{
+		{1, parentless, 2},
+		{2, withParent, 2},
+		{4, any, 0},
+		{7, slices.Concat(withParent, parentless, any), 2},
+	} {
+		var ex cqExec
+		if got := ex.appendEnds(nil, &r.rec, 1, c.kinds); !slices.Equal(got, c.want) || ex.probes != c.probes {
+			t.Errorf("kinds %03b: ends %v with %d probes, want %v with %d", c.kinds, got, ex.probes, c.want, c.probes)
+		}
+	}
 }
 
 // stateDump describes everything the state keeps per document — window
@@ -68,35 +119,39 @@ func stateDump(s *State) map[string]any {
 	id := func(slot int64) int64 { return int64(s.recs[slot].id) }
 	type docDump struct {
 		ID, TS, Seq     int64
-		Bin, Rdoc, Root [][]int64
+		Bin, Root, Rdoc [][]int64
 		// Values holds the Rdoc rows' values, whose strVal column reads 0.
 		Values []string
-		// ByNode2 and ByNode list, per row, the rows the record's index
-		// returns for the row's key.
-		ByNode2, ByNode [][]int32
-	}
-	rows := func(rows [][]int64) [][]int64 {
-		out := [][]int64{}
-		for _, row := range rows {
-			out = append(out, slices.Clone(row))
-		}
-		return out
-	}
-	index := func(x *rowIndex, rows [][]int64, col int) [][]int32 {
-		out := [][]int32{}
-		for _, row := range rows {
-			out = append(out, x.get(row[col]))
-		}
-		return out
+		// ByNode2 lists, per row of Bin and then of Root, the rows the
+		// record's index returns for the row's node2, sorted: a snapshot
+		// lists the parentless Rbin rows apart, so a restored record holds
+		// them after the others, and only the order within each kind is
+		// the record's.
+		ByNode2 [][][]int64
 	}
 	docs := []docDump{}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
-		docs = append(docs, docDump{
-			ID: int64(r.id), TS: int64(r.ts), Seq: r.seq,
-			Bin: rows(r.bin), Rdoc: rows(r.rdoc), Root: rows(r.root),
-			ByNode2: index(&r.binByNode2, r.bin, rbinNode2), ByNode: index(&r.rootByNode, r.root, rrootNode),
-		})
+		dd := docDump{ID: int64(r.id), TS: int64(r.ts), Seq: r.seq, Bin: [][]int64{}, Root: [][]int64{}, Rdoc: [][]int64{}}
+		for _, row := range binRows(r) {
+			if row[rbinVar1] == noParent {
+				dd.Root = append(dd.Root, slices.Clone(row))
+			} else {
+				dd.Bin = append(dd.Bin, slices.Clone(row))
+			}
+		}
+		for _, row := range slices.Concat(dd.Bin, dd.Root) {
+			var group [][]int64
+			for _, i := range r.binByNode2.get(row[rbinNode2]) {
+				group = append(group, r.binRow(i))
+			}
+			slices.SortFunc(group, slices.Compare)
+			dd.ByNode2 = append(dd.ByNode2, group)
+		}
+		for _, row := range docRows(r) {
+			dd.Rdoc = append(dd.Rdoc, slices.Clone(row))
+		}
+		docs = append(docs, dd)
 	}
 	// Value ids follow the order the state filed its values in, so a row's
 	// value and a posting list are keyed by the string.
@@ -105,7 +160,7 @@ func stateDump(s *State) map[string]any {
 			row[rdocStrVal] = 0
 		}
 		docs[i].Values = []string{}
-		for _, row := range s.recs[s.order[i]].rdoc {
+		for _, row := range docRows(&s.recs[s.order[i]]) {
 			docs[i].Values = append(docs[i].Values, s.value(int32(row[rdocStrVal])))
 		}
 	}
@@ -129,7 +184,7 @@ func checkState(t testing.TB, s *State) {
 		t.Fatalf("%d live and %d free slots in a table of %d", len(s.order), len(s.free), len(s.recs))
 	}
 	for _, slot := range s.free {
-		if r := &s.recs[slot]; r.live || r.bin != nil || r.rdoc != nil || r.root != nil {
+		if r := &s.recs[slot]; r.live || r.numRows() != 0 || r.roots != 0 {
 			t.Fatalf("free slot %d still holds a document", slot)
 		}
 	}
@@ -148,8 +203,15 @@ func checkState(t testing.TB, s *State) {
 		if r.late {
 			late++
 		}
-		rows[0], rows[1], rows[2] = rows[0]+len(r.bin), rows[1]+len(r.rdoc), rows[2]+len(r.root)
-		for i, row := range r.rdoc {
+		for _, row := range binRows(r) {
+			if row[rbinVar1] == noParent {
+				rows[2]++
+			} else {
+				rows[0]++
+			}
+		}
+		rows[1] += r.numDoc()
+		for i, row := range docRows(r) {
 			id := int32(row[rdocStrVal])
 			want[id] = append(want[id], rowRef{slot, int32(i)})
 		}
@@ -219,7 +281,7 @@ func checkValueDict(t testing.TB, s *State) map[int32]bool {
 // endpoint classes the pair build reads for the nodes on its posting list
 // (cqExec.appendEnds, of every kind) to be, as a multiset, those of a full
 // scan: every live record's Rdoc rows with that value, each with the same
-// record's Rbin rows on node = node2, its Rroot rows on node and anyClass,
+// record's Rbin rows on node = node2, parentless or not, and anyClass,
 // behind the record's slot. A posting that outlived its document, or one
 // that names a reused slot's new document, shows here as a row too many or
 // too few.
@@ -233,17 +295,12 @@ func checkLeftEnds(t testing.TB, s *State) {
 	}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
-		for _, dt := range r.rdoc {
+		for _, dt := range docRows(r) {
 			id, n := int32(dt[rdocStrVal]), dt[rdocNode]
 			add := func(end ...int64) { want[id] = append(want[id], append([]int64{int64(slot)}, end...)) }
-			for _, bt := range r.bin {
+			for _, bt := range binRows(r) {
 				if bt[rbinNode2] == n {
 					add(bt...)
-				}
-			}
-			for _, rt := range r.root {
-				if rt[rrootNode] == n {
-					add(noParent, rt[rrootVar], noParent, n)
 				}
 			}
 			add(noParent, anyClass, noParent, n)
@@ -254,7 +311,7 @@ func checkLeftEnds(t testing.TB, s *State) {
 		var got [][]int64
 		for _, ref := range s.postings(id) {
 			r := &s.recs[ref.slot]
-			for ends := ex.appendEnds(nil, r, r.rdoc[ref.row][rdocNode], 7); len(ends) > 0; ends = ends[rbinWidth:] {
+			for ends := ex.appendEnds(nil, r, r.docRow(ref.row)[rdocNode], 7); len(ends) > 0; ends = ends[rbinWidth:] {
 				got = append(got, append([]int64{int64(ref.slot)}, ends[:rbinWidth]...))
 			}
 		}
@@ -429,7 +486,7 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 	for _, slot := range s.order {
 		r := &s.recs[slot]
 		arrival = append(arrival, r.id)
-		storage[r.id] = slices.Concat(r.bin, r.rdoc, r.root)
+		storage[r.id] = slices.Concat(binRows(r), docRows(r))
 	}
 	gotIDs, dropped := s.GC(cutoffTS, cutoffSeq, nil)
 	h.dropped += dropped
@@ -447,7 +504,7 @@ func (h *expiryPair) gc(cutoffTS xmldoc.Timestamp, cutoffSeq int64) {
 	}
 	for _, slot := range s.order {
 		r := &s.recs[slot]
-		for i, row := range slices.Concat(r.bin, r.rdoc, r.root) {
+		for i, row := range slices.Concat(binRows(r), docRows(r)) {
 			if &row[0] != &storage[r.id][i][0] {
 				t.Fatalf("document %d's rows moved in a collection", r.id)
 			}
@@ -513,7 +570,7 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 					addDocValue(b, xmldoc.NodeID(r.Intn(6)), fmt.Sprintf("inplace-%d", r.Intn(12)))
 				}
 				for n := r.Intn(3); n > 0; n-- {
-					b.AddRoot(int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)))
+					addRoot(b, int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)))
 				}
 			})
 		}
@@ -611,7 +668,7 @@ func FuzzStateExpiry(f *testing.F) {
 						addDocValue(b, xmldoc.NodeID((shape+i)%6), fmt.Sprintf("fuzz-%d", (shape+i)%7))
 					}
 					for i := int64(0); i < (shape/5)%3; i++ {
-						b.AddRoot(i, xmldoc.NodeID(shape%4))
+						addRoot(b, i, xmldoc.NodeID(shape%4))
 					}
 				})
 			default:

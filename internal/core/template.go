@@ -134,6 +134,8 @@ func (t *Template) Datalog() string {
 	for _, e := range t.StructEdges(Right) {
 		body = append(body, fmt.Sprintf("RbinW(v%d, v%d, n%d, n%d)", e[0], e[1], e[0], e[1]))
 	}
+	// A single-node side's root binds a parentless Rbin row; the query
+	// names the projection of those rows on class and node Rroot.
 	if t.SingleLeft {
 		body = append(body, fmt.Sprintf("Rroot(docid, v%d, n%d)", t.LeftRoot, t.LeftRoot))
 	}

@@ -86,8 +86,7 @@ func TestStateBoundedByWindow(t *testing.T) {
 						// A document's pairs are those of the strings it
 						// shares with the state, whatever the stream
 						// length.
-						{"pair rows", cap(p.pre.pairs), rowsPerDoc * stringsPerDoc},
-						{"pair values", cap(p.pre.vals), len(pairSchema) * rowsPerDoc * stringsPerDoc},
+						{"pair values", cap(p.pre.vals), pairWidth * rowsPerDoc * stringsPerDoc},
 						{"shared values", cap(p.pre.held), rowsPerDoc * stringsPerDoc},
 						{"state documents", s.NumDocs(), maxDocs},
 						{"slots", len(s.recs), maxDocs + 1},
