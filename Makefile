@@ -62,8 +62,8 @@ race:
 # retirements against a map, template canonicalization against its string-
 # signature reference, the result order — a merge of sorted query runs —
 # against the comparison sort, the Stage-2 vector-group trie, its window
-# classes and the join index against a map, the dormant-pattern set
-# under registration churn against a from-scratch computation, snapshot
+# classes and the join index against a map, the Stage-1 row items and their
+# counts under registration churn against a from-scratch recount, snapshot
 # restore on arbitrary bytes, and the engine's matches on a generated
 # subscription and document stream against the sequential baseline (the CI
 # fuzz-smoke job). -fuzz takes one target per run, so a package
@@ -79,7 +79,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzMatchOrder$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzTrieChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run=^$$ -fuzz='^FuzzDormancyChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz='^FuzzItemChurn$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWireSession -fuzztime=$(FUZZTIME) ./cmd/mmqjp-server
 	$(GO) test -run=^$$ -fuzz='^FuzzOpenEngine$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) .

@@ -163,6 +163,24 @@ func FuzzDifferential(f *testing.F) {
 		2, 1, 1, 0, 2, 4, 1, 0, 0, 0, // <entry><id><en>a</en></id></entry>
 		2, 1, 1, 0, 1, 0, 1, 0, 0, 0, // <entry><id>a</id><ref>a</ref></entry>
 	})
+	// One row item, two blocks: both blocks keep their entry's id under
+	// the class names S//entry and S//entry/id, so Stage 1 writes each
+	// (entry, id) row once for both. The first two documents have no ref:
+	// the row is written though block 0 has no witness there, and query 1,
+	// on the id and author branches, joins through it; query 0 needs a ref
+	// row beside it, and matches only the last two documents.
+	f.Add([]byte{
+		0, 1, // in order; two blocks
+		0, 1, 1, 0, 0, // S//entry->x0[./id->x1][./ref->x2]
+		0, 1, 0, 1, 0, // S//entry->x0[./id->x1][./author/name->x3]
+		1,                         // two queries
+		1, 0, 0, 1, 0, 0, 1, 1, 6, // block 0 FOLLOWED BY{x1=y1 AND x2=y2, 10} block 0
+		1, 1, 1, 1, 0, 0, 1, 1, 6, // block 1 FOLLOWED BY{x1=y1 AND x3=y3, 10} block 1
+		2, 1, 1, 0, 1, 0, 0, 1, 0, 0, // <entry><id>a</id><author><name>a</name></author></entry>
+		2, 1, 1, 0, 1, 0, 0, 1, 0, 0,
+		2, 1, 1, 0, 1, 0, 1, 0, 0, 0, // <entry><id>a</id><ref>a</ref></entry>
+		2, 1, 1, 0, 1, 0, 1, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeDiffCase(data)
 		for _, publishers := range []int{1, 3} {

@@ -16,7 +16,8 @@
 //
 // The engine processes documents in two stages. Stage 1 evaluates all tree
 // patterns of all queries at once in a shared NFA (YFilter-style), producing
-// compact binary witness relations. Stage 2 partitions queries into
+// compact binary witness relations, each kind of row from one pattern shared
+// by every query that reads it. Stage 2 partitions queries into
 // equivalence classes by query template (the isomorphism class of the graph
 // minor of the query's join graph) and evaluates one relational conjunctive
 // query per template — compiled once, when the template is created, into a

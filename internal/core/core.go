@@ -139,10 +139,11 @@ type Stats struct {
 	// per registered query, whatever the query's text looked like. The
 	// facade adds the subscriptions' source text and its own records.
 	SubscriptionBytes int64 `json:"subscription_bytes" stat:"gauge" help:"Source text and registration records retained by the live subscriptions."`
-	// PatternsDormant is the live patterns Stage 1 does not assemble,
-	// because smaller live patterns write every row they would: it moves
-	// at Register and Unregister only.
-	PatternsDormant int64 `json:"patterns_dormant" stat:"gauge" help:"Live patterns Stage 1 skips because smaller live patterns write every row they would."`
+	// Stage1Items is the live row items: the kinds of witness row Stage 1
+	// writes, each from one pattern, which with the single-block queries'
+	// patterns are all a document can trigger. It moves at Register and
+	// Unregister only.
+	Stage1Items int64 `json:"stage1_items" stat:"gauge" help:"Live Stage-1 row items: the kinds of witness row Stage 1 writes, each from one pattern."`
 }
 
 // StatKind is how a statistic accumulates.

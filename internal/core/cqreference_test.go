@@ -180,18 +180,54 @@ func TestSymValueKind(t *testing.T) {
 }
 
 // referenceMatches evaluates every live template's conjunctive query CQ_T
-// for the current document's record the way the paper states it (Section 4.4,
+// for the current document d the way the paper states it (Section 4.4,
 // Template.Datalog) — one atom per value join side, structural edge, root
 // binding and the query relation RT, handed to the interpreted evaluator
 // EvalConjunctive (evalconjunctive_test.go), which picks its own join order —
-// and applies the Algorithm-3 window test to the RoutT rows. It shares nothing
-// with the compiled programs but the relations themselves.
-func referenceMatches(p *Processor, cur *docRec, d *xmldoc.Document) []Match {
+// and applies the Algorithm-3 window test to the RoutT rows. It reads no
+// Stage-1 row: cur is the document's reference rows and prev those of every
+// earlier document (demandRows, taken when each was published), looked up
+// for the documents the join state holds, and join values are compared as
+// strings. It shares nothing with the compiled programs but the
+// registration and the state's window bookkeeping.
+func referenceMatches(p *Processor, cur rowSets, prev map[xmldoc.DocID]rowSets, d *xmldoc.Document) []Match {
 	v := func(i int) string { return fmt.Sprintf("v%d", i) }
 	n := func(i int) string { return fmt.Sprintf("n%d", i) }
 	var out []Match
-	rbin, rdoc, rroot := stateRelations(p.state)
-	rbinW, rdocW, rrootW := witnessRelations(cur)
+	values := map[string]int64{}
+	value := func(s string) int64 {
+		if _, ok := values[s]; !ok {
+			values[s] = int64(len(values))
+		}
+		return values[s]
+	}
+	// The relations as witnessRelations and stateRelations lay out Stage 1's,
+	// a state row behind its slot.
+	relations := func(rs rowSets, slot []int64) (rbin, rdoc, rroot *Relation) {
+		lead := Schema{}
+		if slot != nil {
+			lead = Schema{Int("slot")}
+		}
+		with := func(s Schema) *Relation { return newRelation(append(slices.Clone(lead), s...)...) }
+		rbin, rdoc, rroot = with(rbinSchema), with(rdocSchema), with(rrootSchema)
+		for row := range rs.bin {
+			if row[rbinVar1] == noParent {
+				rroot.Insert(append(slices.Clone(slot), row[rbinVar2], row[rbinNode2])...)
+			} else {
+				rbin.Insert(append(slices.Clone(slot), row[:]...)...)
+			}
+		}
+		for row := range rs.doc {
+			rdoc.Insert(append(slices.Clone(slot), row.n, value(row.s))...)
+		}
+		return rbin, rdoc, rroot
+	}
+	rbinW, rdocW, rrootW := relations(cur, nil)
+	rbin, rdoc, rroot := relations(rowSets{}, []int64{0})
+	for _, slot := range p.state.order {
+		b, dc, rt := relations(prev[p.state.recs[slot].id], []int64{int64(slot)})
+		rbin.Rows, rdoc.Rows, rroot.Rows = append(rbin.Rows, b.Rows...), append(rdoc.Rows, dc.Rows...), append(rroot.Rows, rt.Rows...)
+	}
 	for _, t := range p.templateList {
 		var atoms []Atom
 		for k, e := range t.VJ {
@@ -285,8 +321,9 @@ func churnTrace(queries []*xscl.Query, docs []*xmldoc.Document) workload.Trace {
 	return tr
 }
 
-// TestCompiledPlanMatchesReference holds the compiled Stage-2 programs to
-// the interpreted reference, which never reads the vector-group trie,
+// TestCompiledPlanMatchesReference holds the compiled Stage-2 programs over
+// Stage 1's rows to the interpreted reference over rows derived without
+// Stage 1 (replayAgainstReference), which never reads the vector-group trie,
 // document by document, with Stage 1 run ahead on 1 and 4 goroutines
 // (stage1Ahead; under the race detector, Stage-1 workers beside the ordered
 // Consume). The traces cover multi-value-join templates with shared
@@ -390,37 +427,57 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// replayAgainstReference replays tr through a processor, comparing each document's matches with referenceMatches computed from the
-// same processor's relations just before the document is consumed. Stage 1
-// of each churn-free run of events runs ahead on workers goroutines. It
-// returns the number of matches compared.
+// replayAgainstReference replays tr through a processor, comparing each
+// document's matches with referenceMatches computed from reference rows the
+// processor's Stage 1 never wrote: the live demands' projections of the
+// naive matcher's witnesses of their blocks (demandRows, over a registry
+// rebuilt from the live queries after churn), which Stage 1's rows must
+// contain. Stage 1 of each churn-free run of events runs ahead on workers
+// goroutines. It returns the number of matches compared.
 func replayAgainstReference(t *testing.T, workers int, tr workload.Trace) int {
 	p := NewProcessor(Config{})
 	var ids []QueryID
-	for _, q := range tr.Initial {
+	live := map[QueryID]*xscl.Query{}
+	register := func(q *xscl.Query) {
 		ids = append(ids, p.MustRegister(q))
+		live[ids[len(ids)-1]] = q
 	}
+	for _, q := range tr.Initial {
+		register(q)
+	}
+	prev := map[xmldoc.DocID]rowSets{}
 	total := 0
 	for i := 0; i < len(tr.Events); {
 		for _, u := range tr.Events[i].Unsubscribe {
 			p.MustUnregister(ids[u])
+			delete(live, ids[u])
 		}
 		for _, q := range tr.Events[i].Subscribe {
-			ids = append(ids, p.MustRegister(q))
+			register(q)
 		}
+		var qs []*xscl.Query
+		for _, id := range ids {
+			if q := live[id]; q != nil {
+				qs = append(qs, q)
+			}
+		}
+		ref := refOf(t, qs)
 		docs := []*xmldoc.Document{tr.Events[i].Doc}
 		for j := i + 1; j < len(tr.Events) && len(tr.Events[j].Unsubscribe)+len(tr.Events[j].Subscribe) == 0; j++ {
 			docs = append(docs, tr.Events[j].Doc)
 		}
 		for k, r := range stage1Ahead(p, "S", docs, workers) {
-			// The reference joins the document's value ids with the
-			// state's, which Consume would resolve first.
-			p.state.resolve(r)
-			want := harnessRecs(referenceMatches(p, &r.rec, docs[k]))
+			d := docs[k]
+			cur := demandRows(p, ref, d)
+			if rows, _ := recordRows(r); !rows.contains(cur) {
+				t.Fatalf("event %d (doc %d): Stage 1's rows %v lack some of the demanded %v", i+k, d.ID, rows, cur)
+			}
+			want := harnessRecs(referenceMatches(p, cur, prev, d))
 			got := harnessRecs(p.Consume(r).Slice())
+			prev[d.ID] = cur
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("event %d (doc %d): compiled program diverges from the reference\ngot:  %v\nwant: %v",
-					i+k, docs[k].ID, got, want)
+					i+k, d.ID, got, want)
 			}
 			total += len(got)
 		}
@@ -668,12 +725,12 @@ func TestStage1WorkFollowsTriggeredPatterns(t *testing.T) {
 }
 
 // TestStage1RowsInRegistrationOrder holds RunStage1, which visits only the
-// triggered patterns, to a scan of every awake pattern in registration order
-// (the order the witness relations' rows and the single-block matches come
-// in; a dormant pattern writes nothing), after churn has revived patterns
-// under their old Stage-1 ids: on the deep_filter shape, where every
+// triggered patterns, to a scan of every live pattern in registration order
+// (the order the witness relations' rows — item registration order — and the
+// single-block matches come in), after churn has revived patterns under
+// their old Stage-1 ids: on the deep_filter shape, where nearly every
 // triggered pattern carries single-block queries, and on the paper-scale
-// shape, where most patterns are dormant.
+// shape, where every pattern is a row item's.
 func TestStage1RowsInRegistrationOrder(t *testing.T) {
 	deep, ps := workload.DefaultDeepFeed(), workload.DefaultPaperScale()
 	for _, tc := range []struct {
@@ -696,19 +753,13 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 			for i := 0; i < len(tc.queries); i += 6 {
 				p.MustRegister(tc.queries[i])
 			}
-			var awake []*patternInfo
-			for _, pi := range p.byYID {
-				if pi != nil && !pi.dormant {
-					awake = append(awake, pi)
-				}
-			}
-			slices.SortFunc(awake, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
+			live := livePatterns(p)
 			rows := 0
 			for _, d := range tc.stream {
 				got := p.RunStage1("S", d)
 				res := p.xp.MatchDocument("S", d)
 				want := buildRec(d, func(r *Stage1Result) {
-					for _, pi := range awake {
+					for _, pi := range live {
 						r.addWitnesses(pi, res)
 					}
 				})
@@ -733,7 +784,8 @@ func TestStage1RowsInRegistrationOrder(t *testing.T) {
 }
 
 // BenchmarkTriggeredOrder orders 185 triggered patterns — what a document of
-// the benchmark's paper_scale script triggers — by registration number:
+// the benchmark's paper_scale script triggered while Stage 1 assembled every
+// block pattern — by registration number:
 // packed integer keys (triggerOrder) against the comparator that looks both
 // patterns up per comparison.
 func BenchmarkTriggeredOrder(b *testing.B) {

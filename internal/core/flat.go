@@ -394,10 +394,11 @@ func (ks *keySet) docs(k headKey) uint64 {
 // rowIndex groups the rows of a relation by the value of one integer column.
 // Keys spanning a range not much wider than the row count — node ids, state
 // slots — get an offset array indexed by key minus the smallest key; sparse
-// keys (symbols, or the node ids of a hand-made snapshot) get their distinct
-// values in ascending order, found by binary search. Within a group, row
-// numbers ascend. build reuses the index's storage, so an index rebuilt for
-// every document allocates only when a document outgrows it.
+// keys (a deep document's node ids, symbols, or the node ids of a hand-made
+// snapshot) get their distinct values in ascending order, found by binary
+// search. Within a group, row numbers ascend. build reuses the index's
+// storage, so an index rebuilt for every document allocates only when a
+// document outgrows it.
 type rowIndex struct {
 	lo     int64
 	sparse bool
@@ -409,6 +410,14 @@ type rowIndex struct {
 // denseSlack bounds the empty groups a dense index may carry: with a key span
 // above twice the row count plus this, the index goes sparse.
 const denseSlack = 64
+
+// countSpan bounds the key span a sparse index is grouped by counting sort,
+// with its counts on the stack, and countRatio the span per row; a wider
+// span is sorted.
+const (
+	countSpan  = 1024
+	countRatio = 16
+)
 
 // build indexes the rows laid out in vals, width values a row, on column
 // col.
@@ -427,33 +436,59 @@ func (x *rowIndex) build(vals []int64, width, col int) {
 	}
 	// hi-lo wraps for extreme keys, but as an unsigned number it is the
 	// exact span.
-	if span := uint64(hi - lo); span > 2*uint64(n)+denseSlack {
-		x.buildSparse(vals, width, col)
-		return
+	span := uint64(hi - lo)
+	switch {
+	case span <= 2*uint64(n)+denseSlack:
+		x.lo = lo
+		x.off = resize(x.off, int(span)+2)
+		x.group(vals, width, col, lo, x.off[1:])
+		x.off[0] = 0
+	case span < countSpan && span <= countRatio*uint64(n):
+		// Sparse, grouped by counting sort: only the non-empty groups are
+		// kept, so the index holds at most one key per row.
+		var count [countSpan]int32
+		x.group(vals, width, col, lo, count[:span+1])
+		x.sparse = true
+		x.keys = slices.Grow(x.keys, n)
+		x.off = slices.Grow(x.off[:0], n+1)
+		start := int32(0)
+		for g, end := range count[:span+1] {
+			if end > start {
+				x.keys = append(x.keys, lo+int64(g))
+				x.off = append(x.off, start)
+			}
+			start = end
+		}
+		x.off = append(x.off, int32(n))
+	default:
+		x.buildSorted(vals, width, col)
 	}
-	// Counting sort: off[g+1] counts group g, the prefix sums make off[g]
-	// its start, placement advances off[g] to the start of g+1, and the
-	// shift restores it.
-	ng := int(hi-lo) + 1
-	x.lo = lo
-	x.off = resize(x.off, ng+1)
-	clear(x.off)
-	for i := col; i < len(vals); i += width {
-		x.off[vals[i]-lo+1]++
-	}
-	for g := 1; g <= ng; g++ {
-		x.off[g] += x.off[g-1]
-	}
-	for i := range n {
-		g := vals[i*width+col] - lo
-		x.rows[x.off[g]] = int32(i)
-		x.off[g]++
-	}
-	copy(x.off[1:], x.off[:ng])
-	x.off[0] = 0
 }
 
-func (x *rowIndex) buildSparse(vals []int64, width, col int) {
+// group places the row numbers into rows by counting sort of their keys
+// minus lo, which off has a counter for each of, and leaves off[g] at the
+// end of group g.
+func (x *rowIndex) group(vals []int64, width, col int, lo int64, off []int32) {
+	clear(off)
+	for i := col; i < len(vals); i += width {
+		off[vals[i]-lo]++
+	}
+	// The prefix sums make off[g] the end of group g; placement walks the
+	// rows backwards, moving off[g] to its start, and then past it.
+	for g := 1; g < len(off); g++ {
+		off[g] += off[g-1]
+	}
+	for i := len(x.rows) - 1; i >= 0; i-- {
+		g := vals[i*width+col] - lo
+		off[g]--
+		x.rows[off[g]] = int32(i)
+	}
+	// off[g] is now group g's start, which is group g-1's end.
+	copy(off, off[1:])
+	off[len(off)-1] = int32(len(x.rows))
+}
+
+func (x *rowIndex) buildSorted(vals []int64, width, col int) {
 	x.sparse = true
 	for i := range x.rows {
 		x.rows[i] = int32(i)

@@ -90,15 +90,18 @@ func TestFlatTablesEqualMaps(t *testing.T) {
 }
 
 // TestRowIndexLayouts checks both layouts of a row index against a scan:
-// keys spanning about the row count (dense), keys far apart (sparse),
-// negative and extreme keys, and a rebuild that reuses the storage of a
-// larger index; the key column lies inside a row of three values.
+// keys spanning about the row count (dense), keys spanning just past the
+// dense rule (sparse, grouped by counting sort at 30 rows and sorted at 3),
+// keys far apart (sparse, sorted), negative and extreme keys, and a rebuild
+// that reuses the storage of a larger index; the key column lies inside a
+// row of three values.
 func TestRowIndexLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var x rowIndex
 	for _, keys := range []func() int64{
 		func() int64 { return int64(rng.Intn(40)) },
 		func() int64 { return int64(rng.Intn(40)) - 20 },
+		func() int64 { return int64(rng.Intn(200)) - 100 },
 		func() int64 { return int64(rng.Intn(5)) * 1_000_003 },
 		func() int64 { return []int64{-1 << 63, 1<<63 - 1, 0}[rng.Intn(3)] },
 		func() int64 { return 7 },

@@ -19,7 +19,7 @@ func mergeDoc(s *State, id int64, ts int64, str string) {
 	b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(ts), "item")
 	b.Element(0, "a", str)
 	r := buildRec(b.Build(), func(r *Stage1Result) {
-		r.AddBin(1, 2, 0, 1)
+		addBin(r, 1, 2, 0, 1)
 		r.AddDoc(1)
 	})
 	s.resolve(r)
@@ -274,21 +274,21 @@ func TestRecordStorageReuse(t *testing.T) {
 		r.reset(b.Build())
 		stamped := 0
 		for _, e := range r.nodes {
-			if e.gen == r.gen {
+			if e == r.gen {
 				stamped++
 			}
 		}
-		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + r.rec.roots + stamped + len(r.binNext) + len(r.vals); n != 0 {
+		if n := len(r.rec.binVals) + len(r.rec.rdocVals) + r.rec.roots + stamped + len(r.vals); n != 0 {
 			t.Fatalf("document %d: a readied result holds %d values, rows and node entries", id, n)
 		}
 		v := 10 * id
-		for i := 0; i < 2; i++ { // the second round is deduplicated
-			r.AddBin(v, v+1, 0, 1)
+		addBin(r, v, v+1, 0, 1)
+		addRoot(r, v, 0)
+		for i := 0; i < 2; i++ { // the second is deduplicated
 			r.AddDoc(1)
-			addRoot(r, v, 0)
 		}
 		for i := 1; i < rows; i++ {
-			r.AddBin(v, v+1, xmldoc.NodeID(i), xmldoc.NodeID(i+1))
+			addBin(r, v, v+1, xmldoc.NodeID(i), xmldoc.NodeID(i+1))
 		}
 		r.rec.seal()
 		if r.rec.numBin() != rows+1 || r.rec.numDoc() != 1 || r.rec.roots != 1 {
@@ -334,7 +334,7 @@ func TestRecordStorageReuse(t *testing.T) {
 	}
 	// A burst document's storage: the slot it took drops it when it is
 	// freed, and a result readied after holding it drops it too, with the
-	// dedup arrays grown past recKeep.
+	// node stamps grown past recKeep.
 	burst := recKeep/rbinWidth + 1
 	merge(7, burst)
 	if _, dropped := s.GC(8, noSeq, nil); dropped != 4*3+burst+2 {
@@ -346,16 +346,20 @@ func TestRecordStorageReuse(t *testing.T) {
 		}
 	}
 	b := xmldoc.NewBuilder(8, 8, "item")
+	for i := 0; i <= recKeep; i++ {
+		b.Element(0, "a", "")
+	}
 	r.reset(b.Build())
 	for i := 0; i <= burst; i++ {
-		r.AddBin(1, 2, xmldoc.NodeID(4*i), xmldoc.NodeID(4*i+1))
+		addBin(r, 1, 2, xmldoc.NodeID(4*i), xmldoc.NodeID(4*i+1))
 	}
+	r.AddDoc(recKeep + 1)
 	if r.rec.storage() <= recKeep || len(r.nodes) <= recKeep {
 		t.Fatalf("test premise: the burst grew the record to %d values and %d node entries", r.rec.storage(), len(r.nodes))
 	}
 	merge(9, 1)
-	if r.rec.storage() > recKeep || cap(r.nodes) > recKeep || cap(r.binNext) > recKeep {
-		t.Errorf("after a burst: %d values, %d node entries and %d chain links kept", r.rec.storage(), cap(r.nodes), cap(r.binNext))
+	if r.rec.storage() > recKeep || cap(r.nodes) > recKeep {
+		t.Errorf("after a burst: %d values and %d node entries kept", r.rec.storage(), cap(r.nodes))
 	}
 }
 

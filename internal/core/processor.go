@@ -77,19 +77,19 @@ type Processor struct {
 	// documents. It writes the document's runs into result.
 	ex cqExec
 
-	// patterns holds the live patterns by canonical key (the normalized
-	// block's xpath.NormalForm.Key); byYID is the same set by Stage-1
-	// pattern id (nil for an id no live pattern holds), which is how
-	// RunStage1 reaches the patterns a document triggered. patternSeq
-	// numbers the patterns in registration order (patternInfo.seq).
+	// patterns holds the live Stage-1 patterns by canonical key: the
+	// normalized blocks of single-block queries and the class patterns of
+	// row items (rowItem). byYID is the same set by Stage-1 pattern id (nil
+	// for an id no live pattern holds), which is how RunStage1 reaches the
+	// patterns a document triggered. patternSeq numbers the patterns in
+	// registration order (patternInfo.seq).
 	patterns   map[string]*patternInfo
 	byYID      []*patternInfo
 	patternSeq int64
-	// families holds the live patterns by their root's path id, in
-	// registration order: the only patterns that can cover one another
-	// (dormant.go). dormant counts the dormant ones.
-	families map[int64][]*patternInfo
-	dormant  int64
+	// demands holds the live demands by their encoding (appendDemandKey),
+	// and items the live row items by their class names.
+	demands map[string]*demand
+	items   map[[2]int64]*rowItem
 
 	state    *State
 	departed []xmldoc.DocID // Departed
@@ -158,48 +158,58 @@ type instance struct {
 	// the group's class with that key, which Unregister leaves.
 	key   windowKey
 	group *vecGroup
-	// left and right are the witness-extraction demands this instance
-	// placed on its block patterns, released on Unregister. They are the
-	// patterns' shared records (patternInfo.contribs), not copies.
-	left, right *patternContrib
+	// left and right are the demands this instance's blocks place on
+	// Stage 1, released on Unregister. They are the processor's shared
+	// records (Processor.demands), not copies.
+	left, right *demand
 }
 
-// patternContrib is one demand on a block pattern: the structural edges
-// (with the roots of single-node sides, as parentless edges) and
-// string-value nodes the pattern must extract from each witness. Instances
-// of one template over one pattern demand the same thing, so a pattern keeps
-// one record per distinct demand (patternInfo.contribs) and refs counts the
-// instance sides sharing it.
+// demand is what one block of a join instance asks of Stage 1: the rows of
+// its side's structural edges (the root of a single-node side a parentless
+// edge) and the string values of its value-join nodes. Instances whose
+// blocks have one normal form and join on the same nodes demand the same
+// thing, so one record serves them all and refs counts the instance sides
+// sharing it.
 //
-// ids[i] is the interned class name (classNames) of node i for the nodes the
-// demand keeps — its string-value nodes and their ancestors — and -1 for the
-// others: the demand's rows are written under them, and its instances' RT
-// tuples read them. The edge items carry the ids of their nodes.
-type patternContrib struct {
-	pi       *patternInfo
-	edges    []binItem
-	strNodes []int32
-	ids      []int64
+// ids[i] is the interned class name (classNames) of node i of the block's
+// normalized pattern for the nodes the demand keeps — its string-value nodes
+// and their ancestors — and -1 for the others: its instances' RT tuples read
+// them. items are the row items its edges name, each with the ends whose
+// string values the demand needs.
+type demand struct {
+	key   string // in Processor.demands
+	ids   []int64
+	items []demandItem
+	refs  int
+}
 
-	key  string // in pi.contribs
+type demandItem struct {
+	it  *rowItem
+	val [2]bool
+}
+
+// rowItem is one kind of row Stage 1 writes: an Rbin edge from a node of
+// class id[0] to a node of class id[1], or, with id[0] noParent, the root
+// of a single-node side, whose row is (noParent, class, noParent, node). Its
+// pattern is the class pattern of the edge's child — the path from the block
+// root to it and, unbound, the subtrees the class name says are dropped
+// along that path (itemPattern) — binding the edge's nodes, so each of its
+// witnesses is one row, written once whatever number of demands name the
+// item. refs counts the live demands naming it, and vals[j] those of them
+// that need the string value of end j (the parent, the child): an RdocW
+// row.
+type rowItem struct {
+	id   [2]int64
+	pi   *patternInfo
 	refs int
+	vals [2]int
 }
 
-// binItem is a structural edge a pattern emits: the nodes' indexes and the
-// ids their Rbin rows are written under. The root of a single-node side is
-// an edge with noParent for the parent's index and id: its row is
-// (noParent, class, noParent, node). One node pair can be emitted under two
-// demands' ids.
-type binItem struct {
-	n  [2]int32
-	id [2]int64
-}
-
-// patternInfo records what the Join Processor extracts from the witnesses of
-// one distinct registered pattern. Each emission set is refcounted over the
-// contributions of the live instances (and single queries) referencing the
-// pattern, so Unregister narrows Stage-1 extraction back to exactly what the
-// surviving queries need.
+// patternInfo is one pattern registered with the Stage-1 engine: the
+// normalized, fully bound block of single-block queries, which fire once per
+// witness, or the class pattern of row items, or both when the two coincide.
+// It is live while it has either; Unregister drops it from Stage-1
+// extraction with the last.
 type patternInfo struct {
 	yid yfilter.PatternID
 	key string // in Processor.patterns
@@ -207,33 +217,10 @@ type patternInfo struct {
 	// triggered patterns' rows in seq order, which fixes the witness
 	// relations' row order.
 	seq int64
-	// pathIDs[i] is the interned step path of node i of the normalized,
-	// fully bound pattern pat (the Stage-1 engine's own): its class name
-	// with nothing dropped. Homomorphisms between patterns keep it, and sig
-	// sets one of 64 bits per path, so a pattern whose sig is not within
-	// another's cannot cover it. A dormant pattern is out of the Stage-1
-	// engine: smaller live patterns write all its rows (dormant.go).
-	pathIDs []int64
-	pat     *xpath.Pattern
-	sig     uint64
-	dormant bool
-	// singles lists the single-block (OpNone) queries on the pattern, which
-	// fire once per witness.
+	// nv is the number of nodes a witness binds.
+	nv      int
 	singles []QueryID
-
-	// refs counts live instance sides and single queries; at zero the
-	// pattern is dropped from Stage-1 extraction.
-	refs int
-
-	// contribs holds the distinct live demands, by their encoding
-	// (appendContribKey); the emission sets below count them, not the
-	// instance sides sharing them.
-	contribs map[string]*patternContrib
-
-	edgeCount map[binItem]int
-	edges     []binItem // structural edges to emit to RbinW
-	strCount  map[int32]int
-	strNodes  []int32 // nodes whose string values go to RdocW
+	items   []*rowItem
 }
 
 // NewProcessor returns an empty processor.
@@ -245,7 +232,8 @@ func NewProcessor(cfg Config) *Processor {
 		queries:   map[QueryID]*queryRec{},
 		templates: map[string]*Template{},
 		patterns:  map[string]*patternInfo{},
-		families:  map[int64][]*patternInfo{},
+		demands:   map[string]*demand{},
+		items:     map[[2]int64]*rowItem{},
 		canonMemo: map[string]canonResult{},
 		state:     NewState(),
 	}
@@ -267,7 +255,7 @@ func (p *Processor) Stats() Stats {
 	s.StateRbinRows, s.StateRdocRows, s.StateRrootRows = int64(bin), int64(doc), int64(root)
 	s.StateValues = int64(p.state.NumValues())
 	s.SubscriptionBytes = p.recBytes
-	s.PatternsDormant = p.dormant
+	s.Stage1Items = int64(len(p.items))
 	return s
 }
 
@@ -292,9 +280,7 @@ func (p *Processor) Register(q *xscl.Query) (QueryID, error) {
 	lf.Compute(q.Left)
 	if q.Op == xscl.OpNone {
 		pi := p.patternFor(q.Left, lf)
-		pi.refs++
 		pi.singles = append(pi.singles, qid)
-		p.setDormant(pi, false)
 		rec.single = pi
 		p.addQuery(qid, rec)
 		return qid, nil
@@ -413,12 +399,7 @@ func (p *Processor) Unregister(qid QueryID) error {
 	if rec.single != nil {
 		pi := rec.single
 		pi.singles = removeFirst(pi.singles, qid)
-		pi.refs--
-		if pi.refs == 0 {
-			p.removePattern(pi)
-		} else if len(pi.singles) == 0 {
-			p.setDormant(pi, p.coverable(pi))
-		}
+		p.dropUnused(pi)
 	}
 	for _, inst := range rec.insts {
 		if inst != nil {
@@ -445,22 +426,15 @@ func (p *Processor) Unregister(qid QueryID) error {
 }
 
 // unregisterInstance reclaims one instance of query qid: its vector group
-// entry (its RT row), its pattern contributions, and — when it was the
+// entry (its RT row), its demands, and — when it was the
 // template's last instance — the template itself. It is both the Unregister
 // work-horse and the rollback path of a partially failed Register.
 func (p *Processor) unregisterInstance(qid QueryID, inst *instance) {
 	t := inst.tmpl
 	t.removeVector(&p.joins, inst.group, inst.key, qid)
 
-	lpi, rpi := inst.left.pi, inst.right.pi
 	p.release(inst.left)
 	p.release(inst.right)
-	if lpi.refs == 0 {
-		p.removePattern(lpi)
-	}
-	if rpi != lpi && rpi.refs == 0 {
-		p.removePattern(rpi)
-	}
 
 	t.refs--
 	if t.refs == 0 {
@@ -484,17 +458,19 @@ func (p *Processor) countShapes(t *Template, d int) {
 	}
 }
 
-// removePattern drops a pattern no live query references from Stage-1
-// extraction. The shared NFA keeps its states (they are shared across
-// patterns and rebuilding it would stall ingestion), but the pattern is
-// marked dead, so no document triggers it and candidate collection for its
-// exclusive path prefixes stops. A later Register of an equal pattern
-// revives it, as a new patternInfo with the next seq.
-func (p *Processor) removePattern(pi *patternInfo) {
+// dropUnused drops a pattern that has lost its last single-block query and
+// row item from Stage-1 extraction. The shared NFA keeps its states (they
+// are shared across patterns and rebuilding it would stall ingestion), but
+// the pattern is marked dead, so no document triggers it and candidate
+// collection for its exclusive path prefixes stops. A later Register of an
+// equal pattern revives it, as a new patternInfo with the next seq.
+func (p *Processor) dropUnused(pi *patternInfo) {
+	if len(pi.singles) > 0 || len(pi.items) > 0 {
+		return
+	}
 	delete(p.patterns, pi.key)
 	p.byYID[pi.yid] = nil
 	p.xp.SetLive(pi.yid, false)
-	p.leaveFamily(pi)
 }
 
 // recomputeWindows re-derives the window maxima from the live queries, so GC
@@ -535,16 +511,21 @@ func (p *Processor) MustRegister(q *xscl.Query) QueryID {
 
 // regScratch is Register's working storage, reused so that a query of a known
 // template allocates little beyond its own records: the blocks' normal forms,
-// the join graph, its minor and memo key, the RT tuple and pattern demands.
+// the join graph, its minor and memo key, the RT tuple and the demands.
 type regScratch struct {
-	norm       [2]xpath.NormalForm
-	full, red  JoinGraph
-	minor      minorScratch
-	raw        []byte
-	edges      []VJEdge
-	varIDs     []int32
-	contribs   [2]patternContrib
-	contribKey []byte // a demand's encoding (appendContribKey)
+	norm      [2]xpath.NormalForm
+	full, red JoinGraph
+	minor     minorScratch
+	raw       []byte
+	edges     []VJEdge
+	varIDs    []int32
+	// dedges and strNodes are each side's demand, in its block's node
+	// indexes: its edges (noParent for a single-node side's root's parent)
+	// and its value-join nodes. demandKey is a demand's encoding
+	// (appendDemandKey).
+	dedges    [2][][2]int32
+	strNodes  [2][]int32
+	demandKey []byte
 }
 
 // rawKey writes the raw encoding of a reduced join graph, exactly as laid
@@ -602,36 +583,28 @@ func (p *Processor) registerInstance(q *xscl.Query, qid QueryID, lf, rf *xpath.N
 	}
 	tmpl.refs++
 
-	// Register the two block patterns and record, per pattern, the
-	// structural edges (a single-node side's root a parentless one) and
-	// string-value nodes this instance needs (acquired refcounted, released
-	// on Unregister). A reduced node is traced to its normalized pattern node
-	// through the block's index map.
-	lpi := p.patternFor(q.Left, lf)
-	rpi := p.patternFor(q.Right, rf)
-	lc, rc := &p.reg.contribs[0], &p.reg.contribs[1]
-	lc.reset(lpi)
-	rc.reset(rpi)
-	for _, side := range [2]struct {
-		c *patternContrib
-		f *xpath.NormalForm
-		s *SideGraph
-	}{{lc, lf, &red.LeftSide}, {rc, rf, &red.RightSide}} {
-		for i, nd := range side.s.Nodes {
+	// Each block's demand: the structural edges of its side (a single-node
+	// side's root a parentless one) and its value-join nodes, acquired
+	// refcounted and released on Unregister. A reduced node is traced to its
+	// block's node by its pattern node.
+	at := func(s *SideGraph, i int) int32 { return int32(s.Nodes[i].PatternNode.Index) }
+	for side, s := range [2]*SideGraph{&red.LeftSide, &red.RightSide} {
+		edges := p.reg.dedges[side][:0]
+		for i, nd := range s.Nodes {
 			if nd.Parent >= 0 {
-				side.c.edges = appendNew(side.c.edges, binItem{n: [2]int32{normIndex(side.f, side.s, nd.Parent), normIndex(side.f, side.s, i)}})
+				edges = appendNew(edges, [2]int32{at(s, nd.Parent), at(s, i)})
 			}
 		}
-		if len(side.s.Nodes) == 1 {
-			side.c.edges = appendNew(side.c.edges, binItem{n: [2]int32{noParent, normIndex(side.f, side.s, 0)}})
+		if len(s.Nodes) == 1 {
+			edges = append(edges, [2]int32{noParent, at(s, 0)})
 		}
+		p.reg.dedges[side], p.reg.strNodes[side] = edges, p.reg.strNodes[side][:0]
 	}
-	// Value-join endpoints need string values.
 	for _, e := range red.VJ {
-		lc.strNodes = appendNew(lc.strNodes, normIndex(lf, &red.LeftSide, e.L))
-		rc.strNodes = appendNew(rc.strNodes, normIndex(rf, &red.RightSide, e.R))
+		p.reg.strNodes[0] = appendNew(p.reg.strNodes[0], at(&red.LeftSide, e.L))
+		p.reg.strNodes[1] = appendNew(p.reg.strNodes[1], at(&red.RightSide, e.R))
 	}
-	left, right := p.acquire(lc), p.acquire(rc)
+	left, right := p.acquire(q.Left, lf, 0), p.acquire(q.Right, rf, 1)
 
 	// Record the query's RT tuple — at each template position, the id the
 	// demand writes the node's rows under — in its vector group, in the
@@ -659,11 +632,6 @@ func normIndex(f *xpath.NormalForm, s *SideGraph, i int) int32 {
 	return int32(f.Map[s.Nodes[i].PatternNode.Index])
 }
 
-// reset empties the scratch contribution for a new instance side.
-func (c *patternContrib) reset(pi *patternInfo) {
-	c.pi, c.edges, c.strNodes = pi, c.edges[:0], c.strNodes[:0]
-}
-
 // appendNew appends v to s unless s holds it already: an instance side's
 // demand lists are deduplicated as they are assembled.
 func appendNew[T comparable](s []T, v T) []T {
@@ -673,101 +641,125 @@ func appendNew[T comparable](s []T, v T) []T {
 	return append(s, v)
 }
 
-// appendContribKey appends the encoding a pattern files a demand under: its
-// string-value nodes. They are the side's value-join nodes, and the minor
-// they make fixes the rest — the edges and the names.
-func appendContribKey(b []byte, c *patternContrib) []byte {
-	for _, n := range c.strNodes {
-		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+// appendDemandKey appends the encoding a demand is filed under: the number
+// of its string-value nodes, their indexes in the normalized block, and the
+// block's normal form key, so equal blocks written apart share it. The
+// value-join nodes make the minor, which fixes the rest — the edges and the
+// names.
+func appendDemandKey(b []byte, f *xpath.NormalForm, strNodes []int32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(strNodes)))
+	for _, n := range strNodes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(f.Map[n]))
 	}
-	return b
+	return append(b, f.Key...)
 }
 
-// acquire takes one reference on the scratch demand's record in its pattern,
-// creating the record — naming the nodes it keeps (classNames), and folding
-// its items, under those ids, into the pattern's refcounted emission sets,
-// where an item appearing for the first time joins the emission lists — when
-// no live instance side demands the same; an item new to the pattern settles
-// its dormancy and that of the patterns it may cover.
-func (p *Processor) acquire(scratch *patternContrib) *patternContrib {
-	pi := scratch.pi
-	pi.refs++
-	p.reg.contribKey = appendContribKey(p.reg.contribKey[:0], scratch)
-	c := pi.contribs[string(p.reg.contribKey)]
-	if c != nil {
-		c.refs++
-		return c
+// acquire takes one reference on the demand of side side of the scratch
+// (regScratch.dedges, strNodes) on block, whose normal form is f, creating
+// the record when no live instance side demands the same: it names the
+// nodes the demand keeps (classNames), interning the names in the
+// normalized block's order, and takes a reference on the row item of each
+// edge, registering the items new to the processor.
+func (p *Processor) acquire(block *xpath.Pattern, f *xpath.NormalForm, side int) *demand {
+	strNodes := p.reg.strNodes[side]
+	p.reg.demandKey = appendDemandKey(p.reg.demandKey[:0], f, strNodes)
+	if d := p.demands[string(p.reg.demandKey)]; d != nil {
+		d.refs++
+		return d
 	}
-	c = &patternContrib{
-		pi: pi, key: string(p.reg.contribKey), refs: 1,
-		edges: slices.Clone(scratch.edges), strNodes: slices.Clone(scratch.strNodes),
-		ids: make([]int64, len(pi.pat.Nodes)),
+	names := classNames(block, strNodes)
+	d := &demand{key: string(p.reg.demandKey), refs: 1, ids: make([]int64, len(names))}
+	byNorm := make([]string, len(names))
+	for i, name := range names {
+		byNorm[f.Map[i]] = name
 	}
-	for i, name := range classNames(pi.pat, c.strNodes) {
-		c.ids[i] = -1
+	for i, name := range byNorm {
+		d.ids[i] = -1
 		if name != "" {
-			c.ids[i] = p.syms.intern(name)
+			d.ids[i] = p.syms.intern(name)
 		}
 	}
-	for i, e := range c.edges {
-		c.edges[i].id = [2]int64{noParent, c.ids[e.n[1]]}
-		if e.n[0] != noParent {
-			c.edges[i].id[0] = c.ids[e.n[0]]
+	for _, e := range p.reg.dedges[side] {
+		id := [2]int64{noParent, d.ids[f.Map[e[1]]]}
+		if e[0] != noParent {
+			id[0] = d.ids[f.Map[e[0]]]
 		}
+		it := p.items[id]
+		if it == nil {
+			it = &rowItem{id: id, pi: p.itemPatternFor(itemPattern(block, e, names))}
+			it.pi.items = append(it.pi.items, it)
+			p.items[id] = it
+		}
+		it.refs++
+		di := demandItem{it: it, val: [2]bool{e[0] != noParent && slices.Contains(strNodes, e[0]), slices.Contains(strNodes, e[1])}}
+		for j, v := range di.val {
+			if v {
+				it.vals[j]++
+			}
+		}
+		d.items = append(d.items, di)
 	}
-	pi.contribs[c.key] = c
-	n := pi.items()
-	pi.edges = countIn(pi.edgeCount, pi.edges, c.edges)
-	pi.strNodes = countIn(pi.strCount, pi.strNodes, c.strNodes)
-	if pi.items() > n {
-		p.settle(pi, true)
-	}
-	return c
+	p.demands[d.key] = d
+	return d
 }
 
-// countIn counts items into count and appends those counted for the first
-// time to list; countOut undoes it, removing from list (order preserved)
-// those whose count reaches zero.
-func countIn[K comparable](count map[K]int, list, items []K) []K {
-	for _, k := range items {
-		if count[k]++; count[k] == 1 {
-			list = append(list, k)
-		}
-	}
-	return list
-}
-
-func countOut[K comparable](count map[K]int, list, items []K) []K {
-	for _, k := range items {
-		if count[k]--; count[k] == 0 {
-			delete(count, k)
-			list = removeFirst(list, k)
-		}
-	}
-	return list
-}
-
-// release undoes acquire; when the record's last reference goes, an item
-// whose count reaches zero leaves the emission lists (order of the survivors
-// is preserved), and a pattern that lost an item settles again, before the
-// caller removes it if it is left unreferenced.
-func (p *Processor) release(c *patternContrib) {
-	pi := c.pi
-	pi.refs--
-	if c.refs--; c.refs > 0 {
+// release undoes acquire. When the demand's last reference goes, it lets go
+// of its items, and an item no live demand names leaves its pattern, which
+// leaves Stage 1 with its last item or single-block query.
+func (p *Processor) release(d *demand) {
+	if d.refs--; d.refs > 0 {
 		return
 	}
-	delete(pi.contribs, c.key)
-	n := pi.items()
-	pi.edges = countOut(pi.edgeCount, pi.edges, c.edges)
-	pi.strNodes = countOut(pi.strCount, pi.strNodes, c.strNodes)
-	if pi.items() < n {
-		p.settle(pi, false)
+	delete(p.demands, d.key)
+	for _, di := range d.items {
+		it := di.it
+		for j, v := range di.val {
+			if v {
+				it.vals[j]--
+			}
+		}
+		if it.refs--; it.refs == 0 {
+			delete(p.items, it.id)
+			it.pi.items = removeFirst(it.pi.items, it)
+			p.dropUnused(it.pi)
+		}
 	}
 }
 
-// items counts the demand items the pattern emits.
-func (pi *patternInfo) items() int { return len(pi.edges) + len(pi.strNodes) }
+// itemPattern builds the class pattern of edge e's child in block, whose
+// nodes a demand names with names ("" for a node it drops): the path from
+// the block's root to the child and, at every node on it, the subtrees the
+// demand drops there, unbound. It binds the edge's nodes, the parent first
+// (none for a parentless edge), so a witness is one row. The child's class
+// name spells exactly this pattern, which is why one pattern serves every
+// demand that names the item: its witnesses contain every demand's
+// projections of its block's witnesses, and a template row built from item
+// rows still extends to a block witness (DESIGN.md, "Stage 1 writes each
+// row once").
+func itemPattern(block *xpath.Pattern, e [2]int32, names []string) *xpath.Pattern {
+	var path []int32
+	for n := e[1]; n >= 0; n = int32(block.Nodes[n].ParentIndex) {
+		path = append(path, n)
+	}
+	var copyNode func(n *xpath.PatternNode, depth int) *xpath.PatternNode
+	copyNode = func(n *xpath.PatternNode, depth int) *xpath.PatternNode {
+		c := &xpath.PatternNode{Axis: n.Axis, Name: n.Name, IsAttr: n.IsAttr}
+		onPath := depth >= 0
+		if onPath && (int32(n.Index) == e[0] || int32(n.Index) == e[1]) {
+			c.Var = "$" + strconv.Itoa(n.Index)
+		}
+		for _, k := range n.Children {
+			switch {
+			case names[k.Index] == "" || !onPath:
+				c.Children = append(c.Children, copyNode(k, -1))
+			case depth > 0 && int32(k.Index) == path[depth-1]:
+				c.Children = append(c.Children, copyNode(k, depth-1))
+			}
+		}
+		return c
+	}
+	return xpath.NewPattern(block.Stream, copyNode(block.Root, len(path)-1))
+}
 
 // removeFirst removes the first occurrence of v from s, preserving order.
 func removeFirst[T comparable](s []T, v T) []T {
@@ -777,32 +769,35 @@ func removeFirst[T comparable](s []T, v T) []T {
 	return s
 }
 
-// patternFor returns the live pattern of a block whose normal form is f,
-// registering the normalized, fully bound block with the shared XPath engine
-// when no live pattern has its key. Only then is the normalized pattern built
-// and its step paths interned, in the pattern's pre-order.
+// patternFor returns the live pattern of a single-block query's block, whose
+// normal form is f, registering the normalized, fully bound block with the
+// shared XPath engine when no live pattern has its key. Only then is the
+// normalized pattern built.
 func (p *Processor) patternFor(block *xpath.Pattern, f *xpath.NormalForm) *patternInfo {
 	if pi := p.patterns[string(f.Key)]; pi != nil {
 		return pi
 	}
-	key := string(f.Key)
-	yid := p.xp.Register(f.Pattern(block)) // its CanonicalKey is key
-	// A revived pattern keeps the representative it was first registered
-	// with: the same tree, so the same names node for node.
-	rep := p.xp.Pattern(yid)
-	pi := &patternInfo{
-		yid: yid, key: key, seq: p.patternSeq, pat: rep,
-		pathIDs:   make([]int64, len(rep.Nodes)),
-		contribs:  map[string]*patternContrib{},
-		edgeCount: map[binItem]int{},
-		strCount:  map[int32]int{},
+	return p.addPattern(f.Pattern(block), string(f.Key))
+}
+
+// itemPatternFor returns the live pattern equal to a row item's class
+// pattern pat, registering pat when there is none.
+func (p *Processor) itemPatternFor(pat *xpath.Pattern) *patternInfo {
+	key := pat.CanonicalKey()
+	if pi := p.patterns[key]; pi != nil {
+		return pi
 	}
-	for i, name := range classNames(rep, nil) {
-		pi.pathIDs[i] = p.syms.intern(name)
-	}
+	return p.addPattern(pat, key)
+}
+
+// addPattern registers pat, whose canonical key is key, with the shared
+// XPath engine. A revived pattern keeps the representative it was first
+// registered with, which binds the same nodes in the same order.
+func (p *Processor) addPattern(pat *xpath.Pattern, key string) *patternInfo {
+	yid := p.xp.Register(pat)
+	pi := &patternInfo{yid: yid, key: key, seq: p.patternSeq, nv: len(p.xp.Pattern(yid).VarNodes)}
 	p.patternSeq++
 	p.patterns[key] = pi
-	p.joinFamily(pi)
 	for int(yid) >= len(p.byYID) {
 		p.byYID = append(p.byYID, nil)
 	}
@@ -830,14 +825,11 @@ type Stage1Result struct {
 	// values against the state's dictionary (State.resolve).
 	vals []rdocValue
 
-	// nodes deduplicates the rows by node id: nodes[n] speaks for node n of
-	// this document only while its gen equals gen, which reset advances, so
-	// a later document finds every entry stale without a clear.
-	// binNext[i] chains Rbin row i to the previous row with the same child
-	// node, -1 ending the chain. None of it enters the state.
-	gen     uint32
-	nodes   []witnessNode
-	binNext []int32
+	// nodes stamps the nodes whose RdocW row the document has: nodes[n] ==
+	// gen, which reset advances, so a later document finds every stamp
+	// stale without a clear. It does not enter the state.
+	gen   uint32
+	nodes []uint32
 	// order is RunStage1's scratch: the triggered patterns' sort keys
 	// (Processor.triggerOrder).
 	order []uint64
@@ -860,19 +852,12 @@ type rdocValue struct {
 	hash uint64
 }
 
-// witnessNode is what the current document's rows hold for one node: the
-// newest Rbin row with it as node2 and its Rdoc row, each -1 for none.
-type witnessNode struct {
-	gen      uint32
-	bin, doc int32
-}
-
 // stage1Pool holds consumed Stage-1 results, so a document's record, its
-// dedup arrays and its single-block match buffer cost no allocation once
+// node stamps and its single-block match buffer cost no allocation once
 // grown. The record a result brings back is the storage of the slot its
 // document took in the join state.
 //
-//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the dedup arrays, the row values and singles and sets every other field before handing it out; Consume clears the row values' strings once it has resolved them
+//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the node stamps, the row values and singles and sets every other field before handing it out; Consume clears the row values' strings once it has resolved them
 var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
 
 // newStage1 returns a pooled result readied for document d: an empty record
@@ -883,7 +868,7 @@ func newStage1(d *xmldoc.Document) *Stage1Result {
 	return r
 }
 
-// reset readies r for document d. Its record and dedup arrays keep their
+// reset readies r for document d. Its record and node stamps keep their
 // storage, up to recKeep values each.
 func (r *Stage1Result) reset(d *xmldoc.Document) {
 	r.doc, r.singles, r.vals = d, r.singles[:0], r.vals[:0]
@@ -891,61 +876,37 @@ func (r *Stage1Result) reset(d *xmldoc.Document) {
 		r.rec.carve(r.sized)
 	}
 	r.rec.id, r.rec.ts = d.ID, d.Timestamp
-	if len(r.nodes) > recKeep || cap(r.binNext) > recKeep {
-		r.nodes, r.binNext = nil, nil
+	if len(r.nodes) > recKeep {
+		r.nodes = nil
 	}
 	if cap(r.vals) > recKeep {
 		r.vals = nil
 	}
-	r.binNext = r.binNext[:0]
 	if r.gen++; r.gen == 0 {
 		clear(r.nodes)
 		r.gen = 1
 	}
 }
 
-// node returns node n's entry for the current document.
-func (r *Stage1Result) node(n xmldoc.NodeID) *witnessNode {
+// AddDoc inserts node n's string-value row unless the document has it. The
+// value is computed — an interior element's is concatenated
+// (xmldoc.Document.StringValue) — and hashed only when the row is new. It
+// takes no lock: Consume resolves the value to the join state's id, and
+// everything downstream (witness joins, the pairs, the state's posting
+// lists) sees only the id.
+func (r *Stage1Result) AddDoc(n xmldoc.NodeID) {
 	if need := int(n) + 1; need > len(r.nodes) {
 		r.nodes = slices.Grow(r.nodes, need-len(r.nodes))[:need]
 	}
-	e := &r.nodes[n]
-	if e.gen != r.gen {
-		*e = witnessNode{gen: r.gen, bin: -1, doc: -1}
-	}
-	return e
-}
-
-// AddBin inserts a deduplicated structural-edge binding tuple; a
-// single-node side's root binds with var1 and n1 noParent.
-func (r *Stage1Result) AddBin(var1, var2 int64, n1, n2 xmldoc.NodeID) {
-	e := r.node(n2)
-	for i := e.bin; i >= 0; i = r.binNext[i] {
-		if row := r.rec.binRow(i); row[rbinVar1] == var1 && row[rbinVar2] == var2 && row[rbinNode1] == int64(n1) {
-			return
-		}
-	}
-	r.binNext = append(r.binNext, e.bin)
-	e.bin = int32(len(r.rec.binVals) / rbinWidth)
-	r.rec.addBin(var1, var2, int64(n1), int64(n2))
-}
-
-// AddDoc inserts a deduplicated string-value tuple for node n of the
-// result's document. The value is computed — an interior element's is
-// concatenated (xmldoc.Document.StringValue) — and hashed only when the row
-// is new. It takes no lock: Consume resolves the value to the join state's
-// id, and everything downstream (witness joins, the views, the state's
-// posting lists) sees only the id.
-func (r *Stage1Result) AddDoc(n xmldoc.NodeID) {
-	if e := r.node(n); e.doc < 0 {
-		r.insertDoc(e, n, r.doc.StringValue(n))
+	if r.nodes[n] != r.gen {
+		r.nodes[n] = r.gen
+		r.insertDoc(n, r.doc.StringValue(n))
 	}
 }
 
-// insertDoc inserts node n's row, with string value strVal, as its entry e
-// records. The row's value id is Consume's to write.
-func (r *Stage1Result) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string) {
-	e.doc = int32(len(r.rec.rdocVals) / rdocWidth)
+// insertDoc appends node n's row, with string value strVal. The row's value
+// id is Consume's to write.
+func (r *Stage1Result) insertDoc(n xmldoc.NodeID, strVal string) {
 	r.rec.addDoc(int64(n), -1)
 	r.vals = append(r.vals, rdocValue{strVal, maphash.String(valueSeed, strVal)})
 }
@@ -954,18 +915,6 @@ func (r *Stage1Result) insertDoc(e *witnessNode, n xmldoc.NodeID, strVal string)
 func (r *Stage1Result) seal() {
 	r.rec.seal()
 	r.sized = [2]int{len(r.rec.binVals), len(r.rec.rdocVals)}
-}
-
-// docValue returns the join value id of node n, if the document has an Rdoc
-// row for it. The ids are there once Consume has resolved them.
-func (r *Stage1Result) docValue(n int64) (int32, bool) {
-	if n < 0 || n >= int64(len(r.nodes)) {
-		return 0, false
-	}
-	if e := &r.nodes[n]; e.gen == r.gen && e.doc >= 0 {
-		return int32(r.rec.docRow(e.doc)[rdocStrVal]), true
-	}
-	return 0, false
 }
 
 // RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
@@ -1019,25 +968,32 @@ func (p *Processor) triggerOrder(keys []uint64, trig []yfilter.PatternID) []uint
 }
 
 // addWitnesses writes one pattern's witnesses in the document into the
-// document's record and its single-block queries' matches.
+// document's record — a row per witness for each of its row items, with the
+// string values the item's demands need — and its single-block queries'
+// matches. No two items write the same row, and an item's witnesses are
+// distinct, so no row is written twice.
 func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	d := r.doc
-	// The pattern is fully bound: witness k binds pattern node i to
-	// slab[k*nv+i]. The slab is the match result's scratch, so the rows are
-	// written from it before the next pattern is assembled.
+	// Witness k binds the pattern's bound nodes, in pre-order, to
+	// slab[k*nv:]: an item's parent before its child. The slab is the match
+	// result's scratch, so the rows are written from it before the next
+	// pattern is assembled.
 	slab, nw := res.Bindings(pi.yid)
-	nv := len(pi.pathIDs)
-	for k := 0; k < nw; k++ {
-		b := slab[k*nv : (k+1)*nv]
-		for _, e := range pi.edges {
-			n1 := xmldoc.NodeID(noParent)
-			if e.n[0] != noParent {
-				n1 = b[e.n[0]]
+	nv := pi.nv
+	for _, it := range pi.items {
+		for k := 0; k < nw; k++ {
+			b := slab[k*nv : (k+1)*nv]
+			n1, n2 := xmldoc.NodeID(noParent), b[0]
+			if it.id[0] != noParent {
+				n1, n2 = b[0], b[1]
 			}
-			r.AddBin(e.id[0], e.id[1], n1, b[e.n[1]])
-		}
-		for _, n := range pi.strNodes {
-			r.AddDoc(b[n])
+			r.rec.addBin(it.id[0], it.id[1], int64(n1), int64(n2))
+			if it.vals[0] > 0 {
+				r.AddDoc(n1)
+			}
+			if it.vals[1] > 0 {
+				r.AddDoc(n2)
+			}
 		}
 	}
 	// Single-block queries fire once per witness.

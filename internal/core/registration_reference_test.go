@@ -13,6 +13,7 @@ import (
 	"repro/internal/workload"
 	"repro/internal/xpath"
 	"repro/internal/xscl"
+	"repro/internal/yfilter"
 )
 
 // This file keeps the direct derivation of a query's template and RT row as
@@ -377,28 +378,6 @@ func (g *refCanonGraph) serialize(colors []int) (string, []int) {
 	return sb.String(), order
 }
 
-// refRegistry replays registration the reference way and records what the
-// processor must agree with.
-type refRegistry struct {
-	syms      *symtab
-	patternID map[string]int // by canonical key, in first-registration order
-	patterns  []*refPattern
-	templates map[string]*refTemplate
-	tmplList  []*refTemplate
-	queries   int // the next query id
-}
-
-type refPattern struct {
-	key                   string
-	norm                  *xpath.Pattern
-	pathIDs               []int64
-	edges                 []binItem
-	strNodes              []int32
-	edgeSeen              map[binItem]bool
-	strSeen               map[int32]bool
-	numNodes, patternYFID int
-}
-
 // refClassNames names the nodes of the normalized pattern norm with a node of
 // marks in their subtree: each the string join of the steps from the root,
 // every step followed by the CanonicalKey, as a pattern of its own, of each
@@ -446,36 +425,107 @@ type refTemplate struct {
 	classes [][]windowClass // per group, its window classes in creation order
 }
 
-func newRefRegistry() *refRegistry {
-	return &refRegistry{syms: newSymtab(), patternID: map[string]int{}, templates: map[string]*refTemplate{}}
+// refRegistry replays registration the reference way and records what the
+// processor must agree with.
+type refRegistry struct {
+	syms      *symtab
+	patternID map[string]int // by canonical key, in first-registration order
+	patterns  []*refPattern
+	items     map[[2]int64]*refItem
+	demands   map[string]*refDemand
+	templates map[string]*refTemplate
+	tmplList  []*refTemplate
+	queries   int // the next query id
 }
 
-func (r *refRegistry) pattern(block *xpath.Pattern) (*refPattern, []int) {
-	norm, imap := block.NormalizedFullyBound()
-	key := norm.CanonicalKey()
+// refPattern is a Stage-1 pattern: its key, its id (the patterns are
+// registered in order), its single-block queries and the row items it
+// carries, in registration order.
+type refPattern struct {
+	key     string
+	yfid    int
+	singles int
+	items   [][2]int64
+}
+
+// refDemand is one distinct demand: its block's normalized pattern, its
+// edges and value-join nodes there, and the interned names of the nodes it
+// keeps.
+type refDemand struct {
+	norm     *xpath.Pattern
+	edges    [][2]int32
+	strNodes []int32
+	ids      map[int]int64
+}
+
+// refItem counts the distinct demands naming a row item, and those needing
+// each end's string value.
+type refItem struct {
+	refs int
+	vals [2]int
+}
+
+// refItemKey spells the canonical key of the class pattern of edge e's child
+// in the normalized block norm, whose kept nodes names names: the path from
+// the root to the child, bound at the edge's nodes, each node on it carrying,
+// unbound, the child subtrees it drops.
+func refItemKey(norm *xpath.Pattern, names map[int]string, e [2]int32) string {
+	onPath := map[int]bool{}
+	for n := int(e[1]); n >= 0; n = norm.Nodes[n].ParentIndex {
+		onPath[n] = true
+	}
+	var enc func(n *xpath.PatternNode, path bool) string
+	enc = func(n *xpath.PatternNode, path bool) string {
+		self := ""
+		if path && (n.Index == int(e[0]) || n.Index == int(e[1])) {
+			self = "!"
+		}
+		self += n.Axis.String()
+		if n.IsAttr {
+			self += "@"
+		}
+		self += n.Name
+		var kids []string
+		for _, c := range n.Children {
+			_, kept := names[c.Index]
+			switch {
+			case !path || !kept:
+				kids = append(kids, enc(c, false))
+			case onPath[c.Index]:
+				kids = append(kids, enc(c, true))
+			}
+		}
+		sort.Strings(kids)
+		if len(kids) > 0 {
+			self += "[" + strings.Join(kids, ",") + "]"
+		}
+		return self
+	}
+	return norm.Stream + "|" + enc(norm.Root, true)
+}
+
+func newRefRegistry() *refRegistry {
+	return &refRegistry{syms: newSymtab(), patternID: map[string]int{}, items: map[[2]int64]*refItem{},
+		demands: map[string]*refDemand{}, templates: map[string]*refTemplate{}}
+}
+
+// pattern returns the pattern of canonical key key, registered in order.
+func (r *refRegistry) pattern(key string) *refPattern {
 	if id, ok := r.patternID[key]; ok {
-		return r.patterns[id], imap
+		return r.patterns[id]
 	}
-	pi := &refPattern{key: key, norm: norm, patternYFID: len(r.patterns), numNodes: len(norm.Nodes),
-		edgeSeen: map[binItem]bool{}, strSeen: map[int32]bool{}}
-	all := make([]int32, len(norm.Nodes))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	paths := refClassNames(norm, all)
-	for i := range norm.Nodes {
-		pi.pathIDs = append(pi.pathIDs, r.syms.intern(paths[i]))
-	}
+	pi := &refPattern{key: key, yfid: len(r.patterns)}
 	r.patternID[key] = len(r.patterns)
 	r.patterns = append(r.patterns, pi)
-	return pi, imap
+	return pi
 }
 
 func (r *refRegistry) register(q *xscl.Query) error {
 	qid := QueryID(r.queries)
 	r.queries++
 	if q.Op == xscl.OpNone {
-		r.pattern(q.Left)
+		norm, _ := q.Left.NormalizedFullyBound()
+		r.pattern(norm.CanonicalKey()).singles++
 		return nil
 	}
 	if err := r.instance(q, qid, false); err != nil {
@@ -504,8 +554,8 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 		r.templates[sig] = tmpl
 		r.tmplList = append(r.tmplList, tmpl)
 	}
-	lp, lmap := r.pattern(q.Left)
-	rp, rmap := r.pattern(q.Right)
+	lnorm, lmap := q.Left.NormalizedFullyBound()
+	rnorm, rmap := q.Right.NormalizedFullyBound()
 	type demand struct {
 		edges    [][2]int32
 		strNodes []int32
@@ -538,31 +588,41 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 		dem[1].strNodes = addOnce(dem[1].strNodes, int32(rmap[red.right[e.R].pn.Index]))
 	}
 	// Each side's kept nodes are named and interned in pre-order, the left
-	// side's first; the items are qualified by the names.
+	// side's first. A demand new to the registry takes a reference on the
+	// row item of each of its edges, qualified by the names; an item new to
+	// the registry registers its class pattern.
 	var ids [2]map[int]int64
-	for side, pi := range [2]*refPattern{lp, rp} {
+	for side, norm := range [2]*xpath.Pattern{lnorm, rnorm} {
 		d := dem[side]
-		names := refClassNames(pi.norm, d.strNodes)
+		names := refClassNames(norm, d.strNodes)
 		ids[side] = map[int]int64{}
-		for i := range pi.norm.Nodes {
+		for i := range norm.Nodes {
 			if name, ok := names[i]; ok {
 				ids[side][i] = r.syms.intern(name)
 			}
 		}
-		for _, e := range d.edges {
-			it := binItem{n: e, id: [2]int64{noParent, ids[side][int(e[1])]}}
-			if e[0] != noParent {
-				it.id[0] = ids[side][int(e[0])]
-			}
-			if !pi.edgeSeen[it] {
-				pi.edgeSeen[it] = true
-				pi.edges = append(pi.edges, it)
-			}
+		dk := fmt.Sprint(norm.CanonicalKey(), d.strNodes)
+		if r.demands[dk] != nil {
+			continue
 		}
-		for _, n := range d.strNodes {
-			if !pi.strSeen[n] {
-				pi.strSeen[n] = true
-				pi.strNodes = append(pi.strNodes, n)
+		r.demands[dk] = &refDemand{norm: norm, edges: d.edges, strNodes: d.strNodes, ids: ids[side]}
+		for _, e := range d.edges {
+			id := [2]int64{noParent, ids[side][int(e[1])]}
+			if e[0] != noParent {
+				id[0] = ids[side][int(e[0])]
+			}
+			it := r.items[id]
+			if it == nil {
+				it = &refItem{}
+				r.items[id] = it
+				pi := r.pattern(refItemKey(norm, names, e))
+				pi.items = append(pi.items, id)
+			}
+			it.refs++
+			for j, n := range e {
+				if slices.Contains(d.strNodes, n) {
+					it.vals[j]++
+				}
 			}
 		}
 	}
@@ -592,6 +652,61 @@ func (r *refRegistry) instance(q *xscl.Query, qid QueryID, swapped bool) error {
 	tmpl.groups = append(tmpl.groups, vars)
 	tmpl.classes = append(tmpl.classes, []windowClass{{key: key, qids: []QueryID{qid}}})
 	return nil
+}
+
+// itemsMismatch compares the processor's Stage-1 registry with the
+// reference's: its demands, its row items with their counts, its live
+// patterns — keys, single-block queries and items — and the Stage-1
+// engine's live set. ordered compares the patterns in registration order
+// and their Stage-1 ids too, which only a processor that never unregistered
+// shares with the reference.
+func itemsMismatch(p *Processor, ref *refRegistry, ordered bool) string {
+	if len(p.demands) != len(ref.demands) || len(p.items) != len(ref.items) || len(p.patterns) != len(ref.patterns) {
+		return fmt.Sprintf("%d demands, %d items, %d patterns; reference %d, %d, %d",
+			len(p.demands), len(p.items), len(p.patterns), len(ref.demands), len(ref.items), len(ref.patterns))
+	}
+	// Items are compared by their class names: a processor keeps the names
+	// of queries that left, so after churn its ids are not the reference's.
+	names := func(s *symtab, id [2]int64) (n [2]string) {
+		for i, v := range id {
+			if v != noParent {
+				n[i] = s.name(v)
+			}
+		}
+		return n
+	}
+	refItems := map[[2]string]*refItem{}
+	for id, ri := range ref.items {
+		refItems[names(ref.syms, id)] = ri
+	}
+	for i, pi := range livePatterns(p) {
+		rp := ref.patterns[i]
+		if !ordered {
+			rp = ref.patterns[ref.patternID[pi.key]]
+		}
+		var items, want [][2]string
+		for _, it := range pi.items {
+			items = append(items, names(p.syms, it.id))
+			if ri := refItems[names(p.syms, it.id)]; ri == nil || it.refs != ri.refs || it.vals != ri.vals || it.pi != pi || p.items[it.id] != it {
+				return fmt.Sprintf("item %q: %d refs, values %v; reference %+v", names(p.syms, it.id), it.refs, it.vals, ri)
+			}
+		}
+		for _, id := range rp.items {
+			want = append(want, names(ref.syms, id))
+		}
+		if pi.key != rp.key || p.xp.Pattern(pi.yid).CanonicalKey() != rp.key || len(pi.singles) != rp.singles ||
+			!slices.Equal(items, want) || ordered && int(pi.yid) != rp.yfid {
+			return fmt.Sprintf("pattern %d: id %d key %q, %d singles, items %q\nreference: id %d key %q, %d singles, items %q",
+				i, pi.yid, pi.key, len(pi.singles), items, rp.yfid, rp.key, rp.singles, want)
+		}
+	}
+	for yid := range p.xp.NumPatterns() {
+		pi := p.byYID[yid]
+		if p.xp.Live(yfilter.PatternID(yid)) != (pi != nil) || pi != nil && p.patterns[pi.key] != pi {
+			return fmt.Sprintf("Stage-1 pattern %d: live %v, registry holds %v", yid, p.xp.Live(yfilter.PatternID(yid)), pi)
+		}
+	}
+	return ""
 }
 
 // derivationMismatch compares one join query's template derivation — the
@@ -629,9 +744,9 @@ func derivationMismatch(q *xscl.Query) string {
 // TestRegistrationMatchesReference registers the RSS, paper-scale,
 // deep-feed and random query lists into a processor and replays them through
 // the reference derivation: every template signature and node order, every
-// yfilter pattern id and key, the symbol table's names in id order, every
-// pattern's emission lists and every vector group's variables and instances
-// must be equal. State rows and snapshots carry the symbol ids, and templates
+// Stage-1 pattern id and key with its single-block queries and row items, every
+// item's counts, the symbol table's names in id order and every vector
+// group's variables and instances must be equal. State rows and snapshots carry the symbol ids, and templates
 // are found by signature, so none of these may move.
 func TestRegistrationMatchesReference(t *testing.T) {
 	lists := map[string][]*xscl.Query{
@@ -668,25 +783,8 @@ func TestRegistrationMatchesReference(t *testing.T) {
 			if !slices.Equal(p.syms.names, ref.syms.names) {
 				t.Fatalf("symbol table\n%q\nreference\n%q", p.syms.names, ref.syms.names)
 			}
-			var live []*patternInfo
-			for _, pi := range p.byYID {
-				if pi != nil {
-					live = append(live, pi)
-				}
-			}
-			slices.SortFunc(live, func(a, b *patternInfo) int { return cmp.Compare(a.seq, b.seq) })
-			if len(live) != len(ref.patterns) || len(p.patterns) != len(live) {
-				t.Fatalf("%d patterns (%d by key), reference %d", len(live), len(p.patterns), len(ref.patterns))
-			}
-			for i, pi := range live {
-				rp := ref.patterns[i]
-				if int(pi.yid) != rp.patternYFID || pi.key != rp.key || p.xp.Pattern(pi.yid).CanonicalKey() != rp.key ||
-					!slices.Equal(pi.pathIDs, rp.pathIDs) || !slices.Equal(pi.edges, rp.edges) ||
-					!slices.Equal(pi.strNodes, rp.strNodes) {
-					t.Fatalf("pattern %d: id %d key %q ids %v edges %v str %v\nreference: id %d key %q ids %v edges %v str %v",
-						i, pi.yid, pi.key, pi.pathIDs, pi.edges, pi.strNodes,
-						rp.patternYFID, rp.key, rp.pathIDs, rp.edges, rp.strNodes)
-				}
+			if msg := itemsMismatch(p, ref, true); msg != "" {
+				t.Fatal(msg)
 			}
 			if len(p.templateList) != len(ref.tmplList) {
 				t.Fatalf("%d templates, reference %d", len(p.templateList), len(ref.tmplList))

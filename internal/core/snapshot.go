@@ -125,8 +125,8 @@ func (p *Processor) RestoreState(snap StateSnapshot) error {
 }
 
 // restore writes the rows as the snapshot lists them, without Stage 1's
-// deduplication: that keys on node ids, which a snapshot file does not
-// bound, and no engine writes a row twice. Every row is checked before any
+// Rdoc stamps: they key on node ids, which a snapshot file does not bound,
+// and no engine writes a row twice. Every row is checked before any
 // value enters the dictionary, so a refused snapshot files none.
 func (s *State) restore(snap StateSnapshot, varID func(string) int64) error {
 	if s.nextSeq != 0 || len(s.order) != 0 {

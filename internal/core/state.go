@@ -135,7 +135,7 @@ type docRec struct {
 }
 
 // recKeep bounds the storage kept for a later document wherever it is
-// recycled, in values: a record's rows, the Stage-1 dedup arrays
+// recycled, in values: a record's rows, the Stage-1 node stamps
 // (Stage1Result.reset) and the Stage-2 pair buffers (stage2Shared.reset). A
 // burst document's storage goes with it instead of being cleared for every
 // document after it.
@@ -148,8 +148,9 @@ const (
 	rdocNode, rdocStrVal, rdocWidth                     = 0, 1, 2
 )
 
-// addBin and addDoc append one row of Rbin and Rdoc, as given:
-// deduplication is the caller's (Stage1Result.AddBin and AddDoc).
+// addBin and addDoc append one row of Rbin and Rdoc, as given: Stage 1
+// writes each Rbin row once (Stage1Result.addWitnesses) and stamps the Rdoc
+// rows (Stage1Result.AddDoc).
 func (r *docRec) addBin(var1, var2, n1, n2 int64) {
 	r.binVals = append(r.binVals, var1, var2, n1, n2)
 	if var1 == noParent {

@@ -66,9 +66,14 @@ func rowViews(vals []int64, width int) [][]int64 {
 	return rows
 }
 
-// addRoot writes the root of a single-node side binding class v at node n,
-// as Stage 1 does: a parentless Rbin row.
-func addRoot(b *Stage1Result, v int64, n xmldoc.NodeID) { b.AddBin(noParent, v, noParent, n) }
+// addBin writes an Rbin row into the record b builds, as a row item's
+// witness does, and addRoot the root of a single-node side binding class v at
+// node n: a parentless Rbin row.
+func addBin(b *Stage1Result, var1, var2 int64, n1, n2 xmldoc.NodeID) {
+	b.rec.addBin(var1, var2, int64(n1), int64(n2))
+}
+
+func addRoot(b *Stage1Result, v int64, n xmldoc.NodeID) { addBin(b, noParent, v, noParent, n) }
 
 // buildRec runs fill on a Stage-1 result for d, the builder RunStage1 fills,
 // and seals the result's record.
@@ -86,9 +91,9 @@ func buildRec(d *xmldoc.Document, fill func(r *Stage1Result)) *Stage1Result {
 // matches cannot show a kind kept in vain; the ends do.
 func TestAppendEndsKeepsLiveKinds(t *testing.T) {
 	r := buildRec(xmldoc.NewBuilder(1, 1, "r").Build(), func(b *Stage1Result) {
-		b.AddBin(5, 6, 0, 1)
+		addBin(b, 5, 6, 0, 1)
 		addRoot(b, 6, 1)
-		b.AddBin(5, 7, 0, 2)
+		addBin(b, 5, 7, 0, 2)
 	})
 	withParent, parentless, any := []int64{5, 6, 0, 1}, []int64{noParent, 6, noParent, 1}, []int64{noParent, anyClass, noParent, 1}
 	for _, c := range []struct {
@@ -451,9 +456,12 @@ func newExpiryPair(t testing.TB) *expiryPair {
 // place of the document's: the expiry tests' witnesses bind nodes their
 // one-node documents do not have.
 func addDocValue(r *Stage1Result, n xmldoc.NodeID, strVal string) {
-	if e := r.node(n); e.doc < 0 {
-		r.insertDoc(e, n, strVal)
+	for i := range int32(r.rec.numDoc()) {
+		if r.rec.docRow(i)[rdocNode] == int64(n) {
+			return
+		}
 	}
+	r.insertDoc(n, strVal)
 }
 
 // merge adds one document with timestamp ts to both states: fill writes its
@@ -564,7 +572,7 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 			h.merge(ts, func(b *Stage1Result) {
 				r := rand.New(rand.NewSource(seed<<20 | h.nextID))
 				for n := r.Intn(5); n > 0; n-- {
-					b.AddBin(int64(r.Intn(3)), int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)), xmldoc.NodeID(r.Intn(4)))
+					addBin(b, int64(r.Intn(3)), int64(r.Intn(3)), xmldoc.NodeID(r.Intn(4)), xmldoc.NodeID(r.Intn(4)))
 				}
 				for n := r.Intn(4); n > 0; n-- {
 					addDocValue(b, xmldoc.NodeID(r.Intn(6)), fmt.Sprintf("inplace-%d", r.Intn(12)))
@@ -628,7 +636,7 @@ func TestInPlaceExpiryEqualsRebuild(t *testing.T) {
 // the documents and cutoffs: each byte of the input starts a merge (its rows
 // and its timestamp's lag behind the clock drawn from the bytes that follow)
 // or an expiry by time, by ROWS or by both. A merge writes its rows through
-// the Stage-1 builder (Stage1Result.AddBin and its siblings, then seal) and
+// the Stage-1 builder (addBin and its siblings, then seal) and
 // the state adopts the record, as Consume's merge does, so recycled record
 // storage is exercised too. After every step the state must equal the one
 // rebuilt from the surviving documents, export bytes included, and the left
@@ -662,7 +670,7 @@ func FuzzStateExpiry(f *testing.F) {
 				shape := next()
 				h.merge(now-lag, func(b *Stage1Result) {
 					for i := int64(0); i < shape%5; i++ {
-						b.AddBin(i%3, (i+shape)%3, xmldoc.NodeID(shape%4), xmldoc.NodeID((shape+i)%5))
+						addBin(b, i%3, (i+shape)%3, xmldoc.NodeID(shape%4), xmldoc.NodeID((shape+i)%5))
 					}
 					for i := int64(0); i < shape%4; i++ {
 						addDocValue(b, xmldoc.NodeID((shape+i)%6), fmt.Sprintf("fuzz-%d", (shape+i)%7))

@@ -105,9 +105,7 @@ func (f *NormalForm) Pattern(p *Pattern) *Pattern {
 			synth++
 		}
 	}
-	np := &Pattern{Stream: p.Stream, Root: f.clone(p, vars, 0)}
-	np.finalize()
-	return np
+	return NewPattern(p.Stream, f.clone(p, vars, 0))
 }
 
 // clone copies node i of p and its subtree with the children sorted.

@@ -67,6 +67,14 @@ type Pattern struct {
 	VarNodes []int
 }
 
+// NewPattern returns the pattern of stream whose tree is root, its nodes
+// numbered.
+func NewPattern(stream string, root *PatternNode) *Pattern {
+	p := &Pattern{Stream: stream, Root: root}
+	p.finalize()
+	return p
+}
+
 // finalize populates Nodes, VarNodes, Index and ParentIndex.
 func (p *Pattern) finalize() {
 	p.Nodes, p.VarNodes = p.Nodes[:0], p.VarNodes[:0]

@@ -244,6 +244,9 @@ func (e *Engine) SetLive(id PatternID, live bool) {
 	}
 }
 
+// Live reports whether pattern id is live (SetLive).
+func (e *Engine) Live(id PatternID) bool { return !e.dead[id] }
+
 // insertStep adds (or reuses) the NFA structure for one location step from
 // state cur and returns the step's target state.
 func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {

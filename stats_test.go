@@ -17,7 +17,7 @@ var engineStatsKeys = []string{
 	"witness_plans", "cq_probes", "cq_rows", "match_runs",
 	"patterns_triggered", "witness_probes", "nfa_steps", "window_gcs", "gc_rows_dropped",
 	"state_docs", "state_rbin_rows", "state_rdoc_rows", "state_rroot_rows", "state_values",
-	"subscription_bytes", "patterns_dormant", "dropped_cascades",
+	"subscription_bytes", "stage1_items", "dropped_cascades",
 }
 
 // TestEngineStatsJSONRoundTrip pins the structured stats contract: every
