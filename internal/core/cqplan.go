@@ -465,6 +465,7 @@ type cqExec struct {
 	// ends is buildPairs': one join value's endpoint classes.
 	present keySet
 	next    []int32
+	keep    retention // follows the pairs, for present and next
 	ends    []int64
 
 	// slab is carved into the Bindings of the emitted matches: every
@@ -543,8 +544,8 @@ func (ex *cqExec) buildPairs() bool {
 
 // growRow returns vals with room for one more row of width values. A full
 // array doubles, so a buffer that follows the largest document seen regrows
-// a logarithmic number of times (stage2Shared.reset drops one grown past
-// recKeep rows).
+// a logarithmic number of times (stage2Shared.reset keeps it as far as its
+// tracker does).
 func growRow(vals []int64, width int) []int64 {
 	if len(vals)+width <= cap(vals) {
 		return vals
@@ -605,7 +606,7 @@ func (ex *cqExec) runHeads(joins *joinIndex) {
 			}
 		}
 	}
-	if cap(ex.next) > recKeep {
+	if ex.keep.note(n); kept(&ex.keep, ex.next) == nil {
 		ex.next, ex.present = nil, keySet{}
 	}
 }

@@ -776,35 +776,58 @@ func TestPairBuildReadsLiveEndKinds(t *testing.T) {
 }
 
 // TestPairBufferGrowsGeometrically: a document with many more value-join
-// pairs than the recKeep rows a reset keeps builds them with a logarithmic
-// number of allocations. Each run starts from an empty buffer, since the
-// reset drops one grown past recKeep rows, so a buffer that grew one row at
-// a time past some size would show here as thousands of allocations, and
-// append's 1.25x steps as 28 against a bound of 20.
+// pairs than the floor builds them, from an empty pair buffer, with a
+// logarithmic number of allocations (the nodes it holds and the index keep
+// their storage): a buffer that grew one row at a time past some size
+// would show here as thousands of allocations, and append's 1.25x steps as
+// 28 against a bound of 20. The pair buffer, its index and the key table
+// such a document grew fall back to the floor after 2·retainDocs calm
+// documents.
 func TestPairBufferGrowsGeometrically(t *testing.T) {
-	const side = 120 // side*side pairs, well over recKeep
-	doc := func(id int, name string) *xmldoc.Document {
+	const side = 120 // side*side pairs, well over the floor
+	doc := func(id, n int, name string) *xmldoc.Document {
 		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "r")
-		for range side {
+		for range n {
 			b.Element(0, name, "v")
 		}
 		return b.Build()
 	}
 	p := NewProcessor(Config{})
-	p.MustRegister(xscl.MustParse("S//a->x FOLLOWED BY{x=y, 100} S//b->y"))
-	p.Process("S", doc(1, "a"))
-	r := p.RunStage1("S", doc(2, "b"))
+	p.MustRegister(xscl.MustParse("S//a->x FOLLOWED BY{x=y, 1000} S//b->y"))
+	p.Process("S", doc(1, side, "a"))
+	r := p.RunStage1("S", doc(2, side, "b"))
 	p.state.resolve(r)
 	ex := &p.ex
 	ex.p, ex.cur, ex.d, ex.pre = p, &r.rec, r.doc, &p.pre
 	if !ex.buildPairs() || len(p.pre.vals)/pairWidth != side*side {
 		t.Fatalf("premise: %d pairs built, want %d", len(p.pre.vals)/pairWidth, side*side)
 	}
-	allocs := testing.AllocsPerRun(5, func() { ex.buildPairs() })
+	allocs := testing.AllocsPerRun(5, func() {
+		p.pre.vals = nil
+		ex.buildPairs()
+	})
 	// Doubling from one row to side*side rows reallocates about
 	// log2(side*side) = 14 times; the row index over the pairs adds a few.
 	if bound := 1.5 * math.Log2(side*side); allocs > bound {
 		t.Errorf("%d pairs: %.0f allocations per build, want at most %.0f", side*side, allocs, bound)
 	}
 	t.Logf("%d pairs: %.0f allocations per build", side*side, allocs)
+
+	held := func() (vals, next, keys int) {
+		return max(cap(p.pre.vals), cap(p.pre.bySlot.rows)), cap(ex.next), len(ex.present.slots)
+	}
+	p.Process("S", doc(3, side, "b"))
+	if vals, next, keys := held(); vals <= retainFloor || next <= retainFloor || keys <= retainFloor {
+		t.Fatalf("premise: a document of %d pairs grew the buffers to %d values or index entries, %d chained pairs and %d key slots", side*side, vals, next, keys)
+	}
+	// Each calm document after the first pairs with the one before it alone.
+	for id := 4; id <= 4+2*retainDocs; id++ {
+		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "r")
+		b.Element(0, "a", fmt.Sprint(id))
+		b.Element(0, "b", fmt.Sprint(id-1))
+		p.Process("S", b.Build())
+	}
+	if vals, next, keys := held(); vals > retainFloor || next > retainFloor || keys > retainFloor {
+		t.Errorf("%d calm documents after a burst: %d values or index entries, %d chained pairs and %d key slots kept", 2*retainDocs, vals, next, keys)
+	}
 }

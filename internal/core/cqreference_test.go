@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -589,16 +590,22 @@ func TestCompiledPlanCountedWorkCeiling(t *testing.T) {
 // rss_window — every query's window cut to 100, the warm pass and the
 // measured pass consecutive 400-item segments of one stream — so the state
 // merge and window expiry (State.GC, at least three collections in the pass)
-// are inside the ceiling. The both-stage cases consume every document, so the
+// are inside the ceiling. "paper heavy" is DefaultPaperScale with its window
+// full: 300 subscriptions, five warm passes of 100 documents, then 100 more,
+// each building more value-join pairs (about 5 000) than the floor of
+// retained storage, so every buffer Stage 2 keeps across documents is past
+// the floor and must follow the workload (retention): dropped after each
+// document, they cost 32.4 allocations and 2.0 MB per document. The
+// both-stage cases consume every document, so the
 // records are recycled (Merge hands each result the storage of a freed slot)
 // and cost nothing; the stage1 cases drop their results, and each document
 // pays for a record of its own. Both passes run under GOMAXPROCS(1): a pooled object put back
 // on a processor that a later GOMAXPROCS(1) retires is found by no Get, and a
-// case would log one of two readings. The cases log 32.0, 10.7, 5.0, 10.0 and
-// 45.9 allocations and 1.73, 0.11, 12.3 and 28.2 KB per document ("rss
-// window" copies about 3.8 join values per document into the state's
-// dictionary, whatever an earlier run saw); a ceiling is at most 1.25 times
-// what its case logs.
+// case would log one of two readings. The cases log 19.0, 7.7, 5.0, 6.9, 37.9
+// and 7.2 allocations and 2.29, 1.01, 0.11, 10.8, 19.0 and 7.3 KB per
+// document ("rss window" copies about 3.8 join values per document into the
+// state's dictionary, whatever an earlier run saw); a ceiling is at most 1.25
+// times what its case logged when the ceiling was set.
 func TestPublishAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not fixed under the race detector (race_test.go)")
@@ -612,15 +619,18 @@ func TestPublishAllocCeiling(t *testing.T) {
 		gen            generator
 		queries, items int
 		window         int64 // 0: as generated
+		warm           int   // warm passes (windowed cases; 0: one)
+		pairs          int   // premise: each measured document builds more value-join pairs
 		stage1         bool
 		ceiling        float64
 		bytesCeiling   float64 // 0: count only
 	}{
-		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, true, 35, 0},
-		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, false, 13, 2160},
-		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, false, 5, 700},
-		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, false, 12, 15360},
-		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, true, 48, 30950},
+		{"rss stage1", workload.DefaultRSS(), 300, 400, 0, 0, 0, true, 35, 0},
+		{"rss per-document", workload.DefaultRSS(), 300, 400, 0, 0, 0, false, 13, 2160},
+		{"rss window per-document", workload.DefaultRSS(), 300, 400, 100, 0, 0, false, 5, 700},
+		{"scale per-document", workload.DefaultPaperScale(), 800, 150, 0, 0, 0, false, 12, 15360},
+		{"deep stage1", workload.DefaultDeepFeed(), 600, 60, 0, 0, 0, true, 48, 30950},
+		{"paper heavy per-document", workload.DefaultPaperScale(), 300, 100, 500, 5, retainFloor, false, 9, 9140},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{})
@@ -632,15 +642,17 @@ func TestPublishAllocCeiling(t *testing.T) {
 			}
 			// A windowed case's passes are consecutive segments of the
 			// stream (timestamps keep rising); the others replay one.
-			segments := 1
+			warm, segments := max(1, tc.warm), 1
 			if tc.window > 0 {
-				segments = 2
+				segments = warm + 1
 			}
 			stream := tc.gen.Stream(rand.New(rand.NewSource(8)), segments*tc.items)
-			next := 0
+			next, pairs := 0, 0 // pairs: the fewest a document of the pass built
 			pass := func() {
+				pairs = math.MaxInt
 				for _, d := range stream[next : next+tc.items] {
 					p.Consume(p.RunStage1("S", d))
+					pairs = min(pairs, len(p.pre.vals)/pairWidth)
 				}
 				next = (next + tc.items) % len(stream)
 			}
@@ -656,7 +668,9 @@ func TestPublishAllocCeiling(t *testing.T) {
 			// count. One processor from the warm pass on, so the pools the
 			// measured pass draws from are the ones the warm pass filled.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			pass() // warm
+			for range warm {
+				pass()
+			}
 			gcsBefore := p.Stats().WindowGCs
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -665,6 +679,9 @@ func TestPublishAllocCeiling(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / float64(tc.items)
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.items)
 			t.Logf("%.1f allocations, %.0f bytes per document", allocs, bytes)
+			if tc.pairs > 0 && pairs <= tc.pairs {
+				t.Fatalf("test premise: a measured document built %d value-join pairs, want more than %d", pairs, tc.pairs)
+			}
 			if allocs > tc.ceiling {
 				t.Errorf("%.1f allocations per document, want <= %.0f", allocs, tc.ceiling)
 			}
@@ -675,6 +692,30 @@ func TestPublishAllocCeiling(t *testing.T) {
 				t.Errorf("%d window collections in the measured pass, want >= 3", gcs)
 			}
 		})
+	}
+}
+
+// BenchmarkPublishPaperHeavy times a publish, RunStage1 then Consume, on the
+// shape of TestPublishAllocCeiling's "paper heavy" case: 300
+// DefaultPaperScale subscriptions, whose 500-unit window is full after the
+// 500 documents run before the clock starts, so every timed document builds
+// about 5 000 value-join pairs, past the floor of retained storage, and
+// expires one document. No document is replayed.
+func BenchmarkPublishPaperHeavy(b *testing.B) {
+	const warm = 500
+	c := workload.DefaultPaperScale()
+	p := NewProcessor(Config{})
+	for _, q := range c.Queries(rand.New(rand.NewSource(1)), 300) {
+		p.MustRegister(q)
+	}
+	stream := c.Stream(rand.New(rand.NewSource(8)), warm+b.N)
+	for _, d := range stream[:warm] {
+		p.Consume(p.RunStage1("S", d))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, d := range stream[warm:] {
+		p.Consume(p.RunStage1("S", d))
 	}
 }
 

@@ -532,3 +532,34 @@ func (x *rowIndex) get(k int64) []int32 {
 func resize[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
+
+// Every buffer kept from one document for the next follows one rule: it
+// notes each document's need, in entries, and keeps its capacity while that
+// is at most max(retainFloor, retainFactor × the largest need of this and
+// the last epoch of retainDocs documents). So nothing under the floor is
+// dropped, a steadily large shape keeps its storage and a lone burst's goes.
+const retainFloor, retainFactor, retainDocs = 4096, 4, 64
+
+// retention is one buffer's tracker, its owner's own: the last need, and the
+// largest of this epoch, n documents so far, and of the last.
+type retention struct{ last, cur, prev, n int }
+
+func (t *retention) note(need int) {
+	if t.last, t.cur, t.n = need, max(t.cur, need), t.n+1; t.n == retainDocs {
+		t.prev, t.cur, t.n = t.cur, 0, 0
+	}
+}
+
+// kept returns s emptied, or nil where t does not keep its capacity; reuse
+// notes the length of s as the document's need first.
+func kept[T any](t *retention, s []T) []T {
+	if cap(s) <= max(retainFloor, retainFactor*max(t.cur, t.prev)) {
+		return s[:0]
+	}
+	return nil
+}
+
+func reuse[T any](t *retention, s []T) []T {
+	t.note(len(s))
+	return kept(t, s)
+}

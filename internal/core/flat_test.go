@@ -131,3 +131,45 @@ func TestRowIndexLayouts(t *testing.T) {
 		}
 	}
 }
+
+// TestRetention drives one buffer's tracker through a stream of needs and
+// asks, after the last, whether a capacity stays: a steady large need keeps
+// up to retainFactor times its storage, a lone burst's storage goes within
+// 2·retainDocs calm documents but not within retainDocs, and nothing under
+// the floor is ever dropped.
+func TestRetention(t *testing.T) {
+	const big = 3 * retainFloor
+	run := func(need, docs int) []int {
+		out := make([]int, docs)
+		for i := range out {
+			out[i] = need
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		needs []int
+		c     int
+		want  bool
+	}{
+		{"no document", nil, retainFloor, true},
+		{"small needs, floor", run(1, 3*retainDocs), retainFloor, true},
+		{"small needs, past the floor", run(1, 3*retainDocs), retainFloor + 1, false},
+		{"after an aged burst, floor", append([]int{100 * big}, run(0, 3*retainDocs)...), retainFloor, true},
+		{"steady large need", run(big, 3*retainDocs), retainFactor * big, true},
+		{"steady large need, past the factor", run(big, 3*retainDocs), retainFactor*big + 1, false},
+		{"burst, then fewer than retainDocs calm", append([]int{big}, run(1, retainDocs-1)...), big, true},
+		{"burst last in an epoch, then fewer than retainDocs calm", append(run(1, retainDocs-1), append([]int{big}, run(1, retainDocs-1)...)...), big, true},
+		{"burst, then 2·retainDocs calm", append([]int{big}, run(1, 2*retainDocs)...), big, false},
+		{"burst last in an epoch, then 2·retainDocs calm", append(run(1, retainDocs-1), append([]int{big}, run(1, 2*retainDocs)...)...), big, false},
+	} {
+		var r retention
+		for _, n := range tc.needs {
+			r.note(n)
+		}
+		got := kept(&r, make([]int32, 1, tc.c))
+		if (got != nil) != tc.want || len(got) != 0 {
+			t.Errorf("%s: a capacity of %d kept as %v (length %d), want kept %v", tc.name, tc.c, got != nil, len(got), tc.want)
+		}
+	}
+}

@@ -260,18 +260,25 @@ func TestWindowGCStats(t *testing.T) {
 // the result carries to a later document's Stage 1. A result readied for a
 // document shows no row and no stamped node entry, whatever its storage held;
 // the rows the state adopted from earlier documents stay intact while later
-// documents write into storage that expired ones used; and storage a burst
-// document grew past recKeep is dropped, not recycled, both when its slot is
-// freed and when the result is readied again.
+// documents write into storage that expired ones used; a burst document's
+// record and node stamps, past the floor, survive fewer than retainDocs calm
+// documents and are gone after 2·retainDocs; and a steady run of documents
+// that large keeps them: each finds its storage readied.
 func TestRecordStorageReuse(t *testing.T) {
 	s := NewState()
 	r := new(Stage1Result)
-	var live []int64
+	var readied int // the record storage the last document was readied with
+	// merge publishes document id with rows+1 Rbin rows, and with the nodes
+	// 1 and, for rows > 1, rows stamped.
 	merge := func(id int64, rows int) {
 		t.Helper()
 		b := xmldoc.NewBuilder(xmldoc.DocID(id), xmldoc.Timestamp(id), "item")
 		b.Element(0, "a", fmt.Sprintf("value-%d", id))
+		for i := 1; i < rows; i++ {
+			b.Element(0, "a", "")
+		}
 		r.reset(b.Build())
+		readied = r.rec.storage()
 		stamped := 0
 		for _, e := range r.nodes {
 			if e == r.gen {
@@ -290,13 +297,17 @@ func TestRecordStorageReuse(t *testing.T) {
 		for i := 1; i < rows; i++ {
 			addBin(r, v, v+1, xmldoc.NodeID(i), xmldoc.NodeID(i+1))
 		}
-		r.rec.seal()
-		if r.rec.numBin() != rows+1 || r.rec.numDoc() != 1 || r.rec.roots != 1 {
-			t.Fatalf("document %d: rows %d/%d, %d parentless, want %d/1, 1", id, r.rec.numBin(), r.rec.numDoc(), r.rec.roots, rows+1)
+		docs := 1
+		if rows > 1 {
+			r.AddDoc(xmldoc.NodeID(rows))
+			docs++
+		}
+		r.seal()
+		if r.rec.numBin() != rows+1 || r.rec.numDoc() != docs || r.rec.roots != 1 {
+			t.Fatalf("document %d: rows %d/%d, %d parentless, want %d/%d, 1", id, r.rec.numBin(), r.rec.numDoc(), r.rec.roots, rows+1, docs)
 		}
 		s.resolve(r)
 		s.Merge(&r.rec)
-		live = append(live, id)
 		checkState(t, s)
 		for _, slot := range s.order {
 			rec := &s.recs[slot]
@@ -332,34 +343,54 @@ func TestRecordStorageReuse(t *testing.T) {
 			t.Fatalf("document %d: %d values came back from its slot", id, r.rec.storage())
 		}
 	}
-	// A burst document's storage: the slot it took drops it when it is
-	// freed, and a result readied after holding it drops it too, with the
-	// node stamps grown past recKeep.
-	burst := recKeep/rbinWidth + 1
-	merge(7, burst)
-	if _, dropped := s.GC(8, noSeq, nil); dropped != 4*3+burst+2 {
-		t.Fatalf("GC dropped %d rows", dropped)
+	// From here each document expires the ones before it, so its record's
+	// storage comes back to the result with the next. publish returns the
+	// rows expired.
+	id := int64(6)
+	publish := func(rows int) int {
+		t.Helper()
+		id++
+		merge(id, rows)
+		_, dropped := s.GC(xmldoc.Timestamp(id), noSeq, nil)
+		return dropped
 	}
-	for slot := range s.recs {
-		if n := s.recs[slot].storage(); n > recKeep {
-			t.Errorf("freed slot %d keeps %d values", slot, n)
+	// held is the largest record storage or record index, the result's or a
+	// slot's, and the node stamps' capacity.
+	held := func() (rec, nodes int) {
+		for _, rec2 := range append([]docRec{r.rec}, s.recs...) {
+			rec = max(rec, rec2.storage(), cap(rec2.binByNode2.rows))
+		}
+		return rec, cap(r.nodes)
+	}
+	burst := retainFloor + 1
+	if dropped := publish(burst); dropped != 4*3 {
+		t.Fatalf("GC dropped %d rows of documents 3 to 6", dropped)
+	}
+	if dropped := publish(1); dropped != burst+3 {
+		t.Fatalf("GC dropped %d rows of the burst document", dropped)
+	}
+	for range retainDocs - 2 {
+		publish(1)
+	}
+	if rec, nodes := held(); rec <= retainFloor || nodes <= retainFloor {
+		t.Errorf("%d calm documents after a burst: %d record values and %d node entries kept, want the burst's", retainDocs-1, rec, nodes)
+	}
+	for range retainDocs + 1 {
+		publish(1)
+	}
+	if rec, nodes := held(); rec > retainFloor || nodes > retainFloor {
+		t.Errorf("%d calm documents after a burst: %d record values and %d node entries kept", 2*retainDocs, rec, nodes)
+	}
+	// Two slots take turns, so from the fourth document on each is readied
+	// with storage an earlier one grew.
+	for i := range 2*retainDocs + 2 {
+		publish(burst)
+		if i >= 3 && readied < rbinWidth*(burst+1) {
+			t.Fatalf("document %d of a steady large run was readied with %d values", i, readied)
 		}
 	}
-	b := xmldoc.NewBuilder(8, 8, "item")
-	for i := 0; i <= recKeep; i++ {
-		b.Element(0, "a", "")
-	}
-	r.reset(b.Build())
-	for i := 0; i <= burst; i++ {
-		addBin(r, 1, 2, xmldoc.NodeID(4*i), xmldoc.NodeID(4*i+1))
-	}
-	r.AddDoc(recKeep + 1)
-	if r.rec.storage() <= recKeep || len(r.nodes) <= recKeep {
-		t.Fatalf("test premise: the burst grew the record to %d values and %d node entries", r.rec.storage(), len(r.nodes))
-	}
-	merge(9, 1)
-	if r.rec.storage() > recKeep || cap(r.nodes) > recKeep {
-		t.Errorf("after a burst: %d values and %d node entries kept", r.rec.storage(), cap(r.nodes))
+	if _, nodes := held(); nodes <= retainFloor {
+		t.Errorf("after a steady large run: %d node entries kept", nodes)
 	}
 }
 

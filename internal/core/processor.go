@@ -833,10 +833,10 @@ type Stage1Result struct {
 	// order is RunStage1's scratch: the triggered patterns' sort keys
 	// (Processor.triggerOrder).
 	order []uint64
-	// sized is what the last record r sealed held, in values per relation:
-	// a record that comes back with no storage (its document took a new
-	// slot) is given that much in one allocation (docRec.carve).
-	sized [2]int
+	// keepRec follows the records r sealed, a tracker a relation; the
+	// others follow the stamps, the row values and the singles.
+	keepRec                          [2]retention
+	keepNodes, keepVals, keepSingles retention
 
 	xpath, witness time.Duration
 	// triggered and probes are the document's counted assembly work
@@ -857,7 +857,7 @@ type rdocValue struct {
 // grown. The record a result brings back is the storage of the slot its
 // document took in the join state.
 //
-//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the node stamps, the row values and singles and sets every other field before handing it out; Consume clears the row values' strings once it has resolved them
+//mmqjp:pooled a result is put back by the Consume after the one that consumed it (Processor.consumed), when the Matches view reading its singles has expired; the state keeps the record Merge adopted and the result keeps only the storage swapped out of a freed slot, which no posting list names; newStage1 empties the record, the node stamps, the row values and singles, dropping the storage their trackers no longer keep, and sets every other field before handing it out; the trackers are the result's own, so the goroutines running Stage 1 share none; Consume clears the row values' strings once it has resolved them
 var stage1Pool = sync.Pool{New: func() any { return new(Stage1Result) }}
 
 // newStage1 returns a pooled result readied for document d: an empty record
@@ -868,22 +868,22 @@ func newStage1(d *xmldoc.Document) *Stage1Result {
 	return r
 }
 
-// reset readies r for document d. Its record and node stamps keep their
-// storage, up to recKeep values each.
+// reset readies r for document d, keeping storage as far as its trackers do
+// (retention). The stamps past the length are earlier documents', so stale.
 func (r *Stage1Result) reset(d *xmldoc.Document) {
-	r.doc, r.singles, r.vals = d, r.singles[:0], r.vals[:0]
-	if r.rec.empty(); r.rec.storage() == 0 {
-		r.rec.carve(r.sized)
+	r.doc, r.singles = d, reuse(&r.keepSingles, r.singles)
+	// A record back with no storage (its document took a new slot) gets the
+	// last one's size in one allocation; a relation past its part grows alone.
+	if r.rec.empty(&r.keepRec); r.rec.storage() == 0 {
+		if n, total := r.keepRec[0].last, r.keepRec[0].last+r.keepRec[1].last; total > 0 {
+			buf := make([]int64, total)
+			r.rec.binVals, r.rec.rdocVals = buf[:0:n], buf[n:n:total]
+		}
 	}
 	r.rec.id, r.rec.ts = d.ID, d.Timestamp
-	if len(r.nodes) > recKeep {
-		r.nodes = nil
-	}
-	if cap(r.vals) > recKeep {
-		r.vals = nil
-	}
+	r.nodes, r.vals = reuse(&r.keepNodes, r.nodes), reuse(&r.keepVals, r.vals)
 	if r.gen++; r.gen == 0 {
-		clear(r.nodes)
+		clear(r.nodes[:cap(r.nodes)])
 		r.gen = 1
 	}
 }
@@ -911,10 +911,11 @@ func (r *Stage1Result) insertDoc(n xmldoc.NodeID, strVal string) {
 	r.vals = append(r.vals, rdocValue{strVal, maphash.String(valueSeed, strVal)})
 }
 
-// seal seals the record (docRec.seal) and notes its size for the next.
+// seal seals the record (docRec.seal) and notes its size.
 func (r *Stage1Result) seal() {
 	r.rec.seal()
-	r.sized = [2]int{len(r.rec.binVals), len(r.rec.rdocVals)}
+	r.keepRec[0].note(len(r.rec.binVals))
+	r.keepRec[1].note(len(r.rec.rdocVals))
 }
 
 // RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
@@ -1098,9 +1099,6 @@ func (p *Processor) Consume(r *Stage1Result) *Matches {
 	prev := p.consumed
 	p.consumed = r
 	if prev != nil {
-		if cap(prev.singles) > recKeep {
-			prev.singles = nil
-		}
 		stage1Pool.Put(prev)
 	}
 	return out

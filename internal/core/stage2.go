@@ -123,6 +123,7 @@ type Matches struct {
 	heap    []sourceHead
 	// singlesPos is the walk's place in the singles.
 	singlesPos int
+	keep       retention // follows the runs
 }
 
 // matchRun is the matches of one frame and one window class: one per query
@@ -311,24 +312,13 @@ func (ms *Matches) Slice() []Match {
 	}
 }
 
-// reset empties the result for the next document. A runs, classes, order
-// or heap buffer a burst document grew past recKeep entries goes with it.
+// reset empties the result for the next document. Its buffers are no longer
+// than its runs, plus one, so the runs are the need they are kept by.
 func (ms *Matches) reset() {
 	clear(ms.runs)
 	clear(ms.classes)
-	if cap(ms.runs) > recKeep {
-		ms.runs = nil
-	}
-	if cap(ms.classes) > recKeep {
-		ms.classes = nil
-	}
-	if cap(ms.order) > recKeep {
-		ms.order = nil
-	}
-	if cap(ms.heap) > recKeep {
-		ms.heap = nil
-	}
-	ms.runs, ms.classes, ms.heap = ms.runs[:0], ms.classes[:0], ms.heap[:0]
+	ms.runs, ms.classes = reuse(&ms.keep, ms.runs), kept(&ms.keep, ms.classes)
+	ms.order, ms.heap = kept(&ms.keep, ms.order), kept(&ms.keep, ms.heap)
 	ms.singles, ms.n = nil, 0
 }
 
@@ -344,19 +334,17 @@ type stage2Shared struct {
 	vals   []int64
 	bySlot rowIndex
 
-	held [][2]int64 // buildPairs' scratch: the current nodes' shared values
+	held [][2]int64   // buildPairs' scratch: the current nodes' shared values
+	keep [2]retention // follows vals and held
 }
 
-// reset empties pre for the next document. A value buffer a burst document
-// grew past recKeep rows goes.
+// reset empties pre for the next document, keeping storage as far as keep
+// does; the index goes with the pairs.
 func (pre *stage2Shared) reset() {
-	if cap(pre.vals) > recKeep*pairWidth {
-		pre.vals = nil
+	pre.vals, pre.held = reuse(&pre.keep[0], pre.vals), reuse(&pre.keep[1], pre.held)
+	if pre.vals == nil && cap(pre.bySlot.rows) > 0 {
+		pre.bySlot = rowIndex{}
 	}
-	if cap(pre.held) > recKeep {
-		pre.held = nil
-	}
-	pre.vals = pre.vals[:0]
 }
 
 // matchCmp is the canonical total order: the output is identical regardless

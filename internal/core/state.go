@@ -72,6 +72,7 @@ type State struct {
 	// storage until Merge swaps it for the next record placed there.
 	recs []docRec
 	free []int32
+	keep [2]retention // follows the records merged: what a freed slot keeps
 	// order lists the live slots in arrival order.
 	order []int32
 
@@ -134,13 +135,6 @@ type docRec struct {
 	binByNode2        rowIndex
 }
 
-// recKeep bounds the storage kept for a later document wherever it is
-// recycled, in values: a record's rows, the Stage-1 node stamps
-// (Stage1Result.reset) and the Stage-2 pair buffers (stage2Shared.reset). A
-// burst document's storage goes with it instead of being cleared for every
-// document after it.
-const recKeep = 4096
-
 // The columns of the witness relations' rows, the same for the current
 // document and the join state.
 const (
@@ -180,27 +174,13 @@ func stride(vals []int64, width int, i int32) []int64 {
 // the current document and what Merge adopts.
 func (r *docRec) seal() { r.binByNode2.build(r.binVals, rbinWidth, rbinNode2) }
 
-// empty readies the record's storage for another document: no row. Storage
-// grown past recKeep values is dropped instead.
-func (r *docRec) empty() {
-	if r.storage() > recKeep {
-		*r = docRec{}
-		return
+// empty readies the record's storage for another document: no row. A
+// relation's storage goes where keep does not keep it, Rbin's with its index.
+func (r *docRec) empty(keep *[2]retention) {
+	r.binVals, r.rdocVals, r.roots = kept(&keep[0], r.binVals), kept(&keep[1], r.rdocVals), 0
+	if r.binVals == nil && cap(r.binByNode2.rows) > 0 {
+		r.binByNode2 = rowIndex{}
 	}
-	r.binVals, r.rdocVals, r.roots = r.binVals[:0], r.rdocVals[:0], 0
-}
-
-// carve gives a record that has no storage room for n[0] and n[1] values of
-// Rbin and Rdoc, carved from one allocation; a relation that outgrows its
-// part grows alone.
-func (r *docRec) carve(n [2]int) {
-	total := n[0] + n[1]
-	if total == 0 || total > recKeep {
-		return
-	}
-	buf := make([]int64, total)
-	r.binVals = buf[:0:n[0]]
-	r.rdocVals = buf[n[0]:n[0]:total]
 }
 
 // storage is the record's row storage, in values.
@@ -281,6 +261,8 @@ func (s *State) adopt(rec *docRec) {
 	}
 	r := &s.recs[slot]
 	*r, *rec = *rec, *r
+	s.keep[0].note(len(r.binVals))
+	s.keep[1].note(len(r.rdocVals))
 	r.live = true
 	if r.late = r.ts < s.maxTS; r.late {
 		s.late++
@@ -382,7 +364,6 @@ func (s *State) resolve(r *Stage1Result) {
 		r.rec.rdocVals[i*rdocWidth+rdocStrVal] = int64(s.valueID(v.s, v.hash))
 	}
 	clear(r.vals)
-	r.vals = r.vals[:0]
 }
 
 // valueID returns the id of join value v, whose hash is h. A value the state
@@ -419,7 +400,7 @@ func (s *State) retire(id int32) {
 	s.values.remove(s.lists, id)
 	l := &s.lists[id]
 	l.refs, l.head, l.dirty, l.val = l.refs[:0], 0, false, ""
-	if cap(l.refs) > recKeep {
+	if cap(l.refs) > retainFloor {
 		l.refs = nil
 	}
 	s.freeLists = append(s.freeLists, id)
@@ -485,7 +466,7 @@ func (s *State) GC(cutoffTS xmldoc.Timestamp, cutoffSeq int64, gone []xmldoc.Doc
 		if r.late {
 			s.late--
 		}
-		r.empty()
+		r.empty(&s.keep)
 		s.free = append(s.free, slot)
 	}
 	for _, id := range s.dirty {
