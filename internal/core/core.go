@@ -104,11 +104,13 @@ type Stats struct {
 	// document) and WitnessProbes what their assembly examined
 	// (yfilter.MatchResult.Work): in the semi-join reduction, each reduced
 	// child binding, each ancestor it stamped and each parent candidate
-	// tested against the stamps, then each candidate enumeration tried —
-	// Stage 1's counted work, a pure function of the documents and the
+	// tested against the stamps, then each candidate enumeration tried;
+	// for a pattern counted per root (MatchResult.RootCounts), each
+	// frontier entry the climb moved, each ancestor it passed and each
+	// candidate a branch count tried — Stage 1's counted work, a pure function of the documents and the
 	// registered patterns. A pattern that is not triggered is not visited.
 	PatternsTriggered int64 `json:"patterns_triggered" stat:"counter" help:"Registered patterns that reached Stage-1 witness assembly (every path prefix had a candidate in the document)."`
-	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Steps of the witness assembly of triggered patterns: reduced child bindings, ancestors they stamped and parent candidates tested in the semi-join reduction, and candidates tried by the enumeration."`
+	WitnessProbes     int64 `json:"witness_probes" stat:"counter" help:"Steps of the witness assembly of triggered patterns: reduced child bindings, ancestors they stamped and parent candidates tested in the semi-join reduction, and candidates tried by the enumeration, or frontier entries moved, ancestors passed and candidates tried by per-root counting."`
 	// NFASteps counts the DFA transitions Stage 1's walks computed from
 	// the shared NFA instead of finding them in their memo
 	// (yfilter.MatchResult.Steps): it settles near 0 per document once the

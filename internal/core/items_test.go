@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
@@ -287,13 +288,16 @@ func FuzzItemChurn(f *testing.F) {
 // (Stats.WitnessProbes) — on the paper-scale and RSS shapes, 2 000
 // subscriptions each, and on the deep_filter shape, 1 100. The readings are
 // 16.0 triggered and 64.0 probes per document on paper scale (16 item
-// patterns), 10.0 and 40.0 on RSS (10) and 34.2 and 3 900.6 on the deep feed
-// (960 single-block patterns and 4 items). While block patterns were
+// patterns), 10.0 and 40.0 on RSS (10) and 34.2 and 454.2 on the deep feed
+// (960 single-block patterns, counted per root by
+// yfilter.MatchResult.RootCounts, and 4 items; 3 900.6 while their
+// witnesses were reduced and enumerated). While block patterns were
 // assembled, with the ones smaller patterns covered skipped, they read 36.0
 // and 228.0 (174 patterns), 15.0 and 90.0 (31), and the same on the deep
 // feed; before that every pattern was triggered: 174.0 and 1 893.0, 31.0
-// and 271.0. Each bound is 1.25 times its reading, so a row assembled by
-// more patterns than its item's fails here.
+// and 271.0. Each bound is at most 1.25 times its reading, so a row
+// assembled by more patterns than its item's fails here, and so does a
+// single-block pattern enumerated instead of counted.
 func TestStage1CountedWork(t *testing.T) {
 	ps, rss, deep := workload.DefaultPaperScale(), workload.DefaultRSS(), workload.DefaultDeepFeed()
 	for _, tc := range []struct {
@@ -304,7 +308,7 @@ func TestStage1CountedWork(t *testing.T) {
 	}{
 		{"paper scale", ps.Queries(rand.New(rand.NewSource(1)), 2000), ps.Stream(rand.New(rand.NewSource(8)), 200), 20, 80},
 		{"rss", rss.Queries(rand.New(rand.NewSource(1)), 2000), rss.Stream(rand.New(rand.NewSource(8)), 200), 12.5, 50},
-		{"deep feed", deep.Queries(rand.New(rand.NewSource(1)), 1100), deep.Stream(rand.New(rand.NewSource(8)), 200), 42.75, 4875},
+		{"deep feed", deep.Queries(rand.New(rand.NewSource(1)), 1100), deep.Stream(rand.New(rand.NewSource(8)), 200), 42.75, 565},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcessor(Config{})
@@ -325,4 +329,37 @@ func TestStage1CountedWork(t *testing.T) {
 			}
 		})
 	}
+	// S//a//a over an a above 2 000 nested c, each with an a leaf: 2 000
+	// witnesses, every one climbing through the c chain. Counting passes
+	// each c once, so it reads no more probes than the reduction and
+	// enumeration of the same pattern.
+	t.Run("deep nesting", func(t *testing.T) {
+		b := xmldoc.NewBuilder(1, 1, "r")
+		n := b.Element(0, "a", "")
+		for range 2000 {
+			n = b.Element(n, "c", "")
+			b.Element(n, "a", "")
+		}
+		d := b.Build()
+		p := NewProcessor(Config{})
+		qid := p.MustRegister(xscl.MustParse("S//a//a->y"))
+		start := time.Now()
+		r := p.RunStage1("S", d)
+		took := time.Since(start)
+		if len(r.singles) != 2000 || r.singles[0].Query != qid {
+			t.Fatalf("%d matches, want 2000 of query %d", len(r.singles), qid)
+		}
+		counted := r.probes
+		stage1Pool.Put(r)
+		res := p.xp.MatchDocument("S", d)
+		if _, n := res.Bindings(p.queries[qid].single.yid); n != 2000 {
+			t.Fatalf("Bindings found %d witnesses, want 2000", n)
+		}
+		_, enumerated := res.Work()
+		res.Release()
+		t.Logf("%d probes counting, %d reducing and enumerating; counting took %v", counted, enumerated, took)
+		if counted > enumerated {
+			t.Errorf("counting read %d probes, want <= %d", counted, enumerated)
+		}
+	})
 }

@@ -972,9 +972,19 @@ func (p *Processor) triggerOrder(keys []uint64, trig []yfilter.PatternID) []uint
 // document's record — a row per witness for each of its row items, with the
 // string values the item's demands need — and its single-block queries'
 // matches. No two items write the same row, and an item's witnesses are
-// distinct, so no row is written twice.
+// distinct, so no row is written twice. A pattern with no row item serves
+// single-block queries only, which read of a witness its root alone: its
+// witnesses are counted per root, not built.
 func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
-	d := r.doc
+	if len(pi.items) == 0 {
+		roots, counts := res.RootCounts(pi.yid)
+		for _, qid := range pi.singles {
+			for k, root := range roots {
+				r.addSingle(qid, root, counts[k])
+			}
+		}
+		return
+	}
 	// Witness k binds the pattern's bound nodes, in pre-order, to
 	// slab[k*nv:]: an item's parent before its child. The slab is the match
 	// result's scratch, so the rows are written from it before the next
@@ -1000,14 +1010,22 @@ func (r *Stage1Result) addWitnesses(pi *patternInfo, res *yfilter.MatchResult) {
 	// Single-block queries fire once per witness.
 	for _, qid := range pi.singles {
 		for k := 0; k < nw; k++ {
-			root := slab[k*nv]
-			r.singles = append(r.singles, Match{
-				Query:   qid,
-				LeftDoc: d.ID, RightDoc: d.ID,
-				LeftTS: d.Timestamp, RightTS: d.Timestamp,
-				LeftRoot: root, RightRoot: root,
-			})
+			r.addSingle(qid, slab[k*nv], 1)
 		}
+	}
+}
+
+// addSingle appends n matches of single-block query qid at root.
+func (r *Stage1Result) addSingle(qid QueryID, root xmldoc.NodeID, n int64) {
+	d := r.doc
+	m := Match{
+		Query:   qid,
+		LeftDoc: d.ID, RightDoc: d.ID,
+		LeftTS: d.Timestamp, RightTS: d.Timestamp,
+		LeftRoot: root, RightRoot: root,
+	}
+	for range n {
+		r.singles = append(r.singles, m)
 	}
 }
 

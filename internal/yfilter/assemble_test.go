@@ -2,6 +2,8 @@ package yfilter
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -82,13 +84,84 @@ func checkAgainstNaive(t *testing.T, label string, r *MatchResult, id PatternID,
 	}
 }
 
+// checkRootCounts compares RootCounts on a fully bound pattern with
+// MatchNaive's witnesses grouped by their root binding, and checks that the
+// roots come in document order.
+func checkRootCounts(t *testing.T, label string, r *MatchResult, id PatternID, p *xpath.Pattern, doc *xmldoc.Document) {
+	t.Helper()
+	roots, counts := r.RootCounts(id)
+	got := map[xmldoc.NodeID]int64{}
+	for k, root := range roots {
+		if k > 0 && r.span[roots[k-1]].pre >= r.span[root].pre {
+			t.Fatalf("%s: pattern %q: roots %v not in document order", label, p.String(), roots)
+		}
+		got[root] = counts[k]
+	}
+	want := map[xmldoc.NodeID]int64{}
+	for _, w := range p.MatchNaive(doc) {
+		want[w.Bindings[0]]++
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: pattern %q doc %s:\ncounted %v\nnaive   %v", label, p.String(), doc.XMLText(), got, want)
+	}
+}
+
+// TestCountArithmetic pins the checked sums and products of witness counts:
+// -1 stands for a count past int64 and absorbs every later operation.
+func TestCountArithmetic(t *testing.T) {
+	const top = math.MaxInt64
+	for _, tc := range []struct{ a, b, sum, product int64 }{
+		{2, 3, 5, 6},
+		{0, top, top, 0},
+		{top, 1, -1, top},
+		{1 << 32, 1 << 31, 1<<32 + 1<<31, -1},
+		{top / 2, 2, top/2 + 2, top - 1},
+		{-1, 0, -1, -1},
+		{3, -1, -1, -1},
+	} {
+		if got := addCount(tc.a, tc.b); got != tc.sum {
+			t.Errorf("addCount(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.sum)
+		}
+		if got := mulCount(tc.a, tc.b); got != tc.product {
+			t.Errorf("mulCount(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.product)
+		}
+	}
+}
+
+// TestDedupFlag pins which patterns deduplicate their witnesses: those with
+// an enumerated node that the bindings do not fix, where a node is fixed
+// when it is bound or sits by the child axis above a fixed node.
+func TestDedupFlag(t *testing.T) {
+	for _, tc := range []struct {
+		pattern string
+		dedup   bool
+	}{
+		{"S//a[.//b->x]", true},
+		{"S//a[./b[.//c->y]]", true},
+		{"S//a->x[.//b[.//c->y]]", true},
+		{"S//a[./b->x]", false},
+		{"S//a->x[.//b[./c->y]]", false},
+		{"S//a[./b->x][.//c->y]", false},
+		{"S//a->x[./b][.//c]", false},
+		{"S//entry[./author[./name->y]]", false},
+		{"S/feed[./entry[./id->y]]", false},
+	} {
+		e := NewEngine()
+		id := e.Register(xpath.MustParseBlock(tc.pattern))
+		if got := e.asm[id].prog.dedup(); got != tc.dedup {
+			t.Errorf("%s: dedup %v, want %v", tc.pattern, got, tc.dedup)
+		}
+	}
+}
+
 // TestPropertyLargeDocuments checks assembly against the naive matcher where
 // the interval join can go wrong: documents of 200-400 nodes over five names
 // (same-name elements nested under //, sibling runs interleaved with deeper
 // candidates of the same prefix, attributes, *), in pre-order and in
 // level-order ids, against raw patterns (unbound interior nodes above bound
 // ones: the deduplicating path) and their fully bound forms (the path
-// internal/core uses), several patterns sharing one engine.
+// internal/core uses; their counts per root too), several patterns sharing
+// one engine.
 func TestPropertyLargeDocuments(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	names := []string{"a", "b", "c", "d", "e"}
@@ -103,11 +176,14 @@ func TestPropertyLargeDocuments(t *testing.T) {
 			ids = append(ids, e.Register(raw), e.Register(bound))
 		}
 		r := e.MatchDocument("S", doc)
-		for _, id := range ids {
+		for k, id := range ids {
 			if e.asm[id].prog.dedup() {
 				dedup++
 			}
 			checkAgainstNaive(t, fmt.Sprintf("trial %d", trial), r, id, e.Pattern(id), doc)
+			if k%2 == 1 {
+				checkRootCounts(t, fmt.Sprintf("trial %d", trial), r, id, e.Pattern(id), doc)
+			}
 		}
 		r.Release()
 	}
@@ -310,8 +386,9 @@ func pathPattern(stream string, steps []xpath.PathStep) *xpath.Pattern {
 // Register that extends the first path by a //* step adds NFA states and
 // prefixes that the memo's sets do not know: the document is matched once
 // more on the recycled result, the new pattern too, so a stale memo cannot
-// survive. Sizes are capped because MatchNaive is exponential in the
-// pattern.
+// survive. The fully bound form's counts per root (RootCounts) must equal
+// MatchNaive's witnesses grouped by root binding. Sizes are capped because
+// MatchNaive is exponential in the pattern.
 func FuzzWitnessesMatchNaive(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"S//book->x1[.//author->x2][.//title->x3]", "<lib><book><author>a</author><title>t</title><author>b</author></book></lib>"},
@@ -321,6 +398,10 @@ func FuzzWitnessesMatchNaive(f *testing.F) {
 		{"S//*->w[./@*->v]", `<r i="1"><s i="2" j="3"><t/></s></r>`},
 		{"S/r/a[./b]//c->z", "<r><a><b/><d><c/><c/></d></a><a><c/></a></r>"},
 		{"S//a[.//b][.//c]", "<a><b/><a><c/></a></a>"},
+		{"S//a//a->y", "<a><a><c><a/><a><a/></a></c></a><b><a/></b></a>"},
+		{"S//a->x[.//b->y]", "<a><a><b/><a><b/><b/></a></a><b/></a>"},
+		{"S//e->x[./t9][.//s]", "<f><e><t9/><p><s/><s/></p><s/></e><e><p><s/><s/></p></e><e><t9/><s/></e></f>"},
+		{"S//a[./@i][.//b/@j]", `<a i="1"><b j="2"/><a i="3"><b/><b j="4"/></a></a>`},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -347,6 +428,7 @@ func FuzzWitnessesMatchNaive(f *testing.F) {
 		check := func(label string) {
 			r := e.MatchDocument(raw.Stream, d)
 			triggered := r.Triggered()
+			checkRootCounts(t, label, r, ids[1], e.Pattern(ids[1]), d)
 			for _, id := range ids {
 				p := e.Pattern(id)
 				checkAgainstNaive(t, label, r, id, p, d)

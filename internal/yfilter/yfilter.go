@@ -11,7 +11,9 @@
 // bound-variable assignments) are then assembled by a post-processing join of
 // the candidate sets along the pattern's branch structure, mirroring
 // YFilter's shared-path + nested-path post-processing design (assemble.go) —
-// but only for the patterns the document triggered. Each live pattern
+// but only for the patterns the document triggered, and a caller that reads
+// only each witness's root gets the witnesses counted per root instead
+// (MatchResult.RootCounts). Each live pattern
 // watches one of its prefixes, and the walk records the prefixes it hit (the
 // ones whose candidate list it made non-empty), so finding the triggered
 // patterns (MatchResult.Triggered) visits the watchers of those prefixes and
@@ -118,7 +120,7 @@ type Engine struct {
 	// canonically-equal pattern.
 	dead []bool
 
-	//mmqjp:pooled MatchResults are reset by Release and hold per-document scratch (candidate lists and the prefixes hit, the walk's path, numbering, parent stamps, reduced lists, the triggered list, the enumeration slab) plus their walk memos, which hold only set ids, NFA state ids and prefix ids and are emptied when the stream's version moves; the slab Bindings returns is valid only until the next Bindings call or Release, and internal/core writes each pattern's rows into the document's record before asking for the next pattern and before it releases the result
+	//mmqjp:pooled MatchResults are reset by Release and hold per-document scratch (candidate lists and the prefixes hit, the walk's path, numbering, parent stamps, reduced lists, the triggered list and its marks, the enumeration slab, the counting climb's frontiers and memo) plus their walk memos, which hold only set ids, NFA state ids and prefix ids and are emptied when the stream's version moves; the slab Bindings returns and the slices RootCounts returns are valid only until the next such call or Release, and internal/core writes each pattern's rows and matches into the document's result before asking for the next pattern and before it releases the result
 	pool sync.Pool
 	// warm holds the last released result outside the pool, whose objects
 	// are per-P and dropped by collections, so a single publisher's next
@@ -293,7 +295,8 @@ func (sn *streamNFA) insertStep(cur stateID, st xpath.PathStep) stateID {
 // from which Triggered finds the patterns that can have witnesses and
 // Bindings assembles them one pattern at a time. Results come from a
 // per-engine pool and everything in them but the walk memos is scratch that
-// Release recycles, the slices Triggered and Bindings return included.
+// Release recycles, the slices Triggered, Bindings and RootCounts return
+// included.
 type MatchResult struct {
 	eng *Engine
 	sn  *streamNFA
@@ -361,6 +364,11 @@ func (e *Engine) MatchDocument(stream string, d *xmldoc.Document) *MatchResult {
 	if len(r.span) < d.Len() {
 		r.span = make([]interval, d.Len())
 		r.stamps = make([]uint32, d.Len())
+		r.near = make([]int32, d.Len())
+	}
+	if r.epoch++; r.epoch == 0 {
+		clear(r.trigAt)
+		r.epoch = 1
 	}
 	if cap(r.candList) >= sn.numPrefix {
 		r.candList = r.candList[:sn.numPrefix]
